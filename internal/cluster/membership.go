@@ -514,11 +514,10 @@ func (n *Node) replayMirror(ctx context.Context, old, next *Ring, origin int, po
 		return fmt.Errorf("cluster: no local mirror of node %d", origin)
 	}
 	mir.mu.Lock()
-	from := mir.logStart
-	tuples := append([]tuple.Raw(nil), mir.log...)
+	all := mir.log.suffix(mir.log.start, mir.log.n) // the whole retained tail
 	mir.mu.Unlock()
 	key := transferKey{origin: origin, pol: pol}
-	_, err := n.applyTransfer(ctx, key, pol, old, next, from, tuples)
+	_, err := n.applyTransfer(ctx, key, pol, old, next, all.From, all.Tuples)
 	return err
 }
 
@@ -586,25 +585,5 @@ func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	}
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	next := mir.logStart + uint64(len(mir.log))
-	resp := wire.ReplicaCatchupResponse{}
-	var idx int
-	switch {
-	case m.Have == next:
-		return wire.ReplicaCatchupResponse{From: next, Done: true}
-	case m.Have > next || m.Have < mir.logStart:
-		resp.Snapshot = true
-		resp.From = mir.logStart
-		idx = 0
-	default:
-		resp.From = m.Have
-		idx = int(m.Have - mir.logStart)
-	}
-	end := idx + maxCatchupChunk
-	if end > len(mir.log) {
-		end = len(mir.log)
-	}
-	resp.Tuples = append([]tuple.Raw(nil), mir.log[idx:end]...)
-	resp.Done = end == len(mir.log)
-	return resp
+	return mir.log.suffix(m.Have, maxCatchupChunk)
 }

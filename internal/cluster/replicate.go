@@ -125,39 +125,23 @@ type mirrorKey struct {
 }
 
 // mirror is one (origin, pollutant) mirror: the handler holding the
-// replayed state and the replication sequence it has applied. The
-// mirror also keeps its own copy of the stream's log tail (sequence
-// space [logStart, have), pruned like a primary log): it is what lets
-// this replica serve a ShardTransfer for a dead origin during
-// promotion, and replay its mirror into its own primary state when it
-// is the one promoting.
+// replayed state, and its own copy of the stream's log tail, pruned
+// like a primary log. log.next() is the replication sequence the mirror
+// has applied; the tail is what lets this replica serve a ShardTransfer
+// for a dead origin during promotion, and replay its mirror into its own
+// primary state when it is the one promoting.
 type mirror struct {
-	mu       sync.Mutex
-	h        Handler
-	have     uint64
-	pulling  bool
-	logStart uint64
-	log      []tuple.Raw
-}
-
-// appendLogLocked extends the mirror's log tail with just-applied
-// tuples, pruned to the retention cap. Caller holds m.mu; the caller
-// has already advanced have, so logStart + len(log) == have holds on
-// return.
-func (m *mirror) appendLogLocked(tuples []tuple.Raw, retain int) {
-	m.log = append(m.log, tuples...)
-	if over := len(m.log) - retain; over > 0 {
-		m.logStart += uint64(over)
-		m.log = append(m.log[:0:0], m.log[over:]...)
-	}
+	mu      sync.Mutex
+	h       Handler
+	pulling bool
+	log     seqLog
 }
 
 // replLog is one pollutant's replication log on a primary: the
-// committed tuples from sequence start, pruned to the retention cap.
+// committed tuples, pruned to the retention cap.
 type replLog struct {
-	mu     sync.Mutex
-	start  uint64
-	tuples []tuple.Raw
+	mu sync.Mutex
+	seqLog
 }
 
 // replicator holds a node's replication state: the primary-side logs
@@ -226,7 +210,7 @@ func (r *replicator) log(pol tuple.Pollutant) *replLog {
 	defer r.logMu.Unlock()
 	lg, ok := r.logs[pol]
 	if !ok {
-		lg = &replLog{}
+		lg = &replLog{seqLog: seqLog{retain: r.retain}}
 		r.logs[pol] = lg
 	}
 	return lg
@@ -278,12 +262,8 @@ func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Messa
 	if _, ok := resp.(wire.IngestResponse); !ok {
 		return resp
 	}
-	seq := lg.start + uint64(len(lg.tuples))
-	lg.tuples = append(lg.tuples, m.Tuples...)
-	if over := len(lg.tuples) - r.retain; over > 0 {
-		lg.start += uint64(over)
-		lg.tuples = append(lg.tuples[:0:0], lg.tuples[over:]...)
-	}
+	seq := lg.next()
+	lg.append(m.Tuples)
 	r.fanout(m.Pollutant, seq, m.Tuples)
 	return resp
 }
@@ -358,30 +338,7 @@ func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
 	lg := r.log(m.Pollutant)
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	next := lg.start + uint64(len(lg.tuples))
-	resp := wire.ReplicaCatchupResponse{}
-	var idx int
-	switch {
-	case m.Have == next:
-		return wire.ReplicaCatchupResponse{From: next, Done: true}
-	case m.Have > next || m.Have < lg.start:
-		// Behind the log (pruned past it) or ahead of it (this primary
-		// restarted): the suffix no longer reconstructs the replica's
-		// state, so reset it and replay the full retained log.
-		resp.Snapshot = true
-		resp.From = lg.start
-		idx = 0
-	default:
-		resp.From = m.Have
-		idx = int(m.Have - lg.start)
-	}
-	end := idx + maxCatchupChunk
-	if end > len(lg.tuples) {
-		end = len(lg.tuples)
-	}
-	resp.Tuples = append([]tuple.Raw(nil), lg.tuples[idx:end]...)
-	resp.Done = end == len(lg.tuples)
-	return resp
+	return lg.suffix(m.Have, maxCatchupChunk)
 }
 
 // --- replica side -----------------------------------------------------
@@ -402,7 +359,7 @@ func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	r.mirMu.Lock()
 	m, ok = r.mirrors[k]
 	if !ok {
-		m = &mirror{h: h}
+		m = &mirror{h: h, log: seqLog{retain: r.retain}}
 		r.mirrors[k] = m
 	}
 	r.mirMu.Unlock()
@@ -446,16 +403,16 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	mir := r.getMirror(origin, m.Pollutant)
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	end := m.Seq + uint64(len(m.Tuples))
+	have, end := mir.log.next(), m.Seq+uint64(len(m.Tuples))
 	switch {
-	case end <= mir.have:
+	case end <= have:
 		return wire.IngestResponse{Ingested: 0} // duplicate delivery
-	case m.Seq > mir.have:
+	case m.Seq > have:
 		r.gaps.Add(1)
 		r.schedulePullLocked(origin, m.Pollutant, mir)
-		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: sequence gap (have %d, got %d)", mir.have, m.Seq)}
+		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: sequence gap (have %d, got %d)", have, m.Seq)}
 	}
-	tuples := m.Tuples[mir.have-m.Seq:]
+	tuples := m.Tuples[have-m.Seq:]
 	resp := mir.h.HandleMessage(wire.IngestRequest{Pollutant: m.Pollutant, Tuples: tuples})
 	if _, ok := resp.(wire.IngestResponse); !ok {
 		if er, isErr := resp.(wire.ErrorResponse); isErr {
@@ -463,8 +420,7 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 		}
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: mirror apply: unexpected %T", resp)}
 	}
-	mir.have = end
-	mir.appendLogLocked(tuples, r.retain)
+	mir.log.append(tuples)
 	r.applied.Add(1)
 	return wire.IngestResponse{Ingested: uint32(len(tuples))}
 }
@@ -500,7 +456,7 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 			return
 		}
 		mir.mu.Lock()
-		have := mir.have
+		have := mir.log.next()
 		mir.mu.Unlock()
 		resp, err := t.Exchange(wire.ReplicaCatchupRequest{Pollutant: pol, Have: have})
 		if err != nil {
@@ -522,9 +478,7 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 		if cr.Snapshot {
 			old = mir.h
 			mir.h = fresh
-			mir.have = cr.From
-			mir.logStart = cr.From
-			mir.log = nil
+			mir.log.reset(cr.From)
 			r.snapshots.Add(1)
 		}
 		done := r.applyChunkLocked(mir, pol, cr)
@@ -542,18 +496,17 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 // whether the session is over (converged, or the chunk did not line up
 // and the session aborts). Caller holds mir.mu.
 func (r *replicator) applyChunkLocked(mir *mirror, pol tuple.Pollutant, cr wire.ReplicaCatchupResponse) bool {
-	end := cr.From + uint64(len(cr.Tuples))
-	if cr.From > mir.have {
+	have, end := mir.log.next(), cr.From+uint64(len(cr.Tuples))
+	if cr.From > have {
 		return true // chunk does not line up (log moved); next gap retries
 	}
-	if end > mir.have {
-		tuples := cr.Tuples[mir.have-cr.From:]
+	if end > have {
+		tuples := cr.Tuples[have-cr.From:]
 		resp := mir.h.HandleMessage(wire.IngestRequest{Pollutant: pol, Tuples: tuples})
 		if _, ok := resp.(wire.IngestResponse); !ok {
 			return true // mirror refused (e.g. saturated); next gap retries
 		}
-		mir.have = end
-		mir.appendLogLocked(tuples, r.retain)
+		mir.log.append(tuples)
 	}
 	return cr.Done
 }

@@ -36,7 +36,7 @@ func BuildFixedKCover(w tuple.Batch, c int, h float64, k int, cfg Config) (*Cove
 	if err != nil {
 		return nil, fmt.Errorf("core: fixed-k clustering: %w", err)
 	}
-	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg))
+	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg), new(obsBuf))
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func BuildGridCover(w tuple.Batch, c int, h float64, cells int, cfg Config) (*Co
 		assign[i] = cellOf(r.Pos())
 	}
 	res := &kmeans.Result{Centroids: centroids, Assign: assign}
-	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg))
+	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg), new(obsBuf))
 	if err != nil {
 		return nil, err
 	}

@@ -238,10 +238,11 @@ func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 	var (
 		regions []RegionModel
 		rounds  int
+		buf     obsBuf
 	)
 	maxK := maxCentroids
 	for rounds = 0; ; rounds++ {
-		regions, err = fitRegions(w, res, cfg, normalSpan)
+		regions, err = fitRegions(w, res, cfg, normalSpan, &buf)
 		if err != nil {
 			return nil, err
 		}
@@ -312,27 +313,53 @@ func normalSpanFor(w tuple.Batch, cfg Config) float64 {
 	return hi - lo
 }
 
+// obsBuf backs fitRegions' per-region observation columns with one array,
+// which a BuildCover reuses across its split rounds.
+type obsBuf struct {
+	cols []float64 // the t, x, y and s columns, len(w) each, grouped by region
+	ends []int     // region j's rows end at ends[j] and start where j-1's end
+}
+
 // fitRegions fits one model per cluster and computes approximation errors.
 // Clusters with fewer than 2·dim observations get a mean-only model in the
 // same feature family: a full regression on a handful of points
 // extrapolates wildly outside its cluster.
-func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float64) ([]RegionModel, error) {
+func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float64, buf *obsBuf) ([]RegionModel, error) {
 	f := cfg.Features
-	k := len(res.Centroids)
-	// Gather per-region observation arrays.
-	type obs struct{ ts, xs, ys, ss []float64 }
-	byRegion := make([]obs, k)
+	n, k := len(w), len(res.Centroids)
+	// Gather per-region observation columns by counting sort on the
+	// assignment (counted from Assign: a synthesized Result has no Sizes).
+	// Rows are filled in tuple order, so every region sums its
+	// observations in the order appending them would have given.
+	if cap(buf.cols) < 4*n {
+		buf.cols = make([]float64, 4*n)
+	}
+	if cap(buf.ends) < k {
+		buf.ends = make([]int, k)
+	}
+	ts, xs, ys, ss := buf.cols[:n], buf.cols[n:2*n], buf.cols[2*n:3*n], buf.cols[3*n:4*n]
+	ends := buf.ends[:k]
+	clear(ends)
+	for _, a := range res.Assign[:n] {
+		ends[a]++
+	}
+	start := 0
+	for j, size := range ends {
+		ends[j] = start // the fill below advances it to the region's end
+		start += size
+	}
 	for i, r := range w {
 		a := res.Assign[i]
-		byRegion[a].ts = append(byRegion[a].ts, r.T)
-		byRegion[a].xs = append(byRegion[a].xs, r.X)
-		byRegion[a].ys = append(byRegion[a].ys, r.Y)
-		byRegion[a].ss = append(byRegion[a].ss, r.S)
+		p := ends[a]
+		ts[p], xs[p], ys[p], ss[p] = r.T, r.X, r.Y, r.S
+		ends[a]++
 	}
 	regions := make([]RegionModel, 0, k)
-	for j := 0; j < k; j++ {
-		o := byRegion[j]
-		if len(o.ss) == 0 {
+	lo := 0
+	for j, hi := range ends {
+		ots, oxs, oys, oss := ts[lo:hi], xs[lo:hi], ys[lo:hi], ss[lo:hi]
+		lo = hi
+		if len(oss) == 0 {
 			// Lloyd re-seeds empty clusters, so this only occurs when two
 			// centroids coincide; such a region contributes nothing and is
 			// dropped from the cover.
@@ -340,17 +367,17 @@ func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float6
 		}
 		var m *regress.Model
 		var err error
-		if len(o.ss) < 2*f.Dim() {
-			m, err = regress.MeanModel(f, o.ss)
+		if len(oss) < 2*f.Dim() {
+			m, err = regress.MeanModel(f, oss)
 		} else {
-			m, err = regress.Fit(f, o.ts, o.xs, o.ys, o.ss)
+			m, err = regress.Fit(f, ots, oxs, oys, oss)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: fit region %d: %w", j, err)
 		}
 		var absErr float64
-		for i := range o.ss {
-			d := m.Predict(o.ts[i], o.xs[i], o.ys[i]) - o.ss[i]
+		for i := range oss {
+			d := m.Predict(ots[i], oxs[i], oys[i]) - oss[i]
 			if d < 0 {
 				d = -d
 			}
@@ -359,8 +386,8 @@ func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float6
 		regions = append(regions, RegionModel{
 			Centroid:    res.Centroids[j],
 			Model:       m,
-			ApproxError: absErr / float64(len(o.ss)) / normalSpan,
-			N:           len(o.ss),
+			ApproxError: absErr / float64(len(oss)) / normalSpan,
+			N:           len(oss),
 		})
 	}
 	if len(regions) == 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/store"
+	"repro/internal/tuple"
 )
 
 // Maintainer keeps model covers for the windows of a store, building each
@@ -139,13 +140,15 @@ func (m *Maintainer) CoverFor(c int) (*Cover, error) {
 	return cv, err
 }
 
-// CoverAt returns the cover for the window containing stream time t.
+// CoverAt returns the cover for the window containing stream time t. The
+// window index is arithmetic, so a cached cover is served without reading
+// the store: a hit costs one map lookup, and a primed cover over a window
+// still lazy in the columnar sidecar leaves that window lazy.
 func (m *Maintainer) CoverAt(t float64) (*Cover, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative query time %v", t)
 	}
-	_, c := m.st.WindowAt(t)
-	return m.CoverFor(c)
+	return m.CoverFor(tuple.WindowIndex(t, m.st.WindowLength()))
 }
 
 // Invalidate drops the cached cover for window c (e.g. after late tuples

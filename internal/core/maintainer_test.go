@@ -17,6 +17,14 @@ func clusterSeed(seed int64) kmeans.Config { return kmeans.Config{Seed: seed} }
 func fillStore(t *testing.T, h float64, windows int, perWindow int) *store.Store {
 	t.Helper()
 	st := store.MustOpenMemory(h)
+	fillWindows(t, st, h, windows, perWindow)
+	return st
+}
+
+// fillWindows appends perWindow seeded tuples to each of st's first
+// windows.
+func fillWindows(t testing.TB, st *store.Store, h float64, windows int, perWindow int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	for c := 0; c < windows; c++ {
 		b := make(tuple.Batch, perWindow)
@@ -33,7 +41,6 @@ func fillStore(t *testing.T, h float64, windows int, perWindow int) *store.Store
 			t.Fatal(err)
 		}
 	}
-	return st
 }
 
 func TestMaintainerBuildsAndCaches(t *testing.T) {
@@ -344,5 +351,74 @@ func TestMaintainerEvictsPrimedCoversBehindHorizon(t *testing.T) {
 		if c < 5 {
 			t.Errorf("primed cover for window %d survived past the retention horizon", c)
 		}
+	}
+}
+
+// lazyPrimedMaintainer reopens a columnar-checkpointed store — every
+// window lazy in the sidecar — and primes a maintainer with the covers
+// built before the restart: the warm-restart state in which a query
+// should be answered from the cover without decoding a single tuple.
+func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer) {
+	tb.Helper()
+	cfg := store.Config{
+		WindowLength: 100,
+		Dir:          tb.TempDir(),
+		Sync:         store.SyncNever(),
+		Columnar:     store.ColumnarConfig{Enabled: true},
+	}
+	st, err := store.Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fillWindows(tb, st, cfg.WindowLength, windows, 50)
+	before := NewMaintainer(st, Config{Cluster: clusterSeed(1)})
+	for c := 0; c < windows; c++ {
+		if _, err := before.CoverFor(c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	covers := before.Snapshot()
+	if err := st.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	st, err = store.Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	if got := st.ColumnarStats().LazyWindows; got != int64(windows) {
+		tb.Fatalf("LazyWindows after reopen = %d, want %d", got, windows)
+	}
+	m := NewMaintainer(st, Config{Cluster: clusterSeed(1)})
+	m.Prime(covers)
+	return st, m
+}
+
+// TestCoverAtHitDoesNotReadStore: a cover hit is index arithmetic plus a
+// map lookup — it neither materializes a lazy window nor allocates.
+func TestCoverAtHitDoesNotReadStore(t *testing.T) {
+	st, m := lazyPrimedMaintainer(t, 4)
+	for i := 0; i < 1000; i++ {
+		cv, err := m.CoverAt(float64(i%400) + 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (i % 400) / 100; cv.WindowIndex != want {
+			t.Fatalf("CoverAt(%v) served window %d, want %d", float64(i%400)+0.5, cv.WindowIndex, want)
+		}
+	}
+	if cs := st.ColumnarStats(); cs.Materializations != 0 || cs.LazyWindows != 4 {
+		t.Errorf("1000 cover hits materialized %d windows (%d still lazy), want 0 (4)",
+			cs.Materializations, cs.LazyWindows)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.CoverAt(250); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("CoverAt hit = %v allocs, want 0", allocs)
 	}
 }

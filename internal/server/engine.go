@@ -697,6 +697,14 @@ func (e *Engine) ingestSink(p tuple.Pollutant, b tuple.Batch) error {
 // Heatmap rasterizes pollutant p's cover at time t over the data's
 // bounding region.
 func (e *Engine) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error) {
+	g, _, err := e.heatmap(ctx, p, t, cols, rows, nil)
+	return g, err
+}
+
+// HeatmapCover is Heatmap that also returns the cover the raster was
+// drawn from, so a caller that annotates the raster (centroid markers)
+// reads the same cover generation even when a rebuild lands meanwhile.
+func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
 	return e.heatmap(ctx, p, t, cols, rows, nil)
 }
 
@@ -704,20 +712,22 @@ func (e *Engine) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols
 // explicit region — the form a cluster router requests so every shard
 // renders a comparable extent.
 func (e *Engine) HeatmapRegion(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region geo.Rect) (*heatmap.Grid, error) {
-	return e.heatmap(ctx, p, t, cols, rows, &region)
+	g, _, err := e.heatmap(ctx, p, t, cols, rows, &region)
+	return g, err
 }
 
-func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region *geo.Rect) (*heatmap.Grid, error) {
+func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region *geo.Rect) (*heatmap.Grid, *core.Cover, error) {
 	sh, err := e.shardFor(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cv, err := sh.coverAt(ctx, t)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if region != nil {
-		return heatmap.FromCover(cv, *region, cols, rows, t)
+		g, err := heatmap.FromCover(cv, *region, cols, rows, t)
+		return g, cv, err
 	}
 	// WindowBounds answers from the columnar zone maps when the window is
 	// a lazy checkpointed base, so an implicit-bounds heatmap after a
@@ -725,12 +735,13 @@ func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols
 	c := tuple.WindowIndex(t, sh.st.WindowLength())
 	bounds, ok := sh.st.WindowBounds(c)
 	if !ok {
-		return nil, fmt.Errorf("%w: no data in window", query.ErrOutOfWindow)
+		return nil, nil, fmt.Errorf("%w: no data in window", query.ErrOutOfWindow)
 	}
 	// A corridor of bus samples can be degenerate in one axis; inflate so
 	// the raster region always has area.
 	bounds = bounds.Inflate(100)
-	return heatmap.FromCover(cv, bounds, cols, rows, t)
+	g, err := heatmap.FromCover(cv, bounds, cols, rows, t)
+	return g, cv, err
 }
 
 // HandleMessage implements the request/response protocol over any

@@ -488,23 +488,29 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	grid, err := a.heatmapGrid(r.Context(), pol, t, cols, rows)
-	pe, isPartial := asPartial(err)
-	if err != nil && !isPartial {
-		writeEngineError(w, err)
-		return
-	}
-	// Markers come from the model cover: directly from the local engine
-	// on a single node, merged across shards (a second scatter) when
-	// clustered, so every shard's centroids appear on the map.
-	var cv *core.Cover
+	// Markers come from the model cover. A single node resolves it once
+	// and draws raster and markers from that one cover, so a rebuild
+	// landing mid-request cannot split them across cover generations;
+	// clustered, the covers are merged across shards (a second scatter)
+	// so every shard's centroids appear on the map.
+	var (
+		grid *heatmap.Grid
+		cv   *core.Cover
+		pe   *cluster.PartialError
+	)
 	if a.node == nil {
-		cv, err = a.engine.CoverAt(r.Context(), pol, t)
+		grid, cv, err = a.engine.HeatmapCover(r.Context(), pol, t, cols, rows)
 		if err != nil {
 			writeEngineError(w, err)
 			return
 		}
 	} else {
+		var isPartial bool
+		grid, err = a.node.Heatmap(r.Context(), pol, t, cols, rows)
+		if pe, isPartial = asPartial(err); err != nil && !isPartial {
+			writeEngineError(w, err)
+			return
+		}
 		mr, err := a.modelResponse(r.Context(), pol, t)
 		if mp, ok := asPartial(err); ok {
 			if pe == nil {

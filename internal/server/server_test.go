@@ -10,9 +10,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/heatmap"
 	"repro/internal/kmeans"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -386,4 +388,30 @@ func TestClassifyReexport(t *testing.T) {
 		t.Error("Classify mismatch")
 	}
 	_ = fmt.Sprintf // keep fmt for future use in this test file
+}
+
+// TestHeatmapCoverReturnsTheRastersCover: the cover handed back beside
+// the raster is the one the raster was drawn from — it still reproduces
+// every cell after the window has been invalidated and rebuilt — so the
+// HTTP handler's markers and raster share a cover generation.
+func TestHeatmapCoverReturnsTheRastersCover(t *testing.T) {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	grid, cv, err := e.HeatmapCover(ctx, tuple.CO2, 300, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Ingest(ctx, tuple.CO2, tuple.Batch{{T: 310, X: 1000, Y: 1000, S: 2000}}); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := e.CoverAt(ctx, tuple.CO2, 300); err != nil || now == cv {
+		t.Fatalf("window not rebuilt after ingest (err %v)", err)
+	}
+	want, err := heatmap.FromCover(cv, grid.Region, grid.Cols, grid.Rows, grid.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grid, want) {
+		t.Error("raster does not match the cover returned with it")
+	}
 }

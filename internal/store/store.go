@@ -936,13 +936,6 @@ func (s *Store) WindowLen(c int) int {
 	return n
 }
 
-// WindowAt returns the window containing stream time t, along with its
-// index.
-func (s *Store) WindowAt(t float64) (tuple.Batch, int) {
-	c := tuple.WindowIndex(t, s.cfg.WindowLength)
-	return s.Window(c), c
-}
-
 // LatestWindowIndex returns the index of the newest non-empty window.
 // ok is false when the store is empty.
 func (s *Store) LatestWindowIndex() (int, bool) {

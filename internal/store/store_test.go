@@ -79,17 +79,6 @@ func TestWindowReturnsSortedCopy(t *testing.T) {
 	}
 }
 
-func TestWindowAt(t *testing.T) {
-	s := MustOpenMemory(60)
-	if err := s.Append(mkBatch(10, 70, 130)); err != nil {
-		t.Fatal(err)
-	}
-	b, c := s.WindowAt(65)
-	if c != 1 || len(b) != 1 || b[0].T != 70 {
-		t.Errorf("WindowAt(65) = (%v, %d)", b, c)
-	}
-}
-
 func TestAppendValidates(t *testing.T) {
 	s := MustOpenMemory(100)
 	bad := tuple.Batch{{T: -1}}

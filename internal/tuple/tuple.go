@@ -10,10 +10,11 @@
 package tuple
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/geo"
@@ -167,15 +168,14 @@ func (b Batch) Validate() error {
 	return nil
 }
 
+// byTime orders tuples by timestamp.
+func byTime(a, b Raw) int { return cmp.Compare(a.T, b.T) }
+
 // SortByTime sorts the batch by timestamp (stable, ascending).
-func (b Batch) SortByTime() {
-	sort.SliceStable(b, func(i, j int) bool { return b[i].T < b[j].T })
-}
+func (b Batch) SortByTime() { slices.SortStableFunc(b, byTime) }
 
 // SortedByTime reports whether timestamps are non-decreasing.
-func (b Batch) SortedByTime() bool {
-	return sort.SliceIsSorted(b, func(i, j int) bool { return b[i].T < b[j].T })
-}
+func (b Batch) SortedByTime() bool { return slices.IsSortedFunc(b, byTime) }
 
 // TimeSpan returns the minimum and maximum timestamps. ok is false for an
 // empty batch.

@@ -86,6 +86,25 @@ func TestBatchValidateReportsIndex(t *testing.T) {
 	}
 }
 
+// TestSortByTimeStableWithoutAllocating: ties keep their arrival order
+// (the store's windows rely on it), and the sort every Store.Window pays
+// allocates nothing.
+func TestSortByTimeStableWithoutAllocating(t *testing.T) {
+	b := make(Batch, 200)
+	for i := range b {
+		b[i] = Raw{T: float64((i * 7) % 10), S: float64(i)}
+	}
+	b.SortByTime()
+	for i := 1; i < len(b); i++ {
+		if b[i-1].T > b[i].T || (b[i-1].T == b[i].T && b[i-1].S > b[i].S) {
+			t.Fatalf("order broken at %d: %+v then %+v", i, b[i-1], b[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, b.SortByTime); allocs != 0 {
+		t.Errorf("SortByTime = %v allocs, want 0", allocs)
+	}
+}
+
 func TestBatchSortAndSpan(t *testing.T) {
 	b := Batch{{T: 5}, {T: 1}, {T: 3}}
 	if b.SortedByTime() {
