@@ -8,10 +8,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -368,5 +371,172 @@ func TestClusterHTTPEndpoint(t *testing.T) {
 	}
 	if owned != 4 { // one pollutant x four cells
 		t.Errorf("shard table covers %d cells, want 4", owned)
+	}
+}
+
+// TestFacadeAndHTTPRouteIdentically: both surfaces run on one
+// server.Service, so on a 2-node ring a request is answered, routed or
+// refused the same way whichever surface carries it — the same value,
+// or the same sentinel from the facade and that sentinel's status over
+// HTTP. It also locks the clustered-ingest backpressure choice: a
+// saturated owner sheds (ErrIngestSaturated / 429) for this node's own
+// slice exactly as for a foreign one; the facade never blocks on it.
+func TestFacadeAndHTTPRouteIdentically(t *testing.T) {
+	addrs := reservePorts(t, 2)
+	ctx := context.Background()
+	open := func(id int) *Platform {
+		p, err := Open(Config{
+			WindowSeconds: 3600,
+			Retain:        1,
+			Pollutants:    []Pollutant{CO2},
+			IngestQueue:   PipelineConfig{QueueDepth: 1},
+			Cluster: ClusterConfig{
+				Nodes: addrs, NodeID: id, Cells: 6,
+				Region: Rect{Min: Point{X: -1500, Y: -1500}, Max: Point{X: 1500, Y: 1500}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		srv, _, err := p.ListenTCP(addrs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return p
+	}
+	p0, p1 := open(0), open(1)
+	web := httptest.NewServer(p0.Handler())
+	defer web.Close()
+
+	var readings []Reading
+	var own, foreign Reading // one reading on each node's shards
+	for x := -1400.0; x <= 1400; x += 200 {
+		for y := -1400.0; y <= 1400; y += 200 {
+			r := Reading{T: 600, X: x, Y: y, S: clusterField(x, y)}
+			readings = append(readings, r)
+			if p0.Owns(CO2, x, y) {
+				own = r
+			} else {
+				foreign = r
+			}
+		}
+	}
+	if err := p0.Ingest(ctx, CO2, readings); err != nil {
+		t.Fatal(err)
+	}
+
+	status := func(resp *http.Response, err error) int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	queryURL := func(r Reading, at float64, extra string) string {
+		return fmt.Sprintf("%s/v1/query?t=%.0f&x=%.0f&y=%.0f%s", web.URL, at, r.X, r.Y, extra)
+	}
+	for _, tc := range []struct {
+		name   string
+		at     Reading
+		t      float64
+		opts   []QueryOption
+		params string
+		want   error // nil: both surfaces answer, with the same value
+		status int
+	}{
+		{name: "owned", at: own, t: 600, status: 200},
+		{name: "foreign", at: foreign, t: 600, status: 200},
+		{name: "owned with radius", at: own, t: 600, opts: []QueryOption{WithRadius(500)}, params: "&radius=500", status: 200},
+		{name: "foreign with radius", at: foreign, t: 600, opts: []QueryOption{WithRadius(500)}, params: "&radius=500",
+			want: ErrNotRoutable, status: 400},
+		{name: "foreign out of window", at: foreign, t: 1e9, want: ErrOutOfWindow, status: 404},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := p0.Query(ctx, Request{T: tc.t, X: tc.at.X, Y: tc.at.Y, Pollutant: CO2}, tc.opts...)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("facade: %v, want %v", err, tc.want)
+			}
+			resp, herr := http.Get(queryURL(tc.at, tc.t, tc.params))
+			if herr != nil {
+				t.Fatal(herr)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("HTTP: status %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.want != nil {
+				return
+			}
+			var body struct{ Value float64 }
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Value != v {
+				t.Fatalf("HTTP value %v (%v), facade value %v", body.Value, err, v)
+			}
+		})
+	}
+
+	// A batch with processor options must land entirely on this node.
+	mixed := []Request{{T: 600, X: own.X, Y: own.Y}, {T: 600, X: foreign.X, Y: foreign.Y}}
+	if _, err := p0.QueryBatch(ctx, mixed, WithProcessor(ProcessorNaive), WithRadius(500)); !errors.Is(err, ErrNotRoutable) {
+		t.Errorf("facade batch across shards with a processor: %v, want ErrNotRoutable", err)
+	}
+	batchBody := fmt.Sprintf(`{"requests":[{"t":600,"x":%v,"y":%v},{"t":600,"x":%v,"y":%v}]}`, own.X, own.Y, foreign.X, foreign.Y)
+	if got := status(http.Post(web.URL+"/v1/query/batch?processor=naive&radius=500", "application/json", strings.NewReader(batchBody))); got != 400 {
+		t.Errorf("HTTP batch across shards with a processor: status %d, want 400", got)
+	}
+
+	// Saturated ingest. Wedge each node's one-deep pipeline in turn: an
+	// eviction hook parks the worker inside the store append (a reading
+	// in window 1 evicts window 0), then a second upload fills the queue.
+	for _, tc := range []struct {
+		name  string
+		owner *Platform
+		at    Reading
+	}{{"own slice", p0, own}, {"foreign slice", p1, foreign}} {
+		t.Run("saturated "+tc.name, func(t *testing.T) {
+			gate, parked := make(chan struct{}), make(chan struct{}, 2)
+			unhook := tc.owner.stores[CO2].OnEvict(func([]int) { parked <- struct{}{}; <-gate })
+			defer unhook()
+			done := make(chan error, 2)
+			wedge := func(at float64) {
+				r := Reading{T: at, X: tc.at.X, Y: tc.at.Y, S: 400}
+				go func() { done <- tc.owner.engine.Ingest(ctx, CO2, []Reading{r}) }()
+			}
+			// The second upload must find the worker already parked, or
+			// the two would coalesce into one append and leave the queue
+			// empty.
+			wedge(3610)
+			<-parked
+			wedge(3620)
+			deadline := time.Now().Add(10 * time.Second)
+			for tc.owner.IngestStats().Queued < 2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue never filled: %+v", tc.owner.IngestStats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			upload := []Reading{{T: 600, X: tc.at.X, Y: tc.at.Y, S: 400}}
+			if err := p0.Ingest(ctx, CO2, upload); !errors.Is(err, ErrIngestSaturated) {
+				t.Errorf("facade: %v, want ErrIngestSaturated", err)
+			}
+			body := fmt.Sprintf(`{"tuples":[{"T":600,"X":%v,"Y":%v,"S":400}]}`, tc.at.X, tc.at.Y)
+			resp, err := http.Post(web.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 429 || resp.Header.Get("Retry-After") == "" {
+				t.Errorf("HTTP: status %d (Retry-After %q), want 429 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			close(gate)
+			for range 2 {
+				if err := <-done; err != nil {
+					t.Errorf("wedged ingest: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -157,7 +157,8 @@ const (
 	// for space (the default).
 	OverflowBlock = ingest.Block
 	// OverflowReject makes a full queue shed load: Ingest fails fast
-	// with ErrIngestSaturated. The HTTP ingest endpoint always sheds.
+	// with ErrIngestSaturated. The HTTP ingest endpoint always sheds, and
+	// so does every ingest on a clustered platform (see Platform.Ingest).
 	OverflowReject = ingest.Reject
 )
 
@@ -406,10 +407,9 @@ func (cfg Config) pollutants() []Pollutant {
 }
 
 // storeDir returns the segment directory of one pollutant's store. An
-// explicit Pollutants list — even of one — namespaces per pollutant
-// (the layout OpenObservatory has always used); only the legacy
-// implicit-single-pollutant config keeps the flat layout, so pre-v1
-// durable directories recover unchanged.
+// explicit Pollutants list — even of one — namespaces per pollutant;
+// only the implicit-single-pollutant config keeps the flat layout, so
+// pre-v1 durable directories recover unchanged.
 func (cfg Config) storeDir(p Pollutant) string {
 	if cfg.Dir == "" {
 		return ""
@@ -438,7 +438,10 @@ func (cfg Config) snapshotPath(p Pollutant) string {
 type Platform struct {
 	engine *server.Engine
 	api    *server.API
-	node   *cluster.Node // nil when not clustered
+	// svc is the serving path the data methods and the HTTP handlers
+	// share: it alone decides between the local engine and the cluster.
+	svc  *server.Service
+	node *cluster.Node // nil when not clustered; lifecycle only
 	// joining marks a node built from ClusterConfig.Join whose epoch
 	// has not been committed yet (CompleteJoin pending).
 	joining    bool
@@ -514,6 +517,7 @@ func Open(cfg Config) (*Platform, error) {
 	} else {
 		p.api = server.NewAPI(engine)
 	}
+	p.svc = p.api.Service
 	for _, pol := range pollutants {
 		snap := p.snapshots[pol]
 		if snap == "" {
@@ -647,7 +651,7 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 // — a restarted replica re-syncs from the primary's replication log (or
 // a fresh snapshot), so persisting them would only double the disk
 // writes. A factory failure yields a handler that answers every read
-// with a "replica:" miss, which the failover paths treat as "no mirror
+// with a replica miss, which the failover paths treat as "no mirror
 // here" and try the next replica.
 func mirrorFactory(cfg Config) func() cluster.Handler {
 	pollutants := cfg.pollutants()
@@ -682,12 +686,12 @@ func mirrorFactory(cfg Config) func() cluster.Handler {
 }
 
 // mirrorError stands in for a mirror whose engine failed to build:
-// every message answers with a "replica:"-prefixed error, which reads
-// as a replica miss (not a data answer) to the failover paths.
+// every message answers with a replica miss (not a data answer), so the
+// failover paths move on.
 type mirrorError struct{ err error }
 
 func (m mirrorError) HandleMessage(wire.Message) wire.Message {
-	return wire.ErrorResponse{Msg: "replica: mirror engine: " + m.err.Error()}
+	return cluster.WireError(fmt.Errorf("%w: mirror engine: %v", cluster.ErrReplicaMiss, m.err))
 }
 
 // Checkpoint persists every pollutant's retained windows to its store's
@@ -814,55 +818,15 @@ func (p *Platform) ListenTCP(addr string) (io.Closer, net.Addr, error) {
 }
 
 // Ingest appends raw readings of pollutant pol. Late data transparently
-// invalidates any already-built cover of its window. On a clustered
-// platform the upload splits by shard owner: this node's slice takes
-// the local (blocking, backpressured) pipeline, foreign slices forward
-// over the wire to their owners.
+// invalidates any already-built cover of its window. A full ingest queue
+// follows Config.IngestQueue's overflow policy (blocking by default). On
+// a clustered platform the upload splits by shard owner and every slice
+// — this node's own included — commits through the cluster node, which
+// never waits for queue space: a saturated owner sheds its slice with
+// ErrIngestSaturated (see server.Service.Ingest), exactly as POST
+// /v1/ingest does.
 func (p *Platform) Ingest(ctx context.Context, pol Pollutant, readings []Reading) error {
-	if p.node == nil {
-		return p.engine.Ingest(ctx, pol, tuple.Batch(readings))
-	}
-	if p.node.Ring().Replicas() > 1 {
-		// Replicated ring: every slice — including this node's own —
-		// must commit through the node, whose primary-side replication
-		// log streams it to the shard's replicas. The engine fast path
-		// below would commit invisibly to the mirrors. An empty batch is
-		// a no-op here just as it is on the split path below.
-		if len(readings) == 0 {
-			return nil
-		}
-		return p.node.Ingest(ctx, pol, tuple.Batch(readings))
-	}
-	ring, self := p.node.Ring(), p.node.Self()
-	var own, foreign tuple.Batch
-	for _, r := range readings {
-		if ring.Owner(pol, r.Pos()) == self {
-			own = append(own, r)
-		} else {
-			foreign = append(foreign, r)
-		}
-	}
-	var ownErr, foreignErr error
-	if len(own) > 0 {
-		ownErr = p.engine.Ingest(ctx, pol, own)
-	}
-	if len(foreign) > 0 {
-		foreignErr = p.node.Ingest(ctx, pol, foreign)
-	}
-	err := errors.Join(ownErr, foreignErr)
-	if err == nil {
-		return nil
-	}
-	// If one half committed while the other failed, a blind retry would
-	// duplicate the committed half: mark the combined error with the
-	// cluster's non-retryable partial-ingest sentinel (unless it is
-	// already in the chain from a partial foreign split).
-	ownApplied := len(own) > 0 && ownErr == nil
-	foreignApplied := len(foreign) > 0 && foreignErr == nil
-	if (ownApplied || foreignApplied) && !errors.Is(err, cluster.ErrPartialIngest) {
-		return fmt.Errorf("%w: %w", cluster.ErrPartialIngest, err)
-	}
-	return err
+	return p.svc.Ingest(ctx, pol, tuple.Batch(readings))
 }
 
 // Clustered reports whether the platform is a member of a sharded
@@ -985,14 +949,7 @@ func (p *Platform) LenFor(pol Pollutant) (int, error) {
 // combining them fails with ErrNotRoutable rather than silently
 // answering from the wrong node's data.
 func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) (float64, error) {
-	o := applyOptions(opts)
-	if p.node != nil && !p.Owns(req.Pollutant, req.X, req.Y) {
-		if !server.RoutableOptions(o) {
-			return 0, fmt.Errorf("%w: processor=%v radius=%v", ErrNotRoutable, o.Kind, o.Radius)
-		}
-		return p.node.Query(ctx, req)
-	}
-	return p.engine.QueryOpts(ctx, req, o)
+	return p.svc.Query(ctx, req, applyOptions(opts))
 }
 
 // QueryBatch answers a batch of requests — the registered route of a
@@ -1006,19 +963,7 @@ func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) 
 // non-default processor options require every request to land on this
 // node's shards (ErrNotRoutable otherwise — see Query).
 func (p *Platform) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOption) ([]BatchResult, error) {
-	o := applyOptions(opts)
-	if p.node != nil {
-		if !server.RoutableOptions(o) {
-			for _, req := range reqs {
-				if !p.Owns(req.Pollutant, req.X, req.Y) {
-					return nil, fmt.Errorf("%w: processor=%v radius=%v", ErrNotRoutable, o.Kind, o.Radius)
-				}
-			}
-			return p.engine.QueryBatchOpts(ctx, reqs, o)
-		}
-		return p.node.QueryBatch(ctx, reqs)
-	}
-	return p.engine.QueryBatchOpts(ctx, reqs, o)
+	return p.svc.QueryBatch(ctx, reqs, applyOptions(opts))
 }
 
 func applyOptions(opts []QueryOption) query.Options {
@@ -1040,10 +985,7 @@ func applyOptions(opts []QueryOption) query.Options {
 // to unsubscribe; a slow consumer's queue drops oldest events and the
 // next event becomes a full resync, so the stream is always coherent.
 func (p *Platform) Subscribe(ctx context.Context, pol Pollutant, pts []Request) (Subscription, error) {
-	if p.node != nil {
-		return p.node.Subscribe(ctx, pol, pts)
-	}
-	return p.engine.Subscribe(ctx, pol, pts)
+	return p.svc.Subscribe(ctx, pol, pts)
 }
 
 // SubscriptionStats counts the push-subscription registry's work on the
@@ -1055,47 +997,25 @@ func (p *Platform) SubscriptionStats() SubscriptionStats {
 // Cover returns pol's model cover valid at stream time t, building it on
 // first use. On a clustered platform the cover merges every node's
 // region models (matching ModelResponse), so evaluating it anywhere in
-// the region answers from the owning shard's models.
+// the region answers from the owning shard's models; a partial merge
+// (some dead node's shards missing, no replica to stand in) returns the
+// usable cover alongside ErrPartialResult.
 func (p *Platform) Cover(ctx context.Context, pol Pollutant, t float64) (*Cover, error) {
-	if p.node != nil {
-		mr, err := p.node.Model(ctx, pol, t)
-		if err != nil && !errors.Is(err, ErrPartialResult) {
-			return nil, err
-		}
-		cv, convErr := wire.CoverFromModelResponse(mr)
-		if convErr != nil {
-			return nil, convErr
-		}
-		// A partial answer (some dead node's shards missing, no replica
-		// to stand in) returns the usable cover alongside the marker
-		// error; errors.As recovers the *cluster.PartialError detail.
-		return cv, err
-	}
-	return p.engine.CoverAt(ctx, pol, t)
+	return p.svc.Cover(ctx, pol, t)
 }
 
 // ModelResponse returns the wire form of pol's cover at t — what a
 // model-cache client downloads once per validity window.
 // On a clustered platform the response merges every node's cover.
 func (p *Platform) ModelResponse(ctx context.Context, pol Pollutant, t float64) (ModelResponse, error) {
-	if p.node != nil {
-		return p.node.Model(ctx, pol, t)
-	}
-	cv, err := p.engine.CoverAt(ctx, pol, t)
-	if err != nil {
-		return ModelResponse{}, err
-	}
-	return wire.ModelResponseFromCover(cv)
+	return p.svc.Model(ctx, pol, t)
 }
 
 // Heatmap rasterizes pol's cover at time t over the window's data region;
 // see the heatmap endpoints of Handler for rendered output.
 // On a clustered platform the raster scatter-gathers across all shards.
 func (p *Platform) Heatmap(ctx context.Context, pol Pollutant, t float64, cols, rows int) (*heatmap.Grid, error) {
-	if p.node != nil {
-		return p.node.Heatmap(ctx, pol, t, cols, rows)
-	}
-	return p.engine.Heatmap(ctx, pol, t, cols, rows)
+	return p.svc.Heatmap(ctx, pol, t, cols, rows)
 }
 
 // Handler returns the HTTP/JSON API (point queries, batch and continuous
@@ -1106,6 +1026,12 @@ func (p *Platform) Handler() http.Handler { return p.api }
 
 // ClassifyCO2 returns the display band for a CO2 concentration in ppm.
 func ClassifyCO2(ppm float64) CO2Band { return eval.ClassifyCO2(ppm) }
+
+// ClassifyPollutant returns the display band for a value of any monitored
+// pollutant.
+func ClassifyPollutant(p Pollutant, value float64) CO2Band {
+	return eval.ClassifyPollutant(p, value)
+}
 
 // SimulateLausanne generates the synthetic equivalent of the paper's
 // lausanne-data deployment: durationSeconds of two bus lines (four
@@ -1121,6 +1047,25 @@ func SimulateLausanne(seed int64, durationSeconds float64) ([]Reading, error) {
 		return nil, err
 	}
 	return []Reading(b), nil
+}
+
+// SimulateLausanneMulti generates the synthetic deployment for several
+// pollutants at once: shared bus trajectories, per-pollutant fields and
+// sensor noise.
+func SimulateLausanneMulti(seed int64, durationSeconds float64, pollutants []Pollutant) (map[Pollutant][]Reading, error) {
+	cfg := sim.DefaultLausanne(seed)
+	if durationSeconds > 0 {
+		cfg.Duration = durationSeconds
+	}
+	batches, err := sim.GenerateMulti(cfg, pollutants)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[Pollutant][]Reading, len(batches))
+	for p, b := range batches {
+		out[p] = []Reading(b)
+	}
+	return out, nil
 }
 
 // LausanneProjection returns the projection between WGS84 and the local

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -104,7 +106,7 @@ func TestHTTPHandlerServes(t *testing.T) {
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/query/point?t=7200&x=1000&y=700")
+	resp, err := http.Get(srv.URL + "/v1/query?t=7200&x=1000&y=700")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +154,35 @@ func TestClassifyCO2Facade(t *testing.T) {
 	}
 }
 
+func TestClassifyPollutantBands(t *testing.T) {
+	cases := []struct {
+		p    Pollutant
+		v    float64
+		want string
+	}{
+		{CO, 2, "fresh"},
+		{CO, 8, "acceptable"},
+		{CO, 11, "drowsy"},
+		{CO, 14, "poor"},
+		{CO, 30, "hazardous"},
+		{PM, 20, "fresh"},
+		{PM, 100, "acceptable"},
+		{PM, 200, "drowsy"},
+		{PM, 300, "poor"},
+		{PM, 500, "hazardous"},
+		{CO2, 450, "fresh"},
+	}
+	for _, tt := range cases {
+		if got := ClassifyPollutant(tt.p, tt.v).String(); got != tt.want {
+			t.Errorf("ClassifyPollutant(%v, %v) = %s, want %s", tt.p, tt.v, got, tt.want)
+		}
+	}
+	// Unknown pollutant classifies by range fraction without panicking.
+	if got := ClassifyPollutant(Pollutant(8), 0.5); got.String() == "" {
+		t.Error("unknown pollutant should still classify")
+	}
+}
+
 func TestLausanneProjection(t *testing.T) {
 	pr := LausanneProjection()
 	pt := pr.ToPoint(LatLon{Lat: 46.5197, Lon: 6.6323})
@@ -187,5 +218,38 @@ func TestDurableReopen(t *testing.T) {
 	}
 	if _, err := p2.Query(context.Background(), Request{T: 1800, X: 500, Y: 500}); err != nil {
 		t.Errorf("query after recovery: %v", err)
+	}
+}
+
+func TestDurableLayoutPerPollutant(t *testing.T) {
+	// An explicit Pollutants list — even of one — persists into
+	// Dir/<pollutant>, and a reopen recovers from there.
+	dir := t.TempDir()
+	cfg := Config{WindowSeconds: 3600, Dir: dir, Pollutants: []Pollutant{CO2}}
+	p, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, err := SimulateLausanne(3, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Ingest(context.Background(), CO2, readings); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "CO2"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("expected segments under %s/CO2: err=%v entries=%d", dir, err, len(entries))
+	}
+	p2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if got := p2.Len(); got != len(readings) {
+		t.Errorf("recovered %d readings, want %d", got, len(readings))
 	}
 }

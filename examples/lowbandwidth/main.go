@@ -24,7 +24,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -66,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		strategy := mk(&client.LinkTransport{Link: link, Codec: wire.Binary, Handler: engine})
+		strategy := mk(&client.LinkTransport{Link: link, Handler: engine})
 		answers, err := client.RunContinuous(strategy, queries)
 		if err != nil {
 			log.Fatal(err)

@@ -7,6 +7,13 @@
 // added. For the same reason, passing a sentinel to fmt.Errorf through
 // a non-%w verb strips it from the Is chain and is flagged too.
 //
+// The third rule guards the wire: a failure that crossed it carries a
+// code (wire.ErrorResponse.Code, wire.BatchQueryItem.Code) precisely so
+// that nothing has to read its text, so strings.Contains / HasPrefix /
+// HasSuffix over an ErrorResponse's Msg or a BatchQueryItem's Err — a
+// peer's log text steering control flow — is flagged. The types are
+// recognized by name, so the rule follows them into fixtures.
+//
 // Audited exceptions carry "//errcmp:allow <reason>".
 package errcmp
 
@@ -23,7 +30,7 @@ import (
 // Analyzer is the errcmp pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "errcmp",
-	Doc:  "flag ==/!= comparisons of sentinel errors and fmt.Errorf sentinel wrapping without %w",
+	Doc:  "flag ==/!= comparisons of sentinel errors, fmt.Errorf sentinel wrapping without %w, and substring matching on wire error text",
 	Run:  run,
 }
 
@@ -35,6 +42,7 @@ func run(pass *analysis.Pass) error {
 				checkComparison(pass, v)
 			case *ast.CallExpr:
 				checkErrorf(pass, v)
+				checkErrorText(pass, v)
 			}
 			return true
 		})
@@ -115,6 +123,39 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 			"sentinel error %s passed to fmt.Errorf as %%%c; use %%w so errors.Is still matches the wrapped error",
 			sentinel.Name(), verbs[i])
 	}
+}
+
+// wireErrorText maps the structs that carry a wire failure to the field
+// holding its human-readable text.
+var wireErrorText = map[string]string{"ErrorResponse": "Msg", "BatchQueryItem": "Err"}
+
+// checkErrorText flags strings.Contains/HasPrefix/HasSuffix calls whose
+// subject is the text field of a wire failure.
+func checkErrorText(pass *analysis.Pass, call *ast.CallExpr) {
+	switch analysis.CalleePath(pass.TypesInfo, call) {
+	case "strings.Contains", "strings.HasPrefix", "strings.HasSuffix":
+	default:
+		return
+	}
+	if len(call.Args) == 0 {
+		return
+	}
+	sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	field := pass.TypesInfo.Selections[sel]
+	if field == nil || field.Kind() != types.FieldVal {
+		return
+	}
+	owner := analysis.TypeName(field.Recv())
+	owner = owner[strings.LastIndexByte(owner, '.')+1:]
+	if wireErrorText[owner] != sel.Sel.Name || pass.Suppressed(call.Pos(), "errcmp:allow") {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"%s.%s is matched by substring; act on its Code (the text is for humans) (or annotate //errcmp:allow <reason>)",
+		owner, sel.Sel.Name)
 }
 
 // formatVerbs returns the verb letter consuming each successive

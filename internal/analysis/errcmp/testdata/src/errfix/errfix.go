@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // ErrNoCover and ErrStopped are package-level sentinels.
@@ -65,4 +66,36 @@ func wrapAllowed(key string) error {
 	return fmt.Errorf("log-only context: %v",
 		//errcmp:allow message is for logs; callers never Is-match it
 		ErrStopped)
+}
+
+// ErrorResponse and BatchQueryItem stand in for the wire structs of the
+// same names: a failure's text plus the code that types it.
+type ErrorResponse struct {
+	Msg  string
+	Code uint8
+}
+
+type BatchQueryItem struct {
+	Err  string
+	Code uint8
+}
+
+func routeOnText(er ErrorResponse, it *BatchQueryItem) bool {
+	if strings.HasPrefix(er.Msg, "replica:") { // want `ErrorResponse\.Msg is matched by substring`
+		return true
+	}
+	if strings.Contains(it.Err, "epoch mismatch") { // want `BatchQueryItem\.Err is matched by substring`
+		return true
+	}
+	return strings.HasSuffix((er.Msg), "unreachable") // want `ErrorResponse\.Msg is matched by substring`
+}
+
+func routeOnCode(er ErrorResponse, line string) bool {
+	// Codes steer; text that is not a wire failure's may be matched.
+	return er.Code == 3 || strings.HasPrefix(line, "id: ") || strings.Contains(fmt.Sprint(er.Code), "3")
+}
+
+func textAllowed(er ErrorResponse) bool {
+	//errcmp:allow pre-code peer in a migration test; only its text exists
+	return strings.Contains(er.Msg, "legacy")
 }

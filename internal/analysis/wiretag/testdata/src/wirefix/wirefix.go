@@ -1,7 +1,7 @@
 // Package wire is the wiretag golden fixture: a miniature wire package
-// whose tag constants are each missing exactly one of the five coverage
-// obligations (binary encode, binary decode, JSON decode, Type() struct
-// mapping, fuzz seed / legacy test).
+// whose tag constants are each missing exactly one of the four coverage
+// obligations (binary encode, binary decode, Type() struct mapping, fuzz
+// seed).
 package wire
 
 import "fmt"
@@ -10,13 +10,11 @@ import "fmt"
 type MsgType uint8
 
 const (
-	TagFull      MsgType = iota + 1
-	TagNoBinEnc          // want `wire tag TagNoBinEnc: not covered by the binary-codec Encode path`
-	TagNoJSONDec         // want `wire tag TagNoJSONDec: not covered by the JSON-codec Decode path`
-	TagNoStruct          // want `wire tag TagNoStruct: not covered by the Type\(\) method of a message struct`
-	TagNoFuzz            // want `wire tag TagNoFuzz: not covered by the FuzzWireDecode seed \(NoFuzzMsg\)`
-	TagLegacy            // want `wire tag TagLegacy: not covered by the legacy-decode test \(LegacyMsg has a Legacy field\)`
-	TagLegacyOK
+	TagFull     MsgType = iota + 1
+	TagNoBinEnc         // want `wire tag TagNoBinEnc: not covered by the binary-codec Encode path`
+	TagNoBinDec         // want `wire tag TagNoBinDec: not covered by the binary-codec Decode path`
+	TagNoStruct         // want `wire tag TagNoStruct: not covered by the Type\(\) method of a message struct`
+	TagNoFuzz           // want `wire tag TagNoFuzz: not covered by the FuzzWireDecode seed \(NoFuzzMsg\)`
 	//wiretag:allow reserved for the v2 handshake; no codec support yet
 	TagAllowed
 )
@@ -32,21 +30,13 @@ type NoBinEncMsg struct{}
 
 func (NoBinEncMsg) Type() MsgType { return TagNoBinEnc }
 
-type NoJSONDecMsg struct{}
+type NoBinDecMsg struct{}
 
-func (NoJSONDecMsg) Type() MsgType { return TagNoJSONDec }
+func (NoBinDecMsg) Type() MsgType { return TagNoBinDec }
 
 type NoFuzzMsg struct{}
 
 func (NoFuzzMsg) Type() MsgType { return TagNoFuzz }
-
-type LegacyMsg struct{ Legacy bool }
-
-func (LegacyMsg) Type() MsgType { return TagLegacy }
-
-type LegacyOKMsg struct{ Legacy bool }
-
-func (LegacyOKMsg) Type() MsgType { return TagLegacyOK }
 
 // binaryCodec roots the binary encode/decode reachability walks.
 type binaryCodec struct{}
@@ -56,7 +46,7 @@ func (binaryCodec) Encode(m Message) ([]byte, error) { return appendMessage(nil,
 // appendMessage deliberately omits TagNoBinEnc.
 func appendMessage(buf []byte, m Message) ([]byte, error) {
 	switch t := m.Type(); t {
-	case TagFull, TagNoJSONDec, TagNoStruct, TagNoFuzz, TagLegacy, TagLegacyOK:
+	case TagFull, TagNoBinDec, TagNoStruct, TagNoFuzz:
 		return append(buf, byte(t)), nil
 	}
 	return nil, fmt.Errorf("unknown tag %d", m.Type())
@@ -64,6 +54,7 @@ func appendMessage(buf []byte, m Message) ([]byte, error) {
 
 func (binaryCodec) Decode(b []byte) (Message, error) { return decodeFrame(b) }
 
+// decodeFrame deliberately omits TagNoBinDec.
 func decodeFrame(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("short frame")
@@ -73,51 +64,16 @@ func decodeFrame(b []byte) (Message, error) {
 		return FullMsg{}, nil
 	case TagNoBinEnc:
 		return NoBinEncMsg{}, nil
-	case TagNoJSONDec:
-		return NoJSONDecMsg{}, nil
 	case TagNoStruct:
 		return nil, fmt.Errorf("tag reserved")
 	case TagNoFuzz:
 		return NoFuzzMsg{}, nil
-	case TagLegacy:
-		return LegacyMsg{}, nil
-	case TagLegacyOK:
-		return LegacyOKMsg{}, nil
 	}
 	return nil, fmt.Errorf("unknown tag %d", b[0])
 }
 
-// jsonCodec roots the JSON decode reachability walk.
-type jsonCodec struct{}
-
-func (jsonCodec) Decode(b []byte) (Message, error) { return decodeEnvelope(b) }
-
-// decodeEnvelope deliberately omits TagNoJSONDec; it must not call
-// decodeFrame, or the reachability walk would credit the JSON path with
-// every tag the binary path handles.
-func decodeEnvelope(b []byte) (Message, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("short envelope")
-	}
-	switch MsgType(b[0]) {
-	case TagFull:
-		return FullMsg{}, nil
-	case TagNoBinEnc:
-		return NoBinEncMsg{}, nil
-	case TagNoStruct:
-		return nil, fmt.Errorf("tag reserved")
-	case TagNoFuzz:
-		return NoFuzzMsg{}, nil
-	case TagLegacy:
-		return LegacyMsg{}, nil
-	case TagLegacyOK:
-		return LegacyOKMsg{}, nil
-	}
-	return nil, fmt.Errorf("unknown tag %d", b[0])
-}
-
-// encodeOrphan references TagNoBinEnc but is reachable from no codec
-// entry method, so it must not count as binary-encode coverage.
-func encodeOrphan(buf []byte) []byte {
-	return append(buf, byte(TagNoBinEnc))
+// orphan references TagNoBinEnc and TagNoBinDec but is reachable from no
+// codec entry method, so it must not count as coverage of either path.
+func orphan(buf []byte) []byte {
+	return append(buf, byte(TagNoBinEnc), byte(TagNoBinDec))
 }

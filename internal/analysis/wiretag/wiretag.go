@@ -1,19 +1,15 @@
 // Package wiretag is an exhaustiveness checker for the wire protocol:
 // every message tag constant (a package-level constant of the package's
 // MsgType type) must be handled by the binary codec's Encode and Decode
-// paths and the JSON codec's Decode path (JSON Encode is
-// envelope-generic and needs no per-tag case), must map to a message
-// struct via a Type() method, must be seeded into FuzzWireDecode, and —
-// when the message carries a Legacy field, i.e. has a pre-v1 layout —
-// must be covered by a legacy-decode test. PR 5 and PR 6 each added
-// tags to three codec paths plus fuzz seeds by hand; this pass turns
-// "did you update all five places" into a single diagnostic per
-// missing pairing.
+// paths, must map to a message struct via a Type() method, and must be
+// seeded into FuzzWireDecode. PR 5 and PR 6 each added tags to the
+// codec paths plus fuzz seeds by hand; this pass turns "did you update
+// every place" into a single diagnostic per missing pairing.
 //
-// Codec attribution is by receiver naming convention: encode/decode
-// entry methods named Encode/Decode on a type whose name contains
-// "binary" or "json" root the reachability walk, and every same-package
-// function reachable from a root belongs to that codec path.
+// Codec attribution is by receiver naming convention: the entry methods
+// named Encode/Decode on a type whose name contains "binary" root the
+// reachability walk, and every same-package function reachable from a
+// root belongs to that codec path.
 package wiretag
 
 import (
@@ -27,7 +23,7 @@ import (
 // Analyzer is the wiretag pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wiretag",
-	Doc:  "check wire tag constants are encoded, decoded, fuzz-seeded, and legacy-covered exhaustively",
+	Doc:  "check wire tag constants are encoded, decoded, and fuzz-seeded exhaustively",
 	Run:  run,
 }
 
@@ -88,7 +84,6 @@ func run(pass *analysis.Pass) error {
 	// Reachability per codec path.
 	binEnc := reachable(pass, facts, "binary", "Encode")
 	binDec := reachable(pass, facts, "binary", "Decode")
-	jsonDec := reachable(pass, facts, "json", "Decode")
 
 	refIn := func(set map[*types.Func]bool, c *types.Const) bool {
 		for _, ff := range facts {
@@ -98,9 +93,9 @@ func run(pass *analysis.Pass) error {
 		}
 		return false
 	}
-	typeRefInNamed := func(c *types.TypeName, match func(*ast.FuncDecl) bool) bool {
+	fuzzSeeds := func(c *types.TypeName) bool {
 		for _, ff := range facts {
-			if match(ff.decl) && ff.typeRefs[c] {
+			if ff.decl.Name.Name == "FuzzWireDecode" && ff.typeRefs[c] {
 				return true
 			}
 		}
@@ -118,21 +113,10 @@ func run(pass *analysis.Pass) error {
 		if !refIn(binDec, tag) {
 			missing = append(missing, "binary-codec Decode path")
 		}
-		if !refIn(jsonDec, tag) {
-			missing = append(missing, "JSON-codec Decode path")
-		}
-		st := structOf[tag]
-		if st == nil {
+		if st := structOf[tag]; st == nil {
 			missing = append(missing, "Type() method of a message struct")
-		} else {
-			if !typeRefInNamed(st, func(d *ast.FuncDecl) bool { return d.Name.Name == "FuzzWireDecode" }) {
-				missing = append(missing, "FuzzWireDecode seed ("+st.Name()+")")
-			}
-			if hasLegacyField(st) && !typeRefInNamed(st, func(d *ast.FuncDecl) bool {
-				return strings.HasPrefix(d.Name.Name, "Test") && strings.Contains(d.Name.Name, "Legacy")
-			}) {
-				missing = append(missing, "legacy-decode test ("+st.Name()+" has a Legacy field)")
-			}
+		} else if !fuzzSeeds(st) {
+			missing = append(missing, "FuzzWireDecode seed ("+st.Name()+")")
 		}
 		for _, m := range missing {
 			pass.Reportf(tag.Pos(), "wire tag %s: not covered by the %s", tag.Name(), m)
@@ -258,18 +242,4 @@ func reachable(pass *analysis.Pass, facts []*funcFacts, codec, entry string) map
 		}
 	}
 	return set
-}
-
-// hasLegacyField reports whether the named struct has a field "Legacy".
-func hasLegacyField(tn *types.TypeName) bool {
-	st, ok := tn.Type().Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == "Legacy" {
-			return true
-		}
-	}
-	return false
 }

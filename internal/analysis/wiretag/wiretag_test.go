@@ -10,8 +10,8 @@ import (
 func TestWiretagGolden(t *testing.T) {
 	diags := analyzertest.Run(t, wiretag.Analyzer, "testdata/src/wirefix")
 	// One diagnostic per missing pairing, no more: the fixture plants
-	// exactly five gaps.
-	if len(diags) != 5 {
-		t.Errorf("got %d diagnostics, want 5", len(diags))
+	// exactly four gaps.
+	if len(diags) != 4 {
+		t.Errorf("got %d diagnostics, want 4", len(diags))
 	}
 }

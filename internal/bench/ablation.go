@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -196,25 +197,31 @@ func RunAblationCodec(d *Dataset, h int, seed int64) ([]AblationCodecRow, error)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationCodecRow, 0, 2)
-	for _, codec := range []wire.Codec{wire.Binary, wire.JSON} {
-		mr, err := codec.Encode(resp)
-		if err != nil {
-			return nil, err
-		}
-		qq, err := codec.Encode(wire.QueryRequest{T: 1, X: 2, Y: 3})
-		if err != nil {
-			return nil, err
-		}
-		qr, err := codec.Encode(wire.QueryResponse{Value: 512.5})
-		if err != nil {
-			return nil, err
+	// The JSON arm is encoding/json over the same three structs — what a
+	// self-describing text protocol would put on the link.
+	codecs := []struct {
+		name   string
+		encode func(wire.Message) ([]byte, error)
+	}{
+		{"binary", wire.Binary.Encode},
+		{"json", func(m wire.Message) ([]byte, error) { return json.Marshal(m) }},
+	}
+	msgs := []wire.Message{resp, wire.QueryRequest{T: 1, X: 2, Y: 3}, wire.QueryResponse{Value: 512.5}}
+	rows := make([]AblationCodecRow, 0, len(codecs))
+	for _, codec := range codecs {
+		var sizes [3]int
+		for i, m := range msgs {
+			enc, err := codec.encode(m)
+			if err != nil {
+				return nil, err
+			}
+			sizes[i] = len(enc)
 		}
 		rows = append(rows, AblationCodecRow{
-			Codec:         codec.Name(),
-			ModelRespByte: len(mr),
-			QueryReqByte:  len(qq),
-			QueryRespByte: len(qr),
+			Codec:         codec.name,
+			ModelRespByte: sizes[0],
+			QueryReqByte:  sizes[1],
+			QueryRespByte: sizes[2],
 		})
 	}
 	return rows, nil

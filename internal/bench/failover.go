@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -266,7 +265,7 @@ func (c *failCluster) waitConverged(reqs []query.Request, timeout time.Duration)
 				if err != nil {
 					return err
 				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
+				if er, isErr := resp.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
 					lag = fmt.Sprintf("replica %d has no usable mirror of %d yet", rep, owner)
 					break check
 				}

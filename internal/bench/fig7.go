@@ -11,7 +11,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 // Fig7aConfig parameterizes the memory experiment. Paper settings: a
@@ -125,15 +124,13 @@ type Fig7bConfig struct {
 	WindowSeconds float64
 	// Link is the simulated bearer.
 	Link netsim.LinkConfig
-	// Codec is the wire codec.
-	Codec wire.Codec
 	// Tau is τn.
 	Tau  float64
 	Seed int64
 }
 
-// DefaultFig7bConfig returns the paper's settings over simulated GPRS with
-// the binary codec. The window spans the whole continuous query, matching
+// DefaultFig7bConfig returns the paper's settings over simulated GPRS.
+// The window spans the whole continuous query, matching
 // the paper's setup where the model cover stays valid across the 100
 // tuples (the savings come precisely from not re-contacting the server).
 func DefaultFig7bConfig() Fig7bConfig {
@@ -142,7 +139,6 @@ func DefaultFig7bConfig() Fig7bConfig {
 		QueryIntervalSeconds: 60,
 		WindowSeconds:        4 * 3600,
 		Link:                 netsim.GPRS(),
-		Codec:                wire.Binary,
 		Tau:                  0.02,
 		Seed:                 1,
 	}
@@ -220,7 +216,7 @@ func RunFig7b(d *Dataset, cfg Fig7bConfig) (*Fig7bResult, error) {
 		if err != nil {
 			return Fig7bArm{}, err
 		}
-		tr := &client.LinkTransport{Link: link, Codec: cfg.Codec, Handler: eng}
+		tr := &client.LinkTransport{Link: link, Handler: eng}
 		s := mk(tr)
 		if _, err := client.RunContinuous(s, qs); err != nil {
 			return Fig7bArm{}, err

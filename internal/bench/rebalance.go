@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -277,7 +276,7 @@ func (c *rebalCluster) waitConverged(ring *cluster.Ring, reqs []query.Request, t
 				if err != nil {
 					return err
 				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
+				if er, isErr := resp.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
 					lag = fmt.Sprintf("replica %d has no usable mirror of %d yet", rep, owner)
 					break check
 				}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/query"
 	"repro/internal/tuple"
@@ -42,22 +43,21 @@ type Transport interface {
 }
 
 // LinkTransport is a Transport over a simulated cellular link: requests
-// and responses are encoded with a codec, their sizes charged to the link,
-// and the handler invoked in-process.
+// and responses are encoded with wire.Binary, their sizes charged to the
+// link, and the handler invoked in-process.
 type LinkTransport struct {
 	Link    *netsim.Link
-	Codec   wire.Codec
 	Handler Handler
 }
 
 // Exchange implements Transport.
 func (t *LinkTransport) Exchange(req wire.Message) (wire.Message, error) {
-	reqData, err := t.Codec.Encode(req)
+	reqData, err := wire.Binary.Encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
 	resp := t.Handler.HandleMessage(req)
-	respData, err := t.Codec.Encode(resp)
+	respData, err := wire.Binary.Encode(resp)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode response: %w", err)
 	}
@@ -66,11 +66,18 @@ func (t *LinkTransport) Exchange(req wire.Message) (wire.Message, error) {
 	}
 	// Decode the response as the device would, so malformed server output
 	// surfaces as an error rather than silently passing a Go value along.
-	decoded, err := t.Codec.Decode(respData)
+	decoded, err := wire.Binary.Decode(respData)
 	if err != nil {
 		return nil, fmt.Errorf("client: decode response: %w", err)
 	}
 	return decoded, nil
+}
+
+// serverError turns a server's failure response into an error that
+// still matches the failure's sentinel (errors.Is(err,
+// query.ErrOutOfWindow), ...) through its wire code.
+func serverError(er wire.ErrorResponse) error {
+	return fmt.Errorf("client: server error: %w", cluster.ErrorFromWire(er.Code, er.Msg))
 }
 
 // Answer is one delivered pollution update.
@@ -113,7 +120,7 @@ func (b *Baseline) Query(req query.Request) (Answer, error) {
 	case wire.QueryResponse:
 		return Answer{Req: req, Value: m.Value, Local: false}, nil
 	case wire.ErrorResponse:
-		return Answer{}, fmt.Errorf("client: server error: %s", m.Msg)
+		return Answer{}, serverError(m)
 	default:
 		return Answer{}, fmt.Errorf("client: unexpected response %T", resp)
 	}
@@ -182,7 +189,7 @@ func (m *ModelCache) Query(req query.Request) (Answer, error) {
 			}
 			cc.Store(cv)
 		case wire.ErrorResponse:
-			return Answer{}, fmt.Errorf("client: server error: %s", r.Msg)
+			return Answer{}, serverError(r)
 		default:
 			return Answer{}, fmt.Errorf("client: unexpected response %T", resp)
 		}

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,12 +14,11 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
 // newStack builds a server engine over synthetic data and a link transport
 // in front of it.
-func newStack(t *testing.T, codec wire.Codec) (*server.Engine, *netsim.Link, Transport) {
+func newStack(t *testing.T) (*server.Engine, *netsim.Link, Transport) {
 	t.Helper()
 	st := store.MustOpenMemory(3600)
 	rng := rand.New(rand.NewSource(1))
@@ -41,7 +41,7 @@ func newStack(t *testing.T, codec wire.Codec) (*server.Engine, *netsim.Link, Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, link, &LinkTransport{Link: link, Codec: codec, Handler: eng}
+	return eng, link, &LinkTransport{Link: link, Handler: eng}
 }
 
 // walkQueries generates n query tuples pacing through time at dt seconds,
@@ -61,7 +61,7 @@ func walkQueries(n int, dt float64) []query.Request {
 }
 
 func TestBaselineAnswersMatchServer(t *testing.T) {
-	eng, _, tr := newStack(t, wire.Binary)
+	eng, _, tr := newStack(t)
 	b := NewBaseline(tr)
 	qs := walkQueries(50, 60)
 	answers, err := RunContinuous(b, qs)
@@ -83,7 +83,7 @@ func TestBaselineAnswersMatchServer(t *testing.T) {
 }
 
 func TestModelCacheAnswersMatchServer(t *testing.T) {
-	eng, _, tr := newStack(t, wire.Binary)
+	eng, _, tr := newStack(t)
 	mc := NewModelCache(tr)
 	qs := walkQueries(50, 60)
 	answers, err := RunContinuous(mc, qs)
@@ -109,7 +109,7 @@ func TestModelCacheAnswersMatchServer(t *testing.T) {
 }
 
 func TestModelCacheRefetchesAcrossWindows(t *testing.T) {
-	_, _, tr := newStack(t, wire.Binary)
+	_, _, tr := newStack(t)
 	mc := NewModelCache(tr)
 	// 90 queries spaced 120 s apart cross from window 0 (0..3600) into
 	// windows 1 and 2 (data ends at 10800): exactly 3 fetches.
@@ -129,14 +129,14 @@ func TestModelCacheRefetchesAcrossWindows(t *testing.T) {
 func TestModelCacheSavesBandwidth(t *testing.T) {
 	// The Figure 7(b) property, at unit-test scale: two orders of
 	// magnitude fewer bytes sent, and far less air time.
-	_, linkB, trB := newStack(t, wire.Binary)
+	_, linkB, trB := newStack(t)
 	qs := walkQueries(100, 30) // all within window 0
 	if _, err := RunContinuous(NewBaseline(trB), qs); err != nil {
 		t.Fatal(err)
 	}
 	baseStats := linkB.Stats()
 
-	_, linkM, trM := newStack(t, wire.Binary)
+	_, linkM, trM := newStack(t)
 	if _, err := RunContinuous(NewModelCache(trM), qs); err != nil {
 		t.Fatal(err)
 	}
@@ -163,46 +163,31 @@ func TestModelCacheSavesBandwidth(t *testing.T) {
 }
 
 func TestServerErrorPropagates(t *testing.T) {
-	_, _, tr := newStack(t, wire.Binary)
+	_, _, tr := newStack(t)
+	// The server's sentinel survives the (encoded, decoded) link through
+	// its wire code, not its text.
 	b := NewBaseline(tr)
-	if _, err := b.Query(query.Request{T: 1e12}); err == nil {
-		t.Error("query in empty window should error")
+	if _, err := b.Query(query.Request{T: 1e12}); !errors.Is(err, query.ErrOutOfWindow) {
+		t.Errorf("query in empty window = %v, want ErrOutOfWindow", err)
 	}
 	mc := NewModelCache(tr)
-	if _, err := mc.Query(query.Request{T: 1e12}); err == nil {
-		t.Error("model fetch for empty window should error")
+	if _, err := mc.Query(query.Request{T: 1e12}); !errors.Is(err, query.ErrOutOfWindow) {
+		t.Errorf("model fetch for empty window = %v, want ErrOutOfWindow", err)
+	}
+	if _, err := b.Query(query.Request{T: 1800, Pollutant: tuple.PM}); !errors.Is(err, query.ErrUnknownPollutant) {
+		t.Errorf("query for an unmonitored pollutant = %v, want ErrUnknownPollutant", err)
 	}
 }
 
 func TestRunContinuousEmpty(t *testing.T) {
-	_, _, tr := newStack(t, wire.Binary)
+	_, _, tr := newStack(t)
 	if _, err := RunContinuous(NewBaseline(tr), nil); err == nil {
 		t.Error("empty stream should error")
 	}
 }
 
-func TestJSONCodecWorksEndToEnd(t *testing.T) {
-	eng, link, tr := newStack(t, wire.JSON)
-	mc := NewModelCache(tr)
-	qs := walkQueries(10, 30)
-	answers, err := RunContinuous(mc, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.Query(context.Background(), qs[5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(answers[5].Value-want) > 1e-9 {
-		t.Errorf("JSON stack: %v vs %v", answers[5].Value, want)
-	}
-	if link.Stats().Exchanges != 1 {
-		t.Errorf("exchanges = %d, want 1", link.Stats().Exchanges)
-	}
-}
-
 func TestStrategyNames(t *testing.T) {
-	_, _, tr := newStack(t, wire.Binary)
+	_, _, tr := newStack(t)
 	if NewBaseline(tr).Name() != "baseline" {
 		t.Error("baseline name")
 	}

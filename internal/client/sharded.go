@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -284,8 +283,8 @@ func (s *ShardedTransport) dropConn(addr string) {
 // Exchange implements Transport with shard-map awareness.
 func (s *ShardedTransport) Exchange(req wire.Message) (wire.Message, error) {
 	q, ok := req.(wire.QueryRequest)
-	if !ok || q.Legacy {
-		// Non-positional (or untagged) requests: the seed node routes or
+	if !ok {
+		// Non-positional requests: the seed node routes or
 		// scatter-gathers them server-side.
 		s.mu.Lock()
 		s.stats.Seeded++
@@ -353,8 +352,9 @@ func shardOf(ring *cluster.Ring, q wire.QueryRequest) cluster.ShardKey {
 }
 
 // usableReplicaAnswer reports whether a replica's response answers the
-// query: a mirror miss ("replica:"-prefixed error) or an owner bounce
-// does not, and the caller keeps waiting on (or fails over past) it.
+// query: a mirror miss (an error coded wire.CodeReplicaMiss) or an owner
+// bounce does not, and the caller keeps waiting on (or fails over past)
+// it.
 func usableReplicaAnswer(m wire.Message) bool {
 	if m == nil {
 		return false
@@ -362,7 +362,7 @@ func usableReplicaAnswer(m wire.Message) bool {
 	if _, isBounce := m.(wire.NotOwnerResponse); isBounce {
 		return false
 	}
-	if er, isErr := m.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
+	if er, isErr := m.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
 		return false
 	}
 	return true

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -398,8 +397,8 @@ func TestClusterNodeLossFailsOnlyItsShards(t *testing.T) {
 				if owner != victim {
 					t.Fatalf("node %d failed a live shard at (%v,%v): %s", n, req.X, req.Y, r.Msg)
 				}
-				if !strings.Contains(r.Msg, "unreachable") {
-					t.Fatalf("unexpected error for dead shard: %s", r.Msg)
+				if r.Code != wire.CodeNodeUnreachable {
+					t.Fatalf("unexpected error for dead shard: %#v", r)
 				}
 				lost++
 			default:

@@ -56,20 +56,10 @@ import (
 	"repro/internal/wire"
 )
 
-// epochMismatchMarker is the substring that identifies an epoch fence
-// rejection after the error crosses the wire as plain text.
-const epochMismatchMarker = "cluster: epoch mismatch"
-
 // epochMismatch is the fence rejection for a frame routed under an
 // older ring than the receiver's.
 func epochMismatch(frame, own uint64) wire.ErrorResponse {
-	return wire.ErrorResponse{Msg: fmt.Sprintf("%s: frame routed at epoch %d, node at epoch %d", epochMismatchMarker, frame, own)}
-}
-
-// isEpochMismatch reports whether a response is a peer's epoch fence.
-func isEpochMismatch(resp wire.Message) bool {
-	er, ok := resp.(wire.ErrorResponse)
-	return ok && strings.Contains(er.Msg, epochMismatchMarker)
+	return WireError(fmt.Errorf("%w: frame routed at epoch %d, node at epoch %d", ErrStaleEpoch, frame, own))
 }
 
 // transferKey identifies one handoff pull: the stream's origin node
@@ -97,21 +87,18 @@ func JoinCluster(seed Transport, addr string) (*Ring, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: join announce: %w", err)
 	}
-	switch r := resp.(type) {
-	case wire.RingResponse:
-		ring, err := RingFromWire(r)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: join announce: %w", err)
-		}
-		if ring.Addr(ring.Nodes()-1) != addr {
-			return nil, fmt.Errorf("cluster: seed answered a ring not ending in %s", addr)
-		}
-		return ring, nil
-	case wire.ErrorResponse:
-		return nil, errors.New(r.Msg)
-	default:
-		return nil, fmt.Errorf("cluster: unexpected join response %T", resp)
+	r, err := answer[wire.RingResponse](resp)
+	if err != nil {
+		return nil, err
 	}
+	ring, err := RingFromWire(r)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: join announce: %w", err)
+	}
+	if ring.Addr(ring.Nodes()-1) != addr {
+		return nil, fmt.Errorf("cluster: seed answered a ring not ending in %s", addr)
+	}
+	return ring, nil
 }
 
 // handleJoin computes — without installing — the next-epoch ring with
@@ -485,12 +472,9 @@ func (n *Node) pullFrom(ctx context.Context, src, origin int, pol tuple.Pollutan
 		if err != nil {
 			return err
 		}
-		cr, ok := resp.(wire.ReplicaCatchupResponse)
-		if !ok {
-			if er, isErr := resp.(wire.ErrorResponse); isErr {
-				return errors.New(er.Msg)
-			}
-			return fmt.Errorf("cluster: unexpected transfer response %T", resp)
+		cr, err := answer[wire.ReplicaCatchupResponse](resp)
+		if err != nil {
+			return err
 		}
 		if _, err := n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples); err != nil {
 			return err
@@ -547,12 +531,8 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 			}
 		}
 		if len(gained) > 0 {
-			resp := n.localIngest(ctx, wire.IngestRequest{Pollutant: pol, Tuples: gained})
-			if _, ok := resp.(wire.IngestResponse); !ok {
-				if er, isErr := resp.(wire.ErrorResponse); isErr {
-					return false, fmt.Errorf("cluster: applying transferred tuples: %s", er.Msg)
-				}
-				return false, fmt.Errorf("cluster: applying transferred tuples: unexpected %T", resp)
+			if _, err := answer[wire.IngestResponse](n.localIngest(ctx, wire.IngestRequest{Pollutant: pol, Tuples: gained})); err != nil {
+				return false, fmt.Errorf("cluster: applying transferred tuples: %w", err)
 			}
 		}
 		have = end

@@ -410,7 +410,7 @@ func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
+				if er, isErr := resp.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
 					lag = fmt.Sprintf("replica %d of %d: %s", rep, reps[0], er.Msg)
 					break check
 				}

@@ -101,7 +101,7 @@ func newReplicatedFixture(t *testing.T) *fixture {
 }
 
 // replicaRead asks node rep for origin's answer to req from its mirror,
-// over the wire codec (a "replica:"-prefixed error is a miss).
+// over the wire codec (an error coded replica-miss is a miss).
 func (f *fixture) replicaRead(t *testing.T, rep, origin int, req wire.Message) (wire.Message, bool) {
 	t.Helper()
 	tr := &nodeTransport{f: f, to: rep}
@@ -109,7 +109,7 @@ func (f *fixture) replicaRead(t *testing.T, rep, origin int, req wire.Message) (
 	if err != nil {
 		return nil, false
 	}
-	if er, isErr := resp.(wire.ErrorResponse); isErr && strings.HasPrefix(er.Msg, "replica:") {
+	if er, isErr := resp.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
 		return resp, false
 	}
 	return resp, true
@@ -363,8 +363,8 @@ func TestReplicaPartialResultWhenReplicaSetDead(t *testing.T) {
 	if !isErr {
 		t.Fatalf("dead-replica-set query answered: %#v", resp)
 	}
-	if !strings.Contains(er.Msg, "unreachable") {
-		t.Fatalf("dead-replica-set query error %q does not say unreachable", er.Msg)
+	if er.Code != wire.CodeNodeUnreachable {
+		t.Fatalf("dead-replica-set query error %#v is not coded unreachable", er)
 	}
 }
 
@@ -415,7 +415,7 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	forged := wire.ReplicaIngest{Origin: uint16(origin), Pollutant: tuple.CO2, Seq: 1 << 40,
 		Tuples: tuple.Batch{{T: 100, X: 0, Y: 0, S: 1}}}
 	resp := f.nodes[2].HandleMessage(forged)
-	if er, isErr := resp.(wire.ErrorResponse); !isErr || !strings.Contains(er.Msg, "replica:") {
+	if _, isErr := resp.(wire.ErrorResponse); !isErr {
 		t.Fatalf("forged gap frame was not NAKed: %#v", resp)
 	}
 	// The failed pull must not poison the mirror: revive the origin and

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -333,7 +332,7 @@ func (r *replicator) streamTo(peer int, q chan wire.ReplicaIngest) {
 func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
 	r := n.repl
 	if r == nil {
-		return wire.ErrorResponse{Msg: "replica: node does not replicate"}
+		return replicaMiss("node does not replicate")
 	}
 	lg := r.log(m.Pollutant)
 	lg.mu.Lock()
@@ -394,7 +393,7 @@ func (m *mirror) handler() Handler {
 func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	r := n.repl
 	if r == nil {
-		return wire.ErrorResponse{Msg: "replica: node does not replicate"}
+		return replicaMiss("node does not replicate")
 	}
 	origin := int(m.Origin)
 	if origin == n.self || origin >= n.Ring().Nodes() {
@@ -517,22 +516,21 @@ func (r *replicator) applyChunkLocked(mir *mirror, pol tuple.Pollutant, cr wire.
 func (n *Node) handleReplicaRead(m wire.ReplicaRead) wire.Message {
 	r := n.repl
 	if r == nil {
-		return wire.ErrorResponse{Msg: "replica: node does not replicate"}
+		return replicaMiss("node does not replicate")
 	}
 	origin := int(m.Origin)
 	switch inner := m.Inner.(type) {
 	case wire.QueryRequest:
-		return r.mirrorAnswer(origin, n.pollutant(inner.Pollutant, inner.Legacy), inner)
+		return r.mirrorAnswer(origin, inner.Pollutant, inner)
 	case wire.HeatmapRequest:
 		return r.mirrorAnswer(origin, inner.Pollutant, inner)
 	case wire.ModelRequest:
-		return r.mirrorAnswer(origin, n.pollutant(inner.Pollutant, inner.Legacy), inner)
+		return r.mirrorAnswer(origin, inner.Pollutant, inner)
 	case wire.BatchQueryRequest:
 		out := make([]wire.BatchQueryItem, len(inner.Items))
 		groups := make(map[tuple.Pollutant][]int)
 		for i, it := range inner.Items {
-			pol := n.pollutant(it.Pollutant, it.Legacy)
-			groups[pol] = append(groups[pol], i)
+			groups[it.Pollutant] = append(groups[it.Pollutant], i)
 		}
 		for pol, idxs := range groups {
 			sub := wire.BatchQueryRequest{Items: make([]wire.QueryRequest, len(idxs))}
@@ -553,7 +551,7 @@ func (n *Node) handleReplicaRead(m wire.ReplicaRead) wire.Message {
 				}
 			case wire.ErrorResponse:
 				for _, i := range idxs {
-					out[i] = wire.BatchQueryItem{Err: rr.Msg}
+					out[i] = wire.FailedItem(rr.Code, rr.Msg)
 				}
 			default:
 				for _, i := range idxs {
@@ -563,7 +561,7 @@ func (n *Node) handleReplicaRead(m wire.ReplicaRead) wire.Message {
 		}
 		return wire.BatchQueryResponse{Items: out}
 	default:
-		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: unsupported read %T", m.Inner)}
+		return replicaMiss(fmt.Sprintf("unsupported read %T", m.Inner))
 	}
 }
 
@@ -571,7 +569,7 @@ func (n *Node) handleReplicaRead(m wire.ReplicaRead) wire.Message {
 func (r *replicator) mirrorAnswer(origin int, pol tuple.Pollutant, m wire.Message) wire.Message {
 	mir := r.lookupMirror(origin, pol)
 	if mir == nil {
-		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: no mirror of node %d", origin)}
+		return replicaMiss(fmt.Sprintf("no mirror of node %d", origin))
 	}
 	r.reads.Add(1)
 	return mir.handler().HandleMessage(m)
@@ -579,13 +577,11 @@ func (r *replicator) mirrorAnswer(origin int, pol tuple.Pollutant, m wire.Messag
 
 // --- failover read path ----------------------------------------------
 
-// isReplicaMiss reports whether a response means "this replica cannot
-// answer for that origin" (no mirror, not replicating) as opposed to a
-// genuine data answer or data error. Mirror-side misses are prefixed
-// "replica:" by construction.
-func isReplicaMiss(m wire.Message) bool {
-	er, ok := m.(wire.ErrorResponse)
-	return ok && strings.HasPrefix(er.Msg, "replica:")
+// replicaMiss is the answer of a node asked to stand in for an origin it
+// cannot serve (no mirror, not replicating) — as opposed to a mirror's
+// genuine data answer or data error.
+func replicaMiss(why string) wire.ErrorResponse {
+	return WireError(fmt.Errorf("%w: %s", ErrReplicaMiss, why))
 }
 
 // readAtReplica tries to answer m — a read for a shard owned by the
@@ -610,7 +606,7 @@ func (n *Node) readAtReplica(rep, origin int, m wire.Message) (wire.Message, boo
 			return nil, false
 		}
 	}
-	if resp == nil || isReplicaMiss(resp) {
+	if resp == nil || responseCode(resp) == wire.CodeReplicaMiss {
 		return nil, false
 	}
 	return resp, true

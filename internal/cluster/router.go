@@ -33,13 +33,13 @@ var (
 // ErrNodeUnreachable marks a routed request that failed because the
 // shard's owner could not be reached — the cluster's partial-outage
 // error, distinct from "your request is bad" (the HTTP layer maps it
-// to 502). Matched with errors.Is on the Go convenience surface.
+// to 502).
 var ErrNodeUnreachable = errors.New("cluster: owner node unreachable")
 
 // ErrPartialIngest marks a cluster ingest where some shard owners
 // applied their slices and at least one did not. It is NOT safe to
 // retry the whole upload (the applied slices would duplicate), so it
-// deliberately does not map onto the retryable ErrSaturated even when
+// deliberately replaces the retryable ErrSaturated even when
 // saturation caused the failing slice; the HTTP layer answers 500
 // without Retry-After. An ingest where NO slice applied stays
 // retryable and keeps its original error (e.g. 429 when saturated).
@@ -95,8 +95,8 @@ type NodeConfig struct {
 	// Dial opens transports to nodes that join after boot (nil: the
 	// node cannot reach post-boot members and bounces their shards).
 	Dial Dialer
-	// Default resolves legacy (untagged) frames to a pollutant for
-	// shard placement; it must match the engines' default pollutant.
+	// Default is the engines' default pollutant: the one stream a node
+	// moves in membership handoffs when Pollutants is empty.
 	Default tuple.Pollutant
 	// Pollutants lists every pollutant the local engine serves — the
 	// streams membership handoffs must move. Empty defaults to
@@ -158,7 +158,6 @@ type Node struct {
 	ring     atomic.Pointer[Ring]
 	self     int
 	local    Handler
-	def      tuple.Pollutant
 	pols     []tuple.Pollutant
 	streams  StreamOpener
 	subQueue int
@@ -222,7 +221,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		self:       cfg.Self,
 		local:      cfg.Local,
 		transports: transports,
-		def:        cfg.Default,
 		pols:       pols,
 		streams:    cfg.Streams,
 		subQueue:   cfg.SubQueue,
@@ -328,14 +326,6 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// pollutant resolves a frame's pollutant tag for shard placement.
-func (n *Node) pollutant(p tuple.Pollutant, legacy bool) tuple.Pollutant {
-	if legacy {
-		return n.def
-	}
-	return p
-}
-
 // HandleMessage implements the wire protocol with cluster routing:
 // ring exchanges answer from the local ring, owned shards answer from
 // the local engine, foreign shards forward to (or name) their owner,
@@ -343,13 +333,6 @@ func (n *Node) pollutant(p tuple.Pollutant, legacy bool) tuple.Pollutant {
 func (n *Node) HandleMessage(req wire.Message) wire.Message {
 	//ctxcheck:allow legacy ctx-less Handler entry; the serve loop prefers HandleMessageCtx
 	return n.HandleMessageCtx(context.Background(), req)
-}
-
-// HandleMessageCtx is HandleMessage with a caller-supplied context
-// (proto.CtxHandler), so scatter-gather fan-outs and forwarded
-// exchanges unwind when the serving process shuts down.
-func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
-	return n.handle(ctx, req)
 }
 
 // localHandle answers a request from the local engine, preserving the
@@ -361,7 +344,10 @@ func (n *Node) localHandle(ctx context.Context, req wire.Message) wire.Message {
 	return n.local.HandleMessage(req)
 }
 
-func (n *Node) handle(ctx context.Context, req wire.Message) wire.Message {
+// HandleMessageCtx is HandleMessage with a caller-supplied context
+// (proto.CtxHandler), so scatter-gather fan-outs and forwarded
+// exchanges unwind when the serving process shuts down.
+func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case wire.RingRequest:
 		return n.Ring().Wire()
@@ -375,7 +361,7 @@ func (n *Node) handle(ctx context.Context, req wire.Message) wire.Message {
 		// name the wrong owner — reject it so the sender refreshes and
 		// re-routes. A frame from a NEWER ring is served: the newer
 		// placement chose this node, we just have not adopted it yet.
-		// Epoch 0 is a legacy (or deliberately epoch-agnostic) frame.
+		// Epoch 0 is a pre-epoch (or deliberately epoch-agnostic) frame.
 		if own := n.Ring().Epoch(); m.Epoch != 0 && m.Epoch < own {
 			n.nEpochRej.Add(1)
 			return epochMismatch(m.Epoch, own)
@@ -389,8 +375,7 @@ func (n *Node) handle(ctx context.Context, req wire.Message) wire.Message {
 		return n.localHandle(ctx, m.Inner)
 	case wire.QueryRequest:
 		ring := n.Ring()
-		pol := n.pollutant(m.Pollutant, m.Legacy)
-		k := ShardKey{Pollutant: pol, Cell: ring.CellOf(geo.Point{X: m.X, Y: m.Y})}
+		k := ShardKey{Pollutant: m.Pollutant, Cell: ring.CellOf(geo.Point{X: m.X, Y: m.Y})}
 		return n.routeShard(ctx, ring, k, m, true)
 	case wire.ModelRequest:
 		resp, _ := n.scatterModel(ctx, m)
@@ -454,7 +439,7 @@ func (n *Node) routeOwner(ctx context.Context, ring *Ring, owner int, m wire.Mes
 		resp, err := t.Exchange(wire.Forwarded{Inner: m, Epoch: ring.Epoch()})
 		if err != nil {
 			n.nErrors.Add(1)
-			return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: node %d (%s) unreachable: %v", owner, ring.Addr(owner), err)}, true
+			return unreachable(owner, ring, err), true
 		}
 		return resp, false
 	}
@@ -501,7 +486,7 @@ func (n *Node) refreshRingFrom(peer int, old *Ring) *Ring {
 func (n *Node) routeShard(ctx context.Context, ring *Ring, k ShardKey, m wire.Message, retry bool) wire.Message {
 	reps := ring.ReplicasFor(k)
 	resp, down := n.routeOwner(ctx, ring, reps[0], m)
-	if retry && isEpochMismatch(resp) {
+	if retry && responseCode(resp) == wire.CodeStaleEpoch {
 		if fresh := n.refreshRingFrom(reps[0], ring); fresh != nil {
 			return n.routeShard(ctx, fresh, k, m, false)
 		}
@@ -542,8 +527,7 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 	groups := make(map[int][]int) // owner -> original indexes
 	for _, i := range idxs {
 		it := m.Items[i]
-		pol := n.pollutant(it.Pollutant, it.Legacy)
-		owner := ring.Owner(pol, geo.Point{X: it.X, Y: it.Y})
+		owner := ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y})
 		groups[owner] = append(groups[owner], i)
 	}
 	var wg sync.WaitGroup
@@ -556,36 +540,37 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 				sub.Items[j] = m.Items[i]
 			}
 			resp, ownerDown := n.routeOwner(ctx, ring, owner, sub)
-			fill := func(errMsg string) {
+			fill := func(failed wire.BatchQueryItem) {
 				for _, i := range idxs {
-					out[i] = wire.BatchQueryItem{Err: errMsg}
+					out[i] = failed
 				}
 			}
 			switch r := resp.(type) {
 			case wire.BatchQueryResponse:
 				if len(r.Items) != len(idxs) {
-					fill(fmt.Sprintf("cluster: node %d answered %d of %d items", owner, len(r.Items), len(idxs)))
+					fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: node %d answered %d of %d items", owner, len(r.Items), len(idxs))})
 					return
 				}
 				for j, i := range idxs {
 					out[i] = r.Items[j]
 				}
 			case wire.ErrorResponse:
-				if retry && isEpochMismatch(resp) {
+				if retry && r.Code == wire.CodeStaleEpoch {
 					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
 						n.batchInto(ctx, fresh, m, idxs, out, false)
 						return
 					}
 				}
+				failed := wire.FailedItem(r.Code, r.Msg)
 				if ownerDown && ring.Replicas() > 1 {
-					n.batchFailover(ring, owner, m, idxs, out, r.Msg)
+					n.batchFailover(ring, owner, m, idxs, out, failed)
 					return
 				}
-				fill(r.Msg)
+				fill(failed)
 			case wire.NotOwnerResponse:
-				fill(notOwnerMsg(r))
+				fill(wire.BatchQueryItem{Err: notOwnerMsg(r)})
 			default:
-				fill(fmt.Sprintf("cluster: unexpected response %T", resp))
+				fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: unexpected response %T", resp)})
 			}
 		}(owner, idxs)
 	}
@@ -596,12 +581,11 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 // items regroup by their shard's first reachable replica and each
 // group crosses as one replica-read sub-batch. Items with no live
 // replica keep the owner's unreachable error.
-func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, errMsg string) {
+func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, ownerDown wire.BatchQueryItem) {
 	regroup := make(map[int][]int) // replica -> original item indexes
 	for _, i := range idxs {
 		it := m.Items[i]
-		pol := n.pollutant(it.Pollutant, it.Legacy)
-		k := ShardKey{Pollutant: pol, Cell: ring.CellOf(geo.Point{X: it.X, Y: it.Y})}
+		k := ShardKey{Pollutant: it.Pollutant, Cell: ring.CellOf(geo.Point{X: it.X, Y: it.Y})}
 		rep := -1
 		for _, r := range ring.ReplicasFor(k)[1:] {
 			if (r == n.self && n.repl != nil) || (r != n.self && n.transport(r) != nil) {
@@ -614,7 +598,7 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 	for rep, sub := range regroup {
 		fail := func() {
 			for _, i := range sub {
-				out[i] = wire.BatchQueryItem{Err: errMsg}
+				out[i] = ownerDown
 			}
 		}
 		if rep < 0 {
@@ -643,39 +627,54 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 // slice applied; a partial failure names the slices lost.
 func (n *Node) routeIngest(ctx context.Context, m wire.IngestRequest) wire.Message {
 	if len(m.Tuples) == 0 {
-		return wire.ErrorResponse{Msg: ingest.ErrInvalidBatch.Error() + ": empty upload"}
+		return WireError(fmt.Errorf("%w: empty upload", ingest.ErrInvalidBatch))
 	}
-	var (
-		mu    sync.Mutex
-		total uint32
-		errs  []string
-	)
-	n.ingestInto(ctx, n.Ring(), m.Pollutant, m.Tuples, &mu, &total, &errs, true)
+	var tally ingestTally
+	n.ingestInto(ctx, n.Ring(), m.Pollutant, m.Tuples, &tally, true)
 	switch {
-	case len(errs) == 0:
-		return wire.IngestResponse{Ingested: total}
-	case total == 0:
+	case len(tally.errs) == 0:
+		return wire.IngestResponse{Ingested: tally.applied}
+	case tally.applied == 0:
 		// Nothing applied anywhere: the whole upload is safe to retry,
-		// so surface the slice errors as-is (a saturated owner keeps its
-		// ErrSaturated text and the HTTP layer's 429 + Retry-After).
-		return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: ingest failed (0/%d applied): %s",
-			len(m.Tuples), strings.Join(errs, "; "))}
+		// so the response keeps a slice's own code (a saturated owner
+		// stays ErrSaturated and the HTTP layer's 429 + Retry-After).
+		return wire.ErrorResponse{Code: tally.code, Msg: fmt.Sprintf("cluster: ingest failed (0/%d applied): %s",
+			len(m.Tuples), strings.Join(tally.errs, "; "))}
 	default:
 		// Some owners committed their slices: a blind retry would
-		// duplicate them. The partial-ingest marker suppresses the
-		// retryable-error mapping (see mapWireError).
-		return wire.ErrorResponse{Msg: fmt.Sprintf("%s (%d/%d applied): %s",
-			ErrPartialIngest.Error(), total, len(m.Tuples), strings.Join(errs, "; "))}
+		// duplicate them, so the partial-ingest code replaces whatever
+		// retryable code the failed slices carried.
+		return wire.ErrorResponse{Code: wire.CodePartialIngest, Msg: fmt.Sprintf("%s (%d/%d applied): %s",
+			ErrPartialIngest.Error(), tally.applied, len(m.Tuples), strings.Join(tally.errs, "; "))}
+	}
+}
+
+// ingestTally accumulates one routed upload's outcome across its
+// concurrently applied slices.
+type ingestTally struct {
+	mu      sync.Mutex
+	applied uint32
+	errs    []string
+	// code is the lowest (highest-priority) code among the failed
+	// slices, CodeNone when every failure was untyped.
+	code wire.ErrCode
+}
+
+// fail records a slice failure covering tuples unapplied tuples.
+func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
+	t.errs = append(t.errs, fmt.Sprintf("%d tuples: %s", tuples, msg))
+	if code != wire.CodeNone && (t.code == wire.CodeNone || code < t.code) {
+		t.code = code
 	}
 }
 
 // ingestInto splits tuples by shard owner under ring and applies every
 // slice on its owner concurrently, accumulating applied counts and
-// slice errors under mu. retry allows each fenced chunk one re-split
+// slice errors in tally. retry allows each fenced chunk one re-split
 // of the slice's unapplied remainder under a refreshed ring — the
 // fence rejected the whole chunk without applying it, so the re-split
 // duplicates nothing.
-func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, mu *sync.Mutex, total *uint32, errs *[]string, retry bool) {
+func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
 	groups := make(map[int][]tuple.Raw)
 	for _, r := range tuples {
 		owner := ring.Owner(pol, r.Pos())
@@ -696,26 +695,26 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 				}
 				chunk := slice[start:end]
 				resp, _ := n.routeOwner(ctx, ring, owner, wire.IngestRequest{Pollutant: pol, Tuples: chunk})
-				if retry && isEpochMismatch(resp) {
+				if retry && responseCode(resp) == wire.CodeStaleEpoch {
 					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
-						n.ingestInto(ctx, fresh, pol, slice[start:], mu, total, errs, false)
+						n.ingestInto(ctx, fresh, pol, slice[start:], tally, false)
 						return
 					}
 				}
-				mu.Lock()
+				tally.mu.Lock()
 				failed := true
 				switch r := resp.(type) {
 				case wire.IngestResponse:
-					*total += r.Ingested
+					tally.applied += r.Ingested
 					failed = false
 				case wire.NotOwnerResponse:
-					*errs = append(*errs, fmt.Sprintf("%d tuples: %s", len(slice)-start, notOwnerMsg(r)))
+					tally.fail(len(slice)-start, wire.CodeNone, notOwnerMsg(r))
 				case wire.ErrorResponse:
-					*errs = append(*errs, fmt.Sprintf("%d tuples: %s", len(slice)-start, r.Msg))
+					tally.fail(len(slice)-start, r.Code, r.Msg)
 				default:
-					*errs = append(*errs, fmt.Sprintf("%d tuples: unexpected response %T", len(slice)-start, resp))
+					tally.fail(len(slice)-start, wire.CodeNone, fmt.Sprintf("unexpected response %T", resp))
 				}
-				mu.Unlock()
+				tally.mu.Unlock()
 				if failed {
 					return
 				}
@@ -785,8 +784,8 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest) (wire.
 		// A larger raster could not cross back from the peers in one
 		// frame; reject loudly instead of silently rendering foreign
 		// shards from fallback grids.
-		return wire.ErrorResponse{Msg: fmt.Sprintf("heatmap: grid %dx%d exceeds the cluster frame budget (%d cells)",
-			m.Cols, m.Rows, maxHeatmapCells)}, nil
+		return WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",
+			ErrTooLarge, m.Cols, m.Rows, maxHeatmapCells)), nil
 	}
 	ring := n.Ring()
 	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)
@@ -866,7 +865,7 @@ func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]wire.
 			if err != nil {
 				n.nErrors.Add(1)
 				nodeDown[i] = true
-				resp = wire.ErrorResponse{Msg: fmt.Sprintf("cluster: node %d (%s) unreachable: %v", i, ring.Addr(i), err)}
+				resp = unreachable(i, ring, err)
 			}
 			resps[i] = resp
 		}(i)
@@ -958,6 +957,11 @@ func clampIdx(i, n int) int {
 	return i
 }
 
+// unreachable is the response for a peer whose transport failed.
+func unreachable(node int, ring *Ring, err error) wire.ErrorResponse {
+	return WireError(fmt.Errorf("%w: node %d (%s): %v", ErrNodeUnreachable, node, ring.Addr(node), err))
+}
+
 func notOwnerMsg(r wire.NotOwnerResponse) string {
 	return fmt.Sprintf("cluster: not owner of shard (owner node %d %s)", r.Owner, r.Addr)
 }
@@ -978,42 +982,34 @@ func maxF(a, b float64) float64 {
 
 // --- Go-level convenience surface ------------------------------------
 //
-// The facade and the HTTP API route through these instead of building
-// wire frames by hand. Responses crossing the cluster lose their typed
-// errors (only the message travels); mapWireError restores the v1
-// taxonomy for the sentinels embedded in the text, so errors.Is keeps
-// working on routed calls.
+// server.Service routes through these instead of building wire frames
+// by hand. A failure that crossed the cluster comes back through
+// ErrorFromWire, so errors.Is matches the same sentinel whether the
+// local engine or a peer's produced it.
 
-// mapWireError turns an error message that crossed the wire back into
-// the v1 error taxonomy where it embeds a known sentinel. The
-// partial-ingest marker is checked first: its message embeds the slice
-// errors (possibly including retryable sentinels like ErrSaturated),
-// and a partial ingest must never look retryable.
-func mapWireError(msg string) error {
-	if strings.Contains(msg, "partial ingest") {
-		return fmt.Errorf("%w: %s", ErrPartialIngest, msg)
+// answer narrows a response to the message type the caller asked for,
+// turning anything else into its Go error.
+func answer[T wire.Message](resp wire.Message) (T, error) {
+	var none T
+	switch r := resp.(type) {
+	case T:
+		return r, nil
+	case wire.ErrorResponse:
+		return none, ErrorFromWire(r.Code, r.Msg)
+	case wire.NotOwnerResponse:
+		return none, errors.New(notOwnerMsg(r))
+	default:
+		return none, fmt.Errorf("cluster: unexpected response %T", resp)
 	}
-	if strings.Contains(msg, "frame budget") {
-		return fmt.Errorf("%w: %s", ErrTooLarge, msg)
+}
+
+// partialErr is the error a scatter-gathered answer travels with: nil
+// when complete, a *PartialError naming what is missing otherwise.
+func partialErr(part *Partial) error {
+	if part == nil {
+		return nil
 	}
-	if strings.Contains(msg, epochMismatchMarker) {
-		return fmt.Errorf("%w: %s", ErrStaleEpoch, msg)
-	}
-	for _, sentinel := range []error{
-		query.ErrOutOfWindow,
-		query.ErrNoCover,
-		query.ErrUnknownPollutant,
-		ingest.ErrSaturated,
-		ingest.ErrInvalidBatch,
-	} {
-		if strings.Contains(msg, sentinel.Error()) {
-			return fmt.Errorf("%w (routed): %s", sentinel, msg)
-		}
-	}
-	if strings.Contains(msg, "unreachable") {
-		return fmt.Errorf("%w: %s", ErrNodeUnreachable, msg)
-	}
-	return errors.New(msg)
+	return &PartialError{Partial: *part}
 }
 
 // Query answers one request through the cluster: locally when this node
@@ -1022,17 +1018,9 @@ func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	resp := n.handle(ctx, wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-	switch r := resp.(type) {
-	case wire.QueryResponse:
-		return r.Value, nil
-	case wire.ErrorResponse:
-		return 0, mapWireError(r.Msg)
-	case wire.NotOwnerResponse:
-		return 0, errors.New(notOwnerMsg(r))
-	default:
-		return 0, fmt.Errorf("cluster: unexpected response %T", resp)
-	}
+	r, err := answer[wire.QueryResponse](n.HandleMessageCtx(ctx,
+		wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}))
+	return r.Value, err
 }
 
 // QueryBatch answers a batch through the cluster with per-item results,
@@ -1048,42 +1036,33 @@ func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.Ba
 	for i, req := range reqs {
 		m.Items[i] = wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}
 	}
-	resp := n.handle(ctx, m)
-	switch r := resp.(type) {
-	case wire.BatchQueryResponse:
-		out := make([]query.BatchResult, len(r.Items))
-		for i, it := range r.Items {
-			if it.Err != "" {
-				out[i] = query.BatchResult{Err: mapWireError(it.Err)}
-			} else {
-				out[i] = query.BatchResult{Value: it.Value}
-			}
-		}
-		return out, nil
-	case wire.ErrorResponse:
-		return nil, mapWireError(r.Msg)
-	default:
-		return nil, fmt.Errorf("cluster: unexpected response %T", resp)
+	r, err := answer[wire.BatchQueryResponse](n.HandleMessageCtx(ctx, m))
+	if err != nil {
+		return nil, err
 	}
+	out := make([]query.BatchResult, len(r.Items))
+	for i, it := range r.Items {
+		if it.Err != "" {
+			out[i] = query.BatchResult{Err: ErrorFromWire(it.Code(), it.Err)}
+		} else {
+			out[i] = query.BatchResult{Value: it.Value}
+		}
+	}
+	return out, nil
 }
 
 // Ingest applies an upload through the cluster, splitting it across
-// shard owners.
+// shard owners. An empty upload is a no-op, as it is on a single node's
+// pipeline.
 func (n *Node) Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	resp := n.handle(ctx, wire.IngestRequest{Pollutant: pol, Tuples: b})
-	switch r := resp.(type) {
-	case wire.IngestResponse:
+	if len(b) == 0 {
 		return nil
-	case wire.ErrorResponse:
-		return mapWireError(r.Msg)
-	case wire.NotOwnerResponse:
-		return errors.New(notOwnerMsg(r))
-	default:
-		return fmt.Errorf("cluster: unexpected response %T", resp)
 	}
+	_, err := answer[wire.IngestResponse](n.HandleMessageCtx(ctx, wire.IngestRequest{Pollutant: pol, Tuples: b}))
+	return err
 }
 
 // Heatmap rasterizes the whole cluster's view of pollutant p at time t.
@@ -1098,17 +1077,11 @@ func (n *Node) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, 
 		return nil, fmt.Errorf("cluster: heatmap grid %dx%d out of range", cols, rows)
 	}
 	resp, part := n.scatterHeatmap(ctx, wire.HeatmapRequest{T: t, Pollutant: p, Cols: uint16(cols), Rows: uint16(rows)})
-	switch r := resp.(type) {
-	case wire.HeatmapResponse:
-		if part != nil {
-			return r.Grid(), &PartialError{Partial: *part}
-		}
-		return r.Grid(), nil
-	case wire.ErrorResponse:
-		return nil, mapWireError(r.Msg)
-	default:
-		return nil, fmt.Errorf("cluster: unexpected response %T", resp)
+	r, err := answer[wire.HeatmapResponse](resp)
+	if err != nil {
+		return nil, err
 	}
+	return r.Grid(), partialErr(part)
 }
 
 // Model returns the cluster-merged model cover of pollutant p at time t.
@@ -1119,15 +1092,9 @@ func (n *Node) Model(ctx context.Context, p tuple.Pollutant, t float64) (wire.Mo
 		return wire.ModelResponse{}, err
 	}
 	resp, part := n.scatterModel(ctx, wire.ModelRequest{T: t, Pollutant: p})
-	switch r := resp.(type) {
-	case wire.ModelResponse:
-		if part != nil {
-			return r, &PartialError{Partial: *part}
-		}
-		return r, nil
-	case wire.ErrorResponse:
-		return wire.ModelResponse{}, mapWireError(r.Msg)
-	default:
-		return wire.ModelResponse{}, fmt.Errorf("cluster: unexpected response %T", resp)
+	r, err := answer[wire.ModelResponse](resp)
+	if err != nil {
+		return wire.ModelResponse{}, err
 	}
+	return r, partialErr(part)
 }

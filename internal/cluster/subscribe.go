@@ -309,7 +309,7 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 	switch m := req.(type) {
 	case wire.SubscribeRequest:
 		cnt = len(m.Points)
-		h, err = n.Subscribe(ctx, n.pollutant(m.Pollutant, false), subs.RequestFromWire(m))
+		h, err = n.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
 	case wire.Forwarded:
 		inner, isSub := m.Inner.(wire.SubscribeRequest)
 		if !isSub {
@@ -321,7 +321,7 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		}
 		n.nFwdIn.Add(1)
 		cnt = len(inner.Points)
-		h, err = ls.Subscribe(ctx, n.pollutant(inner.Pollutant, false), subs.RequestFromWire(inner))
+		h, err = ls.Subscribe(ctx, inner.Pollutant, subs.RequestFromWire(inner))
 	case wire.ReplicaRead:
 		// A peer re-homing a dead owner's subscription leg onto this
 		// node's mirror of that owner.
@@ -331,16 +331,16 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		}
 		noop := func(func(wire.Message) error) {}
 		if n.repl == nil {
-			return wire.ErrorResponse{Msg: "replica: node does not replicate"}, noop, func() {}, true
+			return replicaMiss("node does not replicate"), noop, func() {}, true
 		}
-		pol := n.pollutant(inner.Pollutant, false)
+		pol := inner.Pollutant
 		mir := n.repl.lookupMirror(int(m.Origin), pol)
 		if mir == nil {
-			return wire.ErrorResponse{Msg: fmt.Sprintf("replica: no mirror of node %d", m.Origin)}, noop, func() {}, true
+			return replicaMiss(fmt.Sprintf("no mirror of node %d", m.Origin)), noop, func() {}, true
 		}
 		ls, isLS := mir.handler().(LocalSubscriber)
 		if !isLS {
-			return wire.ErrorResponse{Msg: "replica: mirror holds no subscription registry"}, noop, func() {}, true
+			return replicaMiss("mirror holds no subscription registry"), noop, func() {}, true
 		}
 		n.nFwdIn.Add(1)
 		cnt = len(inner.Points)
@@ -349,7 +349,7 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		return nil, nil, nil, false
 	}
 	if err != nil {
-		return wire.ErrorResponse{Msg: err.Error()}, func(func(wire.Message) error) {}, func() {}, true
+		return WireError(err), func(func(wire.Message) error) {}, func() {}, true
 	}
 	run = func(emit func(wire.Message) error) {
 		for ev := range h.Events() {

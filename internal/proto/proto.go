@@ -1,17 +1,14 @@
 // Package proto runs the EnviroMeter wire protocol over real TCP
 // connections. The demo's smartphones spoke to the server over GPRS/3G
 // data services; this package is the deployment-grade transport those
-// clients would use: length-prefixed frames carrying wire-codec messages,
+// clients would use: length-prefixed frames carrying wire.Binary messages,
 // one request/response exchange at a time per connection, with deadlines
 // so a stalled radio link cannot wedge the server.
 //
 // Frame layout (little endian):
 //
 //	length  uint32   payload byte count (not including this prefix)
-//	payload []byte   one wire-codec message
-//
-// The framing is codec-agnostic: binary for production, JSON for
-// debugging.
+//	payload []byte   one wire.Binary message
 package proto
 
 import (
@@ -86,8 +83,6 @@ type CtxHandler interface {
 
 // ServerConfig tunes the TCP server.
 type ServerConfig struct {
-	// Codec decodes requests and encodes responses (default wire.Binary).
-	Codec wire.Codec
 	// IdleTimeout closes connections with no request for this long
 	// (default 2 minutes). Mobile clients reconnect cheaply; dangling
 	// radio sessions must not pin server resources.
@@ -95,9 +90,6 @@ type ServerConfig struct {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Codec == nil {
-		c.Codec = wire.Binary
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
@@ -163,7 +155,7 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	w := &frameWriter{conn: conn, timeout: s.cfg.IdleTimeout, codec: s.cfg.Codec}
+	w := &frameWriter{conn: conn, timeout: s.cfg.IdleTimeout}
 	var stops []func()
 	defer func() {
 		conn.Close()
@@ -191,7 +183,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, timeout, or garbage: drop the connection
 		}
-		req, err := s.cfg.Codec.Decode(payload)
+		req, err := wire.Binary.Decode(payload)
 		var resp wire.Message
 		if err != nil {
 			resp = wire.ErrorResponse{Msg: "malformed request: " + err.Error()}
@@ -259,7 +251,7 @@ func (s *Server) Close() error {
 // on the single connection, matching the one-outstanding-request radio
 // behaviour the link model assumes.
 type Client struct {
-	cfg ServerConfig // codec + timeout reused client-side
+	cfg ServerConfig // timeout reused client-side
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -276,7 +268,7 @@ func Dial(addr string, cfg ServerConfig) (*Client, error) {
 
 // Exchange performs one request/response round trip.
 func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
-	payload, err := c.cfg.Codec.Encode(req)
+	payload, err := wire.Binary.Encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("proto: encode request: %w", err)
 	}
@@ -295,7 +287,7 @@ func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: read: %w", err)
 	}
-	resp, err := c.cfg.Codec.Decode(respPayload)
+	resp, err := wire.Binary.Decode(respPayload)
 	if err != nil {
 		return nil, fmt.Errorf("proto: decode response: %w", err)
 	}

@@ -302,22 +302,6 @@ func TestServerCloseIdempotentAndFast(t *testing.T) {
 	}
 }
 
-func TestJSONCodecOverTCP(t *testing.T) {
-	_, addr := startServer(t, proto.ServerConfig{Codec: wire.JSON})
-	c, err := proto.Dial(addr, proto.ServerConfig{Codec: wire.JSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resp, err := c.Exchange(wire.QueryRequest{T: 1800, X: 700, Y: 700})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := resp.(wire.QueryResponse); !ok {
-		t.Fatalf("got %T", resp)
-	}
-}
-
 func TestClientServerBatchRoundTrip(t *testing.T) {
 	// The whole batch path over real TCP: one frame out, one frame back,
 	// per-item values and errors.

@@ -41,15 +41,14 @@ const streamQueueDepth = 64
 type frameWriter struct {
 	conn    net.Conn
 	timeout time.Duration
-	codec   wire.Codec
 
 	mu sync.Mutex
 }
 
 func (w *frameWriter) write(m wire.Message) error {
-	out, err := w.codec.Encode(m)
+	out, err := wire.Binary.Encode(m)
 	if err != nil {
-		out, err = w.codec.Encode(wire.ErrorResponse{Msg: "internal encode error"})
+		out, err = wire.Binary.Encode(wire.ErrorResponse{Msg: "internal encode error"})
 		if err != nil {
 			return err
 		}
@@ -66,7 +65,6 @@ func (w *frameWriter) write(m wire.Message) error {
 // carrying the subscribe exchange followed by pushed frames. Dedicate a
 // connection per stream; Exchange traffic belongs on its own Client.
 type Stream struct {
-	cfg  ServerConfig
 	conn net.Conn
 	ack  wire.Message
 	ch   chan wire.Message
@@ -82,7 +80,7 @@ type Stream struct {
 // ack. Pushed frames arrive on C until the stream fails or is closed.
 func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error) {
 	cfg = cfg.withDefaults()
-	payload, err := cfg.Codec.Encode(req)
+	payload, err := wire.Binary.Encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("proto: encode request: %w", err)
 	}
@@ -103,7 +101,7 @@ func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error
 		conn.Close()
 		return nil, fmt.Errorf("proto: read ack: %w", err)
 	}
-	ack, err := cfg.Codec.Decode(ackPayload)
+	ack, err := wire.Binary.Decode(ackPayload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("proto: decode ack: %w", err)
@@ -118,7 +116,6 @@ func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error
 		return nil, err
 	}
 	st := &Stream{
-		cfg:  cfg,
 		conn: conn,
 		ack:  ack,
 		ch:   make(chan wire.Message, streamQueueDepth),
@@ -136,7 +133,7 @@ func (st *Stream) readLoop() {
 			st.fail(fmt.Errorf("proto: stream read: %w", err))
 			return
 		}
-		m, err := st.cfg.Codec.Decode(payload)
+		m, err := wire.Binary.Decode(payload)
 		if err != nil {
 			st.fail(fmt.Errorf("proto: stream decode: %w", err))
 			return

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/geo"
@@ -27,8 +28,10 @@ import (
 )
 
 // ErrEngineClosed is returned by writes against a closed engine — the
-// HTTP layer maps it to 503.
-var ErrEngineClosed = errors.New("server: engine closed")
+// HTTP layer maps it to 503. It is the pipeline's own closed sentinel, so
+// a closed owner reads the same whether it was hit locally or across the
+// cluster.
+var ErrEngineClosed = ingest.ErrPipelineClosed
 
 // CheckpointConfig tunes the durability checkpoints of the engine's
 // stores. The zero value disables automatic checkpoints; Checkpoint can
@@ -157,8 +160,8 @@ func NewMultiEngine(stores map[tuple.Pollutant]*store.Store, cfg core.Config) (*
 
 // NewMultiEngineOpts creates an engine with one shard per pollutant.
 // Each shard's maintainer runs Ad-KMN with cfg, its Pollutant field
-// rebound to the shard's key. The default pollutant (used by legacy wire
-// frames and parameterless HTTP calls) is cfg.Pollutant when monitored,
+// rebound to the shard's key. The default pollutant (used by
+// parameterless HTTP calls) is cfg.Pollutant when monitored,
 // otherwise the smallest monitored key. opts tunes the ingest pipeline
 // and the cover-maintenance scheduler.
 func NewMultiEngineOpts(stores map[tuple.Pollutant]*store.Store, cfg core.Config, opts Options) (*Engine, error) {
@@ -364,7 +367,7 @@ func (e *Engine) Pollutants() []tuple.Pollutant {
 	return out
 }
 
-// Default returns the pollutant legacy (untagged) requests resolve to.
+// Default returns the pollutant untagged HTTP requests resolve to.
 func (e *Engine) Default() tuple.Pollutant { return e.def }
 
 // Serves reports whether the engine monitors pollutant p.
@@ -649,18 +652,10 @@ func (e *Engine) ingest(ctx context.Context, p tuple.Pollutant, b tuple.Batch, t
 	if _, err := e.shardFor(p); err != nil {
 		return err
 	}
-	var err error
 	if try {
-		err = e.pipeline.TrySubmit(ctx, p, b)
-	} else {
-		err = e.pipeline.Submit(ctx, p, b)
+		return e.pipeline.TrySubmit(ctx, p, b)
 	}
-	if errors.Is(err, ingest.ErrPipelineClosed) {
-		// An Ingest that raced Close past the closed check: present the
-		// engine-level sentinel so callers match one closed error.
-		return ErrEngineClosed
-	}
-	return err
+	return e.pipeline.Submit(ctx, p, b)
 }
 
 // ingestSink applies one (possibly coalesced) upload group: the durable
@@ -746,9 +741,10 @@ func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols
 
 // HandleMessage implements the request/response protocol over any
 // transport: it maps a request message to its response message, routing
-// by the message's pollutant tag (legacy untagged frames decode as CO2).
-// Server failures become ErrorResponse rather than Go errors, since they
-// must travel back over the link.
+// by the message's pollutant tag. Server failures become ErrorResponse
+// rather than Go errors, since they must travel back over the link; the
+// response carries the failure's wire code (cluster.WireError), so the
+// far side restores the same sentinel.
 func (e *Engine) HandleMessage(req wire.Message) wire.Message {
 	//ctxcheck:allow legacy ctx-less Handler entry; the serve loop prefers HandleMessageCtx
 	return e.HandleMessageCtx(context.Background(), req)
@@ -761,9 +757,9 @@ func (e *Engine) HandleMessage(req wire.Message) wire.Message {
 func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case wire.QueryRequest:
-		v, err := e.Query(ctx, query.Request{T: m.T, X: m.X, Y: m.Y, Pollutant: e.wirePollutant(m.Pollutant, m.Legacy)})
+		v, err := e.Query(ctx, query.Request{T: m.T, X: m.X, Y: m.Y, Pollutant: m.Pollutant})
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		return wire.QueryResponse{Value: v}
 	case wire.BatchQueryRequest:
@@ -772,39 +768,38 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		}
 		reqs := make([]query.Request, len(m.Items))
 		for i, it := range m.Items {
-			reqs[i] = query.Request{T: it.T, X: it.X, Y: it.Y,
-				Pollutant: e.wirePollutant(it.Pollutant, it.Legacy)}
+			reqs[i] = query.Request{T: it.T, X: it.X, Y: it.Y, Pollutant: it.Pollutant}
 		}
 		rs, err := e.QueryBatch(ctx, reqs)
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		resp := wire.BatchQueryResponse{Items: make([]wire.BatchQueryItem, len(rs))}
 		for i, r := range rs {
 			if r.Err != nil {
-				resp.Items[i] = wire.BatchQueryItem{Err: r.Err.Error()}
+				resp.Items[i] = wire.FailedItem(cluster.CodeOf(r.Err), r.Err.Error())
 			} else {
 				resp.Items[i] = wire.BatchQueryItem{Value: r.Value}
 			}
 		}
 		return resp
 	case wire.ModelRequest:
-		cv, err := e.CoverAt(ctx, e.wirePollutant(m.Pollutant, m.Legacy), m.T)
+		cv, err := e.CoverAt(ctx, m.Pollutant, m.T)
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		resp, err := wire.ModelResponseFromCover(cv)
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		return resp
 	case wire.IngestRequest:
 		// The v1.2 wire upload: what a sensing bus (or a cluster router
 		// forwarding each owner its slice) submits over TCP. The same
 		// backpressure as HTTP ingest: a saturated queue fails fast and
-		// the error names ErrSaturated so clients can back off.
+		// the error is coded ErrSaturated so clients can back off.
 		if err := e.TryIngest(ctx, m.Pollutant, m.Tuples); err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		return wire.IngestResponse{Ingested: uint32(len(m.Tuples))}
 	case wire.HeatmapRequest:
@@ -819,11 +814,11 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 			grid, err = e.Heatmap(ctx, m.Pollutant, m.T, cols, rows)
 		}
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		resp, err := wire.HeatmapResponseFromGrid(grid)
 		if err != nil {
-			return wire.ErrorResponse{Msg: err.Error()}
+			return cluster.WireError(err)
 		}
 		return resp
 	case wire.RingRequest:
@@ -840,20 +835,6 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 	default:
 		return wire.ErrorResponse{Msg: fmt.Sprintf("unsupported request type %T", req)}
 	}
-}
-
-// wirePollutant resolves a wire-frame pollutant tag. Legacy (pre-v1)
-// frames carry no tag and route to the engine's default pollutant, so a
-// fleet of deployed untagged clients keeps working against any server.
-// Tagged v1 frames are routed literally — including explicit CO2 on a
-// server without a CO2 shard — so mistagged requests fail loudly with
-// ErrUnknownPollutant rather than silently answering from another
-// pollutant's models.
-func (e *Engine) wirePollutant(p tuple.Pollutant, legacy bool) tuple.Pollutant {
-	if legacy {
-		return e.def
-	}
-	return p
 }
 
 // Classify returns the display band for a CO2 value, exposed here so both

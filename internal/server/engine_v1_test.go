@@ -136,9 +136,11 @@ func TestEngineProcessorOptions(t *testing.T) {
 	}
 }
 
-func TestHandleMessageLegacyFallbackOnNonCO2Server(t *testing.T) {
-	// A PM-only server must keep answering untagged (legacy) frames,
-	// which decode as CO2: the CO2 tag falls back to the default shard.
+func TestHandleMessageRoutesTagsLiterally(t *testing.T) {
+	// Every frame names its pollutant and is routed literally — including
+	// an explicit CO2 on a server without a CO2 shard — so a mistagged
+	// request fails loudly, coded ErrUnknownPollutant, rather than
+	// silently answering from another pollutant's models.
 	st := store.MustOpenMemory(600)
 	var b tuple.Batch
 	rng := rand.New(rand.NewSource(2))
@@ -154,27 +156,18 @@ func TestHandleMessageLegacyFallbackOnNonCO2Server(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Legacy frame (decoded as CO2 + Legacy flag) answers from the
-	// default (PM) shard.
-	resp := e.HandleMessage(wire.QueryRequest{T: 300, X: 500, Y: 500, Pollutant: tuple.CO2, Legacy: true})
-	qr, ok := resp.(wire.QueryResponse)
-	if !ok {
-		t.Fatalf("legacy frame on PM server: got %T (%v)", resp, resp)
+	qr, ok := e.HandleMessage(wire.QueryRequest{T: 300, X: 500, Y: 500, Pollutant: tuple.PM}).(wire.QueryResponse)
+	if !ok || math.Abs(qr.Value-30) > 5 {
+		t.Errorf("PM frame on the PM server = %v (ok %v), want ~30", qr.Value, ok)
 	}
-	if math.Abs(qr.Value-30) > 5 {
-		t.Errorf("legacy fallback value = %v, want ~30", qr.Value)
-	}
-	// Explicitly tagged v1 frames fail loudly — including CO2, which this
-	// server does not monitor: no silent cross-pollutant answers.
-	if _, ok := e.HandleMessage(wire.QueryRequest{T: 300, Pollutant: tuple.CO}).(wire.ErrorResponse); !ok {
-		t.Error("tagged CO frame should yield ErrorResponse")
-	}
-	if _, ok := e.HandleMessage(wire.QueryRequest{T: 300, Pollutant: tuple.CO2}).(wire.ErrorResponse); !ok {
-		t.Error("tagged CO2 frame on a PM-only server should yield ErrorResponse")
-	}
-	// Legacy model requests fall back the same way.
-	if _, ok := e.HandleMessage(wire.ModelRequest{T: 300, Pollutant: tuple.CO2, Legacy: true}).(wire.ModelResponse); !ok {
-		t.Error("legacy model request on PM server should be served")
+	for _, req := range []wire.Message{
+		wire.QueryRequest{T: 300, Pollutant: tuple.CO},
+		wire.QueryRequest{T: 300, Pollutant: tuple.CO2},
+		wire.ModelRequest{T: 300, Pollutant: tuple.CO2},
+	} {
+		if er, _ := e.HandleMessage(req).(wire.ErrorResponse); er.Code != wire.CodeUnknownPollutant {
+			t.Errorf("%#v on a PM-only server = %#v, want an error coded unknown-pollutant", req, er)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
@@ -19,11 +18,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/subs"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
-
-// pointOf builds a local-frame point from request coordinates.
-func pointOf(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
 
 // API wraps an Engine with the versioned HTTP/JSON interface of the
 // EnviroMeter web application (§3). The v1 surface is pollutant-aware:
@@ -32,32 +27,32 @@ func pointOf(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
 // GET /v1/query. Request contexts are plumbed into the engine, so a
 // client that disconnects cancels its query.
 //
-// In a sharded deployment (NewClusterAPI) the API additionally routes:
-// owned shards answer from the local engine, foreign shards forward
-// through the cluster node, heatmaps and model covers scatter-gather,
-// and GET /v1/cluster serves the shard ring.
+// The handlers only parse and render: every data request executes on the
+// embedded Service, which is where a sharded deployment (NewClusterAPI)
+// routes — the same path, with the same refusals, the facade takes.
 type API struct {
-	engine *Engine
-	node   *cluster.Node // nil when single-node
-	mux    *http.ServeMux
-	sse    *subBroker // resume tokens for /v1/subscribe
+	*Service
+	mux *http.ServeMux
+	sse *subBroker // resume tokens for /v1/subscribe
 }
 
-// NewAPI builds the HTTP API around engine.
-func NewAPI(engine *Engine) *API {
-	a := &API{engine: engine, mux: http.NewServeMux(), sse: newSubBroker(sseResumeTTL)}
-	a.mux.HandleFunc("/v1/query", a.handlePointQuery)
-	a.mux.HandleFunc("/v1/query/point", a.handlePointQuery) // legacy alias
-	a.mux.HandleFunc("/v1/query/batch", a.handleBatch)
-	a.mux.HandleFunc("/v1/query/continuous", a.handleContinuous)
-	a.mux.HandleFunc("/v1/subscribe", a.handleSubscribe)
-	a.mux.HandleFunc("/v1/models", a.handleModels)
-	a.mux.HandleFunc("/v1/heatmap", a.handleHeatmap)
-	a.mux.HandleFunc("/v1/heatmap.png", a.handleHeatmapPNG)
-	a.mux.HandleFunc("/v1/route/summary", a.handleRouteSummary)
-	a.mux.HandleFunc("/v1/ingest", a.handleIngest)
-	a.mux.HandleFunc("/v1/stats", a.handleStats)
-	a.mux.HandleFunc("/v1/pollutants", a.handlePollutants)
+// NewAPI builds the HTTP API around a single-node engine.
+func NewAPI(engine *Engine) *API { return newAPI(NewService(engine, nil)) }
+
+func newAPI(svc *Service) *API {
+	a := &API{Service: svc, mux: http.NewServeMux(), sse: newSubBroker(sseResumeTTL)}
+	// The method is part of the route: the mux answers anything else 405.
+	a.mux.HandleFunc("GET /v1/query", a.handlePointQuery)
+	a.mux.HandleFunc("POST /v1/query/batch", a.handleBatch)
+	a.mux.HandleFunc("POST /v1/query/continuous", a.handleContinuous)
+	a.mux.HandleFunc("GET /v1/subscribe", a.handleSubscribe)
+	a.mux.HandleFunc("GET /v1/models", a.handleModels)
+	a.mux.HandleFunc("GET /v1/heatmap", a.handleHeatmap)
+	a.mux.HandleFunc("GET /v1/heatmap.png", a.handleHeatmapPNG)
+	a.mux.HandleFunc("POST /v1/route/summary", a.handleRouteSummary)
+	a.mux.HandleFunc("POST /v1/ingest", a.handleIngest)
+	a.mux.HandleFunc("GET /v1/stats", a.handleStats)
+	a.mux.HandleFunc("GET /v1/pollutants", a.handlePollutants)
 	return a
 }
 
@@ -105,25 +100,52 @@ type partialJSON struct {
 	StaleShards int   `json:"staleShards"`
 }
 
-// writeEngineError maps the v1 error taxonomy onto HTTP statuses.
-func writeEngineError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, query.ErrUnknownPollutant), errors.Is(err, ErrNotRoutable),
-		errors.Is(err, cluster.ErrTooLarge):
-		writeError(w, http.StatusBadRequest, err)
-	case errors.Is(err, query.ErrOutOfWindow), errors.Is(err, query.ErrNoCover):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, cluster.ErrNodeUnreachable):
-		// A shard's owner is down: the request was fine, the cluster is
-		// degraded. 502 so clients and balancers can tell the two apart.
-		writeError(w, http.StatusBadGateway, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusNotFound, err)
+// errorStatus maps the error taxonomy onto HTTP statuses, for every
+// endpoint; the first sentinel found in an error's chain wins. The
+// partial-ingest row leads because its chain may also hold the retryable
+// failures of the slices that did not apply. An error matching no row —
+// a sink failure surfacing through an ingest ack (disk full, fsync
+// error), an internal inconsistency — is the server's fault: 500.
+var errorStatus = []struct {
+	err    error
+	status int
+}{
+	{cluster.ErrPartialIngest, http.StatusInternalServerError},
+	{query.ErrUnknownPollutant, http.StatusBadRequest},
+	{ingest.ErrInvalidBatch, http.StatusBadRequest},
+	{ErrNotRoutable, http.StatusBadRequest},
+	{cluster.ErrTooLarge, http.StatusBadRequest},
+	{query.ErrOutOfWindow, http.StatusNotFound},
+	{query.ErrNoCover, http.StatusNotFound},
+	// Shed load, safe to retry (writeEngineError adds Retry-After).
+	{ingest.ErrSaturated, http.StatusTooManyRequests},
+	// A shard's owner is down: the request was fine, the cluster is
+	// degraded. 502 so clients and balancers can tell the two apart.
+	{cluster.ErrNodeUnreachable, http.StatusBadGateway},
+	// Shutting down, or mid membership transition: retry shortly.
+	{ingest.ErrPipelineClosed, http.StatusServiceUnavailable},
+	{cluster.ErrStaleEpoch, http.StatusServiceUnavailable},
+	{context.Canceled, http.StatusServiceUnavailable},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout},
+}
+
+// statusOf resolves an error's HTTP status from errorStatus.
+func statusOf(err error) int {
+	for _, row := range errorStatus {
+		if errors.Is(err, row.err) {
+			return row.status
+		}
 	}
+	return http.StatusInternalServerError
+}
+
+// writeEngineError answers a failed data request with its errorStatus.
+func writeEngineError(w http.ResponseWriter, err error) {
+	status := statusOf(err)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, status, err)
 }
 
 func queryFloat(r *http.Request, name string) (float64, error) {
@@ -224,12 +246,8 @@ func pointResponseFor(p tuple.Pollutant, v float64) pointResponse {
 }
 
 // handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant=&processor=&radius=
-// (and its legacy alias /v1/query/point) — the single point query mode.
+// — the single point query mode.
 func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	var t, x, y float64
 	var err error
 	if t, err = queryFloat(r, "t"); err == nil {
@@ -251,7 +269,7 @@ func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := a.queryValue(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol}, opts)
+	v, err := a.Query(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol}, opts)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -290,10 +308,6 @@ type batchResponse struct {
 // each item succeeds or fails on its own: a request outside the retained
 // windows reports an "error" in its slot without rejecting the batch.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	opts, err := queryOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -309,8 +323,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Untagged requests inherit the route pollutant (?pollutant=, falling
-	// back to the engine default) so Observatory-style /PM/v1/query/batch
-	// URLs answer for PM like every other endpoint.
+	// back to the engine default).
 	routePol, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -329,7 +342,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = query.Request{T: in.T, X: in.X, Y: in.Y, Pollutant: pol}
 	}
-	rs, err := a.queryBatch(r.Context(), reqs, opts)
+	rs, err := a.QueryBatch(r.Context(), reqs, opts)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -371,10 +384,6 @@ type continuousResponse struct {
 // "continuous query mode" where users select the points of a route and
 // the app shows per-point values and the route average (§3).
 func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	pol, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -400,17 +409,13 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	// since answers 304 with no evaluation at all. The tag is computed
 	// before evaluating, so a concurrent invalidation can only cost an
 	// extra 200 — never a stale 304.
-	var etag string
-	if a.node == nil {
-		if etag, err = a.continuousETag(pol, reqs); err == nil {
-			if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
-				w.Header().Set("ETag", etag)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
+	etag, tagged := a.continuousETag(pol, reqs)
+	if tagged && r.Header.Get("If-None-Match") == etag {
+		w.Header().Set("ETag", etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	rs, err := a.queryBatch(r.Context(), reqs, query.Options{})
+	rs, err := a.QueryBatch(r.Context(), reqs, query.Options{})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -431,7 +436,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	avgBand := ClassifyFor(pol, resp.Average)
 	resp.Band = avgBand.String()
 	resp.Advice = avgBand.Advice()
-	if etag != "" {
+	if tagged {
 		w.Header().Set("ETag", etag)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -440,10 +445,6 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 // handleModels serves GET /v1/models?t=&pollutant= — the model request
 // e_l of the model-cache protocol, returning (t_n, µ, M) as JSON.
 func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	t, err := queryFloat(r, "t")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -454,7 +455,7 @@ func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := a.modelResponse(r.Context(), pol, t)
+	resp, err := a.Model(r.Context(), pol, t)
 	if pe, ok := asPartial(err); ok {
 		// Dead node without a live replica: the merged cover is still
 		// valid over the surviving shards, so serve it marked partial
@@ -479,51 +480,17 @@ type heatmapResponse struct {
 // handleHeatmap serves GET /v1/heatmap?t=&cols=&rows=&pollutant= — the
 // web UI's heatmap visualization data.
 func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	t, cols, rows, pol, err := a.heatmapParams(r, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Markers come from the model cover. A single node resolves it once
-	// and draws raster and markers from that one cover, so a rebuild
-	// landing mid-request cannot split them across cover generations;
-	// clustered, the covers are merged across shards (a second scatter)
-	// so every shard's centroids appear on the map.
-	var (
-		grid *heatmap.Grid
-		cv   *core.Cover
-		pe   *cluster.PartialError
-	)
-	if a.node == nil {
-		grid, cv, err = a.engine.HeatmapCover(r.Context(), pol, t, cols, rows)
-		if err != nil {
-			writeEngineError(w, err)
-			return
-		}
-	} else {
-		var isPartial bool
-		grid, err = a.node.Heatmap(r.Context(), pol, t, cols, rows)
-		if pe, isPartial = asPartial(err); err != nil && !isPartial {
-			writeEngineError(w, err)
-			return
-		}
-		mr, err := a.modelResponse(r.Context(), pol, t)
-		if mp, ok := asPartial(err); ok {
-			if pe == nil {
-				pe = mp
-			}
-		} else if err != nil {
-			writeEngineError(w, err)
-			return
-		}
-		if cv, err = wire.CoverFromModelResponse(mr); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	// Raster and centroid markers come from one HeatmapCover call.
+	grid, cv, err := a.HeatmapCover(r.Context(), pol, t, cols, rows)
+	pe, isPartial := asPartial(err)
+	if err != nil && !isPartial {
+		writeEngineError(w, err)
+		return
 	}
 	markers, err := heatmap.Markers(cv, t)
 	if err != nil {
@@ -541,16 +508,12 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 // handleHeatmapPNG serves GET /v1/heatmap.png?t=&cols=&rows=&pollutant= —
 // the rendered image.
 func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	t, cols, rows, pol, err := a.heatmapParams(r, 256)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	grid, err := a.heatmapGrid(r.Context(), pol, t, cols, rows)
+	grid, err := a.Heatmap(r.Context(), pol, t, cols, rows)
 	if pe, ok := asPartial(err); ok {
 		partialHeaders(w, pe)
 	} else if err != nil {
@@ -572,6 +535,12 @@ func (a *API) heatmapParams(r *http.Request, defSize int) (t float64, cols, rows
 		return
 	}
 	if rows, err = queryInt(r, "rows", defSize); err != nil {
+		return
+	}
+	if cols < 1 || rows < 1 {
+		// Rejected here so it is the caller's 400, not an untyped 500
+		// from the rasterizer.
+		err = fmt.Errorf("grid %dx%d: want at least 1x1", cols, rows)
 		return
 	}
 	pol, err = a.queryPollutant(r)
@@ -607,10 +576,6 @@ type routeSummaryResponse struct {
 
 // handleRouteSummary serves POST /v1/route/summary?pollutant=.
 func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	pol, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -637,7 +602,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 	for i, f := range fixes {
 		reqs[i] = query.Request{T: f.T, X: f.Pos.X, Y: f.Pos.Y, Pollutant: pol}
 	}
-	rs, err := a.queryBatch(r.Context(), reqs, query.Options{})
+	rs, err := a.QueryBatch(r.Context(), reqs, query.Options{})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -681,10 +646,6 @@ type ingestRequest struct {
 // handleIngest serves POST /v1/ingest; the pollutant comes from the
 // ?pollutant= parameter or the body's "pollutant" field.
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	var req ingestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
@@ -703,27 +664,11 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// No handler-side Validate: the pipeline runs the identical check on
-	// submit and ErrInvalidBatch maps to a 400 below. TryIngest, not
-	// Ingest: an overloaded server sheds uploads as 429s instead of
-	// holding connections open against a full queue. A sink failure
-	// surfacing through the ack (disk full, fsync error) is the server's
-	// fault, not the client's: 500, never 400.
-	if err := a.ingestBatch(r.Context(), pol, req.Tuples); err != nil {
-		switch {
-		case errors.Is(err, ingest.ErrSaturated):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrEngineClosed), errors.Is(err, ingest.ErrPipelineClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, query.ErrUnknownPollutant):
-			writeEngineError(w, err)
-		case errors.Is(err, ingest.ErrInvalidBatch):
-			writeError(w, http.StatusBadRequest, err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeEngineError(w, err) // 503 / 504
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
+	// submit and ErrInvalidBatch maps to a 400. TryIngest, not Ingest: an
+	// overloaded server sheds uploads as 429s instead of holding
+	// connections open against a full queue.
+	if err := a.TryIngest(r.Context(), pol, req.Tuples); err != nil {
+		writeEngineError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"ingested": len(req.Tuples)})
@@ -823,13 +768,8 @@ type statsResponse struct {
 
 // handleStats serves GET /v1/stats.
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	// The top-level legacy fields describe the requested pollutant
-	// (?pollutant=, default: the engine default), so Observatory-style
-	// routed URLs like /PM/v1/stats report that pollutant's shard.
+	// The top-level fields describe the requested pollutant
+	// (?pollutant=, default: the engine default).
 	top, err := a.queryPollutant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -910,10 +850,6 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 // handlePollutants serves GET /v1/pollutants — pollutant discovery for
 // clients that render a selector.
 func (a *API) handlePollutants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	names := make([]string, 0, len(a.engine.Pollutants()))
 	for _, p := range a.engine.Pollutants() {
 		names = append(names, p.String())

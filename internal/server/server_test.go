@@ -119,7 +119,7 @@ func TestHTTPPointQuery(t *testing.T) {
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/v1/query/point?t=300&x=1000&y=1000")
+	resp, err := http.Get(srv.URL + "/v1/query?t=300&x=1000&y=1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,10 @@ func TestHTTPPointQueryErrors(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/v1/query/point", http.StatusBadRequest},                   // missing params
-		{"/v1/query/point?t=abc&x=1&y=1", http.StatusBadRequest},     // bad float
-		{"/v1/query/point?t=999999999&x=1&y=1", http.StatusNotFound}, // empty window
+		{"/v1/query", http.StatusBadRequest},                   // missing params
+		{"/v1/query?t=abc&x=1&y=1", http.StatusBadRequest},     // bad float
+		{"/v1/query?t=999999999&x=1&y=1", http.StatusNotFound}, // empty window
+		{"/v1/heatmap?t=300&cols=0", http.StatusBadRequest},    // no raster to draw
 	}
 	for _, tt := range cases {
 		resp, err := http.Get(srv.URL + tt.url)
@@ -169,7 +170,7 @@ func TestHTTPPointQueryErrors(t *testing.T) {
 		}
 	}
 	// Wrong method.
-	resp, err := http.Post(srv.URL+"/v1/query/point", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 
+	"repro/internal/cluster"
 	"repro/internal/query"
 	"repro/internal/subs"
 	"repro/internal/tuple"
@@ -68,9 +69,9 @@ func (e *Engine) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wir
 		return nil, nil, nil, false
 	}
 	noop := func(func(wire.Message) error) {}
-	h, err := e.Subscribe(ctx, e.wirePollutant(m.Pollutant, false), subs.RequestFromWire(m))
+	h, err := e.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
 	if err != nil {
-		return wire.ErrorResponse{Msg: err.Error()}, noop, func() {}, true
+		return cluster.WireError(err), noop, func() {}, true
 	}
 	run = func(emit func(wire.Message) error) {
 		for ev := range h.Events() {

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"strconv"
@@ -18,7 +15,6 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/subs"
-	"repro/internal/tuple"
 )
 
 // sseResumeTTL is how long a subscription outlives a dropped SSE
@@ -113,16 +109,6 @@ func (b *subBroker) remove(e *subEntry) {
 	}
 }
 
-// subscribeHandle opens a subscription through the cluster node when
-// one is configured (merged pushes from every shard owner), else the
-// local engine.
-func (a *API) subscribeHandle(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error) {
-	if a.node == nil {
-		return a.engine.Subscribe(ctx, pol, pts)
-	}
-	return a.node.Subscribe(ctx, pol, pts)
-}
-
 // parseRoutePoints parses the ?points= parameter: "t,x,y" triples
 // separated by semicolons (URL-escape them: %3B — Go's HTTP server
 // rejects raw semicolons in query strings) or whitespace.
@@ -184,10 +170,6 @@ func parseEventID(id string) (tok string, seq uint64, ok bool) {
 // initial state, overflow recovery, resume), "error"
 // (subscription-level, e.g. a dead shard owner).
 func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
 		writeError(w, http.StatusInternalServerError, errors.New("response writer cannot stream"))
@@ -226,7 +208,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		h, err := a.subscribeHandle(r.Context(), pol, pts)
+		h, err := a.Subscribe(r.Context(), pol, pts)
 		if err != nil {
 			writeEngineError(w, err)
 			return
@@ -299,42 +281,4 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// continuousETag hashes a continuous-query route — its points and, per
-// distinct route window, the window's cover generation — into an entity
-// tag. Computed BEFORE evaluation, so a concurrent invalidation can only
-// make a later If-None-Match miss (an extra 200), never serve a stale
-// 304. Single-node only: a routed batch would need the foreign shards'
-// generations.
-func (a *API) continuousETag(pol tuple.Pollutant, reqs []query.Request) (string, error) {
-	st, err := a.engine.StoreFor(pol)
-	if err != nil {
-		return "", err
-	}
-	mnt, err := a.engine.MaintainerFor(pol)
-	if err != nil {
-		return "", err
-	}
-	hsh := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = hsh.Write(buf[:])
-	}
-	put(uint64(pol))
-	put(uint64(len(reqs)))
-	seen := make(map[int]struct{})
-	for _, q := range reqs {
-		put(math.Float64bits(q.T))
-		put(math.Float64bits(q.X))
-		put(math.Float64bits(q.Y))
-		c := tuple.WindowIndex(q.T, st.WindowLength())
-		if _, ok := seen[c]; !ok {
-			seen[c] = struct{}{}
-			put(uint64(c))
-			put(mnt.Generation(c))
-		}
-	}
-	return fmt.Sprintf("\"cq-%016x\"", hsh.Sum64()), nil
 }

@@ -41,13 +41,3 @@ func BenchmarkBinaryDecodeModelResponse(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkJSONEncodeModelResponse(b *testing.B) {
-	m := benchModelResponse()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := JSON.Encode(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

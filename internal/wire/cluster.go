@@ -4,9 +4,9 @@
 // fetch the consistent-hash ring once and then talk to owners directly.
 //
 // All additions are new message tags, so the decode of every pre-cluster
-// frame — including the legacy 25/9-byte untagged layouts — is unchanged;
-// pre-cluster servers answer the unknown tags with an ErrorResponse,
-// which cluster-aware callers treat as "peer is not clustered".
+// frame is unchanged; pre-cluster servers answer the unknown tags with
+// an ErrorResponse, which cluster-aware callers treat as "peer is not
+// clustered".
 package wire
 
 import (

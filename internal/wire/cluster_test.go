@@ -49,29 +49,25 @@ func clusterMessages() []Message {
 }
 
 func TestClusterMessageRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range clusterMessages() {
-			enc, err := codec.Encode(m)
-			if err != nil {
-				t.Fatalf("%s encode %T: %v", codec.Name(), m, err)
-			}
-			dec, err := codec.Decode(enc)
-			if err != nil {
-				t.Fatalf("%s decode %T: %v", codec.Name(), m, err)
-			}
-			if !reflect.DeepEqual(m, dec) {
-				t.Fatalf("%s round trip of %T:\n got %#v\nwant %#v", codec.Name(), m, dec, m)
-			}
+	for _, m := range clusterMessages() {
+		enc, err := Binary.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		dec, err := Binary.Decode(enc)
+		if err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, dec) {
+			t.Fatalf("round trip of %T:\n got %#v\nwant %#v", m, dec, m)
 		}
 	}
 }
 
 func TestForwardedNeverNests(t *testing.T) {
 	inner := Forwarded{Inner: QueryRequest{T: 1}}
-	for _, codec := range []Codec{Binary, JSON} {
-		if _, err := codec.Encode(Forwarded{Inner: inner}); err == nil {
-			t.Errorf("%s encoded a nested forwarded frame", codec.Name())
-		}
+	if _, err := Binary.Encode(Forwarded{Inner: inner}); err == nil {
+		t.Errorf("encoded a nested forwarded frame")
 	}
 	// A hand-crafted nested binary frame must be rejected, not recursed.
 	innerB, err := Binary.Encode(inner)
@@ -111,33 +107,6 @@ func TestClusterDecodeRobustness(t *testing.T) {
 	hr[34] = 0xFF
 	if _, err := Binary.Decode(hr); err == nil {
 		t.Error("heatmap length mismatch decoded")
-	}
-}
-
-// TestPreClusterFramesUnchanged locks the backward-compatibility
-// guarantee: the cluster tags extend the tag space without touching the
-// layout of any pre-cluster frame, including the legacy untagged ones.
-func TestPreClusterFramesUnchanged(t *testing.T) {
-	q, err := Binary.Encode(QueryRequest{T: 1, X: 2, Y: 3, Pollutant: tuple.PM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) != 26 {
-		t.Fatalf("v1 QueryRequest frame is %d bytes, want 26", len(q))
-	}
-	legacy, err := Binary.Decode(q[:25])
-	if err != nil {
-		t.Fatalf("legacy 25-byte frame no longer decodes: %v", err)
-	}
-	if lq := legacy.(QueryRequest); !lq.Legacy {
-		t.Error("25-byte frame not marked legacy")
-	}
-	mr, err := Binary.Decode(append([]byte{byte(TypeModelRequest)}, make([]byte, 8)...))
-	if err != nil {
-		t.Fatalf("legacy 9-byte model request no longer decodes: %v", err)
-	}
-	if lm := mr.(ModelRequest); !lm.Legacy {
-		t.Error("9-byte model request not marked legacy")
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 // FuzzWireDecode hardens the binary protocol decoder (the bytes a
 // server reads straight off a TCP link): arbitrary frames must never
 // panic, must fail identically on repeated decodes, and every accepted
-// message must re-encode and re-decode to a byte-identical frame. The
-// JSON codec is exercised for panic-freedom on the same inputs. Seeds
-// are the round-trip suite's message shapes plus legacy (pre-v1)
-// layouts and mutations.
+// message must re-encode and re-decode to a byte-identical frame. Seeds
+// are the round-trip suite's message shapes plus the removed pre-v1
+// untagged layouts (now malformed) and mutations.
 func FuzzWireDecode(f *testing.F) {
 	add := func(m Message) {
 		enc, err := Binary.Encode(m)
@@ -27,6 +26,10 @@ func FuzzWireDecode(f *testing.F) {
 	add(QueryResponse{Value: 421.25})
 	add(ModelRequest{T: 3600, Pollutant: 2})
 	add(ErrorResponse{Msg: "no cover"})
+	// Coded failures: the trailing code byte and the typed item status.
+	add(ErrorResponse{Msg: "query: no model cover", Code: CodeNoCover})
+	add(ErrorResponse{Code: CodeReplicaMiss})
+	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 1}, FailedItem(CodeSaturated, "saturated"), {Err: "untyped"}}})
 	add(BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6, Pollutant: 2}}})
 	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 420}, {Err: "out of window"}}})
 	add(ModelResponse{
@@ -69,11 +72,12 @@ func FuzzWireDecode(f *testing.F) {
 	add(RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 5})
 	add(NotOwnerResponse{Owner: 1, Addr: "c:3", Epoch: 2})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}, Epoch: 4})
-	// Legacy untagged frames: 25-byte query, 9-byte model request.
-	legacyQuery, _ := Binary.Encode(QueryRequest{T: 9, X: 8, Y: 7})
-	f.Add(legacyQuery[:25])
-	legacyModel, _ := Binary.Encode(ModelRequest{T: 9})
-	f.Add(legacyModel[:9])
+	// The removed pre-v1 untagged frames: 25-byte query, 9-byte model
+	// request.
+	untaggedQuery, _ := Binary.Encode(QueryRequest{T: 9, X: 8, Y: 7})
+	f.Add(untaggedQuery[:25])
+	untaggedModel, _ := Binary.Encode(ModelRequest{T: 9})
+	f.Add(untaggedModel[:9])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
 
@@ -110,10 +114,6 @@ func FuzzWireDecode(f *testing.F) {
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("%T: encode/decode not a fixed point", m1)
 			}
-		}
-		// The JSON codec shares the error taxonomy; it must never panic.
-		if m, err := JSON.Decode(data); err == nil {
-			_, _ = JSON.Encode(m)
 		}
 	})
 }

@@ -35,25 +35,23 @@ func replicaMessages() []Message {
 }
 
 func TestReplicaMessageRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range replicaMessages() {
-			enc, err := codec.Encode(m)
-			if err != nil {
-				t.Fatalf("%s encode %T: %v", codec.Name(), m, err)
-			}
-			dec, err := codec.Decode(enc)
-			if err != nil {
-				t.Fatalf("%s decode %T: %v", codec.Name(), m, err)
-			}
-			// Binary decode materializes nil tuple slices as empty; compare
-			// through a second encode for byte-level equality instead.
-			enc2, err := codec.Encode(dec)
-			if err != nil {
-				t.Fatalf("%s re-encode %T: %v", codec.Name(), m, err)
-			}
-			if !bytes.Equal(enc, enc2) {
-				t.Fatalf("%s round trip of %T not a fixed point:\n got %#v\nwant %#v", codec.Name(), m, dec, m)
-			}
+	for _, m := range replicaMessages() {
+		enc, err := Binary.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		dec, err := Binary.Decode(enc)
+		if err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		// Binary decode materializes nil tuple slices as empty; compare
+		// through a second encode for byte-level equality instead.
+		enc2, err := Binary.Encode(dec)
+		if err != nil {
+			t.Fatalf("re-encode %T: %v", m, err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip of %T not a fixed point:\n got %#v\nwant %#v", m, dec, m)
 		}
 	}
 }
@@ -64,11 +62,9 @@ func TestReplicaReadNeverNestsWrappers(t *testing.T) {
 		ReplicaRead{Origin: 1, Inner: Forwarded{Inner: QueryRequest{}}},
 		ReplicaRead{Origin: 1},
 	}
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range bad {
-			if _, err := codec.Encode(m); err == nil {
-				t.Errorf("%s encoded %#v", codec.Name(), m)
-			}
+	for _, m := range bad {
+		if _, err := Binary.Encode(m); err == nil {
+			t.Errorf("encoded %#v", m)
 		}
 	}
 	// And the decoders reject hand-built nested frames.

@@ -57,33 +57,6 @@ func TestBinaryDecodeMutatedMessages(t *testing.T) {
 	}
 }
 
-// TestJSONDecodeNeverPanics does the same for the JSON codec.
-func TestJSONDecodeNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	inputs := [][]byte{
-		nil,
-		[]byte("{}"),
-		[]byte(`{"type":0}`),
-		[]byte(`{"type":4,"payload":{"coefs":[[1,2],[3]]}}`),
-		[]byte(`{"type":4,"payload":{"centroids":null,"coefs":null}}`),
-	}
-	for trial := 0; trial < 1000; trial++ {
-		data := make([]byte, rng.Intn(256))
-		rng.Read(data)
-		inputs = append(inputs, data)
-	}
-	for _, data := range inputs {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on %q: %v", data, r)
-				}
-			}()
-			_, _ = JSON.Decode(data)
-		}()
-	}
-}
-
 // TestCoverFromModelResponseHostileInputs checks that adversarial model
 // responses (the client reconstructs covers from network data) are
 // rejected cleanly.

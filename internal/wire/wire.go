@@ -4,14 +4,14 @@
 // pair that ships the whole model cover (t_n, µ, M) to model-cache
 // clients.
 //
-// Two codecs are provided. The compact binary codec is what the bandwidth
-// experiment (Figure 7b) uses — every byte matters on GPRS/3G — while the
-// JSON codec serves the web interface and supports the codec ablation.
+// There is one codec, the compact binary one the bandwidth experiment
+// (Figure 7b) uses — every byte matters on GPRS/3G. The web interface
+// speaks JSON over HTTP and marshals these structs directly where it needs
+// them.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -44,19 +44,12 @@ type Message interface {
 
 // QueryRequest is the query tuple q_l = (t_l, x_l, y_l) sent by the mobile
 // object for one position update, tagged with the pollutant being asked
-// about. Legacy (pre-pollutant) frames decode with Pollutant = CO2.
+// about.
 type QueryRequest struct {
-	T float64 `json:"t"`
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-	// Pollutant is always emitted by v1 encoders (no omitempty), so an
-	// absent JSON field unambiguously marks a pre-v1 client.
+	T         float64         `json:"t"`
+	X         float64         `json:"x"`
+	Y         float64         `json:"y"`
 	Pollutant tuple.Pollutant `json:"pollutant"`
-	// Legacy marks a frame decoded from the pre-v1 (untagged) layout —
-	// a 25-byte binary frame or a JSON body without a pollutant field.
-	// The server routes legacy frames to its default pollutant; tagged
-	// frames are routed literally. Never set by encoders.
-	Legacy bool `json:"-"`
 }
 
 // Type implements Message.
@@ -83,10 +76,32 @@ type BatchQueryRequest struct {
 func (BatchQueryRequest) Type() MsgType { return TypeBatchQueryRequest }
 
 // BatchQueryItem is one request's outcome within a batch response: the
-// interpolated value, or the error that request (alone) failed with.
+// interpolated value, or — when Err is set — the error that request
+// (alone) failed with; build a failed item with FailedItem. A failure's
+// code, which types it exactly like ErrorResponse.Code, rides the wire in
+// the item's status byte (0 ok, 1 untyped error, >= 2 the code), so typed
+// and untyped items are the same width. In memory it occupies Value, which
+// a failed item does not otherwise use: a route reply holds a hundred
+// items, and a fourth word on each measurably raises what every read
+// allocates (+4.8 % alloc_kb_per_op on the benchmark's route_tcp).
 type BatchQueryItem struct {
 	Value float64 `json:"value"`
 	Err   string  `json:"error,omitempty"`
+}
+
+// FailedItem is the item of a request that failed with msg (which must
+// not be empty), typed by code.
+func FailedItem(code ErrCode, msg string) BatchQueryItem {
+	return BatchQueryItem{Value: float64(code), Err: msg}
+}
+
+// Code returns a failed item's code: CodeNone for an untyped failure and
+// for an item that carries a value.
+func (it BatchQueryItem) Code() ErrCode {
+	if it.Err == "" {
+		return CodeNone
+	}
+	return ErrCode(it.Value)
 }
 
 // BatchQueryResponse carries one item per batch request, in order. The
@@ -105,13 +120,10 @@ const MaxBatchItems = math.MaxUint16
 
 // ModelRequest is e_l: the model-cache client asking for the current model
 // cover of one pollutant. T lets the server pick the window containing the
-// client's clock. Legacy frames decode with Pollutant = CO2.
+// client's clock.
 type ModelRequest struct {
 	T         float64         `json:"t"`
 	Pollutant tuple.Pollutant `json:"pollutant"`
-	// Legacy marks a frame decoded from the pre-v1 (untagged) layout;
-	// see QueryRequest.Legacy.
-	Legacy bool `json:"-"`
 }
 
 // Type implements Message.
@@ -133,9 +145,38 @@ type ModelResponse struct {
 // Type implements Message.
 func (ModelResponse) Type() MsgType { return TypeModelResponse }
 
-// ErrorResponse reports a server-side failure.
+// ErrCode types a failure on the wire, so the receiver restores the
+// sender's sentinel error without reading the message text. The codes and
+// the sentinels they stand for are paired in one table, in
+// internal/cluster; this package only carries the byte.
+type ErrCode uint8
+
+// Error codes. 0 is an untyped failure — the only kind pre-code peers
+// send, and byte-identical to their layout. 1 is reserved: it is the
+// "untyped error" status of a BatchQueryItem and never a code. Where
+// several failures are summarized into one response the lowest code
+// wins, so the list is in priority order.
+const (
+	CodeNone             ErrCode = 0
+	CodePartialIngest    ErrCode = 2  // cluster.ErrPartialIngest
+	CodeStaleEpoch       ErrCode = 3  // cluster.ErrStaleEpoch
+	CodeTooLarge         ErrCode = 4  // cluster.ErrTooLarge
+	CodeOutOfWindow      ErrCode = 5  // query.ErrOutOfWindow
+	CodeNoCover          ErrCode = 6  // query.ErrNoCover
+	CodeUnknownPollutant ErrCode = 7  // query.ErrUnknownPollutant
+	CodeSaturated        ErrCode = 8  // ingest.ErrSaturated
+	CodeInvalidBatch     ErrCode = 9  // ingest.ErrInvalidBatch
+	CodePipelineClosed   ErrCode = 10 // ingest.ErrPipelineClosed
+	CodeNodeUnreachable  ErrCode = 11 // cluster.ErrNodeUnreachable
+	CodeReplicaMiss      ErrCode = 12 // cluster.ErrReplicaMiss
+)
+
+// ErrorResponse reports a server-side failure. Msg is for humans; Code
+// is what programs act on. A zero Code encodes to exactly the pre-code
+// layout, and a typed one appends a single trailing byte.
 type ErrorResponse struct {
-	Msg string `json:"error"`
+	Msg  string  `json:"error"`
+	Code ErrCode `json:"code,omitempty"`
 }
 
 // Type implements Message.
@@ -147,26 +188,11 @@ var (
 	ErrUnknown   = errors.New("wire: unknown message type")
 )
 
-// Codec serializes protocol messages.
-type Codec interface {
-	// Name identifies the codec ("binary", "json").
-	Name() string
-	// Encode serializes m.
-	Encode(m Message) ([]byte, error)
-	// Decode parses one message.
-	Decode(data []byte) (Message, error)
-}
-
-// Binary is the compact binary codec: a 1-byte type tag followed by
-// fixed-width little-endian fields. This is the deployment codec.
-var Binary Codec = binaryCodec{}
-
-// JSON is the self-describing JSON codec used by the web interface.
-var JSON Codec = jsonCodec{}
+// Binary is the wire codec: a 1-byte type tag followed by fixed-width
+// little-endian fields.
+var Binary binaryCodec
 
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 func (binaryCodec) Encode(m Message) ([]byte, error) {
 	switch v := m.(type) {
@@ -226,7 +252,7 @@ func (binaryCodec) Encode(m Message) ([]byte, error) {
 		off := 3
 		for _, it := range v.Items {
 			if it.Err != "" {
-				buf[off] = 1
+				buf[off] = max(1, byte(it.Code()))
 				binary.LittleEndian.PutUint16(buf[off+1:], uint16(len(it.Err)))
 				off += 3 + copy(buf[off+3:], it.Err)
 			} else {
@@ -242,10 +268,13 @@ func (binaryCodec) Encode(m Message) ([]byte, error) {
 		if len(v.Msg) > math.MaxUint16 {
 			return nil, fmt.Errorf("wire: error message too long (%d bytes)", len(v.Msg))
 		}
-		buf := make([]byte, 1+2+len(v.Msg))
+		buf := make([]byte, 1+2+len(v.Msg), 1+2+len(v.Msg)+1)
 		buf[0] = byte(TypeError)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Msg)))
 		copy(buf[3:], v.Msg)
+		if v.Code != CodeNone {
+			buf = append(buf, byte(v.Code))
+		}
 		return buf, nil
 	default:
 		return encodeCluster(m)
@@ -301,36 +330,21 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 	}
 	switch MsgType(data[0]) {
 	case TypeQueryRequest:
-		// 26 bytes with the v1 pollutant byte; 25-byte legacy frames
-		// (pre-pollutant clients) decode as CO2.
-		if len(data) != 26 && len(data) != 25 {
+		if len(data) != 26 {
 			return nil, fmt.Errorf("%w: QueryRequest length %d", ErrMalformed, len(data))
 		}
-		m := QueryRequest{T: getF64(data[1:]), X: getF64(data[9:]), Y: getF64(data[17:])}
-		if len(data) == 26 {
-			m.Pollutant = tuple.Pollutant(data[25])
-		} else {
-			m.Legacy = true
-		}
-		return m, nil
+		return QueryRequest{T: getF64(data[1:]), X: getF64(data[9:]), Y: getF64(data[17:]),
+			Pollutant: tuple.Pollutant(data[25])}, nil
 	case TypeQueryResponse:
 		if len(data) != 9 {
 			return nil, fmt.Errorf("%w: QueryResponse length %d", ErrMalformed, len(data))
 		}
 		return QueryResponse{Value: getF64(data[1:])}, nil
 	case TypeModelRequest:
-		// 10 bytes with the v1 pollutant byte; 9-byte legacy frames decode
-		// as CO2.
-		if len(data) != 10 && len(data) != 9 {
+		if len(data) != 10 {
 			return nil, fmt.Errorf("%w: ModelRequest length %d", ErrMalformed, len(data))
 		}
-		m := ModelRequest{T: getF64(data[1:])}
-		if len(data) == 10 {
-			m.Pollutant = tuple.Pollutant(data[9])
-		} else {
-			m.Legacy = true
-		}
-		return m, nil
+		return ModelRequest{T: getF64(data[1:]), Pollutant: tuple.Pollutant(data[9])}, nil
 	case TypeBatchQueryRequest:
 		if len(data) < 3 {
 			return nil, fmt.Errorf("%w: BatchQueryRequest header", ErrMalformed)
@@ -367,14 +381,14 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 			if len(data) < off+1 {
 				return nil, fmt.Errorf("%w: BatchQueryResponse item %d", ErrMalformed, i)
 			}
-			switch data[off] {
+			switch status := data[off]; status {
 			case 0:
 				if len(data) < off+9 {
 					return nil, fmt.Errorf("%w: BatchQueryResponse item %d value", ErrMalformed, i)
 				}
 				m.Items[i].Value = getF64(data[off+1:])
 				off += 9
-			case 1:
+			default:
 				if len(data) < off+3 {
 					return nil, fmt.Errorf("%w: BatchQueryResponse item %d error header", ErrMalformed, i)
 				}
@@ -382,10 +396,16 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 				if len(data) < off+3+n {
 					return nil, fmt.Errorf("%w: BatchQueryResponse item %d error body", ErrMalformed, i)
 				}
+				if status > 1 {
+					// A typed failure always has text: without it the item
+					// would read as a value.
+					if n == 0 {
+						return nil, fmt.Errorf("%w: BatchQueryResponse item %d typed error without text", ErrMalformed, i)
+					}
+					m.Items[i].Value = float64(status)
+				}
 				m.Items[i].Err = string(data[off+3 : off+3+n])
 				off += 3 + n
-			default:
-				return nil, fmt.Errorf("%w: BatchQueryResponse item %d flag %d", ErrMalformed, i, data[off])
 			}
 		}
 		if off != len(data) {
@@ -399,10 +419,18 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 			return nil, fmt.Errorf("%w: ErrorResponse header", ErrMalformed)
 		}
 		n := int(binary.LittleEndian.Uint16(data[1:]))
-		if len(data) != 3+n {
+		m := ErrorResponse{}
+		switch {
+		case len(data) == 3+n:
+		case len(data) == 3+n+1 && data[3+n] > 1:
+			// Codes 0 and 1 never travel (see ErrCode), which keeps every
+			// accepted frame a fixed point of re-encoding.
+			m.Code = ErrCode(data[3+n])
+		default:
 			return nil, fmt.Errorf("%w: ErrorResponse length", ErrMalformed)
 		}
-		return ErrorResponse{Msg: string(data[3:])}, nil
+		m.Msg = string(data[3 : 3+n])
+		return m, nil
 	default:
 		return decodeCluster(data)
 	}
@@ -457,288 +485,6 @@ func decodeModelResponse(data []byte) (Message, error) {
 
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-
-// envelope wraps messages with a type tag for JSON transport. Epoch is
-// carried only on Forwarded envelopes (the sender's membership epoch);
-// pre-epoch decoders ignore the extra field.
-type envelope struct {
-	Type    MsgType         `json:"type"`
-	Epoch   uint64          `json:"epoch,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-func (jsonCodec) Encode(m Message) ([]byte, error) {
-	// A forwarded frame nests a full envelope as its payload, so the
-	// inner message keeps its own type tag.
-	if fw, ok := m.(Forwarded); ok {
-		if fw.Inner == nil {
-			return nil, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
-		}
-		if _, nested := fw.Inner.(Forwarded); nested {
-			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
-		}
-		payload, err := JSON.Encode(fw.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(envelope{Type: TypeForwarded, Epoch: fw.Epoch, Payload: payload})
-	}
-	// A replica read nests a full envelope alongside the origin node ID,
-	// for the same reason.
-	if rr, ok := m.(ReplicaRead); ok {
-		if rr.Inner == nil {
-			return nil, fmt.Errorf("%w: replica read without inner message", ErrMalformed)
-		}
-		switch rr.Inner.(type) {
-		case ReplicaRead, Forwarded:
-			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
-		}
-		inner, err := JSON.Encode(rr.Inner)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := json.Marshal(struct {
-			Origin uint16          `json:"origin"`
-			Inner  json.RawMessage `json:"inner"`
-		}{Origin: rr.Origin, Inner: inner})
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal payload: %w", err)
-		}
-		return json.Marshal(envelope{Type: TypeReplicaRead, Payload: payload})
-	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal payload: %w", err)
-	}
-	return json.Marshal(envelope{Type: m.Type(), Payload: payload})
-}
-
-func (jsonCodec) Decode(data []byte) (Message, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	var target Message
-	switch env.Type {
-	case TypeQueryRequest:
-		// A pointer pollutant distinguishes "absent" (pre-v1 client →
-		// Legacy) from an explicit zero (CO2), mirroring the binary
-		// codec's 25- vs 26-byte distinction.
-		var v struct {
-			T         float64          `json:"t"`
-			X         float64          `json:"x"`
-			Y         float64          `json:"y"`
-			Pollutant *tuple.Pollutant `json:"pollutant"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		m := QueryRequest{T: v.T, X: v.X, Y: v.Y}
-		if v.Pollutant != nil {
-			m.Pollutant = *v.Pollutant
-		} else {
-			m.Legacy = true
-		}
-		target = m
-	case TypeQueryResponse:
-		var v QueryResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeBatchQueryRequest:
-		// Batch frames are v1.1-only: items decode literally, no legacy
-		// pollutant inference.
-		var v BatchQueryRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeBatchQueryResponse:
-		var v BatchQueryResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeModelRequest:
-		var v struct {
-			T         float64          `json:"t"`
-			Pollutant *tuple.Pollutant `json:"pollutant"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		m := ModelRequest{T: v.T}
-		if v.Pollutant != nil {
-			m.Pollutant = *v.Pollutant
-		} else {
-			m.Legacy = true
-		}
-		target = m
-	case TypeModelResponse:
-		var v ModelResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeError:
-		var v ErrorResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeRingRequest:
-		target = RingRequest{}
-	case TypeRingResponse:
-		var v RingResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeIngestRequest:
-		var v IngestRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeIngestResponse:
-		var v IngestResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeHeatmapRequest:
-		var v HeatmapRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeHeatmapResponse:
-		var v HeatmapResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeNotOwner:
-		var v NotOwnerResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeForwarded:
-		var inner envelope
-		if err := json.Unmarshal(env.Payload, &inner); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		if inner.Type == TypeForwarded {
-			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
-		}
-		m, err := JSON.Decode(env.Payload)
-		if err != nil {
-			return nil, err
-		}
-		target = Forwarded{Inner: m, Epoch: env.Epoch}
-	case TypeSubscribeRequest:
-		var v SubscribeRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeSubscribeAck:
-		var v SubscribeAck
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypePush:
-		var v Push
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeUnsubscribeRequest:
-		var v UnsubscribeRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeUnsubscribeResponse:
-		var v UnsubscribeResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaIngest:
-		var v ReplicaIngest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaCatchupRequest:
-		var v ReplicaCatchupRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaCatchupResponse:
-		var v ReplicaCatchupResponse
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeReplicaRead:
-		var v struct {
-			Origin uint16          `json:"origin"`
-			Inner  json.RawMessage `json:"inner"`
-		}
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		var inner envelope
-		if err := json.Unmarshal(v.Inner, &inner); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		if inner.Type == TypeReplicaRead || inner.Type == TypeForwarded {
-			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
-		}
-		m, err := JSON.Decode(v.Inner)
-		if err != nil {
-			return nil, err
-		}
-		target = ReplicaRead{Origin: v.Origin, Inner: m}
-	case TypeJoinRequest:
-		var v JoinRequest
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeRingUpdate:
-		var v RingUpdate
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypeShardTransfer:
-		var v ShardTransfer
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	case TypePromote:
-		var v Promote
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		target = v
-	default:
-		return nil, fmt.Errorf("%w: tag %d", ErrUnknown, env.Type)
-	}
-	return target, nil
-}
 
 // ModelResponseFromCover serializes a built cover into the wire form the
 // server sends in response to e_l.

@@ -39,38 +39,18 @@ func sampleMessages() []Message {
 	}
 }
 
-func TestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{Binary, JSON} {
-		for _, m := range sampleMessages() {
-			data, err := codec.Encode(m)
-			if err != nil {
-				t.Fatalf("%s: encode %T: %v", codec.Name(), m, err)
-			}
-			got, err := codec.Decode(data)
-			if err != nil {
-				t.Fatalf("%s: decode %T: %v", codec.Name(), m, err)
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Errorf("%s: round trip %T: got %+v, want %+v", codec.Name(), m, got, m)
-			}
-		}
-	}
-}
-
-func TestBinaryIsSmallerThanJSON(t *testing.T) {
-	// The deployment codec must actually be more compact — the premise of
-	// running binary over GPRS.
+func TestRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
-		b, err := Binary.Encode(m)
+		data, err := Binary.Encode(m)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("encode %T: %v", m, err)
 		}
-		j, err := JSON.Encode(m)
+		got, err := Binary.Decode(data)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("decode %T: %v", m, err)
 		}
-		if len(b) >= len(j) {
-			t.Errorf("%T: binary %d bytes ≥ json %d bytes", m, len(b), len(j))
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip %T: got %+v, want %+v", m, got, m)
 		}
 	}
 }
@@ -95,74 +75,6 @@ func TestBinaryQueryRequestSize(t *testing.T) {
 	}
 }
 
-func TestBinaryLegacyDecode(t *testing.T) {
-	// Pre-v1 clients send frames without the trailing pollutant byte;
-	// they must decode as CO2 queries so deployed fleets keep working.
-	full, err := Binary.Encode(QueryRequest{T: 9, X: 10, Y: 11, Pollutant: tuple.PM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := full[:25] // strip the pollutant byte
-	got, err := Binary.Decode(legacy)
-	if err != nil {
-		t.Fatalf("legacy QueryRequest: %v", err)
-	}
-	if want := (QueryRequest{T: 9, X: 10, Y: 11, Pollutant: tuple.CO2, Legacy: true}); got != want {
-		t.Errorf("legacy QueryRequest = %+v, want %+v", got, want)
-	}
-
-	fullM, err := Binary.Encode(ModelRequest{T: 7, Pollutant: tuple.CO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotM, err := Binary.Decode(fullM[:9])
-	if err != nil {
-		t.Fatalf("legacy ModelRequest: %v", err)
-	}
-	if want := (ModelRequest{T: 7, Pollutant: tuple.CO2, Legacy: true}); gotM != want {
-		t.Errorf("legacy ModelRequest = %+v, want %+v", gotM, want)
-	}
-
-	// Tagged frames round-trip the pollutant and are not marked legacy.
-	gotQ, err := Binary.Decode(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := gotQ.(QueryRequest); q.Pollutant != tuple.PM || q.Legacy {
-		t.Errorf("tagged QueryRequest = %+v, want pollutant PM, not legacy", q)
-	}
-}
-
-func TestJSONLegacyDecode(t *testing.T) {
-	// JSON bodies without a pollutant field decode as legacy (routed to
-	// the server default), mirroring the binary codec's 25-byte frames.
-	data := []byte(`{"type":1,"payload":{"t":5,"x":6,"y":7}}`)
-	got, err := JSON.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.CO2, Legacy: true}); got != want {
-		t.Errorf("legacy JSON QueryRequest = %+v, want %+v", got, want)
-	}
-	// An explicit zero pollutant is a tagged CO2 request, not legacy.
-	data = []byte(`{"type":1,"payload":{"t":5,"x":6,"y":7,"pollutant":0}}`)
-	got, err = JSON.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.CO2}); got != want {
-		t.Errorf("tagged JSON QueryRequest = %+v, want %+v", got, want)
-	}
-	// Same distinction for model requests.
-	gotM, err := JSON.Decode([]byte(`{"type":3,"payload":{"t":9}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (ModelRequest{T: 9, Legacy: true}); gotM != want {
-		t.Errorf("legacy JSON ModelRequest = %+v, want %+v", gotM, want)
-	}
-}
-
 func TestBinaryDecodeErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -174,9 +86,14 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		{"long query response", make([]byte, 50)},
 		{"short model response", []byte{byte(TypeModelResponse), 1}},
 		{"short error", []byte{byte(TypeError), 9}},
+		{"untagged 25-byte query request", make([]byte, 25)},
+		{"untagged 9-byte model request", make([]byte, 9)},
 	}
-	// Give "long query response" a valid tag.
+	// Give the sized cases their tags. The pre-v1 untagged layouts (no
+	// pollutant byte) are no longer a second accepted length.
 	tests[3].data[0] = byte(TypeQueryResponse)
+	tests[6].data[0] = byte(TypeQueryRequest)
+	tests[7].data[0] = byte(TypeModelRequest)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Binary.Decode(tt.data); err == nil {
@@ -201,19 +118,6 @@ func TestBinaryModelResponseTruncation(t *testing.T) {
 	// Trailing garbage must also fail.
 	if _, err := Binary.Decode(append(append([]byte{}, data...), 0x00)); err == nil {
 		t.Error("trailing byte accepted")
-	}
-}
-
-func TestJSONDecodeErrors(t *testing.T) {
-	cases := [][]byte{
-		[]byte(`not json`),
-		[]byte(`{"type":99,"payload":{}}`),
-		[]byte(`{"type":1,"payload":"not an object"}`),
-	}
-	for _, data := range cases {
-		if _, err := JSON.Decode(data); err == nil {
-			t.Errorf("decode %q: expected error", data)
-		}
 	}
 }
 
