@@ -355,8 +355,11 @@ type Config struct {
 	// value blocks on a full queue, 64 deep, coalescing to 4096 tuples.
 	IngestQueue PipelineConfig
 	// Maintenance tunes the background cover-maintenance scheduler that
-	// rebuilds invalidated covers off the query path. The zero value
-	// runs 2 build workers; Workers < 0 disables background builds.
+	// rebuilds invalidated covers off the query path; until a window's
+	// rebuild is installed its previous cover keeps answering (see
+	// WaitMaintenance). The zero value runs 2 build workers; Workers < 0
+	// disables background builds: a write then drops the touched covers
+	// at once and the next read rebuilds them (read-your-writes).
 	Maintenance SchedulerConfig
 	// Subscriptions tunes the push-subscription registry (bounded
 	// per-subscription event queues with drop-oldest + resync overflow,
@@ -550,7 +553,7 @@ func Open(cfg Config) (*Platform, error) {
 // cfg.Cluster.Router). Peer links dial lazily over the binary TCP
 // protocol. With Replicas > 1 the node also replicates: it streams its
 // committed ingests to ring successors and holds mirrors for the
-// primaries it backs, each mirror a full in-memory engine built by the
+// primaries it backs, each mirror a lazy in-memory engine built by the
 // factory below.
 func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster.Node, error) {
 	cfg := full.Cluster
@@ -644,42 +647,19 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 	return node, nil
 }
 
-// mirrorFactory builds replica mirrors: each is a full in-memory engine
-// with the same window length, retention, and model configuration as
-// the primary it mirrors, so replaying the primary's committed ingests
-// converges to byte-equal query answers. Mirrors are volatile by design
-// — a restarted replica re-syncs from the primary's replication log (or
-// a fresh snapshot), so persisting them would only double the disk
-// writes. A factory failure yields a handler that answers every read
-// with a replica miss, which the failover paths treat as "no mirror
-// here" and try the next replica.
+// mirrorFactory builds replica mirrors (server.NewMirrorEngine): lazy
+// in-memory engines with the same window length, retention, and model
+// configuration as the primary they mirror. A factory failure yields a
+// handler that answers every read with a replica miss, which the
+// failover paths treat as "no mirror here" and try the next replica.
 func mirrorFactory(cfg Config) func() cluster.Handler {
 	pollutants := cfg.pollutants()
+	adkmn := cfg.AdKMN
+	adkmn.Pollutant = pollutants[0]
 	return func() cluster.Handler {
-		stores := make(map[Pollutant]*store.Store, len(pollutants))
-		fail := func(err error) cluster.Handler {
-			for _, st := range stores {
-				st.Close()
-			}
-			return mirrorError{err: err}
-		}
-		for _, pol := range pollutants {
-			st, err := store.Open(store.Config{
-				WindowLength: cfg.WindowSeconds,
-				Retain:       cfg.Retain,
-			})
-			if err != nil {
-				return fail(err)
-			}
-			stores[pol] = st
-		}
-		adkmn := cfg.AdKMN
-		adkmn.Pollutant = pollutants[0]
-		eng, err := server.NewMultiEngineOpts(stores, adkmn, server.Options{
-			Subs: cfg.Subscriptions,
-		})
+		eng, err := server.NewMirrorEngine(pollutants, cfg.WindowSeconds, cfg.Retain, adkmn, cfg.Subscriptions)
 		if err != nil {
-			return fail(err)
+			return mirrorError{err: err}
 		}
 		return eng
 	}
@@ -817,8 +797,10 @@ func (p *Platform) ListenTCP(addr string) (io.Closer, net.Addr, error) {
 	return srv, srv.Addr(), nil
 }
 
-// Ingest appends raw readings of pollutant pol. Late data transparently
-// invalidates any already-built cover of its window. A full ingest queue
+// Ingest appends raw readings of pollutant pol and returns once they are
+// stored. The covers of the windows they landed in are rebuilt in the
+// background; until then reads of those windows are answered from their
+// previous covers (WaitMaintenance is the barrier). A full ingest queue
 // follows Config.IngestQueue's overflow policy (blocking by default). On
 // a clustered platform the upload splits by shard owner and every slice
 // — this node's own included — commits through the cluster node, which
@@ -913,12 +895,16 @@ func (p *Platform) IngestReader(ctx context.Context, pol Pollutant, r io.Reader)
 func (p *Platform) IngestStats() PipelineStats { return p.engine.PipelineStats() }
 
 // MaintenanceStats returns the background cover scheduler's counters:
-// builds scheduled, completed, skipped, dropped.
+// builds scheduled, completed, coalesced, skipped, dropped.
 func (p *Platform) MaintenanceStats() SchedulerStats { return p.engine.SchedulerStats() }
 
 // WaitMaintenance blocks until the background cover scheduler is idle —
-// every invalidated window rebuilt or discarded. Useful in tests and
-// benchmarks; a disabled scheduler is always idle.
+// every invalidated window rebuilt or discarded. It is the read-after-ack
+// barrier: an acknowledged ingest is stored, but a read may be answered
+// from the window's previous cover until the rebuild lands; after
+// WaitMaintenance every answer reflects every acknowledged tuple,
+// bit-identical to a from-scratch cover. A disabled scheduler is always
+// idle (and always fresh).
 func (p *Platform) WaitMaintenance() { p.engine.Scheduler().Wait() }
 
 // Len returns the number of retained readings across all pollutants.

@@ -52,6 +52,9 @@ func TestFullPipeline(t *testing.T) {
 	if got := svc.Stats().Tuples; int(got) != len(data) {
 		t.Fatalf("ingested %d of %d tuples", got, len(data))
 	}
+	// The accuracy check below is about the covers of the loaded data:
+	// wait for the rebuilds the load queued instead of racing them.
+	p.WaitMaintenance()
 
 	// 3. Serve the wire protocol over TCP.
 	srv, addr, err := p.ListenTCP("127.0.0.1:0")

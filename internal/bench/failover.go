@@ -26,6 +26,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/subs"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -158,6 +159,17 @@ func newFailEngine(seed int64) (*server.Engine, error) {
 		core.Config{Cluster: kmeans.Config{Seed: seed}})
 }
 
+// newFailMirror is the clusters' mirror factory: the product's lazy
+// mirror engine with newFailEngine's window and model seed.
+func newFailMirror(seed int64) cluster.Handler {
+	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, failWindowLen, 0,
+		core.Config{Cluster: kmeans.Config{Seed: seed}}, subs.Config{})
+	if err != nil {
+		panic(fmt.Sprintf("bench: mirror engine: %v", err))
+	}
+	return e
+}
+
 func newFailCluster(cfg FailoverConfig) (*failCluster, error) {
 	cells, err := cluster.Cells(failRegion, cfg.CellsPerSide, 1)
 	if err != nil {
@@ -184,13 +196,7 @@ func newFailCluster(cfg FailoverConfig) (*failCluster, error) {
 		}
 		c.engines = append(c.engines, e)
 	}
-	mirror := func() cluster.Handler {
-		e, err := newFailEngine(cfg.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mirror engine: %v", err))
-		}
-		return e
-	}
+	mirror := func() cluster.Handler { return newFailMirror(cfg.Seed) }
 	for i := 0; i < cfg.Nodes; i++ {
 		transports := make([]cluster.Transport, cfg.Nodes)
 		for j := range transports {

@@ -170,13 +170,7 @@ func (c *rebalCluster) addNode(ring *cluster.Ring, self int) error {
 	if err != nil {
 		return err
 	}
-	mirror := func() cluster.Handler {
-		e, err := newFailEngine(c.seed)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mirror engine: %v", err))
-		}
-		return e
-	}
+	mirror := func() cluster.Handler { return newFailMirror(c.seed) }
 	// Explicit transports cover the boot-time members; Dial covers
 	// nodes that join later.
 	transports := make([]cluster.Transport, ring.Nodes())

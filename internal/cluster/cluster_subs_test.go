@@ -257,7 +257,7 @@ func TestClusterRoutedSubscription(t *testing.T) {
 	}
 	ingestOwnedBy(1, 120)
 	evs := append([]subs.Event{recvSub(t, h)}, drainQuiet(h)...)
-	touched := make(map[int]bool)
+	touched := make(map[int]float64)
 	for _, ev := range evs {
 		if ev.Err != "" {
 			t.Fatalf("unexpected subscription error: %s", ev.Err)
@@ -266,11 +266,27 @@ func TestClusterRoutedSubscription(t *testing.T) {
 			if owners[p.Index] != 1 {
 				t.Fatalf("delta carried point %d (owner %d) after a node-1-only ingest", p.Index, owners[p.Index])
 			}
-			touched[p.Index] = true
+			touched[p.Index] = p.Value
 		}
 	}
 	if len(touched) == 0 {
 		t.Fatal("node-1 ingest produced no delta")
+	}
+	// The push follows the install of node 1's rebuilt cover and carries
+	// the rebuilt values: the newest pushed value of every touched point
+	// is what the quiesced owner answers, no longer the primed one.
+	f.engines[1].Scheduler().Wait()
+	for i, got := range touched {
+		want, err := f.engines[1].Query(ctx, pts[i])
+		if err != nil {
+			t.Fatalf("owner 1 query: %v", err)
+		}
+		if got != want {
+			t.Fatalf("point %d last pushed %v, quiesced owner answers %v", i, got, want)
+		}
+		if got == values[i] {
+			t.Fatalf("point %d pushed its pre-ingest value %v again", i, got)
+		}
 	}
 
 	// Killing an owner severs its leg: the feed reports exactly which

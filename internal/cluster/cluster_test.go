@@ -170,6 +170,16 @@ func (f *fixture) load(t *testing.T, data tuple.Batch) {
 	if int(ir.Ingested) != len(data) {
 		t.Fatalf("ingested %d of %d tuples", ir.Ingested, len(data))
 	}
+	f.quiesce()
+}
+
+// quiesce is the read-after-ack barrier: once every primary's background
+// builders are idle, each answer reflects every acknowledged tuple.
+// (Mirrors have no background builders; they rebuild on read.)
+func (f *fixture) quiesce() {
+	for _, e := range f.engines {
+		e.Scheduler().Wait()
+	}
 }
 
 func TestClusterRoutedIngestShards(t *testing.T) {

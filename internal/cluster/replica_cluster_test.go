@@ -30,19 +30,18 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/query"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/subs"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-// newMirrorEngine is the test mirror factory: the same engine
-// configuration as newEngine (window, k-means seed), so a mirror that
-// replayed the primary's commits answers byte-equal.
+// newMirrorEngine is the test mirror factory: the product's lazy mirror
+// engine with the same configuration as newEngine (window, k-means
+// seed), so a mirror that replayed the primary's commits answers
+// byte-equal.
 func newMirrorEngine() cluster.Handler {
-	st := store.MustOpenMemory(windowLen)
-	e, err := server.NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 7}})
+	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, windowLen, 0,
+		core.Config{Cluster: kmeans.Config{Seed: 7}}, subs.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -4,31 +4,70 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/tuple"
 )
 
 // Maintainer keeps model covers for the windows of a store, building each
-// window's cover at most once and serving cached covers afterwards. It is
+// window's cover on first use and serving cached covers afterwards. It is
 // the component at the center of Figure 1: raw tuples flow into the
 // database, and the adaptive modeling layer maintains the `model_cover`
 // abstraction the query processor reads.
 //
-// Maintainer is safe for concurrent use; concurrent requests for the same
-// window build the cover once.
+// Maintainer is safe for concurrent use.
 //
 // # Cover lifecycle
 //
-// Each cached cover carries a per-window generation. Invalidate (late
-// tuples) and store eviction (retention) advance the window's generation,
-// which both drops the cached cover and marks any in-flight build for
-// that window stale: when the stale build completes, its result is
-// returned to the callers that were already waiting on it (their request
-// predates the new data) but is NOT re-cached, so the next CoverFor sees
-// the post-invalidation window. This closes the race where a build that
-// started before an Invalidate would clobber the invalidation on
-// completion.
+// Every window carries a generation that Invalidate (new tuples) and
+// store eviction advance, and every cached cover remembers the generation
+// it was built at. A cover is *current* when the two agree and *stale*
+// (dirty) when the window has moved on. What happens to a cover when its
+// window is invalidated depends on who is there to rebuild it:
+//
+//   - Under a watching Scheduler the cover goes dirty → revalidating →
+//     current: Invalidate queues a background rebuild and readers keep
+//     getting the cached cover, one or more generations behind, until the
+//     rebuild installs its successor (stale-while-revalidate).
+//   - Without one (Maintenance.Workers < 0, or after unwatch / Close)
+//     Invalidate hard-drops the cover and the next reader rebuilds it
+//     synchronously — read-your-writes.
+//
+// The invariants, checked by the seeded lifecycle property test:
+//
+//   - Served stale ⇒ rebuild pending. A stale cover stays cached only
+//     while its rebuild is queued, running, or owed by a worker resting
+//     before it (below). Every way a rebuild can be
+//     refused — queue overflow or displacement, Scheduler.Close, unwatch,
+//     a failed build — hard-drops the stale cover, so the next reader
+//     builds from the window's current contents.
+//   - Quiesced ⇒ bit-identical. Once the scheduler is idle
+//     (Scheduler.Wait) every cached cover is current, i.e. equal to
+//     BuildCover over the window's present tuples.
+//   - The generation a reader observes for a window (ServedGeneration,
+//     and the covers CoverFor returns) never decreases, and a cover
+//     obtained after reading ServedGeneration was built at that
+//     generation or later — so an entity tag hashed from it before
+//     evaluating (the continuous-query ETag) never yields a wrong 304.
+//   - At most one build of a window is in flight. A reader that needs a
+//     cover while one is being built waits for it instead of starting a
+//     second; a scheduler worker never waits — whoever runs a build
+//     that a write overtook requests the rebuild again when it finishes.
+//   - A finished build is never thrown away because a write overtook it:
+//     it is installed (never over a newer cover) and owes exactly one
+//     follow-up rebuild. Builds are discarded only when the window was
+//     evicted meanwhile or nobody is there to run the follow-up. A
+//     worker whose build was overtaken rests for as long as that build
+//     took before requesting the follow-up, so a window written faster
+//     than it can be modeled is rebuilt at most every other build time.
+//   - Snapshot returns current covers only, so a restart never primes a
+//     stale cover as current.
+//   - Change hooks (OnChange) run after every install of a rebuilt cover
+//     and after every hard drop — the moments the answer a reader gets
+//     changes — not when the window is merely dirtied, so a subscription
+//     push follows every installed refresh of a window it overlaps and
+//     carries the refreshed values.
 //
 // The maintainer registers itself with the store's eviction hook, so its
 // cover cache is bounded by the store's retention horizon: when the store
@@ -42,38 +81,65 @@ type Maintainer struct {
 	unhook func() // detaches the store eviction hook
 
 	mu       sync.Mutex
-	covers   map[int]*Cover
+	covers   map[int]cached
 	building map[int]*buildState
 
-	// gens counts, per window, how many times the window's cover has
-	// been dropped (invalidation or eviction). It only ever grows — at
-	// 8 bytes per window ever touched that is negligible next to the
-	// window data itself — so a (window, generation) pair identifies one
-	// cover lifetime for the whole process lifetime. The HTTP layer
-	// hashes generations into the ETag of continuous-query responses.
+	// gens counts, per window, how many times the window has been
+	// invalidated or evicted. It only ever grows — at 8 bytes per window
+	// ever touched that is negligible next to the window data itself — so
+	// a (window, generation) pair identifies one state of the window for
+	// the whole process lifetime.
 	gens map[int]uint64
 
-	// invalHooks run after Invalidate drops a window, outside the
-	// maintainer lock, in registration order. The scheduler subscribes
-	// here to queue background rebuilds. Eviction does NOT fire these:
-	// an evicted window is behind the retention horizon and rebuilding
-	// it would be dead work.
-	invalHooks map[int]func(c int)
+	// sched is the scheduler watching this maintainer (nil when none):
+	// the one that runs the rebuilds stale covers wait for.
+	sched *Scheduler
+
+	// hooks run after the cover a reader of a window gets has changed —
+	// a rebuilt cover was installed, or the cover was hard-dropped —
+	// outside the maintainer lock, in registration order. The slice is
+	// copy-on-write: registration replaces it, so firing needs no copy.
+	// Eviction does NOT fire these: an evicted window is behind the
+	// retention horizon and nobody can read it any more.
+	hooks      []changeHook
 	nextHookID int
 
 	// testBuildHook, when set (by tests in this package), runs after the
 	// window's tuples are read but before the built cover is installed —
-	// the interleaving point of the stale-cover race.
+	// the interleaving point of the overtaken-build race.
 	testBuildHook func(c int)
 }
 
-// buildState tracks one in-flight cover build. stale is guarded by the
-// maintainer's mutex; cover and err are written once before done closes.
+// cached is one cached cover and the window generation it was built at.
+type cached struct {
+	cv  *Cover
+	gen uint64
+}
+
+type changeHook struct {
+	id int
+	fn func(c int)
+}
+
+// fire runs a snapshot of the change hooks for window c; the caller has
+// released the maintainer lock.
+func fire(hooks []changeHook, c int) {
+	for _, h := range hooks {
+		h.fn(c)
+	}
+}
+
+// buildState tracks the one in-flight build of a window. gen is the
+// window's generation when the build started — before it read the
+// window, so the cover holds at least every tuple of that generation.
+// evicted is guarded by the maintainer's mutex; cover and err are written
+// once before done closes.
 type buildState struct {
-	done  chan struct{}
-	stale bool
-	cover *Cover
-	err   error
+	done    chan struct{}
+	gen     uint64
+	evicted bool
+	cover   *Cover
+	err     error
 }
 
 // NewMaintainer returns a maintainer over st with the given Ad-KMN
@@ -83,7 +149,7 @@ func NewMaintainer(st *store.Store, cfg Config) *Maintainer {
 	m := &Maintainer{
 		st:       st,
 		cfg:      cfg,
-		covers:   make(map[int]*Cover),
+		covers:   make(map[int]cached),
 		building: make(map[int]*buildState),
 		gens:     make(map[int]uint64),
 	}
@@ -97,47 +163,152 @@ func NewMaintainer(st *store.Store, cfg Config) *Maintainer {
 // but its cache is no longer trimmed by store eviction.
 func (m *Maintainer) Close() { m.unhook() }
 
-// CoverFor returns the model cover for window c, building it on first use.
-//
-//ctxcheck:allow the only wait is for a concurrent build of the same cover, which always closes done
+// CoverFor returns the model cover for window c, building it on first
+// use. Under a watching scheduler the cover may be stale — built before
+// the window's latest tuples — but only while its rebuild is pending.
 func (m *Maintainer) CoverFor(c int) (*Cover, error) {
-	m.mu.Lock()
-	if cv, ok := m.covers[c]; ok {
-		m.mu.Unlock()
-		return cv, nil
-	}
-	if bs, ok := m.building[c]; ok {
+	cv, _, err := m.coverFor(c)
+	return cv, err
+}
+
+// coverFor is CoverFor that also reports the generation the returned
+// cover was built at.
+//
+//ctxcheck:allow the only wait is for the in-flight build of the same cover, which always closes done
+func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
+	for {
+		m.mu.Lock()
+		if e, ok := m.covers[c]; ok {
+			m.mu.Unlock()
+			return e.cv, e.gen, nil
+		}
+		bs, ok := m.building[c]
+		if !ok {
+			bs = m.startBuildLocked(c)
+			m.mu.Unlock()
+			if sched := m.build(c, bs); sched != nil {
+				sched.Schedule(m, c)
+			}
+			return bs.cover, bs.gen, bs.err
+		}
+		// One build at a time: wait for the running one. Its result
+		// answers this call if it started at the window's present
+		// generation; a build the window has already moved past only
+		// decides what the next turn of the loop finds cached.
+		joined := bs.gen == m.gens[c] && !bs.evicted
 		m.mu.Unlock()
 		<-bs.done
-		return bs.cover, bs.err
+		if joined {
+			return bs.cover, bs.gen, bs.err
+		}
 	}
-	bs := &buildState{done: make(chan struct{})} //bounded: signal-only; the builder closes it, nothing sends
-	m.building[c] = bs
-	m.mu.Unlock()
+}
 
+// refreshOutcome classifies one background refresh for the scheduler's
+// counters.
+type refreshOutcome int
+
+const (
+	refreshBuilt     refreshOutcome = iota // a build ran and succeeded
+	refreshFailed                          // a build ran and errored
+	refreshSkipped                         // the window holds no data (evicted)
+	refreshCoalesced                       // nothing to do: current, or a build is running
+)
+
+// refresh is the scheduler worker's entry: bring window c's cover up to
+// the window's current generation. It never waits on another build — a
+// running build that a write overtook is followed up by whoever runs it
+// — and does nothing when the cover is already current.
+// A positive rest means the worker's own build was overtaken: the window
+// is being written faster than it can be modeled, and the follow-up the
+// worker owes (Schedule, once it has rested that long) is paced so that
+// rebuilding one hot window never takes more than half of a core from
+// the write path.
+func (m *Maintainer) refresh(c int) (outcome refreshOutcome, rest time.Duration) {
+	// An empty window means it was evicted (or never held data) after
+	// scheduling: building would just manufacture an error.
+	if m.st.WindowLen(c) == 0 {
+		return refreshSkipped, 0
+	}
+	m.mu.Lock()
+	if e, ok := m.covers[c]; ok && e.gen == m.gens[c] {
+		m.mu.Unlock()
+		return refreshCoalesced, 0
+	}
+	if _, ok := m.building[c]; ok {
+		m.mu.Unlock()
+		return refreshCoalesced, 0
+	}
+	bs := m.startBuildLocked(c)
+	m.mu.Unlock()
+	start := time.Now()
+	outcome = refreshBuilt
+	owed := m.build(c, bs) != nil
+	if bs.err != nil {
+		outcome = refreshFailed
+	}
+	if owed {
+		rest = time.Since(start)
+	}
+	return outcome, rest
+}
+
+// startBuildLocked registers the in-flight build of window c. Caller
+// holds m.mu and has checked that none is registered.
+func (m *Maintainer) startBuildLocked(c int) *buildState {
+	bs := &buildState{
+		done: make(chan struct{}), //bounded: signal-only; the builder closes it, nothing sends
+		gen:  m.gens[c],
+	}
+	m.building[c] = bs
+	return bs
+}
+
+// build runs the registered build bs of window c and settles it: the
+// cover is installed unless the window was evicted meanwhile, a newer
+// cover is already cached, or a write overtook the build with no
+// scheduler to run the follow-up (the hard-drop mode, where the next
+// reader rebuilds). An overtaken build under a scheduler owes one
+// follow-up rebuild: build returns that scheduler, and its caller
+// requests the rebuild from it — a refusal hard-drops the cover just
+// installed.
+func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 	w := m.st.Window(c)
 	if m.testBuildHook != nil {
 		m.testBuildHook(c)
 	}
-	var cv *Cover
-	var err error
 	if len(w) == 0 {
-		err = fmt.Errorf("core: window %d is empty", c)
+		bs.err = fmt.Errorf("core: window %d is empty", c)
 	} else {
-		cv, err = BuildCover(w, c, m.st.WindowLength(), m.cfg)
+		bs.cover, bs.err = BuildCover(w, c, m.st.WindowLength(), m.cfg)
 	}
-	bs.cover, bs.err = cv, err
 
 	m.mu.Lock()
-	if err == nil && !bs.stale {
-		m.covers[c] = cv
+	delete(m.building, c)
+	overtaken := bs.gen != m.gens[c]
+	changed := false
+	switch {
+	case bs.evicted:
+	case bs.err != nil:
+		// The rebuild a stale cover was waiting for has failed.
+		changed = m.dropStaleLocked(c)
+	case overtaken && m.sched == nil:
+	default:
+		if e, ok := m.covers[c]; !ok || e.gen < bs.gen {
+			m.covers[c] = cached{cv: bs.cover, gen: bs.gen}
+			changed = true
+		}
 	}
-	if m.building[c] == bs {
-		delete(m.building, c)
+	if overtaken && !bs.evicted {
+		followUp = m.sched
 	}
+	hooks := m.hooks
 	m.mu.Unlock()
+	if changed {
+		fire(hooks, c)
+	}
 	close(bs.done)
-	return cv, err
+	return followUp
 }
 
 // CoverAt returns the cover for the window containing stream time t. The
@@ -151,126 +322,181 @@ func (m *Maintainer) CoverAt(t float64) (*Cover, error) {
 	return m.CoverFor(tuple.WindowIndex(t, m.st.WindowLength()))
 }
 
-// Invalidate drops the cached cover for window c (e.g. after late tuples
-// arrive for a window that was already modeled). An in-flight build for c
-// is marked stale: its result still answers the callers already waiting
-// on it, but it is not cached, so later CoverFor calls rebuild from the
-// post-invalidation window. Invalidation hooks registered with
-// OnInvalidate run afterwards, outside the maintainer lock.
+// Invalidate records that window c changed (e.g. late tuples arrived for
+// a window that was already modeled) by advancing its generation. Under a
+// watching scheduler the cached cover stays served while the rebuild this
+// call queues is pending; if the scheduler refuses the rebuild it
+// hard-drops the cover. Without a scheduler the cover is hard-dropped
+// here, a build in flight is not cached when it completes, and the change
+// hooks run — later CoverFor calls rebuild from the post-invalidation
+// window. Invalidate allocates nothing once the window is known.
 func (m *Maintainer) Invalidate(c int) {
 	m.mu.Lock()
-	m.dropLocked(c)
-	var hooks []func(c int)
-	if len(m.invalHooks) > 0 {
-		ids := make([]int, 0, len(m.invalHooks))
-		for id := range m.invalHooks {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		hooks = make([]func(c int), len(ids))
-		for i, id := range ids {
-			hooks[i] = m.invalHooks[id]
-		}
+	m.gens[c]++
+	sched := m.sched
+	if sched == nil {
+		delete(m.covers, c)
 	}
+	hooks := m.hooks
 	m.mu.Unlock()
-	for _, fn := range hooks {
-		fn(c)
+	if sched != nil {
+		sched.Schedule(m, c)
+		return
 	}
+	fire(hooks, c)
 }
 
-// OnInvalidate registers fn to run after every Invalidate(c), outside
-// the maintainer lock. It fires for first-touch windows too (the engine
-// invalidates every window an ingest batch lands in), so a subscriber
-// sees every window whose cover is missing or outdated — the feed the
-// background build scheduler drains. The returned function unregisters
-// the hook.
-func (m *Maintainer) OnInvalidate(fn func(c int)) (unregister func()) {
+// OnChange registers fn to run, outside the maintainer lock, whenever the
+// cover a reader of window c gets has changed: after a rebuilt cover is
+// installed and after a hard drop (an Invalidate without a scheduler, a
+// refused or failed rebuild, unwatch). It does not run when a window is
+// merely dirtied — the stale cover is still what readers get — so a
+// subscriber that re-evaluates on it always sees the new answer. The
+// returned function unregisters the hook.
+func (m *Maintainer) OnChange(fn func(c int)) (unregister func()) {
 	m.mu.Lock()
-	if m.invalHooks == nil {
-		m.invalHooks = make(map[int]func(c int))
-	}
 	id := m.nextHookID
 	m.nextHookID++
-	m.invalHooks[id] = fn
+	m.hooks = append(m.hooks[:len(m.hooks):len(m.hooks)], changeHook{id: id, fn: fn})
 	m.mu.Unlock()
 	return func() {
 		m.mu.Lock()
-		delete(m.invalHooks, id)
+		kept := make([]changeHook, 0, len(m.hooks))
+		for _, h := range m.hooks {
+			if h.id != id {
+				kept = append(kept, h)
+			}
+		}
+		m.hooks = kept
 		m.mu.Unlock()
 	}
+}
+
+// setScheduler attaches (or, with nil, detaches) the scheduler that runs
+// this maintainer's rebuilds. Detaching hard-drops every stale cover:
+// nobody is left to revalidate them.
+func (m *Maintainer) setScheduler(s *Scheduler) {
+	m.mu.Lock()
+	m.sched = s
+	var dropped []int
+	if s == nil {
+		for c := range m.covers {
+			if m.dropStaleLocked(c) {
+				dropped = append(dropped, c)
+			}
+		}
+	}
+	hooks := m.hooks
+	m.mu.Unlock()
+	for _, c := range dropped {
+		fire(hooks, c)
+	}
+}
+
+// dropStale hard-drops window c's cover if it is stale — the scheduler
+// calls it for every rebuild it refuses or discards — and runs the change
+// hooks either way: a refused rebuild of a window with no cover yet is
+// still a change the subscribers were waiting to hear about.
+func (m *Maintainer) dropStale(c int) {
+	m.mu.Lock()
+	m.dropStaleLocked(c)
+	hooks := m.hooks
+	m.mu.Unlock()
+	fire(hooks, c)
+}
+
+// dropStaleLocked removes window c's cover if it is stale, reporting
+// whether it did. Caller holds m.mu.
+func (m *Maintainer) dropStaleLocked(c int) bool {
+	e, ok := m.covers[c]
+	if !ok || e.gen == m.gens[c] {
+		return false
+	}
+	delete(m.covers, c)
+	return true
 }
 
 // dropWindows is the store eviction hook. Every cover at or below the
 // newest evicted index is dropped, not just the exact evicted set: the
 // store only reports windows it actually held, but the cache may hold
 // primed covers for windows the store never saw, and those are equally
-// behind the retention horizon once newer windows are evicted.
+// behind the retention horizon once newer windows are evicted. A build in
+// flight for such a window stays registered (one build at a time) but its
+// result is discarded.
 func (m *Maintainer) dropWindows(evicted []int) {
 	horizon := evicted[len(evicted)-1] // ascending order
 	m.mu.Lock()
 	for c := range m.covers {
 		if c <= horizon {
-			m.dropLocked(c)
+			m.gens[c]++
+			delete(m.covers, c)
 		}
 	}
 	for c, bs := range m.building {
-		if c <= horizon {
+		if c <= horizon && !bs.evicted {
 			m.gens[c]++
-			bs.stale = true
-			delete(m.building, c)
+			bs.evicted = true
 		}
 	}
 	m.mu.Unlock()
 }
 
-// dropLocked removes window c's cover and stales its in-flight build.
-// Caller holds m.mu. Removing the build from the map (rather than only
-// flagging it) lets a CoverFor that arrives after the invalidation start
-// a fresh build immediately instead of joining the stale one.
-func (m *Maintainer) dropLocked(c int) {
-	m.gens[c]++
-	delete(m.covers, c)
-	if bs, ok := m.building[c]; ok {
-		bs.stale = true
-		delete(m.building, c)
-	}
-}
-
-// Generation returns how many times window c's cover has been dropped.
-// A changed generation means any previously served value for c may be
-// stale; an equal generation means the cover (built or not) is the same
-// lifetime. Windows never invalidated report 0.
+// Generation returns how many times window c has been invalidated or
+// evicted. Windows never touched report 0.
 func (m *Maintainer) Generation(c int) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.gens[c]
 }
 
-// Snapshot returns the currently cached covers keyed by window index, for
-// persistence.
+// ServedGeneration returns the generation of the cover a reader of
+// window c gets: the cached cover's, else the running build's, else the
+// window's own (the next reader builds at it or later). It never
+// decreases, and a cover obtained after the call was built at this
+// generation or a later one — so a tag derived from it before evaluating
+// can only cause an extra refresh, never vouch for an older answer. The
+// HTTP layer hashes it into the ETag of continuous-query responses.
+func (m *Maintainer) ServedGeneration(c int) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.covers[c]; ok {
+		return e.gen
+	}
+	if bs, ok := m.building[c]; ok && !bs.evicted {
+		return bs.gen
+	}
+	return m.gens[c]
+}
+
+// Snapshot returns the current cached covers keyed by window index, for
+// persistence. Stale covers awaiting their rebuild are left out: a
+// restart would prime them as current.
 func (m *Maintainer) Snapshot() map[int]*Cover {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[int]*Cover, len(m.covers))
-	for c, cv := range m.covers {
-		out[c] = cv
+	for c, e := range m.covers {
+		if e.gen == m.gens[c] {
+			out[c] = e.cv
+		}
 	}
 	return out
 }
 
-// Prime seeds the cache with previously persisted covers (warm restart).
-// Existing entries for the same windows are replaced. When the store
-// bounds retention, covers older than its oldest retained window are
-// dropped and at most the newest Retain survive, so a warm restart never
-// resurrects covers past the horizon nor holds more than Retain. A store
-// with an unbounded Retain keeps everything.
+// Prime seeds the cache with previously persisted covers (warm restart),
+// recorded as current for their windows. Existing entries for the same
+// windows are replaced. When the store bounds retention, covers older
+// than its oldest retained window are dropped and at most the newest
+// Retain survive, so a warm restart never resurrects covers past the
+// horizon nor holds more than Retain. A store with an unbounded Retain
+// keeps everything.
 func (m *Maintainer) Prime(covers map[int]*Cover) {
 	retained := m.st.WindowIndexes() // ascending
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for c, cv := range covers {
 		if cv != nil && cv.Size() > 0 {
-			m.covers[c] = cv
+			m.covers[c] = cached{cv: cv, gen: m.gens[c]}
 		}
 	}
 	r := m.st.Retain()
@@ -322,7 +548,8 @@ func (m *Maintainer) MissingCovers() []int {
 	return out
 }
 
-// CachedWindows returns the indexes of windows with cached covers.
+// CachedWindows returns the indexes of windows with cached covers,
+// current or stale.
 func (m *Maintainer) CachedWindows() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

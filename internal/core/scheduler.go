@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"sync"
+	"time"
 )
 
 // SchedulerConfig tunes a Scheduler. The zero value is usable.
@@ -12,8 +13,8 @@ type SchedulerConfig struct {
 	// build stays on the query path).
 	Workers int
 	// MaxQueue bounds pending builds. When full, admitting a more recent
-	// window drops the oldest pending one — the query path still builds
-	// dropped windows synchronously on demand. 0 = 128.
+	// window drops the oldest pending one — its stale cover is hard-dropped
+	// and the query path builds it synchronously on demand. 0 = 128.
 	MaxQueue int
 }
 
@@ -28,6 +29,11 @@ type SchedulerStats struct {
 	// Skipped counts builds abandoned because the window was empty or
 	// evicted by the time a worker reached it.
 	Skipped int64
+	// Coalesced counts rebuild requests absorbed without a build of their
+	// own: the window was already queued, or by the time a worker reached
+	// it the cover was current or a running build already owed the
+	// follow-up.
+	Coalesced int64
 	// Failed counts background builds that errored.
 	Failed int64
 	// Dropped counts pending builds displaced by queue overflow.
@@ -65,13 +71,17 @@ func (h *buildHeap) Pop() interface{} {
 // Scheduler drains maintainer invalidations into a bounded priority
 // build queue worked by background goroutines, so covers are rebuilt off
 // the query path: after an ingest burst the hottest (most recent)
-// windows are modeled before anyone asks. A query that races a pending
-// build simply joins it (or builds synchronously) through the
-// maintainer's ordinary CoverFor path — the scheduler is an accelerator,
-// never a correctness dependency. If a window is invalidated again while
-// its background build runs, the maintainer marks that build stale (it
-// is not cached) and the new invalidation re-queues the window, so the
-// scheduler converges to a cover of the latest data.
+// windows are modeled before anyone asks, and while a rebuild is pending
+// readers keep the window's previous cover (see Maintainer's cover
+// lifecycle). Rebuilds are coalesced and single-flight: N writes to a
+// window inside one build time cost one running build plus one
+// follow-up, never a second concurrent build and never a worker parked
+// on someone else's. The follow-up of an overtaken build is paced — the
+// worker first rests for as long as that build took — so sustained
+// writes to one window cost a rebuild every other build time, not a busy
+// core. The scheduler is what makes serving a stale cover legitimate, so
+// every request it cannot honour — queue overflow or displacement, Close,
+// unwatch — hard-drops that window's stale cover.
 type Scheduler struct {
 	cfg SchedulerConfig
 
@@ -81,11 +91,13 @@ type Scheduler struct {
 	queue    buildHeap
 	inflight int
 	closed   bool
+	stop     chan struct{} // closed by Close: ends a resting worker's pause
 	wg       sync.WaitGroup
 
 	scheduled int64
 	built     int64
 	skipped   int64
+	coalesced int64
 	failed    int64
 	dropped   int64
 }
@@ -104,7 +116,11 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 128
 	}
-	s := &Scheduler{cfg: cfg, pending: make(map[buildKey]bool)}
+	s := &Scheduler{
+		cfg:     cfg,
+		pending: make(map[buildKey]bool),
+		stop:    make(chan struct{}), //bounded: stop latch; closed by Close, never sent on
+	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -113,40 +129,77 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	return s
 }
 
-// Watch subscribes the scheduler to m's invalidations: every
-// invalidated (or first-touched) window is queued for a background
-// rebuild. The returned function unsubscribes.
+// Watch makes the scheduler m's revalidator: every invalidated (or
+// first-touched) window is queued for a background rebuild, and m serves
+// the window's previous cover until it lands. The returned function
+// detaches it again — m's queued rebuilds are forgotten, its stale
+// covers hard-dropped, and its later invalidations hard-drop.
 func (s *Scheduler) Watch(m *Maintainer) (unwatch func()) {
 	if s == nil {
 		return func() {}
 	}
-	return m.OnInvalidate(func(c int) { s.Schedule(m, c) })
+	m.setScheduler(s)
+	return func() {
+		m.setScheduler(nil)
+		s.forget(m)
+	}
+}
+
+// forget removes every pending build of m from the queue.
+func (s *Scheduler) forget(m *Maintainer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kept := s.queue[:0]
+	for _, key := range s.queue {
+		if key.m == m {
+			delete(s.pending, key)
+		} else {
+			kept = append(kept, key)
+		}
+	}
+	s.queue = kept
+	heap.Init(&s.queue)
+	if len(s.queue) == 0 && s.inflight == 0 {
+		s.cond.Broadcast() // wake Wait()ers
+	}
 }
 
 // Schedule queues a background build of window c on maintainer m.
 // Duplicates of an already-pending build are absorbed. When the queue is
 // full, the oldest pending window is dropped if c is more recent —
-// otherwise the request itself is dropped (the query path covers it).
+// otherwise the request itself is dropped. Whichever window loses its
+// rebuild (also every request to a closed scheduler) has its stale cover
+// hard-dropped, so the query path rebuilds it on demand.
 func (s *Scheduler) Schedule(m *Maintainer, c int) {
 	if s == nil {
 		return
 	}
-	key := buildKey{m: m, c: c}
+	if refused, ok := s.admit(buildKey{m: m, c: c}); ok {
+		refused.m.dropStale(refused.c)
+	}
+}
+
+// admit queues key, reporting the request that lost its rebuild doing so
+// (key itself, or the pending build it displaced), if any.
+func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.pending[key] {
-		return
+	if s.closed {
+		return key, true
+	}
+	if s.pending[key] {
+		s.coalesced++
+		return buildKey{}, false
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
 		oldest := s.oldestLocked()
-		if oldest < 0 || s.queue[oldest].c >= c {
-			s.dropped++
-			return
-		}
-		dropped := s.queue[oldest]
-		heap.Remove(&s.queue, oldest)
-		delete(s.pending, dropped)
 		s.dropped++
+		if oldest < 0 || s.queue[oldest].c >= key.c {
+			return key, true
+		}
+		refused, ok = s.queue[oldest], true
+		heap.Remove(&s.queue, oldest)
+		delete(s.pending, refused)
 	}
 	s.pending[key] = true
 	heap.Push(&s.queue, key)
@@ -154,6 +207,7 @@ func (s *Scheduler) Schedule(m *Maintainer, c int) {
 	// Broadcast, not Signal: the one awoken waiter could be a Wait()er,
 	// which would go straight back to sleep while every worker slept on.
 	s.cond.Broadcast()
+	return refused, ok
 }
 
 // WarmPrime queues a background build for every retained window of m
@@ -218,24 +272,34 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// build performs one background cover build, classifying the outcome.
+// build performs one background refresh, classifying the outcome. When
+// the refresh was overtaken by a write the worker still owes the window
+// one follow-up: it rests first (see Maintainer.refresh) — counted as in
+// flight, so Wait keeps waiting and Close cuts the rest short — and then
+// requests it like any other rebuild.
 func (s *Scheduler) build(key buildKey) {
-	// An empty window means it was evicted (or never held data) after
-	// scheduling: building would just manufacture an error.
-	if key.m.st.WindowLen(key.c) == 0 {
-		s.mu.Lock()
-		s.skipped++
-		s.mu.Unlock()
-		return
-	}
-	_, err := key.m.CoverFor(key.c)
+	outcome, rest := key.m.refresh(key.c)
 	s.mu.Lock()
-	if err != nil {
-		s.failed++
-	} else {
+	switch outcome {
+	case refreshBuilt:
 		s.built++
+	case refreshFailed:
+		s.failed++
+	case refreshSkipped:
+		s.skipped++
+	case refreshCoalesced:
+		s.coalesced++
 	}
 	s.mu.Unlock()
+	if rest > 0 {
+		t := time.NewTimer(rest)
+		select {
+		case <-t.C:
+		case <-s.stop:
+			t.Stop()
+		}
+		s.Schedule(key.m, key.c)
+	}
 }
 
 // Wait blocks until the scheduler is idle: no pending and no in-flight
@@ -263,6 +327,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Scheduled: s.scheduled,
 		Built:     s.built,
 		Skipped:   s.skipped,
+		Coalesced: s.coalesced,
 		Failed:    s.failed,
 		Dropped:   s.dropped,
 		QueueLen:  len(s.queue),
@@ -270,8 +335,9 @@ func (s *Scheduler) Stats() SchedulerStats {
 	}
 }
 
-// Close discards pending builds, stops the workers, and waits for any
-// in-flight builds to finish. Safe to call twice and on nil.
+// Close discards pending builds — hard-dropping the stale covers that
+// were waiting for them — stops the workers, and waits for any in-flight
+// builds to finish. Safe to call twice and on nil.
 func (s *Scheduler) Close() {
 	if s == nil {
 		return
@@ -282,9 +348,14 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
+	close(s.stop)
+	discarded := s.queue
 	s.queue = nil
 	s.pending = make(map[buildKey]bool)
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	for _, key := range discarded {
+		key.m.dropStale(key.c)
+	}
 	s.wg.Wait()
 }

@@ -199,8 +199,9 @@ func TestSchedulerNilIsInert(t *testing.T) {
 }
 
 // TestSchedulerStaleRebuildConverges interleaves an invalidation into a
-// background build: the stale result must not be cached, and the re-queued
-// build must converge to a cover of the latest data.
+// background build: the overtaken result is installed only until its
+// follow-up lands, and the scheduler converges to a cover of the latest
+// data.
 func TestSchedulerStaleRebuildConverges(t *testing.T) {
 	st := fillStore(t, 100, 1, 40)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(7)})
@@ -231,13 +232,13 @@ func TestSchedulerStaleRebuildConverges(t *testing.T) {
 	gate.Lock()
 	gated = false // let the rebuild run ungated
 	gate.Unlock()
-	m.Invalidate(0)       // stales the in-flight build, re-queues
-	release <- struct{}{} // finish the stale build
+	m.Invalidate(0)       // overtakes the in-flight build
+	release <- struct{}{} // finish the overtaken build; it owes the follow-up
 	s.Wait()
 
 	// The converged cover must exist and include the late tuple's window
-	// data (41 tuples built, not 40): CoverFor returns the cached pointer
-	// without rebuilding.
+	// data (41 tuples built, not 40): after Wait the cached cover is the
+	// follow-up's, and CoverFor returns it without rebuilding.
 	cv, err := m.CoverFor(0)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +248,6 @@ func TestSchedulerStaleRebuildConverges(t *testing.T) {
 		n += r.N
 	}
 	if n != 41 {
-		t.Fatalf("converged cover built from %d tuples, want 41 (stale build cached?)", n)
+		t.Fatalf("converged cover built from %d tuples, want 41 (follow-up lost?)", n)
 	}
 }

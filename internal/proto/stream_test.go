@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -82,6 +83,20 @@ func TestStreamSubscribePush(t *testing.T) {
 	delta, ok := recvFrame(t, st).(wire.Push)
 	if !ok || delta.Resync || delta.Seq <= first.Seq || len(delta.Points) == 0 {
 		t.Fatalf("delta frame = %#v", delta)
+	}
+	// The push follows the install of the rebuilt cover (not the write
+	// that dirtied the window), so it carries the rebuilt values: what
+	// the quiesced engine answers now.
+	eng.Scheduler().Wait()
+	at := [][2]float64{{500, 500}, {1500, 1500}}
+	for _, p := range delta.Points {
+		want, err := eng.Query(context.Background(), query.Request{T: 600, X: at[p.Index][0], Y: at[p.Index][1], Pollutant: tuple.CO2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Value != want {
+			t.Fatalf("pushed point %d = %v, engine answers %v: push preceded the install", p.Index, p.Value, want)
+		}
 	}
 
 	if err := st.Close(); err != nil {

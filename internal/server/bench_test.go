@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/tuple"
 )
 
 // BenchmarkEngineQueryBatch100 is the commuter's read: a 100-point route
@@ -54,4 +58,115 @@ func BenchmarkEngineQueryBatch100(b *testing.B) {
 			b.Fatal(res[0].Err)
 		}
 	}
+}
+
+// BenchmarkLiveWindowWriteRead is the bus gateway beside the commuter:
+// two writers stream 64-tuple uploads into the live window of a warm
+// engine (a window fills in 32 uploads, the store keeps 8) while one
+// reader answers a 20-point route at the newest acknowledged time after
+// each upload it sees acknowledged. One iteration is one upload. builds/write is the rebuild economy — how
+// many background cover builds an upload costs once rebuilds are
+// coalesced, single-flight and paced — and allocs/op carries them.
+func BenchmarkLiveWindowWriteRead(b *testing.B) {
+	const (
+		batch      = 64
+		perWindow  = 32 * batch
+		windowLen  = 600.0
+		dt         = windowLen / perWindow
+		writers    = 2
+		routeLen   = 20
+		warmWindow = 4
+	)
+	st, err := store.Open(store.Config{WindowLength: windowLen, Retain: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	// upload k is the k-th 64-tuple slice of one endless time-ordered
+	// stream over a fixed field.
+	upload := func(k int) tuple.Batch {
+		rng := rand.New(rand.NewSource(int64(k)))
+		out := make(tuple.Batch, batch)
+		for i := range out {
+			x, y := rng.Float64()*2000, rng.Float64()*2000
+			out[i] = tuple.Raw{T: float64(k*batch+i) * dt, X: x, Y: y, S: 420 + 0.05*x + 0.02*y + rng.Float64()*5}
+		}
+		return out
+	}
+	ctx := context.Background()
+	warm := warmWindow * perWindow / batch
+	for k := 0; k < warm; k++ {
+		if err := e.Ingest(ctx, tuple.CO2, upload(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Scheduler().Wait()
+	built := e.SchedulerStats().Built
+
+	var next, acked atomic.Int64
+	next.Store(int64(warm))
+	acked.Store(int64(warm - 1))
+	done := make(chan struct{})
+	tick := make(chan struct{}, 1)
+	var wg, reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		reqs := make([]query.Request, routeLen)
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick: // at most one read per acknowledged upload
+			}
+			tm := float64(acked.Load()*batch) * dt
+			for j := range reqs {
+				reqs[j] = query.Request{T: tm, X: 100 * float64(j), Y: 90 * float64(j)}
+			}
+			if res, err := e.QueryBatch(ctx, reqs); err != nil || res[0].Err != nil {
+				b.Errorf("live read at t=%v: %v %v", tm, err, res[0].Err)
+				return
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := next.Add(1) - 1
+				if k >= int64(warm+b.N) {
+					return
+				}
+				if err := e.Ingest(ctx, tuple.CO2, upload(int(k))); err != nil {
+					b.Error(err)
+					return
+				}
+				for {
+					seen := acked.Load()
+					if k <= seen || acked.CompareAndSwap(seen, k) {
+						break
+					}
+				}
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.Scheduler().Wait()
+	b.StopTimer()
+	close(done)
+	reader.Wait()
+	b.ReportMetric(float64(e.SchedulerStats().Built-built)/float64(b.N), "builds/write")
 }

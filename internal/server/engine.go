@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,9 +106,17 @@ type shard struct {
 // pollutant's bounded queue and blocks until the (possibly coalesced)
 // store append covering the upload completes — with a durable store,
 // until its commit group is durable. Each applied append invalidates the
-// touched windows, which the background scheduler drains into prioritized
-// cover rebuilds, so the query path finds covers already built instead of
-// paying Ad-KMN on first touch.
+// touched windows, which the background scheduler drains into prioritized,
+// coalesced cover rebuilds. Reads never wait for those: until a window's
+// rebuild is installed they are answered from its previous cover, so a
+// read right after an ingest ack may be behind it — for at most the
+// rebuild's queue wait plus one build, and one more build time for a
+// window that is written faster than it can be rebuilt (see
+// core.Scheduler). Scheduler().Wait() is the barrier after which every
+// answer reflects every acknowledged tuple; an engine built with
+// Options.Scheduler.Workers < 0 has no background builders, drops a
+// written window's cover at once and rebuilds it on the next read
+// (read-your-writes, the build on the query path).
 type Engine struct {
 	shards map[tuple.Pollutant]*shard
 	def    tuple.Pollutant
@@ -198,15 +207,16 @@ func (e *Engine) startAsync(opts Options) {
 			e.unwatch = append(e.unwatch, e.sched.Watch(sh.maintainer))
 		}
 	}
-	// The subscription registry rides the same invalidation stream the
-	// scheduler drains: each dropped (pollutant, window) is offered to
-	// the overlap index, and only subscriptions bound to that window
-	// re-evaluate. The hook itself never evaluates, so the ingest sink
-	// stays decoupled from the push machinery.
+	// The subscription registry follows the covers, not the writes: a
+	// (pollutant, window) is offered to the overlap index when its
+	// rebuilt cover is installed (or its cover is hard-dropped), so the
+	// subscriptions bound to it re-evaluate against the new answer. The
+	// hook itself never evaluates, so the builders stay decoupled from
+	// the push machinery.
 	e.registry = subs.NewRegistry(opts.Subs, e.subsEvaluate, e.subsWindowLen)
 	for pol, sh := range e.shards {
 		pol := pol
-		e.unwatch = append(e.unwatch, sh.maintainer.OnInvalidate(func(c int) {
+		e.unwatch = append(e.unwatch, sh.maintainer.OnChange(func(c int) {
 			e.registry.Invalidated(pol, c)
 		}))
 	}
@@ -325,7 +335,10 @@ func (e *Engine) WarmPrime() {
 // and drains what it holds (every queued upload is still applied and
 // acknowledged), the scheduler finishes in-flight builds and discards
 // the rest, and the maintainers detach from their stores' eviction
-// hooks. The read path (queries over already-built state) keeps working.
+// hooks. The read path keeps working: detaching the scheduler hard-drops
+// every cover still waiting for a rebuild, so a read after Close builds
+// from the window's final contents instead of serving a stale cover
+// forever.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -630,7 +643,8 @@ func (e *Engine) CoverAt(ctx context.Context, p tuple.Pollutant, t float64) (*co
 // completes (with a durable store, until the batch's commit group is
 // durable). A full queue follows the pipeline's overflow policy —
 // blocking by default. Applied windows are invalidated and queued for a
-// background cover rebuild.
+// background cover rebuild; until it lands, reads of those windows are
+// answered from their previous covers.
 func (e *Engine) Ingest(ctx context.Context, p tuple.Pollutant, b tuple.Batch) error {
 	return e.ingest(ctx, p, b, false)
 }
@@ -676,11 +690,27 @@ func (e *Engine) ingestSink(p tuple.Pollutant, b tuple.Batch) error {
 	// visible data forever. For a failure that applied nothing, the
 	// WindowLen check below skips empty windows and a spurious rebuild
 	// of an unchanged window is merely wasted background work.
-	touched := map[int]bool{}
-	for _, r := range b {
-		touched[tuple.WindowIndex(r.T, sh.st.WindowLength())] = true
-	}
-	for c := range touched {
+	//
+	// Uploads are time-ordered, so the touched windows are the runs of
+	// equal window index — a handful per batch; seen catches a window
+	// that an unsorted upload returns to, and stays on the stack for any
+	// batch spanning ≤ 8 windows.
+	var (
+		wl    = sh.st.WindowLength()
+		stack [8]int
+		seen  = stack[:0]
+		prev  int
+	)
+	for i, r := range b {
+		c := tuple.WindowIndex(r.T, wl)
+		if i > 0 && c == prev {
+			continue
+		}
+		prev = c
+		if slices.Contains(seen, c) {
+			continue
+		}
+		seen = append(seen, c)
 		if sh.st.WindowLen(c) == 0 {
 			continue // evicted or out of retention: never queue dead builds
 		}

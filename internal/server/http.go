@@ -698,6 +698,7 @@ type maintenanceStatsJSON struct {
 	Scheduled int64 `json:"scheduled"`
 	Built     int64 `json:"built"`
 	Skipped   int64 `json:"skipped"`
+	Coalesced int64 `json:"coalesced"`
 	Failed    int64 `json:"failed"`
 	Dropped   int64 `json:"dropped"`
 	QueueLen  int   `json:"queueLen"`
@@ -803,8 +804,8 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Maintenance: maintenanceStatsJSON{
 			Scheduled: ss.Scheduled, Built: ss.Built, Skipped: ss.Skipped,
-			Failed: ss.Failed, Dropped: ss.Dropped, QueueLen: ss.QueueLen,
-			Inflight: ss.Inflight,
+			Coalesced: ss.Coalesced, Failed: ss.Failed, Dropped: ss.Dropped,
+			QueueLen: ss.QueueLen, Inflight: ss.Inflight,
 		},
 		Checkpoint: checkpointStatsJSON{
 			Checkpoints: cs.Checkpoints, Failures: cs.Failures,

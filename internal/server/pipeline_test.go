@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -218,6 +219,98 @@ func TestEngineIngestAfterClose(t *testing.T) {
 	// Reads still answer from built state.
 	if _, err := e.Query(ctx, query.Request{T: 50, X: 500, Y: 500, Pollutant: tuple.CO2}); err != nil {
 		t.Fatalf("query after Close: %v", err)
+	}
+}
+
+// TestIngestInvalidatesEachTouchedWindowOnce: the sink finds the touched
+// windows by walking runs of equal window index; an upload that steps
+// back in time (not what a bus sends, but legal) still invalidates every
+// window it landed in exactly once.
+func TestIngestInvalidatesEachTouchedWindowOnce(t *testing.T) {
+	st := store.MustOpenMemory(100)
+	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	at := func(ts ...float64) tuple.Batch {
+		b := make(tuple.Batch, len(ts))
+		for i, tm := range ts {
+			b[i] = tuple.Raw{T: tm, X: float64(10 * i), Y: float64(7 * i), S: 400}
+		}
+		return b
+	}
+	mnt := e.Maintainer()
+	for _, tc := range []struct {
+		name  string
+		batch tuple.Batch
+		want  map[int]uint64 // generation per window afterwards
+	}{
+		{"time-ordered", at(10, 20, 110, 120, 130, 210), map[int]uint64{0: 1, 1: 1, 2: 1}},
+		{"stepping back", at(220, 30, 230, 40, 140, 50, 240, 330), map[int]uint64{0: 2, 1: 2, 2: 2, 3: 1}},
+	} {
+		if err := e.Ingest(context.Background(), tuple.CO2, tc.batch); err != nil {
+			t.Fatal(err)
+		}
+		for c, want := range tc.want {
+			if got := mnt.Generation(c); got != want {
+				t.Errorf("%s: window %d at generation %d, want %d", tc.name, c, got, want)
+			}
+		}
+	}
+}
+
+// TestEngineCloseLeavesNoStaleCover: Close stops the builders, so a cover
+// still waiting for its rebuild must not outlive it — a read after Close
+// answers from the windows' final contents, not from whatever cover was
+// cached when the scheduler went away.
+func TestEngineCloseLeavesNoStaleCover(t *testing.T) {
+	const windows = 4
+	cfg := core.Config{Cluster: kmeans.Config{Seed: 15}}
+	st := store.MustOpenMemory(100)
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st}, cfg,
+		Options{Scheduler: core.SchedulerConfig{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var first tuple.Batch
+	for c := 0; c < windows; c++ {
+		first = append(first, seedBatch(tuple.CO2, c, 100, 400, int64(c))...)
+	}
+	if err := e.Ingest(ctx, tuple.CO2, first); err != nil {
+		t.Fatal(err)
+	}
+	e.Scheduler().Wait() // every window has a current cover
+	// One upload dirties all four windows at once: the single builder can
+	// be on one of them, the other rebuilds are still queued when Close
+	// discards them.
+	var late tuple.Batch
+	for c := 0; c < windows; c++ {
+		late = append(late, seedBatch(tuple.CO2, c, 100, 400, int64(10+c))...)
+	}
+	if err := e.Ingest(ctx, tuple.CO2, late); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < windows; c++ {
+		got, err := e.CoverAt(ctx, tuple.CO2, float64(c)*100+50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardCfg := cfg
+		shardCfg.Pollutant = tuple.CO2
+		want, err := core.BuildCover(st.Window(c), c, 100, shardCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("window %d after Close is served from a stale cover (%d regions, from scratch %d)",
+				c, got.Size(), want.Size())
+		}
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 	"repro/internal/wire"
 )
 
-// newTestEngine builds an engine over a small two-window dataset with a
-// known linear field s = 420 + 0.05x + 0.02y.
-func newTestEngine(t *testing.T) *Engine {
+// newTestStore holds a small two-window dataset with a known linear
+// field s = 420 + 0.05x + 0.02y.
+func newTestStore(t *testing.T) *store.Store {
 	t.Helper()
 	st := store.MustOpenMemory(600)
 	rng := rand.New(rand.NewSource(1))
@@ -42,7 +42,50 @@ func newTestEngine(t *testing.T) *Engine {
 	if err := st.Append(b); err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(st, core.Config{Cluster: kmeans.Config{Seed: 7}})
+	return st
+}
+
+// newTestEngine builds an engine over newTestStore's dataset.
+func newTestEngine(t *testing.T) *Engine {
+	t.Helper()
+	return NewEngine(newTestStore(t), core.Config{Cluster: kmeans.Config{Seed: 7}})
+}
+
+// modeledTuples is how many tuples a cover's region models were fitted
+// to: its window's population when the cover was built.
+func modeledTuples(cv *core.Cover) int {
+	n := 0
+	for _, r := range cv.Regions {
+		n += r.N
+	}
+	return n
+}
+
+// readAfterAck names the two ways a read is guaranteed to see an
+// acknowledged ingest: the default engine after the maintenance barrier
+// (until then the previous cover may still be served), and an engine
+// without background builders immediately.
+var readAfterAck = []struct {
+	name    string
+	workers int
+	barrier func(e *Engine)
+}{
+	{"barrier", 0, func(e *Engine) { e.Scheduler().Wait() }},
+	{"no-scheduler", -1, func(*Engine) {}},
+}
+
+// newTestEngineWorkers is newTestEngine with an explicit scheduler
+// worker count (< 0: no background builders).
+func newTestEngineWorkers(t *testing.T, workers int) *Engine {
+	t.Helper()
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: newTestStore(t)},
+		core.Config{Cluster: kmeans.Config{Seed: 7}},
+		Options{Scheduler: core.SchedulerConfig{Workers: workers}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 func TestEnginePointQuery(t *testing.T) {
@@ -95,22 +138,30 @@ func TestEngineHandleMessage(t *testing.T) {
 }
 
 func TestEngineIngestInvalidatesCover(t *testing.T) {
-	e := newTestEngine(t)
-	before, err := e.CoverAt(context.Background(), tuple.CO2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Late data for window 0 must invalidate its cover.
-	late := tuple.Batch{{T: 50, X: 1, Y: 1, S: 500}}
-	if err := e.Ingest(context.Background(), tuple.CO2, late); err != nil {
-		t.Fatal(err)
-	}
-	after, err := e.CoverAt(context.Background(), tuple.CO2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Error("cover not rebuilt after late ingest")
+	for _, mode := range readAfterAck {
+		t.Run(mode.name, func(t *testing.T) {
+			e := newTestEngineWorkers(t, mode.workers)
+			before, err := e.CoverAt(context.Background(), tuple.CO2, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Late data for window 0 must invalidate its cover.
+			late := tuple.Batch{{T: 50, X: 1, Y: 1, S: 500}}
+			if err := e.Ingest(context.Background(), tuple.CO2, late); err != nil {
+				t.Fatal(err)
+			}
+			mode.barrier(e)
+			after, err := e.CoverAt(context.Background(), tuple.CO2, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if before == after {
+				t.Fatal("cover not rebuilt after late ingest")
+			}
+			if n, want := modeledTuples(after), e.Store().WindowLen(0); n != want {
+				t.Errorf("rebuilt cover models %d tuples, window holds %d", n, want)
+			}
+		})
 	}
 }
 
@@ -355,6 +406,10 @@ type statsR struct {
 	Tuples       int     `json:"tuples"`
 	Windows      int     `json:"windows"`
 	WindowLength float64 `json:"windowLength"`
+	Maintenance  struct {
+		Built     int64 `json:"built"`
+		Coalesced int64 `json:"coalesced"`
+	} `json:"maintenance"`
 }
 
 func fetchStats(t *testing.T, base string) statsR {
@@ -384,6 +439,24 @@ func TestHTTPStatsShape(t *testing.T) {
 	}
 }
 
+// TestHTTPStatsMaintenanceCoalesced checks the coalesced counter reaches
+// /v1/stats: a rebuild request for a window whose cover is already
+// current is absorbed, not built.
+func TestHTTPStatsMaintenanceCoalesced(t *testing.T) {
+	e := newTestEngine(t)
+	defer e.Close()
+	srv := httptest.NewServer(NewAPI(e))
+	defer srv.Close()
+	if _, err := e.CoverAt(context.Background(), tuple.CO2, 100); err != nil {
+		t.Fatal(err)
+	}
+	e.Scheduler().Schedule(e.Maintainer(), 0) // window 0 is current
+	e.Scheduler().Wait()
+	if s := fetchStats(t, srv.URL); s.Maintenance.Coalesced != 1 || s.Maintenance.Built != 0 {
+		t.Errorf("maintenance = %+v, want the request coalesced and nothing built", s.Maintenance)
+	}
+}
+
 func TestClassifyReexport(t *testing.T) {
 	if Classify(400).String() != "fresh" {
 		t.Error("Classify mismatch")
@@ -396,23 +469,28 @@ func TestClassifyReexport(t *testing.T) {
 // every cell after the window has been invalidated and rebuilt — so the
 // HTTP handler's markers and raster share a cover generation.
 func TestHeatmapCoverReturnsTheRastersCover(t *testing.T) {
-	e := newTestEngine(t)
-	ctx := context.Background()
-	grid, cv, err := e.HeatmapCover(ctx, tuple.CO2, 300, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Ingest(ctx, tuple.CO2, tuple.Batch{{T: 310, X: 1000, Y: 1000, S: 2000}}); err != nil {
-		t.Fatal(err)
-	}
-	if now, err := e.CoverAt(ctx, tuple.CO2, 300); err != nil || now == cv {
-		t.Fatalf("window not rebuilt after ingest (err %v)", err)
-	}
-	want, err := heatmap.FromCover(cv, grid.Region, grid.Cols, grid.Rows, grid.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grid, want) {
-		t.Error("raster does not match the cover returned with it")
+	for _, mode := range readAfterAck {
+		t.Run(mode.name, func(t *testing.T) {
+			e := newTestEngineWorkers(t, mode.workers)
+			ctx := context.Background()
+			grid, cv, err := e.HeatmapCover(ctx, tuple.CO2, 300, 8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Ingest(ctx, tuple.CO2, tuple.Batch{{T: 310, X: 1000, Y: 1000, S: 2000}}); err != nil {
+				t.Fatal(err)
+			}
+			mode.barrier(e)
+			if now, err := e.CoverAt(ctx, tuple.CO2, 300); err != nil || now == cv {
+				t.Fatalf("window not rebuilt after ingest (err %v)", err)
+			}
+			want, err := heatmap.FromCover(cv, grid.Region, grid.Cols, grid.Rows, grid.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(grid, want) {
+				t.Error("raster does not match the cover returned with it")
+			}
+		})
 	}
 }

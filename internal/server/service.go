@@ -190,11 +190,14 @@ func (s *Service) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []quer
 }
 
 // continuousETag hashes a continuous-query route — its points and, per
-// distinct route window, the window's cover generation — into an entity
-// tag. Computed BEFORE evaluation, so a concurrent invalidation can only
-// make a later If-None-Match miss (an extra 200), never serve a stale
-// 304. ok is false when clustered: a routed batch would need the foreign
-// shards' generations.
+// distinct route window, the generation of the cover that is served for
+// it — into an entity tag. A write alone does not change the tag: while
+// the window's rebuild is pending the answer is still the previous
+// cover's, and a 304 is correct. Computed BEFORE evaluation, and the
+// served generation never decreases, so a rebuild landing in between can
+// only make a later If-None-Match miss (an extra 200), never serve a
+// stale 304. ok is false when clustered: a routed batch would need the
+// foreign shards' generations.
 func (s *Service) continuousETag(pol tuple.Pollutant, reqs []query.Request) (etag string, ok bool) {
 	if s.node != nil {
 		return "", false
@@ -224,7 +227,7 @@ func (s *Service) continuousETag(pol tuple.Pollutant, reqs []query.Request) (eta
 		if _, ok := seen[c]; !ok {
 			seen[c] = struct{}{}
 			put(uint64(c))
-			put(mnt.Generation(c))
+			put(mnt.ServedGeneration(c))
 		}
 	}
 	return fmt.Sprintf("\"cq-%016x\"", hsh.Sum64()), true

@@ -11,9 +11,9 @@ import (
 )
 
 // subsEvaluate is the registry's evaluator: the engine's cover-backed
-// batch path. A re-evaluation triggered by an invalidation therefore
-// joins (or performs) the rebuild of the dropped cover — the value
-// pushed is always post-rebuild.
+// batch path. A re-evaluation is triggered by a cover being installed or
+// hard-dropped, so it reads (or builds) the new cover — the value pushed
+// is always post-rebuild.
 func (e *Engine) subsEvaluate(ctx context.Context, _ tuple.Pollutant, reqs []query.Request) ([]query.BatchResult, error) {
 	return e.QueryBatchOpts(ctx, reqs, query.Options{})
 }
@@ -30,8 +30,9 @@ func (e *Engine) subsWindowLen(pol tuple.Pollutant) (float64, error) {
 // Subscribe registers a push subscription over pts for pollutant pol.
 // The returned handle's first event is a full resync (sequence 1) with
 // the initial value vector; afterwards the subscription re-evaluates
-// only when an ingest invalidates a window some point is bound to, and
-// pushes deltas of the changed points.
+// only when the cover of a window some point is bound to is replaced
+// (an ingest's rebuild is installed) or dropped, and pushes deltas of
+// the changed points.
 func (e *Engine) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed

@@ -5,7 +5,8 @@ package server
 // invalidated, with zero server-side re-evaluation for non-overlapping
 // ingests (asserted via registry stats); the SSE endpoint streams
 // pushes and resumes via Last-Event-ID; and /v1/query/continuous
-// answers 304 via the cover-generation ETag until an invalidation.
+// answers 304 via the served-cover-generation ETag until a rebuilt cover
+// is installed.
 
 import (
 	"bufio"
@@ -88,6 +89,28 @@ func waitStats(t *testing.T, e *Engine, cond func(subs.Stats) bool) {
 	}
 }
 
+// wantRebuiltValues checks a push against the engine's quiesced answers:
+// a push follows the install of a rebuilt cover, so once maintenance is
+// idle every pushed point carries exactly what a query now returns — the
+// rebuilt value, not the one the previous cover gave.
+func wantRebuiltValues(t *testing.T, e *Engine, pts []query.Request, ev subs.Event) {
+	t.Helper()
+	e.Scheduler().Wait()
+	for i := range pts {
+		pts[i].Pollutant = tuple.CO2
+	}
+	now, err := e.QueryBatch(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ev.Points {
+		if now[p.Index].Err != nil || p.Value != now[p.Index].Value {
+			t.Fatalf("pushed point %d = %v, quiesced engine answers %v (err %v): push preceded the install",
+				p.Index, p.Value, now[p.Index].Value, now[p.Index].Err)
+		}
+	}
+}
+
 // TestSubscriptionPushesExactDeltas is the acceptance test.
 func TestSubscriptionPushesExactDeltas(t *testing.T) {
 	e := newTestEngine(t)
@@ -128,6 +151,14 @@ func TestSubscriptionPushesExactDeltas(t *testing.T) {
 	if st.ReEvals != 1 || st.PointReEvals != 10 {
 		t.Fatalf("stats after overlap = %+v, want exactly 1 re-eval of the 10 window-1 points", st)
 	}
+	// The push was triggered by the rebuilt cover's install, not by the
+	// write that dirtied the window: it carries the rebuilt values.
+	for _, p := range delta.Points {
+		if p.Value == first.Points[p.Index].Value {
+			t.Fatalf("delta point %d repeats the pre-ingest value %v", p.Index, p.Value)
+		}
+	}
+	wantRebuiltValues(t, e, routePoints(), delta)
 
 	// Ingest into window 3 — no subscribed point lives there: the
 	// registry must not re-evaluate anything.
@@ -237,6 +268,7 @@ func TestSSESubscribeAndResume(t *testing.T) {
 			t.Fatalf("delta touched point %d, want only the window-1 point 1", p.Index)
 		}
 	}
+	wantRebuiltValues(t, e, []query.Request{{T: 300, X: 500, Y: 500}, {T: 900, X: 600, Y: 600}}, delta.data)
 
 	// Detach, miss a push, resume: the server must reattach the same
 	// subscription and open with a full resync at the newest sequence.
@@ -293,23 +325,39 @@ func TestSSESubscribeAndResume(t *testing.T) {
 	}
 }
 
-// TestContinuousETag locks the conditional-request satellite: repeated
-// polls of an unchanged route answer 304 off the cover generations, and
-// an invalidation switches back to 200 with a fresh tag.
-func TestContinuousETag(t *testing.T) {
-	e := newTestEngine(t)
-	defer e.Close()
-	a := NewAPI(e)
-
-	body := `{"points":[{"t":300,"x":500,"y":500},{"t":900,"x":600,"y":600}]}`
-	do := func(ifNoneMatch string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query/continuous", bytes.NewBufferString(body))
+// continuousPoller polls a two-point route (one point in each test
+// window) on /v1/query/continuous, conditionally when given a tag.
+func continuousPoller(a *API) func(ifNoneMatch string) *httptest.ResponseRecorder {
+	return func(ifNoneMatch string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/continuous",
+			bytes.NewBufferString(`{"points":[{"t":300,"x":500,"y":500},{"t":900,"x":600,"y":600}]}`))
 		if ifNoneMatch != "" {
 			req.Header.Set("If-None-Match", ifNoneMatch)
 		}
 		w := httptest.NewRecorder()
 		a.ServeHTTP(w, req)
 		return w
+	}
+}
+
+// TestContinuousETag locks the conditional-request satellite: repeated
+// polls of an unchanged route answer 304 off the generations of the
+// covers that are served, a write alone never yields a wrong 304 — while
+// the rebuild is pending the previous cover is still the answer — and the
+// poll after the rebuilt cover is installed is a 200 with a fresh tag.
+func TestContinuousETag(t *testing.T) {
+	e := newTestEngine(t)
+	defer e.Close()
+	a := NewAPI(e)
+
+	do := continuousPoller(a)
+	values := func(w *httptest.ResponseRecorder) []float64 {
+		t.Helper()
+		var cr continuousResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil || len(cr.Values) != 2 {
+			t.Fatalf("continuous body: %v %s", err, w.Body)
+		}
+		return []float64{cr.Values[0].Value, cr.Values[1].Value}
 	}
 
 	w1 := do("")
@@ -320,6 +368,7 @@ func TestContinuousETag(t *testing.T) {
 	if etag == "" || !strings.HasPrefix(etag, `"cq-`) {
 		t.Fatalf("ETag = %q", etag)
 	}
+	held := values(w1) // what a client that keeps getting 304s displays
 
 	w2 := do(etag)
 	if w2.Code != http.StatusNotModified {
@@ -329,22 +378,37 @@ func TestContinuousETag(t *testing.T) {
 		t.Fatalf("304 carries ETag %q and %d body bytes", w2.Header().Get("ETag"), w2.Body.Len())
 	}
 
-	// Invalidate one route window: the tag changes, the poll evaluates.
-	mnt, err := e.MaintainerFor(tuple.CO2)
-	if err != nil {
-		t.Fatal(err)
+	// Dirty window 0 with data that moves its models. Until the rebuilt
+	// cover is installed a poll may answer 304 — but only a correct one:
+	// two 304s bracket an interval in which the served cover did not
+	// change, so a fresh evaluation inside it must equal what the client
+	// holds.
+	ingestWindow(t, e, 0, 90)
+	for do(etag).Code == http.StatusNotModified {
+		fresh := values(do(""))
+		if do(etag).Code != http.StatusNotModified {
+			break // the install landed meanwhile
+		}
+		if fresh[0] != held[0] || fresh[1] != held[1] {
+			t.Fatalf("304 while the engine answers %v, client holds %v", fresh, held)
+		}
 	}
-	mnt.Invalidate(0)
+
+	// After the install the tag has changed and the poll evaluates.
+	e.Scheduler().Wait()
 	w3 := do(etag)
 	if w3.Code != http.StatusOK {
-		t.Fatalf("post-invalidation poll: %d, want 200", w3.Code)
+		t.Fatalf("post-install poll: %d, want 200", w3.Code)
 	}
-	if w3.Header().Get("ETag") == etag {
-		t.Fatal("ETag unchanged across an invalidation")
+	etag3 := w3.Header().Get("ETag")
+	if etag3 == etag {
+		t.Fatal("ETag unchanged across an installed rebuild")
 	}
-	var cr continuousResponse
-	if err := json.Unmarshal(w3.Body.Bytes(), &cr); err != nil || len(cr.Values) != 2 {
-		t.Fatalf("post-invalidation body: %v %s", err, w3.Body)
+	if got := values(w3); got[0] == held[0] {
+		t.Fatalf("post-install body still carries the pre-ingest value %v", got[0])
+	}
+	if w := do(etag3); w.Code != http.StatusNotModified {
+		t.Fatalf("poll with the fresh tag: %d, want 304", w.Code)
 	}
 
 	// Stats expose the registry section.
@@ -353,5 +417,25 @@ func TestContinuousETag(t *testing.T) {
 	a.ServeHTTP(sw, sreq)
 	if sw.Code != http.StatusOK || !bytes.Contains(sw.Body.Bytes(), []byte(`"subscriptions"`)) {
 		t.Fatalf("stats: %d %s", sw.Code, sw.Body)
+	}
+}
+
+// TestContinuousETagWithoutScheduler is the immediate form: with no
+// background builders an invalidation hard-drops the cover, so the very
+// next poll is a 200 with a fresh tag.
+func TestContinuousETagWithoutScheduler(t *testing.T) {
+	e := newTestEngineWorkers(t, -1)
+	do := continuousPoller(NewAPI(e))
+	etag := do("").Header().Get("ETag")
+	if w := do(etag); w.Code != http.StatusNotModified {
+		t.Fatalf("unchanged poll: %d, want 304", w.Code)
+	}
+	e.Maintainer().Invalidate(0)
+	w := do(etag)
+	if w.Code != http.StatusOK {
+		t.Fatalf("post-invalidation poll: %d, want 200", w.Code)
+	}
+	if w.Header().Get("ETag") == etag {
+		t.Fatal("ETag unchanged across an invalidation")
 	}
 }
