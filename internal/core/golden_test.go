@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,6 +81,67 @@ func TestCoversMatchParentGolden(t *testing.T) {
 				tc.name, cv.Size(), cv.Rounds, got, tc.size, tc.rounds, tc.digest)
 		}
 	}
+}
+
+// TestLausanneCoversMatchParentGolden pins the covers of the end-to-end
+// benchmark's own data — 24 one-hour corridor windows, 9 to 64 regions,
+// 3 to 21 split rounds — to the digests the brute-force build kernel
+// produced (captured at commit 1ccc25b, before the bounded assignment
+// step and the scratch-reusing fitter existed), plus one grid and one
+// fixed-k cover on such a window, since they share fitRegions and
+// kmeans.Run with Ad-KMN.
+func TestLausanneCoversMatchParentGolden(t *testing.T) {
+	ws := lausanneWindows()
+	golden := []struct {
+		size, rounds int
+		digest       string
+	}{
+		{22, 8, "9c42682eb3e9407f86ccbeea"},
+		{28, 15, "564483ae188adddc6337fb4c"},
+		{17, 9, "95d7344de85006484b23e6f9"},
+		{15, 10, "4b869ede7a6eda8afb57ce2b"},
+		{13, 7, "f3dd3aca0f9c6d628c4de3d5"},
+		{16, 11, "87fb96627dc7a759789171e6"},
+		{13, 7, "d1fe415fb46b2d704eaa4675"},
+		{16, 9, "1672e564abb8a6d933686555"},
+		{18, 11, "7ebd5a187df7477b2cbcd80a"},
+		{64, 13, "fff376c51796d457c97dc3f3"},
+		{64, 6, "291aba495fcc38d5f90cde7c"},
+		{64, 6, "03c74f57419f8a000f341258"},
+		{64, 6, "5306589293ebd8db88b0cc4f"},
+		{64, 5, "9e26b042e752129c6095b784"},
+		{64, 6, "db5ced6b0988102626fc20fa"},
+		{64, 6, "6e4ac0caa27a3a6f0e044c5c"},
+		{64, 8, "49eaa2fff10001866a833912"},
+		{57, 12, "50610b9a36e8fea8a4c1729d"},
+		{64, 21, "b965bbdc7bf8ef08fc9b38a4"},
+		{9, 3, "05000f2877222a18468c5968"},
+		{14, 6, "20c94be7107bc0e2a8264e16"},
+		{11, 5, "f2aa59c410643dce1c82a1dc"},
+		{15, 7, "2b4294b3251913a31e4bec29"},
+		{20, 10, "d56d0e785826f04546e27201"},
+	}
+	if len(ws) != len(golden) {
+		t.Fatalf("%d windows, %d goldens", len(ws), len(golden))
+	}
+	check := func(name string, cv *Cover, err error, size, rounds int, digest string) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := coverDigest(cv); cv.Size() != size || cv.Rounds != rounds || got != digest {
+			t.Errorf("%s: size %d rounds %d digest %q, want %d %d %q",
+				name, cv.Size(), cv.Rounds, got, size, rounds, digest)
+		}
+	}
+	for c, w := range ws {
+		cv, err := BuildCover(w, c, 3600, lausanneConfig)
+		check(fmt.Sprintf("adkmn/hour%02d", c), cv, err, golden[c].size, golden[c].rounds, golden[c].digest)
+	}
+	cv, err := BuildGridCover(ws[8], 8, 3600, 6, lausanneConfig)
+	check("grid6/hour08", cv, err, 14, 0, "9fafca078bad4069a59a5aa6")
+	cv, err = BuildFixedKCover(ws[8], 8, 3600, 24, lausanneConfig)
+	check("fixedk24/hour08", cv, err, 24, 0, "f277fa0889abf21f843845bc")
 }
 
 // TestBuildCoverAllocCeiling keeps the region gather at one backing
