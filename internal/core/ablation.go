@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/geo"
@@ -20,11 +19,8 @@ import (
 // error-driven splitting.
 func BuildFixedKCover(w tuple.Batch, c int, h float64, k int, cfg Config) (*Cover, error) {
 	cfg = cfg.withDefaults()
-	if len(w) == 0 {
-		return nil, errors.New("core: cannot build a cover over an empty window")
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("core: window length %v, want > 0", h)
+	if err := checkWindow(w, h); err != nil {
+		return nil, err
 	}
 	if k > len(w) {
 		k = len(w)
@@ -32,25 +28,23 @@ func BuildFixedKCover(w tuple.Batch, c int, h float64, k int, cfg Config) (*Cove
 	if k < 1 {
 		return nil, fmt.Errorf("core: k = %d, want ≥ 1", k)
 	}
-	res, err := kmeans.Run(w.Positions(), k, cfg.Cluster)
+	b := builders.Get().(*Builder)
+	defer builders.Put(b)
+	res, err := b.km.Run(b.positions(w), k, cfg.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("core: fixed-k clustering: %w", err)
 	}
-	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg), new(obsBuf))
-	if err != nil {
+	return b.fitCover(w, c, h, res, cfg)
+}
+
+// fitCover fits one model per cluster of res and returns them as the cover
+// of window c: a build without split rounds.
+func (b *Builder) fitCover(w tuple.Batch, c int, h float64, res *kmeans.Result, cfg Config) (*Cover, error) {
+	b.reserve(len(w), len(res.Centroids), cfg.Features.Dim())
+	if err := b.fitRegions(w, res, cfg, normalSpanFor(w, cfg)); err != nil {
 		return nil, err
 	}
-	start, end := tuple.WindowBounds(c, h)
-	lo, hi := clampRange(w)
-	return &Cover{
-		Pollutant:   cfg.Pollutant,
-		WindowIndex: c,
-		ValidFrom:   start,
-		ValidUntil:  end,
-		Regions:     regions,
-		ValueLo:     lo,
-		ValueHi:     hi,
-	}, nil
+	return b.cover(w, c, h, cfg), nil
 }
 
 // BuildGridCover partitions the window's bounding box into a uniform
@@ -59,11 +53,8 @@ func BuildFixedKCover(w tuple.Batch, c int, h float64, k int, cfg Config) (*Cove
 // cells are empty or sparse while route corridors are dense.
 func BuildGridCover(w tuple.Batch, c int, h float64, cells int, cfg Config) (*Cover, error) {
 	cfg = cfg.withDefaults()
-	if len(w) == 0 {
-		return nil, errors.New("core: cannot build a cover over an empty window")
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("core: window length %v, want > 0", h)
+	if err := checkWindow(w, h); err != nil {
+		return nil, err
 	}
 	if cells < 1 {
 		return nil, fmt.Errorf("core: cells = %d, want ≥ 1", cells)
@@ -113,20 +104,7 @@ func BuildGridCover(w tuple.Batch, c int, h float64, cells int, cfg Config) (*Co
 	for i, r := range w {
 		assign[i] = cellOf(r.Pos())
 	}
-	res := &kmeans.Result{Centroids: centroids, Assign: assign}
-	regions, err := fitRegions(w, res, cfg, normalSpanFor(w, cfg), new(obsBuf))
-	if err != nil {
-		return nil, err
-	}
-	start, end := tuple.WindowBounds(c, h)
-	lo, hi := clampRange(w)
-	return &Cover{
-		Pollutant:   cfg.Pollutant,
-		WindowIndex: c,
-		ValidFrom:   start,
-		ValidUntil:  end,
-		Regions:     regions,
-		ValueLo:     lo,
-		ValueHi:     hi,
-	}, nil
+	b := builders.Get().(*Builder)
+	defer builders.Put(b)
+	return b.fitCover(w, c, h, &kmeans.Result{Centroids: centroids, Assign: assign}, cfg)
 }

@@ -29,6 +29,30 @@ func BenchmarkBuildCover1000(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCoverLausanne builds the 24 corridor windows of the
+// end-to-end benchmark's fleet in turn, as its servers do (run it with
+// -benchtime 240x or another multiple of 24 so every run builds the same
+// mix). The uniform window above under-reports what a change to the build
+// kernel does end to end: on two bus lines most points sit far nearer to
+// one centroid than to the next.
+func BenchmarkBuildCoverLausanne(b *testing.B) {
+	ws := lausanneWindows()
+	var rounds, regions int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := i % len(ws)
+		cv, err := BuildCover(ws[c], c, 3600, lausanneConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += cv.Rounds
+		regions += cv.Size()
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(regions)/float64(b.N), "regions/op")
+}
+
 func BenchmarkInterpolate(b *testing.B) {
 	w := benchWindow(1000)
 	cv, err := BuildCover(w, 0, 3600, Config{Cluster: clusterSeed(1)})

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/kmeans"
@@ -209,41 +210,75 @@ func (c Config) withDefaults() Config {
 // centroid at that region's worst-error position — "equivalent to
 // splitting the region" — then re-estimate all centroids and refit.
 func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
+	b := builders.Get().(*Builder)
+	defer builders.Put(b)
+	return b.BuildCover(w, c, h, cfg)
+}
+
+// builders lends every build its Builder — a scheduler worker's, one on
+// the request path, one in a replica mirror alike. While builds follow
+// one another (a preload, a written window) each finds the scratch the
+// last one left; a node that stops building gives the memory back at the
+// next collections instead of holding ≈ 160 KB per worker for good.
+var builders = sync.Pool{New: func() any { return new(Builder) }}
+
+// Builder builds covers with scratch it keeps from one split round to the
+// next and from one build to the next: the tuple positions, the k-means
+// arrays (sized once per build for the window and MaxK), the regions'
+// observation columns, the fitter's normal equations and the models of
+// the round in progress. A build allocates little beyond the cover it
+// returns, which shares no memory with the Builder. A Builder must not be
+// used from two goroutines at once; the zero value is ready.
+type Builder struct {
+	pts  []geo.Point
+	km   kmeans.Clusterer
+	seed []geo.Point // the centroids a split round refines from
+	fit  regress.Fitter
+
+	// The observations grouped by region: the t, x, y and s columns,
+	// len(w) each, in cols; region j's rows end at ends[j] and start where
+	// j-1's end.
+	cols []float64
+	ends []int
+
+	// The round's regions, one per cluster (N is 0 where the cluster is
+	// empty), with the models and coefficients they point to.
+	regions []RegionModel
+	models  []regress.Model
+	coefs   []float64
+	worst   []worstTuple
+}
+
+// worstTuple is the position with the largest model error among the tuples
+// of one cluster that is due for a split.
+type worstTuple struct {
+	pos geo.Point
+	err float64
+	bad bool
+}
+
+// BuildCover is the package-level BuildCover on b's scratch.
+func (b *Builder) BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 	cfg = cfg.withDefaults()
-	if len(w) == 0 {
-		return nil, errors.New("core: cannot build a cover over an empty window")
+	if err := checkWindow(w, h); err != nil {
+		return nil, err
 	}
-	if h <= 0 {
-		return nil, fmt.Errorf("core: window length %v, want > 0", h)
-	}
-	pts := w.Positions()
+	pts := b.positions(w)
 
 	// MaxK caps the cover size from the start: the initial k must respect
 	// it too, and neither may exceed the tuple count.
-	maxCentroids := cfg.MaxK
-	if maxCentroids > len(pts) {
-		maxCentroids = len(pts)
-	}
-	k := cfg.InitialK
-	if k > maxCentroids {
-		k = maxCentroids
-	}
-	res, err := kmeans.Run(pts, k, cfg.Cluster)
+	maxK := min(cfg.MaxK, len(pts))
+	b.km.Reserve(len(pts), maxK)
+	b.reserve(len(w), maxK, cfg.Features.Dim())
+	res, err := b.km.Run(pts, min(cfg.InitialK, maxK), cfg.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial clustering: %w", err)
 	}
 
 	normalSpan := normalSpanFor(w, cfg)
-
-	var (
-		regions []RegionModel
-		rounds  int
-		buf     obsBuf
-	)
-	maxK := maxCentroids
+	var rounds int
 	for rounds = 0; ; rounds++ {
-		regions, err = fitRegions(w, res, cfg, normalSpan, &buf)
-		if err != nil {
+		if err := b.fitRegions(w, res, cfg, normalSpan); err != nil {
 			return nil, err
 		}
 		if rounds >= cfg.MaxRounds || len(res.Centroids) >= maxK {
@@ -252,17 +287,83 @@ func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 		// Collect one split point per offending region: the worst-error
 		// tuple position in that region (Figure 2's "positions with worst
 		// error" become the injected centroids).
-		newCentroids := splitCandidates(w, res, regions, cfg, maxK)
-		if len(newCentroids) == 0 {
+		b.seed = append(b.seed[:0], res.Centroids...)
+		b.splitCandidates(w, res, cfg, maxK)
+		if len(b.seed) == len(res.Centroids) {
 			break // every region meets τn
 		}
-		seed := append(append([]geo.Point{}, res.Centroids...), newCentroids...)
-		res, err = kmeans.Refine(pts, seed, cfg.Cluster)
+		res, err = b.km.Refine(pts, b.seed, cfg.Cluster)
 		if err != nil {
 			return nil, fmt.Errorf("core: refine after split: %w", err)
 		}
 	}
+	cv := b.cover(w, c, h, cfg)
+	cv.Rounds = rounds
+	return cv, nil
+}
 
+func checkWindow(w tuple.Batch, h float64) error {
+	if len(w) == 0 {
+		return errors.New("core: cannot build a cover over an empty window")
+	}
+	if h <= 0 {
+		return fmt.Errorf("core: window length %v, want > 0", h)
+	}
+	return nil
+}
+
+// positions extracts the tuple positions into b's array.
+func (b *Builder) positions(w tuple.Batch) []geo.Point {
+	if cap(b.pts) < len(w) {
+		b.pts = make([]geo.Point, len(w))
+	}
+	pts := b.pts[:len(w)]
+	for i, r := range w {
+		pts[i] = r.Pos()
+	}
+	return pts
+}
+
+// reserve sizes the scratch fitRegions and splitCandidates use for a
+// window of n tuples, at most k clusters and d coefficients per model.
+func (b *Builder) reserve(n, k, d int) {
+	if cap(b.cols) < 4*n {
+		b.cols = make([]float64, 4*n)
+	}
+	if cap(b.ends) < k {
+		b.ends = make([]int, k)
+		b.worst = make([]worstTuple, k)
+		b.regions = make([]RegionModel, k)
+		b.models = make([]regress.Model, k)
+	}
+	if cap(b.coefs) < k*d {
+		b.coefs = make([]float64, k*d)
+	}
+}
+
+// cover returns the cover of window c made of the non-empty regions
+// fitRegions last fitted, copied out of b's scratch into memory of their
+// own: one array each for the regions, their models and their coefficients.
+func (b *Builder) cover(w tuple.Batch, c int, h float64, cfg Config) *Cover {
+	size := 0
+	for _, r := range b.regions {
+		if r.N > 0 {
+			size++
+		}
+	}
+	d := cfg.Features.Dim()
+	regions := make([]RegionModel, 0, size)
+	models := make([]regress.Model, size)
+	coefs := make([]float64, size*d)
+	for _, r := range b.regions {
+		if r.N == 0 {
+			continue
+		}
+		i := len(regions)
+		r.Model.CopyInto(&models[i], coefs[i*d:(i+1)*d:(i+1)*d])
+		r.Model = &models[i]
+		regions = append(regions, r)
+	}
 	start, end := tuple.WindowBounds(c, h)
 	lo, hi := clampRange(w)
 	return &Cover{
@@ -271,10 +372,9 @@ func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 		ValidFrom:   start,
 		ValidUntil:  end,
 		Regions:     regions,
-		Rounds:      rounds,
 		ValueLo:     lo,
 		ValueHi:     hi,
-	}, nil
+	}
 }
 
 // clampRange returns the window's observed value range widened by 10% on
@@ -313,32 +413,20 @@ func normalSpanFor(w tuple.Batch, cfg Config) float64 {
 	return hi - lo
 }
 
-// obsBuf backs fitRegions' per-region observation columns with one array,
-// which a BuildCover reuses across its split rounds.
-type obsBuf struct {
-	cols []float64 // the t, x, y and s columns, len(w) each, grouped by region
-	ends []int     // region j's rows end at ends[j] and start where j-1's end
-}
-
-// fitRegions fits one model per cluster and computes approximation errors.
-// Clusters with fewer than 2·dim observations get a mean-only model in the
-// same feature family: a full regression on a handful of points
-// extrapolates wildly outside its cluster.
-func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float64, buf *obsBuf) ([]RegionModel, error) {
+// fitRegions fits one model per cluster of res into b.regions, which
+// reserve has sized, and computes approximation errors. Clusters with
+// fewer than 2·dim observations get a mean-only model in the same feature
+// family: a full regression on a handful of points extrapolates wildly
+// outside its cluster.
+func (b *Builder) fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float64) error {
 	f := cfg.Features
-	n, k := len(w), len(res.Centroids)
+	n, k, d := len(w), len(res.Centroids), f.Dim()
 	// Gather per-region observation columns by counting sort on the
 	// assignment (counted from Assign: a synthesized Result has no Sizes).
 	// Rows are filled in tuple order, so every region sums its
 	// observations in the order appending them would have given.
-	if cap(buf.cols) < 4*n {
-		buf.cols = make([]float64, 4*n)
-	}
-	if cap(buf.ends) < k {
-		buf.ends = make([]int, k)
-	}
-	ts, xs, ys, ss := buf.cols[:n], buf.cols[n:2*n], buf.cols[2*n:3*n], buf.cols[3*n:4*n]
-	ends := buf.ends[:k]
+	ts, xs, ys, ss := b.cols[:n], b.cols[n:2*n], b.cols[2*n:3*n], b.cols[3*n:4*n]
+	ends := b.ends[:k]
 	clear(ends)
 	for _, a := range res.Assign[:n] {
 		ends[a]++
@@ -354,7 +442,7 @@ func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float6
 		ts[p], xs[p], ys[p], ss[p] = r.T, r.X, r.Y, r.S
 		ends[a]++
 	}
-	regions := make([]RegionModel, 0, k)
+	b.regions = b.regions[:k]
 	lo := 0
 	for j, hi := range ends {
 		ots, oxs, oys, oss := ts[lo:hi], xs[lo:hi], ys[lo:hi], ss[lo:hi]
@@ -363,17 +451,18 @@ func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float6
 			// Lloyd re-seeds empty clusters, so this only occurs when two
 			// centroids coincide; such a region contributes nothing and is
 			// dropped from the cover.
+			b.regions[j] = RegionModel{}
 			continue
 		}
-		var m *regress.Model
+		m, coef := &b.models[j], b.coefs[j*d:(j+1)*d]
 		var err error
-		if len(oss) < 2*f.Dim() {
-			m, err = regress.MeanModel(f, oss)
+		if len(oss) < 2*d {
+			err = regress.MeanInto(m, coef, f, oss)
 		} else {
-			m, err = regress.Fit(f, ots, oxs, oys, oss)
+			err = b.fit.Fit(m, coef, f, ots, oxs, oys, oss)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: fit region %d: %w", j, err)
+			return fmt.Errorf("core: fit region %d: %w", j, err)
 		}
 		var absErr float64
 		for i := range oss {
@@ -383,70 +472,47 @@ func fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, normalSpan float6
 			}
 			absErr += d
 		}
-		regions = append(regions, RegionModel{
+		b.regions[j] = RegionModel{
 			Centroid:    res.Centroids[j],
 			Model:       m,
 			ApproxError: absErr / float64(len(oss)) / normalSpan,
 			N:           len(oss),
-		})
+		}
 	}
-	if len(regions) == 0 {
-		return nil, errors.New("core: all regions empty")
-	}
-	return regions, nil
+	return nil
 }
 
-// splitCandidates returns new centroid positions for regions whose
-// approximation error exceeds τn, capped so the total stays within maxK.
-// Regions below MinRegionTuples are never split: their residual error is
-// noise, not structure.
-func splitCandidates(w tuple.Batch, res *kmeans.Result, regions []RegionModel, cfg Config, maxK int) []geo.Point {
+// splitCandidates appends to b.seed new centroid positions for regions
+// whose approximation error exceeds τn, capped so the total stays within
+// maxK. Regions below MinRegionTuples are never split: their residual
+// error is noise, not structure.
+func (b *Builder) splitCandidates(w tuple.Batch, res *kmeans.Result, cfg Config, maxK int) {
 	tau := cfg.ErrThreshold
-	budget := maxK - len(res.Centroids)
-	if budget <= 0 {
-		return nil
-	}
-	// Map from centroid to region (regions may have dropped empty
-	// clusters, so match by centroid value).
-	regionOf := make(map[geo.Point]*RegionModel, len(regions))
-	for i := range regions {
-		regionOf[regions[i].Centroid] = &regions[i]
-	}
 	// For each offending cluster, find its worst-error tuple position.
-	type worst struct {
-		pos geo.Point
-		err float64
-		bad bool
-	}
-	worstByCluster := make([]worst, len(res.Centroids))
+	worst := b.worst[:len(res.Centroids)]
+	clear(worst)
 	for i, r := range w {
 		a := res.Assign[i]
-		reg, ok := regionOf[res.Centroids[a]]
-		if !ok || reg.ApproxError <= tau || reg.N < cfg.MinRegionTuples {
+		reg := &b.regions[a]
+		if reg.ApproxError <= tau || reg.N < cfg.MinRegionTuples {
 			continue
 		}
 		d := reg.Model.Predict(r.T, r.X, r.Y) - r.S
 		if d < 0 {
 			d = -d
 		}
-		if !worstByCluster[a].bad || d > worstByCluster[a].err {
-			worstByCluster[a] = worst{pos: r.Pos(), err: d, bad: true}
+		if !worst[a].bad || d > worst[a].err {
+			worst[a] = worstTuple{pos: r.Pos(), err: d, bad: true}
 		}
 	}
-	var out []geo.Point
-	for a := range worstByCluster {
-		if !worstByCluster[a].bad {
-			continue
+	for a := range worst {
+		if len(b.seed) >= maxK {
+			break
 		}
 		// Do not inject a centroid that coincides with the existing one:
 		// it would create a duplicate cluster with no splitting effect.
-		if worstByCluster[a].pos == res.Centroids[a] {
-			continue
-		}
-		out = append(out, worstByCluster[a].pos)
-		if len(out) >= budget {
-			break
+		if worst[a].bad && worst[a].pos != res.Centroids[a] {
+			b.seed = append(b.seed, worst[a].pos)
 		}
 	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -144,9 +145,10 @@ func TestLausanneCoversMatchParentGolden(t *testing.T) {
 	check("fixedk24/hour08", cv, err, 24, 0, "f277fa0889abf21f843845bc")
 }
 
-// TestBuildCoverAllocCeiling keeps the region gather at one backing
-// array per build: the 1 000-tuple fixture cost 4 141 allocations when
-// every region regrew four slices per split round.
+// TestBuildCoverAllocCeiling keeps a build's scratch in its Builder: the
+// 1 000-tuple fixture cost 4 141 allocations when every region regrew
+// four slices per split round and 966 while every round allocated its own
+// k-means arrays, models and normal equations.
 func TestBuildCoverAllocCeiling(t *testing.T) {
 	w := benchWindow(1000)
 	cfg := Config{Cluster: clusterSeed(1)}
@@ -155,7 +157,78 @@ func TestBuildCoverAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1500 {
-		t.Errorf("BuildCover(1000 tuples) = %.0f allocs, want ≤ 1500", allocs)
+	if allocs > 150 {
+		t.Errorf("BuildCover(1000 tuples) = %.0f allocs, want ≤ 150", allocs)
 	}
+}
+
+// TestWarmBuilderAllocatesOnlyTheCover: once a Builder has built a window
+// of some size, building another of that size allocates the four objects
+// the returned cover is made of — the Cover, its regions, their models and
+// the coefficients — and nothing per split round, per region or per
+// k-means run. This is reuse, not a bound on scratch: arrays sized per
+// round or per Lloyd run would pass any byte ceiling a cold build passes.
+func TestWarmBuilderAllocatesOnlyTheCover(t *testing.T) {
+	ws := lausanneWindows()
+	w, next := ws[12], ws[13][:len(ws[12])]
+	if len(ws[13]) < len(ws[12]) {
+		w, next = ws[13], ws[12][:len(ws[13])]
+	}
+	var b Builder
+	if _, err := b.BuildCover(w, 12, 3600, lausanneConfig); err != nil {
+		t.Fatal(err)
+	}
+	var cv *Cover
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if cv, err = b.BuildCover(next, 13, 3600, lausanneConfig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4 {
+		t.Errorf("second build on a warm Builder = %.0f allocs, want the cover's 4", allocs)
+	}
+	// The cover must not share memory with the scratch it came from.
+	before := coverDigest(cv)
+	if _, err := b.BuildCover(w, 12, 3600, lausanneConfig); err != nil {
+		t.Fatal(err)
+	}
+	if after := coverDigest(cv); after != before {
+		t.Errorf("a later build on the same Builder changed a returned cover: digest %s → %s", before, after)
+	}
+}
+
+// TestConcurrentBuildsMatchSequential builds the same windows from several
+// goroutines at once, all borrowing Builders from the pool, and compares
+// with one-at-a-time builds. Under -race a Builder reaching two goroutines
+// is a detector failure; without it, a wrong digest.
+func TestConcurrentBuildsMatchSequential(t *testing.T) {
+	ws := lausanneWindows()[6:12]
+	want := make([]string, len(ws))
+	for c, w := range ws {
+		cv, err := BuildCover(w, c, 3600, lausanneConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = coverDigest(cv)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ws {
+				c := (i + g) % len(ws)
+				cv, err := BuildCover(ws[c], c, 3600, lausanneConfig)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := coverDigest(cv); got != want[c] {
+					t.Errorf("goroutine %d, window %d: digest %s, sequential %s", g, c, got, want[c])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -243,3 +243,31 @@ func TestRunAllPointsIdentical(t *testing.T) {
 		t.Errorf("identical points: inertia = %v, want 0", res.Inertia)
 	}
 }
+
+// BenchmarkRefineAddCentroids is one Ad-KMN split round's clustering: six
+// centroids join a converged set of 24 over a corridor-shaped window, and
+// all 30 are re-estimated.
+func BenchmarkRefineAddCentroids(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	pts := shapedPoints(rng, shapeCorridor, 1900)
+	res, err := Run(pts, 24, Config{Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := append([]geo.Point(nil), res.Centroids...)
+	for i := 0; i < 6; i++ {
+		start = append(start, pts[rng.Intn(len(pts))])
+	}
+	var s Clusterer
+	iterations := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Refine(pts, start, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		iterations += res.Iterations
+	}
+	b.ReportMetric(float64(iterations)/float64(b.N), "iterations/op")
+}

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -170,5 +171,55 @@ func TestFitCustomFeatures(t *testing.T) {
 	coef := m.Coef()
 	if math.Abs(coef[0]-5) > 1e-6 || math.Abs(coef[1]-3) > 1e-6 {
 		t.Errorf("coef = %v, want [5 3]", coef)
+	}
+}
+
+// TestFitterAllocatesNothing: fitting into caller-owned models on a warm
+// Fitter costs no allocation, whichever path the solver takes.
+func TestFitterAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 200
+	ts, xs, ys, ss := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range ss {
+		ts[i], xs[i], ys[i] = rng.Float64()*3600, rng.Float64()*4000, rng.Float64()*4000
+		ss[i] = 400 + 0.01*xs[i] + rng.NormFloat64()
+	}
+	collinear := make([]float64, n) // x ≡ 0: rank deficient, takes the ridge retry
+	var (
+		ft   Fitter
+		m    Model
+		coef = make([]float64, QuadraticXY.Dim())
+	)
+	fit := func(f Features, xs []float64) {
+		if err := ft.Fit(&m, coef[:f.Dim()], f, ts, xs, ys, ss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fit(QuadraticXY, xs) // the widest family sizes the scratch
+	for _, f := range []Features{LinearXYT, QuadraticXY, Constant} {
+		if allocs := testing.AllocsPerRun(10, func() { fit(f, xs); fit(f, collinear) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocs per two fits on a warm Fitter, want 0", f.Name(), allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := MeanInto(&m, coef[:f.Dim()], f, ss); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: MeanInto = %.0f allocs, want 0", f.Name(), allocs)
+		}
+	}
+	// Into-variants compute what the allocating ones do.
+	want, err := Fit(LinearXYT, ts, xs, ys, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit(LinearXYT, xs)
+	for i, c := range want.Coef() {
+		if m.Coef()[i] != c {
+			t.Errorf("coefficient %d: Fitter %v, Fit %v", i, m.Coef()[i], c)
+		}
+	}
+	if m.RSS() != want.RSS() || m.R2() != want.R2() || m.N() != want.N() {
+		t.Errorf("diagnostics differ: Fitter %v, Fit %v", &m, want)
 	}
 }

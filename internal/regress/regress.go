@@ -126,20 +126,49 @@ type Model struct {
 // points) still yield a usable model rather than an error: the paper's
 // Ad-KMN routinely creates very small clusters while splitting.
 func Fit(f Features, ts, xs, ys, ss []float64) (*Model, error) {
+	m := new(Model)
+	if err := new(Fitter).Fit(m, make([]float64, f.Dim()), f, ts, xs, ys, ss); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Fitter fits models into memory its caller owns, with scratch it keeps
+// between fits: a caller that fits one model per region per split round
+// allocates nothing per fit. A Fitter must not be used from two goroutines
+// at once; the zero value is ready.
+type Fitter struct {
+	// scratch holds, for the family dimension d last seen, the normal
+	// equations XᵀX (d×d) and Xᵀs (d), one feature row (d), and the
+	// solver's working copies of the first two.
+	scratch []float64
+}
+
+// Fit is the package-level Fit storing the model in *m and its
+// coefficients in coef, which must have length f.Dim() and stays owned by
+// the model.
+func (ft *Fitter) Fit(m *Model, coef []float64, f Features, ts, xs, ys, ss []float64) error {
 	n := len(ss)
 	if n == 0 {
-		return nil, errors.New("regress: no observations")
+		return errors.New("regress: no observations")
 	}
 	if len(ts) != n || len(xs) != n || len(ys) != n {
-		return nil, fmt.Errorf("regress: length mismatch t=%d x=%d y=%d s=%d",
+		return fmt.Errorf("regress: length mismatch t=%d x=%d y=%d s=%d",
 			len(ts), len(xs), len(ys), n)
 	}
 	d := f.Dim()
+	if len(coef) != d {
+		return fmt.Errorf("regress: %s wants %d coefficients, got room for %d", f.Name(), d, len(coef))
+	}
+	if need := 2*d*d + 3*d; cap(ft.scratch) < need {
+		ft.scratch = make([]float64, need)
+	}
+	xtx, xty, row := ft.scratch[:d*d], ft.scratch[d*d:d*d+d], ft.scratch[d*d+d:d*d+2*d]
+	work := ft.scratch[d*d+2*d : 2*d*d+3*d]
+	clear(xtx)
+	clear(xty)
 
 	// Accumulate the normal equations XᵀX β = Xᵀs.
-	xtx := make([]float64, d*d)
-	xty := make([]float64, d)
-	row := make([]float64, d)
 	var mean float64
 	for i := 0; i < n; i++ {
 		f.Eval(row, ts[i], xs[i], ys[i])
@@ -159,8 +188,7 @@ func Fit(f Features, ts, xs, ys, ss []float64) (*Model, error) {
 		}
 	}
 
-	coef, err := solveSPD(xtx, xty, d)
-	if err != nil {
+	if !solveSPD(coef, xtx, xty, work, d) {
 		// Rank deficient: retry with a small ridge proportional to the
 		// trace, which always succeeds.
 		var trace float64
@@ -171,13 +199,12 @@ func Fit(f Features, ts, xs, ys, ss []float64) (*Model, error) {
 		for a := 0; a < d; a++ {
 			xtx[a*d+a] += ridge
 		}
-		coef, err = solveSPD(xtx, xty, d)
-		if err != nil {
-			return nil, fmt.Errorf("regress: singular design even with ridge: %w", err)
+		if !solveSPD(coef, xtx, xty, work, d) {
+			return errors.New("regress: singular design even with ridge")
 		}
 	}
 
-	m := &Model{features: f, coef: coef, n: n}
+	*m = Model{features: f, coef: coef, n: n}
 	for i := 0; i < n; i++ {
 		pred := m.Predict(ts[i], xs[i], ys[i])
 		r := ss[i] - pred
@@ -185,16 +212,16 @@ func Fit(f Features, ts, xs, ys, ss []float64) (*Model, error) {
 		dm := ss[i] - mean
 		m.tss += dm * dm
 	}
-	return m, nil
+	return nil
 }
 
 // solveSPD solves A β = b for a d×d system via Gaussian elimination with
-// partial pivoting. A is row-major and is clobbered.
-func solveSPD(a, b []float64, d int) ([]float64, error) {
-	// Work on copies so the caller can retry with regularization.
-	m := make([]float64, len(a))
+// partial pivoting, writing β to out; it reports false when a pivot falls
+// below tolerance. A is row-major; the elimination runs on copies in work
+// (d·d + d long), so the caller can retry with regularization.
+func solveSPD(out, a, b, work []float64, d int) bool {
+	m, rhs := work[:d*d], work[d*d:d*d+d]
 	copy(m, a)
-	rhs := make([]float64, d)
 	copy(rhs, b)
 
 	for col := 0; col < d; col++ {
@@ -207,7 +234,7 @@ func solveSPD(a, b []float64, d int) ([]float64, error) {
 			}
 		}
 		if best < 1e-12 {
-			return nil, fmt.Errorf("regress: pivot %d below tolerance (%.3g)", col, best)
+			return false
 		}
 		if pivot != col {
 			for c := 0; c < d; c++ {
@@ -228,7 +255,6 @@ func solveSPD(a, b []float64, d int) ([]float64, error) {
 		}
 	}
 	// Back substitution.
-	out := make([]float64, d)
 	for r := d - 1; r >= 0; r-- {
 		sum := rhs[r]
 		for c := r + 1; c < d; c++ {
@@ -236,7 +262,7 @@ func solveSPD(a, b []float64, d int) ([]float64, error) {
 		}
 		out[r] = sum / m[r*d+r]
 	}
-	return out, nil
+	return true
 }
 
 // MeanModel builds a constant-prediction model expressed in family f: the
@@ -245,23 +271,36 @@ func solveSPD(a, b []float64, d int) ([]float64, error) {
 // the mean everywhere. Ad-KMN falls back to this for clusters too small to
 // support a full regression.
 func MeanModel(f Features, ss []float64) (*Model, error) {
+	m := new(Model)
+	if err := MeanInto(m, make([]float64, f.Dim()), f, ss); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// MeanInto is MeanModel storing the model in *m and its coefficients in
+// coef, which must have length f.Dim() and stays owned by the model.
+func MeanInto(m *Model, coef []float64, f Features, ss []float64) error {
 	if len(ss) == 0 {
-		return nil, errors.New("regress: no observations")
+		return errors.New("regress: no observations")
+	}
+	if len(coef) != f.Dim() {
+		return fmt.Errorf("regress: %s wants %d coefficients, got room for %d", f.Name(), f.Dim(), len(coef))
 	}
 	var mean float64
 	for _, s := range ss {
 		mean += s
 	}
 	mean /= float64(len(ss))
-	coef := make([]float64, f.Dim())
+	clear(coef)
 	coef[0] = mean
-	m := &Model{features: f, coef: coef, n: len(ss)}
+	*m = Model{features: f, coef: coef, n: len(ss)}
 	for _, s := range ss {
 		d := s - mean
 		m.rss += d * d
 	}
 	m.tss = m.rss
-	return m, nil
+	return nil
 }
 
 // NewModel reconstructs a model from its feature family and coefficients,
@@ -275,6 +314,18 @@ func NewModel(f Features, coef []float64) (*Model, error) {
 	cp := make([]float64, len(coef))
 	copy(cp, coef)
 	return &Model{features: f, coef: cp}, nil
+}
+
+// CopyInto copies m into *dst with the copy's coefficients stored in coef,
+// which must have the model's length and stays owned by the copy: how a
+// model fitted into scratch leaves it.
+func (m *Model) CopyInto(dst *Model, coef []float64) {
+	if len(coef) != len(m.coef) {
+		panic(fmt.Sprintf("regress: CopyInto with room for %d coefficients, model has %d", len(coef), len(m.coef)))
+	}
+	*dst = *m
+	copy(coef, m.coef)
+	dst.coef = coef
 }
 
 // Predict evaluates the model at (t, x, y).
