@@ -145,10 +145,9 @@ func TestLausanneCoversMatchParentGolden(t *testing.T) {
 	check("fixedk24/hour08", cv, err, 24, 0, "f277fa0889abf21f843845bc")
 }
 
-// TestBuildCoverAllocCeiling keeps a build's scratch in its Builder: the
-// 1 000-tuple fixture cost 4 141 allocations when every region regrew
-// four slices per split round and 966 while every round allocated its own
-// k-means arrays, models and normal equations.
+// TestBuildCoverAllocCeiling keeps a build's scratch in its Builder: a
+// build that allocates per split round, per region or per k-means run
+// costs the 1 000-tuple fixture 966 allocations or more.
 func TestBuildCoverAllocCeiling(t *testing.T) {
 	w := benchWindow(1000)
 	cfg := Config{Cluster: clusterSeed(1)}

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"sync"
-	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
@@ -52,11 +51,3 @@ var lausanneWindows = sync.OnceValue(func() []tuple.Batch {
 // lausanneConfig is the Ad-KMN configuration the benchmark's servers
 // build with.
 var lausanneConfig = Config{Pollutant: tuple.CO2}
-
-func TestLausanneFixtureShape(t *testing.T) {
-	for c, w := range lausanneWindows() {
-		if len(w) < 1500 || len(w) > 2000 {
-			t.Errorf("window %d holds %d tuples, want the benchmark's ≈ 1 900", c, len(w))
-		}
-	}
-}

@@ -605,6 +605,15 @@ func lifecycleRun(t *testing.T, seed int64) {
 	defer r.s.Watch(r.m)()
 	r.m.testBuildHook = r.buildHook
 
+	closeAt := -1
+	if seed%2 == 0 {
+		closeAt = steps/2 + rng.Intn(steps/2)
+	}
+	// Window 0 is written before the readers start: they aim at windows
+	// that were written, and a reader that got in first would be told
+	// "window 0 is empty" about a window that is not by the time it looks.
+	r.write(rng, 0)
+
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -626,11 +635,6 @@ func lifecycleRun(t *testing.T, seed int64) {
 	}
 	defer func() { close(stop); readers.Wait() }()
 
-	closeAt := -1
-	if seed%2 == 0 {
-		closeAt = steps/2 + rng.Intn(steps/2)
-	}
-	r.write(rng, 0)
 	for step := 0; step < steps; step++ {
 		newest := int(r.hi.Load())
 		switch op := rng.Intn(100); {
