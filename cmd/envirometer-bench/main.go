@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	envirometer-bench [-fig 6a|6b|7a|7b|ablations|subs|colscan|failover|rebalance|all]
+//	envirometer-bench [-fig 6a|6b|7a|7b|ablations|subs|failover|rebalance|all]
 //	                  [-days N] [-queries N] [-seed N]
 //	                  [-subscribers N] [-rounds N] [-out FILE]
 //
@@ -27,26 +27,17 @@ import (
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "which experiment: 6a, 6b, 7a, 7b, ablations, subs, colscan, failover, rebalance, all")
+		fig         = flag.String("fig", "all", "which experiment: 6a, 6b, 7a, 7b, ablations, subs, failover, rebalance, all")
 		days        = flag.Float64("days", 30, "deployment duration to simulate, in days")
 		queries     = flag.Int("queries", 5000, "point queries per window size (Figure 6)")
 		seed        = flag.Int64("seed", 1, "deterministic seed for data, workloads, clustering")
 		subscribers = flag.Int("subscribers", 0, "subscription bench: subscriber count (0 = default)")
 		rounds      = flag.Int("rounds", 0, "subscription bench: ingest rounds (0 = default)")
-		windows     = flag.Int("windows", 0, "columnar bench: checkpointed windows (0 = default 200)")
-		minspeedup  = flag.Float64("minspeedup", 3, "columnar bench: minimum accepted cover/heatmap speedup")
-		out         = flag.String("out", "", "subs/colscan bench: write the JSON result to this file")
+		out         = flag.String("out", "", "subs/failover/rebalance bench: write the JSON result to this file")
 	)
 	flag.Parse()
 	if *fig == "subs" {
 		if err := runSubs(*subscribers, *rounds, *seed, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "envirometer-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "colscan" {
-		if err := runColscan(*windows, *seed, *minspeedup, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "envirometer-bench:", err)
 			os.Exit(1)
 		}
@@ -132,64 +123,6 @@ func runSubs(subscribers, rounds int, seed int64, out string) error {
 	}
 	if check.PushedBytes >= check.PolledBytes {
 		return fmt.Errorf("%s: pushed bytes %d not below polled bytes %d", out, check.PushedBytes, check.PolledBytes)
-	}
-	fmt.Printf("\nwrote %s (%d bytes, parses back OK)\n", out, len(raw))
-	return nil
-}
-
-// runColscan drives the columnar-vs-row-replay benchmark and optionally
-// persists BENCH_8.json, verifying the written file parses back, that
-// both paths answered identically, and that the columnar path cleared
-// the configured speedup floor on the cold cover-build and heatmap
-// workloads.
-func runColscan(windows int, seed int64, minSpeedup float64, out string) error {
-	cfg := bench.DefaultColscanConfig()
-	cfg.Seed = seed
-	if windows > 0 {
-		cfg.Windows = windows
-	}
-	scratch, err := os.MkdirTemp("", "colscan-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
-	res, err := bench.RunColscan(cfg, scratch)
-	if err != nil {
-		return err
-	}
-	bench.PrintColscan(os.Stdout, res)
-	if !res.Equivalent {
-		return fmt.Errorf("columnar and row scan paths returned different answers")
-	}
-	if res.CoverSpeedup < minSpeedup || res.HeatmapSpeedup < minSpeedup {
-		return fmt.Errorf("speedup below floor %.1fx: cover %.2fx, heatmap %.2fx",
-			minSpeedup, res.CoverSpeedup, res.HeatmapSpeedup)
-	}
-	if out == "" {
-		return nil
-	}
-	doc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		return err
-	}
-	var check bench.ColscanResult
-	if err := json.Unmarshal(raw, &check); err != nil {
-		return fmt.Errorf("%s does not parse back: %w", out, err)
-	}
-	if !check.Equivalent || check.CoverSpeedup < minSpeedup || check.HeatmapSpeedup < minSpeedup {
-		return fmt.Errorf("%s records a failing run (equivalent %v, cover %.2fx, heatmap %.2fx)",
-			out, check.Equivalent, check.CoverSpeedup, check.HeatmapSpeedup)
-	}
-	if check.BlocksScanned <= 0 || check.ColBytesRead <= 0 {
-		return fmt.Errorf("%s records no columnar reads (%d blocks, %d bytes)",
-			out, check.BlocksScanned, check.ColBytesRead)
 	}
 	fmt.Printf("\nwrote %s (%d bytes, parses back OK)\n", out, len(raw))
 	return nil
@@ -358,7 +291,7 @@ func run(fig string, days float64, queries int, seed int64) error {
 		fmt.Println()
 		return runAblations(d, queries, seed)
 	default:
-		return fmt.Errorf("unknown -fig %q (want 6a, 6b, 7a, 7b, ablations, subs, colscan, failover, rebalance, all)", fig)
+		return fmt.Errorf("unknown -fig %q (want 6a, 6b, 7a, 7b, ablations, subs, failover, rebalance, all)", fig)
 	}
 	return nil
 }

@@ -99,8 +99,7 @@ func main() {
 		schedQueue  = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
 		ckInterval  = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
 		ckKeep      = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
-		columnar    = flag.Bool("columnar", false, "emit columnar sidecar blocks at checkpoint time and recover lazily from them")
-		colNoMmap   = flag.Bool("columnar-no-mmap", false, "force the columnar reader onto pread instead of mmap")
+		colNoMmap   = flag.Bool("columnar-no-mmap", false, "read checkpoint files with pread instead of mmap")
 		subQueue    = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
 		subMax      = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
 		subPoints   = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
@@ -165,7 +164,7 @@ func main() {
 		queue:   repro.PipelineConfig{QueueDepth: *queueDepth, MaxBatchTuples: *maxBatch},
 		sched:   repro.SchedulerConfig{Workers: *schedWork, MaxQueue: *schedQueue},
 		ck:      repro.CheckpointConfig{Interval: *ckInterval, KeepSegments: *ckKeep},
-		col:     repro.ColumnarConfig{Enabled: *columnar, DisableMmap: *colNoMmap},
+		col:     repro.ColumnarConfig{DisableMmap: *colNoMmap},
 		subs:    repro.SubscriptionConfig{QueueDepth: *subQueue, MaxSubs: *subMax, MaxPoints: *subPoints},
 		cluster: cl,
 	}); err != nil {

@@ -200,15 +200,16 @@ type CheckpointConfig = server.CheckpointConfig
 // last restart's recovery path across every pollutant's store.
 type CheckpointStats = server.CheckpointStats
 
-// ColumnarConfig tunes the columnar checkpoint sidecars: Enabled turns
-// them on, DisableMmap forces plain pread file access, BlockTuples caps
-// tuples per block (0 = default).
+// ColumnarConfig configures how checkpoint files are read: DisableMmap
+// forces plain pread file access. Enabled is ignored (every checkpoint is
+// a column-block file) and kept only because the frozen end-to-end
+// benchmark sets it.
 type ColumnarConfig = store.ColumnarConfig
 
-// ColumnarStats counts the columnar scan path's work across every
-// pollutant's store: sidecars and blocks written, lazy recoveries and
-// materializations, zone-map prunes, mmap vs pread reads, and row
-// fallback replays.
+// ColumnarStats counts the checkpoint files' work across every
+// pollutant's store: files and blocks written, lazy windows and
+// materializations (failed ones apart), zone-map prunes, and mmap vs
+// pread reads.
 type ColumnarStats = store.ColumnarStats
 
 // PipelineStats counts the ingest pipeline's work.
@@ -373,14 +374,11 @@ type Config struct {
 	// segments per compaction. The zero value takes no automatic
 	// checkpoints; Platform.Checkpoint still works.
 	Checkpoint CheckpointConfig
-	// Columnar (used only with Dir) writes a columnar sidecar next to
-	// every checkpoint and turns restart recovery of checkpointed
-	// windows lazy: analytical scans — cover builds, heatmaps, window
-	// reads — decode sorted, zone-mapped blocks on demand (mmap where
-	// the platform supports it) instead of eagerly replaying row
-	// frames. Answers are bit-identical either way; the row checkpoint
-	// remains the durability source of truth and any sidecar damage
-	// falls back to it per window.
+	// Columnar (used only with Dir) configures how a restart reads the
+	// checkpoint it recovers from. Checkpointed windows stay in the file
+	// until something reads them: analytical scans — cover builds,
+	// heatmaps, window reads — decode sorted, zone-mapped blocks on
+	// demand, through mmap unless DisableMmap is set.
 	Columnar ColumnarConfig
 	// Retain bounds in-memory windows (0 = keep all).
 	Retain int
@@ -706,8 +704,8 @@ func (p *Platform) Checkpoint() error {
 // counters across every pollutant's store.
 func (p *Platform) CheckpointStats() CheckpointStats { return p.engine.CheckpointStats() }
 
-// ColumnarStats aggregates the columnar scan path's counters across
-// every pollutant's store (zero-valued when Config.Columnar is off).
+// ColumnarStats aggregates the checkpoint files' write and scan counters
+// across every pollutant's store.
 func (p *Platform) ColumnarStats() ColumnarStats { return p.engine.ColumnarStats() }
 
 // Close shuts the write path down first — the ingest pipeline drains

@@ -7,7 +7,7 @@
 // sides in a native fuzzer: a FuzzColBlockDecode function that builds
 // its seed corpus with Encode and drives the decoder through Verify or
 // OpenBytes, so any constant or layout change that breaks the
-// round-trip fails CI rather than surfacing as a corrupt sidecar in
+// round-trip fails CI rather than surfacing as a corrupt checkpoint in
 // production. A half-wired constant — stamped by the encoder but never
 // checked by the reader, or vice versa — is exactly how silent format
 // drift starts; this pass turns it into one diagnostic per gap.

@@ -1,29 +1,31 @@
-// Package colblock implements the columnar sidecar format emitted
-// alongside store checkpoints: the same tuples as the row-oriented
-// checkpoint file, re-sorted by (geo-cell, time) within each window and
-// encoded as per-column fixed-point arrays with per-block min/max zone
-// maps and a checksummed footer.
+// Package colblock implements the store's checkpoint file format: the
+// retained windows, each re-sorted by (geo-cell, time) and encoded as
+// per-column fixed-point arrays in self-checksummed blocks, with per-block
+// min/max zone maps in a checksummed footer that also carries what
+// recovery needs beside the tuples — the checkpoint's sequence number,
+// its segment horizon and the store's largest timestamp.
 //
-// The sidecar is an accelerator, never an authority. The row checkpoint
-// plus segment suffix remain the durable truth; a missing or corrupt
-// sidecar only costs a fallback to row replay. Because every column is
-// encoded losslessly (fixed-point only when the exact float64 round-trips
-// bit-for-bit, raw IEEE bits otherwise) and each tuple carries its
-// original append position, a materialized window is byte-identical to
-// the row-replayed one — which is what lets analytical consumers switch
-// scan paths without changing a single answer.
+// Every column is encoded losslessly (fixed-point only when the exact
+// float64 round-trips bit-for-bit, raw IEEE bits otherwise) and each tuple
+// carries its original append position, so a materialized window is
+// byte-identical to the slice the store held in memory when it wrote the
+// file — which is what lets a restarted store answer exactly as the
+// running one did.
 //
 // # File layout
 //
 //	header   (8 B)   colMagic u32 | colVersion u32
 //	blocks   (...)   self-checksummed column blocks, ≤ BlockTuples each
 //	directory(n×96 B) per-block window, offset, length, count, zone maps
-//	trailer  (32 B)  seq u64 | tuples u64 | nblocks u32 | version u32 |
-//	                 crc u32 (over directory ++ trailer[:24]) | footMagic u32
+//	trailer  (48 B)  seq u64 | tuples u64 | horizon u64 | maxTime f64 |
+//	                 nblocks u32 | version u32 |
+//	                 crc u32 (over directory ++ trailer[:40]) | footMagic u32
 //
 // The footer (directory + trailer) is read from the file end, so a reader
 // learns every block's location and zone map from one bounded read before
-// touching any tuple data.
+// touching any tuple data. Version 1 files (a 32-byte trailer without
+// horizon and maxTime) were sidecars beside a row checkpoint and cannot
+// stand alone; the reader rejects them by version.
 //
 // # Block layout
 //
@@ -40,12 +42,14 @@
 package colblock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/tuple"
 )
@@ -57,18 +61,19 @@ import (
 const (
 	colMagic   = 0x454d434c // "EMCL"
 	footMagic  = 0x454d4346 // "EMCF"
-	colVersion = 1
+	colVersion = 2
 )
 
 const (
 	headerSize   = 8
-	trailerSize  = 32
+	trailerSize  = 48
+	trailerCRC   = 40 // trailer bytes the footer checksum covers
 	dirEntrySize = 96
 
-	// DefaultBlockTuples is the block size used when the caller passes 0:
-	// large enough to amortize per-block overhead, small enough that zone
-	// maps prune meaningful fractions of a window.
-	DefaultBlockTuples = 2048
+	// BlockTuples is the most tuples one block holds: large enough to
+	// amortize per-block overhead, small enough that zone maps prune
+	// meaningful fractions of a window.
+	BlockTuples = 2048
 
 	// maxBlockTuples bounds the per-block allocation a decoder will make
 	// from an untrusted count field.
@@ -95,12 +100,23 @@ const maxFixed = float64(1 << 62)
 // fixed-point scales, index = exponent.
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
-// ErrCorrupt reports a structurally invalid or checksum-failing sidecar.
-// Callers fall back to row replay; they never surface it as data loss.
-var ErrCorrupt = errors.New("colblock: corrupt sidecar")
+// ErrCorrupt reports a structurally invalid or checksum-failing file.
+var ErrCorrupt = errors.New("colblock: corrupt file")
+
+// Meta is what a checkpoint records beside its windows.
+type Meta struct {
+	// Seq is the checkpoint's sequence number.
+	Seq int
+	// Horizon is the newest segment the checkpoint fully covers.
+	Horizon int
+	// MaxTime is the store's largest timestamp ever appended; it can
+	// exceed every tuple in the file when the tuple that set it has been
+	// evicted.
+	MaxTime float64
+}
 
 // WindowData is one window's tuples in their original append order, as
-// the store holds them in memory and the row checkpoint persists them.
+// the store holds them in memory.
 type WindowData struct {
 	Window int
 	Tuples tuple.Batch
@@ -109,134 +125,158 @@ type WindowData struct {
 // EncodeStats reports what Encode wrote.
 type EncodeStats struct {
 	Blocks int
+	Tuples int
 	Bytes  int64
 }
 
-// Encode writes the columnar sidecar for checkpoint seq covering the
-// given windows to w. blockTuples ≤ 0 selects DefaultBlockTuples. The
+// Encode writes the checkpoint file for the given windows to w. The
 // caller owns durability (temp+fsync+rename); Encode only streams bytes.
-func Encode(w io.Writer, seq int, windows []WindowData, blockTuples int) (EncodeStats, error) {
-	if blockTuples <= 0 {
-		blockTuples = DefaultBlockTuples
-	}
-	if blockTuples > maxBlockTuples {
-		blockTuples = maxBlockTuples
-	}
-	sorted := append([]WindowData(nil), windows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Window < sorted[j].Window })
+// It reads the windows and keeps no reference to them.
+func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
+	return encode(w, meta, windows, BlockTuples)
+}
 
-	hdr := make([]byte, headerSize)
+// encoder is Encode's scratch: the window order, one window's sort keys,
+// one block's five columns, the fixed-point integers of the column being
+// written, the block under construction and the directory. A checkpoint
+// of n tuples allocated ≈ 164 n bytes without it.
+type encoder struct {
+	windows        []WindowData
+	order          []sortKey
+	ts, xs, ys, ss []float64
+	seqs, ints     []int64
+	blk, dir       []byte
+}
+
+// encoders lends scratch to concurrent Encode calls (one store per
+// pollutant checkpoints on its own) and lets the collector take it back
+// between checkpoints, so an idle server does not hold it.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (EncodeStats, error) {
+	e := encoders.Get().(*encoder)
+	defer func() {
+		clear(e.windows) // drop the references to the caller's windows
+		encoders.Put(e)
+	}()
+	e.windows = append(e.windows[:0], windows...)
+	slices.SortFunc(e.windows, func(a, b WindowData) int { return cmp.Compare(a.Window, b.Window) })
+
+	var hdr [headerSize]byte
 	putU32(hdr[0:], colMagic)
 	putU32(hdr[4:], colVersion)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return EncodeStats{}, err
 	}
 
-	var (
-		st     EncodeStats
-		dir    []byte
-		off    = int64(headerSize)
-		tuples = 0
-	)
-	for _, wd := range sorted {
+	var st EncodeStats
+	e.dir = e.dir[:0]
+	off := int64(headerSize)
+	for _, wd := range e.windows {
 		n := len(wd.Tuples)
-		tuples += n
-		if n == 0 {
-			continue
-		}
-		order := cellTimeOrder(wd.Tuples)
+		st.Tuples += n
+		e.cellTimeOrder(wd.Tuples)
 		for lo := 0; lo < n; lo += blockTuples {
-			hi := min(lo+blockTuples, n)
-			blk, meta := encodeBlock(wd.Tuples, order[lo:hi])
+			meta := e.encodeBlock(wd.Tuples, e.order[lo:min(lo+blockTuples, n)])
 			meta.Window = wd.Window
 			meta.Offset = off
-			meta.Length = int64(len(blk))
-			if _, err := w.Write(blk); err != nil {
+			meta.Length = int64(len(e.blk))
+			if _, err := w.Write(e.blk); err != nil {
 				return EncodeStats{}, err
 			}
-			off += int64(len(blk))
-			dir = appendDirEntry(dir, meta)
+			off += meta.Length
+			e.dir = appendDirEntry(e.dir, meta)
 			st.Blocks++
 		}
 	}
 
-	trailer := make([]byte, trailerSize)
-	putU64(trailer[0:], uint64(int64(seq)))
-	putU64(trailer[8:], uint64(int64(tuples)))
-	putU32(trailer[16:], uint32(st.Blocks))
-	putU32(trailer[20:], colVersion)
-	crc := crc32.Update(crc32.ChecksumIEEE(dir), crc32.IEEETable, trailer[:24])
-	putU32(trailer[24:], crc)
-	putU32(trailer[28:], footMagic)
-	if _, err := w.Write(dir); err != nil {
+	var trailer [trailerSize]byte
+	putU64(trailer[0:], uint64(int64(meta.Seq)))
+	putU64(trailer[8:], uint64(int64(st.Tuples)))
+	putU64(trailer[16:], uint64(int64(meta.Horizon)))
+	putU64(trailer[24:], math.Float64bits(meta.MaxTime))
+	putU32(trailer[32:], uint32(st.Blocks))
+	putU32(trailer[36:], colVersion)
+	putU32(trailer[40:], footerCRC(e.dir, trailer[:]))
+	putU32(trailer[44:], footMagic)
+	if _, err := w.Write(e.dir); err != nil {
 		return EncodeStats{}, err
 	}
-	if _, err := w.Write(trailer); err != nil {
+	if _, err := w.Write(trailer[:]); err != nil {
 		return EncodeStats{}, err
 	}
-	st.Bytes = off + int64(len(dir)) + trailerSize
+	st.Bytes = off + int64(len(e.dir)) + trailerSize
 	return st, nil
 }
 
-// cellTimeOrder returns the indexes of b sorted by (geo-cell, time,
-// original position). The trailing original-position key makes the order
-// deterministic and keeps same-cell same-time tuples in append order.
-func cellTimeOrder(b tuple.Batch) []int {
-	ord := make([]int, len(b))
-	for i := range ord {
-		ord[i] = i
+// sized returns s with length n, reallocating only when it must grow.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		p, q := b[ord[i]], b[ord[j]]
-		pcy, qcy := cellOf(p.Y), cellOf(q.Y)
-		if pcy != qcy {
-			return pcy < qcy
+	return s[:n]
+}
+
+// sortKey is one tuple's place in a window's block order: geo-cell row
+// and column, time, then original position. The trailing position makes
+// the order total, so it does not depend on the sort algorithm, and keeps
+// same-cell same-time tuples in append order.
+type sortKey struct {
+	cy, cx int64
+	t      float64
+	pos    int
+}
+
+// cellTimeOrder leaves in e.order the keys of b's tuples in block order.
+// Sorting the keys themselves, not indexes into b, keeps every comparison
+// inside the two elements compared.
+func (e *encoder) cellTimeOrder(b tuple.Batch) {
+	e.order = sized(e.order, len(b))
+	for i, r := range b {
+		e.order[i] = sortKey{cy: cellOf(r.Y), cx: cellOf(r.X), t: r.T, pos: i}
+	}
+	slices.SortFunc(e.order, func(p, q sortKey) int {
+		switch {
+		case p.cy != q.cy:
+			return cmp.Compare(p.cy, q.cy)
+		case p.cx != q.cx:
+			return cmp.Compare(p.cx, q.cx)
+		case p.t < q.t:
+			return -1
+		case p.t > q.t:
+			return 1
 		}
-		pcx, qcx := cellOf(p.X), cellOf(q.X)
-		if pcx != qcx {
-			return pcx < qcx
-		}
-		if p.T != q.T {
-			return p.T < q.T
-		}
-		return ord[i] < ord[j]
+		return cmp.Compare(p.pos, q.pos)
 	})
-	return ord
 }
 
 func cellOf(v float64) int64 { return int64(math.Floor(v / cellSize)) }
 
-// encodeBlock encodes the tuples b[idx[0]], b[idx[1]], ... as one
-// self-checksummed block and returns its bytes plus the zone-map meta.
-func encodeBlock(b tuple.Batch, idx []int) ([]byte, BlockMeta) {
+// encodeBlock encodes the tuples b[idx[0].pos], b[idx[1].pos], ... as one
+// self-checksummed block in e.blk and returns its zone-map meta.
+func (e *encoder) encodeBlock(b tuple.Batch, idx []sortKey) BlockMeta {
 	n := len(idx)
-	ts := make([]float64, n)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	ss := make([]float64, n)
-	seqs := make([]int64, n)
-	for i, j := range idx {
-		r := b[j]
-		ts[i], xs[i], ys[i], ss[i] = r.T, r.X, r.Y, r.S
-		seqs[i] = int64(j)
+	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
+	e.seqs, e.ints = sized(e.seqs, n), sized(e.ints, n)
+	for i, k := range idx {
+		r := b[k.pos]
+		e.ts[i], e.xs[i], e.ys[i], e.ss[i] = r.T, r.X, r.Y, r.S
+		e.seqs[i] = int64(k.pos)
 	}
 	meta := BlockMeta{Count: n}
-	meta.MinT, meta.MaxT = minMax(ts)
-	meta.MinX, meta.MaxX = minMax(xs)
-	meta.MinY, meta.MaxY = minMax(ys)
-	meta.MinS, meta.MaxS = minMax(ss)
+	meta.MinT, meta.MaxT = minMax(e.ts)
+	meta.MinX, meta.MaxX = minMax(e.xs)
+	meta.MinY, meta.MaxY = minMax(e.ys)
+	meta.MinS, meta.MaxS = minMax(e.ss)
 
-	buf := make([]byte, 4, 4+n*12)
+	buf := append(e.blk[:0], 0, 0, 0, 0)
 	putU32(buf, uint32(n))
-	buf = appendFloatColumn(buf, ts)
-	buf = appendFloatColumn(buf, xs)
-	buf = appendFloatColumn(buf, ys)
-	buf = appendFloatColumn(buf, ss)
-	buf = appendIntColumn(buf, seqs, 0)
-	crc := crc32.ChecksumIEEE(buf)
-	var tail [4]byte
-	putU32(tail[:], crc)
-	return append(buf, tail[:]...), meta
+	for _, col := range [...][]float64{e.ts, e.xs, e.ys, e.ss} {
+		buf = appendFloatColumn(buf, col, e.ints)
+	}
+	buf = appendIntColumn(buf, e.seqs, 0)
+	e.blk = appendU32(buf, crc32.ChecksumIEEE(buf))
+	return meta
 }
 
 func minMax(vals []float64) (lo, hi float64) {
@@ -254,9 +294,9 @@ func minMax(vals []float64) (lo, hi float64) {
 
 // appendFloatColumn encodes vals as fixed-point when every value
 // round-trips bit-exactly at some power-of-ten scale, and as raw IEEE
-// bits otherwise.
-func appendFloatColumn(dst []byte, vals []float64) []byte {
-	if ints, scale, ok := fixedPoint(vals); ok {
+// bits otherwise. ints is scratch of len(vals).
+func appendFloatColumn(dst []byte, vals []float64, ints []int64) []byte {
+	if scale, ok := fixedPoint(vals, ints); ok {
 		return appendIntColumn(dst, ints, scale)
 	}
 	dst = append(dst, encRaw, 0, 8, 0)
@@ -266,12 +306,11 @@ func appendFloatColumn(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// fixedPoint tries ascending scales and returns the scaled integers for
-// the first scale at which every value decodes back to its exact bits.
-// The ascending order also yields the narrowest offsets, since the value
-// span grows with the scale.
-func fixedPoint(vals []float64) ([]int64, byte, bool) {
-	ints := make([]int64, len(vals))
+// fixedPoint tries ascending scales and fills ints with the scaled
+// integers of the first scale at which every value decodes back to its
+// exact bits. The ascending order also yields the narrowest offsets,
+// since the value span grows with the scale.
+func fixedPoint(vals []float64, ints []int64) (scale byte, ok bool) {
 nextScale:
 	for e := range pow10 {
 		p := pow10[e]
@@ -286,9 +325,9 @@ nextScale:
 			}
 			ints[i] = iv
 		}
-		return ints, byte(e), true
+		return byte(e), true
 	}
-	return nil, 0, false
+	return 0, false
 }
 
 // appendIntColumn encodes ints as base + narrow unsigned offsets.
@@ -365,29 +404,38 @@ func decodeDirEntry(e []byte) BlockMeta {
 	return m
 }
 
-// decodeBlock parses one block's bytes (header through CRC) and returns
-// its columns. count cross-checks the directory entry.
-func decodeBlock(data []byte, count int) (ts, xs, ys, ss []float64, seqs []int64, err error) {
+// blockBody checks one block's framing — length, checksum, and the count
+// field against the directory entry — and returns the bytes between the
+// count and the checksum: the columns.
+func blockBody(data []byte, count int) ([]byte, error) {
 	if len(data) < 8 {
-		return nil, nil, nil, nil, nil, fmt.Errorf("%w: block shorter than framing", ErrCorrupt)
+		return nil, fmt.Errorf("%w: block shorter than framing", ErrCorrupt)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != le32(tail) {
-		return nil, nil, nil, nil, nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 	}
-	n := int(le32(body[0:4]))
-	if n != count || n <= 0 || n > maxBlockTuples {
-		return nil, nil, nil, nil, nil, fmt.Errorf("%w: block count %d does not match directory %d", ErrCorrupt, n, count)
+	if n := int(le32(body[0:4])); n != count || n <= 0 || n > maxBlockTuples {
+		return nil, fmt.Errorf("%w: block count %d does not match directory %d", ErrCorrupt, n, count)
 	}
-	p := body[4:]
+	return body[4:], nil
+}
+
+// decodeBlock parses one block's bytes (header through CRC) and returns
+// its columns. count cross-checks the directory entry.
+func decodeBlock(data []byte, count int) (ts, xs, ys, ss []float64, seqs []int64, err error) {
+	p, err := blockBody(data, count)
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
+	}
 	cols := make([][]float64, 4)
 	for i := range cols {
-		cols[i], p, err = decodeFloatColumn(p, n)
+		cols[i], p, err = decodeFloatColumn(p, count)
 		if err != nil {
 			return nil, nil, nil, nil, nil, err
 		}
 	}
-	seqs, p, err = decodeSeqColumn(p, n)
+	seqs, p, err = decodeSeqColumn(p, count)
 	if err != nil {
 		return nil, nil, nil, nil, nil, err
 	}
@@ -485,6 +533,12 @@ func putU32(b []byte, v uint32) {
 func putU64(b []byte, v uint64) {
 	putU32(b, uint32(v))
 	putU32(b[4:], uint32(v>>32))
+}
+
+func appendU32(dst []byte, v uint32) []byte {
+	var b [4]byte
+	putU32(b[:], v)
+	return append(dst, b[:]...)
 }
 
 func appendU64(dst []byte, v uint64) []byte {

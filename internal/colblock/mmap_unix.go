@@ -8,10 +8,11 @@ import (
 	"syscall"
 )
 
-// mapFile memory-maps f read-only. The sidecar is immutable and replaced
-// atomically by rename, so a mapping never observes a partial write; a
-// mapping of a since-deleted sidecar stays valid until unmapped, which is
-// what lets the store keep serving lazy windows across compactions.
+// mapFile memory-maps f read-only. A checkpoint file is immutable and
+// installed atomically by rename, so a mapping never observes a partial
+// write; a mapping of a since-deleted file stays valid until unmapped,
+// which is what lets the store keep serving lazy windows across
+// compactions.
 func mapFile(f *os.File, size int64) (Source, error) {
 	if size <= 0 || int64(int(size)) != size {
 		return nil, errors.New("colblock: file size not mappable")

@@ -3,6 +3,7 @@ package colblock
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -29,14 +30,10 @@ type Options struct {
 	// for platforms where a truncated file turns loads into SIGBUS, or
 	// to keep the page cache footprint explicit.
 	DisableMmap bool
-
-	// BlockTuples is accepted for symmetry with the writer config; the
-	// reader takes block sizes from the directory and ignores it.
-	BlockTuples int
 }
 
-// Stats counts a Reader's work. Zero value is ready; fields are summed
-// into the store's columnar stats.
+// Stats counts a Reader's scans (CheckBlocks is not one). Zero value is
+// ready; fields are summed into the store's columnar stats.
 type Stats struct {
 	BlocksScanned int64
 	BlocksPruned  int64
@@ -45,11 +42,11 @@ type Stats struct {
 	BytesRead     int64
 }
 
-// Reader serves windows and region scans from one immutable sidecar
+// Reader serves windows and region scans from one immutable checkpoint
 // file. It is safe for concurrent use; Close invalidates it.
 type Reader struct {
 	src    Source
-	seq    int
+	meta   Meta
 	tuples int
 	blocks []BlockMeta
 
@@ -66,7 +63,7 @@ type Reader struct {
 	closed        atomic.Bool
 }
 
-// OpenFile opens the sidecar at path, memory-mapping it where the
+// OpenFile opens the checkpoint file at path, memory-mapping it where the
 // platform allows (and opts permit) and falling back to pread.
 func OpenFile(path string, opts Options) (*Reader, error) {
 	f, err := os.Open(path)
@@ -99,13 +96,13 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 	return r, nil
 }
 
-// OpenBytes opens a sidecar image held in memory — the fuzz and test
+// OpenBytes opens a file image held in memory — the fuzz and test
 // entry point, sharing every validation step with OpenFile.
 func OpenBytes(data []byte) (*Reader, error) {
 	return newReader(byteSource(data))
 }
 
-// Verify structurally validates data as a sidecar image and decodes
+// Verify structurally validates data as a file image and decodes
 // every block, returning the first error found. It is the fuzz target's
 // workhorse: any input that passes must round-trip cleanly.
 func Verify(data []byte) error {
@@ -141,13 +138,13 @@ func newReader(src Source) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if le32(trailer[28:]) != footMagic {
-		return nil, fmt.Errorf("%w: bad footer magic %#x", ErrCorrupt, le32(trailer[28:]))
+	if le32(trailer[44:]) != footMagic {
+		return nil, fmt.Errorf("%w: bad footer magic %#x", ErrCorrupt, le32(trailer[44:]))
 	}
-	if le32(trailer[20:]) != colVersion {
-		return nil, fmt.Errorf("%w: unsupported footer version %d", ErrCorrupt, le32(trailer[20:]))
+	if le32(trailer[36:]) != colVersion {
+		return nil, fmt.Errorf("%w: unsupported footer version %d", ErrCorrupt, le32(trailer[36:]))
 	}
-	nblocks := int(le32(trailer[16:]))
+	nblocks := int(le32(trailer[32:]))
 	dirLen := int64(nblocks) * dirEntrySize
 	dirStart := size - trailerSize - dirLen
 	if nblocks < 0 || dirLen < 0 || dirStart < headerSize {
@@ -157,13 +154,17 @@ func newReader(src Source) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if footerCRC(dir, trailer) != le32(trailer[24:]) {
+	if footerCRC(dir, trailer) != le32(trailer[40:]) {
 		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
 
 	r := &Reader{
-		src:      src,
-		seq:      int(int64(le64(trailer[0:]))),
+		src: src,
+		meta: Meta{
+			Seq:     int(int64(le64(trailer[0:]))),
+			Horizon: int(int64(le64(trailer[16:]))),
+			MaxTime: math.Float64frombits(le64(trailer[24:])),
+		},
 		tuples:   int(int64(le64(trailer[8:]))),
 		blocks:   make([]BlockMeta, nblocks),
 		byWindow: make(map[int][]int),
@@ -199,11 +200,12 @@ func newReader(src Source) (*Reader, error) {
 }
 
 func footerCRC(dir, trailer []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(dir), crc32.IEEETable, trailer[:24])
+	return crc32.Update(crc32.ChecksumIEEE(dir), crc32.IEEETable, trailer[:trailerCRC])
 }
 
-// Seq returns the checkpoint sequence the sidecar belongs to.
-func (r *Reader) Seq() int { return r.seq }
+// Meta returns the sequence number, horizon and largest timestamp the
+// checkpoint recorded.
+func (r *Reader) Meta() Meta { return r.meta }
 
 // Tuples returns the total tuple count across all windows.
 func (r *Reader) Tuples() int { return r.tuples }
@@ -246,8 +248,24 @@ func (r *Reader) WindowZone(c int) (z BlockMeta, ok bool) {
 	return z, len(r.byWindow[c]) > 0
 }
 
+// CheckBlocks reads every block once and verifies its checksum and its
+// count field against the directory, decoding no column: what a store
+// runs before it trusts the file as its checkpoint.
+func (r *Reader) CheckBlocks() error {
+	for i, m := range r.blocks {
+		data, err := r.src.ReadSpan(m.Offset, m.Length)
+		if err != nil {
+			return err
+		}
+		if _, err := blockBody(data, m.Count); err != nil {
+			return fmt.Errorf("block %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // WindowTuples materializes window c in its original append order —
-// byte-identical to the slice the row path would hold in memory. Every
+// byte-identical to the slice the writing store held in memory. Every
 // original position must be covered exactly once, or the window is
 // reported corrupt.
 func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {

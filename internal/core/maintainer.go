@@ -314,7 +314,7 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 // CoverAt returns the cover for the window containing stream time t. The
 // window index is arithmetic, so a cached cover is served without reading
 // the store: a hit costs one map lookup, and a primed cover over a window
-// still lazy in the columnar sidecar leaves that window lazy.
+// still lazy in the checkpoint file leaves that window lazy.
 func (m *Maintainer) CoverAt(t float64) (*Cover, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative query time %v", t)

@@ -354,8 +354,8 @@ func TestMaintainerEvictsPrimedCoversBehindHorizon(t *testing.T) {
 	}
 }
 
-// lazyPrimedMaintainer reopens a columnar-checkpointed store — every
-// window lazy in the sidecar — and primes a maintainer with the covers
+// lazyPrimedMaintainer reopens a checkpointed store — every window lazy
+// in the checkpoint file — and primes a maintainer with the covers
 // built before the restart: the warm-restart state in which a query
 // should be answered from the cover without decoding a single tuple.
 func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer) {
@@ -364,7 +364,6 @@ func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer
 		WindowLength: 100,
 		Dir:          tb.TempDir(),
 		Sync:         store.SyncNever(),
-		Columnar:     store.ColumnarConfig{Enabled: true},
 	}
 	st, err := store.Open(cfg)
 	if err != nil {

@@ -23,25 +23,25 @@ type SchedulerStats struct {
 	// Scheduled is the number of build requests admitted to the queue
 	// (deduplicated: re-invalidating an already-queued window does not
 	// count again).
-	Scheduled int64
+	Scheduled int64 `json:"scheduled"`
 	// Built is the number of covers built successfully in the background.
-	Built int64
+	Built int64 `json:"built"`
 	// Skipped counts builds abandoned because the window was empty or
 	// evicted by the time a worker reached it.
-	Skipped int64
+	Skipped int64 `json:"skipped"`
 	// Coalesced counts rebuild requests absorbed without a build of their
 	// own: the window was already queued, or by the time a worker reached
 	// it the cover was current or a running build already owed the
 	// follow-up.
-	Coalesced int64
+	Coalesced int64 `json:"coalesced"`
 	// Failed counts background builds that errored.
-	Failed int64
+	Failed int64 `json:"failed"`
 	// Dropped counts pending builds displaced by queue overflow.
-	Dropped int64
+	Dropped int64 `json:"dropped"`
 	// QueueLen is the current number of pending builds.
-	QueueLen int
+	QueueLen int `json:"queueLen"`
 	// Inflight is the number of builds running right now.
-	Inflight int
+	Inflight int `json:"inflight"`
 }
 
 // buildKey identifies one pending build: a window of one maintainer

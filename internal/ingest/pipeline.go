@@ -52,21 +52,21 @@ type PipelineConfig struct {
 // PipelineStats counts what the pipeline has processed.
 type PipelineStats struct {
 	// Submitted is the number of accepted submissions.
-	Submitted int64
+	Submitted int64 `json:"submitted"`
 	// Tuples is the number of tuples in accepted submissions.
-	Tuples int64
+	Tuples int64 `json:"tuples"`
 	// Appends is the number of sink calls (coalesced groups applied).
-	Appends int64
+	Appends int64 `json:"appends"`
 	// Coalesced is the number of submissions that rode along in another
 	// submission's append instead of paying their own.
-	Coalesced int64
+	Coalesced int64 `json:"coalesced"`
 	// Rejected counts saturation rejections (ErrSaturated).
-	Rejected int64
+	Rejected int64 `json:"rejected"`
 	// Errors counts sink failures (each may span several submissions).
-	Errors int64
+	Errors int64 `json:"errors"`
 	// Queued is the current number of queued-but-unapplied submissions
 	// across all pollutants.
-	Queued int64
+	Queued int64 `json:"queued"`
 }
 
 // submission is one accepted upload awaiting its append ack.

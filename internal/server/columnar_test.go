@@ -1,10 +1,10 @@
 package server
 
-// Engine-level columnar tests: the checkpoint singleflight that
+// Engine-level checkpoint tests: the checkpoint singleflight that
 // serializes the periodic ticker against manual triggers, and the
-// cross-path equivalence property — Query, CoverAt and Heatmap must be
-// byte-identical whether a recovered shard scans columnar blocks or
-// replays row frames.
+// restart equivalence property — Query, CoverAt and Heatmap must be
+// byte-identical whether a shard scans the lazy windows of a recovered
+// checkpoint or holds the same tuples in memory.
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -25,15 +24,17 @@ import (
 	"repro/internal/tuple"
 )
 
-func columnarStores(t *testing.T, root string, enabled bool) map[tuple.Pollutant]*store.Store {
+// columnarStores opens one store per pollutant under root; an empty root
+// gives memory stores.
+func columnarStores(t *testing.T, root string) map[tuple.Pollutant]*store.Store {
 	t.Helper()
 	out := make(map[tuple.Pollutant]*store.Store)
 	for _, pol := range []tuple.Pollutant{tuple.CO2, tuple.PM} {
-		st, err := store.Open(store.Config{
-			WindowLength: 600,
-			Dir:          filepath.Join(root, pol.String()),
-			Columnar:     store.ColumnarConfig{Enabled: enabled},
-		})
+		cfg := store.Config{WindowLength: 600}
+		if root != "" {
+			cfg.Dir = filepath.Join(root, pol.String())
+		}
+		st, err := store.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,51 +43,21 @@ func columnarStores(t *testing.T, root string, enabled bool) map[tuple.Pollutant
 	return out
 }
 
-// copyTree duplicates the per-pollutant store directories so two
-// engines can recover the same on-disk state independently.
-func copyTree(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	pols, err := os.ReadDir(src)
+// TestEngineColumnarEquivalence is the property test at the API layer:
+// after a checkpointed restart, an engine whose shards scan column blocks
+// and one that was fed the same batches into memory stores must return
+// bit-equal answers for cover queries, cover payloads, and both heatmap
+// forms.
+func TestEngineColumnarEquivalence(t *testing.T) {
+	root := t.TempDir()
+	stores := columnarStores(t, root)
+	cfg := core.Config{Cluster: kmeans.Config{Seed: 11}}
+	e, err := NewMultiEngine(stores, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pols {
-		if !p.IsDir() {
-			continue
-		}
-		sub := filepath.Join(dst, p.Name())
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		files, err := os.ReadDir(filepath.Join(src, p.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(src, p.Name(), f.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(sub, f.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return dst
-}
-
-// TestEngineColumnarEquivalence is the satellite property test at the
-// API layer: after a checkpointed restart, an engine whose shards scan
-// columnar blocks and one replaying row frames must return bit-equal
-// answers for cover queries, cover payloads, and both heatmap forms.
-func TestEngineColumnarEquivalence(t *testing.T) {
-	root := t.TempDir()
-	stores := columnarStores(t, root, true)
-	e, err := NewMultiEngine(stores, core.Config{Cluster: kmeans.Config{Seed: 11}})
+	storesRow := columnarStores(t, "")
+	er, err := NewMultiEngine(storesRow, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +78,9 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 		if err := e.Ingest(ctx, pol, b); err != nil {
 			t.Fatal(err)
 		}
+		if err := er.Ingest(ctx, pol, b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -120,15 +94,8 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 		}
 	}
 
-	rootCol, rootRow := copyTree(t, root), copyTree(t, root)
-	storesCol := columnarStores(t, rootCol, true)
-	storesRow := columnarStores(t, rootRow, false)
-	cfg := core.Config{Cluster: kmeans.Config{Seed: 11}}
+	storesCol := columnarStores(t, root)
 	ec, err := NewMultiEngine(storesCol, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := NewMultiEngine(storesRow, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +111,11 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 	}()
 
 	cs := ec.ColumnarStats()
-	if !cs.Enabled || cs.LazyWindows == 0 {
-		t.Fatalf("columnar engine stats %+v: want lazily recovered windows", cs)
+	if cs.LazyWindows == 0 {
+		t.Fatalf("recovered engine stats %+v: want lazily recovered windows", cs)
 	}
-	if rs := er.ColumnarStats(); rs.Enabled {
-		t.Fatalf("row engine stats %+v: columnar must be off", rs)
+	if rs := er.ColumnarStats(); rs != (store.ColumnarStats{}) {
+		t.Fatalf("memory engine stats %+v: it has no checkpoint to read", rs)
 	}
 
 	for _, pol := range []tuple.Pollutant{tuple.CO2, tuple.PM} {
@@ -222,7 +189,6 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 	defer resp.Body.Close()
 	var body struct {
 		Columnar struct {
-			Enabled          bool  `json:"enabled"`
 			SidecarsWritten  int64 `json:"sidecarsWritten"`
 			LazyWindows      int64 `json:"lazyWindows"`
 			Materializations int64 `json:"materializations"`
@@ -233,7 +199,7 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if !body.Columnar.Enabled || body.Columnar.BlocksScanned == 0 ||
+	if body.Columnar.BlocksScanned == 0 ||
 		body.Columnar.Materializations == 0 || body.Columnar.BytesRead == 0 {
 		t.Errorf("/v1/stats columnar section = %+v", body.Columnar)
 	}
@@ -245,7 +211,7 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 // and late arrivals must join the in-flight pass rather than stack.
 func TestEngineCheckpointSingleflight(t *testing.T) {
 	root := t.TempDir()
-	stores := columnarStores(t, root, true)
+	stores := columnarStores(t, root)
 	e, err := NewMultiEngineOpts(stores, core.Config{Cluster: kmeans.Config{Seed: 3}}, Options{
 		Checkpoint: CheckpointConfig{Interval: time.Millisecond},
 	})

@@ -72,22 +72,22 @@ type Options struct {
 type CheckpointStats struct {
 	// Checkpoints, Failures, LastWindows and LastTuples sum the shards'
 	// store.CheckpointStats.
-	Checkpoints int64
-	Failures    int64
+	Checkpoints int64 `json:"checkpoints"`
+	Failures    int64 `json:"failures"`
 	// SegmentsDeleted is every segment file reclaimed, by checkpoint
 	// compaction and by recovery at Open — the store keeps the two
 	// apart; the aggregate reports total disk reclaimed.
-	SegmentsDeleted int64
-	LastWindows     int64
-	LastTuples      int64
+	SegmentsDeleted int64 `json:"segmentsDeleted"`
+	LastWindows     int64 `json:"lastWindows"`
+	LastTuples      int64 `json:"lastTuples"`
 	// RecoveredShards counts shards whose last Open restored state from
 	// a checkpoint rather than full log replay.
-	RecoveredShards int
+	RecoveredShards int `json:"recoveredShards"`
 	// SegmentsReplayed, TuplesReplayed and TuplesFromCheckpoint sum the
 	// shards' store.RecoveryStats.
-	SegmentsReplayed     int
-	TuplesReplayed       int
-	TuplesFromCheckpoint int
+	SegmentsReplayed     int `json:"segmentsReplayed"`
+	TuplesReplayed       int `json:"tuplesReplayed"`
+	TuplesFromCheckpoint int `json:"tuplesFromCheckpoint"`
 }
 
 // shard is one pollutant's slice of the engine: its raw-tuple store and
@@ -307,8 +307,8 @@ func (e *Engine) CheckpointStats() CheckpointStats {
 }
 
 // ColumnarStats aggregates the shards' columnar scan-path counters
-// (sidecar writes, lazy recoveries, zone-map prunes, mmap vs pread
-// reads, row-replay fallbacks).
+// (checkpoint files written, lazy windows, zone-map prunes, mmap vs
+// pread reads, failed materializations).
 func (e *Engine) ColumnarStats() store.ColumnarStats {
 	var out store.ColumnarStats
 	for _, sh := range e.shards {

@@ -11,11 +11,13 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/route"
+	"repro/internal/store"
 	"repro/internal/subs"
 	"repro/internal/tuple"
 )
@@ -682,62 +684,6 @@ type pollutantStats struct {
 	CachedCovers int     `json:"cachedCovers"`
 }
 
-// ingestStatsJSON mirrors ingest.PipelineStats on the wire.
-type ingestStatsJSON struct {
-	Submitted int64 `json:"submitted"`
-	Tuples    int64 `json:"tuples"`
-	Appends   int64 `json:"appends"`
-	Coalesced int64 `json:"coalesced"`
-	Rejected  int64 `json:"rejected"`
-	Errors    int64 `json:"errors"`
-	Queued    int64 `json:"queued"`
-}
-
-// maintenanceStatsJSON mirrors core.SchedulerStats on the wire.
-type maintenanceStatsJSON struct {
-	Scheduled int64 `json:"scheduled"`
-	Built     int64 `json:"built"`
-	Skipped   int64 `json:"skipped"`
-	Coalesced int64 `json:"coalesced"`
-	Failed    int64 `json:"failed"`
-	Dropped   int64 `json:"dropped"`
-	QueueLen  int   `json:"queueLen"`
-	Inflight  int   `json:"inflight"`
-}
-
-// checkpointStatsJSON mirrors the engine's aggregated CheckpointStats
-// on the wire: checkpoint/compaction activity plus what the last Open
-// recovered from.
-type checkpointStatsJSON struct {
-	Checkpoints          int64 `json:"checkpoints"`
-	Failures             int64 `json:"failures"`
-	SegmentsDeleted      int64 `json:"segmentsDeleted"`
-	LastWindows          int64 `json:"lastWindows"`
-	LastTuples           int64 `json:"lastTuples"`
-	RecoveredShards      int   `json:"recoveredShards"`
-	SegmentsReplayed     int   `json:"segmentsReplayed"`
-	TuplesReplayed       int   `json:"tuplesReplayed"`
-	TuplesFromCheckpoint int   `json:"tuplesFromCheckpoint"`
-}
-
-// columnarStatsJSON mirrors the engine's aggregated ColumnarStats on
-// the wire: the columnar checkpoint sidecar write/scan counters.
-type columnarStatsJSON struct {
-	Enabled             bool  `json:"enabled"`
-	SidecarsWritten     int64 `json:"sidecarsWritten"`
-	BlocksWritten       int64 `json:"blocksWritten"`
-	WriteFailures       int64 `json:"writeFailures"`
-	LazyWindows         int64 `json:"lazyWindows"`
-	Materializations    int64 `json:"materializations"`
-	MaterializeFailures int64 `json:"materializeFailures"`
-	FallbackReplays     int64 `json:"fallbackReplays"`
-	BlocksScanned       int64 `json:"blocksScanned"`
-	BlocksPruned        int64 `json:"blocksPruned"`
-	MmapReads           int64 `json:"mmapReads"`
-	ReadAtReads         int64 `json:"readAtReads"`
-	BytesRead           int64 `json:"bytesRead"`
-}
-
 // statsResponse summarizes server state. The top-level fields describe
 // the default pollutant (legacy shape); PerPollutant breaks all shards
 // out, Ingest/Maintenance describe the write pipeline and the
@@ -751,13 +697,13 @@ type statsResponse struct {
 	CachedCovers int                       `json:"cachedCovers"`
 	Default      string                    `json:"defaultPollutant"`
 	PerPollutant map[string]pollutantStats `json:"perPollutant"`
-	Ingest       ingestStatsJSON           `json:"ingest"`
-	Maintenance  maintenanceStatsJSON      `json:"maintenance"`
-	Checkpoint   checkpointStatsJSON       `json:"checkpoint"`
-	// Columnar carries the columnar checkpoint-sidecar counters: blocks
-	// written and scanned, zone-map prunes, mmap vs pread reads, lazy
-	// recoveries and row fallback replays.
-	Columnar columnarStatsJSON `json:"columnar"`
+	Ingest       ingest.PipelineStats      `json:"ingest"`
+	Maintenance  core.SchedulerStats       `json:"maintenance"`
+	Checkpoint   CheckpointStats           `json:"checkpoint"`
+	// Columnar carries the checkpoint file's counters: blocks written and
+	// scanned, zone-map prunes, mmap vs pread reads, lazy windows and
+	// failed materializations.
+	Columnar store.ColumnarStats `json:"columnar"`
 	// Cluster carries the routing counters when this server is a member
 	// of a sharded cluster (see /v1/cluster for the full ring).
 	Cluster *clusterStatsJSON `json:"cluster,omitempty"`
@@ -780,10 +726,6 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, fmt.Errorf("%w: %v not monitored", query.ErrUnknownPollutant, top))
 		return
 	}
-	ps := a.engine.PipelineStats()
-	ss := a.engine.SchedulerStats()
-	cs := a.engine.CheckpointStats()
-	cols := a.engine.ColumnarStats()
 	var clusterSec *clusterStatsJSON
 	if a.node != nil {
 		st := a.node.Stats()
@@ -797,35 +739,10 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		Subscriptions: a.engine.Subscriptions().Stats(),
 		Default:       a.engine.Default().String(),
 		PerPollutant:  make(map[string]pollutantStats, len(a.engine.Pollutants())),
-		Ingest: ingestStatsJSON{
-			Submitted: ps.Submitted, Tuples: ps.Tuples, Appends: ps.Appends,
-			Coalesced: ps.Coalesced, Rejected: ps.Rejected, Errors: ps.Errors,
-			Queued: ps.Queued,
-		},
-		Maintenance: maintenanceStatsJSON{
-			Scheduled: ss.Scheduled, Built: ss.Built, Skipped: ss.Skipped,
-			Coalesced: ss.Coalesced, Failed: ss.Failed, Dropped: ss.Dropped,
-			QueueLen: ss.QueueLen, Inflight: ss.Inflight,
-		},
-		Checkpoint: checkpointStatsJSON{
-			Checkpoints: cs.Checkpoints, Failures: cs.Failures,
-			SegmentsDeleted: cs.SegmentsDeleted,
-			LastWindows:     cs.LastWindows, LastTuples: cs.LastTuples,
-			RecoveredShards:  cs.RecoveredShards,
-			SegmentsReplayed: cs.SegmentsReplayed, TuplesReplayed: cs.TuplesReplayed,
-			TuplesFromCheckpoint: cs.TuplesFromCheckpoint,
-		},
-		Columnar: columnarStatsJSON{
-			Enabled:         cols.Enabled,
-			SidecarsWritten: cols.SidecarsWritten, BlocksWritten: cols.BlocksWritten,
-			WriteFailures: cols.WriteFailures,
-			LazyWindows:   cols.LazyWindows, Materializations: cols.Materializations,
-			MaterializeFailures: cols.MaterializeFailures,
-			FallbackReplays:     cols.FallbackReplays,
-			BlocksScanned:       cols.BlocksScanned, BlocksPruned: cols.BlocksPruned,
-			MmapReads: cols.MmapReads, ReadAtReads: cols.ReadAtReads,
-			BytesRead: cols.BytesRead,
-		},
+		Ingest:        a.engine.PipelineStats(),
+		Maintenance:   a.engine.SchedulerStats(),
+		Checkpoint:    a.engine.CheckpointStats(),
+		Columnar:      a.engine.ColumnarStats(),
 	}
 	for _, pol := range a.engine.Pollutants() {
 		st, _ := a.engine.StoreFor(pol)

@@ -11,6 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -436,6 +439,64 @@ func TestHTTPStatsShape(t *testing.T) {
 	s := fetchStats(t, srv.URL)
 	if s.Tuples != 600 || s.Windows != 2 || s.WindowLength != 600 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestHTTPStatsKeys pins the key set of /v1/stats. The sections are the
+// packages' own stats structs marshalled through their JSON tags, so a
+// renamed or untagged field would otherwise change the wire silently.
+func TestHTTPStatsKeys(t *testing.T) {
+	srv := httptest.NewServer(NewAPI(newTestEngine(t)))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		m, ok := v.(map[string]any)
+		if !ok {
+			got = append(got, prefix)
+			return
+		}
+		for k, sub := range m {
+			if prefix == "perPollutant" {
+				k = "*"
+			}
+			walk(strings.TrimPrefix(prefix+"."+k, "."), sub)
+		}
+	}
+	walk("", body)
+	sort.Strings(got)
+	want := strings.Fields(`
+		cachedCovers
+		checkpoint.checkpoints checkpoint.failures checkpoint.lastTuples checkpoint.lastWindows
+		checkpoint.recoveredShards checkpoint.segmentsDeleted checkpoint.segmentsReplayed
+		checkpoint.tuplesFromCheckpoint checkpoint.tuplesReplayed
+		columnar.blocksPruned columnar.blocksScanned columnar.blocksWritten columnar.bytesRead
+		columnar.lazyWindows columnar.materializations columnar.materializeFailures
+		columnar.mmapReads columnar.readAtReads columnar.sidecarsWritten
+		defaultPollutant
+		ingest.appends ingest.coalesced ingest.errors ingest.queued ingest.rejected
+		ingest.submitted ingest.tuples
+		maintenance.built maintenance.coalesced maintenance.dropped maintenance.failed
+		maintenance.inflight maintenance.queueLen maintenance.scheduled maintenance.skipped
+		maxTime
+		perPollutant.*.cachedCovers perPollutant.*.maxTime perPollutant.*.tuples perPollutant.*.windows
+		subscriptions.active subscriptions.avoided subscriptions.closed subscriptions.deltaPoints
+		subscriptions.dropped subscriptions.invalidations subscriptions.matches
+		subscriptions.pointReEvals subscriptions.pushes subscriptions.reEvals
+		subscriptions.resyncs subscriptions.subscribed
+		tuples windowLength windows`)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("/v1/stats keys:\n%v\nwant\n%v", got, want)
 	}
 }
 

@@ -14,14 +14,32 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 )
 
 // On-disk checkpoint layout
 //
-// A checkpoint file (checkpoint-%06d.emt) is a fixed header followed by
-// the retained windows as ordinary tuple binary frames — the same
-// framing the segments use, so one codec serves both:
+// A checkpoint is one file, checkpoint-%06d.emc: the retained windows as
+// checksummed column blocks behind a checksummed footer that carries the
+// checkpoint's sequence number, its segment horizon (segments with seq ≤
+// horizon are fully covered) and the store's max timestamp — see
+// internal/colblock for the byte layout. The MANIFEST commits it: a tiny
+// checksummed record naming the current checkpoint and its horizon:
+//
+//	magic    uint32  "EMMF"
+//	version  uint32  1
+//	seq      uint64
+//	horizon  uint64
+//	crc      uint32  CRC-32 (IEEE) of the 24 bytes above
+//
+// Both are written to a ".tmp" sibling, fsynced, and renamed into
+// place, with a directory fsync after each rename, so a crash at any
+// instant leaves either the old or the new file — never a torn one.
+//
+// Directories written before the column-block file was the checkpoint
+// hold a row checkpoint instead, checkpoint-%06d.emt — a fixed header
+// followed by the windows as ordinary tuple binary frames:
 //
 //	magic    uint32  "EMCK"
 //	version  uint32  1
@@ -33,18 +51,9 @@ import (
 //	crc      uint32  CRC-32 (IEEE) of the 44 header bytes above
 //	frames × tuple.WriteBinary frames (each self-checksummed)
 //
-// The MANIFEST commits a checkpoint: a tiny checksummed record naming
-// the current checkpoint and its horizon:
-//
-//	magic    uint32  "EMMF"
-//	version  uint32  1
-//	seq      uint64
-//	horizon  uint64
-//	crc      uint32  CRC-32 (IEEE) of the 24 bytes above
-//
-// Both are written to a ".tmp" sibling, fsynced, and renamed into
-// place, with a directory fsync after each rename, so a crash at any
-// instant leaves either the old or the new file — never a torn one.
+// — possibly beside a version-1 colblock-%06d.emc sidecar. Open still
+// reads the row file (readCheckpointFile); nothing writes it, the sidecar
+// is never read, and the first checkpoint's compaction removes both.
 
 const (
 	ckMagic       = 0x454d434b // "EMCK"
@@ -57,9 +66,11 @@ const (
 	// manifestName is the commit record's file name inside cfg.Dir.
 	manifestName = "MANIFEST"
 
-	// ckFrameTuples chunks one window into multiple frames so a huge
-	// window never exceeds the codec's per-frame sanity bound.
-	ckFrameTuples = 1 << 16
+	// File extensions: column-block checkpoints, and tuple-frame files —
+	// the segments and the row checkpoints older releases wrote.
+	ckExt       = ".emc"
+	segExt      = ".emt"
+	legacyCkExt = ".emt"
 )
 
 // ErrCorruptCheckpoint marks an unreadable checkpoint or manifest.
@@ -95,9 +106,6 @@ type RecoveryStats struct {
 	// FromCheckpoint is true when the retained windows were loaded from
 	// a checkpoint file rather than rebuilt by full log replay.
 	FromCheckpoint bool
-	// Columnar is true when recovery went through the columnar sidecar:
-	// window bases stayed lazy instead of being decoded up front.
-	Columnar bool
 	// CheckpointSeq and CheckpointTuples identify the checkpoint used
 	// (meaningful only when FromCheckpoint).
 	CheckpointSeq    int
@@ -116,15 +124,15 @@ type RecoveryStats struct {
 }
 
 // checkpointName returns the file name of checkpoint seq.
-func checkpointName(seq int) string { return fmt.Sprintf("checkpoint-%06d.emt", seq) }
+func checkpointName(seq int) string { return fmt.Sprintf("checkpoint-%06d"+ckExt, seq) }
 
-// parseSeq extracts the numeric sequence of a "<prefix>NNNNNN.emt" file
+// parseSeq extracts the numeric sequence of a "<prefix>NNNNNN<ext>" file
 // name; ok is false for names that do not match.
-func parseSeq(name, prefix string) (int, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".emt") {
+func parseSeq(name, prefix, ext string) (int, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
 		return 0, false
 	}
-	mid := name[len(prefix) : len(name)-len(".emt")]
+	mid := name[len(prefix) : len(name)-len(ext)]
 	if mid == "" {
 		return 0, false
 	}
@@ -135,46 +143,44 @@ func parseSeq(name, prefix string) (int, bool) {
 	return n, true
 }
 
-// checkpointSeqs lists the checkpoint sequence numbers present in dir,
-// newest first.
-func checkpointSeqs(dir string) ([]int, error) {
+// ckFile is one checkpoint file found in a data directory.
+type ckFile struct {
+	seq    int
+	name   string
+	legacy bool // a row checkpoint written before the .emc file existed
+}
+
+// checkpointFiles lists the checkpoint files present in dir, newest
+// first.
+func checkpointFiles(dir string) ([]ckFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: read dir: %w", err)
 	}
-	var seqs []int
+	var cks []ckFile
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		if seq, ok := parseSeq(e.Name(), "checkpoint-"); ok {
-			seqs = append(seqs, seq)
+		if seq, ok := parseSeq(e.Name(), "checkpoint-", ckExt); ok {
+			cks = append(cks, ckFile{seq: seq, name: e.Name()})
+		} else if seq, ok := parseSeq(e.Name(), "checkpoint-", legacyCkExt); ok {
+			cks = append(cks, ckFile{seq: seq, name: e.Name(), legacy: true})
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	return seqs, nil
+	sort.SliceStable(cks, func(i, j int) bool { return cks[i].seq > cks[j].seq })
+	return cks, nil
 }
 
-// ckHeader is the decoded fixed header of a checkpoint file.
+// ckHeader is what recovery learns from a checkpoint beside its windows:
+// the decoded fixed header of a row file, or a column-block file's
+// trailer (frames stays 0).
 type ckHeader struct {
 	seq     int
 	horizon int
 	frames  int
 	tuples  int
 	maxTime float64
-}
-
-func encodeCkHeader(h ckHeader) []byte {
-	buf := make([]byte, ckHeaderSize)
-	binary.LittleEndian.PutUint32(buf[0:], ckMagic)
-	binary.LittleEndian.PutUint32(buf[4:], ckVersion)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(h.seq)))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(int64(h.horizon)))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(h.frames))
-	binary.LittleEndian.PutUint64(buf[28:], uint64(int64(h.tuples)))
-	binary.LittleEndian.PutUint64(buf[36:], math.Float64bits(h.maxTime))
-	binary.LittleEndian.PutUint32(buf[44:], crc32.ChecksumIEEE(buf[:44]))
-	return buf
 }
 
 func decodeCkHeader(buf []byte) (ckHeader, error) {
@@ -199,10 +205,11 @@ func decodeCkHeader(buf []byte) (ckHeader, error) {
 	}, nil
 }
 
-// readCheckpointFile fully validates and loads one checkpoint file: the
-// header checksum, every frame's checksum, the frame count, the tuple
-// total, and a clean EOF all have to line up, or the whole file is
-// rejected — recovery never trusts half a checkpoint.
+// readCheckpointFile fully validates and loads one row checkpoint file
+// (the read-only legacy format): the header checksum, every frame's
+// checksum, the frame count, the tuple total, and a clean EOF all have to
+// line up, or the whole file is rejected — recovery never trusts half a
+// checkpoint.
 func readCheckpointFile(path string) (ckHeader, []tuple.Batch, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -272,7 +279,7 @@ func readManifest(dir string) (seq, horizon int, err error) {
 //     seal fsync itself runs outside the lock — unless a commit group
 //     is pending on the segment, whose acks depend on an fsync that
 //     provably covers their frames before the handle is replaced.
-//  2. Write checkpoint-%06d.emt to a temp file, fsync, rename, fsync
+//  2. Write checkpoint-%06d.emc to a temp file, fsync, rename, fsync
 //     the directory.
 //  3. Commit it by writing MANIFEST the same way.
 //  4. Compact: delete segments at or below the checkpoint horizon
@@ -305,29 +312,33 @@ func (s *Store) Checkpoint() error {
 	}
 	s.retired = nil
 	idxs := s.unionIndexesLocked()
-	batches := make([]tuple.Batch, len(idxs))
-	var lazyIdx []int // positions in idxs whose base must come from the sidecar
+	windows := make([]colblock.WindowData, len(idxs))
+	var lazyIdx []int // positions in idxs whose base must come from the previous checkpoint
 	for i, c := range idxs {
-		batches[i] = s.windows[c].Clone()
+		// A capped slice header, not a copy: a window only ever grows by
+		// append, which writes at or above len, and materialization and
+		// eviction replace the slice — so the tuples below len stay as
+		// they are while the file is written outside the lock.
+		w := s.windows[c]
+		windows[i] = colblock.WindowData{Window: c, Tuples: w[:len(w):len(w)]}
 		if s.col.lazy[c] != nil {
 			lazyIdx = append(lazyIdx, i)
 		}
 	}
 	var cr *colReader
-	if len(lazyIdx) > 0 && s.col.rd != nil {
+	if len(lazyIdx) > 0 {
 		cr = s.col.rd
 		cr.acquire()
-	} else if len(s.col.lazy) == 0 {
+	} else {
 		// Every lazy window has been materialized or evicted; no new ones
-		// can appear (they only come from Open), so the old sidecar's
-		// reader is done. Retiring it lets compaction reclaim the file on
-		// every platform.
+		// can appear (they only come from Open), so the previous
+		// checkpoint's reader is done. Retiring it lets compaction reclaim
+		// the file on every platform.
 		s.retireReaderLocked()
 	}
-	prevCkSeq := s.recovery.CheckpointSeq
-	spareCol := -1
+	spare := ""
 	if s.col.rd != nil {
-		spareCol = s.col.rd.rd.Seq()
+		spare = s.col.rd.name
 	}
 	maxTime := s.maxTime
 	horizon := s.segSeq
@@ -383,64 +394,39 @@ func (s *Store) Checkpoint() error {
 	}
 
 	// Assemble still-lazy windows outside the lock: their snapshot is the
-	// immutable sidecar base plus the suffix cloned above. A corrupt
-	// sidecar block falls back to the row checkpoint file it was derived
-	// from.
-	var asmErr error
+	// previous checkpoint's immutable base plus the suffix captured above.
 	for _, i := range lazyIdx {
-		c := idxs[i]
-		var base tuple.Batch
-		err := errors.New("store: columnar reader closed")
-		if cr != nil {
-			base, err = cr.rd.WindowTuples(c)
-		}
+		base, err := cr.rd.WindowTuples(idxs[i])
 		if err != nil {
-			s.col.fallbacks.Add(1)
-			base, err = s.readCheckpointWindow(prevCkSeq, c)
+			cr.release()
+			s.failCheckpoint()
+			return fmt.Errorf("store: checkpoint: assemble window %d: %w", idxs[i], err)
 		}
-		if err != nil {
-			asmErr = fmt.Errorf("store: checkpoint: assemble window %d: %w", c, err)
-			break
-		}
-		batches[i] = append(base, batches[i]...)
+		windows[i].Tuples = append(base, windows[i].Tuples...)
 	}
 	if cr != nil {
 		cr.release()
 	}
-	if asmErr != nil {
-		s.failCheckpoint()
-		return asmErr
-	}
-	// Count from the assembled batches, not the snapshot total: they are
-	// what the file will actually hold, and the header must agree with
-	// the frames even if lazy assembly returned a surprise.
-	tuples := 0
-	for _, b := range batches {
-		tuples += len(b)
-	}
 
-	if err := s.writeCheckpointFile(seq, horizon, batches, tuples, maxTime); err != nil {
+	est, err := s.writeCheckpointFile(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows)
+	if err != nil {
 		s.failCheckpoint()
 		return err
-	}
-	if s.cfg.Columnar.Enabled {
-		// Sidecar before MANIFEST: a crash in between leaves a committed
-		// pair one rename away, and a sidecar write failure only costs
-		// the accelerator (the checkpoint still commits).
-		s.writeSidecar(seq, idxs, batches)
 	}
 	if err := s.writeManifest(seq, horizon); err != nil {
 		s.failCheckpoint()
 		return err
 	}
+	s.col.sidecarsWritten.Add(1)
+	s.col.blocksWritten.Add(int64(est.Blocks))
 	s.ckStatsMu.Lock()
 	s.ckStats.Checkpoints++
 	s.ckStats.LastSeq = int64(seq)
 	s.ckStats.LastWindows = int64(len(idxs))
-	s.ckStats.LastTuples = int64(tuples)
+	s.ckStats.LastTuples = int64(est.Tuples)
 	s.ckStatsMu.Unlock()
 
-	deleted, err := s.compact(seq, horizon, spareCol)
+	deleted, err := s.compact(seq, horizon, spare)
 	s.ckStatsMu.Lock()
 	s.ckStats.SegmentsDeleted += int64(deleted)
 	s.ckStatsMu.Unlock()
@@ -505,36 +491,16 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 	return s.syncDir()
 }
 
-// writeCheckpointFile writes one checkpoint atomically. Windows larger
-// than ckFrameTuples are chunked across several frames.
-func (s *Store) writeCheckpointFile(seq, horizon int, batches []tuple.Batch, tuples int, maxTime float64) error {
-	frames := 0
-	for _, b := range batches {
-		frames += (len(b) + ckFrameTuples - 1) / ckFrameTuples
-	}
-	err := s.atomicReplace(filepath.Join(s.cfg.Dir, checkpointName(seq)), func(w io.Writer) error {
-		if _, err := w.Write(encodeCkHeader(ckHeader{
-			seq: seq, horizon: horizon, frames: frames, tuples: tuples, maxTime: maxTime,
-		})); err != nil {
-			return err
-		}
-		for _, b := range batches {
-			for off := 0; off < len(b); off += ckFrameTuples {
-				end := off + ckFrameTuples
-				if end > len(b) {
-					end = len(b)
-				}
-				if err := s.writeFrame(w, b[off:end]); err != nil {
-					return fmt.Errorf("write frame: %w", err)
-				}
-			}
-		}
-		return nil
+// writeCheckpointFile writes one checkpoint atomically.
+func (s *Store) writeCheckpointFile(meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
+	err = s.atomicReplace(filepath.Join(s.cfg.Dir, checkpointName(meta.Seq)), func(w io.Writer) (err error) {
+		est, err = colblock.Encode(w, meta, windows)
+		return err
 	})
 	if err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
+		return est, fmt.Errorf("store: checkpoint: %w", err)
 	}
-	return nil
+	return est, nil
 }
 
 // writeManifest commits checkpoint seq by atomically replacing MANIFEST.
@@ -573,13 +539,13 @@ func (s *Store) syncDir() error {
 
 // compact removes segment files fully covered by checkpoint ckSeq
 // (those at or below horizon, sparing the newest Config.KeepSegments),
-// checkpoint files other than ckSeq, and columnar sidecars other than
-// ckSeq's — except spareCol, the sidecar a live reader still serves
-// lazy windows from (deleted by a later compaction once the reader
-// retires). Deletion failures are joined and reported but never undo
-// the checkpoint — the files are retried by the next compaction or at
-// the next Open.
-func (s *Store) compact(ckSeq, horizon, spareCol int) (deleted int, err error) {
+// every other checkpoint file — except spare, the one a live reader
+// still serves lazy windows from (deleted by a later compaction once the
+// reader retires) — and the version-1 sidecars an older release left.
+// Deletion failures are joined and reported but never undo the
+// checkpoint — the files are retried by the next compaction or at the
+// next Open.
+func (s *Store) compact(ckSeq, horizon int, spare string) (deleted int, err error) {
 	var errs []error
 	names, err := segmentNames(s.cfg.Dir)
 	if err != nil {
@@ -592,27 +558,31 @@ func (s *Store) compact(ckSeq, horizon, spareCol int) (deleted int, err error) {
 			deleted++
 		}
 	}
-	seqs, err := checkpointSeqs(s.cfg.Dir)
+	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
 		errs = append(errs, err)
 	}
-	for _, seq := range seqs {
-		if seq == ckSeq {
+	for _, e := range entries {
+		name := e.Name()
+		if name == checkpointName(ckSeq) || name == spare || !supersedable(name) {
 			continue
 		}
-		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, checkpointName(seq))); rerr != nil {
-			errs = append(errs, rerr)
-		}
-	}
-	for _, seq := range colblockSeqs(s.cfg.Dir) {
-		if seq == ckSeq || seq == spareCol {
-			continue
-		}
-		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, colblockName(seq))); rerr != nil {
+		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, name)); rerr != nil {
 			errs = append(errs, rerr)
 		}
 	}
 	return deleted, errors.Join(errs...)
+}
+
+// supersedable reports whether name is a file a newer checkpoint turns
+// into garbage: a checkpoint of either format, or a version-1 sidecar.
+func supersedable(name string) bool {
+	for _, pat := range [...][2]string{{"checkpoint-", ckExt}, {"checkpoint-", legacyCkExt}, {"colblock-", ckExt}} {
+		if _, ok := parseSeq(name, pat[0], pat[1]); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // coveredToDelete picks the checkpoint-covered segments (seq ≤ horizon)
@@ -622,7 +592,7 @@ func (s *Store) compact(ckSeq, horizon, spareCol int) (deleted int, err error) {
 func (s *Store) coveredToDelete(names []string, horizon int) []string {
 	var covered []string
 	for _, name := range names {
-		if seq, ok := parseSeq(name, "segment-"); ok && seq <= horizon {
+		if seq, ok := parseSeq(name, "segment-", segExt); ok && seq <= horizon {
 			covered = append(covered, name)
 		}
 	}

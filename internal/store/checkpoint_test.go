@@ -1,8 +1,12 @@
 package store
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -110,12 +114,19 @@ func TestCheckpointBoundsOnDiskSegments(t *testing.T) {
 		if len(names) > 2 {
 			t.Fatalf("round %d: %d segments on disk (%v), want ≤ 2", i, len(names), names)
 		}
-		seqs, err := checkpointSeqs(dir)
+		// Beside the segments: MANIFEST and the one checkpoint file.
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seqs) != 1 || seqs[0] != i {
-			t.Fatalf("round %d: checkpoint files %v, want exactly [%d]", i, seqs, i)
+		var others []string
+		for _, e := range entries {
+			if _, seg := parseSeq(e.Name(), "segment-", segExt); !seg {
+				others = append(others, e.Name())
+			}
+		}
+		if want := []string{manifestName, checkpointName(i)}; !slices.Equal(others, want) {
+			t.Fatalf("round %d: files beside the segments %v, want %v", i, others, want)
 		}
 	}
 	st := s.CheckpointStats()
@@ -124,9 +135,6 @@ func TestCheckpointBoundsOnDiskSegments(t *testing.T) {
 	}
 	if st.SegmentsDeleted == 0 {
 		t.Error("compaction deleted no segments")
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Errorf("MANIFEST missing: %v", err)
 	}
 }
 
@@ -209,7 +217,7 @@ func TestRecoverFallsBackToFullReplayOnCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xFF // corrupt the payload tail
+	data[len(data)-1] ^= 0xFF // corrupt the footer
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +249,7 @@ func TestRecoverFallsBackToOlderValidCheckpoint(t *testing.T) {
 	// Keep superseded checkpoints on disk so an older candidate exists.
 	realRemove := s.removeFile
 	s.removeFile = func(path string) error {
-		if _, ok := parseSeq(filepath.Base(path), "checkpoint-"); ok {
+		if _, ok := parseSeq(filepath.Base(path), "checkpoint-", ckExt); ok {
 			return nil
 		}
 		return realRemove(path)
@@ -273,7 +281,7 @@ func TestRecoverFallsBackToOlderValidCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] ^= 0xFF // corrupt the header
+	data[8] ^= 0xFF // corrupt the first block
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +394,7 @@ func TestRecoverDeletesRetentionDeadSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		if seq, _ := parseSeq(name, "segment-"); seq < 4 {
+		if seq, _ := parseSeq(name, "segment-", segExt); seq < 4 {
 			// Segments 0..3 hold only windows 0..3 — all dead. (Empty
 			// reopen segments may persist; they hold no data.)
 			f, err := os.Stat(filepath.Join(dir, name))
@@ -450,4 +458,155 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 	if s2.Len() != writers*perWriter {
 		t.Errorf("recovered Len = %d, want %d", s2.Len(), writers*perWriter)
 	}
+}
+
+// TestCheckpointSharesWindowsWithWriters runs checkpoints against a store
+// that is being appended to (growing the windows the checkpoint is
+// encoding from, and evicting others), read (materializing lazy windows
+// the checkpoint is assembling) and restarted in between: the checkpoint
+// takes slice headers, not copies, of the windows, so under -race this is
+// the test that would catch anything writing below a window's length.
+// Every reopen must equal a memory store fed the same appends.
+func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
+	cfg := Config{WindowLength: 100, Retain: 3, Dir: t.TempDir(), Sync: SyncNever()}
+	ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	win := 0
+	for phase := 0; phase < 3; phase++ {
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, fmt.Sprintf("open %d", phase), s, ref)
+		if phase > 0 {
+			// The previous phase's windows are lazy again for this one.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				idxs := s.WindowIndexes()
+				if len(idxs) > 0 {
+					s.Window(idxs[i%len(idxs)])
+				}
+			}
+		}()
+		for i := 0; i < 150; i++ {
+			if i%25 == 24 {
+				win++ // a new window: the oldest retained one is evicted
+			}
+			lo := max(win-2, 0) // late arrivals into every retained window
+			b := randBatch(rng, 40, float64(lo*100), float64(win*100+100))
+			if err := s.Append(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(done)
+		wg.Wait()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameState(t, "final open", re, ref)
+}
+
+// TestCheckpointWriteFailureKeepsPrevious fails the checkpoint file's
+// rename, then the MANIFEST's: each attempt is counted in Failures, the
+// previous checkpoint stays the one recovery uses, and no tuple is lost.
+func TestCheckpointWriteFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{WindowLength: 100, Dir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failOn := ""
+	s.renameFile = func(oldpath, newpath string) error {
+		if failOn != "" && filepath.Base(newpath) == failOn {
+			return errInjected
+		}
+		return os.Rename(oldpath, newpath)
+	}
+	if err := s.Append(mkBatch(10, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{checkpointName(1), manifestName} {
+		if err := s.Append(mkBatch(float64(250 + 100*i))); err != nil {
+			t.Fatal(err)
+		}
+		failOn = name
+		if err := s.Checkpoint(); !errors.Is(err, errInjected) {
+			t.Fatalf("checkpoint with a failing rename of %s: %v", name, err)
+		}
+		st := s.CheckpointStats()
+		if st.Failures != int64(i+1) || st.Checkpoints != 1 || st.LastSeq != 0 {
+			t.Fatalf("after a failed rename of %s: %+v", name, st)
+		}
+		if cs := s.ColumnarStats(); cs.SidecarsWritten != 1 {
+			t.Fatalf("after a failed rename of %s: %+v counts an uncommitted file", name, cs)
+		}
+	}
+	want := collectTuples(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("a failed checkpoint left %s behind", e.Name())
+		}
+	}
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 0 || rs.CorruptCheckpoints != 0 {
+		t.Fatalf("recovery %+v: want the committed checkpoint 0", rs)
+	}
+	sameTuples(t, collectTuples(re), want)
 }

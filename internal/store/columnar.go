@@ -1,15 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/colblock"
@@ -17,78 +11,64 @@ import (
 	"repro/internal/tuple"
 )
 
-// Columnar sidecar integration
+// Lazy windows
 //
-// When Config.Columnar.Enabled is set, every checkpoint also writes a
-// columnar sidecar (colblock-%06d.emc, see internal/colblock) with the
-// same tuples, and Open recovers lazily from it: instead of decoding the
-// whole row checkpoint up front, recovery reads the checkpoint's 48-byte
-// header plus the sidecar's footer, records each window's tuple count and
-// zone maps, and materializes a window's base only when something asks
-// for it. The segment suffix behind the checkpoint horizon still replays
-// into memory as usual, so a window can be a lazy columnar base plus an
-// in-memory suffix — the two-source scan.
+// Open does not decode the checkpoint it recovers from: it reads the
+// file's footer, checksums every block, records each window's tuple count
+// and zone maps, and materializes a window's base only when something
+// asks for it. The segment suffix behind the checkpoint horizon still
+// replays into memory as usual, so a window can be a lazy base in the
+// checkpoint file plus an in-memory suffix — the two-source scan.
 //
-// The sidecar is strictly an accelerator: a failed sidecar write does not
-// fail the checkpoint, a missing or corrupt sidecar falls back to eager
-// row recovery, and a block that fails its checksum at materialization
-// time falls back to reading that window from the row checkpoint file.
+// A block that fails its checksum after Open passed it (the file changed
+// underneath a running process) cannot be recovered from anywhere else:
+// the window degrades to its in-memory suffix and the failure is counted.
 
-// ColumnarConfig configures the columnar checkpoint sidecar.
+// ColumnarConfig configures how the checkpoint file is read.
 type ColumnarConfig struct {
-	// Enabled turns on sidecar emission at checkpoint time and lazy
-	// columnar recovery at Open.
+	// Enabled is ignored: the column-block file is the only checkpoint
+	// there is. The field stays because the frozen end-to-end benchmark
+	// sets it.
 	Enabled bool
-	// DisableMmap forces the sidecar reader onto the pread path. See
+	// DisableMmap forces the checkpoint reader onto the pread path. See
 	// docs/OPERATIONS.md for when that is the right call.
 	DisableMmap bool
-	// BlockTuples overrides the tuples-per-block target
-	// (0 = colblock.DefaultBlockTuples).
-	BlockTuples int
 }
 
-// ColumnarStats counts the columnar path's activity on both sides:
-// sidecars written at checkpoint time, and how reads were served.
+// ColumnarStats counts the checkpoint file's activity on both sides:
+// files written at checkpoint time, and how reads were served.
 type ColumnarStats struct {
-	// Enabled mirrors Config.Columnar.Enabled.
-	Enabled bool
-	// SidecarsWritten and BlocksWritten count successful sidecar emits;
-	// WriteFailures counts sidecar writes that failed (the checkpoint
-	// itself still committed).
-	SidecarsWritten int64
-	BlocksWritten   int64
-	WriteFailures   int64
+	// SidecarsWritten and BlocksWritten count committed checkpoint files
+	// and their blocks (the first name dates from when the file was a
+	// sidecar beside a row checkpoint).
+	SidecarsWritten int64 `json:"sidecarsWritten"`
+	BlocksWritten   int64 `json:"blocksWritten"`
 	// LazyWindows is the number of windows currently served from the
-	// sidecar without having been materialized.
-	LazyWindows int64
-	// Materializations counts windows decoded from the sidecar into
-	// memory on demand; MaterializeFailures counts windows that could be
-	// recovered from neither the sidecar nor the row checkpoint.
-	Materializations    int64
-	MaterializeFailures int64
-	// FallbackReplays counts reads that had to fall back from the
-	// columnar path to row replay (corrupt block, reader closed).
-	FallbackReplays int64
+	// checkpoint file without having been materialized.
+	LazyWindows int64 `json:"lazyWindows"`
+	// Materializations counts windows decoded from the file into memory
+	// on demand; MaterializeFailures counts those whose base could not be
+	// read (a block went bad after Open checked it, or the store was
+	// closed) and that serve their in-memory suffix only.
+	Materializations    int64 `json:"materializations"`
+	MaterializeFailures int64 `json:"materializeFailures"`
 	// Reader-side counters: blocks decoded, blocks skipped by zone map,
 	// and how the bytes were accessed.
-	BlocksScanned int64
-	BlocksPruned  int64
-	MmapReads     int64
-	ReadAtReads   int64
-	BytesRead     int64
+	BlocksScanned int64 `json:"blocksScanned"`
+	BlocksPruned  int64 `json:"blocksPruned"`
+	MmapReads     int64 `json:"mmapReads"`
+	ReadAtReads   int64 `json:"readAtReads"`
+	BytesRead     int64 `json:"bytesRead"`
 }
 
-// Add accumulates o into s field-wise (Enabled is OR-ed); the engine
-// aggregates per-shard stats with it.
+// Add accumulates o into s field-wise; the engine aggregates per-shard
+// stats with it.
 func (s *ColumnarStats) Add(o ColumnarStats) {
-	s.Enabled = s.Enabled || o.Enabled
 	s.SidecarsWritten += o.SidecarsWritten
 	s.BlocksWritten += o.BlocksWritten
-	s.WriteFailures += o.WriteFailures
 	s.LazyWindows += o.LazyWindows
 	s.Materializations += o.Materializations
 	s.MaterializeFailures += o.MaterializeFailures
-	s.FallbackReplays += o.FallbackReplays
 	s.BlocksScanned += o.BlocksScanned
 	s.BlocksPruned += o.BlocksPruned
 	s.MmapReads += o.MmapReads
@@ -96,17 +76,19 @@ func (s *ColumnarStats) Add(o ColumnarStats) {
 	s.BytesRead += o.BytesRead
 }
 
-// colReader wraps the sidecar reader with a reference count so that the
-// store can drop it (Close, or a checkpoint that drained every lazy
+// colReader wraps the checkpoint reader with a reference count so that
+// the store can drop it (Close, or a checkpoint that drained every lazy
 // window) while a concurrent materialization is mid-scan: the mapping is
-// unmapped only when the last user releases.
+// unmapped only when the last user releases. name is the file it reads,
+// which compaction spares while the reader lives.
 type colReader struct {
 	rd   *colblock.Reader
+	name string
 	refs atomic.Int64
 }
 
-func newColReader(rd *colblock.Reader) *colReader {
-	cr := &colReader{rd: rd}
+func newColReader(rd *colblock.Reader, name string) *colReader {
+	cr := &colReader{rd: rd, name: name}
 	cr.refs.Store(1) // owner reference, released by Close or checkpoint retirement
 	return cr
 }
@@ -128,7 +110,7 @@ type lazyWin struct {
 	minX, minY, maxX, maxY float64
 }
 
-// columnarState is the store's columnar bookkeeping. rd and lazy are
+// columnarState is the store's lazy-window bookkeeping. rd and lazy are
 // guarded by s.mu; the counters are atomics so the hot paths never take
 // a stats lock.
 type columnarState struct {
@@ -143,13 +125,11 @@ type columnarState struct {
 
 	sidecarsWritten     atomic.Int64
 	blocksWritten       atomic.Int64
-	writeFailures       atomic.Int64
 	materializations    atomic.Int64
 	materializeFailures atomic.Int64
-	fallbacks           atomic.Int64
 }
 
-// retireReaderLocked drops the store's owner reference on the sidecar
+// retireReaderLocked drops the store's owner reference on the checkpoint
 // reader, folding a final counter snapshot into retiredStats. An
 // in-flight materialization holding its own reference keeps the mapping
 // alive until it releases (any counters it adds after this snapshot are
@@ -168,85 +148,41 @@ func (s *Store) retireReaderLocked() {
 	s.col.rd = nil
 }
 
-// colblockName returns the sidecar file name for checkpoint seq.
-func colblockName(seq int) string { return fmt.Sprintf("colblock-%06d.emc", seq) }
-
-// colblockSeqs lists the sidecar sequence numbers present in dir.
-func colblockSeqs(dir string) []int {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var seqs []int
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if !strings.HasPrefix(name, "colblock-") || !strings.HasSuffix(name, ".emc") {
-			continue
-		}
-		mid := name[len("colblock-") : len(name)-len(".emc")]
-		if n, err := strconv.Atoi(mid); err == nil && n >= 0 {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Ints(seqs)
-	return seqs
-}
-
-// readCheckpointHeader reads and validates only the fixed header of a
-// checkpoint file — all lazy recovery needs from the row file.
-func readCheckpointHeader(path string) (ckHeader, error) {
-	f, err := os.Open(path)
+// openCheckpoint validates the column-block checkpoint file ck — footer,
+// sequence number, and the checksum of every block, so recovery never
+// trusts half a checkpoint — and registers every window in it as lazy.
+// Nothing is registered unless everything checked out. Runs
+// single-threaded inside Open.
+func (s *Store) openCheckpoint(ck ckFile) (ckHeader, error) {
+	rd, err := colblock.OpenFile(filepath.Join(s.cfg.Dir, ck.name),
+		colblock.Options{DisableMmap: s.cfg.Columnar.DisableMmap})
 	if err != nil {
 		return ckHeader{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	defer f.Close()
-	buf := make([]byte, ckHeaderSize)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return ckHeader{}, fmt.Errorf("%w: header: %v", ErrCorruptCheckpoint, err)
+	meta := rd.Meta()
+	err = rd.CheckBlocks()
+	if err == nil && meta.Seq != ck.seq {
+		err = fmt.Errorf("file named %d holds checkpoint %d", ck.seq, meta.Seq)
 	}
-	return decodeCkHeader(buf)
-}
-
-// tryLazyRecover attempts columnar recovery of checkpoint seq: validate
-// the row header, open the sidecar, cross-check them, and register every
-// window as lazy. On success the caller skips the eager row read. Runs
-// single-threaded inside Open.
-func (s *Store) tryLazyRecover(seq int) (ckHeader, bool) {
-	hdr, err := readCheckpointHeader(filepath.Join(s.cfg.Dir, checkpointName(seq)))
-	if err != nil || hdr.seq != seq {
-		return ckHeader{}, false
-	}
-	rd, err := colblock.OpenFile(filepath.Join(s.cfg.Dir, colblockName(seq)),
-		colblock.Options{DisableMmap: s.cfg.Columnar.DisableMmap})
 	if err != nil {
-		return ckHeader{}, false
-	}
-	if rd.Seq() != seq || rd.Tuples() != hdr.tuples {
 		rd.Close()
-		return ckHeader{}, false
+		return ckHeader{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	lazy := make(map[int]*lazyWin)
 	for _, c := range rd.Windows() {
-		z, ok := rd.WindowZone(c)
-		if !ok {
-			continue
-		}
+		z, _ := rd.WindowZone(c)
 		lazy[c] = &lazyWin{count: z.Count, minX: z.MinX, minY: z.MinY, maxX: z.MaxX, maxY: z.MaxY}
 		s.total += z.Count
 	}
-	s.col.rd = newColReader(rd)
+	s.col.rd = newColReader(rd, ck.name)
 	s.col.lazy = lazy
-	return hdr, true
+	return ckHeader{seq: meta.Seq, horizon: meta.Horizon, tuples: rd.Tuples(), maxTime: meta.MaxTime}, nil
 }
 
 // materializeWindow installs window c's checkpoint base into memory:
-// decode it from the sidecar (falling back to the row checkpoint file on
-// a corrupt block), then prepend it to whatever segment-suffix tuples
-// already accumulated in memory. Safe for concurrent use; the loser of a
-// materialization race discards its copy.
+// decode it from the checkpoint file, then prepend it to whatever
+// segment-suffix tuples already accumulated in memory. Safe for
+// concurrent use; the loser of a materialization race discards its copy.
 func (s *Store) materializeWindow(c int) {
 	s.mu.Lock()
 	lw := s.col.lazy[c]
@@ -258,26 +194,22 @@ func (s *Store) materializeWindow(c int) {
 	if cr != nil {
 		cr.acquire()
 	}
-	ckSeq := s.recovery.CheckpointSeq
 	s.mu.Unlock()
 
 	var base tuple.Batch
-	err := errors.New("store: columnar reader closed")
+	err := errors.New("store: checkpoint reader closed")
 	if cr != nil {
 		base, err = cr.rd.WindowTuples(c)
 		cr.release()
 		if err == nil && len(base) != lw.count {
-			err = fmt.Errorf("store: columnar window %d: %d tuples, directory claims %d", c, len(base), lw.count)
+			err = fmt.Errorf("store: checkpoint window %d: %d tuples, directory claims %d", c, len(base), lw.count)
 		}
 	}
 	if err != nil {
-		s.col.fallbacks.Add(1)
-		base, err = s.readCheckpointWindow(ckSeq, c)
-	}
-	if err != nil {
-		// Neither source could produce the window. The files are intact on
-		// disk for a restart to retry; for this process the window serves
-		// its in-memory suffix only, and the failure is counted.
+		// The base is unreadable and there is no second copy. A restart
+		// checks the file again and falls back past it; for this process
+		// the window serves its in-memory suffix only, and the failure is
+		// counted.
 		s.col.materializeFailures.Add(1)
 		base = nil
 	}
@@ -295,39 +227,6 @@ func (s *Store) materializeWindow(c int) {
 	}
 	s.total += len(base) - lw.count
 	s.mu.Unlock()
-}
-
-// readCheckpointWindow extracts window c's tuples from the row
-// checkpoint file, in their original append order — the per-window
-// fallback when a sidecar block fails its checksum.
-func (s *Store) readCheckpointWindow(seq, c int) (tuple.Batch, error) {
-	f, err := os.Open(filepath.Join(s.cfg.Dir, checkpointName(seq)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdrBuf := make([]byte, ckHeaderSize)
-	if _, err := io.ReadFull(r, hdrBuf); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorruptCheckpoint, err)
-	}
-	hdr, err := decodeCkHeader(hdrBuf)
-	if err != nil {
-		return nil, err
-	}
-	var out tuple.Batch
-	for i := 0; i < hdr.frames; i++ {
-		b, err := tuple.ReadBinary(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrCorruptCheckpoint, i, err)
-		}
-		for _, tp := range b {
-			if tuple.WindowIndex(tp.T, s.cfg.WindowLength) == c {
-				out = append(out, tp)
-			}
-		}
-	}
-	return out, nil
 }
 
 // WindowBounds returns the exact spatial bounding box of window W_c
@@ -356,14 +255,13 @@ func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 }
 
 // WindowRegion returns window W_c's tuples whose positions fall inside
-// region r — the merged two-source scan: a lazy columnar base streams
-// through the sidecar's block iterator, which skips whole blocks whose
-// zone maps miss r, and the in-memory part (the post-checkpoint suffix,
-// or the whole window when nothing is lazy) is filtered directly. The
-// window is never materialized. The result's tuple set is exactly
-// Window(c) filtered by r, but its order is the sidecar's (cell, time)
-// sort followed by the suffix's append order — use Window when append
-// order matters.
+// region r — the merged two-source scan: a lazy base streams through the
+// checkpoint file's block iterator, which skips whole blocks whose zone
+// maps miss r, and the in-memory part (the post-checkpoint suffix, or the
+// whole window when nothing is lazy) is filtered directly. The window is
+// never materialized. The result's tuple set is exactly Window(c)
+// filtered by r, but its order is the file's (cell, time) sort followed
+// by the suffix's append order — use Window when append order matters.
 func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 	s.mu.RLock()
 	lw := s.col.lazy[c]
@@ -374,7 +272,7 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 	}
 	var suffix tuple.Batch
 	for _, tp := range s.windows[c] {
-		if p := tp.Pos(); r.Contains(p) {
+		if r.Contains(tp.Pos()) {
 			suffix = append(suffix, tp)
 		}
 	}
@@ -382,63 +280,31 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 	if lw == nil {
 		return suffix
 	}
-	if cr == nil {
-		// Lazy with no reader should not happen; recover via the slow path.
-		s.materializeWindow(c)
-		w := s.Window(c)
-		out := w[:0]
-		for _, tp := range w {
-			if r.Contains(tp.Pos()) {
-				out = append(out, tp)
-			}
+	if cr != nil {
+		var base tuple.Batch
+		_, _, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
+			base = append(base, tp)
+		})
+		cr.release()
+		if err == nil {
+			return append(base, suffix...)
 		}
-		return out
 	}
-	var base tuple.Batch
-	_, _, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
-		base = append(base, tp)
-	})
-	cr.release()
-	if err != nil {
-		// A corrupt block mid-scan: materialize (which falls back to the
-		// row checkpoint) and filter the full window instead.
-		s.col.fallbacks.Add(1)
-		s.materializeWindow(c)
-		w := s.Window(c)
-		out := w[:0]
-		for _, tp := range w {
-			if r.Contains(tp.Pos()) {
-				out = append(out, tp)
-			}
+	// The base could not be scanned (a block went bad, or the store was
+	// closed): materializing settles what the window holds from now on —
+	// and counts the failure — so filter that.
+	s.materializeWindow(c)
+	w := s.Window(c)
+	out := w[:0]
+	for _, tp := range w {
+		if r.Contains(tp.Pos()) {
+			out = append(out, tp)
 		}
-		return out
 	}
-	return append(base, suffix...)
+	return out
 }
 
-// writeSidecar emits the columnar sidecar for checkpoint seq. Failures
-// are counted, not returned: the row checkpoint is the authority and the
-// next Open simply recovers eagerly.
-func (s *Store) writeSidecar(seq int, idxs []int, batches []tuple.Batch) {
-	windows := make([]colblock.WindowData, len(idxs))
-	for i, c := range idxs {
-		windows[i] = colblock.WindowData{Window: c, Tuples: batches[i]}
-	}
-	var est colblock.EncodeStats
-	err := s.atomicReplace(filepath.Join(s.cfg.Dir, colblockName(seq)), func(w io.Writer) error {
-		var err error
-		est, err = colblock.Encode(w, seq, windows, s.cfg.Columnar.BlockTuples)
-		return err
-	})
-	if err != nil {
-		s.col.writeFailures.Add(1)
-		return
-	}
-	s.col.sidecarsWritten.Add(1)
-	s.col.blocksWritten.Add(int64(est.Blocks))
-}
-
-// ColumnarStats returns a snapshot of the columnar path's counters.
+// ColumnarStats returns a snapshot of the checkpoint file's counters.
 func (s *Store) ColumnarStats() ColumnarStats {
 	s.mu.RLock()
 	lazy := len(s.col.lazy)
@@ -453,14 +319,11 @@ func (s *Store) ColumnarStats() ColumnarStats {
 	}
 	s.mu.RUnlock()
 	return ColumnarStats{
-		Enabled:             s.cfg.Columnar.Enabled,
 		SidecarsWritten:     s.col.sidecarsWritten.Load(),
 		BlocksWritten:       s.col.blocksWritten.Load(),
-		WriteFailures:       s.col.writeFailures.Load(),
 		LazyWindows:         int64(lazy),
 		Materializations:    s.col.materializations.Load(),
 		MaterializeFailures: s.col.materializeFailures.Load(),
-		FallbackReplays:     s.col.fallbacks.Load(),
 		BlocksScanned:       rs.BlocksScanned,
 		BlocksPruned:        rs.BlocksPruned,
 		MmapReads:           rs.MmapReads,

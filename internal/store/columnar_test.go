@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -9,17 +10,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/geo"
 	"repro/internal/tuple"
 )
 
 func colCfg(dir string) Config {
-	return Config{
-		WindowLength: 100,
-		Dir:          dir,
-		Sync:         SyncNever(),
-		Columnar:     ColumnarConfig{Enabled: true, BlockTuples: 32},
-	}
+	return Config{WindowLength: 100, Dir: dir, Sync: SyncNever()}
 }
 
 func randBatch(rng *rand.Rand, n int, tmin, tmax float64) tuple.Batch {
@@ -73,8 +70,8 @@ func copyDirTo(t *testing.T, src string) string {
 }
 
 // TestColumnarLazyRecovery checks the headline behavior: a restart over a
-// checkpointed log with the sidecar present recovers lazily (no tuples
-// decoded), serves exact counts and bounds from the footer, and
+// checkpointed log recovers lazily (no tuples decoded), serves exact
+// counts and bounds from the footer, and
 // materializes windows bit-identically on demand — including a window
 // that is lazy base + replayed segment suffix.
 func TestColumnarLazyRecovery(t *testing.T) {
@@ -116,8 +113,8 @@ func TestColumnarLazyRecovery(t *testing.T) {
 	}
 	defer r.Close()
 	rs := r.RecoveryStats()
-	if !rs.FromCheckpoint || !rs.Columnar {
-		t.Fatalf("recovery %+v: want columnar checkpoint recovery", rs)
+	if !rs.FromCheckpoint {
+		t.Fatalf("recovery %+v: want checkpoint recovery", rs)
 	}
 	cs := r.ColumnarStats()
 	if cs.LazyWindows == 0 {
@@ -151,8 +148,8 @@ func TestColumnarLazyRecovery(t *testing.T) {
 	if cs.MmapReads+cs.ReadAtReads == 0 || cs.BytesRead == 0 {
 		t.Fatalf("stats %+v: no reads accounted", cs)
 	}
-	if cs.FallbackReplays != 0 || cs.MaterializeFailures != 0 {
-		t.Fatalf("stats %+v: unexpected fallbacks on a clean sidecar", cs)
+	if cs.MaterializeFailures != 0 {
+		t.Fatalf("stats %+v: unexpected failures on a clean checkpoint", cs)
 	}
 }
 
@@ -195,64 +192,138 @@ func TestColumnarDisableMmap(t *testing.T) {
 	}
 }
 
-// TestColumnarCorruptBlockFallsBack flips a byte inside a sidecar block
-// (leaving its footer intact) and requires materialization to fall back
-// to the row checkpoint with identical results.
+// TestColumnarCorruptBlockFallsBack flips a byte inside a checkpoint
+// block (leaving its footer intact). Found at Open, the candidate is
+// rejected and recovery falls back — to the next candidate or to the kept
+// segments — without losing a tuple; appearing after Open has checked the
+// file, it degrades the window to its in-memory suffix and is counted.
+// (With KeepSegments 0 a fallback can only recover what the surviving
+// files hold — the same as for any unreadable checkpoint.)
 func TestColumnarCorruptBlockFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(colCfg(dir))
-	if err != nil {
-		t.Fatal(err)
+	// build writes two checkpoints, the first kept on disk, plus a suffix.
+	build := func(t *testing.T, cfg Config, keepOld bool) (dir string, want map[int]tuple.Batch) {
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keepOld {
+			realRemove := s.removeFile
+			s.removeFile = func(path string) error {
+				if _, ok := parseSeq(filepath.Base(path), "checkpoint-", ckExt); ok {
+					return nil
+				}
+				return realRemove(path)
+			}
+		}
+		rng := rand.New(rand.NewSource(3))
+		for _, step := range []struct{ lo, hi float64 }{{0, 200}, {100, 300}, {200, 400}} {
+			if err := s.Append(randBatch(rng, 300, step.lo, step.hi)); err != nil {
+				t.Fatal(err)
+			}
+			if step.hi < 400 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want = map[int]tuple.Batch{}
+		for _, c := range s.WindowIndexes() {
+			want[c] = s.Window(c)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Dir, want
 	}
-	rng := rand.New(rand.NewSource(3))
-	if err := s.Append(randBatch(rng, 300, 0, 200)); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]tuple.Batch{}
-	for _, c := range s.WindowIndexes() {
-		want[c] = s.Window(c)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	seqs := colblockSeqs(dir)
-	if len(seqs) != 1 {
-		t.Fatalf("sidecars on disk: %v, want exactly one", seqs)
-	}
-	path := filepath.Join(dir, colblockName(seqs[0]))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[20] ^= 0xff // inside the first block, past the 8-byte header
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(colCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.RecoveryStats().Columnar {
-		t.Fatalf("recovery %+v: footer is intact, recovery should still be lazy", r.RecoveryStats())
-	}
-	for c, w := range want {
-		if got := r.Window(c); !batchBitEqual(got, w) {
-			t.Fatalf("window %d differs after block-corruption fallback", c)
+	flip := func(t *testing.T, path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[20] ^= 0xff // inside the first block, past the 8-byte header
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cs := r.ColumnarStats()
-	if cs.FallbackReplays == 0 {
-		t.Fatalf("stats %+v: corrupt block must be counted as a fallback replay", cs)
+	requireWindows := func(t *testing.T, r *Store, want map[int]tuple.Batch) {
+		t.Helper()
+		if got := len(r.WindowIndexes()); got != len(want) {
+			t.Fatalf("%d windows, want %d", got, len(want))
+		}
+		for c, w := range want {
+			if got := r.Window(c); !batchBitEqual(got, w) {
+				t.Fatalf("window %d differs after the fallback", c)
+			}
+		}
 	}
-	if cs.MaterializeFailures != 0 {
-		t.Fatalf("stats %+v: fallback should have succeeded", cs)
-	}
+
+	t.Run("at-open/next-candidate", func(t *testing.T) {
+		cfg := colCfg(t.TempDir())
+		cfg.KeepSegments = 100 // checkpoint 0 needs the segments checkpoint 1 covered
+		dir, want := build(t, cfg, true)
+		flip(t, filepath.Join(dir, checkpointName(1)))
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		rs := r.RecoveryStats()
+		if !rs.FromCheckpoint || rs.CheckpointSeq != 0 || rs.CorruptCheckpoints != 1 {
+			t.Fatalf("recovery %+v: want checkpoint 1 rejected, checkpoint 0 used", rs)
+		}
+		requireWindows(t, r, want)
+		if cs := r.ColumnarStats(); cs.MaterializeFailures != 0 {
+			t.Fatalf("stats %+v: nothing may fail once Open has picked a sound candidate", cs)
+		}
+	})
+
+	t.Run("at-open/kept-segments", func(t *testing.T) {
+		cfg := colCfg(t.TempDir())
+		cfg.KeepSegments = 100
+		dir, want := build(t, cfg, false)
+		flip(t, filepath.Join(dir, checkpointName(1)))
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		rs := r.RecoveryStats()
+		if rs.FromCheckpoint || rs.CorruptCheckpoints != 1 || rs.SegmentsReplayed != 3 {
+			t.Fatalf("recovery %+v: want the only checkpoint rejected and all three segments replayed", rs)
+		}
+		requireWindows(t, r, want)
+	})
+
+	t.Run("after-open", func(t *testing.T) {
+		cfg := colCfg(t.TempDir())
+		cfg.Columnar.DisableMmap = true // pread sees the file as it is now
+		dir, want := build(t, cfg, false)
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if rs := r.RecoveryStats(); !rs.FromCheckpoint || rs.CorruptCheckpoints != 0 {
+			t.Fatalf("recovery %+v: the checkpoint was sound at Open", rs)
+		}
+		flip(t, filepath.Join(dir, checkpointName(1)))
+		// Window 0 is the first block: its base is gone and it had no
+		// suffix. The other windows are intact; window 2 and 3 carry the
+		// replayed suffix on top.
+		if got := r.Window(0); len(got) != 0 {
+			t.Fatalf("window 0 served %d tuples from a block that fails its checksum", len(got))
+		}
+		for _, c := range []int{1, 2, 3} {
+			if got := r.Window(c); !batchBitEqual(got, want[c]) {
+				t.Fatalf("window %d differs", c)
+			}
+		}
+		cs := r.ColumnarStats()
+		if cs.MaterializeFailures != 1 || cs.LazyWindows != 0 {
+			t.Fatalf("stats %+v: want exactly window 0 counted as a failed materialization", cs)
+		}
+	})
 }
 
 // TestColumnarCheckpointOfLazyWindows checkpoints a store whose windows
@@ -313,11 +384,12 @@ func TestColumnarCheckpointOfLazyWindows(t *testing.T) {
 	}
 }
 
-// TestColumnarEquivalenceRandomHistories is the satellite property test
-// at the store layer: over randomized ingest histories — late arrivals,
-// interleaved checkpoints, torn segment tails — a columnar reopen and a
-// row-replay reopen of the same directory must agree bit-for-bit on
-// every observable.
+// TestColumnarEquivalenceRandomHistories is the property test at the
+// store layer: over randomized ingest histories — late arrivals,
+// interleaved checkpoints, restarts that leave windows lazy, torn segment
+// tails — a reopen of the directory must agree bit-for-bit on every
+// observable with a memory store fed the same appends under the same
+// retention.
 func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -328,12 +400,27 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
+		if err != nil {
+			t.Fatal(err)
+		}
 		maxWin := 3
 		ops := 30 + rng.Intn(40)
 		for i := 0; i < ops; i++ {
-			if rng.Intn(10) == 0 {
+			switch rng.Intn(20) {
+			case 0, 1:
 				if err := s.Checkpoint(); err != nil {
 					t.Fatal(err)
+				}
+				continue
+			case 2:
+				// Restart: checkpointed windows come back lazy, and the
+				// next checkpoint assembles them from the previous file.
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(cfg); err != nil {
+					t.Fatalf("trial %d: reopen: %v", trial, err)
 				}
 				continue
 			}
@@ -348,6 +435,9 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 			if err := s.Append(b); err != nil {
 				t.Fatal(err)
 			}
+			if err := ref.Append(b); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if rng.Intn(2) == 0 {
 			if err := s.Checkpoint(); err != nil {
@@ -358,7 +448,8 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Optionally tear the newest segment's tail, as a crash mid-write
-		// would: recovery must treat the damage identically on both paths.
+		// would: the torn frame was never acknowledged, so the reference
+		// never saw it.
 		if rng.Intn(2) == 0 {
 			names, err := segmentNames(dir)
 			if err != nil {
@@ -375,47 +466,12 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 			}
 		}
 
-		cfgA := cfg
-		cfgA.Dir = copyDirTo(t, dir)
-		cfgB := cfg
-		cfgB.Dir = copyDirTo(t, dir)
-		cfgB.Columnar = ColumnarConfig{}
-		sa, err := Open(cfgA)
+		re, err := Open(cfg)
 		if err != nil {
-			t.Fatalf("trial %d: columnar reopen: %v", trial, err)
+			t.Fatalf("trial %d: reopen: %v", trial, err)
 		}
-		sb, err := Open(cfgB)
-		if err != nil {
-			t.Fatalf("trial %d: row reopen: %v", trial, err)
-		}
-		if sa.Len() != sb.Len() {
-			t.Fatalf("trial %d: Len %d vs %d", trial, sa.Len(), sb.Len())
-		}
-		if math.Float64bits(sa.MaxTime()) != math.Float64bits(sb.MaxTime()) {
-			t.Fatalf("trial %d: MaxTime %v vs %v", trial, sa.MaxTime(), sb.MaxTime())
-		}
-		ia, ib := sa.WindowIndexes(), sb.WindowIndexes()
-		if len(ia) != len(ib) {
-			t.Fatalf("trial %d: indexes %v vs %v", trial, ia, ib)
-		}
-		for i := range ia {
-			if ia[i] != ib[i] {
-				t.Fatalf("trial %d: indexes %v vs %v", trial, ia, ib)
-			}
-		}
-		for _, c := range ia {
-			gb, gok := sa.WindowBounds(c)
-			wa, wb := sa.Window(c), sb.Window(c)
-			if !batchBitEqual(wa, wb) {
-				t.Fatalf("trial %d: window %d differs between scan paths", trial, c)
-			}
-			eb, eok := wb.Bounds()
-			if gok != eok || gb != eb {
-				t.Fatalf("trial %d: WindowBounds(%d) %+v,%v vs %+v,%v", trial, c, gb, gok, eb, eok)
-			}
-		}
-		sa.Close()
-		sb.Close()
+		requireSameState(t, fmt.Sprintf("trial %d", trial), re, ref)
+		re.Close()
 	}
 }
 
@@ -425,16 +481,16 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 func TestColumnarWindowRegion(t *testing.T) {
 	dir := t.TempDir()
 	cfg := colCfg(dir)
-	cfg.Columnar.BlockTuples = 16
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	// Two spatial clusters far apart inside one window, so blocks sort
-	// into disjoint cells and a query over one cluster prunes the other.
+	// Two spatial clusters far apart inside one window, several blocks
+	// each, so blocks sort into disjoint cells and a query over one
+	// cluster prunes the other.
 	var b tuple.Batch
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 5*colblock.BlockTuples; i++ {
 		cx, cy := 0.0, 0.0
 		if i%2 == 1 {
 			cx, cy = 50000, 50000

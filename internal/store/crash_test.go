@@ -6,10 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 )
 
@@ -53,7 +56,8 @@ type crashStep struct {
 
 // crashWorkload spans four windows with two checkpoints, so the matrix
 // crosses segment writes, checkpoint temp/rename commits, manifest
-// replacement, and two rounds of compaction.
+// replacement, and two rounds of compaction (the second removes the
+// first's checkpoint file).
 func crashWorkload() []crashStep {
 	return []crashStep{
 		{batch: mkBatch(10, 20)},
@@ -140,32 +144,31 @@ func expectedRecovery(t *testing.T, dir string) (fromCheckpoint bool, seq, suffi
 	if err != nil {
 		t.Fatal(err)
 	}
-	cks, err := checkpointSeqs(dir)
+	cks, err := checkpointFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := cks
 	if manSeq, _, err := readManifest(dir); err == nil {
-		reordered := []int{manSeq}
-		for _, c := range cks {
-			if c != manSeq {
-				reordered = append(reordered, c)
-			}
-		}
-		candidates = reordered
+		sort.SliceStable(cks, func(i, j int) bool { return cks[i].seq == manSeq && cks[j].seq != manSeq })
 	}
-	for _, c := range candidates {
-		hdr, _, err := readCheckpointFile(filepath.Join(dir, checkpointName(c)))
-		if err != nil {
+	for _, ck := range cks {
+		// The oracle decodes every tuple (colblock.Verify), where Open
+		// only checksums the blocks.
+		img, err := os.ReadFile(filepath.Join(dir, ck.name))
+		if err != nil || colblock.Verify(img) != nil {
 			continue
+		}
+		rd, err := colblock.OpenBytes(img)
+		if err != nil {
+			t.Fatal(err)
 		}
 		n := 0
 		for _, name := range segNames {
-			if sq, _ := parseSeq(name, "segment-"); sq > hdr.horizon {
+			if sq, _ := parseSeq(name, "segment-", segExt); sq > rd.Meta().Horizon {
 				n++
 			}
 		}
-		return true, c, n
+		return true, ck.seq, n
 	}
 	return false, 0, len(segNames)
 }
@@ -381,5 +384,87 @@ func TestCrashFaultInjectionMatrix(t *testing.T) {
 				verifyCrashState(t, label, dir, acked, ceiling)
 			}
 		})
+	}
+}
+
+// TestCheckpointCutPoints pins the disk operations of one checkpoint, in
+// order — seal the segment, checkpoint file, MANIFEST, compaction — and,
+// for a crash before each of them, which state recovery finds: the old
+// checkpoint plus its two-segment suffix up to and including the rename
+// of MANIFEST (the new file is complete before that, but the committed
+// one is still there and comes first), the new one and the one open
+// segment after it. Never something in between, and the same tuples
+// either way.
+func TestCheckpointCutPoints(t *testing.T) {
+	dir := t.TempDir()
+	snapRoot := t.TempDir()
+	cfg := Config{WindowLength: 100, Dir: dir, Sync: SyncNever()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(mkBatch(10, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(mkBatch(160, 250)); err != nil {
+		t.Fatal(err)
+	}
+	want := collectTuples(s)
+
+	var ops []string
+	cut := func(op, path string) {
+		copyDir(t, dir, filepath.Join(snapRoot, fmt.Sprintf("cut%02d", len(ops))))
+		ops = append(ops, op+" "+filepath.Base(path))
+	}
+	s.syncSeg = func(f *os.File) error { cut("sync", f.Name()); return f.Sync() }
+	s.renameFile = func(o, n string) error { cut("rename", n); return os.Rename(o, n) }
+	s.removeFile = func(p string) error { cut("remove", p); return os.Remove(p) }
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.syncSeg = func(f *os.File) error { return f.Sync() }
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data := filepath.Base(dir)
+	wantOps := []string{
+		"sync segment-000001.emt",
+		"sync checkpoint-000001.emc.tmp",
+		"rename checkpoint-000001.emc",
+		"sync " + data,
+		"sync MANIFEST.tmp",
+		"rename MANIFEST",
+		"sync " + data,
+		"remove segment-000001.emt",
+		"remove checkpoint-000000.emc",
+	}
+	if !slices.Equal(ops, wantOps) {
+		t.Fatalf("checkpoint operations:\n%q\nwant\n%q", ops, wantOps)
+	}
+	committed := false
+	for i, op := range ops {
+		re, err := Open(Config{WindowLength: 100, Dir: filepath.Join(snapRoot, fmt.Sprintf("cut%02d", i))})
+		if err != nil {
+			t.Fatalf("crash before %q: %v", op, err)
+		}
+		wantSeq, wantSuffix := 0, 2 // segment 1, and segment 2 opened by the rotation
+		if op == "rename MANIFEST" {
+			committed = true
+		} else if committed {
+			wantSeq, wantSuffix = 1, 1
+		}
+		rs := re.RecoveryStats()
+		if !rs.FromCheckpoint || rs.CheckpointSeq != wantSeq || rs.SegmentsReplayed != wantSuffix || rs.CorruptCheckpoints != 0 {
+			t.Errorf("crash before %q: recovery %+v, want checkpoint %d and %d replayed segments", op, rs, wantSeq, wantSuffix)
+		}
+		if seq, _, err := readManifest(re.cfg.Dir); err != nil || seq != wantSeq {
+			t.Errorf("crash before %q: MANIFEST names %d (%v) after recovery, want %d", op, seq, err, wantSeq)
+		}
+		sameTuples(t, collectTuples(re), want)
+		re.Close()
 	}
 }

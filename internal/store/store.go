@@ -35,13 +35,15 @@
 //
 // Without checkpoints the segment log only ever grows, and every Open
 // replays all of it just to evict most of what it read. Checkpoint
-// bounds both: it writes the retained windows to checkpoint-%06d.emt
-// (a checksummed header plus ordinary tuple frames), commits it via an
-// atomically-replaced checksummed MANIFEST, and then deletes every
+// bounds both: it writes the retained windows to checkpoint-%06d.emc
+// (checksummed column blocks behind a checksummed footer, see
+// internal/colblock), commits it via an atomically-replaced checksummed
+// MANIFEST, and then deletes every
 // segment at or below the checkpoint horizon — the open segment is
 // rotated as part of the checkpoint, so the horizon is exact. Open
 // recovers from the newest valid checkpoint (preferring the one the
-// MANIFEST names) and replays only the segments after its horizon; a
+// MANIFEST names), leaving its windows in the file until they are read
+// (columnar.go), and replays only the segments after its horizon; a
 // corrupt or missing checkpoint falls back to the next candidate and
 // ultimately to full replay of whatever segments exist. Recovery also
 // finishes interrupted compactions and deletes segments it can prove
@@ -57,6 +59,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,10 +144,8 @@ type Config struct {
 	// even after a checkpoint supersedes it. 0 deletes every covered
 	// segment.
 	KeepSegments int
-	// Columnar configures the columnar checkpoint sidecar (see
-	// columnar.go): when Enabled, each checkpoint also emits a columnar
-	// copy of its windows and Open recovers lazily from it. Ignored when
-	// Dir is empty.
+	// Columnar configures how the checkpoint file is read (see
+	// columnar.go). Ignored when Dir is empty.
 	Columnar ColumnarConfig
 }
 
@@ -169,8 +170,8 @@ type Store struct {
 	// defers the actual close past any fsync still in flight.
 	retired []*segHandle
 
-	// col is the columnar sidecar state (reader, lazy windows, counters);
-	// see columnar.go.
+	// col is the lazy-window state (checkpoint reader, lazy windows,
+	// counters); see columnar.go.
 	col columnarState
 
 	// group is the open commit group (SyncModeGrouped); appends join it
@@ -199,9 +200,8 @@ type Store struct {
 	ckStats   CheckpointStats
 	recovery  RecoveryStats
 
-	// writeFrame persists one batch to the segment (and to checkpoint
-	// files); swapped by tests to inject torn writes. Defaults to
-	// tuple.WriteBinary.
+	// writeFrame persists one batch to the segment; swapped by tests to
+	// inject torn writes. Defaults to tuple.WriteBinary.
 	writeFrame func(w io.Writer, b tuple.Batch) error
 	// syncSeg flushes a file to stable storage; swapped by tests to
 	// count or fail fsyncs. Defaults to (*os.File).Sync.
@@ -359,59 +359,54 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	ckSeqs, err := checkpointSeqs(s.cfg.Dir)
+	cks, err := checkpointFiles(s.cfg.Dir)
 	if err != nil {
 		return err
 	}
 	s.removeStrayTmp()
-	if len(ckSeqs) > 0 {
-		s.ckSeq = ckSeqs[0] + 1
+	if len(cks) > 0 {
+		s.ckSeq = cks[0].seq + 1
 	}
 
 	// Candidate order: the manifest-committed checkpoint first (the
 	// common case needs exactly one validation), then the rest newest
 	// first — a complete checkpoint whose manifest rename was lost is
 	// still preferable to replaying the whole log.
-	candidates := ckSeqs
 	if manSeq, _, err := readManifest(s.cfg.Dir); err == nil {
-		reordered := make([]int, 0, len(ckSeqs))
-		reordered = append(reordered, manSeq)
-		for _, seq := range ckSeqs {
-			if seq != manSeq {
-				reordered = append(reordered, seq)
-			}
+		i := slices.IndexFunc(cks, func(ck ckFile) bool { return ck.seq == manSeq })
+		if i < 0 {
+			s.recovery.CorruptCheckpoints++ // the committed checkpoint is gone
+		} else {
+			committed := cks[i]
+			copy(cks[1:i+1], cks[:i])
+			cks[0] = committed
 		}
-		candidates = reordered
 	}
 	horizon := -1
-	for _, seq := range candidates {
+	for _, ck := range cks {
+		// A column-block file is checked and its windows left lazy — no
+		// tuple is decoded until something asks for its window; a row
+		// file from an older release is read whole.
 		var hdr ckHeader
-		if s.cfg.Columnar.Enabled {
-			// Lazy columnar recovery: validate the row header, open the
-			// sidecar, and register every window as lazy — no tuple is
-			// decoded until something asks for its window. A missing or
-			// inconsistent sidecar falls through to the eager row read.
-			if h, ok := s.tryLazyRecover(seq); ok {
-				hdr = h
-				s.recovery.Columnar = true
-			}
+		var rows []tuple.Batch
+		var err error
+		if ck.legacy {
+			hdr, rows, err = readCheckpointFile(filepath.Join(s.cfg.Dir, ck.name))
+		} else {
+			hdr, err = s.openCheckpoint(ck)
 		}
-		if !s.recovery.Columnar {
-			h, batches, err := readCheckpointFile(filepath.Join(s.cfg.Dir, checkpointName(seq)))
-			if err != nil {
-				s.recovery.CorruptCheckpoints++
-				continue
-			}
-			hdr = h
-			for _, b := range batches {
-				s.addToWindows(b)
-			}
+		if err != nil {
+			s.recovery.CorruptCheckpoints++
+			continue
+		}
+		for _, b := range rows {
+			s.addToWindows(b)
 		}
 		// The recovered checkpoint IS the newest committed one: seed the
 		// checkpoint counters so LastSeq survives a restart (the window
 		// count is read before eviction — it is the checkpoint's, even
 		// if a lowered Retain trims it right after).
-		s.ckStats.LastSeq = int64(seq)
+		s.ckStats.LastSeq = int64(ck.seq)
 		s.ckStats.LastWindows = int64(len(s.windows) + len(s.col.lazy))
 		s.ckStats.LastTuples = int64(hdr.tuples)
 		s.evictLocked()
@@ -423,7 +418,7 @@ func (s *Store) recover() error {
 		}
 		horizon = hdr.horizon
 		s.recovery.FromCheckpoint = true
-		s.recovery.CheckpointSeq = seq
+		s.recovery.CheckpointSeq = ck.seq
 		s.recovery.CheckpointTuples = hdr.tuples
 		break
 	}
@@ -436,7 +431,7 @@ func (s *Store) recover() error {
 	}
 	infos := make([]segInfo, 0, len(names))
 	for _, name := range names {
-		seq, _ := parseSeq(name, "segment-")
+		seq, _ := parseSeq(name, "segment-", segExt)
 		if s.recovery.FromCheckpoint && seq <= horizon {
 			infos = append(infos, segInfo{name: name, covered: true})
 			continue
@@ -457,7 +452,7 @@ func (s *Store) recover() error {
 	}
 	switch {
 	case len(names) > 0:
-		last, _ := parseSeq(names[len(names)-1], "segment-")
+		last, _ := parseSeq(names[len(names)-1], "segment-", segExt)
 		s.segSeq = last + 1
 	case horizon >= 0:
 		// All segments compacted away: keep numbering past the horizon
@@ -526,9 +521,10 @@ func (s *Store) removeStrayTmp() {
 	}
 }
 
-// segmentNames lists the segment files in dir in sequence order.
-// Checkpoint files share the directory and the .emt extension but are
-// never segments — replaying one would double-count its tuples.
+// segmentNames lists the segment files in dir in sequence order. Row
+// checkpoint files from older releases share the directory and the .emt
+// extension but are never segments — replaying one would double-count
+// its tuples.
 func segmentNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -539,13 +535,13 @@ func segmentNames(dir string) ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		if _, ok := parseSeq(e.Name(), "segment-"); ok {
+		if _, ok := parseSeq(e.Name(), "segment-", segExt); ok {
 			names = append(names, e.Name())
 		}
 	}
 	sort.Slice(names, func(i, j int) bool {
-		a, _ := parseSeq(names[i], "segment-")
-		b, _ := parseSeq(names[j], "segment-")
+		a, _ := parseSeq(names[i], "segment-", segExt)
+		b, _ := parseSeq(names[j], "segment-", segExt)
 		return a < b
 	})
 	return names, nil
@@ -601,7 +597,7 @@ func (s *Store) replaySegment(path string) (frames, maxWin, tuples int, err erro
 }
 
 func (s *Store) openSegment() error {
-	path := filepath.Join(s.cfg.Dir, fmt.Sprintf("segment-%06d.emt", s.segSeq))
+	path := filepath.Join(s.cfg.Dir, fmt.Sprintf("segment-%06d"+segExt, s.segSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment for append: %w", err)
@@ -862,7 +858,7 @@ func (s *Store) addToWindows(b tuple.Batch) {
 }
 
 // unionIndexesLocked returns the distinct retained window indexes —
-// in-memory and lazy columnar — in ascending order. Caller holds mu.
+// in-memory and lazy — in ascending order. Caller holds mu.
 func (s *Store) unionIndexesLocked() []int {
 	idxs := make([]int, 0, len(s.windows)+len(s.col.lazy))
 	for c := range s.windows {
@@ -880,7 +876,7 @@ func (s *Store) unionIndexesLocked() []int {
 // evictLocked drops the oldest windows beyond the retention bound and
 // returns their indexes in ascending order (nil when nothing is evicted).
 // A window counts once whether it lives in memory, lazily in the
-// columnar sidecar, or (base + suffix) in both; eviction drops both
+// checkpoint file, or (base + suffix) in both; eviction drops both
 // halves.
 func (s *Store) evictLocked() []int {
 	if s.cfg.Retain == 0 {
@@ -903,7 +899,7 @@ func (s *Store) evictLocked() []int {
 }
 
 // Window returns a copy of the tuples in window W_c, sorted by time. A
-// window still lazy in the columnar sidecar is materialized first, so
+// window still lazy in the checkpoint file is materialized first, so
 // callers see the full base + suffix contents either way.
 func (s *Store) Window(c int) tuple.Batch {
 	s.mu.RLock()
@@ -957,7 +953,7 @@ func (s *Store) LatestWindowIndex() (int, bool) {
 }
 
 // WindowIndexes returns the indexes of all retained windows — in-memory
-// and lazy columnar — in ascending order.
+// and lazy — in ascending order.
 func (s *Store) WindowIndexes() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -992,9 +988,11 @@ func (s *Store) Sync() error {
 	return s.doSync(s.seg.f)
 }
 
-// Close syncs and closes the segment file. A pending commit group is
-// released once the final sync has covered its frames. The in-memory
-// state remains readable but further Appends with durability will fail.
+// Close syncs and closes the segment file and releases the checkpoint
+// file. A pending commit group is released once the final sync has
+// covered its frames. The in-memory state remains readable — windows
+// still lazy in the checkpoint file are not, and read as their in-memory
+// suffix — but further Appends with durability will fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -1024,8 +1022,6 @@ func (s *Store) Close() error {
 		}
 	}
 	s.retired = nil
-	// Drop the sidecar reader; still-lazy windows fall back to the row
-	// checkpoint file if something reads them after Close.
 	s.retireReaderLocked()
 	if group != nil {
 		// Hand the group this sync's outcome under mu: whichever of

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/tuple"
@@ -79,22 +80,63 @@ func requireSameState(t *testing.T, label string, got, want *Store) {
 	}
 }
 
-// TestUpgradeFromRowCheckpoints opens directories the parent commit wrote.
+// TestUpgradeFromRowCheckpoints opens directories the parent commit
+// wrote: the row checkpoint is read (the version-1 sidecar beside it
+// never is — it has no horizon), the next Checkpoint writes the
+// column-block file, and its compaction removes the row file and the
+// sidecar.
 func TestUpgradeFromRowCheckpoints(t *testing.T) {
 	for _, name := range upgradeFixtures {
 		t.Run(name, func(t *testing.T) {
 			ref := fixtureReference(t, name)
 			dir := copyDirTo(t, filepath.Join("testdata", name, "dir"))
-			s, err := Open(Config{WindowLength: 100, Retain: 4, Dir: dir, Sync: SyncNever()})
+			cfg := Config{WindowLength: 100, Retain: 4, Dir: dir, Sync: SyncNever()}
+			s, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
 			rs := s.RecoveryStats()
 			if !rs.FromCheckpoint || rs.CheckpointSeq != 1 || rs.CorruptCheckpoints != 0 || rs.SegmentsReplayed != 1 {
 				t.Fatalf("recovery %+v: want checkpoint 1 plus one replayed segment", rs)
 			}
+			if cs := s.ColumnarStats(); cs.LazyWindows != 0 || cs.BytesRead != 0 {
+				t.Fatalf("stats %+v: a row checkpoint is read whole, a version-1 sidecar not at all", cs)
+			}
 			requireSameState(t, "first open", s, ref)
+
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			// Segment 2 is covered; segment 3 was opened by this process
+			// and sealed by the checkpoint, segment 4 is the open one.
+			want := []string{manifestName, checkpointName(2), "segment-000004.emt"}
+			if !slices.Equal(got, want) {
+				t.Fatalf("directory after the first new checkpoint: %v, want %v", got, want)
+			}
+
+			re, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 2 || rs.CorruptCheckpoints != 0 {
+				t.Fatalf("second recovery %+v: want checkpoint 2", rs)
+			}
+			if cs := re.ColumnarStats(); cs.LazyWindows != 4 {
+				t.Fatalf("stats %+v: want the four windows lazy in the new file", cs)
+			}
+			requireSameState(t, "after the upgrade", re, ref)
 		})
 	}
 }
