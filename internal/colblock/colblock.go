@@ -177,15 +177,15 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 		st.Tuples += n
 		e.cellTimeOrder(wd.Tuples)
 		for lo := 0; lo < n; lo += blockTuples {
-			meta := e.encodeBlock(wd.Tuples, e.order[lo:min(lo+blockTuples, n)])
-			meta.Window = wd.Window
-			meta.Offset = off
-			meta.Length = int64(len(e.blk))
+			bm := e.encodeBlock(wd.Tuples, e.order[lo:min(lo+blockTuples, n)])
+			bm.Window = wd.Window
+			bm.Offset = off
+			bm.Length = int64(len(e.blk))
 			if _, err := w.Write(e.blk); err != nil {
 				return EncodeStats{}, err
 			}
-			off += meta.Length
-			e.dir = appendDirEntry(e.dir, meta)
+			off += bm.Length
+			e.dir = appendDirEntry(e.dir, bm)
 			st.Blocks++
 		}
 	}
@@ -210,12 +210,7 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 }
 
 // sized returns s with length n, reallocating only when it must grow.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // sortKey is one tuple's place in a window's block order: geo-cell row
 // and column, time, then original position. The trailing position makes

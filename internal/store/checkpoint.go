@@ -562,9 +562,10 @@ func (s *Store) compact(ckSeq, horizon int, spare string) (deleted int, err erro
 	if err != nil {
 		errs = append(errs, err)
 	}
+	current := checkpointName(ckSeq)
 	for _, e := range entries {
 		name := e.Name()
-		if name == checkpointName(ckSeq) || name == spare || !supersedable(name) {
+		if name == current || name == spare || !supersedable(name) {
 			continue
 		}
 		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, name)); rerr != nil {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -196,22 +195,21 @@ func (s *Store) materializeWindow(c int) {
 	}
 	s.mu.Unlock()
 
-	var base tuple.Batch
-	err := errors.New("store: checkpoint reader closed")
+	var base tuple.Batch // stays nil unless the file yields exactly lw.count (> 0) tuples
 	if cr != nil {
-		base, err = cr.rd.WindowTuples(c)
+		b, err := cr.rd.WindowTuples(c)
 		cr.release()
-		if err == nil && len(base) != lw.count {
-			err = fmt.Errorf("store: checkpoint window %d: %d tuples, directory claims %d", c, len(base), lw.count)
+		if err == nil && len(b) == lw.count {
+			base = b
 		}
 	}
-	if err != nil {
-		// The base is unreadable and there is no second copy. A restart
+	if base == nil {
+		// The base is unreadable (a block went bad after Open checked it,
+		// or the store was closed) and there is no second copy. A restart
 		// checks the file again and falls back past it; for this process
 		// the window serves its in-memory suffix only, and the failure is
 		// counted.
 		s.col.materializeFailures.Add(1)
-		base = nil
 	}
 
 	s.mu.Lock()

@@ -38,9 +38,9 @@
 // bounds both: it writes the retained windows to checkpoint-%06d.emc
 // (checksummed column blocks behind a checksummed footer, see
 // internal/colblock), commits it via an atomically-replaced checksummed
-// MANIFEST, and then deletes every
-// segment at or below the checkpoint horizon — the open segment is
-// rotated as part of the checkpoint, so the horizon is exact. Open
+// MANIFEST, and then deletes every segment at or below the checkpoint
+// horizon — the open segment is rotated as part of the checkpoint, so
+// the horizon is exact. Open
 // recovers from the newest valid checkpoint (preferring the one the
 // MANIFEST names), leaving its windows in the file until they are read
 // (columnar.go), and replays only the segments after its horizon; a
