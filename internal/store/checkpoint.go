@@ -408,7 +408,7 @@ func (s *Store) Checkpoint() error {
 		cr.release()
 	}
 
-	est, err := s.writeCheckpointFile(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows)
+	est, err := s.writeCheckpoint(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows)
 	if err != nil {
 		s.failCheckpoint()
 		return err
@@ -491,8 +491,8 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 	return s.syncDir()
 }
 
-// writeCheckpointFile writes one checkpoint atomically.
-func (s *Store) writeCheckpointFile(meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
+// writeCheckpoint writes one checkpoint atomically.
+func (s *Store) writeCheckpoint(meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
 	err = s.atomicReplace(filepath.Join(s.cfg.Dir, checkpointName(meta.Seq)), func(w io.Writer) (err error) {
 		est, err = colblock.Encode(w, meta, windows)
 		return err
