@@ -6,6 +6,7 @@ package cluster
 // (growing the cluster only moves shards onto the new node).
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geo"
@@ -206,4 +207,39 @@ type stubHandler struct{}
 
 func (stubHandler) HandleMessage(m wire.Message) wire.Message {
 	return wire.ErrorResponse{Msg: "stub"}
+}
+
+// TestSplitByOwnerMatchesPerTupleRouting: the counting-pass split gives
+// every node exactly the tuples the ring routes to it, in upload order, in
+// slices that are full — so the one array they are cut from can never be
+// overwritten through a neighbour's append.
+func TestSplitByOwnerMatchesPerTupleRouting(t *testing.T) {
+	ring, err := NewRing(testDesc(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{0, 1, 256, 5000} {
+		tuples := make([]tuple.Raw, n)
+		want := make([][]tuple.Raw, ring.Nodes())
+		for i := range tuples {
+			tuples[i] = tuple.Raw{T: float64(i), X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000, S: 1}
+			o := ring.Owner(tuple.PM, tuples[i].Pos())
+			want[o] = append(want[o], tuples[i])
+		}
+		got := splitByOwner(ring, tuple.PM, tuples)
+		if len(got) != ring.Nodes() {
+			t.Fatalf("%d tuples split into %d groups for %d nodes", n, len(got), ring.Nodes())
+		}
+		for o := range got {
+			if len(got[o]) != len(want[o]) || cap(got[o]) != len(got[o]) {
+				t.Fatalf("%d tuples: node %d got %d (room for %d), the ring routes it %d", n, o, len(got[o]), cap(got[o]), len(want[o]))
+			}
+			for i := range got[o] {
+				if got[o][i] != want[o][i] {
+					t.Fatalf("%d tuples: node %d's tuple %d is %v, want %v", n, o, i, got[o][i], want[o][i])
+				}
+			}
+		}
+	}
 }

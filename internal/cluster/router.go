@@ -675,13 +675,16 @@ func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
 // fence rejected the whole chunk without applying it, so the re-split
 // duplicates nothing.
 func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
-	groups := make(map[int][]tuple.Raw)
-	for _, r := range tuples {
-		owner := ring.Owner(pol, r.Pos())
-		groups[owner] = append(groups[owner], r)
-	}
 	var wg sync.WaitGroup
-	for owner, slice := range groups {
+	groups := splitByOwner(ring, pol, tuples)
+	// Peers first, this node's own slice last: the forwarded slices are on
+	// the wire while the local one is applied and fsynced.
+	for i := range groups {
+		owner := (n.self + 1 + i) % len(groups)
+		slice := groups[owner]
+		if len(slice) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(owner int, slice []tuple.Raw) {
 			defer wg.Done()
@@ -722,6 +725,31 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 		}(owner, slice)
 	}
 	wg.Wait()
+}
+
+// splitByOwner groups tuples by shard owner under ring, in their order:
+// element o of the result is node o's slice. A counting pass sizes the
+// slices first, so they are cut from one array the size of the upload and
+// each is full — whoever appends to one gets a copy, never its neighbour.
+func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) [][]tuple.Raw {
+	owners := make([]int32, len(tuples))
+	counts := make([]int, ring.Nodes())
+	for i, r := range tuples {
+		o := ring.Owner(pol, r.Pos())
+		owners[i] = int32(o)
+		counts[o]++
+	}
+	groups := make([][]tuple.Raw, len(counts))
+	backing := make([]tuple.Raw, len(tuples))
+	off := 0
+	for o, n := range counts {
+		groups[o] = backing[off : off : off+n]
+		off += n
+	}
+	for i, r := range tuples {
+		groups[owners[i]] = append(groups[owners[i]], r)
+	}
+	return groups
 }
 
 // scatterModel gathers every node's model cover for the window and

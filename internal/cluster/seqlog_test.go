@@ -76,8 +76,8 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("retain %d step %d: [start,next) = [%d,%d), model [%d,%d)",
 					retain, step, lg.start, lg.next(), model.start, next)
 			}
-			if cap(lg.buf) > retain {
-				t.Fatalf("retain %d step %d: ring holds capacity for %d tuples", retain, step, cap(lg.buf))
+			if held := lg.slots(); held > retain {
+				t.Fatalf("retain %d step %d: ring holds capacity for %d tuples", retain, step, held)
 			}
 			lo := uint64(0)
 			if model.start > 2 {
@@ -111,6 +111,16 @@ func TestSeqLogSuffixIsACopy(t *testing.T) {
 	}
 }
 
+// slots counts the tuples the log's chunks have memory for, spare
+// capacity included.
+func (l *seqLog) slots() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
 // fullSeqLog returns a log already at its cap.
 func fullSeqLog(retain int) *seqLog {
 	lg := &seqLog{retain: retain}
@@ -126,8 +136,8 @@ func TestSeqLogAppendAtCapAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { lg.append(batch) }); allocs != 0 {
 		t.Errorf("append at the cap = %v allocs, want 0", allocs)
 	}
-	if len(lg.buf) != 1<<12 || cap(lg.buf) != 1<<12 {
-		t.Errorf("ring is %d/%d tuples, want exactly the cap %d", len(lg.buf), cap(lg.buf), 1<<12)
+	if lg.size != 1<<12 || lg.slots() != 1<<12 {
+		t.Errorf("ring is %d/%d tuples, want exactly the cap %d", lg.size, lg.slots(), 1<<12)
 	}
 }
 
@@ -141,5 +151,92 @@ func BenchmarkReplLogAppendAtCap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lg.append(batch)
+	}
+}
+
+// TestSeqLogGrowsByChunksWithoutMoving: a log larger than one chunk opens
+// chunks as it fills — one per seqChunk tuples, none of the earlier ones
+// moving, the last cut so the total is exactly retain — and, once full,
+// wraps across chunk boundaries with the same answers as the naive model.
+func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
+	const retain = 2*seqChunk + 300 // three chunks, the last one short
+	lg := seqLog{retain: retain}
+	var model naiveLog
+	rng := rand.New(rand.NewSource(5))
+	var seq float64
+	batch := func(n int) []tuple.Raw {
+		b := make([]tuple.Raw, n)
+		for i := range b {
+			seq++
+			b[i] = tuple.Raw{T: seq, X: rng.Float64()}
+		}
+		return b
+	}
+	compare := func(step int) {
+		t.Helper()
+		next := model.start + uint64(len(model.tuples))
+		if lg.start != model.start || lg.next() != next {
+			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.start, lg.next(), model.start, next)
+		}
+		for _, have := range []uint64{model.start, model.start + uint64(len(model.tuples)/2), model.start + seqChunk - 1, next - 1} {
+			for _, limit := range []int{1, seqChunk + 7, retain} {
+				if got, want := lg.suffix(have, limit), model.suffix(have, limit); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: suffix(%d, %d) over [%d,%d) differs from the model (%d vs %d tuples, from %d vs %d)",
+						step, have, limit, model.start, next, len(got.Tuples), len(want.Tuples), got.From, want.From)
+				}
+			}
+		}
+	}
+
+	var opened []*tuple.Raw // the first slot of every chunk, as it was when the chunk was opened
+	for step := 0; lg.size < retain; step++ {
+		b := batch(256)
+		lg.append(b)
+		model.append(b, retain)
+		if want := (min(lg.n, retain) + seqChunk - 1) / seqChunk; len(lg.chunks) != want {
+			t.Fatalf("step %d: %d tuples in %d chunks, want %d", step, lg.n, len(lg.chunks), want)
+		}
+		for i, c := range lg.chunks {
+			if i == len(opened) {
+				opened = append(opened, &c[0])
+			} else if opened[i] != &c[0] {
+				t.Fatalf("step %d: chunk %d moved when the log grew", step, i)
+			}
+		}
+		compare(step)
+	}
+	if lg.slots() != retain || len(lg.chunks) != 3 || len(lg.chunks[2]) != 300 {
+		t.Fatalf("full log holds %d slots in %d chunks, want exactly %d in 3", lg.slots(), len(lg.chunks), retain)
+	}
+	for step := 0; step < 40; step++ { // several times round the ring
+		b := batch(1 + rng.Intn(700))
+		lg.append(b)
+		model.append(b, retain)
+		compare(step)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { lg.append(model.tuples[:700]) }); allocs != 0 {
+		t.Errorf("append at the cap, across chunk boundaries = %v allocs, want 0", allocs)
+	}
+
+	// Below the cap an append allocates only when it opens a chunk: none of
+	// these leaves the first one.
+	small := seqLog{retain: retain}
+	small.append(batch(1))
+	if allocs := testing.AllocsPerRun(100, func() { small.append(model.tuples[:5]) }); allocs != 0 || len(small.chunks) != 1 {
+		t.Errorf("appends inside an open chunk = %v allocs (%d chunks), want 0 (1)", allocs, len(small.chunks))
+	}
+}
+
+// BenchmarkReplLogFillToCap is a log's whole growth: 256-tuple commits
+// into an empty log until it retains defaultLogRetain tuples. B/op is what
+// growing costs on top of the 4 MiB the full log holds.
+func BenchmarkReplLogFillToCap(b *testing.B) {
+	batch := make([]tuple.Raw, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lg := seqLog{retain: defaultLogRetain}
+		for lg.n < defaultLogRetain {
+			lg.append(batch)
+		}
 	}
 }

@@ -223,13 +223,18 @@ func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 var builders = sync.Pool{New: func() any { return new(Builder) }}
 
 // Builder builds covers with scratch it keeps from one split round to the
-// next and from one build to the next: the tuple positions, the k-means
+// next and from one build to the next: the maintainer's copy of the window
+// being modeled, the tuple positions, the k-means
 // arrays (sized once per build for the window and MaxK), the regions'
 // observation columns, the fitter's normal equations and the models of
 // the round in progress. A build allocates little beyond the cover it
 // returns, which shares no memory with the Builder. A Builder must not be
 // used from two goroutines at once; the zero value is ready.
 type Builder struct {
+	// win is where a Maintainer build copies the window it reads out of the
+	// store (Store.WindowInto); BuildCover itself never touches it.
+	win tuple.Batch
+
 	pts  []geo.Point
 	km   kmeans.Clusterer
 	seed []geo.Point // the centroids a split round refines from

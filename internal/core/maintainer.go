@@ -273,15 +273,19 @@ func (m *Maintainer) startBuildLocked(c int) *buildState {
 // requests the rebuild from it — a refusal hard-drops the cover just
 // installed.
 func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
-	w := m.st.Window(c)
+	// The window is read into the borrowed Builder's buffer, not cloned:
+	// the cover copies out what it keeps, so the tuples are moved once.
+	b := builders.Get().(*Builder)
+	b.win = m.st.WindowInto(b.win[:0], c)
 	if m.testBuildHook != nil {
 		m.testBuildHook(c)
 	}
-	if len(w) == 0 {
+	if len(b.win) == 0 {
 		bs.err = fmt.Errorf("core: window %d is empty", c)
 	} else {
-		bs.cover, bs.err = BuildCover(w, c, m.st.WindowLength(), m.cfg)
+		bs.cover, bs.err = b.BuildCover(b.win, c, m.st.WindowLength(), m.cfg)
 	}
+	builders.Put(b)
 
 	m.mu.Lock()
 	delete(m.building, c)

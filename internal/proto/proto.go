@@ -9,6 +9,17 @@
 //
 //	length  uint32   payload byte count (not including this prefix)
 //	payload []byte   one wire.Binary message
+//
+// # Buffers
+//
+// Every connection end — the server's serve loop and frame writer, and
+// Client — owns one read and one write buffer and uses them for every
+// frame: a frame is read into the read buffer and decoded out of it
+// (wire.Binary.Decode never returns a message that aliases its input), a
+// message is encoded by wire.Binary.AppendEncode into the write buffer
+// behind its own length prefix and leaves in a single Write. A buffer that
+// one large frame grew past keepBytes is dropped after that frame, so an
+// idle connection holds at most keepBytes per direction.
 package proto
 
 import (
@@ -24,10 +35,27 @@ import (
 	"repro/internal/wire"
 )
 
-// MaxFrameBytes bounds a single message. The largest legitimate message is
-// a model response for a MaxK-region cover (a few KB); 1 MiB leaves two
-// orders of magnitude of headroom while stopping hostile length prefixes.
+// MaxFrameBytes bounds a single message. Everyday frames are a 256-tuple
+// ingest (8 KiB), a 64×64 heatmap response (32 KiB) and a model response
+// for a MaxK-region cover (a few KiB); the largest legitimate ones are the
+// cluster's forwarded ingest and catch-up chunks, which it sizes to stay
+// just under this bound. 1 MiB stops hostile length prefixes.
 const MaxFrameBytes = 1 << 20
+
+// keepBytes is the largest buffer a connection keeps between frames: room
+// for the everyday frames above, so those are read and written without
+// allocating, while the rare large one does not stay pinned to a
+// connection that may idle for minutes.
+const keepBytes = 64 << 10
+
+// keep returns what a connection holds on to of a buffer it has finished
+// with: the buffer emptied, or nothing when one frame grew it too large.
+func keep(buf []byte) []byte {
+	if cap(buf) > keepBytes {
+		return nil
+	}
+	return buf[:0]
+}
 
 // ErrFrameTooLarge is returned for frames exceeding MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")
@@ -46,25 +74,77 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame. io.EOF is returned unwrapped
-// when the stream ends cleanly at a frame boundary.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed frame into a buffer of its own.
+// io.EOF is returned unwrapped when the stream ends cleanly at a frame
+// boundary.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame is ReadFrame into buf's memory: the returned payload aliases
+// buf unless the frame did not fit, in which case it has a new array of
+// exactly the frame's size. The caller decodes the payload and then keeps
+// it as its next buf.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The length prefix is read into buf too: a local array would escape
+	// through the io.Reader and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("proto: truncated frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("proto: truncated frame payload: %w", err)
 	}
 	return payload, nil
+}
+
+// frameReader reads the frames of one connection into the read buffer the
+// connection keeps.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next reads one frame and decodes it out of the buffer, which is free
+// for the next frame as soon as Decode returns. err reports a failed read
+// (io.EOF unwrapped at a frame boundary): the connection is done. bad
+// reports a frame that arrived whole but is not a message.
+func (fr *frameReader) next() (m wire.Message, bad, err error) {
+	payload, err := readFrame(fr.r, fr.buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, bad = wire.Binary.Decode(payload)
+	fr.buf = keep(payload)
+	return m, bad, nil
+}
+
+// appendFrame appends m's whole frame — the length prefix and, encoded in
+// place behind it, the payload — to dst, ready to leave in one Write.
+func appendFrame(dst []byte, m wire.Message) ([]byte, error) {
+	start := len(dst)
+	out, err := wire.Binary.AppendEncode(append(dst, 0, 0, 0, 0), m)
+	if err != nil {
+		return dst, err
+	}
+	n := len(out) - start - 4
+	if n > MaxFrameBytes {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
 }
 
 // Handler answers protocol requests (implemented by server.Engine).
@@ -169,6 +249,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	streamer, canStream := s.handler.(Streamer)
 	ctxStreamer, canStreamCtx := s.handler.(CtxStreamer)
 	ctxHandler, canCtx := s.handler.(CtxHandler)
+	rd := frameReader{r: conn}
 	for {
 		// A connection carrying a push stream idles legitimately between
 		// pushes; only request/response connections get the idle timeout.
@@ -179,14 +260,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := conn.SetReadDeadline(deadline); err != nil {
 			return
 		}
-		payload, err := ReadFrame(conn)
+		req, bad, err := rd.next()
 		if err != nil {
 			return // EOF, timeout, or garbage: drop the connection
 		}
-		req, err := wire.Binary.Decode(payload)
 		var resp wire.Message
-		if err != nil {
-			resp = wire.ErrorResponse{Msg: "malformed request: " + err.Error()}
+		if bad != nil {
+			resp = wire.ErrorResponse{Msg: "malformed request: " + bad.Error()}
 		} else {
 			var (
 				ack      wire.Message
@@ -255,6 +335,8 @@ type Client struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	rd   frameReader // reads conn
+	wbuf []byte      // the connection's write buffer
 }
 
 // Dial connects to an EnviroMeter TCP server.
@@ -263,33 +345,34 @@ func Dial(addr string, cfg ServerConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	return &Client{cfg: cfg.withDefaults(), conn: conn}, nil
+	return &Client{cfg: cfg.withDefaults(), conn: conn, rd: frameReader{r: conn}}, nil
 }
 
 // Exchange performs one request/response round trip.
 func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
-	payload, err := wire.Binary.Encode(req)
-	if err != nil {
-		return nil, fmt.Errorf("proto: encode request: %w", err)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return nil, errors.New("proto: client closed")
 	}
+	frame, err := appendFrame(c.wbuf[:0], req)
+	if err != nil {
+		return nil, fmt.Errorf("proto: encode request: %w", err)
+	}
+	c.wbuf = keep(frame)
 	if err := c.conn.SetDeadline(time.Now().Add(c.cfg.IdleTimeout)); err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(c.conn, payload); err != nil {
+	//lockcheck:allow mu is what makes an exchange own the connection and its buffers; the deadline bounds the write
+	if _, err := c.conn.Write(frame); err != nil {
 		return nil, fmt.Errorf("proto: write: %w", err)
 	}
-	respPayload, err := ReadFrame(c.conn)
+	resp, bad, err := c.rd.next()
 	if err != nil {
 		return nil, fmt.Errorf("proto: read: %w", err)
 	}
-	resp, err := wire.Binary.Decode(respPayload)
-	if err != nil {
-		return nil, fmt.Errorf("proto: decode response: %w", err)
+	if bad != nil {
+		return nil, fmt.Errorf("proto: decode response: %w", bad)
 	}
 	return resp, nil
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -37,28 +38,37 @@ type CtxStreamer interface {
 const streamQueueDepth = 64
 
 // frameWriter serializes frame writes on one connection so pushed
-// frames and request responses never interleave mid-frame.
+// frames and request responses never interleave mid-frame: each message
+// is encoded into the connection's write buffer and written whole, under
+// one lock.
 type frameWriter struct {
 	conn    net.Conn
 	timeout time.Duration
 
-	mu sync.Mutex
+	mu  sync.Mutex
+	buf []byte // guarded by mu
 }
 
 func (w *frameWriter) write(m wire.Message) error {
-	out, err := wire.Binary.Encode(m)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame, err := appendFrame(w.buf[:0], m)
 	if err != nil {
-		out, err = wire.Binary.Encode(wire.ErrorResponse{Msg: "internal encode error"})
+		if errors.Is(err, ErrFrameTooLarge) {
+			return err
+		}
+		frame, err = appendFrame(w.buf[:0], wire.ErrorResponse{Msg: "internal encode error"})
 		if err != nil {
 			return err
 		}
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.buf = keep(frame)
 	if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
 		return err
 	}
-	return WriteFrame(w.conn, out)
+	//lockcheck:allow mu exists to keep frames whole on the connection; the deadline bounds the write
+	_, err = w.conn.Write(frame)
+	return err
 }
 
 // Stream is the client side of a push stream: one dedicated connection
@@ -80,7 +90,7 @@ type Stream struct {
 // ack. Pushed frames arrive on C until the stream fails or is closed.
 func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error) {
 	cfg = cfg.withDefaults()
-	payload, err := wire.Binary.Encode(req)
+	frame, err := appendFrame(nil, req)
 	if err != nil {
 		return nil, fmt.Errorf("proto: encode request: %w", err)
 	}
@@ -92,19 +102,19 @@ func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error
 		conn.Close()
 		return nil, err
 	}
-	if err := WriteFrame(conn, payload); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("proto: write: %w", err)
 	}
-	ackPayload, err := ReadFrame(conn)
+	rd := frameReader{r: conn}
+	ack, bad, err := rd.next()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("proto: read ack: %w", err)
 	}
-	ack, err := wire.Binary.Decode(ackPayload)
-	if err != nil {
+	if bad != nil {
 		conn.Close()
-		return nil, fmt.Errorf("proto: decode ack: %w", err)
+		return nil, fmt.Errorf("proto: decode ack: %w", bad)
 	}
 	if e, ok := ack.(wire.ErrorResponse); ok {
 		conn.Close()
@@ -121,21 +131,20 @@ func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error
 		ch:   make(chan wire.Message, streamQueueDepth),
 		done: make(chan struct{}), //bounded: signal-only; Close closes it, nothing sends
 	}
-	go st.readLoop()
+	go st.readLoop(rd)
 	return st, nil
 }
 
-func (st *Stream) readLoop() {
+func (st *Stream) readLoop(rd frameReader) {
 	defer close(st.ch)
 	for {
-		payload, err := ReadFrame(st.conn)
+		m, bad, err := rd.next()
 		if err != nil {
 			st.fail(fmt.Errorf("proto: stream read: %w", err))
 			return
 		}
-		m, err := wire.Binary.Decode(payload)
-		if err != nil {
-			st.fail(fmt.Errorf("proto: stream decode: %w", err))
+		if bad != nil {
+			st.fail(fmt.Errorf("proto: stream decode: %w", bad))
 			return
 		}
 		select {

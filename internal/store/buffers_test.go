@@ -1,0 +1,368 @@
+package store
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/tuple"
+)
+
+// tiedBatch returns n tuples of window c (length 100) whose timestamps
+// come from a handful of values, so most of them tie; X numbers them in
+// arrival order from *seq on.
+func tiedBatch(rng *rand.Rand, c, n int, seq *int) tuple.Batch {
+	b := make(tuple.Batch, n)
+	for i := range b {
+		*seq++
+		b[i] = tuple.Raw{T: float64(c*100 + 10*rng.Intn(8)), X: float64(*seq), Y: rng.Float64(), S: rng.NormFloat64()}
+	}
+	return b
+}
+
+// stableByTime is the order Window promises — by time, ties in arrival
+// order — over a copy of what arrived.
+func stableByTime(arrived tuple.Batch) tuple.Batch {
+	out := slices.Clone(arrived)
+	out.SortByTime()
+	return out
+}
+
+// TestWindowIntoMatchesWindow: WindowInto into any caller buffer — none,
+// one full of another window's tuples, one with a prefix to keep — yields
+// Window's tuples bit for bit, in the stable time order, sharing nothing
+// with the store; for windows in memory, lazy in a checkpoint, and lazy
+// with an in-memory suffix.
+func TestWindowIntoMatchesWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	dir := t.TempDir()
+	s, err := Open(colCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := map[int]tuple.Batch{}
+	seq := 0
+	add := func(st *Store, c, n int) {
+		t.Helper()
+		b := tiedBatch(rng, c, n, &seq)
+		arrived[c] = append(arrived[c], b...)
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interleaved arrival: every window is appended to several times, in a
+	// random order, with batches that tie with each other.
+	for round := 0; round < 6; round++ {
+		for _, c := range rng.Perm(5) {
+			add(s, c, 1+rng.Intn(60))
+		}
+	}
+	check := func(st *Store, label string) {
+		t.Helper()
+		stale := make(tuple.Batch, 4096)
+		for i := range stale {
+			stale[i] = tuple.Raw{T: -1, X: -1, Y: -1, S: -1}
+		}
+		for c, in := range arrived {
+			want := stableByTime(in)
+			if got := st.Window(c); !batchBitEqual(got, want) {
+				t.Fatalf("%s: Window(%d) is not the stable time order of what arrived", label, c)
+			}
+			if got := st.WindowInto(nil, c); !batchBitEqual(got, want) {
+				t.Fatalf("%s: WindowInto(nil, %d) differs from Window", label, c)
+			}
+			got := st.WindowInto(stale[:0], c)
+			if !batchBitEqual(got, want) {
+				t.Fatalf("%s: WindowInto(stale[:0], %d) differs from Window", label, c)
+			}
+			if &got[0] != &stale[0] {
+				t.Errorf("%s: WindowInto left a buffer with room for window %d unused", label, c)
+			}
+			prefix := tuple.Batch{{T: 9e9, X: 1}, {T: -5, X: 2}}
+			got = st.WindowInto(slices.Clone(prefix), c)
+			if !batchBitEqual(got[:2], prefix) || !batchBitEqual(got[2:], want) {
+				t.Fatalf("%s: WindowInto(prefix, %d) must keep the prefix and sort only what it appends", label, c)
+			}
+			// What comes back is the caller's: scribbling on it leaves the
+			// store's window as it was.
+			for i := range got {
+				got[i] = tuple.Raw{}
+			}
+			if !batchBitEqual(st.Window(c), want) {
+				t.Fatalf("%s: a WindowInto result aliases the store's window %d", label, c)
+			}
+		}
+		if got := st.WindowInto(stale[:3], 999); len(got) != 3 {
+			t.Errorf("%s: WindowInto of an absent window returned %d tuples, want dst as it came", label, len(got))
+		}
+	}
+	check(s, "in memory")
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(s, 4, 25) // a suffix behind the checkpoint: window 4 restarts lazy + in memory
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(colCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if lazy := r.ColumnarStats().LazyWindows; lazy != 5 {
+		t.Fatalf("%d lazy windows after the restart, want 5", lazy)
+	}
+	// A lazy window's base comes back in the file's block order, not in
+	// arrival order, so after a restart ties are ordered by the file — what
+	// Window returned before the restart is no longer the reference; the
+	// reference is Window itself, and the tuple multiset.
+	for c, in := range arrived {
+		w := r.Window(c) // materializes
+		if !w.SortedByTime() || len(w) != len(in) {
+			t.Fatalf("restarted Window(%d): %d tuples sorted=%v, want %d sorted", c, len(w), w.SortedByTime(), len(in))
+		}
+		arrived[c] = w
+	}
+	check(r, "materialized after restart")
+}
+
+// TestWindowIntoWhileWindowsAreEvicted: a reader racing the retention
+// bound gets a window whole or not at all, lazy windows included (run
+// under -race).
+func TestWindowIntoWhileWindowsAreEvicted(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	dir := t.TempDir()
+	cfg := colCfg(dir)
+	cfg.Retain = 6
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 6; c++ {
+		if err := s.Append(randBatch(rng, 200, float64(c*100), float64(c*100+100))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the fleet moves on: every new window evicts the oldest
+		defer wg.Done()
+		for c := 6; c < 30; c++ {
+			if err := r.Append(randBatch(rng, 200, float64(c*100), float64(c*100+100))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reader := 0; reader < 2; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf tuple.Batch
+			for pass := 0; pass < 40; pass++ {
+				for c := 0; c < 30; c++ {
+					buf = r.WindowInto(buf[:0], c)
+					if len(buf) != 0 && len(buf) != 200 {
+						t.Errorf("window %d read with %d of its 200 tuples", c, len(buf))
+						return
+					}
+					if !buf.SortedByTime() {
+						t.Errorf("window %d read unsorted", c)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestNewWindowTakesPredecessorCapacity: a window is created with room
+// for its predecessor's population plus an eighth, appends inside that
+// room never move it, and the room it may waste is bounded by the same
+// figure.
+func TestNewWindowTakesPredecessorCapacity(t *testing.T) {
+	s := MustOpenMemory(100)
+	fill := func(c, n int) {
+		t.Helper()
+		b := make(tuple.Batch, n)
+		for i := range b {
+			b[i] = tuple.Raw{T: float64(c*100) + float64(i%100), X: float64(i), Y: 1, S: 400}
+		}
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nothing before window 3: it starts at its first batch and grows as
+	// append does.
+	fill(3, 10)
+	if c := cap(s.windows[3]); c != 10 {
+		t.Errorf("first window created with room for %d tuples, want its first batch's 10", c)
+	}
+	for i := 0; i < 9; i++ {
+		fill(3, 110)
+	}
+	const pred = 10 + 9*110 // 1000
+	fill(4, 50)
+	if c := cap(s.windows[4]); c != pred+pred/8 {
+		t.Fatalf("window 4 created with room for %d tuples, want its predecessor's %d plus an eighth", c, pred)
+	}
+	first := &s.windows[4][0]
+	for len(s.windows[4])+75 <= pred+pred/8 {
+		fill(4, 75)
+		if &s.windows[4][0] != first {
+			t.Fatalf("window 4 moved at %d tuples, inside the room it was created with", len(s.windows[4]))
+		}
+	}
+	// Past the margin it regrows like any slice, and keeps everything.
+	fill(4, 300)
+	if got := s.WindowLen(4); got != len(s.windows[4]) || got < pred+pred/8 {
+		t.Errorf("window 4 holds %d tuples after outgrowing its room", got)
+	}
+
+	// One batch that crosses into a new window sizes it from the window the
+	// same batch just completed; a first batch larger than the estimate wins.
+	cross := make(tuple.Batch, 0, 40)
+	for i := 0; i < 20; i++ {
+		cross = append(cross, tuple.Raw{T: 599, X: float64(i), S: 1})
+	}
+	for i := 0; i < 20; i++ {
+		cross = append(cross, tuple.Raw{T: 600, X: float64(i), S: 1})
+	}
+	if err := s.Append(cross); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(s.windows[6]); c != 22 {
+		t.Errorf("window 6 created with room for %d, want 20 + 20/8", c)
+	}
+	fill(7, 500)
+	if c := cap(s.windows[7]); c != 500 {
+		t.Errorf("window 7 created with room for %d, want its first batch's 500", c)
+	}
+	// A late tuple for a window behind a gap has no predecessor to learn from.
+	fill(1, 1)
+	if got := s.Window(1); len(got) != 1 || cap(s.windows[1]) != 1 {
+		t.Errorf("late window holds %d tuples in room for %d", len(got), cap(s.windows[1]))
+	}
+
+	// A predecessor still lazy in the checkpoint counts with its population,
+	// and the in-memory suffix of a lazy window is not sized at all: it is
+	// merged into a new array when the window materializes.
+	dir := t.TempDir()
+	d, err := Open(colCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	if err := d.Append(randBatch(rng, 400, 0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(randBatch(rng, 800, 100, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(colCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Append(randBatch(rng, 5, 100, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Append(randBatch(rng, 5, 200, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(r.windows[1]); c != 5 {
+		t.Errorf("suffix of lazy window 1 created with room for %d tuples, want 5", c)
+	}
+	if c := cap(r.windows[2]); c != 805+805/8 {
+		t.Errorf("window 2 created with room for %d tuples, want lazy window 1's 805 plus an eighth", c)
+	}
+}
+
+// warmDurable returns a durable store whose live window has room for
+// appends batches of 256 tuples, and a batch for it.
+func warmDurable(tb testing.TB, sync SyncPolicy, appends int) (*Store, tuple.Batch) {
+	tb.Helper()
+	s, err := Open(Config{WindowLength: 3600, Retain: 4, Dir: tb.TempDir(), Sync: sync})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	b := make(tuple.Batch, 256)
+	for c := 0; c < 4; c++ { // as many windows as the store retains
+		for i := range b {
+			b[i] = tuple.Raw{T: float64(c*3600 + i), X: float64(i * 7 % 2000), Y: float64(i * 13 % 2000), S: 430}
+		}
+		n := 1
+		if c == 2 {
+			n = appends // the live window's predecessor: it sets the room
+		}
+		for ; n > 0; n-- {
+			if err := s.Append(b); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return s, b // b now lies in window 3, the live one
+}
+
+// TestWarmDurableAppendAllocatesNothing: a durable append into a window
+// with room builds its segment frame in the store's buffer, extends the
+// window in place and, with nothing to evict, builds no index union.
+func TestWarmDurableAppendAllocatesNothing(t *testing.T) {
+	s, b := warmDurable(t, SyncEveryBatch(), 64)
+	before := s.DurabilityStats()
+	allocs := testing.AllocsPerRun(30, func() {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm durable 256-tuple append = %v allocs, want 0", allocs)
+	}
+	if after := s.DurabilityStats(); after.Syncs-before.Syncs != after.Appends-before.Appends || after.Appends == before.Appends {
+		t.Errorf("appends %d → %d, fsyncs %d → %d: every append must still be fsynced",
+			before.Appends, after.Appends, before.Syncs, after.Syncs)
+	}
+}
+
+// BenchmarkAppendDurable256 is the write path below the pipeline: one
+// 256-tuple batch into a durable store — frame, write, window append —
+// without the fsync, which would be all of ns/op. Stream time moves on so
+// that every 64th append opens a window and evicts one: B/op is the new
+// window's array spread over the appends that fill it, and nothing else.
+func BenchmarkAppendDurable256(b *testing.B) {
+	s, batch := warmDurable(b, SyncNever(), 64)
+	b.ReportAllocs()
+	b.SetBytes(256 * 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := 3 + i/64
+		for j := range batch {
+			batch[j].T = float64(c*3600 + j)
+		}
+		if err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -456,9 +456,11 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 // atomicReplace installs path crash-safely: the payload is written to a
 // ".tmp" sibling, fsynced, closed, renamed into place, and the
 // directory fsynced — a crash at any instant leaves either the old or
-// the new file. The temp file is removed on every failure path. File
-// fsyncs go through syncSeg (hookable, but NOT counted in
-// DurabilityStats.Syncs, which tracks append-path durability only).
+// the new file. fill writes straight to the file: a caller with many
+// small writes brings a buffer of the size it needs. The temp file is
+// removed on every failure path. File fsyncs go through syncSeg (hookable,
+// but NOT counted in DurabilityStats.Syncs, which tracks append-path
+// durability only).
 func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -470,11 +472,7 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := fill(bw); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := fill(f); err != nil {
 		return fail(err)
 	}
 	if err := s.syncSeg(f); err != nil {
@@ -491,11 +489,19 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 	return s.syncDir()
 }
 
+// ckWriteBuffer gathers a checkpoint's writes — one per block, and a
+// block is at most colblock.BlockTuples tuples of a few bytes each — into
+// file writes of about one full block.
+const ckWriteBuffer = 64 << 10
+
 // writeCheckpoint writes one checkpoint atomically.
 func (s *Store) writeCheckpoint(meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
 	err = s.atomicReplace(filepath.Join(s.cfg.Dir, checkpointName(meta.Seq)), func(w io.Writer) (err error) {
-		est, err = colblock.Encode(w, meta, windows)
-		return err
+		bw := bufio.NewWriterSize(w, ckWriteBuffer)
+		if est, err = colblock.Encode(bw, meta, windows); err != nil {
+			return err
+		}
+		return bw.Flush()
 	})
 	if err != nil {
 		return est, fmt.Errorf("store: checkpoint: %w", err)

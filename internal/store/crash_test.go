@@ -72,11 +72,11 @@ func crashWorkload() []crashStep {
 // harness instruments a store's disk operations with fn, which runs
 // before each operation and may veto it by returning an error.
 func harness(s *Store, fn func(op string) error) {
-	s.writeFrame = func(w io.Writer, b tuple.Batch) error {
+	s.writeFrame = func(w io.Writer, frame []byte) error {
 		if err := fn("write"); err != nil {
 			return err
 		}
-		return tuple.WriteBinary(w, b)
+		return writeWhole(w, frame)
 	}
 	s.syncSeg = func(f *os.File) error {
 		if err := fn("sync"); err != nil {

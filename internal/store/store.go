@@ -114,6 +114,10 @@ func SyncGrouped(maxBatches int, maxDelay time.Duration) SyncPolicy {
 // SyncNever returns the policy that never fsyncs on append.
 func SyncNever() SyncPolicy { return SyncPolicy{Mode: SyncModeNever} }
 
+// maxKeptFrame bounds the segment-frame buffer the store keeps between
+// appends (32 Ki tuples); a larger frame is built in a buffer of its own.
+const maxKeptFrame = 1 << 20
+
 // DurabilityStats counts the store's durable writes and fsyncs — the
 // observable effect of the sync policy (under SyncGrouped, Syncs stays
 // well below Appends on a concurrent append burst).
@@ -200,9 +204,12 @@ type Store struct {
 	ckStats   CheckpointStats
 	recovery  RecoveryStats
 
-	// writeFrame persists one batch to the segment; swapped by tests to
-	// inject torn writes. Defaults to tuple.WriteBinary.
-	writeFrame func(w io.Writer, b tuple.Batch) error
+	// frame is the segment frame of the batch being appended, rebuilt in
+	// place by every durable append (persistLocked runs under mu).
+	frame []byte
+	// writeFrame writes one encoded batch frame to the segment; swapped by
+	// tests to inject torn writes. Defaults to a plain Write.
+	writeFrame func(w io.Writer, frame []byte) error
 	// syncSeg flushes a file to stable storage; swapped by tests to
 	// count or fail fsyncs. Defaults to (*os.File).Sync.
 	syncSeg func(f *os.File) error
@@ -314,7 +321,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:        cfg,
 		windows:    make(map[int]tuple.Batch),
-		writeFrame: tuple.WriteBinary,
+		writeFrame: writeWhole,
 		syncSeg:    func(f *os.File) error { return f.Sync() },
 		renameFile: os.Rename,
 		removeFile: os.Remove,
@@ -332,6 +339,12 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// writeWhole is the default writeFrame.
+func writeWhole(w io.Writer, frame []byte) error {
+	_, err := w.Write(frame)
+	return err
 }
 
 // MustOpenMemory returns an in-memory store or panics; a convenience for
@@ -782,8 +795,13 @@ func (s *Store) persistLocked(b tuple.Batch) error {
 			return err
 		}
 	}
+	s.frame = tuple.AppendBinary(s.frame[:0], b)
 	//lockcheck:allow writeFrame is the test crash-injection seam; segment writes must serialize under mu
-	if err := s.writeFrame(s.seg.f, b); err != nil {
+	err := s.writeFrame(s.seg.f, s.frame)
+	if cap(s.frame) > maxKeptFrame {
+		s.frame = nil // one bulk load must not pin its frame for good
+	}
+	if err != nil {
 		werr := fmt.Errorf("store: persist batch: %w", err)
 		if terr := s.seg.f.Truncate(s.segOff); terr == nil {
 			return werr
@@ -844,17 +862,49 @@ func (s *Store) OnEvict(fn func(evicted []int)) (unregister func()) {
 // Retain returns the store's retention bound (0 = unbounded).
 func (s *Store) Retain() int { return s.cfg.Retain }
 
-// addToWindows distributes tuples into their windows. Caller holds mu (or
-// is single-threaded recovery).
+// addToWindows distributes tuples into their windows, one run of
+// same-window tuples at a time. Caller holds mu (or is single-threaded
+// recovery).
 func (s *Store) addToWindows(b tuple.Batch) {
-	for _, r := range b {
-		c := tuple.WindowIndex(r.T, s.cfg.WindowLength)
-		s.windows[c] = append(s.windows[c], r)
-		s.total++
-		if r.T > s.maxTime {
-			s.maxTime = r.T
+	h := s.cfg.WindowLength
+	for len(b) > 0 {
+		c := tuple.WindowIndex(b[0].T, h)
+		n := 1
+		for n < len(b) && tuple.WindowIndex(b[n].T, h) == c {
+			n++
 		}
+		w, ok := s.windows[c]
+		if !ok {
+			w = make(tuple.Batch, 0, s.newWindowCap(c, n))
+		}
+		s.windows[c] = append(w, b[:n]...)
+		s.total += n
+		for _, r := range b[:n] {
+			if r.T > s.maxTime {
+				s.maxTime = r.T
+			}
+		}
+		b = b[n:]
 	}
+}
+
+// newWindowCap sizes window c, about to be created with its first n
+// tuples, from what the stream has shown: a fleet that filled W_{c-1} with
+// p tuples will fill W_c with about as many, so the window starts with
+// room for p plus an eighth and appends to it stop regrowing (and
+// recopying) it. A window with no predecessor — the first one, or a late
+// tuple behind a gap — starts at n and grows as append does, and so does
+// the in-memory suffix of a window whose base is still lazy: materializing
+// it moves base and suffix into one new array anyway. Caller holds mu.
+func (s *Store) newWindowCap(c, n int) int {
+	if s.col.lazy[c] != nil {
+		return n
+	}
+	p := len(s.windows[c-1])
+	if lw := s.col.lazy[c-1]; lw != nil {
+		p += lw.count
+	}
+	return max(n, p+p/8)
 }
 
 // unionIndexesLocked returns the distinct retained window indexes —
@@ -879,7 +929,9 @@ func (s *Store) unionIndexesLocked() []int {
 // checkpoint file, or (base + suffix) in both; eviction drops both
 // halves.
 func (s *Store) evictLocked() []int {
-	if s.cfg.Retain == 0 {
+	// The union holds at most len(windows)+len(lazy) indexes, so the common
+	// append — nothing to evict — returns before collecting and sorting them.
+	if s.cfg.Retain == 0 || len(s.windows)+len(s.col.lazy) <= s.cfg.Retain {
 		return nil
 	}
 	idxs := s.unionIndexesLocked()
@@ -898,25 +950,34 @@ func (s *Store) evictLocked() []int {
 	return evicted
 }
 
-// Window returns a copy of the tuples in window W_c, sorted by time. A
-// window still lazy in the checkpoint file is materialized first, so
-// callers see the full base + suffix contents either way.
-func (s *Store) Window(c int) tuple.Batch {
+// Window returns a copy of the tuples in window W_c, sorted by time, that
+// the caller may keep and mutate. A window still lazy in the checkpoint
+// file is materialized first, so callers see the full base + suffix
+// contents either way.
+func (s *Store) Window(c int) tuple.Batch { return s.WindowInto(nil, c) }
+
+// WindowInto is Window into memory the caller owns: it appends window
+// W_c's tuples to dst, sorts the appended part by time and returns the
+// extended slice, which shares nothing with the store. A caller that reads
+// window after window (a cover build) passes the same buffer, cut to
+// length 0, each time and copies each window once instead of allocating
+// one.
+func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
+	n := len(dst)
 	s.mu.RLock()
 	lazy := s.col.lazy[c] != nil
-	var b tuple.Batch
 	if !lazy {
-		b = s.windows[c].Clone()
+		dst = append(dst, s.windows[c]...)
 	}
 	s.mu.RUnlock()
 	if lazy {
 		s.materializeWindow(c)
 		s.mu.RLock()
-		b = s.windows[c].Clone()
+		dst = append(dst, s.windows[c]...)
 		s.mu.RUnlock()
 	}
-	b.SortByTime()
-	return b
+	dst[n:].SortByTime()
+	return dst
 }
 
 // WindowLen returns the number of tuples in window W_c without copying

@@ -318,7 +318,7 @@ func TestCloseIdempotentWithoutDurability(t *testing.T) {
 
 // failPartialWrite simulates a torn write: it emits a prefix of garbage
 // bytes to the segment, then fails, leaving a partial frame behind.
-func failPartialWrite(w io.Writer, b tuple.Batch) error {
+func failPartialWrite(w io.Writer, _ []byte) error {
 	w.Write([]byte{0x45, 0x4d, 0x54, 0x31, 0xde, 0xad}) // magic + junk
 	return errors.New("disk full")
 }
@@ -341,7 +341,7 @@ func TestFailedAppendTruncatesTornFrame(t *testing.T) {
 	}
 	// The torn bytes must be gone: later appends land after the last good
 	// frame and the whole log replays.
-	s.writeFrame = tuple.WriteBinary
+	s.writeFrame = writeWhole
 	if err := s.Append(mkBatch(3, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestFailedAppendRotatesWhenTruncateFails(t *testing.T) {
 	}
 	// Tear the write AND close the segment under the store's feet, so the
 	// truncate rollback fails and the store must rotate.
-	s.writeFrame = func(w io.Writer, b tuple.Batch) error {
+	s.writeFrame = func(w io.Writer, _ []byte) error {
 		w.Write([]byte{0x45, 0x4d, 0x54, 0x31, 0xde, 0xad})
 		s.seg.f.Close()
 		return errors.New("disk failure")
@@ -378,7 +378,7 @@ func TestFailedAppendRotatesWhenTruncateFails(t *testing.T) {
 	if err := s.Append(mkBatch(2)); err == nil {
 		t.Fatal("append with failing write must error")
 	}
-	s.writeFrame = tuple.WriteBinary
+	s.writeFrame = writeWhole
 	if err := s.Append(mkBatch(3, 4)); err != nil {
 		t.Fatalf("append after rotation: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -37,22 +38,26 @@ var ErrCorrupt = errors.New("tuple: corrupt binary frame")
 // tuples.
 func EncodedSize(n int) int { return 4 + 4 + n*tupleWireLen + 4 }
 
+// AppendBinary appends the batch's binary frame to dst and returns the
+// extended slice, so a caller that writes frame after frame (the store's
+// segment log) builds each in memory it already owns.
+func AppendBinary(dst []byte, b Batch) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, EncodedSize(len(b)))
+	dst = binary.LittleEndian.AppendUint32(dst, binaryMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+	for _, r := range b {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.T))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.X))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Y))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.S))
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+8:]))
+}
+
 // WriteBinary writes the batch as one binary frame.
 func WriteBinary(w io.Writer, b Batch) error {
-	buf := make([]byte, EncodedSize(len(b)))
-	binary.LittleEndian.PutUint32(buf[0:], binaryMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(b)))
-	off := 8
-	for _, r := range b {
-		binary.LittleEndian.PutUint64(buf[off+0:], math.Float64bits(r.T))
-		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(r.X))
-		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(r.Y))
-		binary.LittleEndian.PutUint64(buf[off+24:], math.Float64bits(r.S))
-		off += tupleWireLen
-	}
-	crc := crc32.ChecksumIEEE(buf[8:off])
-	binary.LittleEndian.PutUint32(buf[off:], crc)
-	_, err := w.Write(buf)
+	_, err := w.Write(AppendBinary(nil, b))
 	return err
 }
 

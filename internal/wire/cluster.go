@@ -152,19 +152,21 @@ type Forwarded struct {
 // Type implements Message.
 func (Forwarded) Type() MsgType { return TypeForwarded }
 
-// encodeCluster serializes the v1.2 cluster messages (binary codec).
-func encodeCluster(m Message) ([]byte, error) {
+// appendCluster serializes the v1.2 cluster messages (binary codec).
+func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case RingRequest:
-		return []byte{byte(TypeRingRequest)}, nil
+		out, buf := grow(dst, head, 1)
+		buf[0] = byte(TypeRingRequest)
+		return out, nil
 	case RingResponse:
 		if len(v.Nodes) > math.MaxUint16 || len(v.Cells) > math.MaxUint16 {
-			return nil, fmt.Errorf("wire: ring too large (%d nodes, %d cells)", len(v.Nodes), len(v.Cells))
+			return dst, fmt.Errorf("wire: ring too large (%d nodes, %d cells)", len(v.Nodes), len(v.Cells))
 		}
 		size := 1 + 2
 		for _, n := range v.Nodes {
 			if len(n) > math.MaxUint16 {
-				return nil, fmt.Errorf("wire: node address too long (%d bytes)", len(n))
+				return dst, fmt.Errorf("wire: node address too long (%d bytes)", len(n))
 			}
 			size += 2 + len(n)
 		}
@@ -175,7 +177,7 @@ func encodeCluster(m Message) ([]byte, error) {
 		if v.Epoch > 0 {
 			size += 8
 		}
-		buf := make([]byte, size)
+		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeRingResponse)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Nodes)))
 		off := 3
@@ -199,12 +201,12 @@ func encodeCluster(m Message) ([]byte, error) {
 		if v.Epoch > 0 {
 			binary.LittleEndian.PutUint64(buf[off:], v.Epoch)
 		}
-		return buf, nil
+		return out, nil
 	case IngestRequest:
 		if len(v.Tuples) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: ingest too large (%d tuples)", len(v.Tuples))
+			return dst, fmt.Errorf("wire: ingest too large (%d tuples)", len(v.Tuples))
 		}
-		buf := make([]byte, 1+1+4+32*len(v.Tuples))
+		out, buf := grow(dst, head, 1+1+4+32*len(v.Tuples))
 		buf[0] = byte(TypeIngestRequest)
 		buf[1] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint32(buf[2:], uint32(len(v.Tuples)))
@@ -216,18 +218,18 @@ func encodeCluster(m Message) ([]byte, error) {
 			putF64(buf[off+24:], r.S)
 			off += 32
 		}
-		return buf, nil
+		return out, nil
 	case IngestResponse:
-		buf := make([]byte, 1+4)
+		out, buf := grow(dst, head, 1+4)
 		buf[0] = byte(TypeIngestResponse)
 		binary.LittleEndian.PutUint32(buf[1:], v.Ingested)
-		return buf, nil
+		return out, nil
 	case HeatmapRequest:
 		size := 1 + 8 + 1 + 2 + 2 + 1
 		if v.HasRegion {
 			size += 32
 		}
-		buf := make([]byte, size)
+		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeHeatmapRequest)
 		putF64(buf[1:], v.T)
 		buf[9] = byte(v.Pollutant)
@@ -237,12 +239,12 @@ func encodeCluster(m Message) ([]byte, error) {
 			buf[14] = 1
 			putRect(buf[15:], v.Region)
 		}
-		return buf, nil
+		return out, nil
 	case HeatmapResponse:
 		if int(v.Cols)*int(v.Rows) != len(v.Values) {
-			return nil, fmt.Errorf("wire: heatmap %dx%d carries %d values", v.Cols, v.Rows, len(v.Values))
+			return dst, fmt.Errorf("wire: heatmap %dx%d carries %d values", v.Cols, v.Rows, len(v.Values))
 		}
-		buf := make([]byte, 1+32+2+2+8+8*len(v.Values))
+		out, buf := grow(dst, head, 1+32+2+2+8+8*len(v.Values))
 		buf[0] = byte(TypeHeatmapResponse)
 		putRect(buf[1:], v.Region)
 		binary.LittleEndian.PutUint16(buf[33:], v.Cols)
@@ -253,16 +255,16 @@ func encodeCluster(m Message) ([]byte, error) {
 			putF64(buf[off:], val)
 			off += 8
 		}
-		return buf, nil
+		return out, nil
 	case NotOwnerResponse:
 		if len(v.Addr) > math.MaxUint16 {
-			return nil, fmt.Errorf("wire: owner address too long (%d bytes)", len(v.Addr))
+			return dst, fmt.Errorf("wire: owner address too long (%d bytes)", len(v.Addr))
 		}
 		size := 1 + 2 + 2 + len(v.Addr)
 		if v.Epoch > 0 {
 			size += 8
 		}
-		buf := make([]byte, size)
+		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeNotOwner)
 		binary.LittleEndian.PutUint16(buf[1:], v.Owner)
 		binary.LittleEndian.PutUint16(buf[3:], uint16(len(v.Addr)))
@@ -270,35 +272,34 @@ func encodeCluster(m Message) ([]byte, error) {
 		if v.Epoch > 0 {
 			binary.LittleEndian.PutUint64(buf[5+len(v.Addr):], v.Epoch)
 		}
-		return buf, nil
+		return out, nil
 	case Forwarded:
 		if v.Inner == nil {
-			return nil, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
+			return dst, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
 		}
 		if _, nested := v.Inner.(Forwarded); nested {
-			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
+			return dst, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
 		}
-		inner, err := Binary.Encode(v.Inner)
-		if err != nil {
-			return nil, err
-		}
+		// The epoch variant marks itself with 0xFF — reserved, never a
+		// message tag — where the inner tag would sit, so pre-epoch
+		// frames decode byte-for-byte unchanged.
+		hdrLen := 1
 		if v.Epoch > 0 {
-			// The epoch variant marks itself with 0xFF — reserved, never a
-			// message tag — where the inner tag would sit, so pre-epoch
-			// frames decode byte-for-byte unchanged.
-			buf := make([]byte, 1+1+8+len(inner))
-			buf[0] = byte(TypeForwarded)
-			buf[1] = 0xFF
-			binary.LittleEndian.PutUint64(buf[2:], v.Epoch)
-			copy(buf[10:], inner)
-			return buf, nil
+			hdrLen = 1 + 1 + 8
 		}
-		buf := make([]byte, 1+len(inner))
-		buf[0] = byte(TypeForwarded)
-		copy(buf[1:], inner)
-		return buf, nil
+		out, err := appendMsg(dst, head+hdrLen, v.Inner)
+		if err != nil {
+			return dst, err
+		}
+		hdr := out[len(dst)+head:]
+		hdr[0] = byte(TypeForwarded)
+		if v.Epoch > 0 {
+			hdr[1] = 0xFF
+			binary.LittleEndian.PutUint64(hdr[2:], v.Epoch)
+		}
+		return out, nil
 	default:
-		return encodeSubs(m)
+		return appendSubs(dst, head, m)
 	}
 }
 

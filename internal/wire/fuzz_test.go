@@ -11,7 +11,10 @@ import (
 // FuzzWireDecode hardens the binary protocol decoder (the bytes a
 // server reads straight off a TCP link): arbitrary frames must never
 // panic, must fail identically on repeated decodes, and every accepted
-// message must re-encode and re-decode to a byte-identical frame. Seeds
+// message must re-encode and re-decode to a byte-identical frame, must not
+// change when the bytes it was decoded from are overwritten (connections
+// read the next frame into the same buffer), and must append-encode behind
+// a prefix to the same bytes. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
 // untagged layouts (now malformed) and mutations.
 func FuzzWireDecode(f *testing.F) {
@@ -82,6 +85,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0x01, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data) // the target overwrites it below; the engine's copy must stay
 		m1, err1 := Binary.Decode(data)
 		m2, err2 := Binary.Decode(data)
 		if (err1 == nil) != (err2 == nil) {
@@ -113,6 +117,18 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("%T: encode/decode not a fixed point", m1)
+			}
+			// enc1 is m1's deep copy (byte equality is the only equality
+			// that survives NaN payloads): scribbling over the input must
+			// leave m1 encoding to it.
+			scribble(data)
+			if enc, err := Binary.Encode(m1); err != nil || !bytes.Equal(enc, enc1) {
+				t.Fatalf("%T aliases the bytes it was decoded from (%v)", m1, err)
+			}
+			prefix := []byte{0xA5, 0xA5, 0xA5}
+			app, err := Binary.AppendEncode(prefix, m1)
+			if err != nil || !bytes.Equal(app[:3], prefix) || !bytes.Equal(app[3:], enc1) {
+				t.Fatalf("%T: AppendEncode(prefix) differs from prefix + Encode (%v)", m1, err)
 			}
 		}
 	})

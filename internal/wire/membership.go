@@ -98,46 +98,46 @@ type Promote struct {
 // Type implements Message.
 func (Promote) Type() MsgType { return TypePromote }
 
-// encodeMembership serializes the v1.5 membership messages (binary
+// appendMembership serializes the v1.5 membership messages (binary
 // codec).
-func encodeMembership(m Message) ([]byte, error) {
+func appendMembership(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case JoinRequest:
 		if len(v.Addr) > math.MaxUint16 {
-			return nil, fmt.Errorf("wire: join address too long (%d bytes)", len(v.Addr))
+			return dst, fmt.Errorf("wire: join address too long (%d bytes)", len(v.Addr))
 		}
-		buf := make([]byte, 1+2+len(v.Addr))
+		out, buf := grow(dst, head, 1+2+len(v.Addr))
 		buf[0] = byte(TypeJoinRequest)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Addr)))
 		copy(buf[3:], v.Addr)
-		return buf, nil
+		return out, nil
 	case RingUpdate:
-		ring, err := Binary.Encode(v.Ring)
+		out, err := appendMsg(dst, head+2, v.Ring)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		buf := make([]byte, 1+1+len(ring))
-		buf[0] = byte(TypeRingUpdate)
+		hdr := out[len(dst)+head:]
+		hdr[0] = byte(TypeRingUpdate)
+		hdr[1] = 0
 		if v.Commit {
-			buf[1] = 1
+			hdr[1] = 1
 		}
-		copy(buf[2:], ring)
-		return buf, nil
+		return out, nil
 	case ShardTransfer:
-		buf := make([]byte, 1+2+1+8)
+		out, buf := grow(dst, head, 1+2+1+8)
 		buf[0] = byte(TypeShardTransfer)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Have)
-		return buf, nil
+		return out, nil
 	case Promote:
-		buf := make([]byte, 1+2+8)
+		out, buf := grow(dst, head, 1+2+8)
 		buf[0] = byte(TypePromote)
 		binary.LittleEndian.PutUint16(buf[1:], v.Node)
 		binary.LittleEndian.PutUint64(buf[3:], v.Epoch)
-		return buf, nil
+		return out, nil
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknown, m)
+		return dst, fmt.Errorf("%w: %T", ErrUnknown, m)
 	}
 }
 

@@ -123,32 +123,32 @@ func getRaws(buf []byte, count int) []tuple.Raw {
 	return out
 }
 
-// encodeReplica serializes the v1.4 replication messages (binary codec).
-func encodeReplica(m Message) ([]byte, error) {
+// appendReplica serializes the v1.4 replication messages (binary codec).
+func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case ReplicaIngest:
 		if len(v.Tuples) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: replica ingest too large (%d tuples)", len(v.Tuples))
+			return dst, fmt.Errorf("wire: replica ingest too large (%d tuples)", len(v.Tuples))
 		}
-		buf := make([]byte, 1+2+1+8+4+32*len(v.Tuples))
+		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples))
 		buf[0] = byte(TypeReplicaIngest)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Seq)
 		binary.LittleEndian.PutUint32(buf[12:], uint32(len(v.Tuples)))
 		putRaws(buf[16:], v.Tuples)
-		return buf, nil
+		return out, nil
 	case ReplicaCatchupRequest:
-		buf := make([]byte, 1+1+8)
+		out, buf := grow(dst, head, 1+1+8)
 		buf[0] = byte(TypeReplicaCatchupRequest)
 		buf[1] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[2:], v.Have)
-		return buf, nil
+		return out, nil
 	case ReplicaCatchupResponse:
 		if len(v.Tuples) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
+			return dst, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
 		}
-		buf := make([]byte, 1+1+8+4+32*len(v.Tuples))
+		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples))
 		buf[0] = byte(TypeReplicaCatchupResponse)
 		if v.Snapshot {
 			buf[1] |= 1
@@ -159,26 +159,25 @@ func encodeReplica(m Message) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[2:], v.From)
 		binary.LittleEndian.PutUint32(buf[10:], uint32(len(v.Tuples)))
 		putRaws(buf[14:], v.Tuples)
-		return buf, nil
+		return out, nil
 	case ReplicaRead:
 		if v.Inner == nil {
-			return nil, fmt.Errorf("%w: replica read without inner message", ErrMalformed)
+			return dst, fmt.Errorf("%w: replica read without inner message", ErrMalformed)
 		}
 		switch v.Inner.(type) {
 		case ReplicaRead, Forwarded:
-			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
+			return dst, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
 		}
-		inner, err := Binary.Encode(v.Inner)
+		out, err := appendMsg(dst, head+3, v.Inner)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		buf := make([]byte, 1+2+len(inner))
-		buf[0] = byte(TypeReplicaRead)
-		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
-		copy(buf[3:], inner)
-		return buf, nil
+		hdr := out[len(dst)+head:]
+		hdr[0] = byte(TypeReplicaRead)
+		binary.LittleEndian.PutUint16(hdr[1:], v.Origin)
+		return out, nil
 	default:
-		return encodeMembership(m)
+		return appendMembership(dst, head, m)
 	}
 }
 

@@ -105,14 +105,14 @@ func (UnsubscribeResponse) Type() MsgType { return TypeUnsubscribeResponse }
 // pushResync is the flag bit marking a resync push frame.
 const pushResync = 1 << 0
 
-// encodeSubs serializes the v1.3 subscription messages (binary codec).
-func encodeSubs(m Message) ([]byte, error) {
+// appendSubs serializes the v1.3 subscription messages (binary codec).
+func appendSubs(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case SubscribeRequest:
 		if len(v.Points) > MaxBatchItems {
-			return nil, fmt.Errorf("wire: subscription too large (%d points)", len(v.Points))
+			return dst, fmt.Errorf("wire: subscription too large (%d points)", len(v.Points))
 		}
-		buf := make([]byte, 1+1+2+24*len(v.Points))
+		out, buf := grow(dst, head, 1+1+2+24*len(v.Points))
 		buf[0] = byte(TypeSubscribeRequest)
 		buf[1] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint16(buf[2:], uint16(len(v.Points)))
@@ -123,51 +123,51 @@ func encodeSubs(m Message) ([]byte, error) {
 			putF64(buf[off+16:], p.Y)
 			off += 24
 		}
-		return buf, nil
+		return out, nil
 	case SubscribeAck:
-		buf := make([]byte, 1+8+2)
+		out, buf := grow(dst, head, 1+8+2)
 		buf[0] = byte(TypeSubscribeAck)
 		binary.LittleEndian.PutUint64(buf[1:], v.ID)
 		binary.LittleEndian.PutUint16(buf[9:], v.Points)
-		return buf, nil
+		return out, nil
 	case Push:
-		return encodePush(v)
+		return appendPush(dst, head, v)
 	case UnsubscribeRequest:
-		buf := make([]byte, 1+8)
+		out, buf := grow(dst, head, 1+8)
 		buf[0] = byte(TypeUnsubscribeRequest)
 		binary.LittleEndian.PutUint64(buf[1:], v.ID)
-		return buf, nil
+		return out, nil
 	case UnsubscribeResponse:
-		buf := make([]byte, 2)
+		out, buf := grow(dst, head, 2)
 		buf[0] = byte(TypeUnsubscribeResponse)
 		if v.Removed {
 			buf[1] = 1
 		}
-		return buf, nil
+		return out, nil
 	default:
-		return encodeReplica(m)
+		return appendReplica(dst, head, m)
 	}
 }
 
-func encodePush(v Push) ([]byte, error) {
+func appendPush(dst []byte, head int, v Push) ([]byte, error) {
 	if len(v.Points) > MaxBatchItems {
-		return nil, fmt.Errorf("wire: push too large (%d points)", len(v.Points))
+		return dst, fmt.Errorf("wire: push too large (%d points)", len(v.Points))
 	}
 	if len(v.Err) > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: push error too long (%d bytes)", len(v.Err))
+		return dst, fmt.Errorf("wire: push error too long (%d bytes)", len(v.Err))
 	}
 	size := 1 + 8 + 8 + 1 + 2 + len(v.Err) + 2
 	for _, p := range v.Points {
 		if p.Err != "" {
 			if len(p.Err) > math.MaxUint16 {
-				return nil, fmt.Errorf("wire: push point error too long (%d bytes)", len(p.Err))
+				return dst, fmt.Errorf("wire: push point error too long (%d bytes)", len(p.Err))
 			}
 			size += 2 + 1 + 2 + len(p.Err)
 		} else {
 			size += 2 + 1 + 8
 		}
 	}
-	buf := make([]byte, size)
+	out, buf := grow(dst, head, size)
 	buf[0] = byte(TypePush)
 	binary.LittleEndian.PutUint64(buf[1:], v.ID)
 	binary.LittleEndian.PutUint64(buf[9:], v.Seq)
@@ -191,7 +191,7 @@ func encodePush(v Push) ([]byte, error) {
 			off += 9
 		}
 	}
-	return buf, nil
+	return out, nil
 }
 
 // decodeSubs parses the v1.3 subscription messages (binary codec).

@@ -8,6 +8,13 @@
 // (Figure 7b) uses — every byte matters on GPRS/3G. The web interface
 // speaks JSON over HTTP and marshals these structs directly where it needs
 // them.
+//
+// Binary.AppendEncode is the one encoder: it appends a message to a buffer
+// the caller owns (a connection's write buffer, behind the frame's length
+// prefix), and Binary.Encode is AppendEncode into a new, exactly sized one.
+// Binary.Decode never returns a message that shares memory with the bytes
+// it read — strings and slices are copied out — so a connection may read
+// its next frame over the last one as soon as Decode returns.
 package wire
 
 import (
@@ -15,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -194,32 +202,48 @@ var Binary binaryCodec
 
 type binaryCodec struct{}
 
-func (binaryCodec) Encode(m Message) ([]byte, error) {
+// Encode returns m's encoding in a buffer of exactly its size.
+func (c binaryCodec) Encode(m Message) ([]byte, error) { return c.AppendEncode(nil, m) }
+
+// AppendEncode appends m's encoding to dst and returns the extended slice
+// — the one encoder; a connection that answers request after request hands
+// it the same buffer each time. dst grows at most once per call, by exactly
+// what is missing when it is nil; on error it is returned as it came.
+func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
+	return appendMsg(dst, 0, m)
+}
+
+// appendMsg appends head bytes for the caller to fill and, behind them, m's
+// encoding. A message that wraps another (Forwarded, ReplicaRead,
+// RingUpdate) asks for its own header as the inner message's head and
+// writes it once the inner message is in place, so nothing is encoded
+// aside and copied in.
+func appendMsg(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case QueryRequest:
-		buf := make([]byte, 1+24+1)
+		out, buf := grow(dst, head, 1+24+1)
 		buf[0] = byte(TypeQueryRequest)
 		putF64(buf[1:], v.T)
 		putF64(buf[9:], v.X)
 		putF64(buf[17:], v.Y)
 		buf[25] = byte(v.Pollutant)
-		return buf, nil
+		return out, nil
 	case QueryResponse:
-		buf := make([]byte, 1+8)
+		out, buf := grow(dst, head, 1+8)
 		buf[0] = byte(TypeQueryResponse)
 		putF64(buf[1:], v.Value)
-		return buf, nil
+		return out, nil
 	case ModelRequest:
-		buf := make([]byte, 1+8+1)
+		out, buf := grow(dst, head, 1+8+1)
 		buf[0] = byte(TypeModelRequest)
 		putF64(buf[1:], v.T)
 		buf[9] = byte(v.Pollutant)
-		return buf, nil
+		return out, nil
 	case BatchQueryRequest:
 		if len(v.Items) > MaxBatchItems {
-			return nil, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
+			return dst, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
 		}
-		buf := make([]byte, 1+2+25*len(v.Items))
+		out, buf := grow(dst, head, 1+2+25*len(v.Items))
 		buf[0] = byte(TypeBatchQueryRequest)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Items)))
 		off := 3
@@ -230,23 +254,23 @@ func (binaryCodec) Encode(m Message) ([]byte, error) {
 			buf[off+24] = byte(it.Pollutant)
 			off += 25
 		}
-		return buf, nil
+		return out, nil
 	case BatchQueryResponse:
 		if len(v.Items) > MaxBatchItems {
-			return nil, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
+			return dst, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
 		}
 		size := 1 + 2
 		for _, it := range v.Items {
 			if it.Err != "" {
 				if len(it.Err) > math.MaxUint16 {
-					return nil, fmt.Errorf("wire: batch item error too long (%d bytes)", len(it.Err))
+					return dst, fmt.Errorf("wire: batch item error too long (%d bytes)", len(it.Err))
 				}
 				size += 1 + 2 + len(it.Err)
 			} else {
 				size += 1 + 8
 			}
 		}
-		buf := make([]byte, size)
+		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeBatchQueryResponse)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Items)))
 		off := 3
@@ -261,45 +285,49 @@ func (binaryCodec) Encode(m Message) ([]byte, error) {
 				off += 9
 			}
 		}
-		return buf, nil
+		return out, nil
 	case ModelResponse:
-		return encodeModelResponse(v)
+		return appendModelResponse(dst, head, v)
 	case ErrorResponse:
 		if len(v.Msg) > math.MaxUint16 {
-			return nil, fmt.Errorf("wire: error message too long (%d bytes)", len(v.Msg))
+			return dst, fmt.Errorf("wire: error message too long (%d bytes)", len(v.Msg))
 		}
-		buf := make([]byte, 1+2+len(v.Msg), 1+2+len(v.Msg)+1)
+		size := 1 + 2 + len(v.Msg)
+		if v.Code != CodeNone {
+			size++
+		}
+		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeError)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Msg)))
 		copy(buf[3:], v.Msg)
 		if v.Code != CodeNone {
-			buf = append(buf, byte(v.Code))
+			buf[size-1] = byte(v.Code)
 		}
-		return buf, nil
+		return out, nil
 	default:
-		return encodeCluster(m)
+		return appendCluster(dst, head, m)
 	}
 }
 
-func encodeModelResponse(v ModelResponse) ([]byte, error) {
+func appendModelResponse(dst []byte, head int, v ModelResponse) ([]byte, error) {
 	if len(v.Centroids) != len(v.Coefs) {
-		return nil, fmt.Errorf("wire: %d centroids vs %d coefficient sets",
+		return dst, fmt.Errorf("wire: %d centroids vs %d coefficient sets",
 			len(v.Centroids), len(v.Coefs))
 	}
 	if len(v.Centroids) > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: cover too large (%d regions)", len(v.Centroids))
+		return dst, fmt.Errorf("wire: cover too large (%d regions)", len(v.Centroids))
 	}
 	if len(v.Features) > math.MaxUint8 {
-		return nil, errors.New("wire: feature name too long")
+		return dst, errors.New("wire: feature name too long")
 	}
 	size := 1 + 8 + 8 + 8 + 8 + 1 + 1 + len(v.Features) + 2
 	for _, c := range v.Coefs {
 		if len(c) > math.MaxUint8 {
-			return nil, errors.New("wire: too many coefficients")
+			return dst, errors.New("wire: too many coefficients")
 		}
 		size += 16 + 1 + 8*len(c)
 	}
-	buf := make([]byte, size)
+	out, buf := grow(dst, head, size)
 	buf[0] = byte(TypeModelResponse)
 	putF64(buf[1:], v.ValidFrom)
 	putF64(buf[9:], v.ValidUntil)
@@ -321,7 +349,21 @@ func encodeModelResponse(v ModelResponse) ([]byte, error) {
 			off += 8
 		}
 	}
-	return buf, nil
+	return out, nil
+}
+
+// grow extends dst by head+size bytes and returns the extended slice and
+// its last size bytes, zeroed, for the caller to fill. A nil dst gets
+// exactly the bytes asked for.
+func grow(dst []byte, head, size int) (out, body []byte) {
+	n := len(dst) + head
+	if dst == nil {
+		out = make([]byte, n+size)
+	} else {
+		out = slices.Grow(dst, head+size)[:n+size]
+		clear(out[n:])
+	}
+	return out, out[n:]
 }
 
 func (binaryCodec) Decode(data []byte) (Message, error) {
