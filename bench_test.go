@@ -118,7 +118,7 @@ func BenchmarkFig7bBandwidth(b *testing.B) {
 	var res *bench.Fig7bResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = bench.RunFig7b(d, bench.DefaultFig7bConfig())
+		res, err = bench.RunFig7b(context.Background(), d, bench.DefaultFig7bConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -96,7 +96,7 @@ func main() {
 					msg: fmt.Sprintf("%s: %s", name, d.Message),
 				})
 			}
-			if err := a.Run(pass); err != nil {
+			if err := analysis.Run(pass); err != nil {
 				fmt.Fprintf(os.Stderr, "envirometer-vet: %s on %s: %v\n", a.Name, pkg.Path, err)
 				os.Exit(2)
 			}

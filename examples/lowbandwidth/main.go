@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 		strategy := mk(&client.LinkTransport{Link: link, Handler: engine})
-		answers, err := client.RunContinuous(strategy, queries)
+		answers, err := client.RunContinuousCtx(context.Background(), strategy, queries)
 		if err != nil {
 			log.Fatal(err)
 		}

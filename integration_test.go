@@ -77,7 +77,7 @@ func TestFullPipeline(t *testing.T) {
 		pos := routePl.AtLoop(6 * float64(i) * 60)
 		qs[i] = query.Request{T: tm, X: pos.X, Y: pos.Y}
 	}
-	answers, err := client.RunContinuous(mc, qs)
+	answers, err := client.RunContinuousCtx(context.Background(), mc, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,30 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
+	// Directive is the comment prefix that marks an audited exception to
+	// this analyzer ("lockcheck:allow", "bounded:"); see Pass.Suppressed.
+	Directive string
 	// Run inspects one package and reports findings via pass.Report.
+	// Drivers call the package-level Run, which also audits directives.
 	Run func(pass *Pass) error
+}
+
+// Run applies pass.Analyzer to the package and then reports every
+// justified directive of the analyzer that suppressed no finding: the
+// code it excused has moved or gone, and a stale exception would
+// silently excuse whatever lands on its line next.
+func Run(pass *Pass) error {
+	if err := pass.Analyzer.Run(pass); err != nil {
+		return err
+	}
+	for _, ds := range pass.fileDirectives() {
+		for _, d := range ds {
+			if pass.justified(d) && !d.used {
+				pass.Reportf(d.pos, "unused directive: //%s suppresses no %s finding; delete it", pass.Analyzer.Directive, pass.Analyzer.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -41,7 +63,7 @@ type Pass struct {
 	// Report records one diagnostic. The driver deduplicates and sorts.
 	Report func(Diagnostic)
 
-	directives map[string][]directive // file name -> line directives, lazily built
+	directives map[string][]*directive // file name -> line directives, lazily built
 }
 
 // Diagnostic is one finding.
@@ -58,42 +80,54 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // directive is one "//prefix reason" comment.
 type directive struct {
+	pos  token.Pos
 	line int
 	text string // comment text after "//", e.g. "lockcheck:allow audited in review"
+	used bool   // it suppressed a finding of this pass
 }
 
-// Suppressed reports whether a directive comment beginning with prefix
-// (for example "lockcheck:allow" or "bounded:") appears on the same
-// line as pos or on the line immediately above it. The directive must
-// carry a non-empty justification after the prefix — a bare
-// "//lockcheck:allow" does not suppress, so every audited exception is
-// forced to say why. Directives are written without a space after "//".
-func (p *Pass) Suppressed(pos token.Pos, prefix string) bool {
+// Suppressed reports whether the analyzer's directive (for example
+// "lockcheck:allow" or "bounded:") appears on the same line as pos or
+// on the line immediately above it. The directive must carry a
+// non-empty justification after the prefix — a bare "//lockcheck:allow"
+// does not suppress, so every audited exception is forced to say why.
+// Directives are written without a space after "//". Analyzers ask only
+// about a finding they are about to report, so that Run can tell which
+// directives still excuse something.
+func (p *Pass) Suppressed(pos token.Pos) bool {
 	position := p.Fset.Position(pos)
-	if p.directives == nil {
-		p.directives = map[string][]directive{}
-		for _, f := range p.Files {
-			fname := p.Fset.Position(f.Pos()).Filename
-			p.directives[fname] = fileDirectives(p.Fset, f)
-		}
-	}
-	for _, d := range p.directives[position.Filename] {
-		if d.line != position.Line && d.line != position.Line-1 {
-			continue
-		}
-		reason, ok := strings.CutPrefix(d.text, prefix)
-		if ok && strings.TrimSpace(reason) != "" {
+	for _, d := range p.fileDirectives()[position.Filename] {
+		if (d.line == position.Line || d.line == position.Line-1) && p.justified(d) {
+			d.used = true
 			return true
 		}
 	}
 	return false
 }
 
+// justified reports whether d is this analyzer's directive with a
+// non-empty reason.
+func (p *Pass) justified(d *directive) bool {
+	reason, ok := strings.CutPrefix(d.text, p.Analyzer.Directive)
+	return ok && strings.TrimSpace(reason) != ""
+}
+
+func (p *Pass) fileDirectives() map[string][]*directive {
+	if p.directives == nil {
+		p.directives = map[string][]*directive{}
+		for _, f := range p.Files {
+			fname := p.Fset.Position(f.Pos()).Filename
+			p.directives[fname] = fileDirectives(p.Fset, f)
+		}
+	}
+	return p.directives
+}
+
 // fileDirectives extracts "//word:..." line comments from f. Ordinary
 // prose comments never qualify because directives hug the slashes (no
 // space after "//") and their first word ends in a colon.
-func fileDirectives(fset *token.FileSet, f *ast.File) []directive {
-	var out []directive
+func fileDirectives(fset *token.FileSet, f *ast.File) []*directive {
+	var out []*directive
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text, ok := strings.CutPrefix(c.Text, "//")
@@ -110,7 +144,8 @@ func fileDirectives(fset *token.FileSet, f *ast.File) []directive {
 			if !strings.Contains(word, ":") {
 				continue
 			}
-			out = append(out, directive{
+			out = append(out, &directive{
+				pos:  c.Pos(),
 				line: fset.Position(c.Pos()).Line,
 				text: text,
 			})

@@ -8,7 +8,11 @@
 // where each backquoted (or double-quoted) string is a regular
 // expression that must match the message of exactly one diagnostic
 // reported on that line. Diagnostics without a matching want, and wants
-// without a matching diagnostic, fail the test.
+// without a matching diagnostic, fail the test. A diagnostic reported
+// on a directive comment, whose text would swallow a trailing want,
+// takes its want in a block comment before it:
+//
+//	/* want `unused directive` */ //lockcheck:allow nothing blocks here any more
 package analyzertest
 
 import (
@@ -52,7 +56,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) []analysis.Diagnostic {
 		TypesInfo: pkg.Info,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	if err := a.Run(pass); err != nil {
+	if err := analysis.Run(pass); err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 
@@ -64,7 +68,11 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) []analysis.Diagnostic {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), " ")
+				text := strings.TrimPrefix(c.Text, "//")
+				if block, ok := strings.CutPrefix(c.Text, "/*"); ok {
+					text = strings.TrimSuffix(block, "*/")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

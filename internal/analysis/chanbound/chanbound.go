@@ -21,9 +21,10 @@ import (
 
 // Analyzer is the chanbound pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "chanbound",
-	Doc:  "require named capacities or //bounded: justifications on library channels",
-	Run:  run,
+	Name:      "chanbound",
+	Doc:       "require named capacities or //bounded: justifications on library channels",
+	Directive: "bounded:",
+	Run:       run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -49,7 +50,8 @@ func run(pass *analysis.Pass) error {
 			if _, ok := pass.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Chan); !ok {
 				return true
 			}
-			if pass.Suppressed(call.Pos(), "bounded:") {
+			named := len(call.Args) >= 2 && namedCapacity(pass, call.Args[1])
+			if named || pass.Suppressed(call.Pos()) {
 				return true
 			}
 			if len(call.Args) < 2 {
@@ -57,10 +59,8 @@ func run(pass *analysis.Pass) error {
 					"unbuffered channel in library code; give it a named capacity or justify the rendezvous with //bounded: <reason>")
 				return true
 			}
-			if !namedCapacity(pass, call.Args[1]) {
-				pass.Reportf(call.Args[1].Pos(),
-					"channel capacity is a magic number; name it (constant or config field) or justify it with //bounded: <reason>")
-			}
+			pass.Reportf(call.Args[1].Pos(),
+				"channel capacity is a magic number; name it (constant or config field) or justify it with //bounded: <reason>")
 			return true
 		})
 	}

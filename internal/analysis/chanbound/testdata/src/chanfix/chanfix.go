@@ -47,6 +47,9 @@ func shapes(cfg Config) {
 	errs := make(chan error, 1) //bounded: one writer, capacity matches the single result
 	_ = errs
 
+	// A named capacity needs no justification: the directive is flagged.
+	_ = make(chan int, cfg.QueueDepth) /* want `unused directive: //bounded: suppresses no chanbound finding` */ //bounded: config depth
+
 	//bounded:
 	bare := make(chan int) // want `unbuffered channel in library code`
 	_ = bare

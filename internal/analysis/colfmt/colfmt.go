@@ -15,6 +15,7 @@ package colfmt
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -23,9 +24,10 @@ import (
 
 // Analyzer is the colfmt pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "colfmt",
-	Doc:  "check colblock format constants are encoded, decoded, and fuzz-paired exhaustively",
-	Run:  run,
+	Name:      "colfmt",
+	Doc:       "check colblock format constants are encoded, decoded, and fuzz-paired exhaustively",
+	Directive: "colfmt:allow",
+	Run:       run,
 }
 
 // funcFacts records, for one function declaration, the package
@@ -70,13 +72,14 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, c := range formats {
-		if pass.Suppressed(c.Pos(), "colfmt:allow") {
+		enc, dec := refIn(encSide, c), refIn(decSide, c)
+		if enc && dec || pass.Suppressed(c.Pos()) {
 			continue
 		}
-		if !refIn(encSide, c) {
+		if !enc {
 			pass.Reportf(c.Pos(), "colblock format constant %s: not written on the Encode path", c.Name())
 		}
-		if !refIn(decSide, c) {
+		if !dec {
 			pass.Reportf(c.Pos(), "colblock format constant %s: not validated on the decode path (OpenFile/OpenBytes/Verify)", c.Name())
 		}
 	}
@@ -90,12 +93,15 @@ func run(pass *analysis.Pass) error {
 			break
 		}
 	}
+	// A directive on the first format constant excuses the pairing.
 	anchor := formats[0].Pos()
-	if pass.Suppressed(anchor, "colfmt:allow") {
-		return nil
+	report := func(pos token.Pos, msg string) {
+		if !pass.Suppressed(anchor) {
+			pass.Reportf(pos, "%s", msg)
+		}
 	}
 	if fuzz == nil {
-		pass.Reportf(anchor, "colblock format: no FuzzColBlockDecode fuzzer pairs the encode and decode paths")
+		report(anchor, "colblock format: no FuzzColBlockDecode fuzzer pairs the encode and decode paths")
 		return nil
 	}
 	callsNamed := func(name string) bool {
@@ -107,10 +113,10 @@ func run(pass *analysis.Pass) error {
 		return false
 	}
 	if !callsNamed("Encode") {
-		pass.Reportf(fuzz.decl.Pos(), "FuzzColBlockDecode: seed corpus is not built with Encode, so seeds drift from the writer")
+		report(fuzz.decl.Pos(), "FuzzColBlockDecode: seed corpus is not built with Encode, so seeds drift from the writer")
 	}
 	if !callsNamed("Verify") && !callsNamed("OpenBytes") {
-		pass.Reportf(fuzz.decl.Pos(), "FuzzColBlockDecode: never drives the decoder (call Verify or OpenBytes)")
+		report(fuzz.decl.Pos(), "FuzzColBlockDecode: never drives the decoder (call Verify or OpenBytes)")
 	}
 	return nil
 }

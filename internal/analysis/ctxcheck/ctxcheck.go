@@ -29,9 +29,10 @@ import (
 
 // Analyzer is the ctxcheck pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "ctxcheck",
-	Doc:  "flag context.Background in library paths and exported blocking APIs without a context parameter",
-	Run:  run,
+	Name:      "ctxcheck",
+	Doc:       "flag context.Background in library paths and exported blocking APIs without a context parameter",
+	Directive: "ctxcheck:allow",
+	Run:       run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -68,7 +69,7 @@ func checkRootContext(pass *analysis.Pass, call *ast.CallExpr) {
 	if path != "context.Background" && path != "context.TODO" {
 		return
 	}
-	if pass.Suppressed(call.Pos(), "ctxcheck:allow") {
+	if pass.Suppressed(call.Pos()) {
 		return
 	}
 	pass.Reportf(call.Pos(),
@@ -102,7 +103,7 @@ func checkExportedBlocking(pass *analysis.Pass, fn *ast.FuncDecl) {
 	if blockPos == token.NoPos {
 		return
 	}
-	if pass.Suppressed(fn.Pos(), "ctxcheck:allow") || pass.Suppressed(blockPos, "ctxcheck:allow") {
+	if pass.Suppressed(fn.Pos()) || pass.Suppressed(blockPos) {
 		return
 	}
 	pass.Reportf(fn.Pos(),

@@ -31,6 +31,15 @@ func (e *Engine) lifecycle() {
 	_ = ctx
 }
 
+// staleDirective excuses a root context that has since been threaded
+// away: the directive itself is flagged.
+func (e *Engine) staleDirective(ctx context.Context) {
+	/* want `unused directive: //ctxcheck:allow suppresses no ctxcheck finding` */ //ctxcheck:allow the poll is deadline-bounded
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	_ = ctx
+}
+
 func (e *Engine) bareDirective() {
 	//ctxcheck:allow
 	ctx := context.Background() // want `Background\(\) in library code swallows the caller's cancellation`

@@ -29,9 +29,10 @@ import (
 
 // Analyzer is the errcmp pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "errcmp",
-	Doc:  "flag ==/!= comparisons of sentinel errors, fmt.Errorf sentinel wrapping without %w, and substring matching on wire error text",
-	Run:  run,
+	Name:      "errcmp",
+	Doc:       "flag ==/!= comparisons of sentinel errors, fmt.Errorf sentinel wrapping without %w, and substring matching on wire error text",
+	Directive: "errcmp:allow",
+	Run:       run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -88,7 +89,7 @@ func checkComparison(pass *analysis.Pass, cmp *ast.BinaryExpr) {
 	if sentinel == nil {
 		return
 	}
-	if pass.Suppressed(cmp.OpPos, "errcmp:allow") {
+	if pass.Suppressed(cmp.OpPos) {
 		return
 	}
 	pass.Reportf(cmp.OpPos,
@@ -116,7 +117,7 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 		if sentinel == nil || i >= len(verbs) || verbs[i] == 'w' {
 			continue
 		}
-		if pass.Suppressed(arg.Pos(), "errcmp:allow") {
+		if pass.Suppressed(arg.Pos()) {
 			continue
 		}
 		pass.Reportf(arg.Pos(),
@@ -150,7 +151,7 @@ func checkErrorText(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	owner := analysis.TypeName(field.Recv())
 	owner = owner[strings.LastIndexByte(owner, '.')+1:]
-	if wireErrorText[owner] != sel.Sel.Name || pass.Suppressed(call.Pos(), "errcmp:allow") {
+	if wireErrorText[owner] != sel.Sel.Name || pass.Suppressed(call.Pos()) {
 		return
 	}
 	pass.Reportf(call.Pos(),

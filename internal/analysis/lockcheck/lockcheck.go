@@ -28,9 +28,10 @@ import (
 
 // Analyzer is the lockcheck pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "lockcheck",
-	Doc:  "flag channel sends, I/O, and callback invocations under a held sync mutex",
-	Run:  run,
+	Name:      "lockcheck",
+	Doc:       "flag channel sends, I/O, and callback invocations under a held sync mutex",
+	Directive: "lockcheck:allow",
+	Run:       run,
 }
 
 // blockingCalls are stdlib entry points that block on the network, the
@@ -308,7 +309,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, held []heldLock) {
 }
 
 func report(pass *analysis.Pass, pos token.Pos, held []heldLock, what string) {
-	if pass.Suppressed(pos, "lockcheck:allow") {
+	if pass.Suppressed(pos) {
 		return
 	}
 	pass.Reportf(pos, "%s while %s is held; move it outside the critical section or annotate //lockcheck:allow <reason>",

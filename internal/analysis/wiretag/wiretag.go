@@ -22,9 +22,10 @@ import (
 
 // Analyzer is the wiretag pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "wiretag",
-	Doc:  "check wire tag constants are encoded, decoded, and fuzz-seeded exhaustively",
-	Run:  run,
+	Name:      "wiretag",
+	Doc:       "check wire tag constants are encoded, decoded, and fuzz-seeded exhaustively",
+	Directive: "wiretag:allow",
+	Run:       run,
 }
 
 // funcFacts records, for one function declaration, what it references
@@ -103,9 +104,6 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, tag := range tags {
-		if pass.Suppressed(tag.Pos(), "wiretag:allow") {
-			continue
-		}
 		var missing []string
 		if !refIn(binEnc, tag) {
 			missing = append(missing, "binary-codec Encode path")
@@ -117,6 +115,9 @@ func run(pass *analysis.Pass) error {
 			missing = append(missing, "Type() method of a message struct")
 		} else if !fuzzSeeds(st) {
 			missing = append(missing, "FuzzWireDecode seed ("+st.Name()+")")
+		}
+		if len(missing) > 0 && pass.Suppressed(tag.Pos()) {
+			continue
 		}
 		for _, m := range missing {
 			pass.Reportf(tag.Pos(), "wire tag %s: not covered by the %s", tag.Name(), m)

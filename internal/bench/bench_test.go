@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -170,7 +171,7 @@ func TestRunFig7aShapeHolds(t *testing.T) {
 
 func TestRunFig7bShapeHolds(t *testing.T) {
 	d := smallDataset(t)
-	res, err := RunFig7b(d, DefaultFig7bConfig())
+	res, err := RunFig7b(context.Background(), d, DefaultFig7bConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRunFig7bShapeHolds(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 7(b)") {
 		t.Error("print output missing header")
 	}
-	if _, err := RunFig7b(d, Fig7bConfig{}); err == nil {
+	if _, err := RunFig7b(context.Background(), d, Fig7bConfig{}); err == nil {
 		t.Error("zero queries should error")
 	}
 }

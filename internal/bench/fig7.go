@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -185,7 +186,7 @@ func (r *Fig7bResult) TimeRatio() float64 {
 
 // RunFig7b runs the bandwidth experiment: the same mobile trajectory and
 // query stream through both strategies, over fresh identical links.
-func RunFig7b(d *Dataset, cfg Fig7bConfig) (*Fig7bResult, error) {
+func RunFig7b(ctx context.Context, d *Dataset, cfg Fig7bConfig) (*Fig7bResult, error) {
 	if cfg.NumQueries <= 0 {
 		return nil, fmt.Errorf("bench: NumQueries %d, want > 0", cfg.NumQueries)
 	}
@@ -218,7 +219,7 @@ func RunFig7b(d *Dataset, cfg Fig7bConfig) (*Fig7bResult, error) {
 		}
 		tr := &client.LinkTransport{Link: link, Handler: eng}
 		s := mk(tr)
-		if _, err := client.RunContinuous(s, qs); err != nil {
+		if _, err := client.RunContinuousCtx(ctx, s, qs); err != nil {
 			return Fig7bArm{}, err
 		}
 		stats := link.Stats()

@@ -4,6 +4,11 @@
 // contacting the server only to refresh an invalid cover. This is the
 // mechanism behind the ~two-orders-of-magnitude bandwidth savings of
 // Figure 7(b).
+//
+// Only internal/client imports it (the ModelCache strategy). It is part
+// of the paper's design, not a leftover: the Figure 7(b) reproduction and
+// examples/lowbandwidth measure it against the baseline strategy, so it
+// stays however small its import graph is.
 package cache
 
 import (

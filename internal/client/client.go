@@ -201,16 +201,9 @@ func (m *ModelCache) Query(req query.Request) (Answer, error) {
 	return Answer{Req: req, Value: v, Local: ok}, nil
 }
 
-// RunContinuous drives a strategy through a full continuous query — the
-// mobile object transmitting query tuples at its uniform interval — and
-// returns the answers.
-func RunContinuous(s Strategy, reqs []query.Request) ([]Answer, error) {
-	//ctxcheck:allow compatibility wrapper; RunContinuousCtx is the ctx-aware form
-	return RunContinuousCtx(context.Background(), s, reqs)
-}
-
-// RunContinuousCtx is RunContinuous with cooperative cancellation: the
-// stream stops at the first context error.
+// RunContinuousCtx drives a strategy through a full continuous query —
+// the mobile object transmitting query tuples at its uniform interval —
+// and returns the answers. The stream stops at the first context error.
 func RunContinuousCtx(ctx context.Context, s Strategy, reqs []query.Request) ([]Answer, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("client: empty query stream")

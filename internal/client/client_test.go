@@ -64,7 +64,7 @@ func TestBaselineAnswersMatchServer(t *testing.T) {
 	eng, _, tr := newStack(t)
 	b := NewBaseline(tr)
 	qs := walkQueries(50, 60)
-	answers, err := RunContinuous(b, qs)
+	answers, err := RunContinuousCtx(context.Background(), b, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestModelCacheAnswersMatchServer(t *testing.T) {
 	eng, _, tr := newStack(t)
 	mc := NewModelCache(tr)
 	qs := walkQueries(50, 60)
-	answers, err := RunContinuous(mc, qs)
+	answers, err := RunContinuousCtx(context.Background(), mc, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestModelCacheRefetchesAcrossWindows(t *testing.T) {
 	// 90 queries spaced 120 s apart cross from window 0 (0..3600) into
 	// windows 1 and 2 (data ends at 10800): exactly 3 fetches.
 	qs := walkQueries(90, 120)
-	if _, err := RunContinuous(mc, qs); err != nil {
+	if _, err := RunContinuousCtx(context.Background(), mc, qs); err != nil {
 		t.Fatal(err)
 	}
 	st := mc.CacheStats()
@@ -131,13 +131,13 @@ func TestModelCacheSavesBandwidth(t *testing.T) {
 	// magnitude fewer bytes sent, and far less air time.
 	_, linkB, trB := newStack(t)
 	qs := walkQueries(100, 30) // all within window 0
-	if _, err := RunContinuous(NewBaseline(trB), qs); err != nil {
+	if _, err := RunContinuousCtx(context.Background(), NewBaseline(trB), qs); err != nil {
 		t.Fatal(err)
 	}
 	baseStats := linkB.Stats()
 
 	_, linkM, trM := newStack(t)
-	if _, err := RunContinuous(NewModelCache(trM), qs); err != nil {
+	if _, err := RunContinuousCtx(context.Background(), NewModelCache(trM), qs); err != nil {
 		t.Fatal(err)
 	}
 	cacheStats := linkM.Stats()
@@ -181,7 +181,7 @@ func TestServerErrorPropagates(t *testing.T) {
 
 func TestRunContinuousEmpty(t *testing.T) {
 	_, _, tr := newStack(t)
-	if _, err := RunContinuous(NewBaseline(tr), nil); err == nil {
+	if _, err := RunContinuousCtx(context.Background(), NewBaseline(tr), nil); err == nil {
 		t.Error("empty stream should error")
 	}
 }

@@ -395,7 +395,7 @@ func (s *ShardedTransport) ownerExchange(ring *cluster.Ring, reps []int, addr st
 	}
 	prim := make(chan result, 1) //bounded: one-shot result; the exchange goroutine sends exactly once
 	start := s.now()
-	go func() { //bounded: one goroutine per hedged exchange, result channel buffered
+	go func() { // one goroutine per hedged exchange, result channel buffered
 		r, e := t.Exchange(q)
 		prim <- result{r, e}
 	}()
@@ -440,7 +440,7 @@ func (s *ShardedTransport) ownerExchange(ring *cluster.Ring, reps []int, addr st
 	hch := make(chan result, 1) //bounded: one-shot result; the probe goroutine sends exactly once
 	repAddr := ring.Addr(reps[1])
 	origin := uint16(reps[0])
-	go func() { //bounded: one goroutine per hedge probe, result channel buffered
+	go func() { // one goroutine per hedge probe, result channel buffered
 		rt, err := s.conn(repAddr)
 		if err != nil {
 			hch <- result{nil, err}

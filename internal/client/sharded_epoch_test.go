@@ -253,7 +253,7 @@ func TestShardedRefreshUnderConcurrentJoin(t *testing.T) {
 	// Concurrent load across the transition: half the goroutines hammer
 	// the probe shard, half spread over other points.
 	var wg sync.WaitGroup
-	errs := make(chan error, 64) //bounded: one slot per worker exchange below
+	errs := make(chan error, 64) // one slot per worker exchange below
 	exchangeOnce := func(p geo.Point) {
 		defer wg.Done()
 		resp, err := sc.Exchange(wire.QueryRequest{T: 100, X: p.X, Y: p.Y, Pollutant: tuple.CO2})

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/subs"
 	"repro/internal/tuple"
@@ -105,7 +106,7 @@ func (f *fixture) openStream(addr string, req wire.Message) (cluster.PushStream,
 	}
 	if er, isErr := ack.(wire.ErrorResponse); isErr {
 		stop()
-		return nil, errors.New(er.Msg)
+		return nil, &proto.StreamRefused{Response: er}
 	}
 	s := &fakeStream{ack: ack, ch: make(chan wire.Message, 64), dead: &f.dead[to], stop: stop}
 	f.streamsMu.Lock()

@@ -444,9 +444,9 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 
 	var (
 		wg         sync.WaitGroup
-		stop       = make(chan struct{}) //bounded: close-only signal channel
-		writerUp   = make(chan struct{}) //bounded: close-only signal channel
-		readerUp   = make(chan struct{}) //bounded: close-only signal channel
+		stop       = make(chan struct{}) // close-only signal channel
+		writerUp   = make(chan struct{}) // close-only signal channel
+		readerUp   = make(chan struct{}) // close-only signal channel
 		ackedMu    sync.Mutex
 		acked      []geo.Point
 		queryErrs  atomic.Int64

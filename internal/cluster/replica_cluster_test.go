@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -256,6 +257,31 @@ func TestReplicaFailoverZeroQueryErrors(t *testing.T) {
 	}
 	if _, err := f.nodes[0].Model(ctx, tuple.CO2, queryT); err != nil {
 		t.Fatalf("post-kill model: %v", err)
+	}
+
+	// Writes never fail over, but mid-outage the survivors' shards keep
+	// taking them: a tuple node 1 owns still acks through node 0 (its
+	// stream to the dead replica fails, the commit does not), and the
+	// victim's frozen shards answer as before.
+	var live tuple.Batch
+	for _, r := range data {
+		if f.ring.Owner(tuple.CO2, r.Pos()) == 1 {
+			live = tuple.Batch{r}
+			break
+		}
+	}
+	resp := f.nodes[0].HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: live})
+	if ir, ok := resp.(wire.IngestResponse); !ok || ir.Ingested != 1 {
+		t.Fatalf("survivor-owned ingest of %v after the kill: %#v", live, resp)
+	}
+	for i, req := range samples {
+		if f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y}) != victim {
+			continue
+		}
+		v, err := f.nodes[0].Query(ctx, req)
+		if err != nil || v != want[i] {
+			t.Fatalf("victim-shard answer at (%v,%v) after the write: %v (%v), want %v", req.X, req.Y, v, err, want[i])
+		}
 	}
 }
 
@@ -677,14 +703,16 @@ func TestShardedClientHedgedReads(t *testing.T) {
 	sc := client.NewSharded(&nodeTransport{f: f, to: 1}, dial)
 	sc.SetHedging(true)
 
-	hedgedSomething := false
+	var slowOwned []time.Duration // wall time of each exchange the slow node owns
 	for i, req := range samples {
 		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
 		want, err := f.engines[owner].Query(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		start := time.Now()
 		resp, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
+		took := time.Since(start)
 		if err != nil {
 			t.Fatalf("hedged query %d: %v", i, err)
 		}
@@ -696,11 +724,18 @@ func TestShardedClientHedgedReads(t *testing.T) {
 			t.Fatalf("hedged answer %v at (%v,%v), owner answers %v", qr.Value, req.X, req.Y, want)
 		}
 		if owner == slowNode {
-			hedgedSomething = true
+			slowOwned = append(slowOwned, took)
 		}
 	}
-	if !hedgedSomething {
+	if len(slowOwned) == 0 {
 		t.Fatal("no sample owned by the slow node")
+	}
+	// The replica's probe answered, not the 30 ms primary: the typical
+	// read of a slow-node shard finishes before the primary could have.
+	slices.Sort(slowOwned)
+	if median := slowOwned[len(slowOwned)/2]; median >= slowBy {
+		t.Errorf("median hedged read of a slow-node shard took %v, not below the primary's %v (%d reads)",
+			median, slowBy, len(slowOwned))
 	}
 	st := sc.Stats()
 	if st.Hedged == 0 {

@@ -95,25 +95,25 @@ type ReplicationConfig struct {
 // ReplicationStats counts a node's replication activity.
 type ReplicationStats struct {
 	// Streamed counts frames handed to peer stream workers.
-	Streamed int64
+	Streamed int64 `json:"streamed"`
 	// StreamDrops counts frames dropped on a full worker queue.
-	StreamDrops int64
+	StreamDrops int64 `json:"streamDrops"`
 	// StreamErrors counts failed peer exchanges (stream and catch-up).
-	StreamErrors int64
+	StreamErrors int64 `json:"streamErrors"`
 	// GapNaks counts streamed frames a replica refused out of order.
-	GapNaks int64
+	GapNaks int64 `json:"gapNaks"`
 	// Applied counts stream frames applied to local mirrors.
-	Applied int64
+	Applied int64 `json:"applied"`
 	// Gaps counts sequence gaps detected on local mirrors.
-	Gaps int64
+	Gaps int64 `json:"gaps"`
 	// Catchups counts catch-up sessions started.
-	Catchups int64
+	Catchups int64 `json:"catchups"`
 	// Snapshots counts mirror resets taken during catch-up.
-	Snapshots int64
+	Snapshots int64 `json:"snapshots"`
 	// MirrorReads counts reads answered from local mirrors.
-	MirrorReads int64
+	MirrorReads int64 `json:"mirrorReads"`
 	// Mirrors is the number of (origin, pollutant) mirrors held.
-	Mirrors int
+	Mirrors int `json:"mirrors"`
 }
 
 // mirrorKey identifies one mirror: the primary it mirrors and the
@@ -296,7 +296,7 @@ func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
 	}
 	q, ok := r.peers[peer]
 	if !ok {
-		q = make(chan wire.ReplicaIngest, r.queue) //bounded: replication queue depth (ReplicationConfig.QueueDepth, default defaultReplQueue)
+		q = make(chan wire.ReplicaIngest, r.queue) // replication queue depth (ReplicationConfig.QueueDepth, default defaultReplQueue)
 		r.peers[peer] = q
 		r.wg.Add(1)
 		go r.streamTo(peer, q)

@@ -124,26 +124,26 @@ type NodeConfig struct {
 // Stats counts a node's routing activity.
 type Stats struct {
 	// Local counts requests answered by the local engine.
-	Local int64
+	Local int64 `json:"local"`
 	// Forwarded counts requests forwarded to an owner node.
-	Forwarded int64
+	Forwarded int64 `json:"forwarded"`
 	// ForwardedIn counts pre-routed requests received from a peer.
-	ForwardedIn int64
+	ForwardedIn int64 `json:"forwardedIn"`
 	// Scatters counts scatter-gather fan-outs (heatmaps, model merges).
-	Scatters int64
+	Scatters int64 `json:"scatters"`
 	// NotOwner counts requests bounced with NotOwnerResponse.
-	NotOwner int64
+	NotOwner int64 `json:"notOwner"`
 	// Errors counts transport failures talking to peers.
-	Errors int64
+	Errors int64 `json:"errors"`
 	// FailedOver counts reads answered by a replica after the shard's
 	// owner was unreachable.
-	FailedOver int64
+	FailedOver int64 `json:"failedOver"`
 	// Rehomed counts subscription legs re-subscribed at a replica after
 	// their owner died.
-	Rehomed int64
+	Rehomed int64 `json:"rehomed"`
 	// EpochMismatches counts routed frames this node fenced because they
 	// carried a ring epoch older than its own.
-	EpochMismatches int64
+	EpochMismatches int64 `json:"epochMismatches"`
 }
 
 // Node is one member of a sharded EnviroMeter cluster: it answers

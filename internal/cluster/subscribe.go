@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geo"
+	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/subs"
 	"repro/internal/tuple"
@@ -27,7 +28,8 @@ type PushStream interface {
 
 // StreamOpener opens a push stream to a peer node's wire address by
 // sending req as the stream-opening frame (proto.DialStream adapted, in
-// production).
+// production). A peer that answers the frame with an ErrorResponse is a
+// *proto.StreamRefused error; any other error means it was not reached.
 type StreamOpener func(addr string, req wire.Message) (PushStream, error)
 
 // LocalSubscriber is the subscription surface of the local engine
@@ -126,11 +128,10 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 			// Forwarded, like every routed request: the owner answers from
 			// its local registry and never re-routes, so disagreeing rings
 			// cannot chain subscription hops.
-			st, err := n.streams(ring.Addr(owner), wire.Forwarded{Inner: subs.WireFromRequests(pol, subset)})
+			st, err := n.openStream(ring, owner, wire.Forwarded{Inner: subs.WireFromRequests(pol, subset)})
 			if err != nil {
-				n.nErrors.Add(1)
 				abort()
-				return nil, fmt.Errorf("%w: node %d (%s): %v", ErrNodeUnreachable, owner, ring.Addr(owner), err)
+				return nil, err
 			}
 			n.nForwarded.Add(1)
 			l.stream = st
@@ -151,6 +152,23 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 		go n.runLeg(ctx, feed, l, &closing)
 	}
 	return feed, nil
+}
+
+// openStream opens a push stream to node to. A peer that was reached
+// and refused the opening frame comes back as the failure it named
+// (ErrorFromWire); only a transport failure is ErrNodeUnreachable and
+// counted in Stats.Errors.
+func (n *Node) openStream(ring *Ring, to int, req wire.Message) (PushStream, error) {
+	st, err := n.streams(ring.Addr(to), req)
+	if err == nil {
+		return st, nil
+	}
+	var refused *proto.StreamRefused
+	if errors.As(err, &refused) {
+		return nil, ErrorFromWire(refused.Response.Code, refused.Response.Msg)
+	}
+	n.nErrors.Add(1)
+	return nil, fmt.Errorf("%w: node %d (%s): %v", ErrNodeUnreachable, to, ring.Addr(to), err)
 }
 
 // runLeg forwards one owner's pushes onto the merged feed, remapping
@@ -266,13 +284,12 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 		if n.streams == nil {
 			continue
 		}
-		st, err := n.streams(ring.Addr(rep), wire.ReplicaRead{
+		st, err := n.openStream(ring, rep, wire.ReplicaRead{
 			Origin: uint16(l.owner),
 			Inner:  subs.WireFromRequests(l.pol, l.subset),
 		})
 		if err != nil {
-			n.nErrors.Add(1)
-			continue
+			continue // unreachable or refused; try the next
 		}
 		if _, isAck := st.Ack().(wire.SubscribeAck); !isAck {
 			_ = st.Close() // replica holds no mirror (or refused); try the next

@@ -63,6 +63,9 @@ func newTCPPair(t *testing.T) *tcpPair {
 		t.Fatal(err)
 	}
 	dial := func(addr string) (cluster.Transport, error) { return proto.Dial(addr, proto.ServerConfig{}) }
+	streams := func(addr string, req wire.Message) (cluster.PushStream, error) {
+		return proto.DialStream(addr, proto.ServerConfig{}, req)
+	}
 	for i := range p.nodes {
 		st, err := store.Open(store.Config{WindowLength: windowLen, Retain: 1})
 		if err != nil {
@@ -76,7 +79,7 @@ func newTCPPair(t *testing.T) *tcpPair {
 		}
 		node, err := cluster.NewNode(cluster.NodeConfig{
 			Ring: ring, Self: i, Local: unbuildable{eng},
-			Transports: cluster.LazyTransports(ring, i, dial), Dial: dial,
+			Transports: cluster.LazyTransports(ring, i, dial), Dial: dial, Streams: streams,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -284,5 +287,44 @@ func TestBatchItemsKeepTheirSentinels(t *testing.T) {
 		if !errors.Is(rs[i].Err, w) {
 			t.Errorf("item %d via Node.QueryBatch = %v, want %v", i, rs[i].Err, w)
 		}
+	}
+}
+
+// TestRefusedSubscribeKeepsItsSentinel: an owner that was reached and
+// refused a forwarded subscribe is not a dead peer. Its answer comes
+// back as the failure it named, verbatim and uncounted; only an owner
+// that cannot be dialled is ErrNodeUnreachable.
+func TestRefusedSubscribeKeepsItsSentinel(t *testing.T) {
+	p := newTCPPair(t)
+	// Neither engine monitors PM; the point must sit on a PM shard of
+	// node 1 for the subscribe to be forwarded.
+	var pt []query.Request
+	for _, r := range makeData() {
+		if p.nodes[0].Ring().Owner(tuple.PM, r.Pos()) == 1 {
+			pt = []query.Request{{T: queryT, X: r.X, Y: r.Y}}
+			break
+		}
+	}
+	if pt == nil {
+		t.Fatal("no PM shard on node 1")
+	}
+	_, err := p.nodes[0].Subscribe(context.Background(), tuple.PM, pt)
+	if !errors.Is(err, query.ErrUnknownPollutant) || errors.Is(err, cluster.ErrNodeUnreachable) {
+		t.Errorf("refused subscribe = %v, want ErrUnknownPollutant and not ErrNodeUnreachable", err)
+	}
+	if err != nil && err.Error() != query.ErrUnknownPollutant.Error() {
+		t.Errorf("refusal text %q, want the owner's %q verbatim", err, query.ErrUnknownPollutant)
+	}
+	if st := p.nodes[0].Stats(); st.Errors != 0 {
+		t.Errorf("a refusal counted as %d transport errors", st.Errors)
+	}
+
+	p.servers[1].Close()
+	_, err = p.nodes[0].Subscribe(context.Background(), tuple.PM, pt)
+	if !errors.Is(err, cluster.ErrNodeUnreachable) || errors.Is(err, query.ErrUnknownPollutant) {
+		t.Errorf("subscribe at a closed listener = %v, want ErrNodeUnreachable only", err)
+	}
+	if st := p.nodes[0].Stats(); st.Errors != 1 {
+		t.Errorf("Stats.Errors = %d after one failed dial, want 1", st.Errors)
 	}
 }

@@ -172,9 +172,8 @@ func (m *Maintainer) CoverFor(c int) (*Cover, error) {
 }
 
 // coverFor is CoverFor that also reports the generation the returned
-// cover was built at.
-//
-//ctxcheck:allow the only wait is for the in-flight build of the same cover, which always closes done
+// cover was built at. The only wait is for the in-flight build of the
+// same cover, which always closes done.
 func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 	for {
 		m.mu.Lock()

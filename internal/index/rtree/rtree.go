@@ -9,6 +9,11 @@
 // rectangular range search, radius search, and k-nearest-neighbor search,
 // plus a bulk Sort-Tile-Recursive loader for building an index over a full
 // window at once.
+//
+// Only the radius processor in internal/query imports it (query.NewRTree,
+// chosen by a request's processor kind "rtree"). The default serving path
+// answers from the model cover and never builds one; the package stays
+// because it is a baseline Figures 6 and 7(a) compare the cover against.
 package rtree
 
 import (

@@ -8,6 +8,12 @@
 // Like the historical Python implementation, the tree is built once over a
 // window of tuples and is immutable afterwards; windows are rebuilt as the
 // stream advances, so mutability buys nothing.
+//
+// Only the radius processor in internal/query imports it
+// (query.NewVPTree, chosen by a request's processor kind "vptree"). The
+// default serving path answers from the model cover and never builds one;
+// the package stays because it is a baseline Figures 6 and 7(a) compare
+// the cover against.
 package vptree
 
 import (

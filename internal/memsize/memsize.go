@@ -8,6 +8,10 @@
 // pointers, slices, maps, strings, and interfaces. Shared objects are
 // counted once (pointer-identity de-duplication), matching what a heap
 // profiler would attribute to the structure.
+//
+// Only internal/bench imports it, for Figure 7(a). It measures the
+// paper's methods, not the running system (benchmark/ reports
+// live_heap_mb from the runtime), and stays as long as that figure does.
 package memsize
 
 import (

@@ -2,6 +2,7 @@ package proto_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -249,7 +250,7 @@ func TestClientIsATransport(t *testing.T) {
 	for i := range qs {
 		qs[i] = query.Request{T: 60 * float64(i), X: 500, Y: 500}
 	}
-	answers, err := client.RunContinuous(mc, qs)
+	answers, err := client.RunContinuousCtx(context.Background(), mc, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

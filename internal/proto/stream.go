@@ -85,9 +85,18 @@ type Stream struct {
 	closed bool
 }
 
+// StreamRefused is DialStream's error when the server was reached and
+// answered the stream-opening frame with an ErrorResponse. Response is
+// that answer, code included, so a caller can restore the failure the
+// peer named instead of treating it as a dead connection.
+type StreamRefused struct{ Response wire.ErrorResponse }
+
+func (e *StreamRefused) Error() string { return "proto: stream refused: " + e.Response.Msg }
+
 // DialStream connects to addr, sends req, and — unless the server
-// answers with an ErrorResponse — returns the stream with the server's
-// ack. Pushed frames arrive on C until the stream fails or is closed.
+// answers with an ErrorResponse (a *StreamRefused error) — returns the
+// stream with the server's ack. Pushed frames arrive on C until the
+// stream fails or is closed.
 func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error) {
 	cfg = cfg.withDefaults()
 	frame, err := appendFrame(nil, req)
@@ -118,7 +127,7 @@ func DialStream(addr string, cfg ServerConfig, req wire.Message) (*Stream, error
 	}
 	if e, ok := ack.(wire.ErrorResponse); ok {
 		conn.Close()
-		return nil, fmt.Errorf("proto: stream refused: %s", e.Msg)
+		return nil, &StreamRefused{Response: e}
 	}
 	// Pushes arrive whenever covers change; no idle deadline from here.
 	if err := conn.SetDeadline(time.Time{}); err != nil {

@@ -15,7 +15,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -213,14 +212,4 @@ type Result struct {
 	Q     Q
 	Value float64
 	Err   error
-}
-
-// RunContinuous processes a continuous query — the registered mobile
-// object's stream of query tuples — through a processor, returning one
-// result per tuple (Query 1 semantics: each q_l yields one ŝ_l). It is
-// RunContinuousCtx with a background context.
-func RunContinuous(p Processor, qs []Q) []Result {
-	//ctxcheck:allow compatibility wrapper; RunContinuousCtx is the ctx-aware form
-	out, _ := RunContinuousCtx(context.Background(), p, qs)
-	return out
 }

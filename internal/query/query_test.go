@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -201,7 +202,10 @@ func TestRunContinuous(t *testing.T) {
 		{T: 1, X: 99999, Y: 99999}, // no data
 		{T: 2, X: 100, Y: 100},
 	}
-	res := RunContinuous(p, qs)
+	res, err := RunContinuousCtx(context.Background(), p, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}

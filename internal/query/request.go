@@ -158,7 +158,9 @@ func BuildProcessor(o Options, w tuple.Batch, cv *core.Cover) (Processor, error)
 	}
 }
 
-// RunContinuousCtx is RunContinuous with cooperative cancellation: it
+// RunContinuousCtx processes a continuous query — the registered mobile
+// object's stream of query tuples — through a processor, returning one
+// result per tuple (Query 1 semantics: each q_l yields one ŝ_l). It
 // stops at the first context error, returning the results produced so
 // far alongside the context's error.
 func RunContinuousCtx(ctx context.Context, p Processor, qs []Q) ([]Result, error) {

@@ -26,44 +26,17 @@ func NewClusterAPI(engine *Engine, node *cluster.Node) *API {
 // (as a string key, JSON objects key by string) -> owned cells.
 type clusterShards map[string]map[string][]int
 
-// clusterStatsJSON mirrors cluster.Stats on the wire.
-type clusterStatsJSON struct {
-	Local           int64 `json:"local"`
-	Forwarded       int64 `json:"forwarded"`
-	ForwardedIn     int64 `json:"forwardedIn"`
-	Scatters        int64 `json:"scatters"`
-	NotOwner        int64 `json:"notOwner"`
-	Errors          int64 `json:"errors"`
-	FailedOver      int64 `json:"failedOver"`
-	Rehomed         int64 `json:"rehomed"`
-	EpochMismatches int64 `json:"epochMismatches"`
-}
-
-// replicationStatsJSON mirrors cluster.ReplicationStats on the wire.
-type replicationStatsJSON struct {
-	Streamed     int64 `json:"streamed"`
-	StreamDrops  int64 `json:"streamDrops"`
-	StreamErrors int64 `json:"streamErrors"`
-	GapNaks      int64 `json:"gapNaks"`
-	Applied      int64 `json:"applied"`
-	Gaps         int64 `json:"gaps"`
-	Catchups     int64 `json:"catchups"`
-	Snapshots    int64 `json:"snapshots"`
-	MirrorReads  int64 `json:"mirrorReads"`
-	Mirrors      int   `json:"mirrors"`
-}
-
 // clusterResponse is the GET /v1/cluster document. Ring is exactly the
 // wire ring-exchange payload, so an HTTP client rebuilds the same
 // cluster.Ring a TCP client gets from a RingRequest. Replication is
 // present only on nodes of a replicated ring.
 type clusterResponse struct {
-	Self        int                   `json:"self"`
-	Epoch       uint64                `json:"epoch"`
-	Ring        wire.RingResponse     `json:"ring"`
-	Shards      clusterShards         `json:"shards"`
-	Routing     clusterStatsJSON      `json:"routing"`
-	Replication *replicationStatsJSON `json:"replication,omitempty"`
+	Self        int                       `json:"self"`
+	Epoch       uint64                    `json:"epoch"`
+	Ring        wire.RingResponse         `json:"ring"`
+	Shards      clusterShards             `json:"shards"`
+	Routing     cluster.Stats             `json:"routing"`
+	Replication *cluster.ReplicationStats `json:"replication,omitempty"`
 }
 
 // handleCluster serves GET /v1/cluster.
@@ -79,25 +52,15 @@ func (a *API) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		shards[pol.String()] = perNode
 	}
-	st := a.node.Stats()
 	resp := clusterResponse{
-		Self:   a.node.Self(),
-		Epoch:  ring.Epoch(),
-		Ring:   ring.Wire(),
-		Shards: shards,
-		Routing: clusterStatsJSON{
-			Local: st.Local, Forwarded: st.Forwarded, ForwardedIn: st.ForwardedIn,
-			Scatters: st.Scatters, NotOwner: st.NotOwner, Errors: st.Errors,
-			FailedOver: st.FailedOver, Rehomed: st.Rehomed,
-			EpochMismatches: st.EpochMismatches,
-		},
+		Self:    a.node.Self(),
+		Epoch:   ring.Epoch(),
+		Ring:    ring.Wire(),
+		Shards:  shards,
+		Routing: a.node.Stats(),
 	}
 	if rs, ok := a.node.ReplicationStats(); ok {
-		resp.Replication = &replicationStatsJSON{
-			Streamed: rs.Streamed, StreamDrops: rs.StreamDrops, StreamErrors: rs.StreamErrors,
-			GapNaks: rs.GapNaks, Applied: rs.Applied, Gaps: rs.Gaps, Catchups: rs.Catchups,
-			Snapshots: rs.Snapshots, MirrorReads: rs.MirrorReads, Mirrors: rs.Mirrors,
-		}
+		resp.Replication = &rs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

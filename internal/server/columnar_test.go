@@ -219,7 +219,7 @@ func TestEngineCheckpointSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	errCh := make(chan error, 16) //bounded: one slot per goroutine below
+	errCh := make(chan error, 16) // one slot per goroutine below
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -867,10 +867,6 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 	}
 }
 
-// Classify returns the display band for a CO2 value, exposed here so both
-// the HTTP layer and clients share one classification.
-func Classify(ppm float64) eval.CO2Band { return eval.ClassifyCO2(ppm) }
-
 // ClassifyFor returns the display band for a value of pollutant p.
 func ClassifyFor(p tuple.Pollutant, v float64) eval.CO2Band {
 	return eval.ClassifyPollutant(p, v)

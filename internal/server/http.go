@@ -706,7 +706,7 @@ type statsResponse struct {
 	Columnar store.ColumnarStats `json:"columnar"`
 	// Cluster carries the routing counters when this server is a member
 	// of a sharded cluster (see /v1/cluster for the full ring).
-	Cluster *clusterStatsJSON `json:"cluster,omitempty"`
+	Cluster *cluster.Stats `json:"cluster,omitempty"`
 	// Subscriptions carries the push-subscription registry counters
 	// (active subs, invalidation matches, re-evals avoided, push/drop
 	// totals).
@@ -726,13 +726,10 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, fmt.Errorf("%w: %v not monitored", query.ErrUnknownPollutant, top))
 		return
 	}
-	var clusterSec *clusterStatsJSON
+	var clusterSec *cluster.Stats
 	if a.node != nil {
 		st := a.node.Stats()
-		clusterSec = &clusterStatsJSON{
-			Local: st.Local, Forwarded: st.Forwarded, ForwardedIn: st.ForwardedIn,
-			Scatters: st.Scatters, NotOwner: st.NotOwner, Errors: st.Errors,
-		}
+		clusterSec = &st
 	}
 	resp := statsResponse{
 		Cluster:       clusterSec,

@@ -16,7 +16,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/kmeans"
 	"repro/internal/query"
@@ -442,13 +444,12 @@ func TestHTTPStatsShape(t *testing.T) {
 	}
 }
 
-// TestHTTPStatsKeys pins the key set of /v1/stats. The sections are the
-// packages' own stats structs marshalled through their JSON tags, so a
-// renamed or untagged field would otherwise change the wire silently.
-func TestHTTPStatsKeys(t *testing.T) {
-	srv := httptest.NewServer(NewAPI(newTestEngine(t)))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/stats")
+// jsonKeys fetches url and returns the sorted dotted paths of every leaf
+// of the JSON document; keys directly under a prefix listed in wildcard
+// collapse to "*".
+func jsonKeys(t *testing.T, url string, wildcard ...string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestHTTPStatsKeys(t *testing.T) {
 			return
 		}
 		for k, sub := range m {
-			if prefix == "perPollutant" {
+			if slices.Contains(wildcard, prefix) {
 				k = "*"
 			}
 			walk(strings.TrimPrefix(prefix+"."+k, "."), sub)
@@ -474,29 +475,94 @@ func TestHTTPStatsKeys(t *testing.T) {
 	}
 	walk("", body)
 	sort.Strings(got)
-	want := strings.Fields(`
-		cachedCovers
-		checkpoint.checkpoints checkpoint.failures checkpoint.lastTuples checkpoint.lastWindows
-		checkpoint.recoveredShards checkpoint.segmentsDeleted checkpoint.segmentsReplayed
-		checkpoint.tuplesFromCheckpoint checkpoint.tuplesReplayed
-		columnar.blocksPruned columnar.blocksScanned columnar.blocksWritten columnar.bytesRead
-		columnar.lazyWindows columnar.materializations columnar.materializeFailures
-		columnar.mmapReads columnar.readAtReads columnar.sidecarsWritten
-		defaultPollutant
-		ingest.appends ingest.coalesced ingest.errors ingest.queued ingest.rejected
-		ingest.submitted ingest.tuples
-		maintenance.built maintenance.coalesced maintenance.dropped maintenance.failed
-		maintenance.inflight maintenance.queueLen maintenance.scheduled maintenance.skipped
-		maxTime
-		perPollutant.*.cachedCovers perPollutant.*.maxTime perPollutant.*.tuples perPollutant.*.windows
-		subscriptions.active subscriptions.avoided subscriptions.closed subscriptions.deltaPoints
-		subscriptions.dropped subscriptions.invalidations subscriptions.matches
-		subscriptions.pointReEvals subscriptions.pushes subscriptions.reEvals
-		subscriptions.resyncs subscriptions.subscribed
-		tuples windowLength windows`)
-	sort.Strings(want)
-	if !slices.Equal(got, want) {
-		t.Errorf("/v1/stats keys:\n%v\nwant\n%v", got, want)
+	return slices.Compact(got)
+}
+
+// statsKeys is the key set of /v1/stats on a single node.
+const statsKeys = `
+	cachedCovers
+	checkpoint.checkpoints checkpoint.failures checkpoint.lastTuples checkpoint.lastWindows
+	checkpoint.recoveredShards checkpoint.segmentsDeleted checkpoint.segmentsReplayed
+	checkpoint.tuplesFromCheckpoint checkpoint.tuplesReplayed
+	columnar.blocksPruned columnar.blocksScanned columnar.blocksWritten columnar.bytesRead
+	columnar.lazyWindows columnar.materializations columnar.materializeFailures
+	columnar.mmapReads columnar.readAtReads columnar.sidecarsWritten
+	defaultPollutant
+	ingest.appends ingest.coalesced ingest.errors ingest.queued ingest.rejected
+	ingest.submitted ingest.tuples
+	maintenance.built maintenance.coalesced maintenance.dropped maintenance.failed
+	maintenance.inflight maintenance.queueLen maintenance.scheduled maintenance.skipped
+	maxTime
+	perPollutant.*.cachedCovers perPollutant.*.maxTime perPollutant.*.tuples perPollutant.*.windows
+	subscriptions.active subscriptions.avoided subscriptions.closed subscriptions.deltaPoints
+	subscriptions.dropped subscriptions.invalidations subscriptions.matches
+	subscriptions.pointReEvals subscriptions.pushes subscriptions.reEvals
+	subscriptions.resyncs subscriptions.subscribed
+	tuples windowLength windows`
+
+// TestHTTPStatsKeys pins the key sets of /v1/stats and /v1/cluster. The
+// sections are the packages' own stats structs marshalled through their
+// JSON tags, so a renamed or untagged field would otherwise change the
+// wire silently.
+func TestHTTPStatsKeys(t *testing.T) {
+	check := func(what string, got []string, want string) {
+		t.Helper()
+		w := strings.Fields(want)
+		sort.Strings(w)
+		if !slices.Equal(got, w) {
+			t.Errorf("%s keys:\n%v\nwant\n%v", what, got, w)
+		}
+	}
+	srv := httptest.NewServer(NewAPI(newTestEngine(t)))
+	defer srv.Close()
+	check("/v1/stats", jsonKeys(t, srv.URL+"/v1/stats", "perPollutant"), statsKeys)
+
+	// A member of a replicated ring adds the routing counters to
+	// /v1/stats and serves them, with the replication counters, on
+	// /v1/cluster.
+	region := geo.Rect{Min: geo.Point{X: -1000, Y: -1000}, Max: geo.Point{X: 1000, Y: 1000}}
+	cells, err := cluster.Cells(region, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := cluster.NewRing(cluster.Desc{Nodes: []string{"a:1", "b:2"}, Cells: cells, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newTestEngine(t)
+	node, err := cluster.NewNode(cluster.NodeConfig{
+		Ring: ring, Self: 0, Local: eng,
+		Replication: cluster.ReplicationConfig{NewMirror: func() cluster.Handler { return newTestEngine(t) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	csrv := httptest.NewServer(NewClusterAPI(eng, node))
+	defer csrv.Close()
+	const routing = `local forwarded forwardedIn scatters notOwner errors failedOver rehomed epochMismatches`
+	const replication = `streamed streamDrops streamErrors gapNaks applied gaps catchups snapshots mirrorReads mirrors`
+	prefixed := func(prefix, keys string) string {
+		return prefix + strings.Join(strings.Fields(keys), " "+prefix)
+	}
+	check("cluster member /v1/stats", jsonKeys(t, csrv.URL+"/v1/stats", "perPollutant"),
+		statsKeys+" "+prefixed("cluster.", routing))
+	check("/v1/cluster", jsonKeys(t, csrv.URL+"/v1/cluster", "shards", "shards.*"),
+		`self epoch ring.nodes ring.cells ring.vnodes ring.replicas shards.*.* `+
+			prefixed("routing.", routing)+" "+prefixed("replication.", replication))
+
+	// The rendered sections, byte for byte and in field order.
+	for want, v := range map[string]any{
+		`{"local":1,"forwarded":2,"forwardedIn":3,"scatters":4,"notOwner":5,"errors":6,"failedOver":7,"rehomed":8,"epochMismatches":9}`: cluster.Stats{
+			Local: 1, Forwarded: 2, ForwardedIn: 3, Scatters: 4, NotOwner: 5, Errors: 6,
+			FailedOver: 7, Rehomed: 8, EpochMismatches: 9},
+		`{"streamed":1,"streamDrops":2,"streamErrors":3,"gapNaks":4,"applied":5,"gaps":6,"catchups":7,"snapshots":8,"mirrorReads":9,"mirrors":10}`: cluster.ReplicationStats{
+			Streamed: 1, StreamDrops: 2, StreamErrors: 3, GapNaks: 4, Applied: 5, Gaps: 6,
+			Catchups: 7, Snapshots: 8, MirrorReads: 9, Mirrors: 10},
+	} {
+		if got, err := json.Marshal(v); err != nil || string(got) != want {
+			t.Errorf("%T renders %s (%v), want %s", v, got, err, want)
+		}
 	}
 }
 
@@ -519,8 +585,8 @@ func TestHTTPStatsMaintenanceCoalesced(t *testing.T) {
 }
 
 func TestClassifyReexport(t *testing.T) {
-	if Classify(400).String() != "fresh" {
-		t.Error("Classify mismatch")
+	if ClassifyFor(tuple.CO2, 400).String() != "fresh" {
+		t.Error("ClassifyFor mismatch")
 	}
 	_ = fmt.Sprintf // keep fmt for future use in this test file
 }

@@ -142,6 +142,18 @@ func TestSubscriptionPushesExactDeltas(t *testing.T) {
 	if len(delta.Points) == 0 {
 		t.Fatal("empty delta")
 	}
+	// On the wire the delta is smaller than the full 20-point vector a
+	// poll would have fetched.
+	pushBytes := func(ev subs.Event) int {
+		b, err := wire.Binary.Encode(subs.PushFromEvent(h.ID(), ev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	if got, full := pushBytes(delta), pushBytes(first); got >= full {
+		t.Errorf("delta push is %d bytes, not below the full vector's %d", got, full)
+	}
 	for _, p := range delta.Points {
 		if p.Index < 10 || p.Index >= 20 {
 			t.Fatalf("delta touched point %d, outside the invalidated window-1 set [10,20)", p.Index)
@@ -168,6 +180,9 @@ func TestSubscriptionPushesExactDeltas(t *testing.T) {
 	after := e.Subscriptions().Stats()
 	if after.ReEvals != st.ReEvals || after.PointReEvals != st.PointReEvals {
 		t.Fatalf("non-overlapping ingest re-evaluated: %+v -> %+v", st, after)
+	}
+	if after.Pushes != st.Pushes || after.DeltaPoints != st.DeltaPoints {
+		t.Errorf("non-overlapping ingest pushed bytes: %+v -> %+v", st, after)
 	}
 	select {
 	case ev := <-h.Events():

@@ -575,7 +575,7 @@ func TestCheckpointConcurrentManualCalls(t *testing.T) {
 		return f.Sync()
 	}
 	var wg sync.WaitGroup
-	appendErr := make(chan error, 64) //bounded: one slot per appender goroutine below
+	appendErr := make(chan error, 64) // one slot per appender goroutine below
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
