@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/store"
@@ -252,9 +251,8 @@ func BenchmarkQueryBatchConcurrency(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput measures durable append throughput under the
-// three sync policies with concurrent appenders: SyncEveryBatch pays one
-// fsync per batch, SyncGrouped shares one fsync per commit group (the
-// ISSUE 3 headline), SyncNever is the no-durability ceiling. The
+// two sync policies with concurrent appenders: SyncEveryBatch pays one
+// fsync per batch, SyncNever is the no-durability ceiling. The
 // syncs-per-append ratio is reported alongside the timing.
 func BenchmarkIngestThroughput(b *testing.B) {
 	policies := []struct {
@@ -262,7 +260,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		policy store.SyncPolicy
 	}{
 		{"SyncEveryBatch", store.SyncEveryBatch()},
-		{"SyncGrouped", store.SyncGrouped(32, 2*time.Millisecond)},
 		{"SyncNever", store.SyncNever()},
 	}
 	const batchSize = 32
@@ -280,7 +277,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			}
 			defer st.Close()
 			var windowSeq atomic.Int64
-			b.SetParallelism(8) // grouped commit needs company to group
+			b.SetParallelism(8)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {

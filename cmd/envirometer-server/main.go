@@ -8,10 +8,8 @@
 //
 //	envirometer-server [-addr :8080] [-tcp :8081] [-window 14400]
 //	                   [-pollutants CO2,CO,PM] [-days 2] [-data file.csv]
-//	                   [-dir segments/] [-covers covers.emcv] [-live]
-//	                   [-speedup 3600] [-seed 1]
-//	                   [-sync every|grouped|never] [-sync-batches 32]
-//	                   [-sync-delay 2ms] [-ingest-queue 64]
+//	                   [-dir segments/] [-live] [-speedup 3600] [-seed 1]
+//	                   [-sync every|never] [-ingest-queue 64]
 //	                   [-ingest-maxbatch 4096] [-sched-workers 2]
 //	                   [-sched-queue 128] [-checkpoint-interval 5m]
 //	                   [-checkpoint-keep 1]
@@ -19,9 +17,9 @@
 //	                   [-router] [-cluster-cells 16] [-cluster-vnodes 64]
 //	                   [-replicas 2] [-join host:8081] [-advertise host:8084]
 //
-// The -sync* flags pick the durability policy of -dir (grouped = group
-// commit: one fsync covers up to -sync-batches appends or -sync-delay of
-// accumulation). The -ingest-* flags bound the asynchronous ingest
+// -sync picks the durability policy of -dir (every = one fsync per store
+// append before the ack, shared by the uploads the ingest pipeline
+// coalesced into it). The -ingest-* flags bound the asynchronous ingest
 // queues; -sched-* tunes the background cover-maintenance scheduler
 // (-sched-workers -1 disables it, putting cover builds back on the
 // query path). With -checkpoint-interval, each pollutant's store
@@ -53,8 +51,8 @@
 // since the CSV carries one pollutant, -data requires a single-entry
 // -pollutants. Otherwise a synthetic Lausanne deployment of -days days
 // is generated for every pollutant of -pollutants. With -dir,
-// ingestion is durable and previous segments are recovered. With -covers,
-// built model covers are snapshotted for warm restarts. With -live, data
+// ingestion is durable and previous segments are recovered; the covers
+// of the recovered windows are rebuilt in the background. With -live, data
 // is streamed in via the ingestion service at -speedup× real time instead
 // of being bulk-loaded, so covers appear as windows fill — the demo-floor
 // mode.
@@ -85,24 +83,21 @@ func main() {
 		days    = flag.Float64("days", 2, "days of synthetic data when -data is unset")
 		data    = flag.String("data", "", "CSV file of raw tuples to load instead of simulating")
 		dir     = flag.String("dir", "", "directory for durable segment files (empty = memory only)")
-		covers  = flag.String("covers", "", "model-cover snapshot file for warm restarts")
 		live    = flag.Bool("live", false, "stream data in via the ingestion service instead of bulk loading")
 		speedup = flag.Float64("speedup", 3600, "stream seconds per wall second in -live mode")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 
-		syncMode    = flag.String("sync", "every", "durability sync policy: every, grouped, never")
-		syncBatches = flag.Int("sync-batches", 0, "grouped sync: max appends per commit group (0 = default)")
-		syncDelay   = flag.Duration("sync-delay", 0, "grouped sync: max commit-group age (0 = default)")
-		queueDepth  = flag.Int("ingest-queue", 0, "ingest queue depth per pollutant (0 = default)")
-		maxBatch    = flag.Int("ingest-maxbatch", 0, "max tuples per coalesced ingest append (0 = default)")
-		schedWork   = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
-		schedQueue  = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
-		ckInterval  = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
-		ckKeep      = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
-		colNoMmap   = flag.Bool("columnar-no-mmap", false, "read checkpoint files with pread instead of mmap")
-		subQueue    = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
-		subMax      = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
-		subPoints   = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
+		syncMode   = flag.String("sync", "every", "durability sync policy: every, never")
+		queueDepth = flag.Int("ingest-queue", 0, "ingest queue depth per pollutant (0 = default)")
+		maxBatch   = flag.Int("ingest-maxbatch", 0, "max tuples per coalesced ingest append (0 = default)")
+		schedWork  = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
+		schedQueue = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
+		ckInterval = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
+		ckKeep     = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
+		colNoMmap  = flag.Bool("columnar-no-mmap", false, "read checkpoint files with pread instead of mmap")
+		subQueue   = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
+		subMax     = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
+		subPoints  = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
 
 		clusterNodes  = flag.String("cluster-nodes", "", "comma-separated TCP wire addresses of every cluster node (empty = single node)")
 		nodeID        = flag.Int("node-id", 0, "this process's index in -cluster-nodes")
@@ -114,7 +109,7 @@ func main() {
 		advertise     = flag.String("advertise", "", "this node's wire address exactly as peers should dial it (default: -tcp)")
 	)
 	flag.Parse()
-	sync, err := parseSyncPolicy(*syncMode, *syncBatches, *syncDelay)
+	sync, err := parseSyncPolicy(*syncMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "envirometer-server:", err)
 		os.Exit(2)
@@ -158,7 +153,7 @@ func main() {
 	}
 	if err := run(options{
 		addr: *addr, tcp: *tcp, window: *window, polls: *polls, days: *days,
-		data: *data, dir: *dir, covers: *covers,
+		data: *data, dir: *dir,
 		live: *live, speedup: *speedup, seed: *seed,
 		sync:    sync,
 		queue:   repro.PipelineConfig{QueueDepth: *queueDepth, MaxBatchTuples: *maxBatch},
@@ -173,32 +168,30 @@ func main() {
 	}
 }
 
-// parseSyncPolicy maps the -sync* flags onto a facade SyncPolicy.
-func parseSyncPolicy(mode string, batches int, delay time.Duration) (repro.SyncPolicy, error) {
+// parseSyncPolicy maps the -sync flag onto a facade SyncPolicy.
+func parseSyncPolicy(mode string) (repro.SyncPolicy, error) {
 	switch mode {
 	case "every", "":
 		return repro.SyncEveryBatch(), nil
-	case "grouped":
-		return repro.SyncGrouped(batches, delay), nil
 	case "never":
 		return repro.SyncNever(), nil
 	default:
-		return repro.SyncPolicy{}, fmt.Errorf("unknown -sync mode %q (want every, grouped, or never)", mode)
+		return repro.SyncPolicy{}, fmt.Errorf("unknown -sync mode %q (want every or never)", mode)
 	}
 }
 
 type options struct {
-	addr, tcp, data, dir, covers, polls string
-	window, days, speedup               float64
-	seed                                int64
-	live                                bool
-	sync                                repro.SyncPolicy
-	queue                               repro.PipelineConfig
-	sched                               repro.SchedulerConfig
-	ck                                  repro.CheckpointConfig
-	col                                 repro.ColumnarConfig
-	subs                                repro.SubscriptionConfig
-	cluster                             repro.ClusterConfig
+	addr, tcp, data, dir, polls string
+	window, days, speedup       float64
+	seed                        int64
+	live                        bool
+	sync                        repro.SyncPolicy
+	queue                       repro.PipelineConfig
+	sched                       repro.SchedulerConfig
+	ck                          repro.CheckpointConfig
+	col                         repro.ColumnarConfig
+	subs                        repro.SubscriptionConfig
+	cluster                     repro.ClusterConfig
 }
 
 func run(o options) error {
@@ -216,7 +209,6 @@ func run(o options) error {
 		Checkpoint:    o.ck,
 		Columnar:      o.col,
 		Subscriptions: o.subs,
-		CoverSnapshot: o.covers,
 		Cluster:       o.cluster,
 	})
 	if err != nil {

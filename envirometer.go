@@ -50,11 +50,9 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/coverio"
 	"repro/internal/eval"
 	"repro/internal/geo"
 	"repro/internal/heatmap"
@@ -129,38 +127,23 @@ var (
 )
 
 // SyncPolicy selects when durable appends reach stable storage; build
-// one with SyncEveryBatch, SyncGrouped, or SyncNever.
+// one with SyncEveryBatch or SyncNever.
 type SyncPolicy = store.SyncPolicy
 
 // SyncEveryBatch fsyncs every appended batch before acknowledging it —
 // the default whenever Config.Dir is set.
 func SyncEveryBatch() SyncPolicy { return store.SyncEveryBatch() }
 
-// SyncGrouped amortizes durability: one fsync covers up to maxBatches
-// appends or maxDelay of accumulation (group commit); every append is
-// acknowledged only after its group's fsync. 0 picks the defaults.
-func SyncGrouped(maxBatches int, maxDelay time.Duration) SyncPolicy {
-	return store.SyncGrouped(maxBatches, maxDelay)
-}
-
 // SyncNever acknowledges durable appends on write and leaves flushing to
 // the OS — the platform's historical (weakest, fastest) guarantee.
 func SyncNever() SyncPolicy { return store.SyncNever() }
 
 // PipelineConfig tunes the asynchronous ingest pipeline: per-pollutant
-// queue depth, upload coalescing, and the overflow policy.
+// queue depth and upload coalescing. A full queue makes Platform.Ingest
+// wait for space; the HTTP and wire ingest endpoints — and every ingest
+// on a clustered platform (see Platform.Ingest) — shed instead, failing
+// fast with ErrIngestSaturated.
 type PipelineConfig = ingest.PipelineConfig
-
-// Overflow policies for PipelineConfig.
-const (
-	// OverflowBlock makes a full queue exert backpressure: Ingest waits
-	// for space (the default).
-	OverflowBlock = ingest.Block
-	// OverflowReject makes a full queue shed load: Ingest fails fast
-	// with ErrIngestSaturated. The HTTP ingest endpoint always sheds, and
-	// so does every ingest on a clustered platform (see Platform.Ingest).
-	OverflowReject = ingest.Reject
-)
 
 // SchedulerConfig tunes the background cover-maintenance scheduler.
 // Workers < 0 disables it, leaving every cover build on the query path.
@@ -337,8 +320,8 @@ type Config struct {
 	// Covers are rebuilt per window and expire at the window edge.
 	WindowSeconds float64
 	// Pollutants lists the monitored pollutants; each gets its own store
-	// and model covers, and with Dir/CoverSnapshot set each persists into
-	// its own subdirectory / ".<pollutant>"-suffixed file. Empty means
+	// and model covers, and with Dir set each persists into its own
+	// subdirectory. Empty means
 	// single-pollutant, monitoring AdKMN.Pollutant (CO2 by default) with
 	// the flat pre-v1 durable layout.
 	Pollutants []Pollutant
@@ -347,13 +330,14 @@ type Config struct {
 	// With several pollutants, each persists into its own subdirectory.
 	Dir string
 	// Sync selects when durable appends reach stable storage (used only
-	// with Dir). The zero value is SyncEveryBatch(); SyncGrouped
-	// amortizes fsyncs across concurrent ingests, SyncNever trades crash
-	// safety for throughput.
+	// with Dir). The zero value is SyncEveryBatch(): one fsync per store
+	// append, which the ingest pipeline's coalescing shares between the
+	// uploads queued behind it; SyncNever trades crash safety for
+	// throughput.
 	Sync SyncPolicy
 	// IngestQueue tunes the asynchronous ingest pipeline (bounded
-	// per-pollutant queues, coalescing, block/reject overflow). The zero
-	// value blocks on a full queue, 64 deep, coalescing to 4096 tuples.
+	// per-pollutant queues, coalescing). The zero value queues 64 deep
+	// and coalesces to 4096 tuples.
 	IngestQueue PipelineConfig
 	// Maintenance tunes the background cover-maintenance scheduler that
 	// rebuilds invalidated covers off the query path; until a window's
@@ -385,12 +369,6 @@ type Config struct {
 	// AdKMN tunes the model cover construction; the zero value uses the
 	// paper's defaults (k0 = 2, τn = 2%, linear regression models).
 	AdKMN AdKMNConfig
-	// CoverSnapshot, when non-empty, is a file the platform loads built
-	// model covers from at Open (warm restart) and saves them to at
-	// Close, so a restarted server answers immediately instead of
-	// re-running Ad-KMN per window. With several pollutants, each
-	// persists into its own ".<pollutant>"-suffixed file.
-	CoverSnapshot string
 	// Cluster, when Cluster.Nodes is non-empty, makes this platform one
 	// member (or, with Cluster.Router, a dedicated router) of a sharded
 	// serving cluster: queries and ingest route to shard owners over
@@ -421,18 +399,6 @@ func (cfg Config) storeDir(p Pollutant) string {
 	return filepath.Join(cfg.Dir, p.String())
 }
 
-// snapshotPath returns the cover-snapshot file of one pollutant,
-// namespaced exactly like storeDir.
-func (cfg Config) snapshotPath(p Pollutant) string {
-	if cfg.CoverSnapshot == "" {
-		return ""
-	}
-	if len(cfg.Pollutants) == 0 {
-		return cfg.CoverSnapshot // legacy flat layout
-	}
-	return cfg.CoverSnapshot + "." + p.String()
-}
-
 // Platform is the EnviroMeter server-side platform: per-pollutant
 // storage, adaptive modeling, and query processing behind one handle. It
 // is safe for concurrent use.
@@ -448,7 +414,6 @@ type Platform struct {
 	joining    bool
 	pollutants []Pollutant
 	stores     map[Pollutant]*store.Store
-	snapshots  map[Pollutant]string
 	// ckOnClose makes Close take a final checkpoint (set when
 	// Config.Checkpoint.Interval > 0).
 	ckOnClose bool
@@ -460,7 +425,6 @@ func Open(cfg Config) (*Platform, error) {
 	p := &Platform{
 		pollutants: pollutants,
 		stores:     make(map[Pollutant]*store.Store, len(pollutants)),
-		snapshots:  make(map[Pollutant]string, len(pollutants)),
 	}
 	closeAll := func() {
 		for _, st := range p.stores {
@@ -489,7 +453,6 @@ func Open(cfg Config) (*Platform, error) {
 			return nil, err
 		}
 		p.stores[pol] = st
-		p.snapshots[pol] = cfg.snapshotPath(pol)
 	}
 	adkmn := cfg.AdKMN
 	adkmn.Pollutant = pollutants[0]
@@ -519,29 +482,9 @@ func Open(cfg Config) (*Platform, error) {
 		p.api = server.NewAPI(engine)
 	}
 	p.svc = p.api.Service
-	for _, pol := range pollutants {
-		snap := p.snapshots[pol]
-		if snap == "" {
-			continue
-		}
-		covers, err := coverio.Load(snap)
-		if err != nil {
-			engine.Close()
-			closeAll()
-			return nil, fmt.Errorf("repro: load cover snapshot for %v: %w", pol, err)
-		}
-		mnt, err := engine.MaintainerFor(pol)
-		if err != nil {
-			engine.Close()
-			closeAll()
-			return nil, err
-		}
-		mnt.Prime(covers)
-	}
-	// Warm-prime: whatever the snapshots did not cover — recovered
-	// windows with no persisted cover, or a platform with no snapshot
-	// files at all — is modeled in the background now, so a restart is
-	// warm even where the snapshot is stale or absent.
+	// Covers are derived state and are not persisted: every recovered
+	// window is modeled in the background now, newest first, and on the
+	// query path if it is asked for sooner.
 	engine.WarmPrime()
 	return p, nil
 }
@@ -673,32 +616,11 @@ func (m mirrorError) HandleMessage(wire.Message) wire.Message {
 }
 
 // Checkpoint persists every pollutant's retained windows to its store's
-// checkpoint file, compacts the segment logs behind them, and (when
-// CoverSnapshot is configured) saves the built model covers — after
-// which a crash costs only a suffix replay and the covers come back
-// warm. Safe to call at any time; Close takes a final checkpoint
-// automatically when Config.Checkpoint.Interval is set.
-func (p *Platform) Checkpoint() error {
-	var errs []error
-	if err := p.engine.Checkpoint(); err != nil {
-		errs = append(errs, err)
-	}
-	for _, pol := range p.pollutants {
-		snap := p.snapshots[pol]
-		if snap == "" {
-			continue
-		}
-		mnt, err := p.engine.MaintainerFor(pol)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if err := coverio.Save(snap, mnt.Snapshot()); err != nil {
-			errs = append(errs, fmt.Errorf("repro: save %v cover snapshot: %w", pol, err))
-		}
-	}
-	return errors.Join(errs...)
-}
+// checkpoint file and compacts the segment logs behind them — after
+// which a crash costs only a suffix replay. Safe to call at any time;
+// Close takes a final checkpoint automatically when
+// Config.Checkpoint.Interval is set.
+func (p *Platform) Checkpoint() error { return p.engine.Checkpoint() }
 
 // CheckpointStats aggregates checkpoint, compaction, and recovery
 // counters across every pollutant's store.
@@ -711,8 +633,8 @@ func (p *Platform) ColumnarStats() ColumnarStats { return p.engine.ColumnarStats
 // Close shuts the write path down first — the ingest pipeline drains
 // every queued upload into the (still open) stores and the maintenance
 // scheduler stops — then takes a final checkpoint (if
-// Config.Checkpoint.Interval is set) and persists the cover snapshots
-// (if configured), and finally syncs and releases durable resources.
+// Config.Checkpoint.Interval is set), and finally syncs and releases
+// durable resources.
 // All failures are reported, combined with errors.Join.
 func (p *Platform) Close() error {
 	var errs []error
@@ -732,42 +654,9 @@ func (p *Platform) Close() error {
 		}
 	}
 	for _, pol := range p.pollutants {
-		if snap := p.snapshots[pol]; snap != "" {
-			if mnt, err := p.engine.MaintainerFor(pol); err == nil {
-				if err := coverio.Save(snap, mnt.Snapshot()); err != nil {
-					errs = append(errs, fmt.Errorf("repro: save %v cover snapshot: %w", pol, err))
-				}
-			}
-		}
 		if err := p.stores[pol].Close(); err != nil {
 			errs = append(errs, fmt.Errorf("repro: close %v store: %w", pol, err))
 		}
-	}
-	return errors.Join(errs...)
-}
-
-// SaveCovers persists the built covers of every pollutant to the
-// configured snapshot files immediately (Close also does this).
-func (p *Platform) SaveCovers() error {
-	var errs []error
-	saved := 0
-	for _, pol := range p.pollutants {
-		snap := p.snapshots[pol]
-		if snap == "" {
-			continue
-		}
-		saved++
-		mnt, err := p.engine.MaintainerFor(pol)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if err := coverio.Save(snap, mnt.Snapshot()); err != nil {
-			errs = append(errs, fmt.Errorf("repro: save %v cover snapshot: %w", pol, err))
-		}
-	}
-	if saved == 0 {
-		return errors.New("repro: no CoverSnapshot configured")
 	}
 	return errors.Join(errs...)
 }

@@ -4,69 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/proto"
 	"repro/internal/route"
 	"repro/internal/wire"
 )
-
-func TestCoverSnapshotWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "covers.emcv")
-
-	p, err := Open(Config{WindowSeconds: 3600, Dir: dir, CoverSnapshot: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	readings, err := SimulateLausanne(9, 2*3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Ingest(context.Background(), CO2, readings); err != nil {
-		t.Fatal(err)
-	}
-	// Build covers for both windows, then close (which snapshots).
-	v1, err := p.Query(context.Background(), Request{T: 1800, X: 500, Y: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Query(context.Background(), Request{T: 5400, X: 500, Y: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SaveCovers(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the primed cover must answer identically without rebuild.
-	p2, err := Open(Config{WindowSeconds: 3600, Dir: dir, CoverSnapshot: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	v2, err := p2.Query(context.Background(), Request{T: 1800, X: 500, Y: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v1-v2) > 1e-9 {
-		t.Errorf("warm restart answer %v differs from original %v", v2, v1)
-	}
-}
-
-func TestSaveCoversWithoutConfig(t *testing.T) {
-	p, err := Open(Config{WindowSeconds: 3600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.SaveCovers(); err == nil {
-		t.Error("SaveCovers without CoverSnapshot should error")
-	}
-}
 
 func TestListenTCPServesClients(t *testing.T) {
 	p := openWithData(t)
@@ -130,13 +73,12 @@ func TestRouteSummaryAgainstPlatform(t *testing.T) {
 }
 
 // TestPlatformAsyncIngestKnobs exercises the ISSUE 3 facade surface:
-// grouped-commit durability, the ingest pipeline counters, background
-// cover maintenance, and the closed-platform write refusal.
+// durable ingest, the ingest pipeline counters, background cover
+// maintenance, and the closed-platform write refusal.
 func TestPlatformAsyncIngestKnobs(t *testing.T) {
 	p, err := Open(Config{
 		WindowSeconds: 3600,
 		Dir:           t.TempDir(),
-		Sync:          SyncGrouped(8, 0),
 		IngestQueue:   PipelineConfig{QueueDepth: 16},
 		Maintenance:   SchedulerConfig{Workers: 1},
 	})

@@ -25,8 +25,8 @@ import (
 )
 
 // fakeStream is an in-process cluster.PushStream: the server half is
-// the target node's HandleStream, every frame crosses the binary codec,
-// and the fixture kill switch can sever it like a dropped TCP
+// the target node's HandleStreamCtx, every frame crosses the binary
+// codec, and the fixture kill switch can sever it like a dropped TCP
 // connection.
 type fakeStream struct {
 	ack  wire.Message
@@ -69,7 +69,7 @@ func (s *fakeStream) sever(err error) {
 }
 
 // openStream is the fixture's StreamOpener: it resolves the address to
-// a node, refuses dead targets, and bridges HandleStream's emit loop
+// a node, refuses dead targets, and bridges HandleStreamCtx's emit loop
 // onto a frame channel.
 func (f *fixture) openStream(addr string, req wire.Message) (cluster.PushStream, error) {
 	to := -1
@@ -93,7 +93,7 @@ func (f *fixture) openStream(addr string, req wire.Message) (cluster.PushStream,
 	if err != nil {
 		return nil, err
 	}
-	ack, run, stop, ok := f.nodes[to].HandleStream(decoded)
+	ack, run, stop, ok := f.nodes[to].HandleStreamCtx(context.Background(), decoded)
 	if !ok {
 		return nil, fmt.Errorf("node %d does not stream %T", to, decoded)
 	}

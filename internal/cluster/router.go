@@ -403,7 +403,7 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		return n.handlePromote(ctx, m)
 	case wire.SubscribeRequest:
 		// Plain exchanges cannot carry pushes; the streaming path routes
-		// subscribe frames through HandleStream instead.
+		// subscribe frames through HandleStreamCtx instead.
 		return wire.ErrorResponse{Msg: "cluster: subscriptions require a streaming transport"}
 	case wire.UnsubscribeRequest:
 		// Subscription IDs are node-local (a routed subscription dies

@@ -304,19 +304,13 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 	return false
 }
 
-// HandleStream implements proto.Streamer for a cluster node: a bare
-// SubscribeRequest opens a routed (merged) subscription, so one edge
-// connection to any node pushes for a route spanning every shard; a
+// HandleStreamCtx implements proto.CtxStreamer for a cluster node: a
+// bare SubscribeRequest opens a routed (merged) subscription, so one
+// edge connection to any node pushes for a route spanning every shard; a
 // Forwarded subscribe — sent by a peer that already resolved this node
-// as the owner — subscribes the local registry directly.
-func (n *Node) HandleStream(req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
-	//ctxcheck:allow legacy ctx-less Streamer entry; the serve loop prefers HandleStreamCtx
-	return n.HandleStreamCtx(context.Background(), req)
-}
-
-// HandleStreamCtx is HandleStream with a caller-supplied context
-// (proto.CtxStreamer): subscriptions opened for a connection are
-// cancelled when the serving process shuts down.
+// as the owner — subscribes the local registry directly. Subscriptions
+// opened for a connection are cancelled with ctx, when the serving
+// process shuts down.
 func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
 	var (
 		h   subs.Handle

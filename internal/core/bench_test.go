@@ -71,7 +71,7 @@ func BenchmarkInterpolate(b *testing.B) {
 // BenchmarkCoverAtHit is the call the engine makes per query point, on a
 // cached cover.
 func BenchmarkCoverAtHit(b *testing.B) {
-	_, m := lazyPrimedMaintainer(b, 4)
+	_, m := warmRestartedMaintainer(b, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

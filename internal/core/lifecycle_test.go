@@ -84,9 +84,9 @@ func (l *changeLog) count(c int) int {
 // TestStaleWhileRevalidate walks one window through dirty → revalidating
 // → current under a watching scheduler: between the invalidation and the
 // install the previous cover is what readers get, the served generation
-// and the change hooks do not move, and Snapshot withholds the stale
-// cover (a restart would prime it as current); the install switches all
-// of them at once.
+// and the change hooks do not move, and the cached cover is not current
+// (its generation trails the window's); the install switches all of them
+// at once.
 func TestStaleWhileRevalidate(t *testing.T) {
 	st := fillStore(t, 100, 1, 60)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(11)})
@@ -103,8 +103,8 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	if got := changes.count(0); got != 1 {
 		t.Fatalf("cold build fired %d change hooks, want 1", got)
 	}
-	if snap := m.Snapshot(); snap[0] != before {
-		t.Fatalf("Snapshot of a current cover = %v", snap)
+	if g, sg := m.Generation(0), m.ServedGeneration(0); g != 0 || sg != 0 {
+		t.Fatalf("generation %d served %d after the cold build, want both 0", g, sg)
 	}
 
 	gate := gateBuilds(m)
@@ -120,8 +120,8 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	if got := changes.count(0); got != 1 {
 		t.Fatalf("dirtying the window fired a change hook (%d total)", got)
 	}
-	if snap := m.Snapshot(); len(snap) != 0 {
-		t.Fatalf("Snapshot holds a stale cover: %v", snap)
+	if cached := m.CachedWindows(); len(cached) != 1 || cached[0] != 0 {
+		t.Fatalf("CachedWindows while revalidating = %v, want the stale cover kept", cached)
 	}
 
 	gate.release <- struct{}{}
@@ -133,14 +133,11 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	if got, want := coverDigest(after), scratchDigest(t, m, 0); got != want {
 		t.Fatalf("quiesced cover digest %s, from scratch %s", got, want)
 	}
-	if sg := m.ServedGeneration(0); sg != 1 {
-		t.Fatalf("served generation after install = %d, want 1", sg)
+	if g, sg := m.Generation(0), m.ServedGeneration(0); g != 1 || sg != 1 {
+		t.Fatalf("generation %d served %d after install, want both 1", g, sg)
 	}
 	if got := changes.count(0); got != 2 {
 		t.Fatalf("install fired %d change hooks in total, want 2", got)
-	}
-	if snap := m.Snapshot(); snap[0] != after {
-		t.Fatalf("Snapshot after install = %v", snap)
 	}
 }
 
@@ -312,27 +309,6 @@ func TestUnwatchHardDropsStaleCovers(t *testing.T) {
 		if c == 1 {
 			t.Fatal("invalidation after unwatch kept the cover")
 		}
-	}
-}
-
-// TestPrimeRecordsCoversAsCurrent: a primed cover is current for its
-// window whatever the window's generation, so Snapshot hands it back and
-// the served generation equals the window's.
-func TestPrimeRecordsCoversAsCurrent(t *testing.T) {
-	st := fillStore(t, 100, 2, 40)
-	m := NewMaintainer(st, Config{Cluster: clusterSeed(15)})
-	cv, err := m.CoverFor(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Invalidate(0)
-	m.Invalidate(0)
-	m.Prime(map[int]*Cover{0: cv})
-	if snap := m.Snapshot(); snap[0] != cv {
-		t.Fatalf("Snapshot after Prime = %v, want the primed cover", snap)
-	}
-	if g, sg := m.Generation(0), m.ServedGeneration(0); g != 2 || sg != 2 {
-		t.Fatalf("generation %d served %d after Prime, want both 2", g, sg)
 	}
 }
 

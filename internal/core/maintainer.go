@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,8 +60,6 @@ import (
 //     worker whose build was overtaken rests for as long as that build
 //     took before requesting the follow-up, so a window written faster
 //     than it can be modeled is rebuilt at most every other build time.
-//   - Snapshot returns current covers only, so a restart never primes a
-//     stale cover as current.
 //   - Change hooks (OnChange) run after every install of a rebuilt cover
 //     and after every hard drop — the moments the answer a reader gets
 //     changes — not when the window is merely dirtied, so a subscription
@@ -469,65 +466,6 @@ func (m *Maintainer) ServedGeneration(c int) uint64 {
 		return bs.gen
 	}
 	return m.gens[c]
-}
-
-// Snapshot returns the current cached covers keyed by window index, for
-// persistence. Stale covers awaiting their rebuild are left out: a
-// restart would prime them as current.
-func (m *Maintainer) Snapshot() map[int]*Cover {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[int]*Cover, len(m.covers))
-	for c, e := range m.covers {
-		if e.gen == m.gens[c] {
-			out[c] = e.cv
-		}
-	}
-	return out
-}
-
-// Prime seeds the cache with previously persisted covers (warm restart),
-// recorded as current for their windows. Existing entries for the same
-// windows are replaced. When the store bounds retention, covers older
-// than its oldest retained window are dropped and at most the newest
-// Retain survive, so a warm restart never resurrects covers past the
-// horizon nor holds more than Retain. A store with an unbounded Retain
-// keeps everything.
-func (m *Maintainer) Prime(covers map[int]*Cover) {
-	retained := m.st.WindowIndexes() // ascending
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for c, cv := range covers {
-		if cv != nil && cv.Size() > 0 {
-			m.covers[c] = cached{cv: cv, gen: m.gens[c]}
-		}
-	}
-	r := m.st.Retain()
-	if r == 0 {
-		return
-	}
-	// Anything older than the store's oldest retained window is what a
-	// running store would already have evicted — stale regardless of how
-	// few covers were primed. (Eviction is count-based over the actual
-	// indexes, so this holds for sparse window histories too.)
-	if len(retained) > 0 {
-		for c := range m.covers {
-			if c < retained[0] {
-				delete(m.covers, c)
-			}
-		}
-	}
-	if len(m.covers) <= r {
-		return
-	}
-	idxs := make([]int, 0, len(m.covers))
-	for c := range m.covers {
-		idxs = append(idxs, c)
-	}
-	sort.Ints(idxs)
-	for _, c := range idxs[:len(idxs)-r] {
-		delete(m.covers, c)
-	}
 }
 
 // MissingCovers returns the indexes of retained store windows that have

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,119 +245,13 @@ func TestMaintainerEvictionBound(t *testing.T) {
 	}
 }
 
-// TestMaintainerPrimeRespectsRetain checks a warm restart cannot
-// resurrect covers past the retention horizon.
-func TestMaintainerPrimeRespectsRetain(t *testing.T) {
-	st := fillStore(t, 100, 3, 50)
-	src := NewMaintainer(st, Config{Cluster: clusterSeed(8)})
-	covers := map[int]*Cover{}
-	for c := 0; c < 3; c++ {
-		cv, err := src.CoverFor(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		covers[c] = cv
-	}
-
-	bounded, err := store.Open(store.Config{WindowLength: 100, Retain: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMaintainer(bounded, Config{Cluster: clusterSeed(8)})
-	m.Prime(covers)
-	got := m.CachedWindows()
-	sort.Ints(got)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("primed windows = %v, want the newest 2 ([1 2])", got)
-	}
-
-	// A store whose data has moved past the snapshot drops ALL primed
-	// covers behind its horizon, however few they are: with retained
-	// windows around index 50 and Retain 2, covers 0..2 are long evicted.
-	ahead, err := store.Open(store.Config{WindowLength: 100, Retain: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ahead.Append(tuple.Batch{{T: 5050, X: 1, Y: 1, S: 400}}); err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewMaintainer(ahead, Config{Cluster: clusterSeed(8)})
-	m2.Prime(covers)
-	if got := m2.CachedWindows(); len(got) != 0 {
-		t.Errorf("stale primed windows survived past the horizon: %v", got)
-	}
-
-	// Sparse histories: eviction is count-based over actual indexes, so
-	// a retained old window (index 0, with a gap to 50) keeps its primed
-	// cover — only covers older than the oldest retained window drop.
-	sparse, err := store.Open(store.Config{WindowLength: 100, Retain: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparse.Append(tuple.Batch{{T: 50, X: 1, Y: 1, S: 400}, {T: 5050, X: 1, Y: 1, S: 400}}); err != nil {
-		t.Fatal(err)
-	}
-	m3 := NewMaintainer(sparse, Config{Cluster: clusterSeed(8)})
-	m3.Prime(covers) // windows 0,1,2: all >= oldest retained (0)
-	got3 := m3.CachedWindows()
-	sort.Ints(got3)
-	if len(got3) != 3 {
-		t.Errorf("sparse store dropped retained-range covers: %v", got3)
-	}
-}
-
-// TestMaintainerEvictsPrimedCoversBehindHorizon: primed covers for
-// windows the store never held must still fall out of the cache once the
-// retention horizon passes them — store eviction only reports windows it
-// actually held.
-func TestMaintainerEvictsPrimedCoversBehindHorizon(t *testing.T) {
-	donor := NewMaintainer(fillStore(t, 100, 2, 40), Config{Cluster: clusterSeed(9)})
-	covers := map[int]*Cover{}
-	for c := 0; c < 2; c++ {
-		cv, err := donor.CoverFor(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		covers[c] = cv
-	}
-
-	const retain = 2
-	st, err := store.Open(store.Config{WindowLength: 100, Retain: retain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMaintainer(st, Config{Cluster: clusterSeed(9)})
-	m.Prime(covers) // windows 0,1 — never held by st
-	rng := rand.New(rand.NewSource(9))
-	for c := 5; c < 10; c++ {
-		b := make(tuple.Batch, 20)
-		for i := range b {
-			b[i] = tuple.Raw{T: float64(c)*100 + rng.Float64()*100, X: rng.Float64() * 500, Y: rng.Float64() * 500, S: 420}
-		}
-		if err := st.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.CoverFor(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.CachedWindows()
-	sort.Ints(got)
-	if len(got) > retain {
-		t.Errorf("cached covers %v exceed Retain %d", got, retain)
-	}
-	for _, c := range got {
-		if c < 5 {
-			t.Errorf("primed cover for window %d survived past the retention horizon", c)
-		}
-	}
-}
-
-// lazyPrimedMaintainer reopens a checkpointed store — every window lazy
-// in the checkpoint file — and primes a maintainer with the covers
-// built before the restart: the warm-restart state in which a query
-// should be answered from the cover without decoding a single tuple.
-func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer) {
+// warmRestartedMaintainer reopens a checkpointed store — every window
+// lazy in the checkpoint file — and builds each window's cover once, the
+// way warm-prime does after a restart: the state in which a query should
+// be answered from the cover without touching the store again. (Covers
+// are not persisted, so "cover cached, window still lazy" is no longer a
+// reachable state; the build decodes each window exactly once.)
+func warmRestartedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer) {
 	tb.Helper()
 	cfg := store.Config{
 		WindowLength: 100,
@@ -370,13 +263,6 @@ func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer
 		tb.Fatal(err)
 	}
 	fillWindows(tb, st, cfg.WindowLength, windows, 50)
-	before := NewMaintainer(st, Config{Cluster: clusterSeed(1)})
-	for c := 0; c < windows; c++ {
-		if _, err := before.CoverFor(c); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	covers := before.Snapshot()
 	if err := st.Checkpoint(); err != nil {
 		tb.Fatal(err)
 	}
@@ -392,14 +278,23 @@ func lazyPrimedMaintainer(tb testing.TB, windows int) (*store.Store, *Maintainer
 		tb.Fatalf("LazyWindows after reopen = %d, want %d", got, windows)
 	}
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(1)})
-	m.Prime(covers)
+	for c := 0; c < windows; c++ {
+		if _, err := m.CoverFor(c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := st.ColumnarStats().Materializations; got != int64(windows) {
+		tb.Fatalf("Materializations after one build per window = %d, want %d", got, windows)
+	}
 	return st, m
 }
 
 // TestCoverAtHitDoesNotReadStore: a cover hit is index arithmetic plus a
-// map lookup — it neither materializes a lazy window nor allocates.
+// map lookup — it reads nothing from the store (every checkpoint-reader
+// counter stays where the builds left it) and allocates nothing.
 func TestCoverAtHitDoesNotReadStore(t *testing.T) {
-	st, m := lazyPrimedMaintainer(t, 4)
+	st, m := warmRestartedMaintainer(t, 4)
+	built := st.ColumnarStats()
 	for i := 0; i < 1000; i++ {
 		cv, err := m.CoverAt(float64(i%400) + 0.5)
 		if err != nil {
@@ -409,9 +304,8 @@ func TestCoverAtHitDoesNotReadStore(t *testing.T) {
 			t.Fatalf("CoverAt(%v) served window %d, want %d", float64(i%400)+0.5, cv.WindowIndex, want)
 		}
 	}
-	if cs := st.ColumnarStats(); cs.Materializations != 0 || cs.LazyWindows != 4 {
-		t.Errorf("1000 cover hits materialized %d windows (%d still lazy), want 0 (4)",
-			cs.Materializations, cs.LazyWindows)
+	if cs := st.ColumnarStats(); cs != built {
+		t.Errorf("1000 cover hits moved the store's read counters:\n after  %+v\n before %+v", cs, built)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := m.CoverAt(250); err != nil {

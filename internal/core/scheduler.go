@@ -212,11 +212,11 @@ func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 
 // WarmPrime queues a background build for every retained window of m
 // that has no cover yet, returning how many were queued. After a
-// restart this turns recovery into a warm start: the windows the
-// snapshot did not cover (or that were replayed from the segment
-// suffix) are modeled off the query path before anyone asks, most
-// recent first — the same priority fresh ingest gets. A nil scheduler
-// primes nothing.
+// restart this turns recovery into a warm start: covers are not
+// persisted, so every recovered window — checkpointed or replayed from
+// the segment suffix — is modeled off the query path before anyone
+// asks, most recent first — the same priority fresh ingest gets. A nil
+// scheduler primes nothing.
 func (s *Scheduler) WarmPrime(m *Maintainer) int {
 	if s == nil || m == nil {
 		return 0

@@ -22,20 +22,6 @@ var ErrPipelineClosed = errors.New("ingest: pipeline closed")
 // HTTP layer maps it to 400, unlike sink I/O failures).
 var ErrInvalidBatch = errors.New("ingest: invalid batch")
 
-// OverflowPolicy decides what a Submit does when the pollutant's queue
-// is full.
-type OverflowPolicy int
-
-const (
-	// Block waits for queue space (or context cancellation) — the facade
-	// default: a bulk loader self-paces against the store.
-	Block OverflowPolicy = iota
-	// Reject fails immediately with ErrSaturated — the server-edge
-	// policy: an overloaded service sheds small bus uploads instead of
-	// holding their connections open.
-	Reject
-)
-
 // PipelineConfig tunes a Pipeline. The zero value is usable.
 type PipelineConfig struct {
 	// QueueDepth bounds the submissions queued (accepted but not yet
@@ -44,9 +30,6 @@ type PipelineConfig struct {
 	// MaxBatchTuples caps how many tuples one coalesced store append may
 	// carry. 0 = 4096.
 	MaxBatchTuples int
-	// Overflow is the Submit policy when the queue is full (TrySubmit
-	// always rejects). Default Block.
-	Overflow OverflowPolicy
 }
 
 // PipelineStats counts what the pipeline has processed.
@@ -79,7 +62,7 @@ type submission struct {
 // pollutant, drained by one worker each, which coalesces small uploads
 // into larger sink appends. A submission is acknowledged only after the
 // sink call covering it returns — with a durable store under the sink,
-// only after its commit group is durable. Batches are validated on
+// only after the append's fsync. Batches are validated on
 // submit, so a coalesced append can only fail for reasons (I/O) that
 // legitimately concern every upload in it.
 type Pipeline struct {
@@ -122,20 +105,21 @@ func NewPipeline(sink func(p tuple.Pollutant, b tuple.Batch) error, cfg Pipeline
 
 // Submit enqueues one upload for pol and blocks until the append
 // covering it completes, returning that append's error. When the queue
-// is full it follows the configured overflow policy. Cancelling ctx
-// abandons the wait — the upload may still be applied.
+// is full it waits for space (or ctx) — a bulk loader self-paces against
+// the store. Cancelling ctx abandons the wait — the upload may still be
+// applied.
 func (p *Pipeline) Submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
-	return p.submit(ctx, pol, b, p.cfg.Overflow)
+	return p.submit(ctx, pol, b, false)
 }
 
-// TrySubmit is Submit with the Reject policy regardless of
-// configuration: a full queue fails fast with ErrSaturated. The
-// server's HTTP ingest edge uses it to shed load as 429s.
+// TrySubmit is Submit that never waits for queue space: a full queue
+// fails fast with ErrSaturated. The server's ingest edge uses it to shed
+// small bus uploads as 429s instead of holding their connections open.
 func (p *Pipeline) TrySubmit(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
-	return p.submit(ctx, pol, b, Reject)
+	return p.submit(ctx, pol, b, true)
 }
 
-func (p *Pipeline) submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batch, policy OverflowPolicy) error {
+func (p *Pipeline) submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batch, try bool) error {
 	if len(b) == 0 {
 		return nil
 	}
@@ -164,7 +148,7 @@ func (p *Pipeline) submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batc
 		p.queued.Add(-1)
 		return ErrPipelineClosed
 	}
-	if policy == Reject {
+	if try {
 		select {
 		case q <- sub:
 		default:

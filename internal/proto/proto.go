@@ -246,8 +246,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	streamer, canStream := s.handler.(Streamer)
-	ctxStreamer, canStreamCtx := s.handler.(CtxStreamer)
+	streamer, canStream := s.handler.(CtxStreamer)
 	ctxHandler, canCtx := s.handler.(CtxHandler)
 	rd := frameReader{r: conn}
 	for {
@@ -274,10 +273,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				stop     func()
 				streamOK bool
 			)
-			if canStreamCtx {
-				ack, run, stop, streamOK = ctxStreamer.HandleStreamCtx(s.baseCtx, req)
-			} else if canStream {
-				ack, run, stop, streamOK = streamer.HandleStream(req)
+			if canStream {
+				ack, run, stop, streamOK = streamer.HandleStreamCtx(s.baseCtx, req)
 			}
 			if streamOK {
 				stops = append(stops, stop)

@@ -11,23 +11,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Streamer is an optional Handler extension for server push. When the
+// CtxStreamer is an optional Handler extension for server push. When the
 // handler implements it, every decoded request is offered to
-// HandleStream first; returning ok opens a push stream on the
+// HandleStreamCtx first; returning ok opens a push stream on the
 // connection: the server writes ack, then runs run on its own goroutine
 // with an emit function that frames push messages onto the connection
 // (safe to call concurrently with request/response traffic — frames
 // never interleave). run should return when the stream ends or emit
 // fails; the connection is closed when it does, and stop is called when
-// the connection goes away for any reason.
-type Streamer interface {
-	HandleStream(req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool)
-}
-
-// CtxStreamer is the context-aware variant of Streamer. When the
-// handler implements it, the serve loop passes a context bound to the
-// server's lifetime, so subscriptions opened on behalf of a connection
-// are cancelled when the server shuts down.
+// the connection goes away for any reason. The serve loop passes a
+// context bound to the server's lifetime, so subscriptions opened on
+// behalf of a connection are cancelled when the server shuts down.
 type CtxStreamer interface {
 	HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool)
 }

@@ -53,7 +53,7 @@ type CheckpointConfig struct {
 // checkpoint trigger. The zero value uses the packages' defaults.
 type Options struct {
 	// Pipeline configures the per-pollutant ingest queues (depth,
-	// coalescing bound, overflow policy).
+	// coalescing bound).
 	Pipeline ingest.PipelineConfig
 	// Scheduler configures the background cover builder; Workers < 0
 	// disables it, leaving every cover build on the query path.
@@ -105,7 +105,7 @@ type shard struct {
 // Writes flow through an asynchronous pipeline: Ingest enqueues onto the
 // pollutant's bounded queue and blocks until the (possibly coalesced)
 // store append covering the upload completes — with a durable store,
-// until its commit group is durable. Each applied append invalidates the
+// until that append is fsynced. Each applied append invalidates the
 // touched windows, which the background scheduler drains into prioritized,
 // coalesced cover rebuilds. Reads never wait for those: until a window's
 // rebuild is installed they are answered from its previous cover, so a
@@ -640,11 +640,10 @@ func (e *Engine) CoverAt(ctx context.Context, p tuple.Pollutant, t float64) (*co
 
 // Ingest submits a batch of raw tuples for pollutant p through the
 // asynchronous pipeline and blocks until the append covering it
-// completes (with a durable store, until the batch's commit group is
-// durable). A full queue follows the pipeline's overflow policy —
-// blocking by default. Applied windows are invalidated and queued for a
-// background cover rebuild; until it lands, reads of those windows are
-// answered from their previous covers.
+// completes (with a durable store under the default sync policy, until
+// that append is fsynced). A full queue blocks. Applied windows are
+// invalidated and queued for a background cover rebuild; until it lands,
+// reads of those windows are answered from their previous covers.
 func (e *Engine) Ingest(ctx context.Context, p tuple.Pollutant, b tuple.Batch) error {
 	return e.ingest(ctx, p, b, false)
 }
@@ -858,7 +857,7 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 	case wire.SubscribeRequest:
 		// Reaching here means the transport performed a plain exchange;
 		// push delivery needs a proto stream (or the SSE endpoint), which
-		// routes subscribe frames through HandleStream instead.
+		// routes subscribe frames through HandleStreamCtx instead.
 		return wire.ErrorResponse{Msg: "server: subscriptions require a streaming transport (proto stream or GET /v1/subscribe)"}
 	case wire.UnsubscribeRequest:
 		return wire.UnsubscribeResponse{Removed: e.registry.Unsubscribe(m.ID)}

@@ -88,15 +88,14 @@ func (s *Service) QueryBatch(ctx context.Context, reqs []query.Request, o query.
 	return s.engine.QueryBatchOpts(ctx, reqs, o)
 }
 
-// Ingest applies an upload. On a single node a full queue follows the
-// pipeline's overflow policy — blocking by default. Clustered, the
-// upload splits by shard owner and every slice, this node's own
-// included, commits through the node: that is what appends it to the
-// replication log replicas and membership handoffs stream from. A
-// clustered ingest therefore never waits for queue space — a saturated
-// owner sheds its slice with ingest.ErrSaturated, retryable when no
-// slice applied and cluster.ErrPartialIngest when some did — on every
-// surface alike.
+// Ingest applies an upload. On a single node a full queue blocks until
+// there is space. Clustered, the upload splits by shard owner and every
+// slice, this node's own included, commits through the node: that is
+// what appends it to the replication log replicas and membership
+// handoffs stream from. A clustered ingest therefore never waits for
+// queue space — a saturated owner sheds its slice with
+// ingest.ErrSaturated, retryable when no slice applied and
+// cluster.ErrPartialIngest when some did — on every surface alike.
 func (s *Service) Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
 	if s.node != nil {
 		return s.node.Ingest(ctx, pol, b)

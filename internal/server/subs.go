@@ -47,17 +47,10 @@ func (e *Engine) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query
 // unsubscribe, test quiescence).
 func (e *Engine) Subscriptions() *subs.Registry { return e.registry }
 
-// HandleStream implements proto.Streamer: a SubscribeRequest (bare, or
-// wrapped in Forwarded by a cluster router that already resolved the
-// owner) opens a push stream. Other messages fall back to the
-// request/response path.
-func (e *Engine) HandleStream(req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
-	//ctxcheck:allow legacy ctx-less Streamer entry; the serve loop prefers HandleStreamCtx
-	return e.HandleStreamCtx(context.Background(), req)
-}
-
-// HandleStreamCtx is HandleStream with a caller-supplied context
-// (proto.CtxStreamer): the serve loop passes its server-lifetime
+// HandleStreamCtx implements proto.CtxStreamer: a SubscribeRequest
+// (bare, or wrapped in Forwarded by a cluster router that already
+// resolved the owner) opens a push stream. Other messages fall back to
+// the request/response path. The serve loop passes its server-lifetime
 // context so subscriptions unwind on shutdown.
 func (e *Engine) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
 	m, isSub := req.(wire.SubscribeRequest)

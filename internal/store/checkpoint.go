@@ -276,9 +276,8 @@ func readManifest(dir string) (seq, horizon int, err error) {
 //     in segments the checkpoint does not claim. The sealed handle is
 //     retired, not closed, so a concurrent every-batch Append that
 //     already captured it can still run its own fsync against it. The
-//     seal fsync itself runs outside the lock — unless a commit group
-//     is pending on the segment, whose acks depend on an fsync that
-//     provably covers their frames before the handle is replaced.
+//     seal fsync itself runs outside the lock, so queries never stall
+//     behind it.
 //  2. Write checkpoint-%06d.emc to a temp file, fsync, rename, fsync
 //     the directory.
 //  3. Commit it by writing MANIFEST the same way.
@@ -344,28 +343,12 @@ func (s *Store) Checkpoint() error {
 	horizon := s.segSeq
 	var sealSync *segHandle
 	if s.seg != nil {
-		if s.group != nil || len(s.sealed) > 0 {
-			// Pending commit groups will be released by an fsync of
-			// whatever segment is current by then; sync their frames
-			// under the lock so rotation cannot ack them off a sync
-			// that missed their segment.
-			if err := s.doSync(s.seg.f); err != nil {
-				if cr != nil {
-					cr.release()
-				}
-				s.mu.Unlock()
-				s.failCheckpoint()
-				return fmt.Errorf("store: checkpoint: seal segment: %w", err)
-			}
-		} else {
-			// No group depends on this segment: every acknowledged
-			// every-batch append already fsynced its own frame, and an
-			// in-flight one holds the (still open, retired) handle and
-			// will. Defer the seal fsync past the lock so queries never
-			// stall behind it.
-			sealSync = s.seg
-			sealSync.acquire()
-		}
+		// Every acknowledged every-batch append already fsynced its own
+		// frame, and an in-flight one holds the (still open, retired)
+		// handle and will. Defer the seal fsync past the lock so queries
+		// never stall behind it.
+		sealSync = s.seg
+		sealSync.acquire()
 		s.retired = append(s.retired, s.seg)
 		s.seg = nil
 		s.segSeq++

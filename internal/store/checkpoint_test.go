@@ -416,7 +416,7 @@ func TestRecoverDeletesRetentionDeadSegments(t *testing.T) {
 
 func TestCheckpointConcurrentWithAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir, Sync: SyncGrouped(4, 0)})
+	s, err := Open(Config{WindowLength: 100, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

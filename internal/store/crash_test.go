@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/colblock"
 	"repro/internal/tuple"
@@ -36,15 +35,12 @@ import (
 //     working afterwards, and a reopen must surface every batch that was
 //     acknowledged despite the fault.
 
-// crashPolicies are the sync policies the matrices cover. Grouped uses
-// MaxBatches=1 so groups seal inline on the appending goroutine, keeping
-// the operation sequence deterministic.
+// crashPolicies are the sync policies the matrices cover.
 var crashPolicies = []struct {
 	name string
 	sync SyncPolicy
 }{
 	{"every", SyncEveryBatch()},
-	{"grouped", SyncGrouped(1, time.Second)},
 	{"never", SyncNever()},
 }
 

@@ -27,9 +27,9 @@
 // explicit Sync. That weak guarantee is now opt-in: Config.Sync selects
 // when appends reach stable storage, and its zero value is SyncEveryBatch
 // — an Append with Dir set does not return before its frame is fsynced.
-// SyncGrouped amortizes the fsync across a commit group (concurrent
-// appenders share one fsync, acknowledged only once the group is
-// durable), and SyncNever restores the historical write-and-ack behavior.
+// SyncNever restores the historical write-and-ack behavior. The store
+// does not batch fsyncs itself: the ingest pipeline coalesces queued
+// uploads into one Append, and that is what makes fsyncs < uploads.
 //
 // # Checkpoints, recovery, and compaction
 //
@@ -63,7 +63,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -75,11 +74,6 @@ const (
 	// SyncModeEveryBatch fsyncs the segment after every appended batch,
 	// before the append is acknowledged. The default when Dir is set.
 	SyncModeEveryBatch SyncMode = iota
-	// SyncModeGrouped groups concurrent appends into commit groups: a
-	// group is sealed after MaxBatches appends or MaxDelay, whichever
-	// comes first, and one fsync covers the whole group. Every append in
-	// the group is acknowledged only after that fsync returns.
-	SyncModeGrouped
 	// SyncModeNever issues no policy-driven fsyncs: appends are
 	// acknowledged once written to the OS, and data reaches stable
 	// storage only on Sync, Close, or at the kernel's leisure. This is
@@ -88,28 +82,14 @@ const (
 )
 
 // SyncPolicy configures when durable appends are flushed; build one with
-// SyncEveryBatch, SyncGrouped, or SyncNever. The zero value is
-// SyncEveryBatch().
+// SyncEveryBatch or SyncNever. The zero value is SyncEveryBatch().
 type SyncPolicy struct {
 	Mode SyncMode
-	// MaxBatches seals a commit group at this many appends
-	// (SyncModeGrouped; 0 = 32).
-	MaxBatches int
-	// MaxDelay seals a commit group at this age, bounding how long a
-	// lone append waits for company (SyncModeGrouped; 0 = 2ms).
-	MaxDelay time.Duration
 }
 
 // SyncEveryBatch returns the policy that fsyncs every appended batch
 // before acknowledging it.
 func SyncEveryBatch() SyncPolicy { return SyncPolicy{Mode: SyncModeEveryBatch} }
-
-// SyncGrouped returns the group-commit policy: one fsync covers up to
-// maxBatches appends or maxDelay of accumulation, whichever comes first
-// (0 picks the defaults: 32 batches, 2ms).
-func SyncGrouped(maxBatches int, maxDelay time.Duration) SyncPolicy {
-	return SyncPolicy{Mode: SyncModeGrouped, MaxBatches: maxBatches, MaxDelay: maxDelay}
-}
 
 // SyncNever returns the policy that never fsyncs on append.
 func SyncNever() SyncPolicy { return SyncPolicy{Mode: SyncModeNever} }
@@ -119,8 +99,8 @@ func SyncNever() SyncPolicy { return SyncPolicy{Mode: SyncModeNever} }
 const maxKeptFrame = 1 << 20
 
 // DurabilityStats counts the store's durable writes and fsyncs — the
-// observable effect of the sync policy (under SyncGrouped, Syncs stays
-// well below Appends on a concurrent append burst).
+// observable effect of the sync policy (under SyncEveryBatch, Syncs
+// follows Appends; under SyncNever it stays near zero).
 type DurabilityStats struct {
 	// Appends is the number of batches durably written to segments.
 	Appends int64
@@ -140,8 +120,8 @@ type Config struct {
 	// written to a segment file under Dir before being acknowledged.
 	Dir string
 	// Sync selects when durable appends reach stable storage. The zero
-	// value is SyncEveryBatch(); see SyncGrouped and SyncNever. Ignored
-	// when Dir is empty.
+	// value is SyncEveryBatch(); see SyncNever. Ignored when Dir is
+	// empty.
 	Sync SyncPolicy
 	// KeepSegments spares the newest N checkpoint-covered segments from
 	// compaction — a safety margin that keeps recent raw history on disk
@@ -168,24 +148,16 @@ type Store struct {
 	closed bool  // Close was called; durable appends must fail
 
 	// retired holds segment handles sealed by a checkpoint but not yet
-	// doomed: an every-batch Append (or a group-commit closer) that
-	// captured a handle before the seal still fsyncs it through its own
-	// reference. The next checkpoint (or Close) dooms them; the refcount
-	// defers the actual close past any fsync still in flight.
+	// doomed: an every-batch Append that captured a handle before the
+	// seal still fsyncs it through its own reference. The next checkpoint
+	// (or Close) dooms them; the refcount defers the actual close past
+	// any fsync still in flight.
 	retired []*segHandle
 
 	// col is the lazy-window state (checkpoint reader, lazy windows,
 	// counters); see columnar.go.
 	col columnarState
 
-	// group is the open commit group (SyncModeGrouped); appends join it
-	// and block on its done channel until one fsync covers them all.
-	// sealed holds groups detached from `group` (MaxBatches reached)
-	// whose fsync has not completed yet — a failed rotation or Close
-	// sync must poison these too, or their appends would be acked as
-	// durable off a sync that never covered their frames.
-	group   *commitGroup
-	sealed  map[*commitGroup]bool
 	appends atomic.Int64
 	syncs   atomic.Int64
 
@@ -221,8 +193,8 @@ type Store struct {
 }
 
 // segHandle wraps an open segment file with a reference count so the
-// fsync-outside-the-lock paths (every-batch Append, group-commit close,
-// a checkpoint's deferred seal sync) never race the close issued by the
+// fsync-outside-the-lock paths (every-batch Append, a checkpoint's
+// deferred seal sync) never race the close issued by the
 // next checkpoint: each such path acquires a reference under the store
 // lock while the handle is current, and doom defers the close until the
 // last reference releases. Without this, a checkpoint closing the
@@ -279,20 +251,6 @@ func (h *segHandle) closeOnce() {
 	}
 }
 
-// commitGroup is one group-commit unit: the appends that share a single
-// fsync. err is written once, before done closes. failErr (guarded by
-// the store mutex) poisons the group when its segment could not be
-// synced on a rotation or at Close — the closer propagates it instead
-// of fsyncing whatever segment is current by then.
-type commitGroup struct {
-	once    sync.Once
-	done    chan struct{}
-	timer   *time.Timer
-	n       int
-	err     error
-	failErr error
-}
-
 // Open creates a store. If cfg.Dir is non-empty, existing segment files in
 // it are replayed (recovery) and a new segment is opened for appends.
 func Open(cfg Config) (*Store, error) {
@@ -306,17 +264,9 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: KeepSegments = %d, want ≥ 0", cfg.KeepSegments)
 	}
 	switch cfg.Sync.Mode {
-	case SyncModeEveryBatch, SyncModeGrouped, SyncModeNever:
+	case SyncModeEveryBatch, SyncModeNever:
 	default:
 		return nil, fmt.Errorf("store: unknown sync mode %d", cfg.Sync.Mode)
-	}
-	if cfg.Sync.Mode == SyncModeGrouped {
-		if cfg.Sync.MaxBatches <= 0 {
-			cfg.Sync.MaxBatches = 32
-		}
-		if cfg.Sync.MaxDelay <= 0 {
-			cfg.Sync.MaxDelay = 2 * time.Millisecond
-		}
 	}
 	s := &Store{
 		cfg:        cfg,
@@ -628,14 +578,10 @@ func (s *Store) openSegment() error {
 // Append validates and ingests a batch of raw tuples. With durability on,
 // the batch is persisted before the in-memory state is updated and — per
 // the sync policy — flushed to stable storage before Append returns; a
-// batch that cannot be persisted is not ingested. Under SyncGrouped the
-// final wait is shared: the append blocks until its commit group's single
-// fsync covers it. A sync failure is returned to every append it covers
-// (the in-memory state keeps the batch; only its durability is in doubt).
-// Eviction hooks registered with OnEvict run after the append, outside
-// the store lock.
-//
-//ctxcheck:allow the group-commit wait is bounded by Sync.MaxDelay
+// batch that cannot be persisted is not ingested. A sync failure is
+// returned to the append it covers (the in-memory state keeps the batch;
+// only its durability is in doubt). Eviction hooks registered with
+// OnEvict run after the append, outside the store lock.
 func (s *Store) Append(b tuple.Batch) error {
 	if len(b) == 0 {
 		return nil
@@ -643,9 +589,6 @@ func (s *Store) Append(b tuple.Batch) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var syncErr error
-	var group *commitGroup
-	var seal bool
 	s.mu.Lock()
 	if s.cfg.Dir != "" {
 		if err := s.persistLocked(b); err != nil {
@@ -668,16 +611,12 @@ func (s *Store) Append(b tuple.Batch) error {
 		}
 	}
 	var everySeg *segHandle
-	if s.cfg.Dir != "" && s.seg != nil {
-		switch s.cfg.Sync.Mode {
-		case SyncModeEveryBatch:
-			everySeg = s.seg
-			everySeg.acquire()
-		case SyncModeGrouped:
-			group, seal = s.joinGroupLocked()
-		}
+	if s.cfg.Dir != "" && s.seg != nil && s.cfg.Sync.Mode == SyncModeEveryBatch {
+		everySeg = s.seg
+		everySeg.acquire()
 	}
 	s.mu.Unlock()
+	var syncErr error
 	if everySeg != nil {
 		// Fsync outside the lock: holding mu through an fsync would stall
 		// every reader (the whole query path) per append. The frame is
@@ -685,13 +624,6 @@ func (s *Store) Append(b tuple.Batch) error {
 		// open past any concurrent checkpoint that retires and dooms it.
 		syncErr = s.doSync(everySeg.f)
 		everySeg.release()
-	}
-	if group != nil {
-		if seal {
-			s.closeGroup(group)
-		}
-		<-group.done
-		syncErr = group.err
 	}
 	for _, fn := range hooks {
 		fn(evicted)
@@ -706,72 +638,6 @@ func (s *Store) Append(b tuple.Batch) error {
 func (s *Store) doSync(f *os.File) error {
 	s.syncs.Add(1)
 	return s.syncSeg(f)
-}
-
-// joinGroupLocked adds the calling append to the open commit group,
-// opening one (with its MaxDelay timer) if none is pending. seal is true
-// when this append filled the group to MaxBatches: the caller must then
-// close the group itself, performing the group's fsync inline. Caller
-// holds mu.
-func (s *Store) joinGroupLocked() (g *commitGroup, seal bool) {
-	if s.group == nil {
-		g := &commitGroup{done: make(chan struct{})} //bounded: signal-only latch; closed once after the group fsync
-		g.timer = time.AfterFunc(s.cfg.Sync.MaxDelay, func() { s.closeGroup(g) })
-		s.group = g
-	}
-	g = s.group
-	g.n++
-	if g.n >= s.cfg.Sync.MaxBatches {
-		s.group = nil // later appends start a fresh group
-		if s.sealed == nil {
-			s.sealed = make(map[*commitGroup]bool)
-		}
-		s.sealed[g] = true // visible to poisoning until its fsync resolves
-		return g, true
-	}
-	return g, false
-}
-
-// closeGroup seals g: detaches it from the store, issues the group's one
-// fsync, and releases every append waiting on it. Called by the append
-// that filled the group or by the group's MaxDelay timer — whichever
-// fires first wins; the call is idempotent. A group poisoned by a failed
-// rotation or Close sync (failErr) propagates that error instead of
-// fsyncing whatever segment is current by now; a store closed in the
-// meantime has already synced the group's frames under its lock.
-func (s *Store) closeGroup(g *commitGroup) {
-	g.once.Do(func() {
-		// g.timer and g.failErr are written under mu; reading them under
-		// mu orders this (possibly timer-goroutine) read after those
-		// writes.
-		s.mu.Lock()
-		if s.group == g {
-			s.group = nil
-		}
-		delete(s.sealed, g)
-		seg := s.seg
-		closed := s.closed
-		if seg != nil && !closed {
-			seg.acquire()
-		}
-		timer := g.timer
-		ferr := g.failErr
-		s.mu.Unlock()
-		if timer != nil {
-			timer.Stop()
-		}
-		switch {
-		case ferr != nil:
-			g.err = ferr
-			if seg != nil && !closed {
-				seg.release()
-			}
-		case seg != nil && !closed:
-			g.err = s.doSync(seg.f)
-			seg.release()
-		}
-		close(g.done)
-	})
 }
 
 // DurabilityStats returns the append/fsync counters.
@@ -807,23 +673,10 @@ func (s *Store) persistLocked(b tuple.Batch) error {
 			return werr
 		}
 		// Truncate failed: the torn frame stays, so this segment must
-		// never be appended to again. Before abandoning it, sync it —
-		// earlier intact frames may belong to an open commit group (or to
-		// an every-batch append racing toward its fsync) and must not be
-		// lost with the handle. If even that sync fails, poison the group
-		// so its appends are NOT acknowledged as durable; its timer will
-		// complete it with the error.
-		if serr := s.doSync(s.seg.f); serr != nil {
-			if g := s.group; g != nil {
-				s.group = nil
-				g.failErr = serr
-			}
-			for g := range s.sealed {
-				if g.failErr == nil {
-					g.failErr = serr
-				}
-			}
-		}
+		// never be appended to again. Before abandoning it, sync it
+		// best-effort — an every-batch append racing toward its own fsync
+		// holds a reference and reports its own outcome.
+		_ = s.doSync(s.seg.f)
 		s.seg.doom()
 		s.seg = nil
 		s.segSeq++
@@ -1050,19 +903,15 @@ func (s *Store) Sync() error {
 }
 
 // Close syncs and closes the segment file and releases the checkpoint
-// file. A pending commit group is released once the final sync has
-// covered its frames. The in-memory state remains readable — windows
-// still lazy in the checkpoint file are not, and read as their in-memory
-// suffix — but further Appends with durability will fail.
+// file. The in-memory state remains readable — windows still lazy in the
+// checkpoint file are not, and read as their in-memory suffix — but
+// further Appends with durability will fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	group := s.group
-	s.group = nil
 	var err error
 	if s.seg != nil {
-		// Sync under the lock: a concurrently-firing group timer must not
-		// release the group's waiters before this sync has covered them.
 		if err = s.doSync(s.seg.f); err != nil {
 			s.seg.doom()
 		} else {
@@ -1084,24 +933,5 @@ func (s *Store) Close() error {
 	}
 	s.retired = nil
 	s.retireReaderLocked()
-	if group != nil {
-		// Hand the group this sync's outcome under mu: whichever of
-		// Close and the group's timer wins the once reads it there, so a
-		// failed final sync can never be acknowledged as durable.
-		group.failErr = err
-	}
-	if err != nil {
-		// Sealed groups awaiting their fsync are covered by this failed
-		// sync too; their sealers must not ack them as durable.
-		for g := range s.sealed {
-			if g.failErr == nil {
-				g.failErr = err
-			}
-		}
-	}
-	s.mu.Unlock()
-	if group != nil {
-		s.closeGroup(group)
-	}
 	return err
 }

@@ -1,10 +1,9 @@
 package store
 
 import (
+	"errors"
 	"os"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -34,6 +33,11 @@ func TestSyncEveryBatchIsDefault(t *testing.T) {
 	if st.Appends != 5 || st.Syncs != 5 {
 		t.Fatalf("DurabilityStats = %+v, want 5 appends and 5 syncs", st)
 	}
+	// The ack waits on that fsync: when it fails, so does the append.
+	s.syncSeg = func(*os.File) error { return os.ErrInvalid }
+	if err := s.Append(syncBatch(5, 100, 3)); !errors.Is(err, os.ErrInvalid) {
+		t.Fatalf("append acked despite a failed fsync: %v", err)
+	}
 }
 
 // TestSyncNeverIssuesNoAppendSyncs checks the historical weak guarantee
@@ -56,100 +60,6 @@ func TestSyncNeverIssuesNoAppendSyncs(t *testing.T) {
 	}
 	if st := s.DurabilityStats(); st.Syncs != 1 {
 		t.Fatalf("DurabilityStats = %+v, want exactly the Close sync", st)
-	}
-}
-
-// TestGroupedCommitSharesSyncs drives a concurrent append burst through
-// the group-commit policy and asserts — via the fsync counting hook —
-// that one sync covered many appends, while every append still reached a
-// recoverable segment.
-func TestGroupedCommitSharesSyncs(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{
-		WindowLength: 100,
-		Dir:          dir,
-		Sync:         SyncGrouped(8, 50*time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, appendsEach = 16, 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < appendsEach; i++ {
-				if err := s.Append(syncBatch(w*appendsEach+i, 100, 2)); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.DurabilityStats()
-	if st.Appends != writers*appendsEach {
-		t.Fatalf("Appends = %d, want %d", st.Appends, writers*appendsEach)
-	}
-	if st.Syncs >= st.Appends {
-		t.Fatalf("grouped commit did not group: %d syncs for %d appends", st.Syncs, st.Appends)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything acknowledged must come back on recovery.
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got, want := s2.Len(), writers*appendsEach*2; got != want {
-		t.Fatalf("recovered %d tuples, want %d", got, want)
-	}
-}
-
-// TestGroupedCommitLoneAppendAcksByTimer checks a lone append is not
-// stuck waiting for company: the MaxDelay timer seals its group.
-func TestGroupedCommitLoneAppendAcksByTimer(t *testing.T) {
-	s, err := Open(Config{
-		WindowLength: 100,
-		Dir:          t.TempDir(),
-		Sync:         SyncGrouped(1024, 5*time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	start := time.Now()
-	if err := s.Append(syncBatch(0, 100, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lone grouped append took %v", elapsed)
-	}
-	if st := s.DurabilityStats(); st.Syncs != 1 {
-		t.Fatalf("DurabilityStats = %+v, want 1 sync", st)
-	}
-}
-
-// TestGroupedCommitSyncErrorReachesEveryWaiter injects an fsync failure
-// and checks it is reported to the append that waited on the group.
-func TestGroupedCommitSyncErrorReachesEveryWaiter(t *testing.T) {
-	s, err := Open(Config{
-		WindowLength: 100,
-		Dir:          t.TempDir(),
-		Sync:         SyncGrouped(1, time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.syncSeg = func(*os.File) error { return os.ErrInvalid }
-	if err := s.Append(syncBatch(0, 100, 2)); err == nil {
-		t.Fatal("append acked despite failed group sync")
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // restartProbe captures the externally observable answers of a
@@ -96,7 +97,6 @@ func TestRestartEquivalence(t *testing.T) {
 		checkpoint CheckpointConfig
 	}{
 		{"every-batch", SyncEveryBatch(), CheckpointConfig{}},
-		{"grouped", SyncGrouped(8, time.Millisecond), CheckpointConfig{}},
 		{"never", SyncNever(), CheckpointConfig{}},
 		{"every-batch-checkpointed", SyncEveryBatch(), CheckpointConfig{Interval: time.Hour}},
 		{"never-checkpointed-keep", SyncNever(), CheckpointConfig{Interval: time.Hour, KeepSegments: 2}},
@@ -112,7 +112,6 @@ func TestRestartEquivalence(t *testing.T) {
 				Dir:           dir,
 				Sync:          tc.sync,
 				Checkpoint:    tc.checkpoint,
-				CoverSnapshot: filepath.Join(dir, "covers.emcv"),
 				Retain:        4,
 			}
 			p, err := Open(cfg)
@@ -170,16 +169,18 @@ func TestRestartEquivalence(t *testing.T) {
 }
 
 // TestPlatformManualCheckpoint exercises the facade-level trigger: a
-// checkpoint mid-flight persists both the raw windows and the cover
-// snapshots, and a crash (no Close) after it still recovers everything
-// acknowledged, covers warm.
+// checkpoint mid-flight persists the raw windows, a crash (no Close)
+// after it still recovers everything acknowledged, and a window that
+// took more tuples between the checkpoint and the crash is answered
+// from the cover of everything it holds — the pre-crash answer, which is
+// also a from-scratch build of the recovered window — not from a cover
+// as old as the checkpoint.
 func TestPlatformManualCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		WindowSeconds: 3600,
 		Pollutants:    []Pollutant{CO2},
 		Dir:           dir,
-		CoverSnapshot: filepath.Join(dir, "covers.emcv"),
 	}
 	p, err := Open(cfg)
 	if err != nil {
@@ -189,8 +190,19 @@ func TestPlatformManualCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The second half-hour of window 0 arrives after the checkpoint, its
+	// values shifted so a cover that misses it answers visibly wrong.
+	var first, late []Reading
+	for _, r := range readings {
+		if r.T >= 1800 && r.T < 3600 {
+			r.S += 300
+			late = append(late, r)
+		} else {
+			first = append(first, r)
+		}
+	}
 	ctx := context.Background()
-	if err := p.Ingest(ctx, CO2, readings); err != nil {
+	if err := p.Ingest(ctx, CO2, first); err != nil {
 		t.Fatal(err)
 	}
 	p.WaitMaintenance()
@@ -201,9 +213,21 @@ func TestPlatformManualCheckpoint(t *testing.T) {
 	if cs.Checkpoints != 1 {
 		t.Fatalf("CheckpointStats = %+v, want 1 checkpoint", cs)
 	}
-	want, err := p.Query(ctx, Request{T: 1800, X: 500, Y: 500})
+	req := Request{T: 1800, X: 500, Y: 500}
+	atCheckpoint, err := p.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := p.Ingest(ctx, CO2, late); err != nil {
+		t.Fatal(err)
+	}
+	p.WaitMaintenance()
+	want, err := p.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == atCheckpoint {
+		t.Fatalf("the late slice did not move the answer (%v); the test would prove nothing", want)
 	}
 	// No Close: simulate a crash by abandoning the platform and opening
 	// the directory fresh.
@@ -215,11 +239,26 @@ func TestPlatformManualCheckpoint(t *testing.T) {
 	if got := p2.CheckpointStats(); got.RecoveredShards != 1 {
 		t.Fatalf("RecoveredShards = %d, want 1 (stats: %+v)", got.RecoveredShards, got)
 	}
-	got, err := p2.Query(ctx, Request{T: 1800, X: 500, Y: 500})
+	if got := p2.Len(); got != len(readings) {
+		t.Fatalf("recovered %d tuples, want %d", got, len(readings))
+	}
+	p2.WaitMaintenance()
+	got, err := p2.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("post-crash answer %v, want %v", got, want)
+		t.Errorf("post-crash answer %v, want %v (at the checkpoint: %v)", got, want, atCheckpoint)
+	}
+	cv, err := core.BuildCover(p2.stores[CO2].Window(0), 0, cfg.WindowSeconds, AdKMNConfig{Pollutant: CO2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := cv.Interpolate(req.T, req.X, req.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != scratch {
+		t.Errorf("post-crash answer %v, from-scratch cover of the recovered window answers %v", got, scratch)
 	}
 }
