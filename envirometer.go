@@ -190,9 +190,9 @@ type CheckpointStats = server.CheckpointStats
 type ColumnarConfig = store.ColumnarConfig
 
 // ColumnarStats counts the checkpoint files' work across every
-// pollutant's store: files and blocks written, lazy windows and
-// materializations (failed ones apart), zone-map prunes, and mmap vs
-// pread reads.
+// pollutant's store: files and blocks written, windows served from the
+// file, window bases decoded for a read (lost ones apart), zone-map
+// prunes, and mmap vs pread reads.
 type ColumnarStats = store.ColumnarStats
 
 // PipelineStats counts the ingest pipeline's work.

@@ -116,10 +116,18 @@ type Meta struct {
 }
 
 // WindowData is one window's tuples in their original append order, as
-// the store holds them in memory.
+// the store holds them: in memory (Tuples), or — when Base is set — as
+// window Window of an earlier checkpoint followed by the Tuples appended
+// since.
 type WindowData struct {
 	Window int
 	Tuples tuple.Batch
+	// Base, when not nil, is the reader the window's first
+	// Base.WindowCount(Window) tuples come from. With no Tuples behind them
+	// the window's blocks are copied as they are, each one's checksum and
+	// count checked, not decoded and encoded again: the same tuples in the
+	// same order encode to the same bytes.
+	Base *Reader
 }
 
 // EncodeStats reports what Encode wrote.
@@ -131,17 +139,20 @@ type EncodeStats struct {
 
 // Encode writes the checkpoint file for the given windows to w. The
 // caller owns durability (temp+fsync+rename); Encode only streams bytes.
-// It reads the windows and keeps no reference to them.
+// It reads the windows (and the readers they name, which must stay open
+// until it returns) and keeps no reference to them.
 func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 	return encode(w, meta, windows, BlockTuples)
 }
 
-// encoder is Encode's scratch: the window order, one window's sort keys,
-// one block's five columns, the fixed-point integers of the column being
-// written, the block under construction and the directory. A checkpoint
-// of n tuples allocated ≈ 164 n bytes without it.
+// encoder is Encode's scratch: the window order, one window put together
+// from its base and what followed, one window's sort keys, one block's
+// five columns, the fixed-point integers of the column being written, the
+// block under construction (or being carried over) and the directory. A
+// checkpoint of n tuples allocated ≈ 164 n bytes without it.
 type encoder struct {
 	windows        []WindowData
+	merged         tuple.Batch
 	order          []sortKey
 	ts, xs, ys, ss []float64
 	seqs, ints     []int64
@@ -172,21 +183,53 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 	var st EncodeStats
 	e.dir = e.dir[:0]
 	off := int64(headerSize)
+	// put writes one finished block and its directory entry.
+	put := func(bm BlockMeta, blk []byte) error {
+		bm.Offset = off
+		if _, err := w.Write(blk); err != nil {
+			return err
+		}
+		off += bm.Length
+		e.dir = appendDirEntry(e.dir, bm)
+		st.Blocks++
+		st.Tuples += bm.Count
+		return nil
+	}
 	for _, wd := range e.windows {
-		n := len(wd.Tuples)
-		st.Tuples += n
-		e.cellTimeOrder(wd.Tuples)
-		for lo := 0; lo < n; lo += blockTuples {
-			bm := e.encodeBlock(wd.Tuples, e.order[lo:min(lo+blockTuples, n)])
-			bm.Window = wd.Window
-			bm.Offset = off
-			bm.Length = int64(len(e.blk))
-			if _, err := w.Write(e.blk); err != nil {
+		tuples := wd.Tuples
+		switch {
+		case wd.Base != nil && len(wd.Tuples) == 0:
+			for _, bm := range wd.Base.windowBlocks(wd.Window) {
+				blk, err := wd.Base.blockBytes(&e.blk, bm)
+				if err == nil {
+					_, err = blockBody(blk, bm.Count)
+				}
+				if err != nil {
+					return EncodeStats{}, fmt.Errorf("carry window %d over: %w", wd.Window, err)
+				}
+				if err := put(bm, blk); err != nil {
+					return EncodeStats{}, err
+				}
+			}
+			continue
+		case wd.Base != nil:
+			n := wd.Base.WindowCount(wd.Window)
+			e.merged = sized(e.merged, n+len(wd.Tuples))
+			if err := wd.Base.DecodeWindow(e.merged[:n], wd.Window); err != nil {
 				return EncodeStats{}, err
 			}
-			off += bm.Length
-			e.dir = appendDirEntry(e.dir, bm)
-			st.Blocks++
+			copy(e.merged[n:], wd.Tuples)
+			tuples = e.merged
+		}
+		n := len(tuples)
+		e.cellTimeOrder(tuples)
+		for lo := 0; lo < n; lo += blockTuples {
+			bm := e.encodeBlock(tuples, e.order[lo:min(lo+blockTuples, n)])
+			bm.Window = wd.Window
+			bm.Length = int64(len(e.blk))
+			if err := put(bm, e.blk); err != nil {
+				return EncodeStats{}, err
+			}
 		}
 	}
 
@@ -438,6 +481,140 @@ func decodeBlock(data []byte, count int) (ts, xs, ys, ss []float64, seqs []int64
 		return nil, nil, nil, nil, nil, fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
 	}
 	return cols[0], cols[1], cols[2], cols[3], seqs, nil
+}
+
+// column is one column of a block, located but not decoded.
+type column struct {
+	enc, scale, width byte
+	base              uint64 // fixed-point only
+	data              []byte // n × width offsets, or n × 8 B IEEE bits
+}
+
+// cutColumn locates the column of n values that p starts with and returns
+// what follows it.
+func cutColumn(p []byte, n int) (column, []byte, error) {
+	enc, scale, width, p, err := columnHeader(p)
+	if err != nil {
+		return column{}, nil, err
+	}
+	col := column{enc: enc, scale: scale, width: width}
+	switch enc {
+	case encRaw:
+		col.width = 8
+	case encFixed:
+		if len(p) < 8 {
+			return column{}, nil, fmt.Errorf("%w: fixed column truncated", ErrCorrupt)
+		}
+		col.base, p = le64(p), p[8:]
+	default:
+		return column{}, nil, fmt.Errorf("%w: unknown column encoding %d", ErrCorrupt, enc)
+	}
+	size := n * int(col.width)
+	if len(p) < size {
+		return column{}, nil, fmt.Errorf("%w: column truncated", ErrCorrupt)
+	}
+	col.data = p[:size]
+	return col, p[size:], nil
+}
+
+// ints calls fn with each of a fixed-point column's integers, in order.
+func (col column) ints(fn func(i int, v int64)) {
+	p, base := col.data, col.base
+	switch col.width {
+	case 1:
+		for i, b := range p {
+			fn(i, int64(base+uint64(b)))
+		}
+	case 2:
+		for i := 0; 2*i < len(p); i++ {
+			fn(i, int64(base+(uint64(p[2*i])|uint64(p[2*i+1])<<8)))
+		}
+	case 4:
+		for i := 0; 4*i < len(p); i++ {
+			fn(i, int64(base+uint64(le32(p[4*i:]))))
+		}
+	default:
+		for i := 0; 8*i < len(p); i++ {
+			fn(i, int64(base+le64(p[8*i:])))
+		}
+	}
+}
+
+// floats decodes a float column into vals, one per value.
+func (col column) floats(vals []float64) error {
+	if col.enc == encRaw {
+		for i := range vals {
+			vals[i] = math.Float64frombits(le64(col.data[8*i:]))
+		}
+		return nil
+	}
+	if int(col.scale) >= len(pow10) {
+		return fmt.Errorf("%w: fixed-point scale %d out of range", ErrCorrupt, col.scale)
+	}
+	d := pow10[col.scale]
+	col.ints(func(i int, v int64) { vals[i] = float64(v) / d })
+	return nil
+}
+
+// decodeBlockInto decodes one block (data: header through CRC, count
+// cross-checks the directory entry) into the places of dst its seq column
+// names, marking them in sc.seen; a place outside dst or named twice is
+// corruption.
+func (sc *scratch) decodeBlockInto(dst tuple.Batch, data []byte, count int) error {
+	p, err := blockBody(data, count)
+	if err != nil {
+		return err
+	}
+	var cols [5]column
+	for i := range cols {
+		if cols[i], p, err = cutColumn(p, count); err != nil {
+			return err
+		}
+	}
+	if len(p) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
+	}
+	seq := cols[4]
+	if seq.enc != encFixed || seq.scale != 0 {
+		return fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
+	}
+	sc.pos, sc.vals = sized(sc.pos, count), sized(sc.vals, count)
+	valid := true
+	seq.ints(func(i int, sq int64) {
+		if sq < 0 || sq >= int64(len(dst)) || sc.seen[sq] {
+			valid = false
+			return
+		}
+		sc.seen[sq] = true
+		sc.pos[i] = int(sq)
+	})
+	if !valid {
+		return fmt.Errorf("%w: a seq is out of range or repeated", ErrCorrupt)
+	}
+	for k, col := range cols[:4] {
+		if err := col.floats(sc.vals); err != nil {
+			return err
+		}
+		switch k {
+		case 0:
+			for i, at := range sc.pos {
+				dst[at].T = sc.vals[i]
+			}
+		case 1:
+			for i, at := range sc.pos {
+				dst[at].X = sc.vals[i]
+			}
+		case 2:
+			for i, at := range sc.pos {
+				dst[at].Y = sc.vals[i]
+			}
+		default:
+			for i, at := range sc.pos {
+				dst[at].S = sc.vals[i]
+			}
+		}
+	}
+	return nil
 }
 
 func decodeFloatColumn(p []byte, n int) ([]float64, []byte, error) {

@@ -3,6 +3,7 @@ package colblock
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -84,13 +85,6 @@ func TestRoundTrip(t *testing.T) {
 		}
 		rd.Close()
 	}
-}
-
-func bitEqual(a, b tuple.Raw) bool {
-	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
-		math.Float64bits(a.X) == math.Float64bits(b.X) &&
-		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
-		math.Float64bits(a.S) == math.Float64bits(b.S)
 }
 
 // TestFixedPointEdgeValues hits values that must defeat the fixed-point
@@ -390,5 +384,211 @@ func BenchmarkEncodeDay(b *testing.B) {
 		if _, err := Encode(io.Discard, Meta{Seq: 1}, ws); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// buildImage assembles a version-2 file around hand-made blocks of one
+// window, each with a fresh checksum, so a test can reach the column
+// checks behind it.
+func buildImage(bodies [][]byte, counts []int) []byte {
+	img := make([]byte, headerSize)
+	putU32(img[0:], colMagic)
+	putU32(img[4:], colVersion)
+	var dir []byte
+	total := 0
+	for i, body := range bodies {
+		blk := appendU32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+		dir = appendDirEntry(dir, BlockMeta{Window: 1, Offset: int64(len(img)), Length: int64(len(blk)), Count: counts[i]})
+		img = append(img, blk...)
+		total += counts[i]
+	}
+	var trailer [trailerSize]byte
+	putU64(trailer[0:], 3)
+	putU64(trailer[8:], uint64(total))
+	putU32(trailer[32:], uint32(len(bodies)))
+	putU32(trailer[36:], colVersion)
+	putU32(trailer[40:], footerCRC(dir, trailer[:]))
+	putU32(trailer[44:], footMagic)
+	return append(append(img, dir...), trailer[:]...)
+}
+
+// TestDecodersRejectTheSame walks the column checks one by one on blocks
+// whose checksum is sound: DecodeWindow must reject exactly what
+// WindowTuples rejects — Verify reports any difference between the two as
+// errDecodersDisagree — and accept, with the same tuples, what it accepts.
+func TestDecodersRejectTheSame(t *testing.T) {
+	// A block of three tuples: T and seq fixed-point (1 byte wide), X raw,
+	// Y fixed-point at scale 1 (2 bytes wide), S raw.
+	fixed := func(scale, width byte, base uint64, offs ...uint64) []byte {
+		col := appendU64([]byte{encFixed, scale, width, 0}, base)
+		for _, o := range offs {
+			for b := 0; b < int(width); b++ {
+				col = append(col, byte(o>>(8*b)))
+			}
+		}
+		return col
+	}
+	raw := func(vals ...float64) []byte {
+		col := []byte{encRaw, 0, 8, 0}
+		for _, v := range vals {
+			col = appendU64(col, math.Float64bits(v))
+		}
+		return col
+	}
+	block := func(count uint32, cols ...[]byte) []byte {
+		body := appendU32(nil, count)
+		for _, c := range cols {
+			body = append(body, c...)
+		}
+		return body
+	}
+	tcol, xcol := fixed(0, 1, 100, 0, 5, 9), raw(1.5, math.Pi, -2)
+	ycol, scol := fixed(1, 2, 1000, 0, 300, 7), raw(0, 1e300, 5e-324)
+	seq := fixed(0, 1, 0, 2, 0, 1)
+	sound := block(3, tcol, xcol, ycol, scol, seq)
+
+	cases := []struct {
+		name   string
+		bodies [][]byte
+		counts []int
+		ok     bool
+	}{
+		{"sound", [][]byte{sound}, []int{3}, true},
+		{"two blocks", [][]byte{
+			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
+			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 1, 0)),
+		}, []int{2, 1}, true},
+		{"count differs from the directory", [][]byte{sound}, []int{2}, false},
+		{"short raw column", [][]byte{block(3, tcol, raw(1.5, math.Pi), ycol, scol, seq)}, []int{3}, false},
+		{"short fixed column", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0))}, []int{3}, false},
+		{"column header cut", [][]byte{block(3, tcol, xcol, ycol, scol, []byte{encFixed, 0})}, []int{3}, false},
+		{"width 3", [][]byte{block(3, fixed(0, 3, 100, 0, 5, 9), xcol, ycol, scol, seq)}, []int{3}, false},
+		{"raw column with width 3", [][]byte{block(3, tcol, append([]byte{encRaw, 0, 3, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
+		{"scale 10", [][]byte{block(3, tcol, xcol, fixed(10, 2, 1000, 0, 300, 7), scol, seq)}, []int{3}, false},
+		{"unknown encoding", [][]byte{block(3, tcol, append([]byte{7, 0, 8, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
+		{"raw seq", [][]byte{block(3, tcol, xcol, ycol, scol, raw(2, 0, 1))}, []int{3}, false},
+		{"scaled seq", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(1, 1, 0, 2, 0, 1))}, []int{3}, false},
+		{"seq out of range", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 3, 0, 1))}, []int{3}, false},
+		{"seq negative", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 8, 1<<63, 2, 0, 1))}, []int{3}, false},
+		{"seq repeated", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0, 2))}, []int{3}, false},
+		{"seq repeated across blocks", [][]byte{
+			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
+			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 2, 0)),
+		}, []int{2, 1}, false},
+		{"trailing bytes", [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
+	}
+	for _, tc := range cases {
+		img := buildImage(tc.bodies, tc.counts)
+		err := Verify(img)
+		if errors.Is(err, errDecodersDisagree) {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Verify = %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+		if !tc.ok {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: rejected with %v, want ErrCorrupt", tc.name, err)
+			}
+			// A bad checksum is refused before any of the above is looked at.
+			img[headerSize+5] ^= 0x40
+			if err := Verify(img); !errors.Is(err, ErrCorrupt) || errors.Is(err, errDecodersDisagree) {
+				t.Errorf("%s with a bad checksum: %v", tc.name, err)
+			}
+			continue
+		}
+		rd, err := OpenBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(tuple.Batch, 3)
+		if err := rd.DecodeWindow(got, 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := tuple.Batch{{T: 105, X: math.Pi, Y: 130, S: 1e300}, {T: 109, X: -2, Y: 100.7, S: 5e-324}, {T: 100, X: 1.5, Y: 100, S: 0}}
+		for i := range want {
+			if !bitEqual(got[i], want[i]) {
+				t.Errorf("%s: tuple %d = %+v, want %+v", tc.name, i, got[i], want[i])
+			}
+		}
+		if err := rd.DecodeWindow(got[:2], 1); err == nil {
+			t.Errorf("%s: DecodeWindow filled a destination of the wrong length", tc.name)
+		}
+	}
+}
+
+// TestCarryOverRoundTrip encodes a file, then a second one whose every
+// window is "take it from the first": the second must be the first byte
+// for byte — same blocks, same zone maps, same directory — on both access
+// paths, having decoded nothing. A window that gained tuples since is
+// decoded, merged and encoded to the bytes a direct encode of the whole
+// window gives.
+func TestCarryOverRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	windows := genWindows(r, 4, 700)
+	first := encodeImage(t, 6, windows, 256)
+	path := filepath.Join(t.TempDir(), "checkpoint-000006.emc")
+	if err := os.WriteFile(path, first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, disable := range []bool{false, true} {
+		rd, err := OpenFile(path, Options{DisableMmap: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := make([]WindowData, len(windows))
+		for i, wd := range windows {
+			carried[i] = WindowData{Window: wd.Window, Base: rd}
+		}
+		second := encodeImage(t, 6, carried, 256)
+		if !bytes.Equal(second, first) {
+			t.Errorf("disableMmap=%v: a file carried over window by window differs from its source", disable)
+		}
+		if st := rd.Stats(); st != (Stats{}) {
+			t.Errorf("disableMmap=%v: carrying blocks over counted as scans: %+v", disable, st)
+		}
+		rd2, err := OpenBytes(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wd := range windows {
+			got, err := rd2.WindowTuples(wd.Window)
+			if err != nil || !bitEqualBatches(got, wd.Tuples) {
+				t.Errorf("disableMmap=%v: window %d after the carry-over: %v", disable, wd.Window, err)
+			}
+			z1, _ := rd.WindowZone(wd.Window)
+			z2, _ := rd2.WindowZone(wd.Window)
+			z1.Offset, z2.Offset = 0, 0
+			if z1 != z2 {
+				t.Errorf("disableMmap=%v: window %d zone map %+v, was %+v", disable, wd.Window, z2, z1)
+			}
+		}
+
+		// Window 4 gained tuples, window 9 is new, the rest is unchanged.
+		extra := genWindows(r, 1, 90)[0].Tuples
+		fresh := genWindows(r, 1, 50)[0].Tuples
+		mixed := append([]WindowData(nil), carried...)
+		mixed[1].Tuples = extra
+		mixed = append(mixed, WindowData{Window: 9, Tuples: fresh})
+		whole := append([]WindowData(nil), windows...)
+		whole[1].Tuples = append(append(tuple.Batch(nil), windows[1].Tuples...), extra...)
+		whole = append(whole, WindowData{Window: 9, Tuples: fresh})
+		if !bytes.Equal(encodeImage(t, 7, mixed, 256), encodeImage(t, 7, whole, 256)) {
+			t.Errorf("disableMmap=%v: base + suffix encodes differently from the whole window", disable)
+		}
+		rd.Close()
+	}
+
+	// A block that went bad stops the carry-over: nothing is copied blind.
+	bad := append([]byte(nil), first...)
+	bad[headerSize+9] ^= 0x10
+	rd, err := OpenBytes(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Encode(io.Discard, Meta{Seq: 7}, []WindowData{{Window: windows[0].Window, Base: rd}})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("carry-over of a block that fails its checksum: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package colblock
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"testing"
@@ -12,8 +13,10 @@ import (
 // FuzzColBlockDecode throws arbitrary bytes at the full decode path
 // (footer parse, directory validation, block checksums, column decode).
 // Seeds come from the real encoder, so mutations start from structurally
-// valid images; the invariant is simply that no input crashes or
-// over-allocates, and that encoder output always verifies.
+// valid images; the invariant is that no input crashes or over-allocates,
+// that encoder output always verifies, and that the two window decoders —
+// WindowTuples and DecodeWindow, which Verify runs side by side — accept
+// and reject the same images and return the same tuples.
 func FuzzColBlockDecode(f *testing.F) {
 	seed := func(seq int, windows []WindowData, blockTuples int) {
 		var buf bytes.Buffer
@@ -49,6 +52,8 @@ func FuzzColBlockDecode(f *testing.F) {
 		if len(data) > 1<<22 {
 			return
 		}
-		_ = Verify(data)
+		if err := Verify(data); errors.Is(err, errDecodersDisagree) {
+			t.Fatal(err)
+		}
 	})
 }

@@ -28,7 +28,7 @@ type mmapSource struct {
 	data []byte
 }
 
-func (s *mmapSource) ReadSpan(off, n int64) ([]byte, error) {
+func (s *mmapSource) ReadSpan(_ []byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(s.data)) {
 		return nil, ErrCorrupt
 	}

@@ -1,11 +1,14 @@
 package colblock
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/tuple"
@@ -13,10 +16,12 @@ import (
 
 // Source is the byte-access abstraction under a Reader: a memory map
 // where the platform supports it, pread otherwise. ReadSpan returns the
-// requested span; a mapped source returns a sub-slice of the mapping
-// (zero copy), a file-backed one allocates.
+// requested span: a mapped source a sub-slice of the mapping (zero copy,
+// buf untouched), a file-backed one buf filled from the file and grown
+// when it is too small — so a caller that brings the same buffer back
+// reads block after block without allocating.
 type Source interface {
-	ReadSpan(off, n int64) ([]byte, error)
+	ReadSpan(buf []byte, off, n int64) ([]byte, error)
 	Size() int64
 	// Mapped reports whether ReadSpan is zero-copy (memory-mapped or
 	// in-memory); the reader's stats distinguish the two access paths.
@@ -50,10 +55,10 @@ type Reader struct {
 	tuples int
 	blocks []BlockMeta
 
-	// byWindow indexes blocks (directory order, which is time order
-	// within a cell run) per window.
-	byWindow map[int][]int
-	windows  []int // ascending
+	// spans holds one entry per window, ascending: a window's blocks are
+	// contiguous in blocks (directory order, which is time order within a
+	// cell run).
+	spans []winSpan
 
 	blocksScanned atomic.Int64
 	blocksPruned  atomic.Int64
@@ -104,19 +109,44 @@ func OpenBytes(data []byte) (*Reader, error) {
 
 // Verify structurally validates data as a file image and decodes
 // every block, returning the first error found. It is the fuzz target's
-// workhorse: any input that passes must round-trip cleanly.
+// workhorse: any input that passes must round-trip cleanly. Every window
+// goes through both decoders — WindowTuples, the allocating reference, and
+// DecodeWindow, the one the store reads with — which must accept and
+// reject the same images and agree bit for bit on what they accept.
 func Verify(data []byte) error {
 	r, err := OpenBytes(data)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	for _, c := range r.Windows() {
-		if _, err := r.WindowTuples(c); err != nil {
+	var into tuple.Batch
+	for _, sp := range r.spans {
+		want, err := r.WindowTuples(sp.window)
+		into = sized(into, sp.count)
+		ierr := r.DecodeWindow(into, sp.window)
+		switch {
+		case (err == nil) != (ierr == nil):
+			return fmt.Errorf("%w: window %d: WindowTuples: %v, DecodeWindow: %v", errDecodersDisagree, sp.window, err, ierr)
+		case err != nil:
 			return err
+		case !bitEqualBatches(want, into):
+			return fmt.Errorf("%w: window %d: not the same tuples", errDecodersDisagree, sp.window)
 		}
 	}
 	return nil
+}
+
+// errDecodersDisagree is Verify's report of a bug in this package, not of
+// a bad image: the fuzz target fails on it.
+var errDecodersDisagree = errors.New("colblock: decoders disagree")
+
+func bitEqualBatches(a, b tuple.Batch) bool { return slices.EqualFunc(a, b, bitEqual) }
+
+func bitEqual(a, b tuple.Raw) bool {
+	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
+		math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.S) == math.Float64bits(b.S)
 }
 
 func newReader(src Source) (*Reader, error) {
@@ -124,7 +154,7 @@ func newReader(src Source) (*Reader, error) {
 	if size < headerSize+trailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is below minimum framing", ErrCorrupt, size)
 	}
-	hdr, err := src.ReadSpan(0, headerSize)
+	hdr, err := src.ReadSpan(nil, 0, headerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +164,7 @@ func newReader(src Source) (*Reader, error) {
 	if le32(hdr[4:]) != colVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, le32(hdr[4:]))
 	}
-	trailer, err := src.ReadSpan(size-trailerSize, trailerSize)
+	trailer, err := src.ReadSpan(nil, size-trailerSize, trailerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +180,7 @@ func newReader(src Source) (*Reader, error) {
 	if nblocks < 0 || dirLen < 0 || dirStart < headerSize {
 		return nil, fmt.Errorf("%w: directory of %d blocks does not fit", ErrCorrupt, nblocks)
 	}
-	dir, err := src.ReadSpan(dirStart, dirLen)
+	dir, err := src.ReadSpan(nil, dirStart, dirLen)
 	if err != nil {
 		return nil, err
 	}
@@ -165,9 +195,8 @@ func newReader(src Source) (*Reader, error) {
 			Horizon: int(int64(le64(trailer[16:]))),
 			MaxTime: math.Float64frombits(le64(trailer[24:])),
 		},
-		tuples:   int(int64(le64(trailer[8:]))),
-		blocks:   make([]BlockMeta, nblocks),
-		byWindow: make(map[int][]int),
+		tuples: int(int64(le64(trailer[8:]))),
+		blocks: make([]BlockMeta, nblocks),
 	}
 	if r.tuples < 0 {
 		return nil, fmt.Errorf("%w: negative tuple count", ErrCorrupt)
@@ -186,17 +215,54 @@ func newReader(src Source) (*Reader, error) {
 		}
 		total += m.Count
 		r.blocks[i] = m
-		r.byWindow[m.Window] = append(r.byWindow[m.Window], i)
 	}
 	if total != r.tuples {
 		return nil, fmt.Errorf("%w: directory counts %d do not sum to trailer total %d", ErrCorrupt, total, r.tuples)
 	}
-	r.windows = make([]int, 0, len(r.byWindow))
-	for c := range r.byWindow {
-		r.windows = append(r.windows, c)
+	// The encoder writes window after window, ascending. A directory in
+	// another order is regrouped, each window's blocks keeping their order.
+	byWindow := func(a, b BlockMeta) int { return cmp.Compare(a.Window, b.Window) }
+	if !slices.IsSortedFunc(r.blocks, byWindow) {
+		slices.SortStableFunc(r.blocks, byWindow)
 	}
-	sort.Ints(r.windows)
+	nwin := 0
+	for i, m := range r.blocks {
+		if i == 0 || m.Window != r.blocks[i-1].Window {
+			nwin++
+		}
+	}
+	r.spans = make([]winSpan, 0, nwin)
+	for i, m := range r.blocks {
+		if i == 0 || m.Window != r.blocks[i-1].Window {
+			r.spans = append(r.spans, winSpan{window: m.Window, first: i})
+		}
+		sp := &r.spans[len(r.spans)-1]
+		sp.n++
+		sp.count += m.Count
+	}
 	return r, nil
+}
+
+// winSpan locates one window in a Reader: blocks[first:first+n], count
+// tuples in all.
+type winSpan struct {
+	window, first, n, count int
+}
+
+// span returns window c's entry; the zero span stands for an absent
+// window.
+func (r *Reader) span(c int) winSpan {
+	i, ok := slices.BinarySearchFunc(r.spans, c, func(sp winSpan, c int) int { return cmp.Compare(sp.window, c) })
+	if !ok {
+		return winSpan{}
+	}
+	return r.spans[i]
+}
+
+// windowBlocks returns window c's directory entries, in file order.
+func (r *Reader) windowBlocks(c int) []BlockMeta {
+	sp := r.span(c)
+	return r.blocks[sp.first : sp.first+sp.n]
 }
 
 func footerCRC(dir, trailer []byte) uint32 {
@@ -215,26 +281,22 @@ func (r *Reader) Blocks() int { return len(r.blocks) }
 
 // Windows returns the window indexes present, ascending.
 func (r *Reader) Windows() []int {
-	out := make([]int, len(r.windows))
-	copy(out, r.windows)
+	out := make([]int, len(r.spans))
+	for i, sp := range r.spans {
+		out[i] = sp.window
+	}
 	return out
 }
 
 // WindowCount returns the tuple count of window c (0 if absent), from
 // the directory alone.
-func (r *Reader) WindowCount(c int) int {
-	n := 0
-	for _, bi := range r.byWindow[c] {
-		n += r.blocks[bi].Count
-	}
-	return n
-}
+func (r *Reader) WindowCount(c int) int { return r.span(c).count }
 
 // WindowZone returns the union of window c's block zone maps — exact
 // min/max bounds for every column, with no block reads.
 func (r *Reader) WindowZone(c int) (z BlockMeta, ok bool) {
-	for i, bi := range r.byWindow[c] {
-		m := r.blocks[bi]
+	blocks := r.windowBlocks(c)
+	for i, m := range blocks {
 		if i == 0 {
 			z = m
 			continue
@@ -245,15 +307,17 @@ func (r *Reader) WindowZone(c int) (z BlockMeta, ok bool) {
 		z.MinY, z.MaxY = min(z.MinY, m.MinY), max(z.MaxY, m.MaxY)
 		z.MinS, z.MaxS = min(z.MinS, m.MinS), max(z.MaxS, m.MaxS)
 	}
-	return z, len(r.byWindow[c]) > 0
+	return z, len(blocks) > 0
 }
 
 // CheckBlocks reads every block once and verifies its checksum and its
 // count field against the directory, decoding no column: what a store
 // runs before it trusts the file as its checkpoint.
 func (r *Reader) CheckBlocks() error {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
 	for i, m := range r.blocks {
-		data, err := r.src.ReadSpan(m.Offset, m.Length)
+		data, err := r.blockBytes(&sc.span, m)
 		if err != nil {
 			return err
 		}
@@ -267,20 +331,19 @@ func (r *Reader) CheckBlocks() error {
 // WindowTuples materializes window c in its original append order —
 // byte-identical to the slice the writing store held in memory. Every
 // original position must be covered exactly once, or the window is
-// reported corrupt.
+// reported corrupt. It allocates the result and one slice per column and
+// block; the store reads through DecodeWindow, and Verify holds the two
+// against each other.
 func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
-	bis := r.byWindow[c]
-	if len(bis) == 0 {
+	sp := r.span(c)
+	if sp.n == 0 {
 		return nil, nil
 	}
-	total := 0
-	for _, bi := range bis {
-		total += r.blocks[bi].Count
-	}
+	total := sp.count
 	out := make(tuple.Batch, total)
 	seen := make([]bool, total)
-	for _, bi := range bis {
-		ts, xs, ys, ss, seqs, err := r.readBlock(r.blocks[bi])
+	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
+		ts, xs, ys, ss, seqs, err := r.readBlock(m)
 		if err != nil {
 			return nil, err
 		}
@@ -300,8 +363,7 @@ func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 // zone map before touching their bytes. Tuples arrive in block order,
 // not append order. It returns how many blocks were scanned vs pruned.
 func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, err error) {
-	for _, bi := range r.byWindow[c] {
-		m := r.blocks[bi]
+	for _, m := range r.windowBlocks(c) {
 		if m.MinX > maxX || m.MaxX < minX || m.MinY > maxY || m.MaxY < minY {
 			pruned++
 			r.blocksPruned.Add(1)
@@ -323,10 +385,16 @@ func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func
 }
 
 func (r *Reader) readBlock(m BlockMeta) (ts, xs, ys, ss []float64, seqs []int64, err error) {
-	data, err := r.src.ReadSpan(m.Offset, m.Length)
+	data, err := r.src.ReadSpan(nil, m.Offset, m.Length)
 	if err != nil {
 		return nil, nil, nil, nil, nil, err
 	}
+	r.countScan(m)
+	return decodeBlock(data, m.Count)
+}
+
+// countScan accounts one block read for decoding.
+func (r *Reader) countScan(m BlockMeta) {
 	if r.src.Mapped() {
 		r.mmapReads.Add(1)
 	} else {
@@ -334,7 +402,60 @@ func (r *Reader) readBlock(m BlockMeta) (ts, xs, ys, ss []float64, seqs []int64,
 	}
 	r.bytesRead.Add(m.Length)
 	r.blocksScanned.Add(1)
-	return decodeBlock(data, m.Count)
+}
+
+// blockBytes returns block m's bytes, header through checksum: a slice
+// of the mapping, or *buf filled by pread (and grown, which is why the
+// caller's buffer comes by pointer).
+func (r *Reader) blockBytes(buf *[]byte, m BlockMeta) ([]byte, error) {
+	data, err := r.src.ReadSpan(*buf, m.Offset, m.Length)
+	if err == nil && !r.src.Mapped() {
+		*buf = data
+	}
+	return data, err
+}
+
+// scratch is what a read borrows beside its destination: a block's bytes
+// on the pread path, one block's original positions and one of its
+// columns, and which of the window's positions have been filled.
+type scratch struct {
+	span []byte
+	pos  []int
+	vals []float64
+	seen []bool
+}
+
+// scratches lends scratch to concurrent reads, as encoders does to
+// concurrent Encode calls.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// DecodeWindow decodes window c into dst, which must hold exactly
+// WindowCount(c) tuples, in the window's original append order: block by
+// block, each column straight from the block's bytes into the field of
+// dst the seq column names, allocating nothing. It checks what
+// WindowTuples checks — every block's checksum and count, every column's
+// framing, and that the original positions cover dst exactly once — and on
+// an error leaves dst undefined.
+func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
+	sp := r.span(c)
+	if len(dst) != sp.count {
+		return fmt.Errorf("colblock: window %d holds %d tuples, destination %d", c, sp.count, len(dst))
+	}
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	sc.seen = sized(sc.seen, len(dst))
+	clear(sc.seen)
+	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
+		data, err := r.blockBytes(&sc.span, m)
+		if err != nil {
+			return err
+		}
+		r.countScan(m)
+		if err := sc.decodeBlockInto(dst, data, m.Count); err != nil {
+			return fmt.Errorf("window %d: %w", c, err)
+		}
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the reader's counters.
@@ -362,11 +483,11 @@ type readAtSource struct {
 	size int64
 }
 
-func (s *readAtSource) ReadSpan(off, n int64) ([]byte, error) {
+func (s *readAtSource) ReadSpan(buf []byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > s.size {
 		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte file", ErrCorrupt, off, n, s.size)
 	}
-	buf := make([]byte, n)
+	buf = sized(buf, int(n))
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
@@ -380,7 +501,7 @@ func (s *readAtSource) Close() error { return s.f.Close() }
 // byteSource serves an in-memory image (tests, fuzzing).
 type byteSource []byte
 
-func (s byteSource) ReadSpan(off, n int64) ([]byte, error) {
+func (s byteSource) ReadSpan(_ []byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(s)) {
 		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte image", ErrCorrupt, off, n, len(s))
 	}

@@ -174,9 +174,13 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 			}
 		}
 	}
+	lazy := cs.LazyWindows
 	cs = ec.ColumnarStats()
-	if cs.BlocksScanned == 0 || cs.Materializations == 0 {
+	if cs.BlocksScanned == 0 || cs.BytesRead == 0 || cs.Materializations == 0 {
 		t.Fatalf("columnar engine stats %+v: queries did not touch the block path", cs)
+	}
+	if cs.LazyWindows != lazy || cs.MaterializeFailures != 0 {
+		t.Fatalf("columnar engine stats %+v: reads decode, they do not install — want the %d recovered windows still lazy", cs, lazy)
 	}
 
 	// The stats endpoint must expose the columnar section.

@@ -517,7 +517,10 @@ func (e *Engine) queryOpts(ctx context.Context, req query.Request, o query.Optio
 	// Radius-based methods run over the raw window; a missing window is
 	// out-of-range for them exactly as it is for the cover path. The
 	// window is only cloned inside the build closure, so a batch copies
-	// and sorts it once per (pollutant, window), not once per request.
+	// and sorts it once per (pollutant, window), not once per request —
+	// and for a window the store has released to its checkpoint file that
+	// copy is a decode of the window's blocks, every time: the store keeps
+	// no second copy for these baselines to share.
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -754,8 +757,8 @@ func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols
 		return g, cv, err
 	}
 	// WindowBounds answers from the columnar zone maps when the window is
-	// a lazy checkpointed base, so an implicit-bounds heatmap after a
-	// restart does not force a full window materialization.
+	// a lazy checkpointed base, so an implicit-bounds heatmap does not
+	// decode the window.
 	c := tuple.WindowIndex(t, sh.st.WindowLength())
 	bounds, ok := sh.st.WindowBounds(c)
 	if !ok {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func TestWindowIntoMatchesWindow(t *testing.T) {
 	// Window returned before the restart is no longer the reference; the
 	// reference is Window itself, and the tuple multiset.
 	for c, in := range arrived {
-		w := r.Window(c) // materializes
+		w := r.Window(c)
 		if !w.SortedByTime() || len(w) != len(in) {
 			t.Fatalf("restarted Window(%d): %d tuples sorted=%v, want %d sorted", c, len(w), w.SortedByTime(), len(in))
 		}
@@ -365,4 +366,172 @@ func BenchmarkAppendDurable256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// releasedStore returns a durable store holding windows × perWindow tuples
+// of a bus-like stream — full-mantissa positions and readings, which is
+// what makes a block cost what the benchmark's blocks cost — all of them
+// checkpointed and released, and fill, which makes b a batch for window c.
+func releasedStore(tb testing.TB, windows, perWindow int, disableMmap bool) (s *Store, fill func(b tuple.Batch, c int) tuple.Batch) {
+	tb.Helper()
+	cfg := Config{WindowLength: 3600, Dir: tb.TempDir(), Sync: SyncNever()}
+	cfg.Columnar.DisableMmap = disableMmap
+	s, err := Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	rng := rand.New(rand.NewSource(22))
+	fill = func(b tuple.Batch, c int) tuple.Batch {
+		for i := range b {
+			b[i] = tuple.Raw{
+				T: float64(c*3600) + 3600*float64(i)/float64(len(b)),
+				X: rng.Float64()*6000 - 2000, Y: rng.Float64()*5000 - 1500, S: 400 + rng.NormFloat64()*30,
+			}
+		}
+		return b
+	}
+	b := make(tuple.Batch, perWindow)
+	for c := 0; c < windows; c++ {
+		if err := s.Append(fill(b, c)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != int64(windows) {
+		tb.Fatalf("stats %+v: want all %d windows released", cs, windows)
+	}
+	return s, fill
+}
+
+// TestCheckpointSteadyStateAllocs: a checkpoint's cost follows what
+// changed since the last one, not what is retained. Ten days of hourly
+// windows released, 200 tuples appended to one of them: the next checkpoint
+// carries 239 windows over block for block and decodes, merges and encodes
+// one, with bookkeeping that stays flat — one slice of window headers, one
+// directory, one reader — where a version that decoded every lazy window,
+// or kept a map entry and a block list per window, took 600 allocations
+// and 300–400 KiB (and the checkpoint of resident windows before it 86 and
+// 78 KiB).
+func TestCheckpointSteadyStateAllocs(t *testing.T) {
+	s, fill := releasedStore(t, 240, 1900, false)
+	batch := make(tuple.Batch, 200)
+	var mallocs, bytes []uint64
+	const rounds = 5
+	for i := 0; i <= rounds; i++ {
+		// A different window each round, so the dirty window, and with it
+		// the scratch it is merged in, is the same size every time.
+		if err := s.Append(fill(batch, 239-i)); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if i > 0 { // the first round sizes the pooled scratch for a window that gained tuples
+			mallocs = append(mallocs, m1.Mallocs-m0.Mallocs)
+			bytes = append(bytes, m1.TotalAlloc-m0.TotalAlloc)
+		}
+	}
+	// The median: a round the collector emptied the scratch pools before
+	// pays for new scratch, which says nothing about the bookkeeping.
+	slices.Sort(mallocs)
+	slices.Sort(bytes)
+	if m, b := mallocs[rounds/2], bytes[rounds/2]; (m > 150 || b > 160<<10) && !raceEnabled {
+		t.Errorf("steady-state checkpoint of 240 windows, one dirty = %d mallocs, %d KiB; want ≤ 150 and ≤ 160 KiB", m, b>>10)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 240 || cs.BlocksScanned != rounds+1 {
+		t.Errorf("stats %+v: want every window lazy again and one block decoded per checkpoint, the dirty window's", cs)
+	}
+	if st := s.CheckpointStats(); st.LastTuples != int64(s.Len()) || st.LastWindows != 240 {
+		t.Errorf("checkpoint stats %+v: want all %d tuples in the last file", st, s.Len())
+	}
+	if got, want := s.Len(), 240*1900+(rounds+1)*200; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
+	}
+}
+
+// TestLazyWindowIntoAllocs: a read of a released window decodes its base
+// straight into the caller's buffer — through the mapping, or through
+// pread into pooled memory — and allocates nothing once the buffer is
+// large enough.
+func TestLazyWindowIntoAllocs(t *testing.T) {
+	for _, disableMmap := range []bool{false, true} {
+		s, fill := releasedStore(t, 4, 1900, disableMmap)
+		if err := s.Append(fill(make(tuple.Batch, 200), 3)); err != nil { // window 3: lazy base + in-memory suffix
+			t.Fatal(err)
+		}
+		for _, c := range []int{1, 3} {
+			buf := s.WindowInto(nil, c)
+			if want := 1900 + 200*(c/3); len(buf) != want || !buf.SortedByTime() {
+				t.Fatalf("disableMmap=%v: window %d read %d tuples, want %d sorted by time", disableMmap, c, len(buf), want)
+			}
+			allocs := testing.AllocsPerRun(50, func() { buf = s.WindowInto(buf[:0], c) })
+			if allocs != 0 && !raceEnabled {
+				t.Errorf("disableMmap=%v: lazy WindowInto of window %d = %v allocs, want 0", disableMmap, c, allocs)
+			}
+		}
+		if cs := s.ColumnarStats(); cs.LazyWindows != 4 || cs.Materializations == 0 || (cs.ReadAtReads == 0) != !disableMmap {
+			t.Errorf("disableMmap=%v: stats %+v: want the reads served from the file, the windows still lazy", disableMmap, cs)
+		}
+	}
+}
+
+// BenchmarkCheckpointSteadyState is the checkpoint a long-running node
+// takes: ten days of hourly windows already in the checkpoint file, 200
+// tuples appended to one of them since.
+func BenchmarkCheckpointSteadyState(b *testing.B) {
+	s, fill := releasedStore(b, 240, 1900, false)
+	batch := make(tuple.Batch, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := s.Append(fill(batch, 239-i%240)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLazyWindowInto reads one released window into a warm buffer:
+// what a cover build pays for its tuples once they live in the checkpoint
+// file (resident: a copy of the same window out of memory).
+func BenchmarkLazyWindowInto(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		disableMmap bool
+	}{{"mmap", false}, {"pread", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, _ := releasedStore(b, 4, 1900, bc.disableMmap)
+			buf := s.WindowInto(nil, 2)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)) * 32)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = s.WindowInto(buf[:0], 2)
+			}
+		})
+	}
+	b.Run("resident", func(b *testing.B) {
+		s := MustOpenMemory(3600)
+		src, _ := releasedStore(b, 4, 1900, false)
+		if err := s.Append(src.Window(2)); err != nil {
+			b.Fatal(err)
+		}
+		buf := s.WindowInto(nil, 2)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(buf)) * 32)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = s.WindowInto(buf[:0], 2)
+		}
+	})
 }

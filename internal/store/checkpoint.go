@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,7 +84,8 @@ type CheckpointStats struct {
 	// Checkpoints is the number of checkpoints committed (manifest
 	// renamed into place).
 	Checkpoints int64
-	// Failures counts checkpoint attempts that aborted before commit.
+	// Failures counts checkpoint attempts that aborted before commit, and
+	// those whose committed file then failed its read-back.
 	Failures int64
 	// LastSeq is the sequence number of the newest committed checkpoint
 	// (-1 before the first).
@@ -267,8 +269,9 @@ func readManifest(dir string) (seq, horizon int, err error) {
 	return seq, horizon, nil
 }
 
-// Checkpoint persists the retained windows to a new checkpoint file and
-// compacts the segment log behind it. The sequence is:
+// Checkpoint persists the retained windows to a new checkpoint file,
+// compacts the segment log behind it and lets go of the tuples the file
+// now holds. The sequence is:
 //
 //  1. Under the store lock: snapshot the retained windows and seal the
 //     open segment, rotating to a fresh one. Everything appended so far
@@ -279,18 +282,29 @@ func readManifest(dir string) (seq, horizon int, err error) {
 //     seal fsync itself runs outside the lock, so queries never stall
 //     behind it.
 //  2. Write checkpoint-%06d.emc to a temp file, fsync, rename, fsync
-//     the directory.
+//     the directory. A window with nothing appended since the previous
+//     checkpoint is carried over from that file block for block; one with
+//     a suffix is decoded from it, merged and encoded again.
 //  3. Commit it by writing MANIFEST the same way.
-//  4. Compact: delete segments at or below the checkpoint horizon
-//     (sparing the newest Config.KeepSegments of them) and checkpoint
-//     files superseded by this one.
+//  4. Read the committed file back: open it and checksum every block.
+//  5. Release, under the store lock: every snapshotted window becomes a
+//     lazy base in the new file, its in-memory tuples cut down to what was
+//     appended after the snapshot; the previous checkpoint's reader is
+//     retired.
+//  6. Compact: delete segments at or below the checkpoint horizon
+//     (sparing the newest Config.KeepSegments of them) and every other
+//     checkpoint file.
 //
 // A failure before step 3 leaves the previous checkpoint (or the plain
-// segment log) authoritative; a failure during step 4 is reported but
-// the checkpoint itself stands, and the deletions are retried by the
-// next checkpoint or at the next Open. Memory-only stores (no Dir)
-// return nil without doing anything. Checkpoint is safe for concurrent
-// use with Append and queries; concurrent Checkpoint calls serialize.
+// segment log) authoritative. A failure of step 4 fails nothing that was
+// durable — the file and MANIFEST stand — but nothing is released and
+// nothing compacted: the heap copy keeps serving, and the previous
+// checkpoint and the segments stay for a restart that finds the new file
+// bad to fall back on. A failure during step 6 is reported but the
+// checkpoint itself stands, and the deletions are retried by the next
+// checkpoint or at the next Open. Memory-only stores (no Dir) return nil
+// without doing anything. Checkpoint is safe for concurrent use with
+// Append and queries; concurrent Checkpoint calls serialize.
 func (s *Store) Checkpoint() error {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
@@ -312,33 +326,22 @@ func (s *Store) Checkpoint() error {
 	s.retired = nil
 	idxs := s.unionIndexesLocked()
 	windows := make([]colblock.WindowData, len(idxs))
-	var lazyIdx []int // positions in idxs whose base must come from the previous checkpoint
+	prev := s.col.rd // the reader every lazy base is read through
 	for i, c := range idxs {
 		// A capped slice header, not a copy: a window only ever grows by
-		// append, which writes at or above len, and materialization and
-		// eviction replace the slice — so the tuples below len stay as
-		// they are while the file is written outside the lock.
+		// append, which writes at or above len, and release and eviction
+		// replace the slice — so the tuples below len stay as they are
+		// while the file is written outside the lock.
 		w := s.windows[c]
 		windows[i] = colblock.WindowData{Window: c, Tuples: w[:len(w):len(w)]}
-		if s.col.lazy[c] != nil {
-			lazyIdx = append(lazyIdx, i)
+		if _, lazy := s.col.lazy[c]; lazy {
+			windows[i].Base = prev.rd
 		}
 	}
-	var cr *colReader
-	if len(lazyIdx) > 0 {
-		cr = s.col.rd
-		cr.acquire()
-	} else {
-		// Every lazy window has been materialized or evicted; no new ones
-		// can appear (they only come from Open), so the previous
-		// checkpoint's reader is done. Retiring it lets compaction reclaim
-		// the file on every platform.
-		s.retireReaderLocked()
+	if prev != nil {
+		prev.acquire()
 	}
-	spare := ""
-	if s.col.rd != nil {
-		spare = s.col.rd.name
-	}
+	s.ckSnapshot, s.ckEvicted = true, s.ckEvicted[:0]
 	maxTime := s.maxTime
 	horizon := s.segSeq
 	var sealSync *segHandle
@@ -362,54 +365,29 @@ func (s *Store) Checkpoint() error {
 	s.ckSeq++
 	s.mu.Unlock()
 
-	if sealSync != nil {
-		err := s.doSync(sealSync.f)
-		sealSync.release()
-		if err != nil {
-			// The rotation stands (the segment keeps its frames and
-			// recovery replays it); only this checkpoint is abandoned.
-			if cr != nil {
-				cr.release()
-			}
-			s.failCheckpoint()
-			return fmt.Errorf("store: checkpoint: seal segment: %w", err)
-		}
+	rd, err := s.commitCheckpoint(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows, sealSync)
+	if prev != nil {
+		prev.release()
 	}
 
-	// Assemble still-lazy windows outside the lock: their snapshot is the
-	// previous checkpoint's immutable base plus the suffix captured above.
-	for _, i := range lazyIdx {
-		base, err := cr.rd.WindowTuples(idxs[i])
-		if err != nil {
-			cr.release()
-			s.failCheckpoint()
-			return fmt.Errorf("store: checkpoint: assemble window %d: %w", idxs[i], err)
-		}
-		windows[i].Tuples = append(base, windows[i].Tuples...)
+	s.mu.Lock()
+	s.ckSnapshot = false
+	if err == nil && !s.closed {
+		s.releaseLocked(rd, windows)
+		rd = nil
 	}
-	if cr != nil {
-		cr.release()
+	s.mu.Unlock()
+	if rd != nil {
+		rd.Close() // the store was closed meanwhile: nothing to serve
 	}
-
-	est, err := s.writeCheckpoint(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows)
 	if err != nil {
-		s.failCheckpoint()
+		s.ckStatsMu.Lock()
+		s.ckStats.Failures++
+		s.ckStatsMu.Unlock()
 		return err
 	}
-	if err := s.writeManifest(seq, horizon); err != nil {
-		s.failCheckpoint()
-		return err
-	}
-	s.col.sidecarsWritten.Add(1)
-	s.col.blocksWritten.Add(int64(est.Blocks))
-	s.ckStatsMu.Lock()
-	s.ckStats.Checkpoints++
-	s.ckStats.LastSeq = int64(seq)
-	s.ckStats.LastWindows = int64(len(idxs))
-	s.ckStats.LastTuples = int64(est.Tuples)
-	s.ckStatsMu.Unlock()
 
-	deleted, err := s.compact(seq, horizon, spare)
+	deleted, err := s.compact(seq, horizon)
 	s.ckStatsMu.Lock()
 	s.ckStats.SegmentsDeleted += int64(deleted)
 	s.ckStatsMu.Unlock()
@@ -419,10 +397,70 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-func (s *Store) failCheckpoint() {
+// commitCheckpoint is what Checkpoint does outside the store lock, up to
+// the read-back: seal the segment, write the file, commit it, count it,
+// and return a verified reader on it. No error leaves anything released.
+func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowData, sealSync *segHandle) (*colblock.Reader, error) {
+	if sealSync != nil {
+		err := s.doSync(sealSync.f)
+		sealSync.release()
+		if err != nil {
+			// The rotation stands (the segment keeps its frames and
+			// recovery replays it); only this checkpoint is abandoned.
+			return nil, fmt.Errorf("store: checkpoint: seal segment: %w", err)
+		}
+	}
+	est, err := s.writeCheckpoint(meta, windows)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.writeManifest(meta.Seq, meta.Horizon); err != nil {
+		return nil, err
+	}
+	s.col.sidecarsWritten.Add(1)
+	s.col.blocksWritten.Add(int64(est.Blocks))
 	s.ckStatsMu.Lock()
-	s.ckStats.Failures++
+	s.ckStats.Checkpoints++
+	s.ckStats.LastSeq = int64(meta.Seq)
+	s.ckStats.LastWindows = int64(len(windows))
+	s.ckStats.LastTuples = int64(est.Tuples)
 	s.ckStatsMu.Unlock()
+
+	rd, err := s.verifiedReader(checkpointName(meta.Seq), meta.Seq)
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint: read %s back: %w", checkpointName(meta.Seq), err)
+	}
+	return rd, nil
+}
+
+// releaseLocked makes rd — the verified reader on the checkpoint file just
+// committed from the snapshot windows — the home of every tuple that file
+// holds: each snapshotted window becomes a lazy base in it, and of the
+// window's in-memory tuples only those appended after the snapshot stay,
+// in an array of their own so the snapshot's can be collected. s.total
+// does not move. Two kinds of window are left as they are: one evicted
+// since the snapshot, and one whose base went bad meanwhile — it has
+// settled on its suffix (baseUnreadable) and a restart, not this process,
+// gets the base back. Caller holds mu.
+func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData) {
+	slices.Sort(s.ckEvicted)
+	for _, wd := range windows {
+		c := wd.Window
+		if _, evicted := slices.BinarySearch(s.ckEvicted, c); evicted {
+			continue
+		}
+		if _, lazy := s.col.lazy[c]; wd.Base != nil && !lazy {
+			continue
+		}
+		s.col.lazy[c] = lazyFrom(rd, c)
+		if rest := s.windows[c][len(wd.Tuples):]; len(rest) > 0 {
+			s.windows[c] = slices.Clone(rest)
+		} else {
+			delete(s.windows, c)
+		}
+	}
+	s.retireReaderLocked()
+	s.col.rd = newColReader(rd)
 }
 
 // CheckpointStats returns the checkpoint counters.
@@ -528,13 +566,12 @@ func (s *Store) syncDir() error {
 
 // compact removes segment files fully covered by checkpoint ckSeq
 // (those at or below horizon, sparing the newest Config.KeepSegments),
-// every other checkpoint file — except spare, the one a live reader
-// still serves lazy windows from (deleted by a later compaction once the
-// reader retires) — and the version-1 sidecars an older release left.
-// Deletion failures are joined and reported but never undo the
-// checkpoint — the files are retried by the next compaction or at the
-// next Open.
-func (s *Store) compact(ckSeq, horizon int, spare string) (deleted int, err error) {
+// every other checkpoint file — no reader the store owns serves from one
+// any more, and a scan still in flight keeps its own reference to what it
+// reads — and the version-1 sidecars an older release left. Deletion
+// failures are joined and reported but never undo the checkpoint — the
+// files are retried by the next compaction or at the next Open.
+func (s *Store) compact(ckSeq, horizon int) (deleted int, err error) {
 	var errs []error
 	names, err := segmentNames(s.cfg.Dir)
 	if err != nil {
@@ -554,7 +591,7 @@ func (s *Store) compact(ckSeq, horizon int, spare string) (deleted int, err erro
 	current := checkpointName(ckSeq)
 	for _, e := range entries {
 		name := e.Name()
-		if name == current || name == spare || !supersedable(name) {
+		if name == current || !supersedable(name) {
 			continue
 		}
 		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, name)); rerr != nil {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/tuple"
 )
 
@@ -460,13 +463,17 @@ func TestCheckpointConcurrentWithAppends(t *testing.T) {
 	}
 }
 
-// TestCheckpointSharesWindowsWithWriters runs checkpoints against a store
-// that is being appended to (growing the windows the checkpoint is
-// encoding from, and evicting others), read (materializing lazy windows
-// the checkpoint is assembling) and restarted in between: the checkpoint
-// takes slice headers, not copies, of the windows, so under -race this is
-// the test that would catch anything writing below a window's length.
-// Every reopen must equal a memory store fed the same appends.
+// TestCheckpointSharesWindowsWithWriters runs back-to-back checkpoints
+// against a store that is being appended to (growing the windows the
+// checkpoint is encoding from, and evicting others), read through every
+// window accessor, and restarted in between: the checkpoint takes slice
+// headers, not copies, of the windows, and its release step cuts them down
+// to what was appended since, so under -race this is the test that would
+// catch anything writing below a window's length or reading a window
+// half-released. The appends go to a memory-only reference store too, under
+// a lock the readers share, so every read — while checkpoints write,
+// release and compact freely — must equal the reference's: bit for bit and,
+// timestamps tying, in append order.
 func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 	cfg := Config{WindowLength: 100, Retain: 3, Dir: t.TempDir(), Sync: SyncNever()}
 	ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
@@ -475,6 +482,7 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(19))
 	win := 0
+	var released int64
 	for phase := 0; phase < 3; phase++ {
 		s, err := Open(cfg)
 		if err != nil {
@@ -491,54 +499,115 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 			}
 		}
 		done := make(chan struct{})
+		running := func() bool {
+			select {
+			case <-done:
+				return false
+			default:
+				return true
+			}
+		}
+		// feed orders the readers against the appends (never against the
+		// checkpoints): an append reaches both stores or neither.
+		var feed sync.RWMutex
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for running() {
+					if err := s.Checkpoint(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if err := s.Checkpoint(); err != nil {
-					t.Error(err)
+			}()
+		}
+		reader := func(read func(i, c int) string) {
+			defer wg.Done()
+			for i := 0; running(); i++ {
+				feed.RLock()
+				idxs := ref.WindowIndexes()
+				if got := s.WindowIndexes(); !slices.Equal(got, idxs) {
+					t.Errorf("windows %v, reference %v", got, idxs)
+				} else if got, want := s.Len(), ref.Len(); got != want {
+					t.Errorf("Len %d, reference %d", got, want)
+				} else if len(idxs) > 0 {
+					//lockcheck:allow the read must see both stores between the same two appends
+					if diff := read(i, idxs[i%len(idxs)]); diff != "" {
+						t.Errorf("phase %d window %d: %s", phase, idxs[i%len(idxs)], diff)
+					}
+				}
+				feed.RUnlock()
+				if t.Failed() {
 					return
 				}
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				idxs := s.WindowIndexes()
-				if len(idxs) > 0 {
-					s.Window(idxs[i%len(idxs)])
+		}
+		wg.Add(3)
+		var buf, refBuf tuple.Batch // the WindowInto reader's own
+		go reader(func(_, c int) string {
+			buf, refBuf = s.WindowInto(buf[:0], c), ref.WindowInto(refBuf[:0], c)
+			if !batchBitEqual(buf, refBuf) {
+				return fmt.Sprintf("WindowInto: %d tuples, reference %d, or not the same ones in the same order", len(buf), len(refBuf))
+			}
+			return ""
+		})
+		go reader(func(i, c int) string {
+			box := geo.Rect{Min: geo.Point{X: float64(i%7) * 500, Y: -800}, Max: geo.Point{X: float64(i%7)*500 + 1500, Y: 2000}}
+			got := s.WindowRegion(c, box)
+			var want tuple.Batch
+			for _, tp := range ref.Window(c) {
+				if box.Contains(tp.Pos()) {
+					want = append(want, tp)
 				}
 			}
-		}()
-		for i := 0; i < 150; i++ {
+			// The region scan promises the set, not the order.
+			byX := func(a, b tuple.Raw) int { return cmp.Compare(a.X, b.X) }
+			slices.SortFunc(got, byX)
+			slices.SortFunc(want, byX)
+			if !batchBitEqual(got, want) {
+				return fmt.Sprintf("WindowRegion: %d tuples, reference %d", len(got), len(want))
+			}
+			return ""
+		})
+		go reader(func(_, c int) string {
+			gb, gok := s.WindowBounds(c)
+			wb, wok := ref.WindowBounds(c)
+			if gb != wb || gok != wok || s.WindowLen(c) != ref.WindowLen(c) {
+				return fmt.Sprintf("WindowBounds %+v,%v WindowLen %d, reference %+v,%v and %d", gb, gok, s.WindowLen(c), wb, wok, ref.WindowLen(c))
+			}
+			return ""
+		})
+		for i := 0; i < 150 && !t.Failed(); i++ {
 			if i%25 == 24 {
 				win++ // a new window: the oldest retained one is evicted
 			}
 			lo := max(win-2, 0) // late arrivals into every retained window
 			b := randBatch(rng, 40, float64(lo*100), float64(win*100+100))
-			if err := s.Append(b); err != nil {
-				t.Fatal(err)
+			for j := range b {
+				b[j].T = math.Floor(b[j].T/5) * 5 // ties: the stable time order shows the append order
 			}
-			if err := ref.Append(b); err != nil {
+			feed.Lock()
+			err := s.Append(b)
+			if err == nil {
+				err = ref.Append(b)
+			}
+			feed.Unlock()
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		close(done)
 		wg.Wait()
+		requireSameState(t, fmt.Sprintf("phase %d, quiet", phase), s, ref)
+		released += s.ColumnarStats().LazyWindows
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if released == 0 {
+		t.Error("no phase ended with a window released to a checkpoint file: the test did not exercise the release")
 	}
 	re, err := Open(cfg)
 	if err != nil {
@@ -546,6 +615,60 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 	}
 	defer re.Close()
 	requireSameState(t, "final open", re, ref)
+}
+
+// TestCheckpointReleaseSkipsEvictedWindows evicts windows between a
+// checkpoint's snapshot and its release — windows that were never
+// checkpointed before, so only the snapshot knows them. The file holds
+// them; the store no longer does, and the release must not bring them
+// back.
+func TestCheckpointReleaseSkipsEvictedWindows(t *testing.T) {
+	cfg := Config{WindowLength: 100, Retain: 2, Dir: t.TempDir(), Sync: SyncNever()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	add := func(lo, hi float64) {
+		t.Helper()
+		b := randBatch(rng, 80, lo, hi)
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(0, 200)
+	renames := 0
+	s.renameFile = func(oldpath, newpath string) error {
+		if renames++; renames == 1 {
+			add(100, 400) // the file is written: window 0, then window 1, leave the store
+		}
+		return os.Rename(oldpath, newpath)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WindowIndexes(); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("windows %v after the checkpoint, want [2 3]", got)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 0 {
+		t.Errorf("stats %+v: the only windows the checkpoint holds were evicted", cs)
+	}
+	requireSameState(t, "after the checkpoint", s, ref)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 2 {
+		t.Errorf("stats %+v: want windows 2 and 3 released by the next checkpoint", cs)
+	}
+	requireSameState(t, "after the next checkpoint", s, ref)
 }
 
 // TestCheckpointWriteFailureKeepsPrevious fails the checkpoint file's

@@ -12,14 +12,18 @@ import (
 
 // Lazy windows
 //
-// Open does not decode the checkpoint it recovers from: it reads the
-// file's footer, checksums every block, records each window's tuple count
-// and zone maps, and materializes a window's base only when something
-// asks for it. The segment suffix behind the checkpoint horizon still
-// replays into memory as usual, so a window can be a lazy base in the
-// checkpoint file plus an in-memory suffix — the two-source scan.
+// A tuple the committed checkpoint holds lives in the checkpoint file, not
+// on the heap. Open does not decode the checkpoint it recovers from: it
+// reads the file's footer, checksums every block and records each window's
+// tuple count and zone maps; Checkpoint, once the file it wrote has been
+// read back and checksummed the same way, does the same to the windows it
+// wrote and lets their in-memory tuples go. Either way a window is then a
+// lazy base in the file plus an in-memory suffix — what the segments behind
+// the checkpoint horizon replayed, or what was appended since the
+// checkpoint's snapshot — and every read is the two-source scan: it decodes
+// the base into the caller's memory and installs nothing.
 //
-// A block that fails its checksum after Open passed it (the file changed
+// A block that fails its checksum after it was verified (the file changed
 // underneath a running process) cannot be recovered from anywhere else:
 // the window degrades to its in-memory suffix and the failure is counted.
 
@@ -42,13 +46,14 @@ type ColumnarStats struct {
 	// sidecar beside a row checkpoint).
 	SidecarsWritten int64 `json:"sidecarsWritten"`
 	BlocksWritten   int64 `json:"blocksWritten"`
-	// LazyWindows is the number of windows currently served from the
-	// checkpoint file without having been materialized.
+	// LazyWindows is the number of windows whose base is served from the
+	// checkpoint file.
 	LazyWindows int64 `json:"lazyWindows"`
-	// Materializations counts windows decoded from the file into memory
-	// on demand; MaterializeFailures counts those whose base could not be
-	// read (a block went bad after Open checked it, or the store was
-	// closed) and that serve their in-memory suffix only.
+	// Materializations counts window bases decoded from the file for a
+	// read (nothing is installed: the same window counts once per read);
+	// MaterializeFailures counts the windows whose base could not be read
+	// (a block went bad after it was verified, or the store was closed)
+	// and that serve their in-memory suffix only from then on.
 	Materializations    int64 `json:"materializations"`
 	MaterializeFailures int64 `json:"materializeFailures"`
 	// Reader-side counters: blocks decoded, blocks skipped by zone map,
@@ -76,18 +81,16 @@ func (s *ColumnarStats) Add(o ColumnarStats) {
 }
 
 // colReader wraps the checkpoint reader with a reference count so that
-// the store can drop it (Close, or a checkpoint that drained every lazy
-// window) while a concurrent materialization is mid-scan: the mapping is
-// unmapped only when the last user releases. name is the file it reads,
-// which compaction spares while the reader lives.
+// the store can drop it (Close, or a checkpoint that moved the windows to
+// its own file) while a concurrent read is mid-scan: the mapping is
+// unmapped only when the last user releases.
 type colReader struct {
 	rd   *colblock.Reader
-	name string
 	refs atomic.Int64
 }
 
-func newColReader(rd *colblock.Reader, name string) *colReader {
-	cr := &colReader{rd: rd, name: name}
+func newColReader(rd *colblock.Reader) *colReader {
+	cr := &colReader{rd: rd}
 	cr.refs.Store(1) // owner reference, released by Close or checkpoint retirement
 	return cr
 }
@@ -102,11 +105,17 @@ func (cr *colReader) release() {
 	}
 }
 
-// lazyWin describes a window whose checkpoint base has not been
-// materialized: its tuple count and the zone-map union of its blocks.
+// lazyWin describes a window's base in the checkpoint file: its tuple
+// count and the zone-map union of its blocks.
 type lazyWin struct {
 	count                  int
 	minX, minY, maxX, maxY float64
+}
+
+// lazyFrom reads window c's entry off rd's directory.
+func lazyFrom(rd *colblock.Reader, c int) lazyWin {
+	z, _ := rd.WindowZone(c)
+	return lazyWin{count: z.Count, minX: z.MinX, minY: z.MinY, maxX: z.MaxX, maxY: z.MaxY}
 }
 
 // columnarState is the store's lazy-window bookkeeping. rd and lazy are
@@ -114,12 +123,11 @@ type lazyWin struct {
 // a stats lock.
 type columnarState struct {
 	rd   *colReader
-	lazy map[int]*lazyWin
+	lazy map[int]lazyWin // every entry describes a window of rd's file
 
 	// retiredStats carries the final counter snapshot of a dropped
-	// reader (Close, or a checkpoint that drained every lazy window) so
-	// ColumnarStats stays monotone across reader retirement. Guarded by
-	// s.mu.
+	// reader (Close, or a checkpoint's release) so ColumnarStats stays
+	// monotone across reader retirement. Guarded by s.mu.
 	retiredStats colblock.Stats
 
 	sidecarsWritten     atomic.Int64
@@ -130,7 +138,7 @@ type columnarState struct {
 
 // retireReaderLocked drops the store's owner reference on the checkpoint
 // reader, folding a final counter snapshot into retiredStats. An
-// in-flight materialization holding its own reference keeps the mapping
+// in-flight read holding its own reference keeps the mapping
 // alive until it releases (any counters it adds after this snapshot are
 // dropped — a bounded, read-only discrepancy). Caller holds s.mu.
 func (s *Store) retireReaderLocked() {
@@ -153,82 +161,64 @@ func (s *Store) retireReaderLocked() {
 // Nothing is registered unless everything checked out. Runs
 // single-threaded inside Open.
 func (s *Store) openCheckpoint(ck ckFile) (ckHeader, error) {
-	rd, err := colblock.OpenFile(filepath.Join(s.cfg.Dir, ck.name),
-		colblock.Options{DisableMmap: s.cfg.Columnar.DisableMmap})
+	rd, err := s.verifiedReader(ck.name, ck.seq)
 	if err != nil {
 		return ckHeader{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	meta := rd.Meta()
-	err = rd.CheckBlocks()
-	if err == nil && meta.Seq != ck.seq {
-		err = fmt.Errorf("file named %d holds checkpoint %d", ck.seq, meta.Seq)
-	}
-	if err != nil {
-		rd.Close()
-		return ckHeader{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
-	}
-	lazy := make(map[int]*lazyWin)
 	for _, c := range rd.Windows() {
-		z, _ := rd.WindowZone(c)
-		lazy[c] = &lazyWin{count: z.Count, minX: z.MinX, minY: z.MinY, maxX: z.MaxX, maxY: z.MaxY}
-		s.total += z.Count
+		lw := lazyFrom(rd, c)
+		s.col.lazy[c] = lw
+		s.total += lw.count
 	}
-	s.col.rd = newColReader(rd, ck.name)
-	s.col.lazy = lazy
+	s.col.rd = newColReader(rd)
+	meta := rd.Meta()
 	return ckHeader{seq: meta.Seq, horizon: meta.Horizon, tuples: rd.Tuples(), maxTime: meta.MaxTime}, nil
 }
 
-// materializeWindow installs window c's checkpoint base into memory:
-// decode it from the checkpoint file, then prepend it to whatever
-// segment-suffix tuples already accumulated in memory. Safe for
-// concurrent use; the loser of a materialization race discards its copy.
-func (s *Store) materializeWindow(c int) {
-	s.mu.Lock()
-	lw := s.col.lazy[c]
-	if lw == nil {
-		s.mu.Unlock()
-		return
+// verifiedReader opens the checkpoint file name and checks what a store
+// must know before it lets the file stand in for tuples it holds: the
+// footer, the sequence number, and the checksum of every block.
+func (s *Store) verifiedReader(name string, seq int) (*colblock.Reader, error) {
+	rd, err := s.openColumnar(filepath.Join(s.cfg.Dir, name))
+	if err != nil {
+		return nil, err
 	}
-	cr := s.col.rd
-	if cr != nil {
-		cr.acquire()
+	err = rd.CheckBlocks()
+	if got := rd.Meta().Seq; err == nil && got != seq {
+		err = fmt.Errorf("file named %d holds checkpoint %d", seq, got)
 	}
-	s.mu.Unlock()
+	if err != nil {
+		rd.Close()
+		return nil, err
+	}
+	return rd, nil
+}
 
-	var base tuple.Batch // stays nil unless the file yields exactly lw.count (> 0) tuples
-	if cr != nil {
-		b, err := cr.rd.WindowTuples(c)
-		cr.release()
-		if err == nil && len(b) == lw.count {
-			base = b
-		}
-	}
-	if base == nil {
-		// The base is unreadable (a block went bad after Open checked it,
-		// or the store was closed) and there is no second copy. A restart
-		// checks the file again and falls back past it; for this process
-		// the window serves its in-memory suffix only, and the failure is
-		// counted.
-		s.col.materializeFailures.Add(1)
-	}
-
+// baseUnreadable settles what a failed read of window c's base through cr
+// (nil: the store was closed) means. If a checkpoint has meanwhile moved
+// the window to a newer, verified file, nothing: the caller reads again.
+// Otherwise the base is gone — a block went bad after it was verified and
+// there is no second copy — and the window serves its in-memory suffix
+// from now on, counted once; a restart checks the file again and falls
+// back past it.
+func (s *Store) baseUnreadable(c int, cr *colReader) (again bool) {
 	s.mu.Lock()
-	if s.col.lazy[c] == nil {
-		// Evicted, or another materializer won; its installation stands.
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	lw, lazy := s.col.lazy[c]
+	switch {
+	case !lazy: // evicted, or another reader settled it
+		return false
+	case s.col.rd != cr:
+		return true
 	}
 	delete(s.col.lazy, c)
-	s.col.materializations.Add(1)
-	if len(base) > 0 {
-		s.windows[c] = append(base, s.windows[c]...)
-	}
-	s.total += len(base) - lw.count
-	s.mu.Unlock()
+	s.total -= lw.count
+	s.col.materializeFailures.Add(1)
+	return false
 }
 
 // WindowBounds returns the exact spatial bounding box of window W_c
-// without materializing it: the lazy base contributes its zone-map
+// without reading it: the lazy base contributes its zone-map
 // union, the in-memory part is scanned. ok is false for an empty or
 // absent window. The result is identical to Window(c).Bounds() — zone
 // maps are exact min/max — at none of the copying or decoding cost.
@@ -237,7 +227,7 @@ func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 	defer s.mu.RUnlock()
 	var r geo.Rect
 	ok := false
-	if lw := s.col.lazy[c]; lw != nil {
+	if lw, lazy := s.col.lazy[c]; lazy {
 		r = geo.Rect{Min: geo.Point{X: lw.minX, Y: lw.minY}, Max: geo.Point{X: lw.maxX, Y: lw.maxY}}
 		ok = true
 	}
@@ -256,50 +246,42 @@ func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 // region r — the merged two-source scan: a lazy base streams through the
 // checkpoint file's block iterator, which skips whole blocks whose zone
 // maps miss r, and the in-memory part (the post-checkpoint suffix, or the
-// whole window when nothing is lazy) is filtered directly. The window is
-// never materialized. The result's tuple set is exactly Window(c)
-// filtered by r, but its order is the file's (cell, time) sort followed
-// by the suffix's append order — use Window when append order matters.
+// whole window when nothing is lazy) is filtered directly. The result's
+// tuple set is exactly Window(c) filtered by r, but its order is the
+// file's (cell, time) sort followed by the suffix's append order — use
+// Window when append order matters.
 func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
-	s.mu.RLock()
-	lw := s.col.lazy[c]
-	var cr *colReader
-	if lw != nil && s.col.rd != nil {
-		cr = s.col.rd
-		cr.acquire()
-	}
-	var suffix tuple.Batch
-	for _, tp := range s.windows[c] {
-		if r.Contains(tp.Pos()) {
-			suffix = append(suffix, tp)
+	for {
+		s.mu.RLock()
+		_, lazy := s.col.lazy[c]
+		cr := s.col.rd
+		if lazy && cr != nil {
+			cr.acquire()
+		}
+		var suffix tuple.Batch
+		for _, tp := range s.windows[c] {
+			if r.Contains(tp.Pos()) {
+				suffix = append(suffix, tp)
+			}
+		}
+		s.mu.RUnlock()
+		if !lazy {
+			return suffix
+		}
+		if cr != nil {
+			var base tuple.Batch
+			_, _, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
+				base = append(base, tp)
+			})
+			cr.release()
+			if err == nil {
+				return append(base, suffix...)
+			}
+		}
+		if !s.baseUnreadable(c, cr) {
+			return suffix
 		}
 	}
-	s.mu.RUnlock()
-	if lw == nil {
-		return suffix
-	}
-	if cr != nil {
-		var base tuple.Batch
-		_, _, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
-			base = append(base, tp)
-		})
-		cr.release()
-		if err == nil {
-			return append(base, suffix...)
-		}
-	}
-	// The base could not be scanned (a block went bad, or the store was
-	// closed): materializing settles what the window holds from now on —
-	// and counts the failure — so filter that.
-	s.materializeWindow(c)
-	w := s.Window(c)
-	out := w[:0]
-	for _, tp := range w {
-		if r.Contains(tp.Pos()) {
-			out = append(out, tp)
-		}
-	}
-	return out
 }
 
 // ColumnarStats returns a snapshot of the checkpoint file's counters.

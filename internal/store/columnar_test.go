@@ -71,9 +71,10 @@ func copyDirTo(t *testing.T, src string) string {
 
 // TestColumnarLazyRecovery checks the headline behavior: a restart over a
 // checkpointed log recovers lazily (no tuples decoded), serves exact
-// counts and bounds from the footer, and
-// materializes windows bit-identically on demand — including a window
-// that is lazy base + replayed segment suffix.
+// counts and bounds from the footer, and decodes windows bit-identically
+// on demand — including a window that is lazy base + replayed segment
+// suffix — without installing them: a window read twice is decoded twice,
+// and stays lazy.
 func TestColumnarLazyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(colCfg(dir))
@@ -141,15 +142,29 @@ func TestColumnarLazyRecovery(t *testing.T) {
 			t.Fatalf("window %d differs after columnar recovery", c)
 		}
 	}
-	cs = r.ColumnarStats()
-	if cs.Materializations == 0 || cs.LazyWindows != 0 {
-		t.Fatalf("stats %+v: want all windows materialized after reads", cs)
+	read := r.ColumnarStats()
+	if read.LazyWindows != cs.LazyWindows {
+		t.Fatalf("stats %+v: reads moved LazyWindows from %d; a read decodes, it does not install", read, cs.LazyWindows)
 	}
-	if cs.MmapReads+cs.ReadAtReads == 0 || cs.BytesRead == 0 {
-		t.Fatalf("stats %+v: no reads accounted", cs)
+	// Windows 0–4 have a base in the file, window 5 is all suffix: five
+	// bases decoded, one block each.
+	if read.Materializations != 5 || read.BlocksScanned != 5 || read.MmapReads+read.ReadAtReads != 5 || read.BytesRead == 0 {
+		t.Fatalf("stats %+v: want 5 bases decoded from 5 blocks", read)
 	}
-	if cs.MaterializeFailures != 0 {
-		t.Fatalf("stats %+v: unexpected failures on a clean checkpoint", cs)
+	for c := 0; c <= 5; c++ {
+		if got := r.Window(c); !batchBitEqual(got, want[c]) {
+			t.Fatalf("window %d differs on the second read", c)
+		}
+	}
+	again := r.ColumnarStats()
+	if again.BlocksScanned != 2*read.BlocksScanned || again.BytesRead != 2*read.BytesRead || again.LazyWindows != cs.LazyWindows {
+		t.Fatalf("stats %+v after a second read of every window, %+v after the first: the second must cost what the first did", again, read)
+	}
+	if again.MaterializeFailures != 0 {
+		t.Fatalf("stats %+v: unexpected failures on a clean checkpoint", again)
+	}
+	if r.Len() != wantLen {
+		t.Fatalf("Len = %d after the reads, want %d", r.Len(), wantLen)
 	}
 }
 
@@ -196,7 +211,8 @@ func TestColumnarDisableMmap(t *testing.T) {
 // block (leaving its footer intact). Found at Open, the candidate is
 // rejected and recovery falls back — to the next candidate or to the kept
 // segments — without losing a tuple; appearing after Open has checked the
-// file, it degrades the window to its in-memory suffix and is counted.
+// file — at Open, or by the read-back of the checkpoint that wrote it — it
+// degrades the window to its in-memory suffix and is counted.
 // (With KeepSegments 0 a fallback can only recover what the surviving
 // files hold — the same as for any unreadable checkpoint.)
 func TestColumnarCorruptBlockFallsBack(t *testing.T) {
@@ -319,16 +335,105 @@ func TestColumnarCorruptBlockFallsBack(t *testing.T) {
 				t.Fatalf("window %d differs", c)
 			}
 		}
+		// Checkpoint 1 holds windows 0–2: window 0 lost its base, 1 and 2
+		// keep theirs after the reads.
 		cs := r.ColumnarStats()
-		if cs.MaterializeFailures != 1 || cs.LazyWindows != 0 {
-			t.Fatalf("stats %+v: want exactly window 0 counted as a failed materialization", cs)
+		if cs.MaterializeFailures != 1 || cs.LazyWindows != 2 {
+			t.Fatalf("stats %+v: want exactly window 0 counted as a failed read, windows 1 and 2 still lazy", cs)
+		}
+		if got, wantLen := r.Len(), len(want[1])+len(want[2])+len(want[3]); got != wantLen {
+			t.Fatalf("Len = %d, want %d: the lost base no longer counts", got, wantLen)
+		}
+		// Settled once: reading the degraded window again neither finds
+		// tuples nor counts a second failure.
+		if got := r.Window(0); len(got) != 0 {
+			t.Fatalf("window 0 served %d tuples on the second read", len(got))
+		}
+		if cs := r.ColumnarStats(); cs.MaterializeFailures != 1 {
+			t.Fatalf("stats %+v: the same lost base was counted twice", cs)
+		}
+	})
+
+	// The same damage to the file a running store released its windows to.
+	t.Run("after-release", func(t *testing.T) {
+		cfg := colCfg(t.TempDir())
+		cfg.Columnar.DisableMmap = true // pread sees the file as it is now
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rng := rand.New(rand.NewSource(3))
+		if err := s.Append(randBatch(rng, 600, 0, 300)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[int]tuple.Batch{}
+		for _, c := range []int{1, 2} {
+			want[c] = s.Window(c)
+		}
+		if cs := s.ColumnarStats(); cs.LazyWindows != 3 || cs.MaterializeFailures != 0 {
+			t.Fatalf("stats %+v: want the three checkpointed windows released", cs)
+		}
+		flip(t, filepath.Join(cfg.Dir, checkpointName(0)))
+
+		// The next checkpoint has to carry window 0's block over, and the
+		// one after that — window 0 has a suffix by then — to decode it:
+		// both fail on the bad block, and the file they would have
+		// superseded stays the committed one.
+		suffix := randBatch(rng, 20, 0, 100)
+		for failures := int64(1); failures <= 2; failures++ {
+			if err := s.Checkpoint(); err == nil {
+				t.Fatal("a checkpoint read a block that fails its checksum")
+			}
+			if st := s.CheckpointStats(); st.Failures != failures || st.Checkpoints != 1 || st.LastSeq != 0 {
+				t.Fatalf("checkpoint stats %+v: want %d failures, checkpoint 0 still the last", st, failures)
+			}
+			if seq, _, err := readManifest(cfg.Dir); err != nil || seq != 0 {
+				t.Fatalf("MANIFEST names %d (%v), want 0", seq, err)
+			}
+			if _, err := os.Stat(filepath.Join(cfg.Dir, checkpointName(0))); err != nil {
+				t.Fatalf("the previous checkpoint file: %v", err)
+			}
+			if failures == 1 {
+				if err := s.Append(suffix); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		suffix.SortByTime()
+		want[0] = suffix
+		// Reads: window 0 serves its suffix, the others are whole.
+		for c, w := range want {
+			if got := s.Window(c); !batchBitEqual(got, w) {
+				t.Fatalf("window %d: %d tuples, want %d", c, len(got), len(w))
+			}
+		}
+		if got, wantLen := s.Len(), len(want[0])+len(want[1])+len(want[2]); got != wantLen {
+			t.Fatalf("Len = %d, want %d", got, wantLen)
+		}
+		if cs := s.ColumnarStats(); cs.MaterializeFailures != 1 || cs.LazyWindows != 2 {
+			t.Fatalf("stats %+v: want window 0 counted once, windows 1 and 2 still lazy", cs)
+		}
+		// Window 0 is now checkpointed as served, and nothing else touches
+		// the bad block.
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint after the window settled on its suffix: %v", err)
+		}
+		for c, w := range want {
+			if got := s.Window(c); !batchBitEqual(got, w) {
+				t.Fatalf("window %d differs after the second checkpoint", c)
+			}
 		}
 	})
 }
 
 // TestColumnarCheckpointOfLazyWindows checkpoints a store whose windows
-// were never materialized: the new checkpoint must carry the full data
-// (streamed from the old sidecar), proven by a third, clean restart.
+// were never read: the new checkpoint must carry the full data (block for
+// block from the old file, decoding nothing), proven by a third, clean
+// restart.
 func TestColumnarCheckpointOfLazyWindows(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(colCfg(dir))
@@ -356,10 +461,14 @@ func TestColumnarCheckpointOfLazyWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mid.ColumnarStats().Materializations != 0 {
-		t.Fatal("append alone must not materialize windows")
+		t.Fatal("append alone must not decode windows")
 	}
 	if err := mid.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	// The suffix is a window of its own: all three old ones are unchanged.
+	if cs := mid.ColumnarStats(); cs.BlocksScanned != 0 || cs.BytesRead != 0 || cs.LazyWindows != 4 {
+		t.Fatalf("stats %+v: unchanged windows must be carried over without a decode, and all four released", cs)
 	}
 	want := map[int]tuple.Batch{}
 	for _, c := range mid.WindowIndexes() {
@@ -412,6 +521,40 @@ func TestColumnarEquivalenceRandomHistories(t *testing.T) {
 				if err := s.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
+				requireSameState(t, fmt.Sprintf("trial %d op %d: checkpointed", trial, i), s, ref)
+				continue
+			case 3:
+				// Checkpoint, append into a window the checkpoint released,
+				// checkpoint again (base decoded, suffix merged, the rest
+				// carried over), then crash: what is on disk at that
+				// instant must reopen to the same state.
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				idxs := s.WindowIndexes()
+				if len(idxs) == 0 {
+					continue
+				}
+				c := idxs[rng.Intn(len(idxs))]
+				b := randBatch(rng, 1+rng.Intn(25), float64(c*100), float64(c*100+100))
+				if err := s.Append(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Append(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				requireSameState(t, fmt.Sprintf("trial %d op %d: running", trial, i), s, ref)
+				crashCfg := cfg
+				crashCfg.Dir = copyDirTo(t, dir)
+				crashed, err := Open(crashCfg)
+				if err != nil {
+					t.Fatalf("trial %d op %d: reopen after the crash: %v", trial, i, err)
+				}
+				requireSameState(t, fmt.Sprintf("trial %d op %d: crashed", trial, i), crashed, ref)
+				crashed.Close()
 				continue
 			case 2:
 				// Restart: checkpointed windows come back lazy, and the
@@ -523,7 +666,7 @@ func TestColumnarWindowRegion(t *testing.T) {
 	region := geo.Rect{Min: geo.Point{X: -500, Y: -500}, Max: geo.Point{X: 1500, Y: 1200}}
 	got := r.WindowRegion(0, region)
 	if r.ColumnarStats().Materializations != 0 {
-		t.Fatal("WindowRegion must not materialize the window")
+		t.Fatal("WindowRegion must not decode the whole base")
 	}
 	if cs := r.ColumnarStats(); cs.BlocksPruned == 0 {
 		t.Fatalf("stats %+v: clustered scan pruned nothing", cs)

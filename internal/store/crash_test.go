@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -384,12 +385,12 @@ func TestCrashFaultInjectionMatrix(t *testing.T) {
 }
 
 // TestCheckpointCutPoints pins the disk operations of one checkpoint, in
-// order — seal the segment, checkpoint file, MANIFEST, compaction — and,
-// for a crash before each of them, which state recovery finds: the old
-// checkpoint plus its two-segment suffix up to and including the rename
-// of MANIFEST (the new file is complete before that, but the committed
-// one is still there and comes first), the new one and the one open
-// segment after it. Never something in between, and the same tuples
+// order — seal the segment, checkpoint file, MANIFEST, the read-back,
+// compaction — and, for a crash before each of them, which state recovery
+// finds: the old checkpoint plus its two-segment suffix up to and including
+// the rename of MANIFEST (the new file is complete before that, but the
+// committed one is still there and comes first), the new one and the one
+// open segment after it. Never something in between, and the same tuples
 // either way.
 func TestCheckpointCutPoints(t *testing.T) {
 	dir := t.TempDir()
@@ -415,13 +416,21 @@ func TestCheckpointCutPoints(t *testing.T) {
 		copyDir(t, dir, filepath.Join(snapRoot, fmt.Sprintf("cut%02d", len(ops))))
 		ops = append(ops, op+" "+filepath.Base(path))
 	}
+	open := s.openColumnar
 	s.syncSeg = func(f *os.File) error { cut("sync", f.Name()); return f.Sync() }
 	s.renameFile = func(o, n string) error { cut("rename", n); return os.Rename(o, n) }
 	s.removeFile = func(p string) error { cut("remove", p); return os.Remove(p) }
+	s.openColumnar = func(p string) (*colblock.Reader, error) { cut("verify", p); return open(p) }
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.syncSeg = func(f *os.File) error { return f.Sync() }
+	// The running store serves the same tuples from the file it released
+	// them to.
+	if cs := s.ColumnarStats(); cs.LazyWindows != 3 {
+		t.Errorf("stats %+v: want all three windows released to the new file", cs)
+	}
+	sameTuples(t, collectTuples(s), want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +444,7 @@ func TestCheckpointCutPoints(t *testing.T) {
 		"sync MANIFEST.tmp",
 		"rename MANIFEST",
 		"sync " + data,
+		"verify checkpoint-000001.emc",
 		"remove segment-000001.emt",
 		"remove checkpoint-000000.emc",
 	}
@@ -463,4 +473,110 @@ func TestCheckpointCutPoints(t *testing.T) {
 		sameTuples(t, collectTuples(re), want)
 		re.Close()
 	}
+}
+
+// TestCheckpointReadBackFailureReleasesNothing damages the checkpoint file
+// between the rename of MANIFEST and the read-back. Nothing that was
+// durable fails — the file and MANIFEST stand — but the store releases
+// nothing and compacts nothing: the heap copy keeps serving, the attempt
+// counts as a failure, and a restart finds the committed file bad and falls
+// back to the previous one and the segments behind it. The next checkpoint
+// then goes through and releases.
+func TestCheckpointReadBackFailureReleasesNothing(t *testing.T) {
+	cfg := colCfg(t.TempDir())
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(Config{WindowLength: cfg.WindowLength})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	add := func(lo, hi float64) {
+		t.Helper()
+		b := randBatch(rng, 200, lo, hi)
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(0, 200)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(100, 400) // suffixes behind released bases, and two windows only in memory
+	before := s.ColumnarStats()
+
+	open := s.openColumnar
+	s.openColumnar = func(p string) (*colblock.Reader, error) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[20] ^= 0xff // inside the first block
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return open(p)
+	}
+	if err := s.Checkpoint(); !errors.Is(err, colblock.ErrCorrupt) {
+		t.Fatalf("checkpoint whose read-back finds a bad block: %v", err)
+	}
+	s.openColumnar = open
+	if st := s.CheckpointStats(); st.Failures != 1 || st.Checkpoints != 2 || st.LastSeq != 1 {
+		t.Fatalf("checkpoint stats %+v: want checkpoint 1 committed and one failure", st)
+	}
+	after := s.ColumnarStats()
+	if after.LazyWindows != before.LazyWindows || after.MaterializeFailures != 0 {
+		t.Fatalf("stats %+v, before the checkpoint %+v: nothing may be released to a file that failed its read-back", after, before)
+	}
+	requireSameState(t, "after the failed read-back", s, ref)
+	for _, name := range []string{checkpointName(0), checkpointName(1), "segment-000001.emt"} {
+		if _, err := os.Stat(filepath.Join(cfg.Dir, name)); err != nil {
+			t.Errorf("a checkpoint that failed its read-back compacted: %v", err)
+		}
+	}
+
+	// A crash now: recovery rejects the committed file and falls back.
+	crashCfg := cfg
+	crashCfg.Dir = copyDirTo(t, cfg.Dir)
+	re, err := Open(crashCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 0 || rs.CorruptCheckpoints != 1 {
+		t.Errorf("recovery %+v: want checkpoint 1 rejected, checkpoint 0 used", rs)
+	}
+	requireSameState(t, "restart after the failed read-back", re, ref)
+	re.Close()
+
+	// The running store carries on: the next checkpoint reads its bases
+	// from checkpoint 0, is read back, releases and compacts.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 4 {
+		t.Errorf("stats %+v: want all four windows released", cs)
+	}
+	requireSameState(t, "after the next checkpoint", s, ref)
+	for _, name := range []string{checkpointName(0), checkpointName(1)} {
+		if _, err := os.Stat(filepath.Join(cfg.Dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived the next compaction: %v", name, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 2 || rs.CorruptCheckpoints != 0 {
+		t.Errorf("recovery %+v: want checkpoint 2", rs)
+	}
+	requireSameState(t, "final restart", re, ref)
 }

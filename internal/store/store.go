@@ -42,8 +42,9 @@
 // horizon — the open segment is rotated as part of the checkpoint, so
 // the horizon is exact. Open
 // recovers from the newest valid checkpoint (preferring the one the
-// MANIFEST names), leaving its windows in the file until they are read
-// (columnar.go), and replays only the segments after its horizon; a
+// MANIFEST names), leaving its windows in the file — as a running store
+// leaves every window it has checkpointed (columnar.go) — and replays
+// only the segments after its horizon; a
 // corrupt or missing checkpoint falls back to the next candidate and
 // ultimately to full replay of whatever segments exist. Recovery also
 // finishes interrupted compactions and deletes segments it can prove
@@ -64,6 +65,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 )
 
@@ -136,11 +138,13 @@ type Config struct {
 // Store is a windowed, optionally durable raw-tuple store. It is safe for
 // concurrent use.
 type Store struct {
-	mu      sync.RWMutex
-	cfg     Config
-	windows map[int]tuple.Batch // window index c -> tuples in W_c
-	total   int                 // tuples currently held
-	maxTime float64             // largest timestamp ever appended
+	mu  sync.RWMutex
+	cfg Config
+	// windows maps window index c to the tuples of W_c held in memory: all
+	// of them, or those behind the window's lazy base (col.lazy).
+	windows map[int]tuple.Batch
+	total   int     // tuples currently held, lazy bases included
+	maxTime float64 // largest timestamp ever appended
 
 	seg    *segHandle // open segment, nil when durability is off
 	segSeq int
@@ -175,6 +179,12 @@ type Store struct {
 	ckSeq     int
 	ckStats   CheckpointStats
 	recovery  RecoveryStats
+	// ckSnapshot is set while a checkpoint is between taking its snapshot
+	// and releasing it, and ckEvicted collects the windows evicted
+	// meanwhile: what the snapshot says of them is about tuples the store
+	// no longer holds. Guarded by mu.
+	ckSnapshot bool
+	ckEvicted  []int
 
 	// frame is the segment frame of the batch being appended, rebuilt in
 	// place by every durable append (persistLocked runs under mu).
@@ -190,6 +200,9 @@ type Store struct {
 	// os.Remove.
 	renameFile func(oldpath, newpath string) error
 	removeFile func(path string) error
+	// openColumnar opens a checkpoint file for reading; the crash tests
+	// wrap it to see (and damage the file before) a checkpoint's read-back.
+	openColumnar func(path string) (*colblock.Reader, error)
 }
 
 // segHandle wraps an open segment file with a reference count so the
@@ -271,10 +284,14 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:        cfg,
 		windows:    make(map[int]tuple.Batch),
+		col:        columnarState{lazy: make(map[int]lazyWin)},
 		writeFrame: writeWhole,
 		syncSeg:    func(f *os.File) error { return f.Sync() },
 		renameFile: os.Rename,
 		removeFile: os.Remove,
+		openColumnar: func(path string) (*colblock.Reader, error) {
+			return colblock.OpenFile(path, colblock.Options{DisableMmap: cfg.Columnar.DisableMmap})
+		},
 	}
 	s.ckStats.LastSeq = -1
 	if cfg.Dir != "" {
@@ -747,16 +764,13 @@ func (s *Store) addToWindows(b tuple.Batch) {
 // room for p plus an eighth and appends to it stop regrowing (and
 // recopying) it. A window with no predecessor — the first one, or a late
 // tuple behind a gap — starts at n and grows as append does, and so does
-// the in-memory suffix of a window whose base is still lazy: materializing
-// it moves base and suffix into one new array anyway. Caller holds mu.
+// the in-memory suffix of a window with a lazy base: it holds what arrived
+// since the last checkpoint, not a window. Caller holds mu.
 func (s *Store) newWindowCap(c, n int) int {
-	if s.col.lazy[c] != nil {
+	if _, lazy := s.col.lazy[c]; lazy {
 		return n
 	}
-	p := len(s.windows[c-1])
-	if lw := s.col.lazy[c-1]; lw != nil {
-		p += lw.count
-	}
+	p := len(s.windows[c-1]) + s.col.lazy[c-1].count
 	return max(n, p+p/8)
 }
 
@@ -782,31 +796,42 @@ func (s *Store) unionIndexesLocked() []int {
 // checkpoint file, or (base + suffix) in both; eviction drops both
 // halves.
 func (s *Store) evictLocked() []int {
-	// The union holds at most len(windows)+len(lazy) indexes, so the common
-	// append — nothing to evict — returns before collecting and sorting them.
-	if s.cfg.Retain == 0 || len(s.windows)+len(s.col.lazy) <= s.cfg.Retain {
+	// The common append — nothing to evict — returns before collecting and
+	// sorting the indexes: the union holds at most len(windows)+len(lazy)
+	// of them, less the windows counted twice, a lazy base with a suffix.
+	// Those are looked for only when the sum alone does not settle it, and
+	// then among the windows in memory, which after a checkpoint are few.
+	if s.cfg.Retain == 0 {
+		return nil
+	}
+	n := len(s.windows) + len(s.col.lazy)
+	if n > s.cfg.Retain {
+		for c := range s.windows {
+			if _, lazy := s.col.lazy[c]; lazy {
+				n--
+			}
+		}
+	}
+	if n <= s.cfg.Retain {
 		return nil
 	}
 	idxs := s.unionIndexesLocked()
-	if len(idxs) <= s.cfg.Retain {
-		return nil
-	}
 	evicted := idxs[:len(idxs)-s.cfg.Retain]
 	for _, c := range evicted {
-		s.total -= len(s.windows[c])
+		s.total -= len(s.windows[c]) + s.col.lazy[c].count
 		delete(s.windows, c)
-		if lw := s.col.lazy[c]; lw != nil {
-			s.total -= lw.count
-			delete(s.col.lazy, c)
-		}
+		delete(s.col.lazy, c)
+	}
+	if s.ckSnapshot {
+		s.ckEvicted = append(s.ckEvicted, evicted...)
 	}
 	return evicted
 }
 
 // Window returns a copy of the tuples in window W_c, sorted by time, that
-// the caller may keep and mutate. A window still lazy in the checkpoint
-// file is materialized first, so callers see the full base + suffix
-// contents either way.
+// the caller may keep and mutate. A window whose base lies in the
+// checkpoint file is decoded from it — on every call: the store keeps no
+// second copy — so callers see the full base + suffix contents either way.
 func (s *Store) Window(c int) tuple.Batch { return s.WindowInto(nil, c) }
 
 // WindowInto is Window into memory the caller owns: it appends window
@@ -815,35 +840,55 @@ func (s *Store) Window(c int) tuple.Batch { return s.WindowInto(nil, c) }
 // window after window (a cover build) passes the same buffer, cut to
 // length 0, each time and copies each window once instead of allocating
 // one.
+//
+// One critical section takes the window's lazy entry, a reference to the
+// reader it belongs to and the in-memory suffix, so a checkpoint that
+// moves the window to its own file meanwhile changes nothing about what
+// this read returns; the base is then decoded outside the lock, straight
+// into dst.
 func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 	n := len(dst)
-	s.mu.RLock()
-	lazy := s.col.lazy[c] != nil
-	if !lazy {
-		dst = append(dst, s.windows[c]...)
-	}
-	s.mu.RUnlock()
-	if lazy {
-		s.materializeWindow(c)
+	for {
 		s.mu.RLock()
-		dst = append(dst, s.windows[c]...)
+		lw, lazy := s.col.lazy[c]
+		w := s.windows[c]
+		if !lazy {
+			dst = append(dst, w...)
+			s.mu.RUnlock()
+			break
+		}
+		cr := s.col.rd
+		if cr != nil {
+			cr.acquire()
+		}
+		dst = slices.Grow(dst, lw.count+len(w))[:n+lw.count+len(w)]
+		copy(dst[n+lw.count:], w)
 		s.mu.RUnlock()
+		if cr != nil {
+			err := cr.rd.DecodeWindow(dst[n:n+lw.count], c)
+			cr.release()
+			if err == nil {
+				s.col.materializations.Add(1)
+				break
+			}
+		}
+		if !s.baseUnreadable(c, cr) {
+			// The suffix is what the window holds from now on.
+			dst = dst[:n+copy(dst[n:], dst[n+lw.count:])]
+			break
+		}
+		dst = dst[:n]
 	}
 	dst[n:].SortByTime()
 	return dst
 }
 
 // WindowLen returns the number of tuples in window W_c without copying
-// (or materializing) it — the cheap emptiness/size probe for query
-// planning.
+// (or decoding) it — the cheap emptiness/size probe for query planning.
 func (s *Store) WindowLen(c int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.windows[c])
-	if lw := s.col.lazy[c]; lw != nil {
-		n += lw.count
-	}
-	return n
+	return len(s.windows[c]) + s.col.lazy[c].count
 }
 
 // LatestWindowIndex returns the index of the newest non-empty window.
