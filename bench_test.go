@@ -337,11 +337,15 @@ func BenchmarkQueryAfterIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			req := Request{T: 1800, X: 1200, Y: 800}
+			mnt, err := p.engine.MaintainerFor(p.engine.Default())
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p.engine.Maintainer().Invalidate(0) // late data arrived
-				p.WaitMaintenance()                 // no-op without the scheduler
+				mnt.Invalidate(0)   // late data arrived
+				p.WaitMaintenance() // no-op without the scheduler
 				b.StartTimer()
 				if _, err := p.Query(ctx, req); err != nil {
 					b.Fatal(err)

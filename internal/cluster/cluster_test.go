@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -104,13 +103,23 @@ func (t *nodeTransport) Exchange(req wire.Message) (wire.Message, error) {
 func newEngine(t *testing.T) *server.Engine {
 	t.Helper()
 	st := store.MustOpenMemory(windowLen)
-	e, err := server.NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 7}})
+	e, err := server.NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 7}}, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// storeLen is the number of tuples e holds for its default pollutant.
+func storeLen(t *testing.T, e *server.Engine) int {
+	t.Helper()
+	st, err := e.StoreFor(e.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Len()
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -189,7 +198,7 @@ func TestClusterRoutedIngestShards(t *testing.T) {
 
 	total := 0
 	for i, e := range f.engines {
-		n := e.Store().Len()
+		n := storeLen(t, e)
 		if n == 0 {
 			t.Errorf("node %d holds no tuples — sharding collapsed", i)
 		}
@@ -206,7 +215,7 @@ func TestClusterRoutedIngestShards(t *testing.T) {
 				want++
 			}
 		}
-		if got := e.Store().Len(); got != want {
+		if got := storeLen(t, e); got != want {
 			t.Errorf("node %d holds %d tuples, owns %d", i, got, want)
 		}
 	}
@@ -255,6 +264,59 @@ func TestClusterNonOwnerQueryEqualsOwner(t *testing.T) {
 	}
 	if f.link.Stats().Exchanges == 0 {
 		t.Error("netsim link saw no exchanges")
+	}
+
+	// Nodes built without transports cannot forward: an owned shard
+	// answers locally, a foreign one bounces with NotOwnerResponse naming
+	// its owner, and the named node answers the owner's value.
+	iso := make([]*cluster.Node, 3)
+	for i := range iso {
+		n, err := cluster.NewNode(cluster.NodeConfig{
+			Ring: f.ring, Self: i, Local: f.engines[i], Default: tuple.CO2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso[i] = n
+	}
+	byAddr := func(addr string) int {
+		for i := 0; i < f.ring.Nodes(); i++ {
+			if f.ring.Addr(i) == addr {
+				return i
+			}
+		}
+		t.Fatalf("bounce names unknown address %q", addr)
+		return -1
+	}
+	bounces := int64(0)
+	for _, req := range sampleRequests(data) {
+		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
+		want, err := f.engines[owner].Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qreq := wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}
+		for n, node := range iso {
+			resp := node.HandleMessage(qreq)
+			if n != owner {
+				wantBounce := wire.NotOwnerResponse{Owner: uint16(owner), Addr: f.ring.Addr(owner)}
+				if resp != wantBounce {
+					t.Fatalf("isolated node %d at (%v,%v): %#v, want %#v", n, req.X, req.Y, resp, wantBounce)
+				}
+				bounces++
+				resp = iso[byAddr(wantBounce.Addr)].HandleMessage(qreq)
+			}
+			if qr, ok := resp.(wire.QueryResponse); !ok || qr.Value != want {
+				t.Fatalf("isolated node %d at (%v,%v): %#v, owner %d answers %v", n, req.X, req.Y, resp, owner, want)
+			}
+		}
+	}
+	notOwner := int64(0)
+	for _, node := range iso {
+		notOwner += node.Stats().NotOwner
+	}
+	if bounces == 0 || notOwner != bounces {
+		t.Errorf("Stats().NotOwner sums to %d over %d bounces", notOwner, bounces)
 	}
 }
 
@@ -450,7 +512,7 @@ func TestClusterPartialIngestNotRetryable(t *testing.T) {
 		t.Fatalf("partial ingest maps to %v, want ErrPartialIngest", err)
 	}
 	// The surviving owners applied their slices exactly once.
-	applied := f.engines[0].Store().Len() + f.engines[1].Store().Len()
+	applied := storeLen(t, f.engines[0]) + storeLen(t, f.engines[1])
 	want := 0
 	for _, r := range data {
 		if f.ring.Owner(tuple.CO2, r.Pos()) != 2 {
@@ -482,178 +544,4 @@ func TestClusterPartialIngestNotRetryable(t *testing.T) {
 	if !errors.Is(err, cluster.ErrNodeUnreachable) {
 		t.Fatalf("all-failed ingest maps to %v, want ErrNodeUnreachable", err)
 	}
-}
-
-// TestShardedClientTalksToOwners verifies the client-side shard map: a
-// sharded transport fetches the ring once and then reaches owners
-// directly — against nodes with no forwarding links at all.
-func TestShardedClientTalksToOwners(t *testing.T) {
-	f := newFixture(t)
-	data := makeData()
-	f.load(t, data)
-	ctx := context.Background()
-
-	// Isolated nodes: no peer transports, so a misrouted request gets a
-	// NotOwner bounce instead of silent forwarding.
-	iso := make([]*cluster.Node, 3)
-	for i := 0; i < 3; i++ {
-		n, err := cluster.NewNode(cluster.NodeConfig{
-			Ring: f.ring, Self: i, Local: f.engines[i], Default: tuple.CO2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		iso[i] = n
-	}
-	handlerByAddr := func(addr string) (cluster.Handler, bool) {
-		for i := 0; i < f.ring.Nodes(); i++ {
-			if f.ring.Addr(i) == addr {
-				return iso[i], true
-			}
-		}
-		return nil, false
-	}
-	dial := func(addr string) (client.Transport, error) {
-		h, ok := handlerByAddr(addr)
-		if !ok {
-			return nil, fmt.Errorf("unknown address %q", addr)
-		}
-		return &handlerTransport{h: h, link: f.link}, nil
-	}
-	seed := &handlerTransport{h: iso[0], link: f.link}
-	sc := client.NewSharded(seed, dial)
-
-	reqs := sampleRequests(data)
-	for _, req := range reqs {
-		resp, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, ok := resp.(wire.QueryResponse)
-		if !ok {
-			t.Fatalf("unexpected response %#v", resp)
-		}
-		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		want, err := f.engines[owner].Query(ctx, req)
-		if err != nil || qr.Value != want {
-			t.Fatalf("sharded client got %v, owner answers %v (err %v)", qr.Value, want, err)
-		}
-	}
-	st := sc.Stats()
-	if st.Direct != int64(len(reqs)) {
-		t.Errorf("direct exchanges %d, want %d (every query straight to its owner)", st.Direct, len(reqs))
-	}
-	if st.Bounced != 0 {
-		t.Errorf("fresh ring bounced %d times", st.Bounced)
-	}
-	if st.Refreshes != 1 {
-		t.Errorf("ring fetched %d times, want 1", st.Refreshes)
-	}
-}
-
-// TestShardedClientRetryOnWrongOwner serves the client a stale ring
-// whose node addresses are rotated: every query lands on the wrong
-// node, gets a NotOwner bounce naming the true owner, and the client
-// must retry there successfully.
-func TestShardedClientRetryOnWrongOwner(t *testing.T) {
-	f := newFixture(t)
-	data := makeData()
-	f.load(t, data)
-	ctx := context.Background()
-
-	iso := make([]*cluster.Node, 3)
-	for i := 0; i < 3; i++ {
-		n, err := cluster.NewNode(cluster.NodeConfig{
-			Ring: f.ring, Self: i, Local: f.engines[i], Default: tuple.CO2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		iso[i] = n
-	}
-	// The stale ring maps every shard to the *next* node's address.
-	desc := f.ring.Desc()
-	rotated := make([]string, len(desc.Nodes))
-	for i := range desc.Nodes {
-		rotated[i] = desc.Nodes[(i+1)%len(desc.Nodes)]
-	}
-	staleRing, err := cluster.NewRing(cluster.Desc{Nodes: rotated, Cells: desc.Cells, VNodes: desc.VNodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byAddr := func(addr string) cluster.Handler {
-		for i := 0; i < f.ring.Nodes(); i++ {
-			if f.ring.Addr(i) == addr {
-				return iso[i]
-			}
-		}
-		return nil
-	}
-	dial := func(addr string) (client.Transport, error) {
-		h := byAddr(addr)
-		if h == nil {
-			return nil, fmt.Errorf("unknown address %q", addr)
-		}
-		return &handlerTransport{h: h, link: f.link}, nil
-	}
-	sc := client.NewSharded(&staleSeed{ring: staleRing}, dial)
-
-	for _, req := range sampleRequests(data) {
-		resp, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, ok := resp.(wire.QueryResponse)
-		if !ok {
-			t.Fatalf("unexpected response %#v", resp)
-		}
-		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		want, qerr := f.engines[owner].Query(ctx, req)
-		if qerr != nil || qr.Value != want {
-			t.Fatalf("after bounce got %v, owner answers %v (err %v)", qr.Value, want, qerr)
-		}
-	}
-	if sc.Stats().Bounced == 0 {
-		t.Error("stale ring produced no bounces — the retry path went untested")
-	}
-}
-
-// handlerTransport invokes a handler in-process with full encode/decode
-// round trips charged to a netsim link.
-type handlerTransport struct {
-	h    cluster.Handler
-	link *netsim.Link
-}
-
-func (t *handlerTransport) Exchange(req wire.Message) (wire.Message, error) {
-	reqB, err := wire.Binary.Encode(req)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := wire.Binary.Decode(reqB)
-	if err != nil {
-		return nil, err
-	}
-	resp := t.h.HandleMessage(decoded)
-	respB, err := wire.Binary.Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := t.link.Exchange(len(reqB), len(respB)); err != nil {
-		return nil, err
-	}
-	return wire.Binary.Decode(respB)
-}
-
-// staleSeed answers ring requests with an outdated ring and nothing
-// else — a bootstrap node that fell behind a reconfiguration.
-type staleSeed struct {
-	ring *cluster.Ring
-}
-
-func (s *staleSeed) Exchange(req wire.Message) (wire.Message, error) {
-	if _, ok := req.(wire.RingRequest); ok {
-		return s.ring.Wire(), nil
-	}
-	return wire.ErrorResponse{Msg: "stale seed answers only ring requests"}, nil
 }

@@ -8,22 +8,19 @@ package cluster_test
 // errors on the query path (reads fail over), killing a shard's whole
 // replica set degrades scatter-gather to a marked partial result
 // instead of an all-or-nothing 502, a severed replication stream heals
-// through pull catch-up, routed subscriptions re-home their dead leg at
-// a replica, and the sharded client fails over and hedges. Runs under
-// -race.
+// through pull catch-up, and routed subscriptions re-home their dead leg
+// at a replica. Runs under -race.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -610,150 +607,4 @@ func TestReplicaSubscriptionRehome(t *testing.T) {
 			updated[p.Index] = true
 		}
 	}
-}
-
-// TestShardedClientFailsOverToReplica: satellite 1 — a dial/exchange
-// error at the shard owner is treated like a bounce: the client
-// refreshes the ring and answers from a replica instead of erroring.
-func TestShardedClientFailsOverToReplica(t *testing.T) {
-	f := newReplicatedFixture(t)
-	data := makeData()
-	f.load(t, data)
-	samples := sampleRequests(data)
-	waitConverged(t, f, samples)
-	ctx := context.Background()
-
-	dial := func(addr string) (client.Transport, error) {
-		for i := 0; i < f.ring.Nodes(); i++ {
-			if f.ring.Addr(i) == addr {
-				return &nodeTransport{f: f, to: i}, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown address %q", addr)
-	}
-	sc := client.NewSharded(&nodeTransport{f: f, to: 0}, dial)
-
-	want := make([]float64, len(samples))
-	for i, req := range samples {
-		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		v, err := f.engines[owner].Query(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = v
-	}
-	// Warm the ring before the kill, then drop a non-seed node.
-	if _, err := sc.Exchange(wire.QueryRequest{T: samples[0].T, X: samples[0].X, Y: samples[0].Y, Pollutant: tuple.CO2}); err != nil {
-		t.Fatal(err)
-	}
-	const victim = 1
-	f.kill(victim)
-
-	victimHits := 0
-	for i, req := range samples {
-		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		if owner == victim {
-			victimHits++
-		}
-		resp, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-		if err != nil {
-			t.Fatalf("query owned by %d failed after killing %d: %v", owner, victim, err)
-		}
-		qr, ok := resp.(wire.QueryResponse)
-		if !ok {
-			t.Fatalf("unexpected response %#v", resp)
-		}
-		if qr.Value != want[i] {
-			t.Fatalf("failover answer %v at (%v,%v), owner answered %v", qr.Value, req.X, req.Y, want[i])
-		}
-	}
-	if victimHits == 0 {
-		t.Fatal("no sample owned by the victim")
-	}
-	if sc.Stats().Failovers == 0 {
-		t.Error("no exchange counted as failed over")
-	}
-}
-
-// TestShardedClientHedgedReads: a slow primary is raced by a hedge
-// probe at the replica after the p99-derived delay; the probe's
-// byte-equal answer wins.
-func TestShardedClientHedgedReads(t *testing.T) {
-	f := newReplicatedFixture(t)
-	data := makeData()
-	f.load(t, data)
-	samples := sampleRequests(data)
-	waitConverged(t, f, samples)
-	ctx := context.Background()
-
-	const slowNode = 0
-	const slowBy = 30 * time.Millisecond
-	dial := func(addr string) (client.Transport, error) {
-		for i := 0; i < f.ring.Nodes(); i++ {
-			if f.ring.Addr(i) == addr {
-				var tr client.Transport = &nodeTransport{f: f, to: i}
-				if i == slowNode {
-					tr = &slowTransport{inner: tr, delay: slowBy}
-				}
-				return tr, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown address %q", addr)
-	}
-	sc := client.NewSharded(&nodeTransport{f: f, to: 1}, dial)
-	sc.SetHedging(true)
-
-	var slowOwned []time.Duration // wall time of each exchange the slow node owns
-	for i, req := range samples {
-		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
-		want, err := f.engines[owner].Query(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		resp, err := sc.Exchange(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-		took := time.Since(start)
-		if err != nil {
-			t.Fatalf("hedged query %d: %v", i, err)
-		}
-		qr, ok := resp.(wire.QueryResponse)
-		if !ok {
-			t.Fatalf("unexpected response %#v", resp)
-		}
-		if qr.Value != want {
-			t.Fatalf("hedged answer %v at (%v,%v), owner answers %v", qr.Value, req.X, req.Y, want)
-		}
-		if owner == slowNode {
-			slowOwned = append(slowOwned, took)
-		}
-	}
-	if len(slowOwned) == 0 {
-		t.Fatal("no sample owned by the slow node")
-	}
-	// The replica's probe answered, not the 30 ms primary: the typical
-	// read of a slow-node shard finishes before the primary could have.
-	slices.Sort(slowOwned)
-	if median := slowOwned[len(slowOwned)/2]; median >= slowBy {
-		t.Errorf("median hedged read of a slow-node shard took %v, not below the primary's %v (%d reads)",
-			median, slowBy, len(slowOwned))
-	}
-	st := sc.Stats()
-	if st.Hedged == 0 {
-		t.Error("no hedge probe launched against a 30ms primary with a 2ms hedge delay")
-	}
-	if st.HedgeWins == 0 {
-		t.Error("no hedge probe won against a 30ms primary")
-	}
-}
-
-// slowTransport injects fixed latency in front of a transport — the
-// "slow primary" of the hedging acceptance test.
-type slowTransport struct {
-	inner client.Transport
-	delay time.Duration
-}
-
-func (s *slowTransport) Exchange(req wire.Message) (wire.Message, error) {
-	time.Sleep(s.delay)
-	return s.inner.Exchange(req)
 }

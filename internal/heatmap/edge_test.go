@@ -6,9 +6,7 @@ package heatmap
 // legitimately produce.
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -117,28 +115,6 @@ func TestFromCoverRegionOutsideData(t *testing.T) {
 	for i, v := range g.Values {
 		if cv.ValueLo < cv.ValueHi && (v < cv.ValueLo || v > cv.ValueHi) {
 			t.Fatalf("cell %d = %v escapes clamp [%v, %v]", i, v, cv.ValueLo, cv.ValueHi)
-		}
-	}
-}
-
-func TestWritePGMConstantGrid(t *testing.T) {
-	// A constant grid has zero span; normalization must not divide by
-	// zero and should emit level 0 everywhere.
-	g := &Grid{
-		Region: region(), Cols: 2, Rows: 2, T: 0,
-		Values: []float64{7, 7, 7, 7},
-	}
-	var buf bytes.Buffer
-	if err := g.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "P2\n2 2\n255\n") {
-		t.Fatalf("bad PGM header:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[3:] {
-		if strings.TrimSpace(line) != "0 0" {
-			t.Fatalf("constant grid rendered %q, want zeros", line)
 		}
 	}
 }

@@ -96,34 +96,6 @@ func (g *Grid) WritePNG(w io.Writer) error {
 	return png.Encode(w, img)
 }
 
-// WritePGM renders the grid as a portable graymap normalized to the value
-// range — a dependency-free format convenient for golden-file tests and
-// terminal tooling.
-func (g *Grid) WritePGM(w io.Writer) error {
-	min, max := g.MinMax()
-	span := max - min
-	if span == 0 {
-		span = 1
-	}
-	if _, err := fmt.Fprintf(w, "P2\n%d %d\n255\n", g.Cols, g.Rows); err != nil {
-		return err
-	}
-	for j := g.Rows - 1; j >= 0; j-- {
-		for i := 0; i < g.Cols; i++ {
-			v := g.Values[j*g.Cols+i]
-			level := int(255 * (v - min) / span)
-			sep := " "
-			if i == g.Cols-1 {
-				sep = "\n"
-			}
-			if _, err := fmt.Fprintf(w, "%d%s", level, sep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // CentroidMarker is one emitting point of the web UI: a cover centroid
 // with its local pollution level and display band.
 type CentroidMarker struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"image/png"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -104,31 +103,6 @@ func TestWritePNG(t *testing.T) {
 	b := img.Bounds()
 	if b.Dx() != 32 || b.Dy() != 24 {
 		t.Errorf("image is %dx%d, want 32x24", b.Dx(), b.Dy())
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	cv := testCover(t)
-	g, err := FromCover(cv, region(), 8, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "P2\n8 4\n255\n") {
-		t.Errorf("bad PGM header: %q", out[:20])
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3+4 {
-		t.Errorf("PGM has %d lines, want 7", len(lines))
-	}
-	for _, line := range lines[3:] {
-		if got := len(strings.Fields(line)); got != 8 {
-			t.Errorf("PGM row has %d values, want 8", got)
-		}
 	}
 }
 

@@ -39,18 +39,6 @@ func BenchmarkSearchRadius5000(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	t, err := New(DefaultMaxEntries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Insert(geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}, Item(i))
-	}
-}
-
 func BenchmarkBulkLoad5000(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pts := make([]geo.Point, 5000)

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -29,80 +28,18 @@ func bruteRadius(pts []geo.Point, center geo.Point, radius float64) map[Item]boo
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(3); err == nil {
-		t.Error("expected error for maxEntries < 4")
+// bulk builds a tree over pts with item i for pts[i].
+func bulk(t testing.TB, pts []geo.Point, maxEntries int) *Tree {
+	t.Helper()
+	items := make([]Item, len(pts))
+	for i := range items {
+		items[i] = Item(i)
 	}
-	tr, err := New(8)
+	tr, err := Bulk(pts, items, maxEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 {
-		t.Errorf("new tree Len = %d", tr.Len())
-	}
-	if _, ok := tr.Bounds(); ok {
-		t.Error("empty tree should have no bounds")
-	}
-}
-
-func TestInsertAndSearchSmall(t *testing.T) {
-	tr, _ := New(4)
-	pts := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}, {X: 5, Y: 5}}
-	for i, p := range pts {
-		tr.Insert(p, Item(i))
-	}
-	if tr.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var got []Item
-	tr.SearchRadius(geo.Point{X: 5, Y: 5}, 7.1, func(p geo.Point, it Item) bool {
-		got = append(got, it)
-		return true
-	})
-	if len(got) != 5 {
-		t.Errorf("radius 7.1 found %d, want 5 (corner dist ≈ 7.07)", len(got))
-	}
-	got = nil
-	tr.SearchRadius(geo.Point{X: 5, Y: 5}, 1, func(p geo.Point, it Item) bool {
-		got = append(got, it)
-		return true
-	})
-	if len(got) != 1 || got[0] != 4 {
-		t.Errorf("radius 1 found %v, want [4]", got)
-	}
-}
-
-func TestInsertManyMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 2000)
-	tr, _ := New(DefaultMaxEntries)
-	for i, p := range pts {
-		tr.Insert(p, Item(i))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		center := geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}
-		radius := rng.Float64() * 2000
-		want := bruteRadius(pts, center, radius)
-		got := map[Item]bool{}
-		tr.SearchRadius(center, radius, func(p geo.Point, it Item) bool {
-			got[it] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d items, want %d", trial, len(got), len(want))
-		}
-		for it := range want {
-			if !got[it] {
-				t.Fatalf("trial %d: missing item %d", trial, it)
-			}
-		}
-	}
+	return tr
 }
 
 func TestBulkMatchesBruteForce(t *testing.T) {
@@ -141,6 +78,9 @@ func TestBulkErrorsAndEmpty(t *testing.T) {
 	if _, err := Bulk([]geo.Point{{X: 1}}, nil, 8); err == nil {
 		t.Error("expected length-mismatch error")
 	}
+	if _, err := Bulk(nil, nil, 3); err == nil {
+		t.Error("expected error for maxEntries < 4")
+	}
 	tr, err := Bulk(nil, nil, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -154,27 +94,12 @@ func TestBulkErrorsAndEmpty(t *testing.T) {
 	})
 }
 
-func TestSearchRect(t *testing.T) {
-	tr, _ := New(4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geo.Point{X: float64(i), Y: float64(i)}, Item(i))
-	}
-	var got []Item
-	tr.SearchRect(geo.Rect{Min: geo.Point{X: 10, Y: 10}, Max: geo.Point{X: 20, Y: 20}},
-		func(p geo.Point, it Item) bool {
-			got = append(got, it)
-			return true
-		})
-	if len(got) != 11 {
-		t.Errorf("rect search found %d, want 11 (10..20 inclusive)", len(got))
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
-	tr, _ := New(4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geo.Point{X: float64(i % 10), Y: float64(i / 10)}, Item(i))
+	pts := make([]geo.Point, 100)
+	for i := range pts {
+		pts[i] = geo.Point{X: float64(i % 10), Y: float64(i / 10)}
 	}
+	tr := bulk(t, pts, 4)
 	count := 0
 	tr.SearchRadius(geo.Point{X: 5, Y: 5}, 100, func(p geo.Point, it Item) bool {
 		count++
@@ -183,205 +108,77 @@ func TestSearchEarlyStop(t *testing.T) {
 	if count != 7 {
 		t.Errorf("early stop visited %d, want 7", count)
 	}
-	count = 0
-	tr.SearchRect(geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 100, Y: 100}}, func(p geo.Point, it Item) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("rect early stop visited %d, want 3", count)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randomPoints(rng, 500)
-	tr, _ := New(8)
-	for i, p := range pts {
-		tr.Insert(p, Item(i))
-	}
-	// Delete every third point.
-	deleted := map[Item]bool{}
-	for i := 0; i < len(pts); i += 3 {
-		if !tr.Delete(pts[i], Item(i)) {
-			t.Fatalf("Delete(%d) returned false", i)
-		}
-		deleted[Item(i)] = true
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	wantLen := len(pts) - len(deleted)
-	if tr.Len() != wantLen {
-		t.Fatalf("Len = %d, want %d", tr.Len(), wantLen)
-	}
-	// Deleted items must be gone; survivors must be findable.
-	got := map[Item]bool{}
-	tr.SearchRadius(geo.Point{X: 5000, Y: 5000}, 1e9, func(p geo.Point, it Item) bool {
-		got[it] = true
-		return true
-	})
-	if len(got) != wantLen {
-		t.Fatalf("full scan found %d, want %d", len(got), wantLen)
-	}
-	for it := range deleted {
-		if got[it] {
-			t.Fatalf("deleted item %d still present", it)
-		}
-	}
-	// Deleting a missing entry returns false.
-	if tr.Delete(geo.Point{X: -1, Y: -1}, 9999) {
-		t.Error("Delete of absent entry returned true")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr, _ := New(4)
-	pts := randomPoints(rand.New(rand.NewSource(4)), 200)
-	for i, p := range pts {
-		tr.Insert(p, Item(i))
-	}
-	for i, p := range pts {
-		if !tr.Delete(p, Item(i)) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after deleting all", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Tree remains usable.
-	tr.Insert(geo.Point{X: 1, Y: 1}, 7)
-	found := false
-	tr.SearchRadius(geo.Point{X: 1, Y: 1}, 1, func(p geo.Point, it Item) bool {
-		found = it == 7
-		return true
-	})
-	if !found {
-		t.Error("reinserted item not found")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	tr, _ := New(8)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geo.Point{X: float64(i * 10), Y: 0}, Item(i))
-	}
-	nn := tr.Nearest(geo.Point{X: 42, Y: 0}, 3)
-	if len(nn) != 3 {
-		t.Fatalf("got %d neighbors, want 3", len(nn))
-	}
-	if nn[0].Item != 4 { // x=40 is closest to 42
-		t.Errorf("nearest = %d, want 4", nn[0].Item)
-	}
-	if nn[1].Item != 5 || nn[2].Item != 3 {
-		t.Errorf("order = %d,%d want 5,3", nn[1].Item, nn[2].Item)
-	}
-	if !sort.SliceIsSorted(nn, func(i, j int) bool { return nn[i].Dist < nn[j].Dist }) {
-		t.Error("neighbors not sorted by distance")
-	}
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomPoints(rng, 1000)
-	tr, _ := New(DefaultMaxEntries)
-	for i, p := range pts {
-		tr.Insert(p, Item(i))
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}
-		k := 1 + rng.Intn(10)
-		nn := tr.Nearest(q, k)
-		if len(nn) != k {
-			t.Fatalf("got %d, want %d", len(nn), k)
-		}
-		// Brute force k-th distance.
-		ds := make([]float64, len(pts))
-		for i, p := range pts {
-			ds[i] = p.Dist(q)
-		}
-		sort.Float64s(ds)
-		for i := 0; i < k; i++ {
-			if diff := nn[i].Dist - ds[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %v, want %v", trial, i, nn[i].Dist, ds[i])
-			}
-		}
-	}
-}
-
-func TestNearestEdgeCases(t *testing.T) {
-	tr, _ := New(4)
-	if nn := tr.Nearest(geo.Point{}, 5); nn != nil {
-		t.Error("empty tree should return nil")
-	}
-	tr.Insert(geo.Point{X: 1}, 1)
-	if nn := tr.Nearest(geo.Point{}, 0); nn != nil {
-		t.Error("k=0 should return nil")
-	}
-	nn := tr.Nearest(geo.Point{}, 10)
-	if len(nn) != 1 {
-		t.Errorf("k > size should return all %d", len(nn))
-	}
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr, _ := New(4)
 	p := geo.Point{X: 5, Y: 5}
-	for i := 0; i < 50; i++ {
-		tr.Insert(p, Item(i))
+	pts := make([]geo.Point, 50)
+	for i := range pts {
+		pts[i] = p
 	}
+	tr := bulk(t, pts, 4)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
+	got := map[Item]bool{}
 	tr.SearchRadius(p, 0, func(q geo.Point, it Item) bool {
-		count++
+		got[it] = true
 		return true
 	})
-	if count != 50 {
-		t.Errorf("found %d duplicates, want 50", count)
-	}
-	if !tr.Delete(p, 25) {
-		t.Error("failed to delete one duplicate")
-	}
-	if tr.Len() != 49 {
-		t.Errorf("Len = %d, want 49", tr.Len())
+	if len(got) != len(pts) {
+		t.Errorf("found %d distinct duplicates, want %d", len(got), len(pts))
 	}
 }
 
+// TestInvariantsQuick packs random point sets at random fan-outs and
+// checks the structure and every answer of a random radius search
+// against brute force.
 func TestInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(500)
-		pts := randomPoints(rng, n)
-		tr, _ := New(4 + rng.Intn(12))
-		for i, p := range pts {
-			tr.Insert(p, Item(i))
-		}
+		pts := randomPoints(rng, rng.Intn(500))
+		tr := bulk(t, pts, 4+rng.Intn(29))
 		if tr.CheckInvariants() != nil {
 			return false
 		}
-		// Random deletions.
-		for i := 0; i < n/2; i++ {
-			tr.Delete(pts[i], Item(i))
+		center := geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}
+		radius := rng.Float64() * 3000
+		want := bruteRadius(pts, center, radius)
+		got := map[Item]bool{}
+		tr.SearchRadius(center, radius, func(p geo.Point, it Item) bool {
+			got[it] = true
+			return true
+		})
+		if len(got) != len(want) {
+			return false
 		}
-		return tr.CheckInvariants() == nil
+		for it := range want {
+			if !got[it] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestDepthGrowsLogarithmically checks STR's near-full packing: every
+// level holds ceil(n/M) nodes of the level below, so the height is the
+// least that fan-out M allows.
 func TestDepthGrowsLogarithmically(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr, _ := New(8)
-	for i, p := range randomPoints(rng, 5000) {
-		tr.Insert(p, Item(i))
+	const n, fanout = 5000, 8
+	tr := bulk(t, randomPoints(rand.New(rand.NewSource(6)), n), fanout)
+	got := 1
+	for nd := tr.root; !nd.leaf; nd = nd.children[0] {
+		got++
 	}
-	if d := tr.Depth(); d < 3 || d > 10 {
-		t.Errorf("depth = %d for 5000 points at fanout 8; expected 3..10", d)
+	want := 1
+	for nodes := (n + fanout - 1) / fanout; nodes > 1; nodes = (nodes + fanout - 1) / fanout {
+		want++
+	}
+	if got != want {
+		t.Errorf("depth = %d for %d points at fan-out %d, want %d", got, n, fanout, want)
 	}
 }

@@ -7,7 +7,8 @@
 //
 // Like the historical Python implementation, the tree is built once over a
 // window of tuples and is immutable afterwards; windows are rebuilt as the
-// stream advances, so mutability buys nothing.
+// stream advances, so mutability buys nothing. Radius search is the one
+// query it answers — the one the paper's indexed method issues.
 //
 // Only the radius processor in internal/query imports it
 // (query.NewVPTree, chosen by a request's processor kind "vptree"). The
@@ -18,9 +19,7 @@ package vptree
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/geo"
 )
@@ -184,70 +183,6 @@ func searchRadius(n *node, center geo.Point, radius float64, visit func(geo.Poin
 		}
 	}
 	return true
-}
-
-// Neighbor is a kNN result.
-type Neighbor struct {
-	Pt   geo.Point
-	Item Item
-	Dist float64
-}
-
-// Nearest returns the k entries closest to center in ascending distance
-// order (fewer if the tree is smaller than k).
-func (t *Tree) Nearest(center geo.Point, k int) []Neighbor {
-	if t.root == nil || k <= 0 {
-		return nil
-	}
-	var best []Neighbor
-	tau := math.Inf(1)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		d := n.pt.Dist(center)
-		if d < tau || len(best) < k {
-			best = append(best, Neighbor{n.pt, n.item, d})
-			sort.Slice(best, func(i, j int) bool { return best[i].Dist < best[j].Dist })
-			if len(best) > k {
-				best = best[:k]
-			}
-			if len(best) == k {
-				tau = best[k-1].Dist
-			}
-		}
-		// Search the more promising side first.
-		if d < n.threshold {
-			walk(n.inside)
-			if d+tau >= n.threshold {
-				walk(n.outside)
-			}
-		} else {
-			walk(n.outside)
-			if d-tau < n.threshold {
-				walk(n.inside)
-			}
-		}
-	}
-	walk(t.root)
-	return best
-}
-
-// Depth returns the height of the tree (0 for an empty tree).
-func (t *Tree) Depth() int {
-	var depth func(n *node) int
-	depth = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		di, do := depth(n.inside), depth(n.outside)
-		if do > di {
-			di = do
-		}
-		return 1 + di
-	}
-	return depth(t.root)
 }
 
 // CheckInvariants verifies the VP-tree partitioning invariant for every

@@ -2,7 +2,6 @@ package vptree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +33,14 @@ func buildTree(t *testing.T, pts []geo.Point) *Tree {
 	return tr
 }
 
+// depth is the height of the subtree at n (0 for nil).
+func depth(n *node) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + max(depth(n.inside), depth(n.outside))
+}
+
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build([]geo.Point{{X: 1}}, nil); err == nil {
 		t.Error("expected length-mismatch error")
@@ -42,22 +49,19 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.Depth() != 0 {
-		t.Errorf("empty tree Len=%d Depth=%d", tr.Len(), tr.Depth())
+	if tr.Len() != 0 || depth(tr.root) != 0 {
+		t.Errorf("empty tree Len=%d depth=%d", tr.Len(), depth(tr.root))
 	}
 	tr.SearchRadius(geo.Point{}, 100, func(geo.Point, Item) bool {
 		t.Error("empty tree must not visit")
 		return true
 	})
-	if nn := tr.Nearest(geo.Point{}, 3); nn != nil {
-		t.Error("empty Nearest should be nil")
-	}
 }
 
 func TestSinglePoint(t *testing.T) {
 	tr := buildTree(t, []geo.Point{{X: 5, Y: 5}})
-	if tr.Len() != 1 || tr.Depth() != 1 {
-		t.Errorf("Len=%d Depth=%d", tr.Len(), tr.Depth())
+	if tr.Len() != 1 || depth(tr.root) != 1 {
+		t.Errorf("Len=%d depth=%d", tr.Len(), depth(tr.root))
 	}
 	found := 0
 	tr.SearchRadius(geo.Point{X: 5, Y: 5}, 0, func(p geo.Point, it Item) bool {
@@ -115,42 +119,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randomPoints(rng, 1500)
-	tr := buildTree(t, pts)
-	for trial := 0; trial < 30; trial++ {
-		q := geo.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000}
-		k := 1 + rng.Intn(12)
-		nn := tr.Nearest(q, k)
-		if len(nn) != k {
-			t.Fatalf("got %d, want %d", len(nn), k)
-		}
-		ds := make([]float64, len(pts))
-		for i, p := range pts {
-			ds[i] = p.Dist(q)
-		}
-		sort.Float64s(ds)
-		for i := 0; i < k; i++ {
-			if diff := nn[i].Dist - ds[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %v, want %v", trial, i, nn[i].Dist, ds[i])
-			}
-		}
-	}
-}
-
-func TestNearestKLargerThanTree(t *testing.T) {
-	pts := randomPoints(rand.New(rand.NewSource(4)), 5)
-	tr := buildTree(t, pts)
-	nn := tr.Nearest(geo.Point{}, 50)
-	if len(nn) != 5 {
-		t.Errorf("got %d, want all 5", len(nn))
-	}
-	if !sort.SliceIsSorted(nn, func(i, j int) bool { return nn[i].Dist < nn[j].Dist }) {
-		t.Error("not sorted")
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	p := geo.Point{X: 3, Y: 3}
 	pts := make([]geo.Point, 40)
@@ -176,7 +144,7 @@ func TestDepthIsLogarithmicOnRandomData(t *testing.T) {
 	tr := buildTree(t, pts)
 	// Median splits give depth ~log2(n)=12; allow slack for duplicates on
 	// the boundary.
-	if d := tr.Depth(); d < 12 || d > 30 {
+	if d := depth(tr.root); d < 12 || d > 30 {
 		t.Errorf("depth = %d, want ~12..30", d)
 	}
 }

@@ -133,9 +133,6 @@ func (p *RTree) Interpolate(q Q) (float64, error) {
 	return sum / float64(count), nil
 }
 
-// Tree exposes the underlying index for the memory experiment (Fig 7a).
-func (p *RTree) Tree() *rtree.Tree { return p.tree }
-
 // VPTree answers queries with a vantage-point-tree radius search.
 type VPTree struct {
 	window tuple.Batch
@@ -177,9 +174,6 @@ func (p *VPTree) Interpolate(q Q) (float64, error) {
 	return sum / float64(count), nil
 }
 
-// Tree exposes the underlying index for the memory experiment (Fig 7a).
-func (p *VPTree) Tree() *vptree.Tree { return p.tree }
-
 // Cover answers queries by evaluating the model cover (§2.2 "Model
 // Cover"): nearest centroid, then model prediction. This is the method
 // whose efficiency, accuracy, and memory the paper's evaluation
@@ -206,10 +200,3 @@ func (p *Cover) Interpolate(q Q) (float64, error) {
 
 // CoverModel exposes the underlying cover for the memory experiment.
 func (p *Cover) CoverModel() *core.Cover { return p.cover }
-
-// Result pairs a query tuple with its interpolated value.
-type Result struct {
-	Q     Q
-	Value float64
-	Err   error
-}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -188,35 +187,6 @@ func TestCoverBeatsNaiveOnGradient(t *testing.T) {
 	}
 	if coverSSE >= naiveSSE {
 		t.Errorf("cover SSE %v should beat naive SSE %v", coverSSE, naiveSSE)
-	}
-}
-
-func TestRunContinuous(t *testing.T) {
-	w := gridWindow(10, 100)
-	p, err := NewNaive(w, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := []Q{
-		{T: 0, X: 450, Y: 450},
-		{T: 1, X: 99999, Y: 99999}, // no data
-		{T: 2, X: 100, Y: 100},
-	}
-	res, err := RunContinuousCtx(context.Background(), p, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if res[0].Err != nil || res[2].Err != nil {
-		t.Errorf("in-region queries errored: %v %v", res[0].Err, res[2].Err)
-	}
-	if !errors.Is(res[1].Err, ErrNoData) {
-		t.Errorf("out-of-region query: want ErrNoData, got %v", res[1].Err)
-	}
-	if res[0].Q != qs[0] {
-		t.Error("result must echo its query")
 	}
 }
 

@@ -7,7 +7,6 @@ package query
 // query methods.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -156,21 +155,4 @@ func BuildProcessor(o Options, w tuple.Batch, cv *core.Cover) (Processor, error)
 	default:
 		return nil, fmt.Errorf("query: unknown processor kind %q", o.Kind)
 	}
-}
-
-// RunContinuousCtx processes a continuous query — the registered mobile
-// object's stream of query tuples — through a processor, returning one
-// result per tuple (Query 1 semantics: each q_l yields one ŝ_l). It
-// stops at the first context error, returning the results produced so
-// far alongside the context's error.
-func RunContinuousCtx(ctx context.Context, p Processor, qs []Q) ([]Result, error) {
-	out := make([]Result, 0, len(qs))
-	for _, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		v, err := p.Interpolate(q)
-		out = append(out, Result{Q: q, Value: v, Err: err})
-	}
-	return out, nil
 }

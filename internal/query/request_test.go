@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -98,27 +97,5 @@ func TestOptionsWithDefaults(t *testing.T) {
 	o = Options{Kind: KindNaive, Radius: 10}.WithDefaults()
 	if o.Kind != KindNaive || o.Radius != 10 {
 		t.Errorf("explicit options clobbered: %+v", o)
-	}
-}
-
-func TestRunContinuousCtxCancellation(t *testing.T) {
-	w := tuple.Batch{{T: 1, X: 0, Y: 0, S: 400}}
-	p, err := NewNaive(w, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]Q, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := RunContinuousCtx(ctx, p, qs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if len(out) != 0 {
-		t.Errorf("cancelled run produced %d results", len(out))
-	}
-	out, err = RunContinuousCtx(context.Background(), p, qs)
-	if err != nil || len(out) != 10 {
-		t.Errorf("live run: %d results, err %v", len(out), err)
 	}
 }

@@ -33,8 +33,9 @@ func BenchmarkEngineQueryBatch100(b *testing.B) {
 	}
 	e := NewEngine(st, core.Config{Cluster: kmeans.Config{Seed: 1}})
 	defer e.Close()
+	mnt := defaultMaintainer(b, e)
 	for _, c := range st.WindowIndexes() {
-		if _, err := e.Maintainer().CoverFor(c); err != nil {
+		if _, err := mnt.CoverFor(c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,8 +83,8 @@ func BenchmarkLiveWindowWriteRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 1}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 1}}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func ingestBoth(t *testing.T, e *Engine) {
 func TestEngineCheckpointRestartAndStats(t *testing.T) {
 	root := t.TempDir()
 	stores := durableStores(t, root)
-	e, err := NewMultiEngine(stores, core.Config{Cluster: kmeans.Config{Seed: 9}})
+	e, err := NewMultiEngineOpts(stores, core.Config{Cluster: kmeans.Config{Seed: 9}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEngineCheckpointRestartAndStats(t *testing.T) {
 	// Restart: both shards must recover from their checkpoints, replay
 	// nothing, and warm-prime their covers in the background.
 	stores2 := durableStores(t, root)
-	e2, err := NewMultiEngine(stores2, core.Config{Cluster: kmeans.Config{Seed: 9}})
+	e2, err := NewMultiEngineOpts(stores2, core.Config{Cluster: kmeans.Config{Seed: 9}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

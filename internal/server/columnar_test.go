@@ -52,12 +52,12 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 	root := t.TempDir()
 	stores := columnarStores(t, root)
 	cfg := core.Config{Cluster: kmeans.Config{Seed: 11}}
-	e, err := NewMultiEngine(stores, cfg)
+	e, err := NewMultiEngineOpts(stores, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	storesRow := columnarStores(t, "")
-	er, err := NewMultiEngine(storesRow, cfg)
+	er, err := NewMultiEngineOpts(storesRow, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 	}
 
 	storesCol := columnarStores(t, root)
-	ec, err := NewMultiEngine(storesCol, cfg)
+	ec, err := NewMultiEngineOpts(storesCol, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

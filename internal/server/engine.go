@@ -148,7 +148,7 @@ type Engine struct {
 
 // NewEngine creates a single-pollutant engine over st with the given
 // Ad-KMN configuration; the monitored pollutant is cfg.Pollutant (CO2 by
-// default). Unlike NewMultiEngine it tolerates an out-of-range
+// default). Unlike NewMultiEngineOpts it tolerates an out-of-range
 // cfg.Pollutant, matching the pre-v1 constructor's leniency.
 func NewEngine(st *store.Store, cfg core.Config) *Engine {
 	e := &Engine{
@@ -159,12 +159,6 @@ func NewEngine(st *store.Store, cfg core.Config) *Engine {
 	}
 	e.startAsync(Options{})
 	return e
-}
-
-// NewMultiEngine creates an engine with one shard per pollutant and the
-// default pipeline/scheduler options; see NewMultiEngineOpts.
-func NewMultiEngine(stores map[tuple.Pollutant]*store.Store, cfg core.Config) (*Engine, error) {
-	return NewMultiEngineOpts(stores, cfg, Options{})
 }
 
 // NewMultiEngineOpts creates an engine with one shard per pollutant.
@@ -398,9 +392,6 @@ func (e *Engine) shardFor(p tuple.Pollutant) (*shard, error) {
 	return sh, nil
 }
 
-// Store returns the default pollutant's tuple store.
-func (e *Engine) Store() *store.Store { return e.shards[e.def].st }
-
 // StoreFor returns the tuple store of pollutant p.
 func (e *Engine) StoreFor(p tuple.Pollutant) (*store.Store, error) {
 	sh, err := e.shardFor(p)
@@ -409,9 +400,6 @@ func (e *Engine) StoreFor(p tuple.Pollutant) (*store.Store, error) {
 	}
 	return sh.st, nil
 }
-
-// Maintainer returns the default pollutant's cover maintainer.
-func (e *Engine) Maintainer() *core.Maintainer { return e.shards[e.def].maintainer }
 
 // MaintainerFor returns the cover maintainer of pollutant p.
 func (e *Engine) MaintainerFor(p tuple.Pollutant) (*core.Maintainer, error) {

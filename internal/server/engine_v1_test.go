@@ -37,10 +37,10 @@ func newMultiEngine(t *testing.T) *Engine {
 		}
 		return st
 	}
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{
 		tuple.CO2: mk(420, 0.05),
 		tuple.PM:  mk(20, 0.005),
-	}, core.Config{Cluster: kmeans.Config{Seed: 7}})
+	}, core.Config{Cluster: kmeans.Config{Seed: 7}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestHandleMessageRoutesTagsLiterally(t *testing.T) {
 	if err := st.Append(b); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.PM: st},
-		core.Config{Pollutant: tuple.PM, Cluster: kmeans.Config{Seed: 1}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.PM: st},
+		core.Config{Pollutant: tuple.PM, Cluster: kmeans.Config{Seed: 1}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

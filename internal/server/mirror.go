@@ -12,8 +12,8 @@ import (
 // length, retention and model configuration — so replaying the primary's
 // committed ingests converges to byte-equal answers — and no background
 // cover builders. A mirror is written on every streamed replica frame
-// but read only on failover, a hedged read, or not at all (promotion
-// replays its log into the node's own engine), so it is lazy: an applied
+// but read only on failover or not at all (promotion replays its log
+// into the node's own engine), so it is lazy: an applied
 // frame just drops the touched windows' covers, and a window's cover is
 // built when it is first read. The first failover read of a window
 // therefore pays one build. Mirrors are not persisted — a restarted

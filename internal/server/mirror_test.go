@@ -37,7 +37,7 @@ func TestMirrorEngineIsLazy(t *testing.T) {
 	if err := e.Ingest(ctx, tuple.CO2, seedBatch(tuple.CO2, 0, 100, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
-	mnt := e.Maintainer()
+	mnt := defaultMaintainer(t, e)
 	if got := mnt.CachedWindows(); len(got) != 0 {
 		t.Fatalf("applying a frame built covers %v", got)
 	}

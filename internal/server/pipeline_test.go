@@ -39,8 +39,8 @@ func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 11}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 11}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 	// Quiesce the background scheduler, then verify every touched window's
 	// cover is already cached — built off the query path.
 	e.Scheduler().Wait()
-	mnt := e.Maintainer()
+	mnt := defaultMaintainer(t, e)
 	cached := mnt.CachedWindows()
 	sort.Ints(cached)
 	if len(cached) != windows {
@@ -130,8 +130,8 @@ func TestIngestSkipsOutOfRetentionInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 12}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 12}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestIngestSkipsOutOfRetentionInvalidation(t *testing.T) {
 	if got.Scheduled != base.Scheduled {
 		t.Fatalf("dead window queued a build: scheduled %d -> %d", base.Scheduled, got.Scheduled)
 	}
-	cached := e.Maintainer().CachedWindows()
+	cached := defaultMaintainer(t, e).CachedWindows()
 	sort.Ints(cached)
 	for _, c := range cached {
 		if c == 1 {
@@ -171,8 +171,8 @@ func TestIngestSkipsOutOfRetentionInvalidation(t *testing.T) {
 // the engine is closed, while reads keep working.
 func TestEngineIngestAfterClose(t *testing.T) {
 	st := store.MustOpenMemory(100)
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 13}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 13}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +204,8 @@ func TestEngineIngestAfterClose(t *testing.T) {
 // window it landed in exactly once.
 func TestIngestInvalidatesEachTouchedWindowOnce(t *testing.T) {
 	st := store.MustOpenMemory(100)
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 16}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 16}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestIngestInvalidatesEachTouchedWindowOnce(t *testing.T) {
 		}
 		return b
 	}
-	mnt := e.Maintainer()
+	mnt := defaultMaintainer(t, e)
 	for _, tc := range []struct {
 		name  string
 		batch tuple.Batch
@@ -294,8 +294,8 @@ func TestEngineCloseLeavesNoStaleCover(t *testing.T) {
 // rejected at submit — it must not poison a coalesced append.
 func TestEngineIngestValidatesBeforeQueueing(t *testing.T) {
 	st := store.MustOpenMemory(100)
-	e, err := NewMultiEngine(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
-		core.Config{Cluster: kmeans.Config{Seed: 14}})
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+		core.Config{Cluster: kmeans.Config{Seed: 14}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,16 @@ func modeledTuples(cv *core.Cover) int {
 	return n
 }
 
+// defaultMaintainer is the cover maintainer of e's default pollutant.
+func defaultMaintainer(t testing.TB, e *Engine) *core.Maintainer {
+	t.Helper()
+	m, err := e.MaintainerFor(e.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // readAfterAck names the two ways a read is guaranteed to see an
 // acknowledged ingest: the default engine after the maintenance barrier
 // (until then the previous cover may still be served), and an engine
@@ -163,7 +173,11 @@ func TestEngineIngestInvalidatesCover(t *testing.T) {
 			if before == after {
 				t.Fatal("cover not rebuilt after late ingest")
 			}
-			if n, want := modeledTuples(after), e.Store().WindowLen(0); n != want {
+			st, err := e.StoreFor(e.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, want := modeledTuples(after), st.WindowLen(0); n != want {
 				t.Errorf("rebuilt cover models %d tuples, window holds %d", n, want)
 			}
 		})
@@ -577,7 +591,7 @@ func TestHTTPStatsMaintenanceCoalesced(t *testing.T) {
 	if _, err := e.CoverAt(context.Background(), tuple.CO2, 100); err != nil {
 		t.Fatal(err)
 	}
-	e.Scheduler().Schedule(e.Maintainer(), 0) // window 0 is current
+	e.Scheduler().Schedule(defaultMaintainer(t, e), 0) // window 0 is current
 	e.Scheduler().Wait()
 	if s := fetchStats(t, srv.URL); s.Maintenance.Coalesced != 1 || s.Maintenance.Built != 0 {
 		t.Errorf("maintenance = %+v, want the request coalesced and nothing built", s.Maintenance)

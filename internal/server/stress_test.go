@@ -40,7 +40,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 		tuple.CO2: mkStore(),
 		tuple.PM:  mkStore(),
 	}
-	e, err := NewMultiEngine(stores, core.Config{Cluster: kmeans.Config{Seed: 3}})
+	e, err := NewMultiEngineOpts(stores, core.Config{Cluster: kmeans.Config{Seed: 3}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

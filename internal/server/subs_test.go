@@ -445,7 +445,7 @@ func TestContinuousETagWithoutScheduler(t *testing.T) {
 	if w := do(etag); w.Code != http.StatusNotModified {
 		t.Fatalf("unchanged poll: %d, want 304", w.Code)
 	}
-	e.Maintainer().Invalidate(0)
+	defaultMaintainer(t, e).Invalidate(0)
 	w := do(etag)
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-invalidation poll: %d, want 200", w.Code)

@@ -891,26 +891,6 @@ func (s *Store) WindowLen(c int) int {
 	return len(s.windows[c]) + s.col.lazy[c].count
 }
 
-// LatestWindowIndex returns the index of the newest non-empty window.
-// ok is false when the store is empty.
-func (s *Store) LatestWindowIndex() (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	best := 0
-	first := true
-	for c := range s.windows {
-		if first || c > best {
-			best, first = c, false
-		}
-	}
-	for c := range s.col.lazy {
-		if first || c > best {
-			best, first = c, false
-		}
-	}
-	return best, !first
-}
-
 // WindowIndexes returns the indexes of all retained windows — in-memory
 // and lazy — in ascending order.
 func (s *Store) WindowIndexes() []int {

@@ -52,10 +52,6 @@ func TestAppendAndWindowing(t *testing.T) {
 	if got := len(s.Window(99)); got != 0 {
 		t.Errorf("missing window has %d tuples, want 0", got)
 	}
-	latest, ok := s.LatestWindowIndex()
-	if !ok || latest != 2 {
-		t.Errorf("LatestWindowIndex = %d,%v want 2,true", latest, ok)
-	}
 	if got := s.WindowIndexes(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Errorf("WindowIndexes = %v", got)
 	}
@@ -114,8 +110,8 @@ func TestRetentionEviction(t *testing.T) {
 
 func TestEmptyStore(t *testing.T) {
 	s := MustOpenMemory(10)
-	if _, ok := s.LatestWindowIndex(); ok {
-		t.Error("empty store should have no latest window")
+	if got := s.WindowIndexes(); len(got) != 0 {
+		t.Errorf("empty store retains windows %v", got)
 	}
 	if s.MaxTime() != 0 {
 		t.Error("empty MaxTime should be 0")
@@ -281,7 +277,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = s.Len()
-				_, _ = s.LatestWindowIndex()
+				_ = s.WindowIndexes()
 				_ = s.Window(i % 20)
 			}
 		}()

@@ -251,13 +251,6 @@ func (r *Registry) Unsubscribe(id uint64) bool {
 	return s.Close() == nil
 }
 
-// Get returns the live subscription with the given ID, or nil.
-func (r *Registry) Get(id uint64) *Subscription {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.subs[id]
-}
-
 // remove drops s from the index (idempotent; runs from Feed.Close).
 func (r *Registry) remove(s *Subscription) {
 	r.mu.Lock()

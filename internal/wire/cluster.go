@@ -41,8 +41,8 @@ const (
 	TypeForwarded
 )
 
-// RingRequest asks a node for the cluster ring — the bootstrap exchange
-// of a shard-aware client. It has no payload.
+// RingRequest asks a node for the cluster ring — how a peer refreshes
+// its ring after an epoch fence. It has no payload.
 type RingRequest struct{}
 
 // Type implements Message.
@@ -122,13 +122,13 @@ type HeatmapResponse struct {
 func (HeatmapResponse) Type() MsgType { return TypeHeatmapResponse }
 
 // NotOwnerResponse is a node declining a request for a shard it does not
-// own (and cannot forward): it names the owning node so a shard-aware
-// client can refresh its ring and retry there.
+// own (and cannot forward): it names the owning node so the caller can
+// retry there.
 type NotOwnerResponse struct {
 	Owner uint16 `json:"owner"`
 	Addr  string `json:"addr"`
 	// Epoch is the bouncing node's membership epoch (0 when pre-epoch).
-	// A client holding a ring with a lower epoch knows its placement is
+	// A caller holding a ring with a lower epoch knows its placement is
 	// stale — not merely disagreeing — and must refresh before retrying.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
