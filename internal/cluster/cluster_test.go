@@ -265,10 +265,14 @@ func TestClusterNonOwnerQueryEqualsOwner(t *testing.T) {
 	if f.link.Stats().Exchanges == 0 {
 		t.Error("netsim link saw no exchanges")
 	}
+}
 
-	// Nodes built without transports cannot forward: an owned shard
-	// answers locally, a foreign one bounces with NotOwnerResponse naming
-	// its owner, and the named node answers the owner's value.
+// isolatedNodes builds nodes over f's engines with no peer transports:
+// they cannot forward, so a foreign shard bounces with NotOwnerResponse.
+// A shard-aware wire client, routing by a cached ring, sees the same
+// contract.
+func isolatedNodes(t *testing.T, f *fixture) []*cluster.Node {
+	t.Helper()
 	iso := make([]*cluster.Node, 3)
 	for i := range iso {
 		n, err := cluster.NewNode(cluster.NodeConfig{
@@ -279,14 +283,85 @@ func TestClusterNonOwnerQueryEqualsOwner(t *testing.T) {
 		}
 		iso[i] = n
 	}
-	byAddr := func(addr string) int {
-		for i := 0; i < f.ring.Nodes(); i++ {
-			if f.ring.Addr(i) == addr {
-				return i
-			}
+	return iso
+}
+
+// nodeByAddr is the index of the ring node listening on addr.
+func nodeByAddr(t *testing.T, ring *cluster.Ring, addr string) int {
+	t.Helper()
+	for i := 0; i < ring.Nodes(); i++ {
+		if ring.Addr(i) == addr {
+			return i
 		}
-		t.Fatalf("bounce names unknown address %q", addr)
-		return -1
+	}
+	t.Fatalf("unknown node address %q", addr)
+	return -1
+}
+
+// TestShardedClientTalksToOwners checks the contract a shard-aware
+// client relies on: the ring fetched once over the wire from any node
+// names each shard's owner, and that owner answers directly — no
+// forwarding links, no bounce.
+func TestShardedClientTalksToOwners(t *testing.T) {
+	f := newFixture(t)
+	data := makeData()
+	f.load(t, data)
+	ctx := context.Background()
+	iso := isolatedNodes(t, f)
+
+	rr, ok := iso[0].HandleMessage(wire.RingRequest{}).(wire.RingResponse)
+	if !ok {
+		t.Fatal("node 0 did not answer RingRequest with a RingResponse")
+	}
+	ring, err := cluster.RingFromWire(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := sampleRequests(data)
+	for _, req := range reqs {
+		owner := ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
+		want, err := f.engines[owner].Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := iso[nodeByAddr(t, f.ring, ring.Addr(owner))]
+		resp := node.HandleMessage(wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
+		if qr, ok := resp.(wire.QueryResponse); !ok || qr.Value != want {
+			t.Fatalf("owner %d via fetched ring at (%v,%v): %#v, engine answers %v", owner, req.X, req.Y, resp, want)
+		}
+	}
+	local := int64(0)
+	for _, node := range iso {
+		st := node.Stats()
+		local += st.Local
+		if st.NotOwner != 0 || st.Forwarded != 0 {
+			t.Errorf("fetched ring misrouted: stats %+v", st)
+		}
+	}
+	if local != int64(len(reqs)) {
+		t.Errorf("owners answered %d of %d queries locally", local, len(reqs))
+	}
+}
+
+// TestShardedClientRetryOnWrongOwner routes every query by a stale ring
+// whose node addresses are rotated: each lands on the wrong node, bounces
+// with NotOwnerResponse naming the true owner, and the retry there
+// returns the owner's value.
+func TestShardedClientRetryOnWrongOwner(t *testing.T) {
+	f := newFixture(t)
+	data := makeData()
+	f.load(t, data)
+	ctx := context.Background()
+	iso := isolatedNodes(t, f)
+
+	desc := f.ring.Desc()
+	rotated := make([]string, len(desc.Nodes))
+	for i := range desc.Nodes {
+		rotated[i] = desc.Nodes[(i+1)%len(desc.Nodes)]
+	}
+	stale, err := cluster.NewRing(cluster.Desc{Nodes: rotated, Cells: desc.Cells, VNodes: desc.VNodes})
+	if err != nil {
+		t.Fatal(err)
 	}
 	bounces := int64(0)
 	for _, req := range sampleRequests(data) {
@@ -296,19 +371,19 @@ func TestClusterNonOwnerQueryEqualsOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 		qreq := wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}
-		for n, node := range iso {
-			resp := node.HandleMessage(qreq)
-			if n != owner {
-				wantBounce := wire.NotOwnerResponse{Owner: uint16(owner), Addr: f.ring.Addr(owner)}
-				if resp != wantBounce {
-					t.Fatalf("isolated node %d at (%v,%v): %#v, want %#v", n, req.X, req.Y, resp, wantBounce)
-				}
-				bounces++
-				resp = iso[byAddr(wantBounce.Addr)].HandleMessage(qreq)
-			}
-			if qr, ok := resp.(wire.QueryResponse); !ok || qr.Value != want {
-				t.Fatalf("isolated node %d at (%v,%v): %#v, owner %d answers %v", n, req.X, req.Y, resp, owner, want)
-			}
+		wrong := nodeByAddr(t, f.ring, stale.Addr(stale.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})))
+		if wrong == owner {
+			t.Fatalf("rotated ring still routes (%v,%v) to its owner %d", req.X, req.Y, owner)
+		}
+		resp := iso[wrong].HandleMessage(qreq)
+		wantBounce := wire.NotOwnerResponse{Owner: uint16(owner), Addr: f.ring.Addr(owner)}
+		if resp != wantBounce {
+			t.Fatalf("node %d at (%v,%v): %#v, want %#v", wrong, req.X, req.Y, resp, wantBounce)
+		}
+		bounces++
+		resp = iso[nodeByAddr(t, f.ring, wantBounce.Addr)].HandleMessage(qreq)
+		if qr, ok := resp.(wire.QueryResponse); !ok || qr.Value != want {
+			t.Fatalf("retry at (%v,%v): %#v, owner %d answers %v", req.X, req.Y, resp, owner, want)
 		}
 	}
 	notOwner := int64(0)

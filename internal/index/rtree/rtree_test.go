@@ -74,12 +74,33 @@ func TestBulkMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNewValidation checks fan-out validation, which New did before it
+// was folded into Bulk: below 4 is rejected, 4 and up build.
+func TestNewValidation(t *testing.T) {
+	pts := []geo.Point{{X: 1}, {X: 2}, {X: 3}, {X: 4}, {X: 5}}
+	items := []Item{0, 1, 2, 3, 4}
+	for _, m := range []int{-1, 0, 3} {
+		if _, err := Bulk(pts, items, m); err == nil {
+			t.Errorf("maxEntries %d: expected error for maxEntries < 4", m)
+		}
+	}
+	for _, m := range []int{4, 8} {
+		tr, err := Bulk(pts, items, m)
+		if err != nil {
+			t.Fatalf("maxEntries %d: %v", m, err)
+		}
+		if tr.Len() != len(pts) {
+			t.Errorf("maxEntries %d: Len = %d", m, tr.Len())
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("maxEntries %d: %v", m, err)
+		}
+	}
+}
+
 func TestBulkErrorsAndEmpty(t *testing.T) {
 	if _, err := Bulk([]geo.Point{{X: 1}}, nil, 8); err == nil {
 		t.Error("expected length-mismatch error")
-	}
-	if _, err := Bulk(nil, nil, 3); err == nil {
-		t.Error("expected error for maxEntries < 4")
 	}
 	tr, err := Bulk(nil, nil, 8)
 	if err != nil {
