@@ -21,10 +21,12 @@ import (
 // one proto frame; exceeding it would fail the peer exchange and make
 // an outage out of an oversized request. Rasters are rejected up
 // front; ingest slices are chunked transparently.
-var (
-	// maxHeatmapCells bounds a scatter-gathered raster: a
-	// HeatmapResponse is 45 + 8*cells bytes.
-	maxHeatmapCells = (proto.MaxFrameBytes - 64) / 8
+const (
+	// MaxHeatmapCells bounds a raster that crosses the wire: a
+	// HeatmapResponse is 45 + 8*cells bytes. The router refuses a larger
+	// scatter-gathered raster, and a single-node engine a larger TCP one,
+	// with ErrTooLarge before rendering it.
+	MaxHeatmapCells = (proto.MaxFrameBytes - 64) / 8
 	// maxIngestChunk bounds one forwarded ingest frame: an
 	// IngestRequest is 6 + 32*tuples bytes.
 	maxIngestChunk = (proto.MaxFrameBytes - 64) / 32
@@ -808,12 +810,12 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest) (wire.
 	if m.Cols < 1 || m.Rows < 1 {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("heatmap: grid %dx%d, want >= 1x1", m.Cols, m.Rows)}, nil
 	}
-	if int(m.Cols)*int(m.Rows) > maxHeatmapCells {
+	if int(m.Cols)*int(m.Rows) > MaxHeatmapCells {
 		// A larger raster could not cross back from the peers in one
 		// frame; reject loudly instead of silently rendering foreign
 		// shards from fallback grids.
 		return WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",
-			ErrTooLarge, m.Cols, m.Rows, maxHeatmapCells)), nil
+			ErrTooLarge, m.Cols, m.Rows, MaxHeatmapCells)), nil
 	}
 	ring := n.Ring()
 	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)

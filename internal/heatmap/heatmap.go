@@ -34,19 +34,37 @@ type Grid struct {
 	Values []float64
 }
 
-// FromCover rasterizes the cover over region at stream time t.
+// FromCover rasterizes the cover over region at stream time t into a new
+// grid.
 func FromCover(cv *core.Cover, region geo.Rect, cols, rows int, t float64) (*Grid, error) {
+	g := new(Grid)
+	if err := Render(g, cv, region, cols, rows, t); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Render rasterizes the cover over region at stream time t into g,
+// overwriting every field and reusing the capacity of g.Values: a caller
+// that renders many rasters of one size through the same grid allocates
+// nothing after the first. On an error g is left undefined.
+func Render(g *Grid, cv *core.Cover, region geo.Rect, cols, rows int, t float64) error {
 	if cv == nil || cv.Size() == 0 {
-		return nil, errors.New("heatmap: nil or empty cover")
+		return errors.New("heatmap: nil or empty cover")
 	}
 	if cols < 1 || rows < 1 {
-		return nil, fmt.Errorf("heatmap: grid %dx%d, want ≥ 1x1", cols, rows)
+		return fmt.Errorf("heatmap: grid %dx%d, want ≥ 1x1", cols, rows)
 	}
 	if !region.Valid() || region.Area() == 0 {
-		return nil, fmt.Errorf("heatmap: degenerate region %v", region)
+		return fmt.Errorf("heatmap: degenerate region %v", region)
 	}
-	g := &Grid{Region: region, Cols: cols, Rows: rows, T: t,
-		Values: make([]float64, cols*rows)}
+	vals := g.Values
+	if n := cols * rows; cap(vals) < n {
+		vals = make([]float64, n)
+	} else {
+		vals = vals[:n]
+	}
+	*g = Grid{Region: region, Cols: cols, Rows: rows, T: t, Values: vals}
 	dx := (region.Max.X - region.Min.X) / float64(cols)
 	dy := (region.Max.Y - region.Min.Y) / float64(rows)
 	for j := 0; j < rows; j++ {
@@ -55,12 +73,12 @@ func FromCover(cv *core.Cover, region geo.Rect, cols, rows int, t float64) (*Gri
 			x := region.Min.X + (float64(i)+0.5)*dx
 			v, err := cv.Interpolate(t, x, y)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			g.Values[j*cols+i] = v
+			vals[j*cols+i] = v
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // At returns the value of cell (i, j).

@@ -171,3 +171,28 @@ func BenchmarkLiveWindowWriteRead(b *testing.B) {
 	reader.Wait()
 	b.ReportMetric(float64(e.SchedulerStats().Built-built)/float64(b.N), "builds/write")
 }
+
+// BenchmarkHTTPHeatmap64 is the web interface's heatmap (Fig. 5b): a
+// 64×64 /v1/heatmap through API.ServeHTTP, the cover already built, so
+// the request pays parameter parsing, the raster, the markers and the
+// JSON encoding.
+func BenchmarkHTTPHeatmap64(b *testing.B) {
+	api, heat, _ := httpReadFixture(b)
+	w := newSinkWriter()
+	b.ReportAllocs()
+	for b.Loop() {
+		heat.serve(api, w)
+	}
+}
+
+// BenchmarkHTTPContinuous100 is the continuous query mode: a 100-point
+// route posted to /v1/query/continuous, decoded, answered as one batch
+// and encoded.
+func BenchmarkHTTPContinuous100(b *testing.B) {
+	api, _, route := httpReadFixture(b)
+	w := newSinkWriter()
+	b.ReportAllocs()
+	for b.Loop() {
+		route.serve(api, w)
+	}
+}

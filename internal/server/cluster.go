@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -74,8 +73,7 @@ func (a *API) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Addr string `json:"addr"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode join body: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if body.Addr == "" {

@@ -712,7 +712,7 @@ func (e *Engine) ingestSink(p tuple.Pollutant, b tuple.Batch) error {
 // Heatmap rasterizes pollutant p's cover at time t over the data's
 // bounding region.
 func (e *Engine) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error) {
-	g, _, err := e.heatmap(ctx, p, t, cols, rows, nil)
+	g, _, err := e.HeatmapCover(ctx, p, t, cols, rows)
 	return g, err
 }
 
@@ -720,43 +720,55 @@ func (e *Engine) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols
 // drawn from, so a caller that annotates the raster (centroid markers)
 // reads the same cover generation even when a rebuild lands meanwhile.
 func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
-	return e.heatmap(ctx, p, t, cols, rows, nil)
+	g := new(heatmap.Grid)
+	cv, err := e.heatmap(ctx, g, p, t, cols, rows, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, cv, nil
 }
 
 // HeatmapRegion rasterizes pollutant p's cover at time t over an
 // explicit region — the form a cluster router requests so every shard
 // renders a comparable extent.
 func (e *Engine) HeatmapRegion(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region geo.Rect) (*heatmap.Grid, error) {
-	g, _, err := e.heatmap(ctx, p, t, cols, rows, &region)
-	return g, err
+	g := new(heatmap.Grid)
+	if _, err := e.heatmap(ctx, g, p, t, cols, rows, &region); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-func (e *Engine) heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region *geo.Rect) (*heatmap.Grid, *core.Cover, error) {
+// heatmap renders pollutant p's cover at time t into g (see
+// heatmap.Render) over region, or over the window's data bounds when
+// region is nil, and returns the cover it drew.
+func (e *Engine) heatmap(ctx context.Context, g *heatmap.Grid, p tuple.Pollutant, t float64, cols, rows int, region *geo.Rect) (*core.Cover, error) {
 	sh, err := e.shardFor(p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cv, err := sh.coverAt(ctx, t)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if region != nil {
-		g, err := heatmap.FromCover(cv, *region, cols, rows, t)
-		return g, cv, err
+	if region == nil {
+		// WindowBounds answers from the columnar zone maps when the window
+		// is a lazy checkpointed base, so an implicit-bounds heatmap does
+		// not decode the window.
+		c := tuple.WindowIndex(t, sh.st.WindowLength())
+		bounds, ok := sh.st.WindowBounds(c)
+		if !ok {
+			return nil, fmt.Errorf("%w: no data in window", query.ErrOutOfWindow)
+		}
+		// A corridor of bus samples can be degenerate in one axis; inflate
+		// so the raster region always has area.
+		bounds = bounds.Inflate(100)
+		region = &bounds
 	}
-	// WindowBounds answers from the columnar zone maps when the window is
-	// a lazy checkpointed base, so an implicit-bounds heatmap does not
-	// decode the window.
-	c := tuple.WindowIndex(t, sh.st.WindowLength())
-	bounds, ok := sh.st.WindowBounds(c)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: no data in window", query.ErrOutOfWindow)
+	if err := heatmap.Render(g, cv, *region, cols, rows, t); err != nil {
+		return nil, err
 	}
-	// A corridor of bus samples can be degenerate in one axis; inflate so
-	// the raster region always has area.
-	bounds = bounds.Inflate(100)
-	g, err := heatmap.FromCover(cv, bounds, cols, rows, t)
-	return g, cv, err
+	return cv, nil
 }
 
 // HandleMessage implements the request/response protocol over any
@@ -824,6 +836,12 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		return wire.IngestResponse{Ingested: uint32(len(m.Tuples))}
 	case wire.HeatmapRequest:
 		cols, rows := int(m.Cols), int(m.Rows)
+		if cols*rows > cluster.MaxHeatmapCells {
+			// The response frame could not be written: refuse before
+			// rendering instead of dropping the connection after.
+			return cluster.WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",
+				cluster.ErrTooLarge, cols, rows, cluster.MaxHeatmapCells))
+		}
 		var (
 			grid *heatmap.Grid
 			err  error

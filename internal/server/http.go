@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -71,6 +74,117 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// Request-path bounds and buffer retention.
+const (
+	// maxBodyBytes bounds a JSON request body; a longer one is answered
+	// 413. The largest legitimate body is a wire.MaxBatchItems batch,
+	// ≈ 4.5 MB of JSON.
+	maxBodyBytes = 8 << 20
+	// maxHeatmapCells bounds an HTTP raster (cols × rows); a larger one is
+	// answered 400 before anything is rendered. 1 Mi cells is an 8 MiB
+	// raster and ≈ 20 MB of JSON.
+	maxHeatmapCells = 1 << 20
+	// keepBytes is the most a pooled body buffer or raster holds between
+	// requests, as proto's connection buffers: one large request does not
+	// stay pinned to the pool.
+	keepBytes = 64 << 10
+	// keepItems is the most points a pooled continuous or batch request
+	// state holds between requests.
+	keepItems = 1 << 10
+)
+
+// bodies lends decodeBody its read buffer, as colblock's scratches lends
+// scratch to concurrent reads.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody decodes r's JSON body into v through a pooled buffer. When
+// it cannot, it answers the request itself and returns false: 413 for a
+// body over maxBodyBytes, 400 for one json.Unmarshal rejects — bytes
+// after the value included.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body over %d bytes", maxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	}
+	return false
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > keepBytes {
+		return
+	}
+	buf.Reset()
+	bodies.Put(buf)
+}
+
+// grids lends the heatmap handlers the raster they render into; a grid
+// goes back only after its response has been written.
+var grids = sync.Pool{New: func() any { return new(heatmap.Grid) }}
+
+func putGrid(g *heatmap.Grid) {
+	if cap(g.Values)*8 > keepBytes {
+		return
+	}
+	grids.Put(g)
+}
+
+// queryState is the memory a continuous or batch request reuses: its
+// decoded body, the engine requests built from it and its response. It
+// goes back to queryStates only after the response has been written.
+type queryState struct {
+	route     continuousRequest
+	routeResp continuousResponse
+	batch     batchRequest
+	batchResp batchResponse
+	reqs      []query.Request
+}
+
+var queryStates = sync.Pool{New: func() any { return new(queryState) }}
+
+// getQueryState takes a state from the pool with its request bodies
+// emptied (see emptied).
+func getQueryState() *queryState {
+	st := queryStates.Get().(*queryState)
+	st.route.Points = emptied(st.route.Points)
+	st.batch.Requests = emptied(st.batch.Requests)
+	return st
+}
+
+func putQueryState(st *queryState) {
+	if max(cap(st.route.Points), cap(st.batch.Requests), cap(st.reqs),
+		cap(st.routeResp.Values), cap(st.batchResp.Values)) > keepItems {
+		return
+	}
+	queryStates.Put(st)
+}
+
+// requests returns st's engine requests resized to n.
+func (st *queryState) requests(n int) []query.Request {
+	st.reqs = slices.Grow(st.reqs[:0], n)[:n]
+	return st.reqs
+}
+
+// emptied zeroes s to its full capacity and returns it empty.
+// encoding/json decodes into a reused slice's old elements without
+// zeroing them, so without this a point that omits "t" would keep the
+// previous request's.
+func emptied[S ~[]E, E any](s S) S {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // asPartial recovers a partial-result marker (replicated cluster, dead
@@ -315,9 +429,10 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var br batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	st := getQueryState()
+	defer putQueryState(st)
+	br := &st.batch
+	if !decodeBody(w, r, br) {
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -331,7 +446,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	reqs := make([]query.Request, len(br.Requests))
+	reqs := st.requests(len(br.Requests))
 	for i, in := range br.Requests {
 		pol := routePol
 		if in.Pollutant != "" {
@@ -349,14 +464,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := batchResponse{Values: make([]batchItemResponse, len(rs))}
+	resp := &st.batchResp
+	resp.Values, resp.Errors = resp.Values[:0], 0
 	for i, res := range rs {
 		if res.Err != nil {
-			resp.Values[i] = batchItemResponse{Error: res.Err.Error()}
+			resp.Values = append(resp.Values, batchItemResponse{Error: res.Err.Error()})
 			resp.Errors++
 			continue
 		}
-		resp.Values[i] = batchItemResponse{pointResponse: pointResponseFor(reqs[i].Pollutant, res.Value)}
+		resp.Values = append(resp.Values, batchItemResponse{pointResponse: pointResponseFor(reqs[i].Pollutant, res.Value)})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -391,9 +507,10 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var req continuousRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	st := getQueryState()
+	defer putQueryState(st)
+	req := &st.route
+	if !decodeBody(w, r, req) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -402,7 +519,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	}
 	// One batch instead of a per-point loop: on a clustered node this
 	// costs one forwarded sub-batch per owner, not one hop per point.
-	reqs := make([]query.Request, len(req.Points))
+	reqs := st.requests(len(req.Points))
 	for i, p := range req.Points {
 		reqs[i] = query.Request{T: p.T, X: p.X, Y: p.Y, Pollutant: pol}
 	}
@@ -422,7 +539,8 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := continuousResponse{Values: make([]pointResponse, 0, len(rs))}
+	resp := &st.routeResp
+	resp.Values = resp.Values[:0]
 	var sum float64
 	for i, res := range rs {
 		if res.Err != nil {
@@ -487,8 +605,10 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Raster and centroid markers come from one HeatmapCover call.
-	grid, cv, err := a.HeatmapCover(r.Context(), pol, t, cols, rows)
+	g := grids.Get().(*heatmap.Grid)
+	defer putGrid(g)
+	// Raster and centroid markers come from one call.
+	grid, cv, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows, true)
 	pe, isPartial := asPartial(err)
 	if err != nil && !isPartial {
 		writeEngineError(w, err)
@@ -515,7 +635,9 @@ func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	grid, err := a.Heatmap(r.Context(), pol, t, cols, rows)
+	g := grids.Get().(*heatmap.Grid)
+	defer putGrid(g)
+	grid, _, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows, false)
 	if pe, ok := asPartial(err); ok {
 		partialHeaders(w, pe)
 	} else if err != nil {
@@ -543,6 +665,10 @@ func (a *API) heatmapParams(r *http.Request, defSize int) (t float64, cols, rows
 		// Rejected here so it is the caller's 400, not an untyped 500
 		// from the rasterizer.
 		err = fmt.Errorf("grid %dx%d: want at least 1x1", cols, rows)
+		return
+	}
+	if cols > maxHeatmapCells/rows {
+		err = fmt.Errorf("grid %dx%d: want at most %d cells", cols, rows, maxHeatmapCells)
 		return
 	}
 	pol, err = a.queryPollutant(r)
@@ -584,8 +710,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req routeSummaryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rec := route.NewRecorder(route.RecorderConfig{})
@@ -648,9 +773,9 @@ type ingestRequest struct {
 // handleIngest serves POST /v1/ingest; the pollutant comes from the
 // ?pollutant= parameter or the body's "pollutant" field.
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
+	// Decoded into fresh tuples: the pipeline keeps the batch.
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pol, err := a.queryPollutant(r)

@@ -29,7 +29,7 @@ import (
 
 // newTestStore holds a small two-window dataset with a known linear
 // field s = 420 + 0.05x + 0.02y.
-func newTestStore(t *testing.T) *store.Store {
+func newTestStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.MustOpenMemory(600)
 	rng := rand.New(rand.NewSource(1))
@@ -51,7 +51,7 @@ func newTestStore(t *testing.T) *store.Store {
 }
 
 // newTestEngine builds an engine over newTestStore's dataset.
-func newTestEngine(t *testing.T) *Engine {
+func newTestEngine(t testing.TB) *Engine {
 	t.Helper()
 	return NewEngine(newTestStore(t), core.Config{Cluster: kmeans.Config{Seed: 7}})
 }
