@@ -18,8 +18,8 @@
 // (wire.Binary.Decode never returns a message that aliases its input), a
 // message is encoded by wire.Binary.AppendEncode into the write buffer
 // behind its own length prefix and leaves in a single Write. A buffer that
-// one large frame grew past keepBytes is dropped after that frame, so an
-// idle connection holds at most keepBytes per direction.
+// one large frame grew past KeepBytes is dropped after that frame, so an
+// idle connection holds at most KeepBytes per direction.
 package proto
 
 import (
@@ -42,16 +42,17 @@ import (
 // just under this bound. 1 MiB stops hostile length prefixes.
 const MaxFrameBytes = 1 << 20
 
-// keepBytes is the largest buffer a connection keeps between frames: room
+// KeepBytes is the largest buffer a connection keeps between frames: room
 // for the everyday frames above, so those are read and written without
 // allocating, while the rare large one does not stay pinned to a
-// connection that may idle for minutes.
-const keepBytes = 64 << 10
+// connection that may idle for minutes. The HTTP layer's pooled body
+// buffers and rasters keep to the same bound.
+const KeepBytes = 64 << 10
 
 // keep returns what a connection holds on to of a buffer it has finished
 // with: the buffer emptied, or nothing when one frame grew it too large.
 func keep(buf []byte) []byte {
-	if cap(buf) > keepBytes {
+	if cap(buf) > KeepBytes {
 		return nil
 	}
 	return buf[:0]

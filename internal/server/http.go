@@ -18,6 +18,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
+	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/route"
 	"repro/internal/store"
@@ -86,12 +87,9 @@ const (
 	// answered 400 before anything is rendered. 1 Mi cells is an 8 MiB
 	// raster and ≈ 20 MB of JSON.
 	maxHeatmapCells = 1 << 20
-	// keepBytes is the most a pooled body buffer or raster holds between
-	// requests, as proto's connection buffers: one large request does not
-	// stay pinned to the pool.
-	keepBytes = 64 << 10
-	// keepItems is the most points a pooled continuous or batch request
-	// state holds between requests.
+	// keepItems is the most points a pooled continuous request state holds
+	// between requests. Pooled body buffers and rasters keep at most
+	// proto.KeepBytes: one large request does not stay pinned to a pool.
 	keepItems = 1 << 10
 )
 
@@ -123,68 +121,52 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func putBody(buf *bytes.Buffer) {
-	if buf.Cap() > keepBytes {
+	if buf.Cap() > proto.KeepBytes {
 		return
 	}
 	buf.Reset()
 	bodies.Put(buf)
 }
 
-// grids lends the heatmap handlers the raster they render into; a grid
-// goes back only after its response has been written.
+// grids lends /v1/heatmap the raster it renders into; a grid goes back
+// only after its response has been written.
 var grids = sync.Pool{New: func() any { return new(heatmap.Grid) }}
 
 func putGrid(g *heatmap.Grid) {
-	if cap(g.Values)*8 > keepBytes {
+	if cap(g.Values)*8 > proto.KeepBytes {
 		return
 	}
 	grids.Put(g)
 }
 
-// queryState is the memory a continuous or batch request reuses: its
-// decoded body, the engine requests built from it and its response. It
-// goes back to queryStates only after the response has been written.
-type queryState struct {
-	route     continuousRequest
-	routeResp continuousResponse
-	batch     batchRequest
-	batchResp batchResponse
-	reqs      []query.Request
+// routeState is the memory a continuous request reuses: its decoded
+// body, the engine requests built from it and its response. It goes back
+// to routeStates only after the response has been written.
+type routeState struct {
+	req  continuousRequest
+	reqs []query.Request
+	resp continuousResponse
 }
 
-var queryStates = sync.Pool{New: func() any { return new(queryState) }}
+var routeStates = sync.Pool{New: func() any { return new(routeState) }}
 
-// getQueryState takes a state from the pool with its request bodies
-// emptied (see emptied).
-func getQueryState() *queryState {
-	st := queryStates.Get().(*queryState)
-	st.route.Points = emptied(st.route.Points)
-	st.batch.Requests = emptied(st.batch.Requests)
+// getRouteState takes a state from the pool with its request body's
+// points zeroed to full capacity: encoding/json decodes into a reused
+// slice's old elements without zeroing them, so without this a point
+// that omits "t" would keep the previous request's.
+func getRouteState() *routeState {
+	st := routeStates.Get().(*routeState)
+	pts := st.req.Points[:cap(st.req.Points)]
+	clear(pts)
+	st.req.Points = pts[:0]
 	return st
 }
 
-func putQueryState(st *queryState) {
-	if max(cap(st.route.Points), cap(st.batch.Requests), cap(st.reqs),
-		cap(st.routeResp.Values), cap(st.batchResp.Values)) > keepItems {
+func putRouteState(st *routeState) {
+	if max(cap(st.req.Points), cap(st.reqs), cap(st.resp.Values)) > keepItems {
 		return
 	}
-	queryStates.Put(st)
-}
-
-// requests returns st's engine requests resized to n.
-func (st *queryState) requests(n int) []query.Request {
-	st.reqs = slices.Grow(st.reqs[:0], n)[:n]
-	return st.reqs
-}
-
-// emptied zeroes s to its full capacity and returns it empty.
-// encoding/json decodes into a reused slice's old elements without
-// zeroing them, so without this a point that omits "t" would keep the
-// previous request's.
-func emptied[S ~[]E, E any](s S) S {
-	s = s[:cap(s)]
-	clear(s)
-	return s[:0]
+	routeStates.Put(st)
 }
 
 // asPartial recovers a partial-result marker (replicated cluster, dead
@@ -429,10 +411,8 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st := getQueryState()
-	defer putQueryState(st)
-	br := &st.batch
-	if !decodeBody(w, r, br) {
+	var br batchRequest
+	if !decodeBody(w, r, &br) {
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -446,7 +426,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	reqs := st.requests(len(br.Requests))
+	reqs := make([]query.Request, len(br.Requests))
 	for i, in := range br.Requests {
 		pol := routePol
 		if in.Pollutant != "" {
@@ -464,15 +444,14 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := &st.batchResp
-	resp.Values, resp.Errors = resp.Values[:0], 0
+	resp := batchResponse{Values: make([]batchItemResponse, len(rs))}
 	for i, res := range rs {
 		if res.Err != nil {
-			resp.Values = append(resp.Values, batchItemResponse{Error: res.Err.Error()})
+			resp.Values[i] = batchItemResponse{Error: res.Err.Error()}
 			resp.Errors++
 			continue
 		}
-		resp.Values = append(resp.Values, batchItemResponse{pointResponse: pointResponseFor(reqs[i].Pollutant, res.Value)})
+		resp.Values[i] = batchItemResponse{pointResponse: pointResponseFor(reqs[i].Pollutant, res.Value)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -507,9 +486,9 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st := getQueryState()
-	defer putQueryState(st)
-	req := &st.route
+	st := getRouteState()
+	defer putRouteState(st)
+	req := &st.req
 	if !decodeBody(w, r, req) {
 		return
 	}
@@ -519,7 +498,8 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	}
 	// One batch instead of a per-point loop: on a clustered node this
 	// costs one forwarded sub-batch per owner, not one hop per point.
-	reqs := st.requests(len(req.Points))
+	st.reqs = slices.Grow(st.reqs[:0], len(req.Points))[:len(req.Points)]
+	reqs := st.reqs
 	for i, p := range req.Points {
 		reqs[i] = query.Request{T: p.T, X: p.X, Y: p.Y, Pollutant: pol}
 	}
@@ -539,7 +519,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := &st.routeResp
+	resp := &st.resp
 	resp.Values = resp.Values[:0]
 	var sum float64
 	for i, res := range rs {
@@ -608,7 +588,7 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	g := grids.Get().(*heatmap.Grid)
 	defer putGrid(g)
 	// Raster and centroid markers come from one call.
-	grid, cv, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows, true)
+	grid, cv, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows)
 	pe, isPartial := asPartial(err)
 	if err != nil && !isPartial {
 		writeEngineError(w, err)
@@ -635,9 +615,7 @@ func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	g := grids.Get().(*heatmap.Grid)
-	defer putGrid(g)
-	grid, _, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows, false)
+	grid, err := a.Heatmap(r.Context(), pol, t, cols, rows)
 	if pe, ok := asPartial(err); ok {
 		partialHeaders(w, pe)
 	} else if err != nil {

@@ -235,40 +235,29 @@ func TestHTTPBodyBounds(t *testing.T) {
 	}
 }
 
-// TestHTTPPooledRequestsDoNotLeak: a continuous or batch body whose
-// points omit fields, sent right after one that set them all, answers
-// what the same body with the omitted fields written as zeros answers —
-// nothing of the earlier request survives in the pooled request state.
+// TestHTTPPooledRequestsDoNotLeak: a continuous body whose points omit
+// fields, sent right after one that set them all, answers what the same
+// body with the omitted fields written as zeros answers — nothing of the
+// earlier request survives in the pooled request state.
 func TestHTTPPooledRequestsDoNotLeak(t *testing.T) {
 	api := NewAPI(newTestEngine(t))
-	for _, c := range []struct {
-		path, full, omitted, explicit string
-	}{{
-		"/v1/query/continuous",
-		`{"points":[{"t":310,"x":1500,"y":1700},{"t":320,"x":1600,"y":1800},{"t":330,"x":1700,"y":1900}]}`,
-		`{"points":[{"x":100,"y":200},{"t":100,"y":300},{"t":200,"x":400}]}`,
-		`{"points":[{"t":0,"x":100,"y":200},{"t":100,"x":0,"y":300},{"t":200,"x":400,"y":0}]}`,
-	}, {
-		// The full batch names a pollutant the engine does not serve, so
-		// its items fail; the omitted ones fall back to the route
-		// pollutant.
-		"/v1/query/batch",
-		`{"requests":[{"t":310,"x":1500,"y":1700,"pollutant":"PM"},{"t":320,"x":1600,"y":1800,"pollutant":"PM"},{"t":330,"x":1700,"y":1900,"pollutant":"PM"}]}`,
-		`{"requests":[{"x":100,"y":200},{"t":100,"y":300},{"t":200,"x":400}]}`,
-		`{"requests":[{"t":0,"x":100,"y":200,"pollutant":""},{"t":100,"x":0,"y":300},{"t":200,"x":400,"y":0}]}`,
-	}} {
-		want := post(api, c.path, c.explicit)
-		if want.Code != http.StatusOK {
-			t.Fatalf("%s explicit: %d %s", c.path, want.Code, want.Body)
+	const (
+		path     = "/v1/query/continuous"
+		full     = `{"points":[{"t":310,"x":1500,"y":1700},{"t":320,"x":1600,"y":1800},{"t":330,"x":1700,"y":1900}]}`
+		omitted  = `{"points":[{"x":100,"y":200},{"t":100,"y":300},{"t":200,"x":400}]}`
+		explicit = `{"points":[{"t":0,"x":100,"y":200},{"t":100,"x":0,"y":300},{"t":200,"x":400,"y":0}]}`
+	)
+	want := post(api, path, explicit)
+	if want.Code != http.StatusOK {
+		t.Fatalf("explicit: %d %s", want.Code, want.Body)
+	}
+	for round := 0; round < 3; round++ {
+		if rec := post(api, path, full); rec.Code != http.StatusOK {
+			t.Fatalf("full: %d %s", rec.Code, rec.Body)
 		}
-		for round := 0; round < 3; round++ {
-			if rec := post(api, c.path, c.full); rec.Code != http.StatusOK {
-				t.Fatalf("%s full: %d %s", c.path, rec.Code, rec.Body)
-			}
-			if got := post(api, c.path, c.omitted); got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Errorf("%s omitted fields after a full request:\n%d %s\nwant\n%d %s",
-					c.path, got.Code, got.Body, want.Code, want.Body)
-			}
+		if got := post(api, path, omitted); got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("omitted fields after a full request:\n%d %s\nwant\n%d %s",
+				got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 }
@@ -312,7 +301,8 @@ func heatmapBody(t *testing.T, g *heatmap.Grid, cv *core.Cover) []byte {
 
 // TestHTTPPooledHeatmapsMatchFreshRenders: 64×64, then 8×8 into the
 // grid the first left behind, then 64×64 again answer byte for byte
-// what fresh heatmap.FromCover renders encode to, as JSON and as PNG.
+// what fresh heatmap.FromCover renders encode to, as JSON and (rendered
+// fresh) as PNG.
 func TestHTTPPooledHeatmapsMatchFreshRenders(t *testing.T) {
 	e := newTestEngine(t)
 	api := NewAPI(e)
@@ -337,8 +327,8 @@ func TestHTTPPooledHeatmapsMatchFreshRenders(t *testing.T) {
 
 // TestHTTPPooledConcurrentRequests runs heatmaps, continuous routes and
 // batches of different sizes from several goroutines at once — the
-// pooled grids and request states passing between them — and checks
-// every body against the engine's in-process answer.
+// pooled grids, route states and body buffers passing between them — and
+// checks every body against the engine's in-process answer.
 func TestHTTPPooledConcurrentRequests(t *testing.T) {
 	e := newTestEngine(t)
 	api := NewAPI(e)

@@ -124,15 +124,15 @@ func (s *Service) Heatmap(ctx context.Context, pol tuple.Pollutant, t float64, c
 	return s.engine.Heatmap(ctx, pol, t, cols, rows)
 }
 
-// HeatmapCoverInto is Heatmap rendering into g, plus — when withCover —
-// the cover to annotate the raster from (centroid markers). A single
-// node renders into g and returns it, resolving the cover once, so a
-// rebuild landing mid-request cannot split raster and markers across
-// cover generations. Clustered, the grid is the scatter-gather's own
-// and g is left untouched; the cover is merged across shards (a second
-// scatter, made only when withCover) so every shard's centroids appear.
-// The caller may reuse g once it has finished with the returned grid.
-func (s *Service) HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, pol tuple.Pollutant, t float64, cols, rows int, withCover bool) (*heatmap.Grid, *core.Cover, error) {
+// HeatmapCoverInto is Heatmap rendering into g, plus the cover to
+// annotate the raster from (centroid markers). A single node renders
+// into g and returns it, resolving the cover once, so a rebuild landing
+// mid-request cannot split raster and markers across cover generations.
+// Clustered, the grid is the scatter-gather's own and g is left
+// untouched; the cover is merged across shards (a second scatter) so
+// every shard's centroids appear. The caller may reuse g once it has
+// finished with the returned grid.
+func (s *Service) HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
 	if s.node == nil {
 		cv, err := s.engine.heatmap(ctx, g, pol, t, cols, rows, nil)
 		if err != nil {
@@ -141,8 +141,8 @@ func (s *Service) HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, pol tup
 		return g, cv, nil
 	}
 	grid, err := s.node.Heatmap(ctx, pol, t, cols, rows)
-	if !withCover || (err != nil && !errors.Is(err, cluster.ErrPartialResult)) {
-		return grid, nil, err
+	if err != nil && !errors.Is(err, cluster.ErrPartialResult) {
+		return nil, nil, err
 	}
 	cv, coverErr := s.Cover(ctx, pol, t)
 	if coverErr != nil && !errors.Is(coverErr, cluster.ErrPartialResult) {
