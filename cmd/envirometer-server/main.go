@@ -10,8 +10,7 @@
 //	                   [-pollutants CO2,CO,PM] [-days 2] [-data file.csv]
 //	                   [-dir segments/] [-live] [-speedup 3600] [-seed 1]
 //	                   [-sync every|never] [-ingest-queue 64]
-//	                   [-ingest-maxbatch 4096] [-sched-workers 2]
-//	                   [-sched-queue 128] [-checkpoint-interval 5m]
+//	                   [-sched-workers 2] [-checkpoint-interval 5m]
 //	                   [-checkpoint-keep 1]
 //	                   [-cluster-nodes host:8081,host:8082] [-node-id 0]
 //	                   [-router] [-cluster-cells 16] [-cluster-vnodes 64]
@@ -19,10 +18,10 @@
 //
 // -sync picks the durability policy of -dir (every = one fsync per store
 // append before the ack, shared by the uploads the ingest pipeline
-// coalesced into it). The -ingest-* flags bound the asynchronous ingest
-// queues; -sched-* tunes the background cover-maintenance scheduler
-// (-sched-workers -1 disables it, putting cover builds back on the
-// query path). With -checkpoint-interval, each pollutant's store
+// coalesced into it). -ingest-queue bounds the asynchronous ingest
+// queues; -sched-workers sizes the background cover-maintenance
+// scheduler (-1 disables it, putting cover builds back on the query
+// path). With -checkpoint-interval, each pollutant's store
 // periodically (and at shutdown) checkpoints its retained windows and
 // deletes the segment files behind the checkpoint, keeping disk usage
 // and restart time bounded by retention instead of history;
@@ -89,15 +88,10 @@ func main() {
 
 		syncMode   = flag.String("sync", "every", "durability sync policy: every, never")
 		queueDepth = flag.Int("ingest-queue", 0, "ingest queue depth per pollutant (0 = default)")
-		maxBatch   = flag.Int("ingest-maxbatch", 0, "max tuples per coalesced ingest append (0 = default)")
 		schedWork  = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
-		schedQueue = flag.Int("sched-queue", 0, "background cover-build queue bound (0 = default)")
 		ckInterval = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
 		ckKeep     = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
 		colNoMmap  = flag.Bool("columnar-no-mmap", false, "read checkpoint files with pread instead of mmap")
-		subQueue   = flag.Int("sub-queue", 0, "per-subscription push-queue depth; a slow consumer overflowing it gets a resync (0 = default 16)")
-		subMax     = flag.Int("sub-max", 0, "max concurrent push subscriptions (0 = default 1024)")
-		subPoints  = flag.Int("sub-points", 0, "max route points per subscription (0 = default 2048)")
 
 		clusterNodes  = flag.String("cluster-nodes", "", "comma-separated TCP wire addresses of every cluster node (empty = single node)")
 		nodeID        = flag.Int("node-id", 0, "this process's index in -cluster-nodes")
@@ -156,11 +150,10 @@ func main() {
 		data: *data, dir: *dir,
 		live: *live, speedup: *speedup, seed: *seed,
 		sync:    sync,
-		queue:   repro.PipelineConfig{QueueDepth: *queueDepth, MaxBatchTuples: *maxBatch},
-		sched:   repro.SchedulerConfig{Workers: *schedWork, MaxQueue: *schedQueue},
+		queue:   repro.PipelineConfig{QueueDepth: *queueDepth},
+		sched:   repro.SchedulerConfig{Workers: *schedWork},
 		ck:      repro.CheckpointConfig{Interval: *ckInterval, KeepSegments: *ckKeep},
 		col:     repro.ColumnarConfig{DisableMmap: *colNoMmap},
-		subs:    repro.SubscriptionConfig{QueueDepth: *subQueue, MaxSubs: *subMax, MaxPoints: *subPoints},
 		cluster: cl,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "envirometer-server:", err)
@@ -190,7 +183,6 @@ type options struct {
 	sched                       repro.SchedulerConfig
 	ck                          repro.CheckpointConfig
 	col                         repro.ColumnarConfig
-	subs                        repro.SubscriptionConfig
 	cluster                     repro.ClusterConfig
 }
 
@@ -208,7 +200,6 @@ func run(o options) error {
 		Maintenance:   o.sched,
 		Checkpoint:    o.ck,
 		Columnar:      o.col,
-		Subscriptions: o.subs,
 		Cluster:       o.cluster,
 	})
 	if err != nil {

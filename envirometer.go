@@ -149,13 +149,6 @@ type PipelineConfig = ingest.PipelineConfig
 // Workers < 0 disables it, leaving every cover build on the query path.
 type SchedulerConfig = core.SchedulerConfig
 
-// SubscriptionConfig tunes the push-subscription registry behind
-// Platform.Subscribe and GET /v1/subscribe: per-subscription event
-// queue depth, re-evaluation workers, and subscription/point caps. The
-// zero value queues 16 events, runs 2 workers, and caps at 1024
-// subscriptions of 2048 points.
-type SubscriptionConfig = subs.Config
-
 // SubscriptionStats counts the push-subscription registry's work:
 // active subscriptions, invalidation matches, re-evaluations avoided,
 // and push/drop/resync totals.
@@ -335,21 +328,18 @@ type Config struct {
 	// uploads queued behind it; SyncNever trades crash safety for
 	// throughput.
 	Sync SyncPolicy
-	// IngestQueue tunes the asynchronous ingest pipeline (bounded
-	// per-pollutant queues, coalescing). The zero value queues 64 deep
-	// and coalesces to 4096 tuples.
+	// IngestQueue tunes the asynchronous ingest pipeline's bounded
+	// per-pollutant queues. The zero value queues 64 deep; one coalesced
+	// append carries at most 4096 tuples.
 	IngestQueue PipelineConfig
 	// Maintenance tunes the background cover-maintenance scheduler that
 	// rebuilds invalidated covers off the query path; until a window's
 	// rebuild is installed its previous cover keeps answering (see
-	// WaitMaintenance). The zero value runs 2 build workers; Workers < 0
-	// disables background builds: a write then drops the touched covers
-	// at once and the next read rebuilds them (read-your-writes).
+	// WaitMaintenance). The zero value runs 2 build workers over a
+	// 128-entry build queue; Workers < 0 disables background builds: a
+	// write then drops the touched covers at once and the next read
+	// rebuilds them (read-your-writes).
 	Maintenance SchedulerConfig
-	// Subscriptions tunes the push-subscription registry (bounded
-	// per-subscription event queues with drop-oldest + resync overflow,
-	// re-evaluation workers, subscription caps).
-	Subscriptions SubscriptionConfig
 	// Checkpoint bounds recovery time and disk growth (used only with
 	// Dir): with Interval > 0 every store periodically — and at Close —
 	// persists its retained windows to a checkpoint file and deletes
@@ -461,7 +451,6 @@ func Open(cfg Config) (*Platform, error) {
 		Pipeline:   cfg.IngestQueue,
 		Scheduler:  cfg.Maintenance,
 		Checkpoint: cfg.Checkpoint,
-		Subs:       cfg.Subscriptions,
 	})
 	if err != nil {
 		closeAll()
@@ -571,7 +560,6 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 		Transports: cluster.LazyTransports(ring, self, dial),
 		Dial:       dial,
 		Streams:    streams,
-		SubQueue:   full.Subscriptions.QueueDepth,
 		Default:    def,
 		Pollutants: full.pollutants(),
 	}
@@ -598,7 +586,7 @@ func mirrorFactory(cfg Config) func() cluster.Handler {
 	adkmn := cfg.AdKMN
 	adkmn.Pollutant = pollutants[0]
 	return func() cluster.Handler {
-		eng, err := server.NewMirrorEngine(pollutants, cfg.WindowSeconds, cfg.Retain, adkmn, cfg.Subscriptions)
+		eng, err := server.NewMirrorEngine(pollutants, cfg.WindowSeconds, cfg.Retain, adkmn)
 		if err != nil {
 			return mirrorError{err: err}
 		}

@@ -19,6 +19,7 @@ import (
 	"log"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/query"
@@ -58,9 +59,9 @@ func main() {
 		}
 	}
 
-	for _, mk := range []func(client.Transport) client.Strategy{
-		func(t client.Transport) client.Strategy { return client.NewBaseline(t) },
-		func(t client.Transport) client.Strategy { return client.NewModelCache(t) },
+	for _, mk := range []func(cluster.Transport) client.Strategy{
+		func(t cluster.Transport) client.Strategy { return client.NewBaseline(t) },
+		func(t cluster.Transport) client.Strategy { return client.NewModelCache(t) },
 	} {
 		link, err := netsim.NewLink(netsim.GPRS())
 		if err != nil {

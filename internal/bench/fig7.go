@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/memsize"
 	"repro/internal/netsim"
@@ -212,7 +213,7 @@ func RunFig7b(ctx context.Context, d *Dataset, cfg Fig7bConfig) (*Fig7bResult, e
 		qs[i] = query.Request{T: t, X: pos.X, Y: pos.Y}
 	}
 
-	runArm := func(mk func(client.Transport) client.Strategy) (Fig7bArm, error) {
+	runArm := func(mk func(cluster.Transport) client.Strategy) (Fig7bArm, error) {
 		link, err := netsim.NewLink(cfg.Link)
 		if err != nil {
 			return Fig7bArm{}, err
@@ -232,11 +233,11 @@ func RunFig7b(ctx context.Context, d *Dataset, cfg Fig7bConfig) (*Fig7bResult, e
 		}, nil
 	}
 
-	base, err := runArm(func(t client.Transport) client.Strategy { return client.NewBaseline(t) })
+	base, err := runArm(func(t cluster.Transport) client.Strategy { return client.NewBaseline(t) })
 	if err != nil {
 		return nil, fmt.Errorf("bench: baseline arm: %w", err)
 	}
-	mc, err := runArm(func(t client.Transport) client.Strategy { return client.NewModelCache(t) })
+	mc, err := runArm(func(t cluster.Transport) client.Strategy { return client.NewModelCache(t) })
 	if err != nil {
 		return nil, fmt.Errorf("bench: model-cache arm: %w", err)
 	}

@@ -11,8 +11,8 @@
 //
 // Strategies answer v1 query.Requests, so one client can interleave
 // pollutants over a single connection; the model cache keeps one cover
-// per pollutant. Both strategies run over a Transport, normally the
-// simulated cellular link, which accounts every byte and second the
+// per pollutant. Both strategies run over a cluster.Transport, normally
+// the simulated cellular link, which accounts every byte and second the
 // device would spend.
 package client
 
@@ -29,28 +29,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Handler is the server side of the protocol (implemented by
-// server.Engine).
-type Handler interface {
-	HandleMessage(req wire.Message) wire.Message
-}
-
-// Transport carries protocol messages between client and server,
-// accounting link usage.
-type Transport interface {
-	// Exchange performs one request/response round trip.
-	Exchange(req wire.Message) (wire.Message, error)
-}
-
-// LinkTransport is a Transport over a simulated cellular link: requests
-// and responses are encoded with wire.Binary, their sizes charged to the
-// link, and the handler invoked in-process.
+// LinkTransport is a cluster.Transport over a simulated cellular link:
+// requests and responses are encoded with wire.Binary, their sizes
+// charged to the link, and the handler invoked in-process.
 type LinkTransport struct {
 	Link    *netsim.Link
-	Handler Handler
+	Handler cluster.Handler
 }
 
-// Exchange implements Transport.
+// Exchange implements cluster.Transport.
 func (t *LinkTransport) Exchange(req wire.Message) (wire.Message, error) {
 	reqData, err := wire.Binary.Encode(req)
 	if err != nil {
@@ -99,11 +86,11 @@ type Strategy interface {
 
 // Baseline is the §2.3 baseline: one round trip per query tuple.
 type Baseline struct {
-	transport Transport
+	transport cluster.Transport
 }
 
 // NewBaseline returns the baseline strategy over a transport.
-func NewBaseline(t Transport) *Baseline { return &Baseline{transport: t} }
+func NewBaseline(t cluster.Transport) *Baseline { return &Baseline{transport: t} }
 
 // Name implements Strategy.
 func (b *Baseline) Name() string { return "baseline" }
@@ -129,12 +116,12 @@ func (b *Baseline) Query(req query.Request) (Answer, error) {
 // ModelCache is the paper's bandwidth-optimized strategy, generalized to
 // one cached cover per pollutant.
 type ModelCache struct {
-	transport Transport
+	transport cluster.Transport
 	caches    map[tuple.Pollutant]*cache.Cache
 }
 
 // NewModelCache returns the model-cache strategy over a transport.
-func NewModelCache(t Transport) *ModelCache {
+func NewModelCache(t cluster.Transport) *ModelCache {
 	return &ModelCache{transport: t, caches: make(map[tuple.Pollutant]*cache.Cache)}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kmeans"
 	"repro/internal/netsim"
@@ -18,7 +19,7 @@ import (
 
 // newStack builds a server engine over synthetic data and a link transport
 // in front of it.
-func newStack(t *testing.T) (*server.Engine, *netsim.Link, Transport) {
+func newStack(t *testing.T) (*server.Engine, *netsim.Link, cluster.Transport) {
 	t.Helper()
 	st := store.MustOpenMemory(3600)
 	rng := rand.New(rand.NewSource(1))

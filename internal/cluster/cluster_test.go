@@ -157,7 +157,6 @@ func newFixture(t *testing.T) *fixture {
 			Transports: transports,
 			Default:    tuple.CO2,
 			Streams:    f.openStream,
-			SubQueue:   8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -334,6 +334,11 @@ func (f *memFixture) checkPresence(t *testing.T, positions []geo.Point) {
 // the rebalance, routing lands on the node that really holds the shard.
 func (f *memFixture) checkRoutedConsistency(t *testing.T, via int, positions []geo.Point) {
 	t.Helper()
+	// The read-after-ack barrier: a background rebuild landing between
+	// the two reads below would make them answer from different covers.
+	for _, i := range f.liveIDs() {
+		f.engine(i).Scheduler().Wait()
+	}
 	ring := f.currentRing()
 	ctx := context.Background()
 	for _, p := range positions {

@@ -39,7 +39,7 @@ import (
 // byte-equal.
 func newMirrorEngine() cluster.Handler {
 	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, windowLen, 0,
-		core.Config{Cluster: kmeans.Config{Seed: 7}}, subs.Config{})
+		core.Config{Cluster: kmeans.Config{Seed: 7}})
 	if err != nil {
 		panic(err)
 	}
@@ -85,7 +85,6 @@ func newReplicatedFixture(t *testing.T) *fixture {
 			Transports:  transports,
 			Default:     tuple.CO2,
 			Streams:     f.openStream,
-			SubQueue:    8,
 			Replication: cluster.ReplicationConfig{NewMirror: newMirrorEngine},
 		})
 		if err != nil {

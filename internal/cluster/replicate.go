@@ -57,18 +57,18 @@ func (e *PartialError) Unwrap() error { return ErrPartialResult }
 
 // Replication tunables.
 const (
-	// defaultReplQueue bounds each peer stream worker's frame queue. An
+	// replQueue bounds each peer stream worker's frame queue. An
 	// overflowing queue drops frames rather than stalling the commit
 	// path; the replica detects the sequence gap and heals via catch-up.
-	defaultReplQueue = 256
-	// defaultLogRetain caps each pollutant's replication log (tuples).
+	replQueue = 256
+	// logRetain caps each pollutant's replication log (tuples).
 	// A replica behind the log start takes a snapshot reset; the cap
 	// should comfortably cover the engines' retention window so resets
 	// stay rare.
-	defaultLogRetain = 1 << 17
-	// maxPullRounds bounds one catch-up session (4+ full logs at the
-	// default sizes); a replica that cannot converge in that many
-	// chunks re-enters catch-up on the next gapped stream frame.
+	logRetain = 1 << 17
+	// maxPullRounds bounds one catch-up session (4+ full logs); a
+	// replica that cannot converge in that many chunks re-enters
+	// catch-up on the next gapped stream frame.
 	maxPullRounds = 256
 )
 
@@ -84,12 +84,6 @@ type ReplicationConfig struct {
 	// which is what makes mirror answers byte-equal). Required when the
 	// ring's replication factor exceeds 1 and the node owns shards.
 	NewMirror func() Handler
-	// LogRetain caps the per-pollutant replication log in tuples
-	// (0 = defaultLogRetain).
-	LogRetain int
-	// QueueDepth bounds each peer stream worker's queue in frames
-	// (0 = defaultReplQueue).
-	QueueDepth int
 }
 
 // ReplicationStats counts a node's replication activity.
@@ -148,8 +142,6 @@ type replLog struct {
 type replicator struct {
 	n         *Node
 	newMirror func() Handler
-	retain    int
-	queue     int
 
 	logMu sync.Mutex
 	logs  map[tuple.Pollutant]*replLog
@@ -168,22 +160,13 @@ type replicator struct {
 }
 
 func newReplicator(n *Node, cfg ReplicationConfig) *replicator {
-	r := &replicator{
+	return &replicator{
 		n:         n,
 		newMirror: cfg.NewMirror,
-		retain:    cfg.LogRetain,
-		queue:     cfg.QueueDepth,
 		logs:      make(map[tuple.Pollutant]*replLog),
 		peers:     make(map[int]chan wire.ReplicaIngest),
 		mirrors:   make(map[mirrorKey]*mirror),
 	}
-	if r.retain <= 0 {
-		r.retain = defaultLogRetain
-	}
-	if r.queue <= 0 {
-		r.queue = defaultReplQueue
-	}
-	return r
 }
 
 func (r *replicator) stats() ReplicationStats {
@@ -209,7 +192,7 @@ func (r *replicator) log(pol tuple.Pollutant) *replLog {
 	defer r.logMu.Unlock()
 	lg, ok := r.logs[pol]
 	if !ok {
-		lg = &replLog{seqLog: seqLog{retain: r.retain}}
+		lg = &replLog{seqLog: seqLog{retain: logRetain}}
 		r.logs[pol] = lg
 	}
 	return lg
@@ -296,7 +279,7 @@ func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
 	}
 	q, ok := r.peers[peer]
 	if !ok {
-		q = make(chan wire.ReplicaIngest, r.queue) // replication queue depth (ReplicationConfig.QueueDepth, default defaultReplQueue)
+		q = make(chan wire.ReplicaIngest, replQueue)
 		r.peers[peer] = q
 		r.wg.Add(1)
 		go r.streamTo(peer, q)
@@ -358,7 +341,7 @@ func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	r.mirMu.Lock()
 	m, ok = r.mirrors[k]
 	if !ok {
-		m = &mirror{h: h, log: seqLog{retain: r.retain}}
+		m = &mirror{h: h, log: seqLog{retain: logRetain}}
 		r.mirrors[k] = m
 	}
 	r.mirMu.Unlock()

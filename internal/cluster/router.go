@@ -65,14 +65,6 @@ type Handler interface {
 	HandleMessage(req wire.Message) wire.Message
 }
 
-// CtxHandler is the context-aware variant of Handler. A Local handler
-// that implements it (server.Engine does) keeps the caller's
-// cancellation and deadlines on locally-answered requests; peers
-// reached over the wire carry no context either way.
-type CtxHandler interface {
-	HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message
-}
-
 // Transport carries protocol messages to one peer node (implemented by
 // proto.Client over TCP and by the netsim link transport in tests).
 type Transport interface {
@@ -107,9 +99,6 @@ type NodeConfig struct {
 	// Streams opens push streams to peer nodes for routed subscriptions
 	// (nil: Subscribe fails for shards this node does not own).
 	Streams StreamOpener
-	// SubQueue is the event-queue depth of merged (routed)
-	// subscriptions; 0 uses the subs package default.
-	SubQueue int
 	// Replication configures the node's replication role. NewMirror is
 	// required when the ring's replication factor exceeds 1 and this
 	// node owns shards; data nodes on unreplicated rings still keep
@@ -157,15 +146,14 @@ type Stats struct {
 // client transports, and the HTTP API compose with it unchanged. It is
 // safe for concurrent use.
 type Node struct {
-	ring     atomic.Pointer[Ring]
-	self     int
-	local    Handler
-	pols     []tuple.Pollutant
-	streams  StreamOpener
-	subQueue int
-	repl     *replicator
-	dial     Dialer
-	hook     func(phase string)
+	ring    atomic.Pointer[Ring]
+	self    int
+	local   Handler
+	pols    []tuple.Pollutant
+	streams StreamOpener
+	repl    *replicator
+	dial    Dialer
+	hook    func(phase string)
 
 	// tmu guards the transport table, which grows when newer rings add
 	// members. Indexes are stable: a slot is never removed, only
@@ -225,7 +213,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		transports: transports,
 		pols:       pols,
 		streams:    cfg.Streams,
-		subQueue:   cfg.SubQueue,
 		dial:       cfg.Dial,
 		hook:       cfg.HandoffHook,
 		pulled:     make(map[transferKey]uint64),
@@ -338,9 +325,10 @@ func (n *Node) HandleMessage(req wire.Message) wire.Message {
 }
 
 // localHandle answers a request from the local engine, preserving the
-// caller's context when the handler supports it.
+// caller's context when the handler supports it (proto.CtxHandler);
+// peers reached over the wire carry no context either way.
 func (n *Node) localHandle(ctx context.Context, req wire.Message) wire.Message {
-	if ch, ok := n.local.(CtxHandler); ok {
+	if ch, ok := n.local.(proto.CtxHandler); ok {
 		return ch.HandleMessageCtx(ctx, req)
 	}
 	return n.local.HandleMessage(req)
@@ -783,10 +771,10 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 		if mr.Features != merged.Features {
 			return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: mixed model features %q vs %q", merged.Features, mr.Features)}, nil
 		}
-		merged.ValidFrom = maxF(merged.ValidFrom, mr.ValidFrom)
-		merged.ValidUntil = minF(merged.ValidUntil, mr.ValidUntil)
-		merged.ValueLo = minF(merged.ValueLo, mr.ValueLo)
-		merged.ValueHi = maxF(merged.ValueHi, mr.ValueHi)
+		merged.ValidFrom = max(merged.ValidFrom, mr.ValidFrom)
+		merged.ValidUntil = min(merged.ValidUntil, mr.ValidUntil)
+		merged.ValueLo = min(merged.ValueLo, mr.ValueLo)
+		merged.ValueHi = max(merged.ValueHi, mr.ValueHi)
 		merged.Centroids = append(merged.Centroids, mr.Centroids...)
 		merged.Coefs = append(merged.Coefs, mr.Coefs...)
 	}
@@ -972,19 +960,9 @@ func nearestGrid(byNode []*wire.HeatmapResponse, p geo.Point) *wire.HeatmapRespo
 func sampleGrid(hr *wire.HeatmapResponse, p geo.Point) float64 {
 	fx := (p.X - hr.Region.Min.X) / (hr.Region.Max.X - hr.Region.Min.X)
 	fy := (p.Y - hr.Region.Min.Y) / (hr.Region.Max.Y - hr.Region.Min.Y)
-	i := clampIdx(int(fx*float64(hr.Cols)), int(hr.Cols))
-	j := clampIdx(int(fy*float64(hr.Rows)), int(hr.Rows))
+	i := min(max(int(fx*float64(hr.Cols)), 0), int(hr.Cols)-1)
+	j := min(max(int(fy*float64(hr.Rows)), 0), int(hr.Rows)-1)
 	return hr.Values[j*int(hr.Cols)+i]
-}
-
-func clampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // unreachable is the response for a peer whose transport failed.
@@ -994,20 +972,6 @@ func unreachable(node int, ring *Ring, err error) wire.ErrorResponse {
 
 func notOwnerMsg(r wire.NotOwnerResponse) string {
 	return fmt.Sprintf("cluster: not owner of shard (owner node %d %s)", r.Owner, r.Addr)
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Go-level convenience surface ------------------------------------

@@ -142,10 +142,10 @@ func TestSeqLogAppendAtCapAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkReplLogAppendAtCap is one 256-tuple commit landing on a
-// replication log that already retains defaultLogRetain tuples — the
+// replication log that already retains logRetain tuples — the
 // steady state of a long-running primary or mirror.
 func BenchmarkReplLogAppendAtCap(b *testing.B) {
-	lg := fullSeqLog(defaultLogRetain)
+	lg := fullSeqLog(logRetain)
 	batch := make([]tuple.Raw, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -228,14 +228,14 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 }
 
 // BenchmarkReplLogFillToCap is a log's whole growth: 256-tuple commits
-// into an empty log until it retains defaultLogRetain tuples. B/op is what
+// into an empty log until it retains logRetain tuples. B/op is what
 // growing costs on top of the 4 MiB the full log holds.
 func BenchmarkReplLogFillToCap(b *testing.B) {
 	batch := make([]tuple.Raw, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lg := seqLog{retain: defaultLogRetain}
-		for lg.n < defaultLogRetain {
+		lg := seqLog{retain: logRetain}
+		for lg.n < logRetain {
 			lg.append(batch)
 		}
 	}

@@ -142,7 +142,7 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 	// closing marks an intentional teardown so the leg forwarders can
 	// tell "merged subscription closed" from "owner died".
 	var closing atomic.Bool
-	feed := subs.NewFeed(n.nextSubID.Add(1), len(pts), n.subQueue, func() {
+	feed := subs.NewFeed(n.nextSubID.Add(1), len(pts), func() {
 		closing.Store(true)
 		for _, l := range legs {
 			l.closeSources()

@@ -202,7 +202,8 @@ func TestOvertakenBuildInstalledWithOneFollowUp(t *testing.T) {
 func TestRefusedRebuildHardDrops(t *testing.T) {
 	st := fillStore(t, 100, 6, 40)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(13)})
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 1})
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	s.maxQueue = 1
 	defer s.Watch(m)()
 	old := make(map[int]*Cover)
 	for c := 0; c < 5; c++ {
@@ -348,7 +349,7 @@ func TestInvalidateAllocatesNothing(t *testing.T) {
 // TestCoverLifecycleProperty drives seeded random interleavings of
 // append+invalidate, reads, direct rebuild requests, eviction (rolling
 // retention), queue overflow (a stalled builder against a small
-// MaxQueue) and Close against a real store, with two background workers
+// build queue) and Close against a real store, with two background workers
 // and two concurrent readers, and checks the lifecycle invariants stated
 // in Maintainer's doc comment. A failure names its seed.
 func TestCoverLifecycleProperty(t *testing.T) {
@@ -573,10 +574,11 @@ func lifecycleRun(t *testing.T, seed int64) {
 	r := &lifecycleRig{
 		t: t, seed: seed, st: st,
 		m:       NewMaintainer(st, Config{Cluster: clusterSeed(seed)}),
-		s:       NewScheduler(SchedulerConfig{Workers: 2, MaxQueue: 3}),
+		s:       NewScheduler(SchedulerConfig{Workers: 2}),
 		inBuild: map[int]int{},
 		seenGen: map[int]uint64{},
 	}
+	r.s.maxQueue = 3
 	defer r.s.Close()
 	defer r.s.Watch(r.m)()
 	r.m.testBuildHook = r.buildHook

@@ -12,11 +12,12 @@ type SchedulerConfig struct {
 	// disables the scheduler entirely (NewScheduler returns nil and every
 	// build stays on the query path).
 	Workers int
-	// MaxQueue bounds pending builds. When full, admitting a more recent
-	// window drops the oldest pending one — its stale cover is hard-dropped
-	// and the query path builds it synchronously on demand. 0 = 128.
-	MaxQueue int
 }
+
+// maxBuildQueue bounds pending builds. When full, admitting a more recent
+// window drops the oldest pending one — its stale cover is hard-dropped
+// and the query path builds it synchronously on demand.
+const maxBuildQueue = 128
 
 // SchedulerStats counts what the scheduler has processed.
 type SchedulerStats struct {
@@ -83,7 +84,7 @@ func (h *buildHeap) Pop() interface{} {
 // every request it cannot honour — queue overflow or displacement, Close,
 // unwatch — hard-drops that window's stale cover.
 type Scheduler struct {
-	cfg SchedulerConfig
+	maxQueue int // maxBuildQueue; tests lower it
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -113,13 +114,10 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 128
-	}
 	s := &Scheduler{
-		cfg:     cfg,
-		pending: make(map[buildKey]bool),
-		stop:    make(chan struct{}), //bounded: stop latch; closed by Close, never sent on
+		maxQueue: maxBuildQueue,
+		pending:  make(map[buildKey]bool),
+		stop:     make(chan struct{}), //bounded: stop latch; closed by Close, never sent on
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -191,7 +189,7 @@ func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 		s.coalesced++
 		return buildKey{}, false
 	}
-	if len(s.queue) >= s.cfg.MaxQueue {
+	if len(s.queue) >= s.maxQueue {
 		oldest := s.oldestLocked()
 		s.dropped++
 		if oldest < 0 || s.queue[oldest].c >= key.c {
@@ -235,7 +233,7 @@ func (s *Scheduler) oldestLocked() int {
 		return -1
 	}
 	// The max-heap keeps its minimum somewhere in the leaf half; a linear
-	// scan is fine at MaxQueue scale.
+	// scan is fine at maxBuildQueue scale.
 	oldest := 0
 	for i := 1; i < len(s.queue); i++ {
 		if s.queue[i].c < s.queue[oldest].c {

@@ -136,13 +136,14 @@ func TestSchedulerSkipsEvictedWindows(t *testing.T) {
 	}
 }
 
-// TestSchedulerOverflowDropsOldest fills MaxQueue and checks a newer
+// TestSchedulerOverflowDropsOldest fills a lowered build queue and checks a newer
 // window displaces the oldest pending build, while an older one is
 // refused.
 func TestSchedulerOverflowDropsOldest(t *testing.T) {
 	st := fillStore(t, 100, 8, 30)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(5)})
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 2})
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	s.maxQueue = 2
 	defer s.Close()
 
 	entered := make(chan int, 8)

@@ -84,16 +84,18 @@ type Config struct {
 	// benchmark loading mode. 1 is real time; 3600 replays an hour per
 	// second.
 	Speedup float64
-	// BatchGapWall bounds the wall-clock pause between batches when
-	// pacing (protects tests from pathological sleeps). Default 1 s.
-	BatchGapWall time.Duration
 }
+
+// maxBatchGap bounds the wall-clock pause between batches when pacing, so
+// a long stream-time gap cannot stall a replay.
+const maxBatchGap = time.Second
 
 // Service pumps a Source into a Sink.
 type Service struct {
-	src  Source
-	sink Sink
-	cfg  Config
+	src    Source
+	sink   Sink
+	cfg    Config
+	maxGap time.Duration // maxBatchGap; tests lower it
 
 	mu    sync.Mutex
 	stats Stats
@@ -104,10 +106,7 @@ func NewService(src Source, sink Sink, cfg Config) (*Service, error) {
 	if src == nil || sink == nil {
 		return nil, errors.New("ingest: nil source or sink")
 	}
-	if cfg.BatchGapWall <= 0 {
-		cfg.BatchGapWall = time.Second
-	}
-	return &Service{src: src, sink: sink, cfg: cfg}, nil
+	return &Service{src: src, sink: sink, cfg: cfg, maxGap: maxBatchGap}, nil
 }
 
 // Run pumps until the source is exhausted or ctx is canceled. It returns
@@ -134,9 +133,7 @@ func (s *Service) Run(ctx context.Context) error {
 		if s.cfg.Speedup > 0 && !first {
 			gap := (batch[0].T - lastT) / s.cfg.Speedup
 			if wall := time.Duration(gap * float64(time.Second)); wall > 0 {
-				if wall > s.cfg.BatchGapWall {
-					wall = s.cfg.BatchGapWall
-				}
+				wall = min(wall, s.maxGap)
 				timer := time.NewTimer(wall)
 				select {
 				case <-ctx.Done():

@@ -156,10 +156,11 @@ func TestServiceCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &collectSink{}
-	svc, err := NewService(r, sink, Config{Speedup: 1, BatchGapWall: time.Hour})
+	svc, err := NewService(r, sink, Config{Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.maxGap = time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -198,22 +199,23 @@ func TestServicePacingSpeedsUp(t *testing.T) {
 }
 
 func TestServiceBatchGapCap(t *testing.T) {
-	// An enormous stream gap must be capped by BatchGapWall.
+	// An enormous stream gap must be capped by the service's gap bound.
 	data := tuple.Batch{{T: 0, S: 1}, {T: 1e9, S: 1}}
 	r, err := NewReplayer(data, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &collectSink{}
-	svc, err := NewService(r, sink, Config{Speedup: 1, BatchGapWall: 20 * time.Millisecond})
+	svc, err := NewService(r, sink, Config{Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.maxGap = 20 * time.Millisecond
 	start := time.Now()
 	if err := svc.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 2*time.Second {
-		t.Error("BatchGapWall cap not applied")
+		t.Error("batch gap cap not applied")
 	}
 }

@@ -27,10 +27,11 @@ type PipelineConfig struct {
 	// QueueDepth bounds the submissions queued (accepted but not yet
 	// applied) per pollutant. 0 = 64.
 	QueueDepth int
-	// MaxBatchTuples caps how many tuples one coalesced store append may
-	// carry. 0 = 4096.
-	MaxBatchTuples int
 }
+
+// maxBatchTuples caps how many tuples one coalesced store append may
+// carry.
+const maxBatchTuples = 4096
 
 // PipelineStats counts what the pipeline has processed.
 type PipelineStats struct {
@@ -92,9 +93,6 @@ func NewPipeline(sink func(p tuple.Pollutant, b tuple.Batch) error, cfg Pipeline
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.MaxBatchTuples <= 0 {
-		cfg.MaxBatchTuples = 4096
 	}
 	return &Pipeline{
 		sink:   sink,
@@ -206,7 +204,7 @@ func (p *Pipeline) queue(pol tuple.Pollutant) (chan submission, error) {
 }
 
 // worker drains one pollutant's queue, coalescing whatever is already
-// waiting — up to MaxBatchTuples — into a single sink append, then
+// waiting — up to maxBatchTuples — into a single sink append, then
 // acknowledges every coalesced submission with that append's result.
 func (p *Pipeline) worker(pol tuple.Pollutant, q chan submission) {
 	defer p.wg.Done()
@@ -214,7 +212,7 @@ func (p *Pipeline) worker(pol tuple.Pollutant, q chan submission) {
 		subs := []submission{sub}
 		n := len(sub.b)
 	coalesce:
-		for n < p.cfg.MaxBatchTuples {
+		for n < maxBatchTuples {
 			select {
 			case more, ok := <-q:
 				if !ok {

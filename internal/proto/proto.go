@@ -323,7 +323,7 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client is a TCP protocol client. It satisfies client.Transport, so the
+// Client is a TCP protocol client. It satisfies cluster.Transport, so the
 // mobile-object strategies (baseline, model-cache) run unchanged over a
 // real network. It is safe for concurrent use; exchanges are serialized
 // on the single connection, matching the one-outstanding-request radio

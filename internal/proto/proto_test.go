@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kmeans"
 	"repro/internal/proto"
@@ -244,7 +245,7 @@ func TestClientIsATransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var transport client.Transport = c
+	var transport cluster.Transport = c
 	mc := client.NewModelCache(transport)
 	qs := make([]query.Request, 20)
 	for i := range qs {

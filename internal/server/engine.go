@@ -52,8 +52,7 @@ type CheckpointConfig struct {
 // pipeline queues, the background cover-maintenance scheduler, and the
 // checkpoint trigger. The zero value uses the packages' defaults.
 type Options struct {
-	// Pipeline configures the per-pollutant ingest queues (depth,
-	// coalescing bound).
+	// Pipeline configures the per-pollutant ingest queues.
 	Pipeline ingest.PipelineConfig
 	// Scheduler configures the background cover builder; Workers < 0
 	// disables it, leaving every cover build on the query path.
@@ -62,9 +61,6 @@ type Options struct {
 	// uses Interval; KeepSegments is applied where the stores are
 	// opened).
 	Checkpoint CheckpointConfig
-	// Subs bounds the push-subscription registry (per-subscription queue
-	// depth, re-evaluation workers, subscription and point caps).
-	Subs subs.Config
 }
 
 // CheckpointStats aggregates checkpoint and recovery activity across
@@ -207,7 +203,7 @@ func (e *Engine) startAsync(opts Options) {
 	// subscriptions bound to it re-evaluate against the new answer. The
 	// hook itself never evaluates, so the builders stay decoupled from
 	// the push machinery.
-	e.registry = subs.NewRegistry(opts.Subs, e.subsEvaluate, e.subsWindowLen)
+	e.registry = subs.NewRegistry(e.subsEvaluate, e.subsWindowLen)
 	for pol, sh := range e.shards {
 		pol := pol
 		e.unwatch = append(e.unwatch, sh.maintainer.OnChange(func(c int) {

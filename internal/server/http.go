@@ -213,6 +213,7 @@ var errorStatus = []struct {
 	{ingest.ErrInvalidBatch, http.StatusBadRequest},
 	{ErrNotRoutable, http.StatusBadRequest},
 	{cluster.ErrTooLarge, http.StatusBadRequest},
+	{subs.ErrTooManyPoints, http.StatusBadRequest},
 	{query.ErrOutOfWindow, http.StatusNotFound},
 	{query.ErrNoCover, http.StatusNotFound},
 	// Shed load, safe to retry (writeEngineError adds Retry-After).
@@ -223,6 +224,8 @@ var errorStatus = []struct {
 	// Shutting down, or mid membership transition: retry shortly.
 	{ingest.ErrPipelineClosed, http.StatusServiceUnavailable},
 	{cluster.ErrStaleEpoch, http.StatusServiceUnavailable},
+	// Every subscription slot is taken: retry once one closes.
+	{subs.ErrTooManySubs, http.StatusServiceUnavailable},
 	{context.Canceled, http.StatusServiceUnavailable},
 	{context.DeadlineExceeded, http.StatusGatewayTimeout},
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/core"
 	"repro/internal/store"
-	"repro/internal/subs"
 	"repro/internal/tuple"
 )
 
@@ -18,7 +17,7 @@ import (
 // built when it is first read. The first failover read of a window
 // therefore pays one build. Mirrors are not persisted — a restarted
 // replica re-syncs from the primary's replication log or a snapshot.
-func NewMirrorEngine(pollutants []tuple.Pollutant, windowLength float64, retain int, cfg core.Config, sub subs.Config) (*Engine, error) {
+func NewMirrorEngine(pollutants []tuple.Pollutant, windowLength float64, retain int, cfg core.Config) (*Engine, error) {
 	stores := make(map[tuple.Pollutant]*store.Store, len(pollutants))
 	closeStores := func() {
 		for _, st := range stores {
@@ -35,7 +34,6 @@ func NewMirrorEngine(pollutants []tuple.Pollutant, windowLength float64, retain 
 	}
 	e, err := NewMultiEngineOpts(stores, cfg, Options{
 		Scheduler: core.SchedulerConfig{Workers: -1},
-		Subs:      sub,
 	})
 	if err != nil {
 		closeStores()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kmeans"
-	"repro/internal/subs"
 	"repro/internal/tuple"
 )
 
@@ -16,7 +15,7 @@ import (
 // it sees the frame (read-your-writes).
 func TestMirrorEngineIsLazy(t *testing.T) {
 	e, err := NewMirrorEngine([]tuple.Pollutant{tuple.CO2, tuple.PM}, 100, 4,
-		core.Config{Cluster: kmeans.Config{Seed: 3}}, subs.Config{})
+		core.Config{Cluster: kmeans.Config{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/query"
+	"repro/internal/subs"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -64,6 +65,8 @@ func TestErrorStatusTable(t *testing.T) {
 	for err, want := range map[error]int{
 		ErrNotRoutable:           http.StatusBadRequest,
 		ErrEngineClosed:          http.StatusServiceUnavailable,
+		subs.ErrTooManyPoints:    http.StatusBadRequest,
+		subs.ErrTooManySubs:      http.StatusServiceUnavailable,
 		context.Canceled:         http.StatusServiceUnavailable,
 		context.DeadlineExceeded: http.StatusGatewayTimeout,
 		errors.New("disk full"):  http.StatusInternalServerError,

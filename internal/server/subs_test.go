@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +338,37 @@ func TestSSESubscribeAndResume(t *testing.T) {
 		if r.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("POST: status = %s", r.Status)
 		}
+	}
+}
+
+// TestSubscribeBoundsStatus: a subscription over the registry's bounds is
+// the client's request refused, not a server fault — too many points is
+// a 400 and a full registry a 503.
+func TestSubscribeBoundsStatus(t *testing.T) {
+	e := newTestEngine(t)
+	defer e.Close()
+	a := NewAPI(e)
+	subscribe := func(points string) int {
+		t.Helper()
+		w := httptest.NewRecorder()
+		a.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/subscribe?points="+url.QueryEscape(points), nil))
+		return w.Code
+	}
+
+	over := strings.TrimSuffix(strings.Repeat("300,500,500;", subs.MaxPoints+1), ";")
+	if got := subscribe(over); got != http.StatusBadRequest {
+		t.Fatalf("%d points: status %d, want 400", subs.MaxPoints+1, got)
+	}
+
+	ctx := context.Background()
+	pt := []query.Request{{T: 300, X: 500, Y: 500}}
+	for i := 0; i < subs.MaxSubs; i++ {
+		if _, err := e.Subscribe(ctx, tuple.CO2, pt); err != nil {
+			t.Fatalf("subscription %d: %v", i, err)
+		}
+	}
+	if got := subscribe("300,500,500"); got != http.StatusServiceUnavailable {
+		t.Fatalf("subscription %d: status %d, want 503", subs.MaxSubs+1, got)
 	}
 }
 

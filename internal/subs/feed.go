@@ -97,16 +97,13 @@ type Feed struct {
 	ctr    feedCounters
 }
 
-// NewFeed builds a feed over points point slots with a queue depth of
-// depth events (clamped to at least 1). onClose, if non-nil, runs once
-// when the feed is closed, after the event channel closes.
-func NewFeed(id uint64, points, depth int, onClose func()) *Feed {
-	if depth < 1 {
-		depth = 1
-	}
+// NewFeed builds a feed over points point slots with a queue of
+// queueDepth events. onClose, if non-nil, runs once when the feed is
+// closed, after the event channel closes.
+func NewFeed(id uint64, points int, onClose func()) *Feed {
 	return &Feed{
 		id:      id,
-		ch:      make(chan Event, depth),
+		ch:      make(chan Event, queueDepth),
 		onClose: onClose,
 		last:    make([]pointState, points),
 	}

@@ -4,16 +4,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
 
+// Registry bounds. They limit what clients may ask of a node, so they
+// are fixed rather than configured.
+const (
+	// queueDepth is the per-subscription push-queue capacity in events.
+	// When a slow consumer lets the queue fill, the oldest event is
+	// dropped and the next delivery becomes a full resync.
+	queueDepth = 16
+	// MaxSubs bounds live subscriptions per registry.
+	MaxSubs = 1024
+	// MaxPoints bounds the point set of one subscription. It must stay
+	// ≤ 65535: push frames index points with 16 bits.
+	MaxPoints = 2048
+	// workers is the number of re-evaluation workers.
+	workers = 2
+)
+
 // ErrTooManySubs is returned when the registry's subscription bound is
 // reached.
 var ErrTooManySubs = errors.New("subs: too many subscriptions")
+
+// ErrTooManyPoints is returned for a point set over MaxPoints.
+var ErrTooManyPoints = errors.New("subs: too many points")
 
 // Evaluator answers a batch of point queries for one pollutant. The
 // engine's cover-backed batch path satisfies it; evaluating through the
@@ -25,40 +43,6 @@ type Evaluator func(ctx context.Context, pol tuple.Pollutant, reqs []query.Reque
 // the registry can bind each subscribed point to the window index its
 // cover lives under. It returns an error for unserved pollutants.
 type WindowFunc func(pol tuple.Pollutant) (float64, error)
-
-// Config bounds the registry.
-type Config struct {
-	// QueueDepth is the per-subscription push-queue capacity in events.
-	// When a slow consumer lets the queue fill, the oldest event is
-	// dropped and the next delivery becomes a full resync. Default 16.
-	QueueDepth int
-	// Workers is the number of re-evaluation workers. Default 2.
-	Workers int
-	// MaxSubs bounds live subscriptions. Default 1024.
-	MaxSubs int
-	// MaxPoints bounds the point set of one subscription. Default 2048,
-	// capped at 65535 (push frames index points with 16 bits).
-	MaxPoints int
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.MaxSubs <= 0 {
-		c.MaxSubs = 1024
-	}
-	if c.MaxPoints <= 0 {
-		c.MaxPoints = 2048
-	}
-	if c.MaxPoints > math.MaxUint16 {
-		c.MaxPoints = math.MaxUint16
-	}
-	return c
-}
 
 // Stats are the registry's lifetime counters. They are the evidence the
 // acceptance tests and the closed-loop benchmark lean on: ReEvals and
@@ -132,11 +116,11 @@ func (s *Subscription) Points() []query.Request { return s.points }
 // points before pushing deltas. Invalidations overlapping no
 // subscription cost one map lookup and no evaluation.
 type Registry struct {
-	cfg    Config
-	eval   Evaluator
-	winOf  WindowFunc
-	ctx    context.Context
-	cancel context.CancelFunc
+	maxSubs int // MaxSubs; tests lower it
+	eval    Evaluator
+	winOf   WindowFunc
+	ctx     context.Context
+	cancel  context.CancelFunc
 
 	mu       sync.Mutex
 	work     *sync.Cond // signaled when queue gains work or on close
@@ -159,11 +143,11 @@ type Registry struct {
 
 // NewRegistry builds a registry and starts its workers. eval answers
 // point batches; winOf binds points to window indexes.
-func NewRegistry(cfg Config, eval Evaluator, winOf WindowFunc) *Registry {
+func NewRegistry(eval Evaluator, winOf WindowFunc) *Registry {
 	//ctxcheck:allow the registry owns its workers' lifetime; Close cancels this context
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
-		cfg:      cfg.withDefaults(),
+		maxSubs:  MaxSubs,
 		eval:     eval,
 		winOf:    winOf,
 		ctx:      ctx,
@@ -173,7 +157,7 @@ func NewRegistry(cfg Config, eval Evaluator, winOf WindowFunc) *Registry {
 	}
 	r.work = sync.NewCond(&r.mu)
 	r.quiet = sync.NewCond(&r.mu)
-	for i := 0; i < r.cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		r.wg.Add(1)
 		go r.worker()
 	}
@@ -187,8 +171,8 @@ func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []
 	if len(points) == 0 {
 		return nil, errors.New("subs: empty point set")
 	}
-	if len(points) > r.cfg.MaxPoints {
-		return nil, fmt.Errorf("subs: %d points exceeds the %d-point bound", len(points), r.cfg.MaxPoints)
+	if len(points) > MaxPoints {
+		return nil, fmt.Errorf("%w: %d exceeds the %d-point bound", ErrTooManyPoints, len(points), MaxPoints)
 	}
 	wlen, err := r.winOf(pol)
 	if err != nil {
@@ -215,13 +199,13 @@ func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []
 		r.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(r.subs) >= r.cfg.MaxSubs {
+	if len(r.subs) >= r.maxSubs {
 		r.mu.Unlock()
 		return nil, ErrTooManySubs
 	}
 	r.nextID++
 	id := r.nextID
-	s.feed = NewFeed(id, len(reqs), r.cfg.QueueDepth, func() { r.remove(s) })
+	s.feed = NewFeed(id, len(reqs), func() { r.remove(s) })
 	r.subs[id] = s
 	for _, c := range windows {
 		k := winKey{pol, c}

@@ -59,7 +59,7 @@ func recvEvent(t *testing.T, h Handle) Event {
 // nothing, and a clean unsubscribe.
 func TestSubscribeLifecycle(t *testing.T) {
 	ev := &testEval{}
-	r := NewRegistry(Config{}, ev.eval, testWinOf)
+	r := NewRegistry(ev.eval, testWinOf)
 	defer r.Close()
 
 	// Points 0,1 in window 0; points 2,3 in window 1.
@@ -134,12 +134,12 @@ func TestSubscribeLifecycle(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerResync fills a depth-1 queue without consuming: the
-// oldest event is dropped and the next delivery arrives as a full
-// resync, so the consumer never observes a silent gap.
+// TestSlowConsumerResync overfills a subscription's queue without
+// consuming: the oldest event is dropped and the newest delivery arrives
+// as a full resync, so the consumer never observes a silent gap.
 func TestSlowConsumerResync(t *testing.T) {
 	ev := &testEval{}
-	r := NewRegistry(Config{QueueDepth: 1}, ev.eval, testWinOf)
+	r := NewRegistry(ev.eval, testWinOf)
 	defer r.Close()
 
 	s, err := r.Subscribe(context.Background(), tuple.CO2,
@@ -148,15 +148,19 @@ func TestSlowConsumerResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The initial resync occupies the single queue slot; two further
+	// The initial resync occupies one queue slot; queueDepth further
 	// pushes overflow it.
-	for round := int64(1); round <= 2; round++ {
+	const rounds = queueDepth
+	for round := int64(1); round <= rounds; round++ {
 		ev.base.Store(round * 1000)
 		r.Invalidated(tuple.CO2, 0)
 		r.Wait()
 	}
 
-	got := recvEvent(t, s)
+	var got Event
+	for n := len(s.Events()); n > 0; n-- {
+		got = recvEvent(t, s)
+	}
 	if !got.Resync {
 		t.Fatalf("after overflow got %+v, want a resync", got)
 	}
@@ -164,7 +168,7 @@ func TestSlowConsumerResync(t *testing.T) {
 		t.Fatalf("resync carries %d points, want the full vector of 2", len(got.Points))
 	}
 	for i, p := range got.Points {
-		want := 2000 + s.Points()[i].T + s.Points()[i].X
+		want := rounds*1000 + s.Points()[i].T + s.Points()[i].X
 		if p.Value != want {
 			t.Fatalf("resync point %d = %v, want the newest value %v", i, p.Value, want)
 		}
@@ -184,7 +188,7 @@ func TestSlowConsumerResync(t *testing.T) {
 // double close.
 func TestRegistryClose(t *testing.T) {
 	ev := &testEval{}
-	r := NewRegistry(Config{}, ev.eval, testWinOf)
+	r := NewRegistry(ev.eval, testWinOf)
 	a, err := r.Subscribe(context.Background(), tuple.CO2, []query.Request{{T: 10, X: 1, Y: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -208,15 +212,16 @@ func TestRegistryClose(t *testing.T) {
 // invalid points, and subscriptions beyond the registry bound.
 func TestSubscribeValidation(t *testing.T) {
 	ev := &testEval{}
-	r := NewRegistry(Config{MaxSubs: 1, MaxPoints: 2}, ev.eval, testWinOf)
+	r := NewRegistry(ev.eval, testWinOf)
 	defer r.Close()
+	r.maxSubs = 1
 	ctx := context.Background()
 
 	if _, err := r.Subscribe(ctx, tuple.CO2, nil); err == nil {
 		t.Fatal("empty point set accepted")
 	}
-	if _, err := r.Subscribe(ctx, tuple.CO2, make([]query.Request, 3)); err == nil {
-		t.Fatal("oversized point set accepted")
+	if _, err := r.Subscribe(ctx, tuple.CO2, make([]query.Request, MaxPoints+1)); !errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("oversized point set: err = %v, want ErrTooManyPoints", err)
 	}
 	if _, err := r.Subscribe(ctx, tuple.CO2, []query.Request{{T: math.NaN(), X: 1, Y: 1}}); err == nil {
 		t.Fatal("NaN point accepted")
@@ -227,7 +232,7 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 	defer s.Close()
 	if _, err := r.Subscribe(ctx, tuple.CO2, []query.Request{{T: 10, X: 1, Y: 1}}); !errors.Is(err, ErrTooManySubs) {
-		t.Fatalf("beyond MaxSubs: err = %v, want ErrTooManySubs", err)
+		t.Fatalf("beyond the subscription bound: err = %v, want ErrTooManySubs", err)
 	}
 }
 
@@ -236,7 +241,7 @@ func TestSubscribeValidation(t *testing.T) {
 // locking.
 func TestConcurrentInvalidations(t *testing.T) {
 	ev := &testEval{}
-	r := NewRegistry(Config{QueueDepth: 4}, ev.eval, testWinOf)
+	r := NewRegistry(ev.eval, testWinOf)
 	defer r.Close()
 
 	s, err := r.Subscribe(context.Background(), tuple.CO2,

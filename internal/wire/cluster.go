@@ -316,7 +316,7 @@ func decodeCluster(data []byte) (Message, error) {
 			return nil, fmt.Errorf("%w: RingResponse header", ErrMalformed)
 		}
 		nNodes := int(binary.LittleEndian.Uint16(data[1:]))
-		m := RingResponse{Nodes: make([]string, 0, minInt(nNodes, 256))}
+		m := RingResponse{Nodes: make([]string, 0, min(nNodes, 256))}
 		off := 3
 		for i := 0; i < nNodes; i++ {
 			if len(data) < off+2 {
@@ -520,11 +520,4 @@ func getRect(b []byte) geo.Rect {
 		Min: geo.Point{X: getF64(b), Y: getF64(b[8:])},
 		Max: geo.Point{X: getF64(b[16:]), Y: getF64(b[24:])},
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
