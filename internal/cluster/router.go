@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,6 +82,8 @@ type NodeConfig struct {
 	// ring — or -1 for a dedicated router that owns no shards.
 	Self int
 	// Local answers requests for shards Self owns (nil for a router).
+	// When it is a proto.Releaser the node lends its answers too (see
+	// Node.Release).
 	Local Handler
 	// Transports connect to peer nodes, indexed by node ID. The Self
 	// entry is ignored; a nil entry makes the node bounce that peer's
@@ -149,6 +152,7 @@ type Node struct {
 	ring    atomic.Pointer[Ring]
 	self    int
 	local   Handler
+	lends   bool // local is a proto.Releaser: see Release
 	pols    []tuple.Pollutant
 	streams StreamOpener
 	repl    *replicator
@@ -207,9 +211,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if len(pols) == 0 {
 		pols = []tuple.Pollutant{cfg.Default}
 	}
+	_, lends := cfg.Local.(proto.Releaser)
 	n := &Node{
 		self:       cfg.Self,
 		local:      cfg.Local,
+		lends:      lends,
 		transports: transports,
 		pols:       pols,
 		streams:    cfg.Streams,
@@ -334,6 +340,30 @@ func (n *Node) localHandle(ctx context.Context, req wire.Message) wire.Message {
 	return n.local.HandleMessage(req)
 }
 
+// Release implements proto.Releaser. A node whose Local is a
+// proto.Releaser lends the answer-sized memory of its responses: the
+// items of a batch it split across owners, the raster it merged from a
+// scatter, and what its Local and replica mirrors (engines, which lend
+// from the same wire pools) answered for a forwarded or replica read.
+// Release hands that memory back to the wire pools once the response is
+// written. With any other Local the node lends nothing — its answers are
+// allocated, and a Local's response may be shared — so Release does
+// nothing.
+func (n *Node) Release(resp wire.Message) {
+	if n.lends {
+		wire.Recycle(resp)
+	}
+}
+
+// consumed hands back a leg's answer the node has finished reading: one
+// the local engine lent it, when it lends. Peer answers are the decoding
+// transport's, and stay with the garbage collector.
+func (n *Node) consumed(leg int, resp wire.Message) {
+	if leg == n.self {
+		n.Release(resp)
+	}
+}
+
 // HandleMessageCtx is HandleMessage with a caller-supplied context
 // (proto.CtxHandler), so scatter-gather fan-outs and forwarded
 // exchanges unwind when the serving process shuts down.
@@ -375,7 +405,7 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 	case wire.IngestRequest:
 		return n.routeIngest(ctx, m)
 	case wire.HeatmapRequest:
-		resp, _ := n.scatterHeatmap(ctx, m)
+		resp, _ := n.scatterHeatmap(ctx, m, n.lends)
 		return resp
 	case wire.ReplicaIngest:
 		return n.handleReplicaIngest(m)
@@ -500,35 +530,97 @@ func (n *Node) routeBatch(ctx context.Context, m wire.BatchQueryRequest) wire.Me
 	if len(m.Items) == 0 {
 		return wire.ErrorResponse{Msg: "empty query batch"}
 	}
-	all := make([]int, len(m.Items))
-	for i := range all {
-		all[i] = i
+	var out []wire.BatchQueryItem
+	if n.lends {
+		out = wire.LendItems(len(m.Items))
+	} else {
+		out = make([]wire.BatchQueryItem, len(m.Items))
 	}
-	out := make([]wire.BatchQueryItem, len(m.Items))
-	n.batchInto(ctx, n.Ring(), m, all, out, true)
+	n.batchInto(ctx, n.Ring(), m, nil, out, true)
 	return wire.BatchQueryResponse{Items: out}
 }
 
-// batchInto answers the m.Items named by idxs into out, grouped by
-// shard owner under ring. retry allows each fenced sub-batch one
-// re-split under a refreshed ring (an epoch mismatch rejects the whole
-// sub-batch, so re-splitting repeats no item).
-func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, retry bool) {
-	groups := make(map[int][]int) // owner -> original indexes
-	for _, i := range idxs {
-		it := m.Items[i]
-		owner := ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y})
-		groups[owner] = append(groups[owner], i)
+// batchSplit is a batch's items grouped by node in one counting pass, the
+// way splitByOwner groups an upload: group g's items sit at
+// idxs[off[g]:off[g+1]] in the request and, copied out in order, form the
+// sub-batch items[off[g]:off[g+1]]. A split is pooled: the router splits
+// every batch it serves, and puts the split back once every group has been
+// answered.
+type batchSplit struct {
+	group []int32 // the group of the k-th item split
+	off   []int
+	idxs  []int
+	items []wire.QueryRequest
+}
+
+var splits = sync.Pool{New: func() any { return new(batchSplit) }}
+
+// splitBatch groups the m.Items named by idxs (every item when idxs is
+// nil), in their order, into groups by groupOf, which returns a group in
+// [0, groups).
+func splitBatch(m wire.BatchQueryRequest, idxs []int, groups int, groupOf func(wire.QueryRequest) int) *batchSplit {
+	n := len(idxs)
+	if idxs == nil {
+		n = len(m.Items)
 	}
+	item := func(k int) int {
+		if idxs == nil {
+			return k
+		}
+		return idxs[k]
+	}
+	s := splits.Get().(*batchSplit)
+	s.group = slices.Grow(s.group[:0], n)[:n]
+	s.off = slices.Grow(s.off[:0], groups+1)[:groups+1]
+	clear(s.off)
+	for k := range n {
+		g := groupOf(m.Items[item(k)])
+		s.group[k] = int32(g)
+		s.off[g+1]++
+	}
+	for g := 1; g <= groups; g++ {
+		s.off[g] += s.off[g-1]
+	}
+	s.idxs = slices.Grow(s.idxs[:0], n)[:n]
+	s.items = slices.Grow(s.items[:0], n)[:n]
+	// off[g] is group g's next free slot while the groups fill, which
+	// leaves it at the start of group g+1; shift the starts back after.
+	for k := range n {
+		g, i := s.group[k], item(k)
+		s.idxs[s.off[g]], s.items[s.off[g]] = i, m.Items[i]
+		s.off[g]++
+	}
+	for g := groups; g > 0; g-- {
+		s.off[g] = s.off[g-1]
+	}
+	s.off[0] = 0
+	return s
+}
+
+// get returns group g: the request indexes of its items and the items.
+func (s *batchSplit) get(g int) ([]int, []wire.QueryRequest) {
+	lo, hi := s.off[g], s.off[g+1]
+	return s.idxs[lo:hi:hi], s.items[lo:hi:hi]
+}
+
+// batchInto answers the m.Items named by idxs (every item when idxs is
+// nil) into out, grouped by shard owner under ring. retry allows each
+// fenced sub-batch one re-split under a refreshed ring (an epoch mismatch
+// rejects the whole sub-batch, so re-splitting repeats no item).
+func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, retry bool) {
+	split := splitBatch(m, idxs, ring.Nodes(), func(it wire.QueryRequest) int {
+		return ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y})
+	})
+	defer splits.Put(split)
 	var wg sync.WaitGroup
-	for owner, idxs := range groups {
+	for owner := 0; owner < ring.Nodes(); owner++ {
+		idxs, items := split.get(owner)
+		if len(idxs) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(owner int, idxs []int) {
+		go func(owner int, idxs []int, sub wire.BatchQueryRequest) {
 			defer wg.Done()
-			sub := wire.BatchQueryRequest{Items: make([]wire.QueryRequest, len(idxs))}
-			for j, i := range idxs {
-				sub.Items[j] = m.Items[i]
-			}
 			resp, ownerDown := n.routeOwner(ctx, ring, owner, sub)
 			fill := func(failed wire.BatchQueryItem) {
 				for _, i := range idxs {
@@ -539,11 +631,12 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 			case wire.BatchQueryResponse:
 				if len(r.Items) != len(idxs) {
 					fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: node %d answered %d of %d items", owner, len(r.Items), len(idxs))})
-					return
+				} else {
+					for j, i := range idxs {
+						out[i] = r.Items[j]
+					}
 				}
-				for j, i := range idxs {
-					out[i] = r.Items[j]
-				}
+				n.consumed(owner, r)
 			case wire.ErrorResponse:
 				if retry && r.Code == wire.CodeStaleEpoch {
 					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
@@ -562,7 +655,7 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 			default:
 				fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: unexpected response %T", resp)})
 			}
-		}(owner, idxs)
+		}(owner, idxs, wire.BatchQueryRequest{Items: items})
 	}
 	wg.Wait()
 }
@@ -572,37 +665,35 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 // group crosses as one replica-read sub-batch. Items with no live
 // replica keep the owner's unreachable error.
 func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, ownerDown wire.BatchQueryItem) {
-	regroup := make(map[int][]int) // replica -> original item indexes
-	for _, i := range idxs {
-		it := m.Items[i]
+	// Group 0 is the items no replica can answer; group r+1 is replica r's.
+	split := splitBatch(m, idxs, ring.Nodes()+1, func(it wire.QueryRequest) int {
 		k := ShardKey{Pollutant: it.Pollutant, Cell: ring.CellOf(geo.Point{X: it.X, Y: it.Y})}
-		rep := -1
 		for _, r := range ring.ReplicasFor(k)[1:] {
 			if (r == n.self && n.repl != nil) || (r != n.self && n.transport(r) != nil) {
-				rep = r
-				break
+				return r + 1
 			}
 		}
-		regroup[rep] = append(regroup[rep], i)
-	}
-	for rep, sub := range regroup {
-		fail := func() {
+		return 0
+	})
+	defer splits.Put(split)
+	for g := 0; g <= ring.Nodes(); g++ {
+		sub, items := split.get(g)
+		if len(sub) == 0 {
+			continue
+		}
+		var (
+			br       wire.BatchQueryResponse
+			answered bool
+		)
+		if g > 0 {
+			resp, ok := n.readAtReplica(g-1, owner, wire.BatchQueryRequest{Items: items})
+			br, answered = resp.(wire.BatchQueryResponse)
+			answered = ok && answered && len(br.Items) == len(sub)
+		}
+		if !answered {
 			for _, i := range sub {
 				out[i] = ownerDown
 			}
-		}
-		if rep < 0 {
-			fail()
-			continue
-		}
-		req := wire.BatchQueryRequest{Items: make([]wire.QueryRequest, len(sub))}
-		for j, i := range sub {
-			req.Items[j] = m.Items[i]
-		}
-		resp, ok := n.readAtReplica(rep, owner, req)
-		br, isBatch := resp.(wire.BatchQueryResponse)
-		if !ok || !isBatch || len(br.Items) != len(sub) {
-			fail()
 			continue
 		}
 		n.nFailover.Add(1)
@@ -792,8 +883,10 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 // the nearest surviving grid).
 // On a replicated ring, dead nodes' grids come from their replicas;
 // unhealed legs blank their shards and the returned Partial names them
-// (nil when the raster is complete).
-func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest) (wire.Message, *Partial) {
+// (nil when the raster is complete). lend merges into a raster lent from
+// the wire pools, for a response that goes back through Release; the
+// node's own leg goes back as soon as it is merged.
+func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend bool) (wire.Message, *Partial) {
 	n.nScatters.Add(1)
 	if m.Cols < 1 || m.Rows < 1 {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("heatmap: grid %dx%d, want >= 1x1", m.Cols, m.Rows)}, nil
@@ -829,9 +922,11 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest) (wire.
 	if m.HasRegion {
 		union = m.Region
 	}
-	out := wire.HeatmapResponse{
-		Region: union, Cols: m.Cols, Rows: m.Rows, T: m.T,
-		Values: make([]float64, int(m.Cols)*int(m.Rows)),
+	out := wire.HeatmapResponse{Region: union, Cols: m.Cols, Rows: m.Rows, T: m.T}
+	if cells := int(m.Cols) * int(m.Rows); lend {
+		out.Values = wire.LendRaster(cells)
+	} else {
+		out.Values = make([]float64, cells)
 	}
 	dx := (union.Max.X - union.Min.X) / float64(m.Cols)
 	dy := (union.Max.Y - union.Min.Y) / float64(m.Rows)
@@ -845,6 +940,9 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest) (wire.
 			}
 			out.Values[j*int(m.Cols)+i] = sampleGrid(src, p)
 		}
+	}
+	for i, resp := range resps {
+		n.consumed(i, resp) // merged
 	}
 	return out, part
 }
@@ -1042,6 +1140,7 @@ func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.Ba
 			out[i] = query.BatchResult{Value: it.Value}
 		}
 	}
+	n.Release(r)
 	return out, nil
 }
 
@@ -1070,7 +1169,7 @@ func (n *Node) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, 
 	if cols < 1 || cols > int(^uint16(0)) || rows < 1 || rows > int(^uint16(0)) {
 		return nil, fmt.Errorf("cluster: heatmap grid %dx%d out of range", cols, rows)
 	}
-	resp, part := n.scatterHeatmap(ctx, wire.HeatmapRequest{T: t, Pollutant: p, Cols: uint16(cols), Rows: uint16(rows)})
+	resp, part := n.scatterHeatmap(ctx, wire.HeatmapRequest{T: t, Pollutant: p, Cols: uint16(cols), Rows: uint16(rows)}, false)
 	r, err := answer[wire.HeatmapResponse](resp)
 	if err != nil {
 		return nil, err

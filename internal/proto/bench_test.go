@@ -62,3 +62,40 @@ func BenchmarkServeIngestFrame(b *testing.B) {
 		upload(warm + i)
 	}
 }
+
+// BenchmarkServeBatch100 is the commuter's read over TCP: a 100-point
+// route from proto.Client to an engine on a loopback connection, its cover
+// built. The server answers into lent items and reads the decoded request
+// in place; B/op covers both ends, which share the process (the client's
+// decoded answer, the server's decoded request).
+func BenchmarkServeBatch100(b *testing.B) {
+	eng := newEngine(b)
+	defer eng.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := proto.Serve(ln, eng, proto.ServerConfig{})
+	defer srv.Close()
+	c, err := proto.Dial(ln.Addr().String(), proto.ServerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := wire.BatchQueryRequest{Items: make([]wire.QueryRequest, 100)}
+	for i := range req.Items {
+		req.Items[i] = wire.QueryRequest{T: 36 * float64(i), X: 20 * float64(i), Y: 2000 - 19*float64(i)}
+	}
+	exchange := func() {
+		resp, err := c.Exchange(req)
+		br, ok := resp.(wire.BatchQueryResponse)
+		if err != nil || !ok || len(br.Items) != len(req.Items) || br.Items[0].Err != "" {
+			b.Fatalf("route: %v, %#v", err, resp)
+		}
+	}
+	exchange()
+	b.ReportAllocs()
+	for b.Loop() {
+		exchange()
+	}
+}

@@ -115,7 +115,7 @@ func TestOneWritePerFrame(t *testing.T) {
 
 // TestConnectionBuffersAreBounded: a frame near MaxFrameBytes in either
 // direction does not stay pinned to the connection, the everyday frames
-// that follow reuse one buffer, and that buffer never exceeds KeepBytes.
+// that follow reuse one buffer, and that buffer never exceeds wire.KeepBytes.
 func TestConnectionBuffersAreBounded(t *testing.T) {
 	c, _, _ := serveEcho(t)
 	exchange := func(req wire.Message) {
@@ -123,9 +123,9 @@ func TestConnectionBuffersAreBounded(t *testing.T) {
 		if _, err := c.Exchange(req); err != nil {
 			t.Fatal(err)
 		}
-		if cap(c.wbuf) > KeepBytes || cap(c.rd.buf) > KeepBytes {
+		if cap(c.wbuf) > wire.KeepBytes || cap(c.rd.buf) > wire.KeepBytes {
 			t.Fatalf("after %T the client holds %d B to write and %d B to read, want ≤ %d each",
-				req, cap(c.wbuf), cap(c.rd.buf), KeepBytes)
+				req, cap(c.wbuf), cap(c.rd.buf), wire.KeepBytes)
 		}
 	}
 	exchange(bigIngest()) // ≈ 1 MiB out
@@ -162,7 +162,7 @@ func TestConnectionBuffersAreBounded(t *testing.T) {
 			if w.write(m) != nil {
 				return
 			}
-			if cap(w.buf) > KeepBytes {
+			if cap(w.buf) > wire.KeepBytes {
 				t.Errorf("the writer holds %d B after a %T", cap(w.buf), m)
 			}
 		}
@@ -176,7 +176,7 @@ func TestConnectionBuffersAreBounded(t *testing.T) {
 		if _, ok := m.(wire.IngestRequest); !ok {
 			t.Fatalf("frame %d decoded as %T", i, m)
 		}
-		if cap(rd.buf) > KeepBytes {
+		if cap(rd.buf) > wire.KeepBytes {
 			t.Errorf("the reader holds %d B after frame %d", cap(rd.buf), i)
 		}
 	}

@@ -18,8 +18,8 @@
 // (wire.Binary.Decode never returns a message that aliases its input), a
 // message is encoded by wire.Binary.AppendEncode into the write buffer
 // behind its own length prefix and leaves in a single Write. A buffer that
-// one large frame grew past KeepBytes is dropped after that frame, so an
-// idle connection holds at most KeepBytes per direction.
+// one large frame grew past wire.KeepBytes is dropped after that frame, so
+// an idle connection holds at most wire.KeepBytes per direction.
 package proto
 
 import (
@@ -42,17 +42,13 @@ import (
 // just under this bound. 1 MiB stops hostile length prefixes.
 const MaxFrameBytes = 1 << 20
 
-// KeepBytes is the largest buffer a connection keeps between frames: room
-// for the everyday frames above, so those are read and written without
-// allocating, while the rare large one does not stay pinned to a
-// connection that may idle for minutes. The HTTP layer's pooled body
-// buffers and rasters keep to the same bound.
-const KeepBytes = 64 << 10
-
 // keep returns what a connection holds on to of a buffer it has finished
-// with: the buffer emptied, or nothing when one frame grew it too large.
+// with: the buffer emptied, or nothing when one frame grew it past
+// wire.KeepBytes, so the everyday frames are read and written without
+// allocating while the rare large one does not stay pinned to a connection
+// that may idle for minutes.
 func keep(buf []byte) []byte {
-	if cap(buf) > KeepBytes {
+	if cap(buf) > wire.KeepBytes {
 		return nil
 	}
 	return buf[:0]
@@ -162,6 +158,18 @@ type CtxHandler interface {
 	HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message
 }
 
+// Releaser is an optional Handler extension that lets a handler lend the
+// memory of its responses instead of allocating it per request. When the
+// handler implements it, the serve loop calls Release with every response
+// HandleMessage or HandleMessageCtx returned, exactly once, after writing
+// that response's frame — whether the write succeeded or failed, so a
+// response is never lent twice and never lost. From then on the handler
+// may reuse what the response refers to. A stream's ack and pushes, and
+// the serve loop's own answer to a malformed frame, are never released.
+type Releaser interface {
+	Release(resp wire.Message)
+}
+
 // ServerConfig tunes the TCP server.
 type ServerConfig struct {
 	// IdleTimeout closes connections with no request for this long
@@ -249,6 +257,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	streamer, canStream := s.handler.(CtxStreamer)
 	ctxHandler, canCtx := s.handler.(CtxHandler)
+	releaser, canRelease := s.handler.(Releaser)
 	rd := frameReader{r: conn}
 	for {
 		// A connection carrying a push stream idles legitimately between
@@ -299,7 +308,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp = s.handler.HandleMessage(req)
 			}
 		}
-		if err := w.write(resp); err != nil {
+		err = w.write(resp)
+		if canRelease && bad == nil {
+			releaser.Release(resp)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -335,6 +348,10 @@ type Client struct {
 	conn net.Conn
 	rd   frameReader // reads conn
 	wbuf []byte      // the connection's write buffer
+	// broken is the failed write or read that closed conn: after one, the
+	// connection may still deliver the answer to the request that failed,
+	// which the next exchange would take for its own.
+	broken error
 }
 
 // Dial connects to an EnviroMeter TCP server.
@@ -346,11 +363,17 @@ func Dial(addr string, cfg ServerConfig) (*Client, error) {
 	return &Client{cfg: cfg.withDefaults(), conn: conn, rd: frameReader{r: conn}}, nil
 }
 
-// Exchange performs one request/response round trip.
+// Exchange performs one request/response round trip. A failed write or
+// read — a timeout included — closes the connection, and every later
+// Exchange fails: the request/response pairing on it can no longer be
+// trusted.
 func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
+		if c.broken != nil {
+			return nil, fmt.Errorf("proto: connection closed after an earlier failure: %w", c.broken)
+		}
 		return nil, errors.New("proto: client closed")
 	}
 	frame, err := appendFrame(c.wbuf[:0], req)
@@ -359,20 +382,27 @@ func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
 	}
 	c.wbuf = keep(frame)
 	if err := c.conn.SetDeadline(time.Now().Add(c.cfg.IdleTimeout)); err != nil {
-		return nil, err
+		return nil, c.fail(fmt.Errorf("proto: set deadline: %w", err))
 	}
 	//lockcheck:allow mu is what makes an exchange own the connection and its buffers; the deadline bounds the write
 	if _, err := c.conn.Write(frame); err != nil {
-		return nil, fmt.Errorf("proto: write: %w", err)
+		return nil, c.fail(fmt.Errorf("proto: write: %w", err))
 	}
 	resp, bad, err := c.rd.next()
 	if err != nil {
-		return nil, fmt.Errorf("proto: read: %w", err)
+		return nil, c.fail(fmt.Errorf("proto: read: %w", err))
 	}
 	if bad != nil {
 		return nil, fmt.Errorf("proto: decode response: %w", bad)
 	}
 	return resp, nil
+}
+
+// fail closes the connection after err, which it returns; c.mu is held.
+func (c *Client) fail(err error) error {
+	c.conn.Close()
+	c.conn, c.broken = nil, err
+	return err
 }
 
 // Close closes the connection. Further Exchanges fail.

@@ -74,8 +74,9 @@ func TestFrameTruncation(t *testing.T) {
 	}
 }
 
-// newEngine builds a small engine for protocol tests.
-func newEngine(t *testing.T) *server.Engine {
+// newEngine builds a small engine for protocol tests: 500 tuples in one
+// hour-long window over a 2 km square.
+func newEngine(t testing.TB) *server.Engine {
 	t.Helper()
 	st := store.MustOpenMemory(3600)
 	rng := rand.New(rand.NewSource(1))

@@ -22,6 +22,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // columnarStores opens one store per pollutant under root; an empty root
@@ -161,11 +162,12 @@ func TestEngineColumnarEquivalence(t *testing.T) {
 					t.Fatalf("%v heatmap t=%v cell %d: %v vs %v", pol, tt, i, gc.Values[i], gr.Values[i])
 				}
 			}
-			region := gc.Region.Inflate(-50)
-			rc, errC := ec.HeatmapRegion(ctx, pol, tt, 8, 8, region)
-			rr, errR := er.HeatmapRegion(ctx, pol, tt, 8, 8, region)
-			if errC != nil || errR != nil {
-				t.Fatalf("%v heatmap region t=%v: %v / %v", pol, tt, errC, errR)
+			// The explicit-region raster a cluster router asks each node for.
+			req := wire.HeatmapRequest{T: tt, Pollutant: pol, Cols: 8, Rows: 8, HasRegion: true, Region: gc.Region.Inflate(-50)}
+			rc, okC := ec.HandleMessage(req).(wire.HeatmapResponse)
+			rr, okR := er.HandleMessage(req).(wire.HeatmapResponse)
+			if !okC || !okR {
+				t.Fatalf("%v heatmap region t=%v: not answered", pol, tt)
 			}
 			for i := range rc.Values {
 				if math.Float64bits(rc.Values[i]) != math.Float64bits(rr.Values[i]) {

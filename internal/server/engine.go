@@ -461,7 +461,14 @@ type procEntry struct {
 	err  error
 }
 
-func newProcCache() *procCache { return &procCache{m: make(map[procKey]*procEntry)} }
+// newProcCache returns the processor cache of a batch answered with o:
+// nil for the model cover, which builds no processors.
+func newProcCache(o query.Options) *procCache {
+	if o.WithDefaults().Kind == query.KindCover {
+		return nil
+	}
+	return &procCache{m: make(map[procKey]*procEntry)}
+}
 
 func (pc *procCache) get(key procKey, build func() (query.Processor, error)) (query.Processor, error) {
 	pc.mu.Lock()
@@ -559,7 +566,9 @@ func batchWorkers(requested, n int) int {
 	return w
 }
 
-// QueryBatchOpts is QueryBatch with explicit processor options.
+// QueryBatchOpts is QueryBatch with explicit processor options: the
+// allocating form of the engine's one batch executor, runBatch, which the
+// wire path runs on memory it lends instead.
 //
 // The batch executes on a bounded worker pool (Options.Concurrency
 // workers; 0 picks GOMAXPROCS, 1 is the sequential baseline). A bad
@@ -573,9 +582,60 @@ func (e *Engine) QueryBatchOpts(ctx context.Context, reqs []query.Request, o que
 	if len(reqs) == 0 {
 		return nil, errors.New("server: empty query batch")
 	}
-	workers := batchWorkers(o.Concurrency, len(reqs))
 	results := make([]query.BatchResult, len(reqs))
-	procs := newProcCache()
+	err := runBatch(ctx, e, len(reqs), resultSlots{reqs: reqs, out: results}, o)
+	return results, err
+}
+
+// batchSlots is the memory a batch executes in, owned by its caller:
+// request i is read from it and result i written into it, so the executor
+// copies neither the requests nor the results.
+type batchSlots interface {
+	request(i int) query.Request
+	answer(i int, v float64, err error)
+}
+
+// resultSlots is QueryBatchOpts' memory: the caller's requests, and the
+// results it returns.
+type resultSlots struct {
+	reqs []query.Request
+	out  []query.BatchResult
+}
+
+func (s resultSlots) request(i int) query.Request { return s.reqs[i] }
+
+func (s resultSlots) answer(i int, v float64, err error) {
+	s.out[i] = query.BatchResult{Value: v, Err: err}
+}
+
+// wireSlots is a wire batch's memory: the decoded request's items, and the
+// response items the engine lends. A failure becomes its item's coded
+// error, so the far side restores the same sentinel.
+type wireSlots struct {
+	reqs []wire.QueryRequest
+	out  []wire.BatchQueryItem
+}
+
+func (s wireSlots) request(i int) query.Request {
+	it := s.reqs[i]
+	return query.Request{T: it.T, X: it.X, Y: it.Y, Pollutant: it.Pollutant}
+}
+
+func (s wireSlots) answer(i int, v float64, err error) {
+	if err != nil {
+		s.out[i] = wire.FailedItem(cluster.CodeOf(err), err.Error())
+		return
+	}
+	s.out[i] = wire.BatchQueryItem{Value: v}
+}
+
+// runBatch is the batch executor (see QueryBatchOpts): it answers the n
+// requests of s into s. Every slot is written, with the context error for
+// slots a cancellation left unanswered; the returned error is reserved for
+// that cancellation.
+func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S, o query.Options) error {
+	workers := batchWorkers(o.Concurrency, n)
+	procs := newProcCache(o)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -584,36 +644,36 @@ func (e *Engine) QueryBatchOpts(ctx context.Context, reqs []query.Request, o que
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
+				if i >= n {
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					results[i] = query.BatchResult{Err: err}
+					s.answer(i, 0, err)
 					continue // drain: mark remaining slots without querying
 				}
-				results[i] = e.batchItem(ctx, reqs[i], o, procs)
+				v, err := e.batchItem(ctx, s.request(i), o, procs)
+				s.answer(i, v, err)
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return results, fmt.Errorf("server: query batch: %w", err)
+		return fmt.Errorf("server: query batch: %w", err)
 	}
-	return results, nil
+	return nil
 }
 
 // batchItem answers one batch slot, containing panics: before the pool,
 // a processor panic was confined to its HTTP request by net/http's
 // per-connection recover; on a bare worker goroutine it would kill the
 // whole process, so it becomes that item's error instead.
-func (e *Engine) batchItem(ctx context.Context, req query.Request, o query.Options, procs *procCache) (res query.BatchResult) {
+func (e *Engine) batchItem(ctx context.Context, req query.Request, o query.Options, procs *procCache) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = query.BatchResult{Err: fmt.Errorf("server: batch item panic: %v", r)}
+			v, err = 0, fmt.Errorf("server: batch item panic: %v", r)
 		}
 	}()
-	v, err := e.queryOpts(ctx, req, o, procs)
-	return query.BatchResult{Value: v, Err: err}
+	return e.queryOpts(ctx, req, o, procs)
 }
 
 // CoverAt returns pollutant p's model cover valid at stream time t.
@@ -724,17 +784,6 @@ func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64,
 	return g, cv, nil
 }
 
-// HeatmapRegion rasterizes pollutant p's cover at time t over an
-// explicit region — the form a cluster router requests so every shard
-// renders a comparable extent.
-func (e *Engine) HeatmapRegion(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int, region geo.Rect) (*heatmap.Grid, error) {
-	g := new(heatmap.Grid)
-	if _, err := e.heatmap(ctx, g, p, t, cols, rows, &region); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // heatmap renders pollutant p's cover at time t into g (see
 // heatmap.Render) over region, or over the window's data bounds when
 // region is nil, and returns the cover it drew.
@@ -778,10 +827,16 @@ func (e *Engine) HandleMessage(req wire.Message) wire.Message {
 	return e.HandleMessageCtx(context.Background(), req)
 }
 
-// HandleMessageCtx is HandleMessage with a caller-supplied context, so
-// in-process callers (the cluster node answering its own shards on
-// behalf of an HTTP request) keep cancellation and deadlines; wire
-// transports, which carry no context, use HandleMessage.
+// HandleMessageCtx is HandleMessage with a caller-supplied context
+// (proto.CtxHandler): the proto serve loop passes one bound to the
+// server's lifetime, and in-process callers (the cluster node answering
+// its own shards on behalf of an HTTP request) keep their cancellation and
+// deadlines.
+//
+// A batch response's items and a heatmap response's values are lent from
+// the wire pools, not allocated: whoever finishes with the response may
+// hand them back with Release — the serve loop does, once the frame is
+// written. A caller that keeps the response simply never releases it.
 func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case wire.QueryRequest:
@@ -794,21 +849,10 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		if len(m.Items) == 0 {
 			return wire.ErrorResponse{Msg: "empty query batch"}
 		}
-		reqs := make([]query.Request, len(m.Items))
-		for i, it := range m.Items {
-			reqs[i] = query.Request{T: it.T, X: it.X, Y: it.Y, Pollutant: it.Pollutant}
-		}
-		rs, err := e.QueryBatch(ctx, reqs)
-		if err != nil {
+		resp := wire.BatchQueryResponse{Items: wire.LendItems(len(m.Items))}
+		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: resp.Items}, query.Options{}); err != nil {
+			wire.Recycle(resp)
 			return cluster.WireError(err)
-		}
-		resp := wire.BatchQueryResponse{Items: make([]wire.BatchQueryItem, len(rs))}
-		for i, r := range rs {
-			if r.Err != nil {
-				resp.Items[i] = wire.FailedItem(cluster.CodeOf(r.Err), r.Err.Error())
-			} else {
-				resp.Items[i] = wire.BatchQueryItem{Value: r.Value}
-			}
 		}
 		return resp
 	case wire.ModelRequest:
@@ -838,20 +882,18 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 			return cluster.WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",
 				cluster.ErrTooLarge, cols, rows, cluster.MaxHeatmapCells))
 		}
-		var (
-			grid *heatmap.Grid
-			err  error
-		)
+		var region *geo.Rect
 		if m.HasRegion {
-			grid, err = e.HeatmapRegion(ctx, m.Pollutant, m.T, cols, rows, m.Region)
-		} else {
-			grid, err = e.Heatmap(ctx, m.Pollutant, m.T, cols, rows)
+			region = &m.Region
 		}
-		if err != nil {
+		g := heatmap.Grid{Values: wire.LendRaster(cols * rows)}
+		if _, err := e.heatmap(ctx, &g, m.Pollutant, m.T, cols, rows, region); err != nil {
+			wire.ReturnRaster(g.Values)
 			return cluster.WireError(err)
 		}
-		resp, err := wire.HeatmapResponseFromGrid(grid)
+		resp, err := wire.HeatmapResponseFromGrid(&g)
 		if err != nil {
+			wire.ReturnRaster(g.Values)
 			return cluster.WireError(err)
 		}
 		return resp
@@ -870,6 +912,10 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		return wire.ErrorResponse{Msg: fmt.Sprintf("unsupported request type %T", req)}
 	}
 }
+
+// Release implements proto.Releaser: it hands the lent memory of a
+// response HandleMessageCtx returned back to the wire pools.
+func (e *Engine) Release(resp wire.Message) { wire.Recycle(resp) }
 
 // ClassifyFor returns the display band for a value of pollutant p.
 func ClassifyFor(p tuple.Pollutant, v float64) eval.CO2Band {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,12 +19,12 @@ import (
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
-	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/route"
 	"repro/internal/store"
 	"repro/internal/subs"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // API wraps an Engine with the versioned HTTP/JSON interface of the
@@ -88,8 +89,8 @@ const (
 	// raster and ≈ 20 MB of JSON.
 	maxHeatmapCells = 1 << 20
 	// keepItems is the most points a pooled continuous request state holds
-	// between requests. Pooled body buffers and rasters keep at most
-	// proto.KeepBytes: one large request does not stay pinned to a pool.
+	// between requests. Pooled body buffers and lent rasters keep at most
+	// wire.KeepBytes: one large request does not stay pinned to a pool.
 	keepItems = 1 << 10
 )
 
@@ -121,22 +122,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func putBody(buf *bytes.Buffer) {
-	if buf.Cap() > proto.KeepBytes {
+	if buf.Cap() > wire.KeepBytes {
 		return
 	}
 	buf.Reset()
 	bodies.Put(buf)
-}
-
-// grids lends /v1/heatmap the raster it renders into; a grid goes back
-// only after its response has been written.
-var grids = sync.Pool{New: func() any { return new(heatmap.Grid) }}
-
-func putGrid(g *heatmap.Grid) {
-	if cap(g.Values)*8 > proto.KeepBytes {
-		return
-	}
-	grids.Put(g)
 }
 
 // routeState is the memory a continuous request reuses: its decoded
@@ -249,8 +239,11 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	writeError(w, status, err)
 }
 
-func queryFloat(r *http.Request, name string) (float64, error) {
-	s := r.URL.Query().Get(name)
+// queryFloat reads a required finite number. The query-parameter readers
+// take the query string a handler parsed once: r.URL.Query() parses it
+// anew on every call.
+func queryFloat(q url.Values, name string) (float64, error) {
+	s := q.Get(name)
 	if s == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}
@@ -266,8 +259,8 @@ func queryFloat(r *http.Request, name string) (float64, error) {
 	return v, nil
 }
 
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	s := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
@@ -280,8 +273,8 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 
 // queryPollutant resolves the optional ?pollutant= parameter, defaulting
 // to the engine's default pollutant.
-func (a *API) queryPollutant(r *http.Request) (tuple.Pollutant, error) {
-	s := r.URL.Query().Get("pollutant")
+func (a *API) queryPollutant(q url.Values) (tuple.Pollutant, error) {
+	s := q.Get("pollutant")
 	if s == "" {
 		return a.engine.Default(), nil
 	}
@@ -293,16 +286,16 @@ func (a *API) queryPollutant(r *http.Request) (tuple.Pollutant, error) {
 }
 
 // queryOptions resolves the optional ?processor= and ?radius= parameters.
-func queryOptions(r *http.Request) (query.Options, error) {
+func queryOptions(q url.Values) (query.Options, error) {
 	var o query.Options
-	if s := r.URL.Query().Get("processor"); s != "" {
+	if s := q.Get("processor"); s != "" {
 		k, err := query.ParseKind(s)
 		if err != nil {
 			return o, err
 		}
 		o.Kind = k
 	}
-	if s := r.URL.Query().Get("radius"); s != "" {
+	if s := q.Get("radius"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 			return o, fmt.Errorf("parameter %q: want a positive number", "radius")
@@ -315,7 +308,7 @@ func queryOptions(r *http.Request) (query.Options, error) {
 			o.Kind = query.KindNaive
 		}
 	}
-	if s := r.URL.Query().Get("concurrency"); s != "" {
+	if s := q.Get("concurrency"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 0 {
 			return o, fmt.Errorf("parameter %q: want a non-negative integer", "concurrency")
@@ -349,23 +342,24 @@ func pointResponseFor(p tuple.Pollutant, v float64) pointResponse {
 // handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant=&processor=&radius=
 // — the single point query mode.
 func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	var t, x, y float64
 	var err error
-	if t, err = queryFloat(r, "t"); err == nil {
-		if x, err = queryFloat(r, "x"); err == nil {
-			y, err = queryFloat(r, "y")
+	if t, err = queryFloat(q, "t"); err == nil {
+		if x, err = queryFloat(q, "x"); err == nil {
+			y, err = queryFloat(q, "y")
 		}
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pol, err := a.queryPollutant(r)
+	pol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := queryOptions(r)
+	opts, err := queryOptions(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -409,7 +403,8 @@ type batchResponse struct {
 // each item succeeds or fails on its own: a request outside the retained
 // windows reports an "error" in its slot without rejecting the batch.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
-	opts, err := queryOptions(r)
+	q := r.URL.Query()
+	opts, err := queryOptions(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -424,7 +419,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Untagged requests inherit the route pollutant (?pollutant=, falling
 	// back to the engine default).
-	routePol, err := a.queryPollutant(r)
+	routePol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -484,7 +479,7 @@ type continuousResponse struct {
 // "continuous query mode" where users select the points of a route and
 // the app shows per-point values and the route average (§3).
 func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
-	pol, err := a.queryPollutant(r)
+	pol, err := a.queryPollutant(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -548,12 +543,13 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 // handleModels serves GET /v1/models?t=&pollutant= — the model request
 // e_l of the model-cache protocol, returning (t_n, µ, M) as JSON.
 func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
-	t, err := queryFloat(r, "t")
+	q := r.URL.Query()
+	t, err := queryFloat(q, "t")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pol, err := a.queryPollutant(r)
+	pol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -583,13 +579,14 @@ type heatmapResponse struct {
 // handleHeatmap serves GET /v1/heatmap?t=&cols=&rows=&pollutant= — the
 // web UI's heatmap visualization data.
 func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
-	t, cols, rows, pol, err := a.heatmapParams(r, 64)
+	t, cols, rows, pol, err := a.heatmapParams(r.URL.Query(), 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	g := grids.Get().(*heatmap.Grid)
-	defer putGrid(g)
+	// The raster is lent, and goes back once the response is written.
+	g := &heatmap.Grid{Values: wire.LendRaster(cols * rows)}
+	defer wire.ReturnRaster(g.Values)
 	// Raster and centroid markers come from one call.
 	grid, cv, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows)
 	pe, isPartial := asPartial(err)
@@ -613,7 +610,7 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 // handleHeatmapPNG serves GET /v1/heatmap.png?t=&cols=&rows=&pollutant= —
 // the rendered image.
 func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
-	t, cols, rows, pol, err := a.heatmapParams(r, 256)
+	t, cols, rows, pol, err := a.heatmapParams(r.URL.Query(), 256)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -632,14 +629,14 @@ func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
 }
 
 // heatmapParams parses the shared heatmap parameter set.
-func (a *API) heatmapParams(r *http.Request, defSize int) (t float64, cols, rows int, pol tuple.Pollutant, err error) {
-	if t, err = queryFloat(r, "t"); err != nil {
+func (a *API) heatmapParams(q url.Values, defSize int) (t float64, cols, rows int, pol tuple.Pollutant, err error) {
+	if t, err = queryFloat(q, "t"); err != nil {
 		return
 	}
-	if cols, err = queryInt(r, "cols", defSize); err != nil {
+	if cols, err = queryInt(q, "cols", defSize); err != nil {
 		return
 	}
-	if rows, err = queryInt(r, "rows", defSize); err != nil {
+	if rows, err = queryInt(q, "rows", defSize); err != nil {
 		return
 	}
 	if cols < 1 || rows < 1 {
@@ -652,7 +649,7 @@ func (a *API) heatmapParams(r *http.Request, defSize int) (t float64, cols, rows
 		err = fmt.Errorf("grid %dx%d: want at most %d cells", cols, rows, maxHeatmapCells)
 		return
 	}
-	pol, err = a.queryPollutant(r)
+	pol, err = a.queryPollutant(q)
 	return
 }
 
@@ -685,7 +682,7 @@ type routeSummaryResponse struct {
 
 // handleRouteSummary serves POST /v1/route/summary?pollutant=.
 func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
-	pol, err := a.queryPollutant(r)
+	pol, err := a.queryPollutant(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -759,12 +756,13 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	pol, err := a.queryPollutant(r)
+	q := r.URL.Query()
+	pol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("pollutant") == "" && req.Pollutant != "" {
+	if q.Get("pollutant") == "" && req.Pollutant != "" {
 		if pol, err = tuple.ParsePollutant(req.Pollutant); err != nil {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("%w: %q", query.ErrUnknownPollutant, req.Pollutant))
@@ -823,7 +821,7 @@ type statsResponse struct {
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The top-level fields describe the requested pollutant
 	// (?pollutant=, default: the engine default).
-	top, err := a.queryPollutant(r)
+	top, err := a.queryPollutant(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -129,7 +129,7 @@ func TestHTTPHeatmapCellCap(t *testing.T) {
 	}
 	for q, ok := range map[string]bool{"cols=1024&rows=1024": true, "cols=1048576&rows=1": true,
 		"cols=1025&rows=1024": false, "cols=1048577&rows=1": false} {
-		_, _, _, _, err := api.heatmapParams(httptest.NewRequest(http.MethodGet, "/v1/heatmap?t=300&"+q, nil), 64)
+		_, _, _, _, err := api.heatmapParams(httptest.NewRequest(http.MethodGet, "/v1/heatmap?t=300&"+q, nil).URL.Query(), 64)
 		if (err == nil) != ok {
 			t.Errorf("%s: %v, want accepted = %v", q, err, ok)
 		}

@@ -32,6 +32,15 @@ import (
 func newTestStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.MustOpenMemory(600)
+	if err := st.Append(testData()); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// testData is newTestStore's dataset: 300 tuples in each of two 600 s
+// windows over a 2 km square, on a linear field.
+func testData() tuple.Batch {
 	rng := rand.New(rand.NewSource(1))
 	var b tuple.Batch
 	for c := 0; c < 2; c++ {
@@ -44,10 +53,7 @@ func newTestStore(t testing.TB) *store.Store {
 			})
 		}
 	}
-	if err := st.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return b
 }
 
 // newTestEngine builds an engine over newTestStore's dataset.

@@ -175,7 +175,8 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, errors.New("response writer cannot stream"))
 		return
 	}
-	pol, err := a.queryPollutant(r)
+	q := r.URL.Query()
+	pol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -183,7 +184,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	lastID := r.Header.Get("Last-Event-ID")
 	if lastID == "" {
-		lastID = r.URL.Query().Get("lastEventId")
+		lastID = q.Get("lastEventId")
 	}
 	var (
 		entry   *subEntry
@@ -203,7 +204,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if entry == nil {
-		pts, err := parseRoutePoints(r.URL.Query().Get("points"))
+		pts, err := parseRoutePoints(q.Get("points"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

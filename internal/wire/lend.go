@@ -1,0 +1,92 @@
+package wire
+
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
+
+// KeepBytes is the largest buffer kept for reuse: by a proto connection
+// between frames, and by the lending pools below. It is room for the
+// everyday frames — a 256-tuple upload (8 KiB), a 100-point route reply
+// (2.4 KiB), a 64×64 raster (32 KiB) — while a rare large one does not
+// stay pinned to an idle connection or a pool.
+const KeepBytes = 64 << 10
+
+// The two answers whose size grows with the request — a batch's items and
+// a raster's values — are lent, not allocated, on the read path: a handler
+// borrows the memory it answers into (LendItems, LendRaster) and takes it
+// back with Recycle once the response has been written (proto.Releaser).
+// There is one pool per answer type, shared by everything that lends one,
+// so whoever takes an answer back returns it to the pool it came from.
+var (
+	items   = lendPool[BatchQueryItem]{maxLen: KeepBytes / int(unsafe.Sizeof(BatchQueryItem{}))}
+	rasters = lendPool[float64]{maxLen: KeepBytes / 8}
+)
+
+// LendItems lends a slice of n batch items. Its contents are undefined:
+// the borrower writes every item.
+func LendItems(n int) []BatchQueryItem { return items.lend(n) }
+
+// LendRaster lends a raster of n values. Its contents are undefined: the
+// borrower writes every value.
+func LendRaster(n int) []float64 { return rasters.lend(n) }
+
+// ReturnRaster takes back a raster from LendRaster once nothing reads it.
+func ReturnRaster(v []float64) { rasters.take(v) }
+
+// Recycle takes back the lent memory of a response nothing reads any
+// more: a batch response's items, a heatmap response's values. Any other
+// message is left alone. The caller must own that memory — it lent it, or
+// decoded the message itself — because the next borrower overwrites it.
+func Recycle(m Message) {
+	switch v := m.(type) {
+	case BatchQueryResponse:
+		clear(v.Items) // drop the error texts the items refer to
+		items.take(v.Items)
+	case HeatmapResponse:
+		rasters.take(v.Values)
+	}
+}
+
+// lendPool lends slices of T with a power-of-two capacity, one sync.Pool
+// per capacity: a borrower of n elements gets a slice of the next power of
+// two up, so a 30-item route leg and a 100-item route do not trade one
+// pool's slices back and forth. A slice rides in a box (*[]T) so that
+// neither lending nor taking back allocates: lend parks the emptied box in
+// spare, and take fills one from there.
+type lendPool[T any] struct {
+	maxLen int // the largest capacity kept: KeepBytes of T
+	bySize [bits.UintSize]sync.Pool
+	spare  sync.Pool
+}
+
+func (p *lendPool[T]) lend(n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	c := bits.Len(uint(n - 1)) // 1<<c is the least power of two ≥ n
+	if n > p.maxLen || 1<<c > p.maxLen {
+		return make([]T, n)
+	}
+	if b, ok := p.bySize[c].Get().(*[]T); ok {
+		s := (*b)[:n]
+		*b = nil
+		p.spare.Put(b)
+		return s
+	}
+	return make([]T, n, 1<<c)
+}
+
+func (p *lendPool[T]) take(s []T) {
+	c := bits.Len(uint(cap(s))) - 1
+	if c < 0 || cap(s) != 1<<c || cap(s) > p.maxLen {
+		return // not a lent slice, or too large to keep
+	}
+	b, _ := p.spare.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:0]
+	p.bySize[c].Put(b)
+}
