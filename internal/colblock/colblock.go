@@ -1,12 +1,12 @@
 // Package colblock implements the store's checkpoint file format: the
 // retained windows, each re-sorted by (geo-cell, time) and encoded as
-// per-column fixed-point arrays in self-checksummed blocks, with per-block
+// per-column bit-packed integers in self-checksummed blocks, with per-block
 // min/max zone maps in a checksummed footer that also carries what
 // recovery needs beside the tuples — the checkpoint's sequence number,
 // its segment horizon and the store's largest timestamp.
 //
 // Every column is encoded losslessly (fixed-point only when the exact
-// float64 round-trips bit-for-bit, raw IEEE bits otherwise) and each tuple
+// float64 round-trips bit-for-bit, IEEE bits otherwise) and each tuple
 // carries its original append position, so a materialized window is
 // byte-identical to the slice the store held in memory when it wrote the
 // file — which is what lets a restarted store answer exactly as the
@@ -27,27 +27,51 @@
 // horizon and maxTime) were sidecars beside a row checkpoint and cannot
 // stand alone; the reader rejects them by version.
 //
-// # Block layout
+// # Block layout (version 3)
 //
 //	count u32
 //	5 columns (T, X, Y, S, seq), each:
-//	  enc u8 | scaleExp u8 | width u8 | reserved u8
-//	  fixed-point: base i64, then count × width LE offsets from base
-//	  raw:         count × 8 B IEEE-754 bits
+//	  enc u8 (2: packed) | scale u8 | width u8 | reserved u8
+//	  base u64
+//	  count × width-bit offsets, LSB-first, padded to a byte
 //	crc u32 (IEEE, over everything above)
 //
-// Fixed-point stores round(v·10^scaleExp) − base; the encoder only picks
-// a scale when decoding reproduces the input bits exactly, so decode is
-// base+offset, one divide, no drift.
+// A column holds count keys, each base + its offset (mod 2^64); width
+// (0–64) is the fewest bits that hold the largest offset, so a constant
+// column takes nothing past its base. scale says what a key is:
+//
+//	0–9   a fixed-point integer: the value is int64(key) / 10^scale. The
+//	      encoder picks the smallest scale at which every value of the
+//	      column decodes back to its exact bits, so decode is base +
+//	      offset, one divide, no drift; integer seconds take 12 bits a
+//	      block, the seq column (scale 0) 11.
+//	255   the value's IEEE-754 bits rotated left by one. The rotation
+//	      moves the sign to bit 0, so a column of both signs spans its
+//	      exponents, not the whole 64-bit space.
+//
+// # Version 2
+//
+// Version-2 files, which earlier releases wrote, are still read. Their two
+// column encodings are the byte-aligned special case of the packed one:
+//
+//	enc 1 (fixed)  base u64, count × width-byte offsets: packed at 8·width bits
+//	enc 0 (raw)    count × 8 B IEEE bits: packed at 64 bits, base 0, no rotation
+//
+// so one unpack loop reads both versions. Encodings are strict per
+// version: a version-2 file holds only raw and fixed columns, a version-3
+// file only packed ones. Nothing writes version 2, and a new file never
+// carries a version-2 block over (see WindowData.Base).
 package colblock
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -61,8 +85,11 @@ import (
 const (
 	colMagic   = 0x454d434c // "EMCL"
 	footMagic  = 0x454d4346 // "EMCF"
-	colVersion = 2
+	colVersion = 3
 )
+
+// v2 is the previous format version: read, never written.
+const v2 = 2
 
 const (
 	headerSize   = 8
@@ -86,11 +113,17 @@ const (
 	cellSize = 250.0
 )
 
-// Column encodings.
+// Column encodings: raw and fixed in version-2 files, packed in
+// version-3 ones.
 const (
-	encRaw   = 0 // count × 8 B IEEE-754 float64 bits
-	encFixed = 1 // base i64 + count × width LE unsigned offsets
+	encRaw    = 0 // count × 8 B IEEE-754 float64 bits
+	encFixed  = 1 // base u64 + count × width-byte LE offsets
+	encPacked = 2 // base u64 + count × width-bit offsets, LSB-first
 )
+
+// scaleIEEE is the scale of a column whose keys are IEEE-754 bits, not
+// fixed-point integers.
+const scaleIEEE = 0xff
 
 // maxFixed bounds the scaled magnitude accepted by the fixed-point
 // encoder, keeping the float64→int64 conversion in defined range.
@@ -124,9 +157,11 @@ type WindowData struct {
 	Tuples tuple.Batch
 	// Base, when not nil, is the reader the window's first
 	// Base.WindowCount(Window) tuples come from. With no Tuples behind them
-	// the window's blocks are copied as they are, each one's checksum and
-	// count checked, not decoded and encoded again: the same tuples in the
-	// same order encode to the same bytes.
+	// and a Base of the current version the window's blocks are copied as
+	// they are, each one's checksum and count checked, not decoded and
+	// encoded again: the same tuples in the same order encode to the same
+	// bytes. A version-2 Base is decoded and encoded again, so a copied
+	// block is always one the encoder would write.
 	Base *Reader
 }
 
@@ -147,15 +182,15 @@ func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 
 // encoder is Encode's scratch: the window order, one window put together
 // from its base and what followed, one window's sort keys, one block's
-// five columns, the fixed-point integers of the column being written, the
-// block under construction (or being carried over) and the directory. A
+// four float columns, the keys of the column being written, the block
+// under construction (or being carried over) and the directory. A
 // checkpoint of n tuples allocated ≈ 164 n bytes without it.
 type encoder struct {
 	windows        []WindowData
 	merged         tuple.Batch
 	order          []sortKey
 	ts, xs, ys, ss []float64
-	seqs, ints     []int64
+	keys           []uint64
 	blk, dir       []byte
 }
 
@@ -198,7 +233,7 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 	for _, wd := range e.windows {
 		tuples := wd.Tuples
 		switch {
-		case wd.Base != nil && len(wd.Tuples) == 0:
+		case wd.Base != nil && len(wd.Tuples) == 0 && wd.Base.version == colVersion:
 			for _, bm := range wd.Base.windowBlocks(wd.Window) {
 				blk, err := wd.Base.blockBytes(&e.blk, bm)
 				if err == nil {
@@ -295,11 +330,10 @@ func cellOf(v float64) int64 { return int64(math.Floor(v / cellSize)) }
 func (e *encoder) encodeBlock(b tuple.Batch, idx []sortKey) BlockMeta {
 	n := len(idx)
 	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
-	e.seqs, e.ints = sized(e.seqs, n), sized(e.ints, n)
+	e.keys = sized(e.keys, n)
 	for i, k := range idx {
 		r := b[k.pos]
 		e.ts[i], e.xs[i], e.ys[i], e.ss[i] = r.T, r.X, r.Y, r.S
-		e.seqs[i] = int64(k.pos)
 	}
 	meta := BlockMeta{Count: n}
 	meta.MinT, meta.MaxT = minMax(e.ts)
@@ -310,9 +344,12 @@ func (e *encoder) encodeBlock(b tuple.Batch, idx []sortKey) BlockMeta {
 	buf := append(e.blk[:0], 0, 0, 0, 0)
 	putU32(buf, uint32(n))
 	for _, col := range [...][]float64{e.ts, e.xs, e.ys, e.ss} {
-		buf = appendFloatColumn(buf, col, e.ints)
+		buf = appendFloatColumn(buf, col, e.keys)
 	}
-	buf = appendIntColumn(buf, e.seqs, 0)
+	for i, k := range idx {
+		e.keys[i] = uint64(k.pos)
+	}
+	buf = appendPacked(buf, e.keys, 0)
 	e.blk = appendU32(buf, crc32.ChecksumIEEE(buf))
 	return meta
 }
@@ -330,25 +367,24 @@ func minMax(vals []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// appendFloatColumn encodes vals as fixed-point when every value
-// round-trips bit-exactly at some power-of-ten scale, and as raw IEEE
-// bits otherwise. ints is scratch of len(vals).
-func appendFloatColumn(dst []byte, vals []float64, ints []int64) []byte {
-	if scale, ok := fixedPoint(vals, ints); ok {
-		return appendIntColumn(dst, ints, scale)
+// appendFloatColumn encodes vals as fixed-point integers when every value
+// round-trips bit-exactly at some power-of-ten scale, and as rotated IEEE
+// bits otherwise. keys is scratch of len(vals).
+func appendFloatColumn(dst []byte, vals []float64, keys []uint64) []byte {
+	if scale, ok := fixedPoint(vals, keys); ok {
+		return appendPacked(dst, keys, scale)
 	}
-	dst = append(dst, encRaw, 0, 8, 0)
-	for _, v := range vals {
-		dst = appendU64(dst, math.Float64bits(v))
+	for i, v := range vals {
+		keys[i] = bits.RotateLeft64(math.Float64bits(v), 1)
 	}
-	return dst
+	return appendPacked(dst, keys, scaleIEEE)
 }
 
-// fixedPoint tries ascending scales and fills ints with the scaled
+// fixedPoint tries ascending scales and fills keys with the scaled
 // integers of the first scale at which every value decodes back to its
 // exact bits. The ascending order also yields the narrowest offsets,
 // since the value span grows with the scale.
-func fixedPoint(vals []float64, ints []int64) (scale byte, ok bool) {
+func fixedPoint(vals []float64, keys []uint64) (scale byte, ok bool) {
 nextScale:
 	for e := range pow10 {
 		p := pow10[e]
@@ -361,45 +397,54 @@ nextScale:
 			if math.Float64bits(float64(iv)/p) != math.Float64bits(v) {
 				continue nextScale
 			}
-			ints[i] = iv
+			keys[i] = uint64(iv)
 		}
 		return byte(e), true
 	}
 	return 0, false
 }
 
-// appendIntColumn encodes ints as base + narrow unsigned offsets.
-func appendIntColumn(dst []byte, ints []int64, scale byte) []byte {
-	base, maxv := ints[0], ints[0]
-	for _, v := range ints[1:] {
-		if v < base {
-			base = v
+// appendPacked encodes keys as one packed column: a base, then each key's
+// offset from it in the fewest bits that hold them all.
+func appendPacked(dst []byte, keys []uint64, scale byte) []byte {
+	base, span := keyRange(keys)
+	w := uint(bits.Len64(span))
+	dst = append(dst, encPacked, scale, byte(w), 0)
+	dst = appendU64(dst, base)
+	var acc uint64 // offset bits not yet written, the first lowest
+	var n uint     // how many
+	for _, k := range keys {
+		v := k - base
+		acc |= v << n
+		if n+w < 64 {
+			n += w
+			continue
 		}
-		if v > maxv {
-			maxv = v
-		}
+		dst = appendU64(dst, acc)
+		acc = v >> (64 - n) // the bits of v acc had no room for (none when n is 0)
+		n += w - 64
 	}
-	span := uint64(maxv) - uint64(base)
-	var width byte
-	switch {
-	case span <= 0xff:
-		width = 1
-	case span <= 0xffff:
-		width = 2
-	case span <= 0xffffffff:
-		width = 4
-	default:
-		width = 8
-	}
-	dst = append(dst, encFixed, scale, width, 0)
-	dst = appendU64(dst, uint64(base))
-	for _, v := range ints {
-		u := uint64(v) - uint64(base)
-		for b := 0; b < int(width); b++ {
-			dst = append(dst, byte(u>>(8*b)))
-		}
+	for i := uint(0); i < n; i += 8 {
+		dst = append(dst, byte(acc>>i))
 	}
 	return dst
+}
+
+// keyRange returns the base and span of keys: the smallest key in
+// unsigned or in signed order, whichever leaves the shorter span. A
+// fixed-point column of both signs is short in signed order, an IEEE
+// column in unsigned order.
+func keyRange(keys []uint64) (base, span uint64) {
+	umin, umax := keys[0], keys[0]
+	smin, smax := int64(keys[0]), int64(keys[0])
+	for _, k := range keys[1:] {
+		umin, umax = min(umin, k), max(umax, k)
+		smin, smax = min(smin, int64(k)), max(smax, int64(k))
+	}
+	if s := uint64(smax) - uint64(smin); s < umax-umin {
+		return uint64(smin), s
+	}
+	return umin, umax - umin
 }
 
 // BlockMeta is one directory entry: where a block lives and what its
@@ -459,57 +504,59 @@ func blockBody(data []byte, count int) ([]byte, error) {
 	return body[4:], nil
 }
 
-// decodeBlock parses one block's bytes (header through CRC) and returns
-// its columns. count cross-checks the directory entry.
-func decodeBlock(data []byte, count int) (ts, xs, ys, ss []float64, seqs []int64, err error) {
-	p, err := blockBody(data, count)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	cols := make([][]float64, 4)
-	for i := range cols {
-		cols[i], p, err = decodeFloatColumn(p, count)
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-	}
-	seqs, p, err = decodeSeqColumn(p, count)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	if len(p) != 0 {
-		return nil, nil, nil, nil, nil, fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
-	}
-	return cols[0], cols[1], cols[2], cols[3], seqs, nil
-}
-
-// column is one column of a block, located but not decoded.
+// column is one column of a block, located but not decoded: its keys are
+// base plus offsets of width bits each.
 type column struct {
-	enc, scale, width byte
-	base              uint64 // fixed-point only
-	data              []byte // n × width offsets, or n × 8 B IEEE bits
+	scale byte // 0–9: fixed-point decimal exponent; scaleIEEE: IEEE bits
+	rot   int  // IEEE bits only: how far left the encoder rotated them
+	width uint // 0–64
+	base  uint64
+	data  []byte
 }
 
-// cutColumn locates the column of n values that p starts with and returns
-// what follows it.
-func cutColumn(p []byte, n int) (column, []byte, error) {
-	enc, scale, width, p, err := columnHeader(p)
-	if err != nil {
-		return column{}, nil, err
+// cutColumn locates the column of n values that p starts with, in a file
+// of the given version, and returns what follows it.
+func cutColumn(p []byte, n int, version uint32) (column, []byte, error) {
+	if len(p) < 4 {
+		return column{}, nil, fmt.Errorf("%w: column header truncated", ErrCorrupt)
 	}
-	col := column{enc: enc, scale: scale, width: width}
-	switch enc {
-	case encRaw:
-		col.width = 8
-	case encFixed:
+	enc, scale, width := p[0], p[1], uint(p[2])
+	p = p[4:]
+	col := column{scale: scale, width: width}
+	ieee, hasBase := false, true
+	switch {
+	case version == colVersion && enc == encPacked:
+		if width > 64 {
+			return column{}, nil, fmt.Errorf("%w: column width %d bits", ErrCorrupt, width)
+		}
+		if ieee = scale == scaleIEEE; ieee {
+			col.rot = 1
+		}
+	case version == v2 && enc == encFixed:
+		if width != 1 && width != 2 && width != 4 && width != 8 {
+			return column{}, nil, fmt.Errorf("%w: column width %d bytes", ErrCorrupt, width)
+		}
+		col.width = 8 * width
+	case version == v2 && enc == encRaw:
+		if width != 8 {
+			return column{}, nil, fmt.Errorf("%w: raw column width %d bytes", ErrCorrupt, width)
+		}
+		col.width, ieee, hasBase = 64, true, false
+	default:
+		return column{}, nil, fmt.Errorf("%w: column encoding %d in a version %d file", ErrCorrupt, enc, version)
+	}
+	if ieee {
+		col.scale = scaleIEEE
+	} else if int(scale) >= len(pow10) {
+		return column{}, nil, fmt.Errorf("%w: fixed-point scale %d out of range", ErrCorrupt, scale)
+	}
+	if hasBase {
 		if len(p) < 8 {
-			return column{}, nil, fmt.Errorf("%w: fixed column truncated", ErrCorrupt)
+			return column{}, nil, fmt.Errorf("%w: column base truncated", ErrCorrupt)
 		}
 		col.base, p = le64(p), p[8:]
-	default:
-		return column{}, nil, fmt.Errorf("%w: unknown column encoding %d", ErrCorrupt, enc)
 	}
-	size := n * int(col.width)
+	size := (n*int(col.width) + 7) / 8
 	if len(p) < size {
 		return column{}, nil, fmt.Errorf("%w: column truncated", ErrCorrupt)
 	}
@@ -517,212 +564,54 @@ func cutColumn(p []byte, n int) (column, []byte, error) {
 	return col, p[size:], nil
 }
 
-// ints calls fn with each of a fixed-point column's integers, in order.
-func (col column) ints(fn func(i int, v int64)) {
-	p, base := col.data, col.base
-	switch col.width {
-	case 1:
-		for i, b := range p {
-			fn(i, int64(base+uint64(b)))
+// keys writes the column's keys into dst, one per value: the one unpack
+// loop every column of both versions is read through. An offset is one
+// 8-byte load at its first byte, shifted and masked — plus a ninth byte
+// when it straddles them, which only offsets over 56 bits can.
+func (col column) keys(dst []uint64) {
+	w, p, bit := col.width, col.data, uint(0)
+	if w == 0 {
+		for i := range dst {
+			dst[i] = col.base
 		}
-	case 2:
-		for i := 0; 2*i < len(p); i++ {
-			fn(i, int64(base+(uint64(p[2*i])|uint64(p[2*i+1])<<8)))
+		return
+	}
+	mask := ^uint64(0) >> (64 - w)
+	var pad [17]byte // the last bytes, zero-padded (declared here, it stays on the stack)
+	for i := range dst {
+		at, sh := bit>>3, bit&7
+		if int(at)+9 > len(p) {
+			copy(pad[:], p[at:])
+			p, at, bit = pad[:], 0, sh
 		}
-	case 4:
-		for i := 0; 4*i < len(p); i++ {
-			fn(i, int64(base+uint64(le32(p[4*i:]))))
+		v := le64(p[at:]) >> sh
+		if sh+w > 64 {
+			v |= uint64(p[at+8]) << (64 - sh)
 		}
-	default:
-		for i := 0; 8*i < len(p); i++ {
-			fn(i, int64(base+le64(p[8*i:])))
-		}
+		dst[i] = col.base + v&mask
+		bit += w
 	}
 }
 
-// floats decodes a float column into vals, one per value.
-func (col column) floats(vals []float64) error {
-	if col.enc == encRaw {
-		for i := range vals {
-			vals[i] = math.Float64frombits(le64(col.data[8*i:]))
+// floats decodes the column into vals, using keys (of the same length) as
+// scratch.
+func (col column) floats(vals []float64, keys []uint64) {
+	col.keys(keys)
+	if col.scale == scaleIEEE {
+		for i, k := range keys {
+			vals[i] = math.Float64frombits(bits.RotateLeft64(k, -col.rot))
 		}
-		return nil
-	}
-	if int(col.scale) >= len(pow10) {
-		return fmt.Errorf("%w: fixed-point scale %d out of range", ErrCorrupt, col.scale)
+		return
 	}
 	d := pow10[col.scale]
-	col.ints(func(i int, v int64) { vals[i] = float64(v) / d })
-	return nil
-}
-
-// decodeBlockInto decodes one block (data: header through CRC, count
-// cross-checks the directory entry) into the places of dst its seq column
-// names, marking them in sc.seen; a place outside dst or named twice is
-// corruption.
-func (sc *scratch) decodeBlockInto(dst tuple.Batch, data []byte, count int) error {
-	p, err := blockBody(data, count)
-	if err != nil {
-		return err
-	}
-	var cols [5]column
-	for i := range cols {
-		if cols[i], p, err = cutColumn(p, count); err != nil {
-			return err
-		}
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
-	}
-	seq := cols[4]
-	if seq.enc != encFixed || seq.scale != 0 {
-		return fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
-	}
-	sc.pos, sc.vals = sized(sc.pos, count), sized(sc.vals, count)
-	valid := true
-	seq.ints(func(i int, sq int64) {
-		if sq < 0 || sq >= int64(len(dst)) || sc.seen[sq] {
-			valid = false
-			return
-		}
-		sc.seen[sq] = true
-		sc.pos[i] = int(sq)
-	})
-	if !valid {
-		return fmt.Errorf("%w: a seq is out of range or repeated", ErrCorrupt)
-	}
-	for k, col := range cols[:4] {
-		if err := col.floats(sc.vals); err != nil {
-			return err
-		}
-		switch k {
-		case 0:
-			for i, at := range sc.pos {
-				dst[at].T = sc.vals[i]
-			}
-		case 1:
-			for i, at := range sc.pos {
-				dst[at].X = sc.vals[i]
-			}
-		case 2:
-			for i, at := range sc.pos {
-				dst[at].Y = sc.vals[i]
-			}
-		default:
-			for i, at := range sc.pos {
-				dst[at].S = sc.vals[i]
-			}
-		}
-	}
-	return nil
-}
-
-func decodeFloatColumn(p []byte, n int) ([]float64, []byte, error) {
-	enc, scale, width, p, err := columnHeader(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([]float64, n)
-	switch enc {
-	case encRaw:
-		if len(p) < 8*n {
-			return nil, nil, fmt.Errorf("%w: raw column truncated", ErrCorrupt)
-		}
-		for i := 0; i < n; i++ {
-			vals[i] = math.Float64frombits(le64(p[8*i:]))
-		}
-		return vals, p[8*n:], nil
-	case encFixed:
-		ints, rest, err := fixedInts(p, n, width)
-		if err != nil {
-			return nil, nil, err
-		}
-		if int(scale) >= len(pow10) {
-			return nil, nil, fmt.Errorf("%w: fixed-point scale %d out of range", ErrCorrupt, scale)
-		}
-		d := pow10[scale]
-		for i, iv := range ints {
-			vals[i] = float64(iv) / d
-		}
-		return vals, rest, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown column encoding %d", ErrCorrupt, enc)
+	for i, k := range keys {
+		vals[i] = float64(int64(k)) / d
 	}
 }
 
-// decodeSeqColumn decodes the original-position column, which the
-// encoder always writes as fixed-point with scale 0.
-func decodeSeqColumn(p []byte, n int) ([]int64, []byte, error) {
-	enc, scale, width, p, err := columnHeader(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if enc != encFixed || scale != 0 {
-		return nil, nil, fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
-	}
-	return fixedInts(p, n, width)
-}
-
-func columnHeader(p []byte) (enc, scale, width byte, rest []byte, err error) {
-	if len(p) < 4 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: column header truncated", ErrCorrupt)
-	}
-	enc, scale, width = p[0], p[1], p[2]
-	switch width {
-	case 1, 2, 4, 8:
-	default:
-		return 0, 0, 0, nil, fmt.Errorf("%w: column width %d", ErrCorrupt, width)
-	}
-	return enc, scale, width, p[4:], nil
-}
-
-func fixedInts(p []byte, n int, width byte) ([]int64, []byte, error) {
-	need := 8 + n*int(width)
-	if len(p) < need {
-		return nil, nil, fmt.Errorf("%w: fixed column truncated", ErrCorrupt)
-	}
-	base := le64(p[0:8])
-	p = p[8:]
-	ints := make([]int64, n)
-	w := int(width)
-	for i := 0; i < n; i++ {
-		var u uint64
-		for b := 0; b < w; b++ {
-			u |= uint64(p[i*w+b]) << (8 * b)
-		}
-		ints[i] = int64(base + u)
-	}
-	return ints, p[n*w:], nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	putU32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	putU64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
+func putU32(b []byte, v uint32)             { binary.LittleEndian.PutUint32(b, v) }
+func putU64(b []byte, v uint64)             { binary.LittleEndian.PutUint64(b, v) }
+func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+func le32(b []byte) uint32                  { return binary.LittleEndian.Uint32(b) }
+func le64(b []byte) uint64                  { return binary.LittleEndian.Uint64(b) }

@@ -3,9 +3,11 @@ package colblock
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -109,6 +111,156 @@ func TestFixedPointEdgeValues(t *testing.T) {
 	for i := range got {
 		if !bitEqual(got[i], b[i]) {
 			t.Fatalf("tuple %d = %+v (bits %x), want %+v (bits %x)", i, got[i], math.Float64bits(got[i].X), b[i], math.Float64bits(b[i].X))
+		}
+	}
+}
+
+// requireRoundTrip encodes windows as blocks of at most blockTuples, and
+// requires the image to verify and every window to decode bit-equal to its
+// source and to scan whole through a region that admits every position.
+func requireRoundTrip(t *testing.T, windows []WindowData, blockTuples int) []byte {
+	t.Helper()
+	img := encodeImage(t, 1, windows, blockTuples)
+	if err := Verify(img); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	rd, err := OpenBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	inf := math.Inf(1)
+	for _, wd := range windows {
+		got := make(tuple.Batch, len(wd.Tuples))
+		if err := rd.DecodeWindow(got, wd.Window); err != nil || !bitEqualBatches(got, wd.Tuples) {
+			t.Fatalf("window %d (blocks of %d): decoded %v, %v; want %v", wd.Window, blockTuples, got, err, wd.Tuples)
+		}
+		n := 0
+		if _, _, err := rd.ScanWindowRegion(wd.Window, -inf, -inf, inf, inf, func(tuple.Raw) { n++ }); err != nil || n != len(wd.Tuples) {
+			t.Fatalf("window %d: region scan of the whole plane yielded %d tuples, %v; want %d", wd.Window, n, err, len(wd.Tuples))
+		}
+	}
+	return img
+}
+
+// blockColumns locates the five columns of every block of img.
+func blockColumns(t *testing.T, img []byte) [][5]column {
+	t.Helper()
+	rd, err := OpenBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	var out [][5]column
+	for _, m := range rd.blocks {
+		p, err := blockBody(img[m.Offset:m.Offset+m.Length], m.Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols [5]column
+		for i := range cols {
+			if cols[i], p, err = cutColumn(p, m.Count, rd.version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out = append(out, cols)
+	}
+	return out
+}
+
+// TestPackedEdgeValues round-trips the values fixed-point cannot hold —
+// NaN payloads of both signs, −0, subnormals, ±Inf — and the widths at
+// both ends of the packed range: 0 (a constant column, a 1-tuple block)
+// and 64 (keys that no shorter span holds in signed or unsigned order).
+func TestPackedEdgeValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name   string
+		b      tuple.Batch
+		widths []uint // T, X, Y, S, seq; nil: not pinned
+	}{
+		{"NaN payloads, ±0, subnormals, ±Inf", tuple.Batch{
+			{T: 1, X: math.Float64frombits(0x7ff8000000000001), Y: negZero, S: math.Inf(1)},
+			{T: 2, X: math.Float64frombits(0xfff0000000000abc), Y: 0, S: math.Inf(-1)},
+			{T: 3, X: math.NaN(), Y: 5e-324, S: -math.SmallestNonzeroFloat64},
+			{T: 4, X: 0x1p-1030, Y: -0x1p-1060, S: math.MaxFloat64},
+		}, nil},
+		{"one tuple", tuple.Batch{{T: 7.5, X: -3, Y: 1e300, S: math.NaN()}}, []uint{0, 0, 0, 0, 0}},
+		{"constant columns", tuple.Batch{
+			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
+			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
+			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
+		}, []uint{0, 0, 0, 0, 2}},
+		// T's integers ±2^62 are 2^63 apart at scale 0; X's rotated keys
+		// are 0, 2^62, 2^63 and 3·2^62, three quarters of the circle apart
+		// however the base is chosen.
+		{"width 64", tuple.Batch{
+			{T: -0x1p62, X: 0, Y: 5, S: 1},
+			{T: 0x1p62, X: 0x1p-511, Y: 5, S: 2},
+			{T: 0, X: 2, Y: 5, S: 3},
+			{T: 1, X: 0x1p513, Y: 5, S: 4},
+		}, []uint{64, 64, 0, 2, 2}},
+	} {
+		for _, blockTuples := range []int{1, 0} {
+			img := requireRoundTrip(t, []WindowData{{Window: 2, Tuples: tc.b}}, blockTuples)
+			if blockTuples == 1 {
+				for _, cols := range blockColumns(t, img) {
+					for i, col := range cols {
+						if col.width != 0 {
+							t.Errorf("%s in 1-tuple blocks: column %d is %d bits wide, want 0", tc.name, i, col.width)
+						}
+					}
+				}
+				continue
+			}
+			if tc.widths == nil {
+				continue
+			}
+			cols := blockColumns(t, img)[0]
+			for i, col := range cols {
+				if col.width != tc.widths[i] {
+					t.Errorf("%s: column %d is %d bits wide, want %d", tc.name, i, col.width, tc.widths[i])
+				}
+			}
+		}
+	}
+}
+
+// TestOverflowingSpanRejected: a directory entry whose offset and length
+// each fit in an int64 but whose sum does not is refused when the file is
+// opened, on every access path, before anything reads through it.
+func TestOverflowingSpanRejected(t *testing.T) {
+	img := encodeImage(t, 1, genWindows(rand.New(rand.NewSource(15)), 1, 50), 0)
+	bad := reseal(img, 0, func(m *BlockMeta) { m.Offset, m.Length = 1<<62+1<<61, 1<<62 })
+	if _, err := OpenBytes(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenBytes = %v, want ErrCorrupt", err)
+	}
+	if err := Verify(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Verify = %v, want ErrCorrupt", err)
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint-000001.emc")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, disable := range []bool{false, true} {
+		if _, err := OpenFile(path, Options{DisableMmap: disable}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("OpenFile(disableMmap=%v) = %v, want ErrCorrupt", disable, err)
+		}
+	}
+	// Every source refuses such a span by itself too.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srcs := []Source{byteSource(bad), &readAtSource{f: f, size: int64(len(bad))}}
+	if mapped, err := mapFile(f, int64(len(bad))); err == nil {
+		defer mapped.Close()
+		srcs = append(srcs, mapped)
+	}
+	for _, src := range srcs {
+		if _, err := src.ReadSpan(nil, 1<<62+1<<61, 1<<62); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%T.ReadSpan of an overflowing span = %v, want ErrCorrupt", src, err)
 		}
 	}
 }
@@ -387,13 +539,13 @@ func BenchmarkEncodeDay(b *testing.B) {
 	}
 }
 
-// buildImage assembles a version-2 file around hand-made blocks of one
-// window, each with a fresh checksum, so a test can reach the column
-// checks behind it.
-func buildImage(bodies [][]byte, counts []int) []byte {
+// buildImage assembles a file of the given version around hand-made
+// blocks of one window, each with a fresh checksum, so a test can reach
+// the column checks behind it.
+func buildImage(version uint32, bodies [][]byte, counts []int) []byte {
 	img := make([]byte, headerSize)
 	putU32(img[0:], colMagic)
-	putU32(img[4:], colVersion)
+	putU32(img[4:], version)
 	var dir []byte
 	total := 0
 	for i, body := range bodies {
@@ -406,19 +558,35 @@ func buildImage(bodies [][]byte, counts []int) []byte {
 	putU64(trailer[0:], 3)
 	putU64(trailer[8:], uint64(total))
 	putU32(trailer[32:], uint32(len(bodies)))
-	putU32(trailer[36:], colVersion)
+	putU32(trailer[36:], version)
 	putU32(trailer[40:], footerCRC(dir, trailer[:]))
 	putU32(trailer[44:], footMagic)
 	return append(append(img, dir...), trailer[:]...)
 }
 
+// reseal rewrites img's directory entry i through edit and its footer
+// checksum after it, so a test can reach the directory checks behind the
+// checksum.
+func reseal(img []byte, i int, edit func(*BlockMeta)) []byte {
+	img = append([]byte(nil), img...)
+	trailer := img[len(img)-trailerSize:]
+	dirStart := len(img) - trailerSize - int(le32(trailer[32:]))*dirEntrySize
+	at := dirStart + i*dirEntrySize
+	m := decodeDirEntry(img[at:])
+	edit(&m)
+	copy(img[at:], appendDirEntry(nil, m))
+	putU32(trailer[40:], footerCRC(img[dirStart:len(img)-trailerSize], trailer))
+	return img
+}
+
 // TestDecodersRejectTheSame walks the column checks one by one on blocks
-// whose checksum is sound: DecodeWindow must reject exactly what
-// WindowTuples rejects — Verify reports any difference between the two as
-// errDecodersDisagree — and accept, with the same tuples, what it accepts.
+// whose checksum is sound, in files of both versions: DecodeWindow must
+// reject exactly what WindowTuples rejects — Verify reports any difference
+// between the two as errDecodersDisagree — and accept, with the same
+// tuples, what it accepts. Each version admits only its own encodings.
 func TestDecodersRejectTheSame(t *testing.T) {
-	// A block of three tuples: T and seq fixed-point (1 byte wide), X raw,
-	// Y fixed-point at scale 1 (2 bytes wide), S raw.
+	// A version-2 block of three tuples: T and seq fixed-point (1 byte
+	// wide), X raw, Y fixed-point at scale 1 (2 bytes wide), S raw.
 	fixed := func(scale, width byte, base uint64, offs ...uint64) []byte {
 		col := appendU64([]byte{encFixed, scale, width, 0}, base)
 		for _, o := range offs {
@@ -447,54 +615,101 @@ func TestDecodersRejectTheSame(t *testing.T) {
 	seq := fixed(0, 1, 0, 2, 0, 1)
 	sound := block(3, tcol, xcol, ycol, scol, seq)
 
+	// The same tuples in a version-3 block: packed columns, written bit by
+	// bit here, apart from the encoder's packing loop.
+	packed := func(scale byte, width uint, base uint64, offs ...uint64) []byte {
+		data := make([]byte, (uint(len(offs))*width+7)/8)
+		for i, o := range offs {
+			for b := uint(0); b < width; b++ {
+				if at := uint(i)*width + b; o>>b&1 == 1 {
+					data[at/8] |= 1 << (at % 8)
+				}
+			}
+		}
+		return append(appendU64([]byte{encPacked, scale, byte(width), 0}, base), data...)
+	}
+	ieee := func(vals ...float64) []byte { // the keys themselves: base 0, 64 bits
+		keys := make([]uint64, len(vals))
+		for i, v := range vals {
+			keys[i] = bits.RotateLeft64(math.Float64bits(v), 1)
+		}
+		return packed(scaleIEEE, 64, 0, keys...)
+	}
+	ptcol, pxcol := packed(0, 4, 100, 0, 5, 9), ieee(1.5, math.Pi, -2)
+	pycol, pscol := packed(1, 9, 1000, 0, 300, 7), ieee(0, 1e300, 5e-324)
+	pseq := packed(0, 2, 0, 2, 0, 1)
+	psound := block(3, ptcol, pxcol, pycol, pscol, pseq)
+
 	cases := []struct {
-		name   string
-		bodies [][]byte
-		counts []int
-		ok     bool
+		name    string
+		version uint32
+		bodies  [][]byte
+		counts  []int
+		ok      bool
 	}{
-		{"sound", [][]byte{sound}, []int{3}, true},
-		{"two blocks", [][]byte{
+		{"sound", v2, [][]byte{sound}, []int{3}, true},
+		{"two blocks", v2, [][]byte{
 			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
 			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 1, 0)),
 		}, []int{2, 1}, true},
-		{"count differs from the directory", [][]byte{sound}, []int{2}, false},
-		{"short raw column", [][]byte{block(3, tcol, raw(1.5, math.Pi), ycol, scol, seq)}, []int{3}, false},
-		{"short fixed column", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0))}, []int{3}, false},
-		{"column header cut", [][]byte{block(3, tcol, xcol, ycol, scol, []byte{encFixed, 0})}, []int{3}, false},
-		{"width 3", [][]byte{block(3, fixed(0, 3, 100, 0, 5, 9), xcol, ycol, scol, seq)}, []int{3}, false},
-		{"raw column with width 3", [][]byte{block(3, tcol, append([]byte{encRaw, 0, 3, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
-		{"scale 10", [][]byte{block(3, tcol, xcol, fixed(10, 2, 1000, 0, 300, 7), scol, seq)}, []int{3}, false},
-		{"unknown encoding", [][]byte{block(3, tcol, append([]byte{7, 0, 8, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
-		{"raw seq", [][]byte{block(3, tcol, xcol, ycol, scol, raw(2, 0, 1))}, []int{3}, false},
-		{"scaled seq", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(1, 1, 0, 2, 0, 1))}, []int{3}, false},
-		{"seq out of range", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 3, 0, 1))}, []int{3}, false},
-		{"seq negative", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 8, 1<<63, 2, 0, 1))}, []int{3}, false},
-		{"seq repeated", [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0, 2))}, []int{3}, false},
-		{"seq repeated across blocks", [][]byte{
+		{"count differs from the directory", v2, [][]byte{sound}, []int{2}, false},
+		{"short raw column", v2, [][]byte{block(3, tcol, raw(1.5, math.Pi), ycol, scol, seq)}, []int{3}, false},
+		{"short fixed column", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0))}, []int{3}, false},
+		{"column header cut", v2, [][]byte{block(3, tcol, xcol, ycol, scol, []byte{encFixed, 0})}, []int{3}, false},
+		{"width 3", v2, [][]byte{block(3, fixed(0, 3, 100, 0, 5, 9), xcol, ycol, scol, seq)}, []int{3}, false},
+		{"raw column with width 3", v2, [][]byte{block(3, tcol, append([]byte{encRaw, 0, 3, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
+		{"scale 10", v2, [][]byte{block(3, tcol, xcol, fixed(10, 2, 1000, 0, 300, 7), scol, seq)}, []int{3}, false},
+		{"fixed column with the IEEE scale", v2, [][]byte{block(3, tcol, xcol, ycol, fixed(scaleIEEE, 8, 0, 0, 1<<62, 5), seq)}, []int{3}, false},
+		{"unknown encoding", v2, [][]byte{block(3, tcol, append([]byte{7, 0, 8, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
+		{"raw seq", v2, [][]byte{block(3, tcol, xcol, ycol, scol, raw(2, 0, 1))}, []int{3}, false},
+		{"scaled seq", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(1, 1, 0, 2, 0, 1))}, []int{3}, false},
+		{"seq out of range", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 3, 0, 1))}, []int{3}, false},
+		{"seq negative", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 8, 1<<63, 2, 0, 1))}, []int{3}, false},
+		{"seq repeated", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0, 2))}, []int{3}, false},
+		{"seq repeated across blocks", v2, [][]byte{
 			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
 			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 2, 0)),
 		}, []int{2, 1}, false},
-		{"trailing bytes", [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
+		{"trailing bytes", v2, [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
+		{"packed column in version 2", v2, [][]byte{block(3, tcol, xcol, pycol, scol, seq)}, []int{3}, false},
+
+		{"sound", colVersion, [][]byte{psound}, []int{3}, true},
+		{"two blocks", colVersion, [][]byte{
+			block(2, packed(0, 3, 100, 0, 5), ieee(1.5, math.Pi), packed(1, 9, 1000, 0, 300), ieee(0, 1e300), packed(0, 2, 0, 2, 0)),
+			block(1, packed(0, 0, 109), ieee(-2), packed(1, 0, 1007), ieee(5e-324), packed(0, 0, 1)),
+		}, []int{2, 1}, true},
+		{"fixed column in version 3", colVersion, [][]byte{block(3, tcol, pxcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"raw column in version 3", colVersion, [][]byte{block(3, ptcol, xcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"width 65", colVersion, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"short packed column", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
+		{"base cut", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
+		{"packed scale 10", colVersion, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol, pseq)}, []int{3}, false},
+		{"IEEE seq", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, ieee(2, 0, 1))}, []int{3}, false},
+		{"scaled seq", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(1, 2, 0, 2, 0, 1))}, []int{3}, false},
+		{"seq out of range", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 3, 0, 1))}, []int{3}, false},
+		{"seq negative", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 64, 1<<63, 2, 0, 1))}, []int{3}, false},
+		{"seq repeated", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 2, 0, 2))}, []int{3}, false},
+		{"trailing bytes", colVersion, [][]byte{append(append([]byte(nil), psound...), 0)}, []int{3}, false},
 	}
 	for _, tc := range cases {
-		img := buildImage(tc.bodies, tc.counts)
+		name := fmt.Sprintf("version %d, %s", tc.version, tc.name)
+		img := buildImage(tc.version, tc.bodies, tc.counts)
 		err := Verify(img)
 		if errors.Is(err, errDecodersDisagree) {
-			t.Errorf("%s: %v", tc.name, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: Verify = %v, want accepted=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: Verify = %v, want accepted=%v", name, err, tc.ok)
 		}
 		if !tc.ok {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: rejected with %v, want ErrCorrupt", tc.name, err)
+				t.Errorf("%s: rejected with %v, want ErrCorrupt", name, err)
 			}
 			// A bad checksum is refused before any of the above is looked at.
 			img[headerSize+5] ^= 0x40
 			if err := Verify(img); !errors.Is(err, ErrCorrupt) || errors.Is(err, errDecodersDisagree) {
-				t.Errorf("%s with a bad checksum: %v", tc.name, err)
+				t.Errorf("%s with a bad checksum: %v", name, err)
 			}
 			continue
 		}
@@ -504,16 +719,16 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		}
 		got := make(tuple.Batch, 3)
 		if err := rd.DecodeWindow(got, 1); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		want := tuple.Batch{{T: 105, X: math.Pi, Y: 130, S: 1e300}, {T: 109, X: -2, Y: 100.7, S: 5e-324}, {T: 100, X: 1.5, Y: 100, S: 0}}
 		for i := range want {
 			if !bitEqual(got[i], want[i]) {
-				t.Errorf("%s: tuple %d = %+v, want %+v", tc.name, i, got[i], want[i])
+				t.Errorf("%s: tuple %d = %+v, want %+v", name, i, got[i], want[i])
 			}
 		}
 		if err := rd.DecodeWindow(got[:2], 1); err == nil {
-			t.Errorf("%s: DecodeWindow filled a destination of the wrong length", tc.name)
+			t.Errorf("%s: DecodeWindow filled a destination of the wrong length", name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/tuple"
@@ -47,6 +48,16 @@ func FuzzColBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
+	// IEEE-bits columns in a version-3 image, and the version-2 fixtures:
+	// raw and fixed columns, which a version-3 image must never hold.
+	seed(3, []WindowData{{Window: 0, Tuples: edgeWindow}}, BlockTuples)
+	for _, fx := range v2Fixtures {
+		img, err := os.ReadFile(filepath.Join("testdata", fx.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<22 {
@@ -55,5 +66,48 @@ func FuzzColBlockDecode(f *testing.F) {
 		if err := Verify(data); errors.Is(err, errDecodersDisagree) {
 			t.Fatal(err)
 		}
+	})
+}
+
+// FuzzColBlockRoundTrip reads the fuzz bytes as float64 bit patterns —
+// after a first byte that picks the block size, 32 bytes a tuple (T, X, Y,
+// S, little-endian) — and requires what the encoder writes from them to
+// verify and to decode bit-equal to them: whatever the values, the
+// encoder's choice of scale, base and width must be lossless.
+func FuzzColBlockRoundTrip(f *testing.F) {
+	add := func(blockTuples byte, b tuple.Batch) {
+		data := []byte{blockTuples}
+		for _, r := range b {
+			for _, v := range [...]float64{r.T, r.X, r.Y, r.S} {
+				data = appendU64(data, math.Float64bits(v))
+			}
+		}
+		f.Add(data)
+	}
+	add(0, edgeWindow)
+	add(1, edgeWindow)
+	add(2, tuple.Batch{
+		{T: math.NaN(), X: math.Inf(1), Y: math.Copysign(0, -1), S: 5e-324},
+		{T: -0x1p62, X: 0, Y: 5, S: 1},
+		{T: 0x1p62, X: 0x1p-511, Y: 5, S: 2},
+		{T: 0, X: 0x1p513, Y: -math.MaxFloat64, S: math.Float64frombits(0xfff0000000000abc)},
+	})
+	add(63, lausanneWindows()[8].Tuples[:200])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1<<16 {
+			return
+		}
+		blockTuples := 1 + int(data[0])
+		data = data[1:]
+		b := make(tuple.Batch, len(data)/32)
+		for i := range b {
+			p := data[32*i:]
+			b[i] = tuple.Raw{
+				T: math.Float64frombits(le64(p[0:])), X: math.Float64frombits(le64(p[8:])),
+				Y: math.Float64frombits(le64(p[16:])), S: math.Float64frombits(le64(p[24:])),
+			}
+		}
+		requireRoundTrip(t, []WindowData{{Window: 1, Tuples: b}}, blockTuples)
 	})
 }

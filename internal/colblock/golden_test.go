@@ -1,16 +1,20 @@
 package colblock
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/tuple"
 )
 
 // edgeWindow holds the values TestFixedPointEdgeValues uses to defeat the
-// fixed-point encoder, so the goldens cover the raw-bits columns too.
+// fixed-point encoder, so the goldens cover the IEEE-bits columns too.
 var edgeWindow = tuple.Batch{
 	{T: 0, X: math.Copysign(0, -1), Y: 5e-324, S: 1e300},
 	{T: 1, X: 0.1, Y: -2.5, S: math.Pi},
@@ -25,11 +29,10 @@ func blocksDigest(img []byte) string {
 }
 
 // TestBlocksMatchParentGolden pins the block section and the directory of
-// the file to the bytes the allocating encoder wrote (digests captured at
-// commit d7f418d, before the encoder reused its scratch and before the
-// trailer grew): the benchmark's 24 Lausanne windows as 24 windows and as
-// one 45 000-tuple window (23 blocks, so the sort order crosses block
-// boundaries), and the edge-value window.
+// the version-3 file: the benchmark's 24 Lausanne windows as 24 windows
+// and as one 45 000-tuple window (23 blocks, so the sort order crosses
+// block boundaries), and the edge-value window. The version-2 bytes these
+// digests pinned before are now decode goldens (TestVersion2Fixtures).
 func TestBlocksMatchParentGolden(t *testing.T) {
 	ws := lausanneWindows()
 	var day tuple.Batch
@@ -42,9 +45,9 @@ func TestBlocksMatchParentGolden(t *testing.T) {
 		blocks  int
 		digest  string
 	}{
-		{"lausanne24", ws, 24, "4b1edef6870b40672b1c17ee"},
-		{"lausanne-one-window", []WindowData{{Window: 7, Tuples: day}}, 23, "5eaa4913edbfcce7cc25e7d3"},
-		{"edge", []WindowData{{Window: 0, Tuples: edgeWindow}}, 1, "fa26a703e73b4acf23fd9622"},
+		{"lausanne24", ws, 24, "5dcd189495af64c390ce8c78"},
+		{"lausanne-one-window", []WindowData{{Window: 7, Tuples: day}}, 23, "3f260e783e60f46a8de28f1f"},
+		{"edge", []WindowData{{Window: 0, Tuples: edgeWindow}}, 1, "a237d4b2363848b1572cb3b1"},
 	} {
 		img := encodeImage(t, 3, tc.windows, 0)
 		rd, err := OpenBytes(img)
@@ -55,5 +58,110 @@ func TestBlocksMatchParentGolden(t *testing.T) {
 			t.Errorf("%s: %d blocks digest %q, want %d %q", tc.name, rd.Blocks(), got, tc.blocks, tc.digest)
 		}
 		rd.Close()
+	}
+}
+
+// v2Fixtures are images the last version-2 encoder wrote, with the
+// windows they hold and the digest of their blocks and directory.
+// v2-edge.emc is the edge window alone, checkpoint 3: its digest is the
+// one TestBlocksMatchParentGolden pinned while version 2 was written.
+// v2-lausanne.emc (checkpoint 5) is Lausanne windows 8 and 17 and the
+// edge window as window 30, so raw and fixed columns of every width the
+// fleet needs are in it.
+var v2Fixtures = []struct {
+	name    string
+	digest  string
+	windows func() []WindowData
+}{
+	{"v2-edge.emc", "fa26a703e73b4acf23fd9622", func() []WindowData {
+		return []WindowData{{Window: 0, Tuples: edgeWindow}}
+	}},
+	{"v2-lausanne.emc", "69decbe733b01622ce17fa84", func() []WindowData {
+		ws := lausanneWindows()
+		return []WindowData{ws[8], ws[17], {Window: 30, Tuples: edgeWindow}}
+	}},
+}
+
+// TestVersion2Fixtures reads the version-2 fixtures: each verifies and
+// decodes bit-equal to the windows it was written from, and a file that
+// takes its windows from one as a base holds no version-2 block — the
+// windows are decoded and encoded again, to the bytes a direct encode of
+// the same windows gives.
+func TestVersion2Fixtures(t *testing.T) {
+	for _, fx := range v2Fixtures {
+		img, err := os.ReadFile(filepath.Join("testdata", fx.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := blocksDigest(img); got != fx.digest {
+			t.Fatalf("%s: digest %q, want %q: the fixture changed", fx.name, got, fx.digest)
+		}
+		if err := Verify(img); err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		rd, err := OpenBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.version != v2 {
+			t.Fatalf("%s: version %d, want %d", fx.name, rd.version, v2)
+		}
+		windows := fx.windows()
+		based := make([]WindowData, len(windows))
+		for i, wd := range windows {
+			got, err := rd.WindowTuples(wd.Window)
+			if err != nil || !bitEqualBatches(got, wd.Tuples) {
+				t.Errorf("%s: window %d decodes to %d tuples, %v; not its source", fx.name, wd.Window, len(got), err)
+			}
+			based[i] = WindowData{Window: wd.Window, Base: rd}
+		}
+		if again, direct := encodeImage(t, 6, based, 0), encodeImage(t, 6, windows, 0); !bytes.Equal(again, direct) {
+			t.Errorf("%s: a file based on it differs from a direct encode of its windows", fx.name)
+		}
+		rd.Close()
+	}
+}
+
+// withVersion returns img claiming the given version in its header and
+// trailer, its footer checksum sealed over the change.
+func withVersion(img []byte, version uint32) []byte {
+	img = append([]byte(nil), img...)
+	putU32(img[4:], version)
+	trailer := img[len(img)-trailerSize:]
+	putU32(trailer[36:], version)
+	dirStart := len(img) - trailerSize - int(le32(trailer[32:]))*dirEntrySize
+	putU32(trailer[40:], footerCRC(img[dirStart:len(img)-trailerSize], trailer))
+	return img
+}
+
+// TestEncodingsStrictPerVersion: a file's encodings must be its version's.
+// The version-2 fixture relabelled version 3, or a version-3 file
+// relabelled version 2, opens — the footer is sound — but no block of it
+// decodes. A file whose header and trailer disagree on the version does
+// not open.
+func TestEncodingsStrictPerVersion(t *testing.T) {
+	v2img, err := os.ReadFile(filepath.Join("testdata", "v2-lausanne.emc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3img := encodeImage(t, 5, v2Fixtures[1].windows(), 0)
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"raw and fixed columns in a version-3 file", withVersion(v2img, colVersion)},
+		{"packed columns in a version-2 file", withVersion(v3img, v2)},
+	} {
+		if _, err := OpenBytes(tc.img); err != nil {
+			t.Fatalf("%s: OpenBytes = %v, want the footer accepted", tc.name, err)
+		}
+		if err := Verify(tc.img); !errors.Is(err, ErrCorrupt) || errors.Is(err, errDecodersDisagree) {
+			t.Errorf("%s: Verify = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+	mixed := withVersion(v3img, v2)
+	putU32(mixed[4:], colVersion)
+	if _, err := OpenBytes(mixed); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("header version 3, trailer version 2: OpenBytes = %v, want ErrCorrupt", err)
 	}
 }

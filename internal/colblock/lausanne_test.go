@@ -1,8 +1,10 @@
 package colblock
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
+	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
@@ -50,3 +52,31 @@ var lausanneWindows = sync.OnceValue(func() []WindowData {
 	}
 	return ws
 })
+
+// TestCheckpointBytesPerTupleLausanne holds the file the benchmark's 24
+// windows encode to under 24 bytes a tuple (version 2 wrote 28.07): an
+// encoder change that widens a column fails here, not only in the
+// end-to-end benchmark's disk_bytes_per_tuple. The log says where the
+// bytes go, column by column.
+func TestCheckpointBytesPerTupleLausanne(t *testing.T) {
+	ws := lausanneWindows()
+	var buf bytes.Buffer
+	st, err := Encode(&buf, Meta{Seq: 1}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var colBytes [5]int
+	for _, cols := range blockColumns(t, buf.Bytes()) {
+		for i, col := range cols {
+			colBytes[i] += 4 + 8 + len(col.data) // header, base, offsets
+		}
+	}
+	n := float64(st.Tuples)
+	perTuple := float64(st.Bytes) / n
+	t.Logf("%d tuples, %d bytes: %.3f B/tuple; per column T %.2f X %.2f Y %.2f S %.2f seq %.2f",
+		st.Tuples, st.Bytes, perTuple, float64(colBytes[0])/n, float64(colBytes[1])/n,
+		float64(colBytes[2])/n, float64(colBytes[3])/n, float64(colBytes[4])/n)
+	if perTuple > 24.0 {
+		t.Errorf("the benchmark's 24 windows encode to %.3f bytes a tuple, want ≤ 24.0", perTuple)
+	}
+}

@@ -29,7 +29,7 @@ type mmapSource struct {
 }
 
 func (s *mmapSource) ReadSpan(_ []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > int64(len(s.data)) {
+	if off < 0 || n < 0 || n > int64(len(s.data))-off {
 		return nil, ErrCorrupt
 	}
 	return s.data[off : off+n], nil

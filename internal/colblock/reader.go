@@ -50,10 +50,11 @@ type Stats struct {
 // Reader serves windows and region scans from one immutable checkpoint
 // file. It is safe for concurrent use; Close invalidates it.
 type Reader struct {
-	src    Source
-	meta   Meta
-	tuples int
-	blocks []BlockMeta
+	src     Source
+	version uint32
+	meta    Meta
+	tuples  int
+	blocks  []BlockMeta
 
 	// spans holds one entry per window, ascending: a window's blocks are
 	// contiguous in blocks (directory order, which is time order within a
@@ -161,8 +162,9 @@ func newReader(src Source) (*Reader, error) {
 	if le32(hdr[0:]) != colMagic {
 		return nil, fmt.Errorf("%w: bad header magic %#x", ErrCorrupt, le32(hdr[0:]))
 	}
-	if le32(hdr[4:]) != colVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, le32(hdr[4:]))
+	version := le32(hdr[4:])
+	if version != colVersion && version != v2 {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	trailer, err := src.ReadSpan(nil, size-trailerSize, trailerSize)
 	if err != nil {
@@ -171,8 +173,8 @@ func newReader(src Source) (*Reader, error) {
 	if le32(trailer[44:]) != footMagic {
 		return nil, fmt.Errorf("%w: bad footer magic %#x", ErrCorrupt, le32(trailer[44:]))
 	}
-	if le32(trailer[36:]) != colVersion {
-		return nil, fmt.Errorf("%w: unsupported footer version %d", ErrCorrupt, le32(trailer[36:]))
+	if le32(trailer[36:]) != version {
+		return nil, fmt.Errorf("%w: footer version %d in a version %d file", ErrCorrupt, le32(trailer[36:]), version)
 	}
 	nblocks := int(le32(trailer[32:]))
 	dirLen := int64(nblocks) * dirEntrySize
@@ -189,7 +191,8 @@ func newReader(src Source) (*Reader, error) {
 	}
 
 	r := &Reader{
-		src: src,
+		src:     src,
+		version: version,
 		meta: Meta{
 			Seq:     int(int64(le64(trailer[0:]))),
 			Horizon: int(int64(le64(trailer[16:]))),
@@ -207,7 +210,9 @@ func newReader(src Source) (*Reader, error) {
 		if m.Count <= 0 || m.Count > maxBlockTuples {
 			return nil, fmt.Errorf("%w: directory entry %d count %d", ErrCorrupt, i, m.Count)
 		}
-		if m.Offset < headerSize || m.Length < 8 || m.Offset+m.Length > dirStart {
+		// Subtracted, not added: an offset and a length that each fit can
+		// sum past the largest int64.
+		if m.Offset < headerSize || m.Length < 8 || m.Length > dirStart-m.Offset {
 			return nil, fmt.Errorf("%w: directory entry %d span [%d,+%d) out of bounds", ErrCorrupt, i, m.Offset, m.Length)
 		}
 		if m.MinT > m.MaxT || m.MinX > m.MaxX || m.MinY > m.MaxY || m.MinS > m.MaxS {
@@ -331,9 +336,9 @@ func (r *Reader) CheckBlocks() error {
 // WindowTuples materializes window c in its original append order —
 // byte-identical to the slice the writing store held in memory. Every
 // original position must be covered exactly once, or the window is
-// reported corrupt. It allocates the result and one slice per column and
-// block; the store reads through DecodeWindow, and Verify holds the two
-// against each other.
+// reported corrupt. It allocates the result and its own record of the
+// positions filled; the store reads through DecodeWindow, and Verify holds
+// the two against each other.
 func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 	sp := r.span(c)
 	if sp.n == 0 {
@@ -342,17 +347,18 @@ func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 	total := sp.count
 	out := make(tuple.Batch, total)
 	seen := make([]bool, total)
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
-		ts, xs, ys, ss, seqs, err := r.readBlock(m)
-		if err != nil {
+		if err := r.readBlock(sc, m); err != nil {
 			return nil, err
 		}
-		for i, sq := range seqs {
-			if sq < 0 || sq >= int64(total) || seen[sq] {
-				return nil, fmt.Errorf("%w: window %d seq %d invalid or duplicated", ErrCorrupt, c, sq)
+		for i, sq := range sc.seqs {
+			if sq >= uint64(total) || seen[sq] {
+				return nil, fmt.Errorf("%w: window %d seq %d invalid or duplicated", ErrCorrupt, c, int64(sq))
 			}
 			seen[sq] = true
-			out[sq] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
+			out[sq] = tuple.Raw{T: sc.cols[0][i], X: sc.cols[1][i], Y: sc.cols[2][i], S: sc.cols[3][i]}
 		}
 	}
 	return out, nil
@@ -363,34 +369,37 @@ func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 // zone map before touching their bytes. Tuples arrive in block order,
 // not append order. It returns how many blocks were scanned vs pruned.
 func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, err error) {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
 	for _, m := range r.windowBlocks(c) {
 		if m.MinX > maxX || m.MaxX < minX || m.MinY > maxY || m.MaxY < minY {
 			pruned++
 			r.blocksPruned.Add(1)
 			continue
 		}
-		ts, xs, ys, ss, _, err := r.readBlock(m)
-		if err != nil {
+		if err := r.readBlock(sc, m); err != nil {
 			return scanned, pruned, err
 		}
 		scanned++
-		for i := range xs {
-			if xs[i] < minX || xs[i] > maxX || ys[i] < minY || ys[i] > maxY {
+		ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
+		for i, x := range xs {
+			if x < minX || x > maxX || ys[i] < minY || ys[i] > maxY {
 				continue
 			}
-			fn(tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]})
+			fn(tuple.Raw{T: ts[i], X: x, Y: ys[i], S: ss[i]})
 		}
 	}
 	return scanned, pruned, nil
 }
 
-func (r *Reader) readBlock(m BlockMeta) (ts, xs, ys, ss []float64, seqs []int64, err error) {
-	data, err := r.src.ReadSpan(nil, m.Offset, m.Length)
+// readBlock reads block m and decodes it into sc, counting the read.
+func (r *Reader) readBlock(sc *scratch, m BlockMeta) error {
+	data, err := r.blockBytes(&sc.span, m)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return err
 	}
 	r.countScan(m)
-	return decodeBlock(data, m.Count)
+	return sc.decodeBlock(data, m.Count, r.version)
 }
 
 // countScan accounts one block read for decoding.
@@ -416,13 +425,14 @@ func (r *Reader) blockBytes(buf *[]byte, m BlockMeta) ([]byte, error) {
 }
 
 // scratch is what a read borrows beside its destination: a block's bytes
-// on the pread path, one block's original positions and one of its
-// columns, and which of the window's positions have been filled.
+// on the pread path, the block decoded — its T, X, Y and S columns and its
+// original positions, in block order — the keys of the column being
+// decoded, and which of the window's positions have been filled.
 type scratch struct {
-	span []byte
-	pos  []int
-	vals []float64
-	seen []bool
+	span       []byte
+	cols       [4][]float64
+	seqs, keys []uint64
+	seen       []bool
 }
 
 // scratches lends scratch to concurrent reads, as encoders does to
@@ -431,8 +441,8 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // DecodeWindow decodes window c into dst, which must hold exactly
 // WindowCount(c) tuples, in the window's original append order: block by
-// block, each column straight from the block's bytes into the field of
-// dst the seq column names, allocating nothing. It checks what
+// block, the columns into pooled scratch and each tuple from there into
+// the place of dst the seq column names, allocating nothing. It checks what
 // WindowTuples checks — every block's checksum and count, every column's
 // framing, and that the original positions cover dst exactly once — and on
 // an error leaves dst undefined.
@@ -446,14 +456,57 @@ func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	sc.seen = sized(sc.seen, len(dst))
 	clear(sc.seen)
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
-		data, err := r.blockBytes(&sc.span, m)
-		if err != nil {
-			return err
-		}
-		r.countScan(m)
-		if err := sc.decodeBlockInto(dst, data, m.Count); err != nil {
+		if err := r.readBlock(sc, m); err != nil {
 			return fmt.Errorf("window %d: %w", c, err)
 		}
+		if err := sc.place(dst); err != nil {
+			return fmt.Errorf("window %d: %w", c, err)
+		}
+	}
+	return nil
+}
+
+// decodeBlock decodes one block (data: count through checksum; count
+// cross-checks the directory entry) of a file of the given version into
+// sc.cols and sc.seqs.
+func (sc *scratch) decodeBlock(data []byte, count int, version uint32) error {
+	p, err := blockBody(data, count)
+	if err != nil {
+		return err
+	}
+	var cols [5]column
+	for i := range cols {
+		if cols[i], p, err = cutColumn(p, count, version); err != nil {
+			return err
+		}
+	}
+	if len(p) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
+	}
+	if cols[4].scale != 0 {
+		return fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
+	}
+	sc.keys = sized(sc.keys, count)
+	for i := range sc.cols {
+		sc.cols[i] = sized(sc.cols[i], count)
+		cols[i].floats(sc.cols[i], sc.keys)
+	}
+	sc.seqs = sized(sc.seqs, count)
+	cols[4].keys(sc.seqs)
+	return nil
+}
+
+// place writes the decoded block's tuples into the places of dst its seq
+// column names, marking them in sc.seen; a place outside dst or named
+// twice is corruption.
+func (sc *scratch) place(dst tuple.Batch) error {
+	ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
+	for i, sq := range sc.seqs {
+		if sq >= uint64(len(dst)) || sc.seen[sq] {
+			return fmt.Errorf("%w: a seq is out of range or repeated", ErrCorrupt)
+		}
+		sc.seen[sq] = true
+		dst[sq] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
 	}
 	return nil
 }
@@ -484,7 +537,7 @@ type readAtSource struct {
 }
 
 func (s *readAtSource) ReadSpan(buf []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > s.size {
+	if off < 0 || n < 0 || n > s.size-off {
 		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte file", ErrCorrupt, off, n, s.size)
 	}
 	buf = sized(buf, int(n))
@@ -502,7 +555,7 @@ func (s *readAtSource) Close() error { return s.f.Close() }
 type byteSource []byte
 
 func (s byteSource) ReadSpan(_ []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > int64(len(s)) {
+	if off < 0 || n < 0 || n > int64(len(s))-off {
 		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte image", ErrCorrupt, off, n, len(s))
 	}
 	return s[off : off+n], nil

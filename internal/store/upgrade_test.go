@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 )
 
@@ -17,7 +20,9 @@ import (
 // MANIFEST, checkpoint-000001.emt, the segment suffix and — for
 // legacy-sidecar — that commit's version-1 colblock-000001.emc;
 // testdata/<name>/appended.frames is every batch the writer appended, in
-// order (WindowLength 100, Retain 4).
+// order (WindowLength 100, Retain 4). testdata/v2-columnar has the same
+// shape, written by commit bf9c3e4, the last one whose checkpoint files
+// were version 2 (TestUpgradeFromVersion2).
 var upgradeFixtures = []string{"legacy-row", "legacy-sidecar"}
 
 // fixtureReference replays a fixture's appended batches into a memory
@@ -138,5 +143,121 @@ func TestUpgradeFromRowCheckpoints(t *testing.T) {
 			}
 			requireSameState(t, "after the upgrade", re, ref)
 		})
+	}
+}
+
+// TestUpgradeFromVersion2 opens a directory whose checkpoint is a
+// version-2 file: checkpoint 0 holds windows 2–5 and the segment suffix
+// adds to window 5 and opens window 6, which evicts window 2. The file is
+// read as it is — windows 3–5 lazy, every read as before — and the next
+// Checkpoint writes a
+// version-3 file that carries no version-2 block over: a version-3 file
+// admits only packed columns, so Verify would refuse one. Every window
+// reads the same after that checkpoint, and after a restart from it.
+func TestUpgradeFromVersion2(t *testing.T) {
+	const name = "v2-columnar"
+	ref := fixtureReference(t, name)
+	dir := copyDirTo(t, filepath.Join("testdata", name, "dir"))
+	cfg := Config{WindowLength: 100, Retain: 4, Dir: dir, Sync: SyncNever()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := s.RecoveryStats()
+	if !rs.FromCheckpoint || rs.CheckpointSeq != 0 || rs.CorruptCheckpoints != 0 || rs.SegmentsReplayed != 1 {
+		t.Fatalf("recovery %+v: want checkpoint 0 plus one replayed segment", rs)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 3 {
+		t.Fatalf("stats %+v: want the version-2 file's three retained windows lazy", cs)
+	}
+	requireSameState(t, "version-2 checkpoint", s, ref)
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 3 {
+		t.Fatalf("the checkpoint after the upgrade is version %d, want 3", v)
+	}
+	if err := colblock.Verify(data); err != nil {
+		t.Fatalf("the checkpoint after the upgrade: %v", err)
+	}
+	requireSameState(t, "after the version-3 checkpoint", s, ref)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 1 || rs.CorruptCheckpoints != 0 {
+		t.Fatalf("second recovery %+v: want checkpoint 1", rs)
+	}
+	requireSameState(t, "restarted from the version-3 checkpoint", re, ref)
+}
+
+// TestOverflowingSpanFallsBack: a checkpoint whose first directory entry
+// has an offset and a length that each fit in an int64 but sum past it —
+// footer checksum resealed, so only the span check can catch it — is a
+// corrupt checkpoint to Open, on both access paths: counted, skipped, and
+// the segments replayed instead.
+func TestOverflowingSpanFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{WindowLength: 100, Dir: dir, KeepSegments: 100}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(mkBatch(10, 20, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(mkBatch(250)); err != nil {
+		t.Fatal(err)
+	}
+	want := collectTuples(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The file's footer: a 96-byte entry per block (offset at +8, length at
+	// +16), then a 48-byte trailer (block count at +32, checksum at +40 over
+	// the directory and the 40 trailer bytes before it).
+	path := filepath.Join(dir, checkpointName(0))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	trailer := data[len(data)-48:]
+	dir0 := len(data) - 48 - 96*int(le.Uint32(trailer[32:]))
+	le.PutUint64(data[dir0+8:], 1<<62+1<<61)
+	le.PutUint64(data[dir0+16:], 1<<62)
+	le.PutUint32(trailer[40:], crc32.Update(crc32.ChecksumIEEE(data[dir0:len(data)-48]), crc32.IEEETable, trailer[:40]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, disableMmap := range []bool{false, true} {
+		cfg.Dir = copyDirTo(t, dir) // an Open adds a segment: each path starts from the same files
+		cfg.Columnar.DisableMmap = disableMmap
+		re, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("disableMmap=%v: recovery must fall back: %v", disableMmap, err)
+		}
+		sameTuples(t, collectTuples(re), want)
+		if rs := re.RecoveryStats(); rs.FromCheckpoint || rs.CorruptCheckpoints != 1 || rs.SegmentsReplayed != 2 {
+			t.Errorf("disableMmap=%v: recovery %+v: want the checkpoint counted corrupt and both segments replayed", disableMmap, rs)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
