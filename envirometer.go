@@ -111,7 +111,7 @@ var (
 	// ErrNotRoutable: on a clustered platform, the request combines
 	// processor options (radius/indexed methods, which evaluate raw
 	// windows) with a shard another node owns (the HTTP API's 400).
-	ErrNotRoutable = server.ErrNotRoutable
+	ErrNotRoutable = cluster.ErrNotRoutable
 	// ErrNodeUnreachable: a shard's owner node is down; requests for its
 	// shards fail until it returns (the HTTP API's 502). On a replicated
 	// cluster (ClusterConfig.Replicas > 1) reads fail over to replicas
@@ -395,10 +395,11 @@ func (cfg Config) storeDir(p Pollutant) string {
 type Platform struct {
 	engine *server.Engine
 	api    *server.API
-	// svc is the serving path the data methods and the HTTP handlers
-	// share: it alone decides between the local engine and the cluster.
-	svc  *server.Service
-	node *cluster.Node // nil when not clustered; lifecycle only
+	// backend answers the data methods and the TCP listener, as it does
+	// the HTTP handlers: the engine on a single node, the cluster node
+	// when clustered. Open chooses it once.
+	backend server.Backend
+	node    *cluster.Node // nil when not clustered; lifecycle only
 	// joining marks a node built from ClusterConfig.Join whose epoch
 	// has not been committed yet (CompleteJoin pending).
 	joining    bool
@@ -464,13 +465,13 @@ func Open(cfg Config) (*Platform, error) {
 			closeAll()
 			return nil, err
 		}
-		p.node = node
+		p.node, p.backend = node, node
 		p.joining = cfg.Cluster.Join != ""
 		p.api = server.NewClusterAPI(engine, node)
 	} else {
+		p.backend = engine
 		p.api = server.NewAPI(engine)
 	}
-	p.svc = p.api.Service
 	// Covers are derived state and are not persisted: every recovered
 	// window is modeled in the background now, newest first, and on the
 	// query path if it is asked for sooner.
@@ -506,11 +507,12 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 		if cfg.Advertise == "" {
 			return nil, fmt.Errorf("repro: cluster join needs Advertise (this node's wire address as peers dial it)")
 		}
-		seedT, err := dial(cfg.Join)
+		seed, err := proto.Dial(cfg.Join, proto.ServerConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("repro: dial join seed %s: %w", cfg.Join, err)
 		}
-		pending, err := cluster.JoinCluster(seedT, cfg.Advertise)
+		pending, err := cluster.JoinCluster(seed, cfg.Advertise)
+		seed.Close()
 		if err != nil {
 			return nil, fmt.Errorf("repro: join via %s: %w", cfg.Join, err)
 		}
@@ -628,7 +630,8 @@ func (p *Platform) Close() error {
 	var errs []error
 	if p.node != nil {
 		// Stop replication first: the stream workers and mirror engines
-		// must quiesce before the primary engine drains.
+		// must quiesce before the primary engine drains. The node closes
+		// its peer connections too.
 		p.node.Close()
 	}
 	if err := p.engine.Close(); err != nil {
@@ -664,11 +667,7 @@ func (p *Platform) ListenTCP(addr string) (io.Closer, net.Addr, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var h proto.Handler = p.engine
-	if p.node != nil {
-		h = p.node
-	}
-	srv := proto.Serve(ln, h, proto.ServerConfig{})
+	srv := proto.Serve(ln, p.backend, proto.ServerConfig{})
 	return srv, srv.Addr(), nil
 }
 
@@ -680,10 +679,10 @@ func (p *Platform) ListenTCP(addr string) (io.Closer, net.Addr, error) {
 // a clustered platform the upload splits by shard owner and every slice
 // — this node's own included — commits through the cluster node, which
 // never waits for queue space: a saturated owner sheds its slice with
-// ErrIngestSaturated (see server.Service.Ingest), exactly as POST
+// ErrIngestSaturated (see cluster.Node.Ingest), exactly as POST
 // /v1/ingest does.
 func (p *Platform) Ingest(ctx context.Context, pol Pollutant, readings []Reading) error {
-	return p.svc.Ingest(ctx, pol, tuple.Batch(readings))
+	return p.backend.Ingest(ctx, pol, tuple.Batch(readings))
 }
 
 // Clustered reports whether the platform is a member of a sharded
@@ -810,7 +809,7 @@ func (p *Platform) LenFor(pol Pollutant) (int, error) {
 // combining them fails with ErrNotRoutable rather than silently
 // answering from the wrong node's data.
 func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) (float64, error) {
-	return p.svc.Query(ctx, req, applyOptions(opts))
+	return p.backend.QueryOpts(ctx, req, applyOptions(opts))
 }
 
 // QueryBatch answers a batch of requests — the registered route of a
@@ -824,7 +823,7 @@ func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) 
 // non-default processor options require every request to land on this
 // node's shards (ErrNotRoutable otherwise — see Query).
 func (p *Platform) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOption) ([]BatchResult, error) {
-	return p.svc.QueryBatch(ctx, reqs, applyOptions(opts))
+	return p.backend.QueryBatchOpts(ctx, reqs, applyOptions(opts))
 }
 
 func applyOptions(opts []QueryOption) query.Options {
@@ -846,7 +845,7 @@ func applyOptions(opts []QueryOption) query.Options {
 // to unsubscribe; a slow consumer's queue drops oldest events and the
 // next event becomes a full resync, so the stream is always coherent.
 func (p *Platform) Subscribe(ctx context.Context, pol Pollutant, pts []Request) (Subscription, error) {
-	return p.svc.Subscribe(ctx, pol, pts)
+	return p.backend.Subscribe(ctx, pol, pts)
 }
 
 // SubscriptionStats counts the push-subscription registry's work on the
@@ -862,21 +861,21 @@ func (p *Platform) SubscriptionStats() SubscriptionStats {
 // (some dead node's shards missing, no replica to stand in) returns the
 // usable cover alongside ErrPartialResult.
 func (p *Platform) Cover(ctx context.Context, pol Pollutant, t float64) (*Cover, error) {
-	return p.svc.Cover(ctx, pol, t)
+	return p.backend.CoverAt(ctx, pol, t)
 }
 
 // ModelResponse returns the wire form of pol's cover at t — what a
 // model-cache client downloads once per validity window.
 // On a clustered platform the response merges every node's cover.
 func (p *Platform) ModelResponse(ctx context.Context, pol Pollutant, t float64) (ModelResponse, error) {
-	return p.svc.Model(ctx, pol, t)
+	return p.backend.Model(ctx, pol, t)
 }
 
 // Heatmap rasterizes pol's cover at time t over the window's data region;
 // see the heatmap endpoints of Handler for rendered output.
 // On a clustered platform the raster scatter-gathers across all shards.
 func (p *Platform) Heatmap(ctx context.Context, pol Pollutant, t float64, cols, rows int) (*heatmap.Grid, error) {
-	return p.svc.Heatmap(ctx, pol, t, cols, rows)
+	return p.backend.Heatmap(ctx, pol, t, cols, rows)
 }
 
 // Handler returns the HTTP/JSON API (point queries, batch and continuous

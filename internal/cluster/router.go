@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
@@ -31,6 +32,10 @@ const (
 	// maxIngestChunk bounds one forwarded ingest frame: an
 	// IngestRequest is 6 + 32*tuples bytes.
 	maxIngestChunk = (proto.MaxFrameBytes - 64) / 32
+	// maxBatchShare bounds the items of one forwarded batch share: a
+	// BatchQueryRequest is 3 + 25*items bytes. The router refuses a larger
+	// share with ErrTooLarge before sending it.
+	maxBatchShare = (proto.MaxFrameBytes - 64) / 25
 )
 
 // ErrNodeUnreachable marks a routed request that failed because the
@@ -52,6 +57,12 @@ var ErrPartialIngest = errors.New("cluster: partial ingest; retrying would dupli
 // its response would exceed the wire frame budget (e.g. an oversized
 // scatter-gathered heatmap). The HTTP layer maps it to 400.
 var ErrTooLarge = errors.New("cluster: request exceeds the wire frame budget")
+
+// ErrNotRoutable marks request options that cannot cross the cluster —
+// the radius/processor query options, which evaluate raw windows only
+// the shard owner holds. It never crosses the wire: the node refuses
+// before routing. The HTTP layer maps it to 400.
+var ErrNotRoutable = errors.New("cluster: request options are not routable; send it to the shard owner")
 
 // ErrStaleEpoch marks a request that was fenced because it was routed
 // under a ring epoch older than the receiving node's, and one ring
@@ -83,11 +94,14 @@ type NodeConfig struct {
 	Self int
 	// Local answers requests for shards Self owns (nil for a router).
 	// When it is a proto.Releaser the node lends its answers too (see
-	// Node.Release).
+	// Node.Release); when it is a LocalEngine the node's typed methods
+	// hand it owned-shard queries, processor options included, and
+	// subscriptions.
 	Local Handler
 	// Transports connect to peer nodes, indexed by node ID. The Self
 	// entry is ignored; a nil entry makes the node bounce that peer's
-	// shards with NotOwnerResponse instead of forwarding.
+	// shards with NotOwnerResponse instead of forwarding. The node owns
+	// them: Close closes every one that has a Close method.
 	Transports []Transport
 	// Dial opens transports to nodes that join after boot (nil: the
 	// node cannot reach post-boot members and bounces their shards).
@@ -161,9 +175,11 @@ type Node struct {
 
 	// tmu guards the transport table, which grows when newer rings add
 	// members. Indexes are stable: a slot is never removed, only
-	// appended, so node IDs index it for the node's whole life.
+	// appended, so node IDs index it for the node's whole life. Once
+	// Close has closed the table (closed), newer rings add only nil slots.
 	tmu        sync.RWMutex
 	transports []Transport
+	closed     bool
 
 	// memMu serializes membership transitions this node coordinates or
 	// participates in (join bootstrap, drain prepare, promotion), and
@@ -238,11 +254,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // Close stops the node's background replication work (peer stream
-// workers, in-flight catch-up sessions). Routed subscriptions close
-// with their feeds; transports belong to the caller.
+// workers, in-flight catch-up sessions), then closes every transport in
+// its table, so no peer connection outlives the node; an exchange after
+// Close fails. Routed subscriptions close with their feeds.
 func (n *Node) Close() error {
 	if n.repl != nil {
 		n.repl.close()
+	}
+	n.tmu.Lock()
+	n.closed = true
+	ts := n.transports
+	n.tmu.Unlock()
+	for _, t := range ts {
+		closeTransport(t)
 	}
 	return nil
 }
@@ -294,7 +318,7 @@ func (n *Node) adoptRing(r *Ring) bool {
 	for len(n.transports) < r.Nodes() {
 		i := len(n.transports)
 		var t Transport
-		if i != n.self && r.IsLive(i) && n.dial != nil {
+		if i != n.self && r.IsLive(i) && n.dial != nil && !n.closed {
 			// Lazy: no connection is opened here, so holding tmu is safe.
 			t = NewLazyTransport(r.Addr(i), n.dial)
 		}
@@ -616,6 +640,16 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 	for owner := 0; owner < ring.Nodes(); owner++ {
 		idxs, items := split.get(owner)
 		if len(idxs) == 0 {
+			continue
+		}
+		if owner != n.self && len(idxs) > maxBatchShare {
+			// The share cannot be encoded into one frame: refuse it, typed,
+			// rather than fail the exchange and call a live owner unreachable.
+			failed := wire.FailedItem(wire.CodeTooLarge, fmt.Sprintf("%v: %d items for node %d, over %d per frame",
+				ErrTooLarge, len(idxs), owner, maxBatchShare))
+			for _, i := range idxs {
+				out[i] = failed
+			}
 			continue
 		}
 		wg.Add(1)
@@ -1072,12 +1106,14 @@ func notOwnerMsg(r wire.NotOwnerResponse) string {
 	return fmt.Sprintf("cluster: not owner of shard (owner node %d %s)", r.Owner, r.Addr)
 }
 
-// --- Go-level convenience surface ------------------------------------
+// --- Typed serving surface -------------------------------------------
 //
-// server.Service routes through these instead of building wire frames
-// by hand. A failure that crossed the cluster comes back through
-// ErrorFromWire, so errors.Is matches the same sentinel whether the
-// local engine or a peer's produced it.
+// The same method set server.Engine serves a single node with, so the
+// facade and the HTTP API call one backend either way. These methods are
+// the only place that maps a typed request to the shard that answers it.
+// A failure that crossed the cluster comes back through ErrorFromWire,
+// so errors.Is matches the same sentinel whether the local engine or a
+// peer's produced it.
 
 // answer narrows a response to the message type the caller asked for,
 // turning anything else into its Go error.
@@ -1104,9 +1140,41 @@ func partialErr(part *Partial) error {
 	return &PartialError{Partial: *part}
 }
 
-// Query answers one request through the cluster: locally when this node
-// owns the shard, forwarded otherwise.
-func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
+// routable reports whether o can cross the cluster: only the
+// model-cover path travels (Concurrency is applied wherever the batch
+// executes, so it never blocks routing).
+func routable(o query.Options) bool {
+	return (o.Kind == "" || o.Kind == query.KindCover) && o.Radius == 0
+}
+
+func notRoutable(o query.Options) error {
+	return fmt.Errorf("%w: processor=%v radius=%v", ErrNotRoutable, o.Kind, o.Radius)
+}
+
+// ownedLocal returns the local engine when it can answer every request
+// in reqs: this node owns each one's shard, and its Local is a
+// LocalEngine.
+func (n *Node) ownedLocal(reqs ...query.Request) (LocalEngine, bool) {
+	le, ok := n.local.(LocalEngine)
+	ring := n.Ring()
+	for i := 0; ok && i < len(reqs); i++ {
+		ok = ring.Owner(reqs[i].Pollutant, geo.Point{X: reqs[i].X, Y: reqs[i].Y}) == n.self
+	}
+	return le, ok
+}
+
+// QueryOpts answers one request: from the local engine when this node
+// owns the shard, forwarded otherwise. Non-default processor options
+// evaluate the raw window, which only the shard's owner holds, so a
+// foreign-shard request carrying them fails with ErrNotRoutable rather
+// than silently answering from the wrong node's data.
+func (n *Node) QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error) {
+	if le, ok := n.ownedLocal(req); ok {
+		return le.QueryOpts(ctx, req, o)
+	}
+	if !routable(o) {
+		return 0, notRoutable(o)
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -1115,9 +1183,18 @@ func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
 	return r.Value, err
 }
 
-// QueryBatch answers a batch through the cluster with per-item results,
-// splitting it across shard owners.
-func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
+// QueryBatchOpts answers a batch with per-item results, splitting it
+// across shard owners. Non-default processor options require every
+// request to land on this node's shards, and run on the local engine
+// (ErrNotRoutable otherwise).
+func (n *Node) QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error) {
+	if !routable(o) {
+		le, ok := n.ownedLocal(reqs...)
+		if !ok {
+			return nil, notRoutable(o)
+		}
+		return le.QueryBatchOpts(ctx, reqs, o)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1145,8 +1222,13 @@ func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.Ba
 }
 
 // Ingest applies an upload through the cluster, splitting it across
-// shard owners. An empty upload is a no-op, as it is on a single node's
-// pipeline.
+// shard owners. Every slice, this node's own included, commits through
+// the node: that is what appends it to the replication log replicas and
+// membership handoffs stream from. A clustered ingest therefore never
+// waits for queue space — a saturated owner sheds its slice with
+// ingest.ErrSaturated, retryable when no slice applied and
+// ErrPartialIngest when some did. An empty upload is a no-op, as it is
+// on a single node's pipeline.
 func (n *Node) Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -1156,6 +1238,11 @@ func (n *Node) Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) e
 	}
 	_, err := answer[wire.IngestResponse](n.HandleMessageCtx(ctx, wire.IngestRequest{Pollutant: pol, Tuples: b}))
 	return err
+}
+
+// TryIngest is Ingest, which already sheds instead of waiting.
+func (n *Node) TryIngest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error {
+	return n.Ingest(ctx, pol, b)
 }
 
 // Heatmap rasterizes the whole cluster's view of pollutant p at time t.
@@ -1177,6 +1264,27 @@ func (n *Node) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, 
 	return r.Grid(), partialErr(part)
 }
 
+// HeatmapCoverInto is Heatmap plus the cover to annotate the raster from
+// (centroid markers), merged across shards by a second scatter so every
+// shard's centroids appear. The grid is the scatter-gather's own: g,
+// which a single-node engine renders into, is left untouched. Either
+// scatter may come back partial; the usable answer then travels with
+// its *PartialError.
+func (n *Node) HeatmapCoverInto(ctx context.Context, _ *heatmap.Grid, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
+	grid, err := n.Heatmap(ctx, p, t, cols, rows)
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return nil, nil, err
+	}
+	cv, coverErr := n.CoverAt(ctx, p, t)
+	if coverErr != nil && !errors.Is(coverErr, ErrPartialResult) {
+		return nil, nil, coverErr
+	}
+	if err == nil {
+		err = coverErr
+	}
+	return grid, cv, err
+}
+
 // Model returns the cluster-merged model cover of pollutant p at time t.
 // Like Heatmap, a replicated ring may return both a usable cover and a
 // *PartialError naming dead nodes whose shards are missing from it.
@@ -1190,4 +1298,20 @@ func (n *Node) Model(ctx context.Context, p tuple.Pollutant, t float64) (wire.Mo
 		return wire.ModelResponse{}, err
 	}
 	return r, partialErr(part)
+}
+
+// CoverAt returns pollutant p's cover valid at t, rebuilt from the
+// merged Model, so evaluating it anywhere in the region answers from the
+// owning shard's models. A partial merge returns the usable cover
+// alongside its *PartialError.
+func (n *Node) CoverAt(ctx context.Context, p tuple.Pollutant, t float64) (*core.Cover, error) {
+	mr, err := n.Model(ctx, p, t)
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return nil, err
+	}
+	cv, convErr := wire.CoverFromModelResponse(mr)
+	if convErr != nil {
+		return nil, convErr
+	}
+	return cv, err
 }

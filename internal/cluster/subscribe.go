@@ -32,10 +32,14 @@ type PushStream interface {
 // *proto.StreamRefused error; any other error means it was not reached.
 type StreamOpener func(addr string, req wire.Message) (PushStream, error)
 
-// LocalSubscriber is the subscription surface of the local engine
-// (server.Engine implements it); the node type-asserts it so the
-// cluster package does not import the server.
-type LocalSubscriber interface {
+// LocalEngine is the typed surface of a local engine (server.Engine
+// implements it) that the node answers owned shards with beyond the wire
+// protocol: queries with processor options, and subscriptions. The node
+// type-asserts its Local and its mirrors' handlers to it, so the cluster
+// package does not import the server.
+type LocalEngine interface {
+	QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error)
+	QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error)
 	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error)
 }
 
@@ -108,7 +112,7 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 		}
 		l := &subLeg{owner: owner, pol: pol, idxs: idxs, subset: subset}
 		if owner == n.self {
-			ls, ok := n.local.(LocalSubscriber)
+			ls, ok := n.local.(LocalEngine)
 			if !ok {
 				abort()
 				return nil, errors.New("cluster: local handler does not support subscriptions")
@@ -267,7 +271,7 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 			if mir == nil {
 				continue
 			}
-			ls, ok := mir.handler().(LocalSubscriber)
+			ls, ok := mir.handler().(LocalEngine)
 			if !ok {
 				continue
 			}
@@ -326,7 +330,7 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		if !isSub {
 			return nil, nil, nil, false
 		}
-		ls, isLS := n.local.(LocalSubscriber)
+		ls, isLS := n.local.(LocalEngine)
 		if !isLS {
 			return wire.ErrorResponse{Msg: "cluster: node holds no subscription registry"}, func(func(wire.Message) error) {}, func() {}, true
 		}
@@ -349,7 +353,7 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		if mir == nil {
 			return replicaMiss(fmt.Sprintf("no mirror of node %d", m.Origin)), noop, func() {}, true
 		}
-		ls, isLS := mir.handler().(LocalSubscriber)
+		ls, isLS := mir.handler().(LocalEngine)
 		if !isLS {
 			return replicaMiss("mirror holds no subscription registry"), noop, func() {}, true
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/wire"
@@ -17,12 +18,16 @@ type lazyTransport struct {
 	addr string
 	dial Dialer
 
-	mu sync.Mutex
-	t  Transport
+	mu     sync.Mutex
+	t      Transport
+	closed bool
 }
 
+// errTransportClosed is an exchange on a lazy transport after Close.
+var errTransportClosed = errors.New("cluster: transport closed")
+
 // NewLazyTransport returns a Transport that connects to addr on first
-// Exchange and reconnects after transport failures.
+// Exchange and reconnects after transport failures, until it is closed.
 func NewLazyTransport(addr string, dial Dialer) Transport {
 	return &lazyTransport{addr: addr, dial: dial}
 }
@@ -37,40 +42,60 @@ func NewLazyTransport(addr string, dial Dialer) Transport {
 // serialization (proto.Client is safe for concurrent use).
 func (lt *lazyTransport) Exchange(req wire.Message) (wire.Message, error) {
 	lt.mu.Lock()
-	t := lt.t
+	t, closed := lt.t, lt.closed
 	lt.mu.Unlock()
+	if closed {
+		return nil, errTransportClosed
+	}
 	if t == nil {
 		nt, err := lt.dial(lt.addr)
 		if err != nil {
 			return nil, err
 		}
 		lt.mu.Lock()
-		if lt.t == nil {
+		if lt.t == nil && !lt.closed {
 			lt.t = nt
-			t = nt
-		} else {
-			// A concurrent caller won the dial race; keep theirs.
-			t = lt.t
 		}
+		t = lt.t // a concurrent caller may have won the dial race; keep theirs
 		lt.mu.Unlock()
 		if t != nt {
 			closeTransport(nt)
 		}
+		if t == nil {
+			return nil, errTransportClosed // closed while dialing
+		}
 	}
 	resp, err := t.Exchange(req)
 	if err != nil {
+		// Whoever takes t out of the slot closes it — here, a concurrent
+		// failed exchange, or Close — so it is closed exactly once.
 		lt.mu.Lock()
-		if lt.t == t {
+		mine := lt.t == t
+		if mine {
 			lt.t = nil
 		}
 		lt.mu.Unlock()
-		closeTransport(t)
+		if mine {
+			closeTransport(t)
+		}
 		return nil, err
 	}
 	return resp, nil
 }
 
-// closeTransport closes a transport if it supports closing.
+// Close closes the connection, if one is open, and makes every later
+// Exchange fail instead of redialing.
+func (lt *lazyTransport) Close() error {
+	lt.mu.Lock()
+	t := lt.t
+	lt.t, lt.closed = nil, true
+	lt.mu.Unlock()
+	closeTransport(t)
+	return nil
+}
+
+// closeTransport closes a transport if it supports closing (a nil one
+// does not).
 func closeTransport(t Transport) {
 	if c, ok := t.(interface{ Close() error }); ok {
 		_ = c.Close()

@@ -309,6 +309,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		err = w.write(resp)
+		if errors.Is(err, ErrFrameTooLarge) {
+			// Nothing was written, and the request was fine: answer that the
+			// response does not fit one frame, typed, and keep serving.
+			err = w.write(wire.ErrorResponse{Code: wire.CodeTooLarge, Msg: err.Error()})
+		}
 		if canRelease && bad == nil {
 			releaser.Release(resp)
 		}

@@ -176,6 +176,52 @@ func TestReleaseAfterWrite(t *testing.T) {
 	}
 }
 
+// bigLender is a lender whose answer to a query at t = 0 is a raster
+// over one frame.
+type bigLender struct{ lender }
+
+func (h bigLender) HandleMessage(req wire.Message) wire.Message {
+	if q, ok := req.(wire.QueryRequest); ok && q.T == 0 {
+		return wire.HeatmapResponse{Cols: 400, Rows: 400, Values: make([]float64, 400*400)}
+	}
+	return h.lender.HandleMessage(req)
+}
+
+// TestOversizedAnswerComesBackTyped: an answer too large for one frame
+// does not drop the connection. The client reads an ErrorResponse coded
+// CodeTooLarge, the handler still takes its original answer back, and
+// the same client's next exchange succeeds.
+func TestOversizedAnswerComesBackTyped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &eventLog{}
+	srv := Serve(ln, bigLender{lender{log: log}}, ServerConfig{})
+	defer srv.Close()
+	c, err := Dial(ln.Addr().String(), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Exchange(wire.QueryRequest{T: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er, ok := resp.(wire.ErrorResponse); !ok || er.Code != wire.CodeTooLarge {
+		t.Fatalf("oversized answer came back as %#v, want an ErrorResponse coded CodeTooLarge", resp)
+	}
+	resp, err = c.Exchange(wire.QueryRequest{T: 5})
+	if err != nil || describe(resp) != "answer 5" {
+		t.Fatalf("next exchange on the same client: %v (%v), want answer 5", describe(resp), err)
+	}
+	srv.Close() // waits for the connection's goroutine, which releases after writing
+	want := []string{"released wire.HeatmapResponse", "released answer 5"}
+	if got := log.snapshot(); !slices.Equal(got, want) {
+		t.Errorf("released %q, want %q", got, want)
+	}
+}
+
 func isError(m wire.Message) bool {
 	_, ok := m.(wire.ErrorResponse)
 	return ok

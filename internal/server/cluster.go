@@ -10,11 +10,11 @@ import (
 )
 
 // NewClusterAPI builds the HTTP API for one member of a sharded
-// cluster: the data endpoints route through the node (see Service), and
-// GET /v1/cluster serves the shard ring, the per-shard ownership table,
-// and the routing counters.
+// cluster: the node is the data endpoints' backend, and GET /v1/cluster
+// serves the shard ring, the per-shard ownership table, and the routing
+// counters.
 func NewClusterAPI(engine *Engine, node *cluster.Node) *API {
-	a := newAPI(NewService(engine, node))
+	a := newAPI(node, engine, node)
 	a.mux.HandleFunc("GET /v1/cluster", a.handleCluster)
 	a.mux.HandleFunc("POST /v1/cluster/join", a.handleClusterJoin)
 	a.mux.HandleFunc("POST /v1/cluster/drain", a.handleClusterDrain)

@@ -6,8 +6,11 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -765,18 +768,28 @@ func (e *Engine) ingestSink(p tuple.Pollutant, b tuple.Batch) error {
 	return err
 }
 
+// Model returns the wire form of pollutant p's cover at t — what a
+// model-cache client downloads.
+func (e *Engine) Model(ctx context.Context, p tuple.Pollutant, t float64) (wire.ModelResponse, error) {
+	cv, err := e.CoverAt(ctx, p, t)
+	if err != nil {
+		return wire.ModelResponse{}, err
+	}
+	return wire.ModelResponseFromCover(cv)
+}
+
 // Heatmap rasterizes pollutant p's cover at time t over the data's
 // bounding region.
 func (e *Engine) Heatmap(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error) {
-	g, _, err := e.HeatmapCover(ctx, p, t, cols, rows)
+	g, _, err := e.HeatmapCoverInto(ctx, new(heatmap.Grid), p, t, cols, rows)
 	return g, err
 }
 
-// HeatmapCover is Heatmap that also returns the cover the raster was
-// drawn from, so a caller that annotates the raster (centroid markers)
-// reads the same cover generation even when a rebuild lands meanwhile.
-func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
-	g := new(heatmap.Grid)
+// HeatmapCoverInto is Heatmap rendering into g, which it returns, plus
+// the cover the raster was drawn from: the cover is resolved once, so a
+// caller that annotates the raster (centroid markers) reads the same
+// cover generation even when a rebuild lands meanwhile.
+func (e *Engine) HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
 	cv, err := e.heatmap(ctx, g, p, t, cols, rows, nil)
 	if err != nil {
 		return nil, nil, err
@@ -814,6 +827,42 @@ func (e *Engine) heatmap(ctx context.Context, g *heatmap.Grid, p tuple.Pollutant
 		return nil, err
 	}
 	return cv, nil
+}
+
+// continuousETag hashes a continuous-query route — its points and, per
+// distinct route window, the generation of the cover that is served for
+// it — into an entity tag, or "" when pol is not monitored. A write alone
+// does not change the tag: while the window's rebuild is pending the
+// answer is still the previous cover's, and a 304 is correct. Computed
+// BEFORE evaluation, and the served generation never decreases, so a
+// rebuild landing in between can only make a later If-None-Match miss
+// (an extra 200), never serve a stale 304.
+func (e *Engine) continuousETag(pol tuple.Pollutant, reqs []query.Request) string {
+	sh, err := e.shardFor(pol)
+	if err != nil {
+		return ""
+	}
+	hsh := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = hsh.Write(buf[:])
+	}
+	put(uint64(pol))
+	put(uint64(len(reqs)))
+	seen := make(map[int]struct{})
+	for _, q := range reqs {
+		put(math.Float64bits(q.T))
+		put(math.Float64bits(q.X))
+		put(math.Float64bits(q.Y))
+		c := tuple.WindowIndex(q.T, sh.st.WindowLength())
+		if _, ok := seen[c]; !ok {
+			seen[c] = struct{}{}
+			put(uint64(c))
+			put(sh.maintainer.ServedGeneration(c))
+		}
+	}
+	return fmt.Sprintf("\"cq-%016x\"", hsh.Sum64())
 }
 
 // HandleMessage implements the request/response protocol over any
@@ -856,11 +905,7 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		}
 		return resp
 	case wire.ModelRequest:
-		cv, err := e.CoverAt(ctx, m.Pollutant, m.T)
-		if err != nil {
-			return cluster.WireError(err)
-		}
-		resp, err := wire.ModelResponseFromCover(cv)
+		resp, err := e.Model(ctx, m.Pollutant, m.T)
 		if err != nil {
 			return cluster.WireError(err)
 		}

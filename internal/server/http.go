@@ -19,6 +19,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/heatmap"
 	"repro/internal/ingest"
+	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/route"
 	"repro/internal/store"
@@ -26,6 +27,24 @@ import (
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
+
+// Backend answers every served data request: the Engine on a single
+// node, the cluster.Node when clustered — which alone maps a request to
+// the shard that answers it. The facade, NewAPI and NewClusterAPI each
+// choose one, once. Both serve the wire protocol too, and report a
+// failure as the same sentinel either way (see cluster.ErrorFromWire).
+type Backend interface {
+	proto.Handler
+	QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error)
+	QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error)
+	Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
+	TryIngest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
+	Heatmap(ctx context.Context, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error)
+	HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error)
+	Model(ctx context.Context, pol tuple.Pollutant, t float64) (wire.ModelResponse, error)
+	CoverAt(ctx context.Context, pol tuple.Pollutant, t float64) (*core.Cover, error)
+	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error)
+}
 
 // API wraps an Engine with the versioned HTTP/JSON interface of the
 // EnviroMeter web application (§3). The v1 surface is pollutant-aware:
@@ -35,19 +54,20 @@ import (
 // client that disconnects cancels its query.
 //
 // The handlers only parse and render: every data request executes on the
-// embedded Service, which is where a sharded deployment (NewClusterAPI)
-// routes — the same path, with the same refusals, the facade takes.
+// backend — the same one, with the same refusals, the facade calls.
 type API struct {
-	*Service
-	mux *http.ServeMux
-	sse *subBroker // resume tokens for /v1/subscribe
+	backend Backend
+	engine  *Engine       // this node's engine: pollutants and /v1/stats
+	node    *cluster.Node // nil on a single node
+	mux     *http.ServeMux
+	sse     *subBroker // resume tokens for /v1/subscribe
 }
 
 // NewAPI builds the HTTP API around a single-node engine.
-func NewAPI(engine *Engine) *API { return newAPI(NewService(engine, nil)) }
+func NewAPI(engine *Engine) *API { return newAPI(engine, engine, nil) }
 
-func newAPI(svc *Service) *API {
-	a := &API{Service: svc, mux: http.NewServeMux(), sse: newSubBroker(sseResumeTTL)}
+func newAPI(backend Backend, engine *Engine, node *cluster.Node) *API {
+	a := &API{backend: backend, engine: engine, node: node, mux: http.NewServeMux(), sse: newSubBroker(sseResumeTTL)}
 	// The method is part of the route: the mux answers anything else 405.
 	a.mux.HandleFunc("GET /v1/query", a.handlePointQuery)
 	a.mux.HandleFunc("POST /v1/query/batch", a.handleBatch)
@@ -201,7 +221,7 @@ var errorStatus = []struct {
 	{cluster.ErrPartialIngest, http.StatusInternalServerError},
 	{query.ErrUnknownPollutant, http.StatusBadRequest},
 	{ingest.ErrInvalidBatch, http.StatusBadRequest},
-	{ErrNotRoutable, http.StatusBadRequest},
+	{cluster.ErrNotRoutable, http.StatusBadRequest},
 	{cluster.ErrTooLarge, http.StatusBadRequest},
 	{subs.ErrTooManyPoints, http.StatusBadRequest},
 	{query.ErrOutOfWindow, http.StatusNotFound},
@@ -364,7 +384,7 @@ func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := a.Query(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol}, opts)
+	v, err := a.backend.QueryOpts(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol}, opts)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -437,7 +457,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = query.Request{T: in.T, X: in.X, Y: in.Y, Pollutant: pol}
 	}
-	rs, err := a.QueryBatch(r.Context(), reqs, opts)
+	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, opts)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -505,14 +525,18 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	// generations: a repeated poll whose covers were not invalidated
 	// since answers 304 with no evaluation at all. The tag is computed
 	// before evaluating, so a concurrent invalidation can only cost an
-	// extra 200 — never a stale 304.
-	etag, tagged := a.continuousETag(pol, reqs)
-	if tagged && r.Header.Get("If-None-Match") == etag {
+	// extra 200 — never a stale 304. A routed batch would need the
+	// foreign shards' generations, so a cluster node tags nothing.
+	var etag string
+	if eng, single := a.backend.(*Engine); single {
+		etag = eng.continuousETag(pol, reqs)
+	}
+	if etag != "" && r.Header.Get("If-None-Match") == etag {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rs, err := a.QueryBatch(r.Context(), reqs, query.Options{})
+	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, query.Options{})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -534,7 +558,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	avgBand := ClassifyFor(pol, resp.Average)
 	resp.Band = avgBand.String()
 	resp.Advice = avgBand.Advice()
-	if tagged {
+	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -554,7 +578,7 @@ func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := a.Model(r.Context(), pol, t)
+	resp, err := a.backend.Model(r.Context(), pol, t)
 	if pe, ok := asPartial(err); ok {
 		// Dead node without a live replica: the merged cover is still
 		// valid over the surviving shards, so serve it marked partial
@@ -588,7 +612,7 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	g := &heatmap.Grid{Values: wire.LendRaster(cols * rows)}
 	defer wire.ReturnRaster(g.Values)
 	// Raster and centroid markers come from one call.
-	grid, cv, err := a.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows)
+	grid, cv, err := a.backend.HeatmapCoverInto(r.Context(), g, pol, t, cols, rows)
 	pe, isPartial := asPartial(err)
 	if err != nil && !isPartial {
 		writeEngineError(w, err)
@@ -615,7 +639,7 @@ func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	grid, err := a.Heatmap(r.Context(), pol, t, cols, rows)
+	grid, err := a.backend.Heatmap(r.Context(), pol, t, cols, rows)
 	if pe, ok := asPartial(err); ok {
 		partialHeaders(w, pe)
 	} else if err != nil {
@@ -707,7 +731,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 	for i, f := range fixes {
 		reqs[i] = query.Request{T: f.T, X: f.Pos.X, Y: f.Pos.Y, Pollutant: pol}
 	}
-	rs, err := a.QueryBatch(r.Context(), reqs, query.Options{})
+	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, query.Options{})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -773,7 +797,7 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// submit and ErrInvalidBatch maps to a 400. TryIngest, not Ingest: an
 	// overloaded server sheds uploads as 429s instead of holding
 	// connections open against a full queue.
-	if err := a.TryIngest(r.Context(), pol, req.Tuples); err != nil {
+	if err := a.backend.TryIngest(r.Context(), pol, req.Tuples); err != nil {
 		writeEngineError(w, err)
 		return
 	}

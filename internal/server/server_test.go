@@ -62,6 +62,12 @@ func newTestEngine(t testing.TB) *Engine {
 	return NewEngine(newTestStore(t), core.Config{Cluster: kmeans.Config{Seed: 7}})
 }
 
+// HeatmapCover is HeatmapCoverInto a fresh grid: the raster and the
+// cover it was drawn from, for tests that compare the two.
+func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error) {
+	return e.HeatmapCoverInto(ctx, new(heatmap.Grid), p, t, cols, rows)
+}
+
 // modeledTuples is how many tuples a cover's region models were fitted
 // to: its window's population when the cover was built.
 func modeledTuples(cv *core.Cover) int {

@@ -63,7 +63,7 @@ func TestErrorStatusTable(t *testing.T) {
 	}
 	// The sentinels that never cross the wire.
 	for err, want := range map[error]int{
-		ErrNotRoutable:           http.StatusBadRequest,
+		cluster.ErrNotRoutable:   http.StatusBadRequest,
 		ErrEngineClosed:          http.StatusServiceUnavailable,
 		subs.ErrTooManyPoints:    http.StatusBadRequest,
 		subs.ErrTooManySubs:      http.StatusServiceUnavailable,

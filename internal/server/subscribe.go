@@ -209,7 +209,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		h, err := a.Subscribe(r.Context(), pol, pts)
+		h, err := a.backend.Subscribe(r.Context(), pol, pts)
 		if err != nil {
 			writeEngineError(w, err)
 			return
