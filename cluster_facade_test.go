@@ -374,11 +374,11 @@ func TestClusterHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// TestFacadeAndHTTPRouteIdentically: both surfaces run on one
-// server.Service, so on a 2-node ring a request is answered, routed or
-// refused the same way whichever surface carries it — the same value,
-// or the same sentinel from the facade and that sentinel's status over
-// HTTP. It also locks the clustered-ingest backpressure choice: a
+// TestFacadeAndHTTPRouteIdentically: both surfaces call the one backend
+// Open chose, the cluster node, so on a 2-node ring a request is
+// answered, routed or refused the same way whichever surface carries it
+// — the same value, or the same sentinel from the facade and that
+// sentinel's status over HTTP. It also locks the clustered-ingest backpressure choice: a
 // saturated owner sheds (ErrIngestSaturated / 429) for this node's own
 // slice exactly as for a foreign one; the facade never blocks on it.
 func TestFacadeAndHTTPRouteIdentically(t *testing.T) {

@@ -147,7 +147,7 @@ type replicator struct {
 	logs  map[tuple.Pollutant]*replLog
 
 	peerMu sync.Mutex
-	peers  map[int]chan wire.ReplicaIngest
+	peers  map[int]chan replFrame
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
@@ -164,7 +164,7 @@ func newReplicator(n *Node, cfg ReplicationConfig) *replicator {
 		n:         n,
 		newMirror: cfg.NewMirror,
 		logs:      make(map[tuple.Pollutant]*replLog),
-		peers:     make(map[int]chan wire.ReplicaIngest),
+		peers:     make(map[int]chan replFrame),
 		mirrors:   make(map[mirrorKey]*mirror),
 	}
 }
@@ -250,28 +250,64 @@ func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Messa
 	return resp
 }
 
+// replFrame is one committed slice queued for a replica peer. Its tuples
+// are the node's own copy, shared by every peer's frame of the commit.
+type replFrame struct {
+	wire.ReplicaIngest
+	shared *sharedTuples
+}
+
+// sharedTuples is a committed slice copied into lent tuples, for the
+// stream workers that send it after the request it came in has been
+// answered and its memory reused. The last worker done with it gives it
+// back.
+type sharedTuples struct {
+	tuples []tuple.Raw
+	refs   atomic.Int32
+}
+
+// done drops one frame's hold on the tuples.
+func (s *sharedTuples) done() {
+	if s.refs.Add(-1) == 0 {
+		wire.ReturnTuples(s.tuples)
+	}
+}
+
 // fanout enqueues one committed slice to every replica peer's stream
-// worker. Enqueue never blocks: a full queue drops the frame and the
+// worker. tuples belong to the request being served, so the frames carry
+// a copy. Enqueue never blocks: a full queue drops the frame and the
 // replica heals through catch-up.
 func (r *replicator) fanout(pol tuple.Pollutant, seq uint64, tuples []tuple.Raw) {
-	frame := wire.ReplicaIngest{Origin: uint16(r.n.self), Pollutant: pol, Seq: seq, Tuples: tuples}
-	for _, peer := range r.n.Ring().ReplicaPeers(r.n.self, pol) {
+	peers := r.n.Ring().ReplicaPeers(r.n.self, pol)
+	if len(peers) == 0 {
+		return
+	}
+	shared := &sharedTuples{tuples: wire.LendTuples(len(tuples))}
+	copy(shared.tuples, tuples)
+	shared.refs.Store(int32(len(peers)))
+	frame := replFrame{
+		ReplicaIngest: wire.ReplicaIngest{Origin: uint16(r.n.self), Pollutant: pol, Seq: seq, Tuples: shared.tuples},
+		shared:        shared,
+	}
+	for _, peer := range peers {
 		q := r.peerQueue(peer)
 		if q == nil {
-			continue // shutting down
+			shared.done() // shutting down
+			continue
 		}
 		select {
 		case q <- frame:
 			r.streamed.Add(1)
 		default:
 			r.drops.Add(1)
+			shared.done()
 		}
 	}
 }
 
 // peerQueue returns (starting its worker on first use) the stream
 // queue to one replica peer.
-func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
+func (r *replicator) peerQueue(peer int) chan replFrame {
 	r.peerMu.Lock()
 	defer r.peerMu.Unlock()
 	if r.closed.Load() {
@@ -279,7 +315,7 @@ func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
 	}
 	q, ok := r.peers[peer]
 	if !ok {
-		q = make(chan wire.ReplicaIngest, replQueue)
+		q = make(chan replFrame, replQueue)
 		r.peers[peer] = q
 		r.wg.Add(1)
 		go r.streamTo(peer, q)
@@ -289,22 +325,28 @@ func (r *replicator) peerQueue(peer int) chan wire.ReplicaIngest {
 
 // streamTo ships one peer's queued frames in order. Failures only
 // count: the peer detects the resulting gap and pulls a catch-up.
-func (r *replicator) streamTo(peer int, q chan wire.ReplicaIngest) {
+func (r *replicator) streamTo(peer int, q chan replFrame) {
 	defer r.wg.Done()
 	for f := range q {
-		t := r.n.transport(peer)
-		if t == nil {
-			r.streamErrs.Add(1)
-			continue
-		}
-		resp, err := t.Exchange(f)
-		if err != nil {
-			r.streamErrs.Add(1)
-			continue
-		}
-		if _, ok := resp.(wire.IngestResponse); !ok {
-			r.gapNaks.Add(1)
-		}
+		r.ship(peer, f.ReplicaIngest)
+		f.shared.done()
+	}
+}
+
+// ship sends one frame to a replica peer.
+func (r *replicator) ship(peer int, f wire.ReplicaIngest) {
+	t := r.n.transport(peer)
+	if t == nil {
+		r.streamErrs.Add(1)
+		return
+	}
+	resp, err := t.Exchange(f)
+	if err != nil {
+		r.streamErrs.Add(1)
+		return
+	}
+	if _, ok := resp.(wire.IngestResponse); !ok {
+		r.gapNaks.Add(1)
 	}
 }
 

@@ -370,12 +370,14 @@ func (n *Node) localHandle(ctx context.Context, req wire.Message) wire.Message {
 // scatter, and what its Local and replica mirrors (engines, which lend
 // from the same wire pools) answered for a forwarded or replica read.
 // Release hands that memory back to the wire pools once the response is
-// written. With any other Local the node lends nothing — its answers are
-// allocated, and a Local's response may be shared — so Release does
-// nothing.
-func (n *Node) Release(resp wire.Message) {
+// written, with the served request's lent points and tuples: the node
+// reads those only while it answers, and copies what its replica streams
+// send later. With any other Local the node lends nothing — its answers
+// are allocated, a Local's response may be shared, and a Local may keep
+// what it was asked — so Release does nothing.
+func (n *Node) Release(req, resp wire.Message) {
 	if n.lends {
-		wire.Recycle(resp)
+		wire.Recycle(req, resp)
 	}
 }
 
@@ -384,7 +386,7 @@ func (n *Node) Release(resp wire.Message) {
 // transport's, and stay with the garbage collector.
 func (n *Node) consumed(leg int, resp wire.Message) {
 	if leg == n.self {
-		n.Release(resp)
+		n.Release(nil, resp)
 	}
 }
 
@@ -1217,7 +1219,7 @@ func (n *Node) QueryBatchOpts(ctx context.Context, reqs []query.Request, o query
 			out[i] = query.BatchResult{Value: it.Value}
 		}
 	}
-	n.Release(r)
+	n.Release(nil, r)
 	return out, nil
 }
 

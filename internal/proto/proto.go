@@ -20,6 +20,17 @@
 // behind its own length prefix and leaves in a single Write. A buffer that
 // one large frame grew past wire.KeepBytes is dropped after that frame, so
 // an idle connection holds at most wire.KeepBytes per direction.
+//
+// A served request lives for one exchange. When the handler is a Releaser,
+// the bulk of each request — a batch's query points, an upload's tuples —
+// is decoded into memory lent from the wire pools, and the answers whose
+// size grows with the request are lent by the handler; both go back in one
+// Release call once the response frame is written. Until then the handler
+// may read the request. What must outlive the exchange it copies (a
+// cluster node's replica frames), or it does not give back (an upload it
+// did not acknowledge may still be queued; wire.Recycle keeps it out of
+// the pool). A Client's decoded answers, and the requests a handler that
+// is not a Releaser receives, are the receiver's to keep.
 package proto
 
 import (
@@ -108,22 +119,28 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // frameReader reads the frames of one connection into the read buffer the
-// connection keeps.
+// connection keeps. lend decodes a request's bulk into lent memory
+// (wire.Binary.DecodeLent): the serve loop of a Releaser sets it.
 type frameReader struct {
-	r   io.Reader
-	buf []byte
+	r    io.Reader
+	buf  []byte
+	lend bool
 }
 
 // next reads one frame and decodes it out of the buffer, which is free
-// for the next frame as soon as Decode returns. err reports a failed read
-// (io.EOF unwrapped at a frame boundary): the connection is done. bad
+// for the next frame as soon as the decode returns. err reports a failed
+// read (io.EOF unwrapped at a frame boundary): the connection is done. bad
 // reports a frame that arrived whole but is not a message.
 func (fr *frameReader) next() (m wire.Message, bad, err error) {
 	payload, err := readFrame(fr.r, fr.buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, bad = wire.Binary.Decode(payload)
+	if fr.lend {
+		m, bad = wire.Binary.DecodeLent(payload)
+	} else {
+		m, bad = wire.Binary.Decode(payload)
+	}
 	fr.buf = keep(payload)
 	return m, bad, nil
 }
@@ -158,16 +175,21 @@ type CtxHandler interface {
 	HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message
 }
 
-// Releaser is an optional Handler extension that lets a handler lend the
-// memory of its responses instead of allocating it per request. When the
-// handler implements it, the serve loop calls Release with every response
-// HandleMessage or HandleMessageCtx returned, exactly once, after writing
-// that response's frame — whether the write succeeded or failed, so a
-// response is never lent twice and never lost. From then on the handler
-// may reuse what the response refers to. A stream's ack and pushes, and
-// the serve loop's own answer to a malformed frame, are never released.
+// Releaser is an optional Handler extension that lends the memory of an
+// exchange instead of allocating it per request, both ways. When the
+// handler implements it, the serve loop decodes every request's bulk — a
+// batch's points, an upload's tuples — into memory lent from the wire
+// pools (wire.Binary.DecodeLent), and calls Release with each request and
+// the response HandleMessage or HandleMessageCtx returned for it, exactly
+// once, after writing that response's frame — whether the write succeeded
+// or failed, so nothing is lent twice and nothing is lost. From then on
+// the handler may reuse what both refer to (wire.Recycle), and so a
+// handler must not keep any part of a request past Release: what it needs
+// longer, it copies. A stream's ack and pushes, and the serve loop's own
+// answer to a malformed frame, are never released. A handler that is not
+// a Releaser is lent nothing: the requests it is handed are its own.
 type Releaser interface {
-	Release(resp wire.Message)
+	Release(req, resp wire.Message)
 }
 
 // ServerConfig tunes the TCP server.
@@ -258,7 +280,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	streamer, canStream := s.handler.(CtxStreamer)
 	ctxHandler, canCtx := s.handler.(CtxHandler)
 	releaser, canRelease := s.handler.(Releaser)
-	rd := frameReader{r: conn}
+	rd := frameReader{r: conn, lend: canRelease}
 	for {
 		// A connection carrying a push stream idles legitimately between
 		// pushes; only request/response connections get the idle timeout.
@@ -315,7 +337,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			err = w.write(wire.ErrorResponse{Code: wire.CodeTooLarge, Msg: err.Error()})
 		}
 		if canRelease && bad == nil {
-			releaser.Release(resp)
+			releaser.Release(req, resp)
 		}
 		if err != nil {
 			return

@@ -86,7 +86,9 @@ func (h lender) HandleMessage(req wire.Message) wire.Message {
 	return wire.ErrorResponse{Msg: "lender: unexpected request"}
 }
 
-func (h lender) Release(resp wire.Message) { h.log.add("released %s", describe(resp)) }
+var _ Releaser = lender{}
+
+func (h lender) Release(_, resp wire.Message) { h.log.add("released %s", describe(resp)) }
 
 func (h lender) HandleStreamCtx(_ context.Context, req wire.Message) (wire.Message, func(func(wire.Message) error), func(), bool) {
 	if _, ok := req.(wire.SubscribeRequest); !ok {

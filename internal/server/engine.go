@@ -885,7 +885,10 @@ func (e *Engine) HandleMessage(req wire.Message) wire.Message {
 // A batch response's items and a heatmap response's values are lent from
 // the wire pools, not allocated: whoever finishes with the response may
 // hand them back with Release — the serve loop does, once the frame is
-// written. A caller that keeps the response simply never releases it.
+// written, together with the request it decoded into lent memory. A
+// caller that keeps the response simply never releases it, and one that
+// built the request itself releases the response alone (Release(nil,
+// resp)).
 func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case wire.QueryRequest:
@@ -900,7 +903,7 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		}
 		resp := wire.BatchQueryResponse{Items: wire.LendItems(len(m.Items))}
 		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: resp.Items}, query.Options{}); err != nil {
-			wire.Recycle(resp)
+			wire.Recycle(nil, resp)
 			return cluster.WireError(err)
 		}
 		return resp
@@ -958,9 +961,11 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 	}
 }
 
-// Release implements proto.Releaser: it hands the lent memory of a
-// response HandleMessageCtx returned back to the wire pools.
-func (e *Engine) Release(resp wire.Message) { wire.Recycle(resp) }
+// Release implements proto.Releaser: it hands the lent memory of a served
+// request and of the response HandleMessageCtx returned for it back to the
+// wire pools — an upload's tuples only once they are acknowledged, since
+// the ingest queue may still read an upload whose wait was cancelled.
+func (e *Engine) Release(req, resp wire.Message) { wire.Recycle(req, resp) }
 
 // ClassifyFor returns the display band for a value of pollutant p.
 func ClassifyFor(p tuple.Pollutant, v float64) eval.CO2Band {

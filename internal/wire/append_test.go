@@ -19,27 +19,34 @@ func scribble(b []byte) {
 // TestDecodeDoesNotAliasInput is the property connection buffers rest on:
 // a decoded message owns its memory, so the frame it was read from can be
 // overwritten by the next frame at once. Each golden frame is decoded, the
-// frame scribbled over, and the message must still encode to the original.
+// frame scribbled over, and the message must still encode to the original
+// — from Decode and from DecodeLent alike, whose lent memory goes back
+// afterwards.
 func TestDecodeDoesNotAliasInput(t *testing.T) {
 	if len(goldenFrames) != 34 {
 		t.Fatalf("%d golden frames, want the 34 the suite was captured with", len(goldenFrames))
 	}
-	for i, want := range goldenFrames {
-		frame, err := hex.DecodeString(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Binary.Decode(frame)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		scribble(frame)
-		got, err := Binary.Encode(m)
-		if err != nil {
-			t.Fatalf("frame %d (%T): %v", i, m, err)
-		}
-		if hex.EncodeToString(got) != want {
-			t.Errorf("frame %d: %T changed when its input was overwritten:\n got %x\nwant %s", i, m, got, want)
+	for _, lend := range []bool{false, true} {
+		for i, want := range goldenFrames {
+			frame, err := hex.DecodeString(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := decode(frame, lend)
+			if err != nil {
+				t.Fatalf("frame %d (lent %v): %v", i, lend, err)
+			}
+			scribble(frame)
+			got, err := Binary.Encode(m)
+			if err != nil {
+				t.Fatalf("frame %d (%T, lent %v): %v", i, m, lend, err)
+			}
+			if hex.EncodeToString(got) != want {
+				t.Errorf("frame %d: %T (lent %v) changed when its input was overwritten:\n got %x\nwant %s", i, m, lend, got, want)
+			}
+			if lend {
+				Recycle(m, nil)
+			}
 		}
 	}
 }

@@ -210,14 +210,7 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 		buf[0] = byte(TypeIngestRequest)
 		buf[1] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint32(buf[2:], uint32(len(v.Tuples)))
-		off := 6
-		for _, r := range v.Tuples {
-			putF64(buf[off:], r.T)
-			putF64(buf[off+8:], r.X)
-			putF64(buf[off+16:], r.Y)
-			putF64(buf[off+24:], r.S)
-			off += 32
-		}
+		putRaws(buf[6:], v.Tuples)
 		return out, nil
 	case IngestResponse:
 		out, buf := grow(dst, head, 1+4)
@@ -304,7 +297,7 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 }
 
 // decodeCluster parses the v1.2 cluster messages (binary codec).
-func decodeCluster(data []byte) (Message, error) {
+func decodeCluster(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeRingRequest:
 		if len(data) != 1 {
@@ -372,16 +365,10 @@ func decodeCluster(data []byte) (Message, error) {
 		if len(data) != 6+32*count {
 			return nil, fmt.Errorf("%w: IngestRequest length %d for %d tuples", ErrMalformed, len(data), count)
 		}
-		m := IngestRequest{Pollutant: tuple.Pollutant(data[1]), Tuples: make([]tuple.Raw, count)}
-		off := 6
-		for i := range m.Tuples {
-			m.Tuples[i] = tuple.Raw{
-				T: getF64(data[off:]), X: getF64(data[off+8:]),
-				Y: getF64(data[off+16:]), S: getF64(data[off+24:]),
-			}
-			off += 32
-		}
-		return m, nil
+		return IngestRequest{
+			Pollutant: tuple.Pollutant(data[1]),
+			Tuples:    getRaws(alloc(&raws, count, lend), data[6:]),
+		}, nil
 	case TypeIngestResponse:
 		if len(data) != 5 {
 			return nil, fmt.Errorf("%w: IngestResponse length %d", ErrMalformed, len(data))
@@ -470,13 +457,13 @@ func decodeCluster(data []byte) (Message, error) {
 		if MsgType(body[0]) == TypeForwarded {
 			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
 		}
-		inner, err := Binary.Decode(body)
+		inner, err := decode(body, lend)
 		if err != nil {
 			return nil, err
 		}
 		return Forwarded{Inner: inner, Epoch: epoch}, nil
 	default:
-		return decodeSubs(data)
+		return decodeSubs(data, lend)
 	}
 }
 

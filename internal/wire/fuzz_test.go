@@ -14,7 +14,7 @@ import (
 // message must re-encode and re-decode to a byte-identical frame, must not
 // change when the bytes it was decoded from are overwritten (connections
 // read the next frame into the same buffer), and must append-encode behind
-// a prefix to the same bytes. Seeds
+// a prefix to the same bytes; DecodeLent must agree with Decode. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
 // untagged layouts (now malformed) and mutations.
 func FuzzWireDecode(f *testing.F) {
@@ -83,6 +83,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(untaggedModel[:9])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
+	// Lent request bodies inside the routing wrappers.
+	add(Forwarded{Inner: IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 2})
+	add(ReplicaRead{Origin: 1, Inner: BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}}}})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data) // the target overwrites it below; the engine's copy must stay
@@ -90,6 +93,19 @@ func FuzzWireDecode(f *testing.F) {
 		m2, err2 := Binary.Decode(data)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("unstable outcome: %v vs %v", err1, err2)
+		}
+		// The lent decoder is the same decoder: the same outcome, and the
+		// same message.
+		lent, errLent := Binary.DecodeLent(data)
+		if (errLent == nil) != (err1 == nil) {
+			t.Fatalf("DecodeLent: %v, Decode: %v", errLent, err1)
+		}
+		if err1 == nil {
+			enc, err := Binary.Encode(m1)
+			if encLent, errLent := Binary.Encode(lent); (err == nil) != (errLent == nil) || !bytes.Equal(enc, encLent) {
+				t.Fatalf("%T: DecodeLent's message encodes differently (%v, %v)", m1, err, errLent)
+			}
+			Recycle(lent, nil)
 		}
 		if err1 != nil {
 			if err1.Error() != err2.Error() {

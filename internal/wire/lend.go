@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"unsafe"
+
+	"repro/internal/tuple"
 )
 
 // KeepBytes is the largest buffer kept for reuse: by a proto connection
@@ -13,15 +15,19 @@ import (
 // stay pinned to an idle connection or a pool.
 const KeepBytes = 64 << 10
 
-// The two answers whose size grows with the request — a batch's items and
-// a raster's values — are lent, not allocated, on the read path: a handler
-// borrows the memory it answers into (LendItems, LendRaster) and takes it
-// back with Recycle once the response has been written (proto.Releaser).
-// There is one pool per answer type, shared by everything that lends one,
-// so whoever takes an answer back returns it to the pool it came from.
+// What grows with a frame is lent, not allocated, on the serving path.
+// The two answers — a batch's items and a raster's values — are borrowed
+// by the handler that fills them (LendItems, LendRaster). The two request
+// bodies — a batch's query points and an upload's tuples — are borrowed by
+// the serve loop that decodes them (Binary.DecodeLent). Both go back with
+// Recycle once the response has been written (proto.Releaser). There is
+// one pool per element type, shared by everything that lends one, so
+// whoever takes a slice back returns it to the pool it came from.
 var (
 	items   = lendPool[BatchQueryItem]{maxLen: KeepBytes / int(unsafe.Sizeof(BatchQueryItem{}))}
 	rasters = lendPool[float64]{maxLen: KeepBytes / 8}
+	queries = lendPool[QueryRequest]{maxLen: KeepBytes / int(unsafe.Sizeof(QueryRequest{}))}
+	raws    = lendPool[tuple.Raw]{maxLen: KeepBytes / int(unsafe.Sizeof(tuple.Raw{}))}
 )
 
 // LendItems lends a slice of n batch items. Its contents are undefined:
@@ -35,18 +41,57 @@ func LendRaster(n int) []float64 { return rasters.lend(n) }
 // ReturnRaster takes back a raster from LendRaster once nothing reads it.
 func ReturnRaster(v []float64) { rasters.take(v) }
 
-// Recycle takes back the lent memory of a response nothing reads any
-// more: a batch response's items, a heatmap response's values. Any other
-// message is left alone. The caller must own that memory — it lent it, or
-// decoded the message itself — because the next borrower overwrites it.
-func Recycle(m Message) {
+// LendTuples lends a slice of n tuples. Its contents are undefined: the
+// borrower writes every tuple.
+func LendTuples(n int) []tuple.Raw { return raws.lend(n) }
+
+// ReturnTuples takes back tuples from LendTuples once nothing reads them.
+func ReturnTuples(v []tuple.Raw) { raws.take(v) }
+
+// Recycle takes back the lent memory of an exchange nothing reads any
+// more: a batch request's points and an upload's tuples — also inside a
+// Forwarded or ReplicaRead — and a batch response's items and a heatmap
+// response's values. Either message may be nil, and any other message is
+// left alone. The tuples of an IngestRequest, bare or Forwarded, go back
+// only when resp is the IngestResponse that acknowledges them: an upload
+// answered otherwise may still sit in an ingest queue (its submitter gave
+// up waiting), which reads it later. The caller must own that memory — it lent it, or
+// decoded the messages itself — because the next borrower overwrites it.
+func Recycle(req, resp Message) {
+	recycle(resp)
+	if _, acked := resp.(IngestResponse); acked || !carriesUpload(req) {
+		recycle(req)
+	}
+}
+
+func recycle(m Message) {
 	switch v := m.(type) {
+	case BatchQueryRequest:
+		queries.take(v.Items)
+	case IngestRequest:
+		raws.take(v.Tuples)
+	case ReplicaIngest:
+		raws.take(v.Tuples)
+	case Forwarded:
+		recycle(v.Inner)
+	case ReplicaRead:
+		recycle(v.Inner)
 	case BatchQueryResponse:
 		clear(v.Items) // drop the error texts the items refer to
 		items.take(v.Items)
 	case HeatmapResponse:
 		rasters.take(v.Values)
 	}
+}
+
+// carriesUpload reports whether m is an IngestRequest, bare or forwarded
+// to its owner.
+func carriesUpload(m Message) bool {
+	if f, ok := m.(Forwarded); ok {
+		m = f.Inner
+	}
+	_, ok := m.(IngestRequest)
+	return ok
 }
 
 // lendPool lends slices of T with a power-of-two capacity, one sync.Pool

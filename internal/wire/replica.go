@@ -109,18 +109,17 @@ func putRaws(buf []byte, tuples []tuple.Raw) {
 	}
 }
 
-// getRaws parses count tuples at buf.
-func getRaws(buf []byte, count int) []tuple.Raw {
-	out := make([]tuple.Raw, count)
+// getRaws parses len(dst) tuples at buf into dst and returns it.
+func getRaws(dst []tuple.Raw, buf []byte) []tuple.Raw {
 	off := 0
-	for i := range out {
-		out[i] = tuple.Raw{
+	for i := range dst {
+		dst[i] = tuple.Raw{
 			T: getF64(buf[off:]), X: getF64(buf[off+8:]),
 			Y: getF64(buf[off+16:]), S: getF64(buf[off+24:]),
 		}
 		off += 32
 	}
-	return out
+	return dst
 }
 
 // appendReplica serializes the v1.4 replication messages (binary codec).
@@ -182,7 +181,7 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 }
 
 // decodeReplica parses the v1.4 replication messages (binary codec).
-func decodeReplica(data []byte) (Message, error) {
+func decodeReplica(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeReplicaIngest:
 		if len(data) < 16 {
@@ -196,7 +195,7 @@ func decodeReplica(data []byte) (Message, error) {
 			Origin:    binary.LittleEndian.Uint16(data[1:]),
 			Pollutant: tuple.Pollutant(data[3]),
 			Seq:       binary.LittleEndian.Uint64(data[4:]),
-			Tuples:    getRaws(data[16:], count),
+			Tuples:    getRaws(alloc(&raws, count, lend), data[16:]),
 		}, nil
 	case TypeReplicaCatchupRequest:
 		if len(data) != 10 {
@@ -221,7 +220,7 @@ func decodeReplica(data []byte) (Message, error) {
 			Snapshot: data[1]&1 != 0,
 			Done:     data[1]&2 != 0,
 			From:     binary.LittleEndian.Uint64(data[2:]),
-			Tuples:   getRaws(data[14:], count),
+			Tuples:   getRaws(make([]tuple.Raw, count), data[14:]),
 		}, nil
 	case TypeReplicaRead:
 		if len(data) < 4 {
@@ -231,7 +230,7 @@ func decodeReplica(data []byte) (Message, error) {
 		case TypeReplicaRead, TypeForwarded:
 			return nil, fmt.Errorf("%w: routing wrapper nested in replica read", ErrMalformed)
 		}
-		inner, err := Binary.Decode(data[3:])
+		inner, err := decode(data[3:], lend)
 		if err != nil {
 			return nil, err
 		}

@@ -195,7 +195,7 @@ func appendPush(dst []byte, head int, v Push) ([]byte, error) {
 }
 
 // decodeSubs parses the v1.3 subscription messages (binary codec).
-func decodeSubs(data []byte) (Message, error) {
+func decodeSubs(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeSubscribeRequest:
 		if len(data) < 4 {
@@ -236,7 +236,7 @@ func decodeSubs(data []byte) (Message, error) {
 		}
 		return UnsubscribeResponse{Removed: data[1] == 1}, nil
 	default:
-		return decodeReplica(data)
+		return decodeReplica(data, lend)
 	}
 }
 

@@ -15,6 +15,10 @@
 // Binary.Decode never returns a message that shares memory with the bytes
 // it read — strings and slices are copied out — so a connection may read
 // its next frame over the last one as soon as Decode returns.
+// Binary.DecodeLent is the same decoder with a request's bulk copied into
+// memory lent from this package's pools (see Recycle) instead of new
+// arrays: a server's serve loop uses it, and gives the memory back once
+// the request has been answered.
 package wire
 
 import (
@@ -366,7 +370,27 @@ func grow(dst []byte, head, size int) (out, body []byte) {
 	return out, out[n:]
 }
 
-func (binaryCodec) Decode(data []byte) (Message, error) {
+// Decode parses one message into memory of its own.
+func (binaryCodec) Decode(data []byte) (Message, error) { return decode(data, false) }
+
+// DecodeLent is Decode with the bulk of a request lent from the pools: a
+// BatchQueryRequest's points, and an IngestRequest's or a ReplicaIngest's
+// tuples, also inside a Forwarded or ReplicaRead. Every other field, and
+// every other message, is decoded as Decode does. Whoever decodes with it
+// owns that memory until it hands the message to Recycle.
+func (binaryCodec) DecodeLent(data []byte) (Message, error) { return decode(data, true) }
+
+// alloc returns n elements of T to decode into: lent from p when lend is
+// set, new otherwise.
+func alloc[T any](p *lendPool[T], n int, lend bool) []T {
+	if lend {
+		return p.lend(n)
+	}
+	return make([]T, n)
+}
+
+// decode is the one decoder; lend selects where a request's bulk goes.
+func decode(data []byte, lend bool) (Message, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrMalformed)
 	}
@@ -395,7 +419,7 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 		if len(data) != 3+25*count {
 			return nil, fmt.Errorf("%w: BatchQueryRequest length %d for %d items", ErrMalformed, len(data), count)
 		}
-		m := BatchQueryRequest{Items: make([]QueryRequest, count)}
+		m := BatchQueryRequest{Items: alloc(&queries, count, lend)}
 		off := 3
 		for i := range m.Items {
 			m.Items[i] = QueryRequest{
@@ -474,7 +498,7 @@ func (binaryCodec) Decode(data []byte) (Message, error) {
 		m.Msg = string(data[3 : 3+n])
 		return m, nil
 	default:
-		return decodeCluster(data)
+		return decodeCluster(data, lend)
 	}
 }
 
