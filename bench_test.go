@@ -203,10 +203,7 @@ func BenchmarkAblationIndexTuning(b *testing.B) {
 
 // BenchmarkQueryBatchConcurrency measures batch execution on a batch
 // spanning several modeling windows: the sequential baseline
-// (WithConcurrency(1)) against the bounded worker pool. The naive
-// processor pays a window scan per request, so the pool's speedup is the
-// headline; the cover processor shows the (smaller) win on the
-// recommended path once covers are warm.
+// (WithConcurrency(1)) against the bounded worker pool, on warm covers.
 func BenchmarkQueryBatchConcurrency(b *testing.B) {
 	p, err := Open(Config{WindowSeconds: 3600})
 	if err != nil {
@@ -230,23 +227,21 @@ func BenchmarkQueryBatchConcurrency(b *testing.B) {
 			Y: rng.Float64() * 2000,
 		}
 	}
-	for _, kind := range []ProcessorKind{ProcessorNaive, ProcessorCover} {
-		// Warm covers and processor caches once, so every concurrency
-		// level measures steady-state batch execution, not cold builds.
-		if _, err := p.QueryBatch(ctx, reqs, WithProcessor(kind)); err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(string(kind)+"/workers="+itoa(workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rs, err := p.QueryBatch(ctx, reqs, WithProcessor(kind), WithConcurrency(workers))
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = rs
+	// Warm the covers once, so every concurrency level measures
+	// steady-state batch execution, not cold builds.
+	if _, err := p.QueryBatch(ctx, reqs); err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run("cover/workers="+itoa(workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rs, err := p.QueryBatch(ctx, reqs, WithConcurrency(workers))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				_ = rs
+			}
+		})
 	}
 }
 

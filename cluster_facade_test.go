@@ -378,7 +378,9 @@ func TestClusterHTTPEndpoint(t *testing.T) {
 // Open chose, the cluster node, so on a 2-node ring a request is
 // answered, routed or refused the same way whichever surface carries it
 // — the same value, or the same sentinel from the facade and that
-// sentinel's status over HTTP. It also locks the clustered-ingest backpressure choice: a
+// sentinel's status over HTTP. The removed ?processor= and ?radius=
+// parameters are ignored like any unknown one: the cover answers. It
+// also locks the clustered-ingest backpressure choice: a
 // saturated owner sheds (ErrIngestSaturated / 429) for this node's own
 // slice exactly as for a foreign one; the facade never blocks on it.
 func TestFacadeAndHTTPRouteIdentically(t *testing.T) {
@@ -427,15 +429,6 @@ func TestFacadeAndHTTPRouteIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status := func(resp *http.Response, err error) int {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
 	queryURL := func(r Reading, at float64, extra string) string {
 		return fmt.Sprintf("%s/v1/query?t=%.0f&x=%.0f&y=%.0f%s", web.URL, at, r.X, r.Y, extra)
 	}
@@ -443,20 +436,18 @@ func TestFacadeAndHTTPRouteIdentically(t *testing.T) {
 		name   string
 		at     Reading
 		t      float64
-		opts   []QueryOption
 		params string
 		want   error // nil: both surfaces answer, with the same value
 		status int
 	}{
 		{name: "owned", at: own, t: 600, status: 200},
 		{name: "foreign", at: foreign, t: 600, status: 200},
-		{name: "owned with radius", at: own, t: 600, opts: []QueryOption{WithRadius(500)}, params: "&radius=500", status: 200},
-		{name: "foreign with radius", at: foreign, t: 600, opts: []QueryOption{WithRadius(500)}, params: "&radius=500",
-			want: ErrNotRoutable, status: 400},
+		{name: "owned with radius", at: own, t: 600, params: "&radius=500", status: 200},
+		{name: "foreign with radius", at: foreign, t: 600, params: "&processor=naive&radius=500", status: 200},
 		{name: "foreign out of window", at: foreign, t: 1e9, want: ErrOutOfWindow, status: 404},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := p0.Query(ctx, Request{T: tc.t, X: tc.at.X, Y: tc.at.Y, Pollutant: CO2}, tc.opts...)
+			v, err := p0.Query(ctx, Request{T: tc.t, X: tc.at.X, Y: tc.at.Y, Pollutant: CO2})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("facade: %v, want %v", err, tc.want)
 			}
@@ -478,14 +469,33 @@ func TestFacadeAndHTTPRouteIdentically(t *testing.T) {
 		})
 	}
 
-	// A batch with processor options must land entirely on this node.
+	// A batch across both shards answers the cover's values on both
+	// surfaces, the removed parameters ignored.
 	mixed := []Request{{T: 600, X: own.X, Y: own.Y}, {T: 600, X: foreign.X, Y: foreign.Y}}
-	if _, err := p0.QueryBatch(ctx, mixed, WithProcessor(ProcessorNaive), WithRadius(500)); !errors.Is(err, ErrNotRoutable) {
-		t.Errorf("facade batch across shards with a processor: %v, want ErrNotRoutable", err)
+	rs, err := p0.QueryBatch(ctx, mixed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	batchBody := fmt.Sprintf(`{"requests":[{"t":600,"x":%v,"y":%v},{"t":600,"x":%v,"y":%v}]}`, own.X, own.Y, foreign.X, foreign.Y)
-	if got := status(http.Post(web.URL+"/v1/query/batch?processor=naive&radius=500", "application/json", strings.NewReader(batchBody))); got != 400 {
-		t.Errorf("HTTP batch across shards with a processor: status %d, want 400", got)
+	resp, err := http.Post(web.URL+"/v1/query/batch?processor=naive&radius=500", "application/json", strings.NewReader(batchBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br struct {
+		Values []struct {
+			Value float64
+			Error string
+		}
+	}
+	err = json.NewDecoder(resp.Body).Decode(&br)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || len(br.Values) != len(rs) {
+		t.Fatalf("HTTP batch across shards: status %d, %d values (%v), want 200 and %d", resp.StatusCode, len(br.Values), err, len(rs))
+	}
+	for i, it := range br.Values {
+		if rs[i].Err != nil || it.Error != "" || it.Value != rs[i].Value {
+			t.Errorf("batch item %d: HTTP %v (%q), facade %v (%v)", i, it.Value, it.Error, rs[i].Value, rs[i].Err)
+		}
 	}
 
 	// Saturated ingest. Wedge each node's one-deep pipeline in turn: an

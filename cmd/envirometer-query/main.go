@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	envirometer-query -server http://localhost:8080 point -t 7200 -x 1200 -y 800 [-pollutant co2] [-processor naive -radius 250]
+//	envirometer-query -server http://localhost:8080 point -t 7200 -x 1200 -y 800 [-pollutant co2]
 //	envirometer-query -server http://localhost:8080 batch -requests "7200,1200,800,co2 7200,1200,800,pm"
 //	envirometer-query -server http://localhost:8080 route -t 7200 -points "0,500 300,550 600,620" [-pollutant co2]
 //	envirometer-query -server http://localhost:8080 models -t 7200 [-pollutant co2]
@@ -44,11 +44,13 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: envirometer-query [-server URL] <command> [args]
 
 commands:
-  point  -t T -x X -y Y [-pollutant P] [-processor K] [-radius R]
+  point  -t T -x X -y Y [-pollutant P]
                                     interpolate one pollutant at one position
-  batch  -requests "t,x,y[,pollutant] …" [-processor K] [-radius R] [-concurrency N]
+  batch  -requests "t,x,y[,pollutant] …" [-concurrency N]
                                     one round trip, many (mixed-pollutant) requests,
-                                    answered concurrently with per-request errors
+                                    answered concurrently with per-request errors;
+                                    -concurrency bounds a single node's workers and
+                                    changes nothing on a clustered server
   route  -t T -points "x,y x,y …" [-pollutant P] [-follow]
                                     continuous query along a route (60 s per point);
                                     -follow subscribes instead: the server pushes the
@@ -85,8 +87,6 @@ func runPoint(server string, args []string) error {
 	x := fs.Float64("x", 0, "x position (meters)")
 	y := fs.Float64("y", 0, "y position (meters)")
 	pollutant := fs.String("pollutant", "", "pollutant (co2, co, pm; empty = server default)")
-	processor := fs.String("processor", "", "query method (cover, naive, rtree, vptree)")
-	radius := fs.Float64("radius", 0, "radius in meters for radius-based processors")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,21 +97,13 @@ func runPoint(server string, args []string) error {
 	if *pollutant != "" {
 		v.Set("pollutant", *pollutant)
 	}
-	if *processor != "" {
-		v.Set("processor", *processor)
-	}
-	if *radius > 0 {
-		v.Set("radius", formatFloat(*radius))
-	}
 	return get(server + "/v1/query?" + v.Encode())
 }
 
 func runBatch(server string, args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	requests := fs.String("requests", "", `requests as "t,x,y[,pollutant] …"`)
-	processor := fs.String("processor", "", "query method (cover, naive, rtree, vptree)")
-	radius := fs.Float64("radius", 0, "radius in meters for radius-based processors")
-	concurrency := fs.Int("concurrency", 0, "server-side worker bound (0 = server default, 1 = sequential)")
+	concurrency := fs.Int("concurrency", 0, "single-node worker bound (0 = server default, 1 = sequential; ignored by a cluster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -148,19 +140,9 @@ func runBatch(server string, args []string) error {
 	if err != nil {
 		return err
 	}
-	v := url.Values{}
-	if *processor != "" {
-		v.Set("processor", *processor)
-	}
-	if *radius > 0 {
-		v.Set("radius", formatFloat(*radius))
-	}
-	if *concurrency > 0 {
-		v.Set("concurrency", strconv.Itoa(*concurrency))
-	}
 	u := server + "/v1/query/batch"
-	if len(v) > 0 {
-		u += "?" + v.Encode()
+	if *concurrency > 0 {
+		u += "?concurrency=" + strconv.Itoa(*concurrency)
 	}
 	return post(u, body)
 }

@@ -269,7 +269,7 @@ func run(o options) error {
 
 	fmt.Printf("serving EnviroMeter v1 API on %s (window H = %.0f s, pollutants %v)\n",
 		o.addr, o.window, pollutants)
-	fmt.Println("  GET  /v1/query?t=&x=&y=&pollutant=co2[&processor=naive&radius=250]")
+	fmt.Println("  GET  /v1/query?t=&x=&y=&pollutant=co2")
 	fmt.Println("  POST /v1/query/batch")
 	fmt.Println("  POST /v1/query/continuous?pollutant=")
 	fmt.Println("  GET  /v1/models?t=&pollutant=")

@@ -25,10 +25,9 @@
 //	http.ListenAndServe(addr, p.Handler())    // the web/JSON API
 //
 // Failures carry a typed taxonomy — ErrNoCover, ErrOutOfWindow,
-// ErrUnknownPollutant — matched with errors.Is. Query behaviour is tuned
-// per call with functional options: WithRadius switches to a raw radius
-// average, WithProcessor selects any of the paper's four query methods,
-// and deadlines/cancellation arrive through the context.
+// ErrUnknownPollutant — matched with errors.Is. A query is always
+// answered from the model cover; deadlines and cancellation arrive
+// through the context, and WithConcurrency bounds a batch's workers.
 //
 // Setting Config.Cluster makes the platform one member of a sharded
 // multi-node cluster: tuples and queries partition by (pollutant,
@@ -108,10 +107,6 @@ var (
 	// ErrClosed: the platform (or its engine) has been closed; the write
 	// path refuses new work.
 	ErrClosed = server.ErrEngineClosed
-	// ErrNotRoutable: on a clustered platform, the request combines
-	// processor options (radius/indexed methods, which evaluate raw
-	// windows) with a shard another node owns (the HTTP API's 400).
-	ErrNotRoutable = cluster.ErrNotRoutable
 	// ErrNodeUnreachable: a shard's owner node is down; requests for its
 	// shards fail until it returns (the HTTP API's 502). On a replicated
 	// cluster (ClusterConfig.Replicas > 1) reads fail over to replicas
@@ -194,42 +189,15 @@ type PipelineStats = ingest.PipelineStats
 // SchedulerStats counts the cover-maintenance scheduler's work.
 type SchedulerStats = core.SchedulerStats
 
-// ProcessorKind selects the query method answering a request.
-type ProcessorKind = query.Kind
-
-// Processor kinds for WithProcessor.
-const (
-	ProcessorCover  = query.KindCover
-	ProcessorNaive  = query.KindNaive
-	ProcessorRTree  = query.KindRTree
-	ProcessorVPTree = query.KindVPTree
-)
-
-// QueryOption tunes how one Query or QueryBatch call is answered.
+// QueryOption tunes how one QueryBatch call is answered.
 type QueryOption func(*query.Options)
-
-// WithRadius answers the query as an unweighted average of the raw
-// tuples within r meters (the paper's naive method) instead of the model
-// cover. Combine with WithProcessor to pick an indexed radius search.
-func WithRadius(r float64) QueryOption {
-	return func(o *query.Options) {
-		o.Radius = r
-		if o.Kind == "" || o.Kind == query.KindCover {
-			o.Kind = query.KindNaive
-		}
-	}
-}
-
-// WithProcessor selects the query method: ProcessorCover (default),
-// ProcessorNaive, ProcessorRTree, or ProcessorVPTree.
-func WithProcessor(k ProcessorKind) QueryOption {
-	return func(o *query.Options) { o.Kind = k }
-}
 
 // WithConcurrency bounds the worker pool answering a QueryBatch (0, the
 // default, picks GOMAXPROCS; 1 forces sequential execution; large
-// values are clamped to a small multiple of GOMAXPROCS). Single queries
-// ignore it.
+// values are clamped to a small multiple of GOMAXPROCS). It applies on a
+// single node only: a clustered platform sends every share of a batch,
+// its own included, as a wire batch that carries no worker bound, so
+// there it changes nothing.
 func WithConcurrency(n int) QueryOption {
 	return func(o *query.Options) { o.Concurrency = n }
 }
@@ -800,16 +768,12 @@ func (p *Platform) LenFor(pol Pollutant) (int, error) {
 }
 
 // Query interpolates the requested pollutant at the request's position
-// and stream time, using the model cover of the containing window (or
-// the processor the options select). Deadlines and cancellation arrive
-// through ctx; failures match the v1 error taxonomy with errors.Is.
-// On a clustered platform requests for foreign shards forward to their
-// owner; processor options other than the default model cover evaluate
-// raw windows only the shard owner holds, so a foreign-shard request
-// combining them fails with ErrNotRoutable rather than silently
-// answering from the wrong node's data.
-func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) (float64, error) {
-	return p.backend.QueryOpts(ctx, req, applyOptions(opts))
+// and stream time, using the model cover of the containing window.
+// Deadlines and cancellation arrive through ctx; failures match the v1
+// error taxonomy with errors.Is. On a clustered platform requests for
+// foreign shards forward to their owner.
+func (p *Platform) Query(ctx context.Context, req Request) (float64, error) {
+	return p.backend.Query(ctx, req)
 }
 
 // QueryBatch answers a batch of requests — the registered route of a
@@ -819,9 +783,7 @@ func (p *Platform) Query(ctx context.Context, req Request, opts ...QueryOption) 
 // on its own: one request outside the retained windows does not reject
 // the rest. The call-level error is reserved for an empty batch and for
 // ctx cancellation, which drains the pool promptly.
-// On a clustered platform the batch splits across shard owners;
-// non-default processor options require every request to land on this
-// node's shards (ErrNotRoutable otherwise — see Query).
+// On a clustered platform the batch splits across shard owners.
 func (p *Platform) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOption) ([]BatchResult, error) {
 	return p.backend.QueryBatchOpts(ctx, reqs, applyOptions(opts))
 }

@@ -58,7 +58,7 @@ func TestRouteSummaryAgainstPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := route.Summarize(rt, func(t, x, y float64) (float64, error) {
+	sum, err := route.Summarize(rt, CO2, func(t, x, y float64) (float64, error) {
 		return p.Query(context.Background(), Request{T: t, X: x, Y: y})
 	})
 	if err != nil {

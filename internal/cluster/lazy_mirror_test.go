@@ -157,12 +157,11 @@ func TestPromotionOfNeverReadMirror(t *testing.T) {
 			if owner == dead || !ring.IsLive(owner) {
 				t.Fatalf("position %v still owned by node %d after its promotion away", p, owner)
 			}
-			req := query.Request{T: tm, X: p.X, Y: p.Y, Pollutant: tuple.CO2}
-			held, err := f.engine(owner).QueryOpts(ctx, req, query.Options{Kind: query.KindNaive, Radius: 60})
+			held, err := f.naiveAt(owner, tm, p)
 			if err != nil || held != fieldVal(p.X, p.Y) {
 				t.Fatalf("window %d: acked tuple at %v missing on owner %d after promotion: %v (err %v)", w, p, owner, held, err)
 			}
-			want, err := f.engine(owner).Query(ctx, req)
+			want, err := f.engine(owner).Query(ctx, query.Request{T: tm, X: p.X, Y: p.Y, Pollutant: tuple.CO2})
 			if err != nil {
 				t.Fatalf("window %d: owner %d cover query at %v: %v", w, owner, p, err)
 			}

@@ -295,14 +295,20 @@ func (f *memFixture) loadVia(t *testing.T, via int, data tuple.Batch) {
 	}
 }
 
-// naiveAt asks node `owner`'s engine directly for the raw-window
-// average at p with a 60 m radius: present tuples at p (all carrying
-// the same field value) answer exactly that value; a missing shard
-// answers an error or a foreign value.
-func (f *memFixture) naiveAt(owner int, p geo.Point) (float64, error) {
-	return f.engine(owner).QueryOpts(context.Background(),
-		query.Request{T: queryT, X: p.X, Y: p.Y, Pollutant: tuple.CO2},
-		query.Options{Kind: query.KindNaive, Radius: 60})
+// naiveAt reads node `owner`'s raw window holding stream time t from its
+// store directly and averages it within 60 m of p: present tuples at p
+// (all carrying the same field value) answer exactly that value; a
+// missing shard answers an error or a foreign value.
+func (f *memFixture) naiveAt(owner int, t float64, p geo.Point) (float64, error) {
+	st, err := f.engine(owner).StoreFor(tuple.CO2)
+	if err != nil {
+		return 0, err
+	}
+	nv, err := query.NewNaive(st.Window(tuple.WindowIndex(t, st.WindowLength())), 60)
+	if err != nil {
+		return 0, err
+	}
+	return nv.Interpolate(query.Q{T: t, X: p.X, Y: p.Y})
 }
 
 // checkPresence verifies the no-lost-acked-tuple oracle: every
@@ -318,7 +324,7 @@ func (f *memFixture) checkPresence(t *testing.T, positions []geo.Point) {
 			t.Errorf("position %v owned by non-live node %d", p, owner)
 			continue
 		}
-		got, err := f.naiveAt(owner, p)
+		got, err := f.naiveAt(owner, queryT, p)
 		if err != nil {
 			t.Errorf("acked tuple at %v lost: owner %d holds no data there (%v)", p, owner, err)
 			continue

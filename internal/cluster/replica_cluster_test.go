@@ -274,7 +274,7 @@ func TestReplicaFailoverZeroQueryErrors(t *testing.T) {
 		if f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y}) != victim {
 			continue
 		}
-		v, err := f.nodes[0].QueryOpts(ctx, req, query.Options{})
+		v, err := f.nodes[0].Query(ctx, req)
 		if err != nil || v != want[i] {
 			t.Fatalf("victim-shard answer at (%v,%v) after the write: %v (%v), want %v", req.X, req.Y, v, err, want[i])
 		}

@@ -58,12 +58,6 @@ var ErrPartialIngest = errors.New("cluster: partial ingest; retrying would dupli
 // scatter-gathered heatmap). The HTTP layer maps it to 400.
 var ErrTooLarge = errors.New("cluster: request exceeds the wire frame budget")
 
-// ErrNotRoutable marks request options that cannot cross the cluster —
-// the radius/processor query options, which evaluate raw windows only
-// the shard owner holds. It never crosses the wire: the node refuses
-// before routing. The HTTP layer maps it to 400.
-var ErrNotRoutable = errors.New("cluster: request options are not routable; send it to the shard owner")
-
 // ErrStaleEpoch marks a request that was fenced because it was routed
 // under a ring epoch older than the receiving node's, and one ring
 // refresh did not resolve the disagreement. It is safe to retry: the
@@ -94,9 +88,8 @@ type NodeConfig struct {
 	Self int
 	// Local answers requests for shards Self owns (nil for a router).
 	// When it is a proto.Releaser the node lends its answers too (see
-	// Node.Release); when it is a LocalEngine the node's typed methods
-	// hand it owned-shard queries, processor options included, and
-	// subscriptions.
+	// Node.Release); when it is a LocalEngine the node hands it
+	// owned-shard subscriptions.
 	Local Handler
 	// Transports connect to peer nodes, indexed by node ID. The Self
 	// entry is ignored; a nil entry makes the node bounce that peer's
@@ -1142,41 +1135,9 @@ func partialErr(part *Partial) error {
 	return &PartialError{Partial: *part}
 }
 
-// routable reports whether o can cross the cluster: only the
-// model-cover path travels (Concurrency is applied wherever the batch
-// executes, so it never blocks routing).
-func routable(o query.Options) bool {
-	return (o.Kind == "" || o.Kind == query.KindCover) && o.Radius == 0
-}
-
-func notRoutable(o query.Options) error {
-	return fmt.Errorf("%w: processor=%v radius=%v", ErrNotRoutable, o.Kind, o.Radius)
-}
-
-// ownedLocal returns the local engine when it can answer every request
-// in reqs: this node owns each one's shard, and its Local is a
-// LocalEngine.
-func (n *Node) ownedLocal(reqs ...query.Request) (LocalEngine, bool) {
-	le, ok := n.local.(LocalEngine)
-	ring := n.Ring()
-	for i := 0; ok && i < len(reqs); i++ {
-		ok = ring.Owner(reqs[i].Pollutant, geo.Point{X: reqs[i].X, Y: reqs[i].Y}) == n.self
-	}
-	return le, ok
-}
-
-// QueryOpts answers one request: from the local engine when this node
-// owns the shard, forwarded otherwise. Non-default processor options
-// evaluate the raw window, which only the shard's owner holds, so a
-// foreign-shard request carrying them fails with ErrNotRoutable rather
-// than silently answering from the wrong node's data.
-func (n *Node) QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error) {
-	if le, ok := n.ownedLocal(req); ok {
-		return le.QueryOpts(ctx, req, o)
-	}
-	if !routable(o) {
-		return 0, notRoutable(o)
-	}
+// Query answers one request: from the local engine when this node owns
+// the shard, forwarded otherwise.
+func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -1186,17 +1147,10 @@ func (n *Node) QueryOpts(ctx context.Context, req query.Request, o query.Options
 }
 
 // QueryBatchOpts answers a batch with per-item results, splitting it
-// across shard owners. Non-default processor options require every
-// request to land on this node's shards, and run on the local engine
-// (ErrNotRoutable otherwise).
-func (n *Node) QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error) {
-	if !routable(o) {
-		le, ok := n.ownedLocal(reqs...)
-		if !ok {
-			return nil, notRoutable(o)
-		}
-		return le.QueryBatchOpts(ctx, reqs, o)
-	}
+// across shard owners. Every share, this node's own included, travels as
+// a wire BatchQueryRequest, which carries no worker bound: the options
+// are ignored.
+func (n *Node) QueryBatchOpts(ctx context.Context, reqs []query.Request, _ query.Options) ([]query.BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

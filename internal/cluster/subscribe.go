@@ -34,12 +34,10 @@ type StreamOpener func(addr string, req wire.Message) (PushStream, error)
 
 // LocalEngine is the typed surface of a local engine (server.Engine
 // implements it) that the node answers owned shards with beyond the wire
-// protocol: queries with processor options, and subscriptions. The node
-// type-asserts its Local and its mirrors' handlers to it, so the cluster
-// package does not import the server.
+// protocol: subscriptions. The node type-asserts its Local and its
+// mirrors' handlers to it, so the cluster package does not import the
+// server.
 type LocalEngine interface {
-	QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error)
-	QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error)
 	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error)
 }
 

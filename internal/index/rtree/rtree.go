@@ -8,9 +8,9 @@
 // stream advances — so the tree has no insertion or deletion.
 //
 // Only the radius processor in internal/query imports it (query.NewRTree,
-// chosen by a request's processor kind "rtree"). The default serving path
-// answers from the model cover and never builds one; the package stays
-// because it is a baseline Figures 6 and 7(a) compare the cover against.
+// which only internal/bench builds). The serving path answers from the
+// model cover and never builds one; the package stays because it is a
+// baseline Figures 6 and 7(a) compare the cover against.
 package rtree
 
 import (

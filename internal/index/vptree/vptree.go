@@ -11,10 +11,9 @@
 // query it answers — the one the paper's indexed method issues.
 //
 // Only the radius processor in internal/query imports it
-// (query.NewVPTree, chosen by a request's processor kind "vptree"). The
-// default serving path answers from the model cover and never builds one;
-// the package stays because it is a baseline Figures 6 and 7(a) compare
-// the cover against.
+// (query.NewVPTree, which only internal/bench builds). The serving path
+// answers from the model cover and never builds one; the package stays
+// because it is a baseline Figures 6 and 7(a) compare the cover against.
 package vptree
 
 import (

@@ -2,16 +2,16 @@ package query
 
 // This file defines the v1 typed query surface shared by the facade, the
 // engine, the HTTP layer, and the wire clients: the pollutant-aware
-// Request, the structured error taxonomy, and the processor-selection
-// options that let one request be answered by any of the paper's four
-// query methods.
+// Request, the structured error taxonomy, and the batch options. A served
+// request is always answered from the model cover; the paper's radius
+// baselines are the Processors in this package, built directly by their
+// callers.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/tuple"
 )
 
@@ -24,9 +24,6 @@ type Request struct {
 	Y         float64         `json:"y"`
 	Pollutant tuple.Pollutant `json:"pollutant"`
 }
-
-// Q projects the request onto the per-window query tuple q_l.
-func (r Request) Q() Q { return Q{T: r.T, X: r.X, Y: r.Y} }
 
 // Validate checks the request against the error taxonomy: NaN/Inf
 // coordinates are malformed, a negative time is ErrOutOfWindow, and an
@@ -76,83 +73,11 @@ var (
 	ErrUnknownPollutant = errors.New("query: unknown pollutant")
 )
 
-// Kind selects the query method answering a request — the four processors
-// of §2.2, now addressable per request.
-type Kind string
-
-// Processor kinds.
-const (
-	// KindCover evaluates the Ad-KMN model cover (the default).
-	KindCover Kind = "cover"
-	// KindNaive scans the raw window for tuples within the radius.
-	KindNaive Kind = "naive"
-	// KindRTree serves the radius search from a bulk-loaded R-tree.
-	KindRTree Kind = "rtree"
-	// KindVPTree serves the radius search from a vantage-point tree.
-	KindVPTree Kind = "vptree"
-)
-
-// ParseKind resolves a processor name from the HTTP/CLI surface.
-func ParseKind(s string) (Kind, error) {
-	switch Kind(s) {
-	case "", KindCover:
-		return KindCover, nil
-	case KindNaive, KindRTree, KindVPTree:
-		return Kind(s), nil
-	case "r-tree":
-		return KindRTree, nil
-	case "vp-tree":
-		return KindVPTree, nil
-	default:
-		return "", fmt.Errorf("query: unknown processor kind %q", s)
-	}
-}
-
-// DefaultRadius is the radius, in meters, used by radius-based processors
-// when the caller does not override it (the paper's evaluation uses
-// r = 250 m for urban corridors).
-const DefaultRadius = 250.0
-
-// Options tunes how a request is answered. The zero value means "model
-// cover, default radius" — the paper's recommended configuration.
+// Options tunes how a batch is answered. The zero value is the default.
 type Options struct {
-	// Kind selects the processor (default KindCover).
-	Kind Kind
-	// Radius is the search radius in meters for radius-based processors.
-	Radius float64
 	// Concurrency bounds the worker pool answering a batch (0 picks
 	// GOMAXPROCS; 1 forces sequential execution). The engine clamps it
 	// to a small multiple of GOMAXPROCS, so untrusted callers cannot
 	// dictate the server's goroutine count. Single queries ignore it.
 	Concurrency int
-}
-
-// WithDefaults fills unset fields; a non-finite radius (NaN, ±Inf) is
-// replaced by the default rather than poisoning every distance compare.
-func (o Options) WithDefaults() Options {
-	if o.Kind == "" {
-		o.Kind = KindCover
-	}
-	if !(o.Radius > 0) || math.IsInf(o.Radius, 0) {
-		o.Radius = DefaultRadius
-	}
-	return o
-}
-
-// BuildProcessor constructs the processor o selects: cover-based kinds
-// wrap cv, radius-based kinds are built over the raw window w.
-func BuildProcessor(o Options, w tuple.Batch, cv *core.Cover) (Processor, error) {
-	o = o.WithDefaults()
-	switch o.Kind {
-	case KindCover:
-		return NewCover(cv)
-	case KindNaive:
-		return NewNaive(w, o.Radius)
-	case KindRTree:
-		return NewRTree(w, o.Radius)
-	case KindVPTree:
-		return NewVPTree(w, o.Radius)
-	default:
-		return nil, fmt.Errorf("query: unknown processor kind %q", o.Kind)
-	}
 }

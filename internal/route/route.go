@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/geo"
+	"repro/internal/tuple"
 )
 
 // Fix is one recorded position update.
@@ -162,8 +163,9 @@ type Summary struct {
 	Worst int
 }
 
-// Summarize evaluates the route against an oracle.
-func Summarize(rt *Route, oracle Oracle) (*Summary, error) {
+// Summarize evaluates the route against an oracle of pollutant pol,
+// banding every value on pol's scale.
+func Summarize(rt *Route, pol tuple.Pollutant, oracle Oracle) (*Summary, error) {
 	if rt == nil || len(rt.fixes) == 0 {
 		return nil, errors.New("route: empty route")
 	}
@@ -181,7 +183,7 @@ func Summarize(rt *Route, oracle Oracle) (*Summary, error) {
 		s.Points = append(s.Points, PointReading{
 			Fix:   f,
 			Value: v,
-			Band:  eval.ClassifyCO2(v),
+			Band:  eval.ClassifyPollutant(pol, v),
 		})
 		sum += v
 		if v > worstVal {
@@ -189,7 +191,7 @@ func Summarize(rt *Route, oracle Oracle) (*Summary, error) {
 		}
 	}
 	s.Average = sum / float64(len(s.Points))
-	s.Band = eval.ClassifyCO2(s.Average)
+	s.Band = eval.ClassifyPollutant(pol, s.Average)
 	s.Advice = s.Band.Advice()
 	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/geo"
+	"repro/internal/tuple"
 )
 
 func TestRecorderFiltering(t *testing.T) {
@@ -113,7 +114,7 @@ func TestSummarize(t *testing.T) {
 		}
 		return 400 + x, nil
 	}
-	s, err := Summarize(rt, oracle)
+	s, err := Summarize(rt, tuple.CO2, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +141,14 @@ func TestSummarize(t *testing.T) {
 
 func TestSummarizeErrors(t *testing.T) {
 	rt := recorded(t)
-	if _, err := Summarize(nil, func(t, x, y float64) (float64, error) { return 0, nil }); err == nil {
+	if _, err := Summarize(nil, tuple.CO2, func(t, x, y float64) (float64, error) { return 0, nil }); err == nil {
 		t.Error("nil route should error")
 	}
-	if _, err := Summarize(rt, nil); err == nil {
+	if _, err := Summarize(rt, tuple.CO2, nil); err == nil {
 		t.Error("nil oracle should error")
 	}
 	boom := errors.New("no cover")
-	if _, err := Summarize(rt, func(t, x, y float64) (float64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := Summarize(rt, tuple.CO2, func(t, x, y float64) (float64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Errorf("oracle error not propagated: %v", err)
 	}
 }

@@ -432,67 +432,6 @@ func (sh *shard) coverAt(ctx context.Context, t float64) (*core.Cover, error) {
 
 // Query answers one v1 request from the pollutant's model cover.
 func (e *Engine) Query(ctx context.Context, req query.Request) (float64, error) {
-	return e.QueryOpts(ctx, req, query.Options{})
-}
-
-// QueryOpts answers one v1 request with explicit processor options —
-// model cover by default, or any of the paper's radius-based methods.
-func (e *Engine) QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error) {
-	return e.queryOpts(ctx, req, o, nil)
-}
-
-// procKey identifies a reusable radius processor: one per pollutant and
-// window within a batch (the options are fixed across a batch).
-type procKey struct {
-	pol tuple.Pollutant
-	win int
-}
-
-// procCache shares radius-based processors across the workers of one
-// batch, so an R-tree or VP-tree is bulk-loaded once per (pollutant,
-// window) instead of once per request. Two workers hitting the same cold
-// key build once (per-entry sync.Once); workers on different windows
-// build concurrently.
-type procCache struct {
-	mu sync.Mutex
-	m  map[procKey]*procEntry
-}
-
-type procEntry struct {
-	once sync.Once
-	p    query.Processor
-	err  error
-}
-
-// newProcCache returns the processor cache of a batch answered with o:
-// nil for the model cover, which builds no processors.
-func newProcCache(o query.Options) *procCache {
-	if o.WithDefaults().Kind == query.KindCover {
-		return nil
-	}
-	return &procCache{m: make(map[procKey]*procEntry)}
-}
-
-func (pc *procCache) get(key procKey, build func() (query.Processor, error)) (query.Processor, error) {
-	pc.mu.Lock()
-	ent, ok := pc.m[key]
-	if !ok {
-		ent = &procEntry{}
-		pc.m[key] = ent
-	}
-	pc.mu.Unlock()
-	ent.once.Do(func() { ent.p, ent.err = build() })
-	if ent.p == nil && ent.err == nil {
-		// A build that panicked marks the Once done without filling the
-		// entry; surface that instead of handing out a nil processor.
-		return nil, errors.New("server: processor build did not complete")
-	}
-	return ent.p, ent.err
-}
-
-// queryOpts answers one request. A non-nil procs cache shares processors
-// across the requests (and workers) of a batch.
-func (e *Engine) queryOpts(ctx context.Context, req query.Request, o query.Options, procs *procCache) (float64, error) {
 	if err := req.Validate(); err != nil {
 		return 0, err
 	}
@@ -500,45 +439,11 @@ func (e *Engine) queryOpts(ctx context.Context, req query.Request, o query.Optio
 	if err != nil {
 		return 0, err
 	}
-	o = o.WithDefaults()
-	if o.Kind == query.KindCover {
-		cv, err := sh.coverAt(ctx, req.T)
-		if err != nil {
-			return 0, err
-		}
-		return cv.Interpolate(req.T, req.X, req.Y)
-	}
-	// Radius-based methods run over the raw window; a missing window is
-	// out-of-range for them exactly as it is for the cover path. The
-	// window is only cloned inside the build closure, so a batch copies
-	// and sorts it once per (pollutant, window), not once per request —
-	// and for a window the store has released to its checkpoint file that
-	// copy is a decode of the window's blocks, every time: the store keeps
-	// no second copy for these baselines to share.
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	c := tuple.WindowIndex(req.T, sh.st.WindowLength())
-	if sh.st.WindowLen(c) == 0 {
-		return 0, fmt.Errorf("%w: t=%v (window %d holds no data)", query.ErrOutOfWindow, req.T, c)
-	}
-	build := func() (query.Processor, error) {
-		w := sh.st.Window(c)
-		if len(w) == 0 { // evicted between the check and the build
-			return nil, fmt.Errorf("%w: t=%v (window %d holds no data)", query.ErrOutOfWindow, req.T, c)
-		}
-		return query.BuildProcessor(o, w, nil)
-	}
-	var p query.Processor
-	if procs != nil {
-		p, err = procs.get(procKey{pol: req.Pollutant, win: c}, build)
-	} else {
-		p, err = build()
-	}
+	cv, err := sh.coverAt(ctx, req.T)
 	if err != nil {
 		return 0, err
 	}
-	return p.Interpolate(req.Q())
+	return cv.Interpolate(req.T, req.X, req.Y)
 }
 
 // QueryBatch answers a batch of v1 requests (requests may mix
@@ -569,16 +474,14 @@ func batchWorkers(requested, n int) int {
 	return w
 }
 
-// QueryBatchOpts is QueryBatch with explicit processor options: the
-// allocating form of the engine's one batch executor, runBatch, which the
-// wire path runs on memory it lends instead.
+// QueryBatchOpts is QueryBatch with a worker bound: the allocating form
+// of the engine's one batch executor, runBatch, which the wire path runs
+// on memory it lends instead.
 //
 // The batch executes on a bounded worker pool (Options.Concurrency
 // workers; 0 picks GOMAXPROCS, 1 is the sequential baseline). A bad
 // request no longer rejects the whole batch: its slot carries the error
-// and every other request is still answered. Radius-based processors
-// (and their spatial indexes) are built once per (pollutant, window)
-// touched by the batch, not once per request. Cancelling ctx drains the
+// and every other request is still answered. Cancelling ctx drains the
 // pool promptly — workers stop picking up new requests, remaining slots
 // are marked with the context error, and the call returns it.
 func (e *Engine) QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error) {
@@ -638,7 +541,6 @@ func (s wireSlots) answer(i int, v float64, err error) {
 // that cancellation.
 func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S, o query.Options) error {
 	workers := batchWorkers(o.Concurrency, n)
-	procs := newProcCache(o)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -654,7 +556,7 @@ func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S, o query.
 					s.answer(i, 0, err)
 					continue // drain: mark remaining slots without querying
 				}
-				v, err := e.batchItem(ctx, s.request(i), o, procs)
+				v, err := e.batchItem(ctx, s.request(i))
 				s.answer(i, v, err)
 			}
 		}()
@@ -666,17 +568,16 @@ func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S, o query.
 	return nil
 }
 
-// batchItem answers one batch slot, containing panics: before the pool,
-// a processor panic was confined to its HTTP request by net/http's
-// per-connection recover; on a bare worker goroutine it would kill the
-// whole process, so it becomes that item's error instead.
-func (e *Engine) batchItem(ctx context.Context, req query.Request, o query.Options, procs *procCache) (v float64, err error) {
+// batchItem answers one batch slot, containing panics: a panic on a bare
+// worker goroutine would kill the whole process, so it becomes that
+// item's error instead.
+func (e *Engine) batchItem(ctx context.Context, req query.Request) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = 0, fmt.Errorf("server: batch item panic: %v", r)
 		}
 	}()
-	return e.queryOpts(ctx, req, o, procs)
+	return e.Query(ctx, req)
 }
 
 // CoverAt returns pollutant p's model cover valid at stream time t.

@@ -1,8 +1,8 @@
 package server
 
 // Tests for the multi-pollutant v1 engine: shard isolation, error
-// taxonomy, batch cancellation, processor options, and pollutant routing
-// through HandleMessage.
+// taxonomy, batch cancellation, and pollutant routing through
+// HandleMessage.
 
 import (
 	"context"
@@ -115,27 +115,6 @@ func TestEngineBatchCancellation(t *testing.T) {
 	}
 }
 
-func TestEngineProcessorOptions(t *testing.T) {
-	e := newMultiEngine(t)
-	ctx := context.Background()
-	req := query.Request{T: 300, X: 1000, Y: 1000}
-	naive, err := e.QueryOpts(ctx, req, query.Options{Kind: query.KindNaive, Radius: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := e.QueryOpts(ctx, req, query.Options{Kind: query.KindRTree, Radius: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(naive-rt) > 1e-9 {
-		t.Errorf("naive %v vs rtree %v", naive, rt)
-	}
-	// Radius methods out of data range follow the taxonomy too.
-	if _, err := e.QueryOpts(ctx, query.Request{T: 1e9}, query.Options{Kind: query.KindNaive}); !errors.Is(err, query.ErrOutOfWindow) {
-		t.Errorf("naive empty window: %v", err)
-	}
-}
-
 func TestHandleMessageRoutesTagsLiterally(t *testing.T) {
 	// Every frame names its pollutant and is routed literally — including
 	// an explicit CO2 on a server without a CO2 shard — so a mistagged
@@ -229,7 +208,7 @@ func TestEngineBatchPerItemErrors(t *testing.T) {
 
 func TestEngineBatchConcurrencyAgreement(t *testing.T) {
 	// The sequential baseline (Concurrency 1) and the parallel pool must
-	// produce identical answers, for every processor kind.
+	// produce identical answers.
 	e := newMultiEngine(t)
 	rng := rand.New(rand.NewSource(11))
 	reqs := make([]query.Request, 200)
@@ -243,22 +222,20 @@ func TestEngineBatchConcurrencyAgreement(t *testing.T) {
 			Pollutant: pol,
 		}
 	}
-	for _, kind := range []query.Kind{query.KindCover, query.KindNaive, query.KindRTree, query.KindVPTree} {
-		seq, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Kind: kind, Concurrency: 1})
-		if err != nil {
-			t.Fatalf("%s sequential: %v", kind, err)
+	seq, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Concurrency: 1})
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	par, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Concurrency: 8})
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
+	for i := range reqs {
+		if (seq[i].Err == nil) != (par[i].Err == nil) {
+			t.Fatalf("item %d: sequential err %v, parallel err %v", i, seq[i].Err, par[i].Err)
 		}
-		par, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Kind: kind, Concurrency: 8})
-		if err != nil {
-			t.Fatalf("%s parallel: %v", kind, err)
-		}
-		for i := range reqs {
-			if (seq[i].Err == nil) != (par[i].Err == nil) {
-				t.Fatalf("%s item %d: sequential err %v, parallel err %v", kind, i, seq[i].Err, par[i].Err)
-			}
-			if seq[i].Err == nil && seq[i].Value != par[i].Value {
-				t.Fatalf("%s item %d: sequential %v != parallel %v", kind, i, seq[i].Value, par[i].Value)
-			}
+		if seq[i].Err == nil && seq[i].Value != par[i].Value {
+			t.Fatalf("item %d: sequential %v != parallel %v", i, seq[i].Value, par[i].Value)
 		}
 	}
 }

@@ -35,7 +35,7 @@ import (
 // failure as the same sentinel either way (see cluster.ErrorFromWire).
 type Backend interface {
 	proto.Handler
-	QueryOpts(ctx context.Context, req query.Request, o query.Options) (float64, error)
+	Query(ctx context.Context, req query.Request) (float64, error)
 	QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error)
 	Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
 	TryIngest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
@@ -221,7 +221,6 @@ var errorStatus = []struct {
 	{cluster.ErrPartialIngest, http.StatusInternalServerError},
 	{query.ErrUnknownPollutant, http.StatusBadRequest},
 	{ingest.ErrInvalidBatch, http.StatusBadRequest},
-	{cluster.ErrNotRoutable, http.StatusBadRequest},
 	{cluster.ErrTooLarge, http.StatusBadRequest},
 	{subs.ErrTooManyPoints, http.StatusBadRequest},
 	{query.ErrOutOfWindow, http.StatusNotFound},
@@ -305,29 +304,9 @@ func (a *API) queryPollutant(q url.Values) (tuple.Pollutant, error) {
 	return p, nil
 }
 
-// queryOptions resolves the optional ?processor= and ?radius= parameters.
+// queryOptions resolves the optional ?concurrency= parameter of a batch.
 func queryOptions(q url.Values) (query.Options, error) {
 	var o query.Options
-	if s := q.Get("processor"); s != "" {
-		k, err := query.ParseKind(s)
-		if err != nil {
-			return o, err
-		}
-		o.Kind = k
-	}
-	if s := q.Get("radius"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-			return o, fmt.Errorf("parameter %q: want a positive number", "radius")
-		}
-		o.Radius = v
-		// A bare radius means "average the raw tuples around me" — mirror
-		// the facade's WithRadius and switch to the naive method instead
-		// of silently ignoring the parameter on the cover path.
-		if o.Kind == "" || o.Kind == query.KindCover {
-			o.Kind = query.KindNaive
-		}
-	}
 	if s := q.Get("concurrency"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 0 {
@@ -359,8 +338,8 @@ func pointResponseFor(p tuple.Pollutant, v float64) pointResponse {
 	}
 }
 
-// handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant=&processor=&radius=
-// — the single point query mode.
+// handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant= — the single
+// point query mode.
 func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var t, x, y float64
@@ -379,12 +358,7 @@ func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := queryOptions(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, err := a.backend.QueryOpts(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol}, opts)
+	v, err := a.backend.Query(r.Context(), query.Request{T: t, X: x, Y: y, Pollutant: pol})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -417,11 +391,11 @@ type batchResponse struct {
 	Errors int                 `json:"errors"`
 }
 
-// handleBatch serves POST /v1/query/batch?processor=&radius=&concurrency=
-// — the batch entry point of the v1 API, honoring the same processor
-// options as /v1/query. Requests execute concurrently on the server and
-// each item succeeds or fails on its own: a request outside the retained
-// windows reports an "error" in its slot without rejecting the batch.
+// handleBatch serves POST /v1/query/batch?pollutant=&concurrency= — the
+// batch entry point of the v1 API. Requests execute concurrently on the
+// server and each item succeeds or fails on its own: a request outside the
+// retained windows reports an "error" in its slot without rejecting the
+// batch.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts, err := queryOptions(q)
@@ -737,7 +711,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	next := 0
-	sum, err := route.Summarize(rt, func(t, x, y float64) (float64, error) {
+	sum, err := route.Summarize(rt, pol, func(t, x, y float64) (float64, error) {
 		res := rs[next]
 		next++
 		return res.Value, res.Err

@@ -63,7 +63,6 @@ func TestErrorStatusTable(t *testing.T) {
 	}
 	// The sentinels that never cross the wire.
 	for err, want := range map[error]int{
-		cluster.ErrNotRoutable:   http.StatusBadRequest,
 		ErrEngineClosed:          http.StatusServiceUnavailable,
 		subs.ErrTooManyPoints:    http.StatusBadRequest,
 		subs.ErrTooManySubs:      http.StatusServiceUnavailable,

@@ -2,8 +2,7 @@ package repro
 
 // Tests for the v1 query API: Request validation, the error taxonomy
 // under errors.Is, per-pollutant cover isolation, context cancellation,
-// per-call processor options, streaming ingestion, and the pollutant-
-// aware HTTP surface.
+// streaming ingestion, and the pollutant-aware HTTP surface.
 
 import (
 	"bytes"
@@ -199,37 +198,6 @@ func TestQueryDeadlineExceeded(t *testing.T) {
 	}
 }
 
-func TestQueryOptionsSelectProcessors(t *testing.T) {
-	p := openMulti(t)
-	ctx := context.Background()
-	req := Request{T: 1800, X: 1200, Y: 800}
-
-	cover, err := p.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := p.Query(ctx, req, WithRadius(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := p.Query(ctx, req, WithProcessor(ProcessorRTree), WithRadius(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, err := p.Query(ctx, req, WithProcessor(ProcessorVPTree), WithRadius(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The three radius methods share semantics exactly; the cover answers
-	// from models, so it only needs to be physically consistent.
-	if rt != naive || vp != naive {
-		t.Errorf("radius methods disagree: naive=%v rtree=%v vptree=%v", naive, rt, vp)
-	}
-	if cover < 300 || cover > 5000 {
-		t.Errorf("cover answer %v outside physical range", cover)
-	}
-}
-
 func TestIngestReaderStreamsCSV(t *testing.T) {
 	p, err := Open(Config{WindowSeconds: 3600})
 	if err != nil {
@@ -303,23 +271,6 @@ func TestHTTPV1QueryPollutantParam(t *testing.T) {
 	// Out-of-window time is a 404.
 	if _, status := fetch(srv.URL + "/v1/query?t=999999999&x=0&y=0"); status != http.StatusNotFound {
 		t.Errorf("out of window: status %d, want 404", status)
-	}
-	// The processor parameter selects radius methods.
-	if _, status := fetch(srv.URL + "/v1/query?t=1800&x=1200&y=800&processor=naive&radius=400"); status != http.StatusOK {
-		t.Errorf("naive processor: status %d", status)
-	}
-	// A bare radius switches to the naive method (mirrors WithRadius):
-	// its answer must match the explicit processor=naive call.
-	naive, status := fetch(srv.URL + "/v1/query?t=1800&x=1200&y=800&processor=naive&radius=400")
-	if status != http.StatusOK {
-		t.Fatalf("naive status = %d", status)
-	}
-	bare, status := fetch(srv.URL + "/v1/query?t=1800&x=1200&y=800&radius=400")
-	if status != http.StatusOK {
-		t.Fatalf("bare radius status = %d", status)
-	}
-	if naive["value"] != bare["value"] {
-		t.Errorf("bare radius %v != naive %v", bare["value"], naive["value"])
 	}
 	// NaN coordinates are a malformed request, not missing data.
 	if _, status := fetch(srv.URL + "/v1/query?t=1800&x=NaN&y=800"); status != http.StatusBadRequest {
