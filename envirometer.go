@@ -452,8 +452,9 @@ func Open(cfg Config) (*Platform, error) {
 // cfg.Cluster.Router). Peer links dial lazily over the binary TCP
 // protocol. With Replicas > 1 the node also replicates: it streams its
 // committed ingests to ring successors and holds mirrors for the
-// primaries it backs, each mirror a lazy in-memory engine built by the
-// factory below.
+// primaries it backs: each mirror a log of the primary's stream, pruned
+// by the same window retention as the stores, and on its first failover
+// read a lazy in-memory engine built by the factory below.
 func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster.Node, error) {
 	cfg := full.Cluster
 	dial := func(addr string) (cluster.Transport, error) {
@@ -537,7 +538,11 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 		// Data nodes always carry a replication role: at R > 1 it mirrors
 		// peers, and even at R = 1 the replication logs feed membership
 		// handoffs (join bootstrap, drain pulls).
-		nc.Replication = cluster.ReplicationConfig{NewMirror: mirrorFactory(full)}
+		nc.Replication = cluster.ReplicationConfig{
+			NewMirror:    mirrorFactory(full),
+			WindowLength: full.WindowSeconds,
+			Retain:       full.Retain,
+		}
 	}
 	node, err := cluster.NewNode(nc)
 	if err != nil {

@@ -38,11 +38,14 @@
 //	          installs the ring, then best-effort pulls the tail
 //	          [update:committed].
 //
-// What membership cannot recover: a stream's history older than the
-// replication-log retention cap moves as a snapshot of the retained
-// log (the same contract replica catch-up has), and a killed primary
-// takes with it any acked tuples it had not yet streamed to a replica
-// — promotion recovers everything the surviving replicas hold.
+// What membership cannot recover: pulled from a live origin, a stream's
+// history older than the primary's replication-log cap (logRetain) moves
+// as a snapshot of the retained log (the same contract replica catch-up
+// has); and a killed primary takes with it any acked tuples it had not
+// yet streamed to a replica. Promotion recovers everything the surviving
+// replicas hold: a mirror log has no cap and sheds only tuples of windows
+// the engines' retention (ReplicationConfig.Retain) has already evicted,
+// so a mirror replays its stream's whole retained history.
 package cluster
 
 import (
@@ -460,34 +463,20 @@ func (n *Node) pullFrom(ctx context.Context, src, origin int, pol tuple.Pollutan
 	if t == nil {
 		return fmt.Errorf("cluster: no transport to node %d", src)
 	}
-	key := transferKey{origin: origin, pol: pol}
-	for round := 0; round < maxPullRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n.memMu.Lock()
-		have := n.pulled[key]
-		n.memMu.Unlock()
+	return n.transfer(ctx, origin, pol, old, next, maxPullRounds, func(have uint64) (wire.ReplicaCatchupResponse, error) {
 		resp, err := t.Exchange(wire.ShardTransfer{Origin: uint16(origin), Pollutant: pol, Have: have})
 		if err != nil {
-			return err
+			return wire.ReplicaCatchupResponse{}, err
 		}
-		cr, err := answer[wire.ReplicaCatchupResponse](resp)
-		if err != nil {
-			return err
-		}
-		if _, err := n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples); err != nil {
-			return err
-		}
-		if cr.Done {
-			return nil
-		}
-	}
-	return fmt.Errorf("cluster: transfer of node %d's %v stream did not converge in %d rounds", origin, pol, maxPullRounds)
+		return answer[wire.ReplicaCatchupResponse](resp)
+	})
 }
 
 // replayMirror applies this node's own mirror log of origin's stream —
-// the promotion path, where the origin cannot be asked.
+// the promotion path, where the origin cannot be asked — in the same
+// chunks a peer would serve it, each copied out under the mirror's lock.
+// The session gets the rounds the log needs as it stands, plus the usual
+// allowance for frames that land meanwhile.
 func (n *Node) replayMirror(ctx context.Context, old, next *Ring, origin int, pol tuple.Pollutant) error {
 	r := n.repl
 	if r == nil {
@@ -498,21 +487,50 @@ func (n *Node) replayMirror(ctx context.Context, old, next *Ring, origin int, po
 		return fmt.Errorf("cluster: no local mirror of node %d", origin)
 	}
 	mir.mu.Lock()
-	all := mir.log.suffix(mir.log.start, mir.log.n) // the whole retained tail
+	rounds := maxPullRounds + mir.log.n/maxCatchupChunk
 	mir.mu.Unlock()
+	return n.transfer(ctx, origin, pol, old, next, rounds, func(have uint64) (wire.ReplicaCatchupResponse, error) {
+		mir.mu.Lock()
+		defer mir.mu.Unlock()
+		return mir.log.suffix(have, maxCatchupChunk), nil
+	})
+}
+
+// transfer runs one chunked transfer session of origin's pol stream: chunk
+// answers "I have seq N" (a peer over the wire, or a local mirror log)
+// and each answer applies through applyTransfer, which advances the
+// shared progress marker, until a chunk reports Done.
+func (n *Node) transfer(ctx context.Context, origin int, pol tuple.Pollutant, old, next *Ring, rounds int,
+	chunk func(have uint64) (wire.ReplicaCatchupResponse, error)) error {
 	key := transferKey{origin: origin, pol: pol}
-	_, err := n.applyTransfer(ctx, key, pol, old, next, all.From, all.Tuples)
-	return err
+	for round := 0; round < rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n.memMu.Lock()
+		have := n.pulled[key]
+		n.memMu.Unlock()
+		cr, err := chunk(have)
+		if err != nil {
+			return err
+		}
+		if err := n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples); err != nil {
+			return err
+		}
+		if cr.Done {
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: transfer of node %d's %v stream did not converge in %d rounds", origin, pol, rounds)
 }
 
 // applyTransfer applies one transfer chunk — origin-stream tuples
 // covering sequence [from, from+len) — skipping what progress already
 // covers, filtering to the shards this node gains, and committing
-// through localIngest. It advances the shared progress marker and
-// reports whether anything beyond the previous progress was seen. A
-// chunk starting past the progress marker means the source pruned the
-// gap away; the marker jumps forward (the retained-state contract).
-func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pollutant, old, next *Ring, from uint64, tuples []tuple.Raw) (bool, error) {
+// through localIngest. It advances the shared progress marker. A chunk
+// starting past the progress marker means the source pruned the gap
+// away; the marker jumps forward (the retained-state contract).
+func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pollutant, old, next *Ring, from uint64, tuples []tuple.Raw) error {
 	n.memMu.Lock()
 	have := n.pulled[key]
 	n.memMu.Unlock()
@@ -520,7 +538,6 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 		have = from
 	}
 	end := from + uint64(len(tuples))
-	advanced := false
 	if end > have {
 		fresh := tuples[have-from:]
 		gained := make([]tuple.Raw, 0, len(fresh))
@@ -532,24 +549,23 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 		}
 		if len(gained) > 0 {
 			if _, err := answer[wire.IngestResponse](n.localIngest(ctx, wire.IngestRequest{Pollutant: pol, Tuples: gained})); err != nil {
-				return false, fmt.Errorf("cluster: applying transferred tuples: %w", err)
+				return fmt.Errorf("cluster: applying transferred tuples: %w", err)
 			}
 		}
 		have = end
-		advanced = true
 	}
 	n.memMu.Lock()
 	if have > n.pulled[key] {
 		n.pulled[key] = have
 	}
 	n.memMu.Unlock()
-	return advanced, nil
+	return nil
 }
 
 // handleShardTransfer answers a handoff pull: chunks of this node's
 // own replication log when Origin is this node (exactly replica
 // catch-up), or of its mirror log of Origin otherwise (the
-// dead-primary case, served from the mirror tail the replica kept).
+// dead-primary case, served from the mirror's log).
 func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	r := n.repl
 	if r == nil {

@@ -51,6 +51,13 @@ func newMirrorEngine() cluster.Handler {
 // stream workers and the mirror engines they hold).
 func newReplicatedFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newReplicatedFixtureWith(t, 2, func(int) func() cluster.Handler { return newMirrorEngine })
+}
+
+// newReplicatedFixtureWith is newReplicatedFixture with replicas copies
+// of every shard, and node i's mirror engines built by mirrors(i).
+func newReplicatedFixtureWith(t *testing.T, replicas int, mirrors func(node int) func() cluster.Handler) *fixture {
+	t.Helper()
 	cells, err := cluster.Cells(clusterRegion, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +65,7 @@ func newReplicatedFixture(t *testing.T) *fixture {
 	ring, err := cluster.NewRing(cluster.Desc{
 		Nodes:    []string{"node-0:8081", "node-1:8081", "node-2:8081"},
 		Cells:    cells,
-		Replicas: 2,
+		Replicas: replicas,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +92,7 @@ func newReplicatedFixture(t *testing.T) *fixture {
 			Transports:  transports,
 			Default:     tuple.CO2,
 			Streams:     f.openStream,
-			Replication: cluster.ReplicationConfig{NewMirror: newMirrorEngine},
+			Replication: cluster.ReplicationConfig{NewMirror: mirrors(i)},
 		})
 		if err != nil {
 			t.Fatal(err)

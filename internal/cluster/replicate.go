@@ -4,12 +4,20 @@
 // and the mirror read path that answers a dead owner's shards.
 //
 // Replication granularity is (origin node, pollutant): a replica holds
-// a full mirror of every pollutant stream it backs for a primary,
-// built by replaying the primary's committed ingests in commit order —
-// which is what makes a synced mirror's query answers byte-equal to
-// the primary's. Placement is Ring.ReplicasFor (successor lists), so
-// any node in a shard's replica set backs the full (owner, pollutant)
-// mirror covering that shard.
+// a full mirror of every pollutant stream it backs for a primary.
+// Placement is Ring.ReplicasFor (successor lists), so any node in a
+// shard's replica set backs the full (owner, pollutant) mirror covering
+// that shard.
+//
+// A mirror is its log: the primary's committed ingests in commit order,
+// less the tuples of windows the mirror engine's retention would already
+// have evicted. The engine that answers failover reads and re-homed
+// subscriptions is built on the first such use by replaying that log in
+// commit order, and from then on every frame applies to both. Replaying
+// the commit order is what makes a mirror's answers byte-equal to the
+// primary's; building it on first use is what keeps a replica that is
+// never read (the normal case: its primary never died) from holding a
+// second copy of every stream it backs.
 package cluster
 
 import (
@@ -17,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,10 +70,10 @@ const (
 	// overflowing queue drops frames rather than stalling the commit
 	// path; the replica detects the sequence gap and heals via catch-up.
 	replQueue = 256
-	// logRetain caps each pollutant's replication log (tuples).
-	// A replica behind the log start takes a snapshot reset; the cap
-	// should comfortably cover the engines' retention window so resets
-	// stay rare.
+	// logRetain caps each pollutant's replication log on its primary
+	// (tuples). A replica behind the log start takes a snapshot reset;
+	// the cap should comfortably cover the engines' retention window so
+	// resets stay rare. Mirror logs have no cap (see retention).
 	logRetain = 1 << 17
 	// maxPullRounds bounds one catch-up session (4+ full logs); a
 	// replica that cannot converge in that many chunks re-enters
@@ -81,9 +90,19 @@ type ReplicationConfig struct {
 	// NewMirror creates one empty mirror engine. The cluster package
 	// treats mirrors as opaque Handlers (the facade passes a factory
 	// producing server engines configured identically to the local one,
-	// which is what makes mirror answers byte-equal). Required when the
-	// ring's replication factor exceeds 1 and the node owns shards.
+	// which is what makes mirror answers byte-equal). It is called on a
+	// mirror's first read, not when the mirror starts receiving frames.
+	// An engine that refuses its log's tuples counts as a failed build:
+	// it is closed, and the read answers ErrReplicaMiss. Required when
+	// the ring's replication factor exceeds 1 and the node owns shards.
 	NewMirror func() Handler
+	// WindowLength and Retain are the mirror engines' store window length
+	// and retention (store.Config). A mirror log drops the tuples of the
+	// windows that retention has evicted, so that replaying it builds
+	// what an engine fed every frame would hold. Retain 0 (or no window
+	// length) keeps every tuple.
+	WindowLength float64
+	Retain       int
 }
 
 // ReplicationStats counts a node's replication activity.
@@ -117,18 +136,60 @@ type mirrorKey struct {
 	pol    tuple.Pollutant
 }
 
-// mirror is one (origin, pollutant) mirror: the handler holding the
-// replayed state, and its own copy of the stream's log tail, pruned
-// like a primary log. log.next() is the replication sequence the mirror
-// has applied; the tail is what lets this replica serve a ShardTransfer
-// for a dead origin during promotion, and replay its mirror into its own
-// primary state when it is the one promoting.
+// mirror is one (origin, pollutant) mirror. Its log holds the stream in
+// commit order, pruned only of tuples in windows keep says are evicted;
+// log.next() is the replication sequence the mirror has applied. The log
+// is what lets this replica serve a ShardTransfer for a dead origin
+// during promotion, replay the mirror into its own primary state when it
+// is the one promoting, and build h, the engine answering failover reads
+// — nil until the first of them, and again after a snapshot reset.
 type mirror struct {
 	mu      sync.Mutex
+	pol     tuple.Pollutant
 	h       Handler
 	pulling bool
 	log     seqLog
+	keep    retention
 }
+
+// retention is a mirror engine's store retention rule: the store keeps
+// the newest retain windows (of length window) it has seen and evicts
+// the rest, whatever the batching of its appends — a late tuple for a
+// window older than all of them is evicted on arrival. newest holds those
+// window indexes, ascending. retain 0 keeps everything.
+type retention struct {
+	window float64
+	retain int
+	newest []int
+}
+
+// add records the windows of tuples appended to the mirror.
+func (k *retention) add(tuples []tuple.Raw) {
+	if k.retain == 0 {
+		return
+	}
+	for _, tp := range tuples {
+		c := tuple.WindowIndex(tp.T, k.window)
+		i, seen := slices.BinarySearch(k.newest, c)
+		switch {
+		case seen:
+		case len(k.newest) < k.retain:
+			k.newest = slices.Insert(k.newest, i, c)
+		case i > 0:
+			// c displaces the oldest retained window.
+			copy(k.newest, k.newest[1:i])
+			k.newest[i-1] = c
+		}
+	}
+}
+
+// evicted reports whether tp lies in a window the store has evicted.
+func (k *retention) evicted(tp tuple.Raw) bool {
+	return k.retain > 0 && len(k.newest) == k.retain && tuple.WindowIndex(tp.T, k.window) < k.newest[0]
+}
+
+// reset forgets every window (a snapshot reset).
+func (k *retention) reset() { k.newest = k.newest[:0] }
 
 // replLog is one pollutant's replication log on a primary: the
 // committed tuples, pruned to the retention cap.
@@ -142,6 +203,7 @@ type replLog struct {
 type replicator struct {
 	n         *Node
 	newMirror func() Handler
+	keep      retention // the mirrors' retention rule, copied into each
 
 	logMu sync.Mutex
 	logs  map[tuple.Pollutant]*replLog
@@ -160,9 +222,14 @@ type replicator struct {
 }
 
 func newReplicator(n *Node, cfg ReplicationConfig) *replicator {
+	var keep retention
+	if cfg.WindowLength > 0 && cfg.Retain > 0 {
+		keep = retention{window: cfg.WindowLength, retain: cfg.Retain}
+	}
 	return &replicator{
 		n:         n,
 		newMirror: cfg.NewMirror,
+		keep:      keep,
 		logs:      make(map[tuple.Pollutant]*replLog),
 		peers:     make(map[int]chan replFrame),
 		mirrors:   make(map[mirrorKey]*mirror),
@@ -200,8 +267,8 @@ func (r *replicator) log(pol tuple.Pollutant) *replLog {
 
 // close stops the peer stream workers, waits for in-flight catch-up
 // sessions to notice the shutdown, and releases any resources the
-// mirror handlers hold (the facade's mirror factory builds full
-// engines, whose pipelines need an explicit Close).
+// mirror engines built so far hold (the facade's mirror factory builds
+// full engines, whose pipelines need an explicit Close).
 func (r *replicator) close() {
 	r.peerMu.Lock()
 	if !r.closed.Load() {
@@ -218,10 +285,19 @@ func (r *replicator) close() {
 	r.mirMu.Unlock()
 	for _, m := range mirrors {
 		m.mu.Lock()
-		if c, ok := m.h.(io.Closer); ok {
-			c.Close()
-		}
+		h := m.h
+		m.h = nil
 		m.mu.Unlock()
+		closeEngine(h)
+	}
+}
+
+// closeEngine releases a mirror engine that has been dropped (nil-safe).
+// Callers release the mirror's lock first: closing an engine ends its
+// subscriptions, whose legs may re-home onto this very mirror.
+func closeEngine(h Handler) {
+	if c, ok := h.(io.Closer); ok {
+		c.Close()
 	}
 }
 
@@ -372,25 +448,11 @@ func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
 func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	k := mirrorKey{origin: origin, pol: pol}
 	r.mirMu.Lock()
+	defer r.mirMu.Unlock()
 	m, ok := r.mirrors[k]
-	r.mirMu.Unlock()
-	if ok {
-		return m
-	}
-	// The factory may build a whole engine; keep it outside the lock and
-	// resolve creation races by discarding the loser.
-	h := r.newMirror()
-	r.mirMu.Lock()
-	m, ok = r.mirrors[k]
 	if !ok {
-		m = &mirror{h: h, log: seqLog{retain: logRetain}}
+		m = &mirror{pol: pol, keep: r.keep}
 		r.mirrors[k] = m
-	}
-	r.mirMu.Unlock()
-	if ok {
-		if c, isCloser := h.(io.Closer); isCloser {
-			c.Close()
-		}
 	}
 	return m
 }
@@ -403,12 +465,77 @@ func (r *replicator) lookupMirror(origin int, pol tuple.Pollutant) *mirror {
 	return r.mirrors[mirrorKey{origin: origin, pol: pol}]
 }
 
-// handler returns the mirror's current handler (it swaps on snapshot
-// resets).
-func (m *mirror) handler() Handler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.h
+// engine returns the mirror's engine, building it on first use: a fresh
+// engine from the factory (called outside mir.mu: it may be slow), fed
+// the log in commit order under mir.mu. Frames wait on the lock during
+// the replay, so each lands exactly once — in the log the build replays,
+// or in the built engine. A build that fails keeps nothing; the next
+// read tries again. Of two racing first reads, the second to take the
+// lock discards its engine and uses the first's.
+func (r *replicator) engine(mir *mirror) (Handler, error) {
+	mir.mu.Lock()
+	h := mir.h
+	mir.mu.Unlock()
+	if h != nil {
+		return h, nil
+	}
+	fresh := r.newMirror()
+	if fresh == nil {
+		return nil, errors.New("mirror factory built no engine")
+	}
+	mir.mu.Lock()
+	h = mir.h
+	var err error
+	if h == nil {
+		mir.log.runs(func(run []tuple.Raw) bool {
+			err = applyTo(fresh, mir.pol, run)
+			return err == nil
+		})
+		if err == nil {
+			mir.h, h = fresh, fresh
+		}
+	}
+	mir.mu.Unlock()
+	if h != fresh {
+		closeEngine(fresh)
+	}
+	return h, err
+}
+
+// applyTo ingests tuples into a mirror engine.
+func applyTo(h Handler, pol tuple.Pollutant, tuples []tuple.Raw) error {
+	switch resp := h.HandleMessage(wire.IngestRequest{Pollutant: pol, Tuples: tuples}).(type) {
+	case wire.IngestResponse:
+		return nil
+	case wire.ErrorResponse:
+		return fmt.Errorf("mirror engine refused its stream: %s", resp.Msg)
+	default:
+		return fmt.Errorf("mirror engine answered an ingest with %T", resp)
+	}
+}
+
+// appendLocked extends the mirror with the next tuples of its stream:
+// the engine first, when one is built, then the log, which sheds its
+// leading tuples in evicted windows. Tuples that fail validation, or
+// that the engine refuses, are refused whole, so the log and the engine
+// never differ. Caller holds mir.mu.
+func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
+	if err := tuple.Batch(tuples).Validate(); err != nil {
+		return err
+	}
+	if mir.h != nil {
+		if err := applyTo(mir.h, mir.pol, tuples); err != nil {
+			return err
+		}
+	}
+	mir.log.append(tuples)
+	mir.keep.add(tuples)
+	k := 0
+	for k < mir.log.n && mir.keep.evicted(mir.log.at(k)) {
+		k++
+	}
+	mir.log.drop(k)
+	return nil
 }
 
 // handleReplicaIngest applies one streamed slice to the mirror of its
@@ -436,17 +563,11 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 		r.schedulePullLocked(origin, m.Pollutant, mir)
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: sequence gap (have %d, got %d)", have, m.Seq)}
 	}
-	tuples := m.Tuples[have-m.Seq:]
-	resp := mir.h.HandleMessage(wire.IngestRequest{Pollutant: m.Pollutant, Tuples: tuples})
-	if _, ok := resp.(wire.IngestResponse); !ok {
-		if er, isErr := resp.(wire.ErrorResponse); isErr {
-			return wire.ErrorResponse{Msg: "replica: mirror apply: " + er.Msg}
-		}
-		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: mirror apply: unexpected %T", resp)}
+	if err := mir.appendLocked(m.Tuples[have-m.Seq:]); err != nil {
+		return wire.ErrorResponse{Msg: "replica: mirror apply: " + err.Error()}
 	}
-	mir.log.append(tuples)
 	r.applied.Add(1)
-	return wire.IngestResponse{Ingested: uint32(len(tuples))}
+	return wire.IngestResponse{Ingested: uint32(end - have)}
 }
 
 // schedulePullLocked starts (once) a catch-up session for a mirror.
@@ -491,48 +612,36 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 		if !ok {
 			return
 		}
-		// A snapshot reset swaps in a fresh mirror engine; build it (the
-		// factory may be slow) before taking the mirror lock, and close
-		// the replaced handler after releasing it.
-		var fresh, old Handler
-		if cr.Snapshot {
-			fresh = r.newMirror()
-		}
-		mir.mu.Lock()
-		if cr.Snapshot {
-			old = mir.h
-			mir.h = fresh
-			mir.log.reset(cr.From)
-			r.snapshots.Add(1)
-		}
-		done := r.applyChunkLocked(mir, pol, cr)
-		mir.mu.Unlock()
-		if c, isCloser := old.(io.Closer); isCloser {
-			c.Close()
-		}
-		if done {
+		if r.applyChunk(mir, cr) {
 			return
 		}
 	}
 }
 
-// applyChunkLocked applies one catch-up chunk to a mirror; it reports
-// whether the session is over (converged, or the chunk did not line up
-// and the session aborts). Caller holds mir.mu.
-func (r *replicator) applyChunkLocked(mir *mirror, pol tuple.Pollutant, cr wire.ReplicaCatchupResponse) bool {
+// applyChunk applies one catch-up chunk to a mirror and reports whether
+// the session is over (converged, or the chunk did not line up and the
+// session aborts). A snapshot reset first empties the log and drops the
+// engine, which the next read rebuilds from the replayed log.
+func (r *replicator) applyChunk(mir *mirror, cr wire.ReplicaCatchupResponse) bool {
+	var stale Handler
+	mir.mu.Lock()
+	if cr.Snapshot {
+		stale, mir.h = mir.h, nil
+		mir.log.reset(cr.From)
+		mir.keep.reset()
+		r.snapshots.Add(1)
+	}
 	have, end := mir.log.next(), cr.From+uint64(len(cr.Tuples))
-	if cr.From > have {
-		return true // chunk does not line up (log moved); next gap retries
+	done := cr.Done
+	switch {
+	case cr.From > have:
+		done = true // chunk does not line up (log moved); next gap retries
+	case end > have && mir.appendLocked(cr.Tuples[have-cr.From:]) != nil:
+		done = true // mirror refused; next gap retries
 	}
-	if end > have {
-		tuples := cr.Tuples[have-cr.From:]
-		resp := mir.h.HandleMessage(wire.IngestRequest{Pollutant: pol, Tuples: tuples})
-		if _, ok := resp.(wire.IngestResponse); !ok {
-			return true // mirror refused (e.g. saturated); next gap retries
-		}
-		mir.log.append(tuples)
-	}
-	return cr.Done
+	mir.mu.Unlock()
+	closeEngine(stale)
+	return done
 }
 
 // handleReplicaRead answers a read from the mirror of the named origin
@@ -590,14 +699,30 @@ func (n *Node) handleReplicaRead(m wire.ReplicaRead) wire.Message {
 	}
 }
 
-// mirrorAnswer answers one request from an existing mirror.
+// mirrorAnswer answers one request from an existing mirror, building its
+// engine if this is the mirror's first read.
 func (r *replicator) mirrorAnswer(origin int, pol tuple.Pollutant, m wire.Message) wire.Message {
-	mir := r.lookupMirror(origin, pol)
-	if mir == nil {
-		return replicaMiss(fmt.Sprintf("no mirror of node %d", origin))
+	h, miss := r.mirrorEngine(origin, pol)
+	if h == nil {
+		return miss
 	}
 	r.reads.Add(1)
-	return mir.handler().HandleMessage(m)
+	return h.HandleMessage(m)
+}
+
+// mirrorEngine returns the engine of this node's mirror of origin's pol
+// stream, built on first use, or — when there is no mirror or its engine
+// cannot be built — the replica miss to answer instead.
+func (r *replicator) mirrorEngine(origin int, pol tuple.Pollutant) (Handler, wire.ErrorResponse) {
+	mir := r.lookupMirror(origin, pol)
+	if mir == nil {
+		return nil, replicaMiss(fmt.Sprintf("no mirror of node %d", origin))
+	}
+	h, err := r.engine(mir)
+	if err != nil {
+		return nil, replicaMiss(fmt.Sprintf("mirror of node %d: %v", origin, err))
+	}
+	return h, wire.ErrorResponse{}
 }
 
 // --- failover read path ----------------------------------------------

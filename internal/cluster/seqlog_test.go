@@ -3,8 +3,10 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -237,6 +239,96 @@ func BenchmarkReplLogFillToCap(b *testing.B) {
 		lg := seqLog{retain: logRetain}
 		for lg.n < logRetain {
 			lg.append(batch)
+		}
+	}
+}
+
+// TestUncappedSeqLogMatchesNaiveModel: a mirror's log has no cap and
+// loses tuples only from its head, through drop. Random appends and drops
+// — drops emptying whole chunks, which move to the end for reuse — keep
+// start, next, the head, the replayed runs and the suffixes equal to the
+// model's.
+func TestUncappedSeqLogMatchesNaiveModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var lg seqLog
+	var model naiveLog
+	var seq float64
+	for step := 0; step < 300; step++ {
+		if step == 150 {
+			from := lg.next() + 3
+			lg.reset(from)
+			model = naiveLog{start: from}
+		}
+		b := make([]tuple.Raw, rng.Intn(3*seqChunk/2))
+		for i := range b {
+			seq++
+			b[i] = tuple.Raw{T: seq, X: rng.Float64()}
+		}
+		lg.append(b)
+		model.tuples = append(model.tuples, b...)
+		if k := rng.Intn(len(model.tuples) + 1); rng.Intn(3) == 0 {
+			lg.drop(k)
+			model.start += uint64(k)
+			model.tuples = model.tuples[k:]
+		}
+		next := model.start + uint64(len(model.tuples))
+		if lg.start != model.start || lg.next() != next {
+			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.start, lg.next(), model.start, next)
+		}
+		if lg.n > 0 && lg.at(0) != model.tuples[0] {
+			t.Fatalf("step %d: head %v, model %v", step, lg.at(0), model.tuples[0])
+		}
+		var replayed []tuple.Raw
+		lg.runs(func(run []tuple.Raw) bool {
+			replayed = append(replayed, run...)
+			return true
+		})
+		if len(replayed) != len(model.tuples) || (len(replayed) > 0 && !reflect.DeepEqual(replayed, model.tuples)) {
+			t.Fatalf("step %d: runs replay %d tuples, model holds %d", step, len(replayed), len(model.tuples))
+		}
+		for _, have := range []uint64{model.start, model.start + uint64(len(model.tuples)/3), next} {
+			if got, want := lg.suffix(have, seqChunk+5), model.suffix(have, seqChunk+5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: suffix(%d) differs from the model", step, have)
+			}
+		}
+	}
+}
+
+// TestRetentionMatchesStoreEviction: retention names a tuple of a window
+// it has seen evicted exactly when a store of the same window length and
+// Retain, fed the same tuples, holds no such window — late tuples for
+// windows already evicted included.
+func TestRetentionMatchesStoreEviction(t *testing.T) {
+	const window, retain = 10.0, 3
+	rng := rand.New(rand.NewSource(4))
+	k := retention{window: window, retain: retain}
+	st, err := store.Open(store.Config{WindowLength: window, Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	clock := 0.0
+	seen := make(map[int]bool)
+	for step := 0; step < 200; step++ {
+		b := make(tuple.Batch, 1+rng.Intn(6))
+		for i := range b {
+			clock += rng.Float64() * 4
+			b[i] = tuple.Raw{T: max(0, clock-float64(rng.Intn(2))*float64(rng.Intn(6))*window)}
+		}
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		k.add(b)
+		for _, tp := range b {
+			seen[tuple.WindowIndex(tp.T, window)] = true
+		}
+		held := st.WindowIndexes()
+		for c := range seen {
+			tp := tuple.Raw{T: float64(c)*window + 1}
+			if slices.Contains(held, c) == k.evicted(tp) {
+				t.Fatalf("step %d: window %d held by the store = %v, evicted by retention = %v (store holds %v, retention %v)",
+					step, c, slices.Contains(held, c), k.evicted(tp), held, k.newest)
+			}
 		}
 	}
 }

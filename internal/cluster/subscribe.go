@@ -265,11 +265,8 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 			if n.repl == nil {
 				continue
 			}
-			mir := n.repl.lookupMirror(l.owner, l.pol)
-			if mir == nil {
-				continue
-			}
-			ls, ok := mir.handler().(LocalEngine)
+			mh, _ := n.repl.mirrorEngine(l.owner, l.pol)
+			ls, ok := mh.(LocalEngine)
 			if !ok {
 				continue
 			}
@@ -347,11 +344,11 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 			return replicaMiss("node does not replicate"), noop, func() {}, true
 		}
 		pol := inner.Pollutant
-		mir := n.repl.lookupMirror(int(m.Origin), pol)
-		if mir == nil {
-			return replicaMiss(fmt.Sprintf("no mirror of node %d", m.Origin)), noop, func() {}, true
+		mh, miss := n.repl.mirrorEngine(int(m.Origin), pol)
+		if mh == nil {
+			return miss, noop, func() {}, true
 		}
-		ls, isLS := mir.handler().(LocalEngine)
+		ls, isLS := mh.(LocalEngine)
 		if !isLS {
 			return replicaMiss("mirror holds no subscription registry"), noop, func() {}, true
 		}

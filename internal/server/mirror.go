@@ -10,13 +10,17 @@ import (
 // volatile in-memory store per pollutant with the primary's window
 // length, retention and model configuration — so replaying the primary's
 // committed ingests converges to byte-equal answers — and no background
-// cover builders. A mirror is written on every streamed replica frame
-// but read only on failover or not at all (promotion replays its log
-// into the node's own engine), so it is lazy: an applied
-// frame just drops the touched windows' covers, and a window's cover is
-// built when it is first read. The first failover read of a window
-// therefore pays one build. Mirrors are not persisted — a restarted
-// replica re-syncs from the primary's replication log or a snapshot.
+// cover builders. A mirror is read only on failover or not at all
+// (promotion replays its log into the node's own engine), so it is lazy
+// twice over. The cluster node keeps a mirror as its replication log
+// alone and calls the factory that runs this on the mirror's first
+// failover read (or subscription re-home), replaying the log into the new
+// engine; frames after that apply to both. And an applied frame just
+// drops the touched windows' covers: a window's cover is built when it
+// is first read. The first failover read of an origin therefore pays one
+// log replay, and of each window one build. Mirrors are not persisted —
+// a restarted replica re-syncs from the primary's replication log or a
+// snapshot.
 func NewMirrorEngine(pollutants []tuple.Pollutant, windowLength float64, retain int, cfg core.Config) (*Engine, error) {
 	stores := make(map[tuple.Pollutant]*store.Store, len(pollutants))
 	closeStores := func() {
