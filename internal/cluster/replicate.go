@@ -11,7 +11,8 @@
 //
 // A mirror is its log: the primary's committed ingests in commit order,
 // less the tuples of windows the mirror engine's retention would already
-// have evicted. The engine that answers failover reads and re-homed
+// have evicted, every full chunk of it packed in colblock's columns
+// (seqLog). The engine that answers failover reads and re-homed
 // subscriptions is built on the first such use by replaying that log in
 // commit order, and from then on every frame applies to both. Replaying
 // the commit order is what makes a mirror's answers byte-equal to the
@@ -71,9 +72,10 @@ const (
 	// path; the replica detects the sequence gap and heals via catch-up.
 	replQueue = 256
 	// logRetain caps each pollutant's replication log on its primary
-	// (tuples). A replica behind the log start takes a snapshot reset;
-	// the cap should comfortably cover the engines' retention window so
-	// resets stay rare. Mirror logs have no cap (see retention).
+	// (tuples; ≈ 3 MiB packed). A replica behind the log start takes a
+	// snapshot reset; the cap should comfortably cover the engines'
+	// retention window so resets stay rare. Mirror logs have no cap (see
+	// retention).
 	logRetain = 1 << 17
 	// maxPullRounds bounds one catch-up session (4+ full logs); a
 	// replica that cannot converge in that many chunks re-enters
@@ -183,9 +185,11 @@ func (k *retention) add(tuples []tuple.Raw) {
 	}
 }
 
-// evicted reports whether tp lies in a window the store has evicted.
-func (k *retention) evicted(tp tuple.Raw) bool {
-	return k.retain > 0 && len(k.newest) == k.retain && tuple.WindowIndex(tp.T, k.window) < k.newest[0]
+// evicted reports whether time t lies in a window the store has evicted.
+// It is monotone, as seqLog.dropWhile needs: an evicted time's earlier
+// times are evicted too.
+func (k *retention) evicted(t float64) bool {
+	return k.retain > 0 && len(k.newest) == k.retain && tuple.WindowIndex(t, k.window) < k.newest[0]
 }
 
 // reset forgets every window (a snapshot reset).
@@ -530,11 +534,7 @@ func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
 	}
 	mir.log.append(tuples)
 	mir.keep.add(tuples)
-	k := 0
-	for k < mir.log.n && mir.keep.evicted(mir.log.at(k)) {
-		k++
-	}
-	mir.log.drop(k)
+	mir.log.dropWhile(mir.keep.evicted)
 	return nil
 }
 

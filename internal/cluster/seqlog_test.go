@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -78,8 +81,8 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("retain %d step %d: [start,next) = [%d,%d), model [%d,%d)",
 					retain, step, lg.start, lg.next(), model.start, next)
 			}
-			if held := lg.slots(); held > retain {
-				t.Fatalf("retain %d step %d: ring holds capacity for %d tuples", retain, step, held)
+			if held, most := lg.slots(), retain+2*seqChunk; held > most {
+				t.Fatalf("retain %d step %d: log holds memory for %d tuples, want ≤ %d", retain, step, held, most)
 			}
 			lo := uint64(0)
 			if model.start > 2 {
@@ -102,7 +105,7 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 }
 
 // TestSeqLogSuffixIsACopy: a chunk handed to a puller must not alias the
-// ring, which later appends overwrite in place.
+// log's open chunk, whose memory later appends reuse.
 func TestSeqLogSuffixIsACopy(t *testing.T) {
 	lg := seqLog{retain: 4}
 	lg.append([]tuple.Raw{{T: 1}, {T: 2}, {T: 3}, {T: 4}})
@@ -113,33 +116,32 @@ func TestSeqLogSuffixIsACopy(t *testing.T) {
 	}
 }
 
-// slots counts the tuples the log's chunks have memory for, spare
-// capacity included.
-func (l *seqLog) slots() int {
-	n := 0
-	for _, c := range l.chunks {
-		n += cap(c)
-	}
-	return n
-}
+// slots counts the tuples the log has memory for: the open chunk's room
+// and every sealed chunk's tuples, dropped ones included.
+func (l *seqLog) slots() int { return cap(l.open) + len(l.sealed)*seqChunk }
 
-// fullSeqLog returns a log already at its cap.
+// fullSeqLog returns a log at its cap that has already released a sealed
+// chunk: the steady state of a long-running primary.
 func fullSeqLog(retain int) *seqLog {
 	lg := &seqLog{retain: retain}
-	lg.append(make([]tuple.Raw, retain))
+	lg.append(make([]tuple.Raw, retain+seqChunk))
 	return lg
 }
 
-// TestSeqLogAppendAtCapAllocatesNothing: at the cap an append overwrites
-// the oldest tuples in place.
+// TestSeqLogAppendAtCapAllocatesNothing: at the cap an append packs a
+// chunk into the memory of the chunk it releases.
 func TestSeqLogAppendAtCapAllocatesNothing(t *testing.T) {
-	lg := fullSeqLog(1 << 12)
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	const retain = 1 << 12
+	lg := fullSeqLog(retain)
 	batch := make([]tuple.Raw, 256)
 	if allocs := testing.AllocsPerRun(100, func() { lg.append(batch) }); allocs != 0 {
 		t.Errorf("append at the cap = %v allocs, want 0", allocs)
 	}
-	if lg.size != 1<<12 || lg.slots() != 1<<12 {
-		t.Errorf("ring is %d/%d tuples, want exactly the cap %d", lg.size, lg.slots(), 1<<12)
+	if held, most := lg.slots(), retain+2*seqChunk; lg.n != retain || held > most {
+		t.Errorf("log retains %d tuples in memory for %d, want exactly the cap %d in ≤ %d", lg.n, held, retain, most)
 	}
 }
 
@@ -156,12 +158,13 @@ func BenchmarkReplLogAppendAtCap(b *testing.B) {
 	}
 }
 
-// TestSeqLogGrowsByChunksWithoutMoving: a log larger than one chunk opens
-// chunks as it fills — one per seqChunk tuples, none of the earlier ones
-// moving, the last cut so the total is exactly retain — and, once full,
-// wraps across chunk boundaries with the same answers as the naive model.
+// TestSeqLogGrowsByChunksWithoutMoving: a log larger than one chunk seals
+// a chunk each time seqChunk tuples have arrived — a sealed chunk's bytes
+// never move or change while the log retains any of its tuples — and, once
+// at its cap, releases chunks from its head with the same answers as the
+// naive model.
 func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
-	const retain = 2*seqChunk + 300 // three chunks, the last one short
+	const retain = 2*seqChunk + 300 // two sealed chunks and an open one when full
 	lg := seqLog{retain: retain}
 	var model naiveLog
 	rng := rand.New(rand.NewSource(5))
@@ -190,42 +193,62 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 		}
 	}
 
-	var opened []*tuple.Raw // the first slot of every chunk, as it was when the chunk was opened
-	for step := 0; lg.size < retain; step++ {
-		b := batch(256)
-		lg.append(b)
-		model.append(b, retain)
-		if want := (min(lg.n, retain) + seqChunk - 1) / seqChunk; len(lg.chunks) != want {
-			t.Fatalf("step %d: %d tuples in %d chunks, want %d", step, lg.n, len(lg.chunks), want)
-		}
-		for i, c := range lg.chunks {
-			if i == len(opened) {
-				opened = append(opened, &c[0])
-			} else if opened[i] != &c[0] {
-				t.Fatalf("step %d: chunk %d moved when the log grew", step, i)
+	// sealed maps the sequence of every sealed chunk's first tuple to the
+	// chunk's first byte and a copy of its bytes, as they were when sealed.
+	type sealedAs struct {
+		at    *byte
+		bytes []byte
+	}
+	sealed := make(map[uint64]sealedAs)
+	checkSealed := func(step int) {
+		t.Helper()
+		first := lg.start - uint64(lg.head)
+		for i, c := range lg.sealed {
+			seq := first + uint64(i*seqChunk)
+			was, ok := sealed[seq]
+			if !ok {
+				sealed[seq] = sealedAs{at: &c.packed[0], bytes: slices.Clone(c.packed)}
+				continue
+			}
+			if was.at != &c.packed[0] || !bytes.Equal(was.bytes, c.packed) {
+				t.Fatalf("step %d: sealed chunk %d (from sequence %d) moved or changed", step, i, seq)
 			}
 		}
+	}
+	for step := 0; lg.n < retain; step++ {
+		b := batch(min(256, retain-lg.n))
+		lg.append(b)
+		model.append(b, retain)
+		if len(lg.sealed) != lg.n/seqChunk || len(lg.open) != lg.n%seqChunk {
+			t.Fatalf("step %d: %d tuples in %d sealed chunks and %d open, want %d and %d",
+				step, lg.n, len(lg.sealed), len(lg.open), lg.n/seqChunk, lg.n%seqChunk)
+		}
+		checkSealed(step)
 		compare(step)
 	}
-	if lg.slots() != retain || len(lg.chunks) != 3 || len(lg.chunks[2]) != 300 {
-		t.Fatalf("full log holds %d slots in %d chunks, want exactly %d in 3", lg.slots(), len(lg.chunks), retain)
+	if len(lg.sealed) != 2 || len(lg.open) != 300 || cap(lg.open) != seqChunk {
+		t.Fatalf("full log holds %d sealed chunks and %d/%d open, want 2 and 300/%d", len(lg.sealed), len(lg.open), cap(lg.open), seqChunk)
 	}
-	for step := 0; step < 40; step++ { // several times round the ring
+	for step := 0; step < 40; step++ { // several times through the whole log
 		b := batch(1 + rng.Intn(700))
 		lg.append(b)
 		model.append(b, retain)
+		checkSealed(step)
 		compare(step)
+		if held, most := lg.slots(), retain+2*seqChunk; held > most {
+			t.Fatalf("step %d: log holds memory for %d tuples, want ≤ %d", step, held, most)
+		}
 	}
-	if allocs := testing.AllocsPerRun(50, func() { lg.append(model.tuples[:700]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { lg.append(model.tuples[:700]) }); allocs != 0 && !raceEnabled {
 		t.Errorf("append at the cap, across chunk boundaries = %v allocs, want 0", allocs)
 	}
 
-	// Below the cap an append allocates only when it opens a chunk: none of
-	// these leaves the first one.
+	// Below the cap an append allocates only when it opens the log: none of
+	// these seals a chunk.
 	small := seqLog{retain: retain}
 	small.append(batch(1))
-	if allocs := testing.AllocsPerRun(100, func() { small.append(model.tuples[:5]) }); allocs != 0 || len(small.chunks) != 1 {
-		t.Errorf("appends inside an open chunk = %v allocs (%d chunks), want 0 (1)", allocs, len(small.chunks))
+	if allocs := testing.AllocsPerRun(100, func() { small.append(model.tuples[:5]) }); allocs != 0 || len(small.sealed) != 0 {
+		t.Errorf("appends inside the open chunk = %v allocs (%d sealed chunks), want 0 (0)", allocs, len(small.sealed))
 	}
 }
 
@@ -275,9 +298,6 @@ func TestUncappedSeqLogMatchesNaiveModel(t *testing.T) {
 		if lg.start != model.start || lg.next() != next {
 			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.start, lg.next(), model.start, next)
 		}
-		if lg.n > 0 && lg.at(0) != model.tuples[0] {
-			t.Fatalf("step %d: head %v, model %v", step, lg.at(0), model.tuples[0])
-		}
 		var replayed []tuple.Raw
 		lg.runs(func(run []tuple.Raw) bool {
 			replayed = append(replayed, run...)
@@ -325,10 +345,133 @@ func TestRetentionMatchesStoreEviction(t *testing.T) {
 		held := st.WindowIndexes()
 		for c := range seen {
 			tp := tuple.Raw{T: float64(c)*window + 1}
-			if slices.Contains(held, c) == k.evicted(tp) {
+			if slices.Contains(held, c) == k.evicted(tp.T) {
 				t.Fatalf("step %d: window %d held by the store = %v, evicted by retention = %v (store holds %v, retention %v)",
-					step, c, slices.Contains(held, c), k.evicted(tp), held, k.newest)
+					step, c, slices.Contains(held, c), k.evicted(tp.T), held, k.newest)
 			}
 		}
 	}
+}
+
+// TestPackedSeqLogProperty drives logs through seeded random histories —
+// appends from one tuple to two chunks; drops by count and by eviction,
+// with one tuple in eight late and the eviction boundary creeping a few
+// seconds at a time as well as jumping, so it keeps landing inside a
+// chunk and right after a chunk's first retained tuple; snapshot resets
+// — capped below a chunk, above it and not at all, and after every step
+// holds them to the naive model: the sequence space, the replay and
+// every suffix bit for bit, and the memory ceiling. A failure names its seed. Under the race detector, which has
+// nothing to find in a log with no goroutines, one seed runs per cap.
+func TestPackedSeqLogProperty(t *testing.T) {
+	seeds := int64(8)
+	if raceEnabled {
+		seeds = 1
+	}
+	for _, retain := range []int{0, 700, 2*seqChunk + 300} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			packedLogHistory(t, seed, retain)
+		}
+	}
+}
+
+func packedLogHistory(t *testing.T, seed int64, retain int) {
+	name := fmt.Sprintf("seed %d, retain %d", seed, retain)
+	rng := rand.New(rand.NewSource(seed))
+	lg := seqLog{retain: retain}
+	var model naiveLog
+	var clock, cut float64 // stream time; times before cut are evicted
+	evicted := func(t float64) bool { return t < cut }
+	gen := func(n int) []tuple.Raw {
+		b := make([]tuple.Raw, n)
+		for i := range b {
+			clock += float64(rng.Intn(3))
+			ts := clock
+			if rng.Intn(8) == 0 {
+				ts = max(0, ts-float64(rng.Intn(3000))) // late
+			}
+			y := rng.NormFloat64() * 1000
+			switch rng.Intn(40) {
+			case 0:
+				y = math.Copysign(0, -1)
+			case 1:
+				y = 5e-324
+			}
+			b[i] = tuple.Raw{T: ts, X: rng.Float64() * 3000, Y: y, S: float64(rng.Intn(800)) / 8}
+		}
+		return b
+	}
+	for step := 0; step < 200; step++ {
+		op := rng.Intn(10)
+		switch {
+		case op < 5:
+			b := gen(1 + rng.Intn(2*seqChunk))
+			lg.append(b)
+			if retain > 0 {
+				model.append(b, retain)
+			} else {
+				model.tuples = append(model.tuples, b...)
+			}
+		case op < 7 && retain == 0:
+			k := rng.Intn(len(model.tuples) + 1)
+			if rng.Intn(2) == 0 { // a few tuples: the head stays in its chunk
+				k = min(k, rng.Intn(40))
+			}
+			lg.drop(k)
+			model.start += uint64(k)
+			model.tuples = model.tuples[k:]
+		case op < 9 && retain == 0:
+			if rng.Intn(2) == 0 { // a step: the boundary creeps through a chunk
+				cut += float64(rng.Intn(4))
+			} else {
+				cut = max(cut, clock-float64(rng.Intn(4000)))
+			}
+			lg.dropWhile(evicted)
+			k := 0
+			for k < len(model.tuples) && evicted(model.tuples[k].T) {
+				k++
+			}
+			model.start += uint64(k)
+			model.tuples = model.tuples[k:]
+		case op == 9:
+			from := model.start + uint64(len(model.tuples)) + uint64(rng.Intn(5))
+			lg.reset(from)
+			model = naiveLog{start: from}
+		}
+
+		next := model.start + uint64(len(model.tuples))
+		if lg.start != model.start || lg.next() != next {
+			t.Fatalf("%s, step %d: [start,next) = [%d,%d), model [%d,%d)", name, step, lg.start, lg.next(), model.start, next)
+		}
+		var replayed []tuple.Raw
+		lg.runs(func(run []tuple.Raw) bool {
+			replayed = append(replayed, run...)
+			return true
+		})
+		if !bitEqualTuples(replayed, model.tuples) {
+			t.Fatalf("%s, step %d: runs replay %d tuples that differ from the model's %d", name, step, len(replayed), len(model.tuples))
+		}
+		for range 4 {
+			have := model.start + uint64(rng.Intn(len(model.tuples)+1))
+			limit := 1 + rng.Intn(3*seqChunk)
+			got, want := lg.suffix(have, limit), model.suffix(have, limit)
+			if got.From != want.From || got.Snapshot != want.Snapshot || got.Done != want.Done || !bitEqualTuples(got.Tuples, want.Tuples) {
+				t.Fatalf("%s, step %d: suffix(%d, %d) over [%d,%d) differs from the model", name, step, have, limit, model.start, next)
+			}
+		}
+		if retain > 0 {
+			if held, most := lg.slots(), retain+2*seqChunk; held > most {
+				t.Fatalf("%s, step %d: log holds memory for %d tuples, want ≤ %d", name, step, held, most)
+			}
+		} else if len(lg.sealed) > 0 && lg.head >= seqChunk {
+			t.Fatalf("%s, step %d: the oldest sealed chunk retains none of its tuples", name, step)
+		}
+	}
+}
+
+// bitEqualTuples compares tuples bit for bit (negative zero included).
+func bitEqualTuples(a, b []tuple.Raw) bool {
+	return slices.EqualFunc(a, b, func(x, y tuple.Raw) bool {
+		return math.Float64bits(x.T) == math.Float64bits(y.T) && math.Float64bits(x.X) == math.Float64bits(y.X) &&
+			math.Float64bits(x.Y) == math.Float64bits(y.Y) && math.Float64bits(x.S) == math.Float64bits(y.S)
+	})
 }

@@ -73,7 +73,8 @@ func FuzzColBlockDecode(f *testing.F) {
 // after a first byte that picks the block size, 32 bytes a tuple (T, X, Y,
 // S, little-endian) — and requires what the encoder writes from them to
 // verify and to decode bit-equal to them: whatever the values, the
-// encoder's choice of scale, base and width must be lossless.
+// encoder's choice of scale, base and width must be lossless. The same
+// tuples, packed as one run, must unpack bit-equal too.
 func FuzzColBlockRoundTrip(f *testing.F) {
 	add := func(blockTuples byte, b tuple.Batch) {
 		data := []byte{blockTuples}
@@ -109,5 +110,6 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 			}
 		}
 		requireRoundTrip(t, []WindowData{{Window: 1, Tuples: b}}, blockTuples)
+		requirePackRoundTrip(t, b)
 	})
 }
