@@ -219,7 +219,7 @@ func BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
 // the request path, one in a replica mirror alike. While builds follow
 // one another (a preload, a written window) each finds the scratch the
 // last one left; a node that stops building gives the memory back at the
-// next collections instead of holding ≈ 160 KB per worker for good.
+// next collections instead of holding ≈ 190 KB per worker for good.
 var builders = sync.Pool{New: func() any { return new(Builder) }}
 
 // Builder builds covers with scratch it keeps from one split round to the
@@ -235,10 +235,10 @@ type Builder struct {
 	// store (Store.WindowInto); BuildCover itself never touches it.
 	win tuple.Batch
 
-	pts  []geo.Point
-	km   kmeans.Clusterer
-	seed []geo.Point // the centroids a split round refines from
-	fit  regress.Fitter
+	pts []geo.Point
+	km  kmeans.Clusterer
+	add []geo.Point // the centroids a split round adds
+	fit regress.Fitter
 
 	// The observations grouped by region: the t, x, y and s columns,
 	// len(w) each, in cols; region j's rows end at ends[j] and start where
@@ -292,14 +292,15 @@ func (b *Builder) BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cove
 		// Collect one split point per offending region: the worst-error
 		// tuple position in that region (Figure 2's "positions with worst
 		// error" become the injected centroids).
-		b.seed = append(b.seed[:0], res.Centroids...)
-		b.splitCandidates(w, res, cfg, maxK)
-		if len(b.seed) == len(res.Centroids) {
+		b.add = b.add[:0]
+		b.splitCandidates(w, res, cfg, maxK-len(res.Centroids))
+		if len(b.add) == 0 {
 			break // every region meets τn
 		}
-		res, err = b.km.Refine(pts, b.seed, cfg.Cluster)
+		// Lloyd continues from the round's converged state.
+		res, err = b.km.Split(pts, b.add, cfg.Cluster)
 		if err != nil {
-			return nil, fmt.Errorf("core: refine after split: %w", err)
+			return nil, fmt.Errorf("core: re-estimate after split: %w", err)
 		}
 	}
 	cv := b.cover(w, c, h, cfg)
@@ -487,11 +488,11 @@ func (b *Builder) fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, norm
 	return nil
 }
 
-// splitCandidates appends to b.seed new centroid positions for regions
-// whose approximation error exceeds τn, capped so the total stays within
-// maxK. Regions below MinRegionTuples are never split: their residual
-// error is noise, not structure.
-func (b *Builder) splitCandidates(w tuple.Batch, res *kmeans.Result, cfg Config, maxK int) {
+// splitCandidates appends to b.add new centroid positions for regions
+// whose approximation error exceeds τn, at most budget of them. Regions
+// below MinRegionTuples are never split: their residual error is noise,
+// not structure.
+func (b *Builder) splitCandidates(w tuple.Batch, res *kmeans.Result, cfg Config, budget int) {
 	tau := cfg.ErrThreshold
 	// For each offending cluster, find its worst-error tuple position.
 	worst := b.worst[:len(res.Centroids)]
@@ -511,13 +512,13 @@ func (b *Builder) splitCandidates(w tuple.Batch, res *kmeans.Result, cfg Config,
 		}
 	}
 	for a := range worst {
-		if len(b.seed) >= maxK {
+		if len(b.add) >= budget {
 			break
 		}
 		// Do not inject a centroid that coincides with the existing one:
 		// it would create a duplicate cluster with no splitting effect.
 		if worst[a].bad && worst[a].pos != res.Centroids[a] {
-			b.seed = append(b.seed, worst[a].pos)
+			b.add = append(b.add, worst[a].pos)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // centroid assignment, and incremental centroid addition (Ad-KMN grows the
 // centroid set by "introducing an additional cluster centroid" in regions
 // whose model error exceeds the threshold and then re-estimating all
-// centroids). The same nearest-centroid primitive underlies both the
+// centroids, which Clusterer.Split continues from the last round's Lloyd
+// state). The same nearest-centroid primitive underlies both the
 // model-cover lookup (internal/core) and the geo-cell shard map of the
 // serving cluster (internal/cluster), so it lives below both.
 package kmeans
@@ -59,46 +60,61 @@ func Run(pts []geo.Point, k int, cfg Config) (*Result, error) {
 	return new(Clusterer).Run(pts, k, cfg)
 }
 
-// Refine runs Lloyd iterations starting from the provided centroids. This
-// is the Ad-KMN "re-estimate all the centroids" step: after new centroids
-// are injected at high-error positions, the full set is refined together.
-// Empty clusters are re-seeded at the point farthest from its centroid, so
-// the result always has exactly len(start) non-empty clusters when
-// len(pts) ≥ len(start).
-func Refine(pts []geo.Point, start []geo.Point, cfg Config) (*Result, error) {
-	return new(Clusterer).Refine(pts, start, cfg)
-}
-
 // Clusterer runs k-means with arrays it keeps between runs, so a caller
-// that clusters again and again — Ad-KMN refines once per split round, a
-// build worker builds cover after cover — allocates them once. The Result
-// of Run and Refine points into those arrays: it is valid until the next
-// call on the same Clusterer, which overwrites it. A Clusterer must not be
-// used from two goroutines at once; the zero value is ready.
+// that clusters again and again — Ad-KMN splits once per round, a build
+// worker builds cover after cover — allocates them once. The Result of Run
+// and Split points into those arrays: it is valid until the next call on
+// the same Clusterer, which overwrites it. A Clusterer must not be used
+// from two goroutines at once; the zero value is ready.
 type Clusterer struct {
 	centroids []geo.Point
-	assign    []int // per point: its centroid
-	sizes     []int // per centroid
-	// perPoint backs upper and lower, perCentroid backs sumX, sumY, half
-	// and move; see lloyd and reassign.
-	perPoint    []float64
-	perCentroid []float64
-	rng         *rand.Rand
-	res         Result
+	assign    []int      // per point: its centroid
+	bounds    []bounds   // per point; see reassign
+	cents     []centroid // per centroid; see lloyd and reassign
+	sizes     []int      // per centroid: Result.Sizes
+	rng       *rand.Rand
+	res       Result
+	// last holds the points the last Run or Split converged on, and k
+	// its centroid count: the state Split continues from.
+	last []geo.Point
+	k    int
+}
+
+// bounds holds what the assignment step knows of one point: upper bounds
+// its distance to the centroid it is assigned to, lower its distance to
+// every other centroid.
+type bounds struct{ upper, lower float64 }
+
+// centroid holds one cluster's part of a Lloyd iteration: half bounds
+// half its distance to the nearest other centroid from below, move how
+// far it went in the last update from above, drop how far that update
+// lowered the lower bound of the points assigned to it, and size, sumX
+// and sumY sum the points the assignment step gave it.
+type centroid struct {
+	half, move, drop float64
+	sumX, sumY       float64
+	size             int
 }
 
 // Reserve sizes the arrays for runs over up to n points and k centroids,
-// so a caller that knows how far it will grow k pays for them once.
+// so a caller that knows how far it will grow k pays for them once. What
+// the arrays hold survives, so Reserve may come between a Run and a Split.
 func (s *Clusterer) Reserve(n, k int) {
-	if cap(s.assign) < n {
-		s.assign = make([]int, n)
-		s.perPoint = make([]float64, 2*n)
+	s.assign = grow(s.assign, n)
+	s.bounds = grow(s.bounds, n)
+	s.centroids = grow(s.centroids, k)
+	s.cents = grow(s.cents, k)
+	s.sizes = grow(s.sizes, k)
+}
+
+// grow returns a with room for n elements, its contents kept.
+func grow[T any](a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:cap(a)]
 	}
-	if cap(s.centroids) < k {
-		s.centroids = make([]geo.Point, k)
-		s.sizes = make([]int, k)
-		s.perCentroid = make([]float64, 4*k)
-	}
+	b := make([]T, n)
+	copy(b, a[:cap(a)])
+	return b
 }
 
 // Run is the package-level Run on s's arrays.
@@ -115,19 +131,51 @@ func (s *Clusterer) Run(pts []geo.Point, k int, cfg Config) (*Result, error) {
 		s.rng.Seed(cfg.Seed)
 	}
 	// The seeding distances are dead before lloyd needs the bounds.
-	seedPlusPlus(s.centroids[:0], s.perPoint[:len(pts)], pts, k, s.rng)
-	return s.lloyd(pts, k, cfg), nil
+	seedPlusPlus(s.centroids[:0], s.bounds[:len(pts)], pts, k, s.rng)
+	return s.lloyd(pts, k, cfg, false), nil
 }
 
-// Refine is the package-level Refine on s's arrays. start may be (or
-// overlap) the Centroids of s's previous Result.
-func (s *Clusterer) Refine(pts []geo.Point, start []geo.Point, cfg Config) (*Result, error) {
-	if err := validate(pts, len(start)); err != nil {
+// Split is the Ad-KMN "re-estimate all the centroids" step after a split
+// round: it continues the previous Run or Split on s, which must have been
+// over the same pts, unchanged, with the centroids add joining the
+// converged ones. Its Result is what Lloyd iterations from the previous
+// Result's Centroids followed by add would give, bit for bit; empty
+// clusters are re-seeded at the point farthest from its centroid, so the
+// result has exactly as many non-empty clusters as centroids. add is not
+// retained.
+//
+// Only the added centroids can take a point from the centroid it has, so
+// the bounds of the previous result carry over: the upper bounds as they
+// are, each lower bound lowered to the point's distance to the nearest
+// added centroid — n·len(add) distances, not a scan of every centroid.
+func (s *Clusterer) Split(pts, add []geo.Point, cfg Config) (*Result, error) {
+	if len(pts) == 0 || len(pts) != len(s.last) || &pts[0] != &s.last[0] {
+		return nil, errors.New("cluster: split without a previous result on these points")
+	}
+	k := s.k + len(add)
+	if err := validate(pts, k); err != nil {
 		return nil, err
 	}
-	s.Reserve(len(pts), len(start))
-	copy(s.centroids[:len(start)], start)
-	return s.lloyd(pts, len(start), cfg.withDefaults()), nil
+	s.Reserve(len(pts), k)
+	copy(s.centroids[s.k:k], add)
+	bs := s.bounds[:len(pts)]
+	for i, p := range pts {
+		near := math.Inf(1)
+		for _, q := range add {
+			if d := p.Dist2(q); d < near {
+				near = d
+			}
+		}
+		// A lower bound that is NaN proves nothing and must stay so:
+		// nothing compares below it.
+		if l := lowerOf(math.Sqrt(near)); l < bs[i].lower {
+			bs[i].lower = l
+		}
+	}
+	for c := range s.cents[:k] {
+		s.cents[c].move = 0
+	}
+	return s.lloyd(pts, k, cfg.withDefaults(), true), nil
 }
 
 func validate(pts []geo.Point, k int) error {
@@ -146,16 +194,18 @@ func validate(pts []geo.Point, k int) error {
 // seedPlusPlus appends k initial centroids to centroids with the k-means++
 // strategy: the first uniformly, each subsequent one with probability
 // proportional to its squared distance from the nearest chosen centroid.
-// d2 is scratch, one element per point.
-func seedPlusPlus(centroids []geo.Point, d2 []float64, pts []geo.Point, k int, rng *rand.Rand) {
+// d2 is scratch, one element per point, whose upper field holds that
+// squared distance.
+func seedPlusPlus(centroids []geo.Point, d2 []bounds, pts []geo.Point, k int, rng *rand.Rand) {
+	d2 = d2[:len(pts)]
 	centroids = append(centroids, pts[rng.Intn(len(pts))])
 	for i, p := range pts {
-		d2[i] = p.Dist2(centroids[0])
+		d2[i].upper = p.Dist2(centroids[0])
 	}
 	for len(centroids) < k {
 		var total float64
 		for _, d := range d2 {
-			total += d
+			total += d.upper
 		}
 		var next geo.Point
 		if total <= 0 {
@@ -166,7 +216,7 @@ func seedPlusPlus(centroids []geo.Point, d2 []float64, pts []geo.Point, k int, r
 			idx := len(pts) - 1
 			var acc float64
 			for i, d := range d2 {
-				acc += d
+				acc += d.upper
 				if acc >= target {
 					idx = i
 					break
@@ -176,8 +226,8 @@ func seedPlusPlus(centroids []geo.Point, d2 []float64, pts []geo.Point, k int, r
 		}
 		centroids = append(centroids, next)
 		for i, p := range pts {
-			if d := p.Dist2(next); d < d2[i] {
-				d2[i] = d
+			if d := p.Dist2(next); d < d2[i].upper {
+				d2[i].upper = d
 			}
 		}
 	}
@@ -205,49 +255,36 @@ func upperOf(d float64) float64 { return d*(1+relSlack) + absSlack }
 func lowerOf(d float64) float64 { return d*(1-relSlack) - absSlack }
 
 // lloyd iterates assignment and centroid-update steps over s.centroids[:k]
-// until convergence. It computes what a full nearest-centroid scan of
-// every point in every iteration would, bit for bit (reference_test.go
-// keeps that loop): skipped points are exactly those whose scan would not
-// have moved them, and the per-cluster sums are still accumulated over
-// all points in input order.
-func (s *Clusterer) lloyd(pts []geo.Point, k int, cfg Config) *Result {
-	centroids := s.centroids[:k]
-	assign, sizes := s.assign[:len(pts)], s.sizes[:k]
-	sumX, sumY, move := s.perCentroid[:k], s.perCentroid[k:2*k], s.perCentroid[3*k:4*k]
-
-	// bounded says the bounds hold for the previous assignment and move
-	// holds how far each centroid has gone since.
-	bounded := false
+// until convergence, from the previous assignment and bounds when bounded
+// is set. It computes what a full nearest-centroid scan of every point in
+// every iteration would, bit for bit (reference_test.go keeps that loop):
+// skipped points are exactly those whose scan would not have moved them,
+// and the per-cluster sums are still accumulated over all points in input
+// order.
+func (s *Clusterer) lloyd(pts []geo.Point, k int, cfg Config, bounded bool) *Result {
+	centroids, cs := s.centroids[:k], s.cents[:k]
 	var iter int
 	for iter = 0; iter < cfg.MaxIterations; iter++ {
-		// Assignment step.
+		// Assignment step, which also sums the clusters.
 		s.reassign(pts, k, bounded)
-		for i := range sizes {
-			sizes[i], sumX[i], sumY[i] = 0, 0, 0
-		}
-		for i, p := range pts {
-			c := assign[i]
-			sizes[c]++
-			sumX[c] += p.X
-			sumY[c] += p.Y
-		}
 		// Update step.
 		maxMove := 0.0
 		bounded = true
-		for c := 0; c < k; c++ {
+		for c := range cs {
+			cc := &cs[c]
 			var next geo.Point
-			if sizes[c] == 0 {
+			if cc.size == 0 {
 				// Re-seed an empty cluster at the globally worst-served
 				// point to keep exactly k active clusters.
-				next = farthestPoint(pts, centroids, assign)
+				next = farthestPoint(pts, centroids, s.assign[:len(pts)])
 			} else {
-				next = geo.Point{X: sumX[c] / float64(sizes[c]), Y: sumY[c] / float64(sizes[c])}
+				next = geo.Point{X: cc.sumX / float64(cc.size), Y: cc.sumY / float64(cc.size)}
 			}
 			mv := next.Dist(centroids[c])
 			if mv > maxMove {
 				maxMove = mv
 			}
-			move[c] = upperOf(mv)
+			cc.move = upperOf(mv)
 			if !(mv <= math.MaxFloat64) {
 				bounded = false // NaN or infinite: nothing is known any more
 			}
@@ -261,14 +298,15 @@ func (s *Clusterer) lloyd(pts []geo.Point, k int, cfg Config) *Result {
 
 	// Final assignment with the converged centroids.
 	s.reassign(pts, k, bounded)
-	for i := range sizes {
-		sizes[i] = 0
+	assign, sizes := s.assign[:len(pts)], s.sizes[:k]
+	for c := range cs {
+		sizes[c] = cs[c].size
 	}
 	var inertia float64
 	for i, p := range pts {
-		sizes[assign[i]]++
 		inertia += p.Dist2(centroids[assign[i]])
 	}
+	s.last, s.k = pts, k
 	s.res = Result{
 		Centroids:  centroids,
 		Assign:     assign,
@@ -279,34 +317,41 @@ func (s *Clusterer) lloyd(pts []geo.Point, k int, cfg Config) *Result {
 	return &s.res
 }
 
-// reassign sets assign[i] = Nearest(centroids, pts[i]) for every point.
-// With bounded set, each point's bounds are first carried across the last
-// centroid moves, and a point whose upper bound is below its lower bound,
-// or below half the distance from its centroid to the nearest other one,
-// keeps its centroid unscanned. The comparison is false for a bound that
-// is NaN and refused for one that is infinite, so those points are scanned.
+// reassign sets assign[i] = Nearest(centroids, pts[i]) for every point and
+// sums each cluster's points in input order. With bounded set, each
+// point's bounds are first carried across the last centroid moves, and a
+// point whose upper bound is below its lower bound, or below half the
+// distance from its centroid to the nearest other one, keeps its centroid
+// unscanned. The comparison is false for a bound that is NaN and refused
+// for one that is infinite, so those points are scanned.
 func (s *Clusterer) reassign(pts []geo.Point, k int, bounded bool) {
-	n := len(pts)
-	centroids, assign := s.centroids[:k], s.assign[:n]
-	upper, lower := s.perPoint[:n], s.perPoint[n:2*n]
+	centroids, cs := s.centroids[:k], s.cents[:k]
+	assign, bs := s.assign[:len(pts)], s.bounds[:len(pts)]
+	for c := range cs {
+		cs[c].size, cs[c].sumX, cs[c].sumY = 0, 0, 0
+	}
 	if !bounded {
 		for i, p := range pts {
-			assign[i], upper[i], lower[i] = nearestTwo(centroids, p)
+			a, u, l := nearestTwo(centroids, p)
+			assign[i], bs[i] = a, bounds{u, l}
+			c := &cs[a]
+			c.size++
+			c.sumX += p.X
+			c.sumY += p.Y
 		}
 		return
 	}
-	half, move := s.perCentroid[2*k:3*k], s.perCentroid[3*k:4*k]
-	for a := range half {
-		half[a] = math.Inf(1)
+	for a := range cs {
+		cs[a].half = math.Inf(1)
 	}
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
 			d := centroids[a].Dist2(centroids[b])
-			if !(d >= half[a]) { // also when d is NaN
-				half[a] = d
+			if !(d >= cs[a].half) { // also when d is NaN
+				cs[a].half = d
 			}
-			if !(d >= half[b]) {
-				half[b] = d
+			if !(d >= cs[b].half) {
+				cs[b].half = d
 			}
 		}
 	}
@@ -315,39 +360,58 @@ func (s *Clusterer) reassign(pts []geo.Point, k int, bounded bool) {
 	// the centroid that made it.
 	var most, second float64
 	mover := 0
-	for c, mv := range move {
-		half[c] = lowerOf(0.5 * math.Sqrt(half[c]))
-		if mv > most {
+	for c := range cs {
+		cs[c].half = lowerOf(0.5 * math.Sqrt(cs[c].half))
+		if mv := cs[c].move; mv > most {
 			most, second, mover = mv, most, c
 		} else if mv > second {
 			second = mv
 		}
 	}
+	for c := range cs {
+		cs[c].drop = most
+	}
+	cs[mover].drop = second
 	for i, p := range pts {
 		a := assign[i]
-		u := (upper[i] + move[a]) * (1 + relSlack)
-		l := lower[i] - most
-		if a == mover {
-			l = lower[i] - second
+		c, b := &cs[a], &bs[i]
+		// Scaling a negative l raises it, but it stays below every
+		// distance.
+		u := (b.upper + c.move) * (1 + relSlack)
+		l := (b.lower - c.drop) * (1 - relSlack)
+		// bound is the larger of half and l compared as integers, which
+		// is a conditional move where comparing floats is a branch that
+		// mispredicts. On non-negative floats, the only bounds that
+		// settle anything, the two orders agree, and a negative l loses
+		// to a non-negative half. A NaN either wins and is refused below,
+		// or loses and the other bound stands alone: each bounds the
+		// distances that are numbers, the only ones Nearest can pick
+		// (a centroid 0 that is NaN moved by NaN, so every point was
+		// scanned onto it and has a NaN upper bound).
+		hb, lb := int64(math.Float64bits(c.half)), int64(math.Float64bits(l))
+		if lb > hb {
+			hb = lb
 		}
-		if l > 0 {
-			l *= 1 - relSlack
-		}
-		bound := half[a]
-		if l > bound {
-			bound = l
-		}
+		bound := math.Float64frombits(uint64(hb))
 		if bound <= math.MaxFloat64 {
 			if u >= bound {
 				// Loose after several moves: measure before scanning.
 				u = upperOf(math.Sqrt(p.Dist2(centroids[a])))
 			}
 			if u < bound {
-				upper[i], lower[i] = u, l
+				b.upper, b.lower = u, l
+				c.size++
+				c.sumX += p.X
+				c.sumY += p.Y
 				continue
 			}
 		}
-		assign[i], upper[i], lower[i] = nearestTwo(centroids, p)
+		a, b.upper, b.lower = nearestTwo(centroids, p)
+		assign[i] = a
+		c = &cs[a]
+		c.size++
+		c.sumX += p.X
+		c.sumY += p.Y
 	}
 }
 

@@ -112,18 +112,21 @@ func TestRunK1IsCentroidOfMass(t *testing.T) {
 	}
 }
 
-func TestRefineKeepsClusterCount(t *testing.T) {
+func TestSplitKeepsClusterCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := append(blob(rng, geo.Point{}, 30, 100), blob(rng, geo.Point{X: 2000}, 30, 100)...)
-	// Deliberately bad starts: both in the first blob plus one far away
-	// that will start empty.
-	start := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 10}, {X: -99999, Y: -99999}}
-	res, err := Refine(pts, start, Config{Seed: 1})
+	var s Clusterer
+	if _, err := s.Run(pts, 2, Config{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Deliberately bad additions: one beside a converged centroid and one
+	// far away that will start empty.
+	res, err := s.Split(pts, []geo.Point{{X: 10, Y: 10}, {X: -99999, Y: -99999}}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centroids) != 3 {
-		t.Fatalf("got %d centroids, want 3", len(res.Centroids))
+	if len(res.Centroids) != 4 {
+		t.Fatalf("got %d centroids, want 4", len(res.Centroids))
 	}
 	for i, s := range res.Sizes {
 		if s == 0 {
@@ -132,30 +135,66 @@ func TestRefineKeepsClusterCount(t *testing.T) {
 	}
 }
 
-func TestRefineDoesNotMutateStart(t *testing.T) {
+func TestSplitDoesNotMutateAdd(t *testing.T) {
 	pts := []geo.Point{{X: 0}, {X: 100}, {X: 200}, {X: 300}}
-	start := []geo.Point{{X: 0}, {X: 300}}
-	res, err := Refine(pts, start, Config{})
+	var s Clusterer
+	if _, err := s.Run(pts, 1, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	add := []geo.Point{{X: 0}, {X: 300}}
+	if _, err := s.Split(pts, add, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if add[0] != (geo.Point{X: 0}) || add[1] != (geo.Point{X: 300}) {
+		t.Error("Split mutated its add slice")
+	}
+}
+
+func TestSplitImprovesInertia(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := append(blob(rng, geo.Point{}, 50, 150), blob(rng, geo.Point{X: 3000, Y: 3000}, 50, 150)...)
+	var s Clusterer
+	res, err := s.Run(pts, 1, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start[0] != (geo.Point{X: 0}) || start[1] != (geo.Point{X: 300}) {
-		t.Error("Refine mutated its start slice")
-	}
-	_ = res
-}
-
-func TestRefineImprovesInertia(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := append(blob(rng, geo.Point{}, 50, 150), blob(rng, geo.Point{X: 3000, Y: 3000}, 50, 150)...)
-	start := []geo.Point{{X: 500, Y: 500}, {X: 600, Y: 600}}
-	before := Inertia(pts, start)
-	res, err := Refine(pts, start, Config{})
+	add := []geo.Point{{X: 500, Y: 500}}
+	before := Inertia(pts, append(append([]geo.Point(nil), res.Centroids...), add...))
+	res, err = s.Split(pts, add, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Inertia >= before {
-		t.Errorf("refine did not improve inertia: %v -> %v", before, res.Inertia)
+		t.Errorf("split did not improve inertia: %v -> %v", before, res.Inertia)
+	}
+}
+
+func TestSplitNeedsAPreviousResultOnTheSamePoints(t *testing.T) {
+	pts := []geo.Point{{X: 0}, {X: 100}, {X: 200}, {X: 300}}
+	add := []geo.Point{{X: 50}}
+	var s Clusterer
+	if _, err := s.Split(pts, add, Config{}); err == nil {
+		t.Error("Split on a new Clusterer: no error")
+	}
+	if _, err := s.Run(pts, 2, Config{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string][]geo.Point{
+		"a copy":   append([]geo.Point(nil), pts...),
+		"a prefix": pts[:3],
+		"a suffix": pts[1:],
+		"nothing":  nil,
+	} {
+		if _, err := s.Split(other, add, Config{}); err == nil {
+			t.Errorf("Split on %s of the points: no error", name)
+		}
+	}
+	if _, err := s.Split(pts, []geo.Point{{X: 1}, {X: 2}, {X: 3}}, Config{}); err == nil {
+		t.Error("Split past one centroid per point: no error")
+	}
+	// None of the refusals touched the state a Split continues from.
+	if _, err := s.Split(pts, add, Config{}); err != nil {
+		t.Errorf("Split after the refusals: %v", err)
 	}
 }
 
@@ -244,26 +283,27 @@ func TestRunAllPointsIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkRefineAddCentroids is one Ad-KMN split round's clustering: six
+// BenchmarkSplitAddCentroids is one Ad-KMN split round's clustering: six
 // centroids join a converged set of 24 over a corridor-shaped window, and
-// all 30 are re-estimated.
-func BenchmarkRefineAddCentroids(b *testing.B) {
+// all 30 are re-estimated. The Run the split continues is not timed.
+func BenchmarkSplitAddCentroids(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	pts := shapedPoints(rng, shapeCorridor, 1900)
-	res, err := Run(pts, 24, Config{Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := append([]geo.Point(nil), res.Centroids...)
-	for i := 0; i < 6; i++ {
-		start = append(start, pts[rng.Intn(len(pts))])
+	add := make([]geo.Point, 6)
+	for i := range add {
+		add[i] = pts[rng.Intn(len(pts))]
 	}
 	var s Clusterer
 	iterations := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Refine(pts, start, Config{})
+		b.StopTimer()
+		if _, err := s.Run(pts, 24, Config{Seed: 5}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := s.Split(pts, add, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func referenceRun(pts []geo.Point, k int, cfg Config) (*Result, error) {
 	}
 	cfg = cfg.withDefaults()
 	centroids := make([]geo.Point, 0, k)
-	seedPlusPlus(centroids, make([]float64, len(pts)), pts, k, rand.New(rand.NewSource(cfg.Seed)))
+	seedPlusPlus(centroids, make([]bounds, len(pts)), pts, k, rand.New(rand.NewSource(cfg.Seed)))
 	return referenceLloyd(pts, centroids[:k], cfg)
 }
 
@@ -182,10 +182,11 @@ func shapedPoints(rng *rand.Rand, shape, n int) []geo.Point {
 
 // checkAgainstReference runs every entry point on one Clusterer — so each
 // run also meets the arrays the previous one left behind — and compares
-// with the brute-force loop: a seeded Run, a Refine from coincident and
-// scattered start centroids (the empty-cluster re-seed, which reads the
-// centroids half-updated), and a Refine that adds centroids to the
-// converged set the way an Ad-KMN split round does.
+// with the brute-force loop: a seeded Run, then two Ad-KMN split rounds
+// chained on it. The first adds scattered points; the second adds copies
+// of converged centroids, whose clusters start empty (the empty-cluster
+// re-seed, which reads the centroids half-updated), and scattered points
+// when there is room.
 func checkAgainstReference(t testing.TB, s *Clusterer, name string, pts []geo.Point, k int, cfg Config, rng *rand.Rand) {
 	t.Helper()
 	want, err := referenceRun(pts, k, cfg)
@@ -198,30 +199,38 @@ func checkAgainstReference(t testing.TB, s *Clusterer, name string, pts []geo.Po
 	}
 	sameResult(t, name+"/run", got, want)
 
-	grown := append([]geo.Point(nil), want.Centroids...)
+	var add []geo.Point
 	for extra := min(1+k/3, len(pts)-k); extra > 0; extra-- {
-		grown = append(grown, pts[rng.Intn(len(pts))])
+		add = append(add, pts[rng.Intn(len(pts))])
 	}
-	want, _ = referenceRefine(pts, grown, cfg)
-	got, err = s.Refine(pts, append(got.Centroids, grown[k:]...), cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	sameResult(t, name+"/refine-grown", got, want)
+	want = checkSplit(t, s, name+"/split-grown", pts, want, add, cfg)
 
-	start := make([]geo.Point, k)
-	for c := range start {
-		start[c] = pts[rng.Intn(len(pts))]
-		if c > 0 && rng.Intn(3) == 0 {
-			start[c] = start[rng.Intn(c)] // coincident: its cluster starts empty
+	add = add[:0]
+	for room := len(pts) - len(want.Centroids); room > 0 && len(add) < 1+k/2; room-- {
+		if rng.Intn(3) == 0 {
+			add = append(add, pts[rng.Intn(len(pts))])
+		} else {
+			add = append(add, want.Centroids[rng.Intn(len(want.Centroids))]) // coincident
 		}
 	}
-	want, _ = referenceRefine(pts, start, cfg)
-	got, err = s.Refine(pts, start, cfg)
+	checkSplit(t, s, name+"/split-coincident", pts, want, add, cfg)
+}
+
+// checkSplit splits s's previous result, which prev is the reference's
+// for, with add, compares with the brute-force loop from the concatenated
+// centroids and returns the reference's result.
+func checkSplit(t testing.TB, s *Clusterer, name string, pts []geo.Point, prev *Result, add []geo.Point, cfg Config) *Result {
+	t.Helper()
+	want, err := referenceRefine(pts, append(append([]geo.Point(nil), prev.Centroids...), add...), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	sameResult(t, name+"/refine-coincident", got, want)
+	got, err := s.Split(pts, add, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sameResult(t, name, got, want)
+	return want
 }
 
 func TestLloydMatchesReference(t *testing.T) {
@@ -252,6 +261,7 @@ func TestNonFiniteNeverSkips(t *testing.T) {
 	var s Clusterer
 	for _, bad := range []geo.Point{
 		{X: math.NaN(), Y: 3},
+		{X: math.Copysign(math.NaN(), -1), Y: 3}, // ∞ − ∞ gives this sign
 		{X: math.Inf(1), Y: 0},
 		{X: math.Inf(-1), Y: math.Inf(1)},
 		{X: 1e308, Y: -1e308},
@@ -262,7 +272,21 @@ func TestNonFiniteNeverSkips(t *testing.T) {
 			pts[at] = bad
 			pts[(at+31)%len(pts)] = geo.Point{X: bad.Y, Y: bad.X}
 			name := fmt.Sprintf("%v@%d", bad, at)
-			checkAgainstReference(t, &s, name, pts, 6, Config{Seed: rng.Int63()}, rng)
+			cfg := Config{Seed: rng.Int63()}
+			checkAgainstReference(t, &s, name, pts, 6, cfg, rng)
+
+			// Split rounds that add the bad points themselves as centroids,
+			// to these points and to points that are all finite (a NaN
+			// point pulls centroid 0 to NaN, which a NaN centroid added
+			// to finite points does not).
+			for _, ps := range [][]geo.Point{pts, shapedPoints(rng, shapeCorridor, 200)} {
+				want, _ := referenceRun(ps, 6, cfg)
+				if _, err := s.Run(ps, 6, cfg); err != nil {
+					t.Fatal(err)
+				}
+				want = checkSplit(t, &s, name+"/split-bad", ps, want, []geo.Point{bad, ps[rng.Intn(len(ps))]}, cfg)
+				checkSplit(t, &s, name+"/split-swapped", ps, want, []geo.Point{{X: bad.Y, Y: bad.X}}, cfg)
+			}
 		}
 	}
 }
@@ -296,4 +320,76 @@ func FuzzLloydMatchesReference(f *testing.F) {
 		cfg := Config{Seed: seed, MaxIterations: int(maxIter) % 8}
 		checkAgainstReference(t, new(Clusterer), "fuzz", pts, kk, cfg, rng)
 	})
+}
+
+// startFrom runs Lloyd on s from the given centroids, as the reference
+// does from start: a state Run's seeding would not choose.
+func startFrom(s *Clusterer, pts, start []geo.Point, cfg Config) *Result {
+	s.Reserve(len(pts), len(start))
+	copy(s.centroids, start)
+	return s.lloyd(pts, len(start), cfg.withDefaults(), false)
+}
+
+// nanLowers counts the points of s's last result whose lower bound is NaN.
+func nanLowers(s *Clusterer) int {
+	n := 0
+	for _, b := range s.bounds[:len(s.last)] {
+		if b.lower != b.lower {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOverflowingMoveLeavesUnknownLowerBound builds the state in which
+// Lloyd itself leaves a lower bound NaN: centroid 0 moves by MaxFloat64,
+// whose bound overflows, while the points of centroid 1 know only that
+// every other centroid is farther than a squared distance can say. Their
+// lower bound becomes ∞ − ∞, and half the distance between the centroids
+// still settles them. A Split from there must match the reference.
+func TestOverflowingMoveLeavesUnknownLowerBound(t *testing.T) {
+	const m = math.MaxFloat64
+	pts := []geo.Point{{X: m / 2, Y: 0}, {X: m / 2, Y: -3e151}, {X: m / 2, Y: 2e154}, {X: m / 2, Y: -1.9e154}}
+	start := []geo.Point{{X: -m / 2}, {X: m / 2}}
+	cfg := Config{}
+	want, _ := referenceRefine(pts, start, cfg)
+	var s Clusterer
+	sameResult(t, "start", startFrom(&s, pts, start, cfg), want)
+	if n := nanLowers(&s); n == 0 {
+		t.Fatal("no lower bound is NaN: the construction no longer reaches the state it tests")
+	}
+	want = checkSplit(t, &s, "split-onto", pts, want, []geo.Point{pts[1]}, cfg)
+	checkSplit(t, &s, "split-between", pts, want, []geo.Point{{X: m / 2, Y: 1e154}}, cfg)
+}
+
+// TestSplitKeepsUnknownLowerBounds splits results whose lower bounds are
+// all NaN, as the overflow above leaves some: NaN says nothing of the
+// distances to the converged centroids, so a Split must keep it rather
+// than take the bound on the added centroids alone, which would let a
+// point stay where a converged centroid has come nearer.
+func TestSplitKeepsUnknownLowerBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var s Clusterer
+	for shape := 0; shape < numShapes; shape++ {
+		for _, k := range []int{2, 5, 24} {
+			pts := shapedPoints(rng, shape, 600)
+			cfg := Config{Seed: rng.Int63()}
+			want, _ := referenceRun(pts, k, cfg)
+			if _, err := s.Run(pts, k, cfg); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 3; r++ {
+				// Both signs: ∞ − ∞ gives a negative NaN, math.NaN a
+				// positive one, and reassign orders bounds by their bits.
+				for i := range s.bounds[:len(pts)] {
+					s.bounds[i].lower = math.Copysign(math.NaN(), float64(i%2*2-1))
+				}
+				add := make([]geo.Point, 1+k/3)
+				for j := range add {
+					add[j] = pts[rng.Intn(len(pts))]
+				}
+				want = checkSplit(t, &s, fmt.Sprintf("shape%d/k%d/round%d", shape, k, r), pts, want, add, cfg)
+			}
+		}
+	}
 }
