@@ -10,14 +10,12 @@ import (
 )
 
 func coverValid(from, until float64) *core.Cover {
-	m, err := regress.NewModel(regress.Constant, []float64{400})
-	if err != nil {
-		panic(err)
-	}
 	return &core.Cover{
 		ValidFrom:  from,
 		ValidUntil: until,
-		Regions:    []core.RegionModel{{Centroid: geo.Point{}, Model: m}},
+		Features:   regress.Constant,
+		Centroids:  []geo.Point{{}},
+		Coefs:      []float64{400},
 	}
 }
 

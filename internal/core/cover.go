@@ -22,23 +22,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// RegionModel is one (centroid, model) pair of a cover: the model M_j
-// responsible for sub-region R_j around centroid µ_j.
-type RegionModel struct {
-	// Centroid is µ_j.
-	Centroid geo.Point
-	// Model is the fitted (or wire-reconstructed) regression model M_j.
-	Model *regress.Model
-	// ApproxError is the region's approximation error: the mean absolute
-	// prediction error over the region's tuples as a fraction of the
-	// pollutant's normal range. Zero on wire-reconstructed covers.
-	ApproxError float64
-	// N is the number of tuples the model was fitted on (0 when
-	// reconstructed from the wire).
-	N int
-}
-
 // Cover is a model cover: the multi-model abstraction over a region R.
+//
+// The regions are stored as columns the cover owns, one entry per region
+// j in each: its centroid µ_j, its model's coefficients, its approximation
+// error and its tuple count. Every region's model is of the one family
+// Features, so region j's coefficients are Coefs[j·d : (j+1)·d] with
+// d = Features.Dim(), and Model(j) evaluates them in place. A cover is
+// never modified once built: readers share it without copying.
 type Cover struct {
 	// Pollutant identifies what the models predict.
 	Pollutant tuple.Pollutant
@@ -47,8 +38,22 @@ type Cover struct {
 	// ValidFrom and ValidUntil bound the cover's validity in stream time;
 	// ValidUntil is the t_n sent to model-cache clients.
 	ValidFrom, ValidUntil float64
-	// Regions holds the (µ_j, M_j) pairs.
-	Regions []RegionModel
+	// Features is the model family of every region's model M_j.
+	Features regress.Features
+	// Centroids holds µ_j, region j's centroid; its length is the number
+	// of regions.
+	Centroids []geo.Point
+	// Coefs holds the regions' model coefficients, Features.Dim() per
+	// region, region j's at [j·d, (j+1)·d).
+	Coefs []float64
+	// ApproxErrors holds each region's approximation error: the mean
+	// absolute prediction error over the region's tuples as a fraction of
+	// the pollutant's normal range.
+	ApproxErrors []float64
+	// N holds the number of tuples each region's model was fitted on.
+	// Neither N nor ApproxErrors travels on the wire: both are nil on a
+	// cover reconstructed from a model download.
+	N []int32
 	// ValueLo and ValueHi clamp interpolated values to the phenomenon's
 	// observed range (with margin). Model extrapolation a few hundred
 	// meters off the sensed corridors must not produce physically absurd
@@ -63,17 +68,15 @@ type Cover struct {
 // regions.
 var ErrEmptyCover = errors.New("core: empty model cover")
 
-// Centroids returns µ as a slice, in region order.
-func (cv *Cover) Centroids() []geo.Point {
-	out := make([]geo.Point, len(cv.Regions))
-	for i, r := range cv.Regions {
-		out[i] = r.Centroid
-	}
-	return out
-}
-
 // Size returns O, the number of models in the cover.
-func (cv *Cover) Size() int { return len(cv.Regions) }
+func (cv *Cover) Size() int { return len(cv.Centroids) }
+
+// Model returns M_j, region j's model: a view over the region's
+// coefficients in Coefs, valid as long as the cover is.
+func (cv *Cover) Model(j int) regress.Model {
+	d := cv.Features.Dim()
+	return regress.View(cv.Features, cv.Coefs[j*d:(j+1)*d:(j+1)*d])
+}
 
 // ValidAt reports whether the cover may serve a query issued at stream
 // time t (the model-cache check t_l ≤ t_n).
@@ -84,12 +87,12 @@ func (cv *Cover) ValidAt(t float64) bool {
 // NearestRegion returns the index of the region whose centroid µ* is
 // nearest to p. It returns -1 for an empty cover.
 func (cv *Cover) NearestRegion(p geo.Point) int {
-	if len(cv.Regions) == 0 {
+	if len(cv.Centroids) == 0 {
 		return -1
 	}
-	best, bestD := 0, cv.Regions[0].Centroid.Dist2(p)
-	for i := 1; i < len(cv.Regions); i++ {
-		if d := cv.Regions[i].Centroid.Dist2(p); d < bestD {
+	best, bestD := 0, cv.Centroids[0].Dist2(p)
+	for i := 1; i < len(cv.Centroids); i++ {
+		if d := cv.Centroids[i].Dist2(p); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -103,7 +106,7 @@ func (cv *Cover) Interpolate(t, x, y float64) (float64, error) {
 	if idx < 0 {
 		return 0, ErrEmptyCover
 	}
-	v := cv.Regions[idx].Model.Predict(t, x, y)
+	v := cv.Model(idx).Predict(t, x, y)
 	if cv.ValueLo < cv.ValueHi {
 		if v < cv.ValueLo {
 			v = cv.ValueLo
@@ -117,9 +120,9 @@ func (cv *Cover) Interpolate(t, x, y float64) (float64, error) {
 // MaxApproxError returns the largest per-region approximation error.
 func (cv *Cover) MaxApproxError() float64 {
 	var max float64
-	for _, r := range cv.Regions {
-		if r.ApproxError > max {
-			max = r.ApproxError
+	for _, e := range cv.ApproxErrors {
+		if e > max {
+			max = e
 		}
 	}
 	return max
@@ -129,9 +132,9 @@ func (cv *Cover) MaxApproxError() float64 {
 func (cv *Cover) MeanApproxError() float64 {
 	var sum float64
 	var n int
-	for _, r := range cv.Regions {
-		sum += r.ApproxError * float64(r.N)
-		n += r.N
+	for j, e := range cv.ApproxErrors {
+		sum += e * float64(cv.N[j])
+		n += int(cv.N[j])
 	}
 	if n == 0 {
 		return 0
@@ -246,12 +249,19 @@ type Builder struct {
 	cols []float64
 	ends []int
 
-	// The round's regions, one per cluster (N is 0 where the cluster is
-	// empty), with the models and coefficients they point to.
-	regions []RegionModel
-	models  []regress.Model
+	// The round's regions, one per cluster (n is 0 where the cluster is
+	// empty), with the coefficients their models view, d per region.
+	regions []regionFit
 	coefs   []float64
 	worst   []worstTuple
+}
+
+// regionFit is one cluster's fit in the split round in progress.
+type regionFit struct {
+	centroid geo.Point
+	model    regress.Model // a view over the cluster's share of Builder.coefs
+	err      float64       // approximation error
+	n        int           // tuples; 0 where the cluster is empty
 }
 
 // worstTuple is the position with the largest model error among the tuples
@@ -339,8 +349,7 @@ func (b *Builder) reserve(n, k, d int) {
 	if cap(b.ends) < k {
 		b.ends = make([]int, k)
 		b.worst = make([]worstTuple, k)
-		b.regions = make([]RegionModel, k)
-		b.models = make([]regress.Model, k)
+		b.regions = make([]regionFit, k)
 	}
 	if cap(b.coefs) < k*d {
 		b.coefs = make([]float64, k*d)
@@ -348,38 +357,46 @@ func (b *Builder) reserve(n, k, d int) {
 }
 
 // cover returns the cover of window c made of the non-empty regions
-// fitRegions last fitted, copied out of b's scratch into memory of their
-// own: one array each for the regions, their models and their coefficients.
+// fitRegions last fitted, copied out of b's scratch into columns of their
+// own: one array for the centroids, one for the coefficients followed by
+// the approximation errors, and one for the tuple counts.
 func (b *Builder) cover(w tuple.Batch, c int, h float64, cfg Config) *Cover {
 	size := 0
 	for _, r := range b.regions {
-		if r.N > 0 {
+		if r.n > 0 {
 			size++
 		}
 	}
 	d := cfg.Features.Dim()
-	regions := make([]RegionModel, 0, size)
-	models := make([]regress.Model, size)
-	coefs := make([]float64, size*d)
-	for _, r := range b.regions {
-		if r.N == 0 {
+	centroids := make([]geo.Point, size)
+	floats := make([]float64, size*d+size)
+	coefs, errs := floats[:size*d:size*d], floats[size*d:]
+	ns := make([]int32, size)
+	i := 0
+	for j, r := range b.regions {
+		if r.n == 0 {
 			continue
 		}
-		i := len(regions)
-		r.Model.CopyInto(&models[i], coefs[i*d:(i+1)*d:(i+1)*d])
-		r.Model = &models[i]
-		regions = append(regions, r)
+		centroids[i] = r.centroid
+		copy(coefs[i*d:(i+1)*d], b.coefs[j*d:(j+1)*d])
+		errs[i] = r.err
+		ns[i] = int32(r.n)
+		i++
 	}
 	start, end := tuple.WindowBounds(c, h)
 	lo, hi := clampRange(w)
 	return &Cover{
-		Pollutant:   cfg.Pollutant,
-		WindowIndex: c,
-		ValidFrom:   start,
-		ValidUntil:  end,
-		Regions:     regions,
-		ValueLo:     lo,
-		ValueHi:     hi,
+		Pollutant:    cfg.Pollutant,
+		WindowIndex:  c,
+		ValidFrom:    start,
+		ValidUntil:   end,
+		Features:     cfg.Features,
+		Centroids:    centroids,
+		Coefs:        coefs,
+		ApproxErrors: errs,
+		N:            ns,
+		ValueLo:      lo,
+		ValueHi:      hi,
 	}
 }
 
@@ -457,19 +474,20 @@ func (b *Builder) fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, norm
 			// Lloyd re-seeds empty clusters, so this only occurs when two
 			// centroids coincide; such a region contributes nothing and is
 			// dropped from the cover.
-			b.regions[j] = RegionModel{}
+			b.regions[j] = regionFit{}
 			continue
 		}
-		m, coef := &b.models[j], b.coefs[j*d:(j+1)*d]
+		coef := b.coefs[j*d : (j+1)*d]
 		var err error
 		if len(oss) < 2*d {
-			err = regress.MeanInto(m, coef, f, oss)
+			err = regress.MeanInto(coef, f, oss)
 		} else {
-			err = b.fit.Fit(m, coef, f, ots, oxs, oys, oss)
+			err = b.fit.Fit(coef, f, ots, oxs, oys, oss)
 		}
 		if err != nil {
 			return fmt.Errorf("core: fit region %d: %w", j, err)
 		}
+		m := regress.View(f, coef)
 		var absErr float64
 		for i := range oss {
 			d := m.Predict(ots[i], oxs[i], oys[i]) - oss[i]
@@ -478,11 +496,11 @@ func (b *Builder) fitRegions(w tuple.Batch, res *kmeans.Result, cfg Config, norm
 			}
 			absErr += d
 		}
-		b.regions[j] = RegionModel{
-			Centroid:    res.Centroids[j],
-			Model:       m,
-			ApproxError: absErr / float64(len(oss)) / normalSpan,
-			N:           len(oss),
+		b.regions[j] = regionFit{
+			centroid: res.Centroids[j],
+			model:    m,
+			err:      absErr / float64(len(oss)) / normalSpan,
+			n:        len(oss),
 		}
 	}
 	return nil
@@ -500,10 +518,10 @@ func (b *Builder) splitCandidates(w tuple.Batch, res *kmeans.Result, cfg Config,
 	for i, r := range w {
 		a := res.Assign[i]
 		reg := &b.regions[a]
-		if reg.ApproxError <= tau || reg.N < cfg.MinRegionTuples {
+		if reg.err <= tau || reg.n < cfg.MinRegionTuples {
 			continue
 		}
-		d := reg.Model.Predict(r.T, r.X, r.Y) - r.S
+		d := reg.model.Predict(r.T, r.X, r.Y) - r.S
 		if d < 0 {
 			d = -d
 		}

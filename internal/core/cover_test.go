@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -196,12 +197,11 @@ func TestNearestRegionAndEmptyCover(t *testing.T) {
 		t.Errorf("want ErrEmptyCover, got %v", err)
 	}
 
-	m1, _ := regress.NewModel(regress.Constant, []float64{100})
-	m2, _ := regress.NewModel(regress.Constant, []float64{200})
-	cv := Cover{Regions: []RegionModel{
-		{Centroid: geo.Point{X: 0}, Model: m1},
-		{Centroid: geo.Point{X: 1000}, Model: m2},
-	}}
+	cv := Cover{
+		Features:  regress.Constant,
+		Centroids: []geo.Point{{X: 0}, {X: 1000}},
+		Coefs:     []float64{100, 200},
+	}
 	if got := cv.NearestRegion(geo.Point{X: 100}); got != 0 {
 		t.Errorf("NearestRegion = %d, want 0", got)
 	}
@@ -221,13 +221,20 @@ func TestCentroidsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := cv.Centroids()
-	if len(cs) != cv.Size() {
-		t.Fatalf("Centroids len = %d, want %d", len(cs), cv.Size())
+	// Every column holds one entry per region, in the centroids' order:
+	// region j's model is the one NearestRegion picks at µ_j.
+	k, d := cv.Size(), cv.Features.Dim()
+	if len(cv.Coefs) != k*d || len(cv.ApproxErrors) != k || len(cv.N) != k {
+		t.Fatalf("%d regions: %d coefficients (d = %d), %d errors, %d counts",
+			k, len(cv.Coefs), d, len(cv.ApproxErrors), len(cv.N))
 	}
-	for i, r := range cv.Regions {
-		if cs[i] != r.Centroid {
-			t.Errorf("centroid %d mismatch", i)
+	for j, c := range cv.Centroids {
+		if got := cv.NearestRegion(c); got != j {
+			t.Errorf("NearestRegion(µ_%d) = %d", j, got)
+		}
+		want := cv.Coefs[j*d : (j+1)*d]
+		if got := cv.Model(j).Coef(); !slices.Equal(got, want) {
+			t.Errorf("Model(%d) coefficients %v, column holds %v", j, got, want)
 		}
 	}
 }

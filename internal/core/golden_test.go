@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -23,17 +24,18 @@ func coverDigest(cv *Cover) string {
 		h.Write(b[:])
 	}
 	put(uint64(cv.Rounds))
-	put(uint64(len(cv.Regions)))
+	put(uint64(cv.Size()))
 	put(math.Float64bits(cv.ValueLo))
 	put(math.Float64bits(cv.ValueHi))
-	for _, r := range cv.Regions {
-		put(math.Float64bits(r.Centroid.X))
-		put(math.Float64bits(r.Centroid.Y))
-		for _, c := range r.Model.Coef() {
-			put(math.Float64bits(c))
+	d := cv.Features.Dim()
+	for j, c := range cv.Centroids {
+		put(math.Float64bits(c.X))
+		put(math.Float64bits(c.Y))
+		for _, b := range cv.Coefs[j*d : (j+1)*d] {
+			put(math.Float64bits(b))
 		}
-		put(math.Float64bits(r.ApproxError))
-		put(uint64(r.N))
+		put(math.Float64bits(cv.ApproxErrors[j]))
+		put(uint64(cv.N[j]))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
@@ -163,9 +165,10 @@ func TestBuildCoverAllocCeiling(t *testing.T) {
 
 // TestWarmBuilderAllocatesOnlyTheCover: once a Builder has built a window
 // of some size, building another of that size allocates the four objects
-// the returned cover is made of — the Cover, its regions, their models and
-// the coefficients — and nothing per split round, per region or per
-// k-means run. This is reuse, not a bound on scratch: arrays sized per
+// the returned cover is made of — the Cover, its centroids, one array
+// holding its coefficients and then its approximation errors, and its
+// tuple counts — and nothing per split round, per region or per k-means
+// run. This is reuse, not a bound on scratch: arrays sized per
 // round or per Lloyd run would pass any byte ceiling a cold build passes.
 func TestWarmBuilderAllocatesOnlyTheCover(t *testing.T) {
 	ws := lausanneWindows()
@@ -194,6 +197,49 @@ func TestWarmBuilderAllocatesOnlyTheCover(t *testing.T) {
 	}
 	if after := coverDigest(cv); after != before {
 		t.Errorf("a later build on the same Builder changed a returned cover: digest %s → %s", before, after)
+	}
+}
+
+// TestCoverRetainedBytesPerRegion keeps 240 covers of the benchmark
+// fleet's windows — the 24 hours built 10 times — and holds what they
+// retain on the heap to 72 bytes a region. A region's numbers are 64 bytes
+// at linear-xyt's 4 coefficients (centroid 16, coefficients 32, error 8,
+// count 4, plus the Cover's own share); a cover of one struct and one
+// model per region retained 151.
+func TestCoverRetainedBytesPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping inflates the heap")
+	}
+	ws := lausanneWindows()
+	const copies = 10
+	covers := make([]*Cover, 0, copies*len(ws))
+	regions := 0
+	heap := func() int64 {
+		// Two collections: the first leaves the pooled Builders in the
+		// pool's victim cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for range copies {
+		for c, w := range ws {
+			cv, err := BuildCover(w, c, 3600, lausanneConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covers = append(covers, cv)
+			regions += cv.Size()
+		}
+	}
+	retained := heap() - before
+	runtime.KeepAlive(covers)
+	perRegion := float64(retained) / float64(regions)
+	t.Logf("%d covers, %d regions: %d bytes retained, %.1f a region", len(covers), regions, retained, perRegion)
+	if perRegion > 72 {
+		t.Errorf("covers retain %.1f bytes a region, want ≤ 72", perRegion)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,11 +53,14 @@ func TestCoverInvariants(t *testing.T) {
 		}
 		// 2. Region tuple counts sum to n.
 		total := 0
-		for _, r := range cv.Regions {
-			if r.N <= 0 || r.Model == nil {
+		if len(cv.N) != cv.Size() || len(cv.Coefs) != cv.Size()*cv.Features.Dim() {
+			return false
+		}
+		for _, rn := range cv.N {
+			if rn <= 0 {
 				return false
 			}
-			total += r.N
+			total += int(rn)
 		}
 		if total != n {
 			return false
@@ -79,13 +83,13 @@ func TestCoverInvariants(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			p := geo.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000}
 			got := cv.NearestRegion(p)
-			best, bestD := 0, cv.Regions[0].Centroid.Dist2(p)
-			for i, r := range cv.Regions {
-				if d := r.Centroid.Dist2(p); d < bestD {
+			best, bestD := 0, cv.Centroids[0].Dist2(p)
+			for i, c := range cv.Centroids {
+				if d := c.Dist2(p); d < bestD {
 					best, bestD = i, d
 				}
 			}
-			if cv.Regions[got].Centroid.Dist2(p) != cv.Regions[best].Centroid.Dist2(p) {
+			if cv.Centroids[got].Dist2(p) != cv.Centroids[best].Dist2(p) {
 				return false
 			}
 		}
@@ -110,16 +114,8 @@ func TestCoverDeterminism(t *testing.T) {
 		if a.Size() != b.Size() || a.Rounds != b.Rounds {
 			return false
 		}
-		for i := range a.Regions {
-			if a.Regions[i].Centroid != b.Regions[i].Centroid {
-				return false
-			}
-			ca, cb := a.Regions[i].Model.Coef(), b.Regions[i].Model.Coef()
-			for j := range ca {
-				if ca[j] != cb[j] {
-					return false
-				}
-			}
+		if !slices.Equal(a.Centroids, b.Centroids) || !slices.Equal(a.Coefs, b.Coefs) {
+			return false
 		}
 		return true
 	}

@@ -245,8 +245,8 @@ func TestSchedulerStaleRebuildConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, r := range cv.Regions {
-		n += r.N
+	for _, rn := range cv.N {
+		n += int(rn)
 	}
 	if n != 41 {
 		t.Fatalf("converged cover built from %d tuples, want 41 (follow-up lost?)", n)

@@ -129,10 +129,10 @@ func Markers(cv *core.Cover, t float64) ([]CentroidMarker, error) {
 		return nil, errors.New("heatmap: nil or empty cover")
 	}
 	out := make([]CentroidMarker, cv.Size())
-	for i, r := range cv.Regions {
-		v := r.Model.Predict(t, r.Centroid.X, r.Centroid.Y)
+	for i, c := range cv.Centroids {
+		v := cv.Model(i).Predict(t, c.X, c.Y)
 		out[i] = CentroidMarker{
-			Pos:   r.Centroid,
+			Pos:   c,
 			Value: v,
 			Band:  eval.ClassifyCO2(v).String(),
 		}

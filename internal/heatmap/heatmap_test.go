@@ -119,8 +119,8 @@ func TestMarkers(t *testing.T) {
 		if m.Band == "" {
 			t.Errorf("marker %d has no band", i)
 		}
-		if m.Pos != cv.Regions[i].Centroid {
-			t.Errorf("marker %d at %v, want centroid %v", i, m.Pos, cv.Regions[i].Centroid)
+		if m.Pos != cv.Centroids[i] {
+			t.Errorf("marker %d at %v, want centroid %v", i, m.Pos, cv.Centroids[i])
 		}
 	}
 	if _, err := Markers(nil, 0); err == nil {

@@ -109,16 +109,20 @@ func FeaturesByName(name string) (Features, error) {
 	}
 }
 
-// Model is a fitted linear model: Predict = coef · features(t, x, y).
+// Model is a fitted linear model: Predict = coef · features(t, x, y). It
+// is a small value — a family and a coefficient slice — that refers to
+// its coefficients rather than holding a copy of them.
 type Model struct {
 	features Features
 	coef     []float64
-
-	// Fit diagnostics.
-	n   int     // number of observations used
-	rss float64 // residual sum of squares
-	tss float64 // total sum of squares around the mean
 }
+
+// View returns the model of family f with coefficients coef, which must
+// have length f.Dim(). It does not copy coef: the model reads whatever
+// coef holds when it is evaluated, and is valid for as long as coef is.
+// This is how a cover evaluates a region's model out of its coefficient
+// column.
+func View(f Features, coef []float64) Model { return Model{features: f, coef: coef} }
 
 // Fit estimates an OLS model of the observations. ts, xs, ys and ss must
 // have equal length n ≥ 1. Rank-deficient designs are regularized with a
@@ -126,11 +130,11 @@ type Model struct {
 // points) still yield a usable model rather than an error: the paper's
 // Ad-KMN routinely creates very small clusters while splitting.
 func Fit(f Features, ts, xs, ys, ss []float64) (*Model, error) {
-	m := new(Model)
-	if err := new(Fitter).Fit(m, make([]float64, f.Dim()), f, ts, xs, ys, ss); err != nil {
+	coef := make([]float64, f.Dim())
+	if err := new(Fitter).Fit(coef, f, ts, xs, ys, ss); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &Model{features: f, coef: coef}, nil
 }
 
 // Fitter fits models into memory its caller owns, with scratch it keeps
@@ -144,10 +148,9 @@ type Fitter struct {
 	scratch []float64
 }
 
-// Fit is the package-level Fit storing the model in *m and its
-// coefficients in coef, which must have length f.Dim() and stays owned by
-// the model.
-func (ft *Fitter) Fit(m *Model, coef []float64, f Features, ts, xs, ys, ss []float64) error {
+// Fit is the package-level Fit writing the coefficients into coef, which
+// must have length f.Dim(); View(f, coef) is the fitted model.
+func (ft *Fitter) Fit(coef []float64, f Features, ts, xs, ys, ss []float64) error {
 	n := len(ss)
 	if n == 0 {
 		return errors.New("regress: no observations")
@@ -169,7 +172,6 @@ func (ft *Fitter) Fit(m *Model, coef []float64, f Features, ts, xs, ys, ss []flo
 	clear(xty)
 
 	// Accumulate the normal equations XᵀX β = Xᵀs.
-	var mean float64
 	for i := 0; i < n; i++ {
 		f.Eval(row, ts[i], xs[i], ys[i])
 		for a := 0; a < d; a++ {
@@ -178,9 +180,7 @@ func (ft *Fitter) Fit(m *Model, coef []float64, f Features, ts, xs, ys, ss []flo
 				xtx[a*d+b] += row[a] * row[b]
 			}
 		}
-		mean += ss[i]
 	}
-	mean /= float64(n)
 	// Mirror the upper triangle.
 	for a := 0; a < d; a++ {
 		for b := 0; b < a; b++ {
@@ -202,15 +202,6 @@ func (ft *Fitter) Fit(m *Model, coef []float64, f Features, ts, xs, ys, ss []flo
 		if !solveSPD(coef, xtx, xty, work, d) {
 			return errors.New("regress: singular design even with ridge")
 		}
-	}
-
-	*m = Model{features: f, coef: coef, n: n}
-	for i := 0; i < n; i++ {
-		pred := m.Predict(ts[i], xs[i], ys[i])
-		r := ss[i] - pred
-		m.rss += r * r
-		dm := ss[i] - mean
-		m.tss += dm * dm
 	}
 	return nil
 }
@@ -271,16 +262,16 @@ func solveSPD(out, a, b, work []float64, d int) bool {
 // the mean everywhere. Ad-KMN falls back to this for clusters too small to
 // support a full regression.
 func MeanModel(f Features, ss []float64) (*Model, error) {
-	m := new(Model)
-	if err := MeanInto(m, make([]float64, f.Dim()), f, ss); err != nil {
+	coef := make([]float64, f.Dim())
+	if err := MeanInto(coef, f, ss); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &Model{features: f, coef: coef}, nil
 }
 
-// MeanInto is MeanModel storing the model in *m and its coefficients in
-// coef, which must have length f.Dim() and stays owned by the model.
-func MeanInto(m *Model, coef []float64, f Features, ss []float64) error {
+// MeanInto is MeanModel writing the coefficients into coef, which must
+// have length f.Dim(); View(f, coef) is the model.
+func MeanInto(coef []float64, f Features, ss []float64) error {
 	if len(ss) == 0 {
 		return errors.New("regress: no observations")
 	}
@@ -294,18 +285,11 @@ func MeanInto(m *Model, coef []float64, f Features, ss []float64) error {
 	mean /= float64(len(ss))
 	clear(coef)
 	coef[0] = mean
-	*m = Model{features: f, coef: coef, n: len(ss)}
-	for _, s := range ss {
-		d := s - mean
-		m.rss += d * d
-	}
-	m.tss = m.rss
 	return nil
 }
 
-// NewModel reconstructs a model from its feature family and coefficients,
-// as received over the wire by the model-cache client. Fit diagnostics are
-// unavailable on reconstructed models.
+// NewModel reconstructs a model from its feature family and a copy of
+// coef, checking that the family takes that many coefficients.
 func NewModel(f Features, coef []float64) (*Model, error) {
 	if len(coef) != f.Dim() {
 		return nil, fmt.Errorf("regress: %s wants %d coefficients, got %d",
@@ -316,20 +300,8 @@ func NewModel(f Features, coef []float64) (*Model, error) {
 	return &Model{features: f, coef: cp}, nil
 }
 
-// CopyInto copies m into *dst with the copy's coefficients stored in coef,
-// which must have the model's length and stays owned by the copy: how a
-// model fitted into scratch leaves it.
-func (m *Model) CopyInto(dst *Model, coef []float64) {
-	if len(coef) != len(m.coef) {
-		panic(fmt.Sprintf("regress: CopyInto with room for %d coefficients, model has %d", len(coef), len(m.coef)))
-	}
-	*dst = *m
-	copy(coef, m.coef)
-	dst.coef = coef
-}
-
 // Predict evaluates the model at (t, x, y).
-func (m *Model) Predict(t, x, y float64) float64 {
+func (m Model) Predict(t, x, y float64) float64 {
 	switch m.features.(type) {
 	case constantFeatures:
 		return m.coef[0]
@@ -354,42 +326,15 @@ func (m *Model) Predict(t, x, y float64) float64 {
 }
 
 // Coef returns a copy of the model coefficients.
-func (m *Model) Coef() []float64 {
+func (m Model) Coef() []float64 {
 	cp := make([]float64, len(m.coef))
 	copy(cp, m.coef)
 	return cp
 }
 
 // Features returns the model's feature family.
-func (m *Model) Features() Features { return m.features }
+func (m Model) Features() Features { return m.features }
 
-// N returns the number of observations used to fit the model (0 for
-// reconstructed models).
-func (m *Model) N() int { return m.n }
-
-// RSS returns the residual sum of squares from fitting.
-func (m *Model) RSS() float64 { return m.rss }
-
-// R2 returns the coefficient of determination. For constant targets
-// (tss == 0) it returns 1 if the fit is exact and 0 otherwise.
-func (m *Model) R2() float64 {
-	if m.tss == 0 {
-		if m.rss < 1e-12 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - m.rss/m.tss
-}
-
-// RMSE returns the root-mean-square error over the fitting data.
-func (m *Model) RMSE() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return math.Sqrt(m.rss / float64(m.n))
-}
-
-func (m *Model) String() string {
-	return fmt.Sprintf("Model(%s, coef=%v, n=%d)", m.features.Name(), m.coef, m.n)
+func (m Model) String() string {
+	return fmt.Sprintf("Model(%s, coef=%v)", m.features.Name(), m.coef)
 }

@@ -72,8 +72,8 @@ func (e *Engine) HeatmapCover(ctx context.Context, p tuple.Pollutant, t float64,
 // to: its window's population when the cover was built.
 func modeledTuples(cv *core.Cover) int {
 	n := 0
-	for _, r := range cv.Regions {
-		n += r.N
+	for _, rn := range cv.N {
+		n += int(rn)
 	}
 	return n
 }

@@ -14,7 +14,9 @@ import (
 // message must re-encode and re-decode to a byte-identical frame, must not
 // change when the bytes it was decoded from are overwritten (connections
 // read the next frame into the same buffer), and must append-encode behind
-// a prefix to the same bytes; DecodeLent must agree with Decode. Seeds
+// a prefix to the same bytes; DecodeLent must agree with Decode. Every
+// accepted ModelResponse must either convert to a cover and back to a
+// field-equal response, or fail to convert with an error. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
 // untagged layouts (now malformed) and mutations.
 func FuzzWireDecode(f *testing.F) {
@@ -146,6 +148,28 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil || !bytes.Equal(app[:3], prefix) || !bytes.Equal(app[3:], enc1) {
 				t.Fatalf("%T: AppendEncode(prefix) differs from prefix + Encode (%v)", m1, err)
 			}
+			if resp, ok := m1.(ModelResponse); ok {
+				checkCoverRoundTrip(t, resp, enc1)
+			}
 		}
 	})
+}
+
+// checkCoverRoundTrip converts a decoded model response, whose encoding
+// is enc, to a cover and back: a response the cover cannot hold must be
+// refused with an error, and any other must come back field-equal —
+// compared as encodings, the one equality NaN payloads survive.
+func checkCoverRoundTrip(t *testing.T, resp ModelResponse, enc []byte) {
+	t.Helper()
+	cv, err := CoverFromModelResponse(resp)
+	if err != nil {
+		return
+	}
+	back, err := ModelResponseFromCover(cv)
+	if err != nil {
+		t.Fatalf("a cover from an accepted response does not convert back: %v", err)
+	}
+	if got, err := Binary.Encode(back); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("model response changed through a cover (%v)", err)
+	}
 }

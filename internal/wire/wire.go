@@ -522,29 +522,39 @@ func decodeModelResponse(data []byte) (Message, error) {
 	off += nameLen
 	count := int(binary.LittleEndian.Uint16(data[off:]))
 	off += 2
-	v.Centroids = make([]geo.Point, 0, count)
-	v.Coefs = make([][]float64, 0, count)
+	// Bound every region first, so that their coefficients can share one
+	// array.
+	regions, total := off, 0
 	for i := 0; i < count; i++ {
 		if len(data) < off+17 {
 			return nil, fmt.Errorf("%w: ModelResponse region %d", ErrMalformed, i)
 		}
-		c := geo.Point{X: getF64(data[off:]), Y: getF64(data[off+8:])}
-		off += 16
-		nc := int(data[off])
-		off++
+		nc := int(data[off+16])
+		off += 17
 		if len(data) < off+8*nc {
 			return nil, fmt.Errorf("%w: ModelResponse coefficients %d", ErrMalformed, i)
 		}
-		coefs := make([]float64, nc)
-		for j := 0; j < nc; j++ {
-			coefs[j] = getF64(data[off:])
-			off += 8
-		}
-		v.Centroids = append(v.Centroids, c)
-		v.Coefs = append(v.Coefs, coefs)
+		off += 8 * nc
+		total += nc
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(data)-off)
+	}
+	v.Centroids = make([]geo.Point, count)
+	v.Coefs = make([][]float64, count)
+	flat := make([]float64, total)
+	off = regions
+	for i := range v.Centroids {
+		v.Centroids[i] = geo.Point{X: getF64(data[off:]), Y: getF64(data[off+8:])}
+		nc := int(data[off+16])
+		off += 17
+		coefs := flat[:nc:nc]
+		flat = flat[nc:]
+		for j := range coefs {
+			coefs[j] = getF64(data[off:])
+			off += 8
+		}
+		v.Coefs[i] = coefs
 	}
 	return v, nil
 }
@@ -553,10 +563,24 @@ func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // ModelResponseFromCover serializes a built cover into the wire form the
-// server sends in response to e_l.
+// server sends in response to e_l. The response shares no memory with the
+// cover: its centroids are a copy, and its coefficient sets are slices of
+// one copy of the cover's coefficient column.
 func ModelResponseFromCover(cv *core.Cover) (ModelResponse, error) {
 	if cv == nil || cv.Size() == 0 {
 		return ModelResponse{}, errors.New("wire: nil or empty cover")
+	}
+	if cv.Features == nil {
+		return ModelResponse{}, errors.New("wire: cover has no feature family")
+	}
+	f, err := regress.FeaturesByName(cv.Features.Name())
+	if err != nil {
+		return ModelResponse{}, err
+	}
+	k, d := cv.Size(), f.Dim()
+	if len(cv.Coefs) != k*d {
+		return ModelResponse{}, fmt.Errorf("wire: %d coefficients for %d regions of %s",
+			len(cv.Coefs), k, f.Name())
 	}
 	resp := ModelResponse{
 		ValidFrom:  cv.ValidFrom,
@@ -564,23 +588,20 @@ func ModelResponseFromCover(cv *core.Cover) (ModelResponse, error) {
 		ValueLo:    cv.ValueLo,
 		ValueHi:    cv.ValueHi,
 		Pollutant:  uint8(cv.Pollutant),
-		Features:   cv.Regions[0].Model.Features().Name(),
-		Centroids:  make([]geo.Point, cv.Size()),
-		Coefs:      make([][]float64, cv.Size()),
+		Features:   f.Name(),
+		Centroids:  slices.Clone(cv.Centroids),
+		Coefs:      make([][]float64, k),
 	}
-	for i, r := range cv.Regions {
-		if r.Model.Features().Name() != resp.Features {
-			return ModelResponse{}, errors.New("wire: mixed feature families in one cover")
-		}
-		resp.Centroids[i] = r.Centroid
-		resp.Coefs[i] = r.Model.Coef()
+	coefs := slices.Clone(cv.Coefs)
+	for j := range resp.Coefs {
+		resp.Coefs[j] = coefs[j*d : (j+1)*d : (j+1)*d]
 	}
 	return resp, nil
 }
 
 // CoverFromModelResponse reconstructs a queryable cover on the client from
 // a received model response — the (t_n, µ, M) triple the smartphone stores
-// in local memory.
+// in local memory. The cover shares no memory with the response.
 func CoverFromModelResponse(resp ModelResponse) (*core.Cover, error) {
 	if len(resp.Centroids) != len(resp.Coefs) {
 		return nil, fmt.Errorf("wire: %d centroids vs %d coefficient sets",
@@ -593,20 +614,25 @@ func CoverFromModelResponse(resp ModelResponse) (*core.Cover, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv := &core.Cover{
+	d := f.Dim()
+	for j, c := range resp.Coefs {
+		if len(c) != d {
+			return nil, fmt.Errorf("wire: region %d: %s wants %d coefficients, got %d",
+				j, f.Name(), d, len(c))
+		}
+	}
+	coefs := make([]float64, len(resp.Coefs)*d)
+	for j, c := range resp.Coefs {
+		copy(coefs[j*d:], c)
+	}
+	return &core.Cover{
 		Pollutant:  tuple.Pollutant(resp.Pollutant),
 		ValidFrom:  resp.ValidFrom,
 		ValidUntil: resp.ValidUntil,
+		Features:   f,
+		Centroids:  slices.Clone(resp.Centroids),
+		Coefs:      coefs,
 		ValueLo:    resp.ValueLo,
 		ValueHi:    resp.ValueHi,
-		Regions:    make([]core.RegionModel, len(resp.Centroids)),
-	}
-	for i := range resp.Centroids {
-		m, err := regress.NewModel(f, resp.Coefs[i])
-		if err != nil {
-			return nil, fmt.Errorf("wire: region %d: %w", i, err)
-		}
-		cv.Regions[i] = core.RegionModel{Centroid: resp.Centroids[i], Model: m}
-	}
-	return cv, nil
+	}, nil
 }

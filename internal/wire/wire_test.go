@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/kmeans"
+	"repro/internal/regress"
 	"repro/internal/tuple"
 )
 
@@ -218,6 +221,102 @@ func TestModelResponseFromCoverErrors(t *testing.T) {
 	if _, err := ModelResponseFromCover(&core.Cover{}); err == nil {
 		t.Error("empty cover should error")
 	}
+	one := []geo.Point{{}}
+	if _, err := ModelResponseFromCover(&core.Cover{Centroids: one, Coefs: []float64{1}}); err == nil {
+		t.Error("cover without a feature family should error")
+	}
+	custom := &core.Cover{Features: customFeatures{}, Centroids: one, Coefs: []float64{1}}
+	if _, err := ModelResponseFromCover(custom); err == nil {
+		t.Error("family the wire does not know should error")
+	}
+	short := &core.Cover{Features: regress.LinearXY, Centroids: one, Coefs: []float64{1, 2}}
+	if _, err := ModelResponseFromCover(short); err == nil {
+		t.Error("wrong coefficient count should error")
+	}
+}
+
+// customFeatures is a model family the wire has no name for.
+type customFeatures struct{}
+
+func (customFeatures) Dim() int                            { return 1 }
+func (customFeatures) Name() string                        { return "custom" }
+func (customFeatures) Eval(dst []float64, _, _, _ float64) { dst[0] = 1 }
+
+// flatCover is a hand-made cover of k linear-xyt regions.
+func flatCover(k int) *core.Cover {
+	d := regress.LinearXYT.Dim()
+	cv := &core.Cover{
+		ValidFrom: 0, ValidUntil: 3600, ValueLo: 300, ValueHi: 900,
+		Features:  regress.LinearXYT,
+		Centroids: make([]geo.Point, k),
+		Coefs:     make([]float64, k*d),
+	}
+	for j := range cv.Centroids {
+		cv.Centroids[j] = geo.Point{X: float64(100 * j), Y: float64(7 * j)}
+		copy(cv.Coefs[j*d:], []float64{400 + float64(j), 0.01, -0.02, 0.001})
+	}
+	return cv
+}
+
+// TestModelResponseAllocsIndependentOfRegions: a model download costs the
+// same few allocations whatever the cover's size — in the server's
+// conversion, in the decoder and in the client's conversion — and neither
+// conversion leaves the result sharing memory with its input.
+func TestModelResponseAllocsIndependentOfRegions(t *testing.T) {
+	for _, k := range []int{2, 64} {
+		cv := flatCover(k)
+		var resp ModelResponse
+		toResp := testing.AllocsPerRun(20, func() {
+			var err error
+			if resp, err = ModelResponseFromCover(cv); err != nil {
+				t.Fatal(err)
+			}
+		})
+		frame, err := Binary.Encode(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := testing.AllocsPerRun(20, func() {
+			if _, err := Binary.Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var back *core.Cover
+		toCover := testing.AllocsPerRun(20, func() {
+			if back, err = CoverFromModelResponse(resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Centroids, coefficient headers, one coefficient array; the
+		// decoder adds the boxed message and the family name; the cover is
+		// the Cover, its centroids and its coefficients.
+		if toResp != 3 || decode != 5 || toCover != 3 {
+			t.Errorf("%d regions: %.0f allocs from the cover, %.0f decoding, %.0f back to a cover; want 3, 5, 3",
+				k, toResp, decode, toCover)
+		}
+		want := coverBytes(cv)
+		resp.Centroids[0].X++
+		resp.Coefs[k-1][0]++
+		if !bytes.Equal(coverBytes(cv), want) {
+			t.Errorf("%d regions: writing the response changed the cover", k)
+		}
+		if !bytes.Equal(coverBytes(back), want) {
+			t.Errorf("%d regions: the cover back from the wire differs, or follows writes to the response", k)
+		}
+	}
+}
+
+// coverBytes is a cover's centroids and coefficients as one byte string.
+func coverBytes(cv *core.Cover) []byte {
+	var b []byte
+	for _, c := range cv.Centroids {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.X))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Y))
+	}
+	for _, c := range cv.Coefs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
+	}
+	return b
 }
 
 func TestUnknownMessageEncode(t *testing.T) {
