@@ -201,10 +201,9 @@ func BenchmarkAblationIndexTuning(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBatchConcurrency measures batch execution on a batch
-// spanning several modeling windows: the sequential baseline
-// (WithConcurrency(1)) against the bounded worker pool, on warm covers.
-func BenchmarkQueryBatchConcurrency(b *testing.B) {
+// BenchmarkQueryBatch measures batch execution on a 2 048-point batch
+// spanning several modeling windows, on warm covers.
+func BenchmarkQueryBatch(b *testing.B) {
 	p, err := Open(Config{WindowSeconds: 3600})
 	if err != nil {
 		b.Fatal(err)
@@ -227,21 +226,17 @@ func BenchmarkQueryBatchConcurrency(b *testing.B) {
 			Y: rng.Float64() * 2000,
 		}
 	}
-	// Warm the covers once, so every concurrency level measures
-	// steady-state batch execution, not cold builds.
+	// Warm the covers once, so the loop measures steady-state batch
+	// execution, not cold builds.
 	if _, err := p.QueryBatch(ctx, reqs); err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("cover/workers="+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rs, err := p.QueryBatch(ctx, reqs, WithConcurrency(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = rs
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.QueryBatch(ctx, reqs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -46,11 +46,9 @@ func usage() {
 commands:
   point  -t T -x X -y Y [-pollutant P]
                                     interpolate one pollutant at one position
-  batch  -requests "t,x,y[,pollutant] …" [-concurrency N]
+  batch  -requests "t,x,y[,pollutant] …"
                                     one round trip, many (mixed-pollutant) requests,
-                                    answered concurrently with per-request errors;
-                                    -concurrency bounds a single node's workers and
-                                    changes nothing on a clustered server
+                                    answered with per-request errors
   route  -t T -points "x,y x,y …" [-pollutant P] [-follow]
                                     continuous query along a route (60 s per point);
                                     -follow subscribes instead: the server pushes the
@@ -103,7 +101,6 @@ func runPoint(server string, args []string) error {
 func runBatch(server string, args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	requests := fs.String("requests", "", `requests as "t,x,y[,pollutant] …"`)
-	concurrency := fs.Int("concurrency", 0, "single-node worker bound (0 = server default, 1 = sequential; ignored by a cluster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -140,11 +137,7 @@ func runBatch(server string, args []string) error {
 	if err != nil {
 		return err
 	}
-	u := server + "/v1/query/batch"
-	if *concurrency > 0 {
-		u += "?concurrency=" + strconv.Itoa(*concurrency)
-	}
-	return post(u, body)
+	return post(server+"/v1/query/batch", body)
 }
 
 func runRoute(server string, args []string) error {

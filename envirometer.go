@@ -21,13 +21,13 @@
 //	err = p.Ingest(ctx, repro.CO2, readings)  // raw (t, x, y, s) tuples
 //	v, err := p.Query(ctx, repro.Request{T: t, X: x, Y: y, Pollutant: repro.CO2})
 //	rs, err := p.QueryBatch(ctx, reqs)        // many requests, one call,
-//	                                          // concurrent, per-item errors
+//	                                          // per-item errors
 //	http.ListenAndServe(addr, p.Handler())    // the web/JSON API
 //
 // Failures carry a typed taxonomy — ErrNoCover, ErrOutOfWindow,
 // ErrUnknownPollutant — matched with errors.Is. A query is always
 // answered from the model cover; deadlines and cancellation arrive
-// through the context, and WithConcurrency bounds a batch's workers.
+// through the context.
 //
 // Setting Config.Cluster makes the platform one member of a sharded
 // multi-node cluster: tuples and queries partition by (pollutant,
@@ -188,19 +188,6 @@ type PipelineStats = ingest.PipelineStats
 
 // SchedulerStats counts the cover-maintenance scheduler's work.
 type SchedulerStats = core.SchedulerStats
-
-// QueryOption tunes how one QueryBatch call is answered.
-type QueryOption func(*query.Options)
-
-// WithConcurrency bounds the worker pool answering a QueryBatch (0, the
-// default, picks GOMAXPROCS; 1 forces sequential execution; large
-// values are clamped to a small multiple of GOMAXPROCS). It applies on a
-// single node only: a clustered platform sends every share of a batch,
-// its own included, as a wire batch that carries no worker bound, so
-// there it changes nothing.
-func WithConcurrency(n int) QueryOption {
-	return func(o *query.Options) { o.Concurrency = n }
-}
 
 // Cover is a model cover: the (t_n, µ, M) triple of §2.1.
 type Cover = core.Cover
@@ -783,22 +770,13 @@ func (p *Platform) Query(ctx context.Context, req Request) (float64, error) {
 
 // QueryBatch answers a batch of requests — the registered route of a
 // continuous query, or any mixed-pollutant workload — returning one
-// BatchResult per request, in order. Requests execute concurrently on a
-// bounded worker pool (see WithConcurrency) and each succeeds or fails
-// on its own: one request outside the retained windows does not reject
-// the rest. The call-level error is reserved for an empty batch and for
-// ctx cancellation, which drains the pool promptly.
+// BatchResult per request, in order. Each request succeeds or fails on
+// its own: one request outside the retained windows does not reject the
+// rest. The call-level error is reserved for an empty batch and for ctx
+// cancellation, which marks the requests left unanswered.
 // On a clustered platform the batch splits across shard owners.
-func (p *Platform) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOption) ([]BatchResult, error) {
-	return p.backend.QueryBatchOpts(ctx, reqs, applyOptions(opts))
-}
-
-func applyOptions(opts []QueryOption) query.Options {
-	var o query.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
+func (p *Platform) QueryBatch(ctx context.Context, reqs []Request) ([]BatchResult, error) {
+	return p.backend.QueryBatch(ctx, reqs)
 }
 
 // Subscribe opens a push subscription over the route points pts for

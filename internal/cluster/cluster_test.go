@@ -402,7 +402,7 @@ func TestClusterBatchSplitsAndMatches(t *testing.T) {
 
 	reqs := sampleRequests(data)
 	// Through the Go convenience surface of a non-owner-for-most node.
-	results, err := f.nodes[2].QueryBatchOpts(ctx, reqs, query.Options{})
+	results, err := f.nodes[2].QueryBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestClusterBatchSplitsAndMatches(t *testing.T) {
 	// A batch with one bad item fails only that item.
 	bad := append([]query.Request{}, reqs[0])
 	bad = append(bad, query.Request{T: 99 * windowLen, X: 0, Y: 0, Pollutant: tuple.CO2})
-	results, err = f.nodes[1].QueryBatchOpts(ctx, bad, query.Options{})
+	results, err = f.nodes[1].QueryBatch(ctx, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,98 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/tuple"
+	"repro/internal/wire"
+)
+
+// ackHandler acknowledges every upload without keeping it: a local engine
+// that costs a commit nothing, so a measurement sees only the node's own
+// commit path.
+type ackHandler struct{}
+
+func (ackHandler) HandleMessage(m wire.Message) wire.Message {
+	if ing, ok := m.(wire.IngestRequest); ok {
+		return wire.IngestResponse{Ingested: uint32(len(ing.Tuples))}
+	}
+	return wire.ErrorResponse{Msg: "ack: not an upload"}
+}
+
+// commitNode is node 0 of a 3-node R = 2 ring over the given number of
+// cells. Its peers have no transport, so every frame its stream workers
+// take fails at once and is counted; commit applies one 256-tuple slice
+// and waits until each peer's worker has taken its frame.
+func commitNode(tb testing.TB, cells int) (commit func()) {
+	tb.Helper()
+	cs := make([]geo.Point, cells)
+	for i := range cs {
+		cs[i] = geo.Point{X: float64(i)}
+	}
+	ring, err := NewRing(Desc{Nodes: []string{"a", "b", "c"}, Cells: cs, Replicas: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{Ring: ring, Self: 0, Local: ackHandler{}, Default: tuple.CO2,
+		Replication: ReplicationConfig{NewMirror: func() Handler { return ackHandler{} }}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Close() })
+	peers := int64(len(ring.ReplicaPeers(0, tuple.CO2)))
+	if peers == 0 {
+		tb.Fatalf("%d cells: node 0 streams to no peer", cells)
+	}
+	req := wire.IngestRequest{Pollutant: tuple.CO2, Tuples: make([]tuple.Raw, 256)}
+	for i := range req.Tuples {
+		req.Tuples[i] = tuple.Raw{T: float64(i), X: float64(i), Y: 1, S: 400}
+	}
+	var sent int64
+	return func() {
+		if _, ok := n.localIngest(context.Background(), req).(wire.IngestResponse); !ok {
+			tb.Fatal("commit refused")
+		}
+		sent += peers
+		for n.repl.streamErrs.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestReplicatedCommitAllocsIndependentOfCells: a primary's commit looks
+// up the peers it streams to in its ring's table, so what a commit
+// allocates does not depend on how many cells the ring has. On one P the
+// stream workers run only while the commit waits for them, so every
+// commit reuses the lent copy the last one gave back.
+func TestReplicatedCommitAllocsIndependentOfCells(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var allocs [2]float64
+	for i, cells := range []int{16, 64} {
+		allocs[i] = testing.AllocsPerRun(64, commitNode(t, cells))
+		t.Logf("%d cells: %.2f allocs per 256-tuple commit", cells, allocs[i])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("a 256-tuple commit allocates %.2f at 16 cells and %.2f at 64, want the same", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkReplicatedCommit256 is one 256-tuple commit on a primary of an
+// R = 2 ring, at the benchmark's 16 cells and at 64.
+func BenchmarkReplicatedCommit256(b *testing.B) {
+	for _, cells := range []int{16, 64} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			commit := commitNode(b, cells)
+			b.ReportAllocs()
+			for range b.N {
+				commit()
+			}
+		})
+	}
+}

@@ -310,7 +310,7 @@ func TestReplicaBatchFailover(t *testing.T) {
 	const victim = 1
 	f.kill(victim)
 
-	results, err := f.nodes[0].QueryBatchOpts(ctx, samples, query.Options{})
+	results, err := f.nodes[0].QueryBatch(ctx, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

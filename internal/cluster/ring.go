@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -113,12 +114,32 @@ type ringPoint struct {
 	node int
 }
 
-// Ring is a consistent-hash ring mapping shard keys onto nodes. It is
-// immutable after construction and safe for concurrent use.
+// pollutants is the number of valid pollutant bytes: the pollutant rows
+// of every ring's placement table.
+var pollutants = func() int {
+	n := 0
+	for tuple.Pollutant(n).Valid() {
+		n++
+	}
+	return n
+}()
+
+// Ring is a consistent-hash ring mapping shard keys onto nodes. NewRing
+// walks the hash circle once and keeps what the walk placed as a table,
+// so every placement lookup is an index: a ring, and so its table, is
+// fixed for its epoch. It is immutable after construction and safe for
+// concurrent use.
 type Ring struct {
-	desc   Desc
-	live   int
-	points []ringPoint
+	desc Desc
+	live int
+	// reps holds each valid shard's replica set, owner first: shard
+	// (pol, cell)'s R nodes are reps[s*R : (s+1)*R], s = pol*cells + cell.
+	reps []int
+	// owned and peers list node n's owned cells and replica peers of
+	// pollutant pol at [ownedOff[j], ownedOff[j+1]) and [peerOff[j],
+	// peerOff[j+1]), j = n*pollutants + pol.
+	owned, ownedOff []int
+	peers, peerOff  []int
 }
 
 // NewRing builds the ring for a cluster description.
@@ -153,7 +174,7 @@ func NewRing(desc Desc) (*Ring, error) {
 	if desc.Replicas == 0 {
 		desc.Replicas = 1
 	}
-	r := &Ring{desc: desc, live: live, points: make([]ringPoint, 0, live*desc.VNodes)}
+	points := make([]ringPoint, 0, live*desc.VNodes)
 	for n := range desc.Nodes {
 		if desc.Nodes[n] == "" {
 			// Tombstoned: the slot keeps its ID but places no virtual
@@ -162,18 +183,68 @@ func NewRing(desc Desc) (*Ring, error) {
 			continue
 		}
 		for v := 0; v < desc.VNodes; v++ {
-			r.points = append(r.points, ringPoint{hash: vnodeHash(n, v), node: n})
+			points = append(points, ringPoint{hash: vnodeHash(n, v), node: n})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
 		}
 		// Colliding virtual nodes order by node ID so every party breaks
 		// the tie identically.
-		return r.points[i].node < r.points[j].node
+		return points[i].node < points[j].node
 	})
+	r := &Ring{desc: desc, live: live}
+	r.place(points)
 	return r, nil
+}
+
+// place walks the sorted hash circle once for every valid shard and
+// fills the ring's table. A shard's replicas are the first R distinct
+// nodes clockwise of its key, wrapping at the top (successor placement):
+// adding a node inserts it into some replica sets but never reorders the
+// surviving members relative to each other. R never exceeds the live
+// nodes, so the walk always finds R.
+func (r *Ring) place(points []ringPoint) {
+	R, cells, nodes := r.desc.Replicas, len(r.desc.Cells), len(r.desc.Nodes)
+	r.reps = make([]int, 0, pollutants*cells*R)
+	for pol := range pollutants {
+		for c := range cells {
+			h := keyHash(ShardKey{Pollutant: tuple.Pollutant(pol), Cell: c})
+			i := sort.Search(len(points), func(i int) bool { return points[i].hash >= h })
+			set := len(r.reps)
+			for step := 0; len(r.reps)-set < R; step++ {
+				if n := points[(i+step)%len(points)].node; !slices.Contains(r.reps[set:], n) {
+					r.reps = append(r.reps, n)
+				}
+			}
+		}
+	}
+	r.owned, r.ownedOff = make([]int, 0, pollutants*cells), make([]int, nodes*pollutants+1)
+	r.peerOff = make([]int, nodes*pollutants+1)
+	holds := make([]bool, nodes)
+	for n := range nodes {
+		for pol := range pollutants {
+			clear(holds)
+			for c := range cells {
+				set := r.reps[(pol*cells+c)*R:][:R]
+				if set[0] != n {
+					continue
+				}
+				r.owned = append(r.owned, c)
+				for _, p := range set[1:] {
+					holds[p] = true
+				}
+			}
+			for p, held := range holds {
+				if held {
+					r.peers = append(r.peers, p)
+				}
+			}
+			j := n*pollutants + pol
+			r.ownedOff[j+1], r.peerOff[j+1] = len(r.owned), len(r.peers)
+		}
+	}
 }
 
 // RingFromWire reconstructs a ring from a received ring-exchange frame.
@@ -235,18 +306,27 @@ func (r *Ring) Addr(n int) string {
 // by the same rule model covers use to pick a region model.
 func (r *Ring) CellOf(p geo.Point) int { return kmeans.Nearest(r.desc.Cells, p) }
 
-// OwnerKey returns the node owning a shard key.
-func (r *Ring) OwnerKey(k ShardKey) int {
-	h := keyHash(k)
-	// First ring point clockwise of the key's hash, wrapping at the top.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+// shard returns k's row in the ring's table; ok is false for a key the
+// ring does not place (an invalid pollutant, a cell out of range).
+func (r *Ring) shard(k ShardKey) (s int, ok bool) {
+	if !k.Pollutant.Valid() || k.Cell < 0 || k.Cell >= len(r.desc.Cells) {
+		return 0, false
 	}
-	return r.points[i].node
+	return int(k.Pollutant)*len(r.desc.Cells) + k.Cell, true
 }
 
-// Owner returns the node owning pollutant pol at position p.
+// OwnerKey returns the node owning a shard key, or -1 for a key the ring
+// does not place (an invalid pollutant, a cell out of range).
+func (r *Ring) OwnerKey(k ShardKey) int {
+	s, ok := r.shard(k)
+	if !ok {
+		return -1
+	}
+	return r.reps[s*r.desc.Replicas]
+}
+
+// Owner returns the node owning pollutant pol at position p (-1 for an
+// invalid pollutant).
 func (r *Ring) Owner(pol tuple.Pollutant, p geo.Point) int {
 	return r.OwnerKey(ShardKey{Pollutant: pol, Cell: r.CellOf(p)})
 }
@@ -255,69 +335,40 @@ func (r *Ring) Owner(pol tuple.Pollutant, p geo.Point) int {
 func (r *Ring) Replicas() int { return r.desc.Replicas }
 
 // ReplicasFor returns the R nodes holding a shard key: the owner first,
-// then the next R-1 distinct nodes clockwise on the ring (successor
-// placement). Successors inherit the ring's growth stability: adding a
-// node inserts it into some replica sets but never reorders the
-// surviving members relative to each other.
+// then its successors (see place). The slice is the ring's own, clipped
+// to its length so that appending to it copies; it is nil for a key the
+// ring does not place.
 func (r *Ring) ReplicasFor(k ShardKey) []int {
-	R := r.desc.Replicas
-	out := make([]int, 0, R)
-	h := keyHash(k)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for step := 0; step < len(r.points) && len(out) < R; step++ {
-		n := r.points[(i+step)%len(r.points)].node
-		dup := false
-		for _, m := range out {
-			if m == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, n)
-		}
+	s, ok := r.shard(k)
+	if !ok {
+		return nil
 	}
-	return out
+	R := r.desc.Replicas
+	return r.reps[s*R : (s+1)*R : (s+1)*R]
+}
+
+// nodeRow returns the (node, pollutant) row of lists starting at off.
+func (r *Ring) nodeRow(list, off []int, n int, pol tuple.Pollutant) []int {
+	if n < 0 || n >= len(r.desc.Nodes) || !pol.Valid() {
+		return nil
+	}
+	j := n*pollutants + int(pol)
+	return list[off[j]:off[j+1]:off[j+1]]
 }
 
 // ReplicaPeers lists the nodes (ascending, excluding n itself) that hold
 // a replica of any shard of pollutant pol owned by node n — the peers a
-// primary streams its commits to. With R = 1 it is always empty.
+// primary streams its commits to. With R = 1 it is always empty. Like
+// ReplicasFor, the slice is the ring's own.
 func (r *Ring) ReplicaPeers(n int, pol tuple.Pollutant) []int {
-	if r.desc.Replicas <= 1 {
-		return nil
-	}
-	seen := make(map[int]bool)
-	for c := range r.desc.Cells {
-		k := ShardKey{Pollutant: pol, Cell: c}
-		reps := r.ReplicasFor(k)
-		if len(reps) == 0 || reps[0] != n {
-			continue
-		}
-		for _, p := range reps[1:] {
-			if p != n {
-				seen[p] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+	return r.nodeRow(r.peers, r.peerOff, n, pol)
 }
 
 // OwnedCells lists the cells of pollutant pol owned by node n, in
 // ascending cell order — the per-shard breakdown /v1/cluster reports.
+// Like ReplicasFor, the slice is the ring's own.
 func (r *Ring) OwnedCells(n int, pol tuple.Pollutant) []int {
-	var out []int
-	for c := range r.desc.Cells {
-		if r.OwnerKey(ShardKey{Pollutant: pol, Cell: c}) == n {
-			out = append(out, c)
-		}
-	}
-	return out
+	return r.nodeRow(r.owned, r.ownedOff, n, pol)
 }
 
 // JoinDesc returns the next-epoch description with addr appended as a

@@ -413,6 +413,9 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		}
 		return n.localHandle(ctx, m.Inner)
 	case wire.QueryRequest:
+		if !m.Pollutant.Valid() {
+			return WireError(unknownPollutant(m.Pollutant))
+		}
 		ring := n.Ring()
 		k := ShardKey{Pollutant: m.Pollutant, Cell: ring.CellOf(geo.Point{X: m.X, Y: m.Y})}
 		return n.routeShard(ctx, ring, k, m, true)
@@ -454,6 +457,13 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 	default:
 		return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: unsupported request type %T", req)}
 	}
+}
+
+// unknownPollutant refuses a pollutant byte the ring places nowhere. The
+// node answers it itself, with the error the owner's engine would give,
+// instead of forwarding it.
+func unknownPollutant(pol tuple.Pollutant) error {
+	return fmt.Errorf("%w: %v", query.ErrUnknownPollutant, pol)
 }
 
 // routeOwner sends a single-shard request to its owner under ring: the
@@ -623,14 +633,25 @@ func (s *batchSplit) get(g int) ([]int, []wire.QueryRequest) {
 }
 
 // batchInto answers the m.Items named by idxs (every item when idxs is
-// nil) into out, grouped by shard owner under ring. retry allows each
-// fenced sub-batch one re-split under a refreshed ring (an epoch mismatch
-// rejects the whole sub-batch, so re-splitting repeats no item).
+// nil) into out, grouped by shard owner under ring. An item whose
+// pollutant the ring places nowhere is refused in its own slot. retry
+// allows each fenced sub-batch one re-split under a refreshed ring (an
+// epoch mismatch rejects the whole sub-batch, so re-splitting repeats no
+// item).
 func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, retry bool) {
-	split := splitBatch(m, idxs, ring.Nodes(), func(it wire.QueryRequest) int {
-		return ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y})
+	refused := ring.Nodes() // the group of the items no node owns
+	split := splitBatch(m, idxs, refused+1, func(it wire.QueryRequest) int {
+		if o := ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y}); o >= 0 {
+			return o
+		}
+		return refused
 	})
 	defer splits.Put(split)
+	bad, _ := split.get(refused)
+	for _, i := range bad {
+		err := unknownPollutant(m.Items[i].Pollutant)
+		out[i] = wire.FailedItem(CodeOf(err), err.Error())
+	}
 	var wg sync.WaitGroup
 	for owner := 0; owner < ring.Nodes(); owner++ {
 		idxs, items := split.get(owner)
@@ -736,6 +757,9 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 // on its owner concurrently. The ingest acknowledges only if every
 // slice applied; a partial failure names the slices lost.
 func (n *Node) routeIngest(ctx context.Context, m wire.IngestRequest) wire.Message {
+	if !m.Pollutant.Valid() {
+		return WireError(unknownPollutant(m.Pollutant))
+	}
 	if len(m.Tuples) == 0 {
 		return WireError(fmt.Errorf("%w: empty upload", ingest.ErrInvalidBatch))
 	}
@@ -873,6 +897,9 @@ func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) [][]tuple
 // dead node has no live replica the merge proceeds without its shards
 // and the returned Partial names it (nil when the answer is complete).
 func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Message, *Partial) {
+	if !m.Pollutant.Valid() {
+		return WireError(unknownPollutant(m.Pollutant)), nil
+	}
 	n.nScatters.Add(1)
 	ring := n.Ring()
 	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)
@@ -926,6 +953,9 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		// shards from fallback grids.
 		return WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",
 			ErrTooLarge, m.Cols, m.Rows, MaxHeatmapCells)), nil
+	}
+	if !m.Pollutant.Valid() {
+		return WireError(unknownPollutant(m.Pollutant)), nil
 	}
 	ring := n.Ring()
 	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)
@@ -1146,11 +1176,10 @@ func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
 	return r.Value, err
 }
 
-// QueryBatchOpts answers a batch with per-item results, splitting it
-// across shard owners. Every share, this node's own included, travels as
-// a wire BatchQueryRequest, which carries no worker bound: the options
-// are ignored.
-func (n *Node) QueryBatchOpts(ctx context.Context, reqs []query.Request, _ query.Options) ([]query.BatchResult, error) {
+// QueryBatch answers a batch with per-item results, splitting it across
+// shard owners. Every share, this node's own included, travels as a wire
+// BatchQueryRequest.
+func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -89,6 +89,9 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 	if len(pts) == 0 {
 		return nil, errors.New("cluster: empty point set")
 	}
+	if !pol.Valid() {
+		return nil, unknownPollutant(pol)
+	}
 	ring := n.Ring()
 	groups := make(map[int][]int) // owner -> merged point indexes
 	for i, p := range pts {

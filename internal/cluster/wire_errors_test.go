@@ -269,7 +269,7 @@ func TestBatchItemsKeepTheirSentinels(t *testing.T) {
 	if !ok || len(br.Items) != len(want) {
 		t.Fatalf("got %#v", resp)
 	}
-	rs, err := p.nodes[0].QueryBatchOpts(context.Background(), reqs, query.Options{})
+	rs, err := p.nodes[0].QueryBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestBatchItemsKeepTheirSentinels(t *testing.T) {
 			t.Errorf("item %d over TCP = %#v, want %v", i, it, w)
 		}
 		if !errors.Is(rs[i].Err, w) {
-			t.Errorf("item %d via Node.QueryBatchOpts = %v, want %v", i, rs[i].Err, w)
+			t.Errorf("item %d via Node.QueryBatch = %v, want %v", i, rs[i].Err, w)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package query
 
 // This file defines the v1 typed query surface shared by the facade, the
 // engine, the HTTP layer, and the wire clients: the pollutant-aware
-// Request, the structured error taxonomy, and the batch options. A served
+// Request, the structured error taxonomy, and the batch result. A served
 // request is always answered from the model cover; the paper's radius
 // baselines are the Processors in this package, built directly by their
 // callers.
@@ -72,12 +72,3 @@ var (
 	// by the serving engine.
 	ErrUnknownPollutant = errors.New("query: unknown pollutant")
 )
-
-// Options tunes how a batch is answered. The zero value is the default.
-type Options struct {
-	// Concurrency bounds the worker pool answering a batch (0 picks
-	// GOMAXPROCS; 1 forces sequential execution). The engine clamps it
-	// to a small multiple of GOMAXPROCS, so untrusted callers cannot
-	// dictate the server's goroutine count. Single queries ignore it.
-	Concurrency int
-}

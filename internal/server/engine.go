@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -448,48 +447,19 @@ func (e *Engine) Query(ctx context.Context, req query.Request) (float64, error) 
 
 // QueryBatch answers a batch of v1 requests (requests may mix
 // pollutants) with per-index results: one BatchResult per request, in
-// order, each carrying its own value or error. The call-level error is
-// reserved for an empty batch and for context cancellation.
-func (e *Engine) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
-	return e.QueryBatchOpts(ctx, reqs, query.Options{})
-}
-
-// batchWorkers resolves the worker count for a batch of n requests:
-// the requested concurrency (0 = GOMAXPROCS), never more than the batch
-// size, and clamped to a small multiple of GOMAXPROCS — batch items are
-// CPU-bound, so the clamp costs nothing while stopping a client-supplied
-// ?concurrency= from dictating the server's goroutine count.
-func batchWorkers(requested, n int) int {
-	procs := runtime.GOMAXPROCS(0)
-	w := requested
-	if w <= 0 {
-		w = procs
-	}
-	if max := 4 * procs; w > max {
-		w = max
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// QueryBatchOpts is QueryBatch with a worker bound: the allocating form
+// order, each carrying its own value or error. It is the allocating form
 // of the engine's one batch executor, runBatch, which the wire path runs
-// on memory it lends instead.
-//
-// The batch executes on a bounded worker pool (Options.Concurrency
-// workers; 0 picks GOMAXPROCS, 1 is the sequential baseline). A bad
-// request no longer rejects the whole batch: its slot carries the error
-// and every other request is still answered. Cancelling ctx drains the
-// pool promptly — workers stop picking up new requests, remaining slots
-// are marked with the context error, and the call returns it.
-func (e *Engine) QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error) {
+// on memory it lends instead. A bad request does not reject the batch:
+// its slot carries the error and every other request is still answered.
+// The call-level error is reserved for an empty batch and for context
+// cancellation, which marks the slots left unanswered with the context
+// error.
+func (e *Engine) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("server: empty query batch")
 	}
 	results := make([]query.BatchResult, len(reqs))
-	err := runBatch(ctx, e, len(reqs), resultSlots{reqs: reqs, out: results}, o)
+	err := runBatch(ctx, e, len(reqs), resultSlots{reqs: reqs, out: results})
 	return results, err
 }
 
@@ -501,7 +471,7 @@ type batchSlots interface {
 	answer(i int, v float64, err error)
 }
 
-// resultSlots is QueryBatchOpts' memory: the caller's requests, and the
+// resultSlots is QueryBatch's memory: the caller's requests, and the
 // results it returns.
 type resultSlots struct {
 	reqs []query.Request
@@ -535,42 +505,30 @@ func (s wireSlots) answer(i int, v float64, err error) {
 	s.out[i] = wire.BatchQueryItem{Value: v}
 }
 
-// runBatch is the batch executor (see QueryBatchOpts): it answers the n
-// requests of s into s. Every slot is written, with the context error for
-// slots a cancellation left unanswered; the returned error is reserved for
-// that cancellation.
-func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S, o query.Options) error {
-	workers := batchWorkers(o.Concurrency, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					s.answer(i, 0, err)
-					continue // drain: mark remaining slots without querying
-				}
-				v, err := e.batchItem(ctx, s.request(i))
-				s.answer(i, v, err)
-			}
-		}()
+// runBatch is the batch executor (see QueryBatch): it answers the n
+// requests of s into s, in order, on the calling goroutine: a warm
+// answer is a cover lookup and one model evaluation, cheaper than handing
+// it to another goroutine. Every slot is written, with the context error
+// for slots a cancellation left unanswered; the returned error is
+// reserved for that cancellation.
+func runBatch[S batchSlots](ctx context.Context, e *Engine, n int, s S) error {
+	for i := range n {
+		if err := ctx.Err(); err != nil {
+			s.answer(i, 0, err) // drain: mark remaining slots without querying
+			continue
+		}
+		v, err := e.batchItem(ctx, s.request(i))
+		s.answer(i, v, err)
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("server: query batch: %w", err)
 	}
 	return nil
 }
 
-// batchItem answers one batch slot, containing panics: a panic on a bare
-// worker goroutine would kill the whole process, so it becomes that
-// item's error instead.
+// batchItem answers one batch slot, containing panics: a panic while
+// serving one item would otherwise fail the whole batch, or kill the
+// process, so it becomes that item's error instead.
 func (e *Engine) batchItem(ctx context.Context, req query.Request) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -803,7 +761,7 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 			return wire.ErrorResponse{Msg: "empty query batch"}
 		}
 		resp := wire.BatchQueryResponse{Items: wire.LendItems(len(m.Items))}
-		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: resp.Items}, query.Options{}); err != nil {
+		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: resp.Items}); err != nil {
 			wire.Recycle(nil, resp)
 			return cluster.WireError(err)
 		}

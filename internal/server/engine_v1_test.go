@@ -9,7 +9,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -206,9 +205,10 @@ func TestEngineBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-func TestEngineBatchConcurrencyAgreement(t *testing.T) {
-	// The sequential baseline (Concurrency 1) and the parallel pool must
-	// produce identical answers.
+// TestEngineBatchMatchesPointQueries: a batch answers each of its items
+// exactly as a Query of that item does, value for value and error for
+// error.
+func TestEngineBatchMatchesPointQueries(t *testing.T) {
 	e := newMultiEngine(t)
 	rng := rand.New(rand.NewSource(11))
 	reqs := make([]query.Request, 200)
@@ -222,20 +222,18 @@ func TestEngineBatchConcurrencyAgreement(t *testing.T) {
 			Pollutant: pol,
 		}
 	}
-	seq, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Concurrency: 1})
+	ctx := context.Background()
+	rs, err := e.QueryBatch(ctx, reqs)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("batch: %v", err)
 	}
-	par, err := e.QueryBatchOpts(context.Background(), reqs, query.Options{Concurrency: 8})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	for i := range reqs {
-		if (seq[i].Err == nil) != (par[i].Err == nil) {
-			t.Fatalf("item %d: sequential err %v, parallel err %v", i, seq[i].Err, par[i].Err)
+	for i, req := range reqs {
+		v, err := e.Query(ctx, req)
+		if (err == nil) != (rs[i].Err == nil) || (err != nil && err.Error() != rs[i].Err.Error()) {
+			t.Fatalf("item %d: Query err %v, batch err %v", i, err, rs[i].Err)
 		}
-		if seq[i].Err == nil && seq[i].Value != par[i].Value {
-			t.Fatalf("item %d: sequential %v != parallel %v", i, seq[i].Value, par[i].Value)
+		if err == nil && v != rs[i].Value {
+			t.Fatalf("item %d: Query %v != batch %v", i, v, rs[i].Value)
 		}
 	}
 }
@@ -266,21 +264,5 @@ func TestHandleMessageBatch(t *testing.T) {
 	// An empty batch is a protocol-level error response.
 	if _, ok := e.HandleMessage(wire.BatchQueryRequest{}).(wire.ErrorResponse); !ok {
 		t.Error("empty batch should answer with ErrorResponse")
-	}
-}
-
-func TestBatchWorkersClamp(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	if got := batchWorkers(0, 1000); got != min(procs, 1000) {
-		t.Errorf("default workers = %d, want %d", got, min(procs, 1000))
-	}
-	if got := batchWorkers(1, 1000); got != 1 {
-		t.Errorf("sequential workers = %d, want 1", got)
-	}
-	if got := batchWorkers(1<<20, 1<<20); got != 4*procs {
-		t.Errorf("hostile concurrency clamped to %d, want %d", got, 4*procs)
-	}
-	if got := batchWorkers(8, 3); got > 3 {
-		t.Errorf("workers = %d exceed batch size 3", got)
 	}
 }

@@ -36,7 +36,7 @@ import (
 type Backend interface {
 	proto.Handler
 	Query(ctx context.Context, req query.Request) (float64, error)
-	QueryBatchOpts(ctx context.Context, reqs []query.Request, o query.Options) ([]query.BatchResult, error)
+	QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error)
 	Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
 	TryIngest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
 	Heatmap(ctx context.Context, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error)
@@ -304,19 +304,6 @@ func (a *API) queryPollutant(q url.Values) (tuple.Pollutant, error) {
 	return p, nil
 }
 
-// queryOptions resolves the optional ?concurrency= parameter of a batch.
-func queryOptions(q url.Values) (query.Options, error) {
-	var o query.Options
-	if s := q.Get("concurrency"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			return o, fmt.Errorf("parameter %q: want a non-negative integer", "concurrency")
-		}
-		o.Concurrency = v
-	}
-	return o, nil
-}
-
 // pointResponse is the single point query answer shown by the web UI: the
 // interpolated value plus the pollutant, its unit, and the band/advice.
 type pointResponse struct {
@@ -391,18 +378,12 @@ type batchResponse struct {
 	Errors int                 `json:"errors"`
 }
 
-// handleBatch serves POST /v1/query/batch?pollutant=&concurrency= — the
-// batch entry point of the v1 API. Requests execute concurrently on the
-// server and each item succeeds or fails on its own: a request outside the
-// retained windows reports an "error" in its slot without rejecting the
-// batch.
+// handleBatch serves POST /v1/query/batch?pollutant= — the batch entry
+// point of the v1 API. Each item succeeds or fails on its own: a request
+// outside the retained windows reports an "error" in its slot without
+// rejecting the batch. A ?concurrency= parameter is ignored.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	opts, err := queryOptions(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	var br batchRequest
 	if !decodeBody(w, r, &br) {
 		return
@@ -431,7 +412,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = query.Request{T: in.T, X: in.X, Y: in.Y, Pollutant: pol}
 	}
-	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, opts)
+	rs, err := a.backend.QueryBatch(r.Context(), reqs)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -510,7 +491,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, query.Options{})
+	rs, err := a.backend.QueryBatch(r.Context(), reqs)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -705,7 +686,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 	for i, f := range fixes {
 		reqs[i] = query.Request{T: f.T, X: f.Pos.X, Y: f.Pos.Y, Pollutant: pol}
 	}
-	rs, err := a.backend.QueryBatchOpts(r.Context(), reqs, query.Options{})
+	rs, err := a.backend.QueryBatch(r.Context(), reqs)
 	if err != nil {
 		writeEngineError(w, err)
 		return

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -550,6 +551,60 @@ func TestTCPBatchAllocs(t *testing.T) {
 	t.Logf("100-point TCP batch = %d B/op on the server", b)
 	if b > 1<<10 {
 		t.Errorf("100-point TCP batch = %d B/op on the server, want ≤ 1 KiB", b)
+	}
+}
+
+// goroutineID is the calling goroutine's number, read from its stack
+// header ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
+// onGoroutineCtx is a context that notes whether it was consulted from a
+// goroutine other than the one that made it.
+type onGoroutineCtx struct {
+	context.Context
+	id    string
+	other atomic.Bool
+}
+
+func (c *onGoroutineCtx) Err() error {
+	if goroutineID() != c.id {
+		c.other.Store(true)
+	}
+	return c.Context.Err()
+}
+
+// TestWireBatchAllocs: a warm engine answers a 100-point wire batch on
+// the goroutine that hands it the batch, without starting a worker, and
+// into lent items — so what it allocates is the request and the response
+// boxed into wire.Message. A worker pool cost three more allocations.
+func TestWireBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	e := newTestEngine(t)
+	req := route100(0)
+	batch := func(ctx context.Context) {
+		resp := e.HandleMessageCtx(ctx, req)
+		br, ok := resp.(wire.BatchQueryResponse)
+		if !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
+			t.Fatalf("route answered %#v", resp)
+		}
+		e.Release(nil, resp)
+	}
+	ctx := &onGoroutineCtx{Context: context.Background(), id: goroutineID()}
+	batch(ctx)
+	if ctx.other.Load() {
+		t.Error("a batch item was answered on another goroutine")
+	}
+	const ceiling = 2 // the boxed request and response
+	allocs := testing.AllocsPerRun(50, func() { batch(context.Background()) })
+	t.Logf("100-point wire batch = %.1f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("100-point wire batch = %.1f allocs, want ≤ %d", allocs, ceiling)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // hard-dropped, so it reads (or builds) the new cover — the value pushed
 // is always post-rebuild.
 func (e *Engine) subsEvaluate(ctx context.Context, _ tuple.Pollutant, reqs []query.Request) ([]query.BatchResult, error) {
-	return e.QueryBatchOpts(ctx, reqs, query.Options{})
+	return e.QueryBatch(ctx, reqs)
 }
 
 // subsWindowLen binds subscription points to window indexes.

@@ -367,6 +367,15 @@ func TestHTTPV1BatchPerItemErrors(t *testing.T) {
 	if br.Values[0].Pollutant != "CO2" || br.Values[2].Pollutant != "PM" {
 		t.Errorf("batch pollutants: %+v", br.Values)
 	}
+	// ?concurrency= bounds nothing any more: any value is ignored.
+	resp3, err := http.Post(srv.URL+"/v1/query/batch?concurrency=-1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusOK {
+		t.Errorf("?concurrency=-1: status %d, want 200", resp3.StatusCode)
+	}
 }
 
 func TestHTTPV1PollutantsDiscovery(t *testing.T) {
