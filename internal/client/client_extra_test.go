@@ -11,7 +11,9 @@ import (
 )
 
 // scriptedTransport returns canned responses or errors, to exercise the
-// client's handling of protocol violations without a network.
+// client's handling of protocol violations without a network. Each answer
+// is handed out once and never read again, so it is the caller's, as a
+// cluster.Transport's must be.
 type scriptedTransport struct {
 	responses []wire.Message
 	errs      []error

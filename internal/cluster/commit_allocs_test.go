@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -21,6 +23,17 @@ func (ackHandler) HandleMessage(m wire.Message) wire.Message {
 		return wire.IngestResponse{Ingested: uint32(len(ing.Tuples))}
 	}
 	return wire.ErrorResponse{Msg: "ack: not an upload"}
+}
+
+// ackTransport is a peer that acknowledges every forwarded upload without
+// keeping it, so a measurement sees only the routing node's own work.
+type ackTransport struct{}
+
+func (ackTransport) Exchange(req wire.Message) (wire.Message, error) {
+	if f, ok := req.(wire.Forwarded); ok {
+		req = f.Inner
+	}
+	return ackHandler{}.HandleMessage(req), nil
 }
 
 // commitNode is node 0 of a 3-node R = 2 ring over the given number of
@@ -94,5 +107,63 @@ func BenchmarkReplicatedCommit256(b *testing.B) {
 				commit()
 			}
 		})
+	}
+}
+
+// bytesPerRun is the median of five rounds' heap bytes allocated per call
+// of f, after one warm-up call.
+func bytesPerRun(f func()) uint64 {
+	const calls = 50
+	f()
+	var per []uint64
+	for range 5 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range calls {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		per = append(per, (m1.TotalAlloc-m0.TotalAlloc)/calls)
+	}
+	slices.Sort(per)
+	return per[len(per)/2]
+}
+
+// TestIngestSplitAllocs: a router splits an upload by owner into lent
+// memory, and gives it back once every owner has acknowledged its slice,
+// so a warm upload routed through a 3-node ring allocates nothing that
+// grows with it — a few small objects per upload, where the split once
+// cost an owner index and a copy of the upload (9 KiB at 256 tuples).
+func TestIngestSplitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	// One P: a split given back to its pool is the next one lent.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ring, err := NewRing(testDesc(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{Ring: ring, Self: -1, Transports: []Transport{ackTransport{}, ackTransport{}, ackTransport{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	rng := rand.New(rand.NewSource(43))
+	perUpload := func(size int) uint64 {
+		req := wire.IngestRequest{Pollutant: tuple.CO2, Tuples: make([]tuple.Raw, size)}
+		for i := range req.Tuples {
+			req.Tuples[i] = tuple.Raw{T: float64(i), X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000, S: 400}
+		}
+		return bytesPerRun(func() {
+			if resp := n.HandleMessage(req); resp != (wire.IngestResponse{Ingested: uint32(size)}) {
+				t.Fatalf("a %d-tuple upload answered %#v", size, resp)
+			}
+		})
+	}
+	small, large := perUpload(256), perUpload(1024)
+	t.Logf("routed upload = %d B at 256 tuples, %d B at 1024", small, large)
+	if small > 1<<10 || large > small+128 {
+		t.Errorf("routed upload = %d B at 256 tuples and %d B at 1024, want ≤ 1 KiB and no growth", small, large)
 	}
 }

@@ -211,8 +211,9 @@ func (stubHandler) HandleMessage(m wire.Message) wire.Message {
 
 // TestSplitByOwnerMatchesPerTupleRouting: the counting-pass split gives
 // every node exactly the tuples the ring routes to it, in upload order, in
-// slices that are full — so the one array they are cut from can never be
-// overwritten through a neighbour's append.
+// slices that are full and cut, one after another, from the one lent array
+// it returns — so that array can never be overwritten through a
+// neighbour's append, and giving it back frees every slice at once.
 func TestSplitByOwnerMatchesPerTupleRouting(t *testing.T) {
 	ring, err := NewRing(testDesc(3))
 	if err != nil {
@@ -227,19 +228,28 @@ func TestSplitByOwnerMatchesPerTupleRouting(t *testing.T) {
 			o := ring.Owner(tuple.PM, tuples[i].Pos())
 			want[o] = append(want[o], tuples[i])
 		}
-		got := splitByOwner(ring, tuple.PM, tuples)
+		got, backing := splitByOwner(ring, tuple.PM, tuples)
 		if len(got) != ring.Nodes() {
 			t.Fatalf("%d tuples split into %d groups for %d nodes", n, len(got), ring.Nodes())
 		}
+		if len(backing) != n {
+			t.Fatalf("%d tuples split from a backing of %d", n, len(backing))
+		}
+		off := 0
 		for o := range got {
 			if len(got[o]) != len(want[o]) || cap(got[o]) != len(got[o]) {
 				t.Fatalf("%d tuples: node %d got %d (room for %d), the ring routes it %d", n, o, len(got[o]), cap(got[o]), len(want[o]))
 			}
+			if len(got[o]) > 0 && &got[o][0] != &backing[off] {
+				t.Fatalf("%d tuples: node %d's slice is not cut from the backing at %d", n, o, off)
+			}
+			off += len(got[o])
 			for i := range got[o] {
 				if got[o][i] != want[o][i] {
 					t.Fatalf("%d tuples: node %d's tuple %d is %v, want %v", n, o, i, got[o][i], want[o][i])
 				}
 			}
 		}
+		wire.ReturnTuples(backing)
 	}
 }

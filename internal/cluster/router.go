@@ -72,7 +72,13 @@ type Handler interface {
 }
 
 // Transport carries protocol messages to one peer node (implemented by
-// proto.Client over TCP and by the netsim link transport in tests).
+// proto.Client over TCP and by the netsim link transport in tests). The
+// answer Exchange returns belongs to its caller: it is memory nothing
+// else holds — a transport decodes it afresh, and never hands back a
+// message it or its peer keeps — so the caller may give it to
+// wire.Recycle once it is done reading it, as a node does with every peer
+// answer it merges. The request stays the caller's too: a transport is
+// done with it when Exchange returns.
 type Transport interface {
 	Exchange(req wire.Message) (wire.Message, error)
 }
@@ -374,13 +380,17 @@ func (n *Node) Release(req, resp wire.Message) {
 	}
 }
 
-// consumed hands back a leg's answer the node has finished reading: one
-// the local engine lent it, when it lends. Peer answers are the decoding
-// transport's, and stay with the garbage collector.
-func (n *Node) consumed(leg int, resp wire.Message) {
-	if leg == n.self {
-		n.Release(nil, resp)
+// consumed hands back an answer the node has finished reading and does
+// not return as its own. from is the node that answered. A peer's answer
+// is the node's by the Transport contract, and always goes back. An answer
+// of this node's own — its Local's, or a mirror's standing in for a dead
+// peer — goes back only when the node lends (see Release).
+func (n *Node) consumed(from int, resp wire.Message) {
+	if from != n.self {
+		wire.Recycle(nil, resp)
+		return
 	}
+	n.Release(nil, resp)
 }
 
 // HandleMessageCtx is HandleMessage with a caller-supplied context
@@ -740,15 +750,18 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 			br, answered = resp.(wire.BatchQueryResponse)
 			answered = ok && answered && len(br.Items) == len(sub)
 		}
-		if !answered {
+		if answered {
+			n.nFailover.Add(1)
+			for j, i := range sub {
+				out[i] = br.Items[j]
+			}
+		} else {
 			for _, i := range sub {
 				out[i] = ownerDown
 			}
-			continue
 		}
-		n.nFailover.Add(1)
-		for j, i := range sub {
-			out[i] = br.Items[j]
+		if g > 0 {
+			n.consumed(g-1, br)
 		}
 	}
 }
@@ -807,10 +820,16 @@ func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
 // slice errors in tally. retry allows each fenced chunk one re-split
 // of the slice's unapplied remainder under a refreshed ring — the
 // fence rejected the whole chunk without applying it, so the re-split
-// duplicates nothing.
+// duplicates nothing. The split is lent, and goes back once every chunk
+// was acknowledged: a chunk answered otherwise may still sit in the local
+// engine's ingest queue (its wait was abandoned), which reads it later,
+// so then the split stays with the garbage collector.
 func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
-	var wg sync.WaitGroup
-	groups := splitByOwner(ring, pol, tuples)
+	var legs struct {
+		sync.WaitGroup
+		unacked atomic.Bool // some chunk was not answered IngestResponse
+	}
+	groups, backing := splitByOwner(ring, pol, tuples)
 	// Peers first, this node's own slice last: the forwarded slices are on
 	// the wire while the local one is applied and fsynced.
 	for i := range groups {
@@ -819,9 +838,9 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 		if len(slice) == 0 {
 			continue
 		}
-		wg.Add(1)
+		legs.Add(1)
 		go func(owner int, slice []tuple.Raw) {
-			defer wg.Done()
+			defer legs.Done()
 			// Chunk the slice so every forwarded frame fits the wire;
 			// stop at the first failed chunk (the rest would only widen
 			// the partial window).
@@ -832,6 +851,9 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 				}
 				chunk := slice[start:end]
 				resp, _ := n.routeOwner(ctx, ring, owner, wire.IngestRequest{Pollutant: pol, Tuples: chunk})
+				if _, acked := resp.(wire.IngestResponse); !acked {
+					legs.unacked.Store(true)
+				}
 				if retry && responseCode(resp) == wire.CodeStaleEpoch {
 					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
 						n.ingestInto(ctx, fresh, pol, slice[start:], tally, false)
@@ -858,32 +880,44 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 			}
 		}(owner, slice)
 	}
-	wg.Wait()
+	legs.Wait()
+	if !legs.unacked.Load() {
+		wire.ReturnTuples(backing)
+	}
 }
 
 // splitByOwner groups tuples by shard owner under ring, in their order:
-// element o of the result is node o's slice. A counting pass sizes the
-// slices first, so they are cut from one array the size of the upload and
-// each is full — whoever appends to one gets a copy, never its neighbour.
-func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) [][]tuple.Raw {
-	owners := make([]int32, len(tuples))
-	counts := make([]int, ring.Nodes())
-	for i, r := range tuples {
-		o := ring.Owner(pol, r.Pos())
-		owners[i] = int32(o)
-		counts[o]++
+// element o of groups is node o's slice. A counting pass sizes the slices
+// first, so they are cut from backing, one array the size of the upload
+// lent from the wire pools, and each is full — whoever appends to one gets
+// a copy, never its neighbour. Each tuple's owner is looked up again in
+// the second pass rather than kept from the first: the ring's placement
+// table answers it without allocating.
+func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) (groups [][]tuple.Raw, backing []tuple.Raw) {
+	var (
+		small  [8]int // room for the counts of every ring this side of nine nodes
+		counts []int
+	)
+	if nodes := ring.Nodes(); nodes <= len(small) {
+		counts = small[:nodes]
+	} else {
+		counts = make([]int, nodes)
 	}
-	groups := make([][]tuple.Raw, len(counts))
-	backing := make([]tuple.Raw, len(tuples))
+	for _, r := range tuples {
+		counts[ring.Owner(pol, r.Pos())]++
+	}
+	groups = make([][]tuple.Raw, len(counts))
+	backing = wire.LendTuples(len(tuples))
 	off := 0
 	for o, n := range counts {
 		groups[o] = backing[off : off : off+n]
 		off += n
 	}
-	for i, r := range tuples {
-		groups[owners[i]] = append(groups[owners[i]], r)
+	for _, r := range tuples {
+		o := ring.Owner(pol, r.Pos())
+		groups[o] = append(groups[o], r)
 	}
-	return groups
+	return groups, backing
 }
 
 // scatterModel gathers every node's model cover for the window and
@@ -902,12 +936,12 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 	}
 	n.nScatters.Add(1)
 	ring := n.Ring()
-	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)
-	part := n.scatterFailover(ring, resps, nodeDown, m.Pollutant, m)
+	legs, firstErr := n.scatter(ctx, ring, m)
+	part := n.scatterFailover(ring, legs, m.Pollutant, m)
 	var merged wire.ModelResponse
 	var got bool
-	for _, resp := range resps {
-		mr, ok := resp.(wire.ModelResponse)
+	for _, l := range legs {
+		mr, ok := l.resp.(wire.ModelResponse)
 		if !ok {
 			continue
 		}
@@ -940,8 +974,8 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 // On a replicated ring, dead nodes' grids come from their replicas;
 // unhealed legs blank their shards and the returned Partial names them
 // (nil when the raster is complete). lend merges into a raster lent from
-// the wire pools, for a response that goes back through Release; the
-// node's own leg goes back as soon as it is merged.
+// the wire pools, for a response that goes back through Release; every
+// leg goes back as soon as it is merged (see consumed).
 func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend bool) (wire.Message, *Partial) {
 	n.nScatters.Add(1)
 	if m.Cols < 1 || m.Rows < 1 {
@@ -958,13 +992,13 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		return WireError(unknownPollutant(m.Pollutant)), nil
 	}
 	ring := n.Ring()
-	resps, nodeDown, firstErr := n.scatter(ctx, ring, m)
-	part := n.scatterFailover(ring, resps, nodeDown, m.Pollutant, m)
+	legs, firstErr := n.scatter(ctx, ring, m)
+	part := n.scatterFailover(ring, legs, m.Pollutant, m)
 	byNode := make([]*wire.HeatmapResponse, ring.Nodes())
 	var any bool
 	union := geo.Rect{}
-	for i, resp := range resps {
-		hr, ok := resp.(wire.HeatmapResponse)
+	for i, l := range legs {
+		hr, ok := l.resp.(wire.HeatmapResponse)
 		if !ok {
 			continue
 		}
@@ -1000,74 +1034,82 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 			out.Values[j*int(m.Cols)+i] = sampleGrid(src, p)
 		}
 	}
-	for i, resp := range resps {
-		n.consumed(i, resp) // merged
+	for _, l := range legs {
+		n.consumed(l.from, l.resp) // merged
 	}
 	return out, part
 }
 
+// leg is one node's part of a scatter: its answer, the node that gave it
+// — the leg's own, or the replica that healed it — and whether the leg's
+// node was down (a transport failure, or no transport).
+type leg struct {
+	resp wire.Message
+	from int
+	down bool
+}
+
 // scatter fans a request out to every live node (the local engine
-// included) and returns the per-node responses, a per-node owner-down
-// flag (set on transport failure or a missing transport), and the
-// first error response, to report when nothing succeeds. Tombstoned
-// slots are skipped — they own no shards. Scatter legs are sent
-// epoch-agnostic (Epoch 0): the merge samples by ownership, so a peer
-// one epoch away answering from its own view is at worst briefly
-// stale, and fencing every leg would fail whole rasters during each
-// transition for no correctness gain.
-func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]wire.Message, []bool, wire.ErrorResponse) {
-	resps := make([]wire.Message, ring.Nodes())
-	nodeDown := make([]bool, ring.Nodes())
+// included) and returns one leg per node, indexed by node, and the first
+// error response, to report when nothing succeeds. Tombstoned slots are
+// skipped — they own no shards. Scatter legs are sent epoch-agnostic
+// (Epoch 0): the merge samples by ownership, so a peer one epoch away
+// answering from its own view is at worst briefly stale, and fencing
+// every leg would fail whole rasters during each transition for no
+// correctness gain.
+func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]leg, wire.ErrorResponse) {
+	legs := make([]leg, ring.Nodes())
 	var wg sync.WaitGroup
-	for i := 0; i < ring.Nodes(); i++ {
+	for i := range legs {
+		legs[i].from = i
 		if !ring.IsLive(i) {
 			continue
 		}
 		if i != n.self && n.transport(i) == nil {
-			nodeDown[i] = true
+			legs[i].down = true
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(l *leg, i int) {
 			defer wg.Done()
 			if i == n.self {
 				n.nLocal.Add(1)
-				resps[i] = n.localHandle(ctx, m)
+				l.resp = n.localHandle(ctx, m)
 				return
 			}
 			n.nForwarded.Add(1)
 			resp, err := n.transport(i).Exchange(wire.Forwarded{Inner: m})
 			if err != nil {
 				n.nErrors.Add(1)
-				nodeDown[i] = true
+				l.down = true
 				resp = unreachable(i, ring, err)
 			}
-			resps[i] = resp
-		}(i)
+			l.resp = resp
+		}(&legs[i], i)
 	}
 	wg.Wait()
 	firstErr := wire.ErrorResponse{Msg: "cluster: no node answered"}
-	for _, r := range resps {
-		if er, ok := r.(wire.ErrorResponse); ok {
+	for _, l := range legs {
+		if er, ok := l.resp.(wire.ErrorResponse); ok {
 			firstErr = er
 			break
 		}
 	}
-	return resps, nodeDown, firstErr
+	return legs, firstErr
 }
 
 // scatterFailover re-asks a scatter's dead legs at their replicas,
-// patching healed answers into resps in place. Legs with no live
-// replica are recorded in the returned Partial — nil when every leg
-// answered or the ring is unreplicated, so unreplicated clusters keep
-// the all-or-nothing v1.2 contract byte for byte.
-func (n *Node) scatterFailover(ring *Ring, resps []wire.Message, nodeDown []bool, pol tuple.Pollutant, m wire.Message) *Partial {
+// patching healed answers, and who gave them, into legs in place. Legs
+// with no live replica are recorded in the returned Partial — nil when
+// every leg answered or the ring is unreplicated, so unreplicated
+// clusters keep the all-or-nothing v1.2 contract byte for byte.
+func (n *Node) scatterFailover(ring *Ring, legs []leg, pol tuple.Pollutant, m wire.Message) *Partial {
 	if ring.Replicas() <= 1 {
 		return nil
 	}
 	var part *Partial
-	for i := range resps {
-		if !nodeDown[i] {
+	for i := range legs {
+		if !legs[i].down {
 			continue
 		}
 		owned := len(ring.OwnedCells(i, pol))
@@ -1079,7 +1121,7 @@ func (n *Node) scatterFailover(ring *Ring, resps []wire.Message, nodeDown []bool
 		healed := false
 		for _, rep := range ring.ReplicaPeers(i, pol) {
 			if ans, ok := n.readAtReplica(rep, i, m); ok {
-				resps[i] = ans
+				legs[i].resp, legs[i].from = ans, rep
 				n.nFailover.Add(1)
 				healed = true
 				break

@@ -119,8 +119,9 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // frameReader reads the frames of one connection into the read buffer the
-// connection keeps. lend decodes a request's bulk into lent memory
-// (wire.Binary.DecodeLent): the serve loop of a Releaser sets it.
+// connection keeps. lend decodes a message's bulk into lent memory
+// (wire.Binary.DecodeLent): the serve loop of a Releaser sets it for its
+// requests, and a Client for its answers.
 type frameReader struct {
 	r    io.Reader
 	buf  []byte
@@ -387,13 +388,17 @@ func Dial(addr string, cfg ServerConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	return &Client{cfg: cfg.withDefaults(), conn: conn, rd: frameReader{r: conn}}, nil
+	return &Client{cfg: cfg.withDefaults(), conn: conn, rd: frameReader{r: conn, lend: true}}, nil
 }
 
 // Exchange performs one request/response round trip. A failed write or
 // read — a timeout included — closes the connection, and every later
 // Exchange fails: the request/response pairing on it can no longer be
-// trusted.
+// trusted. The answer belongs to the caller (cluster.Transport's
+// contract): it is decoded with wire.Binary.DecodeLent, so a batch
+// answer's items and a raster's values are lent from the wire pools, and
+// a caller done reading them may hand the answer to wire.Recycle. A caller
+// that keeps it never does.
 func (c *Client) Exchange(req wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

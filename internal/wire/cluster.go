@@ -408,7 +408,7 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		if len(data) != 45+8*count {
 			return nil, fmt.Errorf("%w: HeatmapResponse length %d for %dx%d grid", ErrMalformed, len(data), m.Cols, m.Rows)
 		}
-		m.Values = make([]float64, count)
+		m.Values = alloc(&rasters, count, lend)
 		off := 45
 		for i := range m.Values {
 			m.Values[i] = getF64(data[off:])

@@ -14,7 +14,10 @@ import (
 // message must re-encode and re-decode to a byte-identical frame, must not
 // change when the bytes it was decoded from are overwritten (connections
 // read the next frame into the same buffer), and must append-encode behind
-// a prefix to the same bytes; DecodeLent must agree with Decode. Every
+// a prefix to the same bytes; DecodeLent must agree with Decode, and agree
+// again when it decodes into the memory it lent before, given back and
+// soiled as a borrower may leave it (so a decoder that leaves any field of
+// a lent item unwritten fails). Every
 // accepted ModelResponse must either convert to a cover and back to a
 // field-equal response, or fail to convert with an error. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
@@ -104,10 +107,23 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if err1 == nil {
 			enc, err := Binary.Encode(m1)
-			if encLent, errLent := Binary.Encode(lent); (err == nil) != (errLent == nil) || !bytes.Equal(enc, encLent) {
-				t.Fatalf("%T: DecodeLent's message encodes differently (%v, %v)", m1, err, errLent)
+			sameAsDecode := func(lent Message, when string) {
+				if encLent, errLent := Binary.Encode(lent); (err == nil) != (errLent == nil) || !bytes.Equal(enc, encLent) {
+					t.Fatalf("%T: DecodeLent's message %s encodes differently (%v, %v)", m1, when, err, errLent)
+				}
 			}
-			Recycle(lent, nil)
+			sameAsDecode(lent, "into fresh memory")
+			// Give everything back, as an acknowledged exchange does, and
+			// soil it where it lies in the pools: the next lent decode of
+			// the frame gets that memory back and must overwrite all of it.
+			Recycle(lent, IngestResponse{})
+			soil(lent)
+			again, errAgain := Binary.DecodeLent(data)
+			if errAgain != nil {
+				t.Fatalf("%T: a second DecodeLent failed: %v", m1, errAgain)
+			}
+			sameAsDecode(again, "into recycled memory")
+			Recycle(again, IngestResponse{})
 		}
 		if err1 != nil {
 			if err1.Error() != err2.Error() {
@@ -153,6 +169,39 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// soil writes junk over the bulk a lent decode put in m — every kind
+// DecodeLent lends — as a borrower of the pools may leave it.
+func soil(m Message) {
+	switch v := m.(type) {
+	case BatchQueryRequest:
+		for i := range v.Items {
+			v.Items[i] = QueryRequest{T: -1, X: -1, Y: -1, Pollutant: 0xEE}
+		}
+	case IngestRequest:
+		soilTuples(v.Tuples)
+	case ReplicaIngest:
+		soilTuples(v.Tuples)
+	case Forwarded:
+		soil(v.Inner)
+	case ReplicaRead:
+		soil(v.Inner)
+	case BatchQueryResponse:
+		for i := range v.Items {
+			v.Items[i] = FailedItem(CodeSaturated, "stale")
+		}
+	case HeatmapResponse:
+		for i := range v.Values {
+			v.Values[i] = -1
+		}
+	}
+}
+
+func soilTuples(b []tuple.Raw) {
+	for i := range b {
+		b[i] = tuple.Raw{T: -1, X: -1, Y: -1, S: -1}
+	}
 }
 
 // checkCoverRoundTrip converts a decoded model response, whose encoding

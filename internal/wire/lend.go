@@ -17,12 +17,15 @@ const KeepBytes = 64 << 10
 
 // What grows with a frame is lent, not allocated, on the serving path.
 // The two answers — a batch's items and a raster's values — are borrowed
-// by the handler that fills them (LendItems, LendRaster). The two request
-// bodies — a batch's query points and an upload's tuples — are borrowed by
-// the serve loop that decodes them (Binary.DecodeLent). Both go back with
-// Recycle once the response has been written (proto.Releaser). There is
-// one pool per element type, shared by everything that lends one, so
-// whoever takes a slice back returns it to the pool it came from.
+// by the handler that fills them (LendItems, LendRaster). All four bodies
+// — those two answers and the two requests, a batch's query points and an
+// upload's tuples — are borrowed by whoever decodes them
+// (Binary.DecodeLent): a serve loop its requests, a client its answers.
+// They go back with Recycle once nothing reads them: a served exchange's
+// after its response has been written (proto.Releaser), a peer's answer
+// after the node that asked has merged it. There is one pool per element
+// type, shared by everything that lends one, so whoever takes a slice back
+// returns it to the pool it came from.
 var (
 	items   = lendPool[BatchQueryItem]{maxLen: KeepBytes / int(unsafe.Sizeof(BatchQueryItem{}))}
 	rasters = lendPool[float64]{maxLen: KeepBytes / 8}

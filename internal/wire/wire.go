@@ -15,10 +15,10 @@
 // Binary.Decode never returns a message that shares memory with the bytes
 // it read — strings and slices are copied out — so a connection may read
 // its next frame over the last one as soon as Decode returns.
-// Binary.DecodeLent is the same decoder with a request's bulk copied into
+// Binary.DecodeLent is the same decoder with a message's bulk copied into
 // memory lent from this package's pools (see Recycle) instead of new
-// arrays: a server's serve loop uses it, and gives the memory back once
-// the request has been answered.
+// arrays: a server's serve loop decodes requests with it, and a client its
+// answers, and each gives the memory back once it has been read.
 package wire
 
 import (
@@ -373,11 +373,14 @@ func grow(dst []byte, head, size int) (out, body []byte) {
 // Decode parses one message into memory of its own.
 func (binaryCodec) Decode(data []byte) (Message, error) { return decode(data, false) }
 
-// DecodeLent is Decode with the bulk of a request lent from the pools: a
-// BatchQueryRequest's points, and an IngestRequest's or a ReplicaIngest's
-// tuples, also inside a Forwarded or ReplicaRead. Every other field, and
-// every other message, is decoded as Decode does. Whoever decodes with it
-// owns that memory until it hands the message to Recycle.
+// DecodeLent is Decode with the bulk of a message lent from the pools:
+// the two request bodies — a BatchQueryRequest's points, and an
+// IngestRequest's or a ReplicaIngest's tuples, also inside a Forwarded or
+// ReplicaRead — and the two answers, a BatchQueryResponse's items and a
+// HeatmapResponse's values. Every other field, and every other message, is
+// decoded as Decode does. Whoever decodes with it owns that memory until
+// it hands the message to Recycle; one that keeps the message simply never
+// does.
 func (binaryCodec) DecodeLent(data []byte) (Message, error) { return decode(data, true) }
 
 // alloc returns n elements of T to decode into: lent from p when lend is
@@ -389,7 +392,7 @@ func alloc[T any](p *lendPool[T], n int, lend bool) []T {
 	return make([]T, n)
 }
 
-// decode is the one decoder; lend selects where a request's bulk goes.
+// decode is the one decoder; lend selects where a message's bulk goes.
 func decode(data []byte, lend bool) (Message, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrMalformed)
@@ -441,7 +444,9 @@ func decode(data []byte, lend bool) (Message, error) {
 		if len(data) < 3+3*count {
 			return nil, fmt.Errorf("%w: BatchQueryResponse length %d for %d items", ErrMalformed, len(data), count)
 		}
-		m := BatchQueryResponse{Items: make([]BatchQueryItem, count)}
+		// Every item is written whole: a lent slice still holds what its
+		// last borrower left in it.
+		m := BatchQueryResponse{Items: alloc(&items, count, lend)}
 		off := 3
 		for i := range m.Items {
 			if len(data) < off+1 {
@@ -452,7 +457,7 @@ func decode(data []byte, lend bool) (Message, error) {
 				if len(data) < off+9 {
 					return nil, fmt.Errorf("%w: BatchQueryResponse item %d value", ErrMalformed, i)
 				}
-				m.Items[i].Value = getF64(data[off+1:])
+				m.Items[i] = BatchQueryItem{Value: getF64(data[off+1:])}
 				off += 9
 			default:
 				if len(data) < off+3 {
@@ -462,15 +467,15 @@ func decode(data []byte, lend bool) (Message, error) {
 				if len(data) < off+3+n {
 					return nil, fmt.Errorf("%w: BatchQueryResponse item %d error body", ErrMalformed, i)
 				}
+				// A typed failure always has text: without it the item would
+				// read as a value.
+				if status > 1 && n == 0 {
+					return nil, fmt.Errorf("%w: BatchQueryResponse item %d typed error without text", ErrMalformed, i)
+				}
+				m.Items[i] = BatchQueryItem{Err: string(data[off+3 : off+3+n])}
 				if status > 1 {
-					// A typed failure always has text: without it the item
-					// would read as a value.
-					if n == 0 {
-						return nil, fmt.Errorf("%w: BatchQueryResponse item %d typed error without text", ErrMalformed, i)
-					}
 					m.Items[i].Value = float64(status)
 				}
-				m.Items[i].Err = string(data[off+3 : off+3+n])
 				off += 3 + n
 			}
 		}
