@@ -894,15 +894,7 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 // the second pass rather than kept from the first: the ring's placement
 // table answers it without allocating.
 func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) (groups [][]tuple.Raw, backing []tuple.Raw) {
-	var (
-		small  [8]int // room for the counts of every ring this side of nine nodes
-		counts []int
-	)
-	if nodes := ring.Nodes(); nodes <= len(small) {
-		counts = small[:nodes]
-	} else {
-		counts = make([]int, nodes)
-	}
+	counts := make([]int, ring.Nodes())
 	for _, r := range tuples {
 		counts[ring.Owner(pol, r.Pos())]++
 	}
