@@ -360,9 +360,6 @@ type Platform struct {
 	joining    bool
 	pollutants []Pollutant
 	stores     map[Pollutant]*store.Store
-	// ckOnClose makes Close take a final checkpoint (set when
-	// Config.Checkpoint.Interval > 0).
-	ckOnClose bool
 }
 
 // Open creates a platform (recovering durable state if Config.Dir is set).
@@ -402,7 +399,6 @@ func Open(cfg Config) (*Platform, error) {
 	}
 	adkmn := cfg.AdKMN
 	adkmn.Pollutant = pollutants[0]
-	p.ckOnClose = cfg.Checkpoint.Interval > 0
 	engine, err := server.NewMultiEngineOpts(p.stores, adkmn, server.Options{
 		Pipeline:   cfg.IngestQueue,
 		Scheduler:  cfg.Maintenance,
@@ -427,9 +423,11 @@ func Open(cfg Config) (*Platform, error) {
 		p.backend = engine
 		p.api = server.NewAPI(engine)
 	}
-	// Covers are derived state and are not persisted: every recovered
-	// window is modeled in the background now, newest first, and on the
-	// query path if it is asked for sooner.
+	// Covers are derived state: every recovered window is modeled in the
+	// background now, newest first, and on the query path if it is asked
+	// for sooner. A window its checkpoint holds unchanged is refitted
+	// from the seed the checkpoint kept of its cover instead of running
+	// Ad-KMN again.
 	engine.WarmPrime()
 	return p, nil
 }
@@ -581,10 +579,10 @@ func (p *Platform) CheckpointStats() CheckpointStats { return p.engine.Checkpoin
 func (p *Platform) ColumnarStats() ColumnarStats { return p.engine.ColumnarStats() }
 
 // Close shuts the write path down first — the ingest pipeline drains
-// every queued upload into the (still open) stores and the maintenance
-// scheduler stops — then takes a final checkpoint (if
-// Config.Checkpoint.Interval is set), and finally syncs and releases
-// durable resources.
+// every queued upload into the (still open) stores, a final checkpoint
+// runs (if Config.Checkpoint.Interval is set) while the cover
+// maintainers still give it their seeds, and the maintenance scheduler
+// stops — and finally syncs and releases durable resources.
 // All failures are reported, combined with errors.Join.
 func (p *Platform) Close() error {
 	var errs []error
@@ -596,13 +594,6 @@ func (p *Platform) Close() error {
 	}
 	if err := p.engine.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("repro: close engine: %w", err))
-	}
-	if p.ckOnClose {
-		// The pipeline has drained into the stores; checkpoint them now
-		// so the next Open replays nothing.
-		if err := p.engine.Checkpoint(); err != nil {
-			errs = append(errs, fmt.Errorf("repro: close checkpoint: %w", err))
-		}
 	}
 	for _, pol := range p.pollutants {
 		if err := p.stores[pol].Close(); err != nil {

@@ -1,66 +1,95 @@
 // Package colblock implements the store's checkpoint file format: the
-// retained windows, each re-sorted by (geo-cell, time) and encoded as
-// per-column bit-packed integers in self-checksummed blocks, with per-block
-// min/max zone maps in a checksummed footer that also carries what
-// recovery needs beside the tuples — the checkpoint's sequence number,
-// its segment horizon and the store's largest timestamp.
+// retained windows, each in its append order as per-column bit-packed
+// integers in self-checksummed blocks, beside each window the seed of its
+// model cover, with per-block min/max zone maps in a checksummed footer
+// that also carries what recovery needs beside the tuples — the
+// checkpoint's sequence number, its segment horizon and the store's
+// largest timestamp.
 //
 // Every column is encoded losslessly (fixed-point only when the exact
-// float64 round-trips bit-for-bit, IEEE bits otherwise) and each tuple
-// carries its original append position, so a materialized window is
-// byte-identical to the slice the store held in memory when it wrote the
-// file — which is what lets a restarted store answer exactly as the
-// running one did.
+// float64 round-trips bit-for-bit, IEEE bits otherwise) and the blocks of
+// a window hold its tuples in the order they were appended, so a
+// materialized window is byte-identical to the slice the store held in
+// memory when it wrote the file — which is what lets a restarted store
+// answer exactly as the running one did.
 //
 // # File layout
 //
 //	header   (8 B)   colMagic u32 | colVersion u32
-//	blocks   (...)   self-checksummed column blocks, ≤ BlockTuples each
-//	directory(n×96 B) per-block window, offset, length, count, zone maps
+//	blocks   (...)   per window: its self-checksummed column blocks, ≤
+//	                 BlockTuples each, then its seed record if it has one
+//	directory(n×96 B) per block: window, offset, length, count, zone
+//	                 maps; per seed record: window, offset, length
 //	trailer  (48 B)  seq u64 | tuples u64 | horizon u64 | maxTime f64 |
-//	                 nblocks u32 | version u32 |
+//	                 entries u32 | version u32 |
 //	                 crc u32 (over directory ++ trailer[:40]) | footMagic u32
 //
 // The footer (directory + trailer) is read from the file end, so a reader
-// learns every block's location and zone map from one bounded read before
-// touching any tuple data. Version 1 files (a 32-byte trailer without
-// horizon and maxTime) were sidecars beside a row checkpoint and cannot
-// stand alone; the reader rejects them by version.
+// learns every block's and seed's location and every zone map from one
+// bounded read before touching any tuple data. Version 1 files (a 32-byte
+// trailer without horizon and maxTime) were sidecars beside a row
+// checkpoint and cannot stand alone; the reader rejects them by version.
 //
-// # Block layout (version 3)
+// A directory entry is
+//
+//	window u64 | offset u64 | length u64 | count u32 | kind u8 | 3 B zero |
+//	minT maxT minX maxX minY maxY minS maxS (f64 each)
+//
+// kind 0 is a block; kind 1 (version 4 only) a seed record, whose count
+// and zone maps are zero. A window has at most one seed record.
+//
+// # Block layout (version 4)
 //
 //	count u32
-//	5 columns (T, X, Y, S, seq), each:
+//	4 columns (T, X, Y, S), each:
 //	  enc u8 (2: packed) | scale u8 | width u8 | reserved u8
 //	  base u64
 //	  count × width-bit offsets, LSB-first, padded to a byte
 //	crc u32 (IEEE, over everything above)
 //
-// A column holds count keys, each base + its offset (mod 2^64); width
-// (0–64) is the fewest bits that hold the largest offset, so a constant
-// column takes nothing past its base. scale says what a key is:
+// The blocks of a window hold its tuples in append order, the first block
+// the first BlockTuples of them. A column holds count keys, each base +
+// its offset (mod 2^64); width (0–64) is the fewest bits that hold the
+// largest offset, so a constant column takes nothing past its base. scale
+// says what a key is:
 //
 //	0–9   a fixed-point integer: the value is int64(key) / 10^scale. The
 //	      encoder picks the smallest scale at which every value of the
 //	      column decodes back to its exact bits, so decode is base +
 //	      offset, one divide, no drift; integer seconds take 12 bits a
-//	      block, the seq column (scale 0) 11.
+//	      block.
 //	255   the value's IEEE-754 bits rotated left by one. The rotation
 //	      moves the sign to bit 0, so a column of both signs spans its
 //	      exponents, not the whole 64-bit space.
 //
-// # Version 2
+// # Seed record (version 4)
 //
-// Version-2 files, which earlier releases wrote, are still read. Their two
-// column encodings are the byte-aligned special case of the packed one:
+//	count u32 | rounds u32 | config u64 | k u32 |
+//	k × (x f64, y f64) | crc u32 (IEEE, over everything above)
+//
+// A seed is what the store was given to keep of the window's model cover
+// (see Seed): the number of tuples the cover was built over, a
+// fingerprint of the configuration that built it, its split rounds and
+// its k region centroids. Nothing here interprets it. A seed record is
+// checked when it is read, not when the file is opened: a bad one costs
+// the window its seed, never the checkpoint.
+//
+// # Versions 2 and 3
+//
+// Files of versions 2 and 3, which earlier releases wrote, are still read.
+// They hold no seeds, and their blocks re-sort a window by (geo-cell,
+// time) and add a fifth column, seq (scale 0), each tuple's original
+// position, through which a reader puts the window back in append order.
+// A version-3 block's columns are packed as above. Version 2's two column
+// encodings are the byte-aligned special case of the packed one:
 //
 //	enc 1 (fixed)  base u64, count × width-byte offsets: packed at 8·width bits
 //	enc 0 (raw)    count × 8 B IEEE bits: packed at 64 bits, base 0, no rotation
 //
-// so one unpack loop reads both versions. Encodings are strict per
-// version: a version-2 file holds only raw and fixed columns, a version-3
-// file only packed ones. Nothing writes version 2, and a new file never
-// carries a version-2 block over (see WindowData.Base).
+// so one unpack loop reads every version. Encodings are strict per
+// version: a version-2 file holds only raw and fixed columns, a later one
+// only packed ones. Nothing writes versions 2 or 3, and a new file never
+// carries a block of theirs over (see WindowData.Base).
 package colblock
 
 import (
@@ -75,6 +104,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/geo"
 	"repro/internal/tuple"
 )
 
@@ -85,11 +115,14 @@ import (
 const (
 	colMagic   = 0x454d434c // "EMCL"
 	footMagic  = 0x454d4346 // "EMCF"
-	colVersion = 3
+	colVersion = 4
 )
 
-// v2 is the previous format version: read, never written.
-const v2 = 2
+// v2 and v3 are earlier format versions: read, never written.
+const (
+	v2 = 2
+	v3 = 3
+)
 
 const (
 	headerSize   = 8
@@ -106,15 +139,22 @@ const (
 	// from an untrusted count field.
 	maxBlockTuples = 1 << 20
 
-	// cellSize is the geo-cell edge, in the store's local metric frame
-	// (meters), used for the within-window (cell, time) sort. Spatially
-	// close tuples land in the same blocks, which is what makes the
-	// per-block X/Y zone maps selective for region scans.
-	cellSize = 250.0
+	// seedFixed is a seed record's size less its centroids, and
+	// seedRegion what each centroid adds. maxSeedRegions bounds the
+	// allocation a decoder will make from an untrusted region count.
+	seedFixed      = 24
+	seedRegion     = 16
+	maxSeedRegions = 1 << 16
 )
 
-// Column encodings: raw and fixed in version-2 files, packed in
-// version-3 ones.
+// Directory entry kinds (byte 28 of an entry; version 4 only, zero before).
+const (
+	kindBlock = 0
+	kindSeed  = 1
+)
+
+// Column encodings: raw and fixed in version-2 files, packed in later
+// ones.
 const (
 	encRaw    = 0 // count × 8 B IEEE-754 float64 bits
 	encFixed  = 1 // base u64 + count × width-byte LE offsets
@@ -148,6 +188,21 @@ type Meta struct {
 	MaxTime float64
 }
 
+// Seed is what a checkpoint keeps of a window's model cover: what it takes
+// to fit the cover again without searching for its regions. The file
+// stores it as it is given; the zero Seed is no seed.
+type Seed struct {
+	// Count is how many tuples the cover was built over: the window's
+	// first Count, in append order.
+	Count int
+	// Config fingerprints the configuration the cover was built with.
+	Config uint64
+	// Rounds is the number of split rounds the build ran.
+	Rounds int
+	// Centroids are the cover's region centroids, in region order.
+	Centroids []geo.Point
+}
+
 // WindowData is one window's tuples in their original append order, as
 // the store holds them: in memory (Tuples), or — when Base is set — as
 // window Window of an earlier checkpoint followed by the Tuples appended
@@ -157,12 +212,16 @@ type WindowData struct {
 	Tuples tuple.Batch
 	// Base, when not nil, is the reader the window's first
 	// Base.WindowCount(Window) tuples come from. With no Tuples behind them
-	// and a Base of the current version the window's blocks are copied as
-	// they are, each one's checksum and count checked, not decoded and
-	// encoded again: the same tuples in the same order encode to the same
-	// bytes. A version-2 Base is decoded and encoded again, so a copied
-	// block is always one the encoder would write.
+	// and a Base of the current version the window's blocks — and its seed
+	// record, unless Seed is given — are copied as they are, each one's
+	// checksum checked, not decoded and encoded again: the same tuples in
+	// the same order encode to the same bytes. A Base of an earlier
+	// version is decoded and encoded again, so a copied block is always
+	// one the encoder would write. A seed record that fails its checksum
+	// is not copied.
 	Base *Reader
+	// Seed, when it has centroids, is written as the window's seed record.
+	Seed Seed
 }
 
 // EncodeStats reports what Encode wrote.
@@ -181,14 +240,13 @@ func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 }
 
 // encoder is Encode's scratch: the window order, one window put together
-// from its base and what followed, one window's sort keys, one block's
-// four float columns, the keys of the column being written, the block
-// under construction (or being carried over) and the directory. A
-// checkpoint of n tuples allocated ≈ 164 n bytes without it.
+// from its base and what followed, one block's four float columns, the
+// keys of the column being written, the block or seed record under
+// construction (or being carried over) and the directory. A checkpoint of
+// n tuples allocated ≈ 164 n bytes without it.
 type encoder struct {
 	windows        []WindowData
 	merged         tuple.Batch
-	order          []sortKey
 	ts, xs, ys, ss []float64
 	keys           []uint64
 	blk, dir       []byte
@@ -216,37 +274,41 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 	}
 
 	var st EncodeStats
+	entries := 0
 	e.dir = e.dir[:0]
 	off := int64(headerSize)
-	// put writes one finished block and its directory entry.
-	put := func(bm BlockMeta, blk []byte) error {
-		bm.Offset = off
-		if _, err := w.Write(blk); err != nil {
+	// put writes one finished block or seed record and its directory entry.
+	put := func(bm BlockMeta, kind byte, rec []byte) error {
+		bm.Offset, bm.Length = off, int64(len(rec))
+		if _, err := w.Write(rec); err != nil {
 			return err
 		}
 		off += bm.Length
-		e.dir = appendDirEntry(e.dir, bm)
-		st.Blocks++
-		st.Tuples += bm.Count
+		e.dir = appendDirEntry(e.dir, bm, kind)
+		entries++
+		if kind == kindBlock {
+			st.Blocks++
+			st.Tuples += bm.Count
+		}
 		return nil
 	}
 	for _, wd := range e.windows {
 		tuples := wd.Tuples
+		carry := wd.Base != nil && len(wd.Tuples) == 0 && wd.Base.version == colVersion
 		switch {
-		case wd.Base != nil && len(wd.Tuples) == 0 && wd.Base.version == colVersion:
+		case carry:
 			for _, bm := range wd.Base.windowBlocks(wd.Window) {
-				blk, err := wd.Base.blockBytes(&e.blk, bm)
+				blk, err := wd.Base.blockBytes(&e.blk, bm.Offset, bm.Length)
 				if err == nil {
 					_, err = blockBody(blk, bm.Count)
 				}
 				if err != nil {
 					return EncodeStats{}, fmt.Errorf("carry window %d over: %w", wd.Window, err)
 				}
-				if err := put(bm, blk); err != nil {
+				if err := put(bm, kindBlock, blk); err != nil {
 					return EncodeStats{}, err
 				}
 			}
-			continue
 		case wd.Base != nil:
 			n := wd.Base.WindowCount(wd.Window)
 			e.merged = sized(e.merged, n+len(wd.Tuples))
@@ -256,13 +318,31 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 			copy(e.merged[n:], wd.Tuples)
 			tuples = e.merged
 		}
-		n := len(tuples)
-		e.cellTimeOrder(tuples)
-		for lo := 0; lo < n; lo += blockTuples {
-			bm := e.encodeBlock(tuples, e.order[lo:min(lo+blockTuples, n)])
-			bm.Window = wd.Window
-			bm.Length = int64(len(e.blk))
-			if err := put(bm, e.blk); err != nil {
+		if !carry {
+			for lo := 0; lo < len(tuples); lo += blockTuples {
+				bm := e.encodeBlock(tuples[lo:min(lo+blockTuples, len(tuples))])
+				bm.Window = wd.Window
+				if err := put(bm, kindBlock, e.blk); err != nil {
+					return EncodeStats{}, err
+				}
+			}
+		}
+		var rec []byte
+		switch {
+		case len(wd.Seed.Centroids) > 0:
+			e.blk = appendSeed(e.blk[:0], wd.Seed)
+			rec = e.blk
+		case carry:
+			// A seed that went bad is left behind: the window's next
+			// cover is built in full, not refitted from it.
+			if sp, ok := wd.Base.seedSpan(wd.Window); ok {
+				if b, err := wd.Base.blockBytes(&e.blk, sp.offset, sp.length); err == nil && seedBody(b) == nil {
+					rec = b
+				}
+			}
+		}
+		if rec != nil {
+			if err := put(BlockMeta{Window: wd.Window}, kindSeed, rec); err != nil {
 				return EncodeStats{}, err
 			}
 		}
@@ -273,7 +353,7 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 	putU64(trailer[8:], uint64(int64(st.Tuples)))
 	putU64(trailer[16:], uint64(int64(meta.Horizon)))
 	putU64(trailer[24:], math.Float64bits(meta.MaxTime))
-	putU32(trailer[32:], uint32(st.Blocks))
+	putU32(trailer[32:], uint32(entries))
 	putU32(trailer[36:], colVersion)
 	putU32(trailer[40:], footerCRC(e.dir, trailer[:]))
 	putU32(trailer[44:], footMagic)
@@ -290,49 +370,13 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 // sized returns s with length n, reallocating only when it must grow.
 func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// sortKey is one tuple's place in a window's block order: geo-cell row
-// and column, time, then original position. The trailing position makes
-// the order total, so it does not depend on the sort algorithm, and keeps
-// same-cell same-time tuples in append order.
-type sortKey struct {
-	cy, cx int64
-	t      float64
-	pos    int
-}
-
-// cellTimeOrder leaves in e.order the keys of b's tuples in block order.
-// Sorting the keys themselves, not indexes into b, keeps every comparison
-// inside the two elements compared.
-func (e *encoder) cellTimeOrder(b tuple.Batch) {
-	e.order = sized(e.order, len(b))
-	for i, r := range b {
-		e.order[i] = sortKey{cy: cellOf(r.Y), cx: cellOf(r.X), t: r.T, pos: i}
-	}
-	slices.SortFunc(e.order, func(p, q sortKey) int {
-		switch {
-		case p.cy != q.cy:
-			return cmp.Compare(p.cy, q.cy)
-		case p.cx != q.cx:
-			return cmp.Compare(p.cx, q.cx)
-		case p.t < q.t:
-			return -1
-		case p.t > q.t:
-			return 1
-		}
-		return cmp.Compare(p.pos, q.pos)
-	})
-}
-
-func cellOf(v float64) int64 { return int64(math.Floor(v / cellSize)) }
-
-// encodeBlock encodes the tuples b[idx[0].pos], b[idx[1].pos], ... as one
-// self-checksummed block in e.blk and returns its zone-map meta.
-func (e *encoder) encodeBlock(b tuple.Batch, idx []sortKey) BlockMeta {
-	n := len(idx)
+// encodeBlock encodes b, in its order, as one self-checksummed block in
+// e.blk and returns its zone-map meta.
+func (e *encoder) encodeBlock(b tuple.Batch) BlockMeta {
+	n := len(b)
 	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
 	e.keys = sized(e.keys, n)
-	for i, k := range idx {
-		r := b[k.pos]
+	for i, r := range b {
 		e.ts[i], e.xs[i], e.ys[i], e.ss[i] = r.T, r.X, r.Y, r.S
 	}
 	meta := BlockMeta{Count: n}
@@ -341,17 +385,62 @@ func (e *encoder) encodeBlock(b tuple.Batch, idx []sortKey) BlockMeta {
 	meta.MinY, meta.MaxY = minMax(e.ys)
 	meta.MinS, meta.MaxS = minMax(e.ss)
 
-	buf := append(e.blk[:0], 0, 0, 0, 0)
-	putU32(buf, uint32(n))
+	buf := appendU32(e.blk[:0], uint32(n))
 	for _, col := range [...][]float64{e.ts, e.xs, e.ys, e.ss} {
 		buf = appendFloatColumn(buf, col, e.keys)
 	}
-	for i, k := range idx {
-		e.keys[i] = uint64(k.pos)
-	}
-	buf = appendPacked(buf, e.keys, 0)
 	e.blk = appendU32(buf, crc32.ChecksumIEEE(buf))
 	return meta
+}
+
+// appendSeed appends sd as one self-checksummed seed record.
+func appendSeed(dst []byte, sd Seed) []byte {
+	start := len(dst)
+	dst = appendU32(dst, uint32(sd.Count))
+	dst = appendU32(dst, uint32(sd.Rounds))
+	dst = appendU64(dst, sd.Config)
+	dst = appendU32(dst, uint32(len(sd.Centroids)))
+	for _, p := range sd.Centroids {
+		dst = appendU64(dst, math.Float64bits(p.X))
+		dst = appendU64(dst, math.Float64bits(p.Y))
+	}
+	return appendU32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// seedBody checks one seed record's framing — checksum, and a length that
+// matches its region count — and returns nil when it is sound.
+func seedBody(rec []byte) error {
+	if len(rec) < seedFixed+seedRegion {
+		return fmt.Errorf("%w: seed record of %d bytes", ErrCorrupt, len(rec))
+	}
+	body, tail := rec[:len(rec)-4], rec[len(rec)-4:]
+	if crc32.ChecksumIEEE(body) != le32(tail) {
+		return fmt.Errorf("%w: seed checksum mismatch", ErrCorrupt)
+	}
+	k := int64(le32(body[16:]))
+	if k == 0 || k > maxSeedRegions || int64(len(rec)) != seedFixed+seedRegion*k {
+		return fmt.Errorf("%w: seed of %d regions in %d bytes", ErrCorrupt, k, len(rec))
+	}
+	if le32(body[0:]) == 0 {
+		return fmt.Errorf("%w: seed built over no tuples", ErrCorrupt)
+	}
+	return nil
+}
+
+// decodeSeed decodes a seed record seedBody has accepted.
+func decodeSeed(rec []byte) Seed {
+	k := int(le32(rec[16:]))
+	sd := Seed{
+		Count:     int(le32(rec[0:])),
+		Rounds:    int(le32(rec[4:])),
+		Config:    le64(rec[8:]),
+		Centroids: make([]geo.Point, k),
+	}
+	for i := range sd.Centroids {
+		p := rec[20+seedRegion*i:]
+		sd.Centroids[i] = geo.Point{X: math.Float64frombits(le64(p)), Y: math.Float64frombits(le64(p[8:]))}
+	}
+	return sd
 }
 
 func minMax(vals []float64) (lo, hi float64) {
@@ -461,12 +550,13 @@ type BlockMeta struct {
 	MinS, MaxS float64
 }
 
-func appendDirEntry(dst []byte, m BlockMeta) []byte {
+func appendDirEntry(dst []byte, m BlockMeta, kind byte) []byte {
 	var e [dirEntrySize]byte
 	putU64(e[0:], uint64(int64(m.Window)))
 	putU64(e[8:], uint64(m.Offset))
 	putU64(e[16:], uint64(m.Length))
 	putU32(e[24:], uint32(m.Count))
+	e[28] = kind
 	for i, v := range [...]float64{m.MinT, m.MaxT, m.MinX, m.MaxX, m.MinY, m.MaxY, m.MinS, m.MaxS} {
 		putU64(e[32+8*i:], math.Float64bits(v))
 	}
@@ -525,7 +615,7 @@ func cutColumn(p []byte, n int, version uint32) (column, []byte, error) {
 	col := column{scale: scale, width: width}
 	ieee, hasBase := false, true
 	switch {
-	case version == colVersion && enc == encPacked:
+	case version >= v3 && enc == encPacked:
 		if width > 64 {
 			return column{}, nil, fmt.Errorf("%w: column width %d bits", ErrCorrupt, width)
 		}

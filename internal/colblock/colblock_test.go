@@ -116,8 +116,9 @@ func TestFixedPointEdgeValues(t *testing.T) {
 }
 
 // requireRoundTrip encodes windows as blocks of at most blockTuples, and
-// requires the image to verify and every window to decode bit-equal to its
-// source and to scan whole through a region that admits every position.
+// requires the image to verify, every window to decode bit-equal to its
+// source and to scan whole through a region that admits every position,
+// and every seed to read back bit-equal.
 func requireRoundTrip(t *testing.T, windows []WindowData, blockTuples int) []byte {
 	t.Helper()
 	img := encodeImage(t, 1, windows, blockTuples)
@@ -139,25 +140,34 @@ func requireRoundTrip(t *testing.T, windows []WindowData, blockTuples int) []byt
 		if _, _, err := rd.ScanWindowRegion(wd.Window, -inf, -inf, inf, inf, func(tuple.Raw) { n++ }); err != nil || n != len(wd.Tuples) {
 			t.Fatalf("window %d: region scan of the whole plane yielded %d tuples, %v; want %d", wd.Window, n, err, len(wd.Tuples))
 		}
+		sd, ok, err := rd.Seed(wd.Window)
+		if has := len(wd.Seed.Centroids) > 0; ok != has || err != nil || has && !seedsEqual(sd, wd.Seed) {
+			t.Fatalf("window %d: seed %+v, %v, %v; want %+v", wd.Window, sd, ok, err, wd.Seed)
+		}
 	}
 	return img
 }
 
-// blockColumns locates the five columns of every block of img.
-func blockColumns(t *testing.T, img []byte) [][5]column {
+// blockColumns locates the columns of every block of img: four, and the
+// seq column fifth in a file before version 4.
+func blockColumns(t *testing.T, img []byte) [][]column {
 	t.Helper()
 	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	var out [][5]column
+	ncols := 5
+	if rd.version == colVersion {
+		ncols = 4
+	}
+	var out [][]column
 	for _, m := range rd.blocks {
 		p, err := blockBody(img[m.Offset:m.Offset+m.Length], m.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cols [5]column
+		cols := make([]column, ncols)
 		for i := range cols {
 			if cols[i], p, err = cutColumn(p, m.Count, rd.version); err != nil {
 				t.Fatal(err)
@@ -177,7 +187,7 @@ func TestPackedEdgeValues(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		b      tuple.Batch
-		widths []uint // T, X, Y, S, seq; nil: not pinned
+		widths []uint // T, X, Y, S; nil: not pinned
 	}{
 		{"NaN payloads, ±0, subnormals, ±Inf", tuple.Batch{
 			{T: 1, X: math.Float64frombits(0x7ff8000000000001), Y: negZero, S: math.Inf(1)},
@@ -185,12 +195,12 @@ func TestPackedEdgeValues(t *testing.T) {
 			{T: 3, X: math.NaN(), Y: 5e-324, S: -math.SmallestNonzeroFloat64},
 			{T: 4, X: 0x1p-1030, Y: -0x1p-1060, S: math.MaxFloat64},
 		}, nil},
-		{"one tuple", tuple.Batch{{T: 7.5, X: -3, Y: 1e300, S: math.NaN()}}, []uint{0, 0, 0, 0, 0}},
+		{"one tuple", tuple.Batch{{T: 7.5, X: -3, Y: 1e300, S: math.NaN()}}, []uint{0, 0, 0, 0}},
 		{"constant columns", tuple.Batch{
 			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
 			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
 			{T: 9, X: negZero, Y: math.Inf(-1), S: 0.1},
-		}, []uint{0, 0, 0, 0, 2}},
+		}, []uint{0, 0, 0, 0}},
 		// T's integers ±2^62 are 2^63 apart at scale 0; X's rotated keys
 		// are 0, 2^62, 2^63 and 3·2^62, three quarters of the circle apart
 		// however the base is chosen.
@@ -199,7 +209,7 @@ func TestPackedEdgeValues(t *testing.T) {
 			{T: 0x1p62, X: 0x1p-511, Y: 5, S: 2},
 			{T: 0, X: 2, Y: 5, S: 3},
 			{T: 1, X: 0x1p513, Y: 5, S: 4},
-		}, []uint{64, 64, 0, 2, 2}},
+		}, []uint{64, 64, 0, 2}},
 	} {
 		for _, blockTuples := range []int{1, 0} {
 			img := requireRoundTrip(t, []WindowData{{Window: 2, Tuples: tc.b}}, blockTuples)
@@ -269,11 +279,12 @@ func TestOverflowingSpanRejected(t *testing.T) {
 // maps exclude the region, and that the survivors yield exactly the
 // in-region tuples.
 func TestZoneMapPruning(t *testing.T) {
-	// Two spatial clusters far apart, so blocks are spatially pure.
+	// Two spatial clusters far apart, visited in turn for 500 tuples at a
+	// time, so blocks — runs of the append order — are spatially pure.
 	var b tuple.Batch
 	for i := 0; i < 4000; i++ {
 		x, y := float64(i%50), float64((i/50)%40)
-		if i%2 == 1 {
+		if i/500%2 == 1 {
 			x += 100000
 		}
 		b = append(b, tuple.Raw{T: float64(i), X: x, Y: y, S: 1})
@@ -550,7 +561,7 @@ func buildImage(version uint32, bodies [][]byte, counts []int) []byte {
 	total := 0
 	for i, body := range bodies {
 		blk := appendU32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
-		dir = appendDirEntry(dir, BlockMeta{Window: 1, Offset: int64(len(img)), Length: int64(len(blk)), Count: counts[i]})
+		dir = appendDirEntry(dir, BlockMeta{Window: 1, Offset: int64(len(img)), Length: int64(len(blk)), Count: counts[i]}, kindBlock)
 		img = append(img, blk...)
 		total += counts[i]
 	}
@@ -574,13 +585,13 @@ func reseal(img []byte, i int, edit func(*BlockMeta)) []byte {
 	at := dirStart + i*dirEntrySize
 	m := decodeDirEntry(img[at:])
 	edit(&m)
-	copy(img[at:], appendDirEntry(nil, m))
+	copy(img[at:], appendDirEntry(nil, m, img[at+28]))
 	putU32(trailer[40:], footerCRC(img[dirStart:len(img)-trailerSize], trailer))
 	return img
 }
 
 // TestDecodersRejectTheSame walks the column checks one by one on blocks
-// whose checksum is sound, in files of both versions: DecodeWindow must
+// whose checksum is sound, in files of every version: DecodeWindow must
 // reject exactly what WindowTuples rejects — Verify reports any difference
 // between the two as errDecodersDisagree — and accept, with the same
 // tuples, what it accepts. Each version admits only its own encodings.
@@ -639,6 +650,9 @@ func TestDecodersRejectTheSame(t *testing.T) {
 	pycol, pscol := packed(1, 9, 1000, 0, 300, 7), ieee(0, 1e300, 5e-324)
 	pseq := packed(0, 2, 0, 2, 0, 1)
 	psound := block(3, ptcol, pxcol, pycol, pscol, pseq)
+	// Version 4 keeps the packed columns and drops seq: the block holds
+	// the tuples in the order the window was appended.
+	p4sound := block(3, ptcol, pxcol, pycol, pscol)
 
 	cases := []struct {
 		name    string
@@ -673,23 +687,38 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		{"trailing bytes", v2, [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
 		{"packed column in version 2", v2, [][]byte{block(3, tcol, xcol, pycol, scol, seq)}, []int{3}, false},
 
-		{"sound", colVersion, [][]byte{psound}, []int{3}, true},
-		{"two blocks", colVersion, [][]byte{
+		{"sound", v3, [][]byte{psound}, []int{3}, true},
+		{"two blocks", v3, [][]byte{
 			block(2, packed(0, 3, 100, 0, 5), ieee(1.5, math.Pi), packed(1, 9, 1000, 0, 300), ieee(0, 1e300), packed(0, 2, 0, 2, 0)),
 			block(1, packed(0, 0, 109), ieee(-2), packed(1, 0, 1007), ieee(5e-324), packed(0, 0, 1)),
 		}, []int{2, 1}, true},
-		{"fixed column in version 3", colVersion, [][]byte{block(3, tcol, pxcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"raw column in version 3", colVersion, [][]byte{block(3, ptcol, xcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"width 65", colVersion, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"short packed column", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
-		{"base cut", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
-		{"packed scale 10", colVersion, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol, pseq)}, []int{3}, false},
-		{"IEEE seq", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, ieee(2, 0, 1))}, []int{3}, false},
-		{"scaled seq", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(1, 2, 0, 2, 0, 1))}, []int{3}, false},
-		{"seq out of range", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 3, 0, 1))}, []int{3}, false},
-		{"seq negative", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 64, 1<<63, 2, 0, 1))}, []int{3}, false},
-		{"seq repeated", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 2, 0, 2))}, []int{3}, false},
-		{"trailing bytes", colVersion, [][]byte{append(append([]byte(nil), psound...), 0)}, []int{3}, false},
+		{"fixed column in version 3", v3, [][]byte{block(3, tcol, pxcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"raw column in version 3", v3, [][]byte{block(3, ptcol, xcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"width 65", v3, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol, pseq)}, []int{3}, false},
+		{"short packed column", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
+		{"base cut", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
+		{"packed scale 10", v3, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol, pseq)}, []int{3}, false},
+		{"IEEE seq", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, ieee(2, 0, 1))}, []int{3}, false},
+		{"scaled seq", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(1, 2, 0, 2, 0, 1))}, []int{3}, false},
+		{"seq out of range", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 3, 0, 1))}, []int{3}, false},
+		{"seq negative", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 64, 1<<63, 2, 0, 1))}, []int{3}, false},
+		{"seq repeated", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 2, 0, 2))}, []int{3}, false},
+		{"no seq column", v3, [][]byte{p4sound}, []int{3}, false},
+		{"trailing bytes", v3, [][]byte{append(append([]byte(nil), psound...), 0)}, []int{3}, false},
+
+		{"sound", colVersion, [][]byte{p4sound}, []int{3}, true},
+		{"two blocks", colVersion, [][]byte{
+			block(2, packed(0, 3, 100, 0, 5), ieee(1.5, math.Pi), packed(1, 9, 1000, 0, 300), ieee(0, 1e300)),
+			block(1, packed(0, 0, 109), ieee(-2), packed(1, 0, 1007), ieee(5e-324)),
+		}, []int{2, 1}, true},
+		{"fixed column in version 4", colVersion, [][]byte{block(3, tcol, pxcol, pycol, pscol)}, []int{3}, false},
+		{"raw column in version 4", colVersion, [][]byte{block(3, ptcol, xcol, pycol, pscol)}, []int{3}, false},
+		{"width 65", colVersion, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol)}, []int{3}, false},
+		{"short packed column", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
+		{"base cut", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
+		{"packed scale 10", colVersion, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol)}, []int{3}, false},
+		{"a seq column", colVersion, [][]byte{psound}, []int{3}, false},
+		{"trailing bytes", colVersion, [][]byte{append(append([]byte(nil), p4sound...), 0)}, []int{3}, false},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("version %d, %s", tc.version, tc.name)
@@ -721,7 +750,12 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		if err := rd.DecodeWindow(got, 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// The seq column (2, 0, 1) puts the block's first tuple last; a
+		// version-4 window is its blocks in order.
 		want := tuple.Batch{{T: 105, X: math.Pi, Y: 130, S: 1e300}, {T: 109, X: -2, Y: 100.7, S: 5e-324}, {T: 100, X: 1.5, Y: 100, S: 0}}
+		if tc.version == colVersion {
+			want = tuple.Batch{want[2], want[0], want[1]}
+		}
 		for i := range want {
 			if !bitEqual(got[i], want[i]) {
 				t.Errorf("%s: tuple %d = %+v, want %+v", name, i, got[i], want[i])

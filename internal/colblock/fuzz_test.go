@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/tuple"
 )
 
@@ -41,6 +42,15 @@ func FuzzColBlockDecode(f *testing.F) {
 		big[i] = tuple.Raw{T: float64(i), X: float64(i % 17), Y: float64(i % 5), S: float64(i) / 8}
 	}
 	seed(12, []WindowData{{Window: 0, Tuples: big}, {Window: 1, Tuples: big[:7]}}, 64)
+	// Seed records beside the blocks: one of a region, one of several,
+	// and a window without one between them.
+	lw := lausanneWindows()
+	seed(13, []WindowData{
+		{Window: 4, Tuples: big[:40], Seed: Seed{Count: 40, Config: 7, Rounds: 1, Centroids: []geo.Point{{X: 8, Y: 2}}}},
+		{Window: 5, Tuples: big[40:90]},
+		{Window: 8, Tuples: lw[8].Tuples, Seed: Seed{Count: len(lw[8].Tuples), Config: 1 << 63, Rounds: 9,
+			Centroids: []geo.Point{lw[8].Tuples[0].Pos(), lw[8].Tuples[500].Pos(), {X: math.Copysign(0, -1), Y: math.Inf(1)}}}},
+	}, BlockTuples)
 	// A version-1 sidecar: mutations start one version field away from a
 	// file the reader would have to trust without a horizon.
 	v1, err := os.ReadFile(legacySidecar)
@@ -48,10 +58,11 @@ func FuzzColBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	// IEEE-bits columns in a version-3 image, and the version-2 fixtures:
-	// raw and fixed columns, which a version-3 image must never hold.
+	// IEEE-bits columns in a version-4 image, and the fixtures of earlier
+	// versions: raw and fixed columns, and seq columns, which a version-4
+	// image must never hold.
 	seed(3, []WindowData{{Window: 0, Tuples: edgeWindow}}, BlockTuples)
-	for _, fx := range v2Fixtures {
+	for _, fx := range append(v2Fixtures, v3Fixtures...) {
 		img, err := os.ReadFile(filepath.Join("testdata", fx.name))
 		if err != nil {
 			f.Fatal(err)
@@ -73,8 +84,10 @@ func FuzzColBlockDecode(f *testing.F) {
 // after a first byte that picks the block size, 32 bytes a tuple (T, X, Y,
 // S, little-endian) — and requires what the encoder writes from them to
 // verify and to decode bit-equal to them: whatever the values, the
-// encoder's choice of scale, base and width must be lossless. The same
-// tuples, packed as one run, must unpack bit-equal too.
+// encoder's choice of scale, base and width must be lossless. The window's
+// seed record, its centroids the first (up to 64) tuple positions and its
+// fields drawn from the first tuple's bits, must read back bit-equal. The
+// same tuples, packed as one run, must unpack bit-equal too.
 func FuzzColBlockRoundTrip(f *testing.F) {
 	add := func(blockTuples byte, b tuple.Batch) {
 		data := []byte{blockTuples}
@@ -109,7 +122,18 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 				Y: math.Float64frombits(le64(p[16:])), S: math.Float64frombits(le64(p[24:])),
 			}
 		}
-		requireRoundTrip(t, []WindowData{{Window: 1, Tuples: b}}, blockTuples)
+		wd := WindowData{Window: 1, Tuples: b}
+		if len(b) > 0 {
+			wd.Seed = Seed{
+				Count:  len(b),
+				Config: math.Float64bits(b[0].S),
+				Rounds: int(uint32(math.Float64bits(b[0].T))),
+			}
+			for _, r := range b[:min(len(b), 64)] {
+				wd.Seed.Centroids = append(wd.Seed.Centroids, r.Pos())
+			}
+		}
+		requireRoundTrip(t, []WindowData{wd}, blockTuples)
 		requirePackRoundTrip(t, b)
 	})
 }

@@ -29,10 +29,11 @@ func blocksDigest(img []byte) string {
 }
 
 // TestBlocksMatchParentGolden pins the block section and the directory of
-// the version-3 file: the benchmark's 24 Lausanne windows as 24 windows
-// and as one 45 000-tuple window (23 blocks, so the sort order crosses
-// block boundaries), and the edge-value window. The version-2 bytes these
-// digests pinned before are now decode goldens (TestVersion2Fixtures).
+// the version-4 file: the benchmark's 24 Lausanne windows as 24 windows
+// and as one 45 000-tuple window (23 blocks, so the append order crosses
+// block boundaries), and the edge-value window. The version-2 and
+// version-3 bytes these digests pinned before are now decode goldens
+// (TestVersion2Fixtures, TestVersion3Fixtures).
 func TestBlocksMatchParentGolden(t *testing.T) {
 	ws := lausanneWindows()
 	var day tuple.Batch
@@ -45,9 +46,9 @@ func TestBlocksMatchParentGolden(t *testing.T) {
 		blocks  int
 		digest  string
 	}{
-		{"lausanne24", ws, 24, "5dcd189495af64c390ce8c78"},
-		{"lausanne-one-window", []WindowData{{Window: 7, Tuples: day}}, 23, "3f260e783e60f46a8de28f1f"},
-		{"edge", []WindowData{{Window: 0, Tuples: edgeWindow}}, 1, "a237d4b2363848b1572cb3b1"},
+		{"lausanne24", ws, 24, "2be92f5831d0119fc2a9a6e0"},
+		{"lausanne-one-window", []WindowData{{Window: 7, Tuples: day}}, 23, "0271d91808f60b25c37d23da"},
+		{"edge", []WindowData{{Window: 0, Tuples: edgeWindow}}, 1, "8181228e4cf49bf1e8b3dd51"},
 	} {
 		img := encodeImage(t, 3, tc.windows, 0)
 		rd, err := OpenBytes(img)
@@ -61,18 +62,21 @@ func TestBlocksMatchParentGolden(t *testing.T) {
 	}
 }
 
-// v2Fixtures are images the last version-2 encoder wrote, with the
-// windows they hold and the digest of their blocks and directory.
+// fixture is an image an earlier encoder wrote, with the windows it holds
+// and the digest of its blocks and directory.
+type fixture struct {
+	name    string
+	digest  string
+	windows func() []WindowData
+}
+
+// v2Fixtures are images the last version-2 encoder wrote.
 // v2-edge.emc is the edge window alone, checkpoint 3: its digest is the
 // one TestBlocksMatchParentGolden pinned while version 2 was written.
 // v2-lausanne.emc (checkpoint 5) is Lausanne windows 8 and 17 and the
 // edge window as window 30, so raw and fixed columns of every width the
 // fleet needs are in it.
-var v2Fixtures = []struct {
-	name    string
-	digest  string
-	windows func() []WindowData
-}{
+var v2Fixtures = []fixture{
 	{"v2-edge.emc", "fa26a703e73b4acf23fd9622", func() []WindowData {
 		return []WindowData{{Window: 0, Tuples: edgeWindow}}
 	}},
@@ -82,13 +86,29 @@ var v2Fixtures = []struct {
 	}},
 }
 
+// v3Fixtures are the same windows as v2Fixtures, written by commit
+// 43b7fdf, the last one whose checkpoint files were version 3. The edge
+// image's digest is the one TestBlocksMatchParentGolden pinned while
+// version 3 was written.
+var v3Fixtures = []fixture{
+	{"v3-edge.emc", "a237d4b2363848b1572cb3b1", v2Fixtures[0].windows},
+	{"v3-lausanne.emc", "64375451f0c217dce9b8c0de", v2Fixtures[1].windows},
+}
+
 // TestVersion2Fixtures reads the version-2 fixtures: each verifies and
 // decodes bit-equal to the windows it was written from, and a file that
 // takes its windows from one as a base holds no version-2 block — the
 // windows are decoded and encoded again, to the bytes a direct encode of
 // the same windows gives.
-func TestVersion2Fixtures(t *testing.T) {
-	for _, fx := range v2Fixtures {
+func TestVersion2Fixtures(t *testing.T) { checkFixtures(t, v2Fixtures, v2) }
+
+// TestVersion3Fixtures is TestVersion2Fixtures for the version-3 fixtures,
+// whose blocks re-sort each window and carry its seq column: read through
+// it, and never carried into a version-4 file.
+func TestVersion3Fixtures(t *testing.T) { checkFixtures(t, v3Fixtures, v3) }
+
+func checkFixtures(t *testing.T, fixtures []fixture, version uint32) {
+	for _, fx := range fixtures {
 		img, err := os.ReadFile(filepath.Join("testdata", fx.name))
 		if err != nil {
 			t.Fatal(err)
@@ -103,8 +123,8 @@ func TestVersion2Fixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rd.version != v2 {
-			t.Fatalf("%s: version %d, want %d", fx.name, rd.version, v2)
+		if rd.version != version {
+			t.Fatalf("%s: version %d, want %d", fx.name, rd.version, version)
 		}
 		windows := fx.windows()
 		based := make([]WindowData, len(windows))
@@ -134,23 +154,30 @@ func withVersion(img []byte, version uint32) []byte {
 	return img
 }
 
-// TestEncodingsStrictPerVersion: a file's encodings must be its version's.
-// The version-2 fixture relabelled version 3, or a version-3 file
-// relabelled version 2, opens — the footer is sound — but no block of it
-// decodes. A file whose header and trailer disagree on the version does
-// not open.
+// TestEncodingsStrictPerVersion: a file's encodings and columns must be its
+// version's. A fixture relabelled as another version, or a version-4 file
+// relabelled as an earlier one, opens — the footer is sound — but no block
+// of it decodes. A file whose header and trailer disagree on the version
+// does not open.
 func TestEncodingsStrictPerVersion(t *testing.T) {
 	v2img, err := os.ReadFile(filepath.Join("testdata", "v2-lausanne.emc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3img := encodeImage(t, 5, v2Fixtures[1].windows(), 0)
+	v3img, err := os.ReadFile(filepath.Join("testdata", "v3-lausanne.emc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4img := encodeImage(t, 5, v2Fixtures[1].windows(), 0)
 	for _, tc := range []struct {
 		name string
 		img  []byte
 	}{
-		{"raw and fixed columns in a version-3 file", withVersion(v2img, colVersion)},
-		{"packed columns in a version-2 file", withVersion(v3img, v2)},
+		{"raw and fixed columns in a version-4 file", withVersion(v2img, colVersion)},
+		{"raw and fixed columns in a version-3 file", withVersion(v2img, v3)},
+		{"packed columns in a version-2 file", withVersion(v4img, v2)},
+		{"a seq column in a version-4 file", withVersion(v3img, colVersion)},
+		{"no seq column in a version-3 file", withVersion(v4img, v3)},
 	} {
 		if _, err := OpenBytes(tc.img); err != nil {
 			t.Fatalf("%s: OpenBytes = %v, want the footer accepted", tc.name, err)
@@ -159,9 +186,9 @@ func TestEncodingsStrictPerVersion(t *testing.T) {
 			t.Errorf("%s: Verify = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
-	mixed := withVersion(v3img, v2)
+	mixed := withVersion(v4img, v2)
 	putU32(mixed[4:], colVersion)
 	if _, err := OpenBytes(mixed); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("header version 3, trailer version 2: OpenBytes = %v, want ErrCorrupt", err)
+		t.Errorf("header version 4, trailer version 2: OpenBytes = %v, want ErrCorrupt", err)
 	}
 }

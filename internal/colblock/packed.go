@@ -7,12 +7,11 @@ import (
 )
 
 // A packed run is a batch of tuples kept in memory in the checkpoint's
-// column encoding, in the order it was given: a version-3 block without
-// the seq column (nothing is re-sorted, so the order is the positions)
-// and without the checksum (it is never read from a file).
+// column encoding, in the order it was given: a version-4 block without
+// the checksum (it is never read from a file).
 //
 //	count u32
-//	4 columns (T, X, Y, S), each as in a version-3 block
+//	4 columns (T, X, Y, S), each as in a version-4 block
 //
 // It is as lossless as a block — every float64 comes back bit for bit —
 // and on a sensor fleet's stream it takes about 23 B a tuple instead of

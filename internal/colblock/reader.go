@@ -55,10 +55,11 @@ type Reader struct {
 	meta    Meta
 	tuples  int
 	blocks  []BlockMeta
+	// seeds locates the seed records, ascending by window (version 4).
+	seeds []seedSpan
 
 	// spans holds one entry per window, ascending: a window's blocks are
-	// contiguous in blocks (directory order, which is time order within a
-	// cell run).
+	// contiguous in blocks, in directory order.
 	spans []winSpan
 
 	blocksScanned atomic.Int64
@@ -109,11 +110,12 @@ func OpenBytes(data []byte) (*Reader, error) {
 }
 
 // Verify structurally validates data as a file image and decodes
-// every block, returning the first error found. It is the fuzz target's
-// workhorse: any input that passes must round-trip cleanly. Every window
-// goes through both decoders — WindowTuples, the allocating reference, and
-// DecodeWindow, the one the store reads with — which must accept and
-// reject the same images and agree bit for bit on what they accept.
+// every block and seed record, returning the first error found. It is the
+// fuzz target's workhorse: any input that passes must round-trip cleanly.
+// Every window goes through both decoders — WindowTuples, the allocating
+// reference, and DecodeWindow, the one the store reads with — which must
+// accept and reject the same images and agree bit for bit on what they
+// accept.
 func Verify(data []byte) error {
 	r, err := OpenBytes(data)
 	if err != nil {
@@ -132,6 +134,11 @@ func Verify(data []byte) error {
 			return err
 		case !bitEqualBatches(want, into):
 			return fmt.Errorf("%w: window %d: not the same tuples", errDecodersDisagree, sp.window)
+		}
+	}
+	for _, sp := range r.seeds {
+		if _, ok, err := r.Seed(sp.window); !ok {
+			return err
 		}
 	}
 	return nil
@@ -163,7 +170,7 @@ func newReader(src Source) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad header magic %#x", ErrCorrupt, le32(hdr[0:]))
 	}
 	version := le32(hdr[4:])
-	if version != colVersion && version != v2 {
+	if version != colVersion && version != v3 && version != v2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
 	trailer, err := src.ReadSpan(nil, size-trailerSize, trailerSize)
@@ -176,11 +183,11 @@ func newReader(src Source) (*Reader, error) {
 	if le32(trailer[36:]) != version {
 		return nil, fmt.Errorf("%w: footer version %d in a version %d file", ErrCorrupt, le32(trailer[36:]), version)
 	}
-	nblocks := int(le32(trailer[32:]))
-	dirLen := int64(nblocks) * dirEntrySize
+	nentries := int(le32(trailer[32:]))
+	dirLen := int64(nentries) * dirEntrySize
 	dirStart := size - trailerSize - dirLen
-	if nblocks < 0 || dirLen < 0 || dirStart < headerSize {
-		return nil, fmt.Errorf("%w: directory of %d blocks does not fit", ErrCorrupt, nblocks)
+	if nentries < 0 || dirLen < 0 || dirStart < headerSize {
+		return nil, fmt.Errorf("%w: directory of %d entries does not fit", ErrCorrupt, nentries)
 	}
 	dir, err := src.ReadSpan(nil, dirStart, dirLen)
 	if err != nil {
@@ -199,27 +206,51 @@ func newReader(src Source) (*Reader, error) {
 			MaxTime: math.Float64frombits(le64(trailer[24:])),
 		},
 		tuples: int(int64(le64(trailer[8:]))),
-		blocks: make([]BlockMeta, nblocks),
 	}
 	if r.tuples < 0 {
 		return nil, fmt.Errorf("%w: negative tuple count", ErrCorrupt)
 	}
-	total := 0
-	for i := range r.blocks {
-		m := decodeDirEntry(dir[i*dirEntrySize:])
-		if m.Count <= 0 || m.Count > maxBlockTuples {
-			return nil, fmt.Errorf("%w: directory entry %d count %d", ErrCorrupt, i, m.Count)
+	// kind returns entry i's kind; before version 4 the byte was padding.
+	kind := func(i int) byte {
+		if version < colVersion {
+			return kindBlock
 		}
+		return dir[i*dirEntrySize+28]
+	}
+	nseeds := 0
+	for i := range nentries {
+		if kind(i) == kindSeed {
+			nseeds++
+		}
+	}
+	r.blocks = make([]BlockMeta, 0, nentries-nseeds)
+	if nseeds > 0 {
+		r.seeds = make([]seedSpan, 0, nseeds)
+	}
+	total := 0
+	for i := range nentries {
+		m := decodeDirEntry(dir[i*dirEntrySize:])
 		// Subtracted, not added: an offset and a length that each fit can
 		// sum past the largest int64.
 		if m.Offset < headerSize || m.Length < 8 || m.Length > dirStart-m.Offset {
 			return nil, fmt.Errorf("%w: directory entry %d span [%d,+%d) out of bounds", ErrCorrupt, i, m.Offset, m.Length)
 		}
+		switch kind(i) {
+		case kindSeed:
+			r.seeds = append(r.seeds, seedSpan{window: m.Window, offset: m.Offset, length: m.Length})
+			continue
+		case kindBlock:
+		default:
+			return nil, fmt.Errorf("%w: directory entry %d of kind %d", ErrCorrupt, i, kind(i))
+		}
+		if m.Count <= 0 || m.Count > maxBlockTuples {
+			return nil, fmt.Errorf("%w: directory entry %d count %d", ErrCorrupt, i, m.Count)
+		}
 		if m.MinT > m.MaxT || m.MinX > m.MaxX || m.MinY > m.MaxY || m.MinS > m.MaxS {
 			return nil, fmt.Errorf("%w: directory entry %d inverted zone map", ErrCorrupt, i)
 		}
 		total += m.Count
-		r.blocks[i] = m
+		r.blocks = append(r.blocks, m)
 	}
 	if total != r.tuples {
 		return nil, fmt.Errorf("%w: directory counts %d do not sum to trailer total %d", ErrCorrupt, total, r.tuples)
@@ -245,6 +276,17 @@ func newReader(src Source) (*Reader, error) {
 		sp.n++
 		sp.count += m.Count
 	}
+	// Seeds are looked up by window. One that names a window twice, or a
+	// window with no blocks, does not belong to this file.
+	slices.SortStableFunc(r.seeds, func(a, b seedSpan) int { return cmp.Compare(a.window, b.window) })
+	for i, sp := range r.seeds {
+		if i > 0 && sp.window == r.seeds[i-1].window {
+			return nil, fmt.Errorf("%w: window %d has two seeds", ErrCorrupt, sp.window)
+		}
+		if r.span(sp.window).n == 0 {
+			return nil, fmt.Errorf("%w: seed for window %d, which holds no blocks", ErrCorrupt, sp.window)
+		}
+	}
 	return r, nil
 }
 
@@ -252,6 +294,47 @@ func newReader(src Source) (*Reader, error) {
 // tuples in all.
 type winSpan struct {
 	window, first, n, count int
+}
+
+// seedSpan locates one window's seed record.
+type seedSpan struct {
+	window         int
+	offset, length int64
+}
+
+// seedSpan returns window c's seed record location, if it has one.
+func (r *Reader) seedSpan(c int) (seedSpan, bool) {
+	i, ok := slices.BinarySearchFunc(r.seeds, c, func(sp seedSpan, c int) int { return cmp.Compare(sp.window, c) })
+	if !ok {
+		return seedSpan{}, false
+	}
+	return r.seeds[i], true
+}
+
+// HasSeed reports whether the file holds a seed record for window c, from
+// the directory alone.
+func (r *Reader) HasSeed(c int) bool {
+	_, ok := r.seedSpan(c)
+	return ok
+}
+
+// Seed reads window c's seed record. ok is false when there is none or
+// when it fails its checks, which err then reports.
+func (r *Reader) Seed(c int) (sd Seed, ok bool, err error) {
+	sp, ok := r.seedSpan(c)
+	if !ok {
+		return Seed{}, false, nil
+	}
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	rec, err := r.blockBytes(&sc.span, sp.offset, sp.length)
+	if err == nil {
+		err = seedBody(rec)
+	}
+	if err != nil {
+		return Seed{}, false, fmt.Errorf("window %d seed: %w", c, err)
+	}
+	return decodeSeed(rec), true, nil
 }
 
 // span returns window c's entry; the zero span stands for an absent
@@ -281,7 +364,8 @@ func (r *Reader) Meta() Meta { return r.meta }
 // Tuples returns the total tuple count across all windows.
 func (r *Reader) Tuples() int { return r.tuples }
 
-// Blocks returns the number of column blocks in the file.
+// Blocks returns the number of column blocks in the file (seed records
+// are not blocks).
 func (r *Reader) Blocks() int { return len(r.blocks) }
 
 // Windows returns the window indexes present, ascending.
@@ -317,12 +401,13 @@ func (r *Reader) WindowZone(c int) (z BlockMeta, ok bool) {
 
 // CheckBlocks reads every block once and verifies its checksum and its
 // count field against the directory, decoding no column: what a store
-// runs before it trusts the file as its checkpoint.
+// runs before it trusts the file as its checkpoint. Seed records are not
+// read: a bad one costs its window the seed when it is read, not the file.
 func (r *Reader) CheckBlocks() error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
 	for i, m := range r.blocks {
-		data, err := r.blockBytes(&sc.span, m)
+		data, err := r.blockBytes(&sc.span, m.Offset, m.Length)
 		if err != nil {
 			return err
 		}
@@ -334,11 +419,11 @@ func (r *Reader) CheckBlocks() error {
 }
 
 // WindowTuples materializes window c in its original append order —
-// byte-identical to the slice the writing store held in memory. Every
-// original position must be covered exactly once, or the window is
-// reported corrupt. It allocates the result and its own record of the
-// positions filled; the store reads through DecodeWindow, and Verify holds
-// the two against each other.
+// byte-identical to the slice the writing store held in memory. In a file
+// before version 4 every original position must be covered exactly once,
+// or the window is reported corrupt. It allocates the result and, before
+// version 4, its own record of the positions filled; the store reads
+// through DecodeWindow, and Verify holds the two against each other.
 func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 	sp := r.span(c)
 	if sp.n == 0 {
@@ -346,12 +431,23 @@ func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 	}
 	total := sp.count
 	out := make(tuple.Batch, total)
-	seen := make([]bool, total)
+	var seen []bool // the positions filled, before version 4
+	if r.version != colVersion {
+		seen = make([]bool, total)
+	}
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
+	pos := 0
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
 		if err := r.readBlock(sc, m); err != nil {
 			return nil, err
+		}
+		if r.version == colVersion {
+			for i := range m.Count {
+				out[pos+i] = tuple.Raw{T: sc.cols[0][i], X: sc.cols[1][i], Y: sc.cols[2][i], S: sc.cols[3][i]}
+			}
+			pos += m.Count
+			continue
 		}
 		for i, sq := range sc.seqs {
 			if sq >= uint64(total) || seen[sq] {
@@ -366,8 +462,9 @@ func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
 
 // ScanWindowRegion streams window c's tuples whose (X, Y) fall inside
 // the closed rectangle [minX,maxX]×[minY,maxY], pruning whole blocks by
-// zone map before touching their bytes. Tuples arrive in block order,
-// not append order. It returns how many blocks were scanned vs pruned.
+// zone map before touching their bytes. Tuples arrive in block order:
+// append order in a version-4 file, (cell, time) order before. It returns
+// how many blocks were scanned vs pruned.
 func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, err error) {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
@@ -394,7 +491,7 @@ func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func
 
 // readBlock reads block m and decodes it into sc, counting the read.
 func (r *Reader) readBlock(sc *scratch, m BlockMeta) error {
-	data, err := r.blockBytes(&sc.span, m)
+	data, err := r.blockBytes(&sc.span, m.Offset, m.Length)
 	if err != nil {
 		return err
 	}
@@ -413,11 +510,11 @@ func (r *Reader) countScan(m BlockMeta) {
 	r.blocksScanned.Add(1)
 }
 
-// blockBytes returns block m's bytes, header through checksum: a slice
-// of the mapping, or *buf filled by pread (and grown, which is why the
-// caller's buffer comes by pointer).
-func (r *Reader) blockBytes(buf *[]byte, m BlockMeta) ([]byte, error) {
-	data, err := r.src.ReadSpan(*buf, m.Offset, m.Length)
+// blockBytes returns the n bytes of the block or seed record at off: a
+// slice of the mapping, or *buf filled by pread (and grown, which is why
+// the caller's buffer comes by pointer).
+func (r *Reader) blockBytes(buf *[]byte, off, n int64) ([]byte, error) {
+	data, err := r.src.ReadSpan(*buf, off, n)
 	if err == nil && !r.src.Mapped() {
 		*buf = data
 	}
@@ -425,9 +522,10 @@ func (r *Reader) blockBytes(buf *[]byte, m BlockMeta) ([]byte, error) {
 }
 
 // scratch is what a read borrows beside its destination: a block's bytes
-// on the pread path, the block decoded — its T, X, Y and S columns and its
-// original positions, in block order — the keys of the column being
-// decoded, and which of the window's positions have been filled.
+// on the pread path, the block decoded — its T, X, Y and S columns and,
+// before version 4, its original positions, in block order — the keys of
+// the column being decoded, and which of the window's positions have been
+// filled.
 type scratch struct {
 	span       []byte
 	cols       [4][]float64
@@ -442,10 +540,11 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 // DecodeWindow decodes window c into dst, which must hold exactly
 // WindowCount(c) tuples, in the window's original append order: block by
 // block, the columns into pooled scratch and each tuple from there into
-// the place of dst the seq column names, allocating nothing. It checks what
-// WindowTuples checks — every block's checksum and count, every column's
-// framing, and that the original positions cover dst exactly once — and on
-// an error leaves dst undefined.
+// dst — the next places of it, or before version 4 the place the seq
+// column names — allocating nothing. It checks what WindowTuples checks —
+// every block's checksum and count, every column's framing, and that the
+// original positions cover dst exactly once — and on an error leaves dst
+// undefined.
 func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	sp := r.span(c)
 	if len(dst) != sp.count {
@@ -453,11 +552,22 @@ func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	}
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	sc.seen = sized(sc.seen, len(dst))
-	clear(sc.seen)
+	if r.version != colVersion {
+		sc.seen = sized(sc.seen, len(dst))
+		clear(sc.seen)
+	}
+	pos := 0
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
 		if err := r.readBlock(sc, m); err != nil {
 			return fmt.Errorf("window %d: %w", c, err)
+		}
+		if r.version == colVersion {
+			ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
+			for i := range m.Count {
+				dst[pos+i] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
+			}
+			pos += m.Count
+			continue
 		}
 		if err := sc.place(dst); err != nil {
 			return fmt.Errorf("window %d: %w", c, err)
@@ -468,14 +578,19 @@ func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 
 // decodeBlock decodes one block (data: count through checksum; count
 // cross-checks the directory entry) of a file of the given version into
-// sc.cols and sc.seqs.
+// sc.cols, and before version 4 its seq column into sc.seqs.
 func (sc *scratch) decodeBlock(data []byte, count int, version uint32) error {
 	p, err := blockBody(data, count)
 	if err != nil {
 		return err
 	}
 	var cols [5]column
-	for i := range cols {
+	hasSeq := version != colVersion
+	ncols := len(sc.cols)
+	if hasSeq {
+		ncols++
+	}
+	for i := range ncols {
 		if cols[i], p, err = cutColumn(p, count, version); err != nil {
 			return err
 		}
@@ -483,7 +598,7 @@ func (sc *scratch) decodeBlock(data []byte, count int, version uint32) error {
 	if len(p) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
 	}
-	if cols[4].scale != 0 {
+	if hasSeq && cols[4].scale != 0 {
 		return fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
 	}
 	sc.keys = sized(sc.keys, count)
@@ -491,8 +606,10 @@ func (sc *scratch) decodeBlock(data []byte, count int, version uint32) error {
 		sc.cols[i] = sized(sc.cols[i], count)
 		cols[i].floats(sc.cols[i], sc.keys)
 	}
-	sc.seqs = sized(sc.seqs, count)
-	cols[4].keys(sc.seqs)
+	if hasSeq {
+		sc.seqs = sized(sc.seqs, count)
+		cols[4].keys(sc.seqs)
+	}
 	return nil
 }
 

@@ -12,10 +12,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"slices"
 	"sync"
 
+	"repro/internal/colblock"
 	"repro/internal/geo"
 	"repro/internal/kmeans"
 	"repro/internal/regress"
@@ -117,6 +122,15 @@ func (cv *Cover) Interpolate(t, x, y float64) (float64, error) {
 	return v, nil
 }
 
+// tuples returns how many tuples the cover's models were fitted on.
+func (cv *Cover) tuples() int {
+	n := 0
+	for _, k := range cv.N {
+		n += int(k)
+	}
+	return n
+}
+
 // MaxApproxError returns the largest per-region approximation error.
 func (cv *Cover) MaxApproxError() float64 {
 	var max float64
@@ -176,6 +190,32 @@ type Config struct {
 	MinRegionTuples int
 	// Cluster configures the underlying k-means runs.
 	Cluster kmeans.Config
+}
+
+// seedFormat versions what a checkpoint seed means: a change to Ad-KMN
+// that moves the covers it builds must change it, so seeds written before
+// are not refitted into covers a build would no longer give.
+const seedFormat = 1
+
+// fingerprint hashes the fields of c, defaults applied, that shape the
+// cover a build gives, and seedFormat: a checkpoint seed is refitted only
+// under the fingerprint it was written with.
+func (c Config) fingerprint() uint64 {
+	c = c.withDefaults()
+	h := fnv.New64a()
+	var buf []byte
+	for _, v := range [...]uint64{
+		seedFormat,
+		uint64(c.InitialK), uint64(c.MaxK), math.Float64bits(c.ErrThreshold),
+		uint64(c.Pollutant), math.Float64bits(c.NormalSpan), uint64(c.MaxRounds),
+		uint64(c.MinRegionTuples), uint64(c.Cluster.MaxIterations),
+		math.Float64bits(c.Cluster.Tolerance), uint64(c.Cluster.Seed),
+	} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	buf = append(buf, c.Features.Name()...)
+	h.Write(buf)
+	return h.Sum64()
 }
 
 func (c Config) withDefaults() Config {
@@ -238,10 +278,11 @@ type Builder struct {
 	// store (Store.WindowInto); BuildCover itself never touches it.
 	win tuple.Batch
 
-	pts []geo.Point
-	km  kmeans.Clusterer
-	add []geo.Point // the centroids a split round adds
-	fit regress.Fitter
+	pts    []geo.Point
+	km     kmeans.Clusterer
+	assign []int       // Refit's nearest-centroid assignment
+	add    []geo.Point // the centroids a split round adds
+	fit    regress.Fitter
 
 	// The observations grouped by region: the t, x, y and s columns,
 	// len(w) each, in cols; region j's rows end at ends[j] and start where
@@ -316,6 +357,53 @@ func (b *Builder) BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cove
 	cv := b.cover(w, c, h, cfg)
 	cv.Rounds = rounds
 	return cv, nil
+}
+
+// Refit is BuildCover for a window whose build converged on centroids in
+// rounds split rounds: it skips the search for the regions — seeding and
+// every Lloyd round — and gives each tuple to its nearest centroid
+// (kmeans.Nearest) and fits one model per region, as the build's last
+// round did. For the centroids and rounds of BuildCover(w, c, h, cfg)'s
+// own cover it returns that cover, bit for bit: the bounded Lloyd's final
+// assignment is Nearest over the converged centroids, the regions are fit
+// in the same order over the same tuples, and a region the build dropped
+// as empty never won a tuple, so leaving it out moves none. A centroid
+// that wins no tuple here means the centroids are not of this window; Refit
+// refuses them.
+func (b *Builder) Refit(w tuple.Batch, c int, h float64, cfg Config, centroids []geo.Point, rounds int) (*Cover, error) {
+	cfg = cfg.withDefaults()
+	if err := checkWindow(w, h); err != nil {
+		return nil, err
+	}
+	k := len(centroids)
+	if k == 0 || k > min(cfg.MaxK, len(w)) {
+		return nil, fmt.Errorf("core: refit %d centroids over %d tuples (MaxK %d)", k, len(w), cfg.MaxK)
+	}
+	pts := b.positions(w)
+	b.assign = slices.Grow(b.assign[:0], len(pts))[:len(pts)]
+	for i, p := range pts {
+		b.assign[i] = kmeans.Nearest(centroids, p)
+	}
+	b.reserve(len(w), k, cfg.Features.Dim())
+	res := kmeans.Result{Centroids: centroids, Assign: b.assign}
+	if err := b.fitRegions(w, &res, cfg, normalSpanFor(w, cfg)); err != nil {
+		return nil, err
+	}
+	for j, r := range b.regions {
+		if r.n == 0 {
+			return nil, fmt.Errorf("core: refit region %d wins no tuple", j)
+		}
+	}
+	cv := b.cover(w, c, h, cfg)
+	cv.Rounds = rounds
+	return cv, nil
+}
+
+// seed is what a checkpoint keeps of cv, a cover built over n tuples with
+// the configuration whose fingerprint is fp, for Refit to fit it again.
+// It shares cv's centroids, which a cover never modifies.
+func (cv *Cover) seed(n int, fp uint64) colblock.Seed {
+	return colblock.Seed{Count: n, Config: fp, Rounds: cv.Rounds, Centroids: cv.Centroids}
 }
 
 func checkWindow(w tuple.Batch, h float64) error {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/colblock"
 	"repro/internal/store"
 	"repro/internal/tuple"
 )
@@ -60,6 +61,9 @@ import (
 //     worker whose build was overtaken rests for as long as that build
 //     took before requesting the follow-up, so a window written faster
 //     than it can be modeled is rebuilt at most every other build time.
+//   - A cover refitted from its checkpoint's seed is the cover a build
+//     would give: the seed is used only for a window that is exactly the
+//     tuples it was built over, with the configuration that built it.
 //   - Change hooks (OnChange) run after every install of a rebuilt cover
 //     and after every hard drop — the moments the answer a reader gets
 //     changes — not when the window is merely dirtied, so a subscription
@@ -70,12 +74,17 @@ import (
 // cover cache is bounded by the store's retention horizon: when the store
 // evicts windows, their covers (and any in-flight builds) are discarded
 // too, keeping the cached-cover count ≤ the store's Retain bound under
-// rolling ingest.
+// rolling ingest. It is also the store's checkpoint seeder (seed): a
+// checkpoint keeps, beside each window, the centroids of its cover
+// (building the cover of a sealed window that has none), and a build of a
+// window that is still exactly what the checkpoint holds — the warm-prime
+// after a restart — refits the cover from them.
 type Maintainer struct {
 	st  *store.Store
 	cfg Config
+	fp  uint64 // cfg.fingerprint(): what a seed must have been built with
 
-	unhook func() // detaches the store eviction hook
+	unhook, unseed func() // detach the store eviction and checkpoint hooks
 
 	mu       sync.Mutex
 	covers   map[int]cached
@@ -105,6 +114,9 @@ type Maintainer struct {
 	// window's tuples are read but before the built cover is installed —
 	// the interleaving point of the overtaken-build race.
 	testBuildHook func(c int)
+	// testRefitHook, when set (by tests in this package), runs before a
+	// build refits window c's tuples w from the checkpoint's seed sd.
+	testRefitHook func(c int, w tuple.Batch, sd colblock.Seed)
 }
 
 // cached is one cached cover and the window generation it was built at.
@@ -129,13 +141,14 @@ func fire(hooks []changeHook, c int) {
 // buildState tracks the one in-flight build of a window. gen is the
 // window's generation when the build started — before it read the
 // window, so the cover holds at least every tuple of that generation.
-// evicted is guarded by the maintainer's mutex; cover and err are written
-// once before done closes.
+// evicted is guarded by the maintainer's mutex; cover, refit and err are
+// written once before done closes.
 type buildState struct {
 	done    chan struct{}
 	gen     uint64
 	evicted bool
 	cover   *Cover
+	refit   bool // the cover was refitted from the checkpoint's seed
 	err     error
 }
 
@@ -146,19 +159,25 @@ func NewMaintainer(st *store.Store, cfg Config) *Maintainer {
 	m := &Maintainer{
 		st:       st,
 		cfg:      cfg,
+		fp:       cfg.fingerprint(),
 		covers:   make(map[int]cached),
 		building: make(map[int]*buildState),
 		gens:     make(map[int]uint64),
 	}
 	m.unhook = st.OnEvict(m.dropWindows)
+	m.unseed = st.OnCheckpoint(m.seed)
 	return m
 }
 
-// Close detaches the maintainer from its store's eviction hook, so a
-// discarded maintainer over a long-lived store is not kept alive (and
-// invoked) by the store forever. The maintainer stays usable afterwards,
-// but its cache is no longer trimmed by store eviction.
-func (m *Maintainer) Close() { m.unhook() }
+// Close detaches the maintainer from its store's eviction and checkpoint
+// hooks, so a discarded maintainer over a long-lived store is not kept
+// alive (and invoked) by the store forever. The maintainer stays usable
+// afterwards, but its cache is no longer trimmed by store eviction, and
+// the store's checkpoints write no seeds for it.
+func (m *Maintainer) Close() {
+	m.unhook()
+	m.unseed()
+}
 
 // CoverFor returns the model cover for window c, building it on first
 // use. Under a watching scheduler the cover may be stale — built before
@@ -206,6 +225,7 @@ type refreshOutcome int
 
 const (
 	refreshBuilt     refreshOutcome = iota // a build ran and succeeded
+	refreshRefitted                        // a refit from the checkpoint's seed did
 	refreshFailed                          // a build ran and errored
 	refreshSkipped                         // the window holds no data (evicted)
 	refreshCoalesced                       // nothing to do: current, or a build is running
@@ -240,8 +260,11 @@ func (m *Maintainer) refresh(c int) (outcome refreshOutcome, rest time.Duration)
 	start := time.Now()
 	outcome = refreshBuilt
 	owed := m.build(c, bs) != nil
-	if bs.err != nil {
+	switch {
+	case bs.err != nil:
 		outcome = refreshFailed
+	case bs.refit:
+		outcome = refreshRefitted
 	}
 	if owed {
 		rest = time.Since(start)
@@ -271,15 +294,29 @@ func (m *Maintainer) startBuildLocked(c int) *buildState {
 func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 	// The window is read into the borrowed Builder's buffer, not cloned:
 	// the cover copies out what it keeps, so the tuples are moved once.
+	// The seed comes with the tuples, from the same critical section: a
+	// window that gained a tuple since its checkpoint has none.
 	b := builders.Get().(*Builder)
-	b.win = m.st.WindowInto(b.win[:0], c)
+	var sd colblock.Seed
+	var seeded bool
+	b.win, sd, seeded = m.st.WindowSeedInto(b.win[:0], c)
 	if m.testBuildHook != nil {
 		m.testBuildHook(c)
 	}
-	if len(b.win) == 0 {
+	h := m.st.WindowLength()
+	if seeded && sd.Config == m.fp && sd.Count == len(b.win) {
+		if m.testRefitHook != nil {
+			m.testRefitHook(c, b.win, sd)
+		}
+		// A seed Refit refuses does not fit its window: build instead.
+		bs.cover, bs.err = b.Refit(b.win, c, h, m.cfg, sd.Centroids, sd.Rounds)
+		bs.refit = bs.err == nil
+	}
+	switch {
+	case len(b.win) == 0:
 		bs.err = fmt.Errorf("core: window %d is empty", c)
-	} else {
-		bs.cover, bs.err = b.BuildCover(b.win, c, m.st.WindowLength(), m.cfg)
+	case !bs.refit:
+		bs.cover, bs.err = b.BuildCover(b.win, c, h, m.cfg)
 	}
 	builders.Put(b)
 
@@ -309,6 +346,52 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 	}
 	close(bs.done)
 	return followUp
+}
+
+// seed is the store's checkpoint hook (store.SeedFunc): the centroids of
+// window c's cover when that cover was built over exactly the n tuples the
+// checkpoint holds (a window only grows by append, so they are its first
+// n). A sealed window's cover is brought up to date first (current), so a
+// window written since its last build still gets a seed.
+func (m *Maintainer) seed(c, n int, sealed bool) (colblock.Seed, bool) {
+	var cv *Cover
+	if sealed {
+		cv = m.current(c)
+	} else {
+		m.mu.Lock()
+		cv = m.covers[c].cv
+		m.mu.Unlock()
+	}
+	if cv == nil || cv.tuples() != n {
+		return colblock.Seed{}, false
+	}
+	return cv.seed(n, m.fp), true
+}
+
+// current returns window c's cover at the window's present generation:
+// the cached one when it is current, else the running build's once that
+// ends, else one built here and installed like any other — the rebuild a
+// scheduler has queued for the window then finds nothing to do. It
+// returns nil when the build fails.
+func (m *Maintainer) current(c int) *Cover {
+	for {
+		m.mu.Lock()
+		if e, ok := m.covers[c]; ok && e.gen == m.gens[c] {
+			m.mu.Unlock()
+			return e.cv
+		}
+		if bs, ok := m.building[c]; ok {
+			m.mu.Unlock()
+			<-bs.done
+			continue
+		}
+		bs := m.startBuildLocked(c)
+		m.mu.Unlock()
+		if sched := m.build(c, bs); sched != nil {
+			sched.Schedule(m, c)
+		}
+		return bs.cover
+	}
 }
 
 // CoverAt returns the cover for the window containing stream time t. The

@@ -27,6 +27,9 @@ type SchedulerStats struct {
 	Scheduled int64 `json:"scheduled"`
 	// Built is the number of covers built successfully in the background.
 	Built int64 `json:"built"`
+	// Refitted counts the Built covers refitted from the seed their
+	// window's checkpoint kept (Builder.Refit) instead of built by Ad-KMN.
+	Refitted int64 `json:"refitted"`
 	// Skipped counts builds abandoned because the window was empty or
 	// evicted by the time a worker reached it.
 	Skipped int64 `json:"skipped"`
@@ -97,6 +100,7 @@ type Scheduler struct {
 
 	scheduled int64
 	built     int64
+	refitted  int64
 	skipped   int64
 	coalesced int64
 	failed    int64
@@ -210,11 +214,12 @@ func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 
 // WarmPrime queues a background build for every retained window of m
 // that has no cover yet, returning how many were queued. After a
-// restart this turns recovery into a warm start: covers are not
-// persisted, so every recovered window — checkpointed or replayed from
-// the segment suffix — is modeled off the query path before anyone
-// asks, most recent first — the same priority fresh ingest gets. A nil
-// scheduler primes nothing.
+// restart this turns recovery into a warm start: every recovered window
+// — checkpointed or replayed from the segment suffix — is modeled off the
+// query path before anyone asks, most recent first — the same priority
+// fresh ingest gets. A window that is exactly what its checkpoint holds is
+// refitted from the seed the checkpoint kept, a fraction of a build; the
+// others run Ad-KMN. A nil scheduler primes nothing.
 func (s *Scheduler) WarmPrime(m *Maintainer) int {
 	if s == nil || m == nil {
 		return 0
@@ -281,6 +286,9 @@ func (s *Scheduler) build(key buildKey) {
 	switch outcome {
 	case refreshBuilt:
 		s.built++
+	case refreshRefitted:
+		s.built++
+		s.refitted++
 	case refreshFailed:
 		s.failed++
 	case refreshSkipped:
@@ -324,6 +332,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return SchedulerStats{
 		Scheduled: s.scheduled,
 		Built:     s.built,
+		Refitted:  s.refitted,
 		Skipped:   s.skipped,
 		Coalesced: s.coalesced,
 		Failed:    s.failed,

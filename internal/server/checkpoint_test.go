@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/colblock"
 	"repro/internal/core"
 	"repro/internal/kmeans"
 	"repro/internal/store"
@@ -163,5 +165,68 @@ func TestEnginePeriodicCheckpoint(t *testing.T) {
 	}
 	for _, st := range stores {
 		st.Close()
+	}
+}
+
+// TestLateCheckpointSavesItsWrites holds a periodic pass after it took
+// its snapshot (a store checkpoint hook blocks it), acknowledges a write,
+// and makes two manual Checkpoint calls. Neither may return while the
+// held pass runs — it cannot hold the write — and both return after the
+// one pass that follows it, whose file holds the write.
+func TestLateCheckpointSavesItsWrites(t *testing.T) {
+	st, err := store.Open(store.Config{WindowLength: 600, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e, err := NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st}, core.Config{}, Options{
+		Scheduler:  core.SchedulerConfig{Workers: -1},
+		Checkpoint: CheckpointConfig{Interval: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	early := tuple.Batch{{T: 10, X: 1, Y: 2, S: 400}, {T: 20, X: 3, Y: 4, S: 410}}
+	if err := e.Ingest(ctx, tuple.CO2, early); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	st.OnCheckpoint(func(c, n int, sealed bool) (colblock.Seed, bool) {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+		return colblock.Seed{}, false
+	})
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no periodic checkpoint started")
+	}
+	late := tuple.Batch{{T: 30, X: 5, Y: 6, S: 420}}
+	if err := e.Ingest(ctx, tuple.CO2, late); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() { errs <- e.Checkpoint() }()
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("a Checkpoint called after the running pass's snapshot returned (%v) while that pass was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if got := st.CheckpointStats().LastTuples; got != int64(len(early)+len(late)) {
+			t.Fatalf("a Checkpoint returned with the last file holding %d tuples, want %d: the acknowledged write is not in it",
+				got, len(early)+len(late))
+		}
 	}
 }

@@ -41,7 +41,8 @@ var ErrEngineClosed = ingest.ErrPipelineClosed
 // always be called manually.
 type CheckpointConfig struct {
 	// Interval between automatic checkpoints of every shard's store.
-	// A positive interval also makes the facade checkpoint at Close.
+	// A positive interval also makes Close checkpoint once the pipeline
+	// has drained.
 	// 0 disables the periodic trigger.
 	Interval time.Duration
 	// KeepSegments is forwarded by the facade into each store's
@@ -130,13 +131,15 @@ type Engine struct {
 	ckStop chan struct{}
 	ckWG   sync.WaitGroup
 
-	// ckMu/ckActive single-flight Checkpoint: a manual call that lands
-	// while the periodic ticker (or another manual call) is mid-flight
-	// joins the in-flight pass instead of queueing a redundant one behind
-	// it — every caller still returns only after a full pass that began
-	// at or after their call.
+	// ckMu guards ckActive, the checkpoint pass running, and ckNext, the
+	// one that follows it: a call that lands while a pass is running may
+	// come after that pass took its snapshot, so it shares the next pass
+	// with every other call that lands meanwhile instead of joining the
+	// running one — every caller returns only after a full pass that began
+	// after their call.
 	ckMu     sync.Mutex
 	ckActive *ckFlight
+	ckNext   *ckFlight
 
 	// ingestTestGate, when set (by tests in this package, before any
 	// ingest), runs inside the pipeline sink — the hook tests use to hold
@@ -235,32 +238,57 @@ func (e *Engine) startAsync(opts Options) {
 	}
 }
 
-// ckFlight is one in-flight engine checkpoint pass: joiners wait on
-// done and share err.
+// ckFlight is one engine checkpoint pass: its callers wait on done and
+// share err. after is the pass that was running when it was set up, which
+// it starts behind.
 type ckFlight struct {
-	done chan struct{}
-	err  error
+	done  chan struct{}
+	after *ckFlight
+	err   error
 }
 
 // Checkpoint persists every shard's retained windows and compacts their
 // segment logs (see store.Checkpoint). Shard failures are joined; each
 // shard checkpoints independently, so one failing disk does not stop
 // the others. Concurrent calls — the periodic ticker overlapping a
-// manual trigger, or two manual triggers — are single-flighted: late
-// arrivals join the running pass and return its error instead of
-// stacking redundant checkpoint work behind it.
+// manual trigger, or two manual triggers — share passes: a call made
+// while a pass runs cannot join it, since the pass may already hold its
+// snapshot without the writes acknowledged before the call, so every such
+// call shares the one pass that starts when the running one ends, and
+// returns its error. However many calls land during a pass, one follows
+// it.
 //
-//ctxcheck:allow the only wait is for a concurrent checkpoint pass, which always closes done
+//ctxcheck:allow the only waits are for checkpoint passes, each of which always closes done
 func (e *Engine) Checkpoint() error {
 	e.ckMu.Lock()
-	if f := e.ckActive; f != nil {
+	switch {
+	case e.ckNext != nil:
+	case e.ckActive != nil:
+		e.ckNext = &ckFlight{done: make(chan struct{}), after: e.ckActive} //bounded: signal-only completion latch; closed once, nothing sends
+	default:
+		f := &ckFlight{done: make(chan struct{})} //bounded: signal-only completion latch; closed once, nothing sends
+		e.ckActive = f
 		e.ckMu.Unlock()
-		<-f.done
-		return f.err
+		return e.runCheckpoint(f)
 	}
-	f := &ckFlight{done: make(chan struct{})} //bounded: signal-only completion latch; closed once, nothing sends
-	e.ckActive = f
+	f := e.ckNext
 	e.ckMu.Unlock()
+	<-f.after.done
+	// The first of the pass's callers to get here runs it; the others
+	// wait for it.
+	e.ckMu.Lock()
+	if e.ckNext == f {
+		e.ckNext, e.ckActive = nil, f
+		e.ckMu.Unlock()
+		return e.runCheckpoint(f)
+	}
+	e.ckMu.Unlock()
+	<-f.done
+	return f.err
+}
+
+// runCheckpoint runs pass f, which is e.ckActive, and ends it.
+func (e *Engine) runCheckpoint(f *ckFlight) error {
 	var errs []error
 	for _, pol := range e.Pollutants() {
 		if err := e.shards[pol].st.Checkpoint(); err != nil {
@@ -325,8 +353,9 @@ func (e *Engine) WarmPrime() {
 
 // Close shuts the write path down: the pipeline stops accepting uploads
 // and drains what it holds (every queued upload is still applied and
-// acknowledged), the scheduler finishes in-flight builds and discards
-// the rest, and the maintainers detach from their stores' eviction
+// acknowledged), a final checkpoint runs when Checkpoint.Interval is
+// set, the scheduler finishes in-flight builds and discards the rest,
+// and the maintainers detach from their stores' eviction and checkpoint
 // hooks. The read path keeps working: detaching the scheduler hard-drops
 // every cover still waiting for a rebuild, so a read after Close builds
 // from the window's final contents instead of serving a stale cover
@@ -340,6 +369,13 @@ func (e *Engine) Close() error {
 		e.ckWG.Wait()
 	}
 	err := e.pipeline.Close()
+	if e.ckStop != nil {
+		// Before the maintainers detach: the checkpoint takes its seeds
+		// from them, so the next open refits what this one wrote.
+		if ckErr := e.Checkpoint(); ckErr != nil {
+			err = errors.Join(err, fmt.Errorf("server: close checkpoint: %w", ckErr))
+		}
+	}
 	for _, u := range e.unwatch {
 		u()
 	}

@@ -512,12 +512,13 @@ const statsKeys = `
 	checkpoint.tuplesFromCheckpoint checkpoint.tuplesReplayed
 	columnar.blocksPruned columnar.blocksScanned columnar.blocksWritten columnar.bytesRead
 	columnar.lazyWindows columnar.materializations columnar.materializeFailures
-	columnar.mmapReads columnar.readAtReads columnar.sidecarsWritten
+	columnar.mmapReads columnar.readAtReads columnar.seedFailures columnar.sidecarsWritten
 	defaultPollutant
 	ingest.appends ingest.coalesced ingest.errors ingest.queued ingest.rejected
 	ingest.submitted ingest.tuples
 	maintenance.built maintenance.coalesced maintenance.dropped maintenance.failed
-	maintenance.inflight maintenance.queueLen maintenance.scheduled maintenance.skipped
+	maintenance.inflight maintenance.queueLen maintenance.refitted maintenance.scheduled
+	maintenance.skipped
 	maxTime
 	perPollutant.*.cachedCovers perPollutant.*.maxTime perPollutant.*.tuples perPollutant.*.windows
 	subscriptions.active subscriptions.avoided subscriptions.closed subscriptions.deltaPoints

@@ -281,10 +281,12 @@ func readManifest(dir string) (seq, horizon int, err error) {
 //     already captured it can still run its own fsync against it. The
 //     seal fsync itself runs outside the lock, so queries never stall
 //     behind it.
-//  2. Write checkpoint-%06d.emc to a temp file, fsync, rename, fsync
-//     the directory. A window with nothing appended since the previous
-//     checkpoint is carried over from that file block for block; one with
-//     a suffix is decoded from it, merged and encoded again.
+//  2. Outside the lock, give each window the seed of its model cover
+//     (seedWindows), then write checkpoint-%06d.emc to a temp file,
+//     fsync, rename, fsync the directory. A window with nothing appended
+//     since the previous checkpoint is carried over from that file block
+//     for block, with its seed; one with a suffix is decoded from it,
+//     merged and encoded again.
 //  3. Commit it by writing MANIFEST the same way.
 //  4. Read the committed file back: open it and checksum every block.
 //  5. Release, under the store lock: every snapshotted window becomes a
@@ -341,6 +343,7 @@ func (s *Store) Checkpoint() error {
 	if prev != nil {
 		prev.acquire()
 	}
+	seeder := s.seeder
 	s.ckSnapshot, s.ckEvicted = true, s.ckEvicted[:0]
 	maxTime := s.maxTime
 	horizon := s.segSeq
@@ -365,6 +368,9 @@ func (s *Store) Checkpoint() error {
 	s.ckSeq++
 	s.mu.Unlock()
 
+	if seeder != nil {
+		seedWindows(windows, seeder)
+	}
 	rd, err := s.commitCheckpoint(colblock.Meta{Seq: seq, Horizon: horizon, MaxTime: maxTime}, windows, sealSync)
 	if prev != nil {
 		prev.release()
@@ -395,6 +401,25 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	return nil
+}
+
+// seedWindows gives each snapshot window the seed seeder has for the
+// window's tuple count; a seed is written only when it counts them. A
+// window behind the newest one is sealed, and seeder may build its cover
+// first — unless the window is carried over with the seed its base keeps,
+// which it keeps when seeder has no other.
+func seedWindows(windows []colblock.WindowData, seeder SeedFunc) {
+	for i := range windows {
+		wd := &windows[i]
+		c, n, carried := wd.Window, len(wd.Tuples), false
+		if wd.Base != nil {
+			n += wd.Base.WindowCount(c)
+			carried = len(wd.Tuples) == 0 && wd.Base.HasSeed(c)
+		}
+		if sd, ok := seeder(c, n, !carried && i < len(windows)-1); ok && sd.Count == n {
+			wd.Seed = sd
+		}
+	}
 }
 
 // commitCheckpoint is what Checkpoint does outside the store lock, up to

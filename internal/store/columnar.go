@@ -56,6 +56,9 @@ type ColumnarStats struct {
 	// and that serve their in-memory suffix only from then on.
 	Materializations    int64 `json:"materializations"`
 	MaterializeFailures int64 `json:"materializeFailures"`
+	// SeedFailures counts seed records that failed their checks when a
+	// cover build read them: each cost its window a refit, not a read.
+	SeedFailures int64 `json:"seedFailures"`
 	// Reader-side counters: blocks decoded, blocks skipped by zone map,
 	// and how the bytes were accessed.
 	BlocksScanned int64 `json:"blocksScanned"`
@@ -73,6 +76,7 @@ func (s *ColumnarStats) Add(o ColumnarStats) {
 	s.LazyWindows += o.LazyWindows
 	s.Materializations += o.Materializations
 	s.MaterializeFailures += o.MaterializeFailures
+	s.SeedFailures += o.SeedFailures
 	s.BlocksScanned += o.BlocksScanned
 	s.BlocksPruned += o.BlocksPruned
 	s.MmapReads += o.MmapReads
@@ -134,6 +138,7 @@ type columnarState struct {
 	blocksWritten       atomic.Int64
 	materializations    atomic.Int64
 	materializeFailures atomic.Int64
+	seedFailures        atomic.Int64
 }
 
 // retireReaderLocked drops the store's owner reference on the checkpoint
@@ -247,9 +252,9 @@ func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 // checkpoint file's block iterator, which skips whole blocks whose zone
 // maps miss r, and the in-memory part (the post-checkpoint suffix, or the
 // whole window when nothing is lazy) is filtered directly. The result's
-// tuple set is exactly Window(c) filtered by r, but its order is the
-// file's (cell, time) sort followed by the suffix's append order — use
-// Window when append order matters.
+// tuple set is exactly Window(c) filtered by r, in the file's block order
+// followed by the suffix's append order, not sorted by time — use Window
+// when time order matters.
 func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 	for {
 		s.mu.RLock()
@@ -304,6 +309,7 @@ func (s *Store) ColumnarStats() ColumnarStats {
 		LazyWindows:         int64(lazy),
 		Materializations:    s.col.materializations.Load(),
 		MaterializeFailures: s.col.materializeFailures.Load(),
+		SeedFailures:        s.col.seedFailures.Load(),
 		BlocksScanned:       rs.BlocksScanned,
 		BlocksPruned:        rs.BlocksPruned,
 		MmapReads:           rs.MmapReads,

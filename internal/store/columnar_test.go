@@ -629,13 +629,14 @@ func TestColumnarWindowRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	// Two spatial clusters far apart inside one window, several blocks
-	// each, so blocks sort into disjoint cells and a query over one
-	// cluster prunes the other.
+	// Two spatial clusters far apart inside one window, visited in turn
+	// one block's worth of tuples at a time, so blocks — runs of the
+	// append order — hold one cluster each and a query over one cluster
+	// prunes the other.
 	var b tuple.Batch
 	for i := 0; i < 5*colblock.BlockTuples; i++ {
 		cx, cy := 0.0, 0.0
-		if i%2 == 1 {
+		if i/colblock.BlockTuples%2 == 1 {
 			cx, cy = 50000, 50000
 		}
 		b = append(b, tuple.Raw{

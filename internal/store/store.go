@@ -169,6 +169,10 @@ type Store struct {
 	// in registration order. Guarded by mu; keyed for unregistration.
 	evictHooks map[int]func(evicted []int)
 	nextHookID int
+	// seeder gives Checkpoint the seeds it writes (nil: none), and
+	// seederID is its registration's hook ID. Guarded by mu.
+	seeder   SeedFunc
+	seederID int
 
 	// ckMu serializes Checkpoint calls; ckStatsMu guards ckStats so
 	// stats reads never block behind a running checkpoint. ckSeq (the
@@ -729,6 +733,33 @@ func (s *Store) OnEvict(fn func(evicted []int)) (unregister func()) {
 	}
 }
 
+// SeedFunc gives the seed a checkpoint writes beside window c, which it
+// holds n tuples of — what the cover maintainer keeps of the window's
+// model cover (colblock.Seed). sealed reports a window behind the newest
+// one (which is still filling) and not carried over with a seed: fn may
+// bring its cover up to date, reading the store, before it answers. ok
+// false writes no seed. It runs outside the store lock, concurrently with
+// appends and reads.
+type SeedFunc func(c, n int, sealed bool) (seed colblock.Seed, ok bool)
+
+// OnCheckpoint registers fn as the source of the seeds Checkpoint writes,
+// in place of any registered before. The returned function unregisters it
+// (and nothing registered after it).
+func (s *Store) OnCheckpoint(fn SeedFunc) (unregister func()) {
+	s.mu.Lock()
+	id := s.nextHookID
+	s.nextHookID++
+	s.seeder, s.seederID = fn, id
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		if s.seederID == id {
+			s.seeder = nil
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Retain returns the store's retention bound (0 = unbounded).
 func (s *Store) Retain() int { return s.cfg.Retain }
 
@@ -834,6 +865,18 @@ func (s *Store) evictLocked() []int {
 // second copy — so callers see the full base + suffix contents either way.
 func (s *Store) Window(c int) tuple.Batch { return s.WindowInto(nil, c) }
 
+// WindowSeedInto is WindowInto that also returns the seed the checkpoint
+// file keeps for window W_c, when the window is exactly the tuples that
+// seed was built over: a lazy base with nothing appended since, whose seed
+// record reads back sound and counts as many tuples. The tuples and the
+// seed come from one critical section, so an append racing the read either
+// lands before it — and the window has a suffix and no seed — or after it.
+// A seed record that fails its checks is counted in
+// ColumnarStats.SeedFailures and costs the caller only the seed.
+func (s *Store) WindowSeedInto(dst tuple.Batch, c int) (tuple.Batch, colblock.Seed, bool) {
+	return s.windowInto(dst, c, true)
+}
+
 // WindowInto is Window into memory the caller owns: it appends window
 // W_c's tuples to dst, sorts the appended part by time and returns the
 // extended slice, which shares nothing with the store. A caller that reads
@@ -847,6 +890,12 @@ func (s *Store) Window(c int) tuple.Batch { return s.WindowInto(nil, c) }
 // this read returns; the base is then decoded outside the lock, straight
 // into dst.
 func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
+	dst, _, _ = s.windowInto(dst, c, false)
+	return dst
+}
+
+// windowInto is WindowInto, and WindowSeedInto when withSeed is set.
+func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch, sd colblock.Seed, seeded bool) {
 	n := len(dst)
 	for {
 		s.mu.RLock()
@@ -866,6 +915,9 @@ func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 		s.mu.RUnlock()
 		if cr != nil {
 			err := cr.rd.DecodeWindow(dst[n:n+lw.count], c)
+			if err == nil && withSeed && len(w) == 0 {
+				sd, seeded = s.seedOf(cr.rd, c, lw.count)
+			}
 			cr.release()
 			if err == nil {
 				s.col.materializations.Add(1)
@@ -880,7 +932,19 @@ func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 		dst = dst[:n]
 	}
 	dst[n:].SortByTime()
-	return dst
+	return dst, sd, seeded
+}
+
+// seedOf reads window c's seed from rd, for a base of n tuples. A record
+// that fails its checks, or that counts other than n tuples, is a seed
+// failure.
+func (s *Store) seedOf(rd *colblock.Reader, c, n int) (colblock.Seed, bool) {
+	sd, ok, err := rd.Seed(c)
+	if err != nil || ok && sd.Count != n {
+		s.col.seedFailures.Add(1)
+		return colblock.Seed{}, false
+	}
+	return sd, ok
 }
 
 // WindowLen returns the number of tuples in window W_c without copying

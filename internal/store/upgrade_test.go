@@ -22,7 +22,10 @@ import (
 // testdata/<name>/appended.frames is every batch the writer appended, in
 // order (WindowLength 100, Retain 4). testdata/v2-columnar has the same
 // shape, written by commit bf9c3e4, the last one whose checkpoint files
-// were version 2 (TestUpgradeFromVersion2).
+// were version 2 (TestUpgradeFromVersion2), and testdata/v3-columnar the
+// same batches with the checkpoint at the same point, written by commit
+// 43b7fdf, the last one whose checkpoint files were version 3
+// (TestUpgradeFromVersion3).
 var upgradeFixtures = []string{"legacy-row", "legacy-sidecar"}
 
 // fixtureReference replays a fixture's appended batches into a memory
@@ -151,7 +154,7 @@ func TestUpgradeFromRowCheckpoints(t *testing.T) {
 // adds to window 5 and opens window 6, which evicts window 2. The file is
 // read as it is — windows 3–5 lazy, every read as before — and the next
 // Checkpoint writes a
-// version-3 file that carries no version-2 block over: a version-3 file
+// version-4 file that carries no version-2 block over: a version-4 file
 // admits only packed columns, so Verify would refuse one. Every window
 // reads the same after that checkpoint, and after a restart from it.
 func TestUpgradeFromVersion2(t *testing.T) {
@@ -179,13 +182,13 @@ func TestUpgradeFromVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != 3 {
-		t.Fatalf("the checkpoint after the upgrade is version %d, want 3", v)
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 4 {
+		t.Fatalf("the checkpoint after the upgrade is version %d, want 4", v)
 	}
 	if err := colblock.Verify(data); err != nil {
 		t.Fatalf("the checkpoint after the upgrade: %v", err)
 	}
-	requireSameState(t, "after the version-3 checkpoint", s, ref)
+	requireSameState(t, "after the version-4 checkpoint", s, ref)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,76 @@ func TestUpgradeFromVersion2(t *testing.T) {
 	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 1 || rs.CorruptCheckpoints != 0 {
 		t.Fatalf("second recovery %+v: want checkpoint 1", rs)
 	}
-	requireSameState(t, "restarted from the version-3 checkpoint", re, ref)
+	requireSameState(t, "restarted from the version-4 checkpoint", re, ref)
+}
+
+// TestUpgradeFromVersion3 opens a directory whose checkpoint is a
+// version-3 file — blocks re-sorted by cell and time, a seq column, no
+// seeds — holding the windows of the version-2 fixture. Every window reads
+// as the writer's did; the next Checkpoint writes a version-4 file, which
+// re-encodes every window in append order (no version-3 block is carried
+// over), and every window reads the same after it and after a restart
+// from it.
+func TestUpgradeFromVersion3(t *testing.T) {
+	const name = "v3-columnar"
+	ref := fixtureReference(t, name)
+	dir := copyDirTo(t, filepath.Join("testdata", name, "dir"))
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 3 {
+		t.Fatalf("the fixture's checkpoint is version %d, want 3", v)
+	}
+	cfg := Config{WindowLength: 100, Retain: 4, Dir: dir, Sync: SyncNever()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := s.RecoveryStats()
+	if !rs.FromCheckpoint || rs.CheckpointSeq != 0 || rs.CorruptCheckpoints != 0 || rs.SegmentsReplayed != 1 {
+		t.Fatalf("recovery %+v: want checkpoint 0 plus one replayed segment", rs)
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 3 {
+		t.Fatalf("stats %+v: want the version-3 file's three retained windows lazy", cs)
+	}
+	requireSameState(t, "version-3 checkpoint", s, ref)
+	for _, c := range s.WindowIndexes() {
+		if _, _, ok := s.WindowSeedInto(nil, c); ok {
+			t.Fatalf("window %d has a seed in a version-3 file", c)
+		}
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(filepath.Join(dir, checkpointName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 4 {
+		t.Fatalf("the checkpoint after the upgrade is version %d, want 4", v)
+	}
+	if err := colblock.Verify(data); err != nil {
+		t.Fatalf("the checkpoint after the upgrade: %v", err)
+	}
+	requireSameState(t, "after the version-4 checkpoint", s, ref)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rs := re.RecoveryStats(); !rs.FromCheckpoint || rs.CheckpointSeq != 1 || rs.CorruptCheckpoints != 0 {
+		t.Fatalf("second recovery %+v: want checkpoint 1", rs)
+	}
+	requireSameState(t, "restarted from the version-4 checkpoint", re, ref)
+	if cs := re.ColumnarStats(); cs.SeedFailures != 0 {
+		t.Fatalf("stats %+v: a file with no seeds failed none", cs)
+	}
 }
 
 // TestOverflowingSpanFallsBack: a checkpoint whose first directory entry

@@ -262,3 +262,44 @@ func TestPlatformManualCheckpoint(t *testing.T) {
 		t.Errorf("post-crash answer %v, from-scratch cover of the recovered window answers %v", got, scratch)
 	}
 }
+
+// TestCloseCheckpointKeepsSeeds: the checkpoint Close takes (with a
+// Checkpoint.Interval set) runs while the cover maintainers still give
+// their seeds, and brings every window behind the newest one up to date
+// first — even one written just before Close, whose rebuild is still
+// queued — so the reopen refits all of them and runs Ad-KMN at most for
+// the newest window.
+func TestCloseCheckpointKeepsSeeds(t *testing.T) {
+	cfg := Config{
+		WindowSeconds: 3600,
+		Pollutants:    []Pollutant{CO2},
+		Dir:           t.TempDir(),
+		Checkpoint:    CheckpointConfig{Interval: time.Hour},
+	}
+	p, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, err := SimulateLausanne(5, 4*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Ingest(context.Background(), CO2, readings); err != nil {
+		t.Fatal(err)
+	}
+	windows := int64(len(p.stores[CO2].WindowIndexes()))
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer p.Close()
+	p.WaitMaintenance()
+	if ms := p.MaintenanceStats(); ms.Built != windows || ms.Refitted < windows-1 || ms.Failed != 0 {
+		t.Errorf("reopen built %d of %d windows, refitted %d (%d failed); want at least %d refitted",
+			ms.Built, windows, ms.Refitted, ms.Failed, windows-1)
+	}
+}
