@@ -243,9 +243,11 @@ type ClusterConfig struct {
 	// Seed makes the k-means cell partition deterministic (default 1).
 	Seed int64
 	// Replicas is the replication factor R: every shard lives on its
-	// owner plus the next R-1 distinct ring successors, which mirror the
-	// owner's committed ingests and answer its shards when it dies. 0
-	// and 1 both mean unreplicated (the pre-replication behavior).
+	// owner plus the owner's R-1 mirrors — the next R-1 live node IDs
+	// after it, wrapping — which mirror the owner's committed ingests
+	// and answer its shards when it dies. 0 and 1 both mean unreplicated
+	// (the pre-replication behavior). Every node of a ring must place
+	// replicas by the same rule: upgrade a ring's nodes together.
 	Replicas int
 	// Join, when non-empty, is the wire address of any live member of
 	// an existing cluster. Instead of deriving the ring from Nodes/

@@ -3,12 +3,16 @@ package cluster
 // Property tests for epoch-versioned membership transitions: epochs
 // are strictly monotonic across any transition chain and survive the
 // wire; a join moves shards only ONTO the new node; a drain/promotion
-// tombstone moves only the removed node's shards, and moves each of
-// them to its first surviving former replica (the successor property
-// zero-copy promotion rests on); replica sets on transitioned rings
-// stay distinct, owner-first, and free of tombstoned members.
+// tombstone moves only the removed node's shards, each to its hash
+// successor among the survivors, whose pull sources name every mirror
+// of the removed node; replica sets on transitioned rings stay
+// distinct, owner-first, and free of tombstoned members.
 
-import "testing"
+import (
+	"slices"
+	"sort"
+	"testing"
+)
 
 // advance applies one transition to a ring and returns the next ring.
 func advance(t *testing.T, r *Ring, d Desc, err error) *Ring {
@@ -111,6 +115,7 @@ func TestDrainMovesOnlyDrainedShards(t *testing.T) {
 	if next.Live() != old.Live()-1 || next.Nodes() != old.Nodes() {
 		t.Fatalf("live %d->%d nodes %d->%d; a tombstone keeps the slot", old.Live(), next.Live(), old.Nodes(), next.Nodes())
 	}
+	pts := walkPoints(old.Desc())
 	for _, pol := range allPollutants {
 		for c := 0; c < old.Cells(); c++ {
 			k := ShardKey{Pollutant: pol, Cell: c}
@@ -119,12 +124,26 @@ func TestDrainMovesOnlyDrainedShards(t *testing.T) {
 				if is == drained {
 					t.Fatalf("shard %v still owned by the drained node", k)
 				}
-				// The shard must fall to its first surviving former
-				// replica: that node already mirrors it, so promotion
-				// after a dead primary copies nothing.
-				reps := old.ReplicasFor(k)
-				if len(reps) > 1 && is != reps[1] {
-					t.Fatalf("shard %v fell to %d, want former first replica %d (of %v)", k, is, reps[1], reps)
+				// The shard falls to its hash successor among the
+				// survivors: the first virtual node clockwise of its key
+				// that is not the drained node's.
+				h := keyHash(k)
+				i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
+				for pts[i%len(pts)].node == drained {
+					i++
+				}
+				if want := pts[i%len(pts)].node; is != want {
+					t.Fatalf("shard %v fell to %d, want its surviving hash successor %d", k, is, want)
+				}
+				// That node need not mirror the drained node; it pulls
+				// the stream through pullStream's source chain, the
+				// origin and then old.ReplicaPeers(origin), which must
+				// name every mirror of the drained node.
+				sources := append([]int{drained}, old.ReplicaPeers(drained, pol)...)
+				for _, m := range old.ReplicasFor(k)[1:] {
+					if !slices.Contains(sources, m) {
+						t.Fatalf("shard %v: gaining node %d pulls from %v, which misses mirror %d", k, is, sources, m)
+					}
 				}
 			} else if was != is {
 				t.Fatalf("shard %v moved %d -> %d though neither is the drained node %d", k, was, is, drained)

@@ -20,3 +20,29 @@ func SetCatchupChunk(n int) (restore func()) {
 	maxCatchupChunk = n
 	return func() { maxCatchupChunk = old }
 }
+
+// MirrorTuples counts the tuples held across n's mirror logs, over every
+// origin and pollutant.
+func MirrorTuples(n *Node) int {
+	n.repl.mirMu.Lock()
+	mirrors := make([]*mirror, 0, len(n.repl.mirrors))
+	for _, m := range n.repl.mirrors {
+		mirrors = append(mirrors, m)
+	}
+	n.repl.mirMu.Unlock()
+	total := 0
+	for _, m := range mirrors {
+		m.mu.Lock()
+		total += m.log.n
+		m.mu.Unlock()
+	}
+	return total
+}
+
+// HoldsMirror reports whether n holds a mirror of origin's pol stream.
+func HoldsMirror(n *Node, origin int, pol tuple.Pollutant) bool {
+	n.repl.mirMu.Lock()
+	defer n.repl.mirMu.Unlock()
+	_, ok := n.repl.mirrors[mirrorKey{origin: origin, pol: pol}]
+	return ok
+}

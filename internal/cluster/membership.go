@@ -30,9 +30,10 @@
 //	          and broadcasts the commit [drain:committed].
 //	promote:  a survivor told that a primary died (Promote) tombstones
 //	          it at the next epoch [promote:adopted], recovers the
-//	          shards it gains from the dead node's replicas and its own
-//	          mirror [promote:recovered], and broadcasts the commit
-//	          [promote:committed].
+//	          shards it gains — replaying its own mirror of the dead
+//	          node when it is one of its R-1 mirrors, pulling the stream
+//	          over the wire from a mirror otherwise [promote:recovered]
+//	          — and broadcasts the commit [promote:committed].
 //	update:   the receiver side of a broadcast: a prepare bootstraps
 //	          gained shards before acking [update:prepared]; a commit
 //	          installs the ring, then best-effort pulls the tail

@@ -618,6 +618,67 @@ func TestPromoteReplicaAfterPrimaryDeath(t *testing.T) {
 	f.checkSinglePrimary(t)
 }
 
+// TestPromoteLargestPrimaryPullsOverTheWire kills the node that owns the
+// most cells. Its shards fall to their hash successors, and at least one
+// of those holds no mirror of it: a node mirrors only its R-1 ID
+// predecessors. That node recovers its gained shards by pulling the
+// dead node's stream from a mirror over the wire, so presence and
+// byte-equal routed answers hold as they do for a gainer that replays
+// its own mirror.
+func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
+	f := newMemFixture(t, 3, 2)
+	base := memLattice(0)
+	f.loadVia(t, 0, base)
+	f.waitMirrors(t, positionsOf(base))
+
+	old := f.currentRing()
+	dead := 0
+	for n := 1; n < old.Nodes(); n++ {
+		if len(old.OwnedCells(n, tuple.CO2)) > len(old.OwnedCells(dead, tuple.CO2)) {
+			dead = n
+		}
+	}
+	d, err := old.TombstoneDesc(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := cluster.NewRing(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pullers := map[int]bool{}
+	for _, c := range old.OwnedCells(dead, tuple.CO2) {
+		gainer := next.OwnerKey(cluster.ShardKey{Pollutant: tuple.CO2, Cell: c})
+		if !cluster.HoldsMirror(f.node(gainer), dead, tuple.CO2) {
+			pullers[gainer] = true
+		}
+	}
+	if len(pullers) == 0 {
+		t.Fatalf("every shard of node %d falls to a node mirroring it; the case needs one that does not", dead)
+	}
+	t.Logf("node %d owns %d cells; gainers without its mirror: %v", dead, len(old.OwnedCells(dead, tuple.CO2)), pullers)
+
+	f.kill(dead)
+	promoter := (dead + 1) % old.Nodes()
+	if err := f.node(promoter).Promote(context.Background(), dead); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if ring := f.currentRing(); ring.IsLive(dead) || ring.Epoch() != memBaseEpoch+1 {
+		t.Fatalf("after promotion: node %d live %v at epoch %d", dead, ring.IsLive(dead), ring.Epoch())
+	}
+	for p := range pullers {
+		if cluster.HoldsMirror(f.node(p), dead, tuple.CO2) {
+			t.Fatalf("node %d took a mirror of node %d; its shards must come from a pull", p, dead)
+		}
+	}
+	f.checkPresence(t, positionsOf(base))
+	f.checkRoutedConsistency(t, promoter, positionsOf(base))
+	extra := memLattice(100)
+	f.loadVia(t, promoter, extra)
+	f.checkPresence(t, positionsOf(extra))
+	f.checkSinglePrimary(t)
+}
+
 // --- deterministic rebalance fault injection --------------------------
 
 // faultAbort is the sentinel a fault hook panics with to simulate the

@@ -1,12 +1,13 @@
 package cluster
 
-// Property tests for successor-list replica placement: determinism
-// across independently-built rings, the distinct-owner-first shape,
-// the growth invariant (adding a node inserts it into replica sets but
-// never reorders surviving members — the replication analogue of PR 5's
-// shard-stability property), and peer-set consistency.
+// Property tests for replica placement (each owner's shards on its R-1
+// live ID successors): determinism across independently-built rings, the
+// distinct-owner-first shape, the growth invariant (a join moves shards
+// only onto the joiner and changes at most R-1 existing mirror sets),
+// and peer-set consistency.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/tuple"
@@ -95,46 +96,71 @@ func TestReplicasForDeterministicAcrossParties(t *testing.T) {
 	}
 }
 
-// TestReplicasForGrowthInvariant is the successor-placement analogue of
-// TestRingStabilityOnGrowth: growing the cluster by one node may insert
-// the new node into a shard's replica list, but the surviving members
-// keep their relative order — filtering the new node out of the new list
-// yields a prefix-consistent subsequence of the old list.
+// mirrorSet returns node n's mirrors as r streams to them: its replica
+// peers for the first pollutant it owns a shard of (the same for every
+// such pollutant), or nil when it owns nothing.
+func mirrorSet(r *Ring, n int) []int {
+	for _, pol := range allPollutants {
+		if len(r.OwnedCells(n, pol)) > 0 {
+			return r.ReplicaPeers(n, pol)
+		}
+	}
+	return nil
+}
+
+// TestReplicasForGrowthInvariant pins what a join moves under per-node
+// mirror sets: shards move only onto the joiner, and the mirror sets of
+// at most R-1 existing nodes change — those whose next R-1 live IDs now
+// wrap through the joiner's slot. A changed set takes the joiner in and
+// keeps its surviving members in their order (dropping the joiner leaves
+// a prefix of the old set).
 func TestReplicasForGrowthInvariant(t *testing.T) {
-	small, err := NewRing(replicatedDesc(4, 3))
+	const R = 3
+	small, err := NewRing(replicatedDesc(4, R))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewRing(replicatedDesc(5, 3))
+	big, err := NewRing(replicatedDesc(5, R))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const newNode = 4
-	changed := 0
+	moved := 0
 	for _, pol := range allPollutants {
 		for c := 0; c < small.Cells(); c++ {
 			k := ShardKey{Pollutant: pol, Cell: c}
-			oldReps, newReps := small.ReplicasFor(k), big.ReplicasFor(k)
-			survivors := newReps[:0:0]
-			for _, n := range newReps {
-				if n != newNode {
-					survivors = append(survivors, n)
-				}
-			}
-			if len(survivors) < len(newReps) {
-				changed++
-			}
-			// Survivors must be the old list's prefix of the same length:
-			// the new node only displaces the tail, never reorders.
-			for i, n := range survivors {
-				if oldReps[i] != n {
-					t.Fatalf("shard %v: growth reordered survivors: old %v, new %v", k, oldReps, newReps)
+			was, is := small.OwnerKey(k), big.OwnerKey(k)
+			if was != is {
+				moved++
+				if is != newNode {
+					t.Fatalf("shard %v moved %d -> %d, but only the joiner %d may gain shards", k, was, is, newNode)
 				}
 			}
 		}
 	}
-	if changed == 0 {
-		t.Error("no replica set picked up the new node (suspicious placement)")
+	if moved == 0 {
+		t.Error("no shard moved onto the new node (suspicious placement)")
+	}
+	changed := 0
+	for n := 0; n < small.Nodes(); n++ {
+		oldSet, newSet := mirrorSet(small, n), mirrorSet(big, n)
+		if len(oldSet) != R-1 || len(newSet) != R-1 {
+			t.Fatalf("node %d: mirror sets %v -> %v, want %d each", n, oldSet, newSet, R-1)
+		}
+		if slices.Equal(oldSet, newSet) {
+			continue
+		}
+		changed++
+		if !slices.Contains(newSet, newNode) {
+			t.Fatalf("node %d: mirror set %v -> %v changed without taking the joiner in", n, oldSet, newSet)
+		}
+		survivors := slices.DeleteFunc(slices.Clone(newSet), func(m int) bool { return m == newNode })
+		if !slices.Equal(survivors, oldSet[:len(survivors)]) {
+			t.Fatalf("node %d: growth reordered mirrors: old %v, new %v", n, oldSet, newSet)
+		}
+	}
+	if changed == 0 || changed > R-1 {
+		t.Fatalf("a join changed %d existing nodes' mirror sets, want 1..%d", changed, R-1)
 	}
 }
 

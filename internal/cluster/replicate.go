@@ -5,9 +5,11 @@
 //
 // Replication granularity is (origin node, pollutant): a replica holds
 // a full mirror of every pollutant stream it backs for a primary.
-// Placement is Ring.ReplicasFor (successor lists), so any node in a
-// shard's replica set backs the full (owner, pollutant) mirror covering
-// that shard.
+// Placement is per node (Ring.ReplicasFor): a shard's replicas are its
+// owner's R-1 mirrors, the next R-1 live node IDs after the owner, so a
+// primary streams every commit to exactly R-1 peers however many cells
+// it owns, and any node in a shard's replica set holds the full (owner,
+// pollutant) mirror covering that shard.
 //
 // A mirror is its log: the primary's committed ingests in commit order,
 // less the tuples of windows the mirror engine's retention would already

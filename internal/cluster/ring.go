@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -57,8 +56,8 @@ type Desc struct {
 	// VNodes is the virtual-node multiplier (0 = DefaultVNodes).
 	VNodes int
 	// Replicas is the replication factor R: each shard lives on its
-	// owner plus the next R-1 distinct nodes clockwise on the ring
-	// (successor placement). 0 and 1 both mean unreplicated.
+	// owner plus the owner's R-1 mirrors, the next R-1 live node IDs
+	// after it, wrapping (see place). 0 and 1 both mean unreplicated.
 	Replicas int
 	// Epoch is the membership epoch: 0 for a fixed boot-time ring,
 	// incremented by every join, drain, or promotion. Parties holding
@@ -199,47 +198,46 @@ func NewRing(desc Desc) (*Ring, error) {
 	return r, nil
 }
 
-// place walks the sorted hash circle once for every valid shard and
-// fills the ring's table. A shard's replicas are the first R distinct
-// nodes clockwise of its key, wrapping at the top (successor placement):
-// adding a node inserts it into some replica sets but never reorders the
-// surviving members relative to each other. R never exceeds the live
-// nodes, so the walk always finds R.
+// place fills the ring's table. A shard's owner is the first node
+// clockwise of its key on the sorted hash circle, wrapping at the top.
+// Its other R-1 replicas are the owner's mirrors: the next R-1 live
+// slots after the owner in ID order, wrapping (the successor list of
+// chain replication, kept per node rather than per shard). A mirror
+// holds its origin's whole stream, so keeping one mirror set per node
+// means each primary streams to exactly R-1 peers however many cells it
+// owns. R never exceeds the live nodes, so every node has R-1 mirrors.
 func (r *Ring) place(points []ringPoint) {
 	R, cells, nodes := r.desc.Replicas, len(r.desc.Cells), len(r.desc.Nodes)
+	mirrors := make([]int, 0, nodes*(R-1))
+	for n := range nodes {
+		for m := n + 1; len(mirrors) < (n+1)*(R-1); m++ {
+			if r.IsLive(m % nodes) {
+				mirrors = append(mirrors, m%nodes)
+			}
+		}
+	}
+	mirrorsOf := func(n int) []int { return mirrors[n*(R-1) : (n+1)*(R-1)] }
 	r.reps = make([]int, 0, pollutants*cells*R)
 	for pol := range pollutants {
 		for c := range cells {
 			h := keyHash(ShardKey{Pollutant: tuple.Pollutant(pol), Cell: c})
 			i := sort.Search(len(points), func(i int) bool { return points[i].hash >= h })
-			set := len(r.reps)
-			for step := 0; len(r.reps)-set < R; step++ {
-				if n := points[(i+step)%len(points)].node; !slices.Contains(r.reps[set:], n) {
-					r.reps = append(r.reps, n)
-				}
-			}
+			owner := points[i%len(points)].node
+			r.reps = append(append(r.reps, owner), mirrorsOf(owner)...)
 		}
 	}
 	r.owned, r.ownedOff = make([]int, 0, pollutants*cells), make([]int, nodes*pollutants+1)
 	r.peerOff = make([]int, nodes*pollutants+1)
-	holds := make([]bool, nodes)
 	for n := range nodes {
 		for pol := range pollutants {
-			clear(holds)
+			first := len(r.owned)
 			for c := range cells {
-				set := r.reps[(pol*cells+c)*R:][:R]
-				if set[0] != n {
-					continue
-				}
-				r.owned = append(r.owned, c)
-				for _, p := range set[1:] {
-					holds[p] = true
+				if r.reps[(pol*cells+c)*R] == n {
+					r.owned = append(r.owned, c)
 				}
 			}
-			for p, held := range holds {
-				if held {
-					r.peers = append(r.peers, p)
-				}
+			if len(r.owned) > first {
+				r.peers = append(r.peers, mirrorsOf(n)...)
 			}
 			j := n*pollutants + pol
 			r.ownedOff[j+1], r.peerOff[j+1] = len(r.owned), len(r.peers)
@@ -335,9 +333,9 @@ func (r *Ring) Owner(pol tuple.Pollutant, p geo.Point) int {
 func (r *Ring) Replicas() int { return r.desc.Replicas }
 
 // ReplicasFor returns the R nodes holding a shard key: the owner first,
-// then its successors (see place). The slice is the ring's own, clipped
-// to its length so that appending to it copies; it is nil for a key the
-// ring does not place.
+// then the owner's mirrors in successor order (see place). The slice is
+// the ring's own, clipped to its length so that appending to it copies;
+// it is nil for a key the ring does not place.
 func (r *Ring) ReplicasFor(k ShardKey) []int {
 	s, ok := r.shard(k)
 	if !ok {
@@ -356,10 +354,10 @@ func (r *Ring) nodeRow(list, off []int, n int, pol tuple.Pollutant) []int {
 	return list[off[j]:off[j+1]:off[j+1]]
 }
 
-// ReplicaPeers lists the nodes (ascending, excluding n itself) that hold
-// a replica of any shard of pollutant pol owned by node n — the peers a
-// primary streams its commits to. With R = 1 it is always empty. Like
-// ReplicasFor, the slice is the ring's own.
+// ReplicaPeers lists node n's mirrors (in successor order, excluding n
+// itself) when n owns a shard of pollutant pol, and nothing otherwise —
+// the peers a primary streams its commits to. With R = 1 it is always
+// empty. Like ReplicasFor, the slice is the ring's own.
 func (r *Ring) ReplicaPeers(n int, pol tuple.Pollutant) []int {
 	return r.nodeRow(r.peers, r.peerOff, n, pol)
 }
@@ -392,8 +390,10 @@ func (r *Ring) JoinDesc(addr string) (Desc, error) {
 
 // TombstoneDesc returns the next-epoch description with node n
 // tombstoned — the ring shape of both a drain and a dead-primary
-// promotion. The slot keeps its ID so no survivor's placement shifts;
-// n's shards fall to their ring successors (its replicas, when R > 1).
+// promotion. The slot keeps its ID so no survivor's ownership shifts;
+// n's shards fall to their hash successors, which need not hold n's
+// mirror (a gaining node may have to pull n's stream from a mirror).
+// The mirror sets of the R-1 live nodes before n move on by one slot.
 // If removing n leaves fewer live nodes than the replication factor, R
 // is clamped down: availability over a replica count the membership can
 // no longer satisfy.

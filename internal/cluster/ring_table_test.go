@@ -1,10 +1,11 @@
 package cluster
 
-// Placement pins: the ring's lookups must answer exactly what the
-// consistent-hash walk placed, shard for shard, on every ring shape the
-// cluster builds — the benchmark's, a replicated ring with a tombstone,
-// and a wide one — and on seeded random descriptions checked against a
-// test-side copy of the walk.
+// Placement pins: the ring's lookups must answer exactly what placement
+// puts where, shard for shard, on every ring shape the cluster builds —
+// the benchmark's, a replicated ring with a tombstone, and a wide one —
+// and on seeded random descriptions checked against a test-side copy of
+// the rule: owners from the consistent-hash walk, replicas the owner's
+// next R-1 live node IDs.
 
 import (
 	"encoding/binary"
@@ -65,16 +66,17 @@ func goldenDesc(nodes []string, cells, vnodes, replicas int) Desc {
 }
 
 // TestRingPlacementGolden pins the placement of three ring shapes to
-// digests recorded from the hash walk: a ring that answers its lookups
-// from a table must place every shard where the walk did.
+// recorded digests: owners where the hash walk puts them, and on the two
+// replicated shapes each owner's R-1 live ID successors as its mirrors.
+// The unreplicated digest predates per-node mirrors: owners never moved.
 func TestRingPlacementGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		desc Desc
 		want uint64
 	}{
-		{"benchmark 3 nodes 16 cells R=2", goldenDesc([]string{"a", "b", "c"}, 16, 0, 2), 0xfb1eaf8f1d021f8b},
-		{"4 nodes R=3 one tombstone", goldenDesc([]string{"a", "b", "", "d", "e"}, 16, 0, 3), 0x83f0a2bcd688c3af},
+		{"benchmark 3 nodes 16 cells R=2", goldenDesc([]string{"a", "b", "c"}, 16, 0, 2), 0xc48f5cebe82d6f49},
+		{"4 nodes R=3 one tombstone", goldenDesc([]string{"a", "b", "", "d", "e"}, 16, 0, 3), 0x8b316a1ded97af2e},
 		{"7 nodes 64 cells", goldenDesc([]string{"a", "b", "c", "d", "e", "f", "g"}, 64, 32, 0), 0x3c2b3a60bdc6d6c1},
 	} {
 		r, err := NewRing(tc.desc)
@@ -113,15 +115,17 @@ func walkPoints(d Desc) []ringPoint {
 	return pts
 }
 
-// walkReplicas places a shard by walking pts: its replicas are the first
-// R distinct nodes clockwise of its key.
-func walkReplicas(pts []ringPoint, R int, k ShardKey) []int {
+// walkReplicas places a shard: its owner is the first virtual node at
+// or clockwise of its key on pts, its other R-1 replicas the live slots
+// that follow the owner in ID order, wrapping past the last slot.
+func walkReplicas(d Desc, pts []ringPoint, R int, k ShardKey) []int {
 	h := keyHash(k)
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
-	var out []int
-	for step := 0; step < len(pts) && len(out) < R; step++ {
-		if n := pts[(i+step)%len(pts)].node; !slices.Contains(out, n) {
-			out = append(out, n)
+	owner := pts[i%len(pts)].node
+	out := []int{owner}
+	for id := (owner + 1) % len(d.Nodes); len(out) < R; id = (id + 1) % len(d.Nodes) {
+		if d.Nodes[id] != "" {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -146,7 +150,7 @@ func randomDesc(rng *rand.Rand) Desc {
 }
 
 // checkRingAgainstWalk compares every lookup of the ring built from d
-// with what the walk places, and fails at the first disagreement or at a
+// with what walkReplicas places, and fails at the first disagreement or at a
 // slice a caller could append into the ring's table through.
 func checkRingAgainstWalk(t *testing.T, seed int64, d Desc) {
 	t.Helper()
@@ -160,7 +164,7 @@ func checkRingAgainstWalk(t *testing.T, seed int64, d Desc) {
 	for _, pol := range validPollutants {
 		for c := range d.Cells {
 			k := ShardKey{Pollutant: pol, Cell: c}
-			want := walkReplicas(pts, R, k)
+			want := walkReplicas(d, pts, R, k)
 			if got := r.ReplicasFor(k); !slices.Equal(got, want) || cap(got) != len(got) {
 				t.Fatalf("seed %d: ReplicasFor(%v) = %v (room for %d), the walk places %v", seed, k, got, cap(got), want)
 			}
@@ -169,17 +173,14 @@ func checkRingAgainstWalk(t *testing.T, seed int64, d Desc) {
 			}
 			key := [2]int{want[0], int(pol)}
 			owned[key] = append(owned[key], c)
-			for _, p := range want[1:] {
-				if !slices.Contains(peers[key], p) {
-					peers[key] = append(peers[key], p)
-				}
-			}
+			// An owner streams to its own mirrors, the same for each
+			// of its shards.
+			peers[key] = want[1:]
 		}
 	}
 	for n := range d.Nodes {
 		for _, pol := range validPollutants {
 			key := [2]int{n, int(pol)}
-			slices.Sort(peers[key])
 			if got := r.OwnedCells(n, pol); !slices.Equal(got, owned[key]) || cap(got) != len(got) {
 				t.Fatalf("seed %d: OwnedCells(%d, %v) = %v (room for %d), the walk gives %v", seed, n, pol, got, cap(got), owned[key])
 			}
@@ -191,7 +192,7 @@ func checkRingAgainstWalk(t *testing.T, seed int64, d Desc) {
 }
 
 // TestRingTableMatchesHashWalk checks seeded random ring descriptions
-// against the walk; a failure names its seed.
+// against the test-side placement; a failure names its seed.
 func TestRingTableMatchesHashWalk(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		checkRingAgainstWalk(t, seed, randomDesc(rand.New(rand.NewSource(seed))))

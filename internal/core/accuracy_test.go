@@ -1,0 +1,230 @@
+package core
+
+// Accuracy as a test: the covers of the benchmark fleet's day, for CO2
+// and for PM, measured against the simulator's ground truth and held to
+// a recorded golden. A change to Ad-KMN may move covers, but it may not
+// make them less accurate than the seed-to-seed spread of the fleet, and
+// it may not spend more regions or leave more regions above τn.
+//
+// Re-record (and re-measure the spread over fleet seeds 1–5) with
+//
+//	go test -run TestCoverAccuracyGolden -update-accuracy ./internal/core
+
+import (
+	"encoding/json"
+	"flag"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/sim"
+	"repro/internal/tuple"
+)
+
+var updateAccuracy = flag.Bool("update-accuracy", false, "re-record testdata/accuracy.golden.json")
+
+const accuracyGolden = "testdata/accuracy.golden.json"
+
+// accuracyPollutants are the pollutants the golden measures: the fleet's
+// CO2 (lausanneWindows) and PM on the same trajectories.
+var accuracyPollutants = []tuple.Pollutant{tuple.CO2, tuple.PM}
+
+// windowAccuracy is one window's cover measured against the truth.
+type windowAccuracy struct {
+	// NRMSETuples and NRMSEProbes are eval.NRMSE (percent) of the cover's
+	// answers at the window's tuples and at the probe grid.
+	NRMSETuples float64 `json:"nrmse_tuples_pct"`
+	NRMSEProbes float64 `json:"nrmse_probes_pct"`
+	Regions     int     `json:"regions"`
+	// WorstError and MeanError are the largest and the tuple-weighted
+	// mean of the cover's ApproxErrors.
+	WorstError float64 `json:"worst_approx_error"`
+	MeanError  float64 `json:"mean_approx_error"`
+	// AboveTau counts the regions whose ApproxError exceeds τn.
+	AboveTau int `json:"regions_above_tau"`
+}
+
+// pollutantAccuracy is one pollutant's day: its windows, their totals,
+// and the spread of the mean NRMSEs across fleet seeds 1–5.
+type pollutantAccuracy struct {
+	Pollutant        string           `json:"pollutant"`
+	MeanNRMSETuples  float64          `json:"mean_nrmse_tuples_pct"`
+	MeanNRMSEProbes  float64          `json:"mean_nrmse_probes_pct"`
+	Regions          int              `json:"regions"`
+	RegionsAboveTau  int              `json:"regions_above_tau"`
+	WindowsAboveTau  int              `json:"windows_above_tau"`
+	SeedSpreadTuples float64          `json:"seed_spread_nrmse_tuples_pct"`
+	SeedSpreadProbes float64          `json:"seed_spread_nrmse_probes_pct"`
+	Windows          []windowAccuracy `json:"windows"`
+}
+
+// accuracyWindows returns the fleet's day for pol and fleet seed, and the
+// truth it samples.
+func accuracyWindows(t *testing.T, pol tuple.Pollutant, seed int64) ([]tuple.Batch, sim.Field) {
+	t.Helper()
+	fields, err := sim.FieldsFor([]tuple.Pollutant{pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol == tuple.CO2 && seed == 1 {
+		return lausanneWindows(), fields[pol]
+	}
+	data, err := sim.GenerateMulti(lausanneFleet(seed), []tuple.Pollutant{pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hourWindows(data[pol]), fields[pol]
+}
+
+// probeGrid returns the fixed probes of window c: one point jittered
+// inside each cell of a 16×16 lattice over the corridor region, at a
+// time drawn inside the window, all from one seeded source.
+func probeGrid(c int) []tuple.Raw {
+	const side = 16
+	region := sim.LausanneRegion(100)
+	rng := rand.New(rand.NewSource(int64(1000 + c)))
+	dx := (region.Max.X - region.Min.X) / side
+	dy := (region.Max.Y - region.Min.Y) / side
+	probes := make([]tuple.Raw, 0, side*side)
+	for j := 0; j < side; j++ {
+		for i := 0; i < side; i++ {
+			probes = append(probes, tuple.Raw{
+				T: (float64(c) + rng.Float64()) * 3600,
+				X: region.Min.X + (float64(i)+rng.Float64())*dx,
+				Y: region.Min.Y + (float64(j)+rng.Float64())*dy,
+			})
+		}
+	}
+	return probes
+}
+
+// coverNRMSE is eval.NRMSE of cv's answers at pts against the truth.
+func coverNRMSE(t *testing.T, cv *Cover, field sim.Field, pts []tuple.Raw) float64 {
+	t.Helper()
+	est := make([]float64, len(pts))
+	truth := make([]float64, len(pts))
+	for i, p := range pts {
+		v, err := cv.Interpolate(p.T, p.X, p.Y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est[i], truth[i] = v, field.TrueValue(p.T, p.X, p.Y)
+	}
+	nrmse, err := eval.NRMSE(est, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nrmse
+}
+
+// measureAccuracy builds every window's cover for pol and fleet seed and
+// measures it.
+func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64) pollutantAccuracy {
+	t.Helper()
+	ws, field := accuracyWindows(t, pol, seed)
+	cfg := Config{Pollutant: pol}
+	tau := cfg.withDefaults().ErrThreshold
+	acc := pollutantAccuracy{Pollutant: pol.String()}
+	for c, w := range ws {
+		cv, err := BuildCover(w, c, 3600, cfg)
+		if err != nil {
+			t.Fatalf("%v window %d: %v", pol, c, err)
+		}
+		wa := windowAccuracy{
+			NRMSETuples: coverNRMSE(t, cv, field, w),
+			NRMSEProbes: coverNRMSE(t, cv, field, probeGrid(c)),
+			Regions:     cv.Size(),
+			WorstError:  cv.MaxApproxError(),
+			MeanError:   cv.MeanApproxError(),
+		}
+		for _, e := range cv.ApproxErrors {
+			if e > tau {
+				wa.AboveTau++
+			}
+		}
+		acc.Windows = append(acc.Windows, wa)
+		acc.MeanNRMSETuples += wa.NRMSETuples / float64(len(ws))
+		acc.MeanNRMSEProbes += wa.NRMSEProbes / float64(len(ws))
+		acc.Regions += wa.Regions
+		acc.RegionsAboveTau += wa.AboveTau
+		if wa.AboveTau > 0 {
+			acc.WindowsAboveTau++
+		}
+	}
+	return acc
+}
+
+// spread returns max − min of xs.
+func spread(xs []float64) float64 { return slices.Max(xs) - slices.Min(xs) }
+
+// TestCoverAccuracyGolden holds the fleet's covers to the golden: each
+// pollutant's mean NRMSE, at the tuples and at the probes, may exceed the
+// recorded one by at most the recorded spread across fleet seeds 1–5, and
+// neither the day's region count nor its count of regions above τn may
+// rise.
+func TestCoverAccuracyGolden(t *testing.T) {
+	var got []pollutantAccuracy
+	for _, pol := range accuracyPollutants {
+		got = append(got, measureAccuracy(t, pol, 1))
+	}
+	if *updateAccuracy {
+		for i, pol := range accuracyPollutants {
+			var tuples, probes []float64
+			for seed := int64(1); seed <= 5; seed++ {
+				acc := got[i]
+				if seed > 1 {
+					acc = measureAccuracy(t, pol, seed)
+				}
+				tuples = append(tuples, acc.MeanNRMSETuples)
+				probes = append(probes, acc.MeanNRMSEProbes)
+			}
+			got[i].SeedSpreadTuples, got[i].SeedSpreadProbes = spread(tuples), spread(probes)
+		}
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(accuracyGolden, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(accuracyGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []pollutantAccuracy
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden holds %d pollutants, the test measures %d", len(want), len(got))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Pollutant != w.Pollutant || len(g.Windows) != len(w.Windows) {
+			t.Fatalf("measured %s over %d windows, golden holds %s over %d", g.Pollutant, len(g.Windows), w.Pollutant, len(w.Windows))
+		}
+		t.Logf("%s: mean NRMSE %.4f %% at the tuples (golden %.4f ± %.4f), %.4f %% at the probes (golden %.4f ± %.4f); %d regions (golden %d), %d above τn in %d windows (golden %d in %d)",
+			g.Pollutant, g.MeanNRMSETuples, w.MeanNRMSETuples, w.SeedSpreadTuples, g.MeanNRMSEProbes, w.MeanNRMSEProbes, w.SeedSpreadProbes,
+			g.Regions, w.Regions, g.RegionsAboveTau, g.WindowsAboveTau, w.RegionsAboveTau, w.WindowsAboveTau)
+		if math.IsNaN(g.MeanNRMSETuples) || math.IsNaN(g.MeanNRMSEProbes) {
+			t.Fatalf("%s: NaN accuracy", g.Pollutant)
+		}
+		if g.MeanNRMSETuples > w.MeanNRMSETuples+w.SeedSpreadTuples {
+			t.Errorf("%s: mean NRMSE at the tuples rose to %.4f %%, bound %.4f + %.4f", g.Pollutant, g.MeanNRMSETuples, w.MeanNRMSETuples, w.SeedSpreadTuples)
+		}
+		if g.MeanNRMSEProbes > w.MeanNRMSEProbes+w.SeedSpreadProbes {
+			t.Errorf("%s: mean NRMSE at the probes rose to %.4f %%, bound %.4f + %.4f", g.Pollutant, g.MeanNRMSEProbes, w.MeanNRMSEProbes, w.SeedSpreadProbes)
+		}
+		if g.Regions > w.Regions {
+			t.Errorf("%s: the day's covers use %d regions, golden %d", g.Pollutant, g.Regions, w.Regions)
+		}
+		if g.RegionsAboveTau > w.RegionsAboveTau {
+			t.Errorf("%s: %d regions above τn, golden %d", g.Pollutant, g.RegionsAboveTau, w.RegionsAboveTau)
+		}
+	}
+}

@@ -90,6 +90,32 @@ func waitStats(t *testing.T, e *Engine, cond func(subs.Stats) bool) {
 	}
 }
 
+// waitDetached blocks until a's SSE broker holds no attached consumer.
+// A closed client connection reaches the server's handler only when the
+// server reads EOF from it; a resume sent before then finds its
+// subscription still attached and is refused with a 409.
+func waitDetached(t *testing.T, a *API) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		a.sse.mu.Lock()
+		attached := 0
+		for _, e := range a.sse.entries {
+			if e.attached {
+				attached++
+			}
+		}
+		a.sse.mu.Unlock()
+		if attached == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d SSE consumers still attached after their connections closed", attached)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // wantRebuiltValues checks a push against the engine's quiesced answers:
 // a push follows the install of a rebuilt cover, so once maintenance is
 // idle every pushed point carries exactly what a query now returns — the
@@ -294,6 +320,7 @@ func TestSSESubscribeAndResume(t *testing.T) {
 	ingestWindow(t, e, 1, 81)
 	waitStats(t, e, func(s subs.Stats) bool { return s.ReEvals > st.ReEvals })
 	e.Subscriptions().Wait()
+	waitDetached(t, a)
 
 	req, _ := http.NewRequest(http.MethodGet, u, nil)
 	req.Header.Set("Last-Event-ID", lastID)
