@@ -211,7 +211,7 @@ type (
 )
 
 // ClusterStats counts a cluster node's routing activity (requests
-// answered locally, forwarded, scatter-gathered, bounced).
+// answered locally, forwarded, scatter-gathered, failed over).
 type ClusterStats = cluster.Stats
 
 // ClusterConfig makes the platform one member of a sharded serving

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,7 +268,7 @@ func TestClusterNonOwnerQueryEqualsOwner(t *testing.T) {
 }
 
 // isolatedNodes builds nodes over f's engines with no peer transports:
-// they cannot forward, so a foreign shard bounces with NotOwnerResponse.
+// they cannot forward, so a foreign shard's owner is unreachable to them.
 // A shard-aware wire client, routing by a cached ring, sees the same
 // contract.
 func isolatedNodes(t *testing.T, f *fixture) []*cluster.Node {
@@ -333,7 +334,7 @@ func TestShardedClientTalksToOwners(t *testing.T) {
 	for _, node := range iso {
 		st := node.Stats()
 		local += st.Local
-		if st.NotOwner != 0 || st.Forwarded != 0 {
+		if st.Forwarded != 0 {
 			t.Errorf("fetched ring misrouted: stats %+v", st)
 		}
 	}
@@ -342,11 +343,12 @@ func TestShardedClientTalksToOwners(t *testing.T) {
 	}
 }
 
-// TestShardedClientRetryOnWrongOwner routes every query by a stale ring
-// whose node addresses are rotated: each lands on the wrong node, bounces
-// with NotOwnerResponse naming the true owner, and the retry there
-// returns the owner's value.
-func TestShardedClientRetryOnWrongOwner(t *testing.T) {
+// TestTransportlessNodeAnswersOwnerUnreachable routes every query by a
+// stale ring whose node addresses are rotated: each lands on the wrong
+// node, which holds no transport to the true owner and answers
+// ErrNodeUnreachable naming it, exactly as when the owner's exchange
+// fails; asked directly, the owner answers its value.
+func TestTransportlessNodeAnswersOwnerUnreachable(t *testing.T) {
 	f := newFixture(t)
 	data := makeData()
 	f.load(t, data)
@@ -362,7 +364,6 @@ func TestShardedClientRetryOnWrongOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounces := int64(0)
 	for _, req := range sampleRequests(data) {
 		owner := f.ring.Owner(tuple.CO2, geo.Point{X: req.X, Y: req.Y})
 		want, err := f.engines[owner].Query(ctx, req)
@@ -375,22 +376,20 @@ func TestShardedClientRetryOnWrongOwner(t *testing.T) {
 			t.Fatalf("rotated ring still routes (%v,%v) to its owner %d", req.X, req.Y, owner)
 		}
 		resp := iso[wrong].HandleMessage(qreq)
-		wantBounce := wire.NotOwnerResponse{Owner: uint16(owner), Addr: f.ring.Addr(owner)}
-		if resp != wantBounce {
-			t.Fatalf("node %d at (%v,%v): %#v, want %#v", wrong, req.X, req.Y, resp, wantBounce)
+		er, ok := resp.(wire.ErrorResponse)
+		named := fmt.Sprintf("node %d (%s)", owner, f.ring.Addr(owner))
+		if !ok || er.Code != wire.CodeNodeUnreachable || !strings.Contains(er.Msg, named) {
+			t.Fatalf("node %d at (%v,%v): %#v, want CodeNodeUnreachable naming %s", wrong, req.X, req.Y, resp, named)
 		}
-		bounces++
-		resp = iso[nodeByAddr(t, f.ring, wantBounce.Addr)].HandleMessage(qreq)
+		resp = iso[owner].HandleMessage(qreq)
 		if qr, ok := resp.(wire.QueryResponse); !ok || qr.Value != want {
-			t.Fatalf("retry at (%v,%v): %#v, owner %d answers %v", req.X, req.Y, resp, owner, want)
+			t.Fatalf("owner %d at (%v,%v): %#v, its engine answers %v", owner, req.X, req.Y, resp, want)
 		}
 	}
-	notOwner := int64(0)
-	for _, node := range iso {
-		notOwner += node.Stats().NotOwner
-	}
-	if bounces == 0 || notOwner != bounces {
-		t.Errorf("Stats().NotOwner sums to %d over %d bounces", notOwner, bounces)
+	for i, node := range iso {
+		if st := node.Stats(); st.Forwarded != 0 || st.Errors != 0 {
+			t.Errorf("node %d reached a peer it holds no transport to: stats %+v", i, st)
+		}
 	}
 }
 

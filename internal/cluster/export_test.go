@@ -46,3 +46,21 @@ func HoldsMirror(n *Node, origin int, pol tuple.Pollutant) bool {
 	_, ok := n.repl.mirrors[mirrorKey{origin: origin, pol: pol}]
 	return ok
 }
+
+// LogTuples counts the tuples held across n's own replication logs: the
+// stream n committed as a primary, over every pollutant.
+func LogTuples(n *Node) int {
+	n.repl.logMu.Lock()
+	logs := make([]*replLog, 0, len(n.repl.logs))
+	for _, lg := range n.repl.logs {
+		logs = append(logs, lg)
+	}
+	n.repl.logMu.Unlock()
+	total := 0
+	for _, lg := range logs {
+		lg.mu.Lock()
+		total += lg.n
+		lg.mu.Unlock()
+	}
+	return total
+}

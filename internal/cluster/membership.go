@@ -421,108 +421,79 @@ func (n *Node) acquireShards(ctx context.Context, old, next *Ring, strict bool) 
 // pullStream pulls origin's replication log of pol and applies the
 // tuples whose shards this node gains (old owner != self, next owner
 // == self). Sources are tried in order: the origin itself, then — for
-// a dead origin — this node's own mirror of it and the origin's other
-// replicas under old, all serving the same sequence space, so partial
-// progress at one source resumes at the next. A local mirror replay
-// never ends the chain (the mirror may trail a peer's); a completed
-// wire pull does.
+// a dead origin — its mirrors under old, this node's own among them,
+// all serving the same sequence space, so partial progress at one
+// source resumes at the next. A local mirror replay never ends the
+// chain (the mirror may trail a peer's); a completed wire pull does.
 func (n *Node) pullStream(ctx context.Context, old, next *Ring, origin int, pol tuple.Pollutant) error {
-	sources := append([]int{origin}, old.ReplicaPeers(origin, pol)...)
-	var lastErr error
-	ok := false
-	for _, src := range sources {
-		if src == n.self {
-			if err := n.replayMirror(ctx, old, next, origin, pol); err != nil {
-				lastErr = err
-			} else {
-				ok = true
-			}
-			continue
-		}
-		if err := n.pullFrom(ctx, src, origin, pol, old, next); err != nil {
-			lastErr = err
-			continue
-		}
-		ok = true
-		break
+	key := transferKey{origin: origin, pol: pol}
+	have := func() uint64 {
+		n.memMu.Lock()
+		defer n.memMu.Unlock()
+		return n.pulled[key]
 	}
-	if ok {
+	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
+		return cr.Done, n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples)
+	}
+	err, replayed := errors.New("no source"), false
+	for _, src := range append([]int{origin}, old.ReplicaPeers(origin, pol)...) {
+		switch e := n.pull(ctx, src, origin, pol, have, apply); {
+		case e != nil:
+			err = e
+		case src != n.self:
+			return nil
+		default:
+			replayed = true
+		}
+	}
+	if replayed {
 		return nil
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no source")
-	}
-	return fmt.Errorf("cluster: pulling node %d's %v stream: %w", origin, pol, lastErr)
+	return fmt.Errorf("cluster: pulling node %d's %v stream: %w", origin, pol, err)
 }
 
-// pullFrom runs one chunked ShardTransfer session against src for
-// origin's stream of pol, applying gained tuples through the local
-// commit path (so they hit this node's own replication log and fan out
-// to its replicas).
-func (n *Node) pullFrom(ctx context.Context, src, origin int, pol tuple.Pollutant, old, next *Ring) error {
-	t := n.transport(src)
-	if t == nil {
-		return fmt.Errorf("cluster: no transport to node %d", src)
-	}
-	return n.transfer(ctx, origin, pol, old, next, maxPullRounds, func(have uint64) (wire.ReplicaCatchupResponse, error) {
-		resp, err := t.Exchange(wire.ShardTransfer{Origin: uint16(origin), Pollutant: pol, Have: have})
-		if err != nil {
-			return wire.ReplicaCatchupResponse{}, err
+// pull runs one chunked pull of origin's pol stream from node src — over
+// the wire, or from this node's own logs when src is itself. Each round
+// asks src for the stream from have() and hands the chunk to apply, which
+// reports whether the session is over; replica catch-up and handoffs
+// differ only in those two steps. A session gets maxPullRounds rounds —
+// a local one as many more as its mirror log holds chunks — and ends
+// early when ctx does.
+func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
+	have func() uint64, apply func(wire.ReplicaCatchupResponse) (bool, error)) error {
+	rounds := maxPullRounds
+	if src == n.self {
+		if mir := n.repl.lookupMirror(origin, pol); mir != nil {
+			mir.mu.Lock()
+			rounds += mir.log.n / maxCatchupChunk
+			mir.mu.Unlock()
 		}
-		return answer[wire.ReplicaCatchupResponse](resp)
-	})
-}
-
-// replayMirror applies this node's own mirror log of origin's stream —
-// the promotion path, where the origin cannot be asked — in the same
-// chunks a peer would serve it, each copied out under the mirror's lock.
-// The session gets the rounds the log needs as it stands, plus the usual
-// allowance for frames that land meanwhile.
-func (n *Node) replayMirror(ctx context.Context, old, next *Ring, origin int, pol tuple.Pollutant) error {
-	r := n.repl
-	if r == nil {
-		return errors.New("cluster: node holds no mirrors")
 	}
-	mir := r.lookupMirror(origin, pol)
-	if mir == nil {
-		return fmt.Errorf("cluster: no local mirror of node %d", origin)
-	}
-	mir.mu.Lock()
-	rounds := maxPullRounds + mir.log.n/maxCatchupChunk
-	mir.mu.Unlock()
-	return n.transfer(ctx, origin, pol, old, next, rounds, func(have uint64) (wire.ReplicaCatchupResponse, error) {
-		mir.mu.Lock()
-		defer mir.mu.Unlock()
-		return mir.log.suffix(have, maxCatchupChunk), nil
-	})
-}
-
-// transfer runs one chunked transfer session of origin's pol stream: chunk
-// answers "I have seq N" (a peer over the wire, or a local mirror log)
-// and each answer applies through applyTransfer, which advances the
-// shared progress marker, until a chunk reports Done.
-func (n *Node) transfer(ctx context.Context, origin int, pol tuple.Pollutant, old, next *Ring, rounds int,
-	chunk func(have uint64) (wire.ReplicaCatchupResponse, error)) error {
-	key := transferKey{origin: origin, pol: pol}
-	for round := 0; round < rounds; round++ {
+	for range rounds {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n.memMu.Lock()
-		have := n.pulled[key]
-		n.memMu.Unlock()
-		cr, err := chunk(have)
+		req := wire.ShardTransfer{Origin: uint16(origin), Pollutant: pol, Have: have()}
+		var resp wire.Message
+		if src == n.self {
+			resp = n.handleShardTransfer(req)
+		} else if t := n.transport(src); t == nil {
+			return fmt.Errorf("cluster: node %d: %w", src, errNoTransport)
+		} else {
+			var err error
+			if resp, err = t.Exchange(req); err != nil {
+				return err
+			}
+		}
+		cr, err := answer[wire.ReplicaCatchupResponse](resp)
 		if err != nil {
 			return err
 		}
-		if err := n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples); err != nil {
+		if done, err := apply(cr); done || err != nil {
 			return err
 		}
-		if cr.Done {
-			return nil
-		}
 	}
-	return fmt.Errorf("cluster: transfer of node %d's %v stream did not converge in %d rounds", origin, pol, rounds)
+	return fmt.Errorf("cluster: pull of node %d's %v stream did not converge in %d rounds", origin, pol, rounds)
 }
 
 // applyTransfer applies one transfer chunk — origin-stream tuples
@@ -563,22 +534,26 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 	return nil
 }
 
-// handleShardTransfer answers a handoff pull: chunks of this node's
-// own replication log when Origin is this node (exactly replica
-// catch-up), or of its mirror log of Origin otherwise (the
-// dead-primary case, served from the mirror's log).
+// handleShardTransfer answers a pull of a stream from sequence Have:
+// with chunks of this node's own replication log when Origin is this
+// node (a replica catching up, or a handoff from a live owner), or of
+// its mirror log of Origin otherwise (a handoff from a dead owner's
+// mirror). A log still covering Have answers its suffix; a puller behind
+// it, or past it, gets a snapshot reset.
 func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	r := n.repl
 	if r == nil {
-		return wire.ErrorResponse{Msg: "cluster: node keeps no replication logs"}
+		return replicaMiss("node keeps no replication logs")
 	}
-	origin := int(m.Origin)
-	if origin == n.self {
-		return n.handleCatchup(wire.ReplicaCatchupRequest{Pollutant: m.Pollutant, Have: m.Have})
+	if int(m.Origin) == n.self {
+		lg := r.log(m.Pollutant)
+		lg.mu.Lock()
+		defer lg.mu.Unlock()
+		return lg.suffix(m.Have, maxCatchupChunk)
 	}
-	mir := r.lookupMirror(origin, m.Pollutant)
+	mir := r.lookupMirror(int(m.Origin), m.Pollutant)
 	if mir == nil {
-		return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: no mirror log of node %d", origin)}
+		return replicaMiss(fmt.Sprintf("no mirror log of node %d", m.Origin))
 	}
 	mir.mu.Lock()
 	defer mir.mu.Unlock()

@@ -3,30 +3,63 @@ package cluster_test
 // The cost of replication in memory: on a 3-node R = 2 ring over
 // loopback TCP, each primary streams to its R-1 mirrors only, so the
 // mirror logs of the whole cluster hold R-1 copies of every committed
-// tuple — not one copy per node that succeeds some shard of the primary.
+// tuple — not one copy per node that succeeds some shard of the primary
+// — and still do after a fourth node joins and moves the mirror sets.
 
 import (
 	"context"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/proto"
 	"repro/internal/tuple"
 )
 
-func TestMirrorLogsHoldRMinusOneCopies(t *testing.T) {
-	const nodes, R = 3, 2
-	var lns [nodes]net.Listener
+// loopbackDial dials a cluster peer over TCP.
+func loopbackDial(addr string) (cluster.Transport, error) {
+	return proto.Dial(addr, proto.ServerConfig{})
+}
+
+// listen opens one loopback listener per node.
+func listen(t *testing.T, nodes int) ([]net.Listener, []string) {
+	t.Helper()
+	var lns []net.Listener
 	var addrs []string
-	for i := range lns {
+	for range nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
+		lns = append(lns, ln)
 		addrs = append(addrs, ln.Addr().String())
 	}
+	return lns, addrs
+}
+
+// serveLoopback builds node self of ring and serves it on ln until the
+// test ends.
+func serveLoopback(t *testing.T, ring *cluster.Ring, self int, ln net.Listener) *cluster.Node {
+	t.Helper()
+	node, err := cluster.NewNode(cluster.NodeConfig{
+		Ring: ring, Self: self, Local: newEngine(t),
+		Transports:  cluster.LazyTransports(ring, self, loopbackDial),
+		Dial:        loopbackDial,
+		Replication: cluster.ReplicationConfig{NewMirror: newMirrorEngine},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := proto.Serve(ln, node, proto.ServerConfig{})
+	t.Cleanup(func() { srv.Close(); node.Close() })
+	return node
+}
+
+// newLoopbackRing serves a nodes-node ring of R copies over loopback TCP.
+func newLoopbackRing(t *testing.T, nodes, R int) []*cluster.Node {
+	t.Helper()
+	lns, addrs := listen(t, nodes)
 	cells, err := cluster.Cells(clusterRegion, 16, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -35,23 +68,17 @@ func TestMirrorLogsHoldRMinusOneCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func(addr string) (cluster.Transport, error) { return proto.Dial(addr, proto.ServerConfig{}) }
 	var ns []*cluster.Node
-	for i := range lns {
-		node, err := cluster.NewNode(cluster.NodeConfig{
-			Ring: ring, Self: i, Local: newEngine(t),
-			Transports:  cluster.LazyTransports(ring, i, dial),
-			Dial:        dial,
-			Replication: cluster.ReplicationConfig{NewMirror: newMirrorEngine},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := proto.Serve(lns[i], node, proto.ServerConfig{})
-		t.Cleanup(func() { srv.Close(); node.Close() })
-		ns = append(ns, node)
+	for i, ln := range lns {
+		ns = append(ns, serveLoopback(t, ring, i, ln))
 	}
-	data := overWindows(makeData())
+	return ns
+}
+
+// ingestAndDrain writes data through ns[0] and waits until every frame
+// streamed has been applied.
+func ingestAndDrain(t *testing.T, ns []*cluster.Node, data tuple.Batch) {
+	t.Helper()
 	if err := ns[0].Ingest(context.Background(), tuple.CO2, data); err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +90,79 @@ func TestMirrorLogsHoldRMinusOneCopies(t *testing.T) {
 		}
 		return out
 	})
+}
+
+// mirrorCopies sums the tuples held in the mirror logs of ns.
+func mirrorCopies(ns []*cluster.Node) int {
 	held := 0
 	for _, n := range ns {
 		held += cluster.MirrorTuples(n)
 	}
-	if want := (R - 1) * len(data); held != want {
+	return held
+}
+
+func TestMirrorLogsHoldRMinusOneCopies(t *testing.T) {
+	const nodes, R = 3, 2
+	ns := newLoopbackRing(t, nodes, R)
+	data := overWindows(makeData())
+	ingestAndDrain(t, ns, data)
+	if held, want := mirrorCopies(ns), (R-1)*len(data); held != want {
 		t.Fatalf("mirror logs hold %d tuples (%.2f copies of %d committed), want %d", held, float64(held)/float64(len(data)), len(data), want)
+	}
+}
+
+// TestMirrorLogsHoldRMinusOneCopiesAfterJoin: a join moves mirror sets
+// (on 3 nodes node 0 mirrors node 2; on 4, node 3 does), and the node
+// that left an origin's set drops its mirror of it, so the cluster still
+// holds R-1 copies of every tuple its primaries committed — a handed-off
+// tuple counts at its old owner and at the joiner, whose logs both hold
+// it.
+func TestMirrorLogsHoldRMinusOneCopiesAfterJoin(t *testing.T) {
+	const nodes, R = 3, 2
+	ns := newLoopbackRing(t, nodes, R)
+	data := overWindows(makeData())
+	ingestAndDrain(t, ns, data)
+	if !cluster.HoldsMirror(ns[0], 2, tuple.CO2) {
+		t.Fatal("node 0 does not mirror node 2 on the 3-node ring")
+	}
+
+	lns, addrs := listen(t, 1)
+	seed, err := proto.Dial(ns[0].Ring().Addr(0), proto.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	pending, err := cluster.JoinCluster(seed, addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := serveLoopback(t, pending, nodes, lns[0])
+	if err := joiner.CompleteJoin(context.Background()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	ns = append(ns, joiner)
+	// A write to every node's shards: each new mirror catches up on its
+	// origin's first frame under the new ring. Frames the mirrors refused
+	// while the ring moved never count as applied, so the wait is for the
+	// copies themselves.
+	if err := ns[0].Ingest(context.Background(), tuple.CO2, data); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		committed := 0
+		for _, n := range ns {
+			committed += cluster.LogTuples(n)
+		}
+		held, stale := mirrorCopies(ns), cluster.HoldsMirror(ns[0], 2, tuple.CO2)
+		if held == (R-1)*committed && !stale {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the join the mirror logs hold %d tuples for %d committed (want %d); node 0 still mirrors node 2: %v",
+				held, committed, (R-1)*committed, stale)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

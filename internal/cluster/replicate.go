@@ -1,7 +1,8 @@
 // R-way shard replication: the primary-commits-then-streams write path,
-// the pull-based catch-up protocol (a replica that detects a sequence
-// gap asks "I have seq N" and receives checkpoint-or-suffix chunks),
-// and the mirror read path that answers a dead owner's shards.
+// pull-based catch-up (a replica that detects a sequence gap asks the
+// origin "I have seq N" with a ShardTransfer, the handoffs' pull, and
+// receives checkpoint-or-suffix chunks), and the mirror read path that
+// answers a dead owner's shards.
 //
 // Replication granularity is (origin node, pollutant): a replica holds
 // a full mirror of every pollutant stream it backs for a primary.
@@ -79,9 +80,9 @@ const (
 	// retention window so resets stay rare. Mirror logs have no cap (see
 	// retention).
 	logRetain = 1 << 17
-	// maxPullRounds bounds one catch-up session (4+ full logs); a
-	// replica that cannot converge in that many chunks re-enters
-	// catch-up on the next gapped stream frame.
+	// maxPullRounds bounds one pull session, catch-up or handoff (4+
+	// full logs); a replica that cannot converge in that many chunks
+	// re-enters catch-up on the next gapped stream frame.
 	maxPullRounds = 256
 )
 
@@ -115,7 +116,7 @@ type ReplicationStats struct {
 	Streamed int64 `json:"streamed"`
 	// StreamDrops counts frames dropped on a full worker queue.
 	StreamDrops int64 `json:"streamDrops"`
-	// StreamErrors counts failed peer exchanges (stream and catch-up).
+	// StreamErrors counts failed stream exchanges and catch-up sessions.
 	StreamErrors int64 `json:"streamErrors"`
 	// GapNaks counts streamed frames a replica refused out of order.
 	GapNaks int64 `json:"gapNaks"`
@@ -432,35 +433,46 @@ func (r *replicator) ship(peer int, f wire.ReplicaIngest) {
 	}
 }
 
-// handleCatchup answers a replica's "I have seq N": a suffix chunk
-// when the log still covers N, a snapshot reset (stream from the log
-// start after dropping mirror state) when the replica is behind the
-// log or has diverged past it.
-func (n *Node) handleCatchup(m wire.ReplicaCatchupRequest) wire.Message {
-	r := n.repl
-	if r == nil {
-		return replicaMiss("node does not replicate")
-	}
-	lg := r.log(m.Pollutant)
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	return lg.suffix(m.Have, maxCatchupChunk)
-}
-
 // --- replica side -----------------------------------------------------
 
 // getMirror returns (creating on first use) the mirror of one
-// (origin, pollutant) stream.
+// (origin, pollutant) stream, or nil when the node's ring does not make
+// it one of origin's mirrors. It reads the ring under mirMu, and every
+// ring the node adopts later runs dropMirrors under it, so a mirror is
+// never created for a placement the node has already left.
 func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	k := mirrorKey{origin: origin, pol: pol}
 	r.mirMu.Lock()
 	defer r.mirMu.Unlock()
 	m, ok := r.mirrors[k]
-	if !ok {
+	if !ok && slices.Contains(r.n.Ring().ReplicaPeers(origin, pol), r.n.self) {
 		m = &mirror{pol: pol, keep: r.keep}
 		r.mirrors[k] = m
 	}
 	return m
+}
+
+// dropMirrors drops the mirrors the node's ring no longer places on it:
+// those of live origins whose R-1 mirrors it is not among. A tombstoned
+// origin's mirror stays, for promotion to recover its shards from.
+func (r *replicator) dropMirrors() {
+	var dropped []*mirror
+	r.mirMu.Lock()
+	ring := r.n.Ring()
+	for k, m := range r.mirrors {
+		if ring.IsLive(k.origin) && !slices.Contains(ring.ReplicaPeers(k.origin, k.pol), r.n.self) {
+			delete(r.mirrors, k)
+			dropped = append(dropped, m)
+		}
+	}
+	r.mirMu.Unlock()
+	for _, m := range dropped {
+		m.mu.Lock()
+		h := m.h
+		m.h = nil
+		m.mu.Unlock()
+		closeEngine(h)
+	}
 }
 
 // lookupMirror returns an existing mirror or nil; the read path never
@@ -543,7 +555,10 @@ func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
 // handleReplicaIngest applies one streamed slice to the mirror of its
 // origin. Frames must continue the applied sequence: overlaps apply
 // their unseen suffix, duplicates ack as no-ops, and a gap refuses the
-// frame and starts a catch-up pull instead of applying out of order.
+// frame and starts a catch-up pull instead of applying out of order. A
+// frame for a mirror the node's ring does not place here (the origin
+// streamed under an older ring) is refused too: the origin counts a gap
+// NAK, and catch-up heals it should this node become a mirror again.
 func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	r := n.repl
 	if r == nil {
@@ -554,6 +569,9 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: bad origin node %d", m.Origin)}
 	}
 	mir := r.getMirror(origin, m.Pollutant)
+	if mir == nil {
+		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: node %d is no mirror of node %d", n.self, origin)}
+	}
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
 	have, end := mir.log.next(), m.Seq+uint64(len(m.Tuples))
@@ -580,13 +598,13 @@ func (r *replicator) schedulePullLocked(origin int, pol tuple.Pollutant, mir *mi
 	}
 	mir.pulling = true
 	r.wg.Add(1)
-	go r.pull(origin, pol, mir)
+	go r.catchUp(origin, pol, mir)
 }
 
-// pull runs one catch-up session: repeated "I have seq N" exchanges
-// against the origin, applying suffix chunks (or a snapshot reset)
-// until the origin reports Done.
-func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
+// catchUp runs one catch-up session: a pull of the origin's stream from
+// the sequence the mirror holds, applying suffix chunks (or a snapshot
+// reset) until the origin reports Done or the node closes.
+func (r *replicator) catchUp(origin int, pol tuple.Pollutant, mir *mirror) {
 	defer r.wg.Done()
 	defer func() {
 		mir.mu.Lock()
@@ -594,29 +612,17 @@ func (r *replicator) pull(origin int, pol tuple.Pollutant, mir *mirror) {
 		mir.mu.Unlock()
 	}()
 	r.catchups.Add(1)
-	for i := 0; i < maxPullRounds; i++ {
-		if r.closed.Load() {
-			return
-		}
-		t := r.n.transport(origin)
-		if t == nil {
-			return
-		}
+	have := func() uint64 {
 		mir.mu.Lock()
-		have := mir.log.next()
-		mir.mu.Unlock()
-		resp, err := t.Exchange(wire.ReplicaCatchupRequest{Pollutant: pol, Have: have})
-		if err != nil {
-			r.streamErrs.Add(1)
-			return
-		}
-		cr, ok := resp.(wire.ReplicaCatchupResponse)
-		if !ok {
-			return
-		}
-		if r.applyChunk(mir, cr) {
-			return
-		}
+		defer mir.mu.Unlock()
+		return mir.log.next()
+	}
+	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
+		return r.applyChunk(mir, cr) || r.closed.Load(), nil
+	}
+	//ctxcheck:allow a session ends with the node: apply ends it once close has begun
+	if err := r.n.pull(context.Background(), origin, origin, pol, have, apply); err != nil {
+		r.streamErrs.Add(1)
 	}
 }
 

@@ -98,12 +98,13 @@ type NodeConfig struct {
 	// owned-shard subscriptions.
 	Local Handler
 	// Transports connect to peer nodes, indexed by node ID. The Self
-	// entry is ignored; a nil entry makes the node bounce that peer's
-	// shards with NotOwnerResponse instead of forwarding. The node owns
-	// them: Close closes every one that has a Close method.
+	// entry is ignored; a nil entry makes that peer unreachable, exactly
+	// as a failed exchange does: its shards answer ErrNodeUnreachable, or
+	// a replica's answer for a read. The node owns them: Close closes
+	// every one that has a Close method.
 	Transports []Transport
 	// Dial opens transports to nodes that join after boot (nil: the
-	// node cannot reach post-boot members and bounces their shards).
+	// node cannot reach post-boot members).
 	Dial Dialer
 	// Default is the engines' default pollutant: the one stream a node
 	// moves in membership handoffs when Pollutants is empty.
@@ -138,8 +139,6 @@ type Stats struct {
 	ForwardedIn int64 `json:"forwardedIn"`
 	// Scatters counts scatter-gather fan-outs (heatmaps, model merges).
 	Scatters int64 `json:"scatters"`
-	// NotOwner counts requests bounced with NotOwnerResponse.
-	NotOwner int64 `json:"notOwner"`
 	// Errors counts transport failures talking to peers.
 	Errors int64 `json:"errors"`
 	// FailedOver counts reads answered by a replica after the shard's
@@ -194,7 +193,6 @@ type Node struct {
 	nForwarded atomic.Int64
 	nFwdIn     atomic.Int64
 	nScatters  atomic.Int64
-	nNotOwner  atomic.Int64
 	nErrors    atomic.Int64
 	nFailover  atomic.Int64
 	nRehomed   atomic.Int64
@@ -298,10 +296,10 @@ func (n *Node) transport(i int) Transport {
 }
 
 // adoptRing installs r when its epoch exceeds the current ring's,
-// growing the transport table to cover members r added. It keeps the
-// transports of slots r tombstoned — a draining node must stay
-// reachable for the commit-time final pull. Returns whether r was
-// installed.
+// growing the transport table to cover members r added, and drops the
+// mirrors r no longer places on this node. It keeps the transports of
+// slots r tombstoned — a draining node must stay reachable for the
+// commit-time final pull. Returns whether r was installed.
 func (n *Node) adoptRing(r *Ring) bool {
 	for {
 		cur := n.ring.Load()
@@ -311,6 +309,9 @@ func (n *Node) adoptRing(r *Ring) bool {
 		if n.ring.CompareAndSwap(cur, r) {
 			break
 		}
+	}
+	if n.repl != nil {
+		n.repl.dropMirrors()
 	}
 	n.tmu.Lock()
 	defer n.tmu.Unlock()
@@ -336,7 +337,6 @@ func (n *Node) Stats() Stats {
 		Forwarded:       n.nForwarded.Load(),
 		ForwardedIn:     n.nFwdIn.Load(),
 		Scatters:        n.nScatters.Load(),
-		NotOwner:        n.nNotOwner.Load(),
 		Errors:          n.nErrors.Load(),
 		FailedOver:      n.nFailover.Load(),
 		Rehomed:         n.nRehomed.Load(),
@@ -441,8 +441,6 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		return resp
 	case wire.ReplicaIngest:
 		return n.handleReplicaIngest(m)
-	case wire.ReplicaCatchupRequest:
-		return n.handleCatchup(m)
 	case wire.ReplicaRead:
 		return n.handleReplicaRead(m)
 	case wire.JoinRequest:
@@ -477,9 +475,9 @@ func unknownPollutant(pol tuple.Pollutant) error {
 }
 
 // routeOwner sends a single-shard request to its owner under ring: the
-// local engine, a peer transport, or — unreachable — a
-// NotOwnerResponse naming it. down is true exactly when the owner's
-// transport failed — the one failure replicas can heal. An engine
+// local engine or a peer transport. down is true exactly when the owner
+// is unreachable — no transport, or a failed exchange — the one failure
+// replicas can heal. An engine
 // error is an authoritative answer and never fails over. Forwarded
 // frames carry ring's epoch so a peer on a different ring version
 // fences the disagreement instead of serving the wrong shard.
@@ -493,17 +491,17 @@ func (n *Node) routeOwner(ctx context.Context, ring *Ring, owner int, m wire.Mes
 		}
 		return n.localHandle(ctx, m), false
 	}
-	if t := n.transport(owner); t != nil {
-		n.nForwarded.Add(1)
-		resp, err := t.Exchange(wire.Forwarded{Inner: m, Epoch: ring.Epoch()})
-		if err != nil {
-			n.nErrors.Add(1)
-			return unreachable(owner, ring, err), true
-		}
-		return resp, false
+	t := n.transport(owner)
+	if t == nil {
+		return unreachable(owner, ring, errNoTransport), true
 	}
-	n.nNotOwner.Add(1)
-	return wire.NotOwnerResponse{Owner: uint16(owner), Addr: ring.Addr(owner)}, false
+	n.nForwarded.Add(1)
+	resp, err := t.Exchange(wire.Forwarded{Inner: m, Epoch: ring.Epoch()})
+	if err != nil {
+		n.nErrors.Add(1)
+		return unreachable(owner, ring, err), true
+	}
+	return resp, false
 }
 
 // refreshRingFrom pulls peer's current ring — after peer fenced a
@@ -710,8 +708,6 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 					return
 				}
 				fill(failed)
-			case wire.NotOwnerResponse:
-				fill(wire.BatchQueryItem{Err: notOwnerMsg(r)})
 			default:
 				fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: unexpected response %T", resp)})
 			}
@@ -866,8 +862,6 @@ func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, 
 				case wire.IngestResponse:
 					tally.applied += r.Ingested
 					failed = false
-				case wire.NotOwnerResponse:
-					tally.fail(len(slice)-start, wire.CodeNone, notOwnerMsg(r))
 				case wire.ErrorResponse:
 					tally.fail(len(slice)-start, r.Code, r.Msg)
 				default:
@@ -1156,13 +1150,13 @@ func sampleGrid(hr *wire.HeatmapResponse, p geo.Point) float64 {
 	return hr.Values[j*int(hr.Cols)+i]
 }
 
+// errNoTransport is why a peer this node holds no transport to is
+// unreachable.
+var errNoTransport = errors.New("no transport")
+
 // unreachable is the response for a peer whose transport failed.
 func unreachable(node int, ring *Ring, err error) wire.ErrorResponse {
 	return WireError(fmt.Errorf("%w: node %d (%s): %v", ErrNodeUnreachable, node, ring.Addr(node), err))
-}
-
-func notOwnerMsg(r wire.NotOwnerResponse) string {
-	return fmt.Sprintf("cluster: not owner of shard (owner node %d %s)", r.Owner, r.Addr)
 }
 
 // --- Typed serving surface -------------------------------------------
@@ -1183,8 +1177,6 @@ func answer[T wire.Message](resp wire.Message) (T, error) {
 		return r, nil
 	case wire.ErrorResponse:
 		return none, ErrorFromWire(r.Code, r.Msg)
-	case wire.NotOwnerResponse:
-		return none, errors.New(notOwnerMsg(r))
 	default:
 		return none, fmt.Errorf("cluster: unexpected response %T", resp)
 	}

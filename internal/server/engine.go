@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -126,6 +127,12 @@ type Engine struct {
 	unwatch  []func()
 	closed   atomic.Bool
 
+	// etagNonce, drawn once per engine, is hashed into every
+	// continuous-query ETag: served generations restart with the process,
+	// so without it a tag from before a restart could name another cover
+	// after it.
+	etagNonce uint64
+
 	// ckStop ends the periodic checkpoint goroutine (nil when no
 	// Interval was configured); ckWG waits for it on Close.
 	ckStop chan struct{}
@@ -156,7 +163,8 @@ func NewEngine(st *store.Store, cfg core.Config) *Engine {
 		shards: map[tuple.Pollutant]*shard{
 			cfg.Pollutant: {st: st, maintainer: core.NewMaintainer(st, cfg)},
 		},
-		def: cfg.Pollutant,
+		def:       cfg.Pollutant,
+		etagNonce: rand.Uint64(),
 	}
 	e.startAsync(Options{})
 	return e
@@ -172,7 +180,7 @@ func NewMultiEngineOpts(stores map[tuple.Pollutant]*store.Store, cfg core.Config
 	if len(stores) == 0 {
 		return nil, errors.New("server: no pollutant stores")
 	}
-	e := &Engine{shards: make(map[tuple.Pollutant]*shard, len(stores))}
+	e := &Engine{shards: make(map[tuple.Pollutant]*shard, len(stores)), etagNonce: rand.Uint64()}
 	for pol, st := range stores {
 		if !pol.Valid() {
 			return nil, fmt.Errorf("%w: %v", query.ErrUnknownPollutant, pol)
@@ -726,7 +734,8 @@ func (e *Engine) heatmap(ctx context.Context, g *heatmap.Grid, p tuple.Pollutant
 
 // continuousETag hashes a continuous-query route — its points and, per
 // distinct route window, the generation of the cover that is served for
-// it — into an entity tag, or "" when pol is not monitored. A write alone
+// it — and the engine's nonce into an entity tag, or "" when pol is not
+// monitored. A write alone
 // does not change the tag: while the window's rebuild is pending the
 // answer is still the previous cover's, and a 304 is correct. Computed
 // BEFORE evaluation, and the served generation never decreases, so a
@@ -743,6 +752,7 @@ func (e *Engine) continuousETag(pol tuple.Pollutant, reqs []query.Request) strin
 		binary.LittleEndian.PutUint64(buf[:], v)
 		_, _ = hsh.Write(buf[:])
 	}
+	put(e.etagNonce)
 	put(uint64(pol))
 	put(uint64(len(reqs)))
 	seen := make(map[int]struct{})

@@ -567,7 +567,7 @@ func TestHTTPStatsKeys(t *testing.T) {
 	defer node.Close()
 	csrv := httptest.NewServer(NewClusterAPI(eng, node))
 	defer csrv.Close()
-	const routing = `local forwarded forwardedIn scatters notOwner errors failedOver rehomed epochMismatches`
+	const routing = `local forwarded forwardedIn scatters errors failedOver rehomed epochMismatches`
 	const replication = `streamed streamDrops streamErrors gapNaks applied gaps catchups snapshots mirrorReads mirrors`
 	prefixed := func(prefix, keys string) string {
 		return prefix + strings.Join(strings.Fields(keys), " "+prefix)
@@ -580,9 +580,9 @@ func TestHTTPStatsKeys(t *testing.T) {
 
 	// The rendered sections, byte for byte and in field order.
 	for want, v := range map[string]any{
-		`{"local":1,"forwarded":2,"forwardedIn":3,"scatters":4,"notOwner":5,"errors":6,"failedOver":7,"rehomed":8,"epochMismatches":9}`: cluster.Stats{
-			Local: 1, Forwarded: 2, ForwardedIn: 3, Scatters: 4, NotOwner: 5, Errors: 6,
-			FailedOver: 7, Rehomed: 8, EpochMismatches: 9},
+		`{"local":1,"forwarded":2,"forwardedIn":3,"scatters":4,"errors":5,"failedOver":6,"rehomed":7,"epochMismatches":8}`: cluster.Stats{
+			Local: 1, Forwarded: 2, ForwardedIn: 3, Scatters: 4, Errors: 5,
+			FailedOver: 6, Rehomed: 7, EpochMismatches: 8},
 		`{"streamed":1,"streamDrops":2,"streamErrors":3,"gapNaks":4,"applied":5,"gaps":6,"catchups":7,"snapshots":8,"mirrorReads":9,"mirrors":10}`: cluster.ReplicationStats{
 			Streamed: 1, StreamDrops: 2, StreamErrors: 3, GapNaks: 4, Applied: 5, Gaps: 6,
 			Catchups: 7, Snapshots: 8, MirrorReads: 9, Mirrors: 10},

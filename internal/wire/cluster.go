@@ -33,12 +33,12 @@ const (
 	TypeHeatmapRequest
 	// TypeHeatmapResponse carries the raster grid.
 	TypeHeatmapResponse
-	// TypeNotOwner reports that the receiving node does not own the
-	// request's shard and names the node that does.
-	TypeNotOwner
+	// Tag 14 is retired (it was NotOwnerResponse): a frame carrying it
+	// decodes as unknown, and no message may take it again.
+
 	// TypeForwarded wraps a request forwarded by a router so the owner
-	// answers locally instead of re-forwarding (or bouncing NotOwner).
-	TypeForwarded
+	// answers locally instead of re-forwarding.
+	TypeForwarded MsgType = 15
 )
 
 // RingRequest asks a node for the cluster ring — how a peer refreshes
@@ -121,23 +121,8 @@ type HeatmapResponse struct {
 // Type implements Message.
 func (HeatmapResponse) Type() MsgType { return TypeHeatmapResponse }
 
-// NotOwnerResponse is a node declining a request for a shard it does not
-// own (and cannot forward): it names the owning node so the caller can
-// retry there.
-type NotOwnerResponse struct {
-	Owner uint16 `json:"owner"`
-	Addr  string `json:"addr"`
-	// Epoch is the bouncing node's membership epoch (0 when pre-epoch).
-	// A caller holding a ring with a lower epoch knows its placement is
-	// stale — not merely disagreeing — and must refresh before retrying.
-	Epoch uint64 `json:"epoch,omitempty"`
-}
-
-// Type implements Message.
-func (NotOwnerResponse) Type() MsgType { return TypeNotOwner }
-
 // Forwarded wraps a request a router already routed: the receiver must
-// answer it locally, never re-forward or bounce NotOwner, so one
+// answer it locally, never re-forward it, so one
 // misconfigured ring cannot create a forwarding loop. Forwarded frames
 // never nest.
 type Forwarded struct {
@@ -247,23 +232,6 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 		for _, val := range v.Values {
 			putF64(buf[off:], val)
 			off += 8
-		}
-		return out, nil
-	case NotOwnerResponse:
-		if len(v.Addr) > math.MaxUint16 {
-			return dst, fmt.Errorf("wire: owner address too long (%d bytes)", len(v.Addr))
-		}
-		size := 1 + 2 + 2 + len(v.Addr)
-		if v.Epoch > 0 {
-			size += 8
-		}
-		out, buf := grow(dst, head, size)
-		buf[0] = byte(TypeNotOwner)
-		binary.LittleEndian.PutUint16(buf[1:], v.Owner)
-		binary.LittleEndian.PutUint16(buf[3:], uint16(len(v.Addr)))
-		copy(buf[5:], v.Addr)
-		if v.Epoch > 0 {
-			binary.LittleEndian.PutUint64(buf[5+len(v.Addr):], v.Epoch)
 		}
 		return out, nil
 	case Forwarded:
@@ -413,27 +381,6 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		for i := range m.Values {
 			m.Values[i] = getF64(data[off:])
 			off += 8
-		}
-		return m, nil
-	case TypeNotOwner:
-		if len(data) < 5 {
-			return nil, fmt.Errorf("%w: NotOwnerResponse header", ErrMalformed)
-		}
-		n := int(binary.LittleEndian.Uint16(data[3:]))
-		// The v1.5 layout appends an 8-byte epoch after the address; the
-		// address length field keeps both forms unambiguous.
-		if len(data) != 5+n && len(data) != 13+n {
-			return nil, fmt.Errorf("%w: NotOwnerResponse length", ErrMalformed)
-		}
-		m := NotOwnerResponse{
-			Owner: binary.LittleEndian.Uint16(data[1:]),
-			Addr:  string(data[5 : 5+n]),
-		}
-		if len(data) == 13+n {
-			m.Epoch = binary.LittleEndian.Uint64(data[5+n:])
-			if m.Epoch == 0 {
-				return nil, fmt.Errorf("%w: NotOwnerResponse zero epoch suffix", ErrMalformed)
-			}
 		}
 		return m, nil
 	case TypeForwarded:

@@ -1,9 +1,9 @@
 package wire
 
 // Round-trip and robustness tests for the v1.2 cluster messages: ring
-// exchange, wire ingest, heatmap scatter frames, NotOwner bounces, and
-// the Forwarded wrapper — across both codecs, plus the backward-
-// compatibility guarantee that pre-cluster frames decode unchanged.
+// exchange, wire ingest, heatmap scatter frames, and the Forwarded
+// wrapper — across both codecs, plus the backward-compatibility
+// guarantee that pre-cluster frames decode unchanged.
 
 import (
 	"errors"
@@ -42,7 +42,6 @@ func clusterMessages() []Message {
 			Cols:   2, Rows: 2, T: 1800,
 			Values: []float64{400, 410, 420, 430},
 		},
-		NotOwnerResponse{Owner: 2, Addr: "10.0.0.3:8081"},
 		Forwarded{Inner: QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.PM}},
 		Forwarded{Inner: IngestRequest{Pollutant: tuple.CO2, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}},
 	}
@@ -92,7 +91,6 @@ func TestClusterDecodeRobustness(t *testing.T) {
 		{byte(TypeIngestResponse), 1, 2},                 // short
 		{byte(TypeHeatmapRequest), 1, 2, 3},              // short
 		{byte(TypeHeatmapResponse), 0, 0},                // short header
-		{byte(TypeNotOwner), 0},                          // short
 		{byte(TypeForwarded)},                            // no inner
 	}
 	for _, data := range cases {

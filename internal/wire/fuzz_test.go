@@ -21,7 +21,8 @@ import (
 // accepted ModelResponse must either convert to a cover and back to a
 // field-equal response, or fail to convert with an error. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
-// untagged layouts (now malformed) and mutations.
+// untagged layouts (now malformed), the retired tags' frames (now
+// unknown) and mutations.
 func FuzzWireDecode(f *testing.F) {
 	add := func(m Message) {
 		enc, err := Binary.Encode(m)
@@ -53,7 +54,6 @@ func FuzzWireDecode(f *testing.F) {
 	add(IngestResponse{Ingested: 7})
 	add(HeatmapRequest{T: 60, Cols: 4, Rows: 4})
 	add(HeatmapResponse{Cols: 1, Rows: 2, Values: []float64{1, 2}})
-	add(NotOwnerResponse{Owner: 1, Addr: "c:3"})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}})
 	// v1.3 subscription messages.
 	add(SubscribeRequest{Pollutant: 1, Points: []SubPoint{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6}}})
@@ -66,7 +66,6 @@ func FuzzWireDecode(f *testing.F) {
 	// v1.4 replication messages.
 	add(RingResponse{Nodes: []string{"a:1", "b:2", "c:3"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Replicas: 2})
 	add(ReplicaIngest{Origin: 1, Pollutant: 2, Seq: 41, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}})
-	add(ReplicaCatchupRequest{Pollutant: 1, Have: 12})
 	add(ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{{T: 5, X: 6, Y: 7, S: 8}}})
 	add(ReplicaCatchupResponse{Snapshot: true, From: 0, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}})
 	add(ReplicaRead{Origin: 2, Inner: QueryRequest{T: 1, X: 2, Y: 3, Pollutant: 1}})
@@ -78,7 +77,6 @@ func FuzzWireDecode(f *testing.F) {
 	add(ShardTransfer{Origin: 1, Pollutant: 2, Have: 99})
 	add(Promote{Node: 1, Epoch: 7})
 	add(RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 5})
-	add(NotOwnerResponse{Owner: 1, Addr: "c:3", Epoch: 2})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}, Epoch: 4})
 	// The removed pre-v1 untagged frames: 25-byte query, 9-byte model
 	// request.
@@ -88,6 +86,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(untaggedModel[:9])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
+	// The retired tags' last frames — NotOwnerResponse (14), bare and with
+	// its epoch, and ReplicaCatchupRequest (22) — now unknown.
+	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3'})
+	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3', 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{22, 1, 12, 0, 0, 0, 0, 0, 0, 0})
 	// Lent request bodies inside the routing wrappers.
 	add(Forwarded{Inner: IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 2})
 	add(ReplicaRead{Origin: 1, Inner: BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}}}})

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -36,8 +37,6 @@ func goldenMessages() []Message {
 		HeatmapRequest{T: 60, Pollutant: tuple.PM, Cols: 4, Rows: 4},
 		HeatmapRequest{T: 60, Cols: 2, Rows: 3, HasRegion: true, Region: geo.Rect{Min: geo.Point{X: -1, Y: -2}, Max: geo.Point{X: 3, Y: 4}}},
 		HeatmapResponse{Region: geo.Rect{Max: geo.Point{X: 1, Y: 1}}, Cols: 1, Rows: 2, T: 60, Values: []float64{1, 2}},
-		NotOwnerResponse{Owner: 1, Addr: "c:3"},
-		NotOwnerResponse{Owner: 1, Addr: "c:3", Epoch: 2},
 		Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}},
 		Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}, Epoch: 4},
 		SubscribeRequest{Pollutant: tuple.CO, Points: []SubPoint{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6}}},
@@ -47,7 +46,6 @@ func goldenMessages() []Message {
 		UnsubscribeRequest{ID: 9},
 		UnsubscribeResponse{Removed: true},
 		ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}},
-		ReplicaCatchupRequest{Pollutant: tuple.CO, Have: 12},
 		ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{{T: 5, X: 6, Y: 7, S: 8}}},
 		ReplicaCatchupResponse{Snapshot: true, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}},
 		ReplicaRead{Origin: 2, Inner: QueryRequest{T: 1, X: 2, Y: 3, Pollutant: tuple.CO}},
@@ -76,8 +74,6 @@ var goldenFrames = []string{
 	"0c0000000000004e40020400040000",
 	"0c0000000000004e40000200030001000000000000f0bf00000000000000c000000000000008400000000000001040",
 	"0d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e40000000000000f03f0000000000000040",
-	"0e01000300633a33",
-	"0e01000300633a330200000000000000",
 	"0f01000000000000f03f0000000000000040000000000000084000",
 	"0fff040000000000000001000000000000f03f0000000000000040000000000000084000",
 	"10010200000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840",
@@ -87,7 +83,6 @@ var goldenFrames = []string{
 	"130900000000000000",
 	"1401",
 	"15010002290000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
-	"16010c00000000000000",
 	"17020c0000000000000001000000000000000000144000000000000018400000000000001c400000000000002040",
 	"1701000000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
 	"18020001000000000000f03f0000000000000040000000000000084001",
@@ -125,6 +120,29 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 		}
 		if re, err := Binary.Encode(dec); err != nil || !bytes.Equal(re, want) {
 			t.Errorf("parent %T frame is not a fixed point of decode/encode (%v)", m, err)
+		}
+	}
+}
+
+// TestRetiredTagsDecodeAsUnknown: tags 14 (NotOwnerResponse) and 22
+// (ReplicaCatchupRequest) are retired, so the last frames a node ever
+// wrote with them — bare and with their full payloads — decode as an
+// unknown message, never as something else that took the tag.
+func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
+	for _, frame := range []string{
+		"0e", "0e01000300633a33", "0e01000300633a330200000000000000",
+		"16", "16010c00000000000000",
+	} {
+		data, err := hex.DecodeString(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, decode := range map[string]func([]byte) (Message, error){
+			"Decode": Binary.Decode, "DecodeLent": Binary.DecodeLent,
+		} {
+			if m, err := decode(data); !errors.Is(err, ErrUnknown) {
+				t.Errorf("%s(%s) = %#v, %v; want ErrUnknown", name, frame, m, err)
+			}
 		}
 	}
 }

@@ -2,9 +2,10 @@
 // shape while serving traffic. A joining node announces itself and
 // receives the next-epoch ring (JoinRequest); a membership coordinator
 // pushes ring versions to peers in two steps — prepare, then commit
-// (RingUpdate); a node bootstrapping or finishing a handoff pulls a
-// shard's replication log from its current holder (ShardTransfer,
-// answered with the existing ReplicaCatchupResponse chunks); and a node
+// (RingUpdate); a node bootstrapping or finishing a handoff, or a
+// replica catching up after a sequence gap, pulls a stream's replication
+// log from a node holding it (ShardTransfer, answered with the existing
+// ReplicaCatchupResponse chunks); and a node
 // that detected a dead primary asks a surviving replica to promote its
 // mirror at a new epoch (Promote).
 //
@@ -31,10 +32,10 @@ const (
 	// holds it pending, begins bootstrapping any shards it gains) or
 	// commit (the peer installs it and fences the old epoch).
 	TypeRingUpdate
-	// TypeShardTransfer asks a node for the replication log of one of
-	// its pollutant streams from a given sequence — the handoff pull a
-	// gaining node runs during join, drain, and promotion. Answered
-	// with ReplicaCatchupResponse chunks.
+	// TypeShardTransfer asks a node for the replication log of one
+	// pollutant stream from a given sequence — the pull a replica runs
+	// to catch up, and a gaining node during join, drain, and promotion.
+	// Answered with ReplicaCatchupResponse chunks.
 	TypeShardTransfer
 	// TypePromote asks a surviving replica to promote its mirror of a
 	// dead primary at a new epoch.
@@ -73,9 +74,10 @@ func (RingUpdate) Type() MsgType { return TypeRingUpdate }
 // pollutant stream, starting at sequence Have. Origin selects whose
 // stream: the receiver's own primary log (Origin == receiver) or its
 // mirror log of another node (the promotion/bootstrap-from-replica
-// case). Answered with ReplicaCatchupResponse chunks exactly like
-// replica catch-up: a suffix when Have is inside the log, a Snapshot
-// reset when it is behind it, Done when the chunk reaches the end.
+// case). A replica catching up asks the origin itself. Answered with
+// ReplicaCatchupResponse chunks: a suffix when Have is inside the log, a
+// Snapshot reset when it is behind it, Done when the chunk reaches the
+// end.
 type ShardTransfer struct {
 	Origin    uint16          `json:"origin"`
 	Pollutant tuple.Pollutant `json:"pollutant"`

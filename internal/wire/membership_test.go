@@ -2,7 +2,7 @@ package wire
 
 // Round-trip and robustness tests for the v1.5 membership messages
 // (JoinRequest, RingUpdate, ShardTransfer, Promote) and the epoch field
-// the revision appends to RingResponse, NotOwnerResponse, and Forwarded
+// the revision appends to RingResponse and Forwarded
 // frames — including the compatibility guarantee that an epoch of zero
 // reproduces the pre-epoch byte layout exactly, so pre-membership peers
 // interoperate unchanged.
@@ -36,7 +36,6 @@ func membershipMessages() []Message {
 		Promote{Node: 0, Epoch: 1},
 		// Epoch-bearing variants of the pre-existing frames.
 		RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 9},
-		NotOwnerResponse{Owner: 2, Addr: "10.0.0.3:8081", Epoch: 5},
 		Forwarded{Inner: QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.PM}, Epoch: 4},
 		Forwarded{Inner: IngestRequest{Pollutant: tuple.CO2, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 12},
 	}
@@ -84,15 +83,6 @@ func TestEpochZeroKeepsPreEpochLayout(t *testing.T) {
 	}
 	if dec.(RingResponse).Epoch != 0 {
 		t.Fatalf("pre-epoch ring frame decoded with epoch %d", dec.(RingResponse).Epoch)
-	}
-
-	no := NotOwnerResponse{Owner: 1, Addr: "c:3"}
-	encNo, err := Binary.Encode(no)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(encNo) != 5+len(no.Addr) {
-		t.Fatalf("epoch-zero NotOwner frame is %d bytes, want pre-epoch %d", len(encNo), 5+len(no.Addr))
 	}
 
 	// The Forwarded epoch variant marks itself with 0xFF (reserved,

@@ -1,9 +1,9 @@
 // Replication messages: the v1.4 additions that let shard owners stream
-// committed ingest slices to their replicas, let a replica that detects
-// a sequence gap pull itself back into sync ("I have seq N" → a
-// checkpoint-or-suffix chunk stream, the wire form of PR 4's
-// checkpoint + segment-suffix recovery), and let any party read a dead
-// owner's shards from a replica's mirror (ReplicaRead).
+// committed ingest slices to their replicas, carry the checkpoint-or-
+// suffix chunks a puller receives (ReplicaCatchupResponse, the answer to
+// a ShardTransfer: a replica that detects a sequence gap pulls itself
+// back into sync that way), and let any party read a dead owner's shards
+// from a replica's mirror (ReplicaRead).
 //
 // Like the v1.2/v1.3 additions these are purely new tags: every
 // pre-replication frame decodes unchanged, and older peers answer the
@@ -24,17 +24,19 @@ const (
 	// TypeReplicaIngest streams one committed ingest slice from a shard
 	// primary to a replica, carrying the slice's replication sequence.
 	TypeReplicaIngest MsgType = iota + 21
-	// TypeReplicaCatchupRequest is a replica telling a primary the
-	// replication sequence it holds, asking for what it is missing.
-	TypeReplicaCatchupRequest
-	// TypeReplicaCatchupResponse carries one catch-up chunk: a suffix of
-	// the primary's replication log, or (Snapshot) the start of a full
-	// retained-state reset when the replica is behind the log.
-	TypeReplicaCatchupResponse
+	// Tag 22 is retired (it was ReplicaCatchupRequest; a replica now
+	// catches up with a ShardTransfer): a frame carrying it decodes as
+	// unknown, and no message may take it again.
+
+	// TypeReplicaCatchupResponse carries one chunk of a replication
+	// stream, the answer to a ShardTransfer: a suffix of the log, or
+	// (Snapshot) the start of a full retained-state reset when the puller
+	// is behind the log.
+	TypeReplicaCatchupResponse MsgType = 23
 	// TypeReplicaRead asks a node to answer the inner request from its
 	// mirror of another node — the failover read path when that node
 	// (the shard's primary) is unreachable.
-	TypeReplicaRead
+	TypeReplicaRead MsgType = 24
 )
 
 // ReplicaIngest is a primary streaming one committed ingest slice to a
@@ -54,25 +56,13 @@ type ReplicaIngest struct {
 // Type implements Message.
 func (ReplicaIngest) Type() MsgType { return TypeReplicaIngest }
 
-// ReplicaCatchupRequest is a replica asking the primary for everything
-// after the replication sequence it holds ("I have seq N").
-type ReplicaCatchupRequest struct {
-	Pollutant tuple.Pollutant `json:"pollutant"`
-	// Have is the next sequence the replica expects (the number of
-	// stream tuples it has applied).
-	Have uint64 `json:"have"`
-}
-
-// Type implements Message.
-func (ReplicaCatchupRequest) Type() MsgType { return TypeReplicaCatchupRequest }
-
-// ReplicaCatchupResponse is one catch-up chunk. With Snapshot unset the
-// tuples are the log suffix starting at From == the requested Have (the
-// segment-suffix case); with Snapshot set the replica was behind the
-// primary's replication log, must drop its mirror state for the stream,
-// and receives the primary's retained state from the log start (the
-// checkpoint case). Done reports that applying this chunk brings the
-// replica up to the primary's current sequence; until then the replica
+// ReplicaCatchupResponse is one chunk of a replication stream, the
+// answer to a ShardTransfer. With Snapshot unset the tuples are the log
+// suffix starting at From == the requested Have (the segment-suffix
+// case); with Snapshot set the puller was behind the log, must drop its
+// state for the stream, and receives the log's retained state from its
+// start (the checkpoint case). Done reports that applying this chunk
+// brings the puller up to the log's current sequence; until then it
 // keeps requesting with its advanced Have.
 type ReplicaCatchupResponse struct {
 	Snapshot bool        `json:"snapshot,omitempty"`
@@ -137,12 +127,6 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[12:], uint32(len(v.Tuples)))
 		putRaws(buf[16:], v.Tuples)
 		return out, nil
-	case ReplicaCatchupRequest:
-		out, buf := grow(dst, head, 1+1+8)
-		buf[0] = byte(TypeReplicaCatchupRequest)
-		buf[1] = byte(v.Pollutant)
-		binary.LittleEndian.PutUint64(buf[2:], v.Have)
-		return out, nil
 	case ReplicaCatchupResponse:
 		if len(v.Tuples) > math.MaxUint32 {
 			return dst, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
@@ -196,14 +180,6 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			Pollutant: tuple.Pollutant(data[3]),
 			Seq:       binary.LittleEndian.Uint64(data[4:]),
 			Tuples:    getRaws(alloc(&raws, count, lend), data[16:]),
-		}, nil
-	case TypeReplicaCatchupRequest:
-		if len(data) != 10 {
-			return nil, fmt.Errorf("%w: ReplicaCatchupRequest length %d", ErrMalformed, len(data))
-		}
-		return ReplicaCatchupRequest{
-			Pollutant: tuple.Pollutant(data[1]),
-			Have:      binary.LittleEndian.Uint64(data[2:]),
 		}, nil
 	case TypeReplicaCatchupResponse:
 		if len(data) < 14 {

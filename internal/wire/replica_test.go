@@ -21,8 +21,6 @@ func replicaMessages() []Message {
 			{T: 61, X: 980.25, Y: 410, S: 14},
 		}},
 		ReplicaIngest{Origin: 0, Pollutant: tuple.CO2, Seq: 0, Tuples: nil},
-		ReplicaCatchupRequest{Pollutant: tuple.CO, Have: 12},
-		ReplicaCatchupRequest{Pollutant: tuple.CO2, Have: 0},
 		ReplicaCatchupResponse{From: 12, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}},
 		ReplicaCatchupResponse{From: 13, Done: true, Tuples: nil},
 		ReplicaCatchupResponse{Snapshot: true, From: 5, Tuples: []tuple.Raw{{T: 9, X: 8, Y: 7, S: 6}}},
@@ -95,15 +93,12 @@ func TestReplicaDecodeRobustness(t *testing.T) {
 	badFlags[1] = 0xF0 // undefined flag bits
 
 	cases := [][]byte{
-		{byte(TypeReplicaIngest)},                     // no header
-		goodIngest[:20],                               // truncated tuples
-		append(append([]byte(nil), goodIngest...), 0), // trailing byte
-		{byte(TypeReplicaCatchupRequest), 1},          // short
-		append(make([]byte, 0, 11), // catch-up request with trailing byte
-			byte(TypeReplicaCatchupRequest), 0, 0, 0, 0, 0, 0, 0, 0, 0, 9),
-		{byte(TypeReplicaCatchupResponse), 0, 0}, // short header
-		badFlags,                                 // undefined flags
-		goodCatchup[:20],                         // truncated tuples
+		{byte(TypeReplicaIngest)},                      // no header
+		goodIngest[:20],                                // truncated tuples
+		append(append([]byte(nil), goodIngest...), 0),  // trailing byte
+		{byte(TypeReplicaCatchupResponse), 0, 0},       // short header
+		badFlags,                                       // undefined flags
+		goodCatchup[:20],                               // truncated tuples
 		append(append([]byte(nil), goodCatchup...), 0), // trailing byte
 		{byte(TypeReplicaRead), 0},                     // no inner message
 		{byte(TypeReplicaRead), 0, 0, 0xFF},            // unknown inner tag
@@ -176,10 +171,6 @@ func TestPreReplicaFramesUnchanged(t *testing.T) {
 		t.Fatalf("replication tags moved: %d..%d, want 21..24", TypeReplicaIngest, TypeReplicaRead)
 	}
 	// Fixed-size v1.4 frames are locked.
-	req, _ := Binary.Encode(ReplicaCatchupRequest{Pollutant: 1, Have: 2})
-	if len(req) != 10 {
-		t.Fatalf("ReplicaCatchupRequest frame is %d bytes, want 10", len(req))
-	}
 	ing, _ := Binary.Encode(ReplicaIngest{Origin: 1, Seq: 2})
 	if len(ing) != 16 {
 		t.Fatalf("empty ReplicaIngest frame is %d bytes, want 16", len(ing))

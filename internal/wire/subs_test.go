@@ -99,15 +99,6 @@ func TestPreSubsFramesUnchanged(t *testing.T) {
 	if len(q) != 26 {
 		t.Fatalf("v1 QueryRequest frame is %d bytes, want 26", len(q))
 	}
-	n, err := Binary.Encode(NotOwnerResponse{Owner: 2, Addr: "x:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec, err := Binary.Decode(n); err != nil {
-		t.Fatalf("v1.2 NotOwner frame no longer decodes: %v", err)
-	} else if !reflect.DeepEqual(dec, NotOwnerResponse{Owner: 2, Addr: "x:1"}) {
-		t.Fatalf("v1.2 NotOwner frame changed: %#v", dec)
-	}
 	// The new tags sit strictly above the cluster range.
 	if TypeSubscribeRequest != 16 || TypeUnsubscribeResponse != 20 {
 		t.Fatalf("subscription tags moved: %d..%d, want 16..20",

@@ -9,7 +9,10 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,5 +304,71 @@ func TestCloseCheckpointKeepsSeeds(t *testing.T) {
 	if ms := p.MaintenanceStats(); ms.Built != windows || ms.Refitted < windows-1 || ms.Failed != 0 {
 		t.Errorf("reopen built %d of %d windows, refitted %d (%d failed); want at least %d refitted",
 			ms.Built, windows, ms.Refitted, ms.Failed, windows-1)
+	}
+}
+
+// TestContinuousETagAcrossRestart: a continuous-query ETag minted before
+// a restart must not match after it once the window's data has changed.
+// Served cover generations restart with the process, so the tag for the
+// reopened window's rebuilt cover would otherwise repeat the old one and
+// a poll holding it would get a 304 for an answer it never saw.
+func TestContinuousETagAcrossRestart(t *testing.T) {
+	cfg := Config{WindowSeconds: 3600, Pollutants: []Pollutant{CO2}, Dir: t.TempDir()}
+	window0 := func(seed uint64, base float64) []Reading {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		out := make([]Reading, 400)
+		for i := range out {
+			x, y := rng.Float64()*2000, rng.Float64()*2000
+			out[i] = Reading{T: float64(i) * 9, X: x, Y: y, S: base + x/40 + rng.Float64()*10}
+		}
+		return out
+	}
+	poll := func(p *Platform, ifNoneMatch string) (int, string, string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/continuous",
+			strings.NewReader(`{"points":[{"t":300,"x":500,"y":500},{"t":900,"x":1500,"y":1200}]}`))
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		w := httptest.NewRecorder()
+		p.Handler().ServeHTTP(w, req)
+		return w.Code, w.Header().Get("ETag"), w.Body.String()
+	}
+	ingest := func(p *Platform, readings []Reading) {
+		t.Helper()
+		if err := p.Ingest(context.Background(), CO2, readings); err != nil {
+			t.Fatal(err)
+		}
+		p.WaitMaintenance()
+	}
+
+	p, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(p, window0(1, 400))
+	code, etag, before := poll(p, "")
+	if code != http.StatusOK || etag == "" {
+		t.Fatalf("first poll: %d, ETag %q: %s", code, etag, before)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ingest(p, window0(2, 430))
+	_, _, after := poll(p, "")
+	if after == before {
+		t.Fatalf("the second upload left the answer unchanged: %s", after)
+	}
+	if code, _, body := poll(p, etag); code != http.StatusOK {
+		t.Fatalf("poll with the pre-restart ETag %s answered %d, want 200 (the answer is now %s, the tag was minted for %s)",
+			etag, code, after, before)
+	} else if body != after {
+		t.Errorf("conditional poll answered %s, unconditional %s", body, after)
 	}
 }
