@@ -51,14 +51,15 @@
 // -pollutants. Otherwise a synthetic Lausanne deployment of -days days
 // is generated for every pollutant of -pollutants. With -dir,
 // ingestion is durable and previous segments are recovered; the covers
-// of the recovered windows are rebuilt in the background. With -live, data
-// is streamed in via the ingestion service at -speedup× real time instead
-// of being bulk-loaded, so covers appear as windows fill — the demo-floor
-// mode.
+// of the recovered windows are rebuilt in the background, and no dataset
+// is loaded on top of them. With -live, the dataset is replayed through
+// Platform.Ingest in 60 s stream-time batches at -speedup× real time
+// rather than bulk-loaded, so covers appear as windows fill — the demo mode.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -69,7 +70,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/ingest"
 	"repro/internal/tuple"
 )
 
@@ -82,7 +82,7 @@ func main() {
 		days    = flag.Float64("days", 2, "days of synthetic data when -data is unset")
 		data    = flag.String("data", "", "CSV file of raw tuples to load instead of simulating")
 		dir     = flag.String("dir", "", "directory for durable segment files (empty = memory only)")
-		live    = flag.Bool("live", false, "stream data in via the ingestion service instead of bulk loading")
+		live    = flag.Bool("live", false, "replay the dataset through the ingest path in 60 s stream-time batches instead of bulk loading")
 		speedup = flag.Float64("speedup", 3600, "stream seconds per wall second in -live mode")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 
@@ -208,45 +208,8 @@ func run(o options) error {
 	defer p.Close()
 
 	ctx := context.Background()
-	datasets := map[repro.Pollutant][]repro.Reading{}
-	if !o.cluster.Router && o.cluster.Join == "" {
-		// A dedicated router holds no shards and loads nothing. A joining
-		// node loads nothing either: its shards arrive over the wire from
-		// their current owners when the join completes below.
-		if datasets, err = loadReadings(o, pollutants); err != nil {
-			return err
-		}
-		if p.Clustered() {
-			// Every cluster node simulates/loads the same dataset; keep
-			// only the tuples this node's shards own so the cluster holds
-			// exactly one copy of each.
-			for pol, readings := range datasets {
-				owned := readings[:0]
-				for _, r := range readings {
-					if p.Owns(pol, r.X, r.Y) {
-						owned = append(owned, r)
-					}
-				}
-				datasets[pol] = owned
-				fmt.Printf("cluster node %d owns %d of the %s tuples\n",
-					o.cluster.NodeID, len(owned), pol)
-			}
-		}
-	}
-
-	if o.live {
-		for pol, readings := range datasets {
-			go runLive(p, pol, readings, o.speedup)
-			fmt.Printf("live mode: streaming %d %s tuples at %.0fx real time\n",
-				len(readings), pol, o.speedup)
-		}
-	} else {
-		for pol, readings := range datasets {
-			if err := p.Ingest(ctx, pol, readings); err != nil {
-				return err
-			}
-			fmt.Printf("bulk loaded %d %s raw tuples\n", len(readings), pol)
-		}
+	if err := load(ctx, p, o, pollutants); err != nil {
+		return err
 	}
 
 	if o.tcp != "" {
@@ -344,36 +307,83 @@ func loadReadings(o options, pollutants []repro.Pollutant) (map[repro.Pollutant]
 	return data, nil
 }
 
-// runLive pumps one pollutant's readings through the ingestion service at
-// the configured speedup; ingestion errors terminate the stream but not
-// the server.
-func runLive(p *repro.Platform, pol repro.Pollutant, readings []repro.Reading, speedup float64) {
-	replayer, err := ingest.NewReplayer(tuple.Batch(readings), 60)
+// load fills p with the dataset o names, bulk-loaded or, with o.live,
+// replayed in the background. A dedicated router and a joining node load
+// nothing (a joiner's shards arrive over the wire when its join
+// completes), nor does a platform that recovered tuples from -dir.
+func load(ctx context.Context, p *repro.Platform, o options, pollutants []repro.Pollutant) error {
+	if o.cluster.Router || o.cluster.Join != "" {
+		return nil
+	}
+	if n := p.Len(); n > 0 {
+		fmt.Printf("recovered %d tuples from -dir; not loading\n", n)
+		return nil
+	}
+	datasets, err := loadReadings(o, pollutants)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "live ingest:", err)
-		return
+		return err
 	}
-	svc, err := ingest.NewService(replayer, platformSink{p: p, pol: pol}, ingest.Config{Speedup: speedup})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "live ingest:", err)
-		return
+	for pol, readings := range datasets {
+		if p.Clustered() {
+			// Every cluster node simulates/loads the same dataset; keep
+			// only the tuples this node's shards own so the cluster holds
+			// exactly one copy of each.
+			owned := readings[:0]
+			for _, r := range readings {
+				if p.Owns(pol, r.X, r.Y) {
+					owned = append(owned, r)
+				}
+			}
+			readings = owned
+			fmt.Printf("cluster node %d owns %d of the %s tuples\n",
+				o.cluster.NodeID, len(owned), pol)
+		}
+		if o.live {
+			go func() {
+				if _, _, _, err := runLive(ctx, p, pol, readings, o.speedup, time.Sleep); err != nil {
+					fmt.Fprintln(os.Stderr, "live ingest:", err)
+				}
+			}()
+			fmt.Printf("live mode: streaming %d %s tuples at %.0fx real time\n",
+				len(readings), pol, o.speedup)
+			continue
+		}
+		if err := p.Ingest(ctx, pol, readings); err != nil {
+			return err
+		}
+		fmt.Printf("bulk loaded %d %s raw tuples\n", len(readings), pol)
 	}
-	if err := svc.Run(context.Background()); err != nil {
-		fmt.Fprintln(os.Stderr, "live ingest stopped:", err)
-		return
+	return nil
+}
+
+// runLive replays one pollutant's time-sorted readings into p the way
+// buses upload them: in batches of 60 s of stream time, each through
+// Platform.Ingest. With speedup > 0 it first pauses (time.Sleep, or a
+// recorder in tests) for the stream gap since the previous tuple ÷
+// speedup, capped at 1 s so a long gap cannot stall the replay; speedup
+// ≤ 0 never pauses. A batch the platform refuses is counted and skipped:
+// one bad upload must not stall the stream.
+func runLive(ctx context.Context, p *repro.Platform, pol repro.Pollutant, readings []repro.Reading, speedup float64, pause func(time.Duration)) (tuples, batches, rejected int, err error) {
+	if !tuple.Batch(readings).SortedByTime() {
+		return 0, 0, 0, errors.New("replay data must be time sorted")
 	}
-	st := svc.Stats()
+	for start := 0; start < len(readings); batches++ {
+		end := start + 1
+		for end < len(readings) && readings[end].T < readings[start].T+60 {
+			end++
+		}
+		if speedup > 0 && start > 0 {
+			wait := min((readings[start].T-readings[start-1].T)/speedup, 1)
+			pause(time.Duration(wait * float64(time.Second)))
+		}
+		if err := p.Ingest(ctx, pol, readings[start:end]); err != nil {
+			rejected++
+		} else {
+			tuples += end - start
+		}
+		start = end
+	}
 	fmt.Printf("live %s ingest complete: %d tuples in %d batches (%d rejected)\n",
-		pol, st.Tuples, st.Batches, st.Rejected)
-}
-
-// platformSink adapts the public facade to the ingest.Sink interface,
-// binding the pollutant the stream feeds.
-type platformSink struct {
-	p   *repro.Platform
-	pol repro.Pollutant
-}
-
-func (s platformSink) Ingest(b tuple.Batch) error {
-	return s.p.Ingest(context.Background(), s.pol, []repro.Reading(b))
+		pol, tuples, batches, rejected)
+	return tuples, batches, rejected, nil
 }

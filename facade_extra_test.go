@@ -47,7 +47,7 @@ func TestRouteSummaryAgainstPlatform(t *testing.T) {
 	// platform's query engine as the oracle.
 	p := openWithData(t)
 	defer p.Close()
-	rec := route.NewRecorder(route.RecorderConfig{})
+	rec := route.NewRecorder()
 	for i := 0; i < 10; i++ {
 		rec.Add(route.Fix{
 			T:   7200 + float64(i)*60,

@@ -1,7 +1,7 @@
 package repro
 
 // Full-pipeline integration test: simulate the deployment, stream it in
-// through the ingestion service, serve the wire protocol over TCP, run a
+// through the ingest path, serve the wire protocol over TCP, run a
 // model-cache mobile client against it, and check the answers against
 // both the server's direct engine and the simulator's ground truth.
 
@@ -12,11 +12,9 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/eval"
-	"repro/internal/ingest"
 	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/tuple"
 )
 
 func TestFullPipeline(t *testing.T) {
@@ -31,25 +29,24 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Stream it into a platform through the ingestion service (no
-	// pacing: benchmark loading mode).
+	// 2. Stream it into a platform the way buses upload: one
+	// Platform.Ingest per 300 s of stream time, unpaced.
 	p, err := Open(Config{WindowSeconds: 3600})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	replayer, err := ingest.NewReplayer(data, 300)
-	if err != nil {
-		t.Fatal(err)
+	for start := 0; start < len(data); {
+		end := start + 1
+		for end < len(data) && data[end].T < data[start].T+300 {
+			end++
+		}
+		if err := p.Ingest(context.Background(), CO2, []Reading(data[start:end])); err != nil {
+			t.Fatal(err)
+		}
+		start = end
 	}
-	svc, err := ingest.NewService(replayer, platformSink{p}, ingest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.Stats().Tuples; int(got) != len(data) {
+	if got := p.Len(); got != len(data) {
 		t.Fatalf("ingested %d of %d tuples", got, len(data))
 	}
 	// The accuracy check below is about the covers of the loaded data:
@@ -113,11 +110,4 @@ func TestFullPipeline(t *testing.T) {
 	if nrmse > 12 {
 		t.Errorf("end-to-end NRMSE = %.2f%%, want < 12%%", nrmse)
 	}
-}
-
-// platformSink adapts the facade to ingest.Sink (mirrors the server cmd).
-type platformSink struct{ p *Platform }
-
-func (s platformSink) Ingest(b tuple.Batch) error {
-	return s.p.Ingest(context.Background(), CO2, []Reading(b))
 }

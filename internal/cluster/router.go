@@ -67,9 +67,7 @@ var ErrStaleEpoch = errors.New("cluster: routed under a stale ring epoch")
 
 // Handler answers protocol requests (implemented by server.Engine and by
 // Node itself, so nodes compose behind routers).
-type Handler interface {
-	HandleMessage(req wire.Message) wire.Message
-}
+type Handler = proto.Handler
 
 // Transport carries protocol messages to one peer node (implemented by
 // proto.Client over TCP and by the netsim link transport in tests). The

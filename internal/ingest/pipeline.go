@@ -1,3 +1,9 @@
+// Package ingest implements the streaming ingestion pipeline of the
+// EnviroMeter architecture: the path from the community-driven sensing
+// fleet into the server's raw-tuple database (Figure 1, left). Buses
+// upload their samples in small batches as they drive; the pipeline
+// validates, queues and appends each batch, acknowledging it once the
+// store holds it, and keeps counters an operator would watch.
 package ingest
 
 import (

@@ -25,37 +25,22 @@ type Fix struct {
 	Pos geo.Point // local frame
 }
 
-// RecorderConfig tunes fix filtering.
-type RecorderConfig struct {
-	// MinDistance drops fixes closer than this to the previous kept fix
-	// (GPS jitter while standing still). Default 10 m.
-	MinDistance float64
-	// MaxSpeed rejects fixes implying implausible speed since the last
-	// kept fix (GPS glitches). Default 70 m/s (~250 km/h).
-	MaxSpeed float64
-}
-
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.MinDistance <= 0 {
-		c.MinDistance = 10
-	}
-	if c.MaxSpeed <= 0 {
-		c.MaxSpeed = 70
-	}
-	return c
-}
+// Fix filtering: a fix closer than minDistance metres to the previous kept
+// fix is GPS jitter while standing still, and one implying more than
+// maxSpeed m/s (~250 km/h) since it is a GPS glitch.
+const (
+	minDistance = 10
+	maxSpeed    = 70
+)
 
 // Recorder accumulates a route from position updates.
 type Recorder struct {
-	cfg     RecorderConfig
 	fixes   []Fix
 	dropped int
 }
 
 // NewRecorder starts a recording.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults()}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Add offers a fix. It returns true if the fix was kept. Fixes must
 // arrive in time order; out-of-order fixes are dropped.
@@ -74,11 +59,11 @@ func (r *Recorder) Add(f Fix) bool {
 		return false
 	}
 	d := f.Pos.Dist(last.Pos)
-	if d < r.cfg.MinDistance {
+	if d < minDistance {
 		r.dropped++
 		return false
 	}
-	if d/(f.T-last.T) > r.cfg.MaxSpeed {
+	if d/(f.T-last.T) > maxSpeed {
 		r.dropped++
 		return false
 	}

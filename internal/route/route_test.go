@@ -11,7 +11,7 @@ import (
 )
 
 func TestRecorderFiltering(t *testing.T) {
-	r := NewRecorder(RecorderConfig{MinDistance: 10, MaxSpeed: 50})
+	r := NewRecorder()
 
 	if !r.Add(Fix{T: 0, Pos: geo.Point{X: 0, Y: 0}}) {
 		t.Error("first fix must be kept")
@@ -42,7 +42,7 @@ func TestRecorderFiltering(t *testing.T) {
 }
 
 func TestFinishRequiresTwoFixes(t *testing.T) {
-	r := NewRecorder(RecorderConfig{})
+	r := NewRecorder()
 	if _, err := r.Finish(); err == nil {
 		t.Error("empty recording should not finish")
 	}
@@ -62,7 +62,7 @@ func TestFinishRequiresTwoFixes(t *testing.T) {
 
 func recorded(t *testing.T) *Route {
 	t.Helper()
-	r := NewRecorder(RecorderConfig{})
+	r := NewRecorder()
 	fixes := []Fix{
 		{T: 0, Pos: geo.Point{X: 0, Y: 0}},
 		{T: 60, Pos: geo.Point{X: 300, Y: 0}},

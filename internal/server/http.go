@@ -670,7 +670,7 @@ func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rec := route.NewRecorder(route.RecorderConfig{})
+	rec := route.NewRecorder()
 	for _, f := range req.Fixes {
 		rec.Add(route.Fix{T: f.T, Pos: geo.Point{X: f.X, Y: f.Y}})
 	}
