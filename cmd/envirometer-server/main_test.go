@@ -29,40 +29,68 @@ func readingsAt(ts ...float64) []repro.Reading {
 	return rs
 }
 
-// TestLiveReplay replays through a real platform with a recorded pause,
-// so no case waits on the wall clock.
-func TestLiveReplay(t *testing.T) {
-	every5s := make([]float64, 100) // 0, 5, …, 495: nine 60 s batches
-	for i := range every5s {
-		every5s[i] = float64(i) * 5
+// replay runs runLive on a fresh platform with a recorded pause, so no
+// test waits on the wall clock, and checks that the platform stored
+// every tuple runLive counted.
+func replay(t *testing.T, readings []repro.Reading, speedup float64) (counts [3]int, pauses []time.Duration) {
+	t.Helper()
+	p := openMem(t)
+	tuples, batches, rejected, err := runLive(context.Background(), p, repro.CO2, readings, speedup,
+		func(d time.Duration) { pauses = append(pauses, d) })
+	if err != nil || p.Len() != tuples {
+		t.Fatalf("runLive = %v with %d stored, want no error and %d stored", err, p.Len(), tuples)
 	}
-	refused := readingsAt(every5s...)
-	refused[30].S = math.NaN() // the third batch (t 120–175) is refused whole
-	for _, tc := range []struct {
-		name     string
-		readings []repro.Reading
-		speedup  float64
-		want     [3]int // tuples, batches, rejected
-		pauses   []time.Duration
-	}{
-		{"no readings", nil, 120, [3]int{0, 0, 0}, nil},
-		{"speedup 0 never pauses", readingsAt(every5s...), 0, [3]int{100, 9, 0}, nil},
-		{"refused batch skipped", refused, 0, [3]int{88, 9, 1}, nil},
-		{"gap over speedup, capped at 1 s", readingsAt(0, 30, 90, 180, 1e9), 120, [3]int{5, 4, 0},
-			[]time.Duration{500 * time.Millisecond, 750 * time.Millisecond, time.Second}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := openMem(t)
-			var pauses []time.Duration
-			tuples, batches, rejected, err := runLive(context.Background(), p, repro.CO2, tc.readings, tc.speedup,
-				func(d time.Duration) { pauses = append(pauses, d) })
-			if got := [3]int{tuples, batches, rejected}; err != nil || got != tc.want || p.Len() != tuples {
-				t.Errorf("runLive = %v, %v with %d stored, want %v", got, err, p.Len(), tc.want)
-			}
-			if !slices.Equal(pauses, tc.pauses) {
-				t.Errorf("pauses %v, want %v", pauses, tc.pauses)
-			}
-		})
+	return [3]int{tuples, batches, rejected}, pauses
+}
+
+// every5s is 100 readings 5 s apart (t 0–495): nine 60 s batches.
+func every5s() []repro.Reading {
+	ts := make([]float64, 100)
+	for i := range ts {
+		ts[i] = float64(i) * 5
+	}
+	return readingsAt(ts...)
+}
+
+func TestLiveReplayBatching(t *testing.T) {
+	// A batch holds the tuples less than 60 s after its first one.
+	if got, _ := replay(t, readingsAt(0, 30, 59, 60, 119.5, 120), 0); got != [3]int{6, 3, 0} {
+		t.Errorf("tuples, batches, rejected = %v, want [6 3 0]", got)
+	}
+}
+
+func TestLiveReplayEmptyData(t *testing.T) {
+	if got, pauses := replay(t, nil, 120); got != [3]int{} || pauses != nil {
+		t.Errorf("tuples, batches, rejected = %v, pauses %v; want nothing", got, pauses)
+	}
+}
+
+// TestLiveReplayPumpsEverything also checks that speedup 0 never pauses.
+func TestLiveReplayPumpsEverything(t *testing.T) {
+	if got, pauses := replay(t, every5s(), 0); got != [3]int{100, 9, 0} || pauses != nil {
+		t.Errorf("tuples, batches, rejected = %v, pauses %v; want [100 9 0] and none", got, pauses)
+	}
+}
+
+func TestLiveReplaySkipsRejectedBatches(t *testing.T) {
+	readings := every5s()
+	readings[30].S = math.NaN() // the third batch (t 120–175) is refused whole
+	if got, _ := replay(t, readings, 0); got != [3]int{88, 9, 1} {
+		t.Errorf("tuples, batches, rejected = %v, want [88 9 1]", got)
+	}
+}
+
+func TestLiveReplayPacingSpeedsUp(t *testing.T) {
+	// Before each batch but the first: the stream gap ÷ speedup.
+	got, pauses := replay(t, readingsAt(0, 60, 150), 120)
+	if want := []time.Duration{500 * time.Millisecond, 750 * time.Millisecond}; got != [3]int{3, 3, 0} || !slices.Equal(pauses, want) {
+		t.Errorf("tuples, batches, rejected = %v, pauses %v; want [3 3 0] and %v", got, pauses, want)
+	}
+}
+
+func TestLiveReplayBatchGapCap(t *testing.T) {
+	if _, pauses := replay(t, readingsAt(0, 1e9), 120); !slices.Equal(pauses, []time.Duration{time.Second}) {
+		t.Errorf("pauses %v, want one capped at 1s", pauses)
 	}
 }
 

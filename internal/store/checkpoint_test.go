@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geo"
@@ -510,15 +512,25 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 		// feed orders the readers against the appends (never against the
 		// checkpoints): an append reaches both stores or neither.
 		var feed sync.RWMutex
+		// appended counts the appends; covered is the highest count a
+		// finished checkpoint read before it began. Every 25 appends the
+		// writer waits for them to be covered, so checkpoints interleave
+		// with the appends however the goroutines are scheduled (even on
+		// one CPU), and every phase ends with a checkpoint of all it
+		// appended.
+		var appended, covered atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for running() {
+					n := appended.Load()
 					if err := s.Checkpoint(); err != nil {
 						t.Error(err)
 						return
+					}
+					for c := covered.Load(); c < n && !covered.CompareAndSwap(c, n); c = covered.Load() {
 					}
 				}
 			}()
@@ -596,6 +608,11 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 			feed.Unlock()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := appended.Add(1); (i+1)%25 == 0 {
+				for covered.Load() < n && !t.Failed() {
+					runtime.Gosched()
+				}
 			}
 		}
 		close(done)
