@@ -412,7 +412,7 @@ func Open(cfg Config) (*Platform, error) {
 	}
 	p.engine = engine
 	if len(cfg.Cluster.Nodes) > 0 || cfg.Cluster.Join != "" {
-		node, err := newClusterNode(cfg, engine, pollutants[0])
+		node, err := newClusterNode(cfg, engine, p.stores)
 		if err != nil {
 			engine.Close()
 			closeAll()
@@ -441,8 +441,9 @@ func Open(cfg Config) (*Platform, error) {
 // committed ingests to ring successors and holds mirrors for the
 // primaries it backs: each mirror a log of the primary's stream, pruned
 // by the same window retention as the stores, and on its first failover
-// read a lazy in-memory engine built by the factory below.
-func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster.Node, error) {
+// read a lazy in-memory engine built by the factory below. Its own
+// replication logs index the stores the engine commits into.
+func newClusterNode(full Config, engine *server.Engine, stores map[Pollutant]*store.Store) (*cluster.Node, error) {
 	cfg := full.Cluster
 	dial := func(addr string) (cluster.Transport, error) {
 		return proto.Dial(addr, proto.ServerConfig{})
@@ -518,7 +519,7 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 		Transports: cluster.LazyTransports(ring, self, dial),
 		Dial:       dial,
 		Streams:    streams,
-		Default:    def,
+		Default:    full.pollutants()[0],
 		Pollutants: full.pollutants(),
 	}
 	if self >= 0 {
@@ -529,6 +530,10 @@ func newClusterNode(full Config, engine *server.Engine, def Pollutant) (*cluster
 			NewMirror:    mirrorFactory(full),
 			WindowLength: full.WindowSeconds,
 			Retain:       full.Retain,
+			Stores:       make(map[Pollutant]cluster.LocalStore, len(stores)),
+		}
+		for pol, st := range stores {
+			nc.Replication.Stores[pol] = st
 		}
 	}
 	node, err := cluster.NewNode(nc)

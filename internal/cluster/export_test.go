@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"reflect"
+	"time"
+
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -63,4 +66,40 @@ func LogTuples(n *Node) int {
 		lg.mu.Unlock()
 	}
 	return total
+}
+
+// LogValueTuples counts the tuples n's own replication logs hold by
+// value, over every pollutant: the copies a primary keeps beside its
+// stores.
+func LogValueTuples(n *Node) int {
+	n.repl.logMu.Lock()
+	defer n.repl.logMu.Unlock()
+	total := 0
+	for _, lg := range n.repl.logs {
+		lg.mu.Lock()
+		total += lg.valueTuples()
+		lg.mu.Unlock()
+	}
+	return total
+}
+
+// NextMove notes where the replication of ns stands: wait blocks until
+// one of their mirrors moves after that — a frame or a catch-up chunk
+// applied, a pull session over, mirrors dropped — or until deadline, and
+// reports whether one did. A caller takes it before checking a
+// condition, and waits only if the condition does not hold yet, so no
+// move between the check and the wait is missed.
+func NextMove(ns ...*Node) (wait func(deadline time.Time) bool) {
+	var cases []reflect.SelectCase
+	for _, n := range ns {
+		if n != nil && n.repl != nil {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.repl.nextMove())})
+		}
+	}
+	return func(deadline time.Time) bool {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		chosen, _, _ := reflect.Select(append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)}))
+		return chosen < len(cases)
+	}
 }

@@ -42,15 +42,17 @@ func overWindows(one tuple.Batch) tuple.Batch {
 	return out
 }
 
-// waitApplied blocks until every streamed replica frame has been applied
-// to a mirror, reading replication counters only, and fails if any
-// mirror was read meanwhile.
-func waitApplied(t *testing.T, stats func() []cluster.ReplicationStats) {
+// waitApplied blocks until every frame the nodes ns streamed has been
+// applied to a mirror, reading replication counters only, and fails if
+// any mirror was read meanwhile.
+func waitApplied(t *testing.T, ns []*cluster.Node) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		moved := cluster.NextMove(ns...)
 		var streamed, applied, reads int64
-		for _, rs := range stats() {
+		for _, n := range ns {
+			rs, _ := n.ReplicationStats()
 			streamed += rs.Streamed
 			applied += rs.Applied
 			reads += rs.MirrorReads
@@ -61,10 +63,9 @@ func waitApplied(t *testing.T, stats func() []cluster.ReplicationStats) {
 		if streamed > 0 && applied == streamed {
 			return
 		}
-		if time.Now().After(deadline) {
+		if !moved(deadline) {
 			t.Fatalf("replication never drained: %d frames streamed, %d applied", streamed, applied)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -75,14 +76,7 @@ func TestLazyMirrorFirstTouchEqualsPrimary(t *testing.T) {
 	f := newReplicatedFixture(t)
 	data := overWindows(makeData())
 	f.load(t, data) // returns with the primaries quiesced
-	waitApplied(t, func() []cluster.ReplicationStats {
-		var out []cluster.ReplicationStats
-		for _, n := range f.nodes {
-			rs, _ := n.ReplicationStats()
-			out = append(out, rs)
-		}
-		return out
-	})
+	waitApplied(t, f.nodes)
 
 	ctx := context.Background()
 	modelsChecked := 0
@@ -136,14 +130,11 @@ func TestPromotionOfNeverReadMirror(t *testing.T) {
 	f := newMemFixture(t, 3, 2)
 	data := overWindows(memLattice(0))
 	f.loadVia(t, 0, data)
-	waitApplied(t, func() []cluster.ReplicationStats {
-		var out []cluster.ReplicationStats
-		for _, i := range f.liveIDs() {
-			rs, _ := f.node(i).ReplicationStats()
-			out = append(out, rs)
-		}
-		return out
-	})
+	var live []*cluster.Node
+	for _, i := range f.liveIDs() {
+		live = append(live, f.node(i))
+	}
+	waitApplied(t, live)
 
 	const dead = 1
 	f.kill(dead)
@@ -189,16 +180,6 @@ func TestPromotionReplaysMirrorInChunks(t *testing.T) {
 	TestPromotionOfNeverReadMirror(t)
 }
 
-// replicationStats reads every fixture node's replication counters.
-func (f *fixture) replicationStats() []cluster.ReplicationStats {
-	var out []cluster.ReplicationStats
-	for _, n := range f.nodes {
-		rs, _ := n.ReplicationStats()
-		out = append(out, rs)
-	}
-	return out
-}
-
 // mirrorPairs lists the (replica, origin) pairs of a loaded fixture: every
 // node holds a mirror of each origin whose replica peers it is among.
 func mirrorPairs(f *fixture) [][2]int {
@@ -231,7 +212,7 @@ func TestMirrorEngineBuiltOnFirstRead(t *testing.T) {
 		return counts[i].factory
 	})
 	f.load(t, overWindows(makeData()))
-	waitApplied(t, f.replicationStats)
+	waitApplied(t, f.nodes)
 	for i, c := range counts {
 		if b := c.builds.Load(); b != 0 {
 			t.Fatalf("node %d built %d mirror engines before any read", i, b)
@@ -274,7 +255,7 @@ func TestFailedMirrorBuildKeepsNothing(t *testing.T) {
 	})
 	data := makeData()
 	f.load(t, data)
-	waitApplied(t, f.replicationStats)
+	waitApplied(t, f.nodes)
 	origin := -1
 	for _, p := range mirrorPairs(f) {
 		if p[0] == 1 {
@@ -325,7 +306,7 @@ func TestFailedMirrorBuildHealsOrIsPartial(t *testing.T) {
 		})
 		data := makeData()
 		f.load(t, data)
-		waitApplied(t, f.replicationStats)
+		waitApplied(t, f.nodes)
 		var req query.Request
 		victim := -1
 		for _, r := range sampleRequests(data) {
@@ -356,7 +337,7 @@ func TestFailedMirrorBuildHealsOrIsPartial(t *testing.T) {
 			return func() cluster.Handler { calls.Add(1); return brokenMirror{} }
 		})
 		f.load(t, makeData())
-		waitApplied(t, f.replicationStats)
+		waitApplied(t, f.nodes)
 		const victim = 0
 		f.kill(victim)
 		var prev int64

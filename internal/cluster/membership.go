@@ -40,13 +40,15 @@
 //	          [update:committed].
 //
 // What membership cannot recover: pulled from a live origin, a stream's
-// history older than the primary's replication-log cap (logRetain) moves
-// as a snapshot of the retained log (the same contract replica catch-up
-// has); and a killed primary takes with it any acked tuples it had not
-// yet streamed to a replica. Promotion recovers everything the surviving
-// replicas hold: a mirror log has no cap and sheds only tuples of windows
-// the engines' retention (ReplicationConfig.Retain) has already evicted,
-// so a mirror replays its stream's whole retained history.
+// history the primary's replication log no longer holds — its store
+// evicted it, or, on a node without local stores, it is older than the
+// log's by-value cap (logRetain) — moves as a snapshot of the retained
+// log (the same contract replica catch-up has); and a killed primary
+// takes with it any acked tuples it had not yet streamed to a replica.
+// Promotion recovers everything the surviving replicas hold: a mirror log
+// has no cap and sheds only tuples of windows the engines' retention
+// (ReplicationConfig.Retain) has already evicted, so a mirror replays its
+// stream's whole retained history.
 package cluster
 
 import (
@@ -72,6 +74,12 @@ func epochMismatch(frame, own uint64) wire.ErrorResponse {
 type transferKey struct {
 	origin int
 	pol    tuple.Pollutant
+}
+
+// streamPos is a position in a replication stream: a sequence in the
+// origin's incarnation inc.
+type streamPos struct {
+	inc, seq uint64
 }
 
 // firePhase reports a membership phase boundary to the fault-injection
@@ -427,13 +435,13 @@ func (n *Node) acquireShards(ctx context.Context, old, next *Ring, strict bool) 
 // chain (the mirror may trail a peer's); a completed wire pull does.
 func (n *Node) pullStream(ctx context.Context, old, next *Ring, origin int, pol tuple.Pollutant) error {
 	key := transferKey{origin: origin, pol: pol}
-	have := func() uint64 {
+	have := func() streamPos {
 		n.memMu.Lock()
 		defer n.memMu.Unlock()
 		return n.pulled[key]
 	}
 	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
-		return cr.Done, n.applyTransfer(ctx, key, pol, old, next, cr.From, cr.Tuples)
+		return cr.Done, n.applyTransfer(ctx, key, pol, old, next, cr)
 	}
 	err, replayed := errors.New("no source"), false
 	for _, src := range append([]int{origin}, old.ReplicaPeers(origin, pol)...) {
@@ -460,7 +468,7 @@ func (n *Node) pullStream(ctx context.Context, old, next *Ring, origin int, pol 
 // a local one as many more as its mirror log holds chunks — and ends
 // early when ctx does.
 func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
-	have func() uint64, apply func(wire.ReplicaCatchupResponse) (bool, error)) error {
+	have func() streamPos, apply func(wire.ReplicaCatchupResponse) (bool, error)) error {
 	rounds := maxPullRounds
 	if src == n.self {
 		if mir := n.repl.lookupMirror(origin, pol); mir != nil {
@@ -473,7 +481,8 @@ func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		req := wire.ShardTransfer{Origin: uint16(origin), Pollutant: pol, Have: have()}
+		pos := have()
+		req := wire.ShardTransfer{Origin: uint16(origin), Pollutant: pol, Have: pos.seq, Incarnation: pos.inc}
 		var resp wire.Message
 		if src == n.self {
 			resp = n.handleShardTransfer(req)
@@ -497,18 +506,22 @@ func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
 }
 
 // applyTransfer applies one transfer chunk — origin-stream tuples
-// covering sequence [from, from+len) — skipping what progress already
+// covering sequence [From, From+len) — skipping what progress already
 // covers, filtering to the shards this node gains, and committing
 // through localIngest. It advances the shared progress marker. A chunk
 // starting past the progress marker means the source pruned the gap
-// away; the marker jumps forward (the retained-state contract).
-func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pollutant, old, next *Ring, from uint64, tuples []tuple.Raw) error {
+// away; the marker jumps forward (the retained-state contract). A chunk
+// of another incarnation than the marker's (the origin restarted)
+// restarts the marker in it.
+func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pollutant, old, next *Ring, cr wire.ReplicaCatchupResponse) error {
+	from, tuples := cr.From, cr.Tuples
 	n.memMu.Lock()
-	have := n.pulled[key]
+	pos := n.pulled[key]
 	n.memMu.Unlock()
-	if from > have {
-		have = from
+	if pos.inc != cr.Incarnation {
+		pos = streamPos{inc: cr.Incarnation}
 	}
+	have := max(pos.seq, from)
 	end := from + uint64(len(tuples))
 	if end > have {
 		fresh := tuples[have-from:]
@@ -527,8 +540,8 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 		have = end
 	}
 	n.memMu.Lock()
-	if have > n.pulled[key] {
-		n.pulled[key] = have
+	if cur := n.pulled[key]; cur.inc != pos.inc || have > cur.seq {
+		n.pulled[key] = streamPos{inc: pos.inc, seq: have}
 	}
 	n.memMu.Unlock()
 	return nil
@@ -539,7 +552,9 @@ func (n *Node) applyTransfer(ctx context.Context, key transferKey, pol tuple.Pol
 // node (a replica catching up, or a handoff from a live owner), or of
 // its mirror log of Origin otherwise (a handoff from a dead owner's
 // mirror). A log still covering Have answers its suffix; a puller behind
-// it, or past it, gets a snapshot reset.
+// it, past it, or holding another incarnation of the stream, gets a
+// snapshot reset. A primary log that cannot read back a run it indexes
+// (its store lost the window's checkpointed base) answers an error.
 func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	r := n.repl
 	if r == nil {
@@ -549,7 +564,11 @@ func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 		lg := r.log(m.Pollutant)
 		lg.mu.Lock()
 		defer lg.mu.Unlock()
-		return lg.suffix(m.Have, maxCatchupChunk)
+		resp, err := lg.suffix(m.Have, m.Incarnation, maxCatchupChunk)
+		if err != nil {
+			return wire.ErrorResponse{Msg: "cluster: replication log: " + err.Error()}
+		}
+		return resp
 	}
 	mir := r.lookupMirror(int(m.Origin), m.Pollutant)
 	if mir == nil {
@@ -557,5 +576,11 @@ func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	}
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	return mir.log.suffix(m.Have, maxCatchupChunk)
+	have := m.Have
+	if m.Incarnation != mir.inc {
+		have = otherIncarnation
+	}
+	resp := mir.log.suffix(have, maxCatchupChunk)
+	resp.Incarnation = mir.inc
+	return resp
 }

@@ -398,13 +398,20 @@ func positionsOf(b tuple.Batch) []geo.Point {
 
 // waitMirrors blocks until every sampled position's replicas answer
 // byte-equal to its owner's engine — the replication streams have
-// drained, so killing a primary afterwards loses nothing.
+// drained, so killing a primary afterwards loses nothing. It checks
+// again each time a mirror moves, with the owners' cover rebuilds done.
 func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 	t.Helper()
 	ctx := context.Background()
 	ring := f.currentRing()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		var live []*cluster.Node
+		for _, i := range f.liveIDs() {
+			live = append(live, f.node(i))
+			f.engine(i).Scheduler().Wait()
+		}
+		moved := cluster.NextMove(live...)
 		lag := ""
 	check:
 		for _, p := range positions {
@@ -434,10 +441,9 @@ func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 		if lag == "" {
 			return
 		}
-		if time.Now().After(deadline) {
+		if !moved(deadline) {
 			t.Fatalf("mirrors never converged: %s", lag)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -4,16 +4,23 @@ package cluster_test
 // loopback TCP, each primary streams to its R-1 mirrors only, so the
 // mirror logs of the whole cluster hold R-1 copies of every committed
 // tuple — not one copy per node that succeeds some shard of the primary
-// — and still do after a fourth node joins and moves the mirror sets.
+// — and still do after a fourth node joins and moves the mirror sets. A
+// primary's own replication log points into its store and holds no
+// copy, save of the late tuples its store may evict first.
 
 import (
 	"context"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/kmeans"
 	"repro/internal/proto"
+	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/tuple"
 )
 
@@ -42,11 +49,18 @@ func listen(t *testing.T, nodes int) ([]net.Listener, []string) {
 // test ends.
 func serveLoopback(t *testing.T, ring *cluster.Ring, self int, ln net.Listener) *cluster.Node {
 	t.Helper()
+	return serveLoopbackWith(t, ring, self, ln, newEngine(t), cluster.ReplicationConfig{NewMirror: newMirrorEngine})
+}
+
+// serveLoopbackWith is serveLoopback with the node's engine and
+// replication config given.
+func serveLoopbackWith(t *testing.T, ring *cluster.Ring, self int, ln net.Listener, local cluster.Handler, repl cluster.ReplicationConfig) *cluster.Node {
+	t.Helper()
 	node, err := cluster.NewNode(cluster.NodeConfig{
-		Ring: ring, Self: self, Local: newEngine(t),
+		Ring: ring, Self: self, Local: local,
 		Transports:  cluster.LazyTransports(ring, self, loopbackDial),
 		Dial:        loopbackDial,
-		Replication: cluster.ReplicationConfig{NewMirror: newMirrorEngine},
+		Replication: repl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +73,18 @@ func serveLoopback(t *testing.T, ring *cluster.Ring, self int, ln net.Listener) 
 // newLoopbackRing serves a nodes-node ring of R copies over loopback TCP.
 func newLoopbackRing(t *testing.T, nodes, R int) []*cluster.Node {
 	t.Helper()
+	ring, lns := loopbackRing(t, nodes, R)
+	var ns []*cluster.Node
+	for i, ln := range lns {
+		ns = append(ns, serveLoopback(t, ring, i, ln))
+	}
+	return ns
+}
+
+// loopbackRing is a nodes-node ring of R copies, and a loopback listener
+// for each node.
+func loopbackRing(t *testing.T, nodes, R int) (*cluster.Ring, []net.Listener) {
+	t.Helper()
 	lns, addrs := listen(t, nodes)
 	cells, err := cluster.Cells(clusterRegion, 16, 1)
 	if err != nil {
@@ -68,11 +94,7 @@ func newLoopbackRing(t *testing.T, nodes, R int) []*cluster.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ns []*cluster.Node
-	for i, ln := range lns {
-		ns = append(ns, serveLoopback(t, ring, i, ln))
-	}
-	return ns
+	return ring, lns
 }
 
 // ingestAndDrain writes data through ns[0] and waits until every frame
@@ -82,14 +104,7 @@ func ingestAndDrain(t *testing.T, ns []*cluster.Node, data tuple.Batch) {
 	if err := ns[0].Ingest(context.Background(), tuple.CO2, data); err != nil {
 		t.Fatal(err)
 	}
-	waitApplied(t, func() []cluster.ReplicationStats {
-		var out []cluster.ReplicationStats
-		for _, n := range ns {
-			rs, _ := n.ReplicationStats()
-			out = append(out, rs)
-		}
-		return out
-	})
+	waitApplied(t, ns)
 }
 
 // mirrorCopies sums the tuples held in the mirror logs of ns.
@@ -151,6 +166,7 @@ func TestMirrorLogsHoldRMinusOneCopiesAfterJoin(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		moved := cluster.NextMove(ns...)
 		committed := 0
 		for _, n := range ns {
 			committed += cluster.LogTuples(n)
@@ -159,10 +175,105 @@ func TestMirrorLogsHoldRMinusOneCopiesAfterJoin(t *testing.T) {
 		if held == (R-1)*committed && !stale {
 			return
 		}
-		if time.Now().After(deadline) {
+		if !moved(deadline) {
 			t.Fatalf("after the join the mirror logs hold %d tuples for %d committed (want %d); node 0 still mirrors node 2: %v",
 				held, committed, (R-1)*committed, stale)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// newStoredRing is newLoopbackRing with each node's replication logs
+// over the store its engine commits into, which retains retain windows
+// (0: all).
+func newStoredRing(t *testing.T, nodes, R, retain int) []*cluster.Node {
+	t.Helper()
+	ring, lns := loopbackRing(t, nodes, R)
+	var ns []*cluster.Node
+	for i, ln := range lns {
+		st, err := store.Open(store.Config{WindowLength: windowLen, Retain: retain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := server.NewMultiEngineOpts(map[tuple.Pollutant]*store.Store{tuple.CO2: st},
+			core.Config{Cluster: kmeans.Config{Seed: 7}}, server.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		ns = append(ns, serveLoopbackWith(t, ring, i, ln, e, cluster.ReplicationConfig{
+			NewMirror: newMirrorEngine, WindowLength: windowLen, Retain: retain,
+			Stores: map[tuple.Pollutant]cluster.LocalStore{tuple.CO2: st},
+		}))
+	}
+	return ns
+}
+
+// valueCopies sums the tuples the primary logs of ns hold by value.
+func valueCopies(ns []*cluster.Node) int {
+	held := 0
+	for _, n := range ns {
+		held += cluster.LogValueTuples(n)
+	}
+	return held
+}
+
+// TestPrimaryLogsHoldNoCopies: on a loopback R = 2 ring whose nodes'
+// logs index their stores, an in-order stream leaves no tuple by value in
+// the primary logs, which still hold (by reference) every tuple their
+// primaries committed. Under bounded retention a late commit — into a
+// retained window older than the newest — is held by value, exactly its
+// own tuples, until its window is evicted and, as a mirror's log sheds
+// its head, so is every window committed before it.
+func TestPrimaryLogsHoldNoCopies(t *testing.T) {
+	const nodes, R = 3, 2
+	t.Run("in-order", func(t *testing.T) {
+		ns := newStoredRing(t, nodes, R, 0)
+		data := overWindows(makeData())
+		ingestAndDrain(t, ns, data)
+		committed := 0
+		for _, n := range ns {
+			committed += cluster.LogTuples(n)
+		}
+		if committed != len(data) {
+			t.Fatalf("primary logs index %d tuples, %d committed", committed, len(data))
+		}
+		if held := valueCopies(ns); held != 0 {
+			t.Fatalf("primary logs hold %d tuples by value after an in-order stream, want 0", held)
+		}
+	})
+	t.Run("late", func(t *testing.T) {
+		const retain = 3
+		ns := newStoredRing(t, nodes, R, retain)
+		one := makeData()
+		at := func(w int) tuple.Batch {
+			out := slices.Clone(one)
+			for i := range out {
+				out[i].T += float64(w) * windowLen
+			}
+			return out
+		}
+		for w := range 4 {
+			ingestAndDrain(t, ns, at(w))
+		}
+		if held := valueCopies(ns); held != 0 {
+			t.Fatalf("primary logs hold %d tuples by value after an in-order stream, want 0", held)
+		}
+		late := at(2)[:len(one)/3]
+		ingestAndDrain(t, ns, late)
+		if held := valueCopies(ns); held != len(late) {
+			t.Fatalf("primary logs hold %d tuples by value after a late commit of %d", held, len(late))
+		}
+		// Window 5 evicts window 2, the late commit's; window 6 evicts
+		// window 3, committed before it.
+		for w := 4; w <= 5; w++ {
+			ingestAndDrain(t, ns, at(w))
+			if held := valueCopies(ns); held != len(late) {
+				t.Fatalf("after window %d the primary logs hold %d tuples by value, want the late %d", w, held, len(late))
+			}
+		}
+		ingestAndDrain(t, ns, at(6))
+		if held := valueCopies(ns); held != 0 {
+			t.Fatalf("primary logs hold %d tuples by value once the windows up to the late commit are evicted, want 0", held)
+		}
+	})
 }

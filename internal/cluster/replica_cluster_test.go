@@ -118,14 +118,19 @@ func (f *fixture) replicaRead(t *testing.T, rep, origin int, req wire.Message) (
 	return resp, true
 }
 
-// waitConverged polls until every sample's replicas answer exactly the
+// waitConverged blocks until every sample's replicas answer exactly the
 // owner engine's value — the replication streams (and any catch-up
-// pulls) have drained.
+// pulls) have drained. It checks again each time a mirror moves, with
+// the owners' cover rebuilds done, so a lag it sees is replication's.
 func waitConverged(t *testing.T, f *fixture, reqs []query.Request) {
 	t.Helper()
 	ctx := context.Background()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		moved := cluster.NextMove(f.nodes...)
+		for _, e := range f.engines {
+			e.Scheduler().Wait()
+		}
 		lag := ""
 	check:
 		for _, req := range reqs {
@@ -152,10 +157,9 @@ func waitConverged(t *testing.T, f *fixture, reqs []query.Request) {
 		if lag == "" {
 			return
 		}
-		if time.Now().After(deadline) {
+		if !moved(deadline) {
 			t.Fatalf("replicas never converged: %s", lag)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

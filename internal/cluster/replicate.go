@@ -32,6 +32,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/tuple"
@@ -74,15 +75,16 @@ const (
 	// overflowing queue drops frames rather than stalling the commit
 	// path; the replica detects the sequence gap and heals via catch-up.
 	replQueue = 256
-	// logRetain caps each pollutant's replication log on its primary
-	// (tuples; ≈ 3 MiB packed). A replica behind the log start takes a
-	// snapshot reset; the cap should comfortably cover the engines'
-	// retention window so resets stay rare. Mirror logs have no cap (see
-	// retention).
+	// logRetain caps the tuples a primary's replication log holds by
+	// value, per pollutant (≈ 3 MiB packed): all of them on a node without
+	// local stores, the late runs of one with them (replLog). A replica
+	// behind the log start takes a snapshot reset. Mirror logs have no cap
+	// (see retention).
 	logRetain = 1 << 17
-	// maxPullRounds bounds one pull session, catch-up or handoff (4+
-	// full logs); a replica that cannot converge in that many chunks
-	// re-enters catch-up on the next gapped stream frame.
+	// maxPullRounds bounds one pull session, catch-up or handoff: ≈ 8.4 M
+	// tuples at the frame cap, which the engines' retention should
+	// comfortably bound. A replica that cannot converge in that many
+	// chunks re-enters catch-up on the next gapped stream frame.
 	maxPullRounds = 256
 )
 
@@ -108,6 +110,12 @@ type ReplicationConfig struct {
 	// length) keeps every tuple.
 	WindowLength float64
 	Retain       int
+	// Stores are the stores the local engine commits into, by pollutant,
+	// with the window length and retention above. A pollutant's
+	// replication log then indexes its store instead of copying the
+	// stream (replLog), and a restarted node's log starts from what the
+	// store recovered. Without one, the log keeps the stream by value.
+	Stores map[tuple.Pollutant]LocalStore
 }
 
 // ReplicationStats counts a node's replication activity.
@@ -143,7 +151,8 @@ type mirrorKey struct {
 
 // mirror is one (origin, pollutant) mirror. Its log holds the stream in
 // commit order, pruned only of tuples in windows keep says are evicted;
-// log.next() is the replication sequence the mirror has applied. The log
+// log.next() is the replication sequence the mirror has applied, in the
+// origin's incarnation inc (0 until the first frame names one). The log
 // is what lets this replica serve a ShardTransfer for a dead origin
 // during promotion, replay the mirror into its own primary state when it
 // is the one promoting, and build h, the engine answering failover reads
@@ -155,9 +164,10 @@ type mirror struct {
 	pulling bool
 	log     seqLog
 	keep    retention
+	inc     uint64
 }
 
-// retention is a mirror engine's store retention rule: the store keeps
+// retention is a store's retention rule: the store keeps
 // the newest retain windows (of length window) it has seen and evicts
 // the rest, whatever the batching of its appends — a late tuple for a
 // window older than all of them is evicted on arrival. newest holds those
@@ -174,17 +184,24 @@ func (k *retention) add(tuples []tuple.Raw) {
 		return
 	}
 	for _, tp := range tuples {
-		c := tuple.WindowIndex(tp.T, k.window)
-		i, seen := slices.BinarySearch(k.newest, c)
-		switch {
-		case seen:
-		case len(k.newest) < k.retain:
-			k.newest = slices.Insert(k.newest, i, c)
-		case i > 0:
-			// c displaces the oldest retained window.
-			copy(k.newest, k.newest[1:i])
-			k.newest[i-1] = c
-		}
+		k.addWindow(tuple.WindowIndex(tp.T, k.window))
+	}
+}
+
+// addWindow records that window c was appended to.
+func (k *retention) addWindow(c int) {
+	if k.retain == 0 {
+		return
+	}
+	i, seen := slices.BinarySearch(k.newest, c)
+	switch {
+	case seen:
+	case len(k.newest) < k.retain:
+		k.newest = slices.Insert(k.newest, i, c)
+	case i > 0:
+		// c displaces the oldest retained window.
+		copy(k.newest, k.newest[1:i])
+		k.newest[i-1] = c
 	}
 }
 
@@ -192,25 +209,28 @@ func (k *retention) add(tuples []tuple.Raw) {
 // It is monotone, as seqLog.dropWhile needs: an evicted time's earlier
 // times are evicted too.
 func (k *retention) evicted(t float64) bool {
-	return k.retain > 0 && len(k.newest) == k.retain && tuple.WindowIndex(t, k.window) < k.newest[0]
+	return k.retain > 0 && k.evictedWindow(tuple.WindowIndex(t, k.window))
+}
+
+// evictedWindow reports whether the store has evicted window c.
+func (k *retention) evictedWindow(c int) bool {
+	return k.retain > 0 && len(k.newest) == k.retain && c < k.newest[0]
 }
 
 // reset forgets every window (a snapshot reset).
 func (k *retention) reset() { k.newest = k.newest[:0] }
-
-// replLog is one pollutant's replication log on a primary: the
-// committed tuples, pruned to the retention cap.
-type replLog struct {
-	mu sync.Mutex
-	seqLog
-}
 
 // replicator holds a node's replication state: the primary-side logs
 // and peer stream workers, and the replica-side mirrors.
 type replicator struct {
 	n         *Node
 	newMirror func() Handler
-	keep      retention // the mirrors' retention rule, copied into each
+	keep      retention // the stores' retention rule, copied into each log
+	window    float64
+	stores    map[tuple.Pollutant]LocalStore
+	// inc is this node's incarnation: its start time in nanoseconds, which
+	// no earlier start of it used. Its logs' sequences count in it.
+	inc uint64
 
 	logMu sync.Mutex
 	logs  map[tuple.Pollutant]*replLog
@@ -223,6 +243,14 @@ type replicator struct {
 	mirMu   sync.Mutex
 	mirrors map[mirrorKey]*mirror
 
+	// moveMu guards moved: a channel closed, and dropped, the next time a
+	// mirror moves — a frame or a catch-up chunk applied, a pull session
+	// over, mirrors dropped — so a caller waiting for replication to
+	// settle blocks on the change instead of polling. nil while nobody
+	// waits.
+	moveMu sync.Mutex
+	moved  chan struct{}
+
 	streamed, drops, streamErrs, gapNaks atomic.Int64
 	applied, gaps, catchups, snapshots   atomic.Int64
 	reads                                atomic.Int64
@@ -233,14 +261,21 @@ func newReplicator(n *Node, cfg ReplicationConfig) *replicator {
 	if cfg.WindowLength > 0 && cfg.Retain > 0 {
 		keep = retention{window: cfg.WindowLength, retain: cfg.Retain}
 	}
-	return &replicator{
+	r := &replicator{
 		n:         n,
 		newMirror: cfg.NewMirror,
 		keep:      keep,
+		window:    cfg.WindowLength,
+		stores:    cfg.Stores,
+		inc:       uint64(time.Now().UnixNano()),
 		logs:      make(map[tuple.Pollutant]*replLog),
 		peers:     make(map[int]chan replFrame),
 		mirrors:   make(map[mirrorKey]*mirror),
 	}
+	for pol := range cfg.Stores {
+		r.log(pol) // seeded now, from what the store recovered
+	}
+	return r
 }
 
 func (r *replicator) stats() ReplicationStats {
@@ -266,7 +301,7 @@ func (r *replicator) log(pol tuple.Pollutant) *replLog {
 	defer r.logMu.Unlock()
 	lg, ok := r.logs[pol]
 	if !ok {
-		lg = &replLog{seqLog: seqLog{retain: logRetain}}
+		lg = newReplLog(r.stores[pol], r.window, r.keep, r.inc)
 		r.logs[pol] = lg
 	}
 	return lg
@@ -299,6 +334,26 @@ func (r *replicator) close() {
 	}
 }
 
+// nextMove returns a channel closed the next time a mirror moves.
+func (r *replicator) nextMove() <-chan struct{} {
+	r.moveMu.Lock()
+	defer r.moveMu.Unlock()
+	if r.moved == nil {
+		r.moved = make(chan struct{}) //bounded: signal-only; move closes it, nothing sends
+	}
+	return r.moved
+}
+
+// move wakes whoever waits for a mirror to move.
+func (r *replicator) move() {
+	r.moveMu.Lock()
+	if r.moved != nil {
+		close(r.moved)
+		r.moved = nil
+	}
+	r.moveMu.Unlock()
+}
+
 // closeEngine releases a mirror engine that has been dropped (nil-safe).
 // Callers release the mirror's lock first: closing an engine ends its
 // subscriptions, whose legs may re-home onto this very mirror.
@@ -314,7 +369,8 @@ func closeEngine(h Handler) {
 // appends it to the replication log and streams it to this node's
 // replica peers. The log lock spans the engine apply so the log's
 // sequence order is exactly the engine's commit order — the property
-// that makes replica replay converge to byte-equal answers.
+// that makes replica replay converge to byte-equal answers, and lets the
+// log index the store: nothing else commits to it meanwhile.
 func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Message {
 	r := n.repl
 	if r == nil || len(m.Tuples) == 0 {
@@ -328,7 +384,7 @@ func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Messa
 		return resp
 	}
 	seq := lg.next()
-	lg.append(m.Tuples)
+	lg.commit(m.Tuples)
 	r.fanout(m.Pollutant, seq, m.Tuples)
 	return resp
 }
@@ -369,7 +425,7 @@ func (r *replicator) fanout(pol tuple.Pollutant, seq uint64, tuples []tuple.Raw)
 	copy(shared.tuples, tuples)
 	shared.refs.Store(int32(len(peers)))
 	frame := replFrame{
-		ReplicaIngest: wire.ReplicaIngest{Origin: uint16(r.n.self), Pollutant: pol, Seq: seq, Tuples: shared.tuples},
+		ReplicaIngest: wire.ReplicaIngest{Origin: uint16(r.n.self), Pollutant: pol, Seq: seq, Tuples: shared.tuples, Incarnation: r.inc},
 		shared:        shared,
 	}
 	for _, peer := range peers {
@@ -473,6 +529,9 @@ func (r *replicator) dropMirrors() {
 		m.mu.Unlock()
 		closeEngine(h)
 	}
+	if len(dropped) > 0 {
+		r.move()
+	}
 }
 
 // lookupMirror returns an existing mirror or nil; the read path never
@@ -556,6 +615,9 @@ func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
 // origin. Frames must continue the applied sequence: overlaps apply
 // their unseen suffix, duplicates ack as no-ops, and a gap refuses the
 // frame and starts a catch-up pull instead of applying out of order. A
+// frame of another incarnation than the mirror's is a gap too — its
+// origin restarted, and the pull resets the mirror onto the new stream —
+// unless the mirror has held nothing yet, which takes the frame's. A
 // frame for a mirror the node's ring does not place here (the origin
 // streamed under an older ring) is refused too: the origin counts a gap
 // NAK, and catch-up heals it should this node become a mirror again.
@@ -572,10 +634,18 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	if mir == nil {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: node %d is no mirror of node %d", n.self, origin)}
 	}
+	defer r.move()
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
 	have, end := mir.log.next(), m.Seq+uint64(len(m.Tuples))
+	if have == 0 && mir.inc == 0 {
+		mir.inc = m.Incarnation
+	}
 	switch {
+	case m.Incarnation != mir.inc:
+		r.gaps.Add(1)
+		r.schedulePullLocked(origin, m.Pollutant, mir)
+		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: stream of incarnation %d, mirror holds %d", m.Incarnation, mir.inc)}
 	case end <= have:
 		return wire.IngestResponse{Ingested: 0} // duplicate delivery
 	case m.Seq > have:
@@ -610,12 +680,13 @@ func (r *replicator) catchUp(origin int, pol tuple.Pollutant, mir *mirror) {
 		mir.mu.Lock()
 		mir.pulling = false
 		mir.mu.Unlock()
+		r.move()
 	}()
 	r.catchups.Add(1)
-	have := func() uint64 {
+	have := func() streamPos {
 		mir.mu.Lock()
 		defer mir.mu.Unlock()
-		return mir.log.next()
+		return streamPos{inc: mir.inc, seq: mir.log.next()}
 	}
 	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
 		return r.applyChunk(mir, cr) || r.closed.Load(), nil
@@ -629,7 +700,8 @@ func (r *replicator) catchUp(origin int, pol tuple.Pollutant, mir *mirror) {
 // applyChunk applies one catch-up chunk to a mirror and reports whether
 // the session is over (converged, or the chunk did not line up and the
 // session aborts). A snapshot reset first empties the log and drops the
-// engine, which the next read rebuilds from the replayed log.
+// engine, which the next read rebuilds from the replayed log, and takes
+// the chunk's incarnation.
 func (r *replicator) applyChunk(mir *mirror, cr wire.ReplicaCatchupResponse) bool {
 	var stale Handler
 	mir.mu.Lock()
@@ -637,18 +709,20 @@ func (r *replicator) applyChunk(mir *mirror, cr wire.ReplicaCatchupResponse) boo
 		stale, mir.h = mir.h, nil
 		mir.log.reset(cr.From)
 		mir.keep.reset()
+		mir.inc = cr.Incarnation
 		r.snapshots.Add(1)
 	}
 	have, end := mir.log.next(), cr.From+uint64(len(cr.Tuples))
 	done := cr.Done
 	switch {
-	case cr.From > have:
+	case cr.Incarnation != mir.inc || cr.From > have:
 		done = true // chunk does not line up (log moved); next gap retries
 	case end > have && mir.appendLocked(cr.Tuples[have-cr.From:]) != nil:
 		done = true // mirror refused; next gap retries
 	}
 	mir.mu.Unlock()
 	closeEngine(stale)
+	r.move()
 	return done
 }
 

@@ -183,7 +183,7 @@ type Node struct {
 	// prepare→commit boundary so the commit-time final pull resumes
 	// instead of re-applying.
 	memMu  sync.Mutex
-	pulled map[transferKey]uint64
+	pulled map[transferKey]streamPos
 
 	nextSubID atomic.Uint64
 
@@ -232,7 +232,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		streams:    cfg.Streams,
 		dial:       cfg.Dial,
 		hook:       cfg.HandoffHook,
-		pulled:     make(map[transferKey]uint64),
+		pulled:     make(map[transferKey]streamPos),
 	}
 	n.ring.Store(cfg.Ring)
 	if cfg.Self >= 0 {
@@ -242,6 +242,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		// ring actually replicates.
 		if cfg.Ring.Replicas() > 1 && cfg.Replication.NewMirror == nil {
 			return nil, errors.New("cluster: replicated ring needs a mirror factory (ReplicationConfig.NewMirror)")
+		}
+		if len(cfg.Replication.Stores) > 0 && cfg.Replication.WindowLength <= 0 {
+			return nil, errors.New("cluster: replication logs over stores need the stores' window length (ReplicationConfig.WindowLength)")
 		}
 		n.repl = newReplicator(n, cfg.Replication)
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // seqLog is the retained part of one replication stream: the tuples of
-// sequence space [start, next). A primary keeps one per pollutant
-// (replLog), capped at retain tuples; a replica keeps one per mirror,
-// uncapped (retain 0), which its owner prunes from the head with
-// dropWhile. Both answer catch-up and handoff pulls from it.
+// sequence space [start, next). A replica keeps one per mirror, uncapped
+// (retain 0), which its owner prunes from the head with dropWhile, and
+// answers catch-up and handoff pulls from it; a primary keeps the tuples
+// its replication log holds by value in one (replLog).
 //
 // Storage is chunks of seqChunk tuples. Only the newest, the open chunk,
 // holds tuple.Raw values; when it fills it is sealed — packed into
@@ -239,27 +239,46 @@ func (l *seqLog) copyOut(dst []tuple.Raw, off int) {
 }
 
 // suffix answers a puller that holds the stream up to have with a copy
-// of at most limit tuples: the suffix from have while the log still
-// covers it, otherwise a snapshot reset that restarts the puller at the
-// log's start. Done reports that the chunk reaches next.
+// of at most limit tuples (suffixOf).
 func (l *seqLog) suffix(have uint64, limit int) wire.ReplicaCatchupResponse {
-	next := l.next()
+	resp, _ := suffixOf(l.start, l.n, have, limit, func(dst []tuple.Raw, off int) error {
+		l.copyOut(dst, off)
+		return nil
+	})
+	return resp
+}
+
+// otherIncarnation is the position a puller holding another incarnation's
+// stream is answered as: past every log's end, so it takes a snapshot
+// reset.
+const otherIncarnation = math.MaxUint64
+
+// suffixOf answers a puller that holds the stream up to have, from a log
+// retaining the n tuples from sequence start on, with a copy of at most
+// limit of them: the suffix from have while the log still covers it,
+// otherwise a snapshot reset that restarts the puller at the log's start.
+// Done reports that the chunk reaches the log's end. copyOut fills dst
+// with the retained tuples from start+off on; its error is suffixOf's.
+func suffixOf(start uint64, n int, have uint64, limit int, copyOut func(dst []tuple.Raw, off int) error) (wire.ReplicaCatchupResponse, error) {
+	next := start + uint64(n)
 	if have == next {
-		return wire.ReplicaCatchupResponse{From: next, Done: true}
+		return wire.ReplicaCatchupResponse{From: next, Done: true}, nil
 	}
 	resp := wire.ReplicaCatchupResponse{From: have}
-	if have > next || have < l.start {
+	if have > next || have < start {
 		// Behind the log (pruned past it) or ahead of it (the log's owner
 		// restarted): the suffix no longer reconstructs the puller's
 		// state, so reset it and replay the full retained log.
-		resp.Snapshot, resp.From = true, l.start
+		resp.Snapshot, resp.From = true, start
 	}
-	off := int(resp.From - l.start)
-	count := min(l.n-off, limit)
+	off := int(resp.From - start)
+	count := min(n-off, limit)
 	if count > 0 {
 		resp.Tuples = make([]tuple.Raw, count)
-		l.copyOut(resp.Tuples, off)
+		if err := copyOut(resp.Tuples, off); err != nil {
+			return wire.ReplicaCatchupResponse{}, err
+		}
 	}
-	resp.Done = off+count == l.n
-	return resp
+	resp.Done = off+count == n
+	return resp, nil
 }

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -107,6 +107,21 @@ func newTCPPair(t *testing.T) *tcpPair {
 	return p
 }
 
+// queuedCtx tells when a TryIngest under it has queued its upload: the
+// first thing a queued submission does is wait on its context alongside
+// its result, and nothing asks for Done before (a try-submit never waits
+// for queue space).
+type queuedCtx struct {
+	context.Context
+	once   sync.Once
+	queued chan struct{}
+}
+
+func (c *queuedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.queued) })
+	return c.Context.Done()
+}
+
 // noCoverT is the query time unbuildable fails at.
 const noCoverT = queryT + 1
 
@@ -133,21 +148,20 @@ func (p *tcpPair) saturate(t *testing.T) (release func()) {
 	gate, parked := make(chan struct{}), make(chan struct{}, 2)
 	p.stores[1].OnEvict(func([]int) { parked <- struct{}{}; <-gate })
 	done := make(chan error, 2)
-	upload := func(at float64) {
+	upload := func(ctx context.Context, at float64) {
 		b := tuple.Batch{{T: at, X: p.foreign.X, Y: p.foreign.Y, S: 400}}
-		go func() { done <- p.engines[1].Ingest(context.Background(), tuple.CO2, b) }()
+		go func() { done <- p.engines[1].TryIngest(ctx, tuple.CO2, b) }()
 	}
 	// The second upload must find the worker already parked, or the two
 	// would coalesce into one append and leave the queue empty.
-	upload(windowLen + 10)
+	upload(context.Background(), windowLen+10)
 	<-parked
-	upload(windowLen + 20)
-	deadline := time.Now().Add(10 * time.Second)
-	for p.engines[1].PipelineStats().Queued < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", p.engines[1].PipelineStats())
-		}
-		time.Sleep(time.Millisecond)
+	queued := &queuedCtx{Context: context.Background(), queued: make(chan struct{})}
+	upload(queued, windowLen+20)
+	select {
+	case <-queued.queued:
+	case err := <-done:
+		t.Fatalf("second upload never queued: %v (%+v)", err, p.engines[1].PipelineStats())
 	}
 	return func() {
 		close(gate)

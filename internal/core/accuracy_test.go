@@ -4,7 +4,12 @@ package core
 // and for PM, measured against the simulator's ground truth and held to
 // a recorded golden. A change to Ad-KMN may move covers, but it may not
 // make them less accurate than the seed-to-seed spread of the fleet, and
-// it may not spend more regions or leave more regions above τn.
+// it may not spend more regions or leave more regions above τn. Each
+// window also records, without gating on them, the sensor noise the
+// window shows (σ̂ and the noise floor it puts under ApproxError), how
+// many regions exceed that floor as well as τn, how many probes and
+// heatmap pixels lie off every region's support, and how the probe NRMSE
+// splits between probes near the tuples and far from them.
 //
 // Re-record (and re-measure the spread over fleet seeds 1–5) with
 //
@@ -20,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/geo"
 	"repro/internal/sim"
 	"repro/internal/tuple"
 )
@@ -45,6 +51,30 @@ type windowAccuracy struct {
 	MeanError  float64 `json:"mean_approx_error"`
 	// AboveTau counts the regions whose ApproxError exceeds τn.
 	AboveTau int `json:"regions_above_tau"`
+
+	// The columns below report; none is held to the golden.
+
+	// SigmaHat is σ̂, the sensor noise the window shows: the median |Δs|
+	// between each tuple and its nearest neighbour within 30 m and 90 s,
+	// ÷ (0.6745·√2).
+	SigmaHat float64 `json:"sigma_hat"`
+	// NoiseFloor is the ApproxError a model reads on noise alone:
+	// 0.80 σ̂ ÷ the window's value span (ApproxError's normalization).
+	NoiseFloor float64 `json:"noise_floor"`
+	// AboveFloor counts the regions whose ApproxError exceeds
+	// max(τn, NoiseFloor).
+	AboveFloor int `json:"regions_above_floor"`
+	// ProbesOffSupport and RasterOffSupport are the shares (percent) of
+	// the probe grid, and of a 64×64 raster over the window's bounds,
+	// lying outside the support disc of the region answering them: the
+	// disc around its centroid out to its farthest tuple.
+	ProbesOffSupport float64 `json:"probes_off_support_pct"`
+	RasterOffSupport float64 `json:"raster_off_support_pct"`
+	// NRMSEProbesNear and NRMSEProbesFar split NRMSEProbes between the
+	// probes within 300 m of the window's nearest tuple and those beyond
+	// (0 when a side has no probe).
+	NRMSEProbesNear float64 `json:"nrmse_probes_near_pct"`
+	NRMSEProbesFar  float64 `json:"nrmse_probes_far_pct"`
 }
 
 // pollutantAccuracy is one pollutant's day: its windows, their totals,
@@ -120,6 +150,93 @@ func coverNRMSE(t *testing.T, cv *Cover, field sim.Field, pts []tuple.Raw) float
 	return nrmse
 }
 
+// sigmaHat is σ̂ of window w: the median |Δs| between each tuple and its
+// spatially nearest neighbour within 30 m and 90 s, ÷ (0.6745·√2); 0 when
+// no tuple has such a neighbour.
+func sigmaHat(w tuple.Batch) float64 {
+	const maxDist, maxDT = 30.0, 90.0
+	sorted := slices.Clone(w)
+	sorted.SortByTime()
+	var diffs []float64
+	for i, a := range sorted {
+		best, bestD := -1, maxDist*maxDist
+		for _, dir := range []int{-1, 1} {
+			for j := i + dir; j >= 0 && j < len(sorted) && math.Abs(sorted[j].T-a.T) <= maxDT; j += dir {
+				if d := a.Pos().Dist2(sorted[j].Pos()); d <= bestD {
+					best, bestD = j, d
+				}
+			}
+		}
+		if best >= 0 {
+			diffs = append(diffs, math.Abs(a.S-sorted[best].S))
+		}
+	}
+	if len(diffs) == 0 {
+		return 0
+	}
+	slices.Sort(diffs)
+	median := diffs[len(diffs)/2]
+	if len(diffs)%2 == 0 {
+		median = (diffs[len(diffs)/2-1] + median) / 2
+	}
+	return median / (0.6745 * math.Sqrt2)
+}
+
+// offSupport returns the share (percent) of pts outside the support disc
+// of the region of cv answering them, the regions' discs reaching out to
+// their farthest tuple of w (the tuples each region answers).
+func offSupport(cv *Cover, w tuple.Batch, pts []geo.Point) float64 {
+	reach := make([]float64, cv.Size())
+	for _, tp := range w {
+		j := cv.NearestRegion(tp.Pos())
+		reach[j] = max(reach[j], cv.Centroids[j].Dist(tp.Pos()))
+	}
+	off := 0
+	for _, p := range pts {
+		if j := cv.NearestRegion(p); cv.Centroids[j].Dist(p) > reach[j] {
+			off++
+		}
+	}
+	return 100 * float64(off) / float64(len(pts))
+}
+
+// rasterOver returns the centres of a side×side raster over r.
+func rasterOver(r geo.Rect, side int) []geo.Point {
+	dx, dy := (r.Max.X-r.Min.X)/float64(side), (r.Max.Y-r.Min.Y)/float64(side)
+	pts := make([]geo.Point, 0, side*side)
+	for j := range side {
+		for i := range side {
+			pts = append(pts, geo.Point{X: r.Min.X + (float64(i)+0.5)*dx, Y: r.Min.Y + (float64(j)+0.5)*dy})
+		}
+	}
+	return pts
+}
+
+// splitNRMSE is coverNRMSE over the probes within near of w's nearest
+// tuple and over those beyond it, 0 for a side with no probe.
+func splitNRMSE(t *testing.T, cv *Cover, field sim.Field, w, probes tuple.Batch, near float64) (nearPct, farPct float64) {
+	t.Helper()
+	var in, out tuple.Batch
+	for _, p := range probes {
+		d := math.Inf(1)
+		for _, tp := range w {
+			d = min(d, p.Pos().Dist(tp.Pos()))
+		}
+		if d <= near {
+			in = append(in, p)
+		} else {
+			out = append(out, p)
+		}
+	}
+	if len(in) > 0 {
+		nearPct = coverNRMSE(t, cv, field, in)
+	}
+	if len(out) > 0 {
+		farPct = coverNRMSE(t, cv, field, out)
+	}
+	return nearPct, farPct
+}
+
 // measureAccuracy builds every window's cover for pol and fleet seed and
 // measures it.
 func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64) pollutantAccuracy {
@@ -133,18 +250,32 @@ func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64) pollutantAcc
 		if err != nil {
 			t.Fatalf("%v window %d: %v", pol, c, err)
 		}
+		probes := probeGrid(c)
 		wa := windowAccuracy{
 			NRMSETuples: coverNRMSE(t, cv, field, w),
-			NRMSEProbes: coverNRMSE(t, cv, field, probeGrid(c)),
+			NRMSEProbes: coverNRMSE(t, cv, field, probes),
 			Regions:     cv.Size(),
 			WorstError:  cv.MaxApproxError(),
 			MeanError:   cv.MeanApproxError(),
+			SigmaHat:    sigmaHat(w),
 		}
+		wa.NoiseFloor = 0.80 * wa.SigmaHat / normalSpanFor(w, cfg)
 		for _, e := range cv.ApproxErrors {
 			if e > tau {
 				wa.AboveTau++
 			}
+			if e > max(tau, wa.NoiseFloor) {
+				wa.AboveFloor++
+			}
 		}
+		probePts := make([]geo.Point, len(probes))
+		for i, p := range probes {
+			probePts[i] = p.Pos()
+		}
+		wa.ProbesOffSupport = offSupport(cv, w, probePts)
+		bounds, _ := w.Bounds()
+		wa.RasterOffSupport = offSupport(cv, w, rasterOver(bounds, 64))
+		wa.NRMSEProbesNear, wa.NRMSEProbesFar = splitNRMSE(t, cv, field, w, probes, 300)
 		acc.Windows = append(acc.Windows, wa)
 		acc.MeanNRMSETuples += wa.NRMSETuples / float64(len(ws))
 		acc.MeanNRMSEProbes += wa.NRMSEProbes / float64(len(ws))
@@ -211,6 +342,16 @@ func TestCoverAccuracyGolden(t *testing.T) {
 		t.Logf("%s: mean NRMSE %.4f %% at the tuples (golden %.4f ± %.4f), %.4f %% at the probes (golden %.4f ± %.4f); %d regions (golden %d), %d above τn in %d windows (golden %d in %d)",
 			g.Pollutant, g.MeanNRMSETuples, w.MeanNRMSETuples, w.SeedSpreadTuples, g.MeanNRMSEProbes, w.MeanNRMSEProbes, w.SeedSpreadProbes,
 			g.Regions, w.Regions, g.RegionsAboveTau, g.WindowsAboveTau, w.RegionsAboveTau, w.WindowsAboveTau)
+		var sigma, floor, offProbes, offRaster float64
+		aboveFloor := 0
+		for _, wa := range g.Windows {
+			n := float64(len(g.Windows))
+			sigma, floor = sigma+wa.SigmaHat/n, floor+wa.NoiseFloor/n
+			offProbes, offRaster = offProbes+wa.ProbesOffSupport/n, offRaster+wa.RasterOffSupport/n
+			aboveFloor += wa.AboveFloor
+		}
+		t.Logf("%s (reported): mean σ̂ %.3f, mean noise floor %.4f, %d regions above max(τn, floor); %.1f %% of probes and %.1f %% of raster pixels off support",
+			g.Pollutant, sigma, floor, aboveFloor, offProbes, offRaster)
 		if math.IsNaN(g.MeanNRMSETuples) || math.IsNaN(g.MeanNRMSEProbes) {
 			t.Fatalf("%s: NaN accuracy", g.Pollutant)
 		}

@@ -128,6 +128,9 @@ func lazyFrom(rd *colblock.Reader, c int) lazyWin {
 type columnarState struct {
 	rd   *colReader
 	lazy map[int]lazyWin // every entry describes a window of rd's file
+	// lost holds the retained windows whose base went unreadable: their
+	// suffix moved down to position 0, so ReadAppended refuses them.
+	lost map[int]bool
 
 	// retiredStats carries the final counter snapshot of a dropped
 	// reader (Close, or a checkpoint's release) so ColumnarStats stays
@@ -218,6 +221,10 @@ func (s *Store) baseUnreadable(c int, cr *colReader) (again bool) {
 	}
 	delete(s.col.lazy, c)
 	s.total -= lw.count
+	if s.col.lost == nil {
+		s.col.lost = make(map[int]bool)
+	}
+	s.col.lost[c] = true
 	s.col.materializeFailures.Add(1)
 	return false
 }

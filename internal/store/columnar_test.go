@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -751,5 +752,90 @@ func TestCheckpointConcurrentManualCalls(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAppendedKeepsAppendOrder: ReadAppended returns any range of a
+// window exactly as appended — not time-sorted — whether the range lies
+// in memory, in a lazy base, or across the two, and across checkpoints
+// that fold a suffix into a new base. Once a window's base is lost, every
+// range of it fails rather than read the suffix at shifted positions.
+func TestReadAppendedKeepsAppendOrder(t *testing.T) {
+	const window = 100.0
+	dir := t.TempDir()
+	s, err := Open(Config{WindowLength: window, Dir: dir, Sync: SyncNever(), Columnar: ColumnarConfig{DisableMmap: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(5))
+	model := make(map[int][]tuple.Raw) // each window in append order
+	appendSome := func() {
+		b := make(tuple.Batch, 1+rng.Intn(40))
+		for i := range b {
+			b[i] = tuple.Raw{T: float64(rng.Intn(4))*window + rng.Float64()*window, X: rng.Float64(), S: float64(rng.Intn(1000))}
+		}
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range b {
+			c := tuple.WindowIndex(tp.T, window)
+			model[c] = append(model[c], tp)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for c, want := range model {
+			if got := s.WindowLen(c); got != len(want) {
+				t.Fatalf("%s: window %d holds %d tuples, model %d", stage, c, got, len(want))
+			}
+			for range 20 {
+				off := rng.Intn(len(want))
+				dst := make([]tuple.Raw, 1+rng.Intn(len(want)-off))
+				if err := s.ReadAppended(dst, c, off); err != nil {
+					t.Fatalf("%s: window %d [%d, %d): %v", stage, c, off, off+len(dst), err)
+				}
+				if !slices.Equal(dst, want[off:off+len(dst)]) {
+					t.Fatalf("%s: window %d [%d, %d) differs from the append order", stage, c, off, off+len(dst))
+				}
+			}
+			if err := s.ReadAppended(make([]tuple.Raw, 1), c, len(want)); err == nil {
+				t.Fatalf("%s: window %d read past its end", stage, c)
+			}
+		}
+	}
+	for range 10 {
+		appendSome()
+	}
+	check("in memory")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("lazy")
+	for range 5 {
+		appendSome()
+	}
+	check("lazy base and suffix")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendSome()
+	check("second checkpoint")
+
+	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.emc"))
+	for _, f := range files {
+		if err := os.Truncate(f, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range model {
+		if err := s.ReadAppended(make([]tuple.Raw, 1), c, 0); err == nil {
+			t.Fatalf("window %d read a range of a lost base", c)
+		}
+		if n := s.WindowLen(c); n > 0 {
+			if err := s.ReadAppended(make([]tuple.Raw, n), c, 0); err == nil {
+				t.Fatalf("window %d read its suffix at shifted positions", c)
+			}
+		}
 	}
 }

@@ -852,6 +852,7 @@ func (s *Store) evictLocked() []int {
 		s.total -= len(s.windows[c]) + s.col.lazy[c].count
 		delete(s.windows, c)
 		delete(s.col.lazy, c)
+		delete(s.col.lost, c)
 	}
 	if s.ckSnapshot {
 		s.ckEvicted = append(s.ckEvicted, evicted...)
@@ -933,6 +934,74 @@ func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch
 	}
 	dst[n:].SortByTime()
 	return dst, sd, seeded
+}
+
+// ReadAppended fills dst with tuples [off, off+len(dst)) of window W_c in
+// the order they were appended, not sorted by time as WindowInto sorts
+// them. A retained window's positions never move: a checkpoint writes a
+// window in append order and keeps appending behind it, and eviction
+// drops a window whole. A lazy base is decoded through the checkpoint
+// reader (the whole base, into pooled memory, unless dst starts at 0 and
+// covers it). It is an error to ask for a range the window does not hold,
+// and for any range of a window whose base went unreadable: its suffix
+// has moved down to position 0, and ReadAppended never returns shifted
+// tuples.
+func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
+	for {
+		s.mu.RLock()
+		if s.col.lost[c] {
+			s.mu.RUnlock()
+			return fmt.Errorf("store: window %d lost its checkpointed base", c)
+		}
+		base, w := s.col.lazy[c].count, s.windows[c]
+		end := off + len(dst)
+		if off < 0 || end > base+len(w) {
+			s.mu.RUnlock()
+			return fmt.Errorf("store: window %d holds %d tuples, not [%d, %d)", c, base+len(w), off, end)
+		}
+		if end > base {
+			copy(dst[max(base-off, 0):], w[max(off-base, 0):end-base])
+		}
+		if off >= base {
+			s.mu.RUnlock()
+			return nil
+		}
+		cr := s.col.rd
+		if cr != nil {
+			cr.acquire()
+		}
+		s.mu.RUnlock()
+		if cr != nil {
+			err := decodeRange(cr.rd, dst[:min(end, base)-off], c, off, base)
+			cr.release()
+			if err == nil {
+				s.col.materializations.Add(1)
+				return nil
+			}
+		}
+		if !s.baseUnreadable(c, cr) {
+			return fmt.Errorf("store: window %d lost its checkpointed base", c)
+		}
+	}
+}
+
+// baseBufs lends ReadAppended a window's worth of tuples to decode into.
+var baseBufs = sync.Pool{New: func() any { return new(tuple.Batch) }}
+
+// decodeRange fills dst with tuples [off, off+len(dst)) of window c's
+// base of n tuples in rd.
+func decodeRange(rd *colblock.Reader, dst []tuple.Raw, c, off, n int) error {
+	if off == 0 && len(dst) == n {
+		return rd.DecodeWindow(dst, c)
+	}
+	buf := baseBufs.Get().(*tuple.Batch)
+	defer baseBufs.Put(buf)
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	if err := rd.DecodeWindow(*buf, c); err != nil {
+		return err
+	}
+	copy(dst, (*buf)[off:])
+	return nil
 }
 
 // seedOf reads window c's seed from rd, for a base of n tuples. A record

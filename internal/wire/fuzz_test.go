@@ -75,6 +75,9 @@ func FuzzWireDecode(f *testing.F) {
 	add(RingUpdate{Ring: RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 3}})
 	add(RingUpdate{Ring: RingResponse{Nodes: []string{"a:1", ""}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 4}, Commit: true})
 	add(ShardTransfer{Origin: 1, Pollutant: 2, Have: 99})
+	add(ShardTransfer{Origin: 1, Pollutant: 2, Have: 99, Incarnation: 7})
+	add(ReplicaIngest{Origin: 1, Pollutant: 2, Seq: 41, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}, Incarnation: 7})
+	add(ReplicaCatchupResponse{Snapshot: true, From: 3, Incarnation: 7})
 	add(Promote{Node: 1, Epoch: 7})
 	add(RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 5})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}, Epoch: 4})

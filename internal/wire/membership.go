@@ -82,6 +82,10 @@ type ShardTransfer struct {
 	Origin    uint16          `json:"origin"`
 	Pollutant tuple.Pollutant `json:"pollutant"`
 	Have      uint64          `json:"have"`
+	// Incarnation is the sequence space Have counts in (ReplicaIngest's):
+	// a puller holding another one than the log's takes a snapshot reset.
+	// Appended to the binary layout only when nonzero.
+	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
 // Type implements Message.
@@ -126,11 +130,12 @@ func appendMembership(dst []byte, head int, m Message) ([]byte, error) {
 		}
 		return out, nil
 	case ShardTransfer:
-		out, buf := grow(dst, head, 1+2+1+8)
+		out, buf := grow(dst, head, 1+2+1+8+incarnationLen(v.Incarnation))
 		buf[0] = byte(TypeShardTransfer)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Have)
+		putIncarnation(buf[12:], v.Incarnation)
 		return out, nil
 	case Promote:
 		out, buf := grow(dst, head, 1+2+8)
@@ -172,13 +177,15 @@ func decodeMembership(data []byte) (Message, error) {
 		}
 		return RingUpdate{Ring: ring, Commit: data[1] == 1}, nil
 	case TypeShardTransfer:
-		if len(data) != 12 {
-			return nil, fmt.Errorf("%w: ShardTransfer length %d", ErrMalformed, len(data))
+		inc, err := incarnation(data, 12)
+		if err != nil {
+			return nil, fmt.Errorf("%w: ShardTransfer length %d", err, len(data))
 		}
 		return ShardTransfer{
-			Origin:    binary.LittleEndian.Uint16(data[1:]),
-			Pollutant: tuple.Pollutant(data[3]),
-			Have:      binary.LittleEndian.Uint64(data[4:]),
+			Origin:      binary.LittleEndian.Uint16(data[1:]),
+			Pollutant:   tuple.Pollutant(data[3]),
+			Have:        binary.LittleEndian.Uint64(data[4:]),
+			Incarnation: inc,
 		}, nil
 	case TypePromote:
 		if len(data) != 11 {

@@ -51,6 +51,12 @@ type ReplicaIngest struct {
 	Pollutant tuple.Pollutant `json:"pollutant"`
 	Seq       uint64          `json:"seq"`
 	Tuples    []tuple.Raw     `json:"tuples"`
+	// Incarnation names the primary's sequence space: every start of a
+	// node begins a new one, so a replica holding an earlier incarnation's
+	// stream resets instead of taking the new stream's first tuples for
+	// ones it holds. 0 (a sender that names none) travels as the frame did
+	// before the field: the binary layout appends it only when nonzero.
+	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
 // Type implements Message.
@@ -69,6 +75,9 @@ type ReplicaCatchupResponse struct {
 	Done     bool        `json:"done,omitempty"`
 	From     uint64      `json:"from"`
 	Tuples   []tuple.Raw `json:"tuples"`
+	// Incarnation is the sequence space From counts in (ReplicaIngest's);
+	// appended to the binary layout only when nonzero.
+	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
 // Type implements Message.
@@ -119,19 +128,20 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 		if len(v.Tuples) > math.MaxUint32 {
 			return dst, fmt.Errorf("wire: replica ingest too large (%d tuples)", len(v.Tuples))
 		}
-		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples))
+		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples)+incarnationLen(v.Incarnation))
 		buf[0] = byte(TypeReplicaIngest)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Seq)
 		binary.LittleEndian.PutUint32(buf[12:], uint32(len(v.Tuples)))
 		putRaws(buf[16:], v.Tuples)
+		putIncarnation(buf[16+32*len(v.Tuples):], v.Incarnation)
 		return out, nil
 	case ReplicaCatchupResponse:
 		if len(v.Tuples) > math.MaxUint32 {
 			return dst, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
 		}
-		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples))
+		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples)+incarnationLen(v.Incarnation))
 		buf[0] = byte(TypeReplicaCatchupResponse)
 		if v.Snapshot {
 			buf[1] |= 1
@@ -142,6 +152,7 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[2:], v.From)
 		binary.LittleEndian.PutUint32(buf[10:], uint32(len(v.Tuples)))
 		putRaws(buf[14:], v.Tuples)
+		putIncarnation(buf[14+32*len(v.Tuples):], v.Incarnation)
 		return out, nil
 	case ReplicaRead:
 		if v.Inner == nil {
@@ -164,6 +175,38 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 	}
 }
 
+// incarnationLen is the width of an incarnation suffix: 8 bytes, or none
+// for 0.
+func incarnationLen(inc uint64) int {
+	if inc == 0 {
+		return 0
+	}
+	return 8
+}
+
+// putIncarnation writes a nonzero incarnation suffix at buf.
+func putIncarnation(buf []byte, inc uint64) {
+	if inc != 0 {
+		binary.LittleEndian.PutUint64(buf, inc)
+	}
+}
+
+// incarnation reads the incarnation suffix of a frame whose fields end at
+// body: none (0), or 8 nonzero bytes. A zero suffix is malformed, so each
+// message has exactly one encoding.
+func incarnation(data []byte, body int) (uint64, error) {
+	switch {
+	case body < 0 || len(data) < body:
+	case len(data) == body:
+		return 0, nil
+	case len(data) == body+8:
+		if inc := binary.LittleEndian.Uint64(data[body:]); inc != 0 {
+			return inc, nil
+		}
+	}
+	return 0, ErrMalformed
+}
+
 // decodeReplica parses the v1.4 replication messages (binary codec).
 func decodeReplica(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
@@ -172,14 +215,16 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ReplicaIngest header", ErrMalformed)
 		}
 		count := int(binary.LittleEndian.Uint32(data[12:]))
-		if len(data) != 16+32*count {
-			return nil, fmt.Errorf("%w: ReplicaIngest length %d for %d tuples", ErrMalformed, len(data), count)
+		inc, err := incarnation(data, 16+32*count)
+		if err != nil {
+			return nil, fmt.Errorf("%w: ReplicaIngest length %d for %d tuples", err, len(data), count)
 		}
 		return ReplicaIngest{
-			Origin:    binary.LittleEndian.Uint16(data[1:]),
-			Pollutant: tuple.Pollutant(data[3]),
-			Seq:       binary.LittleEndian.Uint64(data[4:]),
-			Tuples:    getRaws(alloc(&raws, count, lend), data[16:]),
+			Origin:      binary.LittleEndian.Uint16(data[1:]),
+			Pollutant:   tuple.Pollutant(data[3]),
+			Seq:         binary.LittleEndian.Uint64(data[4:]),
+			Tuples:      getRaws(alloc(&raws, count, lend), data[16:]),
+			Incarnation: inc,
 		}, nil
 	case TypeReplicaCatchupResponse:
 		if len(data) < 14 {
@@ -189,14 +234,16 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ReplicaCatchupResponse flags %d", ErrMalformed, data[1])
 		}
 		count := int(binary.LittleEndian.Uint32(data[10:]))
-		if len(data) != 14+32*count {
-			return nil, fmt.Errorf("%w: ReplicaCatchupResponse length %d for %d tuples", ErrMalformed, len(data), count)
+		inc, err := incarnation(data, 14+32*count)
+		if err != nil {
+			return nil, fmt.Errorf("%w: ReplicaCatchupResponse length %d for %d tuples", err, len(data), count)
 		}
 		return ReplicaCatchupResponse{
-			Snapshot: data[1]&1 != 0,
-			Done:     data[1]&2 != 0,
-			From:     binary.LittleEndian.Uint64(data[2:]),
-			Tuples:   getRaws(make([]tuple.Raw, count), data[14:]),
+			Snapshot:    data[1]&1 != 0,
+			Done:        data[1]&2 != 0,
+			From:        binary.LittleEndian.Uint64(data[2:]),
+			Tuples:      getRaws(make([]tuple.Raw, count), data[14:]),
+			Incarnation: inc,
 		}, nil
 	case TypeReplicaRead:
 		if len(data) < 4 {

@@ -7,6 +7,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -50,6 +51,67 @@ func TestReplicaMessageRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip of %T not a fixed point:\n got %#v\nwant %#v", m, dec, m)
+		}
+	}
+}
+
+// TestIncarnationSuffix: an incarnation rides as 8 trailing bytes only
+// when nonzero, so a zero one encodes as the frame did before the field,
+// and a frame spelling out a zero suffix, or a cut one, is malformed.
+func TestIncarnationSuffix(t *testing.T) {
+	for _, m := range []Message{
+		ReplicaIngest{Origin: 1, Seq: 2, Tuples: []tuple.Raw{{T: 1}}},
+		ReplicaCatchupResponse{From: 3, Tuples: []tuple.Raw{{T: 1}}},
+		ShardTransfer{Origin: 1, Have: 4},
+	} {
+		plain, err := Binary.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var with Message
+		switch v := m.(type) {
+		case ReplicaIngest:
+			v.Incarnation = 9
+			with = v
+		case ReplicaCatchupResponse:
+			v.Incarnation = 9
+			with = v
+		case ShardTransfer:
+			v.Incarnation = 9
+			with = v
+		}
+		enc, err := Binary.Encode(with)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(append([]byte{}, plain...), 9, 0, 0, 0, 0, 0, 0, 0); !bytes.Equal(enc, want) {
+			t.Errorf("%T with incarnation 9 = %x, want %x", m, enc, want)
+		}
+		if dec, err := Binary.Decode(enc); err != nil || !reflect.DeepEqual(dec, with) {
+			t.Errorf("%T round trip = %#v, %v", m, dec, err)
+		}
+		for _, tail := range [][]byte{make([]byte, 8), {9}, {9, 0, 0, 0, 0, 0, 0, 0, 0}} {
+			if _, err := Binary.Decode(append(append([]byte{}, plain...), tail...)); err == nil {
+				t.Errorf("%T with suffix %x decoded", m, tail)
+			}
+		}
+	}
+}
+
+// TestIncarnationGolden pins the incarnation suffix's frames: the golden
+// frames of the same messages without it, plus 8 bytes.
+func TestIncarnationGolden(t *testing.T) {
+	for _, g := range []struct {
+		m    Message
+		want string
+	}{
+		{ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Incarnation: 1 << 60}, "150100022900000000000000000000000000000000000010"},
+		{ReplicaCatchupResponse{From: 12, Done: true, Incarnation: 1 << 60}, "17020c00000000000000000000000000000000000010"},
+		{ShardTransfer{Origin: 1, Pollutant: tuple.PM, Have: 99, Incarnation: 1 << 60}, "1b01000263000000000000000000000000000010"},
+	} {
+		got, err := Binary.Encode(g.m)
+		if err != nil || hex.EncodeToString(got) != g.want {
+			t.Errorf("%T = %x, %v; want %s", g.m, got, err, g.want)
 		}
 	}
 }
