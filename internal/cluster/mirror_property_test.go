@@ -9,9 +9,14 @@ package cluster_test
 // every applied frame as it arrived (the eager mirror the log replaced):
 // at the first read, and after the frames that follow it. Timestamps
 // repeat, so a replay out of commit order sorts tied tuples differently
-// and shows. Every failure names its seed and retention.
+// and shows. The field is smooth enough that most windows' covers start
+// from their predecessors' (core.Builder.BuildFrom), so late tuples move
+// the chain after the window they land in, and eviction turns the oldest
+// retained window's cover cold: the mirror must follow both. Every
+// failure names its seed and retention.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -33,11 +38,13 @@ const (
 	mirrorOrigin = 0 // the primary whose stream node 1 mirrors
 )
 
+// propConfig is the Ad-KMN configuration of the property's engines.
+var propConfig = core.Config{Cluster: kmeans.Config{Seed: 7}}
+
 // propEngine is the mirror engine both sides of the property run: the
 // product's, configured like newMirrorEngine but with retention retain.
 func propEngine(retain int) *server.Engine {
-	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, windowLen, retain,
-		core.Config{Cluster: kmeans.Config{Seed: 7}})
+	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, windowLen, retain, propConfig)
 	if err != nil {
 		panic(err)
 	}
@@ -94,6 +101,10 @@ type mirrorHistory struct {
 	have   uint64 // the sequence both the mirror and ref have applied
 
 	answered int // compared answers that were not errors
+	// warm counts compared windows whose cover started from its
+	// predecessor's, orphaned those compared while the oldest retained
+	// window had lost its predecessor to eviction.
+	warm, orphaned int
 }
 
 func newMirrorHistory(t *testing.T, seed int64, retain int) *mirrorHistory {
@@ -111,7 +122,9 @@ func newMirrorHistory(t *testing.T, seed int64, retain int) *mirrorHistory {
 
 // grow extends origin's stream to n tuples. Time advances in steps of a
 // minute, so about three tuples in four share their timestamp with the
-// previous one; one in ten is late, by up to five windows.
+// previous one; one in ten is late, by up to five windows. The sensor
+// noise is low enough for a window's regions to meet τn in a few splits,
+// so they stay large enough to start the next window's build.
 func (h *mirrorHistory) grow(n uint64) {
 	for uint64(len(h.stream)) < n {
 		if h.rng.Intn(4) == 0 {
@@ -122,7 +135,7 @@ func (h *mirrorHistory) grow(n uint64) {
 			ts = max(0, ts-float64(1+h.rng.Intn(5))*windowLen)
 		}
 		x, y := h.rng.Float64()*2000-1000, h.rng.Float64()*2000-1000
-		h.stream = append(h.stream, tuple.Raw{T: ts, X: x, Y: y, S: fieldVal(x, y) + 5*h.rng.NormFloat64()})
+		h.stream = append(h.stream, tuple.Raw{T: ts, X: x, Y: y, S: fieldVal(x, y) + h.rng.NormFloat64()})
 	}
 }
 
@@ -217,11 +230,54 @@ func (h *mirrorHistory) compare(when string) {
 				h.answered++
 			}
 		}
+		h.noteChain(c)
+	}
+}
+
+// noteChain counts what the reference's cover of window c shows of the
+// chain: whether it started warm (it is not BuildCover's cold cover), and
+// whether it is the oldest window of a store at its retention bound, whose
+// predecessor eviction took.
+func (h *mirrorHistory) noteChain(c int) {
+	st, err := h.ref.StoreFor(tuple.CO2)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	cv, err := h.ref.CoverAt(context.Background(), tuple.CO2, (float64(c)+0.5)*windowLen)
+	if err != nil {
+		return
+	}
+	cold, err := core.BuildCover(st.Window(c), c, windowLen, propConfig)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cv, cold) {
+		h.warm++
+	}
+	if idxs := st.WindowIndexes(); h.retain > 0 && len(idxs) == h.retain && idxs[0] > 0 && c == idxs[0] {
+		h.orphaned++
+	}
+}
+
+// serveRef reads the reference's cover of every window it holds, as a
+// primary's own readers do between frames: its covers are then built
+// from the windows of that moment — a window's from a predecessor that a
+// later eviction takes — while the mirror's are built only when read.
+func (h *mirrorHistory) serveRef() {
+	st, err := h.ref.StoreFor(tuple.CO2)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for _, c := range st.WindowIndexes() {
+		if _, err := h.ref.CoverAt(context.Background(), tuple.CO2, (float64(c)+0.5)*windowLen); err != nil {
+			h.t.Fatalf("%s: reference cover of window %d: %v", h.name, c, err)
+		}
 	}
 }
 
 // run plays propSteps random steps, reading the mirror for the first time
-// at a random one and again after later frames.
+// at a random one and again after later frames; the reference serves
+// reads of its own at others.
 func (h *mirrorHistory) run() {
 	first := 1 + h.rng.Intn(propSteps-1)
 	h.frame(0, 1+uint64(h.rng.Intn(100))) // the mirror exists from here on
@@ -251,6 +307,8 @@ func (h *mirrorHistory) run() {
 			h.compare(fmt.Sprintf("first read at step %d", step))
 		case step > first && h.rng.Intn(8) == 0:
 			h.compare(fmt.Sprintf("read at step %d", step))
+		case h.rng.Intn(3) == 0:
+			h.serveRef()
 		}
 	}
 	h.compare("end of history")
@@ -259,12 +317,18 @@ func (h *mirrorHistory) run() {
 // TestMirrorEquivalenceProperty: see the file comment.
 func TestMirrorEquivalenceProperty(t *testing.T) {
 	for _, retain := range []int{0, 3} {
+		warm, orphaned := 0, 0
 		for seed := int64(1); seed <= propSeeds; seed++ {
 			h := newMirrorHistory(t, seed, retain)
 			h.run()
 			if h.answered == 0 {
 				t.Fatalf("%s: every compared read was an error", h.name)
 			}
+			warm, orphaned = warm+h.warm, orphaned+h.orphaned
+		}
+		t.Logf("retain %d: %d warm covers compared, %d windows compared after eviction took their predecessor", retain, warm, orphaned)
+		if warm == 0 || retain > 0 && orphaned == 0 {
+			t.Errorf("retain %d: the histories compared %d warm covers and %d windows whose predecessor was evicted", retain, warm, orphaned)
 		}
 	}
 }

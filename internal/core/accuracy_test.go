@@ -1,15 +1,19 @@
 package core
 
-// Accuracy as a test: the covers of the benchmark fleet's day, for CO2
-// and for PM, measured against the simulator's ground truth and held to
-// a recorded golden. A change to Ad-KMN may move covers, but it may not
+// Accuracy as a test: the covers a store serves over the benchmark
+// fleet's day — chain covers, each window's started from its
+// predecessor's — for CO2 and for PM, measured against the simulator's
+// ground truth and held to a recorded golden. A change to Ad-KMN may move covers, but it may not
 // make them less accurate than the seed-to-seed spread of the fleet, and
 // it may not spend more regions or leave more regions above τn. Each
 // window also records, without gating on them, the sensor noise the
 // window shows (σ̂ and the noise floor it puts under ApproxError), how
 // many regions exceed that floor as well as τn, how many probes and
 // heatmap pixels lie off every region's support, and how the probe NRMSE
-// splits between probes near the tuples and far from them.
+// splits between probes near the tuples and far from them. It also logs
+// how much the fit depends on rounding: the largest |coefficient| of the
+// day's covers, and the NRMSE of covers rebuilt over the windows with X,
+// Y and S rounded to a 1e-8 step.
 //
 // Re-record (and re-measure the spread over fleet seeds 1–5) with
 //
@@ -27,6 +31,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/geo"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/tuple"
 )
 
@@ -89,6 +94,10 @@ type pollutantAccuracy struct {
 	SeedSpreadTuples float64          `json:"seed_spread_nrmse_tuples_pct"`
 	SeedSpreadProbes float64          `json:"seed_spread_nrmse_probes_pct"`
 	Windows          []windowAccuracy `json:"windows"`
+
+	// MaxCoef is the largest |coefficient| over the day's covers
+	// (logged, not recorded).
+	MaxCoef float64 `json:"-"`
 }
 
 // accuracyWindows returns the fleet's day for pol and fleet seed, and the
@@ -237,18 +246,62 @@ func splitNRMSE(t *testing.T, cv *Cover, field sim.Field, w, probes tuple.Batch,
 	return nearPct, farPct
 }
 
-// measureAccuracy builds every window's cover for pol and fleet seed and
-// measures it.
-func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64) pollutantAccuracy {
+// servedCovers returns the covers a store holding windows ws (window c
+// at index c) serves under a maintainer with cfg: the chain covers.
+func servedCovers(t *testing.T, ws []tuple.Batch, cfg Config) []*Cover {
+	t.Helper()
+	st := store.MustOpenMemory(3600)
+	defer st.Close()
+	for _, w := range ws {
+		if err := st.Append(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMaintainer(st, cfg)
+	defer m.Close()
+	covers := make([]*Cover, len(ws))
+	for c := range ws {
+		cv, err := m.CoverFor(c)
+		if err != nil {
+			t.Fatalf("%v window %d: %v", cfg.Pollutant, c, err)
+		}
+		covers[c] = cv
+	}
+	return covers
+}
+
+// roundedWindows returns ws with every tuple's X, Y and S rounded to a
+// multiple of step.
+func roundedWindows(ws []tuple.Batch, step float64) []tuple.Batch {
+	out := make([]tuple.Batch, len(ws))
+	for c, w := range ws {
+		out[c] = w.Clone()
+		for i := range out[c] {
+			r := &out[c][i]
+			r.X, r.Y, r.S = math.Round(r.X/step)*step, math.Round(r.Y/step)*step, math.Round(r.S/step)*step
+		}
+	}
+	return out
+}
+
+// measureAccuracy measures, against the truth at each window's tuples and
+// probes, the covers a store serves for pol and fleet seed — built over
+// the windows rounded to a multiple of step when step > 0.
+func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64, step float64) pollutantAccuracy {
 	t.Helper()
 	ws, field := accuracyWindows(t, pol, seed)
 	cfg := Config{Pollutant: pol}
 	tau := cfg.withDefaults().ErrThreshold
 	acc := pollutantAccuracy{Pollutant: pol.String()}
+	built := ws
+	if step > 0 {
+		built = roundedWindows(ws, step)
+	}
+	covers := servedCovers(t, built, cfg)
 	for c, w := range ws {
-		cv, err := BuildCover(w, c, 3600, cfg)
-		if err != nil {
-			t.Fatalf("%v window %d: %v", pol, c, err)
+		cv := covers[c]
+		for _, v := range cv.Coefs {
+			acc.MaxCoef = max(acc.MaxCoef, math.Abs(v))
 		}
 		probes := probeGrid(c)
 		wa := windowAccuracy{
@@ -299,7 +352,7 @@ func spread(xs []float64) float64 { return slices.Max(xs) - slices.Min(xs) }
 func TestCoverAccuracyGolden(t *testing.T) {
 	var got []pollutantAccuracy
 	for _, pol := range accuracyPollutants {
-		got = append(got, measureAccuracy(t, pol, 1))
+		got = append(got, measureAccuracy(t, pol, 1, 0))
 	}
 	if *updateAccuracy {
 		for i, pol := range accuracyPollutants {
@@ -307,7 +360,7 @@ func TestCoverAccuracyGolden(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				acc := got[i]
 				if seed > 1 {
-					acc = measureAccuracy(t, pol, seed)
+					acc = measureAccuracy(t, pol, seed, 0)
 				}
 				tuples = append(tuples, acc.MeanNRMSETuples)
 				probes = append(probes, acc.MeanNRMSEProbes)
@@ -352,6 +405,9 @@ func TestCoverAccuracyGolden(t *testing.T) {
 		}
 		t.Logf("%s (reported): mean σ̂ %.3f, mean noise floor %.4f, %d regions above max(τn, floor); %.1f %% of probes and %.1f %% of raster pixels off support",
 			g.Pollutant, sigma, floor, aboveFloor, offProbes, offRaster)
+		rounded := measureAccuracy(t, accuracyPollutants[i], 1, 1e-8)
+		t.Logf("%s (reported): largest |coefficient| %.3g; over the windows rounded to 1e-8, mean NRMSE %.4f %% at the tuples, %.4f %% at the probes (largest |coefficient| %.3g)",
+			g.Pollutant, g.MaxCoef, rounded.MeanNRMSETuples, rounded.MeanNRMSEProbes, rounded.MaxCoef)
 		if math.IsNaN(g.MeanNRMSETuples) || math.IsNaN(g.MeanNRMSEProbes) {
 			t.Fatalf("%s: NaN accuracy", g.Pollutant)
 		}

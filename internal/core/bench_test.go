@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/tuple"
 )
 
@@ -51,6 +53,48 @@ func BenchmarkBuildCoverLausanne(b *testing.B) {
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(regions)/float64(b.N), "regions/op")
+}
+
+// BenchmarkBuildDay builds the 24 covers of one day of the end-to-end
+// benchmark's fleet (16 buses sampling every 30 s) on one Builder, cold —
+// each window from no predecessor, as before cover chains — and chained —
+// each from its predecessor's cover, as a store's maintainer builds them
+// — for fleet seeds 1, 37 and 53. It reports the day's milliseconds, split
+// rounds and regions.
+func BenchmarkBuildDay(b *testing.B) {
+	for _, seed := range []int64{1, 37, 53} {
+		data, err := sim.Generate(lausanneFleet(seed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := hourWindows(data)
+		for _, chained := range []bool{false, true} {
+			name := map[bool]string{false: "cold", true: "chained"}[chained]
+			b.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(b *testing.B) {
+				var bl Builder
+				var rounds, regions int
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rounds, regions = 0, 0
+					var prev *Cover
+					for c, w := range ws {
+						cv, err := bl.BuildFrom(w, c, 3600, lausanneConfig, prev)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if chained {
+							prev = cv
+						}
+						rounds += cv.Rounds
+						regions += cv.Size()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/day")
+				b.ReportMetric(float64(rounds), "rounds")
+				b.ReportMetric(float64(regions), "regions")
+			})
+		}
+	}
 }
 
 func BenchmarkInterpolate(b *testing.B) {

@@ -194,8 +194,27 @@ type Config struct {
 
 // seedFormat versions what a checkpoint seed means: a change to Ad-KMN
 // that moves the covers it builds must change it, so seeds written before
-// are not refitted into covers a build would no longer give.
-const seedFormat = 1
+// are not refitted into covers a build would no longer give. Format 2
+// chains covers (chainSpan), and a seed's Config word is its chainWord.
+const seedFormat = 2
+
+// chainSpan is the length of a cover chain, in windows: a window whose
+// index is a multiple of it anchors a chain, and its cover is built cold
+// (BuildCover); every later window of the span starts from its
+// predecessor's cover (BuildFrom). One day at the paper's H = 1 h, it
+// bounds how far a late write cascades and how deep a build waits on its
+// predecessors, whatever the window length.
+const chainSpan = 24
+
+// chainOffset returns window c's position in its chain: 0 at the anchor.
+func chainOffset(c int) int { return (c%chainSpan + chainSpan) % chainSpan }
+
+// warmWins is how many times MinRegionTuples of a window's tuples a
+// centroid of the predecessor's cover must win to start the window's
+// build: below it, a centroid marks a region the fleet has left, which
+// Lloyd would drag across the window instead of letting a split place.
+// The accuracy golden fixes it: at 3, PM's regions above τn rise.
+const warmWins = 4
 
 // fingerprint hashes the fields of c, defaults applied, that shape the
 // cover a build gives, and seedFormat: a checkpoint seed is refitted only
@@ -284,6 +303,11 @@ type Builder struct {
 	add    []geo.Point // the centroids a split round adds
 	fit    regress.Fitter
 
+	// The warm start: per centroid of the predecessor's cover, the tuples
+	// it wins, and the centroids that survive the prune.
+	wins  []int
+	start []geo.Point
+
 	// The observations grouped by region: the t, x, y and s columns,
 	// len(w) each, in cols; region j's rows end at ends[j] and start where
 	// j-1's end.
@@ -315,18 +339,96 @@ type worstTuple struct {
 
 // BuildCover is the package-level BuildCover on b's scratch.
 func (b *Builder) BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cover, error) {
+	return b.BuildFrom(w, c, h, cfg, nil)
+}
+
+// BuildFrom is BuildCover for window c of a cover chain, warm-started
+// from prev, the chain's cover of window c−1 (nil when that window holds
+// no tuples). It keeps the centroids of prev that win at least
+// warmWins·MinRegionTuples of w's tuples (kmeans.Nearest), runs Lloyd
+// from them (kmeans.Clusterer.RunFrom) and then the split rounds
+// BuildCover runs. The start is cold — BuildFrom is BuildCover, bit for
+// bit — when c anchors its chain, prev is nil, or fewer than InitialK
+// centroids survive. A build allocates nothing beyond the cover: the
+// prune works in b's scratch.
+func (b *Builder) BuildFrom(w tuple.Batch, c int, h float64, cfg Config, prev *Cover) (*Cover, error) {
 	cfg = cfg.withDefaults()
 	if err := checkWindow(w, h); err != nil {
 		return nil, err
 	}
 	pts := b.positions(w)
+	return b.buildFrom(w, pts, c, h, cfg, b.warmStart(pts, c, cfg, prev))
+}
 
+// warmStart returns, in b's scratch, the centroids of prev that win at
+// least warmWins·MinRegionTuples of the tuples at pts, in prev's order:
+// where window c's build starts. It returns nil, a cold start, when c
+// anchors its chain, prev is nil, or fewer than InitialK (or more than
+// MaxK, for a prev of another configuration) survive. cfg has its
+// defaults.
+func (b *Builder) warmStart(pts []geo.Point, c int, cfg Config, prev *Cover) []geo.Point {
+	if prev == nil || prev.Size() == 0 || chainOffset(c) == 0 {
+		return nil
+	}
+	b.wins = slices.Grow(b.wins[:0], prev.Size())[:prev.Size()]
+	clear(b.wins)
+	for _, p := range pts {
+		b.wins[kmeans.Nearest(prev.Centroids, p)]++
+	}
+	b.start = b.start[:0]
+	for j, n := range b.wins {
+		if n >= warmWins*cfg.MinRegionTuples {
+			b.start = append(b.start, prev.Centroids[j])
+		}
+	}
+	if len(b.start) < cfg.InitialK || len(b.start) > cfg.MaxK {
+		return nil
+	}
+	return b.start
+}
+
+// chainWord is the Config word of a checkpoint seed of window c's cover
+// built from prev, the chain's cover of window c−1 (nil when that window
+// holds no tuples), under the configuration whose fingerprint is fp: fp
+// XOR an FNV-1a hash of the bits of prev's centroids, or fp alone when c
+// anchors its chain or prev is nil. A chained build's start is a function
+// of those centroids and of the window's tuples, which the seed's count
+// pins, so a seed is refitted only over the predecessor it was built
+// from — and checking that costs no pass over the window.
+func chainWord(fp uint64, c int, prev *Cover) uint64 {
+	if prev == nil || chainOffset(c) == 0 {
+		return fp
+	}
+	h := uint64(14695981039346656037)
+	for _, p := range prev.Centroids {
+		for _, v := range [2]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)} {
+			for range 8 {
+				h = (h ^ v&0xff) * 1099511628211
+				v >>= 8
+			}
+		}
+	}
+	return fp ^ h
+}
+
+// buildFrom runs Ad-KMN over w, whose tuple positions are pts, from the
+// centroids start — k-means++ seeds when start is nil — with cfg's
+// defaults applied.
+func (b *Builder) buildFrom(w tuple.Batch, pts []geo.Point, c int, h float64, cfg Config, start []geo.Point) (*Cover, error) {
 	// MaxK caps the cover size from the start: the initial k must respect
-	// it too, and neither may exceed the tuple count.
+	// it too, and neither may exceed the tuple count. A warm start does:
+	// it is at most MaxK centroids that each won warmWins·MinRegionTuples
+	// tuples.
 	maxK := min(cfg.MaxK, len(pts))
 	b.km.Reserve(len(pts), maxK)
 	b.reserve(len(w), maxK, cfg.Features.Dim())
-	res, err := b.km.Run(pts, min(cfg.InitialK, maxK), cfg.Cluster)
+	var res *kmeans.Result
+	var err error
+	if start == nil {
+		res, err = b.km.Run(pts, min(cfg.InitialK, maxK), cfg.Cluster)
+	} else {
+		res, err = b.km.RunFrom(pts, start, cfg.Cluster)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: initial clustering: %w", err)
 	}
@@ -363,13 +465,13 @@ func (b *Builder) BuildCover(w tuple.Batch, c int, h float64, cfg Config) (*Cove
 // rounds split rounds: it skips the search for the regions — seeding and
 // every Lloyd round — and gives each tuple to its nearest centroid
 // (kmeans.Nearest) and fits one model per region, as the build's last
-// round did. For the centroids and rounds of BuildCover(w, c, h, cfg)'s
-// own cover it returns that cover, bit for bit: the bounded Lloyd's final
-// assignment is Nearest over the converged centroids, the regions are fit
-// in the same order over the same tuples, and a region the build dropped
-// as empty never won a tuple, so leaving it out moves none. A centroid
-// that wins no tuple here means the centroids are not of this window; Refit
-// refuses them.
+// round did. For the centroids and rounds of the cover BuildCover or
+// BuildFrom gave over w with cfg it returns that cover, bit for bit: the
+// bounded Lloyd's final assignment is Nearest over the converged
+// centroids, the regions are fit in the same order over the same tuples,
+// and a region the build dropped as empty never won a tuple, so leaving it
+// out moves none. A centroid that wins no tuple here means the centroids
+// are not of this window; Refit refuses them.
 func (b *Builder) Refit(w tuple.Batch, c int, h float64, cfg Config, centroids []geo.Point, rounds int) (*Cover, error) {
 	cfg = cfg.withDefaults()
 	if err := checkWindow(w, h); err != nil {
@@ -399,11 +501,11 @@ func (b *Builder) Refit(w tuple.Batch, c int, h float64, cfg Config, centroids [
 	return cv, nil
 }
 
-// seed is what a checkpoint keeps of cv, a cover built over n tuples with
-// the configuration whose fingerprint is fp, for Refit to fit it again.
-// It shares cv's centroids, which a cover never modifies.
-func (cv *Cover) seed(n int, fp uint64) colblock.Seed {
-	return colblock.Seed{Count: n, Config: fp, Rounds: cv.Rounds, Centroids: cv.Centroids}
+// seed is what a checkpoint keeps of cv, a cover built over n tuples, for
+// Refit to fit it again; word is its chainWord. It shares cv's centroids,
+// which a cover never modifies.
+func (cv *Cover) seed(n int, word uint64) colblock.Seed {
+	return colblock.Seed{Count: n, Config: word, Rounds: cv.Rounds, Centroids: cv.Centroids}
 }
 
 func checkWindow(w tuple.Batch, h float64) error {

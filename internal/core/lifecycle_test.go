@@ -11,15 +11,26 @@ import (
 	"repro/internal/tuple"
 )
 
-// scratchDigest is the oracle of the lifecycle tests: the digest of a
-// from-scratch BuildCover over window c's current contents.
+// scratchDigest is the oracle of the lifecycle tests: the digest of
+// window c's chain cover built from scratch over the windows' current
+// contents, by fresh Builders from c's anchor up (cold after an empty
+// window).
 func scratchDigest(t testing.TB, m *Maintainer, c int) string {
 	t.Helper()
-	cv, err := BuildCover(m.st.Window(c), c, m.st.WindowLength(), m.cfg)
-	if err != nil {
-		t.Fatalf("from-scratch cover of window %d: %v", c, err)
+	var prev *Cover
+	for i := c - chainOffset(c); i <= c; i++ {
+		w := m.st.Window(i)
+		if len(w) == 0 && i < c {
+			prev = nil
+			continue
+		}
+		cv, err := new(Builder).BuildFrom(w, i, m.st.WindowLength(), m.cfg, prev)
+		if err != nil {
+			t.Fatalf("from-scratch cover of window %d: %v", i, err)
+		}
+		prev = cv
 	}
-	return coverDigest(cv)
+	return coverDigest(prev)
 }
 
 // appendLate adds n tuples with an off-field value to window c and
@@ -199,46 +210,48 @@ func TestOvertakenBuildInstalledWithOneFollowUp(t *testing.T) {
 // rebuild is pending. Queue overflow, displacement, Close and an
 // invalidation after Close each hard-drop the cover they leave without a
 // rebuild, and the next read builds from the window's present contents.
+// The windows are lone (loneWindow(i) is window i below), so each
+// invalidation dirties one cover.
 func TestRefusedRebuildHardDrops(t *testing.T) {
-	st := fillStore(t, 100, 6, 40)
+	st := fillLoneStore(t, 100, 6, 40)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(13)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	s.maxQueue = 1
 	defer s.Watch(m)()
 	old := make(map[int]*Cover)
-	for c := 0; c < 5; c++ {
-		cv, err := m.CoverFor(c)
+	for i := 0; i < 5; i++ {
+		cv, err := m.CoverFor(loneWindow(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		old[c] = cv
+		old[i] = cv
 	}
 	cached := func() map[int]bool {
 		out := make(map[int]bool)
 		for _, c := range m.CachedWindows() {
-			out[c] = true
+			out[(c-loneWindow(0))/chainSpan] = true
 		}
 		return out
 	}
 
 	gate := gateBuilds(m)
 	rng := rand.New(rand.NewSource(3))
-	appendLate(t, m, 5, 5, rng) // occupies the worker
+	appendLate(t, m, loneWindow(5), 5, rng) // occupies the worker
 	<-gate.entered
 
-	appendLate(t, m, 2, 5, rng) // queued: stale cover kept
-	if cv, _ := m.CoverFor(2); cv != old[2] {
+	appendLate(t, m, loneWindow(2), 5, rng) // queued: stale cover kept
+	if cv, _ := m.CoverFor(loneWindow(2)); cv != old[2] {
 		t.Fatal("window 2 (rebuild queued) is not served from its previous cover")
 	}
-	appendLate(t, m, 1, 5, rng) // queue full, older than what is pending: refused
+	appendLate(t, m, loneWindow(1), 5, rng) // queue full, older than what is pending: refused
 	if cached()[1] {
 		t.Fatal("window 1's rebuild was refused but its stale cover is still cached")
 	}
-	appendLate(t, m, 3, 5, rng) // newer: displaces window 2's rebuild
+	appendLate(t, m, loneWindow(3), 5, rng) // newer: displaces window 2's rebuild
 	if got := cached(); got[2] || !got[3] {
 		t.Fatalf("after displacement cached = %v, want window 2 dropped and 3 kept", got)
 	}
-	if cv, _ := m.CoverFor(3); cv != old[3] {
+	if cv, _ := m.CoverFor(loneWindow(3)); cv != old[3] {
 		t.Fatal("window 3 (rebuild queued) is not served from its previous cover")
 	}
 
@@ -249,11 +262,12 @@ func TestRefusedRebuildHardDrops(t *testing.T) {
 	<-closed
 	m.testBuildHook = nil
 
-	appendLate(t, m, 4, 5, rng) // the closed scheduler refuses everything
+	appendLate(t, m, loneWindow(4), 5, rng) // the closed scheduler refuses everything
 	if cached()[4] {
 		t.Fatal("invalidation after Close left a stale cover cached")
 	}
-	for c := 0; c < 6; c++ {
+	for i := 0; i < 6; i++ {
+		c := loneWindow(i)
 		cv, err := m.CoverFor(c)
 		if err != nil {
 			t.Fatal(err)
@@ -266,15 +280,17 @@ func TestRefusedRebuildHardDrops(t *testing.T) {
 
 // TestUnwatchHardDropsStaleCovers: detaching the scheduler leaves nobody
 // to revalidate, so the stale covers go and later invalidations
-// hard-drop.
+// hard-drop. The windows are lone (w(i) below), so each invalidation
+// dirties one cover.
 func TestUnwatchHardDropsStaleCovers(t *testing.T) {
-	st := fillStore(t, 100, 3, 40)
+	st := fillLoneStore(t, 100, 3, 40)
+	w := loneWindow
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(14)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	unwatch := s.Watch(m)
-	for c := 0; c < 3; c++ {
-		if _, err := m.CoverFor(c); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := m.CoverFor(w(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,15 +299,15 @@ func TestUnwatchHardDropsStaleCovers(t *testing.T) {
 
 	gate := gateBuilds(m)
 	rng := rand.New(rand.NewSource(4))
-	appendLate(t, m, 2, 5, rng)
+	appendLate(t, m, w(2), 5, rng)
 	<-gate.entered
-	appendLate(t, m, 0, 5, rng) // queued behind the gated build
+	appendLate(t, m, w(0), 5, rng) // queued behind the gated build
 	unwatch()
-	if got := m.CachedWindows(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("cached after unwatch = %v, want only the current window 1", got)
+	if got := m.CachedWindows(); len(got) != 1 || got[0] != w(1) {
+		t.Fatalf("cached after unwatch = %v, want only the current window %d", got, w(1))
 	}
-	if changes.count(0) != 1 || changes.count(2) != 1 {
-		t.Fatalf("unwatch change hooks = %v, want one each for windows 0 and 2", changes.cs)
+	if changes.count(w(0)) != 1 || changes.count(w(2)) != 1 {
+		t.Fatalf("unwatch change hooks = %v, want one each for windows %d and %d", changes.cs, w(0), w(2))
 	}
 	if st := s.Stats(); st.QueueLen != 0 {
 		t.Fatalf("unwatch left %d builds queued", st.QueueLen)
@@ -302,12 +318,12 @@ func TestUnwatchHardDropsStaleCovers(t *testing.T) {
 	// The build that was running was overtaken by nothing, but it belongs
 	// to a maintainer nobody watches now: whatever it did, no stale cover
 	// may be cached, and an invalidation is a hard drop again.
-	appendLate(t, m, 1, 5, rng)
+	appendLate(t, m, w(1), 5, rng)
 	for _, c := range m.CachedWindows() {
 		if m.Generation(c) != m.ServedGeneration(c) {
 			t.Fatalf("window %d is cached stale after unwatch", c)
 		}
-		if c == 1 {
+		if c == w(1) {
 			t.Fatal("invalidation after unwatch kept the cover")
 		}
 	}

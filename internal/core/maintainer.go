@@ -34,7 +34,31 @@ import (
 //     Invalidate hard-drops the cover and the next reader rebuilds it
 //     synchronously — read-your-writes.
 //
-// The invariants, checked by the seeded lifecycle property test:
+// # Cover chains
+//
+// A window's cover is built from its predecessor's (Builder.BuildFrom):
+// window c starts from the centroids of window c−1's current cover, unless
+// c anchors its chain (c mod chainSpan = 0) or window c−1 holds no tuples,
+// and then it is built cold. A cover is thus a pure function of the
+// store's windows from its anchor up to it — the chain cover — and the
+// maintainer keeps it one through every way those windows change:
+//
+//   - A late write: Invalidate(c) also advances the generation of every
+//     known later window (one with a cover cached or a build in flight
+//     whose result will be kept) of c's span, up to the first window that
+//     holds no tuples; each goes stale-while-revalidate or is
+//     hard-dropped like c itself.
+//   - Eviction: when the store evicts window e, window e+1 (unless it is
+//     an anchor or empty) is invalidated like a late write into it, since
+//     its cover is now the cold one — the one a replica mirror, whose log
+//     no longer holds e, builds too — and the covers chained after it are
+//     dropped like evicted ones, to be rebuilt by their next read.
+//   - Restarts: a checkpoint seed is refitted only when it was built over
+//     exactly the window's tuples from exactly the predecessor cover
+//     current(c−1) gives (see seed).
+//
+// The invariants, checked by the seeded lifecycle and chain property
+// tests:
 //
 //   - Served stale ⇒ rebuild pending. A stale cover stays cached only
 //     while its rebuild is queued, running, or owed by a worker resting
@@ -43,8 +67,8 @@ import (
 //     a failed build — hard-drops the stale cover, so the next reader
 //     builds from the window's current contents.
 //   - Quiesced ⇒ bit-identical. Once the scheduler is idle
-//     (Scheduler.Wait) every cached cover is current, i.e. equal to
-//     BuildCover over the window's present tuples.
+//     (Scheduler.Wait) every cached cover is current, i.e. equal to the
+//     chain cover over the windows' present tuples.
 //   - The generation a reader observes for a window (ServedGeneration,
 //     and the covers CoverFor returns) never decreases, and a cover
 //     obtained after reading ServedGeneration was built at that
@@ -52,7 +76,9 @@ import (
 //     evaluating (the continuous-query ETag) never yields a wrong 304.
 //   - At most one build of a window is in flight. A reader that needs a
 //     cover while one is being built waits for it instead of starting a
-//     second; a scheduler worker never waits — whoever runs a build
+//     second. A build of window c first takes current(c−1), so it may
+//     wait on a lower window of its own span, never on a higher one, and
+//     a scheduler worker waits on nothing else — whoever runs a build
 //     that a write overtook requests the rebuild again when it finishes.
 //   - A finished build is never thrown away because a write overtook it:
 //     it is installed (never over a newer cover) and owes exactly one
@@ -63,7 +89,8 @@ import (
 //     than it can be modeled is rebuilt at most every other build time.
 //   - A cover refitted from its checkpoint's seed is the cover a build
 //     would give: the seed is used only for a window that is exactly the
-//     tuples it was built over, with the configuration that built it.
+//     tuples it was built over, with the configuration and from the
+//     predecessor that built it.
 //   - Change hooks (OnChange) run after every install of a rebuilt cover
 //     and after every hard drop — the moments the answer a reader gets
 //     changes — not when the window is merely dirtied, so a subscription
@@ -82,7 +109,7 @@ import (
 type Maintainer struct {
 	st  *store.Store
 	cfg Config
-	fp  uint64 // cfg.fingerprint(): what a seed must have been built with
+	fp  uint64 // cfg.fingerprint(): what a cold seed must have been built with
 
 	unhook, unseed func() // detach the store eviction and checkpoint hooks
 
@@ -119,10 +146,12 @@ type Maintainer struct {
 	testRefitHook func(c int, w tuple.Batch, sd colblock.Seed)
 }
 
-// cached is one cached cover and the window generation it was built at.
+// cached is one cached cover, the window generation it was built at, and
+// the Config word of its seed (chainWord).
 type cached struct {
-	cv  *Cover
-	gen uint64
+	cv   *Cover
+	gen  uint64
+	word uint64
 }
 
 type changeHook struct {
@@ -141,14 +170,16 @@ func fire(hooks []changeHook, c int) {
 // buildState tracks the one in-flight build of a window. gen is the
 // window's generation when the build started — before it read the
 // window, so the cover holds at least every tuple of that generation.
-// evicted is guarded by the maintainer's mutex; cover, refit and err are
-// written once before done closes.
+// evicted is guarded by the maintainer's mutex; cover, word, refit, took
+// and err are written once before done closes.
 type buildState struct {
 	done    chan struct{}
 	gen     uint64
 	evicted bool
 	cover   *Cover
-	refit   bool // the cover was refitted from the checkpoint's seed
+	word    uint64        // the seed word of cover (see cached)
+	refit   bool          // the cover was refitted from the checkpoint's seed
+	took    time.Duration // the window's own build, its predecessors' not counted
 	err     error
 }
 
@@ -188,8 +219,8 @@ func (m *Maintainer) CoverFor(c int) (*Cover, error) {
 }
 
 // coverFor is CoverFor that also reports the generation the returned
-// cover was built at. The only wait is for the in-flight build of the
-// same cover, which always closes done.
+// cover was built at. It waits only for the in-flight build of the same
+// cover, which always closes done, and for its own build's predecessors.
 func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 	for {
 		m.mu.Lock()
@@ -201,7 +232,7 @@ func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 		if !ok {
 			bs = m.startBuildLocked(c)
 			m.mu.Unlock()
-			if sched := m.build(c, bs); sched != nil {
+			if sched := m.build(c, bs, nil); sched != nil {
 				sched.Schedule(m, c)
 			}
 			return bs.cover, bs.gen, bs.err
@@ -219,57 +250,62 @@ func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 	}
 }
 
-// refreshOutcome classifies one background refresh for the scheduler's
-// counters.
-type refreshOutcome int
+// buildTally counts, for the scheduler's counters, what one background
+// refresh did: its own build and those of the lower windows of its span
+// it brought up to date first; skipped counts a window that holds no data
+// (evicted), coalesced one with nothing to do (current, or a build is
+// running).
+type buildTally struct {
+	built, refitted, failed int64
+	skipped, coalesced      int64
+}
 
-const (
-	refreshBuilt     refreshOutcome = iota // a build ran and succeeded
-	refreshRefitted                        // a refit from the checkpoint's seed did
-	refreshFailed                          // a build ran and errored
-	refreshSkipped                         // the window holds no data (evicted)
-	refreshCoalesced                       // nothing to do: current, or a build is running
-)
+// count records the settled build bs; a nil tally (a build on the query
+// path) counts nothing.
+func (t *buildTally) count(bs *buildState) {
+	switch {
+	case t == nil:
+	case bs.err != nil:
+		t.failed++
+	case bs.refit:
+		t.built++
+		t.refitted++
+	default:
+		t.built++
+	}
+}
 
 // refresh is the scheduler worker's entry: bring window c's cover up to
-// the window's current generation. It never waits on another build — a
-// running build that a write overtook is followed up by whoever runs it
-// — and does nothing when the cover is already current.
+// the window's current generation, counting into t. It waits on no build
+// of c — a running build that a write overtook is followed up by whoever
+// runs it — and only on the lower windows of c's span its build starts
+// from; it does nothing when the cover is already current.
 // A positive rest means the worker's own build was overtaken: the window
 // is being written faster than it can be modeled, and the follow-up the
 // worker owes (Schedule, once it has rested that long) is paced so that
 // rebuilding one hot window never takes more than half of a core from
 // the write path.
-func (m *Maintainer) refresh(c int) (outcome refreshOutcome, rest time.Duration) {
+func (m *Maintainer) refresh(c int, t *buildTally) (rest time.Duration) {
 	// An empty window means it was evicted (or never held data) after
 	// scheduling: building would just manufacture an error.
 	if m.st.WindowLen(c) == 0 {
-		return refreshSkipped, 0
+		t.skipped++
+		return 0
 	}
 	m.mu.Lock()
-	if e, ok := m.covers[c]; ok && e.gen == m.gens[c] {
+	e, ok := m.covers[c]
+	_, running := m.building[c]
+	if ok && e.gen == m.gens[c] || running {
 		m.mu.Unlock()
-		return refreshCoalesced, 0
-	}
-	if _, ok := m.building[c]; ok {
-		m.mu.Unlock()
-		return refreshCoalesced, 0
+		t.coalesced++
+		return 0
 	}
 	bs := m.startBuildLocked(c)
 	m.mu.Unlock()
-	start := time.Now()
-	outcome = refreshBuilt
-	owed := m.build(c, bs) != nil
-	switch {
-	case bs.err != nil:
-		outcome = refreshFailed
-	case bs.refit:
-		outcome = refreshRefitted
+	if m.build(c, bs, t) != nil {
+		rest = bs.took
 	}
-	if owed {
-		rest = time.Since(start)
-	}
-	return outcome, rest
+	return rest
 }
 
 // startBuildLocked registers the in-flight build of window c. Caller
@@ -283,15 +319,23 @@ func (m *Maintainer) startBuildLocked(c int) *buildState {
 	return bs
 }
 
-// build runs the registered build bs of window c and settles it: the
-// cover is installed unless the window was evicted meanwhile, a newer
-// cover is already cached, or a write overtook the build with no
+// build runs the registered build bs of window c, counting it (and the
+// builds of the predecessors it brings up to date) into t, and settles
+// it: the cover is installed unless the window was evicted meanwhile, a
+// newer cover is already cached, or a write overtook the build with no
 // scheduler to run the follow-up (the hard-drop mode, where the next
 // reader rebuilds). An overtaken build under a scheduler owes one
 // follow-up rebuild: build returns that scheduler, and its caller
 // requests the rebuild from it — a refusal hard-drops the cover just
 // installed.
-func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
+func (m *Maintainer) build(c int, bs *buildState, t *buildTally) (followUp *Scheduler) {
+	// The chain's cover of window c−1 first: a change to it after this
+	// point advances c's generation too, so the build is overtaken.
+	var prev *Cover
+	if chainOffset(c) != 0 && m.st.WindowLen(c-1) > 0 {
+		prev = m.current(c-1, t).cv
+	}
+	start := time.Now()
 	// The window is read into the borrowed Builder's buffer, not cloned:
 	// the cover copies out what it keeps, so the tuples are moved once.
 	// The seed comes with the tuples, from the same critical section: a
@@ -304,7 +348,8 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 		m.testBuildHook(c)
 	}
 	h := m.st.WindowLength()
-	if seeded && sd.Config == m.fp && sd.Count == len(b.win) {
+	bs.word = chainWord(m.fp, c, prev)
+	if seeded && sd.Config == bs.word && sd.Count == len(b.win) {
 		if m.testRefitHook != nil {
 			m.testRefitHook(c, b.win, sd)
 		}
@@ -316,9 +361,11 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 	case len(b.win) == 0:
 		bs.err = fmt.Errorf("core: window %d is empty", c)
 	case !bs.refit:
-		bs.cover, bs.err = b.BuildCover(b.win, c, h, m.cfg)
+		bs.cover, bs.err = b.BuildFrom(b.win, c, h, m.cfg, prev)
 	}
 	builders.Put(b)
+	bs.took = time.Since(start)
+	t.count(bs)
 
 	m.mu.Lock()
 	delete(m.building, c)
@@ -332,7 +379,7 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 	case overtaken && m.sched == nil:
 	default:
 		if e, ok := m.covers[c]; !ok || e.gen < bs.gen {
-			m.covers[c] = cached{cv: bs.cover, gen: bs.gen}
+			m.covers[c] = cached{cv: bs.cover, gen: bs.gen, word: bs.word}
 			changed = true
 		}
 	}
@@ -349,36 +396,48 @@ func (m *Maintainer) build(c int, bs *buildState) (followUp *Scheduler) {
 }
 
 // seed is the store's checkpoint hook (store.SeedFunc): the centroids of
-// window c's cover when that cover was built over exactly the n tuples the
-// checkpoint holds (a window only grows by append, so they are its first
-// n). A sealed window's cover is brought up to date first (current), so a
-// window written since its last build still gets a seed.
+// window c's current cover when that cover was built over exactly the n
+// tuples the checkpoint holds (a window only grows by append, so they are
+// its first n), with its word. A sealed window's cover is brought up to
+// date first (current), so a window written since its last build still
+// gets a seed; a live window's cached cover that is not current gets none
+// — after a cascade it can count the right tuples and still be stale.
+//
+// A build refits a seed only when the window holds exactly Count tuples
+// and the word is what current(c−1) gives (chainWord): the fingerprint XOR
+// a hash of that cover's centroids, or the fingerprint alone when c
+// anchors its chain or c−1 holds no tuples. A late write, a bad seed or an
+// eviction below c thus costs exactly the windows whose chain inputs — the
+// window's tuples, its predecessor's centroids — changed.
 func (m *Maintainer) seed(c, n int, sealed bool) (colblock.Seed, bool) {
-	var cv *Cover
+	var e cached
 	if sealed {
-		cv = m.current(c)
+		e = m.current(c, nil)
 	} else {
 		m.mu.Lock()
-		cv = m.covers[c].cv
+		if x := m.covers[c]; x.gen == m.gens[c] {
+			e = x
+		}
 		m.mu.Unlock()
 	}
-	if cv == nil || cv.tuples() != n {
+	if e.cv == nil || e.cv.tuples() != n {
 		return colblock.Seed{}, false
 	}
-	return cv.seed(n, m.fp), true
+	return e.cv.seed(n, e.word), true
 }
 
-// current returns window c's cover at the window's present generation:
-// the cached one when it is current, else the running build's once that
-// ends, else one built here and installed like any other — the rebuild a
-// scheduler has queued for the window then finds nothing to do. It
-// returns nil when the build fails.
-func (m *Maintainer) current(c int) *Cover {
+// current returns window c's cover at the window's present generation,
+// with its generation and word: the cached one when it is current, else
+// the running build's once that ends, else one built here (counted into
+// t) and installed like any other — the rebuild a scheduler has queued
+// for the window then finds nothing to do. Its cover is nil when the
+// build fails.
+func (m *Maintainer) current(c int, t *buildTally) cached {
 	for {
 		m.mu.Lock()
 		if e, ok := m.covers[c]; ok && e.gen == m.gens[c] {
 			m.mu.Unlock()
-			return e.cv
+			return e
 		}
 		if bs, ok := m.building[c]; ok {
 			m.mu.Unlock()
@@ -387,10 +446,10 @@ func (m *Maintainer) current(c int) *Cover {
 		}
 		bs := m.startBuildLocked(c)
 		m.mu.Unlock()
-		if sched := m.build(c, bs); sched != nil {
+		if sched := m.build(c, bs, t); sched != nil {
 			sched.Schedule(m, c)
 		}
-		return bs.cover
+		return cached{cv: bs.cover, gen: bs.gen, word: bs.word}
 	}
 }
 
@@ -406,27 +465,47 @@ func (m *Maintainer) CoverAt(t float64) (*Cover, error) {
 }
 
 // Invalidate records that window c changed (e.g. late tuples arrived for
-// a window that was already modeled) by advancing its generation. Under a
-// watching scheduler the cached cover stays served while the rebuild this
-// call queues is pending; if the scheduler refuses the rebuild it
-// hard-drops the cover. Without a scheduler the cover is hard-dropped
-// here, a build in flight is not cached when it completes, and the change
-// hooks run — later CoverFor calls rebuild from the post-invalidation
-// window. Invalidate allocates nothing once the window is known.
+// a window that was already modeled) by advancing its generation, and
+// that of every known later window whose chain cover starts from c's:
+// those of c's span up to the first window that holds no tuples. Under a
+// watching scheduler each cached cover stays served while the rebuild
+// this call queues is pending; if the scheduler refuses a rebuild it
+// hard-drops that cover. Without a scheduler the covers are
+// hard-dropped here, builds in flight are not cached when they complete,
+// and the change hooks run — later CoverFor calls rebuild from the
+// post-invalidation windows. Invalidate allocates nothing once the window
+// is known.
 func (m *Maintainer) Invalidate(c int) {
+	end := c + 1
+	for spanEnd := c - chainOffset(c) + chainSpan; end < spanEnd && m.st.WindowLen(end) > 0; {
+		end++
+	}
+	// A window created in the gap meanwhile is invalidated by its own write.
+	var dirty [chainSpan]int
+	n := 0
 	m.mu.Lock()
-	m.gens[c]++
 	sched := m.sched
-	if sched == nil {
-		delete(m.covers, c)
+	for w := c; w < end; w++ {
+		_, cachedCover := m.covers[w]
+		bs, running := m.building[w]
+		if w == c || cachedCover || running && !bs.evicted {
+			m.gens[w]++
+			dirty[n] = w
+			n++
+			if sched == nil {
+				delete(m.covers, w)
+			}
+		}
 	}
 	hooks := m.hooks
 	m.mu.Unlock()
-	if sched != nil {
-		sched.Schedule(m, c)
-		return
+	for _, w := range dirty[:n] {
+		if sched != nil {
+			sched.Schedule(m, w)
+		} else {
+			fire(hooks, w)
+		}
 	}
-	fire(hooks, c)
 }
 
 // OnChange registers fn to run, outside the maintainer lock, whenever the
@@ -506,22 +585,48 @@ func (m *Maintainer) dropStaleLocked(c int) bool {
 // behind the retention horizon once newer windows are evicted. A build in
 // flight for such a window stays registered (one build at a time) but its
 // result is discarded.
+//
+// The window after the horizon has lost its predecessor, so its chain
+// cover is now the cold one: unless it anchors its chain or holds no
+// tuples, it is invalidated like a late write into it. The covers chained
+// after it are dropped the way evicted ones are, and the change hooks run
+// for them: revalidating them would rebuild up to 22 covers an eviction
+// under rolling ingest, and a reader of one rebuilds what it needs.
 func (m *Maintainer) dropWindows(evicted []int) {
 	horizon := evicted[len(evicted)-1] // ascending order
+	next := horizon + 1
+	chained := chainOffset(next) != 0 && m.st.WindowLen(next) > 0
+	end := next + 1 // the chained windows after next are (next, end)
+	for spanEnd := next - chainOffset(next) + chainSpan; chained && end < spanEnd && m.st.WindowLen(end) > 0; {
+		end++
+	}
+	var dropped [chainSpan]int
+	n := 0
 	m.mu.Lock()
 	for c := range m.covers {
-		if c <= horizon {
+		if c <= horizon || next < c && c < end {
 			m.gens[c]++
 			delete(m.covers, c)
+			if c > next {
+				dropped[n] = c
+				n++
+			}
 		}
 	}
 	for c, bs := range m.building {
-		if c <= horizon && !bs.evicted {
+		if (c <= horizon || next < c && c < end) && !bs.evicted {
 			m.gens[c]++
 			bs.evicted = true
 		}
 	}
+	hooks := m.hooks
 	m.mu.Unlock()
+	for _, c := range dropped[:n] {
+		fire(hooks, c)
+	}
+	if chained {
+		m.Invalidate(next)
+	}
 }
 
 // Generation returns how many times window c has been invalidated or

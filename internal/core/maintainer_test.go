@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,8 +25,30 @@ func fillStore(t *testing.T, h float64, windows int, perWindow int) *store.Store
 // windows.
 func fillWindows(t testing.TB, st *store.Store, h float64, windows int, perWindow int) {
 	t.Helper()
+	fillIndexes(t, st, h, windows, perWindow, func(i int) int { return i })
+}
+
+// loneWindow is the index of the i-th lone window: the last window of its
+// chain's span, after an empty predecessor, so its cover is built cold and
+// an invalidation of it moves no other window. Tests of one window's
+// cover lifecycle that invalidate several windows use lone windows.
+func loneWindow(i int) int { return i*chainSpan + chainSpan - 1 }
+
+// fillLoneStore is fillStore over the first windows lone windows.
+func fillLoneStore(t *testing.T, h float64, windows int, perWindow int) *store.Store {
+	t.Helper()
+	st := store.MustOpenMemory(h)
+	fillIndexes(t, st, h, windows, perWindow, loneWindow)
+	return st
+}
+
+// fillIndexes appends perWindow seeded tuples to windows index(0), …,
+// index(windows−1) of st.
+func fillIndexes(t testing.TB, st *store.Store, h float64, windows int, perWindow int, index func(int) int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	for c := 0; c < windows; c++ {
+	for i := 0; i < windows; i++ {
+		c := index(i)
 		b := make(tuple.Batch, perWindow)
 		start := float64(c) * h
 		for i := range b {
@@ -59,8 +82,11 @@ func TestMaintainerBuildsAndCaches(t *testing.T) {
 	if cv1 != cv1b {
 		t.Error("second CoverFor should return the cached pointer")
 	}
-	if got := m.CachedWindows(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("CachedWindows = %v", got)
+	// Window 1's cover starts from window 0's, which the read built too.
+	got := m.CachedWindows()
+	sort.Ints(got)
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("CachedWindows = %v, want [0 1]", got)
 	}
 }
 

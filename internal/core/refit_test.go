@@ -12,14 +12,17 @@ import (
 	"repro/internal/tuple"
 )
 
-// requireRefitIsBuild builds w's cover, refits it from the seed a
+// requireRefitIsBuild builds w's cover from prev (BuildFrom; cold when
+// prev is nil), refits it from the seed a
 // checkpoint would keep of it, and requires the two to be the same cover:
 // the same digest and every column deep-equal. It reports whether the
-// build dropped an empty region and the smallest region's tuple count.
-func requireRefitIsBuild(t *testing.T, name string, w tuple.Batch, c int, h float64, cfg Config) (dropped bool, smallest int32) {
+// build started warm, whether it dropped an empty region and the smallest
+// region's tuple count.
+func requireRefitIsBuild(t *testing.T, name string, w tuple.Batch, c int, h float64, cfg Config, prev *Cover) (warm, dropped bool, smallest int32) {
 	t.Helper()
 	var b Builder
-	want, err := b.BuildCover(w, c, h, cfg)
+	want, err := b.BuildFrom(w, c, h, cfg, prev)
+	warm = b.warmStart(b.positions(w), c, cfg.withDefaults(), prev) != nil
 	if err != nil {
 		t.Fatalf("%s: build: %v", name, err)
 	}
@@ -37,7 +40,7 @@ func requireRefitIsBuild(t *testing.T, name string, w tuple.Batch, c int, h floa
 	for _, n := range want.N {
 		smallest = min(smallest, n)
 	}
-	return dropped, smallest
+	return warm, dropped, smallest
 }
 
 // TestRefitMatchesBuild: a cover refitted from its own seed is the cover
@@ -50,12 +53,12 @@ func requireRefitIsBuild(t *testing.T, name string, w tuple.Batch, c int, h floa
 // or keeps the other.
 func TestRefitMatchesBuild(t *testing.T) {
 	anyDropped, anySingle := false, false
-	note := func(dropped bool, smallest int32) {
+	note := func(_, dropped bool, smallest int32) {
 		anyDropped = anyDropped || dropped
 		anySingle = anySingle || smallest == 1
 	}
 	for c, w := range lausanneWindows() {
-		note(requireRefitIsBuild(t, fmt.Sprintf("hour%02d", c), w, c, 3600, lausanneConfig))
+		note(requireRefitIsBuild(t, fmt.Sprintf("hour%02d", c), w, c, 3600, lausanneConfig, nil))
 		lo, hi := w[0].X, w[0].X
 		for _, r := range w {
 			lo, hi = min(lo, r.X), max(hi, r.X)
@@ -67,15 +70,15 @@ func TestRefitMatchesBuild(t *testing.T) {
 		}
 		for i, part := range thirds {
 			if len(part) > 0 {
-				note(requireRefitIsBuild(t, fmt.Sprintf("hour%02d/third%d", c, i), part, c, 3600, lausanneConfig))
+				note(requireRefitIsBuild(t, fmt.Sprintf("hour%02d/third%d", c, i), part, c, 3600, lausanneConfig, nil))
 			}
 		}
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{InitialK: 1 + rng.Intn(6), MaxK: 4 + rng.Intn(40), ErrThreshold: 0.005, Cluster: clusterSeed(seed)}
-		note(requireRefitIsBuild(t, fmt.Sprintf("duplicated/%d", seed), duplicatedWindow(rng, 40+rng.Intn(300)), 0, 1000, cfg))
-		note(requireRefitIsBuild(t, fmt.Sprintf("collinear/%d", seed), collinearWindow(rng, 40+rng.Intn(300)), 0, 1000, cfg))
+		note(requireRefitIsBuild(t, fmt.Sprintf("duplicated/%d", seed), duplicatedWindow(rng, 40+rng.Intn(300)), 0, 1000, cfg, nil))
+		note(requireRefitIsBuild(t, fmt.Sprintf("collinear/%d", seed), collinearWindow(rng, 40+rng.Intn(300)), 0, 1000, cfg, nil))
 	}
 	if !anyDropped || !anySingle {
 		t.Errorf("no build dropped an empty region (%v) or kept a one-tuple region (%v)", anyDropped, anySingle)

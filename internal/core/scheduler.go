@@ -25,7 +25,9 @@ type SchedulerStats struct {
 	// (deduplicated: re-invalidating an already-queued window does not
 	// count again).
 	Scheduled int64 `json:"scheduled"`
-	// Built is the number of covers built successfully in the background.
+	// Built is the number of covers built successfully in the background,
+	// those of the lower windows a chained build brought up to date first
+	// included.
 	Built int64 `json:"built"`
 	// Refitted counts the Built covers refitted from the seed their
 	// window's checkpoint kept (Builder.Refit) instead of built by Ad-KMN.
@@ -80,10 +82,12 @@ func (h *buildHeap) Pop() interface{} {
 // lifecycle). Rebuilds are coalesced and single-flight: N writes to a
 // window inside one build time cost one running build plus one
 // follow-up, never a second concurrent build and never a worker parked
-// on someone else's. The follow-up of an overtaken build is paced — the
-// worker first rests for as long as that build took — so sustained
-// writes to one window cost a rebuild every other build time, not a busy
-// core. The scheduler is what makes serving a stale cover legitimate, so
+// on someone else's build of the same window — a worker waits only on
+// the lower windows of the span its build starts from (cover chains).
+// The follow-up of an overtaken build is paced — the worker first rests
+// for as long as that window's build took — so sustained writes to one
+// window cost a rebuild every other build time, not a busy core. The
+// scheduler is what makes serving a stale cover legitimate, so
 // every request it cannot honour — queue overflow or displacement, Close,
 // unwatch — hard-drops that window's stale cover.
 type Scheduler struct {
@@ -217,9 +221,12 @@ func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 // restart this turns recovery into a warm start: every recovered window
 // — checkpointed or replayed from the segment suffix — is modeled off the
 // query path before anyone asks, most recent first — the same priority
-// fresh ingest gets. A window that is exactly what its checkpoint holds is
-// refitted from the seed the checkpoint kept, a fraction of a build; the
-// others run Ad-KMN. A nil scheduler primes nothing.
+// fresh ingest gets; the most recent window's build brings the lower
+// windows of its span up to date first, which the worker counts as its
+// own builds. A window whose tuples and predecessor's centroids are
+// exactly what its checkpoint holds is refitted from the seed the checkpoint kept, a
+// fraction of a build; the others run Ad-KMN. A nil scheduler primes
+// nothing.
 func (s *Scheduler) WarmPrime(m *Maintainer) int {
 	if s == nil || m == nil {
 		return 0
@@ -281,21 +288,14 @@ func (s *Scheduler) worker() {
 // flight, so Wait keeps waiting and Close cuts the rest short — and then
 // requests it like any other rebuild.
 func (s *Scheduler) build(key buildKey) {
-	outcome, rest := key.m.refresh(key.c)
+	var t buildTally
+	rest := key.m.refresh(key.c, &t)
 	s.mu.Lock()
-	switch outcome {
-	case refreshBuilt:
-		s.built++
-	case refreshRefitted:
-		s.built++
-		s.refitted++
-	case refreshFailed:
-		s.failed++
-	case refreshSkipped:
-		s.skipped++
-	case refreshCoalesced:
-		s.coalesced++
-	}
+	s.built += t.built
+	s.refitted += t.refitted
+	s.failed += t.failed
+	s.skipped += t.skipped
+	s.coalesced += t.coalesced
 	s.mu.Unlock()
 	if rest > 0 {
 		t := time.NewTimer(rest)

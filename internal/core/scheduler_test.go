@@ -47,9 +47,10 @@ func TestSchedulerBuildsInvalidatedWindows(t *testing.T) {
 }
 
 // TestSchedulerPrefersRecentWindows gates the maintainer's build path
-// and checks queued windows are built newest-first.
+// and checks queued windows are built newest-first. The windows are lone:
+// a chained window would build its predecessors first.
 func TestSchedulerPrefersRecentWindows(t *testing.T) {
-	st := fillStore(t, 100, 5, 40)
+	st := fillLoneStore(t, 100, 5, 40)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(2)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
@@ -67,11 +68,11 @@ func TestSchedulerPrefersRecentWindows(t *testing.T) {
 		<-release
 	}
 
-	m.Invalidate(0) // worker picks this up and blocks in the build
+	m.Invalidate(loneWindow(0)) // worker picks this up and blocks in the build
 	<-entered
 	// Now queue the rest while the worker is busy; priority decides.
-	for _, c := range []int{1, 3, 2, 4} {
-		m.Invalidate(c)
+	for _, i := range []int{1, 3, 2, 4} {
+		m.Invalidate(loneWindow(i))
 	}
 	waitFor(t, "queue to fill", func() bool { return s.Stats().QueueLen == 4 })
 	close(release)
@@ -79,7 +80,10 @@ func TestSchedulerPrefersRecentWindows(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []int{0, 4, 3, 2, 1}
+	var want []int
+	for _, i := range []int{0, 4, 3, 2, 1} {
+		want = append(want, loneWindow(i))
+	}
 	if len(order) != len(want) {
 		t.Fatalf("build order = %v, want %v", order, want)
 	}
@@ -138,9 +142,10 @@ func TestSchedulerSkipsEvictedWindows(t *testing.T) {
 
 // TestSchedulerOverflowDropsOldest fills a lowered build queue and checks a newer
 // window displaces the oldest pending build, while an older one is
-// refused.
+// refused. The windows are lone: a chained window would build its
+// predecessors, dropped or not.
 func TestSchedulerOverflowDropsOldest(t *testing.T) {
-	st := fillStore(t, 100, 8, 30)
+	st := fillLoneStore(t, 100, 8, 30)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(5)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	s.maxQueue = 2
@@ -152,12 +157,12 @@ func TestSchedulerOverflowDropsOldest(t *testing.T) {
 		entered <- c
 		<-release
 	}
-	s.Schedule(m, 5) // occupies the worker
+	s.Schedule(m, loneWindow(5)) // occupies the worker
 	<-entered
-	s.Schedule(m, 2)
-	s.Schedule(m, 3) // queue now [2 3], full
-	s.Schedule(m, 1) // older than everything pending: refused
-	s.Schedule(m, 4) // newer: displaces 2
+	s.Schedule(m, loneWindow(2))
+	s.Schedule(m, loneWindow(3)) // queue now [2 3], full
+	s.Schedule(m, loneWindow(1)) // older than everything pending: refused
+	s.Schedule(m, loneWindow(4)) // newer: displaces 2
 	st5 := s.Stats()
 	if st5.Dropped != 2 {
 		t.Fatalf("Dropped = %d, want 2 (one refusal + one displacement)", st5.Dropped)
@@ -170,7 +175,7 @@ func TestSchedulerOverflowDropsOldest(t *testing.T) {
 	got := m.CachedWindows()
 	sort.Ints(got)
 	for _, c := range got {
-		if c == 1 || c == 2 {
+		if c == loneWindow(1) || c == loneWindow(2) {
 			t.Fatalf("dropped window %d was built anyway (cached %v)", c, got)
 		}
 	}

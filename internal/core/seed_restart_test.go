@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,20 +94,19 @@ func (r *restarted) prime() SchedulerStats {
 	return r.sched.Stats()
 }
 
-// requireBuiltCovers fails unless every window's cached cover is the one
-// BuildCover gives over the window as the store now holds it.
+// requireBuiltCovers fails unless every window's cached cover is its
+// chain cover over the windows as the store now holds them, built from
+// scratch (referenceChain).
 func (r *restarted) requireBuiltCovers(t *testing.T, label string, cfg Config) {
 	t.Helper()
-	for _, c := range r.st.WindowIndexes() {
+	idxs := r.st.WindowIndexes()
+	ref := referenceChain(t, r.st.Window, idxs, 3600, cfg)
+	for _, c := range idxs {
 		got, err := r.m.CoverFor(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BuildCover(r.st.Window(c), c, 3600, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if coverDigest(got) != coverDigest(want) {
+		if want := ref[c].cv; coverDigest(got) != coverDigest(want) {
 			t.Errorf("%s: window %d cover %s, a build gives %s", label, c, coverDigest(got), coverDigest(want))
 		}
 	}
@@ -137,7 +137,9 @@ func TestSeededRestartRunsNoAdKMN(t *testing.T) {
 
 // TestLateWriteBuildsInFull: a window written after the restart's
 // checkpoint is its base plus a suffix; its seed is of the base alone, so
-// it is built by Ad-KMN, and the windows around it are still refitted.
+// it is built by Ad-KMN. The windows before it are still refitted, and so
+// is exactly each later one whose chain input — the start its build
+// prunes from its predecessor's cover — the write left as it was.
 func TestLateWriteBuildsInFull(t *testing.T) {
 	r := restart(t, checkpointedDir(t, lausanneConfig, true), lausanneConfig)
 	late := seedWindows()[3][7]
@@ -146,10 +148,41 @@ func TestLateWriteBuildsInFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int64(len(seedWindows()))
-	if st := r.prime(); st.Built != n || st.Refitted != n-1 {
-		t.Errorf("%+v: want %d built, all but the written window refitted", st, n)
+	before := referenceChain(t, checkpointedWindow, indexes(len(seedWindows())), 3600, lausanneConfig)
+	after := referenceChain(t, r.st.Window, r.st.WindowIndexes(), 3600, lausanneConfig)
+	var unchanged []int
+	for c := range seedWindows() {
+		if before[c].word == after[c].word && before[c].cv.tuples() == after[c].cv.tuples() {
+			unchanged = append(unchanged, c)
+		}
+	}
+	if len(unchanged) < 3 || unchanged[2] != 2 || slices.Contains(unchanged, 3) {
+		t.Fatalf("windows %v keep their chain inputs: want 0, 1 and 2 and never the written window 3", unchanged)
+	}
+	if st := r.prime(); st.Built != n || st.Refitted != int64(len(unchanged)) {
+		t.Errorf("%+v: want %d built, refitted exactly windows %v", st, n, unchanged)
 	}
 	r.requireBuiltCovers(t, "late write", lausanneConfig)
+}
+
+// checkpointedWindow returns window c of seedWindows as a store returns
+// it: sorted by time.
+func checkpointedWindow(c int) tuple.Batch {
+	if c < 0 || c >= len(seedWindows()) {
+		return nil
+	}
+	w := seedWindows()[c].Clone()
+	w.SortByTime()
+	return w
+}
+
+// indexes returns 0, 1, …, n−1.
+func indexes(n int) []int {
+	idxs := make([]int, n)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
 }
 
 // TestChangedConfigBuildsInFull: seeds written under one ErrThreshold are
@@ -188,10 +221,7 @@ func TestChangedConfigBuildsInFull(t *testing.T) {
 // every window is built, and nothing is counted.
 func TestBadSeedBuildsInFull(t *testing.T) {
 	dir := checkpointedDir(t, lausanneConfig, true)
-	cv, err := BuildCover(seedWindows()[2], 2, 3600, lausanneConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cv := referenceChain(t, checkpointedWindow, indexes(3), 3600, lausanneConfig)[2].cv
 	var pattern [16]byte
 	binary.LittleEndian.PutUint64(pattern[0:], math.Float64bits(cv.Centroids[0].X))
 	binary.LittleEndian.PutUint64(pattern[8:], math.Float64bits(cv.Centroids[0].Y))
@@ -259,8 +289,7 @@ func TestAppendRacingRefit(t *testing.T) {
 	var refits, bad atomic.Int64
 	r.m.testRefitHook = func(c int, w tuple.Batch, sd colblock.Seed) {
 		refits.Add(1)
-		base := bases[c].Clone()
-		base.SortByTime()
+		base := checkpointedWindow(c)
 		if len(w) != sd.Count || len(w) != len(base) || !batchesBitEqual(w, base) {
 			bad.Add(1)
 		}

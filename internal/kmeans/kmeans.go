@@ -62,9 +62,9 @@ func Run(pts []geo.Point, k int, cfg Config) (*Result, error) {
 
 // Clusterer runs k-means with arrays it keeps between runs, so a caller
 // that clusters again and again — Ad-KMN splits once per round, a build
-// worker builds cover after cover — allocates them once. The Result of Run
-// and Split points into those arrays: it is valid until the next call on
-// the same Clusterer, which overwrites it. A Clusterer must not be used
+// worker builds cover after cover — allocates them once. The Result of
+// Run, RunFrom and Split points into those arrays: it is valid until the
+// next call on the same Clusterer, which overwrites it. A Clusterer must not be used
 // from two goroutines at once; the zero value is ready.
 type Clusterer struct {
 	centroids []geo.Point
@@ -74,8 +74,8 @@ type Clusterer struct {
 	sizes     []int      // per centroid: Result.Sizes
 	rng       *rand.Rand
 	res       Result
-	// last holds the points the last Run or Split converged on, and k
-	// its centroid count: the state Split continues from.
+	// last holds the points the last Run, RunFrom or Split converged on,
+	// and k its centroid count: the state Split continues from.
 	last []geo.Point
 	k    int
 }
@@ -135,10 +135,26 @@ func (s *Clusterer) Run(pts []geo.Point, k int, cfg Config) (*Result, error) {
 	return s.lloyd(pts, k, cfg, false), nil
 }
 
+// RunFrom is Run from the given centroids instead of k-means++ seeds:
+// Lloyd iterations from start, with k = len(start), which must be at
+// least 1 and at most len(pts). Its Result is what the full-scan loop from
+// start gives, bit for bit, and Split continues from it as from Run's.
+// Ad-KMN warm-starts a window's cover from its predecessor's centroids
+// with it. start is not retained.
+func (s *Clusterer) RunFrom(pts, start []geo.Point, cfg Config) (*Result, error) {
+	k := len(start)
+	if err := validate(pts, k); err != nil {
+		return nil, err
+	}
+	s.Reserve(len(pts), k)
+	copy(s.centroids, start)
+	return s.lloyd(pts, k, cfg.withDefaults(), false), nil
+}
+
 // Split is the Ad-KMN "re-estimate all the centroids" step after a split
-// round: it continues the previous Run or Split on s, which must have been
-// over the same pts, unchanged, with the centroids add joining the
-// converged ones. Its Result is what Lloyd iterations from the previous
+// round: it continues the previous Run, RunFrom or Split on s, which
+// must have been over the same pts, unchanged, with the centroids add
+// joining the converged ones. Its Result is what Lloyd iterations from the previous
 // Result's Centroids followed by add would give, bit for bit; empty
 // clusters are re-seeded at the point farthest from its centroid, so the
 // result has exactly as many non-empty clusters as centroids. add is not

@@ -247,6 +247,7 @@ func TestLloydMatchesReference(t *testing.T) {
 					cfg := Config{Seed: rng.Int63(), MaxIterations: maxIter}
 					name := fmt.Sprintf("shape%d/n%d/k%d/iter%d", shape, n, k, maxIter)
 					checkAgainstReference(t, &s, name, pts, k, cfg, rng)
+					checkRunFrom(t, &s, name+"/from", pts, fuzzStart(rng, pts, k, nil), cfg, rng)
 				}
 			}
 		}
@@ -318,16 +319,59 @@ func FuzzLloydMatchesReference(f *testing.F) {
 		}
 		kk := 1 + int(k)%min(len(pts), 64)
 		cfg := Config{Seed: seed, MaxIterations: int(maxIter) % 8}
-		checkAgainstReference(t, new(Clusterer), "fuzz", pts, kk, cfg, rng)
+		s := new(Clusterer)
+		checkAgainstReference(t, s, "fuzz", pts, kk, cfg, rng)
+		checkRunFrom(t, s, "fuzz/from", pts, fuzzStart(rng, pts, kk, data), cfg, rng)
 	})
 }
 
-// startFrom runs Lloyd on s from the given centroids, as the reference
-// does from start: a state Run's seeding would not choose.
-func startFrom(s *Clusterer, pts, start []geo.Point, cfg Config) *Result {
-	s.Reserve(len(pts), len(start))
-	copy(s.centroids, start)
-	return s.lloyd(pts, len(start), cfg.withDefaults(), false)
+// fuzzStart returns k start centroids drawn from the fuzz input: points
+// of pts, copies of centroids already drawn (whose clusters start empty),
+// points far off every one of pts (which win none), and, while data
+// lasts, points made of its bit patterns.
+func fuzzStart(rng *rand.Rand, pts []geo.Point, k int, data []byte) []geo.Point {
+	start := make([]geo.Point, 0, k)
+	for len(start) < k {
+		switch op := rng.Intn(4); {
+		case op == 0 && len(start) > 0:
+			start = append(start, start[rng.Intn(len(start))])
+		case op == 1:
+			p := pts[rng.Intn(len(pts))]
+			start = append(start, geo.Point{X: p.X + 1e9, Y: p.Y - 1e9})
+		case op == 2 && len(data) >= 16:
+			start = append(start, geo.Point{
+				X: math.Float64frombits(binary.LittleEndian.Uint64(data)),
+				Y: math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+			})
+			data = data[16:]
+		default:
+			start = append(start, pts[rng.Intn(len(pts))])
+		}
+	}
+	return start
+}
+
+// checkRunFrom runs Lloyd on s from start, compares with the brute-force
+// loop from the same centroids, and chains a split round on the result,
+// as a warm-started Ad-KMN build does.
+func checkRunFrom(t testing.TB, s *Clusterer, name string, pts, start []geo.Point, cfg Config, rng *rand.Rand) {
+	t.Helper()
+	want, err := referenceRefine(pts, start, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := s.RunFrom(pts, start, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sameResult(t, name, got, want)
+	var add []geo.Point
+	for room := len(pts) - len(want.Centroids); room > 0 && len(add) < 1+len(start)/3; room-- {
+		add = append(add, pts[rng.Intn(len(pts))])
+	}
+	if len(add) > 0 {
+		checkSplit(t, s, name+"/split", pts, want, add, cfg)
+	}
 }
 
 // nanLowers counts the points of s's last result whose lower bound is NaN.
@@ -354,7 +398,11 @@ func TestOverflowingMoveLeavesUnknownLowerBound(t *testing.T) {
 	cfg := Config{}
 	want, _ := referenceRefine(pts, start, cfg)
 	var s Clusterer
-	sameResult(t, "start", startFrom(&s, pts, start, cfg), want)
+	got, err := s.RunFrom(pts, start, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "start", got, want)
 	if n := nanLowers(&s); n == 0 {
 		t.Fatal("no lower bound is NaN: the construction no longer reaches the state it tests")
 	}

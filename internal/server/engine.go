@@ -152,6 +152,10 @@ type Engine struct {
 	// ingest), runs inside the pipeline sink — the hook tests use to hold
 	// the ingest worker and saturate the queue deterministically.
 	ingestTestGate func(p tuple.Pollutant)
+	// invalidateTestHook, when set (by tests in this package, before any
+	// ingest), runs inside the pipeline sink for each window the sink
+	// invalidates, just before it does.
+	invalidateTestHook func(p tuple.Pollutant, c int)
 }
 
 // NewEngine creates a single-pollutant engine over st with the given
@@ -665,6 +669,9 @@ func (e *Engine) ingestSink(p tuple.Pollutant, b tuple.Batch) error {
 		seen = append(seen, c)
 		if sh.st.WindowLen(c) == 0 {
 			continue // evicted or out of retention: never queue dead builds
+		}
+		if e.invalidateTestHook != nil {
+			e.invalidateTestHook(p, c)
 		}
 		sh.maintainer.Invalidate(c)
 	}
