@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := grid.WritePNG(f); err != nil {
+	if err := grid.WritePNG(f, repro.CO2); err != nil {
 		f.Close()
 		log.Fatal(err)
 	}

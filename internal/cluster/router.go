@@ -1207,11 +1207,20 @@ func (n *Node) Query(ctx context.Context, req query.Request) (float64, error) {
 // shard owners. Every share, this node's own included, travels as a wire
 // BatchQueryRequest.
 func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
-	if err := ctx.Err(); err != nil {
+	out := make([]query.BatchResult, len(reqs))
+	if err := n.QueryBatchInto(ctx, reqs, out); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// QueryBatchInto is QueryBatch answering into out, one result per request.
+func (n *Node) QueryBatchInto(ctx context.Context, reqs []query.Request, out []query.BatchResult) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if len(reqs) == 0 {
-		return nil, errors.New("cluster: empty query batch")
+		return errors.New("cluster: empty query batch")
 	}
 	m := wire.BatchQueryRequest{Items: make([]wire.QueryRequest, len(reqs))}
 	for i, req := range reqs {
@@ -1219,10 +1228,9 @@ func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.Ba
 	}
 	r, err := answer[wire.BatchQueryResponse](n.HandleMessageCtx(ctx, m))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]query.BatchResult, len(r.Items))
-	for i, it := range r.Items {
+	for i, it := range r.Items[:len(reqs)] {
 		if it.Err != "" {
 			out[i] = query.BatchResult{Err: ErrorFromWire(it.Code(), it.Err)}
 		} else {
@@ -1230,7 +1238,7 @@ func (n *Node) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.Ba
 		}
 	}
 	n.Release(nil, r)
-	return out, nil
+	return nil
 }
 
 // Ingest applies an upload through the cluster, splitting it across

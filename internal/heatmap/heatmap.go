@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/geo"
+	"repro/internal/tuple"
 )
 
 // Grid is a rasterized heatmap: cell (i, j) covers a rectangle of the
@@ -100,13 +101,14 @@ func (g *Grid) MinMax() (min, max float64) {
 }
 
 // WritePNG renders the grid as a PNG image on the app's green→red band
-// scale. North is at the top of the image.
-func (g *Grid) WritePNG(w io.Writer) error {
+// scale, banded as pollutant p is (eval.ClassifyPollutant). North is at
+// the top of the image.
+func (g *Grid) WritePNG(w io.Writer, p tuple.Pollutant) error {
 	img := image.NewRGBA(image.Rect(0, 0, g.Cols, g.Rows))
 	for j := 0; j < g.Rows; j++ {
 		for i := 0; i < g.Cols; i++ {
 			v := g.Values[j*g.Cols+i]
-			r, gr, b := eval.ClassifyCO2(v).Color()
+			r, gr, b := eval.ClassifyPollutant(p, v).Color()
 			// Flip vertically: row 0 is south, image origin is north-west.
 			img.SetRGBA(i, g.Rows-1-j, color.RGBA{R: r, G: gr, B: b, A: 0xFF})
 		}
@@ -125,17 +127,23 @@ type CentroidMarker struct {
 // Markers returns the cover's centroids evaluated at time t — the emitting
 // points of Figure 5(b).
 func Markers(cv *core.Cover, t float64) ([]CentroidMarker, error) {
-	if cv == nil || cv.Size() == 0 {
-		return nil, errors.New("heatmap: nil or empty cover")
-	}
-	out := make([]CentroidMarker, cv.Size())
-	for i, c := range cv.Centroids {
-		v := cv.Model(i).Predict(t, c.X, c.Y)
-		out[i] = CentroidMarker{
-			Pos:   c,
-			Value: v,
-			Band:  eval.ClassifyCO2(v).String(),
-		}
+	var out []CentroidMarker
+	if err := EachMarker(cv, t, func(m CentroidMarker) { out = append(out, m) }); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// EachMarker calls f with each of Markers' markers in centroid order,
+// without collecting them: a caller that writes markers as they come
+// allocates nothing for them. A marker's band is the cover pollutant's.
+func EachMarker(cv *core.Cover, t float64, f func(CentroidMarker)) error {
+	if cv == nil || cv.Size() == 0 {
+		return errors.New("heatmap: nil or empty cover")
+	}
+	for i, c := range cv.Centroids {
+		v := cv.Model(i).Predict(t, c.X, c.Y)
+		f(CentroidMarker{Pos: c, Value: v, Band: eval.ClassifyPollutant(cv.Pollutant, v).String()})
+	}
+	return nil
 }

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/geo"
 	"repro/internal/kmeans"
+	"repro/internal/regress"
 	"repro/internal/tuple"
 )
 
@@ -93,7 +95,7 @@ func TestWritePNG(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := g.WritePNG(&buf); err != nil {
+	if err := g.WritePNG(&buf, tuple.CO2); err != nil {
 		t.Fatal(err)
 	}
 	img, err := png.Decode(&buf)
@@ -125,5 +127,41 @@ func TestMarkers(t *testing.T) {
 	}
 	if _, err := Markers(nil, 0); err == nil {
 		t.Error("nil cover should error")
+	}
+}
+
+// TestPollutantBands: markers and PNG pixels are banded on their
+// pollutant's scale. One PM region at 300 µg/m³ is "poor" on PM's, where
+// CO2's would read "fresh"; the same cover tagged CO2 keeps CO2's bands.
+func TestPollutantBands(t *testing.T) {
+	for _, tc := range []struct {
+		pol  tuple.Pollutant
+		want eval.CO2Band
+	}{{tuple.PM, eval.BandPoor}, {tuple.CO2, eval.BandFresh}} {
+		cv := &core.Cover{Pollutant: tc.pol, ValidUntil: 600, Features: regress.Constant,
+			Centroids: []geo.Point{{X: 1000, Y: 1000}}, Coefs: []float64{300}}
+		ms, err := Markers(cv, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 1 || ms[0].Band != tc.want.String() {
+			t.Errorf("%v markers %+v, want one banded %v", tc.pol, ms, tc.want)
+		}
+		g, err := FromCover(cv, region(), 3, 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := g.WritePNG(&buf, tc.pol); err != nil {
+			t.Fatal(err)
+		}
+		img, err := png.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, wg, wb := tc.want.Color()
+		if r, g, b, _ := img.At(1, 1).RGBA(); uint8(r>>8) != wr || uint8(g>>8) != wg || uint8(b>>8) != wb {
+			t.Errorf("%v pixel = #%02x%02x%02x, want %v's #%02x%02x%02x", tc.pol, r>>8, g>>8, b>>8, tc.want, wr, wg, wb)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func (a *API) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Addr string `json:"addr"`
 	}
-	if !decodeBody(w, r, &body) {
+	if !decodeBody(w, r, &body, nil) {
 		return
 	}
 	if body.Addr == "" {

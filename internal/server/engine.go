@@ -504,11 +504,21 @@ func (e *Engine) Query(ctx context.Context, req query.Request) (float64, error) 
 // error.
 func (e *Engine) QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error) {
 	if len(reqs) == 0 {
-		return nil, errors.New("server: empty query batch")
+		return nil, errEmptyBatch
 	}
 	results := make([]query.BatchResult, len(reqs))
-	err := runBatch(ctx, e, len(reqs), resultSlots{reqs: reqs, out: results})
-	return results, err
+	return results, e.QueryBatchInto(ctx, reqs, results)
+}
+
+var errEmptyBatch = errors.New("server: empty query batch")
+
+// QueryBatchInto is QueryBatch answering into out, one result per request:
+// a caller that reuses out allocates nothing for the results.
+func (e *Engine) QueryBatchInto(ctx context.Context, reqs []query.Request, out []query.BatchResult) error {
+	if len(reqs) == 0 {
+		return errEmptyBatch
+	}
+	return runBatch(ctx, e, len(reqs), resultSlots{reqs: reqs, out: out[:len(reqs)]})
 }
 
 // batchSlots is the memory a batch executes in, owned by its caller:

@@ -37,6 +37,7 @@ type Backend interface {
 	proto.Handler
 	Query(ctx context.Context, req query.Request) (float64, error)
 	QueryBatch(ctx context.Context, reqs []query.Request) ([]query.BatchResult, error)
+	QueryBatchInto(ctx context.Context, reqs []query.Request, out []query.BatchResult) error
 	Ingest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
 	TryIngest(ctx context.Context, pol tuple.Pollutant, b tuple.Batch) error
 	Heatmap(ctx context.Context, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, error)
@@ -88,10 +89,14 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// writeJSON answers status with v as json.NewEncoder(w).Encode writes it,
+// rendered before anything is sent: a value encoding/json refuses (NaN,
+// ±Inf) is a 500 naming it, not a 200 with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	o := getJSONBuf()
+	defer putJSONBuf(o)
+	o.fail(json.NewEncoder(o).Encode(v))
+	o.send(w, status)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -112,6 +117,9 @@ const (
 	// between requests. Pooled body buffers and lent rasters keep at most
 	// wire.KeepBytes: one large request does not stay pinned to a pool.
 	keepItems = 1 << 10
+	// keepTuples is the largest lend an upload's tuples take: the most
+	// tuples (32 bytes each) the wire pool keeps.
+	keepTuples = wire.KeepBytes / 32
 )
 
 // bodies lends decodeBody its read buffer, as colblock's scratches lends
@@ -121,12 +129,16 @@ var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // decodeBody decodes r's JSON body into v through a pooled buffer. When
 // it cannot, it answers the request itself and returns false: 413 for a
 // body over maxBodyBytes, 400 for one json.Unmarshal rejects — bytes
-// after the value included.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// after the value included. Before decoding it calls prepare, when not
+// nil, with the body's bytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, prepare func(body []byte)) bool {
 	buf := bodies.Get().(*bytes.Buffer)
 	defer putBody(buf)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
+		if prepare != nil {
+			prepare(buf.Bytes())
+		}
 		err = json.Unmarshal(buf.Bytes(), v)
 	}
 	var tooLarge *http.MaxBytesError
@@ -150,12 +162,12 @@ func putBody(buf *bytes.Buffer) {
 }
 
 // routeState is the memory a continuous request reuses: its decoded
-// body, the engine requests built from it and its response. It goes back
+// body, the engine requests built from it and their results. It goes back
 // to routeStates only after the response has been written.
 type routeState struct {
 	req  continuousRequest
 	reqs []query.Request
-	resp continuousResponse
+	res  []query.BatchResult
 }
 
 var routeStates = sync.Pool{New: func() any { return new(routeState) }}
@@ -173,9 +185,10 @@ func getRouteState() *routeState {
 }
 
 func putRouteState(st *routeState) {
-	if max(cap(st.req.Points), cap(st.reqs), cap(st.resp.Values)) > keepItems {
+	if max(cap(st.req.Points), cap(st.reqs), cap(st.res)) > keepItems {
 		return
 	}
+	clear(st.res) // drop the errors the results refer to
 	routeStates.Put(st)
 }
 
@@ -184,8 +197,13 @@ func putRouteState(st *routeState) {
 // still usable: the caller answers 200 with the partial scope marked
 // instead of failing the whole request.
 func asPartial(err error) (*cluster.PartialError, bool) {
+	if err == nil {
+		return nil, false
+	}
+	// Declared past the nil check: errors.As moves its target to the
+	// heap, which a successful request then does not pay for.
 	var pe *cluster.PartialError
-	if err != nil && errors.As(err, &pe) {
+	if errors.As(err, &pe) {
 		return pe, true
 	}
 	return nil, false
@@ -200,12 +218,6 @@ func partialHeaders(w http.ResponseWriter, pe *cluster.PartialError) {
 	}
 	w.Header().Set("X-Envirometer-Partial-Dead", strings.Join(dead, ","))
 	w.Header().Set("X-Envirometer-Stale-Shards", strconv.Itoa(pe.StaleShards))
-}
-
-// partialJSON mirrors cluster.Partial in response bodies.
-type partialJSON struct {
-	Dead        []int `json:"dead"`
-	StaleShards int   `json:"staleShards"`
 }
 
 // errorStatus maps the error taxonomy onto HTTP statuses, for every
@@ -258,11 +270,32 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	writeError(w, status, err)
 }
 
-// queryFloat reads a required finite number. The query-parameter readers
-// take the query string a handler parsed once: r.URL.Query() parses it
-// anew on every call.
-func queryFloat(q url.Values, name string) (float64, error) {
-	s := q.Get(name)
+// queryParam returns the first value of parameter name in the raw query
+// string q, as url.ParseQuery(q).Get(name) does, without building the
+// url.Values: pairs split on '&', a pair holding ';' or failing to unescape
+// is skipped, and a key or value is copied, unescaped, only when it holds
+// '%' or '+' (url.QueryUnescape returns any other string itself).
+func queryParam(q, name string) string {
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryFloat reads a required finite number from the raw query string q.
+func queryFloat(q, name string) (float64, error) {
+	s := queryParam(q, name)
 	if s == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}
@@ -278,8 +311,8 @@ func queryFloat(q url.Values, name string) (float64, error) {
 	return v, nil
 }
 
-func queryInt(q url.Values, name string, def int) (int, error) {
-	s := q.Get(name)
+func queryInt(q, name string, def int) (int, error) {
+	s := queryParam(q, name)
 	if s == "" {
 		return def, nil
 	}
@@ -292,8 +325,8 @@ func queryInt(q url.Values, name string, def int) (int, error) {
 
 // queryPollutant resolves the optional ?pollutant= parameter, defaulting
 // to the engine's default pollutant.
-func (a *API) queryPollutant(q url.Values) (tuple.Pollutant, error) {
-	s := q.Get("pollutant")
+func (a *API) queryPollutant(q string) (tuple.Pollutant, error) {
+	s := queryParam(q, "pollutant")
 	if s == "" {
 		return a.engine.Default(), nil
 	}
@@ -328,7 +361,7 @@ func pointResponseFor(p tuple.Pollutant, v float64) pointResponse {
 // handlePointQuery serves GET /v1/query?t=&x=&y=&pollutant= — the single
 // point query mode.
 func (a *API) handlePointQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	var t, x, y float64
 	var err error
 	if t, err = queryFloat(q, "t"); err == nil {
@@ -383,9 +416,9 @@ type batchResponse struct {
 // outside the retained windows reports an "error" in its slot without
 // rejecting the batch. A ?concurrency= parameter is ignored.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	var br batchRequest
-	if !decodeBody(w, r, &br) {
+	if !decodeBody(w, r, &br, nil) {
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -441,20 +474,12 @@ type continuousRequest struct {
 	} `json:"points"`
 }
 
-// continuousResponse mirrors the app's route view: one value per point,
-// the route average, and its band.
-type continuousResponse struct {
-	Values  []pointResponse `json:"values"`
-	Average float64         `json:"average"`
-	Band    string          `json:"band"`
-	Advice  string          `json:"advice"`
-}
-
 // handleContinuous serves POST /v1/query/continuous?pollutant= — the
 // "continuous query mode" where users select the points of a route and
-// the app shows per-point values and the route average (§3).
+// the app shows per-point values and the route average (§3); the answer
+// is jsonBuf.continuous.
 func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
-	pol, err := a.queryPollutant(r.URL.Query())
+	pol, err := a.queryPollutant(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -462,7 +487,7 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 	st := getRouteState()
 	defer putRouteState(st)
 	req := &st.req
-	if !decodeBody(w, r, req) {
+	if !decodeBody(w, r, req, nil) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -491,38 +516,33 @@ func (a *API) handleContinuous(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rs, err := a.backend.QueryBatch(r.Context(), reqs)
-	if err != nil {
+	st.res = slices.Grow(st.res[:0], len(reqs))[:len(reqs)]
+	if err := a.backend.QueryBatchInto(r.Context(), reqs, st.res); err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	resp := &st.resp
-	resp.Values = resp.Values[:0]
-	var sum float64
-	for i, res := range rs {
+	for i, res := range st.res {
 		if res.Err != nil {
 			// The continuous mode is all-or-nothing (unlike /v1/query/batch):
 			// the first failing point rejects the route, as before.
 			writeEngineError(w, fmt.Errorf("point (%v,%v): %w", reqs[i].X, reqs[i].Y, res.Err))
 			return
 		}
-		resp.Values = append(resp.Values, pointResponseFor(pol, res.Value))
-		sum += res.Value
 	}
-	resp.Average = sum / float64(len(req.Points))
-	avgBand := ClassifyFor(pol, resp.Average)
-	resp.Band = avgBand.String()
-	resp.Advice = avgBand.Advice()
-	if etag != "" {
+	o := getJSONBuf()
+	defer putJSONBuf(o)
+	if o.continuous(pol, st.res); o.err == nil && etag != "" {
 		w.Header().Set("ETag", etag)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	o.send(w, http.StatusOK)
 }
 
 // handleModels serves GET /v1/models?t=&pollutant= — the model request
-// e_l of the model-cache protocol, returning (t_n, µ, M) as JSON.
+// e_l of the model-cache protocol, returning (t_n, µ, M) as JSON
+// (jsonBuf.model), straight from the cover; a cluster's is merged across
+// shards (cluster.Node.CoverAt).
 func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	t, err := queryFloat(q, "t")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -533,32 +553,29 @@ func (a *API) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := a.backend.Model(r.Context(), pol, t)
-	if pe, ok := asPartial(err); ok {
+	cv, err := a.backend.CoverAt(r.Context(), pol, t)
+	pe, isPartial := asPartial(err)
+	if err != nil && !isPartial {
+		writeEngineError(w, err)
+		return
+	}
+	o := getJSONBuf()
+	defer putJSONBuf(o)
+	if o.model(cv); o.err == nil && pe != nil {
 		// Dead node without a live replica: the merged cover is still
 		// valid over the surviving shards, so serve it marked partial
 		// instead of the pre-replication all-or-nothing 502.
 		partialHeaders(w, pe)
-	} else if err != nil {
-		writeEngineError(w, err)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// heatmapResponse carries the raster and the centroid markers. Partial
-// is set when a dead node's shards are missing from the raster (see
-// partialJSON).
-type heatmapResponse struct {
-	Grid    *heatmap.Grid            `json:"grid"`
-	Markers []heatmap.CentroidMarker `json:"markers"`
-	Partial *partialJSON             `json:"partial,omitempty"`
+	o.send(w, http.StatusOK)
 }
 
 // handleHeatmap serves GET /v1/heatmap?t=&cols=&rows=&pollutant= — the
-// web UI's heatmap visualization data.
+// web UI's heatmap visualization data: the raster and the centroid
+// markers (jsonBuf.heatmap), marked partial when a dead node's shards are
+// missing from it.
 func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
-	t, cols, rows, pol, err := a.heatmapParams(r.URL.Query(), 64)
+	t, cols, rows, pol, err := a.heatmapParams(r.URL.RawQuery, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -573,23 +590,18 @@ func (a *API) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	markers, err := heatmap.Markers(cv, t)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := heatmapResponse{Grid: grid, Markers: markers}
-	if pe != nil {
+	o := getJSONBuf()
+	defer putJSONBuf(o)
+	if o.heatmap(grid, cv, t, pe); o.err == nil && pe != nil {
 		partialHeaders(w, pe)
-		resp.Partial = &partialJSON{Dead: pe.Dead, StaleShards: pe.StaleShards}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	o.send(w, http.StatusOK)
 }
 
 // handleHeatmapPNG serves GET /v1/heatmap.png?t=&cols=&rows=&pollutant= —
 // the rendered image.
 func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
-	t, cols, rows, pol, err := a.heatmapParams(r.URL.Query(), 256)
+	t, cols, rows, pol, err := a.heatmapParams(r.URL.RawQuery, 256)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -604,11 +616,11 @@ func (a *API) handleHeatmapPNG(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "image/png")
 	// Headers are already written; a mid-stream encode failure cannot be
 	// reported to the client.
-	_ = grid.WritePNG(w)
+	_ = grid.WritePNG(w, pol)
 }
 
 // heatmapParams parses the shared heatmap parameter set.
-func (a *API) heatmapParams(q url.Values, defSize int) (t float64, cols, rows int, pol tuple.Pollutant, err error) {
+func (a *API) heatmapParams(q string, defSize int) (t float64, cols, rows int, pol tuple.Pollutant, err error) {
 	if t, err = queryFloat(q, "t"); err != nil {
 		return
 	}
@@ -661,13 +673,13 @@ type routeSummaryResponse struct {
 
 // handleRouteSummary serves POST /v1/route/summary?pollutant=.
 func (a *API) handleRouteSummary(w http.ResponseWriter, r *http.Request) {
-	pol, err := a.queryPollutant(r.URL.Query())
+	pol, err := a.queryPollutant(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var req routeSummaryRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, nil) {
 		return
 	}
 	rec := route.NewRecorder()
@@ -730,33 +742,51 @@ type ingestRequest struct {
 // handleIngest serves POST /v1/ingest; the pollutant comes from the
 // ?pollutant= parameter or the body's "pollutant" field.
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Decoded into fresh tuples: the pipeline keeps the batch.
+	// The tuples decode into a lend (wire.LendTuples) sized by the body:
+	// one tuple per '{' past the body's own, at most keepTuples. A body
+	// whose null elements or size beat that count makes encoding/json grow
+	// the slice off the lend. The lend is cleared first — its contents are
+	// undefined, and encoding/json does not zero an element it reuses — so
+	// a tuple that omits a field reads it 0, as a fresh decode does.
+	var lent []tuple.Raw
 	var req ingestRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, func(body []byte) {
+		lent = wire.LendTuples(min(bytes.Count(body, []byte{'{'})-1, keepTuples))
+		clear(lent)
+		req.Tuples = lent[:0]
+	}) {
+		wire.ReturnTuples(lent)
 		return
 	}
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	pol, err := a.queryPollutant(q)
+	if err == nil && queryParam(q, "pollutant") == "" && req.Pollutant != "" {
+		if pol, err = tuple.ParsePollutant(req.Pollutant); err != nil {
+			err = fmt.Errorf("%w: %q", query.ErrUnknownPollutant, req.Pollutant)
+		}
+	}
 	if err != nil {
+		wire.ReturnTuples(lent)
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if q.Get("pollutant") == "" && req.Pollutant != "" {
-		if pol, err = tuple.ParsePollutant(req.Pollutant); err != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: %q", query.ErrUnknownPollutant, req.Pollutant))
-			return
-		}
 	}
 	// No handler-side Validate: the pipeline runs the identical check on
 	// submit and ErrInvalidBatch maps to a 400. TryIngest, not Ingest: an
 	// overloaded server sheds uploads as 429s instead of holding
 	// connections open against a full queue.
 	if err := a.backend.TryIngest(r.Context(), pol, req.Tuples); err != nil {
+		// Not acknowledged: an ingest queue may still hold the upload and
+		// read it later, so the lend is never given back.
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"ingested": len(req.Tuples)})
+	// Acknowledged: the store holds its own copy. When encoding/json grew
+	// the tuples off the lend, nothing refers to the lend any more either.
+	wire.ReturnTuples(lent)
+	o := getJSONBuf()
+	defer putJSONBuf(o)
+	o.ingested(len(req.Tuples))
+	o.send(w, http.StatusOK)
 }
 
 // pollutantStats summarizes one shard.
@@ -800,7 +830,7 @@ type statsResponse struct {
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The top-level fields describe the requested pollutant
 	// (?pollutant=, default: the engine default).
-	top, err := a.queryPollutant(r.URL.Query())
+	top, err := a.queryPollutant(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

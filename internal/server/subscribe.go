@@ -175,7 +175,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, errors.New("response writer cannot stream"))
 		return
 	}
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	pol, err := a.queryPollutant(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -184,7 +184,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	lastID := r.Header.Get("Last-Event-ID")
 	if lastID == "" {
-		lastID = q.Get("lastEventId")
+		lastID = queryParam(q, "lastEventId")
 	}
 	var (
 		entry   *subEntry
@@ -204,7 +204,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if entry == nil {
-		pts, err := parseRoutePoints(q.Get("points"))
+		pts, err := parseRoutePoints(queryParam(q, "points"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

@@ -572,21 +572,11 @@ func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndi
 // cover: its centroids are a copy, and its coefficient sets are slices of
 // one copy of the cover's coefficient column.
 func ModelResponseFromCover(cv *core.Cover) (ModelResponse, error) {
-	if cv == nil || cv.Size() == 0 {
-		return ModelResponse{}, errors.New("wire: nil or empty cover")
-	}
-	if cv.Features == nil {
-		return ModelResponse{}, errors.New("wire: cover has no feature family")
-	}
-	f, err := regress.FeaturesByName(cv.Features.Name())
+	f, err := ModelFeatures(cv)
 	if err != nil {
 		return ModelResponse{}, err
 	}
 	k, d := cv.Size(), f.Dim()
-	if len(cv.Coefs) != k*d {
-		return ModelResponse{}, fmt.Errorf("wire: %d coefficients for %d regions of %s",
-			len(cv.Coefs), k, f.Name())
-	}
 	resp := ModelResponse{
 		ValidFrom:  cv.ValidFrom,
 		ValidUntil: cv.ValidUntil,
@@ -602,6 +592,26 @@ func ModelResponseFromCover(cv *core.Cover) (ModelResponse, error) {
 		resp.Coefs[j] = coefs[j*d : (j+1)*d : (j+1)*d]
 	}
 	return resp, nil
+}
+
+// ModelFeatures checks that cv can be sent as a model response — it has
+// regions, a feature family a client resolves by name, and that family's
+// Dim coefficients per region — and returns the family.
+func ModelFeatures(cv *core.Cover) (regress.Features, error) {
+	if cv == nil || cv.Size() == 0 {
+		return nil, errors.New("wire: nil or empty cover")
+	}
+	if cv.Features == nil {
+		return nil, errors.New("wire: cover has no feature family")
+	}
+	f, err := regress.FeaturesByName(cv.Features.Name())
+	if err != nil {
+		return nil, err
+	}
+	if k := cv.Size(); len(cv.Coefs) != k*f.Dim() {
+		return nil, fmt.Errorf("wire: %d coefficients for %d regions of %s", len(cv.Coefs), k, f.Name())
+	}
+	return f, nil
 }
 
 // CoverFromModelResponse reconstructs a queryable cover on the client from
