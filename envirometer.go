@@ -290,12 +290,14 @@ type Config struct {
 	// append carries at most 4096 tuples.
 	IngestQueue PipelineConfig
 	// Maintenance tunes the background cover-maintenance scheduler that
-	// rebuilds invalidated covers off the query path; until a window's
-	// rebuild is installed its previous cover keeps answering (see
-	// WaitMaintenance). The zero value runs 2 build workers over a
-	// 128-entry build queue; Workers < 0 disables background builds: a
-	// write then drops the touched covers at once and the next read
-	// rebuilds them (read-your-writes).
+	// rebuilds, off the query path, the covers readers hold when a write
+	// invalidates them; until a window's rebuild is installed its
+	// previous cover keeps answering (see WaitMaintenance). A window
+	// nobody has read is not modeled on a write: its first reader builds
+	// its cover. The zero value runs 2 build workers over a 128-entry
+	// build queue; Workers < 0 disables background builds: a write then
+	// drops the touched covers at once and the next read rebuilds them
+	// (read-your-writes).
 	Maintenance SchedulerConfig
 	// Checkpoint bounds recovery time and disk growth (used only with
 	// Dir): with Interval > 0 every store periodically — and at Close —
@@ -630,9 +632,10 @@ func (p *Platform) ListenTCP(addr string) (io.Closer, net.Addr, error) {
 }
 
 // Ingest appends raw readings of pollutant pol and returns once they are
-// stored. The covers of the windows they landed in are rebuilt in the
-// background; until then reads of those windows are answered from their
-// previous covers (WaitMaintenance is the barrier). A full ingest queue
+// stored. The covers readers hold of the windows they landed in are
+// rebuilt in the background; until then reads of those windows are
+// answered from their previous covers (WaitMaintenance is the barrier).
+// A window nobody has read yet is modeled by its first reader. A full ingest queue
 // follows Config.IngestQueue's overflow policy (blocking by default). On
 // a clustered platform the upload splits by shard owner and every slice
 // — this node's own included — commits through the cluster node, which

@@ -37,16 +37,11 @@ func main() {
 	}
 	fmt.Printf("ingested %d raw tuples\n", platform.Len())
 
-	// Ingestion already queued every touched window for a background
-	// model build (see Config.Maintenance to tune or disable this).
-	// Waiting here is optional — a query would simply build on demand —
-	// but it shows the covers arriving off the query path.
-	platform.WaitMaintenance()
-	fmt.Printf("background builds: %d covers ready\n", platform.MaintenanceStats().Built)
-
 	// Point query: the CO2 concentration near the city-center plume at
 	// 05:30 into the stream (t = 19800 s), answered from the window's
-	// Ad-KMN model cover. The zero Pollutant of a Request is CO2.
+	// Ad-KMN model cover. The zero Pollutant of a Request is CO2. Nobody
+	// has read these windows yet, so this first query models the window
+	// (and the earlier windows its cover is chained from) on its way.
 	req := repro.Request{T: 19800, X: 1200, Y: 800, Pollutant: repro.CO2}
 	value, err := platform.Query(ctx, req)
 	if err != nil {
@@ -56,6 +51,22 @@ func main() {
 	fmt.Printf("CO2 at (%.0f m, %.0f m) at t=%.0fs: %.0f ppm [%s]\n",
 		req.X, req.Y, req.T, value, band)
 	fmt.Println(band.Advice())
+
+	// From now on those covers are held: more readings for their windows
+	// are modeled in the background (see Config.Maintenance to tune or
+	// disable this), and until a rebuild lands the previous cover keeps
+	// answering. WaitMaintenance is the barrier after which every answer
+	// reflects every acknowledged reading.
+	more, err := repro.SimulateLausanne(43, 6*3600)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := platform.Ingest(ctx, repro.CO2, more); err != nil {
+		log.Fatal(err)
+	}
+	platform.WaitMaintenance()
+	fmt.Printf("ingested %d more; background builds: %d covers ready\n",
+		len(more), platform.MaintenanceStats().Built)
 
 	// The model cover behind that answer.
 	cover, err := platform.Cover(ctx, repro.CO2, req.T)

@@ -72,9 +72,12 @@ func TestRouteSummaryAgainstPlatform(t *testing.T) {
 	}
 }
 
-// TestPlatformAsyncIngestKnobs exercises the ISSUE 3 facade surface:
-// durable ingest, the ingest pipeline counters, background cover
-// maintenance, and the closed-platform write refusal.
+// TestPlatformAsyncIngestKnobs exercises the facade's asynchronous
+// ingest surface: durable ingest, the ingest pipeline counters, background cover
+// maintenance, and the closed-platform write refusal. Maintenance models
+// for readers: an upload into windows nobody has read builds nothing, the
+// first query of each window builds it, and an upload into windows a
+// reader holds rebuilds them in the background.
 func TestPlatformAsyncIngestKnobs(t *testing.T) {
 	p, err := Open(Config{
 		WindowSeconds: 3600,
@@ -94,15 +97,65 @@ func TestPlatformAsyncIngestKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.WaitMaintenance()
-	if ms := p.MaintenanceStats(); ms.Built < 2 {
-		t.Fatalf("MaintenanceStats = %+v, want both windows prebuilt", ms)
+	if ms := p.MaintenanceStats(); ms.Scheduled != 0 || ms.Built != 0 {
+		t.Fatalf("MaintenanceStats = %+v, want no build for windows nobody has read", ms)
 	}
 	if is := p.IngestStats(); is.Submitted != 1 || is.Appends != 1 {
 		t.Fatalf("IngestStats = %+v, want one submitted upload and one append", is)
 	}
-	// The prebuilt cover answers without a query-path build.
-	if _, err := p.Query(ctx, Request{T: 1800, X: 500, Y: 500}); err != nil {
+	// The first query of each window builds its cover, once.
+	first := make(map[float64]*Cover)
+	for _, tm := range []float64{1800, 5400} {
+		if _, err := p.Query(ctx, Request{T: tm, X: 500, Y: 500}); err != nil {
+			t.Fatal(err)
+		}
+		if first[tm], err = p.Cover(ctx, CO2, tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tm := range []float64{1800, 5400} {
+		if _, err := p.Query(ctx, Request{T: tm, X: 500, Y: 500}); err != nil {
+			t.Fatal(err)
+		}
+		if cv, err := p.Cover(ctx, CO2, tm); err != nil || cv != first[tm] {
+			t.Fatalf("t=%v: second read got cover %p (err %v), want the first query's %p", tm, cv, err, first[tm])
+		}
+	}
+	if ms := p.MaintenanceStats(); ms.Built != 0 {
+		t.Fatalf("MaintenanceStats = %+v, want the first queries' builds on the read path", ms)
+	}
+
+	// Both windows are held now: an upload into them rebuilds them in
+	// the background.
+	more, err := SimulateLausanne(12, 2*3600)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := p.Ingest(ctx, CO2, more); err != nil {
+		t.Fatal(err)
+	}
+	p.WaitMaintenance()
+	if ms := p.MaintenanceStats(); ms.Built < 2 {
+		t.Fatalf("MaintenanceStats = %+v, want both held windows rebuilt", ms)
+	}
+	if is := p.IngestStats(); is.Submitted != 2 || is.Appends != 2 {
+		t.Fatalf("IngestStats = %+v, want two submitted uploads and two appends", is)
+	}
+	// The rebuilt cover answers without a query-path build.
+	for _, tm := range []float64{1800, 5400} {
+		rebuilt, err := p.Cover(ctx, CO2, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt == first[tm] {
+			t.Fatalf("t=%v: the held window's cover was not rebuilt", tm)
+		}
+		if _, err := p.Query(ctx, Request{T: tm, X: 500, Y: 500}); err != nil {
+			t.Fatal(err)
+		}
+		if cv, err := p.Cover(ctx, CO2, tm); err != nil || cv != rebuilt {
+			t.Fatalf("t=%v: query built cover %p (err %v) instead of using the rebuilt %p", tm, cv, err, rebuilt)
+		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

@@ -259,12 +259,17 @@ type chainRig struct {
 
 	next int // the next window an in-order append opens
 
+	// primed holds the windows the last WarmPrime queued until the
+	// scheduler next goes idle: the only windows nobody holds that may
+	// have a build queued.
+	primed []int
+
 	// What the history exercised: reference covers seen starting warm and
 	// cold after the anchor, restarts whose refits were checked, those
 	// with a late tuple in the WAL tail and those with a corrupted seed,
 	// and evictions.
-	warm, cold, restarts, walLate, corrupted int
-	evicts                                   bool
+	warm, cold, restarts, walLate, corrupted, unheldWrites int
+	evicts                                                 bool
 }
 
 func (r *chainRig) fail(format string, args ...any) {
@@ -316,6 +321,26 @@ func (r *chainRig) write(c int, b tuple.Batch) {
 	if r.st.WindowLen(c) > 0 {
 		r.m.Invalidate(c)
 	}
+	if w, ok := unheldQueued(r.m, r.sched, func(c int) bool { return slices.Contains(r.primed, c) }); ok {
+		r.fail("window %d has a build queued but nobody holds it, and WarmPrime did not queue it", w)
+	}
+}
+
+// unheld returns a retained window nobody holds — no cover cached, no
+// build in flight — if there is one.
+func (r *chainRig) unheld() (int, bool) {
+	var cs []int
+	r.m.mu.Lock()
+	for _, c := range r.st.WindowIndexes() {
+		if !r.m.heldLocked(c) {
+			cs = append(cs, c)
+		}
+	}
+	r.m.mu.Unlock()
+	if len(cs) == 0 {
+		return 0, false
+	}
+	return cs[r.rng.Intn(len(cs))], true
 }
 
 // late returns a few tuples for window c, some far off its corridors.
@@ -349,6 +374,7 @@ func (r *chainRig) reference() map[int]chainRef {
 func (r *chainRig) check(label string) {
 	r.t.Helper()
 	r.sched.Wait()
+	r.primed = nil
 	ref := r.reference()
 	r.m.mu.Lock()
 	for c, e := range r.m.covers {
@@ -413,6 +439,7 @@ func (r *chainRig) reopen() {
 			want = append(want, c)
 		}
 	}
+	r.primed = r.m.MissingCovers()
 	r.sched.WarmPrime(r.m)
 	r.check("after a restart")
 	if got := refitted(); !slices.Equal(got, want) {
@@ -464,10 +491,12 @@ func (r *chainRig) corruptSeed(idxs []int) bool {
 }
 
 // TestCoverChainProperty drives seeded histories of in-order appends,
-// late writes into any earlier window of a span (across an anchor too),
-// eviction under a retention bound, checkpoints, restarts whose WAL tail
-// adds a late tuple to a predecessor, and corrupted seeds. Whenever the
-// scheduler is idle every cached cover must be its chain cover, built
+// late writes into any earlier window of a span (across an anchor too)
+// and into windows nobody has read, eviction under a retention bound,
+// checkpoints, restarts whose WAL tail adds a late tuple to a
+// predecessor, and corrupted seeds. After every write no window nobody
+// holds may have a build queued, unless WarmPrime queued it. Whenever
+// the scheduler is idle every cached cover must be its chain cover, built
 // from scratch over the store's present windows, and a restart must refit
 // exactly the windows whose chain inputs are unchanged. A failure names
 // its seed.
@@ -493,10 +522,15 @@ func TestCoverChainProperty(t *testing.T) {
 				c := r.next
 				r.next++
 				r.write(c, chainWindow(r.rng, c, 150+r.rng.Intn(200)))
-			case op < 60:
+			case op < 52:
 				idxs := r.st.WindowIndexes()
 				c := idxs[r.rng.Intn(len(idxs))]
 				r.write(c, r.late(c))
+			case op < 60: // a late write into a window nobody has read
+				if c, ok := r.unheld(); ok {
+					r.write(c, r.late(c))
+					r.unheldWrites++
+				}
 			case op < 70:
 				idxs := r.st.WindowIndexes()
 				if _, err := r.m.CoverFor(idxs[r.rng.Intn(len(idxs))]); err != nil {
@@ -521,11 +555,12 @@ func TestCoverChainProperty(t *testing.T) {
 		r.close()
 		total.warm, total.cold, total.restarts = total.warm+r.warm, total.cold+r.cold, total.restarts+r.restarts
 		total.walLate, total.corrupted = total.walLate+r.walLate, total.corrupted+r.corrupted
+		total.unheldWrites += r.unheldWrites
 		total.evicts = total.evicts || r.evicts
 	}
-	t.Logf("%d warm and %d mid-span cold chain covers checked, %d restarts (%d with a late WAL tuple, %d with a corrupted seed), eviction %v",
-		total.warm, total.cold, total.restarts, total.walLate, total.corrupted, total.evicts)
-	if total.warm == 0 || total.cold == 0 || total.walLate == 0 || total.corrupted == 0 || !total.evicts {
+	t.Logf("%d warm and %d mid-span cold chain covers checked, %d restarts (%d with a late WAL tuple, %d with a corrupted seed), %d late writes into windows nobody had read, eviction %v",
+		total.warm, total.cold, total.restarts, total.walLate, total.corrupted, total.unheldWrites, total.evicts)
+	if total.warm == 0 || total.cold == 0 || total.walLate == 0 || total.corrupted == 0 || total.unheldWrites == 0 || !total.evicts {
 		t.Error("the histories did not exercise every case")
 	}
 }

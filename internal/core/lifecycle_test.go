@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/tuple"
@@ -52,20 +53,95 @@ func appendLate(t testing.TB, m *Maintainer, c, n int, rng *rand.Rand) {
 	m.Invalidate(c)
 }
 
+// gateDeadline bounds every wait on the build gate: a test waiting on a
+// build that never runs fails within it instead of hanging, and a build
+// nobody releases goes on after it.
+const gateDeadline = 10 * time.Second
+
 // buildGate blocks builds in the maintainer's test hook until released,
 // reporting each build that reaches it.
 type buildGate struct {
+	t       testing.TB
 	entered chan int
 	release chan struct{}
+	opened  chan struct{}
 }
 
-func gateBuilds(m *Maintainer) *buildGate {
-	g := &buildGate{entered: make(chan int, 64), release: make(chan struct{}, 64)}
+func gateBuilds(t testing.TB, m *Maintainer) *buildGate {
+	g := &buildGate{
+		t:       t,
+		entered: make(chan int, 64),
+		release: make(chan struct{}, 64),
+		opened:  make(chan struct{}),
+	}
 	m.testBuildHook = func(c int) {
+		deadline := time.NewTimer(gateDeadline)
+		defer deadline.Stop()
 		g.entered <- c
-		<-g.release
+		select {
+		case <-g.release:
+		case <-g.opened:
+		case <-deadline.C:
+		}
 	}
 	return g
+}
+
+// next returns the window of the next build to reach the gate, failing
+// the test if none does within gateDeadline.
+func (g *buildGate) next() int {
+	g.t.Helper()
+	return receive(g.t, g.entered, "a build to reach the gate")
+}
+
+// open lets every build still held at the gate, and every later one,
+// through.
+func (g *buildGate) open() { close(g.opened) }
+
+// settled returns a channel that receives once per build request a
+// worker of s has finished with — built, coalesced or skipped — after
+// the worker stopped counting it in flight. Call it before the requests
+// are queued.
+func settled(s *Scheduler) <-chan struct{} {
+	ch := make(chan struct{}, 64)
+	s.testSettled = func() { ch <- struct{}{} }
+	return ch
+}
+
+// receive waits for one signal on ch, failing the test after gateDeadline.
+func receive[T any](t testing.TB, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(gateDeadline):
+		t.Fatalf("timed out waiting for %s", what)
+		var zero T
+		return zero
+	}
+}
+
+// unheldQueued reports a window of m with a build queued on s that no
+// reader holds — no cover cached, no build in flight whose result will
+// be kept — unless excused says a direct request (WarmPrime's path) may
+// have queued it.
+func unheldQueued(m *Maintainer, s *Scheduler, excused func(c int) bool) (int, bool) {
+	var unheld []int
+	m.mu.Lock()
+	s.mu.Lock()
+	for _, k := range s.queue {
+		if k.m == m && !m.heldLocked(k.c) {
+			unheld = append(unheld, k.c)
+		}
+	}
+	s.mu.Unlock()
+	m.mu.Unlock()
+	for _, c := range unheld {
+		if !excused(c) {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // changeLog records the windows OnChange fired for.
@@ -118,9 +194,9 @@ func TestStaleWhileRevalidate(t *testing.T) {
 		t.Fatalf("generation %d served %d after the cold build, want both 0", g, sg)
 	}
 
-	gate := gateBuilds(m)
+	gate := gateBuilds(t, m)
 	appendLate(t, m, 0, 20, rand.New(rand.NewSource(1)))
-	<-gate.entered // the rebuild is running, not installed
+	gate.next() // the rebuild is running, not installed
 
 	if cv, err := m.CoverFor(0); err != nil || cv != before {
 		t.Fatalf("read while revalidating = %p (err %v), want the previous cover %p", cv, err, before)
@@ -167,20 +243,25 @@ func TestOvertakenBuildInstalledWithOneFollowUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := gateBuilds(m)
+	gate := gateBuilds(t, m)
+	done := settled(s)
 	rng := rand.New(rand.NewSource(2))
 	appendLate(t, m, 0, 10, rng)
-	<-gate.entered
+	gate.next()
 	for i := 0; i < 3; i++ {
 		appendLate(t, m, 0, 10, rng) // absorbed: the idle worker does not park or build
 	}
-	waitFor(t, "second worker to absorb the requests", func() bool {
-		st := s.Stats()
-		return st.QueueLen == 0 && st.Inflight == 1
-	})
+	// Every request admitted beside the running build is one the second
+	// worker takes and absorbs.
+	for i := int64(1); i < s.Stats().Scheduled; i++ {
+		receive(t, done, "the second worker to absorb a request")
+	}
+	if st := s.Stats(); st.QueueLen != 0 || st.Inflight != 1 {
+		t.Fatalf("Stats = %+v, want the requests absorbed beside the one running build", st)
+	}
 	gate.release <- struct{}{}
 
-	<-gate.entered // the one follow-up
+	gate.next() // the one follow-up
 	mid, err := m.CoverFor(0)
 	if err != nil || mid == first {
 		t.Fatalf("overtaken build was not installed: read %p (err %v), previous %p", mid, err, first)
@@ -219,7 +300,7 @@ func TestRefusedRebuildHardDrops(t *testing.T) {
 	s.maxQueue = 1
 	defer s.Watch(m)()
 	old := make(map[int]*Cover)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		cv, err := m.CoverFor(loneWindow(i))
 		if err != nil {
 			t.Fatal(err)
@@ -234,10 +315,10 @@ func TestRefusedRebuildHardDrops(t *testing.T) {
 		return out
 	}
 
-	gate := gateBuilds(m)
+	gate := gateBuilds(t, m)
 	rng := rand.New(rand.NewSource(3))
 	appendLate(t, m, loneWindow(5), 5, rng) // occupies the worker
-	<-gate.entered
+	gate.next()
 
 	appendLate(t, m, loneWindow(2), 5, rng) // queued: stale cover kept
 	if cv, _ := m.CoverFor(loneWindow(2)); cv != old[2] {
@@ -255,9 +336,21 @@ func TestRefusedRebuildHardDrops(t *testing.T) {
 		t.Fatal("window 3 (rebuild queued) is not served from its previous cover")
 	}
 
+	dropped := make(chan struct{}, 1)
+	defer m.OnChange(func(c int) {
+		if c == loneWindow(3) {
+			select {
+			case dropped <- struct{}{}:
+			default:
+			}
+		}
+	})()
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
-	waitFor(t, "Close to discard the queue", func() bool { return !cached()[3] })
+	receive(t, dropped, "Close to discard the queue")
+	if cached()[3] {
+		t.Fatal("Close discarded window 3's rebuild but its stale cover is still cached")
+	}
 	gate.release <- struct{}{}
 	<-closed
 	m.testBuildHook = nil
@@ -297,10 +390,10 @@ func TestUnwatchHardDropsStaleCovers(t *testing.T) {
 	var changes changeLog
 	defer m.OnChange(changes.hook)()
 
-	gate := gateBuilds(m)
+	gate := gateBuilds(t, m)
 	rng := rand.New(rand.NewSource(4))
 	appendLate(t, m, w(2), 5, rng)
-	<-gate.entered
+	gate.next()
 	appendLate(t, m, w(0), 5, rng) // queued behind the gated build
 	unwatch()
 	if got := m.CachedWindows(); len(got) != 1 || got[0] != w(1) {
@@ -331,39 +424,110 @@ func TestUnwatchHardDropsStaleCovers(t *testing.T) {
 
 // TestInvalidateAllocatesNothing locks the per-batch cost of the
 // invalidation path on a watched maintainer with both consumers attached
-// (the scheduler and a change hook): no id slice, no sort, no hook copy.
+// (the scheduler and a change hook): no id slice, no sort, no hook copy —
+// for a held window whose rebuild is queued, for a window nobody holds
+// (the hooks run, nothing is queued), and without a scheduler. The
+// windows are lone, so each invalidation moves one window.
 func TestInvalidateAllocatesNothing(t *testing.T) {
-	st := fillStore(t, 100, 2, 40)
+	st := fillLoneStore(t, 100, 3, 40)
+	held, queued, unheld := loneWindow(0), loneWindow(1), loneWindow(2)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(16)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	defer s.Watch(m)()
 	defer m.OnChange(func(int) {})()
+	for _, c := range []int{held, queued} {
+		if _, err := m.CoverFor(c); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Park the only worker so nothing else allocates meanwhile, and queue
-	// window 1 once: further invalidations are absorbed by the queue.
-	gate := gateBuilds(m)
-	m.Invalidate(0)
-	<-gate.entered
-	m.Invalidate(1)
-	if allocs := testing.AllocsPerRun(200, func() { m.Invalidate(1) }); allocs != 0 {
-		t.Errorf("Invalidate = %v allocs, want 0", allocs)
+	// the second held window once: further invalidations are absorbed by
+	// the queue.
+	gate := gateBuilds(t, m)
+	m.Invalidate(held)
+	gate.next()
+	m.Invalidate(queued)
+	scheduled := s.Stats().Scheduled
+	for _, tc := range []struct {
+		name string
+		c    int
+	}{
+		{"a held window already queued", queued},
+		{"a window nobody holds", unheld},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { m.Invalidate(tc.c) }); allocs != 0 {
+			t.Errorf("Invalidate of %s = %v allocs, want 0", tc.name, allocs)
+		}
 	}
-	gate.release <- struct{}{}
-	gate.release <- struct{}{}
+	if got := s.Stats().Scheduled; got != scheduled {
+		t.Errorf("Scheduled went %d → %d: invalidating a window nobody holds queued a build", scheduled, got)
+	}
+	gate.open()
 	s.Wait()
 
 	// Without a scheduler the hard drop and the hook fan-out are free too.
 	m2 := NewMaintainer(st, Config{Cluster: clusterSeed(16)})
 	defer m2.OnChange(func(int) {})()
-	m2.Invalidate(1)
-	if allocs := testing.AllocsPerRun(200, func() { m2.Invalidate(1) }); allocs != 0 {
+	m2.Invalidate(queued)
+	if allocs := testing.AllocsPerRun(200, func() { m2.Invalidate(queued) }); allocs != 0 {
 		t.Errorf("Invalidate without a scheduler = %v allocs, want 0", allocs)
 	}
 }
 
+// TestUnheldWriteQueuesNothing: a write into a window nobody has read
+// queues no build and runs the change hooks once, so a subscription over
+// it re-evaluates; the window's first reader then builds it on the read
+// path, and gets bit for bit the cover Builder.BuildFrom gives over the
+// window from its predecessor's cover.
+func TestUnheldWriteQueuesNothing(t *testing.T) {
+	st := fillStore(t, 100, 2, 60)
+	m := NewMaintainer(st, Config{Cluster: clusterSeed(17)})
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	defer s.Close()
+	defer s.Watch(m)()
+	prev, err := m.CoverFor(0) // window 0 is held, window 1 is not
+	if err != nil {
+		t.Fatal(err)
+	}
+	var changes changeLog
+	defer m.OnChange(changes.hook)()
+
+	appendLate(t, m, 1, 20, rand.New(rand.NewSource(5)))
+	if st := s.Stats(); st.Scheduled != 0 || st.QueueLen != 0 {
+		t.Fatalf("Stats = %+v after a write into a window nobody holds, want nothing queued", st)
+	}
+	if got := changes.count(1); got != 1 {
+		t.Fatalf("the write fired %d change hooks for window 1, want 1", got)
+	}
+	if got := changes.count(0); got != 0 {
+		t.Fatalf("the write fired %d change hooks for window 0, which it did not touch", got)
+	}
+
+	got, err := m.CoverFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := new(Builder).BuildFrom(st.Window(1), 1, st.WindowLength(), m.cfg, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coverDigest(got) != coverDigest(want) {
+		t.Fatalf("first read of window 1 = %s, BuildFrom from window 0's cover = %s", coverDigest(got), coverDigest(want))
+	}
+	if g, sg := m.Generation(1), m.ServedGeneration(1); g != 1 || sg != 1 {
+		t.Fatalf("window 1 generation %d served %d after its first read, want both 1", g, sg)
+	}
+	s.Wait()
+	if st := s.Stats(); st.Scheduled != 0 || st.Built != 0 {
+		t.Fatalf("Stats = %+v, want the read path to have built window 1 and the scheduler nothing", st)
+	}
+}
+
 // TestCoverLifecycleProperty drives seeded random interleavings of
-// append+invalidate, reads, direct rebuild requests, eviction (rolling
+// append+invalidate (into held windows and into windows nobody holds),
+// reads, direct rebuild requests, eviction (rolling
 // retention), queue overflow (a stalled builder against a small
 // build queue) and Close against a real store, with two background workers
 // and two concurrent readers, and checks the lifecycle invariants stated
@@ -407,8 +571,10 @@ type lifecycleRig struct {
 	seenGen   map[int]uint64
 	readErr   atomic.Value
 
-	// Driver-only.
+	// Driver-only. requested holds the windows a direct request may still
+	// have queued.
 	invalidations, requests int64
+	requested               map[int]bool
 	closed                  bool
 }
 
@@ -502,7 +668,9 @@ func (r *lifecycleRig) check(quiesce bool) {
 }
 
 // checkPaused verifies, with the readers paused, that every stale cached
-// cover has a rebuild pending, that no window was built twice at once,
+// cover has a rebuild pending, that no window nobody holds has a build
+// queued unless a direct request queued it, that no window was built
+// twice at once,
 // that no read went back in time, that builds stay within what
 // invalidations, direct requests and cold reads can account for, and —
 // once the scheduler is quiescent — that every cached cover is current
@@ -526,6 +694,14 @@ func (r *lifecycleRig) checkPaused(quiesce bool) {
 		queued[k.c] = true
 	}
 	s.mu.Unlock()
+	for c := range r.requested {
+		if !queued[c] {
+			delete(r.requested, c)
+		}
+	}
+	if c, ok := unheldQueued(m, s, func(c int) bool { return r.requested[c] }); ok {
+		r.fail("window %d has a build queued but nobody holds it, and no direct request queued it", c)
+	}
 	type entry struct {
 		c   int
 		cv  *Cover
@@ -565,6 +741,23 @@ func (r *lifecycleRig) checkPaused(quiesce bool) {
 	}
 }
 
+// unheld picks a retained window nobody holds — no cover cached, no build
+// in flight — or, when every retained window is held, the next one.
+func (r *lifecycleRig) unheld(rng *rand.Rand, newest int) int {
+	var cs []int
+	r.m.mu.Lock()
+	for c := max(newest-lifecycleRetain+1, 0); c <= newest; c++ {
+		if !r.m.heldLocked(c) {
+			cs = append(cs, c)
+		}
+	}
+	r.m.mu.Unlock()
+	if len(cs) == 0 {
+		return newest + 1
+	}
+	return cs[rng.Intn(len(cs))]
+}
+
 // overflow stalls the builders and dirties every retained window, more
 // than the queue holds. The readers are paused first: one parked inside
 // a build would never let go of pause.
@@ -589,10 +782,11 @@ func lifecycleRun(t *testing.T, seed int64) {
 	defer st.Close()
 	r := &lifecycleRig{
 		t: t, seed: seed, st: st,
-		m:       NewMaintainer(st, Config{Cluster: clusterSeed(seed)}),
-		s:       NewScheduler(SchedulerConfig{Workers: 2}),
-		inBuild: map[int]int{},
-		seenGen: map[int]uint64{},
+		m:         NewMaintainer(st, Config{Cluster: clusterSeed(seed)}),
+		s:         NewScheduler(SchedulerConfig{Workers: 2}),
+		inBuild:   map[int]int{},
+		seenGen:   map[int]uint64{},
+		requested: map[int]bool{},
 	}
 	r.s.maxQueue = 3
 	defer r.s.Close()
@@ -645,14 +839,21 @@ func lifecycleRun(t *testing.T, seed int64) {
 				r.write(rng, c)
 				r.hi.Store(int64(max(c, newest))) // readers only aim at windows that were written
 			}
-		case op < 70: // a read from the driver itself
+		case op < 52: // a write into a window nobody holds: it queues nothing
+			c := r.unheld(rng, newest)
+			r.write(rng, c)
+			r.hi.Store(int64(max(c, newest)))
+			r.check(false)
+		case op < 72: // a read from the driver itself
 			r.read(newest - rng.Intn(lifecycleRetain+1))
-		case op < 78: // a direct rebuild request (WarmPrime's path)
+		case op < 79: // a direct rebuild request (WarmPrime's path)
+			c := newest - rng.Intn(lifecycleRetain)
 			r.requests++
-			r.s.Schedule(r.m, newest-rng.Intn(lifecycleRetain))
-		case op < 84:
+			r.requested[c] = true
+			r.s.Schedule(r.m, c)
+		case op < 85:
 			r.overflow(rng, newest)
-		case op < 92:
+		case op < 93:
 			r.check(false)
 		default:
 			r.check(true)

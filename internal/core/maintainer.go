@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -26,10 +27,14 @@ import (
 // (dirty) when the window has moved on. What happens to a cover when its
 // window is invalidated depends on who is there to rebuild it:
 //
-//   - Under a watching Scheduler the cover goes dirty → revalidating →
-//     current: Invalidate queues a background rebuild and readers keep
-//     getting the cached cover, one or more generations behind, until the
-//     rebuild installs its successor (stale-while-revalidate).
+//   - Under a watching Scheduler a held window's cover goes dirty →
+//     revalidating → current: Invalidate queues a background rebuild and
+//     readers keep getting the cached cover, one or more generations
+//     behind, until the rebuild installs its successor
+//     (stale-while-revalidate). A window is held once a reader has asked
+//     for it: it has a cached cover, or a build in flight whose result
+//     will be kept. A window nobody holds is not modeled on a write: its
+//     first reader builds it (and a second joins that build).
 //   - Without one (Maintenance.Workers < 0, or after unwatch / Close)
 //     Invalidate hard-drops the cover and the next reader rebuilds it
 //     synchronously — read-your-writes.
@@ -44,10 +49,9 @@ import (
 // maintainer keeps it one through every way those windows change:
 //
 //   - A late write: Invalidate(c) also advances the generation of every
-//     known later window (one with a cover cached or a build in flight
-//     whose result will be kept) of c's span, up to the first window that
-//     holds no tuples; each goes stale-while-revalidate or is
-//     hard-dropped like c itself.
+//     held later window of c's span, up to the first window that holds
+//     no tuples; each goes stale-while-revalidate or is hard-dropped like
+//     c itself.
 //   - Eviction: when the store evicts window e, window e+1 (unless it is
 //     an anchor or empty) is invalidated like a late write into it, since
 //     its cover is now the cold one — the one a replica mirror, whose log
@@ -62,10 +66,12 @@ import (
 //
 //   - Served stale ⇒ rebuild pending. A stale cover stays cached only
 //     while its rebuild is queued, running, or owed by a worker resting
-//     before it (below). Every way a rebuild can be
-//     refused — queue overflow or displacement, Scheduler.Close, unwatch,
-//     a failed build — hard-drops the stale cover, so the next reader
-//     builds from the window's current contents.
+//     before it (below). Every way a rebuild can be refused — queue
+//     overflow or displacement, Scheduler.Close, unwatch, a failed build
+//     — hard-drops the stale cover, so the next reader builds from the
+//     window's current contents. Conversely a write queues no rebuild
+//     for a window nobody holds: only WarmPrime (or a direct Schedule)
+//     queues those.
 //   - Quiesced ⇒ bit-identical. Once the scheduler is idle
 //     (Scheduler.Wait) every cached cover is current, i.e. equal to the
 //     chain cover over the windows' present tuples.
@@ -91,11 +97,12 @@ import (
 //     would give: the seed is used only for a window that is exactly the
 //     tuples it was built over, with the configuration and from the
 //     predecessor that built it.
-//   - Change hooks (OnChange) run after every install of a rebuilt cover
-//     and after every hard drop — the moments the answer a reader gets
-//     changes — not when the window is merely dirtied, so a subscription
-//     push follows every installed refresh of a window it overlaps and
-//     carries the refreshed values.
+//   - Change hooks (OnChange) run after every install of a rebuilt
+//     cover, after every hard drop and after a write into an unheld
+//     window — the moments the answer a reader gets changes — not when a
+//     held window is merely dirtied, so a subscription push follows
+//     every installed refresh of a window it overlaps and carries the
+//     refreshed values.
 //
 // The maintainer registers itself with the store's eviction hook, so its
 // cover cache is bounded by the store's retention horizon: when the store
@@ -171,9 +178,11 @@ func fire(hooks []changeHook, c int) {
 // window's generation when the build started — before it read the
 // window, so the cover holds at least every tuple of that generation.
 // evicted is guarded by the maintainer's mutex; cover, word, refit, took
-// and err are written once before done closes.
+// and err are written once before done is released. Waiters call
+// done.Wait(); the completion signal lives in the state, so registering a
+// build allocates nothing beside it.
 type buildState struct {
-	done    chan struct{}
+	done    sync.WaitGroup
 	gen     uint64
 	evicted bool
 	cover   *Cover
@@ -220,7 +229,7 @@ func (m *Maintainer) CoverFor(c int) (*Cover, error) {
 
 // coverFor is CoverFor that also reports the generation the returned
 // cover was built at. It waits only for the in-flight build of the same
-// cover, which always closes done, and for its own build's predecessors.
+// cover, which always releases done, and for its own build's predecessors.
 func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 	for {
 		m.mu.Lock()
@@ -232,8 +241,8 @@ func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 		if !ok {
 			bs = m.startBuildLocked(c)
 			m.mu.Unlock()
-			if sched := m.build(c, bs, nil); sched != nil {
-				sched.Schedule(m, c)
+			if m.build(c, bs, nil) {
+				m.revalidate(c)
 			}
 			return bs.cover, bs.gen, bs.err
 		}
@@ -243,7 +252,7 @@ func (m *Maintainer) coverFor(c int) (*Cover, uint64, error) {
 		// decides what the next turn of the loop finds cached.
 		joined := bs.gen == m.gens[c] && !bs.evicted
 		m.mu.Unlock()
-		<-bs.done
+		bs.done.Wait()
 		if joined {
 			return bs.cover, bs.gen, bs.err
 		}
@@ -282,9 +291,9 @@ func (t *buildTally) count(bs *buildState) {
 // from; it does nothing when the cover is already current.
 // A positive rest means the worker's own build was overtaken: the window
 // is being written faster than it can be modeled, and the follow-up the
-// worker owes (Schedule, once it has rested that long) is paced so that
-// rebuilding one hot window never takes more than half of a core from
-// the write path.
+// worker owes (revalidate, once it has rested that long) is paced so
+// that rebuilding one hot window never takes more than half of a core
+// from the write path.
 func (m *Maintainer) refresh(c int, t *buildTally) (rest time.Duration) {
 	// An empty window means it was evicted (or never held data) after
 	// scheduling: building would just manufacture an error.
@@ -302,7 +311,7 @@ func (m *Maintainer) refresh(c int, t *buildTally) (rest time.Duration) {
 	}
 	bs := m.startBuildLocked(c)
 	m.mu.Unlock()
-	if m.build(c, bs, t) != nil {
+	if m.build(c, bs, t) {
 		rest = bs.took
 	}
 	return rest
@@ -311,10 +320,8 @@ func (m *Maintainer) refresh(c int, t *buildTally) (rest time.Duration) {
 // startBuildLocked registers the in-flight build of window c. Caller
 // holds m.mu and has checked that none is registered.
 func (m *Maintainer) startBuildLocked(c int) *buildState {
-	bs := &buildState{
-		done: make(chan struct{}), //bounded: signal-only; the builder closes it, nothing sends
-		gen:  m.gens[c],
-	}
+	bs := &buildState{gen: m.gens[c]}
+	bs.done.Add(1)
 	m.building[c] = bs
 	return bs
 }
@@ -325,10 +332,9 @@ func (m *Maintainer) startBuildLocked(c int) *buildState {
 // newer cover is already cached, or a write overtook the build with no
 // scheduler to run the follow-up (the hard-drop mode, where the next
 // reader rebuilds). An overtaken build under a scheduler owes one
-// follow-up rebuild: build returns that scheduler, and its caller
-// requests the rebuild from it — a refusal hard-drops the cover just
-// installed.
-func (m *Maintainer) build(c int, bs *buildState, t *buildTally) (followUp *Scheduler) {
+// follow-up rebuild: build reports it, and its caller requests the
+// rebuild (revalidate) — a refusal hard-drops the cover just installed.
+func (m *Maintainer) build(c int, bs *buildState, t *buildTally) (owed bool) {
 	// The chain's cover of window c−1 first: a change to it after this
 	// point advances c's generation too, so the build is overtaken.
 	var prev *Cover
@@ -383,16 +389,14 @@ func (m *Maintainer) build(c int, bs *buildState, t *buildTally) (followUp *Sche
 			changed = true
 		}
 	}
-	if overtaken && !bs.evicted {
-		followUp = m.sched
-	}
+	owed = overtaken && !bs.evicted && m.sched != nil
 	hooks := m.hooks
 	m.mu.Unlock()
 	if changed {
 		fire(hooks, c)
 	}
-	close(bs.done)
-	return followUp
+	bs.done.Done()
+	return owed
 }
 
 // seed is the store's checkpoint hook (store.SeedFunc): the centroids of
@@ -441,13 +445,13 @@ func (m *Maintainer) current(c int, t *buildTally) cached {
 		}
 		if bs, ok := m.building[c]; ok {
 			m.mu.Unlock()
-			<-bs.done
+			bs.done.Wait()
 			continue
 		}
 		bs := m.startBuildLocked(c)
 		m.mu.Unlock()
-		if sched := m.build(c, bs, t); sched != nil {
-			sched.Schedule(m, c)
+		if m.build(c, bs, t) {
+			m.revalidate(c)
 		}
 		return cached{cv: bs.cover, gen: bs.gen, word: bs.word}
 	}
@@ -466,45 +470,80 @@ func (m *Maintainer) CoverAt(t float64) (*Cover, error) {
 
 // Invalidate records that window c changed (e.g. late tuples arrived for
 // a window that was already modeled) by advancing its generation, and
-// that of every known later window whose chain cover starts from c's:
-// those of c's span up to the first window that holds no tuples. Under a
-// watching scheduler each cached cover stays served while the rebuild
-// this call queues is pending; if the scheduler refuses a rebuild it
-// hard-drops that cover. Without a scheduler the covers are
-// hard-dropped here, builds in flight are not cached when they complete,
-// and the change hooks run — later CoverFor calls rebuild from the
-// post-invalidation windows. Invalidate allocates nothing once the window
-// is known.
+// that of every held later window whose chain cover starts from c's:
+// those of c's span up to the first window that holds no tuples. A window
+// is held when it has a cached cover or a build in flight whose result
+// will be kept — a reader has asked for it. Under a watching scheduler
+// each held window's cover stays served while the rebuild this call
+// queues is pending; if the scheduler refuses a rebuild it hard-drops
+// that cover. An unheld c queues nothing: its first reader builds it, and
+// the change hooks run here so subscriptions over it re-evaluate. Without
+// a scheduler the covers are hard-dropped here, builds in flight are not
+// cached when they complete, and the change hooks run — later CoverFor
+// calls rebuild from the post-invalidation windows. Invalidate allocates
+// nothing once the window is known.
 func (m *Maintainer) Invalidate(c int) {
 	end := c + 1
 	for spanEnd := c - chainOffset(c) + chainSpan; end < spanEnd && m.st.WindowLen(end) > 0; {
 		end++
 	}
 	// A window created in the gap meanwhile is invalidated by its own write.
-	var dirty [chainSpan]int
-	n := 0
+	var refused [chainSpan]buildKey
+	var dropped [chainSpan]int
+	nr, nd := 0, 0
 	m.mu.Lock()
-	sched := m.sched
 	for w := c; w < end; w++ {
-		_, cachedCover := m.covers[w]
-		bs, running := m.building[w]
-		if w == c || cachedCover || running && !bs.evicted {
-			m.gens[w]++
-			dirty[n] = w
-			n++
-			if sched == nil {
-				delete(m.covers, w)
+		held := m.heldLocked(w)
+		if !held && w != c {
+			continue
+		}
+		m.gens[w]++
+		if held && m.sched != nil {
+			if key, ok := m.sched.admit(buildKey{m: m, c: w}); ok {
+				refused[nr] = key
+				nr++
 			}
+		} else {
+			delete(m.covers, w)
+			dropped[nd] = w
+			nd++
 		}
 	}
 	hooks := m.hooks
 	m.mu.Unlock()
-	for _, w := range dirty[:n] {
-		if sched != nil {
-			sched.Schedule(m, w)
-		} else {
-			fire(hooks, w)
-		}
+	for _, key := range refused[:nr] {
+		key.m.dropStale(key.c)
+	}
+	for _, w := range dropped[:nd] {
+		fire(hooks, w)
+	}
+}
+
+// heldLocked reports whether a reader holds window c: it has a cached
+// cover, or a build in flight whose result will be kept. Caller holds
+// m.mu.
+func (m *Maintainer) heldLocked(c int) bool {
+	_, ok := m.covers[c]
+	bs, running := m.building[c]
+	return ok || running && !bs.evicted
+}
+
+// revalidate requests the follow-up rebuild an overtaken build of window
+// c owes from the watching scheduler, unless nobody holds the window any
+// more (an eviction dropped it meanwhile) or nobody watches. Holding m.mu
+// while admitting keeps the scheduler's queue to held windows: an
+// eviction forgets the builds of the windows it drops under the same
+// lock.
+func (m *Maintainer) revalidate(c int) {
+	m.mu.Lock()
+	var refused buildKey
+	ok := false
+	if m.sched != nil && m.heldLocked(c) {
+		refused, ok = m.sched.admit(buildKey{m: m, c: c})
+	}
+	m.mu.Unlock()
+	if ok {
+		refused.m.dropStale(refused.c)
 	}
 }
 
@@ -619,6 +658,9 @@ func (m *Maintainer) dropWindows(evicted []int) {
 			bs.evicted = true
 		}
 	}
+	// Nobody holds the dropped windows now: their queued rebuilds go too.
+	m.sched.forget(m, math.MinInt, horizon+1)
+	m.sched.forget(m, next+1, end)
 	hooks := m.hooks
 	m.mu.Unlock()
 	for _, c := range dropped[:n] {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
@@ -57,46 +57,31 @@ type buildKey struct {
 	c int
 }
 
-// buildHeap is a max-heap on window index: the most recent stream-time
-// window — the one fresh ingest (and therefore fresh queries) is hitting
-// — builds first.
-type buildHeap []buildKey
-
-func (h buildHeap) Len() int            { return len(h) }
-func (h buildHeap) Less(i, j int) bool  { return h[i].c > h[j].c }
-func (h buildHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *buildHeap) Push(x interface{}) { *h = append(*h, x.(buildKey)) }
-func (h *buildHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Scheduler drains maintainer invalidations into a bounded priority
-// build queue worked by background goroutines, so covers are rebuilt off
-// the query path: after an ingest burst the hottest (most recent)
-// windows are modeled before anyone asks, and while a rebuild is pending
-// readers keep the window's previous cover (see Maintainer's cover
-// lifecycle). Rebuilds are coalesced and single-flight: N writes to a
-// window inside one build time cost one running build plus one
-// follow-up, never a second concurrent build and never a worker parked
-// on someone else's build of the same window — a worker waits only on
-// the lower windows of the span its build starts from (cover chains).
-// The follow-up of an overtaken build is paced — the worker first rests
-// for as long as that window's build took — so sustained writes to one
-// window cost a rebuild every other build time, not a busy core. The
-// scheduler is what makes serving a stale cover legitimate, so
-// every request it cannot honour — queue overflow or displacement, Close,
-// unwatch — hard-drops that window's stale cover.
+// build queue worked by background goroutines, so covers readers hold are
+// rebuilt off the query path: after an ingest burst the held windows are
+// rebuilt most recent first, and while a rebuild is pending readers keep
+// the window's previous cover (see Maintainer's cover lifecycle). A
+// window nobody has read is not modeled on a write — its first reader
+// builds it — so the scheduler spends CPU only on covers that serve an
+// answer, and on WarmPrime's after a restart. Rebuilds are coalesced and
+// single-flight: N writes to a window inside one build time cost one
+// running build plus one follow-up, never a second concurrent build and
+// never a worker parked on someone else's build of the same window — a
+// worker waits only on the lower windows of the span its build starts
+// from (cover chains). The follow-up of an overtaken build is paced —
+// the worker first rests for as long as that window's build took — so
+// sustained writes to one window cost a rebuild every other build time,
+// not a busy core. The scheduler is what makes serving a stale cover
+// legitimate, so every request it cannot honour — queue overflow or
+// displacement, Close, unwatch — hard-drops that window's stale cover.
 type Scheduler struct {
 	maxQueue int // maxBuildQueue; tests lower it
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pending  map[buildKey]bool
-	queue    buildHeap
+	queue    []buildKey // unordered; newestLocked and oldestLocked scan it
 	inflight int
 	closed   bool
 	stop     chan struct{} // closed by Close: ends a resting worker's pause
@@ -109,6 +94,11 @@ type Scheduler struct {
 	coalesced int64
 	failed    int64
 	dropped   int64
+
+	// testSettled, when set (by tests in this package before any build is
+	// queued), runs after a worker has finished with a request — built,
+	// coalesced or skipped — and stopped counting it in flight.
+	testSettled func()
 }
 
 // NewScheduler starts a scheduler with cfg.Workers background builders.
@@ -135,11 +125,12 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	return s
 }
 
-// Watch makes the scheduler m's revalidator: every invalidated (or
-// first-touched) window is queued for a background rebuild, and m serves
-// the window's previous cover until it lands. The returned function
-// detaches it again — m's queued rebuilds are forgotten, its stale
-// covers hard-dropped, and its later invalidations hard-drop.
+// Watch makes the scheduler m's revalidator: every invalidated window a
+// reader holds is queued for a background rebuild, and m serves the
+// window's previous cover until it lands; a write into a window nobody
+// has read queues nothing. The returned function detaches it again — m's
+// queued rebuilds are forgotten, its stale covers hard-dropped, and its
+// later invalidations hard-drop.
 func (s *Scheduler) Watch(m *Maintainer) (unwatch func()) {
 	if s == nil {
 		return func() {}
@@ -147,31 +138,35 @@ func (s *Scheduler) Watch(m *Maintainer) (unwatch func()) {
 	m.setScheduler(s)
 	return func() {
 		m.setScheduler(nil)
-		s.forget(m)
+		s.forget(m, math.MinInt, math.MaxInt)
 	}
 }
 
-// forget removes every pending build of m from the queue.
-func (s *Scheduler) forget(m *Maintainer) {
+// forget removes m's pending builds of the windows in [lo, hi) from the
+// queue. Safe on nil.
+func (s *Scheduler) forget(m *Maintainer, lo, hi int) {
+	if s == nil || lo >= hi {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.queue[:0]
 	for _, key := range s.queue {
-		if key.m == m {
+		if key.m == m && lo <= key.c && key.c < hi {
 			delete(s.pending, key)
 		} else {
 			kept = append(kept, key)
 		}
 	}
 	s.queue = kept
-	heap.Init(&s.queue)
 	if len(s.queue) == 0 && s.inflight == 0 {
 		s.cond.Broadcast() // wake Wait()ers
 	}
 }
 
-// Schedule queues a background build of window c on maintainer m.
-// Duplicates of an already-pending build are absorbed. When the queue is
+// Schedule queues a background build of window c on maintainer m,
+// whether or not a reader holds it — WarmPrime's path; a write's rebuilds
+// are queued by Maintainer.Invalidate, for held windows only. Duplicates of an already-pending build are absorbed. When the queue is
 // full, the oldest pending window is dropped if c is more recent —
 // otherwise the request itself is dropped. Whichever window loses its
 // rebuild (also every request to a closed scheduler) has its stale cover
@@ -203,12 +198,10 @@ func (s *Scheduler) admit(key buildKey) (refused buildKey, ok bool) {
 		if oldest < 0 || s.queue[oldest].c >= key.c {
 			return key, true
 		}
-		refused, ok = s.queue[oldest], true
-		heap.Remove(&s.queue, oldest)
-		delete(s.pending, refused)
+		refused, ok = s.takeLocked(oldest), true
 	}
 	s.pending[key] = true
-	heap.Push(&s.queue, key)
+	s.queue = append(s.queue, key)
 	s.scheduled++
 	// Broadcast, not Signal: the one awoken waiter could be a Wait()er,
 	// which would go straight back to sleep while every worker slept on.
@@ -238,14 +231,28 @@ func (s *Scheduler) WarmPrime(m *Maintainer) int {
 	return len(missing)
 }
 
+// newestLocked returns the index of the pending build of the most recent
+// stream-time window — the one fresh ingest (and therefore fresh
+// queries) is hitting, which builds first. The queue is a plain slice, so
+// queueing and taking a build box nothing, and a linear scan is fine at
+// maxBuildQueue scale. Caller holds mu and has checked the queue is not
+// empty.
+func (s *Scheduler) newestLocked() int {
+	newest := 0
+	for i := 1; i < len(s.queue); i++ {
+		if s.queue[i].c > s.queue[newest].c {
+			newest = i
+		}
+	}
+	return newest
+}
+
 // oldestLocked returns the index of the lowest-priority (oldest window)
 // pending build, or -1 on an empty queue. Caller holds mu.
 func (s *Scheduler) oldestLocked() int {
 	if len(s.queue) == 0 {
 		return -1
 	}
-	// The max-heap keeps its minimum somewhere in the leaf half; a linear
-	// scan is fine at maxBuildQueue scale.
 	oldest := 0
 	for i := 1; i < len(s.queue); i++ {
 		if s.queue[i].c < s.queue[oldest].c {
@@ -253,6 +260,17 @@ func (s *Scheduler) oldestLocked() int {
 		}
 	}
 	return oldest
+}
+
+// takeLocked removes the pending build at index i and returns it. Caller
+// holds mu.
+func (s *Scheduler) takeLocked(i int) buildKey {
+	key := s.queue[i]
+	last := len(s.queue) - 1
+	s.queue[i] = s.queue[last]
+	s.queue = s.queue[:last]
+	delete(s.pending, key)
+	return key
 }
 
 func (s *Scheduler) worker() {
@@ -266,8 +284,7 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		key := heap.Pop(&s.queue).(buildKey)
-		delete(s.pending, key)
+		key := s.takeLocked(s.newestLocked())
 		s.inflight++
 		s.mu.Unlock()
 
@@ -279,6 +296,9 @@ func (s *Scheduler) worker() {
 			s.cond.Broadcast() // wake Wait()ers
 		}
 		s.mu.Unlock()
+		if s.testSettled != nil {
+			s.testSettled()
+		}
 	}
 }
 
@@ -304,7 +324,7 @@ func (s *Scheduler) build(key buildKey) {
 		case <-s.stop:
 			t.Stop()
 		}
-		s.Schedule(key.m, key.c)
+		key.m.revalidate(key.c)
 	}
 }
 

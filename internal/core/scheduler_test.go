@@ -1,48 +1,65 @@
 package core
 
 import (
+	"math/rand"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/tuple"
 )
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+// readAll reads each window's cover, so a reader holds it.
+func readAll(t *testing.T, m *Maintainer, cs ...int) map[int]*Cover {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+	out := make(map[int]*Cover, len(cs))
+	for _, c := range cs {
+		cv, err := m.CoverFor(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		out[c] = cv
 	}
+	return out
 }
 
-// TestSchedulerBuildsInvalidatedWindows checks the basic loop: an
-// invalidation queues a background build and the cover lands in the
-// cache without any query.
+// TestSchedulerBuildsInvalidatedWindows checks the basic loop: a write
+// into a window a reader holds queues a background build, and the rebuilt
+// cover lands in the cache without any query. The windows are lone, so
+// each write moves one window.
 func TestSchedulerBuildsInvalidatedWindows(t *testing.T) {
-	st := fillStore(t, 100, 3, 50)
+	st := fillLoneStore(t, 100, 3, 50)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(1)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	defer s.Watch(m)()
+	ws := []int{loneWindow(0), loneWindow(1), loneWindow(2)}
+	old := readAll(t, m, ws...)
 
-	for c := 0; c < 3; c++ {
-		m.Invalidate(c)
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range ws {
+		appendLate(t, m, c, 5, rng)
 	}
 	s.Wait()
 	got := m.CachedWindows()
 	sort.Ints(got)
 	if len(got) != 3 {
-		t.Fatalf("CachedWindows = %v, want windows 0..2 prebuilt", got)
+		t.Fatalf("CachedWindows = %v, want windows %v rebuilt", got, ws)
 	}
 	stats := s.Stats()
 	if stats.Built != 3 || stats.Scheduled != 3 {
 		t.Fatalf("Stats = %+v, want 3 scheduled and built", stats)
+	}
+	for _, c := range ws {
+		m.mu.Lock()
+		e := m.covers[c]
+		m.mu.Unlock()
+		if e.cv == old[c] || e.gen != m.Generation(c) {
+			t.Fatalf("window %d: cached cover %p at generation %d, want a rebuild at %d", c, e.cv, e.gen, m.Generation(c))
+		}
+		if got, want := coverDigest(e.cv), scratchDigest(t, m, c); got != want {
+			t.Fatalf("window %d rebuilt as %s, from scratch %s", c, got, want)
+		}
 	}
 }
 
@@ -55,31 +72,26 @@ func TestSchedulerPrefersRecentWindows(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	defer s.Watch(m)()
+	readAll(t, m, loneWindow(0), loneWindow(1), loneWindow(2), loneWindow(3), loneWindow(4))
 
-	var mu sync.Mutex
-	var order []int
-	release := make(chan struct{})
-	entered := make(chan int, 8)
-	m.testBuildHook = func(c int) {
-		mu.Lock()
-		order = append(order, c)
-		mu.Unlock()
-		entered <- c
-		<-release
-	}
-
+	gate := gateBuilds(t, m)
 	m.Invalidate(loneWindow(0)) // worker picks this up and blocks in the build
-	<-entered
+	order := []int{gate.next()}
 	// Now queue the rest while the worker is busy; priority decides.
+	// Admission is synchronous: the queue is full once the calls return.
 	for _, i := range []int{1, 3, 2, 4} {
 		m.Invalidate(loneWindow(i))
 	}
-	waitFor(t, "queue to fill", func() bool { return s.Stats().QueueLen == 4 })
-	close(release)
+	if got := s.Stats().QueueLen; got != 4 {
+		t.Fatalf("QueueLen = %d, want 4", got)
+	}
+	for range 4 {
+		gate.release <- struct{}{}
+		order = append(order, gate.next())
+	}
+	gate.release <- struct{}{}
 	s.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
 	var want []int
 	for _, i := range []int{0, 4, 3, 2, 1} {
 		want = append(want, loneWindow(i))
@@ -95,30 +107,30 @@ func TestSchedulerPrefersRecentWindows(t *testing.T) {
 }
 
 // TestSchedulerDedupsPendingWindows re-invalidates a queued window and
-// checks it is admitted once.
+// checks it is admitted once. The windows are lone, so invalidating the
+// first does not queue the second.
 func TestSchedulerDedupsPendingWindows(t *testing.T) {
-	st := fillStore(t, 100, 2, 40)
+	st := fillLoneStore(t, 100, 2, 40)
 	m := NewMaintainer(st, Config{Cluster: clusterSeed(3)})
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	defer s.Watch(m)()
+	readAll(t, m, loneWindow(0), loneWindow(1))
 
-	entered := make(chan int, 4)
-	release := make(chan struct{})
-	m.testBuildHook = func(c int) {
-		entered <- c
-		<-release
-	}
-	m.Invalidate(0)
-	<-entered // worker busy on window 0
+	gate := gateBuilds(t, m)
+	m.Invalidate(loneWindow(0))
+	gate.next() // worker busy on the first window
 	for i := 0; i < 5; i++ {
-		m.Invalidate(1)
+		m.Invalidate(loneWindow(1))
 	}
-	waitFor(t, "window 1 to queue", func() bool { return s.Stats().QueueLen == 1 })
+	// Admission is synchronous: the window is queued once the calls return.
+	if got := s.Stats().QueueLen; got != 1 {
+		t.Fatalf("QueueLen = %d, want the second window queued once", got)
+	}
 	if got := s.Stats().Scheduled; got != 2 {
 		t.Fatalf("Scheduled = %d, want 2 (duplicates absorbed)", got)
 	}
-	close(release)
+	gate.open()
 	s.Wait()
 }
 
@@ -151,14 +163,9 @@ func TestSchedulerOverflowDropsOldest(t *testing.T) {
 	s.maxQueue = 2
 	defer s.Close()
 
-	entered := make(chan int, 8)
-	release := make(chan struct{})
-	m.testBuildHook = func(c int) {
-		entered <- c
-		<-release
-	}
+	gate := gateBuilds(t, m)
 	s.Schedule(m, loneWindow(5)) // occupies the worker
-	<-entered
+	gate.next()
 	s.Schedule(m, loneWindow(2))
 	s.Schedule(m, loneWindow(3)) // queue now [2 3], full
 	s.Schedule(m, loneWindow(1)) // older than everything pending: refused
@@ -170,7 +177,7 @@ func TestSchedulerOverflowDropsOldest(t *testing.T) {
 	if st5.QueueLen != 2 {
 		t.Fatalf("QueueLen = %d, want 2", st5.QueueLen)
 	}
-	close(release)
+	gate.open()
 	s.Wait()
 	got := m.CachedWindows()
 	sort.Ints(got)
@@ -214,32 +221,17 @@ func TestSchedulerStaleRebuildConverges(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 	defer s.Watch(m)()
+	readAll(t, m, 0)
 
-	entered := make(chan int, 4)
-	release := make(chan struct{}, 4)
-	var gate sync.Mutex
-	gated := true
-	m.testBuildHook = func(c int) {
-		gate.Lock()
-		g := gated
-		gate.Unlock()
-		if g {
-			entered <- c
-			<-release
-		}
-	}
-
+	gate := gateBuilds(t, m)
 	m.Invalidate(0)
-	<-entered // background build of window 0 in flight
+	gate.next() // background build of window 0 in flight
 	// New data lands mid-build: the engine would append + invalidate.
 	if err := st.Append(tuple.Batch{{T: 50, X: 1, Y: 1, S: 999}}); err != nil {
 		t.Fatal(err)
 	}
-	gate.Lock()
-	gated = false // let the rebuild run ungated
-	gate.Unlock()
-	m.Invalidate(0)       // overtakes the in-flight build
-	release <- struct{}{} // finish the overtaken build; it owes the follow-up
+	m.Invalidate(0) // overtakes the in-flight build
+	gate.open()     // finish the overtaken build, and let its follow-up run ungated
 	s.Wait()
 
 	// The converged cover must exist and include the late tuple's window

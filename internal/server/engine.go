@@ -609,8 +609,10 @@ func (e *Engine) CoverAt(ctx context.Context, p tuple.Pollutant, t float64) (*co
 // asynchronous pipeline and blocks until the append covering it
 // completes (with a durable store under the default sync policy, until
 // that append is fsynced). A full queue blocks. Applied windows are
-// invalidated and queued for a background cover rebuild; until it lands,
-// reads of those windows are answered from their previous covers.
+// invalidated: those a reader holds are queued for a background cover
+// rebuild, and until it lands reads of them are answered from their
+// previous covers; a window nobody has read is modeled by its first
+// reader.
 func (e *Engine) Ingest(ctx context.Context, p tuple.Pollutant, b tuple.Batch) error {
 	return e.ingest(ctx, p, b, false)
 }

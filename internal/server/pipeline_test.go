@@ -1,12 +1,14 @@
 package server
 
-// The ISSUE 3 acceptance test, run under `go test -race`: after an
-// ingest burst through the asynchronous pipeline, (1) a subsequent query
-// finds its cover already built by the background scheduler — no
-// synchronous Ad-KMN on the query path — and (2) the pipeline's
-// coalescing is the one thing between uploads and fsyncs: every store
-// append is fsynced once, and there is one append per upload that did
-// not ride along in another's (DurabilityStats against PipelineStats).
+// The ingest acceptance test, run under `go test -race`: after an
+// ingest burst through the asynchronous pipeline, (1) the covers readers
+// hold are rebuilt by the background scheduler — a later query finds
+// them current, with no synchronous Ad-KMN on the query path — while a
+// burst into windows nobody has read builds nothing until a query asks,
+// and (2) the pipeline's coalescing is the one thing between uploads and
+// fsyncs: every store append is fsynced once, and there is one append per
+// upload that did not ride along in another's (DurabilityStats against
+// PipelineStats).
 
 import (
 	"context"
@@ -25,12 +27,13 @@ import (
 )
 
 // TestIngestBurstPrebuildsCoversAndCoalescesSyncs is the acceptance test.
+// Windows 0..3 are read before their burst, windows 4..7 are not.
 func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 	const (
 		windowLen = 100.0
-		windows   = 4
+		windows   = 4 // per burst
 		uploaders = 8
-		uploads   = 4 // per uploader
+		uploads   = 4 // per uploader and burst
 	)
 	st, err := store.Open(store.Config{
 		WindowLength: windowLen,
@@ -47,43 +50,60 @@ func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 	}
 	defer e.Close()
 	ctx := context.Background()
-
-	// The burst: concurrent small uploads across all windows.
-	var wg sync.WaitGroup
-	for u := 0; u < uploaders; u++ {
-		u := u
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < uploads; i++ {
-				c := (u*uploads + i) % windows
-				b := seedBatch(tuple.CO2, c, windowLen, 25, int64(1000+u*100+i))
-				if err := e.Ingest(ctx, tuple.CO2, b); err != nil {
-					t.Errorf("ingest: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Quiesce the background scheduler, then verify every touched window's
-	// cover is already cached — built off the query path.
-	e.Scheduler().Wait()
 	mnt := defaultMaintainer(t, e)
+	read := func(c int) {
+		t.Helper()
+		tm := (float64(c) + 0.5) * windowLen
+		if _, err := e.Query(ctx, query.Request{T: tm, X: 500, Y: 500, Pollutant: tuple.CO2}); err != nil {
+			t.Fatalf("query window %d: %v", c, err)
+		}
+	}
+	// burst runs concurrent small uploads across windows first..first+3.
+	burst := func(first int) {
+		var wg sync.WaitGroup
+		for u := 0; u < uploaders; u++ {
+			u := u
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < uploads; i++ {
+					c := first + (u*uploads+i)%windows
+					b := seedBatch(tuple.CO2, c, windowLen, 25, int64(1000+first*1000+u*100+i))
+					if err := e.Ingest(ctx, tuple.CO2, b); err != nil {
+						t.Errorf("ingest: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	// Readers hold windows 0..3 before their burst.
+	for c := 0; c < windows; c++ {
+		if err := e.Ingest(ctx, tuple.CO2, seedBatch(tuple.CO2, c, windowLen, 25, int64(c))); err != nil {
+			t.Fatal(err)
+		}
+		read(c)
+	}
+	burst(0)
+
+	// Quiesce the background scheduler, then verify every held window's
+	// cover is cached and current — rebuilt off the query path.
+	e.Scheduler().Wait()
 	cached := mnt.CachedWindows()
 	sort.Ints(cached)
 	if len(cached) != windows {
-		t.Fatalf("CachedWindows = %v, want all %d touched windows prebuilt", cached, windows)
+		t.Fatalf("CachedWindows = %v, want all %d held windows rebuilt", cached, windows)
 	}
 	ss := e.SchedulerStats()
 	if ss.Built == 0 {
 		t.Fatalf("SchedulerStats = %+v, want background builds", ss)
 	}
 
-	// The query must be answered from the prebuilt cover: the exact
+	// The query must be answered from the rebuilt cover: the exact
 	// cached pointer, not a fresh synchronous build.
-	before := make(map[int]*core.Cover, windows)
+	before := make(map[int]*core.Cover, 2*windows)
 	for _, c := range cached {
 		if g, sg := mnt.Generation(c), mnt.ServedGeneration(c); sg != g {
 			t.Fatalf("window %d: quiesced cover at generation %d, window at %d", c, sg, g)
@@ -93,10 +113,7 @@ func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 		}
 	}
 	for c := 0; c < windows; c++ {
-		tm := (float64(c) + 0.5) * windowLen
-		if _, err := e.Query(ctx, query.Request{T: tm, X: 500, Y: 500, Pollutant: tuple.CO2}); err != nil {
-			t.Fatalf("query window %d: %v", c, err)
-		}
+		read(c)
 		cv, err := mnt.CoverFor(c)
 		if err != nil {
 			t.Fatal(err)
@@ -106,13 +123,48 @@ func TestIngestBurstPrebuildsCoversAndCoalescesSyncs(t *testing.T) {
 		}
 	}
 
+	// A burst into windows 4..7, which nobody has read, builds nothing.
+	burst(windows)
+	e.Scheduler().Wait()
+	if got := e.SchedulerStats(); got.Scheduled != ss.Scheduled || got.Built != ss.Built {
+		t.Fatalf("SchedulerStats %+v → %+v: a burst into unread windows queued builds", ss, got)
+	}
+	if got := mnt.CachedWindows(); len(got) != windows {
+		t.Fatalf("CachedWindows = %v after a burst into unread windows, want only the %d held ones", got, windows)
+	}
+	// The first query of each builds it, once: in window order each
+	// window's predecessor is already cached, so the query builds that
+	// window alone, and it is current and stays cached.
+	for c := windows; c < 2*windows; c++ {
+		read(c)
+		if got := mnt.CachedWindows(); len(got) != c+1 {
+			t.Fatalf("CachedWindows = %v after the first query of window %d, want windows 0..%d", got, c, c)
+		}
+		if g, sg := mnt.Generation(c), mnt.ServedGeneration(c); sg != g {
+			t.Fatalf("window %d: first read built at generation %d, window at %d", c, sg, g)
+		}
+		if before[c], err = mnt.CoverFor(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Scheduler().Wait()
+	for c := windows; c < 2*windows; c++ {
+		read(c)
+		if cv, err := mnt.CoverFor(c); err != nil || cv != before[c] {
+			t.Fatalf("window %d: read %p (err %v) after its first query, want the cover that query built %p", c, cv, err, before[c])
+		}
+	}
+	if got := e.SchedulerStats(); got.Built != ss.Built {
+		t.Fatalf("SchedulerStats %+v → %+v: the first queries' builds ran in the background", ss, got)
+	}
+
 	// Durability: every store append was fsynced before its uploads were
 	// acknowledged, and coalescing alone decides how many appends — and
 	// so fsyncs — the burst cost (how many is timing; TestPipelineCoalesces
 	// in internal/ingest pins it deterministically).
 	ds, ps := st.DurabilityStats(), e.PipelineStats()
-	if ps.Submitted != uploaders*uploads {
-		t.Fatalf("PipelineStats = %+v, want %d submissions", ps, uploaders*uploads)
+	if ps.Submitted != windows+2*uploaders*uploads {
+		t.Fatalf("PipelineStats = %+v, want %d submissions", ps, windows+2*uploaders*uploads)
 	}
 	if ds.Syncs != ds.Appends {
 		t.Fatalf("%d fsyncs for %d appends, want one per append", ds.Syncs, ds.Appends)
