@@ -24,6 +24,7 @@ import (
 	"repro/internal/heatmap"
 	"repro/internal/kmeans"
 	"repro/internal/netsim"
+	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -616,5 +617,18 @@ func TestClusterPartialIngestNotRetryable(t *testing.T) {
 	}
 	if !errors.Is(err, cluster.ErrNodeUnreachable) {
 		t.Fatalf("all-failed ingest maps to %v, want ErrNodeUnreachable", err)
+	}
+}
+
+// TestMaxHeatmapCellsFitsOneFrame: the cell cap is derived from the coded
+// raster's worst case, 8.5 B a cell, so a raster at the cap fits one frame
+// whatever its values, and the cap leaves no more than the 64 bytes of
+// slack it was derived with.
+func TestMaxHeatmapCellsFitsOneFrame(t *testing.T) {
+	if worst := wire.RasterFrameBytes(cluster.MaxHeatmapCells); worst > proto.MaxFrameBytes {
+		t.Errorf("a raster of %d cells is up to %d B, over the %d B frame", cluster.MaxHeatmapCells, worst, proto.MaxFrameBytes)
+	}
+	if next := cluster.MaxHeatmapCells + 8; wire.RasterFrameBytes(next) <= proto.MaxFrameBytes {
+		t.Errorf("the cap %d is not derived from the worst case: %d cells still fit one frame", cluster.MaxHeatmapCells, next)
 	}
 }

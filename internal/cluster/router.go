@@ -25,10 +25,12 @@ import (
 // front; ingest slices are chunked transparently.
 const (
 	// MaxHeatmapCells bounds a raster that crosses the wire: a
-	// HeatmapResponse is 45 + 8*cells bytes. The router refuses a larger
-	// scatter-gathered raster, and a single-node engine a larger TCP one,
-	// with ErrTooLarge before rendering it.
-	MaxHeatmapCells = (proto.MaxFrameBytes - 64) / 8
+	// HeatmapResponse is at most wire.RasterFrameBytes(cells) = 45 +
+	// ⌈cells/2⌉ + 8*cells bytes, 8.5 B a cell when no cell is predicted
+	// well. The router refuses a larger scatter-gathered raster, and a
+	// single-node engine a larger TCP one, with ErrTooLarge before
+	// rendering it.
+	MaxHeatmapCells = (proto.MaxFrameBytes - 64) * 2 / 17
 	// maxIngestChunk bounds one forwarded ingest frame: an
 	// IngestRequest is 6 + 32*tuples bytes.
 	maxIngestChunk = (proto.MaxFrameBytes - 64) / 32

@@ -47,10 +47,11 @@ import (
 )
 
 // MaxFrameBytes bounds a single message. Everyday frames are a 256-tuple
-// ingest (8 KiB), a 64×64 heatmap response (32 KiB) and a model response
-// for a MaxK-region cover (a few KiB); the largest legitimate ones are the
-// cluster's forwarded ingest and catch-up chunks, which it sizes to stay
-// just under this bound. 1 MiB stops hostile length prefixes.
+// ingest (8 KiB), a 64×64 heatmap response (≈ 7 KiB predictively coded,
+// 34 KiB at worst) and a model response for a MaxK-region cover (a few
+// KiB); the largest legitimate ones are the cluster's forwarded ingest and
+// catch-up chunks, which it sizes to stay just under this bound. 1 MiB
+// stops hostile length prefixes.
 const MaxFrameBytes = 1 << 20
 
 // keep returns what a connection holds on to of a buffer it has finished

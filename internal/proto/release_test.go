@@ -184,7 +184,7 @@ type bigLender struct{ lender }
 
 func (h bigLender) HandleMessage(req wire.Message) wire.Message {
 	if q, ok := req.(wire.QueryRequest); ok && q.T == 0 {
-		return wire.HeatmapResponse{Cols: 400, Rows: 400, Values: make([]float64, 400*400)}
+		return wire.HeatmapResponse{Cols: 400, Rows: 400, Values: noise(400 * 400)}
 	}
 	return h.lender.HandleMessage(req)
 }

@@ -31,14 +31,17 @@ const (
 	TypeIngestResponse
 	// TypeHeatmapRequest asks for a rasterized cover.
 	TypeHeatmapRequest
-	// TypeHeatmapResponse carries the raster grid.
-	TypeHeatmapResponse
-	// Tag 14 is retired (it was NotOwnerResponse): a frame carrying it
-	// decodes as unknown, and no message may take it again.
+	// Tag 13 is retired (it was HeatmapResponse with its values as raw
+	// IEEE words; the raster now travels predictively coded under tag 29),
+	// and so is tag 14 (it was NotOwnerResponse): a frame carrying either
+	// decodes as unknown, and no message may take them again.
 
 	// TypeForwarded wraps a request forwarded by a router so the owner
 	// answers locally instead of re-forwarding.
 	TypeForwarded MsgType = 15
+	// TypeHeatmapResponse carries the raster grid, its values
+	// predictively coded (raster.go).
+	TypeHeatmapResponse MsgType = 29
 )
 
 // RingRequest asks a node for the cluster ring — how a peer refreshes
@@ -219,21 +222,7 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 		}
 		return out, nil
 	case HeatmapResponse:
-		if int(v.Cols)*int(v.Rows) != len(v.Values) {
-			return dst, fmt.Errorf("wire: heatmap %dx%d carries %d values", v.Cols, v.Rows, len(v.Values))
-		}
-		out, buf := grow(dst, head, 1+32+2+2+8+8*len(v.Values))
-		buf[0] = byte(TypeHeatmapResponse)
-		putRect(buf[1:], v.Region)
-		binary.LittleEndian.PutUint16(buf[33:], v.Cols)
-		binary.LittleEndian.PutUint16(buf[35:], v.Rows)
-		putF64(buf[37:], v.T)
-		off := 45
-		for _, val := range v.Values {
-			putF64(buf[off:], val)
-			off += 8
-		}
-		return out, nil
+		return appendHeatmapResponse(dst, head, v)
 	case Forwarded:
 		if v.Inner == nil {
 			return dst, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
@@ -363,26 +352,7 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		}
 		return m, nil
 	case TypeHeatmapResponse:
-		if len(data) < 45 {
-			return nil, fmt.Errorf("%w: HeatmapResponse header", ErrMalformed)
-		}
-		m := HeatmapResponse{
-			Region: getRect(data[1:]),
-			Cols:   binary.LittleEndian.Uint16(data[33:]),
-			Rows:   binary.LittleEndian.Uint16(data[35:]),
-			T:      getF64(data[37:]),
-		}
-		count := int(m.Cols) * int(m.Rows)
-		if len(data) != 45+8*count {
-			return nil, fmt.Errorf("%w: HeatmapResponse length %d for %dx%d grid", ErrMalformed, len(data), m.Cols, m.Rows)
-		}
-		m.Values = alloc(&rasters, count, lend)
-		off := 45
-		for i := range m.Values {
-			m.Values[i] = getF64(data[off:])
-			off += 8
-		}
-		return m, nil
+		return decodeHeatmapResponse(data, lend)
 	case TypeForwarded:
 		if len(data) < 2 {
 			return nil, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)

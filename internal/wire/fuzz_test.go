@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -54,6 +55,13 @@ func FuzzWireDecode(f *testing.F) {
 	add(IngestResponse{Ingested: 7})
 	add(HeatmapRequest{T: 60, Cols: 4, Rows: 4})
 	add(HeatmapResponse{Cols: 1, Rows: 2, Values: []float64{1, 2}})
+	// The coded raster (tag 29): both count nibbles of a byte, a padding
+	// nibble, exact predictions, and the bit patterns only integer
+	// arithmetic carries.
+	add(HeatmapResponse{Region: geo.Rect{Max: geo.Point{X: 3, Y: 2}}, Cols: 3, Rows: 2, T: 60,
+		Values: []float64{420, 420, 420.5, 420, 420, math.NaN()}})
+	add(HeatmapResponse{Cols: 3, Rows: 1, Values: []float64{math.Copysign(0, -1), math.Inf(1), math.Float64frombits(1)}})
+	add(HeatmapResponse{Cols: 0, Rows: 3})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}})
 	// v1.3 subscription messages.
 	add(SubscribeRequest{Pollutant: 1, Points: []SubPoint{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6}}})
@@ -94,6 +102,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3'})
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3', 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{22, 1, 12, 0, 0, 0, 0, 0, 0, 0})
+	// ... and the raw HeatmapResponse (13), bare and with a 1×2 raster.
+	f.Add([]byte{13})
+	rawRaster := make([]byte, 45+16)
+	rawRaster[0], rawRaster[33], rawRaster[35] = 13, 1, 2
+	putF64(rawRaster[45:], 1)
+	putF64(rawRaster[53:], 2)
+	f.Add(rawRaster)
 	// Lent request bodies inside the routing wrappers.
 	add(Forwarded{Inner: IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 2})
 	add(ReplicaRead{Origin: 1, Inner: BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}}}})

@@ -57,7 +57,10 @@ func goldenMessages() []Message {
 }
 
 // goldenFrames are the encodings of goldenMessages captured at the
-// commit before error codes existed (3dfb345), in the same order.
+// commit before error codes existed (3dfb345), in the same order — all but
+// the HeatmapResponse's, which is the predictively coded raster's tag-29
+// frame: the raw tag-13 frame that stood here is now retired
+// (TestRetiredTagsDecodeAsUnknown).
 var goldenFrames = []string{
 	"010000000000005e400000000000000c400000000000001cc001",
 	"020000000000547a40",
@@ -73,7 +76,7 @@ var goldenFrames = []string{
 	"0b07000000",
 	"0c0000000000004e40020400040000",
 	"0c0000000000004e40000200030001000000000000f0bf00000000000000c000000000000008400000000000001040",
-	"0d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e40000000000000f03f0000000000000040",
+	"1d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e4078000000000000e07f00000000000020",
 	"0f01000000000000f03f0000000000000040000000000000084000",
 	"0fff040000000000000001000000000000f03f0000000000000040000000000000084000",
 	"10010200000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840",
@@ -124,12 +127,14 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 	}
 }
 
-// TestRetiredTagsDecodeAsUnknown: tags 14 (NotOwnerResponse) and 22
-// (ReplicaCatchupRequest) are retired, so the last frames a node ever
-// wrote with them — bare and with their full payloads — decode as an
-// unknown message, never as something else that took the tag.
+// TestRetiredTagsDecodeAsUnknown: tags 13 (HeatmapResponse with raw
+// IEEE values), 14 (NotOwnerResponse) and 22 (ReplicaCatchupRequest) are
+// retired, so the last frames a node ever wrote with them — bare and with
+// their full payloads — decode as an unknown message, never as something
+// else that took the tag.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	for _, frame := range []string{
+		"0d", "0d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e40000000000000f03f0000000000000040",
 		"0e", "0e01000300633a33", "0e01000300633a330200000000000000",
 		"16", "16010c00000000000000",
 	} {

@@ -10,9 +10,10 @@ import (
 
 // KeepBytes is the largest buffer kept for reuse: by a proto connection
 // between frames, and by the lending pools below. It is room for the
-// everyday frames — a 256-tuple upload (8 KiB), a 100-point route reply
-// (2.4 KiB), a 64×64 raster (32 KiB) — while a rare large one does not
-// stay pinned to an idle connection or a pool.
+// everyday frames and what they decode to — a 256-tuple upload (8 KiB), a
+// 100-point route reply (2.4 KiB), a 64×64 raster (a frame of ≈ 7 KiB, at
+// most 34 KiB; 32 KiB of values) — while a rare large one does not stay
+// pinned to an idle connection or a pool.
 const KeepBytes = 64 << 10
 
 // What grows with a frame is lent, not allocated, on the serving path.
