@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -630,5 +631,36 @@ func TestMaxHeatmapCellsFitsOneFrame(t *testing.T) {
 	}
 	if next := cluster.MaxHeatmapCells + 8; wire.RasterFrameBytes(next) <= proto.MaxFrameBytes {
 		t.Errorf("the cap %d is not derived from the worst case: %d cells still fit one frame", cluster.MaxHeatmapCells, next)
+	}
+}
+
+// TestMaxBatchShareFitsOneFrame: the share cap is derived from the coded
+// batch's worst case, 28 B a point, so a forwarded share at the cap fits
+// one frame whatever its points, and the cap leaves no more than the 64
+// bytes of slack it was derived with.
+func TestMaxBatchShareFitsOneFrame(t *testing.T) {
+	share := cluster.MaxBatchShare
+	if worst := wire.BatchRequestFrameBytes(share) + 64; worst > proto.MaxFrameBytes {
+		t.Errorf("a share of %d points is up to %d B with its slack, over the %d B frame", share, worst, proto.MaxFrameBytes)
+	}
+	if next := share + 1; wire.BatchRequestFrameBytes(next)+64 <= proto.MaxFrameBytes {
+		t.Errorf("the cap %d is not derived from the worst case: %d points still fit one frame with the slack", share, next)
+	}
+	// The frame a router sends at the cap, with every point at the worst
+	// case: random bits, and the pollutant swinging between 0 and 255.
+	rng := rand.New(rand.NewSource(1))
+	items := make([]wire.QueryRequest, share)
+	for i := range items {
+		items[i] = wire.QueryRequest{
+			T: math.Float64frombits(rng.Uint64()), X: math.Float64frombits(rng.Uint64()), Y: math.Float64frombits(rng.Uint64()),
+			Pollutant: tuple.Pollutant(255 * (i & 1)),
+		}
+	}
+	frame, err := wire.Binary.Encode(wire.Forwarded{Inner: wire.BatchQueryRequest{Items: items}, Epoch: math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) > proto.MaxFrameBytes {
+		t.Errorf("a forwarded share of %d random points is %d B, over the %d B frame", share, len(frame), proto.MaxFrameBytes)
 	}
 }

@@ -103,3 +103,7 @@ func NextMove(ns ...*Node) (wait func(deadline time.Time) bool) {
 		return chosen < len(cases)
 	}
 }
+
+// MaxBatchShare is the router's cap on the items of one forwarded batch
+// share.
+var MaxBatchShare = maxBatchShare

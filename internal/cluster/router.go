@@ -34,11 +34,15 @@ const (
 	// maxIngestChunk bounds one forwarded ingest frame: an
 	// IngestRequest is 6 + 32*tuples bytes.
 	maxIngestChunk = (proto.MaxFrameBytes - 64) / 32
-	// maxBatchShare bounds the items of one forwarded batch share: a
-	// BatchQueryRequest is 3 + 25*items bytes. The router refuses a larger
-	// share with ErrTooLarge before sending it.
-	maxBatchShare = (proto.MaxFrameBytes - 64) / 25
 )
+
+// maxBatchShare bounds the items of one forwarded batch share: the most
+// whose BatchQueryRequest fits a frame with 64 bytes to spare even when no
+// column is predicted well, wire.BatchRequestFrameBytes(items) = 3 +
+// 28*items bytes. The router refuses a larger share with ErrTooLarge
+// before sending it.
+var maxBatchShare = (proto.MaxFrameBytes - 64 - wire.BatchRequestFrameBytes(0)) /
+	(wire.BatchRequestFrameBytes(1) - wire.BatchRequestFrameBytes(0))
 
 // ErrNodeUnreachable marks a routed request that failed because the
 // shard's owner could not be reached — the cluster's partial-outage

@@ -42,6 +42,14 @@ func FuzzWireDecode(f *testing.F) {
 	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 1}, FailedItem(CodeSaturated, "saturated"), {Err: "untyped"}}})
 	add(BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6, Pollutant: 2}}})
 	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 420}, {Err: "out of window"}}})
+	// The column-coded batch (tags 30 and 31): a shared time and
+	// pollutant, a pollutant step of 255, exact predictions, a padding
+	// nibble, failures first and last, and the bit patterns only integer
+	// arithmetic carries.
+	add(BatchQueryRequest{Items: []QueryRequest{{T: 5400, X: 1200.5, Y: 800, Pollutant: 255}, {T: 5400, X: 1225.25, Y: 790}, {T: math.NaN(), X: math.Copysign(0, -1), Y: math.Inf(-1)}}})
+	add(BatchQueryResponse{Items: []BatchQueryItem{FailedItem(CodeNoCover, "no cover"), {Value: 420}, {Value: 420}, {Value: math.Float64frombits(1)}, {Err: "untyped"}}})
+	add(BatchQueryRequest{})
+	add(BatchQueryResponse{})
 	add(ModelResponse{
 		ValidFrom: 0, ValidUntil: 14400, ValueLo: 300, ValueHi: 600,
 		Features:  "linear-xy",
@@ -102,6 +110,17 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3'})
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3', 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{22, 1, 12, 0, 0, 0, 0, 0, 0, 0})
+	// ... the fixed-width batch frames (6 and 7), bare and with two
+	// points, and three answers, one failed ...
+	f.Add([]byte{6})
+	f.Add([]byte{7})
+	rawRoute := make([]byte, 3+2*25)
+	rawRoute[0], rawRoute[1] = 6, 2
+	putF64(rawRoute[3:], 5400)
+	putF64(rawRoute[28:], 5400)
+	rawRoute[52] = 2
+	f.Add(rawRoute)
+	f.Add([]byte{7, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0x7a, 0x40, 1, 2, 0, 'n', 'o', 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	// ... and the raw HeatmapResponse (13), bare and with a 1×2 raster.
 	f.Add([]byte{13})
 	rawRaster := make([]byte, 45+16)

@@ -58,17 +58,18 @@ func goldenMessages() []Message {
 
 // goldenFrames are the encodings of goldenMessages captured at the
 // commit before error codes existed (3dfb345), in the same order — all but
-// the HeatmapResponse's, which is the predictively coded raster's tag-29
-// frame: the raw tag-13 frame that stood here is now retired
-// (TestRetiredTagsDecodeAsUnknown).
+// the two batch frames and the HeatmapResponse's, which are the
+// column-coded batch's tag-30 and tag-31 frames and the predictively
+// coded raster's tag-29 frame: the fixed-width tag-6, tag-7 and tag-13
+// frames that stood here are now retired (TestRetiredTagsDecodeAsUnknown).
 var goldenFrames = []string{
 	"010000000000005e400000000000000c400000000000001cc001",
 	"020000000000547a40",
 	"03000000000020ac4002",
 	"040000000000000000000000000020cc400000000000c072400000000000c0824001096c696e6561722d78790200000000000000f03f00000000000000400300000000000079409a9999999999b93f9a9999999999c93f00000000000008400000000000001040030000000000a079409a9999999999b9bf0000000000000000",
 	"05110077696e646f77203320697320656d707479",
-	"060200000000000000f03f000000000000004000000000000008400000000000000010400000000000001440000000000000184002",
-	"070300000000000000407a40010d006f7574206f662077696e646f77000000000000a05640",
+	"1e020078787810000000000000e07f0000000000004000000000000000800000000000002800000000000010800000000000002004",
+	"1f03000807000000000080f480ffffffffff3f470100010d006f7574206f662077696e646f77",
 	"08",
 	"0903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200",
 	"0902000300613a3100000100000000000000f03f000000000000004008000500000000000000",
@@ -127,13 +128,16 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 	}
 }
 
-// TestRetiredTagsDecodeAsUnknown: tags 13 (HeatmapResponse with raw
-// IEEE values), 14 (NotOwnerResponse) and 22 (ReplicaCatchupRequest) are
-// retired, so the last frames a node ever wrote with them — bare and with
+// TestRetiredTagsDecodeAsUnknown: tags 6 and 7 (BatchQueryRequest and
+// BatchQueryResponse with fixed-width fields), 13 (HeatmapResponse with
+// raw IEEE values), 14 (NotOwnerResponse) and 22 (ReplicaCatchupRequest)
+// are retired, so the last frames a node ever wrote with them — bare and with
 // their full payloads — decode as an unknown message, never as something
 // else that took the tag.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	for _, frame := range []string{
+		"06", "060200000000000000f03f000000000000004000000000000008400000000000000010400000000000001440000000000000184002",
+		"07", "070300000000000000407a40010d006f7574206f662077696e646f77000000000000a05640",
 		"0d", "0d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e40000000000000f03f0000000000000040",
 		"0e", "0e01000300633a33", "0e01000300633a330200000000000000",
 		"16", "16010c00000000000000",
@@ -153,7 +157,7 @@ func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 }
 
 // TestErrorCodeLayout pins how a code travels: one trailing byte on an
-// ErrorResponse, the status byte of a batch item — and that a
+// ErrorResponse, the status byte of a failed batch item — and that a
 // parent-layout error frame decodes untyped.
 func TestErrorCodeLayout(t *testing.T) {
 	plain, err := Binary.Encode(ErrorResponse{Msg: "boom"})
@@ -196,13 +200,16 @@ func TestErrorCodeLayout(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(dec, Message(BatchQueryResponse{Items: items})) {
 		t.Fatalf("coded batch round trip = %#v, %v", dec, err)
 	}
-	// The code rides the item's status byte, so a typed item is exactly
+	// The code rides the failure's status byte, so a typed item is exactly
 	// as wide as the untyped one with the same text.
 	uncoded, _ := Binary.Encode(BatchQueryResponse{Items: []BatchQueryItem{{Value: 7}, {Err: "untyped"}, {Err: "typed"}}})
 	if len(enc) != len(uncoded) {
 		t.Errorf("coded batch is %d bytes, uncoded %d", len(enc), len(uncoded))
 	}
-	untypedAt, typedAt := 3+9, 3+9+3+len("untyped")
+	// The failures follow the header, the counts (2 bytes) and 7's
+	// residual (8 bytes); each one's index comes before its status byte.
+	failures := 3 + 2 + 8
+	untypedAt, typedAt := failures+2, failures+failureHeader+len("untyped")+2
 	if enc[untypedAt] != 1 || enc[typedAt] != byte(CodeOutOfWindow) || uncoded[typedAt] != 1 {
 		t.Errorf("status bytes = %d, %d (uncoded %d); want 1, %d (1)",
 			enc[untypedAt], enc[typedAt], uncoded[typedAt], CodeOutOfWindow)

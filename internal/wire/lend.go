@@ -26,7 +26,9 @@ const KeepBytes = 64 << 10
 // after its response has been written (proto.Releaser), a peer's answer
 // after the node that asked has merged it. There is one pool per element
 // type, shared by everything that lends one, so whoever takes a slice back
-// returns it to the pool it came from.
+// returns it to the pool it came from. The raster pool also lends the
+// batch codec the scratch it lays a batch's columns out in (batch.go),
+// which it takes back before it returns.
 var (
 	items   = lendPool[BatchQueryItem]{maxLen: KeepBytes / int(unsafe.Sizeof(BatchQueryItem{}))}
 	rasters = lendPool[float64]{maxLen: KeepBytes / 8}

@@ -15,11 +15,9 @@ import (
 	"repro/internal/tuple"
 )
 
-// coverRaster is a 64×64 raster of a cover built over the second hour of
-// the simulated Lausanne deployment, rendered over the window's data
-// bounds inflated by 100 m — what a node answers a HeatmapRequest without
-// a region.
-func coverRaster(tb testing.TB) HeatmapResponse {
+// windowCover is the cover built over the second hour of the simulated
+// Lausanne deployment, and that hour's tuples.
+func windowCover(tb testing.TB) (*core.Cover, tuple.Batch) {
 	tb.Helper()
 	cfg := sim.DefaultLausanne(1)
 	cfg.Duration = 2 * 3600
@@ -37,6 +35,15 @@ func coverRaster(tb testing.TB) HeatmapResponse {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return cv, w
+}
+
+// coverRaster is a 64×64 raster of windowCover, rendered over the
+// window's data bounds inflated by 100 m — what a node answers a
+// HeatmapRequest without a region.
+func coverRaster(tb testing.TB) HeatmapResponse {
+	tb.Helper()
+	cv, w := windowCover(tb)
 	bounds, ok := w.Bounds()
 	if !ok {
 		tb.Fatal("empty window")

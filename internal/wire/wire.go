@@ -44,8 +44,17 @@ const (
 	TypeModelRequest
 	TypeModelResponse
 	TypeError
-	TypeBatchQueryRequest
-	TypeBatchQueryResponse
+	// Tags 6 and 7 are retired (they were BatchQueryRequest and
+	// BatchQueryResponse with fixed-width IEEE fields; a batch now
+	// travels column-coded under tags 30 and 31): a frame carrying either
+	// decodes as unknown, and no message may take them again.
+
+	// TypeBatchQueryRequest carries a route's points, column-coded
+	// (batch.go).
+	TypeBatchQueryRequest MsgType = 30
+	// TypeBatchQueryResponse carries a route's answers, their values
+	// coded like the points (batch.go).
+	TypeBatchQueryResponse MsgType = 31
 )
 
 // Message is any protocol message.
@@ -91,8 +100,8 @@ func (BatchQueryRequest) Type() MsgType { return TypeBatchQueryRequest }
 // interpolated value, or — when Err is set — the error that request
 // (alone) failed with; build a failed item with FailedItem. A failure's
 // code, which types it exactly like ErrorResponse.Code, rides the wire in
-// the item's status byte (0 ok, 1 untyped error, >= 2 the code), so typed
-// and untyped items are the same width. In memory it occupies Value, which
+// the failure's status byte (1 untyped error, >= 2 the code; batch.go),
+// so typed and untyped items are the same width. In memory it occupies Value, which
 // a failed item does not otherwise use: a route reply holds a hundred
 // items, and a fourth word on each measurably raises what every read
 // allocates (+4.8 % alloc_kb_per_op on the benchmark's route_tcp).
@@ -200,8 +209,9 @@ var (
 	ErrUnknown   = errors.New("wire: unknown message type")
 )
 
-// Binary is the wire codec: a 1-byte type tag followed by fixed-width
-// little-endian fields.
+// Binary is the wire codec: a 1-byte type tag followed by little-endian
+// fields, fixed-width but for the bulk of a route batch and a raster,
+// which are residual-coded (residual.go).
 var Binary binaryCodec
 
 type binaryCodec struct{}
@@ -244,52 +254,9 @@ func appendMsg(dst []byte, head int, m Message) ([]byte, error) {
 		buf[9] = byte(v.Pollutant)
 		return out, nil
 	case BatchQueryRequest:
-		if len(v.Items) > MaxBatchItems {
-			return dst, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
-		}
-		out, buf := grow(dst, head, 1+2+25*len(v.Items))
-		buf[0] = byte(TypeBatchQueryRequest)
-		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Items)))
-		off := 3
-		for _, it := range v.Items {
-			putF64(buf[off:], it.T)
-			putF64(buf[off+8:], it.X)
-			putF64(buf[off+16:], it.Y)
-			buf[off+24] = byte(it.Pollutant)
-			off += 25
-		}
-		return out, nil
+		return appendBatchRequest(dst, head, v)
 	case BatchQueryResponse:
-		if len(v.Items) > MaxBatchItems {
-			return dst, fmt.Errorf("wire: batch too large (%d items)", len(v.Items))
-		}
-		size := 1 + 2
-		for _, it := range v.Items {
-			if it.Err != "" {
-				if len(it.Err) > math.MaxUint16 {
-					return dst, fmt.Errorf("wire: batch item error too long (%d bytes)", len(it.Err))
-				}
-				size += 1 + 2 + len(it.Err)
-			} else {
-				size += 1 + 8
-			}
-		}
-		out, buf := grow(dst, head, size)
-		buf[0] = byte(TypeBatchQueryResponse)
-		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Items)))
-		off := 3
-		for _, it := range v.Items {
-			if it.Err != "" {
-				buf[off] = max(1, byte(it.Code()))
-				binary.LittleEndian.PutUint16(buf[off+1:], uint16(len(it.Err)))
-				off += 3 + copy(buf[off+3:], it.Err)
-			} else {
-				buf[off] = 0
-				putF64(buf[off+1:], it.Value)
-				off += 9
-			}
-		}
-		return out, nil
+		return appendBatchResponse(dst, head, v)
 	case ModelResponse:
 		return appendModelResponse(dst, head, v)
 	case ErrorResponse:
@@ -415,74 +382,9 @@ func decode(data []byte, lend bool) (Message, error) {
 		}
 		return ModelRequest{T: getF64(data[1:]), Pollutant: tuple.Pollutant(data[9])}, nil
 	case TypeBatchQueryRequest:
-		if len(data) < 3 {
-			return nil, fmt.Errorf("%w: BatchQueryRequest header", ErrMalformed)
-		}
-		count := int(binary.LittleEndian.Uint16(data[1:]))
-		if len(data) != 3+25*count {
-			return nil, fmt.Errorf("%w: BatchQueryRequest length %d for %d items", ErrMalformed, len(data), count)
-		}
-		m := BatchQueryRequest{Items: alloc(&queries, count, lend)}
-		off := 3
-		for i := range m.Items {
-			m.Items[i] = QueryRequest{
-				T:         getF64(data[off:]),
-				X:         getF64(data[off+8:]),
-				Y:         getF64(data[off+16:]),
-				Pollutant: tuple.Pollutant(data[off+24]),
-			}
-			off += 25
-		}
-		return m, nil
+		return decodeBatchRequest(data, lend)
 	case TypeBatchQueryResponse:
-		if len(data) < 3 {
-			return nil, fmt.Errorf("%w: BatchQueryResponse header", ErrMalformed)
-		}
-		count := int(binary.LittleEndian.Uint16(data[1:]))
-		// Cheapest possible item is 3 bytes (error flag + length); check
-		// before allocating so a tiny frame cannot claim a huge count.
-		if len(data) < 3+3*count {
-			return nil, fmt.Errorf("%w: BatchQueryResponse length %d for %d items", ErrMalformed, len(data), count)
-		}
-		// Every item is written whole: a lent slice still holds what its
-		// last borrower left in it.
-		m := BatchQueryResponse{Items: alloc(&items, count, lend)}
-		off := 3
-		for i := range m.Items {
-			if len(data) < off+1 {
-				return nil, fmt.Errorf("%w: BatchQueryResponse item %d", ErrMalformed, i)
-			}
-			switch status := data[off]; status {
-			case 0:
-				if len(data) < off+9 {
-					return nil, fmt.Errorf("%w: BatchQueryResponse item %d value", ErrMalformed, i)
-				}
-				m.Items[i] = BatchQueryItem{Value: getF64(data[off+1:])}
-				off += 9
-			default:
-				if len(data) < off+3 {
-					return nil, fmt.Errorf("%w: BatchQueryResponse item %d error header", ErrMalformed, i)
-				}
-				n := int(binary.LittleEndian.Uint16(data[off+1:]))
-				if len(data) < off+3+n {
-					return nil, fmt.Errorf("%w: BatchQueryResponse item %d error body", ErrMalformed, i)
-				}
-				// A typed failure always has text: without it the item would
-				// read as a value.
-				if status > 1 && n == 0 {
-					return nil, fmt.Errorf("%w: BatchQueryResponse item %d typed error without text", ErrMalformed, i)
-				}
-				m.Items[i] = BatchQueryItem{Err: string(data[off+3 : off+3+n])}
-				if status > 1 {
-					m.Items[i].Value = float64(status)
-				}
-				off += 3 + n
-			}
-		}
-		if off != len(data) {
-			return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(data)-off)
-		}
-		return m, nil
+		return decodeBatchResponse(data, lend)
 	case TypeModelResponse:
 		return decodeModelResponse(data)
 	case TypeError:

@@ -362,8 +362,8 @@ func TestBatchQueryEncodeBounds(t *testing.T) {
 
 func TestBatchQueryBinaryCompact(t *testing.T) {
 	// One batch frame must cost less than its requests sent one by one
-	// (the point of batching on a constrained link): n×25 payload bytes
-	// plus one 3-byte header versus n×26-byte frames.
+	// (the point of batching on a constrained link): at most 3 + 28n
+	// bytes, and here far fewer, versus n 26-byte frames.
 	items := make([]QueryRequest, 40)
 	for i := range items {
 		items[i] = QueryRequest{T: float64(i), X: 1, Y: 2, Pollutant: tuple.CO2}
