@@ -127,7 +127,7 @@ func TestLazyMirrorFirstTouchEqualsPrimary(t *testing.T) {
 // engine, and every window the dead node held is served — routed reads
 // answer, byte-equal to the new owner, and no acked tuple is missing.
 func TestPromotionOfNeverReadMirror(t *testing.T) {
-	f := newMemFixture(t, 3, 2)
+	f := newMemFixture(t, 3, 2, 0)
 	data := overWindows(memLattice(0))
 	f.loadVia(t, 0, data)
 	var live []*cluster.Node

@@ -37,6 +37,7 @@ import (
 // switch, and fault hooks are settable after a node is built.
 type memFixture struct {
 	link *netsim.Link
+	base uint64 // the epoch the ring booted at
 
 	mu      sync.Mutex
 	engines []*server.Engine
@@ -159,16 +160,14 @@ func (f *memFixture) addNode(t *testing.T, ring *cluster.Ring, self int) *cluste
 	return node
 }
 
-// memBaseEpoch is the fixture's starting epoch. It is deliberately
-// nonzero: epoch-0 frames are the legacy (epoch-agnostic) wire format
-// and are exempt from the fence, so a cluster that has never seen a
-// transition cannot heal a half-committed one through stale-frame
-// rejection. Starting at 1 models any cluster with a transition in its
-// history — the case the fault matrix is about.
-const memBaseEpoch = 1
+// memBaseEpochs are the epochs the fault matrix boots its fixture at: 0,
+// where every facade and envirometer-server ring boots, and 1, a cluster
+// with a transition in its history.
+var memBaseEpochs = []uint64{0, 1}
 
-// newMemFixture builds an n-node replicated membership fixture.
-func newMemFixture(t *testing.T, n, replicas int) *memFixture {
+// newMemFixture builds an n-node replicated membership fixture whose
+// ring boots at epoch base.
+func newMemFixture(t *testing.T, n, replicas int, base uint64) *memFixture {
 	t.Helper()
 	cells, err := cluster.Cells(clusterRegion, 8, 1)
 	if err != nil {
@@ -178,7 +177,7 @@ func newMemFixture(t *testing.T, n, replicas int) *memFixture {
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("node-%d:8081", i)
 	}
-	ring, err := cluster.NewRing(cluster.Desc{Nodes: addrs, Cells: cells, Replicas: replicas, Epoch: memBaseEpoch})
+	ring, err := cluster.NewRing(cluster.Desc{Nodes: addrs, Cells: cells, Replicas: replicas, Epoch: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func newMemFixture(t *testing.T, n, replicas int) *memFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &memFixture{link: link, addrs: addrs}
+	f := &memFixture{link: link, addrs: addrs, base: base}
 	for i := 0; i < n; i++ {
 		f.addNode(t, ring, i)
 	}
@@ -455,7 +454,7 @@ func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 // tuples, and the joiner ends up owning (and serving) real shards at
 // epoch 1 on every node.
 func TestJoinUnderWriteLoad(t *testing.T) {
-	f := newMemFixture(t, 3, 2)
+	f := newMemFixture(t, 3, 2, 0)
 	base := memLattice(0)
 	f.loadVia(t, 0, base)
 
@@ -540,8 +539,8 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 		t.Fatal("reader never ran")
 	}
 	for _, i := range f.liveIDs() {
-		if e := f.node(i).Ring().Epoch(); e != memBaseEpoch+1 {
-			t.Fatalf("node %d at epoch %d after the join, want %d", i, e, memBaseEpoch+1)
+		if e := f.node(i).Ring().Epoch(); e != f.base+1 {
+			t.Fatalf("node %d at epoch %d after the join, want %d", i, e, f.base+1)
 		}
 	}
 	ring := f.currentRing()
@@ -565,7 +564,7 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 // acked tuple answers from a survivor, routing through any survivor
 // works, and the drained node is fenced out of the membership.
 func TestDrainHandsOffShards(t *testing.T) {
-	f := newMemFixture(t, 3, 2)
+	f := newMemFixture(t, 3, 2, 0)
 	base := memLattice(0)
 	f.loadVia(t, 1, base)
 
@@ -574,13 +573,13 @@ func TestDrainHandsOffShards(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	ring := f.currentRing()
-	if ring.Epoch() != memBaseEpoch+1 || ring.IsLive(drained) {
+	if ring.Epoch() != f.base+1 || ring.IsLive(drained) {
 		t.Fatalf("epoch %d, drained live %v — want epoch %d with node %d tombstoned",
-			ring.Epoch(), ring.IsLive(drained), memBaseEpoch+1, drained)
+			ring.Epoch(), ring.IsLive(drained), f.base+1, drained)
 	}
 	for _, i := range []int{0, 1} {
-		if e := f.node(i).Ring().Epoch(); e != memBaseEpoch+1 {
-			t.Fatalf("survivor %d at epoch %d, want %d", i, e, memBaseEpoch+1)
+		if e := f.node(i).Ring().Epoch(); e != f.base+1 {
+			t.Fatalf("survivor %d at epoch %d, want %d", i, e, f.base+1)
 		}
 	}
 	f.checkPresence(t, positionsOf(base))
@@ -597,7 +596,7 @@ func TestDrainHandsOffShards(t *testing.T) {
 // node's shards from the mirrors, and writes resume — within exactly
 // one epoch bump.
 func TestPromoteReplicaAfterPrimaryDeath(t *testing.T) {
-	f := newMemFixture(t, 3, 2)
+	f := newMemFixture(t, 3, 2, 0)
 	base := memLattice(0)
 	f.loadVia(t, 0, base)
 	f.waitMirrors(t, positionsOf(base))
@@ -608,8 +607,8 @@ func TestPromoteReplicaAfterPrimaryDeath(t *testing.T) {
 		t.Fatalf("promote: %v", err)
 	}
 	ring := f.currentRing()
-	if ring.Epoch() != memBaseEpoch+1 {
-		t.Fatalf("promotion took the cluster to epoch %d, want exactly one bump from %d", ring.Epoch(), memBaseEpoch)
+	if ring.Epoch() != f.base+1 {
+		t.Fatalf("promotion took the cluster to epoch %d, want exactly one bump from %d", ring.Epoch(), f.base)
 	}
 	if ring.IsLive(dead) {
 		t.Fatal("dead primary still a live member")
@@ -632,7 +631,7 @@ func TestPromoteReplicaAfterPrimaryDeath(t *testing.T) {
 // byte-equal routed answers hold as they do for a gainer that replays
 // its own mirror.
 func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
-	f := newMemFixture(t, 3, 2)
+	f := newMemFixture(t, 3, 2, 0)
 	base := memLattice(0)
 	f.loadVia(t, 0, base)
 	f.waitMirrors(t, positionsOf(base))
@@ -669,7 +668,7 @@ func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
 	if err := f.node(promoter).Promote(context.Background(), dead); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if ring := f.currentRing(); ring.IsLive(dead) || ring.Epoch() != memBaseEpoch+1 {
+	if ring := f.currentRing(); ring.IsLive(dead) || ring.Epoch() != f.base+1 {
 		t.Fatalf("after promotion: node %d live %v at epoch %d", dead, ring.IsLive(dead), ring.Epoch())
 	}
 	for p := range pullers {
@@ -683,6 +682,74 @@ func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
 	f.loadVia(t, promoter, extra)
 	f.checkPresence(t, positionsOf(extra))
 	f.checkSinglePrimary(t)
+}
+
+// TestBootRingFramesAreFenced: a ring's first epoch fences like any other.
+// Every facade and envirometer-server ring boots at epoch 0, so its first
+// join must fence frames routed under epoch 0: after the join, the old
+// owner of a shard the joiner gained refuses a stale ingest and a stale
+// query for it with CodeStaleEpoch, and stores nothing. A stale scatter
+// leg is not fenced: it still gets the old owner's answer.
+func TestBootRingFramesAreFenced(t *testing.T) {
+	for _, epoch := range memBaseEpochs {
+		t.Run(fmt.Sprintf("epoch%d", epoch), func(t *testing.T) {
+			f := newMemFixture(t, 3, 2, epoch)
+			f.loadVia(t, 0, memLattice(0))
+			old := f.currentRing()
+			joiner := f.addJoiner(t, 0)
+			if err := joiner.CompleteJoin(context.Background()); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			next := f.currentRing()
+			var p geo.Point
+			from := -1
+			for _, r := range memLattice(0) {
+				k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: next.CellOf(r.Pos())}
+				if next.OwnerKey(k) == 3 && old.OwnerKey(k) != 3 {
+					p, from = r.Pos(), old.OwnerKey(k)
+					break
+				}
+			}
+			if from < 0 {
+				t.Fatal("the joiner gained no shard holding a lattice point")
+			}
+			st, err := f.engine(from).StoreFor(tuple.CO2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win := tuple.WindowIndex(queryT, st.WindowLength())
+			held := st.WindowLen(win)
+			tr := &memTransport{f: f, to: from}
+			for _, inner := range []wire.Message{
+				wire.IngestRequest{Pollutant: tuple.CO2, Tuples: tuple.Batch{{T: queryT, X: p.X, Y: p.Y, S: fieldVal(p.X, p.Y)}}},
+				wire.QueryRequest{T: queryT, X: p.X, Y: p.Y, Pollutant: tuple.CO2},
+			} {
+				resp, err := tr.Exchange(wire.Forwarded{Inner: inner, Epoch: epoch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if er, ok := resp.(wire.ErrorResponse); !ok || er.Code != wire.CodeStaleEpoch {
+					t.Errorf("old owner %d answered a %T routed at epoch %d with %#v, want CodeStaleEpoch",
+						from, inner, epoch, resp)
+				}
+			}
+			if n := st.WindowLen(win); n != held {
+				t.Errorf("old owner %d holds %d tuples after a fenced ingest, %d before", from, n, held)
+			}
+			for inner, want := range map[wire.Message]wire.MsgType{
+				wire.HeatmapRequest{T: queryT, Pollutant: tuple.CO2, Cols: 4, Rows: 4}: wire.TypeHeatmapResponse,
+				wire.ModelRequest{T: queryT, Pollutant: tuple.CO2}:                     wire.TypeModelResponse,
+			} {
+				resp, err := tr.Exchange(wire.Forwarded{Inner: inner, Epoch: epoch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Type() != want {
+					t.Errorf("old owner %d answered a %T scatter leg at epoch %d with %#v", from, inner, epoch, resp)
+				}
+			}
+		})
+	}
 }
 
 // --- deterministic rebalance fault injection --------------------------
@@ -803,123 +870,127 @@ func TestRebalanceFaultMatrix(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.kind+"/"+sc.phase+"/"+sc.fault, func(t *testing.T) {
-			f := newMemFixture(t, 3, 2)
-			base := memLattice(0)
-			f.loadVia(t, 0, base)
-			oracle := positionsOf(base)
-			ctx := context.Background()
+			for _, epoch := range memBaseEpochs {
+				t.Run(fmt.Sprintf("epoch%d", epoch), func(t *testing.T) {
+					f := newMemFixture(t, 3, 2, epoch)
+					base := memLattice(0)
+					f.loadVia(t, 0, base)
+					oracle := positionsOf(base)
+					ctx := context.Background()
 
-			pf := &phaseFault{phase: sc.phase, kill: -1, abort: sc.fault == "abort"}
-			const drainer, promoter, victim = 2, 2, 1
-			var attempt func() error
-			postFence := false
-			switch sc.kind {
-			case "join":
-				old := f.currentRing()
-				if sc.fault == "kill-source" {
-					// A dead transfer source is survivable only because its
-					// replica mirrors the stream; let the mirrors drain
-					// before the joiner enters the ring.
-					f.waitMirrors(t, oracle)
-				}
-				joiner := f.addJoiner(t, 0)
-				next := joiner.Ring()
-				if sc.fault == "kill-source" {
-					// The kill target: whichever old member owns the first
-					// shard the joiner gains — it serves the bootstrap pull,
-					// which must fall over to the shard's mirror.
-					for c := 0; c < next.Cells() && pf.kill < 0; c++ {
-						k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: c}
-						if next.OwnerKey(k) == 3 && old.OwnerKey(k) != 3 {
-							pf.kill = old.OwnerKey(k)
+					pf := &phaseFault{phase: sc.phase, kill: -1, abort: sc.fault == "abort"}
+					const drainer, promoter, victim = 2, 2, 1
+					var attempt func() error
+					postFence := false
+					switch sc.kind {
+					case "join":
+						old := f.currentRing()
+						if sc.fault == "kill-source" {
+							// A dead transfer source is survivable only because its
+							// replica mirrors the stream; let the mirrors drain
+							// before the joiner enters the ring.
+							f.waitMirrors(t, oracle)
+						}
+						joiner := f.addJoiner(t, 0)
+						next := joiner.Ring()
+						if sc.fault == "kill-source" {
+							// The kill target: whichever old member owns the first
+							// shard the joiner gains — it serves the bootstrap pull,
+							// which must fall over to the shard's mirror.
+							for c := 0; c < next.Cells() && pf.kill < 0; c++ {
+								k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: c}
+								if next.OwnerKey(k) == 3 && old.OwnerKey(k) != 3 {
+									pf.kill = old.OwnerKey(k)
+								}
+							}
+							if pf.kill < 0 {
+								t.Skip("joiner gains no shards (placement fluke)")
+							}
+						}
+						f.setHook(3, pf.hook(f))
+						attempt = func() error { return joiner.CompleteJoin(ctx) }
+					case "drain":
+						if sc.fault == "kill-receiver" {
+							pf.kill = victim
+						}
+						f.setHook(drainer, pf.hook(f))
+						attempt = func() error { return f.node(drainer).Drain(ctx) }
+						// Past the self-fence the drainer cannot re-run Drain (it is
+						// no longer a live member of its own ring); recovery is
+						// fence-driven healing. A receiver killed at drain:prepared
+						// also leaves the drain to fail at commit, after the fence.
+						postFence = sc.phase == "drain:fenced" ||
+							(sc.phase == "drain:prepared" && sc.fault == "kill-receiver")
+					case "promote":
+						f.waitMirrors(t, oracle)
+						f.kill(victim)
+						f.setHook(promoter, pf.hook(f))
+						attempt = func() error { return f.node(promoter).Promote(ctx, victim) }
+					}
+
+					err, aborted := runAborting(attempt)
+					t.Logf("first attempt: err=%v aborted=%v", err, aborted)
+					// The dangerous window: whatever the fault left behind, no two
+					// same-epoch live nodes may disagree on the ring.
+					f.checkSinglePrimary(t)
+
+					// Recovery. Revive the transiently killed party first.
+					if pf.kill >= 0 {
+						f.revive(pf.kill)
+					}
+					deadline := time.Now().Add(30 * time.Second)
+					switch sc.kind {
+					case "join":
+						// CompleteJoin is retryable at every abort point: pull
+						// progress is deduplicated and the commit broadcast accepts
+						// already-committed acks.
+						for err != nil || aborted {
+							if time.Now().After(deadline) {
+								t.Fatalf("join never recovered: %v", err)
+							}
+							err, aborted = runAborting(attempt)
+						}
+					case "drain":
+						// Retryable only before the self-fence; past it, recovery is
+						// the fence-driven healing below.
+						for (err != nil || aborted) && !postFence {
+							if time.Now().After(deadline) {
+								t.Fatalf("drain never recovered: %v", err)
+							}
+							err, aborted = runAborting(attempt)
+							if err != nil && strings.Contains(err.Error(), "not a live member") {
+								postFence = true
+							}
+						}
+					case "promote":
+						// The operator re-issues the promotion on every surviving
+						// replica: the already-tombstoned path re-runs the recovery
+						// pull, so each survivor replays its own mirror of the dead
+						// primary even though the abandoned coordinator never told
+						// it to.
+						for _, n := range f.liveIDs() {
+							for {
+								if time.Now().After(deadline) {
+									t.Fatal("promotion never recovered")
+								}
+								if e := f.node(n).Promote(ctx, victim); e == nil {
+									break
+								}
+							}
 						}
 					}
-					if pf.kill < 0 {
-						t.Skip("joiner gains no shards (placement fluke)")
-					}
-				}
-				f.setHook(3, pf.hook(f))
-				attempt = func() error { return joiner.CompleteJoin(ctx) }
-			case "drain":
-				if sc.fault == "kill-receiver" {
-					pf.kill = victim
-				}
-				f.setHook(drainer, pf.hook(f))
-				attempt = func() error { return f.node(drainer).Drain(ctx) }
-				// Past the self-fence the drainer cannot re-run Drain (it is
-				// no longer a live member of its own ring); recovery is
-				// fence-driven healing. A receiver killed at drain:prepared
-				// also leaves the drain to fail at commit, after the fence.
-				postFence = sc.phase == "drain:fenced" ||
-					(sc.phase == "drain:prepared" && sc.fault == "kill-receiver")
-			case "promote":
-				f.waitMirrors(t, oracle)
-				f.kill(victim)
-				f.setHook(promoter, pf.hook(f))
-				attempt = func() error { return f.node(promoter).Promote(ctx, victim) }
-			}
+					healed := f.healTraffic(t)
 
-			err, aborted := runAborting(attempt)
-			t.Logf("first attempt: err=%v aborted=%v", err, aborted)
-			// The dangerous window: whatever the fault left behind, no two
-			// same-epoch live nodes may disagree on the ring.
-			f.checkSinglePrimary(t)
-
-			// Recovery. Revive the transiently killed party first.
-			if pf.kill >= 0 {
-				f.revive(pf.kill)
+					ring := f.currentRing()
+					if ring.Epoch() <= f.base {
+						t.Fatal("transition recovered but the epoch never moved")
+					}
+					f.checkPresence(t, oracle)
+					f.checkPresence(t, healed)
+					f.checkRoutedConsistency(t, 0, oracle)
+					f.checkSinglePrimary(t)
+				})
 			}
-			deadline := time.Now().Add(30 * time.Second)
-			switch sc.kind {
-			case "join":
-				// CompleteJoin is retryable at every abort point: pull
-				// progress is deduplicated and the commit broadcast accepts
-				// already-committed acks.
-				for err != nil || aborted {
-					if time.Now().After(deadline) {
-						t.Fatalf("join never recovered: %v", err)
-					}
-					err, aborted = runAborting(attempt)
-				}
-			case "drain":
-				// Retryable only before the self-fence; past it, recovery is
-				// the fence-driven healing below.
-				for (err != nil || aborted) && !postFence {
-					if time.Now().After(deadline) {
-						t.Fatalf("drain never recovered: %v", err)
-					}
-					err, aborted = runAborting(attempt)
-					if err != nil && strings.Contains(err.Error(), "not a live member") {
-						postFence = true
-					}
-				}
-			case "promote":
-				// The operator re-issues the promotion on every surviving
-				// replica: the already-tombstoned path re-runs the recovery
-				// pull, so each survivor replays its own mirror of the dead
-				// primary even though the abandoned coordinator never told
-				// it to.
-				for _, n := range f.liveIDs() {
-					for {
-						if time.Now().After(deadline) {
-							t.Fatal("promotion never recovered")
-						}
-						if e := f.node(n).Promote(ctx, victim); e == nil {
-							break
-						}
-					}
-				}
-			}
-			healed := f.healTraffic(t)
-
-			ring := f.currentRing()
-			if ring.Epoch() <= memBaseEpoch {
-				t.Fatal("transition recovered but the epoch never moved")
-			}
-			f.checkPresence(t, oracle)
-			f.checkPresence(t, healed)
-			f.checkRoutedConsistency(t, 0, oracle)
-			f.checkSinglePrimary(t)
 		})
 	}
 }

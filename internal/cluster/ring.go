@@ -59,10 +59,10 @@ type Desc struct {
 	// owner plus the owner's R-1 mirrors, the next R-1 live node IDs
 	// after it, wrapping (see place). 0 and 1 both mean unreplicated.
 	Replicas int
-	// Epoch is the membership epoch: 0 for a fixed boot-time ring,
-	// incremented by every join, drain, or promotion. Parties holding
-	// different epochs hold different membership and must reconcile
-	// before routing to each other.
+	// Epoch is the membership epoch: a ring boots at 0, and every join,
+	// drain, or promotion increments it. Parties holding different
+	// epochs hold different membership and must reconcile before routing
+	// to each other.
 	Epoch uint64
 }
 
@@ -255,9 +255,8 @@ func RingFromWire(resp wire.RingResponse) (*Ring, error) {
 }
 
 // Wire returns the ring-exchange frame describing this ring. An
-// unreplicated ring (R = 1) omits the replica field and an epoch-0 ring
-// omits the epoch field, so a pre-membership ring's frame is
-// byte-identical to the pre-replication layout.
+// unreplicated ring (R = 1) carries Replicas 0, so /v1/cluster leaves the
+// field out of its JSON.
 func (r *Ring) Wire() wire.RingResponse {
 	w := wire.RingResponse{
 		Nodes: r.desc.Nodes, Cells: r.desc.Cells,

@@ -413,12 +413,12 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		if n.local == nil {
 			return wire.ErrorResponse{Msg: "cluster: router holds no shards"}
 		}
-		// Epoch fence: a frame routed under an older ring than ours may
-		// name the wrong owner — reject it so the sender refreshes and
-		// re-routes. A frame from a NEWER ring is served: the newer
-		// placement chose this node, we just have not adopted it yet.
-		// Epoch 0 is a pre-epoch (or deliberately epoch-agnostic) frame.
-		if own := n.Ring().Epoch(); m.Epoch != 0 && m.Epoch < own {
+		// Epoch fence: a read or write routed to its owner under an older
+		// ring than ours may name the wrong owner — reject it so the
+		// sender refreshes and re-routes. A frame from a NEWER ring is
+		// served: the newer placement chose this node, we just have not
+		// adopted it yet. Scatter legs are not fenced (see scatter).
+		if own := n.Ring().Epoch(); fenced(m.Inner) && m.Epoch < own {
 			n.nEpochRej.Add(1)
 			return epochMismatch(m.Epoch, own)
 		}
@@ -472,6 +472,17 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 	default:
 		return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: unsupported request type %T", req)}
 	}
+}
+
+// fenced reports whether a Forwarded frame around inner is held to the
+// epoch fence: the kinds routeOwner sends, each to the one owner of its
+// shard.
+func fenced(inner wire.Message) bool {
+	switch inner.(type) {
+	case wire.QueryRequest, wire.BatchQueryRequest, wire.IngestRequest:
+		return true
+	}
+	return false
 }
 
 // unknownPollutant refuses a pollutant byte the ring places nowhere. The
@@ -1045,9 +1056,9 @@ type leg struct {
 // scatter fans a request out to every live node (the local engine
 // included) and returns one leg per node, indexed by node, and the first
 // error response, to report when nothing succeeds. Tombstoned slots are
-// skipped — they own no shards. Scatter legs are sent epoch-agnostic
-// (Epoch 0): the merge samples by ownership, so a peer one epoch away
-// answering from its own view is at worst briefly stale, and fencing
+// skipped — they own no shards. Scatter legs carry the ring's epoch but
+// are not fenced: the merge samples by ownership, so a peer one epoch
+// away answering from its own view is at worst briefly stale, and fencing
 // every leg would fail whole rasters during each transition for no
 // correctness gain.
 func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]leg, wire.ErrorResponse) {
@@ -1071,7 +1082,7 @@ func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]leg, 
 				return
 			}
 			n.nForwarded.Add(1)
-			resp, err := n.transport(i).Exchange(wire.Forwarded{Inner: m})
+			resp, err := n.transport(i).Exchange(wire.Forwarded{Inner: m, Epoch: ring.Epoch()})
 			if err != nil {
 				n.nErrors.Add(1)
 				l.down = true

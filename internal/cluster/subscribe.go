@@ -132,8 +132,8 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 			}
 			// Forwarded, like every routed request: the owner answers from
 			// its local registry and never re-routes, so disagreeing rings
-			// cannot chain subscription hops.
-			st, err := n.openStream(ring, owner, wire.Forwarded{Inner: subs.WireFromRequests(pol, subset)})
+			// cannot chain subscription hops. The leg is not fenced.
+			st, err := n.openStream(ring, owner, wire.Forwarded{Inner: subs.WireFromRequests(pol, subset), Epoch: ring.Epoch()})
 			if err != nil {
 				abort()
 				return nil, err

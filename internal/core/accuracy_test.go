@@ -13,7 +13,9 @@ package core
 // splits between probes near the tuples and far from them. It also logs
 // how much the fit depends on rounding: the largest |coefficient| of the
 // day's covers, and the NRMSE of covers rebuilt over the windows with X,
-// Y and S rounded to a 1e-8 step.
+// Y and S rounded to a 1e-8 step; and how much the covers depend on the
+// order the tuples arrived in: how many covers, and how many probe
+// answers, change when each window is shuffled with a fixed seed.
 //
 // Re-record (and re-measure the spread over fleet seeds 1–5) with
 //
@@ -284,6 +286,60 @@ func roundedWindows(ws []tuple.Batch, step float64) []tuple.Batch {
 	return out
 }
 
+// shuffledWindows returns ws with each window's tuples reordered by one
+// source seeded with seed.
+func shuffledWindows(ws []tuple.Batch, seed int64) []tuple.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]tuple.Batch, len(ws))
+	for c, w := range ws {
+		out[c] = w.Clone()
+		rng.Shuffle(len(w), func(i, j int) { out[c][i], out[c][j] = out[c][j], out[c][i] })
+	}
+	return out
+}
+
+// sameCover reports whether a and b are the same model bit for bit.
+func sameCover(a, b *Cover) bool {
+	bits := func(cv *Cover) []uint64 {
+		out := []uint64{math.Float64bits(cv.ValueLo), math.Float64bits(cv.ValueHi)}
+		for _, p := range cv.Centroids {
+			out = append(out, math.Float64bits(p.X), math.Float64bits(p.Y))
+		}
+		for _, v := range slices.Concat(cv.Coefs, cv.ApproxErrors) {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	return slices.Equal(bits(a), bits(b)) && slices.Equal(a.N, b.N)
+}
+
+// orderDependence builds pol's served covers over fleet seed 1's windows
+// and over the same windows shuffled with seed 1, and counts the covers
+// that differ, the probe answers that differ, and the probes.
+func orderDependence(t *testing.T, pol tuple.Pollutant) (covers, answers, probes int) {
+	t.Helper()
+	ws, _ := accuracyWindows(t, pol, 1)
+	cfg := Config{Pollutant: pol}
+	asIs, shuffled := servedCovers(t, ws, cfg), servedCovers(t, shuffledWindows(ws, 1), cfg)
+	for c := range ws {
+		if !sameCover(asIs[c], shuffled[c]) {
+			covers++
+		}
+		for _, p := range probeGrid(c) {
+			a, errA := asIs[c].Interpolate(p.T, p.X, p.Y)
+			b, errB := shuffled[c].Interpolate(p.T, p.X, p.Y)
+			if errA != nil || errB != nil {
+				t.Fatalf("%v window %d probe: %v, %v", pol, c, errA, errB)
+			}
+			if math.Float64bits(a) != math.Float64bits(b) {
+				answers++
+			}
+			probes++
+		}
+	}
+	return covers, answers, probes
+}
+
 // measureAccuracy measures, against the truth at each window's tuples and
 // probes, the covers a store serves for pol and fleet seed — built over
 // the windows rounded to a multiple of step when step > 0.
@@ -408,6 +464,9 @@ func TestCoverAccuracyGolden(t *testing.T) {
 		rounded := measureAccuracy(t, accuracyPollutants[i], 1, 1e-8)
 		t.Logf("%s (reported): largest |coefficient| %.3g; over the windows rounded to 1e-8, mean NRMSE %.4f %% at the tuples, %.4f %% at the probes (largest |coefficient| %.3g)",
 			g.Pollutant, g.MaxCoef, rounded.MeanNRMSETuples, rounded.MeanNRMSEProbes, rounded.MaxCoef)
+		covers, answers, probes := orderDependence(t, accuracyPollutants[i])
+		t.Logf("%s (reported): with each window shuffled (seed 1), %d of %d covers and %d of %d probe answers change",
+			g.Pollutant, covers, len(g.Windows), answers, probes)
 		if math.IsNaN(g.MeanNRMSETuples) || math.IsNaN(g.MeanNRMSEProbes) {
 			t.Fatalf("%s: NaN accuracy", g.Pollutant)
 		}

@@ -1,12 +1,7 @@
-// Cluster messages: the v1.2 additions that let EnviroMeter nodes form a
-// sharded serving cluster. A router (or any node) forwards Query/Batch/
-// Ingest frames to the shard owner and scatter-gathers heatmaps; clients
-// fetch the consistent-hash ring once and then talk to owners directly.
-//
-// All additions are new message tags, so the decode of every pre-cluster
-// frame is unchanged; pre-cluster servers answer the unknown tags with
-// an ErrorResponse, which cluster-aware callers treat as "peer is not
-// clustered".
+// Cluster messages: the frames that let EnviroMeter nodes form a sharded
+// serving cluster. A router (or any node) forwards Query/Batch/Ingest
+// frames to the shard owner and scatter-gathers heatmaps; clients fetch
+// the consistent-hash ring once and then talk to owners directly.
 package wire
 
 import (
@@ -19,7 +14,7 @@ import (
 	"repro/internal/tuple"
 )
 
-// Cluster message type tags (v1.2).
+// Cluster message type tags.
 const (
 	// TypeRingRequest asks a node for the cluster's shard ring.
 	TypeRingRequest MsgType = iota + 8
@@ -33,15 +28,17 @@ const (
 	TypeHeatmapRequest
 	// Tag 13 is retired (it was HeatmapResponse with its values as raw
 	// IEEE words; the raster now travels predictively coded under tag 29),
-	// and so is tag 14 (it was NotOwnerResponse): a frame carrying either
+	// and so are tag 14 (it was NotOwnerResponse) and tag 15 (it was
+	// Forwarded, whose epoch rode behind a marker byte only when nonzero;
+	// the wrapper now travels under tag 32): a frame carrying any of them
 	// decodes as unknown, and no message may take them again.
 
-	// TypeForwarded wraps a request forwarded by a router so the owner
-	// answers locally instead of re-forwarding.
-	TypeForwarded MsgType = 15
 	// TypeHeatmapResponse carries the raster grid, its values
 	// predictively coded (raster.go).
 	TypeHeatmapResponse MsgType = 29
+	// TypeForwarded wraps a request forwarded by a router so the owner
+	// answers locally instead of re-forwarding.
+	TypeForwarded MsgType = 32
 )
 
 // RingRequest asks a node for the cluster ring — how a peer refreshes
@@ -60,16 +57,12 @@ type RingResponse struct {
 	Cells  []geo.Point `json:"cells"`
 	VNodes uint16      `json:"vnodes"`
 	// Replicas is the cluster's replication factor R: each shard lives
-	// on its owner plus R-1 ring successors. 0 or 1 both mean
-	// "unreplicated" and serialize identically (the binary layout only
-	// carries the field when R > 1, so pre-replication rings decode —
-	// and re-encode — byte-for-byte unchanged).
+	// on its owner plus R-1 ring successors. 0 and 1 both mean
+	// "unreplicated".
 	Replicas uint16 `json:"replicas,omitempty"`
-	// Epoch is the membership epoch (v1.5): it increments on every join,
-	// drain, or promotion, so two parties can order ring versions and
-	// detect mid-transition disagreement. 0 means "pre-epoch" (a fixed
-	// ring from before live membership) and serializes identically to
-	// one: the binary layout only appends the field when Epoch > 0.
+	// Epoch is the membership epoch: it increments on every join, drain,
+	// or promotion, so two parties can order ring versions and detect
+	// mid-transition disagreement. A ring boots at epoch 0.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -130,17 +123,17 @@ func (HeatmapResponse) Type() MsgType { return TypeHeatmapResponse }
 // never nest.
 type Forwarded struct {
 	Inner Message `json:"-"`
-	// Epoch is the sender's membership epoch, 0 when unknown (a
-	// pre-epoch router). A receiver whose own epoch disagrees answers
-	// with an epoch-mismatch error instead of serving a possibly-moved
-	// shard; the sender then reconciles rings and re-routes.
+	// Epoch is the epoch of the ring the sender routed under. A receiver
+	// on a newer ring answers a routed read or write with an
+	// epoch-mismatch error instead of serving a possibly-moved shard; the
+	// sender then reconciles rings and re-routes.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // Type implements Message.
 func (Forwarded) Type() MsgType { return TypeForwarded }
 
-// appendCluster serializes the v1.2 cluster messages (binary codec).
+// appendCluster serializes the cluster messages (binary codec).
 func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case RingRequest:
@@ -158,13 +151,7 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 			}
 			size += 2 + len(n)
 		}
-		size += 2 + 16*len(v.Cells) + 2
-		if v.Replicas > 1 {
-			size += 2
-		}
-		if v.Epoch > 0 {
-			size += 8
-		}
+		size += 2 + 16*len(v.Cells) + 2 + 2 + 8
 		out, buf := grow(dst, head, size)
 		buf[0] = byte(TypeRingResponse)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Nodes)))
@@ -181,14 +168,8 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 			off += 16
 		}
 		binary.LittleEndian.PutUint16(buf[off:], v.VNodes)
-		off += 2
-		if v.Replicas > 1 {
-			binary.LittleEndian.PutUint16(buf[off:], v.Replicas)
-			off += 2
-		}
-		if v.Epoch > 0 {
-			binary.LittleEndian.PutUint64(buf[off:], v.Epoch)
-		}
+		binary.LittleEndian.PutUint16(buf[off+2:], v.Replicas)
+		binary.LittleEndian.PutUint64(buf[off+4:], v.Epoch)
 		return out, nil
 	case IngestRequest:
 		if len(v.Tuples) > math.MaxUint32 {
@@ -230,30 +211,20 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 		if _, nested := v.Inner.(Forwarded); nested {
 			return dst, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
 		}
-		// The epoch variant marks itself with 0xFF — reserved, never a
-		// message tag — where the inner tag would sit, so pre-epoch
-		// frames decode byte-for-byte unchanged.
-		hdrLen := 1
-		if v.Epoch > 0 {
-			hdrLen = 1 + 1 + 8
-		}
-		out, err := appendMsg(dst, head+hdrLen, v.Inner)
+		out, err := appendMsg(dst, head+1+8, v.Inner)
 		if err != nil {
 			return dst, err
 		}
 		hdr := out[len(dst)+head:]
 		hdr[0] = byte(TypeForwarded)
-		if v.Epoch > 0 {
-			hdr[1] = 0xFF
-			binary.LittleEndian.PutUint64(hdr[2:], v.Epoch)
-		}
+		binary.LittleEndian.PutUint64(hdr[1:], v.Epoch)
 		return out, nil
 	default:
 		return appendSubs(dst, head, m)
 	}
 }
 
-// decodeCluster parses the v1.2 cluster messages (binary codec).
+// decodeCluster parses the cluster messages (binary codec).
 func decodeCluster(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeRingRequest:
@@ -284,13 +255,8 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		}
 		nCells := int(binary.LittleEndian.Uint16(data[off:]))
 		off += 2
-		// The suffix after the cells discriminates the layout version:
-		// v1.2 ends at VNodes (2 bytes), v1.4 appends a 2-byte replication
-		// factor, and v1.5 appends an 8-byte epoch after either. All four
-		// decode; each optional field is canonical only when non-default
-		// (R <= 1 and epoch 0 always serialize without their suffix).
-		tail := len(data) - off - 16*nCells
-		if tail != 2 && tail != 4 && tail != 10 && tail != 12 {
+		// VNodes, Replicas and Epoch follow the cells.
+		if len(data) != off+16*nCells+2+2+8 {
 			return nil, fmt.Errorf("%w: RingResponse length %d for %d cells", ErrMalformed, len(data), nCells)
 		}
 		m.Cells = make([]geo.Point, nCells)
@@ -299,20 +265,8 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 			off += 16
 		}
 		m.VNodes = binary.LittleEndian.Uint16(data[off:])
-		off += 2
-		if tail == 4 || tail == 12 {
-			m.Replicas = binary.LittleEndian.Uint16(data[off:])
-			off += 2
-			if m.Replicas <= 1 {
-				return nil, fmt.Errorf("%w: RingResponse replica suffix %d", ErrMalformed, m.Replicas)
-			}
-		}
-		if tail >= 10 {
-			m.Epoch = binary.LittleEndian.Uint64(data[off:])
-			if m.Epoch == 0 {
-				return nil, fmt.Errorf("%w: RingResponse zero epoch suffix", ErrMalformed)
-			}
-		}
+		m.Replicas = binary.LittleEndian.Uint16(data[off+2:])
+		m.Epoch = binary.LittleEndian.Uint64(data[off+4:])
 		return m, nil
 	case TypeIngestRequest:
 		if len(data) < 6 {
@@ -354,31 +308,17 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 	case TypeHeatmapResponse:
 		return decodeHeatmapResponse(data, lend)
 	case TypeForwarded:
-		if len(data) < 2 {
+		if len(data) < 1+8+1 {
 			return nil, fmt.Errorf("%w: forwarded frame without inner message", ErrMalformed)
 		}
-		body := data[1:]
-		var epoch uint64
-		if data[1] == 0xFF {
-			// Epoch variant: 0xFF marker + 8-byte epoch precede the inner
-			// frame (0xFF is reserved and never a message tag).
-			if len(data) < 11 {
-				return nil, fmt.Errorf("%w: forwarded epoch header", ErrMalformed)
-			}
-			epoch = binary.LittleEndian.Uint64(data[2:])
-			if epoch == 0 {
-				return nil, fmt.Errorf("%w: forwarded zero epoch", ErrMalformed)
-			}
-			body = data[10:]
-		}
-		if MsgType(body[0]) == TypeForwarded {
+		if MsgType(data[9]) == TypeForwarded {
 			return nil, fmt.Errorf("%w: nested forwarded frame", ErrMalformed)
 		}
-		inner, err := decode(body, lend)
+		inner, err := decode(data[9:], lend)
 		if err != nil {
 			return nil, err
 		}
-		return Forwarded{Inner: inner, Epoch: epoch}, nil
+		return Forwarded{Inner: inner, Epoch: binary.LittleEndian.Uint64(data[1:])}, nil
 	default:
 		return decodeSubs(data, lend)
 	}

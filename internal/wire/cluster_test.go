@@ -1,9 +1,8 @@
 package wire
 
-// Round-trip and robustness tests for the v1.2 cluster messages: ring
+// Round-trip and robustness tests for the cluster messages: ring
 // exchange, wire ingest, heatmap scatter frames, and the Forwarded
-// wrapper — across both codecs, plus the backward-compatibility
-// guarantee that pre-cluster frames decode unchanged.
+// wrapper.
 
 import (
 	"errors"
@@ -73,7 +72,7 @@ func TestForwardedNeverNests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested := append([]byte{byte(TypeForwarded)}, innerB...)
+	nested := append([]byte{byte(TypeForwarded), 3, 0, 0, 0, 0, 0, 0, 0}, innerB...)
 	if _, err := Binary.Decode(nested); !errors.Is(err, ErrMalformed) {
 		t.Errorf("nested forwarded frame decoded: %v", err)
 	}
@@ -91,7 +90,8 @@ func TestClusterDecodeRobustness(t *testing.T) {
 		{byte(TypeIngestResponse), 1, 2},                 // short
 		{byte(TypeHeatmapRequest), 1, 2, 3},              // short
 		{byte(TypeHeatmapResponse), 0, 0},                // short header
-		{byte(TypeForwarded)},                            // no inner
+		{byte(TypeForwarded)},                            // no epoch
+		{byte(TypeForwarded), 1, 0, 0, 0, 0, 0, 0, 0},    // no inner
 	}
 	for _, data := range cases {
 		if _, err := Binary.Decode(data); err == nil {

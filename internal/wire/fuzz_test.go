@@ -22,8 +22,8 @@ import (
 // accepted ModelResponse must either convert to a cover and back to a
 // field-equal response, or fail to convert with an error. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
-// untagged layouts (now malformed), the retired tags' frames (now
-// unknown) and mutations.
+// untagged layouts and the frames that left a zero field out (now
+// malformed), the retired tags' frames (now unknown) and mutations.
 func FuzzWireDecode(f *testing.F) {
 	add := func(m Message) {
 		enc, err := Binary.Encode(m)
@@ -39,6 +39,9 @@ func FuzzWireDecode(f *testing.F) {
 	// Coded failures: the trailing code byte and the typed item status.
 	add(ErrorResponse{Msg: "query: no model cover", Code: CodeNoCover})
 	add(ErrorResponse{Code: CodeReplicaMiss})
+	// The untyped error's code byte, and the frame that left it out.
+	f.Add([]byte{byte(TypeError), 2, 0, 'n', 'o', 0})
+	f.Add([]byte{byte(TypeError), 2, 0, 'n', 'o'})
 	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 1}, FailedItem(CodeSaturated, "saturated"), {Err: "untyped"}}})
 	add(BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6, Pollutant: 2}}})
 	add(BatchQueryResponse{Items: []BatchQueryItem{{Value: 420}, {Err: "out of window"}}})
@@ -56,7 +59,7 @@ func FuzzWireDecode(f *testing.F) {
 		Centroids: []geo.Point{{X: 1, Y: 2}, {X: 3, Y: 4}},
 		Coefs:     [][]float64{{400, 0.1, 0.2}, {410, -0.1, 0}},
 	})
-	// v1.2 cluster messages.
+	// Cluster messages.
 	add(RingRequest{})
 	add(RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8})
 	add(IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}})
@@ -71,7 +74,7 @@ func FuzzWireDecode(f *testing.F) {
 	add(HeatmapResponse{Cols: 3, Rows: 1, Values: []float64{math.Copysign(0, -1), math.Inf(1), math.Float64frombits(1)}})
 	add(HeatmapResponse{Cols: 0, Rows: 3})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}})
-	// v1.3 subscription messages.
+	// Subscription messages.
 	add(SubscribeRequest{Pollutant: 1, Points: []SubPoint{{T: 1, X: 2, Y: 3}, {T: 4, X: 5, Y: 6}}})
 	add(SubscribeAck{ID: 9, Points: 2})
 	add(Push{ID: 9, Seq: 3, Points: []PushPoint{{Index: 0, Value: 420}, {Index: 1, Err: "no cover"}}})
@@ -79,14 +82,14 @@ func FuzzWireDecode(f *testing.F) {
 	add(UnsubscribeRequest{ID: 9})
 	add(UnsubscribeResponse{Removed: true})
 	add(Forwarded{Inner: SubscribeRequest{Pollutant: 2, Points: []SubPoint{{T: 1, X: 2, Y: 3}}}})
-	// v1.4 replication messages.
+	// Replication messages.
 	add(RingResponse{Nodes: []string{"a:1", "b:2", "c:3"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Replicas: 2})
 	add(ReplicaIngest{Origin: 1, Pollutant: 2, Seq: 41, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}})
 	add(ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{{T: 5, X: 6, Y: 7, S: 8}}})
 	add(ReplicaCatchupResponse{Snapshot: true, From: 0, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}})
 	add(ReplicaRead{Origin: 2, Inner: QueryRequest{T: 1, X: 2, Y: 3, Pollutant: 1}})
 	add(ReplicaRead{Origin: 0, Inner: HeatmapRequest{T: 60, Cols: 2, Rows: 2}})
-	// v1.5 membership messages and epoch-bearing frame variants.
+	// Membership messages, and the epoch of ring and routing frames.
 	add(JoinRequest{Addr: "joiner:8081"})
 	add(RingUpdate{Ring: RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 3}})
 	add(RingUpdate{Ring: RingResponse{Nodes: []string{"a:1", ""}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 4}, Commit: true})
@@ -97,6 +100,13 @@ func FuzzWireDecode(f *testing.F) {
 	add(Promote{Node: 1, Epoch: 7})
 	add(RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 5})
 	add(Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}, Epoch: 4})
+	add(Forwarded{Inner: BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}}}, Epoch: 1 << 40})
+	add(Forwarded{Inner: HeatmapRequest{T: 60, Cols: 2, Rows: 2}, Epoch: 7})
+	add(RingResponse{Nodes: []string{"a:1"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Replicas: 1})
+	// The frames that left a zero field out: a ring without replicas and
+	// epoch, and a ShardTransfer without its incarnation.
+	f.Add([]byte{9, 1, 0, 3, 0, 'a', ':', '1', 0, 0, 8, 0})
+	f.Add([]byte{27, 1, 0, 2, 99, 0, 0, 0, 0, 0, 0, 0})
 	// The removed pre-v1 untagged frames: 25-byte query, 9-byte model
 	// request.
 	untaggedQuery, _ := Binary.Encode(QueryRequest{T: 9, X: 8, Y: 7})
@@ -106,9 +116,12 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
 	// The retired tags' last frames — NotOwnerResponse (14), bare and with
-	// its epoch, and ReplicaCatchupRequest (22) — now unknown.
+	// its epoch, Forwarded (15), bare and behind its epoch marker, and
+	// ReplicaCatchupRequest (22) — now unknown.
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3'})
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3', 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{15, byte(TypeIngestResponse), 7, 0, 0, 0})
+	f.Add([]byte{15, 0xFF, 4, 0, 0, 0, 0, 0, 0, 0, byte(TypeIngestResponse), 7, 0, 0, 0})
 	f.Add([]byte{22, 1, 12, 0, 0, 0, 0, 0, 0, 0})
 	// ... the fixed-width batch frames (6 and 7), bare and with two
 	// points, and three answers, one failed ...

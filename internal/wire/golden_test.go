@@ -62,44 +62,50 @@ func goldenMessages() []Message {
 // column-coded batch's tag-30 and tag-31 frames and the predictively
 // coded raster's tag-29 frame: the fixed-width tag-6, tag-7 and tag-13
 // frames that stood here are now retired (TestRetiredTagsDecodeAsUnknown).
+// Ten more carry every field of their one layout where the captured frame
+// left a field out at its zero value: the ErrorResponse its code byte, the
+// two RingResponses and the RingUpdate's ring their replica count and
+// epoch, the ReplicaIngest, the two ReplicaCatchupResponses and the
+// ShardTransfer their incarnation, and the two Forwarded frames their
+// epoch under tag 32 (TestShortVariantsRefused holds the frames they
+// replace).
 var goldenFrames = []string{
 	"010000000000005e400000000000000c400000000000001cc001",
 	"020000000000547a40",
 	"03000000000020ac4002",
 	"040000000000000000000000000020cc400000000000c072400000000000c0824001096c696e6561722d78790200000000000000f03f00000000000000400300000000000079409a9999999999b93f9a9999999999c93f00000000000008400000000000001040030000000000a079409a9999999999b9bf0000000000000000",
-	"05110077696e646f77203320697320656d707479",
+	"05110077696e646f77203320697320656d70747900",
 	"1e020078787810000000000000e07f0000000000004000000000000000800000000000002800000000000010800000000000002004",
 	"1f03000807000000000080f480ffffffffff3f470100010d006f7574206f662077696e646f77",
 	"08",
-	"0903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200",
-	"0902000300613a3100000100000000000000f03f000000000000004008000500000000000000",
+	"0903000300613a310300623a320300633a330100000000000000f03f0000000000000040080002000000000000000000",
+	"0902000300613a3100000100000000000000f03f0000000000000040080000000500000000000000",
 	"0a0101000000000000000000f03f000000000000004000000000000008400000000000001040",
 	"0b07000000",
 	"0c0000000000004e40020400040000",
 	"0c0000000000004e40000200030001000000000000f0bf00000000000000c000000000000008400000000000001040",
 	"1d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e4078000000000000e07f00000000000020",
-	"0f01000000000000f03f0000000000000040000000000000084000",
-	"0fff040000000000000001000000000000f03f0000000000000040000000000000084000",
+	"20000000000000000001000000000000f03f0000000000000040000000000000084000",
+	"20040000000000000001000000000000f03f0000000000000040000000000000084000",
 	"10010200000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840",
 	"1109000000000000000200",
 	"120900000000000000030000000000000000000002000000000000000000407a4001000108006e6f20636f766572",
 	"12090000000000000004000000000000000111006f776e657220756e726561636861626c650100000000000000000000f03f",
 	"130900000000000000",
 	"1401",
-	"15010002290000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
-	"17020c0000000000000001000000000000000000144000000000000018400000000000001c400000000000002040",
-	"1701000000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
+	"15010002290000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
+	"17020c0000000000000001000000000000000000144000000000000018400000000000001c4000000000000020400000000000000000",
+	"1701000000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
 	"18020001000000000000f03f0000000000000040000000000000084001",
 	"190b006a6f696e65723a38303831",
-	"1a010903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200",
-	"1b0100026300000000000000",
+	"1a010903000300613a310300623a320300633a330100000000000000f03f0000000000000040080002000000000000000000",
+	"1b01000263000000000000000000000000000000",
 	"1c01000700000000000000",
 }
 
-// TestUncodedFramesMatchParentGolden locks the compatibility promise of
-// the error codes: every frame without a code — every non-error message,
-// and an ErrorResponse or batch item whose Code is zero — is
-// byte-identical to what the pre-code commit put on the wire.
+// TestUncodedFramesMatchParentGolden locks every message's one layout:
+// each golden message encodes to its golden frame, and the frame decodes
+// back to a fixed point of re-encoding.
 func TestUncodedFramesMatchParentGolden(t *testing.T) {
 	msgs := goldenMessages()
 	if len(msgs) != len(goldenFrames) {
@@ -115,31 +121,34 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 			t.Fatalf("encode %T: %v", m, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%T (#%d) encodes to\n %x\nparent commit wrote\n %x", m, i, got, want)
+			t.Errorf("%T (#%d) encodes to\n %x\ngolden frame is\n %x", m, i, got, want)
 		}
-		// And the parent's bytes still decode to the same frame.
+		// And the golden bytes decode to the same frame.
 		dec, err := Binary.Decode(want)
 		if err != nil {
-			t.Fatalf("parent %T frame no longer decodes: %v", m, err)
+			t.Fatalf("golden %T frame does not decode: %v", m, err)
 		}
 		if re, err := Binary.Encode(dec); err != nil || !bytes.Equal(re, want) {
-			t.Errorf("parent %T frame is not a fixed point of decode/encode (%v)", m, err)
+			t.Errorf("golden %T frame is not a fixed point of decode/encode (%v)", m, err)
 		}
 	}
 }
 
 // TestRetiredTagsDecodeAsUnknown: tags 6 and 7 (BatchQueryRequest and
 // BatchQueryResponse with fixed-width fields), 13 (HeatmapResponse with
-// raw IEEE values), 14 (NotOwnerResponse) and 22 (ReplicaCatchupRequest)
-// are retired, so the last frames a node ever wrote with them — bare and with
-// their full payloads — decode as an unknown message, never as something
-// else that took the tag.
+// raw IEEE values), 14 (NotOwnerResponse), 15 (Forwarded with its epoch
+// behind a marker byte) and 22 (ReplicaCatchupRequest) are retired, so
+// the last frames a node ever wrote with them — bare and with their full
+// payloads — decode as an unknown message, never as something else that
+// took the tag.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	for _, frame := range []string{
 		"06", "060200000000000000f03f000000000000004000000000000008400000000000000010400000000000001440000000000000184002",
 		"07", "070300000000000000407a40010d006f7574206f662077696e646f77000000000000a05640",
 		"0d", "0d00000000000000000000000000000000000000000000f03f000000000000f03f010002000000000000004e40000000000000f03f0000000000000040",
 		"0e", "0e01000300633a33", "0e01000300633a330200000000000000",
+		"0f", "0f01000000000000f03f0000000000000040000000000000084000",
+		"0fff040000000000000001000000000000f03f0000000000000040000000000000084000",
 		"16", "16010c00000000000000",
 	} {
 		data, err := hex.DecodeString(frame)
@@ -156,9 +165,9 @@ func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	}
 }
 
-// TestErrorCodeLayout pins how a code travels: one trailing byte on an
-// ErrorResponse, the status byte of a failed batch item — and that a
-// parent-layout error frame decodes untyped.
+// TestErrorCodeLayout pins how a code travels: the trailing byte of an
+// ErrorResponse, 0 when untyped, and the status byte of a failed batch
+// item.
 func TestErrorCodeLayout(t *testing.T) {
 	plain, err := Binary.Encode(ErrorResponse{Msg: "boom"})
 	if err != nil {
@@ -168,8 +177,12 @@ func TestErrorCodeLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := append(append([]byte{}, plain...), byte(CodeSaturated)); !bytes.Equal(coded, want) {
-		t.Errorf("coded frame = %x, want the plain frame plus the code byte %x", coded, want)
+	text := []byte{byte(TypeError), 4, 0, 'b', 'o', 'o', 'm'}
+	if want := append(bytes.Clone(text), 0); !bytes.Equal(plain, want) {
+		t.Errorf("untyped frame = %x, want %x", plain, want)
+	}
+	if want := append(bytes.Clone(text), byte(CodeSaturated)); !bytes.Equal(coded, want) {
+		t.Errorf("coded frame = %x, want %x", coded, want)
 	}
 	for frame, want := range map[string]ErrorResponse{
 		string(plain): {Msg: "boom"},
@@ -180,11 +193,10 @@ func TestErrorCodeLayout(t *testing.T) {
 			t.Errorf("decode %x = %#v, %v; want %#v", frame, got, err, want)
 		}
 	}
-	// Codes 0 and 1 never travel as a trailing byte, and nothing may
-	// follow the code.
-	for _, tail := range [][]byte{{0}, {1}, {byte(CodeSaturated), 0}} {
-		if _, err := Binary.Decode(append(append([]byte{}, plain...), tail...)); err == nil {
-			t.Errorf("error frame with tail %x decoded", tail)
+	// Code 1 never travels, and nothing may follow the code.
+	for _, bad := range [][]byte{append(bytes.Clone(text), 1), append(bytes.Clone(coded), 0)} {
+		if _, err := Binary.Decode(bad); err == nil {
+			t.Errorf("error frame %x decoded", bad)
 		}
 	}
 
@@ -223,5 +235,34 @@ func TestErrorCodeLayout(t *testing.T) {
 	// The code costs no memory: an item is still three words.
 	if size := unsafe.Sizeof(BatchQueryItem{}); size != 24 {
 		t.Errorf("BatchQueryItem is %d bytes, want 24 (a route reply holds 100 of them)", size)
+	}
+}
+
+// TestShortVariantsRefused: each frame that once left a field out at its
+// zero value — the last frames a node wrote that way — is refused by its
+// length under the frame's one layout, never read as another message.
+func TestShortVariantsRefused(t *testing.T) {
+	for _, c := range []struct{ frame, left string }{
+		{"05110077696e646f77203320697320656d707479", "ErrorResponse without its code"},
+		{"0902000300613a310300623a320100000000000000f03f00000000000000400800", "RingResponse without replicas and epoch"},
+		{"0903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200", "RingResponse without its epoch"},
+		{"0902000300613a3100000100000000000000f03f000000000000004008000500000000000000", "RingResponse without its replicas"},
+		{"1a010903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200", "RingUpdate of a ring without its epoch"},
+		{"15010002290000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040", "ReplicaIngest without its incarnation"},
+		{"17020c0000000000000001000000000000000000144000000000000018400000000000001c400000000000002040", "ReplicaCatchupResponse without its incarnation"},
+		{"1701000000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040", "snapshot ReplicaCatchupResponse without its incarnation"},
+		{"1b0100026300000000000000", "ShardTransfer without its incarnation"},
+	} {
+		data, err := hex.DecodeString(c.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, decode := range map[string]func([]byte) (Message, error){
+			"Decode": Binary.Decode, "DecodeLent": Binary.DecodeLent,
+		} {
+			if m, err := decode(data); !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s of a %s = %#v, %v; want ErrMalformed", name, c.left, m, err)
+			}
+		}
 	}
 }

@@ -1,5 +1,5 @@
-// Membership messages: the v1.5 additions that let the cluster change
-// shape while serving traffic. A joining node announces itself and
+// Membership messages: the frames that let the cluster change shape
+// while serving traffic. A joining node announces itself and
 // receives the next-epoch ring (JoinRequest); a membership coordinator
 // pushes ring versions to peers in two steps — prepare, then commit
 // (RingUpdate); a node bootstrapping or finishing a handoff, or a
@@ -8,11 +8,6 @@
 // ReplicaCatchupResponse chunks); and a node
 // that detected a dead primary asks a surviving replica to promote its
 // mirror at a new epoch (Promote).
-//
-// Like every protocol revision before it these are purely new tags:
-// pre-membership frames decode unchanged, and older peers answer the
-// unknown tags with an ErrorResponse, which membership-aware callers
-// treat as "peer does not support live membership".
 package wire
 
 import (
@@ -23,7 +18,7 @@ import (
 	"repro/internal/tuple"
 )
 
-// Membership message type tags (v1.5).
+// Membership message type tags.
 const (
 	// TypeJoinRequest is a new node announcing itself to a seed node,
 	// asking for the next-epoch ring that includes it.
@@ -84,7 +79,6 @@ type ShardTransfer struct {
 	Have      uint64          `json:"have"`
 	// Incarnation is the sequence space Have counts in (ReplicaIngest's):
 	// a puller holding another one than the log's takes a snapshot reset.
-	// Appended to the binary layout only when nonzero.
 	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
@@ -104,8 +98,7 @@ type Promote struct {
 // Type implements Message.
 func (Promote) Type() MsgType { return TypePromote }
 
-// appendMembership serializes the v1.5 membership messages (binary
-// codec).
+// appendMembership serializes the membership messages (binary codec).
 func appendMembership(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case JoinRequest:
@@ -130,12 +123,12 @@ func appendMembership(dst []byte, head int, m Message) ([]byte, error) {
 		}
 		return out, nil
 	case ShardTransfer:
-		out, buf := grow(dst, head, 1+2+1+8+incarnationLen(v.Incarnation))
+		out, buf := grow(dst, head, 1+2+1+8+8)
 		buf[0] = byte(TypeShardTransfer)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Have)
-		putIncarnation(buf[12:], v.Incarnation)
+		binary.LittleEndian.PutUint64(buf[12:], v.Incarnation)
 		return out, nil
 	case Promote:
 		out, buf := grow(dst, head, 1+2+8)
@@ -148,7 +141,7 @@ func appendMembership(dst []byte, head int, m Message) ([]byte, error) {
 	}
 }
 
-// decodeMembership parses the v1.5 membership messages (binary codec).
+// decodeMembership parses the membership messages (binary codec).
 func decodeMembership(data []byte) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeJoinRequest:
@@ -177,15 +170,14 @@ func decodeMembership(data []byte) (Message, error) {
 		}
 		return RingUpdate{Ring: ring, Commit: data[1] == 1}, nil
 	case TypeShardTransfer:
-		inc, err := incarnation(data, 12)
-		if err != nil {
-			return nil, fmt.Errorf("%w: ShardTransfer length %d", err, len(data))
+		if len(data) != 20 {
+			return nil, fmt.Errorf("%w: ShardTransfer length %d", ErrMalformed, len(data))
 		}
 		return ShardTransfer{
 			Origin:      binary.LittleEndian.Uint16(data[1:]),
 			Pollutant:   tuple.Pollutant(data[3]),
 			Have:        binary.LittleEndian.Uint64(data[4:]),
-			Incarnation: inc,
+			Incarnation: binary.LittleEndian.Uint64(data[12:]),
 		}, nil
 	case TypePromote:
 		if len(data) != 11 {

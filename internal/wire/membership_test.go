@@ -1,14 +1,10 @@
 package wire
 
-// Round-trip and robustness tests for the v1.5 membership messages
-// (JoinRequest, RingUpdate, ShardTransfer, Promote) and the epoch field
-// the revision appends to RingResponse and Forwarded
-// frames — including the compatibility guarantee that an epoch of zero
-// reproduces the pre-epoch byte layout exactly, so pre-membership peers
-// interoperate unchanged.
+// Round-trip and robustness tests for the membership messages
+// (JoinRequest, RingUpdate, ShardTransfer, Promote) and the epoch that
+// RingResponse and Forwarded frames carry.
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -34,10 +30,12 @@ func membershipMessages() []Message {
 		ShardTransfer{Origin: 0, Pollutant: tuple.CO2, Have: 0},
 		Promote{Node: 1, Epoch: 7},
 		Promote{Node: 0, Epoch: 1},
-		// Epoch-bearing variants of the pre-existing frames.
+		// The epoch of the ring and routing frames, 0 included.
 		RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Epoch: 9},
 		Forwarded{Inner: QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.PM}, Epoch: 4},
 		Forwarded{Inner: IngestRequest{Pollutant: tuple.CO2, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 12},
+		RingResponse{Nodes: []string{"a:1"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Replicas: 1},
+		Forwarded{Inner: QueryRequest{T: 5, X: 6, Y: 7, Pollutant: tuple.PM}},
 	}
 }
 
@@ -54,58 +52,6 @@ func TestMembershipMessageRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(m, dec) {
 			t.Fatalf("round trip of %T:\n got %#v\nwant %#v", m, dec, m)
 		}
-	}
-}
-
-// TestEpochZeroKeepsPreEpochLayout locks the interop guarantee: frames
-// at epoch zero encode byte-identically to their pre-membership layout,
-// and pre-membership frames decode with Epoch == 0 — a v1.4 peer and a
-// v1.5 peer exchange them unchanged.
-func TestEpochZeroKeepsPreEpochLayout(t *testing.T) {
-	ring := RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8}
-	enc, err := Binary.Encode(ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEpoch, err := Binary.Encode(RingResponse{Nodes: ring.Nodes, Cells: ring.Cells, VNodes: 8, Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withEpoch) != len(enc)+8 {
-		t.Fatalf("epoch field appends %d bytes, want 8", len(withEpoch)-len(enc))
-	}
-	if !bytes.Equal(withEpoch[:len(enc)], enc) {
-		t.Fatal("epoch-bearing ring frame does not extend the pre-epoch layout")
-	}
-	dec, err := Binary.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.(RingResponse).Epoch != 0 {
-		t.Fatalf("pre-epoch ring frame decoded with epoch %d", dec.(RingResponse).Epoch)
-	}
-
-	// The Forwarded epoch variant marks itself with 0xFF (reserved,
-	// never a tag) where the inner tag sits; the epoch-zero encoding is
-	// the bare pre-epoch wrapper.
-	fw := Forwarded{Inner: QueryRequest{T: 1, X: 2, Y: 3}}
-	encFw, err := Binary.Encode(fw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	innerB, err := Binary.Encode(fw.Inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(encFw) != 1+len(innerB) || encFw[1] == 0xFF {
-		t.Fatalf("epoch-zero forwarded frame % x is not the bare wrapper", encFw[:2])
-	}
-	encFwE, err := Binary.Encode(Forwarded{Inner: fw.Inner, Epoch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if encFwE[1] != 0xFF {
-		t.Fatalf("epoch-bearing forwarded frame marker is %#x, want 0xFF", encFwE[1])
 	}
 }
 
@@ -130,7 +76,8 @@ func TestMembershipDecodeRobustness(t *testing.T) {
 		{byte(TypeRingUpdate), 2, byte(TypeRingResponse)},             // commit flag out of range
 		{byte(TypeRingUpdate), 1},                                     // no ring payload
 		{byte(TypeShardTransfer), 0, 0, 1},                            // short
-		{byte(TypeShardTransfer), 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // long
+		{byte(TypeShardTransfer), 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // no incarnation
+		append([]byte{byte(TypeShardTransfer)}, make([]byte, 20)...),  // long
 		{byte(TypePromote), 0, 0},                                     // short
 		{byte(TypePromote), 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},          // long
 	}

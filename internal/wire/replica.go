@@ -1,14 +1,9 @@
-// Replication messages: the v1.4 additions that let shard owners stream
+// Replication messages: the frames that let shard owners stream
 // committed ingest slices to their replicas, carry the checkpoint-or-
 // suffix chunks a puller receives (ReplicaCatchupResponse, the answer to
 // a ShardTransfer: a replica that detects a sequence gap pulls itself
 // back into sync that way), and let any party read a dead owner's shards
 // from a replica's mirror (ReplicaRead).
-//
-// Like the v1.2/v1.3 additions these are purely new tags: every
-// pre-replication frame decodes unchanged, and older peers answer the
-// unknown tags with an ErrorResponse, which replication-aware callers
-// treat as "peer does not replicate".
 package wire
 
 import (
@@ -19,7 +14,7 @@ import (
 	"repro/internal/tuple"
 )
 
-// Replication message type tags (v1.4).
+// Replication message type tags.
 const (
 	// TypeReplicaIngest streams one committed ingest slice from a shard
 	// primary to a replica, carrying the slice's replication sequence.
@@ -54,8 +49,7 @@ type ReplicaIngest struct {
 	// Incarnation names the primary's sequence space: every start of a
 	// node begins a new one, so a replica holding an earlier incarnation's
 	// stream resets instead of taking the new stream's first tuples for
-	// ones it holds. 0 (a sender that names none) travels as the frame did
-	// before the field: the binary layout appends it only when nonzero.
+	// ones it holds. 0 is a sender that names none.
 	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
@@ -75,8 +69,7 @@ type ReplicaCatchupResponse struct {
 	Done     bool        `json:"done,omitempty"`
 	From     uint64      `json:"from"`
 	Tuples   []tuple.Raw `json:"tuples"`
-	// Incarnation is the sequence space From counts in (ReplicaIngest's);
-	// appended to the binary layout only when nonzero.
+	// Incarnation is the sequence space From counts in (ReplicaIngest's).
 	Incarnation uint64 `json:"incarnation,omitempty"`
 }
 
@@ -121,27 +114,27 @@ func getRaws(dst []tuple.Raw, buf []byte) []tuple.Raw {
 	return dst
 }
 
-// appendReplica serializes the v1.4 replication messages (binary codec).
+// appendReplica serializes the replication messages (binary codec).
 func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case ReplicaIngest:
 		if len(v.Tuples) > math.MaxUint32 {
 			return dst, fmt.Errorf("wire: replica ingest too large (%d tuples)", len(v.Tuples))
 		}
-		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples)+incarnationLen(v.Incarnation))
+		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples)+8)
 		buf[0] = byte(TypeReplicaIngest)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Seq)
 		binary.LittleEndian.PutUint32(buf[12:], uint32(len(v.Tuples)))
 		putRaws(buf[16:], v.Tuples)
-		putIncarnation(buf[16+32*len(v.Tuples):], v.Incarnation)
+		binary.LittleEndian.PutUint64(buf[16+32*len(v.Tuples):], v.Incarnation)
 		return out, nil
 	case ReplicaCatchupResponse:
 		if len(v.Tuples) > math.MaxUint32 {
 			return dst, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
 		}
-		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples)+incarnationLen(v.Incarnation))
+		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples)+8)
 		buf[0] = byte(TypeReplicaCatchupResponse)
 		if v.Snapshot {
 			buf[1] |= 1
@@ -152,7 +145,7 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[2:], v.From)
 		binary.LittleEndian.PutUint32(buf[10:], uint32(len(v.Tuples)))
 		putRaws(buf[14:], v.Tuples)
-		putIncarnation(buf[14+32*len(v.Tuples):], v.Incarnation)
+		binary.LittleEndian.PutUint64(buf[14+32*len(v.Tuples):], v.Incarnation)
 		return out, nil
 	case ReplicaRead:
 		if v.Inner == nil {
@@ -175,39 +168,7 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 	}
 }
 
-// incarnationLen is the width of an incarnation suffix: 8 bytes, or none
-// for 0.
-func incarnationLen(inc uint64) int {
-	if inc == 0 {
-		return 0
-	}
-	return 8
-}
-
-// putIncarnation writes a nonzero incarnation suffix at buf.
-func putIncarnation(buf []byte, inc uint64) {
-	if inc != 0 {
-		binary.LittleEndian.PutUint64(buf, inc)
-	}
-}
-
-// incarnation reads the incarnation suffix of a frame whose fields end at
-// body: none (0), or 8 nonzero bytes. A zero suffix is malformed, so each
-// message has exactly one encoding.
-func incarnation(data []byte, body int) (uint64, error) {
-	switch {
-	case body < 0 || len(data) < body:
-	case len(data) == body:
-		return 0, nil
-	case len(data) == body+8:
-		if inc := binary.LittleEndian.Uint64(data[body:]); inc != 0 {
-			return inc, nil
-		}
-	}
-	return 0, ErrMalformed
-}
-
-// decodeReplica parses the v1.4 replication messages (binary codec).
+// decodeReplica parses the replication messages (binary codec).
 func decodeReplica(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeReplicaIngest:
@@ -215,16 +176,15 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ReplicaIngest header", ErrMalformed)
 		}
 		count := int(binary.LittleEndian.Uint32(data[12:]))
-		inc, err := incarnation(data, 16+32*count)
-		if err != nil {
-			return nil, fmt.Errorf("%w: ReplicaIngest length %d for %d tuples", err, len(data), count)
+		if len(data) != 16+32*count+8 {
+			return nil, fmt.Errorf("%w: ReplicaIngest length %d for %d tuples", ErrMalformed, len(data), count)
 		}
 		return ReplicaIngest{
 			Origin:      binary.LittleEndian.Uint16(data[1:]),
 			Pollutant:   tuple.Pollutant(data[3]),
 			Seq:         binary.LittleEndian.Uint64(data[4:]),
 			Tuples:      getRaws(alloc(&raws, count, lend), data[16:]),
-			Incarnation: inc,
+			Incarnation: binary.LittleEndian.Uint64(data[16+32*count:]),
 		}, nil
 	case TypeReplicaCatchupResponse:
 		if len(data) < 14 {
@@ -234,16 +194,15 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ReplicaCatchupResponse flags %d", ErrMalformed, data[1])
 		}
 		count := int(binary.LittleEndian.Uint32(data[10:]))
-		inc, err := incarnation(data, 14+32*count)
-		if err != nil {
-			return nil, fmt.Errorf("%w: ReplicaCatchupResponse length %d for %d tuples", err, len(data), count)
+		if len(data) != 14+32*count+8 {
+			return nil, fmt.Errorf("%w: ReplicaCatchupResponse length %d for %d tuples", ErrMalformed, len(data), count)
 		}
 		return ReplicaCatchupResponse{
 			Snapshot:    data[1]&1 != 0,
 			Done:        data[1]&2 != 0,
 			From:        binary.LittleEndian.Uint64(data[2:]),
 			Tuples:      getRaws(make([]tuple.Raw, count), data[14:]),
-			Incarnation: inc,
+			Incarnation: binary.LittleEndian.Uint64(data[14+32*count:]),
 		}, nil
 	case TypeReplicaRead:
 		if len(data) < 4 {

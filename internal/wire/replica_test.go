@@ -1,9 +1,6 @@
 package wire
 
-// Round-trip and robustness tests for the v1.4 replication messages,
-// plus the backward-compatibility guarantee that pre-replication frames
-// — including the RingResponse without a replica suffix — decode (and
-// re-encode) byte-for-byte unchanged.
+// Round-trip and robustness tests for the replication messages.
 
 import (
 	"bytes"
@@ -55,63 +52,23 @@ func TestReplicaMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIncarnationSuffix: an incarnation rides as 8 trailing bytes only
-// when nonzero, so a zero one encodes as the frame did before the field,
-// and a frame spelling out a zero suffix, or a cut one, is malformed.
-func TestIncarnationSuffix(t *testing.T) {
-	for _, m := range []Message{
-		ReplicaIngest{Origin: 1, Seq: 2, Tuples: []tuple.Raw{{T: 1}}},
-		ReplicaCatchupResponse{From: 3, Tuples: []tuple.Raw{{T: 1}}},
-		ShardTransfer{Origin: 1, Have: 4},
-	} {
-		plain, err := Binary.Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var with Message
-		switch v := m.(type) {
-		case ReplicaIngest:
-			v.Incarnation = 9
-			with = v
-		case ReplicaCatchupResponse:
-			v.Incarnation = 9
-			with = v
-		case ShardTransfer:
-			v.Incarnation = 9
-			with = v
-		}
-		enc, err := Binary.Encode(with)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := append(append([]byte{}, plain...), 9, 0, 0, 0, 0, 0, 0, 0); !bytes.Equal(enc, want) {
-			t.Errorf("%T with incarnation 9 = %x, want %x", m, enc, want)
-		}
-		if dec, err := Binary.Decode(enc); err != nil || !reflect.DeepEqual(dec, with) {
-			t.Errorf("%T round trip = %#v, %v", m, dec, err)
-		}
-		for _, tail := range [][]byte{make([]byte, 8), {9}, {9, 0, 0, 0, 0, 0, 0, 0, 0}} {
-			if _, err := Binary.Decode(append(append([]byte{}, plain...), tail...)); err == nil {
-				t.Errorf("%T with suffix %x decoded", m, tail)
-			}
-		}
-	}
-}
-
-// TestIncarnationGolden pins the incarnation suffix's frames: the golden
-// frames of the same messages without it, plus 8 bytes.
+// TestIncarnationGolden pins where an incarnation travels: the last 8
+// bytes of the frame, which decodes back to the message.
 func TestIncarnationGolden(t *testing.T) {
 	for _, g := range []struct {
 		m    Message
 		want string
 	}{
-		{ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Incarnation: 1 << 60}, "150100022900000000000000000000000000000000000010"},
-		{ReplicaCatchupResponse{From: 12, Done: true, Incarnation: 1 << 60}, "17020c00000000000000000000000000000000000010"},
+		{ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "150100022900000000000000000000000000000000000010"},
+		{ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "17020c00000000000000000000000000000000000010"},
 		{ShardTransfer{Origin: 1, Pollutant: tuple.PM, Have: 99, Incarnation: 1 << 60}, "1b01000263000000000000000000000000000010"},
 	} {
 		got, err := Binary.Encode(g.m)
 		if err != nil || hex.EncodeToString(got) != g.want {
 			t.Errorf("%T = %x, %v; want %s", g.m, got, err, g.want)
+		}
+		if dec, err := Binary.Decode(got); err != nil || !reflect.DeepEqual(dec, g.m) {
+			t.Errorf("%T round trip = %#v, %v", g.m, dec, err)
 		}
 	}
 }
@@ -169,72 +126,5 @@ func TestReplicaDecodeRobustness(t *testing.T) {
 		if _, err := Binary.Decode(data); err == nil {
 			t.Errorf("malformed frame % x decoded", data)
 		}
-	}
-}
-
-// TestRingResponseReplicaSuffix locks the RingResponse evolution: the
-// replica suffix appears exactly when R > 1, an unreplicated ring's
-// frame is byte-identical to its v1.2 form, and a non-canonical suffix
-// (R <= 1 spelled out) is rejected so encode∘decode stays a fixed point.
-func TestRingResponseReplicaSuffix(t *testing.T) {
-	base := RingResponse{Nodes: []string{"a:1", "b:2"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8}
-	old, err := Binary.Encode(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []uint16{0, 1} {
-		m := base
-		m.Replicas = r
-		enc, err := Binary.Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, old) {
-			t.Fatalf("R=%d ring frame differs from the unreplicated layout", r)
-		}
-	}
-	rep := base
-	rep.Replicas = 3
-	enc, err := Binary.Encode(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != len(old)+2 {
-		t.Fatalf("replicated ring frame is %d bytes, want %d", len(enc), len(old)+2)
-	}
-	dec, err := Binary.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dec, rep) {
-		t.Fatalf("replicated ring round trip: %#v", dec)
-	}
-	// Old decoders never see the suffix; old frames decode with R=0 here.
-	dec, err = Binary.Decode(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.(RingResponse).Replicas != 0 {
-		t.Fatalf("v1.2 ring frame decoded with R=%d", dec.(RingResponse).Replicas)
-	}
-	// A suffix spelling out R<=1 is non-canonical and rejected.
-	for _, r := range []byte{0, 1} {
-		bad := append(append([]byte(nil), old...), r, 0)
-		if _, err := Binary.Decode(bad); err == nil {
-			t.Errorf("non-canonical replica suffix %d decoded", r)
-		}
-	}
-}
-
-// TestPreReplicaFramesUnchanged locks the v1.4 compatibility guarantee:
-// replication only extends the tag space above the subscription range.
-func TestPreReplicaFramesUnchanged(t *testing.T) {
-	if TypeReplicaIngest != 21 || TypeReplicaRead != 24 {
-		t.Fatalf("replication tags moved: %d..%d, want 21..24", TypeReplicaIngest, TypeReplicaRead)
-	}
-	// Fixed-size v1.4 frames are locked.
-	ing, _ := Binary.Encode(ReplicaIngest{Origin: 1, Seq: 2})
-	if len(ing) != 16 {
-		t.Fatalf("empty ReplicaIngest frame is %d bytes, want 16", len(ing))
 	}
 }

@@ -1,13 +1,8 @@
-// Subscription messages: the v1.3 additions for server-push continuous
+// Subscription messages: the frames of server-push continuous
 // queries. A client subscribes a route (point set + pollutant) once and
 // the server pushes delta frames — only the points whose covers were
 // invalidated and re-evaluated — with sequence numbers, instead of the
 // client re-polling the full route.
-//
-// Like the v1.2 cluster messages, these are purely new tags: every
-// pre-subscription frame decodes unchanged, and v1.2 peers answer the
-// unknown tags with an ErrorResponse, which subscription-aware callers
-// treat as "peer does not push".
 package wire
 
 import (
@@ -18,7 +13,7 @@ import (
 	"repro/internal/tuple"
 )
 
-// Subscription message type tags (v1.3).
+// Subscription message type tags.
 const (
 	// TypeSubscribeRequest registers a point set for push delivery.
 	TypeSubscribeRequest MsgType = iota + 16
@@ -105,7 +100,7 @@ func (UnsubscribeResponse) Type() MsgType { return TypeUnsubscribeResponse }
 // pushResync is the flag bit marking a resync push frame.
 const pushResync = 1 << 0
 
-// appendSubs serializes the v1.3 subscription messages (binary codec).
+// appendSubs serializes the subscription messages (binary codec).
 func appendSubs(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case SubscribeRequest:
@@ -194,7 +189,7 @@ func appendPush(dst []byte, head int, v Push) ([]byte, error) {
 	return out, nil
 }
 
-// decodeSubs parses the v1.3 subscription messages (binary codec).
+// decodeSubs parses the subscription messages (binary codec).
 func decodeSubs(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeSubscribeRequest:

@@ -9,6 +9,12 @@
 // speaks JSON over HTTP and marshals these structs directly where it needs
 // them.
 //
+// Every message has exactly one layout, and every field of it always
+// travels. There is no version negotiation: the nodes of a ring and the
+// clients that talk to them run the same protocol. A frame whose length
+// does not fit its tag's layout is refused, and a retired tag decodes as
+// ErrUnknown, so no frame is read as something it was not.
+//
 // Binary.AppendEncode is the one encoder: it appends a message to a buffer
 // the caller owns (a connection's write buffer, behind the frame's length
 // prefix), and Binary.Encode is AppendEncode into a new, exactly sized one.
@@ -86,9 +92,7 @@ func (QueryResponse) Type() MsgType { return TypeQueryResponse }
 
 // BatchQueryRequest ships a whole route of query tuples (possibly mixing
 // pollutants) in one frame — one radio round trip instead of one per
-// point. It is a v1.1 message: every item carries its pollutant tag, and
-// pre-batch servers answer the unknown tag with an ErrorResponse, so a
-// client can fall back to per-point QueryRequests.
+// point. Every item carries its pollutant tag.
 type BatchQueryRequest struct {
 	Items []QueryRequest `json:"items"`
 }
@@ -172,8 +176,7 @@ func (ModelResponse) Type() MsgType { return TypeModelResponse }
 // internal/cluster; this package only carries the byte.
 type ErrCode uint8
 
-// Error codes. 0 is an untyped failure — the only kind pre-code peers
-// send, and byte-identical to their layout. 1 is reserved: it is the
+// Error codes. 0 is an untyped failure. 1 is reserved: it is the
 // "untyped error" status of a BatchQueryItem and never a code. Where
 // several failures are summarized into one response the lowest code
 // wins, so the list is in priority order.
@@ -193,8 +196,8 @@ const (
 )
 
 // ErrorResponse reports a server-side failure. Msg is for humans; Code
-// is what programs act on. A zero Code encodes to exactly the pre-code
-// layout, and a typed one appends a single trailing byte.
+// is what programs act on. The code travels as one trailing byte, also
+// when it is CodeNone.
 type ErrorResponse struct {
 	Msg  string  `json:"error"`
 	Code ErrCode `json:"code,omitempty"`
@@ -263,17 +266,11 @@ func appendMsg(dst []byte, head int, m Message) ([]byte, error) {
 		if len(v.Msg) > math.MaxUint16 {
 			return dst, fmt.Errorf("wire: error message too long (%d bytes)", len(v.Msg))
 		}
-		size := 1 + 2 + len(v.Msg)
-		if v.Code != CodeNone {
-			size++
-		}
-		out, buf := grow(dst, head, size)
+		out, buf := grow(dst, head, 1+2+len(v.Msg)+1)
 		buf[0] = byte(TypeError)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(len(v.Msg)))
 		copy(buf[3:], v.Msg)
-		if v.Code != CodeNone {
-			buf[size-1] = byte(v.Code)
-		}
+		buf[3+len(v.Msg)] = byte(v.Code)
 		return out, nil
 	default:
 		return appendCluster(dst, head, m)
@@ -392,18 +389,13 @@ func decode(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ErrorResponse header", ErrMalformed)
 		}
 		n := int(binary.LittleEndian.Uint16(data[1:]))
-		m := ErrorResponse{}
-		switch {
-		case len(data) == 3+n:
-		case len(data) == 3+n+1 && data[3+n] > 1:
-			// Codes 0 and 1 never travel (see ErrCode), which keeps every
-			// accepted frame a fixed point of re-encoding.
-			m.Code = ErrCode(data[3+n])
-		default:
+		if len(data) != 3+n+1 {
 			return nil, fmt.Errorf("%w: ErrorResponse length", ErrMalformed)
 		}
-		m.Msg = string(data[3 : 3+n])
-		return m, nil
+		if data[3+n] == 1 {
+			return nil, fmt.Errorf("%w: ErrorResponse code 1", ErrMalformed)
+		}
+		return ErrorResponse{Msg: string(data[3 : 3+n]), Code: ErrCode(data[3+n])}, nil
 	default:
 		return decodeCluster(data, lend)
 	}
