@@ -26,19 +26,17 @@
 //
 // The footer (directory + trailer) is read from the file end, so a reader
 // learns every block's and seed's location and every zone map from one
-// bounded read before touching any tuple data. Version 1 files (a 32-byte
-// trailer without horizon and maxTime) were sidecars beside a row
-// checkpoint and cannot stand alone; the reader rejects them by version.
+// bounded read before touching any tuple data.
 //
 // A directory entry is
 //
 //	window u64 | offset u64 | length u64 | count u32 | kind u8 | 3 B zero |
 //	minT maxT minX maxX minY maxY minS maxS (f64 each)
 //
-// kind 0 is a block; kind 1 (version 4 only) a seed record, whose count
-// and zone maps are zero. A window has at most one seed record.
+// kind 0 is a block; kind 1 a seed record, whose count and zone maps are
+// zero. A window has at most one seed record.
 //
-// # Block layout (version 4)
+// # Block layout
 //
 //	count u32
 //	4 columns (T, X, Y, S), each:
@@ -62,7 +60,7 @@
 //	      moves the sign to bit 0, so a column of both signs spans its
 //	      exponents, not the whole 64-bit space.
 //
-// # Seed record (version 4)
+// # Seed record
 //
 //	count u32 | rounds u32 | config u64 | k u32 |
 //	k × (x f64, y f64) | crc u32 (IEEE, over everything above)
@@ -74,22 +72,15 @@
 // checked when it is read, not when the file is opened: a bad one costs
 // the window its seed, never the checkpoint.
 //
-// # Versions 2 and 3
+// # Other versions
 //
-// Files of versions 2 and 3, which earlier releases wrote, are still read.
-// They hold no seeds, and their blocks re-sort a window by (geo-cell,
-// time) and add a fifth column, seq (scale 0), each tuple's original
-// position, through which a reader puts the window back in append order.
-// A version-3 block's columns are packed as above. Version 2's two column
-// encodings are the byte-aligned special case of the packed one:
-//
-//	enc 1 (fixed)  base u64, count × width-byte offsets: packed at 8·width bits
-//	enc 0 (raw)    count × 8 B IEEE bits: packed at 64 bits, base 0, no rotation
-//
-// so one unpack loop reads every version. Encodings are strict per
-// version: a version-2 file holds only raw and fixed columns, a later one
-// only packed ones. Nothing writes versions 2 or 3, and a new file never
-// carries a block of theirs over (see WindowData.Base).
+// This package reads version 4 only, the version it writes. A file whose
+// header and checksummed footer agree on another version — one an earlier
+// release wrote, or a later one — is refused with ErrVersion, so the
+// caller can tell a file it must not read from a damaged one. A file whose
+// header and footer disagree on the version, or whose footer fails its
+// checksum, is ErrCorrupt: a version-1 sidecar, whose 32-byte trailer does
+// not checksum as a 48-byte one, is one of those.
 package colblock
 
 import (
@@ -118,12 +109,6 @@ const (
 	colVersion = 4
 )
 
-// v2 and v3 are earlier format versions: read, never written.
-const (
-	v2 = 2
-	v3 = 3
-)
-
 const (
 	headerSize   = 8
 	trailerSize  = 48
@@ -147,19 +132,15 @@ const (
 	maxSeedRegions = 1 << 16
 )
 
-// Directory entry kinds (byte 28 of an entry; version 4 only, zero before).
+// Directory entry kinds (byte 28 of an entry).
 const (
 	kindBlock = 0
 	kindSeed  = 1
 )
 
-// Column encodings: raw and fixed in version-2 files, packed in later
-// ones.
-const (
-	encRaw    = 0 // count × 8 B IEEE-754 float64 bits
-	encFixed  = 1 // base u64 + count × width-byte LE offsets
-	encPacked = 2 // base u64 + count × width-bit offsets, LSB-first
-)
+// encPacked is the one column encoding: base u64 + count × width-bit
+// offsets, LSB-first.
+const encPacked = 2
 
 // scaleIEEE is the scale of a column whose keys are IEEE-754 bits, not
 // fixed-point integers.
@@ -175,6 +156,11 @@ var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
 // ErrCorrupt reports a structurally invalid or checksum-failing file.
 var ErrCorrupt = errors.New("colblock: corrupt file")
+
+// ErrVersion reports a sound file of a format version this package does
+// not read: its header and checksummed footer agree on a version other
+// than 4.
+var ErrVersion = errors.New("colblock: unsupported format version")
 
 // Meta is what a checkpoint records beside its windows.
 type Meta struct {
@@ -212,13 +198,10 @@ type WindowData struct {
 	Tuples tuple.Batch
 	// Base, when not nil, is the reader the window's first
 	// Base.WindowCount(Window) tuples come from. With no Tuples behind them
-	// and a Base of the current version the window's blocks — and its seed
-	// record, unless Seed is given — are copied as they are, each one's
-	// checksum checked, not decoded and encoded again: the same tuples in
-	// the same order encode to the same bytes. A Base of an earlier
-	// version is decoded and encoded again, so a copied block is always
-	// one the encoder would write. A seed record that fails its checksum
-	// is not copied.
+	// the window's blocks — and its seed record, unless Seed is given —
+	// are copied as they are, each one's checksum checked, not decoded and
+	// encoded again: the same tuples in the same order encode to the same
+	// bytes. A seed record that fails its checksum is not copied.
 	Base *Reader
 	// Seed, when it has centroids, is written as the window's seed record.
 	Seed Seed
@@ -294,7 +277,7 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 	}
 	for _, wd := range e.windows {
 		tuples := wd.Tuples
-		carry := wd.Base != nil && len(wd.Tuples) == 0 && wd.Base.version == colVersion
+		carry := wd.Base != nil && len(wd.Tuples) == 0
 		switch {
 		case carry:
 			for _, bm := range wd.Base.windowBlocks(wd.Window) {
@@ -597,56 +580,33 @@ func blockBody(data []byte, count int) ([]byte, error) {
 // column is one column of a block, located but not decoded: its keys are
 // base plus offsets of width bits each.
 type column struct {
-	scale byte // 0–9: fixed-point decimal exponent; scaleIEEE: IEEE bits
-	rot   int  // IEEE bits only: how far left the encoder rotated them
+	scale byte // 0–9: fixed-point decimal exponent; scaleIEEE: IEEE bits rotated left by one
 	width uint // 0–64
 	base  uint64
 	data  []byte
 }
 
-// cutColumn locates the column of n values that p starts with, in a file
-// of the given version, and returns what follows it.
-func cutColumn(p []byte, n int, version uint32) (column, []byte, error) {
+// cutColumn locates the column of n values that p starts with and returns
+// what follows it.
+func cutColumn(p []byte, n int) (column, []byte, error) {
 	if len(p) < 4 {
 		return column{}, nil, fmt.Errorf("%w: column header truncated", ErrCorrupt)
 	}
 	enc, scale, width := p[0], p[1], uint(p[2])
 	p = p[4:]
-	col := column{scale: scale, width: width}
-	ieee, hasBase := false, true
 	switch {
-	case version >= v3 && enc == encPacked:
-		if width > 64 {
-			return column{}, nil, fmt.Errorf("%w: column width %d bits", ErrCorrupt, width)
-		}
-		if ieee = scale == scaleIEEE; ieee {
-			col.rot = 1
-		}
-	case version == v2 && enc == encFixed:
-		if width != 1 && width != 2 && width != 4 && width != 8 {
-			return column{}, nil, fmt.Errorf("%w: column width %d bytes", ErrCorrupt, width)
-		}
-		col.width = 8 * width
-	case version == v2 && enc == encRaw:
-		if width != 8 {
-			return column{}, nil, fmt.Errorf("%w: raw column width %d bytes", ErrCorrupt, width)
-		}
-		col.width, ieee, hasBase = 64, true, false
-	default:
-		return column{}, nil, fmt.Errorf("%w: column encoding %d in a version %d file", ErrCorrupt, enc, version)
-	}
-	if ieee {
-		col.scale = scaleIEEE
-	} else if int(scale) >= len(pow10) {
+	case enc != encPacked:
+		return column{}, nil, fmt.Errorf("%w: unknown column encoding %d", ErrCorrupt, enc)
+	case width > 64:
+		return column{}, nil, fmt.Errorf("%w: column width %d bits", ErrCorrupt, width)
+	case scale != scaleIEEE && int(scale) >= len(pow10):
 		return column{}, nil, fmt.Errorf("%w: fixed-point scale %d out of range", ErrCorrupt, scale)
+	case len(p) < 8:
+		return column{}, nil, fmt.Errorf("%w: column base truncated", ErrCorrupt)
 	}
-	if hasBase {
-		if len(p) < 8 {
-			return column{}, nil, fmt.Errorf("%w: column base truncated", ErrCorrupt)
-		}
-		col.base, p = le64(p), p[8:]
-	}
-	size := (n*int(col.width) + 7) / 8
+	col := column{scale: scale, width: width, base: le64(p)}
+	p = p[8:]
+	size := (n*int(width) + 7) / 8
 	if len(p) < size {
 		return column{}, nil, fmt.Errorf("%w: column truncated", ErrCorrupt)
 	}
@@ -655,9 +615,9 @@ func cutColumn(p []byte, n int, version uint32) (column, []byte, error) {
 }
 
 // keys writes the column's keys into dst, one per value: the one unpack
-// loop every column of both versions is read through. An offset is one
-// 8-byte load at its first byte, shifted and masked — plus a ninth byte
-// when it straddles them, which only offsets over 56 bits can.
+// loop every column is read through. An offset is one 8-byte load at its
+// first byte, shifted and masked — plus a ninth byte when it straddles
+// them, which only offsets over 56 bits can.
 func (col column) keys(dst []uint64) {
 	w, p, bit := col.width, col.data, uint(0)
 	if w == 0 {
@@ -689,7 +649,7 @@ func (col column) floats(vals []float64, keys []uint64) {
 	col.keys(keys)
 	if col.scale == scaleIEEE {
 		for i, k := range keys {
-			vals[i] = math.Float64frombits(bits.RotateLeft64(k, -col.rot))
+			vals[i] = math.Float64frombits(bits.RotateLeft64(k, -1))
 		}
 		return
 	}

@@ -3,7 +3,6 @@ package colblock
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -11,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/tuple"
@@ -52,6 +52,15 @@ func encodeImage(t *testing.T, seq int, windows []WindowData, blockTuples int) [
 		t.Fatalf("EncodeStats.Bytes = %d, wrote %d", st.Bytes, buf.Len())
 	}
 	return buf.Bytes()
+}
+
+func bitEqualBatches(a, b tuple.Batch) bool { return slices.EqualFunc(a, b, bitEqual) }
+
+func bitEqual(a, b tuple.Raw) bool {
+	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
+		math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.S) == math.Float64bits(b.S)
 }
 
 // TestRoundTrip proves the core invariant: WindowTuples reproduces every
@@ -148,8 +157,7 @@ func requireRoundTrip(t *testing.T, windows []WindowData, blockTuples int) []byt
 	return img
 }
 
-// blockColumns locates the columns of every block of img: four, and the
-// seq column fifth in a file before version 4.
+// blockColumns locates the four columns of every block of img.
 func blockColumns(t *testing.T, img []byte) [][]column {
 	t.Helper()
 	rd, err := OpenBytes(img)
@@ -157,19 +165,15 @@ func blockColumns(t *testing.T, img []byte) [][]column {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	ncols := 5
-	if rd.version == colVersion {
-		ncols = 4
-	}
 	var out [][]column
 	for _, m := range rd.blocks {
 		p, err := blockBody(img[m.Offset:m.Offset+m.Length], m.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols := make([]column, ncols)
+		cols := make([]column, 4)
 		for i := range cols {
-			if cols[i], p, err = cutColumn(p, m.Count, rd.version); err != nil {
+			if cols[i], p, err = cutColumn(p, m.Count); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -550,13 +554,12 @@ func BenchmarkEncodeDay(b *testing.B) {
 	}
 }
 
-// buildImage assembles a file of the given version around hand-made
-// blocks of one window, each with a fresh checksum, so a test can reach
-// the column checks behind it.
-func buildImage(version uint32, bodies [][]byte, counts []int) []byte {
+// buildImage assembles a file around hand-made blocks of one window, each
+// with a fresh checksum, so a test can reach the column checks behind it.
+func buildImage(bodies [][]byte, counts []int) []byte {
 	img := make([]byte, headerSize)
 	putU32(img[0:], colMagic)
-	putU32(img[4:], version)
+	putU32(img[4:], colVersion)
 	var dir []byte
 	total := 0
 	for i, body := range bodies {
@@ -569,7 +572,7 @@ func buildImage(version uint32, bodies [][]byte, counts []int) []byte {
 	putU64(trailer[0:], 3)
 	putU64(trailer[8:], uint64(total))
 	putU32(trailer[32:], uint32(len(bodies)))
-	putU32(trailer[36:], version)
+	putU32(trailer[36:], colVersion)
 	putU32(trailer[40:], footerCRC(dir, trailer[:]))
 	putU32(trailer[44:], footMagic)
 	return append(append(img, dir...), trailer[:]...)
@@ -590,30 +593,10 @@ func reseal(img []byte, i int, edit func(*BlockMeta)) []byte {
 	return img
 }
 
-// TestDecodersRejectTheSame walks the column checks one by one on blocks
-// whose checksum is sound, in files of every version: DecodeWindow must
-// reject exactly what WindowTuples rejects — Verify reports any difference
-// between the two as errDecodersDisagree — and accept, with the same
-// tuples, what it accepts. Each version admits only its own encodings.
-func TestDecodersRejectTheSame(t *testing.T) {
-	// A version-2 block of three tuples: T and seq fixed-point (1 byte
-	// wide), X raw, Y fixed-point at scale 1 (2 bytes wide), S raw.
-	fixed := func(scale, width byte, base uint64, offs ...uint64) []byte {
-		col := appendU64([]byte{encFixed, scale, width, 0}, base)
-		for _, o := range offs {
-			for b := 0; b < int(width); b++ {
-				col = append(col, byte(o>>(8*b)))
-			}
-		}
-		return col
-	}
-	raw := func(vals ...float64) []byte {
-		col := []byte{encRaw, 0, 8, 0}
-		for _, v := range vals {
-			col = appendU64(col, math.Float64bits(v))
-		}
-		return col
-	}
+// TestColumnChecks walks the block and column checks one by one on blocks
+// whose checksum is sound: each must refuse the window as ErrCorrupt, and
+// a sound block must decode to its tuples in order.
+func TestColumnChecks(t *testing.T) {
 	block := func(count uint32, cols ...[]byte) []byte {
 		body := appendU32(nil, count)
 		for _, c := range cols {
@@ -621,13 +604,8 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		}
 		return body
 	}
-	tcol, xcol := fixed(0, 1, 100, 0, 5, 9), raw(1.5, math.Pi, -2)
-	ycol, scol := fixed(1, 2, 1000, 0, 300, 7), raw(0, 1e300, 5e-324)
-	seq := fixed(0, 1, 0, 2, 0, 1)
-	sound := block(3, tcol, xcol, ycol, scol, seq)
-
-	// The same tuples in a version-3 block: packed columns, written bit by
-	// bit here, apart from the encoder's packing loop.
+	// Packed columns, written bit by bit here, apart from the encoder's
+	// packing loop.
 	packed := func(scale byte, width uint, base uint64, offs ...uint64) []byte {
 		data := make([]byte, (uint(len(offs))*width+7)/8)
 		for i, o := range offs {
@@ -646,99 +624,51 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		}
 		return packed(scaleIEEE, 64, 0, keys...)
 	}
-	ptcol, pxcol := packed(0, 4, 100, 0, 5, 9), ieee(1.5, math.Pi, -2)
-	pycol, pscol := packed(1, 9, 1000, 0, 300, 7), ieee(0, 1e300, 5e-324)
-	pseq := packed(0, 2, 0, 2, 0, 1)
-	psound := block(3, ptcol, pxcol, pycol, pscol, pseq)
-	// Version 4 keeps the packed columns and drops seq: the block holds
-	// the tuples in the order the window was appended.
-	p4sound := block(3, ptcol, pxcol, pycol, pscol)
+	// encoded returns col under another encoding byte.
+	encoded := func(enc byte, col []byte) []byte { return append([]byte{enc}, col[1:]...) }
+	// A block of three tuples: T fixed-point, X IEEE bits, Y fixed-point at
+	// scale 1, S IEEE bits.
+	tcol, xcol := packed(0, 4, 100, 0, 5, 9), ieee(1.5, math.Pi, -2)
+	ycol, scol := packed(1, 9, 1000, 0, 300, 7), ieee(0, 1e300, 5e-324)
+	sound := block(3, tcol, xcol, ycol, scol)
 
 	cases := []struct {
-		name    string
-		version uint32
-		bodies  [][]byte
-		counts  []int
-		ok      bool
+		name   string
+		bodies [][]byte
+		counts []int
+		ok     bool
 	}{
-		{"sound", v2, [][]byte{sound}, []int{3}, true},
-		{"two blocks", v2, [][]byte{
-			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
-			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 1, 0)),
-		}, []int{2, 1}, true},
-		{"count differs from the directory", v2, [][]byte{sound}, []int{2}, false},
-		{"short raw column", v2, [][]byte{block(3, tcol, raw(1.5, math.Pi), ycol, scol, seq)}, []int{3}, false},
-		{"short fixed column", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0))}, []int{3}, false},
-		{"column header cut", v2, [][]byte{block(3, tcol, xcol, ycol, scol, []byte{encFixed, 0})}, []int{3}, false},
-		{"width 3", v2, [][]byte{block(3, fixed(0, 3, 100, 0, 5, 9), xcol, ycol, scol, seq)}, []int{3}, false},
-		{"raw column with width 3", v2, [][]byte{block(3, tcol, append([]byte{encRaw, 0, 3, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
-		{"scale 10", v2, [][]byte{block(3, tcol, xcol, fixed(10, 2, 1000, 0, 300, 7), scol, seq)}, []int{3}, false},
-		{"fixed column with the IEEE scale", v2, [][]byte{block(3, tcol, xcol, ycol, fixed(scaleIEEE, 8, 0, 0, 1<<62, 5), seq)}, []int{3}, false},
-		{"unknown encoding", v2, [][]byte{block(3, tcol, append([]byte{7, 0, 8, 0}, xcol[4:]...), ycol, scol, seq)}, []int{3}, false},
-		{"raw seq", v2, [][]byte{block(3, tcol, xcol, ycol, scol, raw(2, 0, 1))}, []int{3}, false},
-		{"scaled seq", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(1, 1, 0, 2, 0, 1))}, []int{3}, false},
-		{"seq out of range", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 3, 0, 1))}, []int{3}, false},
-		{"seq negative", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 8, 1<<63, 2, 0, 1))}, []int{3}, false},
-		{"seq repeated", v2, [][]byte{block(3, tcol, xcol, ycol, scol, fixed(0, 1, 0, 2, 0, 2))}, []int{3}, false},
-		{"seq repeated across blocks", v2, [][]byte{
-			block(2, fixed(0, 1, 100, 0, 5), raw(1.5, math.Pi), fixed(1, 2, 1000, 0, 300), raw(0, 1e300), fixed(0, 1, 0, 2, 0)),
-			block(1, fixed(0, 1, 109, 0), raw(-2), fixed(1, 2, 1007, 0), raw(5e-324), fixed(0, 1, 2, 0)),
-		}, []int{2, 1}, false},
-		{"trailing bytes", v2, [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
-		{"packed column in version 2", v2, [][]byte{block(3, tcol, xcol, pycol, scol, seq)}, []int{3}, false},
-
-		{"sound", v3, [][]byte{psound}, []int{3}, true},
-		{"two blocks", v3, [][]byte{
-			block(2, packed(0, 3, 100, 0, 5), ieee(1.5, math.Pi), packed(1, 9, 1000, 0, 300), ieee(0, 1e300), packed(0, 2, 0, 2, 0)),
-			block(1, packed(0, 0, 109), ieee(-2), packed(1, 0, 1007), ieee(5e-324), packed(0, 0, 1)),
-		}, []int{2, 1}, true},
-		{"fixed column in version 3", v3, [][]byte{block(3, tcol, pxcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"raw column in version 3", v3, [][]byte{block(3, ptcol, xcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"width 65", v3, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol, pseq)}, []int{3}, false},
-		{"short packed column", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
-		{"base cut", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
-		{"packed scale 10", v3, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol, pseq)}, []int{3}, false},
-		{"IEEE seq", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, ieee(2, 0, 1))}, []int{3}, false},
-		{"scaled seq", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(1, 2, 0, 2, 0, 1))}, []int{3}, false},
-		{"seq out of range", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 3, 0, 1))}, []int{3}, false},
-		{"seq negative", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 64, 1<<63, 2, 0, 1))}, []int{3}, false},
-		{"seq repeated", v3, [][]byte{block(3, ptcol, pxcol, pycol, pscol, packed(0, 2, 0, 2, 0, 2))}, []int{3}, false},
-		{"no seq column", v3, [][]byte{p4sound}, []int{3}, false},
-		{"trailing bytes", v3, [][]byte{append(append([]byte(nil), psound...), 0)}, []int{3}, false},
-
-		{"sound", colVersion, [][]byte{p4sound}, []int{3}, true},
-		{"two blocks", colVersion, [][]byte{
+		{"sound", [][]byte{sound}, []int{3}, true},
+		{"two blocks", [][]byte{
 			block(2, packed(0, 3, 100, 0, 5), ieee(1.5, math.Pi), packed(1, 9, 1000, 0, 300), ieee(0, 1e300)),
 			block(1, packed(0, 0, 109), ieee(-2), packed(1, 0, 1007), ieee(5e-324)),
 		}, []int{2, 1}, true},
-		{"fixed column in version 4", colVersion, [][]byte{block(3, tcol, pxcol, pycol, pscol)}, []int{3}, false},
-		{"raw column in version 4", colVersion, [][]byte{block(3, ptcol, xcol, pycol, pscol)}, []int{3}, false},
-		{"width 65", colVersion, [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, ptcol[4:]...), pxcol, pycol, pscol)}, []int{3}, false},
-		{"short packed column", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
-		{"base cut", colVersion, [][]byte{block(3, ptcol, pxcol, pycol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
-		{"packed scale 10", colVersion, [][]byte{block(3, ptcol, pxcol, packed(10, 9, 1000, 0, 300, 7), pscol)}, []int{3}, false},
-		{"a seq column", colVersion, [][]byte{psound}, []int{3}, false},
-		{"trailing bytes", colVersion, [][]byte{append(append([]byte(nil), p4sound...), 0)}, []int{3}, false},
+		{"count differs from the directory", [][]byte{sound}, []int{2}, false},
+		{"unknown encoding 0", [][]byte{block(3, tcol, encoded(0, xcol), ycol, scol)}, []int{3}, false},
+		{"unknown encoding 1", [][]byte{block(3, encoded(1, tcol), xcol, ycol, scol)}, []int{3}, false},
+		{"unknown encoding 7", [][]byte{block(3, tcol, xcol, encoded(7, ycol), scol)}, []int{3}, false},
+		{"column header cut", [][]byte{block(3, tcol, xcol, ycol, []byte{encPacked, 0})}, []int{3}, false},
+		{"width 65", [][]byte{block(3, append([]byte{encPacked, 0, 65, 0}, tcol[4:]...), xcol, ycol, scol)}, []int{3}, false},
+		{"short packed column", [][]byte{block(3, tcol, xcol, ycol, packed(0, 8, 0, 2, 0))}, []int{3}, false},
+		{"base cut", [][]byte{block(3, tcol, xcol, ycol, []byte{encPacked, 0, 2, 0, 0, 0})}, []int{3}, false},
+		{"packed scale 10", [][]byte{block(3, tcol, xcol, packed(10, 9, 1000, 0, 300, 7), scol)}, []int{3}, false},
+		{"a seq column", [][]byte{block(3, tcol, xcol, ycol, scol, packed(0, 2, 0, 2, 0, 1))}, []int{3}, false},
+		{"trailing bytes", [][]byte{append(append([]byte(nil), sound...), 0)}, []int{3}, false},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("version %d, %s", tc.version, tc.name)
-		img := buildImage(tc.version, tc.bodies, tc.counts)
+		img := buildImage(tc.bodies, tc.counts)
 		err := Verify(img)
-		if errors.Is(err, errDecodersDisagree) {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: Verify = %v, want accepted=%v", name, err, tc.ok)
+			t.Errorf("%s: Verify = %v, want accepted=%v", tc.name, err, tc.ok)
 		}
 		if !tc.ok {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: rejected with %v, want ErrCorrupt", name, err)
+				t.Errorf("%s: rejected with %v, want ErrCorrupt", tc.name, err)
 			}
 			// A bad checksum is refused before any of the above is looked at.
 			img[headerSize+5] ^= 0x40
-			if err := Verify(img); !errors.Is(err, ErrCorrupt) || errors.Is(err, errDecodersDisagree) {
-				t.Errorf("%s with a bad checksum: %v", name, err)
+			if err := Verify(img); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s with a bad checksum: %v", tc.name, err)
 			}
 			continue
 		}
@@ -748,21 +678,16 @@ func TestDecodersRejectTheSame(t *testing.T) {
 		}
 		got := make(tuple.Batch, 3)
 		if err := rd.DecodeWindow(got, 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		// The seq column (2, 0, 1) puts the block's first tuple last; a
-		// version-4 window is its blocks in order.
-		want := tuple.Batch{{T: 105, X: math.Pi, Y: 130, S: 1e300}, {T: 109, X: -2, Y: 100.7, S: 5e-324}, {T: 100, X: 1.5, Y: 100, S: 0}}
-		if tc.version == colVersion {
-			want = tuple.Batch{want[2], want[0], want[1]}
-		}
+		want := tuple.Batch{{T: 100, X: 1.5, Y: 100, S: 0}, {T: 105, X: math.Pi, Y: 130, S: 1e300}, {T: 109, X: -2, Y: 100.7, S: 5e-324}}
 		for i := range want {
 			if !bitEqual(got[i], want[i]) {
-				t.Errorf("%s: tuple %d = %+v, want %+v", name, i, got[i], want[i])
+				t.Errorf("%s: tuple %d = %+v, want %+v", tc.name, i, got[i], want[i])
 			}
 		}
 		if err := rd.DecodeWindow(got[:2], 1); err == nil {
-			t.Errorf("%s: DecodeWindow filled a destination of the wrong length", name)
+			t.Errorf("%s: DecodeWindow filled a destination of the wrong length", tc.name)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package colblock
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -16,9 +16,9 @@ import (
 // (footer parse, directory validation, block checksums, column decode).
 // Seeds come from the real encoder, so mutations start from structurally
 // valid images; the invariant is that no input crashes or over-allocates,
-// that encoder output always verifies, and that the two window decoders —
-// WindowTuples and DecodeWindow, which Verify runs side by side — accept
-// and reject the same images and return the same tuples.
+// and that an image Verify accepts, carried over window by window into a
+// new file (WindowData.Base), encodes to an image that verifies and holds
+// the same tuples and seeds.
 func FuzzColBlockDecode(f *testing.F) {
 	seed := func(seq int, windows []WindowData, blockTuples int) {
 		var buf bytes.Buffer
@@ -58,24 +58,67 @@ func FuzzColBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	// IEEE-bits columns in a version-4 image, and the fixtures of earlier
-	// versions: raw and fixed columns, and seq columns, which a version-4
-	// image must never hold.
-	seed(3, []WindowData{{Window: 0, Tuples: edgeWindow}}, BlockTuples)
-	for _, fx := range append(v2Fixtures, v3Fixtures...) {
-		img, err := os.ReadFile(filepath.Join("testdata", fx.name))
+	// IEEE-bits columns in a version-4 image; the edge window as earlier
+	// versions wrote it (raw and fixed columns, a seq column), which this
+	// reader refuses; and a version-4 image relabelled as versions 1 and 5.
+	var edge bytes.Buffer
+	if _, err := Encode(&edge, Meta{Seq: 3}, []WindowData{{Window: 0, Tuples: edgeWindow}}); err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(edge.Bytes())
+	for _, name := range []string{"v2-edge.emc", "v3-edge.emc"} {
+		img, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(img)
 	}
+	f.Add(withVersion(edge.Bytes(), 1))
+	f.Add(withVersion(edge.Bytes(), 5))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<22 {
+		if len(data) > 1<<22 || Verify(data) != nil {
 			return
 		}
-		if err := Verify(data); errors.Is(err, errDecodersDisagree) {
+		rd, err := OpenBytes(data)
+		if err != nil {
+			t.Fatalf("Verify accepted an image OpenBytes refuses: %v", err)
+		}
+		defer rd.Close()
+		var carried []WindowData
+		for _, c := range rd.Windows() {
+			carried = append(carried, WindowData{Window: c, Base: rd})
+		}
+		var out bytes.Buffer
+		if _, err := Encode(&out, rd.Meta(), carried); err != nil {
+			t.Fatalf("carry-over of a verified image: %v", err)
+		}
+		if err := Verify(out.Bytes()); err != nil {
+			t.Fatalf("carry-over of a verified image does not verify: %v", err)
+		}
+		rd2, err := OpenBytes(out.Bytes())
+		if err != nil {
 			t.Fatal(err)
+		}
+		defer rd2.Close()
+		if got, want := rd2.Windows(), rd.Windows(); !slices.Equal(got, want) {
+			t.Fatalf("carried windows %v, want %v", got, want)
+		}
+		for _, c := range rd.Windows() {
+			want, err := rd.WindowTuples(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := rd2.WindowTuples(c); err != nil || !bitEqualBatches(got, want) {
+				t.Fatalf("window %d after the carry-over: %d tuples, %v; want the %d it had", c, len(got), err, len(want))
+			}
+			sd, ok, err := rd.Seed(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd2, ok2, err := rd2.Seed(c); ok2 != ok || err != nil || ok && !seedsEqual(sd2, sd) {
+				t.Fatalf("window %d's seed after the carry-over: %+v, %v, %v; want %+v, %v", c, sd2, ok2, err, sd, ok)
+			}
 		}
 	})
 }

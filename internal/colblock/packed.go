@@ -63,7 +63,7 @@ func Unpack(dst []tuple.Raw, run []byte) error {
 	for i := range sc.cols {
 		var col column
 		var err error
-		if col, p, err = cutColumn(p, n, colVersion); err != nil {
+		if col, p, err = cutColumn(p, n); err != nil {
 			return err
 		}
 		sc.cols[i] = sized(sc.cols[i], n)

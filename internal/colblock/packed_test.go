@@ -108,7 +108,7 @@ func TestPackedBytesPerTupleLausanne(t *testing.T) {
 		total += len(run)
 		p := run[4:]
 		for i := range colBytes {
-			_, rest, err := cutColumn(p, chunk, colVersion)
+			_, rest, err := cutColumn(p, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}

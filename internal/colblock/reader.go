@@ -2,7 +2,6 @@ package colblock
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -50,12 +49,11 @@ type Stats struct {
 // Reader serves windows and region scans from one immutable checkpoint
 // file. It is safe for concurrent use; Close invalidates it.
 type Reader struct {
-	src     Source
-	version uint32
-	meta    Meta
-	tuples  int
-	blocks  []BlockMeta
-	// seeds locates the seed records, ascending by window (version 4).
+	src    Source
+	meta   Meta
+	tuples int
+	blocks []BlockMeta
+	// seeds locates the seed records, ascending by window.
 	seeds []seedSpan
 
 	// spans holds one entry per window, ascending: a window's blocks are
@@ -112,10 +110,6 @@ func OpenBytes(data []byte) (*Reader, error) {
 // Verify structurally validates data as a file image and decodes
 // every block and seed record, returning the first error found. It is the
 // fuzz target's workhorse: any input that passes must round-trip cleanly.
-// Every window goes through both decoders — WindowTuples, the allocating
-// reference, and DecodeWindow, the one the store reads with — which must
-// accept and reject the same images and agree bit for bit on what they
-// accept.
 func Verify(data []byte) error {
 	r, err := OpenBytes(data)
 	if err != nil {
@@ -124,16 +118,9 @@ func Verify(data []byte) error {
 	defer r.Close()
 	var into tuple.Batch
 	for _, sp := range r.spans {
-		want, err := r.WindowTuples(sp.window)
 		into = sized(into, sp.count)
-		ierr := r.DecodeWindow(into, sp.window)
-		switch {
-		case (err == nil) != (ierr == nil):
-			return fmt.Errorf("%w: window %d: WindowTuples: %v, DecodeWindow: %v", errDecodersDisagree, sp.window, err, ierr)
-		case err != nil:
+		if err := r.DecodeWindow(into, sp.window); err != nil {
 			return err
-		case !bitEqualBatches(want, into):
-			return fmt.Errorf("%w: window %d: not the same tuples", errDecodersDisagree, sp.window)
 		}
 	}
 	for _, sp := range r.seeds {
@@ -142,19 +129,6 @@ func Verify(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// errDecodersDisagree is Verify's report of a bug in this package, not of
-// a bad image: the fuzz target fails on it.
-var errDecodersDisagree = errors.New("colblock: decoders disagree")
-
-func bitEqualBatches(a, b tuple.Batch) bool { return slices.EqualFunc(a, b, bitEqual) }
-
-func bitEqual(a, b tuple.Raw) bool {
-	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
-		math.Float64bits(a.X) == math.Float64bits(b.X) &&
-		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
-		math.Float64bits(a.S) == math.Float64bits(b.S)
 }
 
 func newReader(src Source) (*Reader, error) {
@@ -170,9 +144,6 @@ func newReader(src Source) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad header magic %#x", ErrCorrupt, le32(hdr[0:]))
 	}
 	version := le32(hdr[4:])
-	if version != colVersion && version != v3 && version != v2 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
-	}
 	trailer, err := src.ReadSpan(nil, size-trailerSize, trailerSize)
 	if err != nil {
 		return nil, err
@@ -196,10 +167,12 @@ func newReader(src Source) (*Reader, error) {
 	if footerCRC(dir, trailer) != le32(trailer[40:]) {
 		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
+	if version != colVersion {
+		return nil, fmt.Errorf("%w: version %d, this reader reads version %d", ErrVersion, version, colVersion)
+	}
 
 	r := &Reader{
-		src:     src,
-		version: version,
+		src: src,
 		meta: Meta{
 			Seq:     int(int64(le64(trailer[0:]))),
 			Horizon: int(int64(le64(trailer[16:]))),
@@ -210,13 +183,7 @@ func newReader(src Source) (*Reader, error) {
 	if r.tuples < 0 {
 		return nil, fmt.Errorf("%w: negative tuple count", ErrCorrupt)
 	}
-	// kind returns entry i's kind; before version 4 the byte was padding.
-	kind := func(i int) byte {
-		if version < colVersion {
-			return kindBlock
-		}
-		return dir[i*dirEntrySize+28]
-	}
+	kind := func(i int) byte { return dir[i*dirEntrySize+28] }
 	nseeds := 0
 	for i := range nentries {
 		if kind(i) == kindSeed {
@@ -419,52 +386,24 @@ func (r *Reader) CheckBlocks() error {
 }
 
 // WindowTuples materializes window c in its original append order —
-// byte-identical to the slice the writing store held in memory. In a file
-// before version 4 every original position must be covered exactly once,
-// or the window is reported corrupt. It allocates the result and, before
-// version 4, its own record of the positions filled; the store reads
-// through DecodeWindow, and Verify holds the two against each other.
+// byte-identical to the slice the writing store held in memory — into a
+// batch of its own: DecodeWindow into fresh memory.
 func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
-	sp := r.span(c)
-	if sp.n == 0 {
+	n := r.WindowCount(c)
+	if n == 0 {
 		return nil, nil
 	}
-	total := sp.count
-	out := make(tuple.Batch, total)
-	var seen []bool // the positions filled, before version 4
-	if r.version != colVersion {
-		seen = make([]bool, total)
-	}
-	sc := scratches.Get().(*scratch)
-	defer scratches.Put(sc)
-	pos := 0
-	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
-		if err := r.readBlock(sc, m); err != nil {
-			return nil, err
-		}
-		if r.version == colVersion {
-			for i := range m.Count {
-				out[pos+i] = tuple.Raw{T: sc.cols[0][i], X: sc.cols[1][i], Y: sc.cols[2][i], S: sc.cols[3][i]}
-			}
-			pos += m.Count
-			continue
-		}
-		for i, sq := range sc.seqs {
-			if sq >= uint64(total) || seen[sq] {
-				return nil, fmt.Errorf("%w: window %d seq %d invalid or duplicated", ErrCorrupt, c, int64(sq))
-			}
-			seen[sq] = true
-			out[sq] = tuple.Raw{T: sc.cols[0][i], X: sc.cols[1][i], Y: sc.cols[2][i], S: sc.cols[3][i]}
-		}
+	out := make(tuple.Batch, n)
+	if err := r.DecodeWindow(out, c); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ScanWindowRegion streams window c's tuples whose (X, Y) fall inside
 // the closed rectangle [minX,maxX]×[minY,maxY], pruning whole blocks by
-// zone map before touching their bytes. Tuples arrive in block order:
-// append order in a version-4 file, (cell, time) order before. It returns
-// how many blocks were scanned vs pruned.
+// zone map before touching their bytes. Tuples arrive in append order. It
+// returns how many blocks were scanned vs pruned.
 func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, err error) {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
@@ -496,7 +435,7 @@ func (r *Reader) readBlock(sc *scratch, m BlockMeta) error {
 		return err
 	}
 	r.countScan(m)
-	return sc.decodeBlock(data, m.Count, r.version)
+	return sc.decodeBlock(data, m.Count)
 }
 
 // countScan accounts one block read for decoding.
@@ -522,15 +461,12 @@ func (r *Reader) blockBytes(buf *[]byte, off, n int64) ([]byte, error) {
 }
 
 // scratch is what a read borrows beside its destination: a block's bytes
-// on the pread path, the block decoded — its T, X, Y and S columns and,
-// before version 4, its original positions, in block order — the keys of
-// the column being decoded, and which of the window's positions have been
-// filled.
+// on the pread path, the block decoded — its T, X, Y and S columns — and
+// the keys of the column being decoded.
 type scratch struct {
-	span       []byte
-	cols       [4][]float64
-	seqs, keys []uint64
-	seen       []bool
+	span []byte
+	cols [4][]float64
+	keys []uint64
 }
 
 // scratches lends scratch to concurrent reads, as encoders does to
@@ -540,11 +476,9 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 // DecodeWindow decodes window c into dst, which must hold exactly
 // WindowCount(c) tuples, in the window's original append order: block by
 // block, the columns into pooled scratch and each tuple from there into
-// dst — the next places of it, or before version 4 the place the seq
-// column names — allocating nothing. It checks what WindowTuples checks —
-// every block's checksum and count, every column's framing, and that the
-// original positions cover dst exactly once — and on an error leaves dst
-// undefined.
+// the next places of dst, allocating nothing. It checks every block's
+// checksum and count and every column's framing, and on an error leaves
+// dst undefined.
 func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	sp := r.span(c)
 	if len(dst) != sp.count {
@@ -552,78 +486,40 @@ func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	}
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	if r.version != colVersion {
-		sc.seen = sized(sc.seen, len(dst))
-		clear(sc.seen)
-	}
 	pos := 0
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
 		if err := r.readBlock(sc, m); err != nil {
 			return fmt.Errorf("window %d: %w", c, err)
 		}
-		if r.version == colVersion {
-			ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
-			for i := range m.Count {
-				dst[pos+i] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
-			}
-			pos += m.Count
-			continue
+		ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
+		for i := range m.Count {
+			dst[pos+i] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
 		}
-		if err := sc.place(dst); err != nil {
-			return fmt.Errorf("window %d: %w", c, err)
-		}
+		pos += m.Count
 	}
 	return nil
 }
 
 // decodeBlock decodes one block (data: count through checksum; count
-// cross-checks the directory entry) of a file of the given version into
-// sc.cols, and before version 4 its seq column into sc.seqs.
-func (sc *scratch) decodeBlock(data []byte, count int, version uint32) error {
+// cross-checks the directory entry) into sc.cols.
+func (sc *scratch) decodeBlock(data []byte, count int) error {
 	p, err := blockBody(data, count)
 	if err != nil {
 		return err
 	}
-	var cols [5]column
-	hasSeq := version != colVersion
-	ncols := len(sc.cols)
-	if hasSeq {
-		ncols++
-	}
-	for i := range ncols {
-		if cols[i], p, err = cutColumn(p, count, version); err != nil {
+	var cols [4]column
+	for i := range cols {
+		if cols[i], p, err = cutColumn(p, count); err != nil {
 			return err
 		}
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
 	}
-	if hasSeq && cols[4].scale != 0 {
-		return fmt.Errorf("%w: seq column must be integer-encoded", ErrCorrupt)
-	}
 	sc.keys = sized(sc.keys, count)
 	for i := range sc.cols {
 		sc.cols[i] = sized(sc.cols[i], count)
 		cols[i].floats(sc.cols[i], sc.keys)
-	}
-	if hasSeq {
-		sc.seqs = sized(sc.seqs, count)
-		cols[4].keys(sc.seqs)
-	}
-	return nil
-}
-
-// place writes the decoded block's tuples into the places of dst its seq
-// column names, marking them in sc.seen; a place outside dst or named
-// twice is corruption.
-func (sc *scratch) place(dst tuple.Batch) error {
-	ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
-	for i, sq := range sc.seqs {
-		if sq >= uint64(len(dst)) || sc.seen[sq] {
-			return fmt.Errorf("%w: a seq is out of range or repeated", ErrCorrupt)
-		}
-		sc.seen[sq] = true
-		dst[sq] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
 	}
 	return nil
 }

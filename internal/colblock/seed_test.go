@@ -147,8 +147,7 @@ func TestBadSeedCostsOnlyTheSeed(t *testing.T) {
 
 // TestSeedDirectoryChecks: a seed entry is refused at open when it names a
 // window with no blocks or a window that already has one, and any kind
-// byte other than block or seed is refused; before version 4 the byte was
-// padding and is not read.
+// byte other than block or seed is refused.
 func TestSeedDirectoryChecks(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	windows := genWindows(r, 2, 50)
@@ -182,14 +181,6 @@ func TestSeedDirectoryChecks(t *testing.T) {
 		if _, err := OpenBytes(resealed(bad)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: OpenBytes = %v, want ErrCorrupt", tc.name, err)
 		}
-	}
-	v3img := encodeImage(t, 1, []WindowData{{Window: 4, Tuples: windows[1].Tuples}}, 0)
-	v3img = withVersion(v3img, v3)
-	entry(v3img, 0)[28] = 7
-	if rd, err := OpenBytes(resealed(v3img)); err != nil {
-		t.Errorf("a version-3 entry's padding byte set: OpenBytes = %v, want it ignored", err)
-	} else {
-		rd.Close()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/colblock"
-	"repro/internal/tuple"
 )
 
 // On-disk checkpoint layout
@@ -38,46 +36,41 @@ import (
 // place, with a directory fsync after each rename, so a crash at any
 // instant leaves either the old or the new file — never a torn one.
 //
-// Directories written before the column-block file was the checkpoint
-// hold a row checkpoint instead, checkpoint-%06d.emt — a fixed header
-// followed by the windows as ordinary tuple binary frames:
-//
-//	magic    uint32  "EMCK"
-//	version  uint32  1
-//	seq      uint64  checkpoint sequence number
-//	horizon  uint64  segments with seq ≤ horizon are fully covered
-//	frames   uint32  number of tuple frames that follow
-//	tuples   uint64  total tuples across all frames
-//	maxTime  uint64  float64 bits of the store's max timestamp
-//	crc      uint32  CRC-32 (IEEE) of the 44 header bytes above
-//	frames × tuple.WriteBinary frames (each self-checksummed)
-//
-// — possibly beside a version-1 colblock-%06d.emc sidecar. Open still
-// reads the row file (readCheckpointFile); nothing writes it, the sidecar
-// is never read, and the first checkpoint's compaction removes both.
+// That is the only checkpoint a directory may hold. Open refuses, with
+// ErrCheckpointFormat and before it changes anything, a checkpoint file of
+// another colblock version and the files older releases checkpointed to: a
+// row checkpoint, checkpoint-%06d.emt, and a version-1 sidecar,
+// colblock-%06d.emc.
 
 const (
-	ckMagic       = 0x454d434b // "EMCK"
-	manifestMagic = 0x454d4d46 // "EMMF"
-	ckVersion     = 1
-
-	ckHeaderSize = 48
-	manifestSize = 28
+	manifestMagic   = 0x454d4d46 // "EMMF"
+	manifestVersion = 1
+	manifestSize    = 28
 
 	// manifestName is the commit record's file name inside cfg.Dir.
 	manifestName = "MANIFEST"
 
-	// File extensions: column-block checkpoints, and tuple-frame files —
-	// the segments and the row checkpoints older releases wrote.
-	ckExt       = ".emc"
-	segExt      = ".emt"
-	legacyCkExt = ".emt"
+	// File extensions: column-block checkpoints, and the segments'
+	// tuple frames.
+	ckExt  = ".emc"
+	segExt = ".emt"
 )
 
 // ErrCorruptCheckpoint marks an unreadable checkpoint or manifest.
 // Recovery treats it as "this checkpoint does not exist" and falls back
 // to the next candidate, ultimately to full segment replay.
 var ErrCorruptCheckpoint = errors.New("store: corrupt checkpoint")
+
+// ErrCheckpointFormat marks a checkpoint this release does not read: a
+// sound file of another colblock version (colblock.ErrVersion), or a file
+// an older release checkpointed to. Open returns it without changing the
+// directory; skipping the file would serve the segments behind it only, and
+// the next checkpoint would delete it.
+var ErrCheckpointFormat = errors.New("store: checkpoint format this release does not read")
+
+// formatRemedy is what an ErrCheckpointFormat tells its reader to do.
+const formatRemedy = "open the directory once with a release that reads it and checkpoint, " +
+	"or restore the copy kept from before the upgrade (docs/OPERATIONS.md, \"Upgrading to the one-format store\")"
 
 // CheckpointStats counts the store's checkpoint activity.
 type CheckpointStats struct {
@@ -147,13 +140,12 @@ func parseSeq(name, prefix, ext string) (int, bool) {
 
 // ckFile is one checkpoint file found in a data directory.
 type ckFile struct {
-	seq    int
-	name   string
-	legacy bool // a row checkpoint written before the .emc file existed
+	seq  int
+	name string
 }
 
 // checkpointFiles lists the checkpoint files present in dir, newest
-// first.
+// first. A file an older release checkpointed to is ErrCheckpointFormat.
 func checkpointFiles(dir string) ([]ckFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -164,10 +156,18 @@ func checkpointFiles(dir string) ([]ckFile, error) {
 		if e.IsDir() {
 			continue
 		}
-		if seq, ok := parseSeq(e.Name(), "checkpoint-", ckExt); ok {
-			cks = append(cks, ckFile{seq: seq, name: e.Name()})
-		} else if seq, ok := parseSeq(e.Name(), "checkpoint-", legacyCkExt); ok {
-			cks = append(cks, ckFile{seq: seq, name: e.Name(), legacy: true})
+		name := e.Name()
+		if seq, ok := parseSeq(name, "checkpoint-", ckExt); ok {
+			cks = append(cks, ckFile{seq: seq, name: name})
+			continue
+		}
+		for _, old := range [...]struct{ prefix, ext, what string }{
+			{"checkpoint-", segExt, "a row checkpoint"},
+			{"colblock-", ckExt, "a version-1 sidecar"},
+		} {
+			if _, ok := parseSeq(name, old.prefix, old.ext); ok {
+				return nil, fmt.Errorf("%w: %s is %s; %s", ErrCheckpointFormat, name, old.what, formatRemedy)
+			}
 		}
 	}
 	sort.SliceStable(cks, func(i, j int) bool { return cks[i].seq > cks[j].seq })
@@ -175,75 +175,12 @@ func checkpointFiles(dir string) ([]ckFile, error) {
 }
 
 // ckHeader is what recovery learns from a checkpoint beside its windows:
-// the decoded fixed header of a row file, or a column-block file's
-// trailer (frames stays 0).
+// its file's trailer.
 type ckHeader struct {
 	seq     int
 	horizon int
-	frames  int
 	tuples  int
 	maxTime float64
-}
-
-func decodeCkHeader(buf []byte) (ckHeader, error) {
-	if len(buf) < ckHeaderSize {
-		return ckHeader{}, fmt.Errorf("%w: short header", ErrCorruptCheckpoint)
-	}
-	if crc32.ChecksumIEEE(buf[:44]) != binary.LittleEndian.Uint32(buf[44:]) {
-		return ckHeader{}, fmt.Errorf("%w: header checksum", ErrCorruptCheckpoint)
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != ckMagic {
-		return ckHeader{}, fmt.Errorf("%w: bad magic", ErrCorruptCheckpoint)
-	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != ckVersion {
-		return ckHeader{}, fmt.Errorf("%w: version %d", ErrCorruptCheckpoint, v)
-	}
-	return ckHeader{
-		seq:     int(int64(binary.LittleEndian.Uint64(buf[8:]))),
-		horizon: int(int64(binary.LittleEndian.Uint64(buf[16:]))),
-		frames:  int(binary.LittleEndian.Uint32(buf[24:])),
-		tuples:  int(int64(binary.LittleEndian.Uint64(buf[28:]))),
-		maxTime: math.Float64frombits(binary.LittleEndian.Uint64(buf[36:])),
-	}, nil
-}
-
-// readCheckpointFile fully validates and loads one row checkpoint file
-// (the read-only legacy format): the header checksum, every frame's
-// checksum, the frame count, the tuple total, and a clean EOF all have to
-// line up, or the whole file is rejected — recovery never trusts half a
-// checkpoint.
-func readCheckpointFile(path string) (ckHeader, []tuple.Batch, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ckHeader{}, nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdrBuf := make([]byte, ckHeaderSize)
-	if _, err := io.ReadFull(r, hdrBuf); err != nil {
-		return ckHeader{}, nil, fmt.Errorf("%w: header: %v", ErrCorruptCheckpoint, err)
-	}
-	hdr, err := decodeCkHeader(hdrBuf)
-	if err != nil {
-		return ckHeader{}, nil, err
-	}
-	batches := make([]tuple.Batch, 0, hdr.frames)
-	total := 0
-	for i := 0; i < hdr.frames; i++ {
-		b, err := tuple.ReadBinary(r)
-		if err != nil {
-			return ckHeader{}, nil, fmt.Errorf("%w: frame %d: %v", ErrCorruptCheckpoint, i, err)
-		}
-		total += len(b)
-		batches = append(batches, b)
-	}
-	if _, err := tuple.ReadBinary(r); !errors.Is(err, io.EOF) {
-		return ckHeader{}, nil, fmt.Errorf("%w: trailing data after %d frames", ErrCorruptCheckpoint, hdr.frames)
-	}
-	if total != hdr.tuples {
-		return ckHeader{}, nil, fmt.Errorf("%w: %d tuples, header claims %d", ErrCorruptCheckpoint, total, hdr.tuples)
-	}
-	return hdr, batches, nil
 }
 
 // readManifest reads and validates dir's MANIFEST commit record.
@@ -261,7 +198,7 @@ func readManifest(dir string) (seq, horizon int, err error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != manifestMagic {
 		return 0, 0, fmt.Errorf("%w: manifest magic", ErrCorruptCheckpoint)
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != ckVersion {
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != manifestVersion {
 		return 0, 0, fmt.Errorf("%w: manifest version %d", ErrCorruptCheckpoint, v)
 	}
 	seq = int(int64(binary.LittleEndian.Uint64(buf[8:])))
@@ -442,7 +379,6 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 	if err := s.writeManifest(meta.Seq, meta.Horizon); err != nil {
 		return nil, err
 	}
-	s.col.sidecarsWritten.Add(1)
 	s.col.blocksWritten.Add(int64(est.Blocks))
 	s.ckStatsMu.Lock()
 	s.ckStats.Checkpoints++
@@ -559,7 +495,7 @@ func (s *Store) writeCheckpoint(meta colblock.Meta, windows []colblock.WindowDat
 func (s *Store) writeManifest(seq, horizon int) error {
 	buf := make([]byte, manifestSize)
 	binary.LittleEndian.PutUint32(buf[0:], manifestMagic)
-	binary.LittleEndian.PutUint32(buf[4:], ckVersion)
+	binary.LittleEndian.PutUint32(buf[4:], manifestVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(seq)))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(int64(horizon)))
 	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[:24]))
@@ -591,11 +527,11 @@ func (s *Store) syncDir() error {
 
 // compact removes segment files fully covered by checkpoint ckSeq
 // (those at or below horizon, sparing the newest Config.KeepSegments),
-// every other checkpoint file — no reader the store owns serves from one
-// any more, and a scan still in flight keeps its own reference to what it
-// reads — and the version-1 sidecars an older release left. Deletion
-// failures are joined and reported but never undo the checkpoint — the
-// files are retried by the next compaction or at the next Open.
+// and every other checkpoint file — no reader the store owns serves from
+// one any more, and a scan still in flight keeps its own reference to what
+// it reads. Deletion failures are joined and reported but never undo the
+// checkpoint — the files are retried by the next compaction or at the next
+// Open.
 func (s *Store) compact(ckSeq, horizon int) (deleted int, err error) {
 	var errs []error
 	names, err := segmentNames(s.cfg.Dir)
@@ -616,7 +552,7 @@ func (s *Store) compact(ckSeq, horizon int) (deleted int, err error) {
 	current := checkpointName(ckSeq)
 	for _, e := range entries {
 		name := e.Name()
-		if name == current || !supersedable(name) {
+		if _, ok := parseSeq(name, "checkpoint-", ckExt); !ok || name == current {
 			continue
 		}
 		if rerr := s.removeFile(filepath.Join(s.cfg.Dir, name)); rerr != nil {
@@ -624,17 +560,6 @@ func (s *Store) compact(ckSeq, horizon int) (deleted int, err error) {
 		}
 	}
 	return deleted, errors.Join(errs...)
-}
-
-// supersedable reports whether name is a file a newer checkpoint turns
-// into garbage: a checkpoint of either format, or a version-1 sidecar.
-func supersedable(name string) bool {
-	for _, pat := range [...][2]string{{"checkpoint-", ckExt}, {"checkpoint-", legacyCkExt}, {"colblock-", ckExt}} {
-		if _, ok := parseSeq(name, pat[0], pat[1]); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // coveredToDelete picks the checkpoint-covered segments (seq ≤ horizon)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -42,8 +43,9 @@ type ColumnarConfig struct {
 // files written at checkpoint time, and how reads were served.
 type ColumnarStats struct {
 	// SidecarsWritten and BlocksWritten count committed checkpoint files
-	// and their blocks (the first name dates from when the file was a
-	// sidecar beside a row checkpoint).
+	// and their blocks. The first is CheckpointStats.Checkpoints under the
+	// name of its /v1/stats key, which dates from when the file was a
+	// sidecar beside a row checkpoint.
 	SidecarsWritten int64 `json:"sidecarsWritten"`
 	BlocksWritten   int64 `json:"blocksWritten"`
 	// LazyWindows is the number of windows whose base is served from the
@@ -137,7 +139,6 @@ type columnarState struct {
 	// monotone across reader retirement. Guarded by s.mu.
 	retiredStats colblock.Stats
 
-	sidecarsWritten     atomic.Int64
 	blocksWritten       atomic.Int64
 	materializations    atomic.Int64
 	materializeFailures atomic.Int64
@@ -166,10 +167,14 @@ func (s *Store) retireReaderLocked() {
 // openCheckpoint validates the column-block checkpoint file ck — footer,
 // sequence number, and the checksum of every block, so recovery never
 // trusts half a checkpoint — and registers every window in it as lazy.
-// Nothing is registered unless everything checked out. Runs
-// single-threaded inside Open.
+// Nothing is registered unless everything checked out. A sound file of
+// another colblock version is ErrCheckpointFormat, any other failure
+// ErrCorruptCheckpoint. Runs single-threaded inside Open.
 func (s *Store) openCheckpoint(ck ckFile) (ckHeader, error) {
 	rd, err := s.verifiedReader(ck.name, ck.seq)
+	if errors.Is(err, colblock.ErrVersion) {
+		return ckHeader{}, fmt.Errorf("%w: %s: %v; %s", ErrCheckpointFormat, ck.name, err, formatRemedy)
+	}
 	if err != nil {
 		return ckHeader{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
@@ -311,7 +316,7 @@ func (s *Store) ColumnarStats() ColumnarStats {
 	}
 	s.mu.RUnlock()
 	return ColumnarStats{
-		SidecarsWritten:     s.col.sidecarsWritten.Load(),
+		SidecarsWritten:     s.CheckpointStats().Checkpoints,
 		BlocksWritten:       s.col.blocksWritten.Load(),
 		LazyWindows:         int64(lazy),
 		Materializations:    s.col.materializations.Load(),

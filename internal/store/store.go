@@ -46,7 +46,10 @@
 // leaves every window it has checkpointed (columnar.go) — and replays
 // only the segments after its horizon; a
 // corrupt or missing checkpoint falls back to the next candidate and
-// ultimately to full replay of whatever segments exist. Recovery also
+// ultimately to full replay of whatever segments exist. A
+// checkpoint in a format the store does not write fails Open with
+// ErrCheckpointFormat instead, the directory untouched: it may hold
+// tuples no segment does. Recovery also
 // finishes interrupted compactions and deletes segments it can prove
 // lie entirely behind the retention horizon, so disk stays bounded even
 // when checkpoints never run. RecoveryStats reports which path Open
@@ -337,7 +340,9 @@ func MustOpenMemory(windowLength float64) *Store {
 // kept and replay continues with the next segment. Recovery also
 // deletes segments that no longer matter — those covered by the used
 // checkpoint (finishing an interrupted compaction) and those whose
-// every frame lies entirely behind the retention horizon.
+// every frame lies entirely behind the retention horizon. A checkpoint
+// this release does not read (ErrCheckpointFormat) fails it before it has
+// changed anything in the directory.
 func (s *Store) recover() error {
 	names, err := segmentNames(s.cfg.Dir)
 	if err != nil {
@@ -347,7 +352,6 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	s.removeStrayTmp()
 	if len(cks) > 0 {
 		s.ckSeq = cks[0].seq + 1
 	}
@@ -368,23 +372,15 @@ func (s *Store) recover() error {
 	}
 	horizon := -1
 	for _, ck := range cks {
-		// A column-block file is checked and its windows left lazy — no
-		// tuple is decoded until something asks for its window; a row
-		// file from an older release is read whole.
-		var hdr ckHeader
-		var rows []tuple.Batch
-		var err error
-		if ck.legacy {
-			hdr, rows, err = readCheckpointFile(filepath.Join(s.cfg.Dir, ck.name))
-		} else {
-			hdr, err = s.openCheckpoint(ck)
+		// The file is checked and its windows left lazy: no tuple is
+		// decoded until something asks for its window.
+		hdr, err := s.openCheckpoint(ck)
+		if errors.Is(err, ErrCheckpointFormat) {
+			return err
 		}
 		if err != nil {
 			s.recovery.CorruptCheckpoints++
 			continue
-		}
-		for _, b := range rows {
-			s.addToWindows(b)
 		}
 		// The recovered checkpoint IS the newest committed one: seed the
 		// checkpoint counters so LastSeq survives a restart (the window
@@ -406,6 +402,7 @@ func (s *Store) recover() error {
 		s.recovery.CheckpointTuples = hdr.tuples
 		break
 	}
+	s.removeStrayTmp()
 
 	type segInfo struct {
 		name    string
@@ -505,10 +502,7 @@ func (s *Store) removeStrayTmp() {
 	}
 }
 
-// segmentNames lists the segment files in dir in sequence order. Row
-// checkpoint files from older releases share the directory and the .emt
-// extension but are never segments — replaying one would double-count
-// its tuples.
+// segmentNames lists the segment files in dir in sequence order.
 func segmentNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
