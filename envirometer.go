@@ -150,9 +150,9 @@ type SchedulerConfig = core.SchedulerConfig
 type SubscriptionStats = subs.Stats
 
 // Subscription is a live push subscription: a channel of events plus a
-// snapshot/close surface. Close it when done; the platform also closes
-// it (ending the event channel) at shutdown.
-type Subscription = subs.Handle
+// snapshot/close surface. Closing it is the one way to end it; the
+// platform also closes it (ending the event channel) at shutdown.
+type Subscription = *subs.Feed
 
 // SubscriptionEvent is one pushed event: a delta of changed points, a
 // full resync of the whole vector, or a subscription-level error.
@@ -781,14 +781,14 @@ func (p *Platform) QueryBatch(ctx context.Context, reqs []Request) ([]BatchResul
 }
 
 // Subscribe opens a push subscription over the route points pts for
-// pollutant pol: the returned handle's first event is a full resync
+// pollutant pol: the returned subscription's first event is a full resync
 // carrying the initial value vector, and afterwards the platform pushes
 // a delta of exactly the points whose model covers an ingest
 // invalidated — re-evaluated incrementally, never by polling. On a
 // clustered platform the subscription is routed: each shard owner
-// re-evaluates its own slice and the pushes merge onto one handle (an
-// owner dying surfaces as an error event naming it). Close the handle
-// to unsubscribe; a slow consumer's queue drops oldest events and the
+// re-evaluates its own slice and the pushes merge onto one subscription
+// (an owner dying surfaces as an error event naming it). Close it to
+// unsubscribe; a slow consumer's queue drops oldest events and the
 // next event becomes a full resync, so the stream is always coherent.
 func (p *Platform) Subscribe(ctx context.Context, pol Pollutant, pts []Request) (Subscription, error) {
 	return p.backend.Subscribe(ctx, pol, pts)

@@ -2,8 +2,10 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/proto"
@@ -162,5 +164,44 @@ func TestPlatformAsyncIngestKnobs(t *testing.T) {
 	}
 	if err := p.Ingest(ctx, CO2, readings); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSubscriptionStatsMatchHTTP: the facade's SubscriptionStats is the
+// registry's counters /v1/stats serves under "subscriptions", after a
+// subscription has opened and closed.
+func TestSubscriptionStatsMatchHTTP(t *testing.T) {
+	p := openWithData(t)
+	defer p.Close()
+	sub, err := p.Subscribe(context.Background(), CO2, []Request{{T: 7200, X: 800, Y: 600}, {T: 7260, X: 900, Y: 650}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-sub.Events(); !ev.Resync || len(ev.Points) != 2 {
+		t.Fatalf("first event = %+v, want a resync of both points", ev)
+	}
+	if err := sub.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Subscriptions SubscriptionStats `json:"subscriptions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	got := p.SubscriptionStats()
+	if got != stats.Subscriptions {
+		t.Fatalf("SubscriptionStats = %+v, /v1/stats subscriptions = %+v", got, stats.Subscriptions)
+	}
+	if got.Subscribed != 1 || got.Closed != 1 || got.Active != 0 || got.Pushes == 0 {
+		t.Fatalf("SubscriptionStats = %+v, want one subscribed and closed, none active, its resync pushed", got)
 	}
 }

@@ -169,7 +169,7 @@ func routeAcrossShards(t *testing.T, f *fixture, data tuple.Batch) (pts []query.
 	return pts, owners
 }
 
-func recvSub(t *testing.T, h subs.Handle) subs.Event {
+func recvSub(t *testing.T, h *subs.Feed) subs.Event {
 	t.Helper()
 	select {
 	case ev, ok := <-h.Events():
@@ -185,7 +185,7 @@ func recvSub(t *testing.T, h subs.Handle) subs.Event {
 
 // drainQuiet collects further events until the feed stays quiet for a
 // little while, so multi-leg pushes are all observed.
-func drainQuiet(h subs.Handle) []subs.Event {
+func drainQuiet(h *subs.Feed) []subs.Event {
 	var evs []subs.Event
 	for {
 		select {

@@ -462,13 +462,6 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		// Plain exchanges cannot carry pushes; the streaming path routes
 		// subscribe frames through HandleStreamCtx instead.
 		return wire.ErrorResponse{Msg: "cluster: subscriptions require a streaming transport"}
-	case wire.UnsubscribeRequest:
-		// Subscription IDs are node-local (a routed subscription dies
-		// with its stream), so unsubscribe never forwards.
-		if n.local == nil {
-			return wire.ErrorResponse{Msg: "cluster: router holds no subscriptions"}
-		}
-		return n.localHandle(ctx, m)
 	default:
 		return wire.ErrorResponse{Msg: fmt.Sprintf("cluster: unsupported request type %T", req)}
 	}

@@ -38,14 +38,14 @@ type StreamOpener func(addr string, req wire.Message) (PushStream, error)
 // mirrors' handlers to it, so the cluster package does not import the
 // server.
 type LocalEngine interface {
-	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error)
+	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (*subs.Feed, error)
 }
 
 // subLeg is one owner's slice of a routed subscription: the point
 // indexes (into the merged point set) the owner serves, and either a
-// local handle or a remote stream. On a replicated ring the source can
+// local feed or a remote stream. On a replicated ring the source can
 // be swapped — re-homed to a replica's mirror — when the owner dies,
-// so handle/stream are guarded by mu.
+// so feed/stream are guarded by mu.
 type subLeg struct {
 	owner  int
 	pol    tuple.Pollutant
@@ -53,23 +53,23 @@ type subLeg struct {
 	subset []query.Request // the leg's points, in leg-local index order
 
 	mu     sync.Mutex
-	handle subs.Handle // local leg (owner == self, or a local mirror)
-	stream PushStream  // remote leg
+	feed   *subs.Feed // local leg (owner == self, or a local mirror)
+	stream PushStream // remote leg
 }
 
 // sources snapshots the leg's current event sources.
-func (l *subLeg) sources() (subs.Handle, PushStream) {
+func (l *subLeg) sources() (*subs.Feed, PushStream) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.handle, l.stream
+	return l.feed, l.stream
 }
 
 // closeSources closes the leg's current event sources.
 func (l *subLeg) closeSources() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.handle != nil {
-		_ = l.handle.Close()
+	if l.feed != nil {
+		_ = l.feed.Close()
 	}
 	if l.stream != nil {
 		_ = l.stream.Close()
@@ -84,8 +84,8 @@ func (l *subLeg) closeSources() {
 // any owner is unreachable; after that, an owner dying emits an error
 // event on the feed (naming the owner, its points possibly stale)
 // rather than going silently stale, while the other owners' points keep
-// updating.
-func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error) {
+// updating. Closing the returned feed closes every leg.
+func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (*subs.Feed, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("cluster: empty point set")
 	}
@@ -118,13 +118,13 @@ func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.R
 				abort()
 				return nil, errors.New("cluster: local handler does not support subscriptions")
 			}
-			h, err := ls.Subscribe(ctx, pol, subset)
+			f, err := ls.Subscribe(ctx, pol, subset)
 			if err != nil {
 				abort()
 				return nil, err
 			}
 			n.nLocal.Add(1)
-			l.handle = h
+			l.feed = f
 		} else {
 			if n.streams == nil {
 				abort()
@@ -201,9 +201,9 @@ func (n *Node) runLeg(ctx context.Context, feed *subs.Feed, l *subLeg, closing *
 		feed.Apply(pts)
 	}
 	for {
-		handle, stream := l.sources()
-		if handle != nil {
-			for ev := range handle.Events() {
+		local, stream := l.sources()
+		if local != nil {
+			for ev := range local.Events() {
 				apply(ev)
 			}
 		} else if stream != nil {
@@ -245,21 +245,21 @@ func (n *Node) runLeg(ctx context.Context, feed *subs.Feed, l *subLeg, closing *
 // subscription registry emits its resync event on subscribe, so the
 // leg's points refresh as soon as the swap lands.
 func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) bool {
-	swap := func(h subs.Handle, st PushStream) bool {
+	swap := func(f *subs.Feed, st PushStream) bool {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if closing.Load() {
 			// The feed closed while we were re-subscribing: the close
 			// callback already ran, so this new source is ours to drop.
-			if h != nil {
-				_ = h.Close()
+			if f != nil {
+				_ = f.Close()
 			}
 			if st != nil {
 				_ = st.Close()
 			}
 			return false
 		}
-		l.handle, l.stream = h, st
+		l.feed, l.stream = f, st
 		return true
 	}
 	ring := n.Ring()
@@ -273,11 +273,11 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 			if !ok {
 				continue
 			}
-			h, err := ls.Subscribe(ctx, l.pol, l.subset)
+			f, err := ls.Subscribe(ctx, l.pol, l.subset)
 			if err != nil {
 				continue
 			}
-			if !swap(h, nil) {
+			if !swap(f, nil) {
 				return false
 			}
 			n.nRehomed.Add(1)
@@ -310,19 +310,17 @@ func (n *Node) rehomeLeg(ctx context.Context, l *subLeg, closing *atomic.Bool) b
 // bare SubscribeRequest opens a routed (merged) subscription, so one
 // edge connection to any node pushes for a route spanning every shard; a
 // Forwarded subscribe — sent by a peer that already resolved this node
-// as the owner — subscribes the local registry directly. Subscriptions
-// opened for a connection are cancelled with ctx, when the serving
-// process shuts down.
+// as the owner — subscribes the local registry directly. Each stream
+// ends when its connection does; subscriptions opened for a connection
+// are also cancelled with ctx, when the serving process shuts down.
 func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
 	var (
-		h   subs.Handle
+		f   *subs.Feed
 		err error
-		cnt int
 	)
 	switch m := req.(type) {
 	case wire.SubscribeRequest:
-		cnt = len(m.Points)
-		h, err = n.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
+		f, err = n.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
 	case wire.Forwarded:
 		inner, isSub := m.Inner.(wire.SubscribeRequest)
 		if !isSub {
@@ -330,11 +328,10 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		}
 		ls, isLS := n.local.(LocalEngine)
 		if !isLS {
-			return wire.ErrorResponse{Msg: "cluster: node holds no subscription registry"}, func(func(wire.Message) error) {}, func() {}, true
+			return subs.Refuse(wire.ErrorResponse{Msg: "cluster: node holds no subscription registry"})
 		}
 		n.nFwdIn.Add(1)
-		cnt = len(inner.Points)
-		h, err = ls.Subscribe(ctx, inner.Pollutant, subs.RequestFromWire(inner))
+		f, err = ls.Subscribe(ctx, inner.Pollutant, subs.RequestFromWire(inner))
 	case wire.ReplicaRead:
 		// A peer re-homing a dead owner's subscription leg onto this
 		// node's mirror of that owner.
@@ -342,35 +339,24 @@ func (n *Node) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.
 		if !isSub {
 			return nil, nil, nil, false
 		}
-		noop := func(func(wire.Message) error) {}
 		if n.repl == nil {
-			return replicaMiss("node does not replicate"), noop, func() {}, true
+			return subs.Refuse(replicaMiss("node does not replicate"))
 		}
-		pol := inner.Pollutant
-		mh, miss := n.repl.mirrorEngine(int(m.Origin), pol)
+		mh, miss := n.repl.mirrorEngine(int(m.Origin), inner.Pollutant)
 		if mh == nil {
-			return miss, noop, func() {}, true
+			return subs.Refuse(miss)
 		}
 		ls, isLS := mh.(LocalEngine)
 		if !isLS {
-			return replicaMiss("mirror holds no subscription registry"), noop, func() {}, true
+			return subs.Refuse(replicaMiss("mirror holds no subscription registry"))
 		}
 		n.nFwdIn.Add(1)
-		cnt = len(inner.Points)
-		h, err = ls.Subscribe(ctx, pol, subs.RequestFromWire(inner))
+		f, err = ls.Subscribe(ctx, inner.Pollutant, subs.RequestFromWire(inner))
 	default:
 		return nil, nil, nil, false
 	}
 	if err != nil {
-		return WireError(err), func(func(wire.Message) error) {}, func() {}, true
+		return subs.Refuse(WireError(err))
 	}
-	run = func(emit func(wire.Message) error) {
-		for ev := range h.Events() {
-			if emit(subs.PushFromEvent(h.ID(), ev)) != nil {
-				return
-			}
-		}
-	}
-	stop = func() { _ = h.Close() }
-	return wire.SubscribeAck{ID: h.ID(), Points: uint16(cnt)}, run, stop, true
+	return f.Stream()
 }

@@ -15,7 +15,11 @@ package core
 // day's covers, and the NRMSE of covers rebuilt over the windows with X,
 // Y and S rounded to a 1e-8 step; and how much the covers depend on the
 // order the tuples arrived in: how many covers, and how many probe
-// answers, change when each window is shuffled with a fixed seed.
+// answers, change when each window is shuffled with a fixed seed. And it
+// logs how a write-time score would read: each window's cover built over
+// its first 80 % of tuples by time, scored at the last 20 % against what
+// the sensors read there, raw and denoised by σ̂, beside the true error
+// at those tuples and at the probes.
 //
 // Re-record (and re-measure the spread over fleet seeds 1–5) with
 //
@@ -397,6 +401,112 @@ func measureAccuracy(t *testing.T, pol tuple.Pollutant, seed int64, step float64
 	return acc
 }
 
+// heldOutScore is one window's write-time score: a cover built over the
+// window's first 80 % of tuples by time, scored at the last 20 %.
+type heldOutScore struct {
+	// Raw is the RMSE of the cover's answers against the sensor readings
+	// at the held-out tuples, and Denoised is √max(Raw² − σ̂², 0), with σ̂
+	// the window's sensor noise.
+	Raw, Denoised float64
+	// TrueTuples and TrueProbes are the RMSE of the same cover against
+	// the truth at the held-out tuples and at the window's probes.
+	TrueTuples, TrueProbes float64
+}
+
+// writeTimeScores scores, per window of pol's fleet seed 1, a cover built
+// over the window's first 80 % of tuples by time at its last 20 %.
+func writeTimeScores(t *testing.T, pol tuple.Pollutant) []heldOutScore {
+	t.Helper()
+	ws, field := accuracyWindows(t, pol, 1)
+	cfg := Config{Pollutant: pol}
+	scores := make([]heldOutScore, len(ws))
+	for c, w := range ws {
+		sorted := w.Clone()
+		sorted.SortByTime()
+		cut := len(sorted) * 8 / 10
+		head, tail := sorted[:cut], sorted[cut:]
+		cv, err := BuildCover(head.Clone(), c, 3600, cfg)
+		if err != nil {
+			t.Fatalf("%v window %d: %v", pol, c, err)
+		}
+		answer := func(pts tuple.Batch) (est, truth []float64) {
+			for _, p := range pts {
+				v, err := cv.Interpolate(p.T, p.X, p.Y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, truth = append(est, v), append(truth, field.TrueValue(p.T, p.X, p.Y))
+			}
+			return est, truth
+		}
+		rmse := func(est, ref []float64) float64 {
+			v, err := eval.RMSE(est, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		est, truth := answer(tail)
+		sensed := make([]float64, len(tail))
+		for i, p := range tail {
+			sensed[i] = p.S
+		}
+		sc := heldOutScore{Raw: rmse(est, sensed), TrueTuples: rmse(est, truth)}
+		sigma := sigmaHat(w)
+		sc.Denoised = math.Sqrt(max(sc.Raw*sc.Raw-sigma*sigma, 0))
+		sc.TrueProbes = rmse(answer(probeGrid(c)))
+		scores[c] = sc
+	}
+	return scores
+}
+
+// pearson is the correlation coefficient of xs and ys (0 when either is
+// constant).
+func pearson(xs, ys []float64) float64 {
+	var mx, my float64
+	for i := range xs {
+		mx, my = mx+xs[i], my+ys[i]
+	}
+	mx, my = mx/float64(len(xs)), my/float64(len(ys))
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy, sxx, syy = sxy+dx*dy, sxx+dx*dx, syy+dy*dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// logWriteTimeScores logs pol's write-time scores per window and for the
+// day: the means, how well the denoised score tracks the true error at
+// the held-out tuples and at the probes, and how many windows floor at 0.
+func logWriteTimeScores(t *testing.T, pol tuple.Pollutant) {
+	t.Helper()
+	scores := writeTimeScores(t, pol)
+	var raw, denoised, trueTuples, trueProbes []float64
+	floored := 0
+	for c, sc := range scores {
+		t.Logf("%v window %d (reported): write-time score %.3f raw, %.3f denoised; true RMSE %.3f at the held-out tuples, %.3f at the probes",
+			pol, c, sc.Raw, sc.Denoised, sc.TrueTuples, sc.TrueProbes)
+		raw, denoised = append(raw, sc.Raw), append(denoised, sc.Denoised)
+		trueTuples, trueProbes = append(trueTuples, sc.TrueTuples), append(trueProbes, sc.TrueProbes)
+		if sc.Denoised == 0 {
+			floored++
+		}
+	}
+	mean := func(xs []float64) float64 {
+		sum := 0.0
+		for _, x := range xs {
+			sum += x
+		}
+		return sum / float64(len(xs))
+	}
+	t.Logf("%v (reported): write-time score (cover over each window's first 80 %% of tuples, at the last 20 %%) mean %.3f raw, %.3f denoised (%d of %d windows floor at 0); true RMSE %.3f at the held-out tuples (r %.2f), %.3f at the probes (r %.2f)",
+		pol, mean(raw), mean(denoised), floored, len(scores), mean(trueTuples), pearson(denoised, trueTuples), mean(trueProbes), pearson(denoised, trueProbes))
+}
+
 // spread returns max − min of xs.
 func spread(xs []float64) float64 { return slices.Max(xs) - slices.Min(xs) }
 
@@ -467,6 +577,7 @@ func TestCoverAccuracyGolden(t *testing.T) {
 		covers, answers, probes := orderDependence(t, accuracyPollutants[i])
 		t.Logf("%s (reported): with each window shuffled (seed 1), %d of %d covers and %d of %d probe answers change",
 			g.Pollutant, covers, len(g.Windows), answers, probes)
+		logWriteTimeScores(t, accuracyPollutants[i])
 		if math.IsNaN(g.MeanNRMSETuples) || math.IsNaN(g.MeanNRMSEProbes) {
 			t.Fatalf("%s: NaN accuracy", g.Pollutant)
 		}

@@ -99,6 +99,10 @@ type Scheduler struct {
 	// queued), runs after a worker has finished with a request — built,
 	// coalesced or skipped — and stopped counting it in flight.
 	testSettled func()
+	// testHold, when set (by tests in this package before any build is
+	// queued), runs after a worker has taken a request and before it
+	// builds: a test that blocks in it holds every scheduled build back.
+	testHold func()
 }
 
 // NewScheduler starts a scheduler with cfg.Workers background builders.
@@ -288,6 +292,9 @@ func (s *Scheduler) worker() {
 		s.inflight++
 		s.mu.Unlock()
 
+		if s.testHold != nil {
+			s.testHold()
+		}
 		s.build(key)
 
 		s.mu.Lock()

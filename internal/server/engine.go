@@ -878,8 +878,6 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		// push delivery needs a proto stream (or the SSE endpoint), which
 		// routes subscribe frames through HandleStreamCtx instead.
 		return wire.ErrorResponse{Msg: "server: subscriptions require a streaming transport (proto stream or GET /v1/subscribe)"}
-	case wire.UnsubscribeRequest:
-		return wire.UnsubscribeResponse{Removed: e.registry.Unsubscribe(m.ID)}
 	default:
 		return wire.ErrorResponse{Msg: fmt.Sprintf("unsupported request type %T", req)}
 	}

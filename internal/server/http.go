@@ -44,7 +44,7 @@ type Backend interface {
 	HeatmapCoverInto(ctx context.Context, g *heatmap.Grid, pol tuple.Pollutant, t float64, cols, rows int) (*heatmap.Grid, *core.Cover, error)
 	Model(ctx context.Context, pol tuple.Pollutant, t float64) (wire.ModelResponse, error)
 	CoverAt(ctx context.Context, pol tuple.Pollutant, t float64) (*core.Cover, error)
-	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error)
+	Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (*subs.Feed, error)
 }
 
 // API wraps an Engine with the versioned HTTP/JSON interface of the

@@ -28,12 +28,12 @@ func (e *Engine) subsWindowLen(pol tuple.Pollutant) (float64, error) {
 }
 
 // Subscribe registers a push subscription over pts for pollutant pol.
-// The returned handle's first event is a full resync (sequence 1) with
+// The returned feed's first event is a full resync (sequence 1) with
 // the initial value vector; afterwards the subscription re-evaluates
 // only when the cover of a window some point is bound to is replaced
 // (an ingest's rebuild is installed) or dropped, and pushes deltas of
-// the changed points.
-func (e *Engine) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (subs.Handle, error) {
+// the changed points. Closing the feed ends the subscription.
+func (e *Engine) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (*subs.Feed, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
@@ -43,37 +43,22 @@ func (e *Engine) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query
 	return e.registry.Subscribe(ctx, pol, pts)
 }
 
-// Subscriptions exposes the push-subscription registry (stats, explicit
-// unsubscribe, test quiescence).
+// Subscriptions exposes the push-subscription registry (stats, test
+// quiescence).
 func (e *Engine) Subscriptions() *subs.Registry { return e.registry }
 
-// HandleStreamCtx implements proto.CtxStreamer: a SubscribeRequest
-// (bare, or wrapped in Forwarded by a cluster router that already
-// resolved the owner) opens a push stream. Other messages fall back to
-// the request/response path. The serve loop passes its server-lifetime
-// context so subscriptions unwind on shutdown.
+// HandleStreamCtx implements proto.CtxStreamer: a SubscribeRequest opens
+// a push stream, which ends when its connection does. Other messages
+// fall back to the request/response path. The serve loop passes its
+// server-lifetime context so subscriptions unwind on shutdown.
 func (e *Engine) HandleStreamCtx(ctx context.Context, req wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
 	m, isSub := req.(wire.SubscribeRequest)
 	if !isSub {
-		if fw, isFw := req.(wire.Forwarded); isFw {
-			m, isSub = fw.Inner.(wire.SubscribeRequest)
-		}
-	}
-	if !isSub {
 		return nil, nil, nil, false
 	}
-	noop := func(func(wire.Message) error) {}
-	h, err := e.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
+	f, err := e.Subscribe(ctx, m.Pollutant, subs.RequestFromWire(m))
 	if err != nil {
-		return cluster.WireError(err), noop, func() {}, true
+		return subs.Refuse(cluster.WireError(err))
 	}
-	run = func(emit func(wire.Message) error) {
-		for ev := range h.Events() {
-			if emit(subs.PushFromEvent(h.ID(), ev)) != nil {
-				return
-			}
-		}
-	}
-	stop = func() { _ = h.Close() }
-	return wire.SubscribeAck{ID: h.ID(), Points: uint16(len(m.Points))}, run, stop, true
+	return f.Stream()
 }

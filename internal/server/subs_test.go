@@ -60,7 +60,7 @@ func ingestWindow(t *testing.T, e *Engine, c int, seed int64) {
 	}
 }
 
-func recvPush(t *testing.T, h subs.Handle) subs.Event {
+func recvPush(t *testing.T, h *subs.Feed) subs.Event {
 	t.Helper()
 	select {
 	case ev, ok := <-h.Events():
@@ -217,13 +217,15 @@ func TestSubscriptionPushesExactDeltas(t *testing.T) {
 	default:
 	}
 
-	// Wire-level unsubscribe closes the stream.
-	resp := e.HandleMessage(wire.UnsubscribeRequest{ID: h.ID()})
-	if ur, ok := resp.(wire.UnsubscribeResponse); !ok || !ur.Removed {
-		t.Fatalf("unsubscribe response = %#v, want Removed", resp)
+	// Closing the feed ends the subscription.
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, open := <-h.Events(); open {
-		t.Fatal("event channel still open after unsubscribe")
+		t.Fatal("event channel still open after Close")
+	}
+	if st := e.Subscriptions().Stats(); st.Active != 0 || st.Closed != 1 {
+		t.Fatalf("Stats after Close = %+v, want none active and one closed", st)
 	}
 	// And a bare SubscribeRequest over request/response is refused: push
 	// needs a streaming transport.

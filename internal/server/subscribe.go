@@ -24,7 +24,7 @@ const sseResumeTTL = 60 * time.Second
 // subEntry is one SSE-attached subscription in the broker.
 type subEntry struct {
 	tok      string
-	h        subs.Handle
+	h        *subs.Feed
 	attached bool
 	timer    *time.Timer // pending expiry while detached
 }
@@ -44,7 +44,7 @@ func newSubBroker(ttl time.Duration) *subBroker {
 }
 
 // create registers h under a fresh token, attached.
-func (b *subBroker) create(h subs.Handle) *subEntry {
+func (b *subBroker) create(h *subs.Feed) *subEntry {
 	var raw [8]byte
 	_, _ = rand.Read(raw[:])
 	e := &subEntry{tok: hex.EncodeToString(raw[:]), h: h, attached: true}
@@ -262,8 +262,8 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-h.Events():
 			if !ok {
-				// Closed server-side (unsubscribe or shutdown): the token
-				// is dead, remove it so a resume starts fresh.
+				// Closed server-side (shutdown): the token is dead,
+				// remove it so a resume starts fresh.
 				a.sse.remove(entry)
 				return
 			}

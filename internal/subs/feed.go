@@ -43,27 +43,6 @@ type Event struct {
 	Points []PointValue `json:"points,omitempty"`
 }
 
-// Handle is the consumer side of a subscription, implemented both by
-// the registry's local Subscription and by cluster-merged routed
-// subscriptions.
-type Handle interface {
-	// ID is the server-assigned subscription ID.
-	ID() uint64
-	// Events is the push stream. It is closed by Close (and by registry
-	// shutdown); a nil error close means a clean end of stream.
-	Events() <-chan Event
-	// Seq is the sequence number of the newest event produced so far.
-	Seq() uint64
-	// Snapshot returns the full current value vector as a resync event
-	// carrying the current sequence number. It does not advance the
-	// sequence, so a snapshot is idempotent and interleaves safely with
-	// the event stream (skip queued events with Seq <= the snapshot's).
-	Snapshot() Event
-	// Close tears the subscription down and closes Events. It returns
-	// ErrClosed if the subscription was already closed.
-	Close() error
-}
-
 // pointState is the last pushed state of one point.
 type pointState struct {
 	val   float64
@@ -80,11 +59,12 @@ type feedCounters struct {
 	Resyncs     int64 // resync events enqueued
 }
 
-// Feed is a bounded push-event queue: the shared consumer-facing half
-// of every subscription flavor. Producers offer value updates; when the
-// consumer falls behind and the queue is full, the oldest queued event
-// is dropped and the newest becomes a full resync so the consumer can
-// never observe a silent gap.
+// Feed is a subscription as its consumer holds it, local or routed: a
+// bounded push-event queue over the last-pushed value vector. Producers
+// offer value updates; when the consumer falls behind and the queue is
+// full, the oldest queued event is dropped and the newest becomes a full
+// resync so the consumer can never observe a silent gap. A subscription
+// ends one way, when its consumer closes the feed.
 type Feed struct {
 	id      uint64
 	ch      chan Event
@@ -109,13 +89,13 @@ func NewFeed(id uint64, points int, onClose func()) *Feed {
 	}
 }
 
-// ID implements Handle.
+// ID is the server-assigned subscription ID.
 func (f *Feed) ID() uint64 { return f.id }
 
-// Events implements Handle.
+// Events is the push stream. Close (and registry shutdown) closes it.
 func (f *Feed) Events() <-chan Event { return f.ch }
 
-// Seq implements Handle.
+// Seq is the sequence number of the newest event produced so far.
 func (f *Feed) Seq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -129,7 +109,10 @@ func (f *Feed) Len() int {
 	return len(f.last)
 }
 
-// Snapshot implements Handle.
+// Snapshot returns the full current value vector as a resync event
+// carrying the current sequence number. It does not advance the
+// sequence, so a snapshot is idempotent and interleaves safely with the
+// event stream (skip queued events with Seq <= the snapshot's).
 func (f *Feed) Snapshot() Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -235,7 +218,8 @@ func (f *Feed) offerLocked(ev Event) {
 	f.ch <- Event{Seq: ev.Seq, Resync: true, Err: ev.Err, Points: f.snapshotLocked()}
 }
 
-// Close implements Handle.
+// Close tears the subscription down and closes Events. It returns
+// ErrClosed, and changes nothing, if the feed was already closed.
 func (f *Feed) Close() error {
 	f.mu.Lock()
 	if f.closed {

@@ -71,43 +71,20 @@ type winKey struct {
 	c   int
 }
 
-// Subscription is a live local subscription: the cached evaluation plan
-// (the point set with each point bound to its window index) plus the
-// push feed holding the last-pushed value vector. It implements Handle.
-type Subscription struct {
-	reg     *Registry
+// plan is one live local subscription's evaluation plan: the point set
+// with each point bound to its window index, and the feed its values are
+// pushed to.
+type plan struct {
 	pol     tuple.Pollutant
 	points  []query.Request
-	windows []int // plan: windows[i] is the window index of points[i]
+	windows []int // windows[i] is the window index of points[i]
 	feed    *Feed
 
-	// Guarded by reg.mu (shared with the invalidation hook, which must
-	// never block the ingest path on per-subscription locks).
+	// Guarded by the registry's mu (shared with the invalidation hook,
+	// which must never block the ingest path on per-subscription locks).
 	dirty  map[int]struct{}
 	queued bool
 }
-
-// ID implements Handle.
-func (s *Subscription) ID() uint64 { return s.feed.ID() }
-
-// Events implements Handle.
-func (s *Subscription) Events() <-chan Event { return s.feed.Events() }
-
-// Seq implements Handle.
-func (s *Subscription) Seq() uint64 { return s.feed.Seq() }
-
-// Snapshot implements Handle.
-func (s *Subscription) Snapshot() Event { return s.feed.Snapshot() }
-
-// Close implements Handle.
-func (s *Subscription) Close() error { return s.feed.Close() }
-
-// Pollutant returns the subscribed pollutant.
-func (s *Subscription) Pollutant() tuple.Pollutant { return s.pol }
-
-// Points returns the subscribed point set (not a copy; treat as
-// read-only).
-func (s *Subscription) Points() []query.Request { return s.points }
 
 // Registry owns every local subscription of one engine. It hooks the
 // maintainers' invalidation stream: an invalidated (pollutant, window)
@@ -125,9 +102,9 @@ type Registry struct {
 	mu       sync.Mutex
 	work     *sync.Cond // signaled when queue gains work or on close
 	quiet    *sync.Cond // signaled when queue drains and workers idle
-	subs     map[uint64]*Subscription
-	byWindow map[winKey]map[*Subscription]struct{}
-	queue    []*Subscription
+	subs     map[*plan]struct{}
+	byWindow map[winKey]map[*plan]struct{}
+	queue    []*plan
 	inflight int
 	nextID   uint64
 	closed   bool
@@ -152,8 +129,8 @@ func NewRegistry(eval Evaluator, winOf WindowFunc) *Registry {
 		winOf:    winOf,
 		ctx:      ctx,
 		cancel:   cancel,
-		subs:     make(map[uint64]*Subscription),
-		byWindow: make(map[winKey]map[*Subscription]struct{}),
+		subs:     make(map[*plan]struct{}),
+		byWindow: make(map[winKey]map[*plan]struct{}),
 	}
 	r.work = sync.NewCond(&r.mu)
 	r.quiet = sync.NewCond(&r.mu)
@@ -165,9 +142,10 @@ func NewRegistry(eval Evaluator, winOf WindowFunc) *Registry {
 }
 
 // Subscribe registers a point set for pol, evaluates the initial value
-// vector, and returns the subscription with its first event — a full
-// resync, sequence 1 — already queued.
-func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []query.Request) (*Subscription, error) {
+// vector, and returns the subscription's feed with its first event — a
+// full resync, sequence 1 — already queued. Closing the feed ends the
+// subscription.
+func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []query.Request) (*Feed, error) {
 	if len(points) == 0 {
 		return nil, errors.New("subs: empty point set")
 	}
@@ -193,7 +171,7 @@ func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []
 		return nil, err
 	}
 
-	s := &Subscription{reg: r, pol: pol, points: reqs, windows: windows, dirty: make(map[int]struct{})}
+	s := &plan{pol: pol, points: reqs, windows: windows, dirty: make(map[int]struct{})}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -206,12 +184,12 @@ func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []
 	r.nextID++
 	id := r.nextID
 	s.feed = NewFeed(id, len(reqs), func() { r.remove(s) })
-	r.subs[id] = s
+	r.subs[s] = struct{}{}
 	for _, c := range windows {
 		k := winKey{pol, c}
 		set := r.byWindow[k]
 		if set == nil {
-			set = make(map[*Subscription]struct{})
+			set = make(map[*plan]struct{})
 			r.byWindow[k] = set
 		}
 		set[s] = struct{}{}
@@ -220,29 +198,17 @@ func (r *Registry) Subscribe(ctx context.Context, pol tuple.Pollutant, points []
 	r.mu.Unlock()
 
 	s.feed.Prime(resultPoints(nil, initial))
-	return s, nil
-}
-
-// Unsubscribe closes the subscription with the given ID, reporting
-// whether it existed.
-func (r *Registry) Unsubscribe(id uint64) bool {
-	r.mu.Lock()
-	s := r.subs[id]
-	r.mu.Unlock()
-	if s == nil {
-		return false
-	}
-	return s.Close() == nil
+	return s.feed, nil
 }
 
 // remove drops s from the index (idempotent; runs from Feed.Close).
-func (r *Registry) remove(s *Subscription) {
+func (r *Registry) remove(s *plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.subs[s.ID()]; !ok {
+	if _, ok := r.subs[s]; !ok {
 		return
 	}
-	delete(r.subs, s.ID())
+	delete(r.subs, s)
 	for _, c := range s.windows {
 		k := winKey{s.pol, c}
 		if set := r.byWindow[k]; set != nil {
@@ -319,7 +285,7 @@ func (r *Registry) worker() {
 
 // reevaluate runs the dirty points of s through the evaluator and
 // applies the result to the feed (which filters unchanged points).
-func (r *Registry) reevaluate(s *Subscription, dirty map[int]struct{}) {
+func (r *Registry) reevaluate(s *plan, dirty map[int]struct{}) {
 	var idxs []int
 	for i, c := range s.windows {
 		if _, ok := dirty[c]; ok {
@@ -394,8 +360,8 @@ func (r *Registry) Stats() Stats {
 		Dropped:       r.done.Dropped,
 		Resyncs:       r.done.Resyncs,
 	}
-	live := make([]*Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
+	live := make([]*plan, 0, len(r.subs))
+	for s := range r.subs {
 		live = append(live, s)
 	}
 	r.mu.Unlock()
@@ -421,14 +387,14 @@ func (r *Registry) Close() {
 	r.queue = nil
 	r.work.Broadcast()
 	r.quiet.Broadcast()
-	live := make([]*Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
+	live := make([]*plan, 0, len(r.subs))
+	for s := range r.subs {
 		live = append(live, s)
 	}
 	r.mu.Unlock()
 	r.cancel()
 	r.wg.Wait()
 	for _, s := range live {
-		_ = s.Close()
+		_ = s.feed.Close()
 	}
 }

@@ -3,7 +3,7 @@ package subs
 // Subscription lifecycle under -race: exact-overlap delta pushes,
 // zero re-evaluation for non-overlapping invalidations (asserted via
 // registry stats), slow-consumer overflow converting to a resync, and
-// clean drains on unsubscribe and registry close.
+// clean drains on close and registry close.
 
 import (
 	"context"
@@ -39,7 +39,7 @@ func (e *testEval) eval(_ context.Context, _ tuple.Pollutant, reqs []query.Reque
 
 func testWinOf(tuple.Pollutant) (float64, error) { return testWindowLen, nil }
 
-func recvEvent(t *testing.T, h Handle) Event {
+func recvEvent(t *testing.T, h *Feed) Event {
 	t.Helper()
 	select {
 	case ev, ok := <-h.Events():
@@ -56,7 +56,7 @@ func recvEvent(t *testing.T, h Handle) Event {
 // TestSubscribeLifecycle walks the full local lifecycle: initial
 // resync, an invalidation overlapping half the points pushing a delta
 // of exactly those points, a non-overlapping invalidation evaluating
-// nothing, and a clean unsubscribe.
+// nothing, and a clean close.
 func TestSubscribeLifecycle(t *testing.T) {
 	ev := &testEval{}
 	r := NewRegistry(ev.eval, testWinOf)
@@ -120,17 +120,38 @@ func TestSubscribeLifecycle(t *testing.T) {
 	default:
 	}
 
-	if !r.Unsubscribe(s.ID()) {
-		t.Fatal("Unsubscribe reported the subscription missing")
+	// Closing the feed ends the subscription: its channel closes and it
+	// leaves the overlap index, so an invalidation of its windows matches
+	// nothing.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := <-s.Events(); ok {
-		t.Fatal("event channel still open after unsubscribe")
+		t.Fatal("event channel still open after Close")
 	}
-	if r.Unsubscribe(s.ID()) {
-		t.Fatal("second Unsubscribe reported success")
+	r.mu.Lock()
+	indexed := len(r.byWindow)
+	r.mu.Unlock()
+	if indexed != 0 {
+		t.Fatalf("overlap index holds %d windows after Close, want 0", indexed)
 	}
-	if st := r.Stats(); st.Active != 0 || st.Closed != 1 {
-		t.Fatalf("Stats after unsubscribe = %+v", st)
+	st = r.Stats()
+	r.Invalidated(tuple.CO2, 0)
+	r.Invalidated(tuple.CO2, 1)
+	r.Wait()
+	if after := r.Stats(); after.Matches != st.Matches || after.ReEvals != st.ReEvals {
+		t.Fatalf("invalidation after Close matched the closed feed: %+v -> %+v", st, after)
+	}
+	closed := r.Stats()
+	if closed.Active != 0 || closed.Closed != 1 {
+		t.Fatalf("Stats after Close = %+v", closed)
+	}
+	// A second Close changes nothing.
+	if err := s.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second Close = %v, want ErrClosed", err)
+	}
+	if again := r.Stats(); again != closed {
+		t.Fatalf("second Close moved the stats: %+v -> %+v", closed, again)
 	}
 }
 
@@ -142,8 +163,8 @@ func TestSlowConsumerResync(t *testing.T) {
 	r := NewRegistry(ev.eval, testWinOf)
 	defer r.Close()
 
-	s, err := r.Subscribe(context.Background(), tuple.CO2,
-		[]query.Request{{T: 10, X: 1, Y: 1}, {T: 20, X: 2, Y: 2}})
+	pts := []query.Request{{T: 10, X: 1, Y: 1}, {T: 20, X: 2, Y: 2}}
+	s, err := r.Subscribe(context.Background(), tuple.CO2, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +189,7 @@ func TestSlowConsumerResync(t *testing.T) {
 		t.Fatalf("resync carries %d points, want the full vector of 2", len(got.Points))
 	}
 	for i, p := range got.Points {
-		want := rounds*1000 + s.Points()[i].T + s.Points()[i].X
+		want := rounds*1000 + pts[i].T + pts[i].X
 		if p.Value != want {
 			t.Fatalf("resync point %d = %v, want the newest value %v", i, p.Value, want)
 		}

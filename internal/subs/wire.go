@@ -6,6 +6,29 @@ import (
 	"repro/internal/wire"
 )
 
+// Stream is the push stream a connection serves for f, in the shape
+// proto.CtxStreamer returns: the ack naming the subscription, the loop
+// that writes its events until the feed closes or a write fails, and the
+// stop that closes the feed when the connection ends, which is how every
+// streamed subscription ends. ok is always true.
+func (f *Feed) Stream() (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
+	run = func(emit func(wire.Message) error) {
+		for ev := range f.Events() {
+			if emit(PushFromEvent(f.ID(), ev)) != nil {
+				return
+			}
+		}
+	}
+	return wire.SubscribeAck{ID: f.ID(), Points: uint16(f.Len())}, run, func() { _ = f.Close() }, true
+}
+
+// Refuse is the push stream of a subscribe frame that opened nothing:
+// resp (an ErrorResponse) as its ack, and nothing to run or stop. ok is
+// always true.
+func Refuse(resp wire.Message) (ack wire.Message, run func(emit func(wire.Message) error), stop func(), ok bool) {
+	return resp, func(func(wire.Message) error) {}, func() {}, true
+}
+
 // PushFromEvent converts a push event into its wire frame for
 // subscription id.
 func PushFromEvent(id uint64, ev Event) wire.Push {

@@ -79,8 +79,6 @@ func FuzzWireDecode(f *testing.F) {
 	add(SubscribeAck{ID: 9, Points: 2})
 	add(Push{ID: 9, Seq: 3, Points: []PushPoint{{Index: 0, Value: 420}, {Index: 1, Err: "no cover"}}})
 	add(Push{ID: 9, Seq: 4, Resync: true, Err: "owner unreachable", Points: []PushPoint{{Index: 0, Value: 1}}})
-	add(UnsubscribeRequest{ID: 9})
-	add(UnsubscribeResponse{Removed: true})
 	add(Forwarded{Inner: SubscribeRequest{Pollutant: 2, Points: []SubPoint{{T: 1, X: 2, Y: 3}}}})
 	// Replication messages.
 	add(RingResponse{Nodes: []string{"a:1", "b:2", "c:3"}, Cells: []geo.Point{{X: 1, Y: 2}}, VNodes: 8, Replicas: 2})
@@ -116,12 +114,17 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
 	// The retired tags' last frames — NotOwnerResponse (14), bare and with
-	// its epoch, Forwarded (15), bare and behind its epoch marker, and
-	// ReplicaCatchupRequest (22) — now unknown.
+	// its epoch, Forwarded (15), bare and behind its epoch marker,
+	// UnsubscribeRequest (19) and UnsubscribeResponse (20), bare and with
+	// their payloads, and ReplicaCatchupRequest (22) — now unknown.
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3'})
 	f.Add([]byte{14, 1, 0, 3, 0, 'c', ':', '3', 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{15, byte(TypeIngestResponse), 7, 0, 0, 0})
 	f.Add([]byte{15, 0xFF, 4, 0, 0, 0, 0, 0, 0, 0, byte(TypeIngestResponse), 7, 0, 0, 0})
+	f.Add([]byte{19})
+	f.Add([]byte{19, 9, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{20})
+	f.Add([]byte{20, 1})
 	f.Add([]byte{22, 1, 12, 0, 0, 0, 0, 0, 0, 0})
 	// ... the fixed-width batch frames (6 and 7), bare and with two
 	// points, and three answers, one failed ...

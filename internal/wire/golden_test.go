@@ -43,8 +43,6 @@ func goldenMessages() []Message {
 		SubscribeAck{ID: 9, Points: 2},
 		Push{ID: 9, Seq: 3, Points: []PushPoint{{Index: 0, Value: 420}, {Index: 1, Err: "no cover"}}},
 		Push{ID: 9, Seq: 4, Resync: true, Err: "owner unreachable", Points: []PushPoint{{Index: 0, Value: 1}}},
-		UnsubscribeRequest{ID: 9},
-		UnsubscribeResponse{Removed: true},
 		ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}},
 		ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{{T: 5, X: 6, Y: 7, S: 8}}},
 		ReplicaCatchupResponse{Snapshot: true, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}},
@@ -61,7 +59,8 @@ func goldenMessages() []Message {
 // the two batch frames and the HeatmapResponse's, which are the
 // column-coded batch's tag-30 and tag-31 frames and the predictively
 // coded raster's tag-29 frame: the fixed-width tag-6, tag-7 and tag-13
-// frames that stood here are now retired (TestRetiredTagsDecodeAsUnknown).
+// frames that stood here are now retired, and so are the tag-19 and
+// tag-20 unsubscribe frames (TestRetiredTagsDecodeAsUnknown).
 // Ten more carry every field of their one layout where the captured frame
 // left a field out at its zero value: the ErrorResponse its code byte, the
 // two RingResponses and the RingUpdate's ring their replica count and
@@ -91,8 +90,6 @@ var goldenFrames = []string{
 	"1109000000000000000200",
 	"120900000000000000030000000000000000000002000000000000000000407a4001000108006e6f20636f766572",
 	"12090000000000000004000000000000000111006f776e657220756e726561636861626c650100000000000000000000f03f",
-	"130900000000000000",
-	"1401",
 	"15010002290000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
 	"17020c0000000000000001000000000000000000144000000000000018400000000000001c4000000000000020400000000000000000",
 	"1701000000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
@@ -137,7 +134,8 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 // TestRetiredTagsDecodeAsUnknown: tags 6 and 7 (BatchQueryRequest and
 // BatchQueryResponse with fixed-width fields), 13 (HeatmapResponse with
 // raw IEEE values), 14 (NotOwnerResponse), 15 (Forwarded with its epoch
-// behind a marker byte) and 22 (ReplicaCatchupRequest) are retired, so
+// behind a marker byte), 19 and 20 (UnsubscribeRequest and
+// UnsubscribeResponse) and 22 (ReplicaCatchupRequest) are retired, so
 // the last frames a node ever wrote with them — bare and with their full
 // payloads — decode as an unknown message, never as something else that
 // took the tag.
@@ -149,6 +147,8 @@ func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 		"0e", "0e01000300633a33", "0e01000300633a330200000000000000",
 		"0f", "0f01000000000000f03f0000000000000040000000000000084000",
 		"0fff040000000000000001000000000000f03f0000000000000040000000000000084000",
+		"13", "130900000000000000",
+		"14", "1401",
 		"16", "16010c00000000000000",
 	} {
 		data, err := hex.DecodeString(frame)

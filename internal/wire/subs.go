@@ -21,10 +21,10 @@ const (
 	TypeSubscribeAck
 	// TypePush carries one push event: a delta, resync, or error frame.
 	TypePush
-	// TypeUnsubscribeRequest tears a subscription down by ID.
-	TypeUnsubscribeRequest
-	// TypeUnsubscribeResponse acknowledges an unsubscribe.
-	TypeUnsubscribeResponse
+	// Tags 19 and 20 are retired (they were UnsubscribeRequest and
+	// UnsubscribeResponse; a subscription ends when its stream closes):
+	// a frame carrying either decodes as unknown, and no message may take
+	// them again.
 )
 
 // SubPoint is one subscribed route point (t_l, x_l, y_l).
@@ -81,22 +81,6 @@ type Push struct {
 // Type implements Message.
 func (Push) Type() MsgType { return TypePush }
 
-// UnsubscribeRequest tears down the subscription with the given ID.
-type UnsubscribeRequest struct {
-	ID uint64 `json:"id"`
-}
-
-// Type implements Message.
-func (UnsubscribeRequest) Type() MsgType { return TypeUnsubscribeRequest }
-
-// UnsubscribeResponse reports whether the ID named a live subscription.
-type UnsubscribeResponse struct {
-	Removed bool `json:"removed"`
-}
-
-// Type implements Message.
-func (UnsubscribeResponse) Type() MsgType { return TypeUnsubscribeResponse }
-
 // pushResync is the flag bit marking a resync push frame.
 const pushResync = 1 << 0
 
@@ -127,18 +111,6 @@ func appendSubs(dst []byte, head int, m Message) ([]byte, error) {
 		return out, nil
 	case Push:
 		return appendPush(dst, head, v)
-	case UnsubscribeRequest:
-		out, buf := grow(dst, head, 1+8)
-		buf[0] = byte(TypeUnsubscribeRequest)
-		binary.LittleEndian.PutUint64(buf[1:], v.ID)
-		return out, nil
-	case UnsubscribeResponse:
-		out, buf := grow(dst, head, 2)
-		buf[0] = byte(TypeUnsubscribeResponse)
-		if v.Removed {
-			buf[1] = 1
-		}
-		return out, nil
 	default:
 		return appendReplica(dst, head, m)
 	}
@@ -220,16 +192,6 @@ func decodeSubs(data []byte, lend bool) (Message, error) {
 		}, nil
 	case TypePush:
 		return decodePush(data)
-	case TypeUnsubscribeRequest:
-		if len(data) != 9 {
-			return nil, fmt.Errorf("%w: UnsubscribeRequest length %d", ErrMalformed, len(data))
-		}
-		return UnsubscribeRequest{ID: binary.LittleEndian.Uint64(data[1:])}, nil
-	case TypeUnsubscribeResponse:
-		if len(data) != 2 || data[1] > 1 {
-			return nil, fmt.Errorf("%w: UnsubscribeResponse", ErrMalformed)
-		}
-		return UnsubscribeResponse{Removed: data[1] == 1}, nil
 	default:
 		return decodeReplica(data, lend)
 	}

@@ -30,9 +30,6 @@ func subsMessages() []Message {
 			{Index: 1, Value: 430},
 		}},
 		Push{ID: 42, Seq: 9, Err: "cluster: owner node 1 unreachable"},
-		UnsubscribeRequest{ID: 42},
-		UnsubscribeResponse{Removed: true},
-		UnsubscribeResponse{Removed: false},
 		Forwarded{Inner: SubscribeRequest{Pollutant: tuple.CO, Points: []SubPoint{{T: 1, X: 2, Y: 3}}}},
 	}
 }
@@ -76,10 +73,6 @@ func TestSubsDecodeRobustness(t *testing.T) {
 		badFlags,
 		badPointFlag,
 		append(append([]byte(nil), goodPush...), 0), // trailing byte
-		{byte(TypeUnsubscribeRequest), 1},           // short
-		{byte(TypeUnsubscribeResponse)},             // short
-		{byte(TypeUnsubscribeResponse), 2},          // bool out of range
-		{byte(TypeUnsubscribeResponse), 1, 0},       // trailing byte
 	}
 	for _, data := range cases {
 		if _, err := Binary.Decode(data); err == nil {
@@ -100,17 +93,13 @@ func TestPreSubsFramesUnchanged(t *testing.T) {
 		t.Fatalf("v1 QueryRequest frame is %d bytes, want 26", len(q))
 	}
 	// The new tags sit strictly above the cluster range.
-	if TypeSubscribeRequest != 16 || TypeUnsubscribeResponse != 20 {
-		t.Fatalf("subscription tags moved: %d..%d, want 16..20",
-			TypeSubscribeRequest, TypeUnsubscribeResponse)
+	if TypeSubscribeRequest != 16 || TypePush != 18 {
+		t.Fatalf("subscription tags moved: %d..%d, want 16..18",
+			TypeSubscribeRequest, TypePush)
 	}
 	// And the fixed-size v1.3 frames are locked too.
 	ack, _ := Binary.Encode(SubscribeAck{ID: 1, Points: 2})
 	if len(ack) != 11 {
 		t.Fatalf("SubscribeAck frame is %d bytes, want 11", len(ack))
-	}
-	un, _ := Binary.Encode(UnsubscribeRequest{ID: 1})
-	if len(un) != 9 {
-		t.Fatalf("UnsubscribeRequest frame is %d bytes, want 9", len(un))
 	}
 }

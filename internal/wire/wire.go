@@ -12,8 +12,9 @@
 // Every message has exactly one layout, and every field of it always
 // travels. There is no version negotiation: the nodes of a ring and the
 // clients that talk to them run the same protocol. A frame whose length
-// does not fit its tag's layout is refused, and a retired tag decodes as
-// ErrUnknown, so no frame is read as something it was not.
+// does not fit its tag's layout is refused, and a retired tag — 6, 7, 13,
+// 14, 15, 19, 20 or 22 — decodes as ErrUnknown, so no frame is read as
+// something it was not.
 //
 // Binary.AppendEncode is the one encoder: it appends a message to a buffer
 // the caller owns (a connection's write buffer, behind the frame's length
