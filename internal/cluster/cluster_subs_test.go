@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/geo"
 	"repro/internal/proto"
 	"repro/internal/query"
 	"repro/internal/subs"
@@ -371,4 +372,41 @@ func TestClusterSubscribeDeadOwnerFailsFast(t *testing.T) {
 		t.Fatalf("live-owner subscribe failed: %v", err)
 	}
 	_ = h.Close()
+}
+
+// TestRoutedSubscriptionObeysMaxPoints: a routed subscription is held to
+// subs.MaxPoints as a whole, as one node holds it, not only leg by leg. A
+// 2 800-point route whose every owner's share is under the bound is
+// refused with ErrTooManyPoints before any leg opens: no node's registry
+// holds a subscription afterwards.
+func TestRoutedSubscriptionObeysMaxPoints(t *testing.T) {
+	f := newFixture(t)
+	f.load(t, makeData())
+	pts := make([]query.Request, 2800)
+	share := make(map[int]int)
+	for i := range pts {
+		pts[i] = query.Request{T: queryT, X: -1950 + float64(i%56)*70, Y: -1950 + float64(i/56)*78, Pollutant: tuple.CO2}
+		share[f.ring.Owner(tuple.CO2, geo.Point{X: pts[i].X, Y: pts[i].Y})]++
+	}
+	for o, n := range share {
+		if n > subs.MaxPoints {
+			t.Fatalf("node %d owns %d of the route's points, want every share ≤ %d", o, n, subs.MaxPoints)
+		}
+	}
+	if len(share) < 2 {
+		t.Fatalf("the route spans %d owner(s), want several", len(share))
+	}
+	h, err := f.nodes[0].Subscribe(context.Background(), tuple.CO2, pts)
+	if err == nil {
+		_ = h.Close()
+		t.Fatalf("a %d-point routed subscription opened, want ErrTooManyPoints", len(pts))
+	}
+	if !errors.Is(err, subs.ErrTooManyPoints) {
+		t.Fatalf("a %d-point routed subscription failed with %v, want ErrTooManyPoints", len(pts), err)
+	}
+	for i, e := range f.engines {
+		if active := e.Subscriptions().Stats().Active; active != 0 {
+			t.Errorf("node %d's registry holds %d subscriptions, want 0", i, active)
+		}
+	}
 }

@@ -133,7 +133,9 @@ func bytesPerRun(f func()) uint64 {
 // memory, and gives it back once every owner has acknowledged its slice,
 // so a warm upload routed through a 3-node ring allocates nothing that
 // grows with it — a few small objects per upload, where the split once
-// cost an owner index and a copy of the upload (9 KiB at 256 tuples).
+// cost an owner index and a copy of the upload (9 KiB at 256 tuples). The
+// slices go out on a pooled fan, so an upload pays no goroutine, closure,
+// WaitGroup or owner count per leg either.
 func TestIngestSplitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -165,5 +167,18 @@ func TestIngestSplitAllocs(t *testing.T) {
 	t.Logf("routed upload = %d B at 256 tuples, %d B at 1024", small, large)
 	if small > 1<<10 || large > small+128 {
 		t.Errorf("routed upload = %d B at 256 tuples and %d B at 1024, want ≤ 1 KiB and no growth", small, large)
+	}
+	// Per leg its slice and its Forwarded frame, boxed; then the tally and
+	// the answer. A goroutine per leg cost 17.
+	const ceiling = 8
+	upload := wire.IngestRequest{Pollutant: tuple.CO2, Tuples: make([]tuple.Raw, 256)}
+	for i := range upload.Tuples {
+		upload.Tuples[i] = tuple.Raw{T: float64(i), X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000, S: 400}
+	}
+	var req wire.Message = upload
+	allocs := testing.AllocsPerRun(50, func() { n.HandleMessage(req) })
+	t.Logf("routed upload = %.2f allocs at 256 tuples", allocs)
+	if allocs > ceiling {
+		t.Errorf("routed upload = %.2f allocs at 256 tuples, want ≤ %d", allocs, ceiling)
 	}
 }

@@ -183,6 +183,13 @@ type Node struct {
 	transports []Transport
 	closed     bool
 
+	// The leg workers run the legs fans hand off (fan.go): legc hands a
+	// leg to an idle one, legStop stops them, legWG waits for them.
+	legc    chan legTask
+	legStop chan struct{}
+	legIdle atomic.Int32
+	legWG   sync.WaitGroup
+
 	// memMu serializes membership transitions this node coordinates or
 	// participates in (join bootstrap, drain prepare, promotion), and
 	// guards pulled — per-stream handoff progress that must survive the
@@ -238,6 +245,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		streams:    cfg.Streams,
 		dial:       cfg.Dial,
 		hook:       cfg.HandoffHook,
+		legc:       make(chan legTask), //bounded: rendezvous; dispatch sends only into a waiting worker
+		legStop:    make(chan struct{}),
 		pulled:     make(map[transferKey]streamPos),
 	}
 	n.ring.Store(cfg.Ring)
@@ -260,17 +269,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // Close stops the node's background replication work (peer stream
 // workers, in-flight catch-up sessions), then closes every transport in
 // its table, so no peer connection outlives the node; an exchange after
-// Close fails. Routed subscriptions close with their feeds.
+// Close fails. Last it stops its leg workers, waiting for any still
+// running a leg. Routed subscriptions close with their feeds.
 func (n *Node) Close() error {
 	if n.repl != nil {
 		n.repl.close()
 	}
 	n.tmu.Lock()
+	first := !n.closed
 	n.closed = true
 	ts := n.transports
 	n.tmu.Unlock()
 	for _, t := range ts {
 		closeTransport(t)
+	}
+	if first {
+		close(n.legStop)
+		n.legWG.Wait()
 	}
 	return nil
 }
@@ -671,9 +686,11 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 		err := unknownPollutant(m.Items[i].Pollutant)
 		out[i] = wire.FailedItem(CodeOf(err), err.Error())
 	}
-	var wg sync.WaitGroup
+	f := n.newFan(ctx, ring, (*fan).batchLeg)
+	defer f.free()
+	f.batch, f.split, f.out, f.retry = m, split, out, retry
 	for owner := 0; owner < ring.Nodes(); owner++ {
-		idxs, items := split.get(owner)
+		idxs, _ := split.get(owner)
 		if len(idxs) == 0 {
 			continue
 		}
@@ -687,44 +704,47 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 			}
 			continue
 		}
-		wg.Add(1)
-		go func(owner int, idxs []int, sub wire.BatchQueryRequest) {
-			defer wg.Done()
-			resp, ownerDown := n.routeOwner(ctx, ring, owner, sub)
-			fill := func(failed wire.BatchQueryItem) {
-				for _, i := range idxs {
-					out[i] = failed
-				}
-			}
-			switch r := resp.(type) {
-			case wire.BatchQueryResponse:
-				if len(r.Items) != len(idxs) {
-					fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: node %d answered %d of %d items", owner, len(r.Items), len(idxs))})
-				} else {
-					for j, i := range idxs {
-						out[i] = r.Items[j]
-					}
-				}
-				n.consumed(owner, r)
-			case wire.ErrorResponse:
-				if retry && r.Code == wire.CodeStaleEpoch {
-					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
-						n.batchInto(ctx, fresh, m, idxs, out, false)
-						return
-					}
-				}
-				failed := wire.FailedItem(r.Code, r.Msg)
-				if ownerDown && ring.Replicas() > 1 {
-					n.batchFailover(ring, owner, m, idxs, out, failed)
-					return
-				}
-				fill(failed)
-			default:
-				fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: unexpected response %T", resp)})
-			}
-		}(owner, idxs, wire.BatchQueryRequest{Items: items})
+		f.owners = append(f.owners, owner)
 	}
-	wg.Wait()
+	f.spread()
+}
+
+// batchLeg answers owner's share of f's batch into f.out.
+func (f *fan) batchLeg(owner int) {
+	n, ring, out := f.n, f.ring, f.out
+	idxs, items := f.split.get(owner)
+	resp, ownerDown := n.routeOwner(f.ctx, ring, owner, wire.BatchQueryRequest{Items: items})
+	fill := func(failed wire.BatchQueryItem) {
+		for _, i := range idxs {
+			out[i] = failed
+		}
+	}
+	switch r := resp.(type) {
+	case wire.BatchQueryResponse:
+		if len(r.Items) != len(idxs) {
+			fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: node %d answered %d of %d items", owner, len(r.Items), len(idxs))})
+		} else {
+			for j, i := range idxs {
+				out[i] = r.Items[j]
+			}
+		}
+		n.consumed(owner, r)
+	case wire.ErrorResponse:
+		if f.retry && r.Code == wire.CodeStaleEpoch {
+			if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
+				n.batchInto(f.ctx, fresh, f.batch, idxs, out, false)
+				return
+			}
+		}
+		failed := wire.FailedItem(r.Code, r.Msg)
+		if ownerDown && ring.Replicas() > 1 {
+			n.batchFailover(ring, owner, f.batch, idxs, out, failed)
+			return
+		}
+		fill(failed)
+	default:
+		fill(wire.BatchQueryItem{Err: fmt.Sprintf("cluster: unexpected response %T", resp)})
+	}
 }
 
 // batchFailover re-answers a dead owner's sub-batch at its replicas:
@@ -832,79 +852,75 @@ func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
 // engine's ingest queue (its wait was abandoned), which reads it later,
 // so then the split stays with the garbage collector.
 func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
-	var legs struct {
-		sync.WaitGroup
-		unacked atomic.Bool // some chunk was not answered IngestResponse
-	}
-	groups, backing := splitByOwner(ring, pol, tuples)
-	// Peers first, this node's own slice last: the forwarded slices are on
-	// the wire while the local one is applied and fsynced.
-	for i := range groups {
-		owner := (n.self + 1 + i) % len(groups)
-		slice := groups[owner]
-		if len(slice) == 0 {
-			continue
+	f := n.newFan(ctx, ring, (*fan).ingestLeg)
+	defer f.free()
+	f.pol, f.tally, f.retry = pol, tally, retry
+	var backing []tuple.Raw
+	f.groups, backing = splitByOwner(ring, pol, tuples, f.groups)
+	for owner, slice := range f.groups {
+		if len(slice) > 0 {
+			f.owners = append(f.owners, owner)
 		}
-		legs.Add(1)
-		go func(owner int, slice []tuple.Raw) {
-			defer legs.Done()
-			// Chunk the slice so every forwarded frame fits the wire;
-			// stop at the first failed chunk (the rest would only widen
-			// the partial window).
-			for start := 0; start < len(slice); start += maxIngestChunk {
-				end := start + maxIngestChunk
-				if end > len(slice) {
-					end = len(slice)
-				}
-				chunk := slice[start:end]
-				resp, _ := n.routeOwner(ctx, ring, owner, wire.IngestRequest{Pollutant: pol, Tuples: chunk})
-				if _, acked := resp.(wire.IngestResponse); !acked {
-					legs.unacked.Store(true)
-				}
-				if retry && responseCode(resp) == wire.CodeStaleEpoch {
-					if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
-						n.ingestInto(ctx, fresh, pol, slice[start:], tally, false)
-						return
-					}
-				}
-				tally.mu.Lock()
-				failed := true
-				switch r := resp.(type) {
-				case wire.IngestResponse:
-					tally.applied += r.Ingested
-					failed = false
-				case wire.ErrorResponse:
-					tally.fail(len(slice)-start, r.Code, r.Msg)
-				default:
-					tally.fail(len(slice)-start, wire.CodeNone, fmt.Sprintf("unexpected response %T", resp))
-				}
-				tally.mu.Unlock()
-				if failed {
-					return
-				}
-			}
-		}(owner, slice)
 	}
-	legs.Wait()
-	if !legs.unacked.Load() {
+	f.spread()
+	if !f.unacked.Load() {
 		wire.ReturnTuples(backing)
 	}
 }
 
-// splitByOwner groups tuples by shard owner under ring, in their order:
-// element o of groups is node o's slice. A counting pass sizes the slices
-// first, so they are cut from backing, one array the size of the upload
-// lent from the wire pools, and each is full — whoever appends to one gets
-// a copy, never its neighbour. Each tuple's owner is looked up again in
-// the second pass rather than kept from the first: the ring's placement
-// table answers it without allocating.
-func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw) (groups [][]tuple.Raw, backing []tuple.Raw) {
-	counts := make([]int, ring.Nodes())
+// ingestLeg applies owner's slice of f's upload, chunked so every
+// forwarded frame fits the wire. It stops at the first failed chunk: the
+// rest would only widen the partial window.
+func (f *fan) ingestLeg(owner int) {
+	slice := f.groups[owner]
+	for start := 0; start < len(slice); start += maxIngestChunk {
+		chunk := slice[start:min(start+maxIngestChunk, len(slice))]
+		resp, _ := f.n.routeOwner(f.ctx, f.ring, owner, wire.IngestRequest{Pollutant: f.pol, Tuples: chunk})
+		if _, acked := resp.(wire.IngestResponse); !acked {
+			f.unacked.Store(true)
+		}
+		if f.retry && responseCode(resp) == wire.CodeStaleEpoch {
+			if fresh := f.n.refreshRingFrom(owner, f.ring); fresh != nil {
+				f.n.ingestInto(f.ctx, fresh, f.pol, slice[start:], f.tally, false)
+				return
+			}
+		}
+		tally := f.tally
+		tally.mu.Lock()
+		failed := true
+		switch r := resp.(type) {
+		case wire.IngestResponse:
+			tally.applied += r.Ingested
+			failed = false
+		case wire.ErrorResponse:
+			tally.fail(len(slice)-start, r.Code, r.Msg)
+		default:
+			tally.fail(len(slice)-start, wire.CodeNone, fmt.Sprintf("unexpected response %T", resp))
+		}
+		tally.mu.Unlock()
+		if failed {
+			return
+		}
+	}
+}
+
+// splitByOwner groups tuples by shard owner under ring, in their order,
+// into groups, whose capacity it reuses: element o of the groups it
+// returns is node o's slice. A counting pass sizes the slices first, so
+// they are cut from backing, one array the size of the upload lent from
+// the wire pools, and each is full — whoever appends to one gets a copy,
+// never its neighbour. Each tuple's owner is looked up again in the second
+// pass rather than kept from the first: the ring's placement table answers
+// it without allocating.
+func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, groups [][]tuple.Raw) ([][]tuple.Raw, []tuple.Raw) {
+	var small [16]int // the counts of a ring of up to 16 nodes, on the stack
+	counts := small[:0]
+	counts = slices.Grow(counts, ring.Nodes())[:ring.Nodes()]
 	for _, r := range tuples {
 		counts[ring.Owner(pol, r.Pos())]++
 	}
-	groups = make([][]tuple.Raw, len(counts))
-	backing = wire.LendTuples(len(tuples))
+	groups = slices.Grow(groups[:0], len(counts))[:len(counts)]
+	backing := wire.LendTuples(len(tuples))
 	off := 0
 	for o, n := range counts {
 		groups[o] = backing[off : off : off+n]
@@ -933,7 +949,9 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 	}
 	n.nScatters.Add(1)
 	ring := n.Ring()
-	legs, firstErr := n.scatter(ctx, ring, m)
+	f, firstErr := n.scatter(ctx, ring, m)
+	defer f.free()
+	legs := f.legs
 	part := n.scatterFailover(ring, legs, m.Pollutant, m)
 	var merged wire.ModelResponse
 	var got bool
@@ -989,7 +1007,9 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		return WireError(unknownPollutant(m.Pollutant)), nil
 	}
 	ring := n.Ring()
-	legs, firstErr := n.scatter(ctx, ring, m)
+	f, firstErr := n.scatter(ctx, ring, m)
+	defer f.free()
+	legs := f.legs
 	part := n.scatterFailover(ring, legs, m.Pollutant, m)
 	byNode := make([]*wire.HeatmapResponse, ring.Nodes())
 	var any bool
@@ -1047,52 +1067,56 @@ type leg struct {
 }
 
 // scatter fans a request out to every live node (the local engine
-// included) and returns one leg per node, indexed by node, and the first
-// error response, to report when nothing succeeds. Tombstoned slots are
-// skipped — they own no shards. Scatter legs carry the ring's epoch but
-// are not fenced: the merge samples by ownership, so a peer one epoch
-// away answering from its own view is at worst briefly stale, and fencing
-// every leg would fail whole rasters during each transition for no
-// correctness gain.
-func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) ([]leg, wire.ErrorResponse) {
-	legs := make([]leg, ring.Nodes())
-	var wg sync.WaitGroup
-	for i := range legs {
-		legs[i].from = i
+// included) and returns its fan, whose legs hold one leg per node, indexed
+// by node, and the first error response, to report when nothing succeeds.
+// The caller frees the fan once it is done with the legs. Tombstoned
+// slots are skipped — they own no shards. Scatter legs carry the ring's
+// epoch but are not fenced: the merge samples by ownership, so a peer one
+// epoch away answering from its own view is at worst briefly stale, and
+// fencing every leg would fail whole rasters during each transition for
+// no correctness gain.
+func (n *Node) scatter(ctx context.Context, ring *Ring, m wire.Message) (*fan, wire.ErrorResponse) {
+	f := n.newFan(ctx, ring, (*fan).scatterLeg)
+	f.req = m
+	f.legs = slices.Grow(f.legs[:0], ring.Nodes())[:ring.Nodes()]
+	for i := range f.legs {
+		f.legs[i] = leg{from: i}
 		if !ring.IsLive(i) {
 			continue
 		}
 		if i != n.self && n.transport(i) == nil {
-			legs[i].down = true
+			f.legs[i].down = true
 			continue
 		}
-		wg.Add(1)
-		go func(l *leg, i int) {
-			defer wg.Done()
-			if i == n.self {
-				n.nLocal.Add(1)
-				l.resp = n.localHandle(ctx, m)
-				return
-			}
-			n.nForwarded.Add(1)
-			resp, err := n.transport(i).Exchange(wire.Forwarded{Inner: m, Epoch: ring.Epoch()})
-			if err != nil {
-				n.nErrors.Add(1)
-				l.down = true
-				resp = unreachable(i, ring, err)
-			}
-			l.resp = resp
-		}(&legs[i], i)
+		f.owners = append(f.owners, i)
 	}
-	wg.Wait()
+	f.spread()
 	firstErr := wire.ErrorResponse{Msg: "cluster: no node answered"}
-	for _, l := range legs {
+	for _, l := range f.legs {
 		if er, ok := l.resp.(wire.ErrorResponse); ok {
 			firstErr = er
 			break
 		}
 	}
-	return legs, firstErr
+	return f, firstErr
+}
+
+// scatterLeg asks node i for f's request.
+func (f *fan) scatterLeg(i int) {
+	n, l := f.n, &f.legs[i]
+	if i == n.self {
+		n.nLocal.Add(1)
+		l.resp = n.localHandle(f.ctx, f.req)
+		return
+	}
+	n.nForwarded.Add(1)
+	resp, err := n.transport(i).Exchange(wire.Forwarded{Inner: f.req, Epoch: f.ring.Epoch()})
+	if err != nil {
+		n.nErrors.Add(1)
+		l.down = true
+		resp = unreachable(i, f.ring, err)
+	}
+	l.resp = resp
 }
 
 // scatterFailover re-asks a scatter's dead legs at their replicas,

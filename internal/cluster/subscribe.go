@@ -84,10 +84,14 @@ func (l *subLeg) closeSources() {
 // any owner is unreachable; after that, an owner dying emits an error
 // event on the feed (naming the owner, its points possibly stale)
 // rather than going silently stale, while the other owners' points keep
-// updating. Closing the returned feed closes every leg.
+// updating. Closing the returned feed closes every leg. The point set is
+// held to subs.MaxPoints as a whole, before any leg opens, as on one node.
 func (n *Node) Subscribe(ctx context.Context, pol tuple.Pollutant, pts []query.Request) (*subs.Feed, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("cluster: empty point set")
+	}
+	if len(pts) > subs.MaxPoints {
+		return nil, fmt.Errorf("%w: %d exceeds the %d-point bound", subs.ErrTooManyPoints, len(pts), subs.MaxPoints)
 	}
 	if !pol.Valid() {
 		return nil, unknownPollutant(pol)

@@ -65,6 +65,13 @@ type submission struct {
 	errc chan error
 }
 
+// errcs holds submissions' one-shot result channels. A channel goes back
+// once its result has been received; one whose wait was abandoned is left
+// to the worker that still sends on it.
+var errcs = sync.Pool{New: func() any {
+	return make(chan error, 1) //bounded: one-shot result; the worker sends exactly once
+}}
+
 // Pipeline is the asynchronous ingest path: a bounded queue per
 // pollutant, drained by one worker each, which coalesces small uploads
 // into larger sink appends. A submission is acknowledged only after the
@@ -137,7 +144,7 @@ func (p *Pipeline) submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batc
 	if err != nil {
 		return err
 	}
-	sub := submission{b: b, errc: make(chan error, 1)} //bounded: one-shot result; the worker sends exactly once
+	sub := submission{b: b, errc: errcs.Get().(chan error)}
 
 	// The queued gauge rises before the send so it never undercounts (the
 	// worker may drain the submission before the send's caller resumes).
@@ -176,6 +183,7 @@ func (p *Pipeline) submit(ctx context.Context, pol tuple.Pollutant, b tuple.Batc
 
 	select {
 	case err := <-sub.errc:
+		errcs.Put(sub.errc)
 		return err
 	case <-ctx.Done():
 		return ctx.Err()

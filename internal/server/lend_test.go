@@ -739,6 +739,58 @@ func TestTCPClusterHeatmapAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPClusterBatchAllocs: a warm cluster answers a 100-point route
+// that spans all three owners over TCP with one pooled fan at node 0: node
+// 0 answers its own share on the serving goroutine and hands the peers'
+// shares to its leg workers, so a route pays no goroutine, closure or
+// WaitGroup per leg. What the three nodes allocate is counted: ≈ 16 a
+// route, where a goroutine per leg cost ≈ 23.
+func TestTCPClusterBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	c := newLoopbackCluster(t)
+	req := route100(0)
+	owners := make(map[int]bool)
+	for _, it := range req.Items {
+		owners[c.ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y})] = true
+	}
+	if len(owners) != 3 {
+		t.Fatalf("the route spans %d owners, want all 3", len(owners))
+	}
+	raw := dialRaw(t, c.addrs[0], req)
+	if m, err := wire.Binary.Decode(raw.exchange(t)); err != nil {
+		t.Fatal(err)
+	} else if br, ok := m.(wire.BatchQueryResponse); !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
+		t.Fatalf("route answered %#v", m)
+	}
+	const ceiling = 18 // ≈ 16, and room for a background allocation or two
+	allocs := allocsPerOp(func() { raw.exchange(t) })
+	t.Logf("clustered 100-point TCP route = %.2f allocs over the three nodes", allocs)
+	if allocs > ceiling {
+		t.Errorf("clustered 100-point TCP route = %.2f allocs over the three nodes, want ≤ %d", allocs, ceiling)
+	}
+}
+
+// allocsPerOp is the median of five rounds' heap allocations per call of
+// f, after one warm-up call: every goroutine's, not only the caller's.
+func allocsPerOp(f func()) float64 {
+	const calls = 20
+	f()
+	var per []float64
+	for range 5 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range calls {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		per = append(per, float64(m1.Mallocs-m0.Mallocs)/calls)
+	}
+	slices.Sort(per)
+	return per[len(per)/2]
+}
+
 // BenchmarkClusterHeatmap64 is the Fig. 5b heatmap from a loopback R = 2
 // cluster: a 64×64 raster requested from node 0 by proto.Client, which
 // scatters it to every node over TCP and merges the legs. B/op covers the
