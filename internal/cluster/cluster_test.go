@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/colblock"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/heatmap"
@@ -662,5 +663,59 @@ func TestMaxBatchShareFitsOneFrame(t *testing.T) {
 	}
 	if len(frame) > proto.MaxFrameBytes {
 		t.Errorf("a forwarded share of %d random points is %d B, over the %d B frame", share, len(frame), proto.MaxFrameBytes)
+	}
+}
+
+// TestTupleChunksFitOneFrame: the caps on a forwarded upload leg and a
+// catch-up chunk are wire.MaxFrameTuples, derived from the packed run's
+// worst case, colblock.MaxPackedLen(n) = 52 + 32n bytes, so a chunk at its
+// cap of incompressible tuples — random bit patterns, which no column
+// packs — fits one frame with every fixed field at its widest: the leg in
+// its Forwarded wrapper, the replica frame its owner streams of it, and
+// the catch-up chunk. The largest upload a decoder accepts is such a leg,
+// so whatever an owner commits it can replicate in one frame. The bound
+// leaves no more than the 64 bytes of slack it was derived with.
+func TestTupleChunksFitOneFrame(t *testing.T) {
+	ingestCap, catchupCap := cluster.ChunkCaps()
+	if ingestCap != wire.MaxFrameTuples || catchupCap != wire.MaxFrameTuples {
+		t.Errorf("chunk caps %d and %d, want the decoders' %d", ingestCap, catchupCap, wire.MaxFrameTuples)
+	}
+	if n := wire.MaxFrameTuples; colblock.MaxPackedLen(n)+64 > proto.MaxFrameBytes || colblock.MaxPackedLen(n+1)+64 <= proto.MaxFrameBytes {
+		t.Errorf("wire.MaxFrameTuples = %d is not the most tuples whose worst-case run fits a frame with 64 bytes to spare", n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := func(n int) []tuple.Raw {
+		b := make([]tuple.Raw, n)
+		for i := range b {
+			b[i] = tuple.Raw{T: math.Float64frombits(rng.Uint64()), X: math.Float64frombits(rng.Uint64()),
+				Y: math.Float64frombits(rng.Uint64()), S: math.Float64frombits(rng.Uint64())}
+		}
+		return b
+	}
+	// A leg the raw layout fitted, (MaxFrameBytes-64)/32 tuples, would fit
+	// a frame packed but not its replica frame: it is never sent.
+	rawMost := (proto.MaxFrameBytes - 64) / 32
+	if _, err := wire.Binary.Encode(wire.Forwarded{Inner: wire.IngestRequest{Tuples: random(rawMost)}, Epoch: 1}); err == nil {
+		t.Errorf("a forwarded upload of %d tuples encoded, over the %d its replica frame fits", rawMost, wire.MaxFrameTuples)
+	}
+	leg, chunk := random(ingestCap), random(catchupCap)
+	for _, c := range []struct {
+		m wire.Message
+		n int
+	}{
+		{wire.Forwarded{Inner: wire.IngestRequest{Pollutant: 255, Tuples: leg}, Epoch: math.MaxUint64}, len(leg)},
+		{wire.ReplicaIngest{Origin: math.MaxUint16, Pollutant: 255, Seq: math.MaxUint64, Tuples: leg, Incarnation: math.MaxUint64}, len(leg)},
+		{wire.ReplicaCatchupResponse{Snapshot: true, Done: true, From: math.MaxUint64, Tuples: chunk, Incarnation: math.MaxUint64}, len(chunk)},
+	} {
+		frame, err := wire.Binary.Encode(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) > proto.MaxFrameBytes {
+			t.Errorf("%T of %d random tuples is %d B, over the %d B frame", c.m, c.n, len(frame), proto.MaxFrameBytes)
+		}
+		if len(frame) > colblock.MaxPackedLen(c.n)+64 {
+			t.Errorf("%T of %d random tuples is %d B, over its run's worst case %d B and the slack", c.m, c.n, len(frame), colblock.MaxPackedLen(c.n))
+		}
 	}
 }

@@ -107,3 +107,7 @@ func NextMove(ns ...*Node) (wait func(deadline time.Time) bool) {
 // MaxBatchShare is the router's cap on the items of one forwarded batch
 // share.
 var MaxBatchShare = maxBatchShare
+
+// ChunkCaps returns the caps on the tuples of one forwarded upload leg
+// and of one catch-up chunk.
+func ChunkCaps() (ingest, catchup int) { return maxIngestChunk, maxCatchupChunk }

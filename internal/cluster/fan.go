@@ -33,10 +33,12 @@ type fan struct {
 	out     []wire.BatchQueryItem
 	pol     tuple.Pollutant // ingestLeg's
 	groups  [][]tuple.Raw
-	tally   *ingestTally
+	tally   *ingestTally // own, or the tally of the fan a re-split came from
+	own     ingestTally
 	unacked atomic.Bool  // some chunk was not answered IngestResponse
 	req     wire.Message // scatterLeg's
 	legs    []leg
+	grids   []wire.HeatmapResponse // scatterHeatmap's leg rasters, by node
 }
 
 var fans = sync.Pool{New: func() any { return new(fan) }}
@@ -70,7 +72,8 @@ func (f *fan) spread() {
 func (f *fan) free() {
 	clear(f.legs)
 	clear(f.groups)
-	*f = fan{owners: f.owners[:0], legs: f.legs[:0], groups: f.groups[:0]}
+	clear(f.grids)
+	*f = fan{owners: f.owners[:0], legs: f.legs[:0], groups: f.groups[:0], grids: f.grids[:0]}
 	fans.Put(f)
 }
 

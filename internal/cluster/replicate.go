@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/proto"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -89,8 +88,8 @@ const (
 )
 
 // maxCatchupChunk bounds one catch-up chunk so the response fits a
-// proto frame (a ReplicaCatchupResponse is 14 + 32*tuples bytes).
-var maxCatchupChunk = (proto.MaxFrameBytes - 64) / 32
+// proto frame whatever its tuples (wire.MaxFrameTuples).
+var maxCatchupChunk = maxIngestChunk
 
 // ReplicationConfig configures a node's replication role.
 type ReplicationConfig struct {

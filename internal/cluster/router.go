@@ -31,9 +31,10 @@ const (
 	// single-node engine a larger TCP one, with ErrTooLarge before
 	// rendering it.
 	MaxHeatmapCells = (proto.MaxFrameBytes - 64) * 2 / 17
-	// maxIngestChunk bounds one forwarded ingest frame: an
-	// IngestRequest is 6 + 32*tuples bytes.
-	maxIngestChunk = (proto.MaxFrameBytes - 64) / 32
+	// maxIngestChunk bounds one forwarded ingest frame: as many tuples as
+	// a decoder accepts in one frame, which fit it packed however
+	// incompressible they are.
+	maxIngestChunk = wire.MaxFrameTuples
 )
 
 // maxBatchShare bounds the items of one forwarded batch share: the most
@@ -803,8 +804,10 @@ func (n *Node) routeIngest(ctx context.Context, m wire.IngestRequest) wire.Messa
 	if len(m.Tuples) == 0 {
 		return WireError(fmt.Errorf("%w: empty upload", ingest.ErrInvalidBatch))
 	}
-	var tally ingestTally
-	n.ingestInto(ctx, n.Ring(), m.Pollutant, m.Tuples, &tally, true)
+	f := n.newFan(ctx, n.Ring(), (*fan).ingestLeg)
+	defer f.free()
+	tally := &f.own
+	f.ingest(m.Pollutant, m.Tuples, tally, true)
 	switch {
 	case len(tally.errs) == 0:
 		return wire.IngestResponse{Ingested: tally.applied}
@@ -842,7 +845,7 @@ func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
 	}
 }
 
-// ingestInto splits tuples by shard owner under ring and applies every
+// ingest splits tuples by shard owner under f's ring and applies every
 // slice on its owner concurrently, accumulating applied counts and
 // slice errors in tally. retry allows each fenced chunk one re-split
 // of the slice's unapplied remainder under a refreshed ring — the
@@ -851,12 +854,10 @@ func (t *ingestTally) fail(tuples int, code wire.ErrCode, msg string) {
 // was acknowledged: a chunk answered otherwise may still sit in the local
 // engine's ingest queue (its wait was abandoned), which reads it later,
 // so then the split stays with the garbage collector.
-func (n *Node) ingestInto(ctx context.Context, ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
-	f := n.newFan(ctx, ring, (*fan).ingestLeg)
-	defer f.free()
+func (f *fan) ingest(pol tuple.Pollutant, tuples []tuple.Raw, tally *ingestTally, retry bool) {
 	f.pol, f.tally, f.retry = pol, tally, retry
 	var backing []tuple.Raw
-	f.groups, backing = splitByOwner(ring, pol, tuples, f.groups)
+	f.groups, backing = splitByOwner(f.ring, pol, tuples, f.groups)
 	for owner, slice := range f.groups {
 		if len(slice) > 0 {
 			f.owners = append(f.owners, owner)
@@ -881,7 +882,9 @@ func (f *fan) ingestLeg(owner int) {
 		}
 		if f.retry && responseCode(resp) == wire.CodeStaleEpoch {
 			if fresh := f.n.refreshRingFrom(owner, f.ring); fresh != nil {
-				f.n.ingestInto(f.ctx, fresh, f.pol, slice[start:], f.tally, false)
+				re := f.n.newFan(f.ctx, fresh, (*fan).ingestLeg)
+				re.ingest(f.pol, slice[start:], f.tally, false)
+				re.free()
 				return
 			}
 		}
@@ -1011,15 +1014,16 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 	defer f.free()
 	legs := f.legs
 	part := n.scatterFailover(ring, legs, m.Pollutant, m)
-	byNode := make([]*wire.HeatmapResponse, ring.Nodes())
+	byNode := slices.Grow(f.grids[:0], len(legs))[:len(legs)]
+	f.grids = byNode
 	var any bool
 	union := geo.Rect{}
 	for i, l := range legs {
 		hr, ok := l.resp.(wire.HeatmapResponse)
-		if !ok {
+		if !ok || len(hr.Values) == 0 {
 			continue
 		}
-		byNode[i] = &hr
+		byNode[i] = hr
 		if !any {
 			union, any = hr.Region, true
 		} else {
@@ -1044,8 +1048,8 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		y := union.Min.Y + (float64(j)+0.5)*dy
 		for i := 0; i < int(m.Cols); i++ {
 			p := geo.Point{X: union.Min.X + (float64(i)+0.5)*dx, Y: y}
-			src := byNode[ring.Owner(m.Pollutant, p)]
-			if src == nil {
+			src := &byNode[ring.Owner(m.Pollutant, p)]
+			if src.Values == nil {
 				src = nearestGrid(byNode, p)
 			}
 			out.Values[j*int(m.Cols)+i] = sampleGrid(src, p)
@@ -1159,12 +1163,14 @@ func (n *Node) scatterFailover(ring *Ring, legs []leg, pol tuple.Pollutant, m wi
 	return part
 }
 
-// nearestGrid picks the available response whose region is closest to p.
-func nearestGrid(byNode []*wire.HeatmapResponse, p geo.Point) *wire.HeatmapResponse {
+// nearestGrid picks the available response — one with values — whose
+// region is closest to p.
+func nearestGrid(byNode []wire.HeatmapResponse, p geo.Point) *wire.HeatmapResponse {
 	var best *wire.HeatmapResponse
 	bestD := 0.0
-	for _, hr := range byNode {
-		if hr == nil {
+	for i := range byNode {
+		hr := &byNode[i]
+		if hr.Values == nil {
 			continue
 		}
 		d := hr.Region.DistToPoint(p)

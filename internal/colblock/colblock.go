@@ -226,7 +226,8 @@ func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 // from its base and what followed, one block's four float columns, the
 // keys of the column being written, the block or seed record under
 // construction (or being carried over) and the directory. A checkpoint of
-// n tuples allocated ≈ 164 n bytes without it.
+// n tuples allocated ≈ 164 n bytes without it. Pack and PackExact borrow
+// its columns, and PackExact its block, for one packed run.
 type encoder struct {
 	windows        []WindowData
 	merged         tuple.Batch
@@ -235,8 +236,8 @@ type encoder struct {
 	blk, dir       []byte
 }
 
-// encoders lends scratch to concurrent Encode calls (one store per
-// pollutant checkpoints on its own) and lets the collector take it back
+// encoders lends scratch to concurrent Encode and Pack calls (one store
+// per pollutant checkpoints on its own) and lets the collector take it back
 // between checkpoints, so an idle server does not hold it.
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 

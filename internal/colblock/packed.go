@@ -16,18 +16,43 @@ import (
 // It is as lossless as a block — every float64 comes back bit for bit —
 // and on a sensor fleet's stream it takes about 23 B a tuple instead of
 // tuple.Raw's 32 (TestPackedBytesPerTupleLausanne). A replication log
-// keeps its full chunks this way.
+// keeps its full chunks this way, and every wire frame that carries
+// tuples carries them as one packed run.
 
 // Pack appends tuples to dst as one packed run and returns the extended
 // slice. It allocates only when dst must grow.
 func Pack(dst []byte, tuples []tuple.Raw) []byte {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	return e.pack(dst, tuples)
+}
+
+// PackExact returns prefix zero bytes followed by tuples as one packed
+// run, in an array of exactly that size: the run is packed in the
+// encoder's pooled scratch and copied in behind the prefix, so the array
+// is the call's one allocation. A wire frame's fixed fields go in the
+// prefix.
+func PackExact(prefix int, tuples []tuple.Raw) []byte {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.blk = e.pack(e.blk[:0], tuples)
+	out := make([]byte, prefix+len(e.blk))
+	copy(out[prefix:], e.blk)
+	return out
+}
+
+// MaxPackedLen is the largest packed run of n tuples: the count, and
+// four columns of a 12-byte header and at most 8 bytes a value, which a
+// column of values with no common scale and no shared high bits takes —
+// 52 + 32n bytes.
+func MaxPackedLen(n int) int { return 4 + 4*(4+8) + 4*8*n }
+
+func (e *encoder) pack(dst []byte, tuples []tuple.Raw) []byte {
 	n := len(tuples)
 	dst = appendU32(dst, uint32(n))
 	if n == 0 {
 		return dst
 	}
-	e := encoders.Get().(*encoder)
-	defer encoders.Put(e)
 	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
 	e.keys = sized(e.keys, n)
 	for i, r := range tuples {

@@ -3,6 +3,7 @@ package colblock
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/tuple"
@@ -45,6 +46,31 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 	if want := Pack(nil, edgeWindow); string(run[len(prefix):]) != string(want) {
 		t.Fatal("a run appended to dst differs from the same run packed alone")
+	}
+}
+
+// TestPackExact: PackExact is the prefix's zero bytes and then Pack's run,
+// in an array of exactly that size, and no run is longer than
+// MaxPackedLen — which random bit patterns, which no column packs, reach.
+func TestPackExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]tuple.Raw, 300)
+	for i := range random {
+		random[i] = tuple.Raw{T: math.Float64frombits(rng.Uint64()), X: math.Float64frombits(rng.Uint64()),
+			Y: math.Float64frombits(rng.Uint64()), S: math.Float64frombits(rng.Uint64())}
+	}
+	for _, b := range [][]tuple.Raw{nil, edgeWindow, lausanneWindows()[8].Tuples, random} {
+		run := Pack(nil, b)
+		got := PackExact(7, b)
+		if cap(got) != len(got) || string(got[:7]) != string(make([]byte, 7)) || string(got[7:]) != string(run) {
+			t.Errorf("PackExact(7) of %d tuples = %d bytes in %d, want 7 zeros and the %d-byte run", len(b), len(got), cap(got), len(run))
+		}
+		if len(run) > MaxPackedLen(len(b)) {
+			t.Errorf("a run of %d tuples takes %d bytes, over MaxPackedLen %d", len(b), len(run), MaxPackedLen(len(b)))
+		}
+	}
+	if got, worst := len(Pack(nil, random)), MaxPackedLen(len(random)); got < worst-8 {
+		t.Errorf("random bits pack to %d bytes, far under the worst case %d it is meant to reach", got, worst)
 	}
 }
 

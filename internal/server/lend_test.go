@@ -720,7 +720,7 @@ func TestWireBatchAllocs(t *testing.T) {
 // TCP with every raster lent — the three renders, the two peer legs node 0
 // decodes (recycled once merged) and the merge — so what its nodes
 // allocate is a few small objects, not the two 32 KiB peer rasters they
-// once decoded into new memory.
+// once decoded into new memory; and few of them, counted.
 func TestTCPClusterHeatmapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -736,6 +736,14 @@ func TestTCPClusterHeatmapAllocs(t *testing.T) {
 	t.Logf("clustered 64x64 TCP heatmap = %d B/op over the three nodes", b)
 	if b > 4<<10 {
 		t.Errorf("clustered 64x64 TCP heatmap = %d B/op over the three nodes, want ≤ 4 KiB", b)
+	}
+	// Node 0 merges the legs' rasters from its pooled fan: a leg's answer
+	// moved to the heap, and a per-heatmap table of them, cost ≈ 4 more.
+	const ceiling = 16 // ≈ 15, and room for a background allocation
+	allocs := allocsPerOp(func() { raw.exchange(t) })
+	t.Logf("clustered 64x64 TCP heatmap = %.2f allocs over the three nodes", allocs)
+	if allocs > ceiling {
+		t.Errorf("clustered 64x64 TCP heatmap = %.2f allocs over the three nodes, want ≤ %d", allocs, ceiling)
 	}
 }
 

@@ -130,13 +130,17 @@ func TestAppendEncodeReusesItsBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%T: AppendEncode into a warm buffer = %v allocs, want 0", m, allocs)
+		ceiling := 0.0
+		if _, packed := m.(Forwarded); packed {
+			ceiling = racePackAllocs
+		}
+		if allocs > ceiling {
+			t.Errorf("%T: AppendEncode into a warm buffer = %v allocs, want ≤ %v", m, allocs, ceiling)
 		}
 	}
 }
 
-// benchIngest is the benchmark's upload: 256 tuples, 8 KiB.
+// benchIngest is a 256-tuple upload (8 KiB of tuples).
 func benchIngest() IngestRequest {
 	m := IngestRequest{Pollutant: tuple.CO, Tuples: make([]tuple.Raw, 256)}
 	for i := range m.Tuples {

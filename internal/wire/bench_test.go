@@ -41,3 +41,34 @@ func BenchmarkBinaryDecodeModelResponse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUploadCodec256 is a gateway's upload on the wire: 256 of the
+// benchmark fleet's tuples, encoded into a reused buffer (the sender's
+// side) and decoded into lent tuples (the receiver's).
+func BenchmarkUploadCodec256(b *testing.B) {
+	var m Message = IngestRequest{Pollutant: 1, Tuples: fleetStream()[256:512]}
+	frame, err := Binary.Encode(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, KeepBytes)
+		b.ReportAllocs()
+		for b.Loop() {
+			if buf, err = Binary.AppendEncode(buf[:0], m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(frame)), "frame_B")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			dec, err := Binary.DecodeLent(frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			Recycle(dec, IngestResponse{})
+		}
+	})
+}

@@ -20,12 +20,13 @@ const (
 	TypeRingRequest MsgType = iota + 8
 	// TypeRingResponse carries the ring description.
 	TypeRingResponse
-	// TypeIngestRequest ships a batch of raw tuples for one pollutant.
-	TypeIngestRequest
+	// Tag 10 is retired (it was IngestRequest with every tuple as four raw
+	// IEEE words; an upload now travels packed under tag 33).
+
 	// TypeIngestResponse acknowledges an applied ingest.
-	TypeIngestResponse
+	TypeIngestResponse MsgType = 11
 	// TypeHeatmapRequest asks for a rasterized cover.
-	TypeHeatmapRequest
+	TypeHeatmapRequest MsgType = 12
 	// Tag 13 is retired (it was HeatmapResponse with its values as raw
 	// IEEE words; the raster now travels predictively coded under tag 29),
 	// and so are tag 14 (it was NotOwnerResponse) and tag 15 (it was
@@ -39,6 +40,9 @@ const (
 	// TypeForwarded wraps a request forwarded by a router so the owner
 	// answers locally instead of re-forwarding.
 	TypeForwarded MsgType = 32
+	// TypeIngestRequest ships a batch of tuples for one pollutant, packed
+	// (tuples.go).
+	TypeIngestRequest MsgType = 33
 )
 
 // RingRequest asks a node for the cluster ring — how a peer refreshes
@@ -69,9 +73,10 @@ type RingResponse struct {
 // Type implements Message.
 func (RingResponse) Type() MsgType { return TypeRingResponse }
 
-// IngestRequest ships a batch of raw tuples for one pollutant — the wire
+// IngestRequest ships a batch of tuples for one pollutant — the wire
 // form of the upload a sensing bus performs, and the frame a router uses
-// to forward each owner its slice of a mixed upload.
+// to forward each owner its slice of a mixed upload. The tuples travel as
+// one packed run behind the pollutant (tuples.go).
 type IngestRequest struct {
 	Pollutant tuple.Pollutant `json:"pollutant"`
 	Tuples    []tuple.Raw     `json:"tuples"`
@@ -172,14 +177,12 @@ func appendCluster(dst []byte, head int, m Message) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[off+4:], v.Epoch)
 		return out, nil
 	case IngestRequest:
-		if len(v.Tuples) > math.MaxUint32 {
-			return dst, fmt.Errorf("wire: ingest too large (%d tuples)", len(v.Tuples))
+		out, buf, err := appendRun(dst, head, 1+1, v.Tuples)
+		if err != nil {
+			return dst, err
 		}
-		out, buf := grow(dst, head, 1+1+4+32*len(v.Tuples))
 		buf[0] = byte(TypeIngestRequest)
 		buf[1] = byte(v.Pollutant)
-		binary.LittleEndian.PutUint32(buf[2:], uint32(len(v.Tuples)))
-		putRaws(buf[6:], v.Tuples)
 		return out, nil
 	case IngestResponse:
 		out, buf := grow(dst, head, 1+4)
@@ -269,17 +272,14 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		m.Epoch = binary.LittleEndian.Uint64(data[off+4:])
 		return m, nil
 	case TypeIngestRequest:
-		if len(data) < 6 {
+		if len(data) < 2 {
 			return nil, fmt.Errorf("%w: IngestRequest header", ErrMalformed)
 		}
-		count := int(binary.LittleEndian.Uint32(data[2:]))
-		if len(data) != 6+32*count {
-			return nil, fmt.Errorf("%w: IngestRequest length %d for %d tuples", ErrMalformed, len(data), count)
+		tuples, err := decodeRun(data[2:], "IngestRequest", lend)
+		if err != nil {
+			return nil, err
 		}
-		return IngestRequest{
-			Pollutant: tuple.Pollutant(data[1]),
-			Tuples:    getRaws(alloc(&raws, count, lend), data[6:]),
-		}, nil
+		return IngestRequest{Pollutant: tuple.Pollutant(data[1]), Tuples: tuples}, nil
 	case TypeIngestResponse:
 		if len(data) != 5 {
 			return nil, fmt.Errorf("%w: IngestResponse length %d", ErrMalformed, len(data))

@@ -23,7 +23,8 @@ import (
 // field-equal response, or fail to convert with an error. Seeds
 // are the round-trip suite's message shapes plus the removed pre-v1
 // untagged layouts and the frames that left a zero field out (now
-// malformed), the retired tags' frames (now unknown) and mutations.
+// malformed), the retired tags' frames (now unknown), the packed tuple
+// frames and mutations.
 func FuzzWireDecode(f *testing.F) {
 	add := func(m Message) {
 		enc, err := Binary.Encode(m)
@@ -144,6 +145,34 @@ func FuzzWireDecode(f *testing.F) {
 	putF64(rawRaster[45:], 1)
 	putF64(rawRaster[53:], 2)
 	f.Add(rawRaster)
+	// The packed tuple frames (tags 33, 34 and 35): runs of both
+	// encodings — fixed-point columns, IEEE columns for the bit patterns
+	// only IEEE bits carry — empty runs, a run of width-0 columns that
+	// declares more tuples than a frame may hold, and a cut one.
+	special := []tuple.Raw{
+		{T: math.NaN(), X: math.Copysign(0, -1), Y: math.Inf(1), S: math.Float64frombits(1)},
+		{T: 3600.5, X: -1200.25, Y: 800, S: 421.5},
+	}
+	add(IngestRequest{Pollutant: 2, Tuples: special})
+	add(IngestRequest{Pollutant: 1})
+	add(ReplicaIngest{Origin: 3, Pollutant: 1, Seq: 1 << 40, Tuples: special, Incarnation: 5})
+	add(ReplicaCatchupResponse{Snapshot: true, Done: true, From: 9, Tuples: special, Incarnation: 5})
+	add(ReplicaCatchupResponse{Done: true, From: 9})
+	equal, _ := Binary.Encode(IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 7, X: 7, Y: 7, S: 7}, {T: 7, X: 7, Y: 7, S: 7}}})
+	huge := bytes.Clone(equal)
+	huge[2], huge[3], huge[4], huge[5] = 0xFF, 0xFF, 0xFF, 0xFF
+	f.Add(huge)
+	f.Add(equal[:len(equal)-3])
+	// The retired raw tuple frames: IngestRequest (10), ReplicaIngest (21)
+	// and ReplicaCatchupResponse (23), each of one tuple.
+	rawTuple := func(head ...byte) []byte {
+		b := append(head, make([]byte, 32)...)
+		putF64(b[len(head):], 1)
+		return b
+	}
+	f.Add(rawTuple(10, 1, 1, 0, 0, 0))
+	f.Add(rawTuple(21, 1, 0, 2, 41, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0))
+	f.Add(rawTuple(23, 2, 12, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0))
 	// Lent request bodies inside the routing wrappers.
 	add(Forwarded{Inner: IngestRequest{Pollutant: 1, Tuples: []tuple.Raw{{T: 1, X: 2, Y: 3, S: 4}}}, Epoch: 2})
 	add(ReplicaRead{Origin: 1, Inner: BatchQueryRequest{Items: []QueryRequest{{T: 1, X: 2, Y: 3}}}})

@@ -61,13 +61,15 @@ func goldenMessages() []Message {
 // coded raster's tag-29 frame: the fixed-width tag-6, tag-7 and tag-13
 // frames that stood here are now retired, and so are the tag-19 and
 // tag-20 unsubscribe frames (TestRetiredTagsDecodeAsUnknown).
-// Ten more carry every field of their one layout where the captured frame
+// Seven more carry every field of their one layout where the captured frame
 // left a field out at its zero value: the ErrorResponse its code byte, the
 // two RingResponses and the RingUpdate's ring their replica count and
-// epoch, the ReplicaIngest, the two ReplicaCatchupResponses and the
-// ShardTransfer their incarnation, and the two Forwarded frames their
-// epoch under tag 32 (TestShortVariantsRefused holds the frames they
-// replace).
+// epoch, the ShardTransfer its incarnation, and the two Forwarded frames
+// their epoch under tag 32 (TestShortVariantsRefused holds the frames they
+// replace). The four tuple frames — the IngestRequest, the ReplicaIngest
+// and the two ReplicaCatchupResponses — carry their tuples as one packed
+// run under tags 33, 34 and 35, behind every fixed field (the incarnation
+// included); their raw tag-10, tag-21 and tag-23 frames are retired.
 var goldenFrames = []string{
 	"010000000000005e400000000000000c400000000000001cc001",
 	"020000000000547a40",
@@ -79,7 +81,7 @@ var goldenFrames = []string{
 	"08",
 	"0903000300613a310300623a320300633a330100000000000000f03f0000000000000040080002000000000000000000",
 	"0902000300613a3100000100000000000000f03f0000000000000040080000000500000000000000",
-	"0a0101000000000000000000f03f000000000000004000000000000008400000000000001040",
+	"210101000000020000000100000000000000020000000200000000000000020000000300000000000000020000000400000000000000",
 	"0b07000000",
 	"0c0000000000004e40020400040000",
 	"0c0000000000004e40000200030001000000000000f0bf00000000000000c000000000000008400000000000001040",
@@ -90,9 +92,9 @@ var goldenFrames = []string{
 	"1109000000000000000200",
 	"120900000000000000030000000000000000000002000000000000000000407a4001000108006e6f20636f766572",
 	"12090000000000000004000000000000000111006f776e657220756e726561636861626c650100000000000000000000f03f",
-	"15010002290000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
-	"17020c0000000000000001000000000000000000144000000000000018400000000000001c4000000000000020400000000000000000",
-	"1701000000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
+	"220100022900000000000000000000000000000001000000020000000100000000000000020000000200000000000000020000000300000000000000020000000400000000000000",
+	"23020c00000000000000000000000000000001000000020000000500000000000000020000000600000000000000020000000700000000000000020000000800000000000000",
+	"23010000000000000000000000000000000001000000020000000100000000000000020000000200000000000000020000000300000000000000020000000400000000000000",
 	"18020001000000000000f03f0000000000000040000000000000084001",
 	"190b006a6f696e65723a38303831",
 	"1a010903000300613a310300623a320300633a330100000000000000f03f0000000000000040080002000000000000000000",
@@ -132,13 +134,15 @@ func TestUncodedFramesMatchParentGolden(t *testing.T) {
 }
 
 // TestRetiredTagsDecodeAsUnknown: tags 6 and 7 (BatchQueryRequest and
-// BatchQueryResponse with fixed-width fields), 13 (HeatmapResponse with
-// raw IEEE values), 14 (NotOwnerResponse), 15 (Forwarded with its epoch
-// behind a marker byte), 19 and 20 (UnsubscribeRequest and
-// UnsubscribeResponse) and 22 (ReplicaCatchupRequest) are retired, so
-// the last frames a node ever wrote with them — bare and with their full
-// payloads — decode as an unknown message, never as something else that
-// took the tag.
+// BatchQueryResponse with fixed-width fields), 10, 21 and 23
+// (IngestRequest, ReplicaIngest and ReplicaCatchupResponse with raw
+// tuples), 13 (HeatmapResponse with raw IEEE values), 14
+// (NotOwnerResponse), 15 (Forwarded with its epoch behind a marker byte),
+// 19 and 20 (UnsubscribeRequest and UnsubscribeResponse) and 22
+// (ReplicaCatchupRequest) are retired, so the last frames a node ever
+// wrote with them — bare and with their full payloads, and the replica
+// frames also as they were before they carried an incarnation — decode as
+// an unknown message, never as something else that took the tag.
 func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 	for _, frame := range []string{
 		"06", "060200000000000000f03f000000000000004000000000000008400000000000000010400000000000001440000000000000184002",
@@ -150,6 +154,12 @@ func TestRetiredTagsDecodeAsUnknown(t *testing.T) {
 		"13", "130900000000000000",
 		"14", "1401",
 		"16", "16010c00000000000000",
+		"0a", "0a0101000000000000000000f03f000000000000004000000000000008400000000000001040",
+		"15", "15010002290000000000000001000000000000000000f03f0000000000000040000000000000084000000000000010400000000000000000",
+		"15010002290000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
+		"17", "17020c0000000000000001000000000000000000144000000000000018400000000000001c4000000000000020400000000000000000",
+		"17020c0000000000000001000000000000000000144000000000000018400000000000001c400000000000002040",
+		"1701000000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040",
 	} {
 		data, err := hex.DecodeString(frame)
 		if err != nil {
@@ -248,9 +258,6 @@ func TestShortVariantsRefused(t *testing.T) {
 		{"0903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200", "RingResponse without its epoch"},
 		{"0902000300613a3100000100000000000000f03f000000000000004008000500000000000000", "RingResponse without its replicas"},
 		{"1a010903000300613a310300623a320300633a330100000000000000f03f000000000000004008000200", "RingUpdate of a ring without its epoch"},
-		{"15010002290000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040", "ReplicaIngest without its incarnation"},
-		{"17020c0000000000000001000000000000000000144000000000000018400000000000001c400000000000002040", "ReplicaCatchupResponse without its incarnation"},
-		{"1701000000000000000001000000000000000000f03f000000000000004000000000000008400000000000001040", "snapshot ReplicaCatchupResponse without its incarnation"},
 		{"1b0100026300000000000000", "ShardTransfer without its incarnation"},
 	} {
 		data, err := hex.DecodeString(c.frame)

@@ -9,29 +9,32 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/tuple"
 )
 
 // Replication message type tags.
 const (
-	// TypeReplicaIngest streams one committed ingest slice from a shard
-	// primary to a replica, carrying the slice's replication sequence.
-	TypeReplicaIngest MsgType = iota + 21
-	// Tag 22 is retired (it was ReplicaCatchupRequest; a replica now
-	// catches up with a ShardTransfer): a frame carrying it decodes as
-	// unknown, and no message may take it again.
+	// Tags 21 and 23 are retired (they were ReplicaIngest and
+	// ReplicaCatchupResponse with every tuple as four raw IEEE words; they
+	// now travel packed under tags 34 and 35), and so is tag 22 (it was
+	// ReplicaCatchupRequest; a replica now catches up with a
+	// ShardTransfer): a frame carrying any of them decodes as unknown, and
+	// no message may take them again.
 
-	// TypeReplicaCatchupResponse carries one chunk of a replication
-	// stream, the answer to a ShardTransfer: a suffix of the log, or
-	// (Snapshot) the start of a full retained-state reset when the puller
-	// is behind the log.
-	TypeReplicaCatchupResponse MsgType = 23
 	// TypeReplicaRead asks a node to answer the inner request from its
 	// mirror of another node — the failover read path when that node
 	// (the shard's primary) is unreachable.
 	TypeReplicaRead MsgType = 24
+	// TypeReplicaIngest streams one committed ingest slice from a shard
+	// primary to a replica, carrying the slice's replication sequence;
+	// its tuples are packed (tuples.go).
+	TypeReplicaIngest MsgType = 34
+	// TypeReplicaCatchupResponse carries one chunk of a replication
+	// stream, the answer to a ShardTransfer: a suffix of the log, or
+	// (Snapshot) the start of a full retained-state reset when the puller
+	// is behind the log. Its tuples are packed (tuples.go).
+	TypeReplicaCatchupResponse MsgType = 35
 )
 
 // ReplicaIngest is a primary streaming one committed ingest slice to a
@@ -89,52 +92,25 @@ type ReplicaRead struct {
 // Type implements Message.
 func (ReplicaRead) Type() MsgType { return TypeReplicaRead }
 
-// putRaws serializes tuples at buf (32 bytes each).
-func putRaws(buf []byte, tuples []tuple.Raw) {
-	off := 0
-	for _, r := range tuples {
-		putF64(buf[off:], r.T)
-		putF64(buf[off+8:], r.X)
-		putF64(buf[off+16:], r.Y)
-		putF64(buf[off+24:], r.S)
-		off += 32
-	}
-}
-
-// getRaws parses len(dst) tuples at buf into dst and returns it.
-func getRaws(dst []tuple.Raw, buf []byte) []tuple.Raw {
-	off := 0
-	for i := range dst {
-		dst[i] = tuple.Raw{
-			T: getF64(buf[off:]), X: getF64(buf[off+8:]),
-			Y: getF64(buf[off+16:]), S: getF64(buf[off+24:]),
-		}
-		off += 32
-	}
-	return dst
-}
-
 // appendReplica serializes the replication messages (binary codec).
 func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case ReplicaIngest:
-		if len(v.Tuples) > math.MaxUint32 {
-			return dst, fmt.Errorf("wire: replica ingest too large (%d tuples)", len(v.Tuples))
+		out, buf, err := appendRun(dst, head, 1+2+1+8+8, v.Tuples)
+		if err != nil {
+			return dst, err
 		}
-		out, buf := grow(dst, head, 1+2+1+8+4+32*len(v.Tuples)+8)
 		buf[0] = byte(TypeReplicaIngest)
 		binary.LittleEndian.PutUint16(buf[1:], v.Origin)
 		buf[3] = byte(v.Pollutant)
 		binary.LittleEndian.PutUint64(buf[4:], v.Seq)
-		binary.LittleEndian.PutUint32(buf[12:], uint32(len(v.Tuples)))
-		putRaws(buf[16:], v.Tuples)
-		binary.LittleEndian.PutUint64(buf[16+32*len(v.Tuples):], v.Incarnation)
+		binary.LittleEndian.PutUint64(buf[12:], v.Incarnation)
 		return out, nil
 	case ReplicaCatchupResponse:
-		if len(v.Tuples) > math.MaxUint32 {
-			return dst, fmt.Errorf("wire: catch-up chunk too large (%d tuples)", len(v.Tuples))
+		out, buf, err := appendRun(dst, head, 1+1+8+8, v.Tuples)
+		if err != nil {
+			return dst, err
 		}
-		out, buf := grow(dst, head, 1+1+8+4+32*len(v.Tuples)+8)
 		buf[0] = byte(TypeReplicaCatchupResponse)
 		if v.Snapshot {
 			buf[1] |= 1
@@ -143,9 +119,7 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 			buf[1] |= 2
 		}
 		binary.LittleEndian.PutUint64(buf[2:], v.From)
-		binary.LittleEndian.PutUint32(buf[10:], uint32(len(v.Tuples)))
-		putRaws(buf[14:], v.Tuples)
-		binary.LittleEndian.PutUint64(buf[14+32*len(v.Tuples):], v.Incarnation)
+		binary.LittleEndian.PutUint64(buf[10:], v.Incarnation)
 		return out, nil
 	case ReplicaRead:
 		if v.Inner == nil {
@@ -172,37 +146,38 @@ func appendReplica(dst []byte, head int, m Message) ([]byte, error) {
 func decodeReplica(data []byte, lend bool) (Message, error) {
 	switch MsgType(data[0]) {
 	case TypeReplicaIngest:
-		if len(data) < 16 {
+		if len(data) < 20 {
 			return nil, fmt.Errorf("%w: ReplicaIngest header", ErrMalformed)
 		}
-		count := int(binary.LittleEndian.Uint32(data[12:]))
-		if len(data) != 16+32*count+8 {
-			return nil, fmt.Errorf("%w: ReplicaIngest length %d for %d tuples", ErrMalformed, len(data), count)
+		tuples, err := decodeRun(data[20:], "ReplicaIngest", lend)
+		if err != nil {
+			return nil, err
 		}
 		return ReplicaIngest{
 			Origin:      binary.LittleEndian.Uint16(data[1:]),
 			Pollutant:   tuple.Pollutant(data[3]),
 			Seq:         binary.LittleEndian.Uint64(data[4:]),
-			Tuples:      getRaws(alloc(&raws, count, lend), data[16:]),
-			Incarnation: binary.LittleEndian.Uint64(data[16+32*count:]),
+			Incarnation: binary.LittleEndian.Uint64(data[12:]),
+			Tuples:      tuples,
 		}, nil
 	case TypeReplicaCatchupResponse:
-		if len(data) < 14 {
+		if len(data) < 18 {
 			return nil, fmt.Errorf("%w: ReplicaCatchupResponse header", ErrMalformed)
 		}
 		if data[1] > 3 {
 			return nil, fmt.Errorf("%w: ReplicaCatchupResponse flags %d", ErrMalformed, data[1])
 		}
-		count := int(binary.LittleEndian.Uint32(data[10:]))
-		if len(data) != 14+32*count+8 {
-			return nil, fmt.Errorf("%w: ReplicaCatchupResponse length %d for %d tuples", ErrMalformed, len(data), count)
+		// A catch-up chunk is kept by the puller, never lent.
+		tuples, err := decodeRun(data[18:], "ReplicaCatchupResponse", false)
+		if err != nil {
+			return nil, err
 		}
 		return ReplicaCatchupResponse{
 			Snapshot:    data[1]&1 != 0,
 			Done:        data[1]&2 != 0,
 			From:        binary.LittleEndian.Uint64(data[2:]),
-			Tuples:      getRaws(make([]tuple.Raw, count), data[14:]),
-			Incarnation: binary.LittleEndian.Uint64(data[14+32*count:]),
+			Incarnation: binary.LittleEndian.Uint64(data[10:]),
+			Tuples:      tuples,
 		}, nil
 	case TypeReplicaRead:
 		if len(data) < 4 {

@@ -52,15 +52,17 @@ func TestReplicaMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIncarnationGolden pins where an incarnation travels: the last 8
-// bytes of the frame, which decodes back to the message.
+// TestIncarnationGolden pins where an incarnation travels: the last of a
+// tuple frame's fixed fields, before its packed run (here an empty one,
+// its count alone), and the last 8 bytes of a ShardTransfer; each frame
+// decodes back to the message.
 func TestIncarnationGolden(t *testing.T) {
 	for _, g := range []struct {
 		m    Message
 		want string
 	}{
-		{ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "150100022900000000000000000000000000000000000010"},
-		{ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "17020c00000000000000000000000000000000000010"},
+		{ReplicaIngest{Origin: 1, Pollutant: tuple.PM, Seq: 41, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "220100022900000000000000000000000000001000000000"},
+		{ReplicaCatchupResponse{From: 12, Done: true, Tuples: []tuple.Raw{}, Incarnation: 1 << 60}, "23020c00000000000000000000000000001000000000"},
 		{ShardTransfer{Origin: 1, Pollutant: tuple.PM, Have: 99, Incarnation: 1 << 60}, "1b01000263000000000000000000000000000010"},
 	} {
 		got, err := Binary.Encode(g.m)

@@ -12,9 +12,11 @@
 // Every message has exactly one layout, and every field of it always
 // travels. There is no version negotiation: the nodes of a ring and the
 // clients that talk to them run the same protocol. A frame whose length
-// does not fit its tag's layout is refused, and a retired tag — 6, 7, 13,
-// 14, 15, 19, 20 or 22 — decodes as ErrUnknown, so no frame is read as
-// something it was not.
+// does not fit its tag's layout is refused, and a retired tag — 6, 7, 10,
+// 13, 14, 15, 19, 20, 21, 22 or 23 — decodes as ErrUnknown, so no frame is
+// read as something it was not. Tuples have one layout on every hop: an
+// upload, a forwarded upload leg and a replica frame carry them as one
+// packed run, the column coding of a checkpoint block (tuples.go).
 //
 // Binary.AppendEncode is the one encoder: it appends a message to a buffer
 // the caller owns (a connection's write buffer, behind the frame's length
@@ -215,7 +217,8 @@ var (
 
 // Binary is the wire codec: a 1-byte type tag followed by little-endian
 // fields, fixed-width but for the bulk of a route batch and a raster,
-// which are residual-coded (residual.go).
+// which are residual-coded (residual.go), and a frame's tuples, which are
+// packed (tuples.go).
 var Binary binaryCodec
 
 type binaryCodec struct{}
@@ -226,7 +229,9 @@ func (c binaryCodec) Encode(m Message) ([]byte, error) { return c.AppendEncode(n
 // AppendEncode appends m's encoding to dst and returns the extended slice
 // — the one encoder; a connection that answers request after request hands
 // it the same buffer each time. dst grows at most once per call, by exactly
-// what is missing when it is nil; on error it is returned as it came.
+// what is missing when it is nil (by a tuple frame's worst case otherwise,
+// since its packed size is known only once packed); on error it is
+// returned as it came.
 func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return appendMsg(dst, 0, m)
 }
