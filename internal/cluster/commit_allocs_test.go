@@ -80,7 +80,10 @@ func commitNode(tb testing.TB, cells int) (commit func()) {
 // up the peers it streams to in its ring's table, so what a commit
 // allocates does not depend on how many cells the ring has. On one P the
 // stream workers run only while the commit waits for them, so every
-// commit reuses the lent copy the last one gave back.
+// commit reuses the lent copy the last one gave back, and the pooled
+// holder that shares it between the workers. What is left is the local
+// engine's answer, boxed, and the commit's share of a packed chunk of the
+// replication log, which holds the stub engine's runs by value.
 func TestReplicatedCommitAllocsIndependentOfCells(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -93,6 +96,10 @@ func TestReplicatedCommitAllocsIndependentOfCells(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("a 256-tuple commit allocates %.2f at 16 cells and %.2f at 64, want the same", allocs[0], allocs[1])
+	}
+	const ceiling = 2
+	if allocs[0] > ceiling {
+		t.Errorf("a 256-tuple commit allocates %.2f, want ≤ %d", allocs[0], ceiling)
 	}
 }
 

@@ -36,7 +36,7 @@ func MirrorTuples(n *Node) int {
 	total := 0
 	for _, m := range mirrors {
 		m.mu.Lock()
-		total += m.log.n
+		total += m.log.Len()
 		m.mu.Unlock()
 	}
 	return total

@@ -473,7 +473,7 @@ func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
 	if src == n.self {
 		if mir := n.repl.lookupMirror(origin, pol); mir != nil {
 			mir.mu.Lock()
-			rounds += mir.log.n / maxCatchupChunk
+			rounds += mir.log.Len() / maxCatchupChunk
 			mir.mu.Unlock()
 		}
 	}
@@ -580,7 +580,7 @@ func (n *Node) handleShardTransfer(m wire.ShardTransfer) wire.Message {
 	if m.Incarnation != mir.inc {
 		have = otherIncarnation
 	}
-	resp := mir.log.suffix(have, maxCatchupChunk)
+	resp := suffix(&mir.log, have, maxCatchupChunk)
 	resp.Incarnation = mir.inc
 	return resp
 }

@@ -15,7 +15,7 @@
 // A mirror is its log: the primary's committed ingests in commit order,
 // less the tuples of windows the mirror engine's retention would already
 // have evicted, every full chunk of it packed in colblock's columns
-// (seqLog). The engine that answers failover reads and re-homed
+// (colblock.Log). The engine that answers failover reads and re-homed
 // subscriptions is built on the first such use by replaying that log in
 // commit order, and from then on every frame applies to both. Replaying
 // the commit order is what makes a mirror's answers byte-equal to the
@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -161,7 +162,7 @@ type mirror struct {
 	pol     tuple.Pollutant
 	h       Handler
 	pulling bool
-	log     seqLog
+	log     colblock.Log
 	keep    retention
 	inc     uint64
 }
@@ -205,7 +206,7 @@ func (k *retention) addWindow(c int) {
 }
 
 // evicted reports whether time t lies in a window the store has evicted.
-// It is monotone, as seqLog.dropWhile needs: an evicted time's earlier
+// It is monotone, as colblock.Log.DropWhile needs: an evicted time's earlier
 // times are evicted too.
 func (k *retention) evicted(t float64) bool {
 	return k.retain > 0 && k.evictedWindow(tuple.WindowIndex(t, k.window))
@@ -397,17 +398,22 @@ type replFrame struct {
 
 // sharedTuples is a committed slice copied into lent tuples, for the
 // stream workers that send it after the request it came in has been
-// answered and its memory reused. The last worker done with it gives it
-// back.
+// answered and its memory reused. The last worker done with it gives the
+// tuples back, and itself to sharedPool.
 type sharedTuples struct {
 	tuples []tuple.Raw
 	refs   atomic.Int32
 }
 
+// sharedPool lends fanout its sharedTuples.
+var sharedPool = sync.Pool{New: func() any { return new(sharedTuples) }}
+
 // done drops one frame's hold on the tuples.
 func (s *sharedTuples) done() {
 	if s.refs.Add(-1) == 0 {
 		wire.ReturnTuples(s.tuples)
+		s.tuples = nil
+		sharedPool.Put(s)
 	}
 }
 
@@ -420,7 +426,8 @@ func (r *replicator) fanout(pol tuple.Pollutant, seq uint64, tuples []tuple.Raw)
 	if len(peers) == 0 {
 		return
 	}
-	shared := &sharedTuples{tuples: wire.LendTuples(len(tuples))}
+	shared := sharedPool.Get().(*sharedTuples)
+	shared.tuples = wire.LendTuples(len(tuples))
 	copy(shared.tuples, tuples)
 	shared.refs.Store(int32(len(peers)))
 	frame := replFrame{
@@ -501,7 +508,7 @@ func (r *replicator) getMirror(origin int, pol tuple.Pollutant) *mirror {
 	defer r.mirMu.Unlock()
 	m, ok := r.mirrors[k]
 	if !ok && slices.Contains(r.n.Ring().ReplicaPeers(origin, pol), r.n.self) {
-		m = &mirror{pol: pol, keep: r.keep}
+		m = &mirror{pol: pol, keep: r.keep, log: colblock.Log{Recycle: true}}
 		r.mirrors[k] = m
 	}
 	return m
@@ -563,7 +570,7 @@ func (r *replicator) engine(mir *mirror) (Handler, error) {
 	h = mir.h
 	var err error
 	if h == nil {
-		mir.log.runs(func(run []tuple.Raw) bool {
+		mir.log.Runs(func(run []tuple.Raw) bool {
 			err = applyTo(fresh, mir.pol, run)
 			return err == nil
 		})
@@ -604,9 +611,9 @@ func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
 			return err
 		}
 	}
-	mir.log.append(tuples)
+	mir.log.Append(tuples)
 	mir.keep.add(tuples)
-	mir.log.dropWhile(mir.keep.evicted)
+	mir.log.DropWhile(mir.keep.evicted)
 	return nil
 }
 
@@ -636,7 +643,7 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	defer r.move()
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	have, end := mir.log.next(), m.Seq+uint64(len(m.Tuples))
+	have, end := mir.log.Next(), m.Seq+uint64(len(m.Tuples))
 	if have == 0 && mir.inc == 0 {
 		mir.inc = m.Incarnation
 	}
@@ -685,7 +692,7 @@ func (r *replicator) catchUp(origin int, pol tuple.Pollutant, mir *mirror) {
 	have := func() streamPos {
 		mir.mu.Lock()
 		defer mir.mu.Unlock()
-		return streamPos{inc: mir.inc, seq: mir.log.next()}
+		return streamPos{inc: mir.inc, seq: mir.log.Next()}
 	}
 	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
 		return r.applyChunk(mir, cr) || r.closed.Load(), nil
@@ -706,12 +713,12 @@ func (r *replicator) applyChunk(mir *mirror, cr wire.ReplicaCatchupResponse) boo
 	mir.mu.Lock()
 	if cr.Snapshot {
 		stale, mir.h = mir.h, nil
-		mir.log.reset(cr.From)
+		mir.log.Reset(cr.From)
 		mir.keep.reset()
 		mir.inc = cr.Incarnation
 		r.snapshots.Add(1)
 	}
-	have, end := mir.log.next(), cr.From+uint64(len(cr.Tuples))
+	have, end := mir.log.Next(), cr.From+uint64(len(cr.Tuples))
 	done := cr.Done
 	switch {
 	case cr.Incarnation != mir.inc || cr.From > have:

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -26,7 +28,7 @@ type LocalStore interface {
 // inc, as runs of tuples of one window each, oldest first. A run is an
 // index into the local store — window c, positions [off, off+n) — or,
 // when the store cannot be trusted to hold it for as long as the log
-// must, its tuples by value (vals, packed as every seqLog is).
+// must, its tuples by value (vals, a packed colblock.Log).
 //
 // The store holds each window's tuples in append order, and that order
 // is commit order: localIngest commits one batch per pollutant at a time
@@ -45,14 +47,14 @@ type LocalStore interface {
 // late, and the log indexes the store's whole history.
 type replLog struct {
 	mu     sync.Mutex
-	st     LocalStore // nil: every run by value
-	window float64    // the windows' length; 0 when not known
-	keep   retention  // the store's retention, fed the committed stream
-	inc    uint64     // the incarnation the sequence space belongs to
-	start  uint64     // sequence of the oldest retained tuple
-	n      int        // retained tuples
-	runs   []logRun   // oldest first
-	vals   seqLog     // the by-value runs' tuples, in log order
+	st     LocalStore   // nil: every run by value
+	window float64      // the windows' length; 0 when not known
+	keep   retention    // the store's retention, fed the committed stream
+	inc    uint64       // the incarnation the sequence space belongs to
+	start  uint64       // sequence of the oldest retained tuple
+	n      int          // retained tuples
+	runs   []logRun     // oldest first
+	vals   colblock.Log // the by-value runs' tuples, in log order
 	// newest is the newest window the stream has reached (reached false:
 	// none yet).
 	newest  int
@@ -76,7 +78,7 @@ func (r logRun) byValue() bool { return r.off < 0 }
 // indexed run per window st holds, oldest first: the stream a restarted
 // primary recovered, which a mirror of an earlier incarnation resets onto.
 func newReplLog(st LocalStore, window float64, keep retention, inc uint64) *replLog {
-	lg := &replLog{st: st, window: window, keep: keep, inc: inc, vals: seqLog{retain: logRetain}}
+	lg := &replLog{st: st, window: window, keep: keep, inc: inc, vals: colblock.Log{Retain: logRetain, Recycle: true}}
 	if st == nil {
 		return lg
 	}
@@ -154,9 +156,9 @@ func (l *replLog) add(c, off int, tuples []tuple.Raw, k int) {
 		l.runs = append(l.runs, logRun{c: c, off: off, n: k})
 	}
 	if off < 0 {
-		from := l.vals.start
-		l.vals.append(tuples)
-		l.capped(int(l.vals.start - from))
+		from := l.vals.Start()
+		l.vals.Append(tuples)
+		l.capped(int(l.vals.Start() - from))
 	}
 }
 
@@ -194,7 +196,7 @@ func (l *replLog) trim() {
 func (l *replLog) drop(k int) {
 	for _, r := range l.runs[:k] {
 		if r.byValue() {
-			l.vals.drop(r.n)
+			l.vals.Drop(r.n)
 		}
 		l.start += uint64(r.n)
 		l.n -= r.n
@@ -230,7 +232,7 @@ func (l *replLog) copyOut(dst []tuple.Raw, off int) error {
 				k += l.runs[j].n
 			}
 			k = min(k, len(dst))
-			l.vals.copyOut(dst[:k], v+off)
+			l.vals.CopyOut(dst[:k], v+off)
 			dst, off = dst[k:], 0
 			for ; i < j; i++ {
 				v += l.runs[i].n
@@ -241,7 +243,7 @@ func (l *replLog) copyOut(dst []tuple.Raw, off int) error {
 }
 
 // suffix answers a puller that holds the stream of incarnation inc up to
-// have (seqLog.suffix; a position in another incarnation's sequence space
+// have (suffix; a position in another incarnation's sequence space
 // is one the log does not cover). Caller holds mu.
 func (l *replLog) suffix(have, inc uint64, limit int) (wire.ReplicaCatchupResponse, error) {
 	if inc != l.inc {
@@ -253,4 +255,50 @@ func (l *replLog) suffix(have, inc uint64, limit int) (wire.ReplicaCatchupRespon
 }
 
 // valueTuples counts the tuples the log holds by value.
-func (l *replLog) valueTuples() int { return l.vals.n }
+func (l *replLog) valueTuples() int { return l.vals.Len() }
+
+// suffix answers a puller that holds the stream of l up to have with a
+// copy of at most limit tuples (suffixOf). Caller holds the lock that
+// guards l.
+func suffix(l *colblock.Log, have uint64, limit int) wire.ReplicaCatchupResponse {
+	resp, _ := suffixOf(l.Start(), l.Len(), have, limit, func(dst []tuple.Raw, off int) error {
+		l.CopyOut(dst, off)
+		return nil
+	})
+	return resp
+}
+
+// otherIncarnation is the position a puller holding another incarnation's
+// stream is answered as: past every log's end, so it takes a snapshot
+// reset.
+const otherIncarnation = math.MaxUint64
+
+// suffixOf answers a puller that holds the stream up to have, from a log
+// retaining the n tuples from sequence start on, with a copy of at most
+// limit of them: the suffix from have while the log still covers it,
+// otherwise a snapshot reset that restarts the puller at the log's start.
+// Done reports that the chunk reaches the log's end. copyOut fills dst
+// with the retained tuples from start+off on; its error is suffixOf's.
+func suffixOf(start uint64, n int, have uint64, limit int, copyOut func(dst []tuple.Raw, off int) error) (wire.ReplicaCatchupResponse, error) {
+	next := start + uint64(n)
+	if have == next {
+		return wire.ReplicaCatchupResponse{From: next, Done: true}, nil
+	}
+	resp := wire.ReplicaCatchupResponse{From: have}
+	if have > next || have < start {
+		// Behind the log (pruned past it) or ahead of it (the log's owner
+		// restarted): the suffix no longer reconstructs the puller's
+		// state, so reset it and replay the full retained log.
+		resp.Snapshot, resp.From = true, start
+	}
+	off := int(resp.From - start)
+	count := min(n-off, limit)
+	if count > 0 {
+		resp.Tuples = make([]tuple.Raw, count)
+		if err := copyOut(resp.Tuples, off); err != nil {
+			return wire.ReplicaCatchupResponse{}, err
+		}
+	}
+	resp.Done = off+count == n
+	return resp, nil
+}

@@ -7,13 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/store"
 	"repro/internal/tuple"
 )
 
 // TestIndexedReplLogProperty drives a primary's replication log over a
 // durable store through seeded random histories, beside a by-value
-// shadow seqLog that sheds its head as a mirror's log does (dropWhile
+// shadow colblock.Log that sheds its head as a mirror's log does (dropWhile
 // over the store's retention). Commits are in order, late (into a
 // retained window older than the newest) or dead on arrival (older than
 // every retained window), one to a few windows at a time; checkpoints
@@ -72,7 +73,7 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 		keep = retention{window: window, retain: retain}
 	}
 	lg := newReplLog(st, window, keep, 1)
-	var shadow seqLog
+	var shadow colblock.Log
 	shadowKeep := keep
 	lost := make(map[int]bool) // windows whose base the store lost
 	clock := 0.0
@@ -101,9 +102,9 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 				t.Fatal(err)
 			}
 			lg.commit(b)
-			shadow.append(b)
+			shadow.Append(b)
 			shadowKeep.add(b)
-			shadow.dropWhile(shadowKeep.evicted)
+			shadow.DropWhile(shadowKeep.evicted)
 		case op < 9:
 			if err := st.Checkpoint(); err != nil {
 				t.Fatalf("%s, step %d: %v", name, step, err)
@@ -129,11 +130,11 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 			}
 		}
 
-		if lg.start != shadow.start || lg.next() != shadow.next() {
-			t.Fatalf("%s, step %d: [start,next) = [%d,%d), shadow [%d,%d)", name, step, lg.start, lg.next(), shadow.start, shadow.next())
+		if lg.start != shadow.Start() || lg.next() != shadow.Next() {
+			t.Fatalf("%s, step %d: [start,next) = [%d,%d), shadow [%d,%d)", name, step, lg.start, lg.next(), shadow.Start(), shadow.Next())
 		}
 		for range 6 {
-			have := shadow.start + uint64(rng.Intn(shadow.n+1))
+			have := shadow.Start() + uint64(rng.Intn(shadow.Len()+1))
 			inc := uint64(1)
 			if rng.Intn(6) == 0 {
 				inc = 2 // another incarnation's position: a snapshot reset
@@ -144,8 +145,8 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 			if inc != 1 {
 				wantHave = otherIncarnation
 			}
-			want := shadow.suffix(wantHave, limit)
-			if reads := lg.readsLost(want.From-shadow.start, len(want.Tuples), lost); reads {
+			want := suffix(&shadow, wantHave, limit)
+			if reads := lg.readsLost(want.From-shadow.Start(), len(want.Tuples), lost); reads {
 				if err == nil {
 					t.Fatalf("%s, step %d: suffix(%d, %d) reaches a window that lost its base, and did not fail", name, step, have, limit)
 				}
@@ -156,7 +157,7 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 				t.Fatalf("%s, step %d: suffix(%d, %d): %v", name, step, have, limit, err)
 			}
 			if got.Incarnation != 1 || got.From != want.From || got.Snapshot != want.Snapshot || got.Done != want.Done || !bitEqualTuples(got.Tuples, want.Tuples) {
-				t.Fatalf("%s, step %d: suffix(%d, %d, inc %d) over [%d,%d) differs from the shadow", name, step, have, limit, inc, shadow.start, shadow.next())
+				t.Fatalf("%s, step %d: suffix(%d, %d, inc %d) over [%d,%d) differs from the shadow", name, step, have, limit, inc, shadow.Start(), shadow.Next())
 			}
 		}
 		byValue := 0
@@ -165,8 +166,8 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 				byValue += r.n
 			}
 		}
-		if byValue != lg.vals.n {
-			t.Fatalf("%s, step %d: by-value runs hold %d tuples, vals %d", name, step, byValue, lg.vals.n)
+		if byValue != lg.vals.Len() {
+			t.Fatalf("%s, step %d: by-value runs hold %d tuples, vals %d", name, step, byValue, lg.vals.Len())
 		}
 		if byValue > 0 {
 			seen.byValue++
@@ -192,12 +193,12 @@ func (l *replLog) readsLost(off uint64, n int, lost map[int]bool) bool {
 
 // TestReplLogWithoutStoreIsCappedSeqLog: a log with no store keeps every
 // run by value, capped at logRetain, so it answers exactly what a capped
-// seqLog fed the same commits does — also across a commit larger than the
+// colblock.Log fed the same commits does — also across a commit larger than the
 // cap, and with windows interleaved so the runs do not merge.
 func TestReplLogWithoutStoreIsCappedSeqLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	lg := newReplLog(nil, 100, retention{}, 1)
-	shadow := seqLog{retain: logRetain}
+	shadow := colblock.Log{Retain: logRetain, Recycle: true}
 	clock := 0.0
 	for step, size := range []int{500, 70_000, 9, 60_000, logRetain + 1_000, 3, 40_000} {
 		b := make([]tuple.Raw, size)
@@ -206,17 +207,17 @@ func TestReplLogWithoutStoreIsCappedSeqLog(t *testing.T) {
 			b[i] = tuple.Raw{T: clock - float64(rng.Intn(2))*150, X: rng.Float64(), S: float64(i)}
 		}
 		lg.commit(b)
-		shadow.append(b)
-		if lg.start != shadow.start || lg.next() != shadow.next() || lg.valueTuples() != shadow.n {
+		shadow.Append(b)
+		if lg.start != shadow.Start() || lg.next() != shadow.Next() || lg.valueTuples() != shadow.Len() {
 			t.Fatalf("step %d: log [%d,%d) holding %d, shadow [%d,%d) holding %d",
-				step, lg.start, lg.next(), lg.valueTuples(), shadow.start, shadow.next(), shadow.n)
+				step, lg.start, lg.next(), lg.valueTuples(), shadow.Start(), shadow.Next(), shadow.Len())
 		}
 		for range 8 {
-			have := shadow.start + uint64(rng.Intn(shadow.n+1))
+			have := shadow.Start() + uint64(rng.Intn(shadow.Len()+1))
 			got, err := lg.suffix(have, 1, 5_000)
-			want := shadow.suffix(have, 5_000)
+			want := suffix(&shadow, have, 5_000)
 			if err != nil || got.From != want.From || got.Snapshot != want.Snapshot || got.Done != want.Done || !bitEqualTuples(got.Tuples, want.Tuples) {
-				t.Fatalf("step %d: suffix(%d) differs from the capped seqLog's (%v)", step, have, err)
+				t.Fatalf("step %d: suffix(%d) differs from the capped log's (%v)", step, have, err)
 			}
 		}
 	}
@@ -228,16 +229,16 @@ func TestReplLogWithoutStoreIsCappedSeqLog(t *testing.T) {
 func TestReplLogWithoutStoreShedsEvictedWindows(t *testing.T) {
 	const window = 100.0
 	lg := newReplicator(nil, ReplicationConfig{WindowLength: window, Retain: 2}).log(tuple.CO2)
-	var shadow seqLog
+	var shadow colblock.Log
 	shadowKeep := retention{window: window, retain: 2}
 	for w := range 5 {
 		b := []tuple.Raw{{T: float64(w)*window + 1, S: 1}, {T: float64(w)*window + 2, S: 2}}
 		lg.commit(b)
-		shadow.append(b)
+		shadow.Append(b)
 		shadowKeep.add(b)
-		shadow.dropWhile(shadowKeep.evicted)
-		if lg.start != shadow.start || lg.next() != shadow.next() {
-			t.Fatalf("window %d: log [%d,%d), shadow [%d,%d)", w, lg.start, lg.next(), shadow.start, shadow.next())
+		shadow.DropWhile(shadowKeep.evicted)
+		if lg.start != shadow.Start() || lg.next() != shadow.Next() {
+			t.Fatalf("window %d: log [%d,%d), shadow [%d,%d)", w, lg.start, lg.next(), shadow.Start(), shadow.Next())
 		}
 	}
 }

@@ -9,12 +9,13 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-// naiveLog is the slice-and-copy log seqLog replaced, kept as the model
+// naiveLog is the slice-and-copy log colblock.Log replaced, kept as the model
 // the ring is checked against.
 type naiveLog struct {
 	start  uint64
@@ -58,14 +59,14 @@ func (m *naiveLog) suffix(have uint64, limit int) wire.ReplicaCatchupResponse {
 func TestSeqLogMatchesNaiveModel(t *testing.T) {
 	for _, retain := range []int{1, 7, 64} {
 		rng := rand.New(rand.NewSource(int64(retain)))
-		lg := seqLog{retain: retain}
+		lg := colblock.Log{Retain: retain, Recycle: true}
 		var model naiveLog
 		var seq float64
 		for step := 0; step < 400; step++ {
 			if step == 200 {
 				// A snapshot reset mid-history: both restart at a new sequence.
 				from := model.start + uint64(len(model.tuples)) + 5
-				lg.reset(from)
+				lg.Reset(from)
 				model = naiveLog{start: from}
 			}
 			b := make([]tuple.Raw, rng.Intn(2*retain+2))
@@ -73,15 +74,15 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 				seq++
 				b[i] = tuple.Raw{T: seq, X: rng.Float64(), Y: rng.Float64(), S: rng.Float64()}
 			}
-			lg.append(b)
+			lg.Append(b)
 			model.append(b, retain)
 
 			next := model.start + uint64(len(model.tuples))
-			if lg.start != model.start || lg.next() != next {
+			if lg.Start() != model.start || lg.Next() != next {
 				t.Fatalf("retain %d step %d: [start,next) = [%d,%d), model [%d,%d)",
-					retain, step, lg.start, lg.next(), model.start, next)
+					retain, step, lg.Start(), lg.Next(), model.start, next)
 			}
-			if held, most := lg.slots(), retain+2*seqChunk; held > most {
+			if held, most := lg.Held(), retain+2*colblock.ChunkTuples; held > most {
 				t.Fatalf("retain %d step %d: log holds memory for %d tuples, want ≤ %d", retain, step, held, most)
 			}
 			lo := uint64(0)
@@ -90,7 +91,7 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 			}
 			for have := lo; have <= next+2; have++ {
 				for _, limit := range []int{1, 3, retain, retain + 1} {
-					got, want := lg.suffix(have, limit), model.suffix(have, limit)
+					got, want := suffix(&lg, have, limit), model.suffix(have, limit)
 					if len(got.Tuples) == 0 && len(want.Tuples) == 0 {
 						got.Tuples, want.Tuples = nil, nil
 					}
@@ -107,24 +108,27 @@ func TestSeqLogMatchesNaiveModel(t *testing.T) {
 // TestSeqLogSuffixIsACopy: a chunk handed to a puller must not alias the
 // log's open chunk, whose memory later appends reuse.
 func TestSeqLogSuffixIsACopy(t *testing.T) {
-	lg := seqLog{retain: 4}
-	lg.append([]tuple.Raw{{T: 1}, {T: 2}, {T: 3}, {T: 4}})
-	chunk := lg.suffix(0, 4).Tuples
-	lg.append([]tuple.Raw{{T: 5}, {T: 6}})
+	lg := colblock.Log{Retain: 4, Recycle: true}
+	lg.Append([]tuple.Raw{{T: 1}, {T: 2}, {T: 3}, {T: 4}})
+	chunk := suffix(&lg, 0, 4).Tuples
+	lg.Append([]tuple.Raw{{T: 5}, {T: 6}})
 	if chunk[0].T != 1 || chunk[1].T != 2 {
 		t.Errorf("suffix chunk changed under a later append: %+v", chunk)
 	}
 }
 
-// slots counts the tuples the log has memory for: the open chunk's room
-// and every sealed chunk's tuples, dropped ones included.
-func (l *seqLog) slots() int { return cap(l.open) + len(l.sealed)*seqChunk }
+// sealedAndOpen counts the log's sealed chunks and the tuples its open
+// chunk holds.
+func sealedAndOpen(lg *colblock.Log) (sealed, open int) {
+	chunks := lg.Chunks(nil)
+	return len(chunks), lg.Len() - colblock.ChunksLen(chunks)
+}
 
 // fullSeqLog returns a log at its cap that has already released a sealed
 // chunk: the steady state of a long-running primary.
-func fullSeqLog(retain int) *seqLog {
-	lg := &seqLog{retain: retain}
-	lg.append(make([]tuple.Raw, retain+seqChunk))
+func fullSeqLog(retain int) *colblock.Log {
+	lg := &colblock.Log{Retain: retain, Recycle: true}
+	lg.Append(make([]tuple.Raw, retain+colblock.ChunkTuples))
 	return lg
 }
 
@@ -137,11 +141,11 @@ func TestSeqLogAppendAtCapAllocatesNothing(t *testing.T) {
 	const retain = 1 << 12
 	lg := fullSeqLog(retain)
 	batch := make([]tuple.Raw, 256)
-	if allocs := testing.AllocsPerRun(100, func() { lg.append(batch) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { lg.Append(batch) }); allocs != 0 {
 		t.Errorf("append at the cap = %v allocs, want 0", allocs)
 	}
-	if held, most := lg.slots(), retain+2*seqChunk; lg.n != retain || held > most {
-		t.Errorf("log retains %d tuples in memory for %d, want exactly the cap %d in ≤ %d", lg.n, held, retain, most)
+	if held, most := lg.Held(), retain+2*colblock.ChunkTuples; lg.Len() != retain || held > most {
+		t.Errorf("log retains %d tuples in memory for %d, want exactly the cap %d in ≤ %d", lg.Len(), held, retain, most)
 	}
 }
 
@@ -154,18 +158,18 @@ func BenchmarkReplLogAppendAtCap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lg.append(batch)
+		lg.Append(batch)
 	}
 }
 
 // TestSeqLogGrowsByChunksWithoutMoving: a log larger than one chunk seals
-// a chunk each time seqChunk tuples have arrived — a sealed chunk's bytes
+// a chunk each time colblock.ChunkTuples tuples have arrived — a sealed chunk's bytes
 // never move or change while the log retains any of its tuples — and, once
 // at its cap, releases chunks from its head with the same answers as the
 // naive model.
 func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
-	const retain = 2*seqChunk + 300 // two sealed chunks and an open one when full
-	lg := seqLog{retain: retain}
+	const retain = 2*colblock.ChunkTuples + 300 // two sealed chunks and an open one when full
+	lg := colblock.Log{Retain: retain, Recycle: true}
 	var model naiveLog
 	rng := rand.New(rand.NewSource(5))
 	var seq float64
@@ -180,12 +184,12 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 	compare := func(step int) {
 		t.Helper()
 		next := model.start + uint64(len(model.tuples))
-		if lg.start != model.start || lg.next() != next {
-			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.start, lg.next(), model.start, next)
+		if lg.Start() != model.start || lg.Next() != next {
+			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.Start(), lg.Next(), model.start, next)
 		}
-		for _, have := range []uint64{model.start, model.start + uint64(len(model.tuples)/2), model.start + seqChunk - 1, next - 1} {
-			for _, limit := range []int{1, seqChunk + 7, retain} {
-				if got, want := lg.suffix(have, limit), model.suffix(have, limit); !reflect.DeepEqual(got, want) {
+		for _, have := range []uint64{model.start, model.start + uint64(len(model.tuples)/2), model.start + colblock.ChunkTuples - 1, next - 1} {
+			for _, limit := range []int{1, colblock.ChunkTuples + 7, retain} {
+				if got, want := suffix(&lg, have, limit), model.suffix(have, limit); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: suffix(%d, %d) over [%d,%d) differs from the model (%d vs %d tuples, from %d vs %d)",
 						step, have, limit, model.start, next, len(got.Tuples), len(want.Tuples), got.From, want.From)
 				}
@@ -202,53 +206,60 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 	sealed := make(map[uint64]sealedAs)
 	checkSealed := func(step int) {
 		t.Helper()
-		first := lg.start - uint64(lg.head)
-		for i, c := range lg.sealed {
-			seq := first + uint64(i*seqChunk)
+		chunks := lg.Chunks(nil)
+		if len(chunks) == 0 {
+			return
+		}
+		// Every sealed chunk is full: the oldest's dropped tuples are those
+		// it lacks.
+		first := lg.Start() - uint64(colblock.ChunkTuples-chunks[0].Len())
+		for i, c := range chunks {
+			seq := first + uint64(i*colblock.ChunkTuples)
 			was, ok := sealed[seq]
+			packed := c.Packed()
 			if !ok {
-				sealed[seq] = sealedAs{at: &c.packed[0], bytes: slices.Clone(c.packed)}
+				sealed[seq] = sealedAs{at: &packed[0], bytes: slices.Clone(packed)}
 				continue
 			}
-			if was.at != &c.packed[0] || !bytes.Equal(was.bytes, c.packed) {
+			if was.at != &packed[0] || !bytes.Equal(was.bytes, packed) {
 				t.Fatalf("step %d: sealed chunk %d (from sequence %d) moved or changed", step, i, seq)
 			}
 		}
 	}
-	for step := 0; lg.n < retain; step++ {
-		b := batch(min(256, retain-lg.n))
-		lg.append(b)
+	for step := 0; lg.Len() < retain; step++ {
+		b := batch(min(256, retain-lg.Len()))
+		lg.Append(b)
 		model.append(b, retain)
-		if len(lg.sealed) != lg.n/seqChunk || len(lg.open) != lg.n%seqChunk {
+		if sealed, open := sealedAndOpen(&lg); sealed != lg.Len()/colblock.ChunkTuples || open != lg.Len()%colblock.ChunkTuples {
 			t.Fatalf("step %d: %d tuples in %d sealed chunks and %d open, want %d and %d",
-				step, lg.n, len(lg.sealed), len(lg.open), lg.n/seqChunk, lg.n%seqChunk)
+				step, lg.Len(), sealed, open, lg.Len()/colblock.ChunkTuples, lg.Len()%colblock.ChunkTuples)
 		}
 		checkSealed(step)
 		compare(step)
 	}
-	if len(lg.sealed) != 2 || len(lg.open) != 300 || cap(lg.open) != seqChunk {
-		t.Fatalf("full log holds %d sealed chunks and %d/%d open, want 2 and 300/%d", len(lg.sealed), len(lg.open), cap(lg.open), seqChunk)
+	if sealed, open := sealedAndOpen(&lg); sealed != 2 || open != 300 || lg.Held() > 3*colblock.ChunkTuples {
+		t.Fatalf("full log holds %d sealed chunks and %d open in memory for %d, want 2 and 300 in ≤ %d", sealed, open, lg.Held(), 3*colblock.ChunkTuples)
 	}
 	for step := 0; step < 40; step++ { // several times through the whole log
 		b := batch(1 + rng.Intn(700))
-		lg.append(b)
+		lg.Append(b)
 		model.append(b, retain)
 		checkSealed(step)
 		compare(step)
-		if held, most := lg.slots(), retain+2*seqChunk; held > most {
+		if held, most := lg.Held(), retain+2*colblock.ChunkTuples; held > most {
 			t.Fatalf("step %d: log holds memory for %d tuples, want ≤ %d", step, held, most)
 		}
 	}
-	if allocs := testing.AllocsPerRun(50, func() { lg.append(model.tuples[:700]) }); allocs != 0 && !raceEnabled {
+	if allocs := testing.AllocsPerRun(50, func() { lg.Append(model.tuples[:700]) }); allocs != 0 && !raceEnabled {
 		t.Errorf("append at the cap, across chunk boundaries = %v allocs, want 0", allocs)
 	}
 
 	// Below the cap an append allocates only when it opens the log: none of
 	// these seals a chunk.
-	small := seqLog{retain: retain}
-	small.append(batch(1))
-	if allocs := testing.AllocsPerRun(100, func() { small.append(model.tuples[:5]) }); allocs != 0 || len(small.sealed) != 0 {
-		t.Errorf("appends inside the open chunk = %v allocs (%d sealed chunks), want 0 (0)", allocs, len(small.sealed))
+	small := colblock.Log{Retain: retain, Recycle: true}
+	small.Append(batch(1))
+	if allocs := testing.AllocsPerRun(100, func() { small.Append(model.tuples[:5]) }); allocs != 0 || len(small.Chunks(nil)) != 0 {
+		t.Errorf("appends inside the open chunk = %v allocs (%d sealed chunks), want 0 (0)", allocs, len(small.Chunks(nil)))
 	}
 }
 
@@ -259,9 +270,9 @@ func BenchmarkReplLogFillToCap(b *testing.B) {
 	batch := make([]tuple.Raw, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lg := seqLog{retain: logRetain}
-		for lg.n < logRetain {
-			lg.append(batch)
+		lg := colblock.Log{Retain: logRetain, Recycle: true}
+		for lg.Len() < logRetain {
+			lg.Append(batch)
 		}
 	}
 }
@@ -273,33 +284,33 @@ func BenchmarkReplLogFillToCap(b *testing.B) {
 // model's.
 func TestUncappedSeqLogMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var lg seqLog
+	lg := colblock.Log{Recycle: true}
 	var model naiveLog
 	var seq float64
 	for step := 0; step < 300; step++ {
 		if step == 150 {
-			from := lg.next() + 3
-			lg.reset(from)
+			from := lg.Next() + 3
+			lg.Reset(from)
 			model = naiveLog{start: from}
 		}
-		b := make([]tuple.Raw, rng.Intn(3*seqChunk/2))
+		b := make([]tuple.Raw, rng.Intn(3*colblock.ChunkTuples/2))
 		for i := range b {
 			seq++
 			b[i] = tuple.Raw{T: seq, X: rng.Float64()}
 		}
-		lg.append(b)
+		lg.Append(b)
 		model.tuples = append(model.tuples, b...)
 		if k := rng.Intn(len(model.tuples) + 1); rng.Intn(3) == 0 {
-			lg.drop(k)
+			lg.Drop(k)
 			model.start += uint64(k)
 			model.tuples = model.tuples[k:]
 		}
 		next := model.start + uint64(len(model.tuples))
-		if lg.start != model.start || lg.next() != next {
-			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.start, lg.next(), model.start, next)
+		if lg.Start() != model.start || lg.Next() != next {
+			t.Fatalf("step %d: [start,next) = [%d,%d), model [%d,%d)", step, lg.Start(), lg.Next(), model.start, next)
 		}
 		var replayed []tuple.Raw
-		lg.runs(func(run []tuple.Raw) bool {
+		lg.Runs(func(run []tuple.Raw) bool {
 			replayed = append(replayed, run...)
 			return true
 		})
@@ -307,7 +318,7 @@ func TestUncappedSeqLogMatchesNaiveModel(t *testing.T) {
 			t.Fatalf("step %d: runs replay %d tuples, model holds %d", step, len(replayed), len(model.tuples))
 		}
 		for _, have := range []uint64{model.start, model.start + uint64(len(model.tuples)/3), next} {
-			if got, want := lg.suffix(have, seqChunk+5), model.suffix(have, seqChunk+5); !reflect.DeepEqual(got, want) {
+			if got, want := suffix(&lg, have, colblock.ChunkTuples+5), model.suffix(have, colblock.ChunkTuples+5); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: suffix(%d) differs from the model", step, have)
 			}
 		}
@@ -367,7 +378,7 @@ func TestPackedSeqLogProperty(t *testing.T) {
 	if raceEnabled {
 		seeds = 1
 	}
-	for _, retain := range []int{0, 700, 2*seqChunk + 300} {
+	for _, retain := range []int{0, 700, 2*colblock.ChunkTuples + 300} {
 		for seed := int64(1); seed <= seeds; seed++ {
 			packedLogHistory(t, seed, retain)
 		}
@@ -377,7 +388,7 @@ func TestPackedSeqLogProperty(t *testing.T) {
 func packedLogHistory(t *testing.T, seed int64, retain int) {
 	name := fmt.Sprintf("seed %d, retain %d", seed, retain)
 	rng := rand.New(rand.NewSource(seed))
-	lg := seqLog{retain: retain}
+	lg := colblock.Log{Retain: retain, Recycle: true}
 	var model naiveLog
 	var clock, cut float64 // stream time; times before cut are evicted
 	evicted := func(t float64) bool { return t < cut }
@@ -404,8 +415,8 @@ func packedLogHistory(t *testing.T, seed int64, retain int) {
 		op := rng.Intn(10)
 		switch {
 		case op < 5:
-			b := gen(1 + rng.Intn(2*seqChunk))
-			lg.append(b)
+			b := gen(1 + rng.Intn(2*colblock.ChunkTuples))
+			lg.Append(b)
 			if retain > 0 {
 				model.append(b, retain)
 			} else {
@@ -416,7 +427,7 @@ func packedLogHistory(t *testing.T, seed int64, retain int) {
 			if rng.Intn(2) == 0 { // a few tuples: the head stays in its chunk
 				k = min(k, rng.Intn(40))
 			}
-			lg.drop(k)
+			lg.Drop(k)
 			model.start += uint64(k)
 			model.tuples = model.tuples[k:]
 		case op < 9 && retain == 0:
@@ -425,7 +436,7 @@ func packedLogHistory(t *testing.T, seed int64, retain int) {
 			} else {
 				cut = max(cut, clock-float64(rng.Intn(4000)))
 			}
-			lg.dropWhile(evicted)
+			lg.DropWhile(evicted)
 			k := 0
 			for k < len(model.tuples) && evicted(model.tuples[k].T) {
 				k++
@@ -434,16 +445,16 @@ func packedLogHistory(t *testing.T, seed int64, retain int) {
 			model.tuples = model.tuples[k:]
 		case op == 9:
 			from := model.start + uint64(len(model.tuples)) + uint64(rng.Intn(5))
-			lg.reset(from)
+			lg.Reset(from)
 			model = naiveLog{start: from}
 		}
 
 		next := model.start + uint64(len(model.tuples))
-		if lg.start != model.start || lg.next() != next {
-			t.Fatalf("%s, step %d: [start,next) = [%d,%d), model [%d,%d)", name, step, lg.start, lg.next(), model.start, next)
+		if lg.Start() != model.start || lg.Next() != next {
+			t.Fatalf("%s, step %d: [start,next) = [%d,%d), model [%d,%d)", name, step, lg.Start(), lg.Next(), model.start, next)
 		}
 		var replayed []tuple.Raw
-		lg.runs(func(run []tuple.Raw) bool {
+		lg.Runs(func(run []tuple.Raw) bool {
 			replayed = append(replayed, run...)
 			return true
 		})
@@ -452,17 +463,17 @@ func packedLogHistory(t *testing.T, seed int64, retain int) {
 		}
 		for range 4 {
 			have := model.start + uint64(rng.Intn(len(model.tuples)+1))
-			limit := 1 + rng.Intn(3*seqChunk)
-			got, want := lg.suffix(have, limit), model.suffix(have, limit)
+			limit := 1 + rng.Intn(3*colblock.ChunkTuples)
+			got, want := suffix(&lg, have, limit), model.suffix(have, limit)
 			if got.From != want.From || got.Snapshot != want.Snapshot || got.Done != want.Done || !bitEqualTuples(got.Tuples, want.Tuples) {
 				t.Fatalf("%s, step %d: suffix(%d, %d) over [%d,%d) differs from the model", name, step, have, limit, model.start, next)
 			}
 		}
 		if retain > 0 {
-			if held, most := lg.slots(), retain+2*seqChunk; held > most {
+			if held, most := lg.Held(), retain+2*colblock.ChunkTuples; held > most {
 				t.Fatalf("%s, step %d: log holds memory for %d tuples, want ≤ %d", name, step, held, most)
 			}
-		} else if len(lg.sealed) > 0 && lg.head >= seqChunk {
+		} else if chunks := lg.Chunks(nil); len(chunks) > 0 && chunks[0].Len() == 0 {
 			t.Fatalf("%s, step %d: the oldest sealed chunk retains none of its tuples", name, step)
 		}
 	}

@@ -190,14 +190,15 @@ type Seed struct {
 }
 
 // WindowData is one window's tuples in their original append order, as
-// the store holds them: in memory (Tuples), or — when Base is set — as
-// window Window of an earlier checkpoint followed by the Tuples appended
-// since.
+// the store holds them: window Window of an earlier checkpoint (Base),
+// then the chunks of its in-memory log (Chunks) — each part optional.
 type WindowData struct {
 	Window int
-	Tuples tuple.Batch
+	// Chunks refer to sealed chunks of a Log; Encode unpacks them into
+	// its own scratch.
+	Chunks []Chunk
 	// Base, when not nil, is the reader the window's first
-	// Base.WindowCount(Window) tuples come from. With no Tuples behind them
+	// Base.WindowCount(Window) tuples come from. With nothing behind them
 	// the window's blocks — and its seed record, unless Seed is given —
 	// are copied as they are, each one's checksum checked, not decoded and
 	// encoded again: the same tuples in the same order encode to the same
@@ -226,14 +227,15 @@ func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 // from its base and what followed, one block's four float columns, the
 // keys of the column being written, the block or seed record under
 // construction (or being carried over) and the directory. A checkpoint of
-// n tuples allocated ≈ 164 n bytes without it. Pack and PackExact borrow
-// its columns, and PackExact its block, for one packed run.
+// n tuples allocated ≈ 164 n bytes without it. Encode unpacks a window's
+// chunks in its columns too; Pack and PackExact borrow them, and
+// PackExact its block, for one packed run.
 type encoder struct {
-	windows        []WindowData
-	merged         tuple.Batch
-	ts, xs, ys, ss []float64
-	keys           []uint64
-	blk, dir       []byte
+	windows  []WindowData
+	merged   tuple.Batch
+	cols     [4][]float64 // T, X, Y, S
+	keys     []uint64
+	blk, dir []byte
 }
 
 // encoders lends scratch to concurrent Encode and Pack calls (one store
@@ -277,10 +279,9 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 		return nil
 	}
 	for _, wd := range e.windows {
-		tuples := wd.Tuples
-		carry := wd.Base != nil && len(wd.Tuples) == 0
-		switch {
-		case carry:
+		mem := ChunksLen(wd.Chunks)
+		carry := wd.Base != nil && mem == 0
+		if carry {
 			for _, bm := range wd.Base.windowBlocks(wd.Window) {
 				blk, err := wd.Base.blockBytes(&e.blk, bm.Offset, bm.Length)
 				if err == nil {
@@ -293,18 +294,20 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 					return EncodeStats{}, err
 				}
 			}
-		case wd.Base != nil:
-			n := wd.Base.WindowCount(wd.Window)
-			e.merged = sized(e.merged, n+len(wd.Tuples))
-			if err := wd.Base.DecodeWindow(e.merged[:n], wd.Window); err != nil {
-				return EncodeStats{}, err
+		} else {
+			n := 0
+			if wd.Base != nil {
+				n = wd.Base.WindowCount(wd.Window)
 			}
-			copy(e.merged[n:], wd.Tuples)
-			tuples = e.merged
-		}
-		if !carry {
-			for lo := 0; lo < len(tuples); lo += blockTuples {
-				bm := e.encodeBlock(tuples[lo:min(lo+blockTuples, len(tuples))])
+			e.merged = sized(e.merged, n+mem)
+			if wd.Base != nil {
+				if err := wd.Base.DecodeWindow(e.merged[:n], wd.Window); err != nil {
+					return EncodeStats{}, err
+				}
+			}
+			unpackChunks(e.merged[n:], wd.Chunks, &e.cols, &e.keys)
+			for lo := 0; lo < len(e.merged); lo += blockTuples {
+				bm := e.encodeBlock(e.merged[lo:min(lo+blockTuples, len(e.merged))])
 				bm.Window = wd.Window
 				if err := put(bm, kindBlock, e.blk); err != nil {
 					return EncodeStats{}, err
@@ -354,23 +357,33 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 // sized returns s with length n, reallocating only when it must grow.
 func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
+// split lays tuples out in e's columns, sized to them, and sizes its keys
+// for one column.
+func (e *encoder) split(tuples []tuple.Raw) {
+	n := len(tuples)
+	for i := range e.cols {
+		e.cols[i] = sized(e.cols[i], n)
+	}
+	e.keys = sized(e.keys, n)
+	ts, xs, ys, ss := e.cols[0], e.cols[1], e.cols[2], e.cols[3]
+	for i, r := range tuples {
+		ts[i], xs[i], ys[i], ss[i] = r.T, r.X, r.Y, r.S
+	}
+}
+
 // encodeBlock encodes b, in its order, as one self-checksummed block in
 // e.blk and returns its zone-map meta.
 func (e *encoder) encodeBlock(b tuple.Batch) BlockMeta {
 	n := len(b)
-	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
-	e.keys = sized(e.keys, n)
-	for i, r := range b {
-		e.ts[i], e.xs[i], e.ys[i], e.ss[i] = r.T, r.X, r.Y, r.S
-	}
+	e.split(b)
 	meta := BlockMeta{Count: n}
-	meta.MinT, meta.MaxT = minMax(e.ts)
-	meta.MinX, meta.MaxX = minMax(e.xs)
-	meta.MinY, meta.MaxY = minMax(e.ys)
-	meta.MinS, meta.MaxS = minMax(e.ss)
+	meta.MinT, meta.MaxT = minMax(e.cols[0])
+	meta.MinX, meta.MaxX = minMax(e.cols[1])
+	meta.MinY, meta.MaxY = minMax(e.cols[2])
+	meta.MinS, meta.MaxS = minMax(e.cols[3])
 
 	buf := appendU32(e.blk[:0], uint32(n))
-	for _, col := range [...][]float64{e.ts, e.xs, e.ys, e.ss} {
+	for _, col := range e.cols {
 		buf = appendFloatColumn(buf, col, e.keys)
 	}
 	e.blk = appendU32(buf, crc32.ChecksumIEEE(buf))

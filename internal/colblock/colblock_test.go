@@ -16,8 +16,39 @@ import (
 	"repro/internal/tuple"
 )
 
-func genWindows(r *rand.Rand, nwin, perWin int) []WindowData {
-	out := make([]WindowData, 0, nwin)
+// testWindow is a window as a test builds it: its tuples in append order,
+// and the seed to write beside them.
+type testWindow struct {
+	Window int
+	Tuples tuple.Batch
+	Seed   Seed
+}
+
+// data is the WindowData a store hands Encode for w: its tuples in the
+// sealed chunks of a Log.
+func (w testWindow) data() WindowData {
+	return WindowData{Window: w.Window, Chunks: chunksOf(w.Tuples), Seed: w.Seed}
+}
+
+// windowData is data of each of ws.
+func windowData(ws ...testWindow) []WindowData {
+	out := make([]WindowData, len(ws))
+	for i, w := range ws {
+		out[i] = w.data()
+	}
+	return out
+}
+
+// chunksOf appends b to an empty Log, seals it and returns its chunks.
+func chunksOf(b tuple.Batch) []Chunk {
+	lg := new(Log)
+	lg.Append(b)
+	lg.Seal()
+	return lg.Chunks(nil)
+}
+
+func genWindows(r *rand.Rand, nwin, perWin int) []testWindow {
+	out := make([]testWindow, 0, nwin)
 	for c := 0; c < nwin; c++ {
 		b := make(tuple.Batch, perWin)
 		for i := range b {
@@ -31,7 +62,7 @@ func genWindows(r *rand.Rand, nwin, perWin int) []WindowData {
 				b[i].S = r.NormFloat64() * 13.7 // irrational-ish: forces raw encoding
 			}
 		}
-		out = append(out, WindowData{Window: c + 3, Tuples: b})
+		out = append(out, testWindow{Window: c + 3, Tuples: b})
 	}
 	return out
 }
@@ -69,7 +100,7 @@ func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	windows := genWindows(r, 5, 777)
 	for _, blockTuples := range []int{0, 1, 64, 100000} {
-		img := encodeImage(t, 42, windows, blockTuples)
+		img := encodeImage(t, 42, windowData(windows...), blockTuples)
 		rd, err := OpenBytes(img)
 		if err != nil {
 			t.Fatalf("OpenBytes(block=%d): %v", blockTuples, err)
@@ -107,7 +138,7 @@ func TestFixedPointEdgeValues(t *testing.T) {
 		{T: 1, X: 0.1, Y: -2.5, S: math.Pi},
 		{T: 2, X: 1e17, Y: -1e17, S: 123.456},
 	}
-	img := encodeImage(t, 1, []WindowData{{Window: 0, Tuples: b}}, 0)
+	img := encodeImage(t, 1, windowData(testWindow{Window: 0, Tuples: b}), 0)
 	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatalf("OpenBytes: %v", err)
@@ -128,9 +159,9 @@ func TestFixedPointEdgeValues(t *testing.T) {
 // requires the image to verify, every window to decode bit-equal to its
 // source and to scan whole through a region that admits every position,
 // and every seed to read back bit-equal.
-func requireRoundTrip(t *testing.T, windows []WindowData, blockTuples int) []byte {
+func requireRoundTrip(t *testing.T, windows []testWindow, blockTuples int) []byte {
 	t.Helper()
-	img := encodeImage(t, 1, windows, blockTuples)
+	img := encodeImage(t, 1, windowData(windows...), blockTuples)
 	if err := Verify(img); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -216,7 +247,7 @@ func TestPackedEdgeValues(t *testing.T) {
 		}, []uint{64, 64, 0, 2}},
 	} {
 		for _, blockTuples := range []int{1, 0} {
-			img := requireRoundTrip(t, []WindowData{{Window: 2, Tuples: tc.b}}, blockTuples)
+			img := requireRoundTrip(t, []testWindow{{Window: 2, Tuples: tc.b}}, blockTuples)
 			if blockTuples == 1 {
 				for _, cols := range blockColumns(t, img) {
 					for i, col := range cols {
@@ -244,7 +275,7 @@ func TestPackedEdgeValues(t *testing.T) {
 // each fit in an int64 but whose sum does not is refused when the file is
 // opened, on every access path, before anything reads through it.
 func TestOverflowingSpanRejected(t *testing.T) {
-	img := encodeImage(t, 1, genWindows(rand.New(rand.NewSource(15)), 1, 50), 0)
+	img := encodeImage(t, 1, windowData(genWindows(rand.New(rand.NewSource(15)), 1, 50)...), 0)
 	bad := reseal(img, 0, func(m *BlockMeta) { m.Offset, m.Length = 1<<62+1<<61, 1<<62 })
 	if _, err := OpenBytes(bad); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("OpenBytes = %v, want ErrCorrupt", err)
@@ -293,7 +324,7 @@ func TestZoneMapPruning(t *testing.T) {
 		}
 		b = append(b, tuple.Raw{T: float64(i), X: x, Y: y, S: 1})
 	}
-	img := encodeImage(t, 7, []WindowData{{Window: 1, Tuples: b}}, 256)
+	img := encodeImage(t, 7, windowData(testWindow{Window: 1, Tuples: b}), 256)
 	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatalf("OpenBytes: %v", err)
@@ -332,7 +363,7 @@ func TestZoneMapPruning(t *testing.T) {
 func TestWindowZone(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	windows := genWindows(r, 3, 500)
-	img := encodeImage(t, 3, windows, 128)
+	img := encodeImage(t, 3, windowData(windows...), 128)
 	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatalf("OpenBytes: %v", err)
@@ -368,7 +399,7 @@ func TestWindowZone(t *testing.T) {
 func TestCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	windows := genWindows(r, 2, 300)
-	img := encodeImage(t, 5, windows, 64)
+	img := encodeImage(t, 5, windowData(windows...), 64)
 	orig := append([]byte(nil), img...)
 
 	for _, pos := range []int{0, 5, headerSize + 3, len(img) / 2, len(img) - trailerSize + 2, len(img) - 3} {
@@ -395,7 +426,7 @@ func TestCorruption(t *testing.T) {
 func TestOpenFileSources(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	windows := genWindows(r, 2, 400)
-	img := encodeImage(t, 9, windows, 128)
+	img := encodeImage(t, 9, windowData(windows...), 128)
 	path := filepath.Join(t.TempDir(), "checkpoint-000009.emc")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
@@ -460,7 +491,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		{Seq: 1 << 40, Horizon: 1 << 33, MaxTime: math.MaxFloat64},
 	} {
 		var buf bytes.Buffer
-		st, err := Encode(&buf, meta, windows)
+		st, err := Encode(&buf, meta, windowData(windows...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +511,7 @@ func TestMetaRoundTrip(t *testing.T) {
 // both access paths.
 func TestCheckBlocks(t *testing.T) {
 	windows := genWindows(rand.New(rand.NewSource(13)), 3, 200)
-	img := encodeImage(t, 4, windows, 64)
+	img := encodeImage(t, 4, windowData(windows...), 64)
 	dirStart := len(img) - trailerSize - 3*4*dirEntrySize // 3 windows × ⌈200/64⌉ blocks
 	path := filepath.Join(t.TempDir(), "checkpoint-000004.emc")
 	for _, pos := range []int{-1, headerSize, headerSize + 2, dirStart / 2, dirStart - 1} {
@@ -531,7 +562,7 @@ const legacySidecar = "../store/testdata/legacy-sidecar/dir/colblock-000001.emc"
 // is given) — not the 397 (7.6 MB) of an encoder that allocates one set
 // of columns per block, as the one at commit d7f418d did.
 func TestEncodeReusesScratch(t *testing.T) {
-	ws := lausanneWindows()
+	ws := windowData(lausanneWindows()...)
 	run := func() {
 		if _, err := Encode(io.Discard, Meta{Seq: 1}, ws); err != nil {
 			t.Fatal(err)
@@ -545,7 +576,7 @@ func TestEncodeReusesScratch(t *testing.T) {
 
 // BenchmarkEncodeDay encodes one day of the benchmark's fleet.
 func BenchmarkEncodeDay(b *testing.B) {
-	ws := lausanneWindows()
+	ws := windowData(lausanneWindows()...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(io.Discard, Meta{Seq: 1}, ws); err != nil {
@@ -701,7 +732,7 @@ func TestColumnChecks(t *testing.T) {
 func TestCarryOverRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	windows := genWindows(r, 4, 700)
-	first := encodeImage(t, 6, windows, 256)
+	first := encodeImage(t, 6, windowData(windows...), 256)
 	path := filepath.Join(t.TempDir(), "checkpoint-000006.emc")
 	if err := os.WriteFile(path, first, 0o644); err != nil {
 		t.Fatal(err)
@@ -743,11 +774,11 @@ func TestCarryOverRoundTrip(t *testing.T) {
 		extra := genWindows(r, 1, 90)[0].Tuples
 		fresh := genWindows(r, 1, 50)[0].Tuples
 		mixed := append([]WindowData(nil), carried...)
-		mixed[1].Tuples = extra
-		mixed = append(mixed, WindowData{Window: 9, Tuples: fresh})
-		whole := append([]WindowData(nil), windows...)
-		whole[1].Tuples = append(append(tuple.Batch(nil), windows[1].Tuples...), extra...)
-		whole = append(whole, WindowData{Window: 9, Tuples: fresh})
+		mixed[1].Chunks = chunksOf(extra)
+		mixed = append(mixed, testWindow{Window: 9, Tuples: fresh}.data())
+		whole := windowData(windows...)
+		whole[1].Chunks = chunksOf(append(append(tuple.Batch(nil), windows[1].Tuples...), extra...))
+		whole = append(whole, testWindow{Window: 9, Tuples: fresh}.data())
 		if !bytes.Equal(encodeImage(t, 7, mixed, 256), encodeImage(t, 7, whole, 256)) {
 			t.Errorf("disableMmap=%v: base + suffix encodes differently from the whole window", disable)
 		}

@@ -32,25 +32,25 @@ func FuzzColBlockDecode(f *testing.F) {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(empty.Bytes())
-	seed(7, []WindowData{{Window: 2, Tuples: tuple.Batch{
+	seed(7, windowData(testWindow{Window: 2, Tuples: tuple.Batch{
 		{T: 1200.5, X: 10, Y: 20, S: 42.5},
 		{T: 1201, X: -30.25, Y: 2000, S: math.Pi},
 		{T: 1199, X: 10, Y: 20, S: 0},
-	}}}, 2)
+	}}), 2)
 	big := make(tuple.Batch, 300)
 	for i := range big {
 		big[i] = tuple.Raw{T: float64(i), X: float64(i % 17), Y: float64(i % 5), S: float64(i) / 8}
 	}
-	seed(12, []WindowData{{Window: 0, Tuples: big}, {Window: 1, Tuples: big[:7]}}, 64)
+	seed(12, windowData(testWindow{Window: 0, Tuples: big}, testWindow{Window: 1, Tuples: big[:7]}), 64)
 	// Seed records beside the blocks: one of a region, one of several,
 	// and a window without one between them.
 	lw := lausanneWindows()
-	seed(13, []WindowData{
+	seed(13, windowData([]testWindow{
 		{Window: 4, Tuples: big[:40], Seed: Seed{Count: 40, Config: 7, Rounds: 1, Centroids: []geo.Point{{X: 8, Y: 2}}}},
 		{Window: 5, Tuples: big[40:90]},
 		{Window: 8, Tuples: lw[8].Tuples, Seed: Seed{Count: len(lw[8].Tuples), Config: 1 << 63, Rounds: 9,
 			Centroids: []geo.Point{lw[8].Tuples[0].Pos(), lw[8].Tuples[500].Pos(), {X: math.Copysign(0, -1), Y: math.Inf(1)}}}},
-	}, BlockTuples)
+	}...), BlockTuples)
 	// A version-1 sidecar: mutations start one version field away from a
 	// file the reader would have to trust without a horizon.
 	v1, err := os.ReadFile(legacySidecar)
@@ -62,7 +62,7 @@ func FuzzColBlockDecode(f *testing.F) {
 	// versions wrote it (raw and fixed columns, a seq column), which this
 	// reader refuses; and a version-4 image relabelled as versions 1 and 5.
 	var edge bytes.Buffer
-	if _, err := Encode(&edge, Meta{Seq: 3}, []WindowData{{Window: 0, Tuples: edgeWindow}}); err != nil {
+	if _, err := Encode(&edge, Meta{Seq: 3}, windowData(testWindow{Window: 0, Tuples: edgeWindow})); err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(edge.Bytes())
@@ -165,7 +165,7 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 				Y: math.Float64frombits(le64(p[16:])), S: math.Float64frombits(le64(p[24:])),
 			}
 		}
-		wd := WindowData{Window: 1, Tuples: b}
+		wd := testWindow{Window: 1, Tuples: b}
 		if len(b) > 0 {
 			wd.Seed = Seed{
 				Count:  len(b),
@@ -176,7 +176,7 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 				wd.Seed.Centroids = append(wd.Seed.Centroids, r.Pos())
 			}
 		}
-		requireRoundTrip(t, []WindowData{wd}, blockTuples)
+		requireRoundTrip(t, []testWindow{wd}, blockTuples)
 		requirePackRoundTrip(t, b)
 	})
 }

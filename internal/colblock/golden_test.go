@@ -43,9 +43,9 @@ func TestBlocksMatchParentGolden(t *testing.T) {
 		blocks  int
 		digest  string
 	}{
-		{"lausanne24", ws, 24, "2be92f5831d0119fc2a9a6e0"},
-		{"lausanne-one-window", []WindowData{{Window: 7, Tuples: day}}, 23, "0271d91808f60b25c37d23da"},
-		{"edge", []WindowData{{Window: 0, Tuples: edgeWindow}}, 1, "8181228e4cf49bf1e8b3dd51"},
+		{"lausanne24", windowData(ws...), 24, "2be92f5831d0119fc2a9a6e0"},
+		{"lausanne-one-window", windowData(testWindow{Window: 7, Tuples: day}), 23, "0271d91808f60b25c37d23da"},
+		{"edge", windowData(testWindow{Window: 0, Tuples: edgeWindow}), 1, "8181228e4cf49bf1e8b3dd51"},
 	} {
 		img := encodeImage(t, 3, tc.windows, 0)
 		rd, err := OpenBytes(img)
@@ -79,7 +79,7 @@ func withVersion(img []byte, version uint32) []byte {
 // whose header and footer disagree on the version, or whose footer
 // checksum fails, stays ErrCorrupt.
 func TestOtherVersionsRefused(t *testing.T) {
-	v4img := encodeImage(t, 5, []WindowData{{Window: 0, Tuples: edgeWindow}}, 0)
+	v4img := encodeImage(t, 5, windowData(testWindow{Window: 0, Tuples: edgeWindow}), 0)
 	refused := map[string][]byte{"version 1": withVersion(v4img, 1), "version 5": withVersion(v4img, 5)}
 	for _, name := range []string{"v2-edge.emc", "v3-edge.emc"} {
 		img, err := os.ReadFile(filepath.Join("testdata", name))

@@ -17,7 +17,7 @@ import (
 // lines 0 and 2 served by 16 buses sampling every 30 s (benchmark/gen.go's
 // fleet; internal/core's goldens use the same day). It is what a
 // production checkpoint holds — ≈ 1 890 tuples a window on two polylines.
-var lausanneWindows = sync.OnceValue(func() []WindowData {
+var lausanneWindows = sync.OnceValue(func() []testWindow {
 	const (
 		seed      = 1
 		vehicles  = 16
@@ -43,7 +43,7 @@ var lausanneWindows = sync.OnceValue(func() []WindowData {
 	if err != nil {
 		panic(err)
 	}
-	ws := make([]WindowData, hours)
+	ws := make([]testWindow, hours)
 	for c := range ws {
 		ws[c].Window = c
 	}
@@ -76,7 +76,7 @@ func TestCheckpointBytesPerTupleLausanne(t *testing.T) {
 		ws[c].Seed = sd
 	}
 	var buf bytes.Buffer
-	st, err := Encode(&buf, Meta{Seq: 1}, ws)
+	st, err := Encode(&buf, Meta{Seq: 1}, windowData(ws...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package colblock
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -15,9 +16,10 @@ import (
 //
 // It is as lossless as a block — every float64 comes back bit for bit —
 // and on a sensor fleet's stream it takes about 23 B a tuple instead of
-// tuple.Raw's 32 (TestPackedBytesPerTupleLausanne). A replication log
-// keeps its full chunks this way, and every wire frame that carries
-// tuples carries them as one packed run.
+// tuple.Raw's 32 (TestPackedBytesPerTupleLausanne). Every Log keeps its
+// sealed chunks this way — a store window's in-memory tuples, a mirror's
+// stream and a primary's by-value runs — and every wire frame that
+// carries tuples carries them as one packed run.
 
 // Pack appends tuples to dst as one packed run and returns the extended
 // slice. It allocates only when dst must grow.
@@ -35,7 +37,9 @@ func Pack(dst []byte, tuples []tuple.Raw) []byte {
 func PackExact(prefix int, tuples []tuple.Raw) []byte {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
-	e.blk = e.pack(e.blk[:0], tuples)
+	// Room for the worst case up front: a fresh encoder (the pool's was
+	// collected) grows its block once, not by doubling.
+	e.blk = e.pack(slices.Grow(e.blk[:0], MaxPackedLen(len(tuples))), tuples)
 	out := make([]byte, prefix+len(e.blk))
 	copy(out[prefix:], e.blk)
 	return out
@@ -53,12 +57,8 @@ func (e *encoder) pack(dst []byte, tuples []tuple.Raw) []byte {
 	if n == 0 {
 		return dst
 	}
-	e.ts, e.xs, e.ys, e.ss = sized(e.ts, n), sized(e.xs, n), sized(e.ys, n), sized(e.ss, n)
-	e.keys = sized(e.keys, n)
-	for i, r := range tuples {
-		e.ts[i], e.xs[i], e.ys[i], e.ss[i] = r.T, r.X, r.Y, r.S
-	}
-	for _, col := range [...][]float64{e.ts, e.xs, e.ys, e.ss} {
+	e.split(tuples)
+	for _, col := range e.cols {
 		dst = appendFloatColumn(dst, col, e.keys)
 	}
 	return dst
@@ -68,6 +68,14 @@ func (e *encoder) pack(dst []byte, tuples []tuple.Raw) []byte {
 // run's tuples, in the order they were packed, allocating nothing. It
 // checks every column's framing, as a block read does.
 func Unpack(dst []tuple.Raw, run []byte) error {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	return unpack(dst, run, &sc.cols, &sc.keys)
+}
+
+// unpack is Unpack in the given columns and keys, which it grows as it
+// must.
+func unpack(dst []tuple.Raw, run []byte, cols *[4][]float64, keys *[]uint64) error {
 	if len(run) < 4 {
 		return fmt.Errorf("%w: packed run shorter than its count", ErrCorrupt)
 	}
@@ -82,22 +90,20 @@ func Unpack(dst []tuple.Raw, run []byte) error {
 		}
 		return nil
 	}
-	sc := scratches.Get().(*scratch)
-	defer scratches.Put(sc)
-	sc.keys = sized(sc.keys, n)
-	for i := range sc.cols {
+	*keys = sized(*keys, n)
+	for i := range cols {
 		var col column
 		var err error
 		if col, p, err = cutColumn(p, n); err != nil {
 			return err
 		}
-		sc.cols[i] = sized(sc.cols[i], n)
-		col.floats(sc.cols[i], sc.keys)
+		cols[i] = sized(cols[i], n)
+		col.floats(cols[i], *keys)
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after a packed run's columns", ErrCorrupt, len(p))
 	}
-	ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
+	ts, xs, ys, ss := cols[0], cols[1], cols[2], cols[3]
 	for i := range dst {
 		dst[i] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
 	}

@@ -82,13 +82,13 @@ func TestSeedRoundTrip(t *testing.T) {
 		carried[i] = WindowData{Window: wd.Window, Base: rd}
 	}
 	again := encodeImage(t, 2, carried, 128)
-	if direct := encodeImage(t, 2, windows, 128); string(again) != string(direct) {
+	if direct := encodeImage(t, 2, windowData(windows...), 128); string(again) != string(direct) {
 		t.Error("a file carried over from one with seeds differs from a direct encode of the same windows and seeds")
 	}
 
 	renewed := seedOf(r, 300, 5)
 	carried[0].Seed = renewed
-	carried[1].Tuples = genWindows(r, 1, 10)[0].Tuples
+	carried[1].Chunks = chunksOf(genWindows(r, 1, 10)[0].Tuples)
 	rd2, err := OpenBytes(encodeImage(t, 3, carried, 128))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestBadSeedCostsOnlyTheSeed(t *testing.T) {
 	for i := range windows {
 		windows[i].Seed = seedOf(r, 100, 4)
 	}
-	img := encodeImage(t, 1, windows, 0)
+	img := encodeImage(t, 1, windowData(windows...), 0)
 	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestSeedDirectoryChecks(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	windows := genWindows(r, 2, 50)
 	windows[0].Seed, windows[1].Seed = seedOf(r, 50, 3), seedOf(r, 50, 2)
-	img := encodeImage(t, 1, windows, 0)
+	img := encodeImage(t, 1, windowData(windows...), 0)
 	// Entries: window 3's block, its seed, window 4's block, its seed.
 	entry := func(img []byte, i int) []byte {
 		trailer := img[len(img)-trailerSize:]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/tuple"
 )
 
@@ -192,117 +193,10 @@ func TestWindowIntoWhileWindowsAreEvicted(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNewWindowTakesPredecessorCapacity: a window is created with room
-// for its predecessor's population plus an eighth, appends inside that
-// room never move it, and the room it may waste is bounded by the same
-// figure.
-func TestNewWindowTakesPredecessorCapacity(t *testing.T) {
-	s := MustOpenMemory(100)
-	fill := func(c, n int) {
-		t.Helper()
-		b := make(tuple.Batch, n)
-		for i := range b {
-			b[i] = tuple.Raw{T: float64(c*100) + float64(i%100), X: float64(i), Y: 1, S: 400}
-		}
-		if err := s.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Nothing before window 3: it starts at its first batch and grows as
-	// append does.
-	fill(3, 10)
-	if c := cap(s.windows[3]); c != 10 {
-		t.Errorf("first window created with room for %d tuples, want its first batch's 10", c)
-	}
-	for i := 0; i < 9; i++ {
-		fill(3, 110)
-	}
-	const pred = 10 + 9*110 // 1000
-	fill(4, 50)
-	if c := cap(s.windows[4]); c != pred+pred/8 {
-		t.Fatalf("window 4 created with room for %d tuples, want its predecessor's %d plus an eighth", c, pred)
-	}
-	first := &s.windows[4][0]
-	for len(s.windows[4])+75 <= pred+pred/8 {
-		fill(4, 75)
-		if &s.windows[4][0] != first {
-			t.Fatalf("window 4 moved at %d tuples, inside the room it was created with", len(s.windows[4]))
-		}
-	}
-	// Past the margin it regrows like any slice, and keeps everything.
-	fill(4, 300)
-	if got := s.WindowLen(4); got != len(s.windows[4]) || got < pred+pred/8 {
-		t.Errorf("window 4 holds %d tuples after outgrowing its room", got)
-	}
-
-	// One batch that crosses into a new window sizes it from the window the
-	// same batch just completed; a first batch larger than the estimate wins.
-	cross := make(tuple.Batch, 0, 40)
-	for i := 0; i < 20; i++ {
-		cross = append(cross, tuple.Raw{T: 599, X: float64(i), S: 1})
-	}
-	for i := 0; i < 20; i++ {
-		cross = append(cross, tuple.Raw{T: 600, X: float64(i), S: 1})
-	}
-	if err := s.Append(cross); err != nil {
-		t.Fatal(err)
-	}
-	if c := cap(s.windows[6]); c != 22 {
-		t.Errorf("window 6 created with room for %d, want 20 + 20/8", c)
-	}
-	fill(7, 500)
-	if c := cap(s.windows[7]); c != 500 {
-		t.Errorf("window 7 created with room for %d, want its first batch's 500", c)
-	}
-	// A late tuple for a window behind a gap has no predecessor to learn from.
-	fill(1, 1)
-	if got := s.Window(1); len(got) != 1 || cap(s.windows[1]) != 1 {
-		t.Errorf("late window holds %d tuples in room for %d", len(got), cap(s.windows[1]))
-	}
-
-	// A predecessor still lazy in the checkpoint counts with its population,
-	// and the in-memory suffix of a lazy window is not sized at all: it is
-	// merged into a new array when the window materializes.
-	dir := t.TempDir()
-	d, err := Open(colCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(22))
-	if err := d.Append(randBatch(rng, 400, 0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Append(randBatch(rng, 800, 100, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(colCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Append(randBatch(rng, 5, 100, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Append(randBatch(rng, 5, 200, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if c := cap(r.windows[1]); c != 5 {
-		t.Errorf("suffix of lazy window 1 created with room for %d tuples, want 5", c)
-	}
-	if c := cap(r.windows[2]); c != 805+805/8 {
-		t.Errorf("window 2 created with room for %d tuples, want lazy window 1's 805 plus an eighth", c)
-	}
-}
-
-// warmDurable returns a durable store whose live window has room for
-// appends batches of 256 tuples, and a batch for it.
-func warmDurable(tb testing.TB, sync SyncPolicy, appends int) (*Store, tuple.Batch) {
+// warmDurable returns a durable store of four windows, the third filled by
+// 64 batches of 256 tuples — so its log sealed chunks and the packing
+// scratch is warm — and a batch for the fourth, the live one.
+func warmDurable(tb testing.TB, sync SyncPolicy) (*Store, tuple.Batch) {
 	tb.Helper()
 	s, err := Open(Config{WindowLength: 3600, Retain: 4, Dir: tb.TempDir(), Sync: sync})
 	if err != nil {
@@ -316,7 +210,7 @@ func warmDurable(tb testing.TB, sync SyncPolicy, appends int) (*Store, tuple.Bat
 		}
 		n := 1
 		if c == 2 {
-			n = appends // the live window's predecessor: it sets the room
+			n = 64
 		}
 		for ; n > 0; n-- {
 			if err := s.Append(b); err != nil {
@@ -328,18 +222,22 @@ func warmDurable(tb testing.TB, sync SyncPolicy, appends int) (*Store, tuple.Bat
 }
 
 // TestWarmDurableAppendAllocatesNothing: a durable append into a window
-// with room builds its segment frame in the store's buffer, extends the
-// window in place and, with nothing to evict, builds no index union.
+// builds its segment frame in the store's buffer, extends the window's
+// open chunk in place and, with nothing to evict, builds no index union.
 func TestWarmDurableAppendAllocatesNothing(t *testing.T) {
-	s, b := warmDurable(t, SyncEveryBatch(), 64)
+	s, b := warmDurable(t, SyncEveryBatch())
 	before := s.DurabilityStats()
 	allocs := testing.AllocsPerRun(30, func() {
 		if err := s.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("warm durable 256-tuple append = %v allocs, want 0", allocs)
+	// One append in four fills and seals a chunk of the window's log,
+	// whose packed run is its one allocation; under the race detector the
+	// pooled scratch it packs with is now and then made afresh.
+	ceiling := racePackAllocs * float64(len(b)) / colblock.ChunkTuples
+	if allocs > ceiling {
+		t.Errorf("warm durable 256-tuple append = %v allocs, want ≤ %v", allocs, ceiling)
 	}
 	if after := s.DurabilityStats(); after.Syncs-before.Syncs != after.Appends-before.Appends || after.Appends == before.Appends {
 		t.Errorf("appends %d → %d, fsyncs %d → %d: every append must still be fsynced",
@@ -353,7 +251,7 @@ func TestWarmDurableAppendAllocatesNothing(t *testing.T) {
 // that every 64th append opens a window and evicts one: B/op is the new
 // window's array spread over the appends that fill it, and nothing else.
 func BenchmarkAppendDurable256(b *testing.B) {
-	s, batch := warmDurable(b, SyncNever(), 64)
+	s, batch := warmDurable(b, SyncNever())
 	b.ReportAllocs()
 	b.SetBytes(256 * 32)
 	b.ResetTimer()

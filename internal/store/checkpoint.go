@@ -266,13 +266,23 @@ func (s *Store) Checkpoint() error {
 	idxs := s.unionIndexesLocked()
 	windows := make([]colblock.WindowData, len(idxs))
 	prev := s.col.rd // the reader every lazy base is read through
+	// References to sealed chunks, not a copy: every open chunk (the
+	// newest window's and the late ones') is sealed first, so no raw chunk
+	// a later append writes to is read, and a sealed chunk never changes
+	// while the file is written outside the lock — a later append to the
+	// window unpacks it into a new open chunk, it does not write to it. A
+	// window's references stay valid when a later window's regrow refs:
+	// the old array is only read from then on.
+	var refs []colblock.Chunk
+	s.late = s.late[:0]
 	for i, c := range idxs {
-		// A capped slice header, not a copy: a window only ever grows by
-		// append, which writes at or above len, and release and eviction
-		// replace the slice — so the tuples below len stay as they are
-		// while the file is written outside the lock.
-		w := s.windows[c]
-		windows[i] = colblock.WindowData{Window: c, Tuples: w[:len(w):len(w)]}
+		windows[i].Window = c
+		if lg := s.windows[c]; lg != nil {
+			lg.Seal()
+			from := len(refs)
+			refs = lg.Chunks(refs)
+			windows[i].Chunks = refs[from:len(refs):len(refs)]
+		}
 		if _, lazy := s.col.lazy[c]; lazy {
 			windows[i].Base = prev.rd
 		}
@@ -348,10 +358,11 @@ func (s *Store) Checkpoint() error {
 func seedWindows(windows []colblock.WindowData, seeder SeedFunc) {
 	for i := range windows {
 		wd := &windows[i]
-		c, n, carried := wd.Window, len(wd.Tuples), false
+		mem := colblock.ChunksLen(wd.Chunks)
+		c, n, carried := wd.Window, mem, false
 		if wd.Base != nil {
 			n += wd.Base.WindowCount(c)
-			carried = len(wd.Tuples) == 0 && wd.Base.HasSeed(c)
+			carried = mem == 0 && wd.Base.HasSeed(c)
 		}
 		if sd, ok := seeder(c, n, !carried && i < len(windows)-1); ok && sd.Count == n {
 			wd.Seed = sd
@@ -396,13 +407,13 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 
 // releaseLocked makes rd — the verified reader on the checkpoint file just
 // committed from the snapshot windows — the home of every tuple that file
-// holds: each snapshotted window becomes a lazy base in it, and of the
-// window's in-memory tuples only those appended after the snapshot stay,
-// in an array of their own so the snapshot's can be collected. s.total
-// does not move. Two kinds of window are left as they are: one evicted
-// since the snapshot, and one whose base went bad meanwhile — it has
-// settled on its suffix (baseUnreadable) and a restart, not this process,
-// gets the base back. Caller holds mu.
+// holds: each snapshotted window becomes a lazy base in it, and the
+// window's log drops the chunks the snapshot took from its head, so only
+// the tuples appended after the snapshot stay. s.total does not move. Two
+// kinds of window are left as they are: one evicted since the snapshot,
+// and one whose base went bad meanwhile — it has settled on its suffix
+// (baseUnreadable) and a restart, not this process, gets the base back.
+// Caller holds mu.
 func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData) {
 	slices.Sort(s.ckEvicted)
 	for _, wd := range windows {
@@ -414,10 +425,10 @@ func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData
 			continue
 		}
 		s.col.lazy[c] = lazyFrom(rd, c)
-		if rest := s.windows[c][len(wd.Tuples):]; len(rest) > 0 {
-			s.windows[c] = slices.Clone(rest)
-		} else {
-			delete(s.windows, c)
+		if lg := s.windows[c]; lg != nil {
+			if lg.Drop(colblock.ChunksLen(wd.Chunks)); lg.Len() == 0 {
+				delete(s.windows, c)
+			}
 		}
 	}
 	s.retireReaderLocked()

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/colblock"
 	"repro/internal/geo"
 	"repro/internal/tuple"
 )
@@ -632,6 +633,106 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 	}
 	defer re.Close()
 	requireSameState(t, "final open", re, ref)
+}
+
+// TestCheckpointSealsBesideSnapshots: between a checkpoint's snapshot and
+// its encode (the seal fsync, through the syncSeg seam), a writer fills
+// the newest window past a chunk, so its log seals a full chunk and takes
+// a fresh open one, adds late tuples to the window behind it and moves on
+// to a new window, which seals the one it leaves — while a reader reads
+// every window. The file must hold what the snapshot held, the release
+// must drop exactly the snapshot's chunks, and every read, then and after
+// a restart, must match a memory store fed the same tuples.
+func TestCheckpointSealsBesideSnapshots(t *testing.T) {
+	cfg := Config{WindowLength: 100, Retain: 3, Dir: t.TempDir(), Sync: SyncNever()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(64))
+	var feed sync.RWMutex // orders the reader against the appends
+	add := func(n int, tmin, tmax float64) {
+		b := randBatch(rng, n, tmin, tmax)
+		feed.Lock()
+		defer feed.Unlock()
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	win := 1
+	var armed bool
+	syncSeg := s.syncSeg
+	s.syncSeg = func(f *os.File) error {
+		if armed { // the checkpoint's first fsync: its snapshot is taken
+			armed = false
+			for range 5 {
+				add(256, float64(win*100), float64(win*100+100))
+			}
+			add(40, float64(win*100-100), float64(win*100))
+			s.mu.RLock()
+			lg := s.windows[win]
+			full := slices.ContainsFunc(lg.Chunks(nil), func(c colblock.Chunk) bool { return c.Len() == colblock.ChunkTuples })
+			s.mu.RUnlock()
+			win++
+			add(30, float64(win*100), float64(win*100+100))
+			s.mu.RLock()
+			left := lg.Len() == colblock.ChunksLen(lg.Chunks(nil))
+			s.mu.RUnlock()
+			if !full || !left {
+				t.Errorf("window %d: a full chunk sealed = %v, sealed when left behind = %v", win-1, full, left)
+			}
+		}
+		return syncSeg(f)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var got, want tuple.Batch
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			feed.RLock()
+			for _, c := range ref.WindowIndexes() {
+				got, want = s.WindowInto(got[:0], c), ref.WindowInto(want[:0], c)
+				if !batchBitEqual(got, want) {
+					t.Errorf("read %d: window %d holds %d tuples, reference %d, or not the same ones", i, c, len(got), len(want))
+				}
+			}
+			feed.RUnlock()
+			runtime.Gosched()
+		}
+	}()
+	for step := 0; step < 6 && !t.Failed(); step++ {
+		add(300, float64(win*100), float64(win*100+100))
+		armed = true
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, fmt.Sprintf("step %d", step), s, ref)
+	}
+	close(done)
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameState(t, "restart", re, ref)
 }
 
 // TestCheckpointReleaseSkipsEvictedWindows evicts windows between a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/colblock"
@@ -235,39 +236,42 @@ func (s *Store) baseUnreadable(c int, cr *colReader) (again bool) {
 }
 
 // WindowBounds returns the exact spatial bounding box of window W_c
-// without reading it: the lazy base contributes its zone-map
-// union, the in-memory part is scanned. ok is false for an empty or
+// without reading it: the lazy base contributes its zone-map union, each
+// sealed chunk of the in-memory log the box it recorded when it was
+// sealed, and the open chunk is scanned. ok is false for an empty or
 // absent window. The result is identical to Window(c).Bounds() — zone
-// maps are exact min/max — at none of the copying or decoding cost.
+// maps and chunk boxes are exact min/max — at none of the copying or
+// decoding cost.
 func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var r geo.Rect
-	ok := false
-	if lw, lazy := s.col.lazy[c]; lazy {
-		r = geo.Rect{Min: geo.Point{X: lw.minX, Y: lw.minY}, Max: geo.Point{X: lw.maxX, Y: lw.maxY}}
-		ok = true
+	lw, lazy := s.col.lazy[c]
+	r := geo.Rect{Min: geo.Point{X: lw.minX, Y: lw.minY}, Max: geo.Point{X: lw.maxX, Y: lw.maxY}}
+	lg := s.windows[c]
+	if lg.Len() == 0 {
+		return r, lazy
 	}
-	for _, tp := range s.windows[c] {
-		if !ok {
-			r = geo.Rect{Min: tp.Pos(), Max: tp.Pos()}
-			ok = true
-			continue
-		}
-		r = r.ExpandToPoint(tp.Pos())
+	mem, _ := lg.Bounds()
+	if lazy {
+		mem = r.Union(mem)
 	}
-	return r, ok
+	return mem, true
 }
 
 // WindowRegion returns window W_c's tuples whose positions fall inside
 // region r — the merged two-source scan: a lazy base streams through the
 // checkpoint file's block iterator, which skips whole blocks whose zone
 // maps miss r, and the in-memory part (the post-checkpoint suffix, or the
-// whole window when nothing is lazy) is filtered directly. The result's
+// whole window when nothing is lazy) is read into pooled memory, its
+// sealed chunks unpacked outside the lock, and filtered. The result's
 // tuple set is exactly Window(c) filtered by r, in the file's block order
 // followed by the suffix's append order, not sorted by time — use Window
 // when time order matters.
 func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
+	buf := baseBufs.Get().(*tuple.Batch)
+	defer baseBufs.Put(buf)
+	refs := chunkRefs.Get().(*[]colblock.Chunk)
+	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		_, lazy := s.col.lazy[c]
@@ -275,13 +279,18 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 		if lazy && cr != nil {
 			cr.acquire()
 		}
+		lg := s.windows[c]
+		mem := slices.Grow((*buf)[:0], lg.Len())[:lg.Len()]
+		*refs = lg.Read(mem, 0, (*refs)[:0])
+		s.mu.RUnlock()
+		colblock.UnpackChunks(mem, *refs)
+		*buf = mem
 		var suffix tuple.Batch
-		for _, tp := range s.windows[c] {
+		for _, tp := range mem {
 			if r.Contains(tp.Pos()) {
 				suffix = append(suffix, tp)
 			}
 		}
-		s.mu.RUnlock()
 		if !lazy {
 			return suffix
 		}

@@ -2,4 +2,7 @@
 
 package store
 
-const raceEnabled = false
+const (
+	raceEnabled    = false
+	racePackAllocs = 0
+)

@@ -143,11 +143,18 @@ type Config struct {
 type Store struct {
 	mu  sync.RWMutex
 	cfg Config
-	// windows maps window index c to the tuples of W_c held in memory: all
-	// of them, or those behind the window's lazy base (col.lazy).
-	windows map[int]tuple.Batch
+	// windows maps window index c to the log of W_c's tuples held in
+	// memory: all of them, or those behind the window's lazy base
+	// (col.lazy). Only the newest window's log and those in late have an
+	// open chunk; every other window's is sealed (addToWindows).
+	windows map[int]*colblock.Log
 	total   int     // tuples currently held, lazy bases included
 	maxTime float64 // largest timestamp ever appended
+	// late lists the windows behind the newest that late tuples reached
+	// since the newest window moved or the last checkpoint's snapshot,
+	// first reached first: at most maxOpenLate, each of whose logs may
+	// keep an open chunk.
+	late []int
 
 	seg    *segHandle // open segment, nil when durability is off
 	segSeq int
@@ -290,7 +297,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:        cfg,
-		windows:    make(map[int]tuple.Batch),
+		windows:    make(map[int]*colblock.Log),
 		col:        columnarState{lazy: make(map[int]lazyWin)},
 		writeFrame: writeWhole,
 		syncSeg:    func(f *os.File) error { return f.Sync() },
@@ -757,22 +764,52 @@ func (s *Store) OnCheckpoint(fn SeedFunc) (unregister func()) {
 // Retain returns the store's retention bound (0 = unbounded).
 func (s *Store) Retain() int { return s.cfg.Retain }
 
-// addToWindows distributes tuples into their windows, one run of
-// same-window tuples at a time. Caller holds mu (or is single-threaded
-// recovery).
+// maxOpenLate is how many windows behind the newest may keep an open
+// chunk. Late tuples come in runs, a run after another into the same few
+// windows (an uplink that was down flushes its backlog, uploads straddle
+// an hour's end); a window sealed after each run would be unpacked and
+// packed again by the next one.
+const maxOpenLate = 4
+
+// addToWindows distributes tuples into their windows' logs, one run of
+// same-window tuples at a time. When a run moves past the newest window it
+// seals the newest's log and those of the late windows — before the run
+// takes an open chunk, so the one it gives back is the one taken — and a
+// run that reaches a late window beyond maxOpenLate seals the late window
+// reached first. So the newest window and at most maxOpenLate windows
+// behind it hold raw tuples, and a window is packed again only when it
+// gets late tuples after it was sealed. Caller holds mu (or is
+// single-threaded recovery).
 func (s *Store) addToWindows(b tuple.Batch) {
 	h := s.cfg.WindowLength
+	newest := tuple.WindowIndex(s.maxTime, h)
 	for len(b) > 0 {
 		c := tuple.WindowIndex(b[0].T, h)
 		n := 1
 		for n < len(b) && tuple.WindowIndex(b[n].T, h) == c {
 			n++
 		}
-		w, ok := s.windows[c]
-		if !ok {
-			w = make(tuple.Batch, 0, s.newWindowCap(c, n))
+		switch {
+		case c > newest:
+			s.sealWindow(newest)
+			for _, l := range s.late {
+				s.sealWindow(l)
+			}
+			s.late = s.late[:0]
+			newest = c
+		case c < newest && !slices.Contains(s.late, c):
+			if len(s.late) == maxOpenLate {
+				s.sealWindow(s.late[0])
+				s.late = slices.Delete(s.late, 0, 1)
+			}
+			s.late = append(s.late, c)
 		}
-		s.windows[c] = append(w, b[:n]...)
+		lg := s.windows[c]
+		if lg == nil {
+			lg = new(colblock.Log)
+			s.windows[c] = lg
+		}
+		lg.Append(b[:n])
 		s.total += n
 		for _, r := range b[:n] {
 			if r.T > s.maxTime {
@@ -783,20 +820,11 @@ func (s *Store) addToWindows(b tuple.Batch) {
 	}
 }
 
-// newWindowCap sizes window c, about to be created with its first n
-// tuples, from what the stream has shown: a fleet that filled W_{c-1} with
-// p tuples will fill W_c with about as many, so the window starts with
-// room for p plus an eighth and appends to it stop regrowing (and
-// recopying) it. A window with no predecessor — the first one, or a late
-// tuple behind a gap — starts at n and grows as append does, and so does
-// the in-memory suffix of a window with a lazy base: it holds what arrived
-// since the last checkpoint, not a window. Caller holds mu.
-func (s *Store) newWindowCap(c, n int) int {
-	if _, lazy := s.col.lazy[c]; lazy {
-		return n
+// sealWindow seals window c's log, if it has one. Caller holds mu.
+func (s *Store) sealWindow(c int) {
+	if lg := s.windows[c]; lg != nil {
+		lg.Seal()
 	}
-	p := len(s.windows[c-1]) + s.col.lazy[c-1].count
-	return max(n, p+p/8)
 }
 
 // unionIndexesLocked returns the distinct retained window indexes —
@@ -843,7 +871,7 @@ func (s *Store) evictLocked() []int {
 	idxs := s.unionIndexesLocked()
 	evicted := idxs[:len(idxs)-s.cfg.Retain]
 	for _, c := range evicted {
-		s.total -= len(s.windows[c]) + s.col.lazy[c].count
+		s.total -= s.windows[c].Len() + s.col.lazy[c].count
 		delete(s.windows, c)
 		delete(s.col.lazy, c)
 		delete(s.col.lost, c)
@@ -880,10 +908,11 @@ func (s *Store) WindowSeedInto(dst tuple.Batch, c int) (tuple.Batch, colblock.Se
 // one.
 //
 // One critical section takes the window's lazy entry, a reference to the
-// reader it belongs to and the in-memory suffix, so a checkpoint that
-// moves the window to its own file meanwhile changes nothing about what
-// this read returns; the base is then decoded outside the lock, straight
-// into dst.
+// reader it belongs to, the open chunk's tuples and references to the
+// sealed chunks of the in-memory log, so a checkpoint that moves the
+// window to its own file meanwhile changes nothing about what this read
+// returns; the base and the sealed chunks are then decoded outside the
+// lock, straight into dst.
 func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 	dst, _, _ = s.windowInto(dst, c, false)
 	return dst
@@ -892,25 +921,29 @@ func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 // windowInto is WindowInto, and WindowSeedInto when withSeed is set.
 func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch, sd colblock.Seed, seeded bool) {
 	n := len(dst)
+	refs := chunkRefs.Get().(*[]colblock.Chunk)
+	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		lw, lazy := s.col.lazy[c]
-		w := s.windows[c]
+		lg := s.windows[c]
+		m := lg.Len()
+		dst = slices.Grow(dst, lw.count+m)[:n+lw.count+m]
+		*refs = lg.Read(dst[n+lw.count:], 0, (*refs)[:0])
+		var cr *colReader
+		if lazy {
+			if cr = s.col.rd; cr != nil {
+				cr.acquire()
+			}
+		}
+		s.mu.RUnlock()
+		colblock.UnpackChunks(dst[n+lw.count:], *refs)
 		if !lazy {
-			dst = append(dst, w...)
-			s.mu.RUnlock()
 			break
 		}
-		cr := s.col.rd
-		if cr != nil {
-			cr.acquire()
-		}
-		dst = slices.Grow(dst, lw.count+len(w))[:n+lw.count+len(w)]
-		copy(dst[n+lw.count:], w)
-		s.mu.RUnlock()
 		if cr != nil {
 			err := cr.rd.DecodeWindow(dst[n:n+lw.count], c)
-			if err == nil && withSeed && len(w) == 0 {
+			if err == nil && withSeed && m == 0 {
 				sd, seeded = s.seedOf(cr.rd, c, lw.count)
 			}
 			cr.release()
@@ -936,28 +969,31 @@ func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch
 // window in append order and keeps appending behind it, and eviction
 // drops a window whole. A lazy base is decoded through the checkpoint
 // reader (the whole base, into pooled memory, unless dst starts at 0 and
-// covers it). It is an error to ask for a range the window does not hold,
-// and for any range of a window whose base went unreadable: its suffix
-// has moved down to position 0, and ReadAppended never returns shifted
-// tuples.
+// covers it), and sealed chunks of the in-memory log are unpacked, both
+// outside the lock. It is an error to ask for a range the window does not
+// hold, and for any range of a window whose base went unreadable: its
+// suffix has moved down to position 0, and ReadAppended never returns
+// shifted tuples.
 func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
+	refs := chunkRefs.Get().(*[]colblock.Chunk)
+	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		if s.col.lost[c] {
 			s.mu.RUnlock()
 			return fmt.Errorf("store: window %d lost its checkpointed base", c)
 		}
-		base, w := s.col.lazy[c].count, s.windows[c]
+		base, lg := s.col.lazy[c].count, s.windows[c]
 		end := off + len(dst)
-		if off < 0 || end > base+len(w) {
+		if off < 0 || end > base+lg.Len() {
 			s.mu.RUnlock()
-			return fmt.Errorf("store: window %d holds %d tuples, not [%d, %d)", c, base+len(w), off, end)
+			return fmt.Errorf("store: window %d holds %d tuples, not [%d, %d)", c, base+lg.Len(), off, end)
 		}
-		if end > base {
-			copy(dst[max(base-off, 0):], w[max(off-base, 0):end-base])
-		}
+		mem := dst[min(max(base-off, 0), len(dst)):]
+		*refs = lg.Read(mem, max(off-base, 0), (*refs)[:0])
 		if off >= base {
 			s.mu.RUnlock()
+			colblock.UnpackChunks(mem, *refs)
 			return nil
 		}
 		cr := s.col.rd
@@ -965,6 +1001,7 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 			cr.acquire()
 		}
 		s.mu.RUnlock()
+		colblock.UnpackChunks(mem, *refs)
 		if cr != nil {
 			err := decodeRange(cr.rd, dst[:min(end, base)-off], c, off, base)
 			cr.release()
@@ -979,8 +1016,20 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 	}
 }
 
-// baseBufs lends ReadAppended a window's worth of tuples to decode into.
+// baseBufs lends ReadAppended and WindowRegion a window's worth of tuples
+// to decode into.
 var baseBufs = sync.Pool{New: func() any { return new(tuple.Batch) }}
+
+// chunkRefs lends a read the references to sealed chunks it takes under
+// the lock and unpacks after it.
+var chunkRefs = sync.Pool{New: func() any { return new([]colblock.Chunk) }}
+
+// putRefs clears refs, so the pool holds no chunk alive, and gives it
+// back.
+func putRefs(refs *[]colblock.Chunk) {
+	clear(*refs)
+	chunkRefs.Put(refs)
+}
 
 // decodeRange fills dst with tuples [off, off+len(dst)) of window c's
 // base of n tuples in rd.
@@ -1015,7 +1064,7 @@ func (s *Store) seedOf(rd *colblock.Reader, c, n int) (colblock.Seed, bool) {
 func (s *Store) WindowLen(c int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.windows[c]) + s.col.lazy[c].count
+	return s.windows[c].Len() + s.col.lazy[c].count
 }
 
 // WindowIndexes returns the indexes of all retained windows — in-memory

@@ -195,15 +195,36 @@ func (b Batch) TimeSpan() (min, max float64, ok bool) {
 	return min, max, true
 }
 
-// Bounds returns the spatial bounding box of the batch. ok is false for an
-// empty batch.
+// Bounds returns the spatial bounding box of the batch, as folding
+// geo.Rect.ExpandToPoint over it does. ok is false for an empty batch.
+//
+// It compares plainly, which agrees with the math.Min and math.Max that
+// ExpandToPoint calls unless a NaN is met or a corner is a zero (whose
+// sign they leave to the order of the batch): only then does it fold.
 func (b Batch) Bounds() (geo.Rect, bool) {
 	if len(b) == 0 {
 		return geo.Rect{}, false
 	}
 	r := geo.Rect{Min: b[0].Pos(), Max: b[0].Pos()}
-	for _, t := range b[1:] {
-		r = r.ExpandToPoint(t.Pos())
+	nan := false
+	for _, t := range b {
+		if t.X < r.Min.X {
+			r.Min.X = t.X
+		} else if t.X > r.Max.X {
+			r.Max.X = t.X
+		}
+		if t.Y < r.Min.Y {
+			r.Min.Y = t.Y
+		} else if t.Y > r.Max.Y {
+			r.Max.Y = t.Y
+		}
+		nan = nan || t.X != t.X || t.Y != t.Y
+	}
+	if nan || r.Min.X == 0 || r.Min.Y == 0 || r.Max.X == 0 || r.Max.Y == 0 {
+		r = geo.Rect{Min: b[0].Pos(), Max: b[0].Pos()}
+		for _, t := range b[1:] {
+			r = r.ExpandToPoint(t.Pos())
+		}
 	}
 	return r, true
 }

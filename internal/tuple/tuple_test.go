@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,37 @@ func TestBatchBoundsAndExtracts(t *testing.T) {
 	}
 	if _, ok := empty.MeanValue(); ok {
 		t.Error("empty MeanValue should report ok=false")
+	}
+}
+
+// TestBatchBoundsMatchesFold: Bounds' plain comparisons give the box that
+// folding geo.Rect.ExpandToPoint over the batch gives, bit for bit, also
+// over zeros of either sign, infinities and NaNs.
+func TestBatchBoundsMatchesFold(t *testing.T) {
+	special := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+	rng := rand.New(rand.NewSource(1))
+	val := func() float64 {
+		if k := rng.Intn(3 * len(special)); k < len(special) {
+			return special[k]
+		}
+		return float64(rng.Intn(9) - 4)
+	}
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
+	for i := range 5000 {
+		b := make(Batch, 1+rng.Intn(6))
+		for j := range b {
+			b[j] = Raw{X: val(), Y: val()}
+		}
+		want := geo.Rect{Min: b[0].Pos(), Max: b[0].Pos()}
+		for _, r := range b[1:] {
+			want = want.ExpandToPoint(r.Pos())
+		}
+		got, _ := b.Bounds()
+		if !same(got.Min.X, want.Min.X) || !same(got.Min.Y, want.Min.Y) || !same(got.Max.X, want.Max.X) || !same(got.Max.Y, want.Max.Y) {
+			t.Fatalf("batch %d %v: Bounds %+v, fold %+v", i, b, got, want)
+		}
 	}
 }
 
