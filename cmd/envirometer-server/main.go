@@ -91,7 +91,6 @@ func main() {
 		schedWork  = flag.Int("sched-workers", 0, "background cover-build workers (0 = default, -1 = disabled)")
 		ckInterval = flag.Duration("checkpoint-interval", 0, "periodic store checkpoint interval (0 = disabled)")
 		ckKeep     = flag.Int("checkpoint-keep", 0, "checkpoint-covered segments spared per compaction")
-		colNoMmap  = flag.Bool("columnar-no-mmap", false, "read checkpoint files with pread instead of mmap")
 
 		clusterNodes  = flag.String("cluster-nodes", "", "comma-separated TCP wire addresses of every cluster node (empty = single node)")
 		nodeID        = flag.Int("node-id", 0, "this process's index in -cluster-nodes")
@@ -153,7 +152,6 @@ func main() {
 		queue:   repro.PipelineConfig{QueueDepth: *queueDepth},
 		sched:   repro.SchedulerConfig{Workers: *schedWork},
 		ck:      repro.CheckpointConfig{Interval: *ckInterval, KeepSegments: *ckKeep},
-		col:     repro.ColumnarConfig{DisableMmap: *colNoMmap},
 		cluster: cl,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "envirometer-server:", err)
@@ -182,7 +180,6 @@ type options struct {
 	queue                       repro.PipelineConfig
 	sched                       repro.SchedulerConfig
 	ck                          repro.CheckpointConfig
-	col                         repro.ColumnarConfig
 	cluster                     repro.ClusterConfig
 }
 
@@ -199,7 +196,6 @@ func run(o options) error {
 		IngestQueue:   o.queue,
 		Maintenance:   o.sched,
 		Checkpoint:    o.ck,
-		Columnar:      o.col,
 		Cluster:       o.cluster,
 	})
 	if err != nil {

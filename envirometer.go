@@ -171,16 +171,15 @@ type CheckpointConfig = server.CheckpointConfig
 // last restart's recovery path across every pollutant's store.
 type CheckpointStats = server.CheckpointStats
 
-// ColumnarConfig configures how checkpoint files are read: DisableMmap
-// forces plain pread file access. Enabled is ignored (every checkpoint is
-// a column-block file) and kept only because the frozen end-to-end
-// benchmark sets it.
+// ColumnarConfig configures nothing: every checkpoint is a column-block
+// file, read with plain file reads. Enabled is ignored and kept only
+// because the frozen end-to-end benchmark sets it.
 type ColumnarConfig = store.ColumnarConfig
 
 // ColumnarStats counts the checkpoint files' work across every
 // pollutant's store: files and blocks written, windows served from the
 // file, window bases decoded for a read (lost ones apart), zone-map
-// prunes, and mmap vs pread reads.
+// prunes, and the bytes read.
 type ColumnarStats = store.ColumnarStats
 
 // PipelineStats counts the ingest pipeline's work.
@@ -307,11 +306,10 @@ type Config struct {
 	// segments per compaction. The zero value takes no automatic
 	// checkpoints; Platform.Checkpoint still works.
 	Checkpoint CheckpointConfig
-	// Columnar (used only with Dir) configures how a restart reads the
-	// checkpoint it recovers from. Checkpointed windows stay in the file
-	// until something reads them: analytical scans — cover builds,
-	// heatmaps, window reads — decode sorted, zone-mapped blocks on
-	// demand, through mmap unless DisableMmap is set.
+	// Columnar is ignored. With Dir, checkpointed windows stay in the
+	// checkpoint file until something reads them: analytical scans —
+	// cover builds, heatmaps, window reads — read and decode zone-mapped
+	// blocks on demand.
 	Columnar ColumnarConfig
 	// Retain bounds in-memory windows (0 = keep all).
 	Retain int
@@ -393,7 +391,6 @@ func Open(cfg Config) (*Platform, error) {
 			Dir:          cfg.storeDir(pol),
 			Sync:         cfg.Sync,
 			KeepSegments: cfg.Checkpoint.KeepSegments,
-			Columnar:     cfg.Columnar,
 		})
 		if err != nil {
 			closeAll()

@@ -62,8 +62,7 @@ func indexedLogHistory(t *testing.T, seed int64, retain int) (seen historyCounts
 	name := fmt.Sprintf("seed %d, retain %d", seed, retain)
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	st, err := store.Open(store.Config{WindowLength: window, Retain: retain, Dir: dir,
-		Sync: store.SyncNever(), Columnar: store.ColumnarConfig{DisableMmap: true}})
+	st, err := store.Open(store.Config{WindowLength: window, Retain: retain, Dir: dir, Sync: store.SyncNever()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,12 @@ func encodeImage(t *testing.T, seq int, windows []WindowData, blockTuples int) [
 
 func bitEqualBatches(a, b tuple.Batch) bool { return slices.EqualFunc(a, b, bitEqual) }
 
+// decoded decodes window c of rd into memory of its own.
+func decoded(rd *Reader, c int) (tuple.Batch, error) {
+	out := make(tuple.Batch, rd.WindowCount(c))
+	return out, rd.DecodeWindow(out, c)
+}
+
 func bitEqual(a, b tuple.Raw) bool {
 	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
 		math.Float64bits(a.X) == math.Float64bits(b.X) &&
@@ -94,7 +100,7 @@ func bitEqual(a, b tuple.Raw) bool {
 		math.Float64bits(a.S) == math.Float64bits(b.S)
 }
 
-// TestRoundTrip proves the core invariant: WindowTuples reproduces every
+// TestRoundTrip proves the core invariant: DecodeWindow reproduces every
 // window bit-for-bit in original append order, regardless of block size.
 func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
@@ -112,9 +118,9 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("Tuples = %d, want %d", rd.Tuples(), 5*777)
 		}
 		for _, wd := range windows {
-			got, err := rd.WindowTuples(wd.Window)
+			got, err := decoded(rd, wd.Window)
 			if err != nil {
-				t.Fatalf("WindowTuples(%d): %v", wd.Window, err)
+				t.Fatalf("DecodeWindow(%d): %v", wd.Window, err)
 			}
 			if len(got) != len(wd.Tuples) {
 				t.Fatalf("window %d: %d tuples, want %d", wd.Window, len(got), len(wd.Tuples))
@@ -144,9 +150,9 @@ func TestFixedPointEdgeValues(t *testing.T) {
 		t.Fatalf("OpenBytes: %v", err)
 	}
 	defer rd.Close()
-	got, err := rd.WindowTuples(0)
+	got, err := decoded(rd, 0)
 	if err != nil {
-		t.Fatalf("WindowTuples: %v", err)
+		t.Fatalf("DecodeWindow: %v", err)
 	}
 	for i := range got {
 		if !bitEqual(got[i], b[i]) {
@@ -273,7 +279,7 @@ func TestPackedEdgeValues(t *testing.T) {
 
 // TestOverflowingSpanRejected: a directory entry whose offset and length
 // each fit in an int64 but whose sum does not is refused when the file is
-// opened, on every access path, before anything reads through it.
+// opened, from a file or from memory, before anything reads through it.
 func TestOverflowingSpanRejected(t *testing.T) {
 	img := encodeImage(t, 1, windowData(genWindows(rand.New(rand.NewSource(15)), 1, 50)...), 0)
 	bad := reseal(img, 0, func(m *BlockMeta) { m.Offset, m.Length = 1<<62+1<<61, 1<<62 })
@@ -287,26 +293,16 @@ func TestOverflowingSpanRejected(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, disable := range []bool{false, true} {
-		if _, err := OpenFile(path, Options{DisableMmap: disable}); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("OpenFile(disableMmap=%v) = %v, want ErrCorrupt", disable, err)
-		}
+	if _, err := OpenFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenFile = %v, want ErrCorrupt", err)
 	}
-	// Every source refuses such a span by itself too.
-	f, err := os.Open(path)
+	// A reader refuses such a span by itself too.
+	rd, err := OpenBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	srcs := []Source{byteSource(bad), &readAtSource{f: f, size: int64(len(bad))}}
-	if mapped, err := mapFile(f, int64(len(bad))); err == nil {
-		defer mapped.Close()
-		srcs = append(srcs, mapped)
-	}
-	for _, src := range srcs {
-		if _, err := src.ReadSpan(nil, 1<<62+1<<61, 1<<62); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%T.ReadSpan of an overflowing span = %v, want ErrCorrupt", src, err)
-		}
+	if _, err := rd.blockBytes(new([]byte), 1<<62+1<<61, 1<<62); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("blockBytes of an overflowing span = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -421,8 +417,8 @@ func TestCorruption(t *testing.T) {
 	}
 }
 
-// TestOpenFileSources exercises both access paths against the same file
-// and requires identical answers and correctly attributed read counters.
+// TestOpenFileSources reads the same image from a file and from memory
+// and requires identical answers and the reads counted.
 func TestOpenFileSources(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	windows := genWindows(r, 2, 400)
@@ -431,29 +427,21 @@ func TestOpenFileSources(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, disable := range []bool{false, true} {
-		rd, err := OpenFile(path, Options{DisableMmap: disable})
+	for name, open := range map[string]func() (*Reader, error){
+		"file":   func() (*Reader, error) { return OpenFile(path) },
+		"memory": func() (*Reader, error) { return OpenBytes(img) },
+	} {
+		rd, err := open()
 		if err != nil {
-			t.Fatalf("OpenFile(disableMmap=%v): %v", disable, err)
+			t.Fatal(err)
 		}
 		for _, wd := range windows {
-			got, err := rd.WindowTuples(wd.Window)
-			if err != nil {
-				t.Fatalf("WindowTuples: %v", err)
-			}
-			for i := range got {
-				if !bitEqual(got[i], wd.Tuples[i]) {
-					t.Fatalf("disableMmap=%v: window %d tuple %d mismatch", disable, wd.Window, i)
-				}
+			if got, err := decoded(rd, wd.Window); err != nil || !bitEqualBatches(got, wd.Tuples) {
+				t.Fatalf("%s: window %d differs: %v", name, wd.Window, err)
 			}
 		}
-		st := rd.Stats()
-		if disable && (st.ReadAtReads == 0 || st.MmapReads != 0) {
-			t.Fatalf("DisableMmap stats %+v: want only ReadAt reads", st)
-		}
-		if st.BytesRead == 0 {
-			t.Fatalf("stats %+v: no bytes accounted", st)
+		if st := rd.Stats(); st.BlocksScanned != int64(len(rd.blocks)) || st.BytesRead == 0 {
+			t.Fatalf("%s: stats %+v: want every block counted", name, st)
 		}
 		if err := rd.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -472,11 +460,11 @@ func TestEmptyFile(t *testing.T) {
 		t.Fatalf("OpenBytes: %v", err)
 	}
 	defer rd.Close()
-	if rd.Tuples() != 0 || rd.Blocks() != 0 || len(rd.Windows()) != 0 {
-		t.Fatalf("empty file reports tuples=%d blocks=%d windows=%v", rd.Tuples(), rd.Blocks(), rd.Windows())
+	if rd.Tuples() != 0 || len(rd.blocks) != 0 || len(rd.Windows()) != 0 {
+		t.Fatalf("empty file reports tuples=%d blocks=%d windows=%v", rd.Tuples(), len(rd.blocks), rd.Windows())
 	}
-	if got, err := rd.WindowTuples(0); err != nil || got != nil {
-		t.Fatalf("WindowTuples on empty = %v, %v", got, err)
+	if got, err := decoded(rd, 0); err != nil || len(got) != 0 {
+		t.Fatalf("DecodeWindow on empty = %v, %v", got, err)
 	}
 }
 
@@ -507,8 +495,7 @@ func TestMetaRoundTrip(t *testing.T) {
 }
 
 // TestCheckBlocks proves the no-decode pass a store runs before trusting
-// a checkpoint catches a flipped byte anywhere in the block section, on
-// both access paths.
+// a checkpoint catches a flipped byte anywhere in the block section.
 func TestCheckBlocks(t *testing.T) {
 	windows := genWindows(rand.New(rand.NewSource(13)), 3, 200)
 	img := encodeImage(t, 4, windowData(windows...), 64)
@@ -522,20 +509,18 @@ func TestCheckBlocks(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, disable := range []bool{false, true} {
-			rd, err := OpenFile(path, Options{DisableMmap: disable})
-			if err != nil {
-				t.Fatalf("flip at %d: the footer is intact, OpenFile must succeed: %v", pos, err)
-			}
-			err = rd.CheckBlocks()
-			if (pos >= 0) != errors.Is(err, ErrCorrupt) {
-				t.Errorf("flip at %d (disableMmap=%v): CheckBlocks = %v", pos, disable, err)
-			}
-			if st := rd.Stats(); st != (Stats{}) {
-				t.Errorf("CheckBlocks counted as a scan: %+v", st)
-			}
-			rd.Close()
+		rd, err := OpenFile(path)
+		if err != nil {
+			t.Fatalf("flip at %d: the footer is intact, OpenFile must succeed: %v", pos, err)
 		}
+		err = rd.CheckBlocks()
+		if (pos >= 0) != errors.Is(err, ErrCorrupt) {
+			t.Errorf("flip at %d: CheckBlocks = %v", pos, err)
+		}
+		if st := rd.Stats(); st != (Stats{}) {
+			t.Errorf("CheckBlocks counted as a scan: %+v", st)
+		}
+		rd.Close()
 	}
 }
 
@@ -725,8 +710,8 @@ func TestColumnChecks(t *testing.T) {
 
 // TestCarryOverRoundTrip encodes a file, then a second one whose every
 // window is "take it from the first": the second must be the first byte
-// for byte — same blocks, same zone maps, same directory — on both access
-// paths, having decoded nothing. A window that gained tuples since is
+// for byte — same blocks, same zone maps, same directory — having decoded
+// nothing. A window that gained tuples since is
 // decoded, merged and encoded to the bytes a direct encode of the whole
 // window gives.
 func TestCarryOverRoundTrip(t *testing.T) {
@@ -737,58 +722,56 @@ func TestCarryOverRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, first, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, disable := range []bool{false, true} {
-		rd, err := OpenFile(path, Options{DisableMmap: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		carried := make([]WindowData, len(windows))
-		for i, wd := range windows {
-			carried[i] = WindowData{Window: wd.Window, Base: rd}
-		}
-		second := encodeImage(t, 6, carried, 256)
-		if !bytes.Equal(second, first) {
-			t.Errorf("disableMmap=%v: a file carried over window by window differs from its source", disable)
-		}
-		if st := rd.Stats(); st != (Stats{}) {
-			t.Errorf("disableMmap=%v: carrying blocks over counted as scans: %+v", disable, st)
-		}
-		rd2, err := OpenBytes(second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, wd := range windows {
-			got, err := rd2.WindowTuples(wd.Window)
-			if err != nil || !bitEqualBatches(got, wd.Tuples) {
-				t.Errorf("disableMmap=%v: window %d after the carry-over: %v", disable, wd.Window, err)
-			}
-			z1, _ := rd.WindowZone(wd.Window)
-			z2, _ := rd2.WindowZone(wd.Window)
-			z1.Offset, z2.Offset = 0, 0
-			if z1 != z2 {
-				t.Errorf("disableMmap=%v: window %d zone map %+v, was %+v", disable, wd.Window, z2, z1)
-			}
-		}
-
-		// Window 4 gained tuples, window 9 is new, the rest is unchanged.
-		extra := genWindows(r, 1, 90)[0].Tuples
-		fresh := genWindows(r, 1, 50)[0].Tuples
-		mixed := append([]WindowData(nil), carried...)
-		mixed[1].Chunks = chunksOf(extra)
-		mixed = append(mixed, testWindow{Window: 9, Tuples: fresh}.data())
-		whole := windowData(windows...)
-		whole[1].Chunks = chunksOf(append(append(tuple.Batch(nil), windows[1].Tuples...), extra...))
-		whole = append(whole, testWindow{Window: 9, Tuples: fresh}.data())
-		if !bytes.Equal(encodeImage(t, 7, mixed, 256), encodeImage(t, 7, whole, 256)) {
-			t.Errorf("disableMmap=%v: base + suffix encodes differently from the whole window", disable)
-		}
-		rd.Close()
+	rd, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	carried := make([]WindowData, len(windows))
+	for i, wd := range windows {
+		carried[i] = WindowData{Window: wd.Window, Base: rd}
+	}
+	second := encodeImage(t, 6, carried, 256)
+	if !bytes.Equal(second, first) {
+		t.Error("a file carried over window by window differs from its source")
+	}
+	if st := rd.Stats(); st != (Stats{}) {
+		t.Errorf("carrying blocks over counted as scans: %+v", st)
+	}
+	rd2, err := OpenBytes(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wd := range windows {
+		got, err := decoded(rd2, wd.Window)
+		if err != nil || !bitEqualBatches(got, wd.Tuples) {
+			t.Errorf("window %d after the carry-over: %v", wd.Window, err)
+		}
+		z1, _ := rd.WindowZone(wd.Window)
+		z2, _ := rd2.WindowZone(wd.Window)
+		z1.Offset, z2.Offset = 0, 0
+		if z1 != z2 {
+			t.Errorf("window %d zone map %+v, was %+v", wd.Window, z2, z1)
+		}
+	}
+
+	// Window 4 gained tuples, window 9 is new, the rest is unchanged.
+	extra := genWindows(r, 1, 90)[0].Tuples
+	fresh := genWindows(r, 1, 50)[0].Tuples
+	mixed := append([]WindowData(nil), carried...)
+	mixed[1].Chunks = chunksOf(extra)
+	mixed = append(mixed, testWindow{Window: 9, Tuples: fresh}.data())
+	whole := windowData(windows...)
+	whole[1].Chunks = chunksOf(append(append(tuple.Batch(nil), windows[1].Tuples...), extra...))
+	whole = append(whole, testWindow{Window: 9, Tuples: fresh}.data())
+	if !bytes.Equal(encodeImage(t, 7, mixed, 256), encodeImage(t, 7, whole, 256)) {
+		t.Error("base + suffix encodes differently from the whole window")
+	}
+	rd.Close()
 
 	// A block that went bad stops the carry-over: nothing is copied blind.
 	bad := append([]byte(nil), first...)
 	bad[headerSize+9] ^= 0x10
-	rd, err := OpenBytes(bad)
+	rd, err = OpenBytes(bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,11 +105,11 @@ func FuzzColBlockDecode(f *testing.F) {
 			t.Fatalf("carried windows %v, want %v", got, want)
 		}
 		for _, c := range rd.Windows() {
-			want, err := rd.WindowTuples(c)
+			want, err := decoded(rd, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := rd2.WindowTuples(c); err != nil || !bitEqualBatches(got, want) {
+			if got, err := decoded(rd2, c); err != nil || !bitEqualBatches(got, want) {
 				t.Fatalf("window %d after the carry-over: %d tuples, %v; want the %d it had", c, len(got), err, len(want))
 			}
 			sd, ok, err := rd.Seed(c)

@@ -1,9 +1,11 @@
 package colblock
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -13,43 +15,20 @@ import (
 	"repro/internal/tuple"
 )
 
-// Source is the byte-access abstraction under a Reader: a memory map
-// where the platform supports it, pread otherwise. ReadSpan returns the
-// requested span: a mapped source a sub-slice of the mapping (zero copy,
-// buf untouched), a file-backed one buf filled from the file and grown
-// when it is too small — so a caller that brings the same buffer back
-// reads block after block without allocating.
-type Source interface {
-	ReadSpan(buf []byte, off, n int64) ([]byte, error)
-	Size() int64
-	// Mapped reports whether ReadSpan is zero-copy (memory-mapped or
-	// in-memory); the reader's stats distinguish the two access paths.
-	Mapped() bool
-	Close() error
-}
-
-// Options configures how a Reader accesses the file.
-type Options struct {
-	// DisableMmap forces the pread path even where mmap is available —
-	// for platforms where a truncated file turns loads into SIGBUS, or
-	// to keep the page cache footprint explicit.
-	DisableMmap bool
-}
-
 // Stats counts a Reader's scans (CheckBlocks is not one). Zero value is
 // ready; fields are summed into the store's columnar stats.
 type Stats struct {
 	BlocksScanned int64
 	BlocksPruned  int64
-	MmapReads     int64
-	ReadAtReads   int64
 	BytesRead     int64
 }
 
 // Reader serves windows and region scans from one immutable checkpoint
-// file. It is safe for concurrent use; Close invalidates it.
+// file, reading it with ReadAt (pread on a file). It is safe for
+// concurrent use; Close invalidates it.
 type Reader struct {
-	src    Source
+	src    io.ReaderAt
+	size   int64
 	meta   Meta
 	tuples int
 	blocks []BlockMeta
@@ -62,15 +41,13 @@ type Reader struct {
 
 	blocksScanned atomic.Int64
 	blocksPruned  atomic.Int64
-	mmapReads     atomic.Int64
-	readAtReads   atomic.Int64
 	bytesRead     atomic.Int64
 	closed        atomic.Bool
 }
 
-// OpenFile opens the checkpoint file at path, memory-mapping it where the
-// platform allows (and opts permit) and falling back to pread.
-func OpenFile(path string, opts Options) (*Reader, error) {
+// OpenFile opens the checkpoint file at path. The Reader keeps the file
+// open until Close.
+func OpenFile(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -80,20 +57,7 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	size := info.Size()
-	if !opts.DisableMmap {
-		if src, err := mapFile(f, size); err == nil {
-			// The mapping outlives the descriptor; drop it now.
-			f.Close()
-			r, err := newReader(src)
-			if err != nil {
-				src.Close()
-				return nil, err
-			}
-			return r, nil
-		}
-	}
-	r, err := newReader(&readAtSource{f: f, size: size})
+	r, err := newReader(f, info.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -104,7 +68,7 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 // OpenBytes opens a file image held in memory — the fuzz and test
 // entry point, sharing every validation step with OpenFile.
 func OpenBytes(data []byte) (*Reader, error) {
-	return newReader(byteSource(data))
+	return newReader(bytes.NewReader(data), int64(len(data)))
 }
 
 // Verify structurally validates data as a file image and decodes
@@ -131,12 +95,16 @@ func Verify(data []byte) error {
 	return nil
 }
 
-func newReader(src Source) (*Reader, error) {
-	size := src.Size()
+func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerSize+trailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is below minimum framing", ErrCorrupt, size)
 	}
-	hdr, err := src.ReadSpan(nil, 0, headerSize)
+	r := &Reader{src: src, size: size}
+	// The header, the trailer, then the directory with the trailer behind
+	// it are read in turn into one pooled buffer.
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	hdr, err := r.blockBytes(&sc.span, 0, headerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +112,7 @@ func newReader(src Source) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad header magic %#x", ErrCorrupt, le32(hdr[0:]))
 	}
 	version := le32(hdr[4:])
-	trailer, err := src.ReadSpan(nil, size-trailerSize, trailerSize)
+	trailer, err := r.blockBytes(&sc.span, size-trailerSize, trailerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -160,10 +128,11 @@ func newReader(src Source) (*Reader, error) {
 	if nentries < 0 || dirLen < 0 || dirStart < headerSize {
 		return nil, fmt.Errorf("%w: directory of %d entries does not fit", ErrCorrupt, nentries)
 	}
-	dir, err := src.ReadSpan(nil, dirStart, dirLen)
+	tail, err := r.blockBytes(&sc.span, dirStart, dirLen+trailerSize)
 	if err != nil {
 		return nil, err
 	}
+	dir, trailer := tail[:dirLen], tail[dirLen:]
 	if footerCRC(dir, trailer) != le32(trailer[40:]) {
 		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
@@ -171,15 +140,12 @@ func newReader(src Source) (*Reader, error) {
 		return nil, fmt.Errorf("%w: version %d, this reader reads version %d", ErrVersion, version, colVersion)
 	}
 
-	r := &Reader{
-		src: src,
-		meta: Meta{
-			Seq:     int(int64(le64(trailer[0:]))),
-			Horizon: int(int64(le64(trailer[16:]))),
-			MaxTime: math.Float64frombits(le64(trailer[24:])),
-		},
-		tuples: int(int64(le64(trailer[8:]))),
+	r.meta = Meta{
+		Seq:     int(int64(le64(trailer[0:]))),
+		Horizon: int(int64(le64(trailer[16:]))),
+		MaxTime: math.Float64frombits(le64(trailer[24:])),
 	}
+	r.tuples = int(int64(le64(trailer[8:])))
 	if r.tuples < 0 {
 		return nil, fmt.Errorf("%w: negative tuple count", ErrCorrupt)
 	}
@@ -331,10 +297,6 @@ func (r *Reader) Meta() Meta { return r.meta }
 // Tuples returns the total tuple count across all windows.
 func (r *Reader) Tuples() int { return r.tuples }
 
-// Blocks returns the number of column blocks in the file (seed records
-// are not blocks).
-func (r *Reader) Blocks() int { return len(r.blocks) }
-
 // Windows returns the window indexes present, ascending.
 func (r *Reader) Windows() []int {
 	out := make([]int, len(r.spans))
@@ -385,21 +347,6 @@ func (r *Reader) CheckBlocks() error {
 	return nil
 }
 
-// WindowTuples materializes window c in its original append order —
-// byte-identical to the slice the writing store held in memory — into a
-// batch of its own: DecodeWindow into fresh memory.
-func (r *Reader) WindowTuples(c int) (tuple.Batch, error) {
-	n := r.WindowCount(c)
-	if n == 0 {
-		return nil, nil
-	}
-	out := make(tuple.Batch, n)
-	if err := r.DecodeWindow(out, c); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ScanWindowRegion streams window c's tuples whose (X, Y) fall inside
 // the closed rectangle [minX,maxX]×[minY,maxY], pruning whole blocks by
 // zone map before touching their bytes. Tuples arrive in append order. It
@@ -440,29 +387,27 @@ func (r *Reader) readBlock(sc *scratch, m BlockMeta) error {
 
 // countScan accounts one block read for decoding.
 func (r *Reader) countScan(m BlockMeta) {
-	if r.src.Mapped() {
-		r.mmapReads.Add(1)
-	} else {
-		r.readAtReads.Add(1)
-	}
 	r.bytesRead.Add(m.Length)
 	r.blocksScanned.Add(1)
 }
 
-// blockBytes returns the n bytes of the block or seed record at off: a
-// slice of the mapping, or *buf filled by pread (and grown, which is why
-// the caller's buffer comes by pointer).
+// blockBytes reads the n bytes at off — a block, a seed record, or the
+// framing — into *buf, grown when it is too small, so a caller that
+// brings the same buffer back reads block after block without allocating.
 func (r *Reader) blockBytes(buf *[]byte, off, n int64) ([]byte, error) {
-	data, err := r.src.ReadSpan(*buf, off, n)
-	if err == nil && !r.src.Mapped() {
-		*buf = data
+	if off < 0 || n < 0 || n > r.size-off {
+		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte file", ErrCorrupt, off, n, r.size)
 	}
-	return data, err
+	*buf = sized(*buf, int(n))
+	if _, err := r.src.ReadAt(*buf, off); err != nil {
+		return nil, err
+	}
+	return *buf, nil
 }
 
-// scratch is what a read borrows beside its destination: a block's bytes
-// on the pread path, the block decoded — its T, X, Y and S columns — and
-// the keys of the column being decoded.
+// scratch is what a read borrows beside its destination: a block's bytes,
+// the block decoded — its T, X, Y and S columns — and the keys of the
+// column being decoded.
 type scratch struct {
 	span []byte
 	cols [4][]float64
@@ -529,51 +474,17 @@ func (r *Reader) Stats() Stats {
 	return Stats{
 		BlocksScanned: r.blocksScanned.Load(),
 		BlocksPruned:  r.blocksPruned.Load(),
-		MmapReads:     r.mmapReads.Load(),
-		ReadAtReads:   r.readAtReads.Load(),
 		BytesRead:     r.bytesRead.Load(),
 	}
 }
 
-// Close releases the underlying source. Idempotent.
+// Close closes the file OpenFile opened. Idempotent.
 func (r *Reader) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	return r.src.Close()
-}
-
-// readAtSource is the portable pread fallback.
-type readAtSource struct {
-	f    *os.File
-	size int64
-}
-
-func (s *readAtSource) ReadSpan(buf []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || n > s.size-off {
-		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte file", ErrCorrupt, off, n, s.size)
+	if f, ok := r.src.(io.Closer); ok {
+		return f.Close()
 	}
-	buf = sized(buf, int(n))
-	if _, err := s.f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return nil
 }
-
-func (s *readAtSource) Size() int64  { return s.size }
-func (s *readAtSource) Mapped() bool { return false }
-func (s *readAtSource) Close() error { return s.f.Close() }
-
-// byteSource serves an in-memory image (tests, fuzzing).
-type byteSource []byte
-
-func (s byteSource) ReadSpan(_ []byte, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || n > int64(len(s))-off {
-		return nil, fmt.Errorf("%w: read span [%d,+%d) outside %d-byte image", ErrCorrupt, off, n, len(s))
-	}
-	return s[off : off+n], nil
-}
-
-func (s byteSource) Size() int64  { return int64(len(s)) }
-func (s byteSource) Mapped() bool { return true }
-func (s byteSource) Close() error { return nil }

@@ -70,8 +70,8 @@ func TestSeedRoundTrip(t *testing.T) {
 	}
 	defer rd.Close()
 	requireSeeds(t, "written", rd, seeds)
-	if rd.Blocks() != 4*3 || rd.Tuples() != 4*300 {
-		t.Fatalf("%d blocks, %d tuples: seed records counted as blocks", rd.Blocks(), rd.Tuples())
+	if len(rd.blocks) != 4*3 || rd.Tuples() != 4*300 {
+		t.Fatalf("%d blocks, %d tuples: seed records counted as blocks", len(rd.blocks), rd.Tuples())
 	}
 	if err := rd.CheckBlocks(); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestBadSeedCostsOnlyTheSeed(t *testing.T) {
 		t.Fatalf("a bad seed record: Verify = %v, want ErrCorrupt", err)
 	}
 	for _, wd := range windows {
-		got, err := rd.WindowTuples(wd.Window)
+		got, err := decoded(rd, wd.Window)
 		if err != nil || !bitEqualBatches(got, wd.Tuples) {
 			t.Fatalf("window %d beside a bad seed: %v", wd.Window, err)
 		}

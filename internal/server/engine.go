@@ -339,8 +339,8 @@ func (e *Engine) CheckpointStats() CheckpointStats {
 }
 
 // ColumnarStats aggregates the shards' columnar scan-path counters
-// (checkpoint files written, lazy windows, zone-map prunes, mmap vs
-// pread reads, failed materializations).
+// (checkpoint files written, lazy windows, blocks read and zone-map
+// prunes, failed materializations).
 func (e *Engine) ColumnarStats() store.ColumnarStats {
 	var out store.ColumnarStats
 	for _, sh := range e.shards {

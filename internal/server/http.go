@@ -814,8 +814,8 @@ type statsResponse struct {
 	Maintenance  core.SchedulerStats       `json:"maintenance"`
 	Checkpoint   CheckpointStats           `json:"checkpoint"`
 	// Columnar carries the checkpoint file's counters: blocks written and
-	// scanned, zone-map prunes, mmap vs pread reads, lazy windows and
-	// failed materializations.
+	// scanned, zone-map prunes, bytes read, lazy windows and failed
+	// materializations.
 	Columnar store.ColumnarStats `json:"columnar"`
 	// Cluster carries the routing counters when this server is a member
 	// of a sharded cluster (see /v1/cluster for the full ring).

@@ -512,7 +512,7 @@ const statsKeys = `
 	checkpoint.tuplesFromCheckpoint checkpoint.tuplesReplayed
 	columnar.blocksPruned columnar.blocksScanned columnar.blocksWritten columnar.bytesRead
 	columnar.lazyWindows columnar.materializations columnar.materializeFailures
-	columnar.mmapReads columnar.readAtReads columnar.seedFailures columnar.sidecarsWritten
+	columnar.seedFailures columnar.sidecarsWritten
 	defaultPollutant
 	ingest.appends ingest.coalesced ingest.errors ingest.queued ingest.rejected
 	ingest.submitted ingest.tuples

@@ -270,11 +270,9 @@ func BenchmarkAppendDurable256(b *testing.B) {
 // of a bus-like stream — full-mantissa positions and readings, which is
 // what makes a block cost what the benchmark's blocks cost — all of them
 // checkpointed and released, and fill, which makes b a batch for window c.
-func releasedStore(tb testing.TB, windows, perWindow int, disableMmap bool) (s *Store, fill func(b tuple.Batch, c int) tuple.Batch) {
+func releasedStore(tb testing.TB, windows, perWindow int) (s *Store, fill func(b tuple.Batch, c int) tuple.Batch) {
 	tb.Helper()
-	cfg := Config{WindowLength: 3600, Dir: tb.TempDir(), Sync: SyncNever()}
-	cfg.Columnar.DisableMmap = disableMmap
-	s, err := Open(cfg)
+	s, err := Open(Config{WindowLength: 3600, Dir: tb.TempDir(), Sync: SyncNever()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -314,7 +312,7 @@ func releasedStore(tb testing.TB, windows, perWindow int, disableMmap bool) (s *
 // and 300–400 KiB (and the checkpoint of resident windows before it 86 and
 // 78 KiB).
 func TestCheckpointSteadyStateAllocs(t *testing.T) {
-	s, fill := releasedStore(t, 240, 1900, false)
+	s, fill := releasedStore(t, 240, 1900)
 	batch := make(tuple.Batch, 200)
 	var mallocs, bytes []uint64
 	const rounds = 5
@@ -353,29 +351,26 @@ func TestCheckpointSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLazyWindowIntoAllocs: a read of a released window decodes its base
-// straight into the caller's buffer — through the mapping, or through
-// pread into pooled memory — and allocates nothing once the buffer is
-// large enough.
+// TestLazyWindowIntoAllocs: a read of a released window reads its base's
+// blocks into pooled memory, decodes them straight into the caller's
+// buffer, and allocates nothing once the buffer is large enough.
 func TestLazyWindowIntoAllocs(t *testing.T) {
-	for _, disableMmap := range []bool{false, true} {
-		s, fill := releasedStore(t, 4, 1900, disableMmap)
-		if err := s.Append(fill(make(tuple.Batch, 200), 3)); err != nil { // window 3: lazy base + in-memory suffix
-			t.Fatal(err)
+	s, fill := releasedStore(t, 4, 1900)
+	if err := s.Append(fill(make(tuple.Batch, 200), 3)); err != nil { // window 3: lazy base + in-memory suffix
+		t.Fatal(err)
+	}
+	for _, c := range []int{1, 3} {
+		buf := s.WindowInto(nil, c)
+		if want := 1900 + 200*(c/3); len(buf) != want || !buf.SortedByTime() {
+			t.Fatalf("window %d read %d tuples, want %d sorted by time", c, len(buf), want)
 		}
-		for _, c := range []int{1, 3} {
-			buf := s.WindowInto(nil, c)
-			if want := 1900 + 200*(c/3); len(buf) != want || !buf.SortedByTime() {
-				t.Fatalf("disableMmap=%v: window %d read %d tuples, want %d sorted by time", disableMmap, c, len(buf), want)
-			}
-			allocs := testing.AllocsPerRun(50, func() { buf = s.WindowInto(buf[:0], c) })
-			if allocs != 0 && !raceEnabled {
-				t.Errorf("disableMmap=%v: lazy WindowInto of window %d = %v allocs, want 0", disableMmap, c, allocs)
-			}
+		allocs := testing.AllocsPerRun(50, func() { buf = s.WindowInto(buf[:0], c) })
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("lazy WindowInto of window %d = %v allocs, want 0", c, allocs)
 		}
-		if cs := s.ColumnarStats(); cs.LazyWindows != 4 || cs.Materializations == 0 || (cs.ReadAtReads == 0) != !disableMmap {
-			t.Errorf("disableMmap=%v: stats %+v: want the reads served from the file, the windows still lazy", disableMmap, cs)
-		}
+	}
+	if cs := s.ColumnarStats(); cs.LazyWindows != 4 || cs.Materializations == 0 {
+		t.Errorf("stats %+v: want the reads served from the file, the windows still lazy", cs)
 	}
 }
 
@@ -383,7 +378,7 @@ func TestLazyWindowIntoAllocs(t *testing.T) {
 // takes: ten days of hourly windows already in the checkpoint file, 200
 // tuples appended to one of them since.
 func BenchmarkCheckpointSteadyState(b *testing.B) {
-	s, fill := releasedStore(b, 240, 1900, false)
+	s, fill := releasedStore(b, 240, 1900)
 	batch := make(tuple.Batch, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -403,24 +398,19 @@ func BenchmarkCheckpointSteadyState(b *testing.B) {
 // what a cover build pays for its tuples once they live in the checkpoint
 // file (resident: a copy of the same window out of memory).
 func BenchmarkLazyWindowInto(b *testing.B) {
-	for _, bc := range []struct {
-		name        string
-		disableMmap bool
-	}{{"mmap", false}, {"pread", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s, _ := releasedStore(b, 4, 1900, bc.disableMmap)
-			buf := s.WindowInto(nil, 2)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(buf)) * 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = s.WindowInto(buf[:0], 2)
-			}
-		})
-	}
+	b.Run("file", func(b *testing.B) {
+		s, _ := releasedStore(b, 4, 1900)
+		buf := s.WindowInto(nil, 2)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(buf)) * 32)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = s.WindowInto(buf[:0], 2)
+		}
+	})
 	b.Run("resident", func(b *testing.B) {
 		s := MustOpenMemory(3600)
-		src, _ := releasedStore(b, 4, 1900, false)
+		src, _ := releasedStore(b, 4, 1900)
 		if err := s.Append(src.Window(2)); err != nil {
 			b.Fatal(err)
 		}

@@ -25,19 +25,17 @@ import (
 // checkpoint's snapshot — and every read is the two-source scan: it decodes
 // the base into the caller's memory and installs nothing.
 //
-// A block that fails its checksum after it was verified (the file changed
-// underneath a running process) cannot be recovered from anywhere else:
-// the window degrades to its in-memory suffix and the failure is counted.
+// A block that fails its checksum or cannot be read after it was verified
+// (the file changed or was truncated underneath a running process) cannot
+// be recovered from anywhere else: the window degrades to its in-memory
+// suffix and the failure is counted.
 
-// ColumnarConfig configures how the checkpoint file is read.
+// ColumnarConfig configures nothing: the column-block file is the only
+// checkpoint there is, and it is read one way.
 type ColumnarConfig struct {
-	// Enabled is ignored: the column-block file is the only checkpoint
-	// there is. The field stays because the frozen end-to-end benchmark
-	// sets it.
+	// Enabled is ignored. The field stays because the frozen end-to-end
+	// benchmark sets it.
 	Enabled bool
-	// DisableMmap forces the checkpoint reader onto the pread path. See
-	// docs/OPERATIONS.md for when that is the right call.
-	DisableMmap bool
 }
 
 // ColumnarStats counts the checkpoint file's activity on both sides:
@@ -63,11 +61,9 @@ type ColumnarStats struct {
 	// cover build read them: each cost its window a refit, not a read.
 	SeedFailures int64 `json:"seedFailures"`
 	// Reader-side counters: blocks decoded, blocks skipped by zone map,
-	// and how the bytes were accessed.
+	// and the bytes read from the file for decoding.
 	BlocksScanned int64 `json:"blocksScanned"`
 	BlocksPruned  int64 `json:"blocksPruned"`
-	MmapReads     int64 `json:"mmapReads"`
-	ReadAtReads   int64 `json:"readAtReads"`
 	BytesRead     int64 `json:"bytesRead"`
 }
 
@@ -82,15 +78,13 @@ func (s *ColumnarStats) Add(o ColumnarStats) {
 	s.SeedFailures += o.SeedFailures
 	s.BlocksScanned += o.BlocksScanned
 	s.BlocksPruned += o.BlocksPruned
-	s.MmapReads += o.MmapReads
-	s.ReadAtReads += o.ReadAtReads
 	s.BytesRead += o.BytesRead
 }
 
 // colReader wraps the checkpoint reader with a reference count so that
 // the store can drop it (Close, or a checkpoint that moved the windows to
-// its own file) while a concurrent read is mid-scan: the mapping is
-// unmapped only when the last user releases.
+// its own file) while a concurrent read is mid-scan: the file is closed
+// only when the last user releases.
 type colReader struct {
 	rd   *colblock.Reader
 	refs atomic.Int64
@@ -148,8 +142,8 @@ type columnarState struct {
 
 // retireReaderLocked drops the store's owner reference on the checkpoint
 // reader, folding a final counter snapshot into retiredStats. An
-// in-flight read holding its own reference keeps the mapping
-// alive until it releases (any counters it adds after this snapshot are
+// in-flight read holding its own reference keeps the file open
+// until it releases (any counters it adds after this snapshot are
 // dropped — a bounded, read-only discrepancy). Caller holds s.mu.
 func (s *Store) retireReaderLocked() {
 	if s.col.rd == nil {
@@ -158,8 +152,6 @@ func (s *Store) retireReaderLocked() {
 	st := s.col.rd.rd.Stats()
 	s.col.retiredStats.BlocksScanned += st.BlocksScanned
 	s.col.retiredStats.BlocksPruned += st.BlocksPruned
-	s.col.retiredStats.MmapReads += st.MmapReads
-	s.col.retiredStats.ReadAtReads += st.ReadAtReads
 	s.col.retiredStats.BytesRead += st.BytesRead
 	s.col.rd.release()
 	s.col.rd = nil
@@ -319,8 +311,6 @@ func (s *Store) ColumnarStats() ColumnarStats {
 		live := s.col.rd.rd.Stats()
 		rs.BlocksScanned += live.BlocksScanned
 		rs.BlocksPruned += live.BlocksPruned
-		rs.MmapReads += live.MmapReads
-		rs.ReadAtReads += live.ReadAtReads
 		rs.BytesRead += live.BytesRead
 	}
 	s.mu.RUnlock()
@@ -333,8 +323,6 @@ func (s *Store) ColumnarStats() ColumnarStats {
 		SeedFailures:        s.col.seedFailures.Load(),
 		BlocksScanned:       rs.BlocksScanned,
 		BlocksPruned:        rs.BlocksPruned,
-		MmapReads:           rs.MmapReads,
-		ReadAtReads:         rs.ReadAtReads,
 		BytesRead:           rs.BytesRead,
 	}
 }

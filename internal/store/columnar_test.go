@@ -149,7 +149,7 @@ func TestColumnarLazyRecovery(t *testing.T) {
 	}
 	// Windows 0–4 have a base in the file, window 5 is all suffix: five
 	// bases decoded, one block each.
-	if read.Materializations != 5 || read.BlocksScanned != 5 || read.MmapReads+read.ReadAtReads != 5 || read.BytesRead == 0 {
+	if read.Materializations != 5 || read.BlocksScanned != 5 || read.BytesRead == 0 {
 		t.Fatalf("stats %+v: want 5 bases decoded from 5 blocks", read)
 	}
 	for c := 0; c <= 5; c++ {
@@ -169,42 +169,45 @@ func TestColumnarLazyRecovery(t *testing.T) {
 	}
 }
 
-// TestColumnarDisableMmap forces the pread path end to end.
-func TestColumnarDisableMmap(t *testing.T) {
-	dir := t.TempDir()
-	cfg := colCfg(dir)
-	cfg.Columnar.DisableMmap = true
-	s, err := Open(cfg)
+// TestTruncatedCheckpointDegrades: a checkpoint file cut to nothing under
+// a running store costs each window its base, counted once, and the
+// window serves its in-memory suffix; no read fails or faults.
+func TestTruncatedCheckpointDegrades(t *testing.T) {
+	s, err := Open(colCfg(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	if err := s.Append(randBatch(rng, 200, 0, 300)); err != nil {
+	defer s.Close()
+	rng := rand.New(rand.NewSource(7))
+	if err := s.Append(randBatch(rng, 600, 0, 300)); err != nil {
 		t.Fatal(err)
-	}
-	want := map[int]tuple.Batch{}
-	for _, c := range s.WindowIndexes() {
-		want[c] = s.Window(c)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	suffix := randBatch(rng, 30, 0, 300)
+	if err := s.Append(suffix); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(cfg)
-	if err != nil {
+	if err := os.Truncate(filepath.Join(s.cfg.Dir, checkpointName(0)), 0); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	for c, w := range want {
-		if got := r.Window(c); !batchBitEqual(got, w) {
-			t.Fatalf("window %d differs under DisableMmap", c)
+	suffix.SortByTime()
+	for read := 1; read <= 2; read++ {
+		for c := 0; c < 3; c++ {
+			var want tuple.Batch
+			for _, tp := range suffix {
+				if int(tp.T/100) == c {
+					want = append(want, tp)
+				}
+			}
+			if got := s.Window(c); !batchBitEqual(got, want) {
+				t.Fatalf("read %d: window %d served %d tuples, want its %d-tuple suffix", read, c, len(got), len(want))
+			}
 		}
-	}
-	cs := r.ColumnarStats()
-	if cs.MmapReads != 0 || cs.ReadAtReads == 0 {
-		t.Fatalf("stats %+v: DisableMmap must route every read through pread", cs)
+		if cs := s.ColumnarStats(); cs.MaterializeFailures != 3 || cs.LazyWindows != 0 {
+			t.Fatalf("read %d: stats %+v: want each of the three lost bases counted once", read, cs)
+		}
 	}
 }
 
@@ -314,7 +317,6 @@ func TestColumnarCorruptBlockFallsBack(t *testing.T) {
 
 	t.Run("after-open", func(t *testing.T) {
 		cfg := colCfg(t.TempDir())
-		cfg.Columnar.DisableMmap = true // pread sees the file as it is now
 		dir, want := build(t, cfg, false)
 		r, err := Open(cfg)
 		if err != nil {
@@ -358,7 +360,6 @@ func TestColumnarCorruptBlockFallsBack(t *testing.T) {
 	// The same damage to the file a running store released its windows to.
 	t.Run("after-release", func(t *testing.T) {
 		cfg := colCfg(t.TempDir())
-		cfg.Columnar.DisableMmap = true // pread sees the file as it is now
 		s, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -763,7 +764,7 @@ func TestCheckpointConcurrentManualCalls(t *testing.T) {
 func TestReadAppendedKeepsAppendOrder(t *testing.T) {
 	const window = 100.0
 	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: window, Dir: dir, Sync: SyncNever(), Columnar: ColumnarConfig{DisableMmap: true}})
+	s, err := Open(Config{WindowLength: window, Dir: dir, Sync: SyncNever()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,8 +133,7 @@ type Config struct {
 	// even after a checkpoint supersedes it. 0 deletes every covered
 	// segment.
 	KeepSegments int
-	// Columnar configures how the checkpoint file is read (see
-	// columnar.go). Ignored when Dir is empty.
+	// Columnar is ignored (see ColumnarConfig).
 	Columnar ColumnarConfig
 }
 
@@ -296,16 +295,14 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: unknown sync mode %d", cfg.Sync.Mode)
 	}
 	s := &Store{
-		cfg:        cfg,
-		windows:    make(map[int]*colblock.Log),
-		col:        columnarState{lazy: make(map[int]lazyWin)},
-		writeFrame: writeWhole,
-		syncSeg:    func(f *os.File) error { return f.Sync() },
-		renameFile: os.Rename,
-		removeFile: os.Remove,
-		openColumnar: func(path string) (*colblock.Reader, error) {
-			return colblock.OpenFile(path, colblock.Options{DisableMmap: cfg.Columnar.DisableMmap})
-		},
+		cfg:          cfg,
+		windows:      make(map[int]*colblock.Log),
+		col:          columnarState{lazy: make(map[int]lazyWin)},
+		writeFrame:   writeWhole,
+		syncSeg:      func(f *os.File) error { return f.Sync() },
+		renameFile:   os.Rename,
+		removeFile:   os.Remove,
+		openColumnar: colblock.OpenFile,
 	}
 	s.ckStats.LastSeq = -1
 	if cfg.Dir != "" {

@@ -93,10 +93,10 @@ func requireRefused(t *testing.T, cfg Config, file string) {
 
 // TestUnreadCheckpointVersionRefused relabels a checkpoint as version 5,
 // its footer resealed — what a rollback from a later release meets — and
-// requires Open to refuse the directory, on both access paths, leaving
-// every file as it was: skipping the file would serve only the tuple
-// appended after it, and the next checkpoint would delete it. A file whose
-// header and footer disagree on the version is corrupt, and skipped.
+// requires Open to refuse the directory, leaving every file as it was:
+// skipping the file would serve only the tuple appended after it, and the
+// next checkpoint would delete it. A file whose header and footer disagree
+// on the version is corrupt, and skipped.
 func TestUnreadCheckpointVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{WindowLength: 100, Dir: dir}
@@ -137,10 +137,7 @@ func TestUnreadCheckpointVersionRefused(t *testing.T) {
 	if err := os.WriteFile(path, relabel(5, 5), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, disableMmap := range []bool{false, true} {
-		cfg.Columnar.DisableMmap = disableMmap
-		requireRefused(t, cfg, checkpointName(0))
-	}
+	requireRefused(t, cfg, checkpointName(0))
 
 	if err := os.WriteFile(path, relabel(5, 4), 0o644); err != nil {
 		t.Fatal(err)
@@ -178,8 +175,8 @@ func TestOldCheckpointFormatsRefused(t *testing.T) {
 // TestOverflowingSpanFallsBack: a checkpoint whose first directory entry
 // has an offset and a length that each fit in an int64 but sum past it —
 // footer checksum resealed, so only the span check can catch it — is a
-// corrupt checkpoint to Open, on both access paths: counted, skipped, and
-// the segments replayed instead.
+// corrupt checkpoint to Open: counted, skipped, and the segments replayed
+// instead.
 func TestOverflowingSpanFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{WindowLength: 100, Dir: dir, KeepSegments: 100}
@@ -219,19 +216,13 @@ func TestOverflowingSpanFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, disableMmap := range []bool{false, true} {
-		cfg.Dir = copyDirTo(t, dir) // an Open adds a segment: each path starts from the same files
-		cfg.Columnar.DisableMmap = disableMmap
-		re, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("disableMmap=%v: recovery must fall back: %v", disableMmap, err)
-		}
-		sameTuples(t, collectTuples(re), want)
-		if rs := re.RecoveryStats(); rs.FromCheckpoint || rs.CorruptCheckpoints != 1 || rs.SegmentsReplayed != 2 {
-			t.Errorf("disableMmap=%v: recovery %+v: want the checkpoint counted corrupt and both segments replayed", disableMmap, rs)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("recovery must fall back: %v", err)
+	}
+	defer re.Close()
+	sameTuples(t, collectTuples(re), want)
+	if rs := re.RecoveryStats(); rs.FromCheckpoint || rs.CorruptCheckpoints != 1 || rs.SegmentsReplayed != 2 {
+		t.Errorf("recovery %+v: want the checkpoint counted corrupt and both segments replayed", rs)
 	}
 }

@@ -134,19 +134,31 @@ func (r Raw) Pos() geo.Point { return geo.Point{X: r.X, Y: r.Y} }
 
 // Validate checks the tuple for NaN/Inf fields and a non-negative time.
 func (r Raw) Validate() error {
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{{"t", r.T}, {"x", r.X}, {"y", r.Y}, {"s", r.S}} {
-		if math.IsNaN(f.v) {
-			return fmt.Errorf("tuple: field %s is NaN", f.name)
-		}
-		if math.IsInf(f.v, 0) {
-			return fmt.Errorf("tuple: field %s is infinite", f.name)
-		}
+	if !finite(r.T) || !finite(r.X) || !finite(r.Y) || !finite(r.S) {
+		return r.nonFinite()
 	}
 	if r.T < 0 {
-		return errors.New("tuple: negative timestamp")
+		return errNegativeTime
+	}
+	return nil
+}
+
+var errNegativeTime = errors.New("tuple: negative timestamp")
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
+// nonFinite names the first of r's fields, in the order t, x, y, s, that
+// is NaN or infinite.
+func (r Raw) nonFinite() error {
+	for i, v := range [...]float64{r.T, r.X, r.Y, r.S} {
+		name := "txys"[i : i+1]
+		if math.IsNaN(v) {
+			return fmt.Errorf("tuple: field %s is NaN", name)
+		}
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("tuple: field %s is infinite", name)
+		}
 	}
 	return nil
 }

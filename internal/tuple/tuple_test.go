@@ -52,25 +52,41 @@ func TestPollutantNormalRange(t *testing.T) {
 	}
 }
 
+// TestRawValidate pins Validate's verdict and message: "" for a valid
+// tuple. A NaN or infinite field is named before a negative time.
 func TestRawValidate(t *testing.T) {
-	tests := []struct {
+	type vcase struct {
 		name string
 		r    Raw
-		ok   bool
-	}{
-		{"good", Raw{T: 1, X: 2, Y: 3, S: 4}, true},
-		{"zero", Raw{}, true},
-		{"nan t", Raw{T: math.NaN()}, false},
-		{"nan s", Raw{S: math.NaN()}, false},
-		{"inf x", Raw{X: math.Inf(1)}, false},
-		{"neg inf y", Raw{Y: math.Inf(-1)}, false},
-		{"negative time", Raw{T: -1}, false},
+		want string
+	}
+	tests := []vcase{
+		{"good", Raw{T: 1, X: 2, Y: 3, S: 4}, ""},
+		{"zero", Raw{}, ""},
+		{"negative zero time", Raw{T: math.Copysign(0, -1)}, ""},
+		{"negative time", Raw{T: -1}, "tuple: negative timestamp"},
+		{"nan s beside a negative time", Raw{T: -1, S: math.NaN()}, "tuple: field s is NaN"},
+		{"inf y before nan s", Raw{Y: math.Inf(1), S: math.NaN()}, "tuple: field y is infinite"},
+	}
+	for i, field := range []string{"t", "x", "y", "s"} {
+		for _, bad := range []struct {
+			name string
+			v    float64
+			is   string
+		}{{"nan", math.NaN(), "NaN"}, {"inf", math.Inf(1), "infinite"}, {"neg inf", math.Inf(-1), "infinite"}} {
+			var v [4]float64
+			v[i] = bad.v
+			tests = append(tests, vcase{bad.name + " " + field, Raw{T: v[0], X: v[1], Y: v[2], S: v[3]}, "tuple: field " + field + " is " + bad.is})
+		}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := tt.r.Validate()
-			if (err == nil) != tt.ok {
-				t.Errorf("Validate() = %v, want ok=%v", err, tt.ok)
+			got := ""
+			if err := tt.r.Validate(); err != nil {
+				got = err.Error()
+			}
+			if got != tt.want {
+				t.Errorf("Validate() = %q, want %q", got, tt.want)
 			}
 		})
 	}
