@@ -9,11 +9,15 @@ import (
 )
 
 // ApplyCatchup applies one catch-up chunk to n's mirror of origin's pol
-// stream, as a catch-up session does with each chunk it pulls — so a
-// test can script gaps, catch-ups and snapshot resets without a live
-// origin.
+// stream, as a catch-up session does with each chunk it pulls from where
+// the mirror stands — so a test can script gaps, catch-ups and snapshot
+// resets without a live origin.
 func ApplyCatchup(n *Node, origin int, pol tuple.Pollutant, cr wire.ReplicaCatchupResponse) bool {
-	return n.repl.applyChunk(n.repl.getMirror(origin, pol), cr)
+	mir := n.repl.getMirror(origin, pol)
+	mir.mu.Lock()
+	asked := streamPos{inc: mir.inc, seq: mir.log.Next()}
+	mir.mu.Unlock()
+	return n.repl.applyChunk(mir, asked, cr)
 }
 
 // SetCatchupChunk caps catch-up and transfer chunks at n tuples until

@@ -440,7 +440,7 @@ func (n *Node) pullStream(ctx context.Context, old, next *Ring, origin int, pol 
 		defer n.memMu.Unlock()
 		return n.pulled[key]
 	}
-	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
+	apply := func(_ streamPos, cr wire.ReplicaCatchupResponse) (bool, error) {
 		return cr.Done, n.applyTransfer(ctx, key, pol, old, next, cr)
 	}
 	err, replayed := errors.New("no source"), false
@@ -462,13 +462,13 @@ func (n *Node) pullStream(ctx context.Context, old, next *Ring, origin int, pol 
 
 // pull runs one chunked pull of origin's pol stream from node src — over
 // the wire, or from this node's own logs when src is itself. Each round
-// asks src for the stream from have() and hands the chunk to apply, which
-// reports whether the session is over; replica catch-up and handoffs
-// differ only in those two steps. A session gets maxPullRounds rounds —
+// asks src for the stream from have() and hands apply the chunk and the
+// position it asked from; apply reports whether the session is over.
+// Replica catch-up and handoffs differ only in those two steps. A session gets maxPullRounds rounds —
 // a local one as many more as its mirror log holds chunks — and ends
 // early when ctx does.
 func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
-	have func() streamPos, apply func(wire.ReplicaCatchupResponse) (bool, error)) error {
+	have func() streamPos, apply func(streamPos, wire.ReplicaCatchupResponse) (bool, error)) error {
 	rounds := maxPullRounds
 	if src == n.self {
 		if mir := n.repl.lookupMirror(origin, pol); mir != nil {
@@ -498,7 +498,7 @@ func (n *Node) pull(ctx context.Context, src, origin int, pol tuple.Pollutant,
 		if err != nil {
 			return err
 		}
-		if done, err := apply(cr); done || err != nil {
+		if done, err := apply(pos, cr); done || err != nil {
 			return err
 		}
 	}

@@ -56,6 +56,13 @@ func propEngine(retain int) *server.Engine {
 // catch-up chunks. Mirror engines come from factory.
 func newMirrorNode(t testing.TB, retain int, factory func() cluster.Handler) *cluster.Node {
 	t.Helper()
+	return newMirrorNodeVia(t, retain, factory, nil)
+}
+
+// newMirrorNodeVia is newMirrorNode whose catch-up pulls go to origin,
+// when it is not nil.
+func newMirrorNodeVia(t testing.TB, retain int, factory func() cluster.Handler, origin cluster.Transport) *cluster.Node {
+	t.Helper()
 	local := propEngine(0)
 	cells, err := cluster.Cells(clusterRegion, 4, 1)
 	if err != nil {
@@ -65,11 +72,16 @@ func newMirrorNode(t testing.TB, retain int, factory func() cluster.Handler) *cl
 	if err != nil {
 		t.Fatal(err)
 	}
+	var transports []cluster.Transport
+	if origin != nil {
+		transports = []cluster.Transport{mirrorOrigin: origin, 1: nil}
+	}
 	node, err := cluster.NewNode(cluster.NodeConfig{
-		Ring:    ring,
-		Self:    1,
-		Local:   local,
-		Default: tuple.CO2,
+		Ring:       ring,
+		Self:       1,
+		Local:      local,
+		Default:    tuple.CO2,
+		Transports: transports,
 		Replication: cluster.ReplicationConfig{
 			NewMirror:    factory,
 			WindowLength: windowLen,

@@ -162,6 +162,7 @@ type mirror struct {
 	pol     tuple.Pollutant
 	h       Handler
 	pulling bool
+	regap   bool // a gap was refused while pulling: pull again before the session ends
 	log     colblock.Log
 	keep    retention
 	inc     uint64
@@ -666,51 +667,61 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	return wire.IngestResponse{Ingested: uint32(end - have)}
 }
 
-// schedulePullLocked starts (once) a catch-up session for a mirror.
-// Caller holds mir.mu.
+// schedulePullLocked starts (once) a catch-up session for a mirror, or
+// has the running one pull again before it ends: the chunks it pulled may
+// have been cut before the frames the gap lost. Caller holds mir.mu.
 func (r *replicator) schedulePullLocked(origin int, pol tuple.Pollutant, mir *mirror) {
+	mir.regap = mir.pulling
 	if mir.pulling || r.closed.Load() {
 		return
 	}
 	mir.pulling = true
+	r.catchups.Add(1) // here, not when the goroutine first runs: a read of the stats may come first
 	r.wg.Add(1)
 	go r.catchUp(origin, pol, mir)
 }
 
 // catchUp runs one catch-up session: a pull of the origin's stream from
 // the sequence the mirror holds, applying suffix chunks (or a snapshot
-// reset) until the origin reports Done or the node closes.
+// reset) until the origin reports Done or the node closes — and another
+// pull after it when a gap was refused while it ran.
 func (r *replicator) catchUp(origin int, pol tuple.Pollutant, mir *mirror) {
 	defer r.wg.Done()
-	defer func() {
-		mir.mu.Lock()
-		mir.pulling = false
-		mir.mu.Unlock()
-		r.move()
-	}()
-	r.catchups.Add(1)
 	have := func() streamPos {
 		mir.mu.Lock()
 		defer mir.mu.Unlock()
 		return streamPos{inc: mir.inc, seq: mir.log.Next()}
 	}
-	apply := func(cr wire.ReplicaCatchupResponse) (bool, error) {
-		return r.applyChunk(mir, cr) || r.closed.Load(), nil
+	apply := func(asked streamPos, cr wire.ReplicaCatchupResponse) (bool, error) {
+		return r.applyChunk(mir, asked, cr) || r.closed.Load(), nil
 	}
-	//ctxcheck:allow a session ends with the node: apply ends it once close has begun
-	if err := r.n.pull(context.Background(), origin, origin, pol, have, apply); err != nil {
-		r.streamErrs.Add(1)
+	for again := true; again; {
+		//ctxcheck:allow a session ends with the node: apply ends it once close has begun
+		if err := r.n.pull(context.Background(), origin, origin, pol, have, apply); err != nil {
+			r.streamErrs.Add(1)
+		}
+		mir.mu.Lock()
+		again = mir.regap && !r.closed.Load()
+		mir.pulling, mir.regap = again, false
+		mir.mu.Unlock()
+		r.move()
 	}
 }
 
-// applyChunk applies one catch-up chunk to a mirror and reports whether
-// the session is over (converged, or the chunk did not line up and the
-// session aborts). A snapshot reset first empties the log and drops the
-// engine, which the next read rebuilds from the replayed log, and takes
-// the chunk's incarnation.
-func (r *replicator) applyChunk(mir *mirror, cr wire.ReplicaCatchupResponse) bool {
+// applyChunk applies one catch-up chunk, the answer to a round that asked
+// from asked, to a mirror and reports whether the session is over
+// (converged, or the chunk did not line up and the session aborts). A
+// mirror that frames moved since the round asked takes nothing from it —
+// a snapshot would move it back — and the session asks again. A snapshot
+// reset first empties the log and drops the engine, which the next read
+// rebuilds from the replayed log, and takes the chunk's incarnation.
+func (r *replicator) applyChunk(mir *mirror, asked streamPos, cr wire.ReplicaCatchupResponse) bool {
 	var stale Handler
 	mir.mu.Lock()
+	if (streamPos{inc: mir.inc, seq: mir.log.Next()}) != asked {
+		mir.mu.Unlock()
+		return false
+	}
 	if cr.Snapshot {
 		stale, mir.h = mir.h, nil
 		mir.log.Reset(cr.From)

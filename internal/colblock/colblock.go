@@ -45,6 +45,9 @@
 //	  count × width-bit offsets, LSB-first, padded to a byte
 //	crc u32 (IEEE, over everything above)
 //
+// A block is a packed run (see Pack) and its checksum: what AppendBlock
+// writes, DecodeBlock reads and a store's segment frame carries.
+//
 // The blocks of a window hold its tuples in append order, the first block
 // the first BlockTuples of them. A column holds count keys, each base +
 // its offset (mod 2^64); width (0–64) is the fewest bits that hold the
@@ -120,9 +123,9 @@ const (
 	// meaningful fractions of a window.
 	BlockTuples = 2048
 
-	// maxBlockTuples bounds the per-block allocation a decoder will make
-	// from an untrusted count field.
-	maxBlockTuples = 1 << 20
+	// MaxBlockTuples bounds a block, and so the allocation a decoder makes
+	// from an untrusted count: a store writes a larger batch as several.
+	MaxBlockTuples = 1 << 20
 
 	// seedFixed is a seed record's size less its centroids, and
 	// seedRegion what each centroid adds. maxSeedRegions bounds the
@@ -208,11 +211,14 @@ type WindowData struct {
 	Seed Seed
 }
 
-// EncodeStats reports what Encode wrote.
+// EncodeStats reports what Encode wrote, and the blocks (and bytes) of a
+// Base it decoded to merge a window with what followed it.
 type EncodeStats struct {
-	Blocks int
-	Tuples int
-	Bytes  int64
+	Blocks        int
+	Tuples        int
+	Bytes         int64
+	BlocksDecoded int
+	BytesDecoded  int64
 }
 
 // Encode writes the checkpoint file for the given windows to w. The
@@ -285,7 +291,7 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 			for _, bm := range wd.Base.windowBlocks(wd.Window) {
 				blk, err := wd.Base.blockBytes(&e.blk, bm.Offset, bm.Length)
 				if err == nil {
-					_, err = blockBody(blk, bm.Count)
+					_, _, err = blockRun(blk, bm.Count)
 				}
 				if err != nil {
 					return EncodeStats{}, fmt.Errorf("carry window %d over: %w", wd.Window, err)
@@ -304,6 +310,9 @@ func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (Enco
 				if err := wd.Base.DecodeWindow(e.merged[:n], wd.Window); err != nil {
 					return EncodeStats{}, err
 				}
+				blocks, bytes := wd.Base.WindowSize(wd.Window)
+				st.BlocksDecoded += blocks
+				st.BytesDecoded += bytes
 			}
 			unpackChunks(e.merged[n:], wd.Chunks, &e.cols, &e.keys)
 			for lo := 0; lo < len(e.merged); lo += blockTuples {
@@ -374,20 +383,28 @@ func (e *encoder) split(tuples []tuple.Raw) {
 // encodeBlock encodes b, in its order, as one self-checksummed block in
 // e.blk and returns its zone-map meta.
 func (e *encoder) encodeBlock(b tuple.Batch) BlockMeta {
-	n := len(b)
-	e.split(b)
-	meta := BlockMeta{Count: n}
+	e.blk = e.appendBlock(e.blk[:0], b) // leaves b's columns in e.cols
+	meta := BlockMeta{Count: len(b)}
 	meta.MinT, meta.MaxT = minMax(e.cols[0])
 	meta.MinX, meta.MaxX = minMax(e.cols[1])
 	meta.MinY, meta.MaxY = minMax(e.cols[2])
 	meta.MinS, meta.MaxS = minMax(e.cols[3])
-
-	buf := appendU32(e.blk[:0], uint32(n))
-	for _, col := range e.cols {
-		buf = appendFloatColumn(buf, col, e.keys)
-	}
-	e.blk = appendU32(buf, crc32.ChecksumIEEE(buf))
 	return meta
+}
+
+// AppendBlock appends tuples to dst as one block and returns the extended
+// slice. It allocates only when dst must grow.
+func AppendBlock(dst []byte, tuples []tuple.Raw) []byte {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	return e.appendBlock(dst, tuples)
+}
+
+// appendBlock is AppendBlock in e's columns, which it leaves holding them.
+func (e *encoder) appendBlock(dst []byte, tuples []tuple.Raw) []byte {
+	start := len(dst)
+	dst = e.pack(dst, tuples)
+	return appendU32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // appendSeed appends sd as one self-checksummed seed record.
@@ -574,21 +591,22 @@ func decodeDirEntry(e []byte) BlockMeta {
 	return m
 }
 
-// blockBody checks one block's framing — length, checksum, and the count
-// field against the directory entry — and returns the bytes between the
-// count and the checksum: the columns.
-func blockBody(data []byte, count int) ([]byte, error) {
+// blockRun checks one block's framing — its checksum, and a count of 1
+// to MaxBlockTuples that is count, unless count is 0 — and returns the
+// packed run it holds (the count and the columns) and its count.
+func blockRun(data []byte, count int) ([]byte, int, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: block shorter than framing", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: block shorter than framing", ErrCorrupt)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != le32(tail) {
-		return nil, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
+	run, tail := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(run) != le32(tail) {
+		return nil, 0, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
 	}
-	if n := int(le32(body[0:4])); n != count || n <= 0 || n > maxBlockTuples {
-		return nil, fmt.Errorf("%w: block count %d does not match directory %d", ErrCorrupt, n, count)
+	n := int(le32(run))
+	if n <= 0 || n > MaxBlockTuples || count != 0 && n != count {
+		return nil, 0, fmt.Errorf("%w: block count %d, directory %d", ErrCorrupt, n, count)
 	}
-	return body[4:], nil
+	return run, n, nil
 }
 
 // column is one column of a block, located but not decoded: its keys are

@@ -183,7 +183,7 @@ func requireRoundTrip(t *testing.T, windows []testWindow, blockTuples int) []byt
 			t.Fatalf("window %d (blocks of %d): decoded %v, %v; want %v", wd.Window, blockTuples, got, err, wd.Tuples)
 		}
 		n := 0
-		if _, _, err := rd.ScanWindowRegion(wd.Window, -inf, -inf, inf, inf, func(tuple.Raw) { n++ }); err != nil || n != len(wd.Tuples) {
+		if _, _, _, err := rd.ScanWindowRegion(wd.Window, -inf, -inf, inf, inf, func(tuple.Raw) { n++ }); err != nil || n != len(wd.Tuples) {
 			t.Fatalf("window %d: region scan of the whole plane yielded %d tuples, %v; want %d", wd.Window, n, err, len(wd.Tuples))
 		}
 		sd, ok, err := rd.Seed(wd.Window)
@@ -204,10 +204,11 @@ func blockColumns(t *testing.T, img []byte) [][]column {
 	defer rd.Close()
 	var out [][]column
 	for _, m := range rd.blocks {
-		p, err := blockBody(img[m.Offset:m.Offset+m.Length], m.Count)
+		run, _, err := blockRun(img[m.Offset:m.Offset+m.Length], m.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := run[4:]
 		cols := make([]column, 4)
 		for i := range cols {
 			if cols[i], p, err = cutColumn(p, m.Count); err != nil {
@@ -334,7 +335,7 @@ func TestZoneMapPruning(t *testing.T) {
 		}
 	}
 	got := 0
-	scanned, pruned, err := rd.ScanWindowRegion(1, -10, -10, 60, 60, func(r tuple.Raw) {
+	scanned, pruned, bytes, err := rd.ScanWindowRegion(1, -10, -10, 60, 60, func(r tuple.Raw) {
 		if r.X > 60 {
 			t.Fatalf("tuple outside region: %+v", r)
 		}
@@ -349,9 +350,8 @@ func TestZoneMapPruning(t *testing.T) {
 	if pruned == 0 {
 		t.Fatalf("no blocks pruned (scanned %d); far cluster should be zone-mapped out", scanned)
 	}
-	st := rd.Stats()
-	if st.BlocksPruned != int64(pruned) || st.BlocksScanned != int64(scanned) {
-		t.Fatalf("stats %+v disagree with scan result (%d scanned, %d pruned)", st, scanned, pruned)
+	if blocks, _ := rd.WindowSize(1); scanned+pruned != blocks || bytes == 0 {
+		t.Fatalf("scanned %d and pruned %d of %d blocks, reading %d bytes", scanned, pruned, blocks, bytes)
 	}
 }
 
@@ -440,8 +440,13 @@ func TestOpenFileSources(t *testing.T) {
 				t.Fatalf("%s: window %d differs: %v", name, wd.Window, err)
 			}
 		}
-		if st := rd.Stats(); st.BlocksScanned != int64(len(rd.blocks)) || st.BytesRead == 0 {
-			t.Fatalf("%s: stats %+v: want every block counted", name, st)
+		blocks, bytes := 0, int64(0)
+		for _, wd := range windows {
+			n, b := rd.WindowSize(wd.Window)
+			blocks, bytes = blocks+n, bytes+b
+		}
+		if blocks != len(rd.blocks) || bytes == 0 {
+			t.Fatalf("%s: windows take %d blocks of %d bytes, want all %d", name, blocks, bytes, len(rd.blocks))
 		}
 		if err := rd.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -516,9 +521,6 @@ func TestCheckBlocks(t *testing.T) {
 		err = rd.CheckBlocks()
 		if (pos >= 0) != errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: CheckBlocks = %v", pos, err)
-		}
-		if st := rd.Stats(); st != (Stats{}) {
-			t.Errorf("CheckBlocks counted as a scan: %+v", st)
 		}
 		rd.Close()
 	}
@@ -733,9 +735,6 @@ func TestCarryOverRoundTrip(t *testing.T) {
 	second := encodeImage(t, 6, carried, 256)
 	if !bytes.Equal(second, first) {
 		t.Error("a file carried over window by window differs from its source")
-	}
-	if st := rd.Stats(); st != (Stats{}) {
-		t.Errorf("carrying blocks over counted as scans: %+v", st)
 	}
 	rd2, err := OpenBytes(second)
 	if err != nil {

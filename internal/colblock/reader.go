@@ -15,14 +15,6 @@ import (
 	"repro/internal/tuple"
 )
 
-// Stats counts a Reader's scans (CheckBlocks is not one). Zero value is
-// ready; fields are summed into the store's columnar stats.
-type Stats struct {
-	BlocksScanned int64
-	BlocksPruned  int64
-	BytesRead     int64
-}
-
 // Reader serves windows and region scans from one immutable checkpoint
 // file, reading it with ReadAt (pread on a file). It is safe for
 // concurrent use; Close invalidates it.
@@ -39,10 +31,7 @@ type Reader struct {
 	// contiguous in blocks, in directory order.
 	spans []winSpan
 
-	blocksScanned atomic.Int64
-	blocksPruned  atomic.Int64
-	bytesRead     atomic.Int64
-	closed        atomic.Bool
+	closed atomic.Bool
 }
 
 // OpenFile opens the checkpoint file at path. The Reader keeps the file
@@ -176,7 +165,7 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 		default:
 			return nil, fmt.Errorf("%w: directory entry %d of kind %d", ErrCorrupt, i, kind(i))
 		}
-		if m.Count <= 0 || m.Count > maxBlockTuples {
+		if m.Count <= 0 || m.Count > MaxBlockTuples {
 			return nil, fmt.Errorf("%w: directory entry %d count %d", ErrCorrupt, i, m.Count)
 		}
 		if m.MinT > m.MaxT || m.MinX > m.MaxX || m.MinY > m.MaxY || m.MinS > m.MaxS {
@@ -340,7 +329,7 @@ func (r *Reader) CheckBlocks() error {
 		if err != nil {
 			return err
 		}
-		if _, err := blockBody(data, m.Count); err != nil {
+		if _, _, err := blockRun(data, m.Count); err != nil {
 			return fmt.Errorf("block %d: %w", i, err)
 		}
 	}
@@ -350,45 +339,40 @@ func (r *Reader) CheckBlocks() error {
 // ScanWindowRegion streams window c's tuples whose (X, Y) fall inside
 // the closed rectangle [minX,maxX]×[minY,maxY], pruning whole blocks by
 // zone map before touching their bytes. Tuples arrive in append order. It
-// returns how many blocks were scanned vs pruned.
-func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, err error) {
+// returns how many blocks were scanned and pruned, and how many bytes the
+// scanned ones took.
+func (r *Reader) ScanWindowRegion(c int, minX, minY, maxX, maxY float64, fn func(tuple.Raw)) (scanned, pruned int, bytes int64, err error) {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
 	for _, m := range r.windowBlocks(c) {
 		if m.MinX > maxX || m.MaxX < minX || m.MinY > maxY || m.MaxY < minY {
 			pruned++
-			r.blocksPruned.Add(1)
 			continue
 		}
-		if err := r.readBlock(sc, m); err != nil {
-			return scanned, pruned, err
+		sc.tuples = sized(sc.tuples, m.Count)
+		if err := r.readBlock(sc, sc.tuples, m); err != nil {
+			return scanned, pruned, bytes, err
 		}
 		scanned++
-		ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
-		for i, x := range xs {
-			if x < minX || x > maxX || ys[i] < minY || ys[i] > maxY {
+		bytes += m.Length
+		for _, tp := range sc.tuples {
+			if tp.X < minX || tp.X > maxX || tp.Y < minY || tp.Y > maxY {
 				continue
 			}
-			fn(tuple.Raw{T: ts[i], X: x, Y: ys[i], S: ss[i]})
+			fn(tp)
 		}
 	}
-	return scanned, pruned, nil
+	return scanned, pruned, bytes, nil
 }
 
-// readBlock reads block m and decodes it into sc, counting the read.
-func (r *Reader) readBlock(sc *scratch, m BlockMeta) error {
+// readBlock reads block m and decodes it into dst, which must hold its
+// m.Count tuples.
+func (r *Reader) readBlock(sc *scratch, dst []tuple.Raw, m BlockMeta) error {
 	data, err := r.blockBytes(&sc.span, m.Offset, m.Length)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = sc.decodeBlock(dst[:0], data, m.Count)
 	}
-	r.countScan(m)
-	return sc.decodeBlock(data, m.Count)
-}
-
-// countScan accounts one block read for decoding.
-func (r *Reader) countScan(m BlockMeta) {
-	r.bytesRead.Add(m.Length)
-	r.blocksScanned.Add(1)
+	return err
 }
 
 // blockBytes reads the n bytes at off — a block, a seed record, or the
@@ -406,12 +390,13 @@ func (r *Reader) blockBytes(buf *[]byte, off, n int64) ([]byte, error) {
 }
 
 // scratch is what a read borrows beside its destination: a block's bytes,
-// the block decoded — its T, X, Y and S columns — and the keys of the
-// column being decoded.
+// its T, X, Y and S columns decoded, the keys of the column being decoded,
+// and — for a scan, which filters them — the block's tuples.
 type scratch struct {
-	span []byte
-	cols [4][]float64
-	keys []uint64
+	span   []byte
+	cols   [4][]float64
+	keys   []uint64
+	tuples []tuple.Raw
 }
 
 // scratches lends scratch to concurrent reads, as encoders does to
@@ -420,10 +405,9 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // DecodeWindow decodes window c into dst, which must hold exactly
 // WindowCount(c) tuples, in the window's original append order: block by
-// block, the columns into pooled scratch and each tuple from there into
-// the next places of dst, allocating nothing. It checks every block's
-// checksum and count and every column's framing, and on an error leaves
-// dst undefined.
+// block, each into the next places of dst, allocating nothing. It checks
+// every block's checksum and count and every column's framing, and on an
+// error leaves dst undefined.
 func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	sp := r.span(c)
 	if len(dst) != sp.count {
@@ -433,49 +417,45 @@ func (r *Reader) DecodeWindow(dst tuple.Batch, c int) error {
 	defer scratches.Put(sc)
 	pos := 0
 	for _, m := range r.blocks[sp.first : sp.first+sp.n] {
-		if err := r.readBlock(sc, m); err != nil {
+		if err := r.readBlock(sc, dst[pos:pos+m.Count], m); err != nil {
 			return fmt.Errorf("window %d: %w", c, err)
-		}
-		ts, xs, ys, ss := sc.cols[0], sc.cols[1], sc.cols[2], sc.cols[3]
-		for i := range m.Count {
-			dst[pos+i] = tuple.Raw{T: ts[i], X: xs[i], Y: ys[i], S: ss[i]}
 		}
 		pos += m.Count
 	}
 	return nil
 }
 
-// decodeBlock decodes one block (data: count through checksum; count
-// cross-checks the directory entry) into sc.cols.
-func (sc *scratch) decodeBlock(data []byte, count int) error {
-	p, err := blockBody(data, count)
-	if err != nil {
-		return err
+// WindowSize returns how many blocks window c takes and how many bytes
+// they hold — what DecodeWindow reads — from the directory alone.
+func (r *Reader) WindowSize(c int) (blocks int, bytes int64) {
+	for _, m := range r.windowBlocks(c) {
+		bytes += m.Length
 	}
-	var cols [4]column
-	for i := range cols {
-		if cols[i], p, err = cutColumn(p, count); err != nil {
-			return err
-		}
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after columns", ErrCorrupt, len(p))
-	}
-	sc.keys = sized(sc.keys, count)
-	for i := range sc.cols {
-		sc.cols[i] = sized(sc.cols[i], count)
-		cols[i].floats(sc.cols[i], sc.keys)
-	}
-	return nil
+	return r.span(c).n, bytes
 }
 
-// Stats returns a snapshot of the reader's counters.
-func (r *Reader) Stats() Stats {
-	return Stats{
-		BlocksScanned: r.blocksScanned.Load(),
-		BlocksPruned:  r.blocksPruned.Load(),
-		BytesRead:     r.bytesRead.Load(),
+// DecodeBlock appends the tuples of one block — a checkpoint's, or the
+// body of a store's segment frame — to dst and returns the extended slice.
+// It checks the block's checksum and count and every column's framing,
+// and allocates only when dst must grow.
+func DecodeBlock(dst []tuple.Raw, data []byte) ([]tuple.Raw, error) {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	return sc.decodeBlock(dst, data, 0)
+}
+
+// decodeBlock is DecodeBlock in sc's columns and keys, of a block of
+// count tuples unless count is 0.
+func (sc *scratch) decodeBlock(dst []tuple.Raw, data []byte, count int) ([]tuple.Raw, error) {
+	run, n, err := blockRun(data, count)
+	if err != nil {
+		return dst, err
 	}
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	if err := unpack(out[len(dst):], run, &sc.cols, &sc.keys); err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // Close closes the file OpenFile opened. Idempotent.

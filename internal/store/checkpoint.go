@@ -387,6 +387,8 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 	if err != nil {
 		return nil, err
 	}
+	s.col.blocksScanned.Add(int64(est.BlocksDecoded))
+	s.col.bytesRead.Add(est.BytesDecoded)
 	if err := s.writeManifest(meta.Seq, meta.Horizon); err != nil {
 		return nil, err
 	}
@@ -431,7 +433,7 @@ func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData
 			}
 		}
 	}
-	s.retireReaderLocked()
+	s.col.rd.release()
 	s.col.rd = newColReader(rd)
 }
 

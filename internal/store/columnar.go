@@ -60,8 +60,8 @@ type ColumnarStats struct {
 	// SeedFailures counts seed records that failed their checks when a
 	// cover build read them: each cost its window a refit, not a read.
 	SeedFailures int64 `json:"seedFailures"`
-	// Reader-side counters: blocks decoded, blocks skipped by zone map,
-	// and the bytes read from the file for decoding.
+	// Read-side counters: blocks decoded, blocks skipped by zone map, and
+	// the bytes read from the file for decoding.
 	BlocksScanned int64 `json:"blocksScanned"`
 	BlocksPruned  int64 `json:"blocksPruned"`
 	BytesRead     int64 `json:"bytesRead"`
@@ -100,8 +100,10 @@ func newColReader(rd *colblock.Reader) *colReader {
 // acquire before the owner release that could drop refs to zero.
 func (cr *colReader) acquire() { cr.refs.Add(1) }
 
+// release drops a reference (on a nil reader, nothing). A read holding one
+// keeps the file open past the owner's release.
 func (cr *colReader) release() {
-	if cr.refs.Add(-1) == 0 {
+	if cr != nil && cr.refs.Add(-1) == 0 {
 		cr.rd.Close()
 	}
 }
@@ -129,32 +131,12 @@ type columnarState struct {
 	// suffix moved down to position 0, so ReadAppended refuses them.
 	lost map[int]bool
 
-	// retiredStats carries the final counter snapshot of a dropped
-	// reader (Close, or a checkpoint's release) so ColumnarStats stays
-	// monotone across reader retirement. Guarded by s.mu.
-	retiredStats colblock.Stats
-
 	blocksWritten       atomic.Int64
 	materializations    atomic.Int64
 	materializeFailures atomic.Int64
 	seedFailures        atomic.Int64
-}
-
-// retireReaderLocked drops the store's owner reference on the checkpoint
-// reader, folding a final counter snapshot into retiredStats. An
-// in-flight read holding its own reference keeps the file open
-// until it releases (any counters it adds after this snapshot are
-// dropped — a bounded, read-only discrepancy). Caller holds s.mu.
-func (s *Store) retireReaderLocked() {
-	if s.col.rd == nil {
-		return
-	}
-	st := s.col.rd.rd.Stats()
-	s.col.retiredStats.BlocksScanned += st.BlocksScanned
-	s.col.retiredStats.BlocksPruned += st.BlocksPruned
-	s.col.retiredStats.BytesRead += st.BytesRead
-	s.col.rd.release()
-	s.col.rd = nil
+	// Read-side counters: a read adds to them once it is done.
+	blocksScanned, blocksPruned, bytesRead atomic.Int64
 }
 
 // openCheckpoint validates the column-block checkpoint file ck — footer,
@@ -288,10 +270,13 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 		}
 		if cr != nil {
 			var base tuple.Batch
-			_, _, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
+			scanned, pruned, bytes, err := cr.rd.ScanWindowRegion(c, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, func(tp tuple.Raw) {
 				base = append(base, tp)
 			})
 			cr.release()
+			s.col.blocksScanned.Add(int64(scanned))
+			s.col.blocksPruned.Add(int64(pruned))
+			s.col.bytesRead.Add(bytes)
 			if err == nil {
 				return append(base, suffix...)
 			}
@@ -306,13 +291,6 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 func (s *Store) ColumnarStats() ColumnarStats {
 	s.mu.RLock()
 	lazy := len(s.col.lazy)
-	rs := s.col.retiredStats
-	if s.col.rd != nil {
-		live := s.col.rd.rd.Stats()
-		rs.BlocksScanned += live.BlocksScanned
-		rs.BlocksPruned += live.BlocksPruned
-		rs.BytesRead += live.BytesRead
-	}
 	s.mu.RUnlock()
 	return ColumnarStats{
 		SidecarsWritten:     s.CheckpointStats().Checkpoints,
@@ -321,8 +299,8 @@ func (s *Store) ColumnarStats() ColumnarStats {
 		Materializations:    s.col.materializations.Load(),
 		MaterializeFailures: s.col.materializeFailures.Load(),
 		SeedFailures:        s.col.seedFailures.Load(),
-		BlocksScanned:       rs.BlocksScanned,
-		BlocksPruned:        rs.BlocksPruned,
-		BytesRead:           rs.BytesRead,
+		BlocksScanned:       s.col.blocksScanned.Load(),
+		BlocksPruned:        s.col.blocksPruned.Load(),
+		BytesRead:           s.col.bytesRead.Load(),
 	}
 }

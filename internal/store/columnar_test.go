@@ -840,3 +840,51 @@ func TestReadAppendedKeepsAppendOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestReadAfterRetirementCounted: a read counts the blocks and bytes it
+// decoded into the store's counters once it is done, so a read still
+// running when a checkpoint retires the reader it holds counts like any
+// other — it used to count into that reader, after the store had taken
+// its last look at it.
+func TestReadAfterRetirementCounted(t *testing.T) {
+	s, err := Open(colCfg(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(mkBatch(10, 20, 110, 120, 130, 210)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A read takes window 1's base and the reader it lies in under the
+	// lock, as every read does, and lets the lock go to decode it ...
+	s.mu.RLock()
+	lw, cr := s.col.lazy[1], s.col.rd
+	cr.acquire()
+	s.mu.RUnlock()
+	// ... while a checkpoint moves the window to a file of its own.
+	if err := s.Append(mkBatch(220)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.col.rd == cr {
+		t.Fatal("the checkpoint kept the reader the read holds")
+	}
+	before := s.ColumnarStats()
+	dst := make(tuple.Batch, lw.count)
+	err = s.decodeBase(cr, dst, 1, 0, lw.count)
+	cr.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.ColumnarStats()
+	blocks, bytes := cr.rd.WindowSize(1)
+	if blocks == 0 || after.BlocksScanned-before.BlocksScanned != int64(blocks) ||
+		after.BytesRead-before.BytesRead != bytes || after.Materializations != before.Materializations+1 {
+		t.Errorf("a read of %d blocks, %d bytes, through a retired reader moved the stats from %+v to %+v", blocks, bytes, before, after)
+	}
+}

@@ -406,7 +406,6 @@ func (s *Store) recover() error {
 		s.recovery.CheckpointTuples = hdr.tuples
 		break
 	}
-	s.removeStrayTmp()
 
 	type segInfo struct {
 		name    string
@@ -435,6 +434,7 @@ func (s *Store) recover() error {
 		// can be registered yet, so the evicted list needs no fan-out.
 		s.evictLocked()
 	}
+	s.removeStrayTmp() // only now: an unread format fails Open above, the directory untouched
 	switch {
 	case len(names) > 0:
 		last, _ := parseSeq(names[len(names)-1], "segment-", segExt)
@@ -531,7 +531,8 @@ func segmentNames(dir string) ([]string, error) {
 
 // replaySegment replays one segment into the windows, returning how
 // many intact frames and tuples it contributed and the largest window
-// index it touched (meaningless when frames is 0).
+// index it touched (meaningless when frames is 0). A segment of the raw
+// tuple coding is ErrCheckpointFormat.
 func (s *Store) replaySegment(path string) (frames, maxWin, tuples int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -539,12 +540,17 @@ func (s *Store) replaySegment(path string) (frames, maxWin, tuples int, err erro
 	}
 	defer f.Close()
 	var off int64 // start of the frame being read
+	var blk []byte
+	var batch tuple.Batch
 	for {
-		b, err := tuple.ReadBinary(f)
-		if errors.Is(err, io.EOF) {
+		blk, batch, err = readFrame(f, blk, batch)
+		switch {
+		case errors.Is(err, io.EOF):
 			return frames, maxWin, tuples, nil
-		}
-		if errors.Is(err, tuple.ErrCorrupt) {
+		case errors.Is(err, errRawFrame):
+			return frames, maxWin, tuples, fmt.Errorf("%w: %s holds frames of the raw tuple coding; %s",
+				ErrCheckpointFormat, filepath.Base(path), formatRemedy)
+		case err != nil:
 			// A torn tail write (crash, or a rotated-away segment) is
 			// legitimate: everything before it is intact and the write
 			// discipline guarantees nothing was appended after it. An
@@ -558,23 +564,20 @@ func (s *Store) replaySegment(path string) (frames, maxWin, tuples int, err erro
 			if rerr != nil {
 				return frames, maxWin, tuples, fmt.Errorf("store: segment %s: %w (could not verify torn tail: %v)", path, err, rerr)
 			}
-			if off+1 < int64(len(data)) && tuple.ContainsFrame(data[off+1:]) {
+			if off+1 < int64(len(data)) && containsFrame(data[off+1:]) {
 				return frames, maxWin, tuples, fmt.Errorf("store: segment %s: %w (intact frames follow the corruption; not a torn tail)", path, err)
 			}
 			return frames, maxWin, tuples, nil
 		}
-		if err != nil {
-			return frames, maxWin, tuples, fmt.Errorf("store: segment %s: %w", path, err)
-		}
-		s.addToWindows(b)
-		for i, r := range b {
+		s.addToWindows(batch)
+		for i, r := range batch {
 			if c := tuple.WindowIndex(r.T, s.cfg.WindowLength); (frames == 0 && i == 0) || c > maxWin {
 				maxWin = c
 			}
 		}
 		frames++
-		tuples += len(b)
-		off += int64(tuple.EncodedSize(len(b)))
+		tuples += len(batch)
+		off += int64(frameHeader + len(blk))
 	}
 }
 
@@ -680,7 +683,11 @@ func (s *Store) persistLocked(b tuple.Batch) error {
 			return err
 		}
 	}
-	s.frame = tuple.AppendBinary(s.frame[:0], b)
+	s.frame = s.frame[:0]
+	for lo := 0; lo < len(b); lo += colblock.MaxBlockTuples {
+		s.frame = appendFrame(s.frame, b[lo:min(lo+colblock.MaxBlockTuples, len(b))])
+	}
+	size := int64(len(s.frame))
 	//lockcheck:allow writeFrame is the test crash-injection seam; segment writes must serialize under mu
 	err := s.writeFrame(s.seg.f, s.frame)
 	if cap(s.frame) > maxKeptFrame {
@@ -704,7 +711,7 @@ func (s *Store) persistLocked(b tuple.Batch) error {
 		}
 		return werr
 	}
-	s.segOff += int64(tuple.EncodedSize(len(b)))
+	s.segOff += size
 	s.appends.Add(1)
 	return nil
 }
@@ -939,13 +946,12 @@ func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch
 			break
 		}
 		if cr != nil {
-			err := cr.rd.DecodeWindow(dst[n:n+lw.count], c)
+			err := s.decodeBase(cr, dst[n:n+lw.count], c, 0, lw.count)
 			if err == nil && withSeed && m == 0 {
 				sd, seeded = s.seedOf(cr.rd, c, lw.count)
 			}
 			cr.release()
 			if err == nil {
-				s.col.materializations.Add(1)
 				break
 			}
 		}
@@ -1000,10 +1006,9 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 		s.mu.RUnlock()
 		colblock.UnpackChunks(mem, *refs)
 		if cr != nil {
-			err := decodeRange(cr.rd, dst[:min(end, base)-off], c, off, base)
+			err := s.decodeBase(cr, dst[:min(end, base)-off], c, off, base)
 			cr.release()
 			if err == nil {
-				s.col.materializations.Add(1)
 				return nil
 			}
 		}
@@ -1028,19 +1033,28 @@ func putRefs(refs *[]colblock.Chunk) {
 	chunkRefs.Put(refs)
 }
 
-// decodeRange fills dst with tuples [off, off+len(dst)) of window c's
-// base of n tuples in rd.
-func decodeRange(rd *colblock.Reader, dst []tuple.Raw, c, off, n int) error {
+// decodeBase fills dst with tuples [off, off+len(dst)) of window c's
+// base of n tuples through cr — which the caller holds a reference on —
+// and, once it has, counts the read: a materialization, and the blocks
+// and bytes of the base, which is decoded whole.
+func (s *Store) decodeBase(cr *colReader, dst []tuple.Raw, c, off, n int) error {
 	if off == 0 && len(dst) == n {
-		return rd.DecodeWindow(dst, c)
+		if err := cr.rd.DecodeWindow(dst, c); err != nil {
+			return err
+		}
+	} else {
+		buf := baseBufs.Get().(*tuple.Batch)
+		defer baseBufs.Put(buf)
+		*buf = slices.Grow((*buf)[:0], n)[:n]
+		if err := cr.rd.DecodeWindow(*buf, c); err != nil {
+			return err
+		}
+		copy(dst, (*buf)[off:])
 	}
-	buf := baseBufs.Get().(*tuple.Batch)
-	defer baseBufs.Put(buf)
-	*buf = slices.Grow((*buf)[:0], n)[:n]
-	if err := rd.DecodeWindow(*buf, c); err != nil {
-		return err
-	}
-	copy(dst, (*buf)[off:])
+	blocks, bytes := cr.rd.WindowSize(c)
+	s.col.materializations.Add(1)
+	s.col.blocksScanned.Add(int64(blocks))
+	s.col.bytesRead.Add(bytes)
 	return nil
 }
 
@@ -1130,6 +1144,7 @@ func (s *Store) Close() error {
 		}
 	}
 	s.retired = nil
-	s.retireReaderLocked()
+	s.col.rd.release()
+	s.col.rd = nil
 	return err
 }

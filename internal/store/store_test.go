@@ -225,7 +225,7 @@ func TestRecoveryToleratesTornTailInEarlierSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame1 := tuple.EncodedSize(len(mkBatch(1)))
+	frame1 := len(appendFrame(nil, mkBatch(1)))
 	data[frame1+10] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestRecoveryToleratesTornTailInEarlierSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tuple.WriteBinary(next, mkBatch(3)); err != nil {
+	if _, err := next.Write(appendFrame(nil, mkBatch(3))); err != nil {
 		t.Fatal(err)
 	}
 	next.Close()

@@ -2,13 +2,9 @@ package tuple
 
 import (
 	"bytes"
-	"errors"
-	"io"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func randomBatch(rng *rand.Rand, n int) Batch {
@@ -22,111 +18,6 @@ func randomBatch(rng *rand.Rand, n int) Batch {
 		}
 	}
 	return b
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 100, 1000} {
-		b := randomBatch(rng, n)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, b); err != nil {
-			t.Fatalf("n=%d: write: %v", n, err)
-		}
-		if buf.Len() != EncodedSize(n) {
-			t.Errorf("n=%d: encoded %d bytes, want %d", n, buf.Len(), EncodedSize(n))
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("n=%d: read: %v", n, err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d tuples", n, len(got))
-		}
-		for i := range got {
-			if got[i] != b[i] {
-				t.Fatalf("n=%d: tuple %d differs: %v vs %v", n, i, got[i], b[i])
-			}
-		}
-	}
-}
-
-func TestBinaryMultipleFrames(t *testing.T) {
-	var buf bytes.Buffer
-	a := Batch{{T: 1, S: 10}}
-	b := Batch{{T: 2, S: 20}, {T: 3, S: 30}}
-	if err := WriteBinary(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := ReadBinary(&buf)
-	if err != nil || len(got1) != 1 {
-		t.Fatalf("frame 1: %v len=%d", err, len(got1))
-	}
-	got2, err := ReadBinary(&buf)
-	if err != nil || len(got2) != 2 {
-		t.Fatalf("frame 2: %v len=%d", err, len(got2))
-	}
-	if _, err := ReadBinary(&buf); !errors.Is(err, io.EOF) {
-		t.Errorf("want io.EOF at stream end, got %v", err)
-	}
-}
-
-func TestBinaryCorruption(t *testing.T) {
-	b := randomBatch(rand.New(rand.NewSource(2)), 10)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	t.Run("flipped payload byte", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[20] ^= 0xFF
-		if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-	t.Run("bad magic", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[0] ^= 0xFF
-		if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-	t.Run("truncated", func(t *testing.T) {
-		if _, err := ReadBinary(bytes.NewReader(good[:len(good)-5])); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-	t.Run("truncated header", func(t *testing.T) {
-		if _, err := ReadBinary(bytes.NewReader(good[:4])); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-	t.Run("absurd count", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[4], bad[5], bad[6], bad[7] = 0xFF, 0xFF, 0xFF, 0x7F
-		if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-}
-
-func TestBinarySpecialFloats(t *testing.T) {
-	b := Batch{{T: 0, X: math.MaxFloat64, Y: -math.MaxFloat64, S: math.SmallestNonzeroFloat64}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != b[0] {
-		t.Errorf("special floats not preserved: %v vs %v", got[0], b[0])
-	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -177,45 +68,5 @@ func TestCSVSkipsBlankLines(t *testing.T) {
 	}
 	if len(got) != 2 {
 		t.Fatalf("got %d tuples, want 2", len(got))
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(ts, xs, ys, ss []float64) bool {
-		n := len(ts)
-		for _, o := range [][]float64{xs, ys, ss} {
-			if len(o) < n {
-				n = len(o)
-			}
-		}
-		b := make(Batch, n)
-		for i := 0; i < n; i++ {
-			// Replace NaN with 0: NaN != NaN breaks equality checking, and
-			// validation rejects NaN anyway.
-			clean := func(v float64) float64 {
-				if math.IsNaN(v) {
-					return 0
-				}
-				return v
-			}
-			b[i] = Raw{T: clean(ts[i]), X: clean(xs[i]), Y: clean(ys[i]), S: clean(ss[i])}
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, b); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil || len(got) != n {
-			return false
-		}
-		for i := range got {
-			if got[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
