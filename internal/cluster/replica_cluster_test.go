@@ -414,24 +414,6 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	samples := sampleRequests(data[:third])
 	waitConverged(t, f, samples)
 
-	// Sever: node 2 drops off the network; frames streamed to it are
-	// lost (the primaries' bounded queues drain into a dead transport).
-	// Writes never fail over (primary-commits design), so the outage
-	// load carries only the live nodes' shards.
-	f.dead[2].Store(true)
-	var wave2 tuple.Batch
-	for _, r := range data[third : 2*third] {
-		if f.ring.Owner(tuple.CO2, r.Pos()) != 2 {
-			wave2 = append(wave2, r)
-		}
-	}
-	f.load(t, wave2)
-
-	// Crash injection on the catch-up path: wake node 2 up, then feed it
-	// a forged frame far ahead of its mirror state while its origin is
-	// dead — the gap NAK schedules a pull that must fail cleanly, not
-	// wedge the node.
-	f.dead[2].Store(false)
 	origin := -1
 	for _, n := range []int{0, 1} {
 		for _, p := range f.ring.ReplicaPeers(n, tuple.CO2) {
@@ -443,6 +425,37 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	if origin < 0 {
 		t.Skip("node 2 backs no primary — ring layout changed")
 	}
+	streamErrors := func() int64 {
+		rs, _ := f.nodes[origin].ReplicationStats()
+		return rs.StreamErrors
+	}
+
+	// Sever: node 2 drops off the network; frames streamed to it are
+	// lost (the primaries' bounded queues drain into a dead transport).
+	// Writes never fail over (primary-commits design), so the outage
+	// load carries only the live nodes' shards. Node 2 stays down until
+	// its origin has lost a frame to it: frames of the wave still queued
+	// when it came back would reach it, and leave no gap to heal.
+	f.dead[2].Store(true)
+	lost := streamErrors()
+	var wave2 tuple.Batch
+	for _, r := range data[third : 2*third] {
+		if f.ring.Owner(tuple.CO2, r.Pos()) != 2 {
+			wave2 = append(wave2, r)
+		}
+	}
+	f.load(t, wave2)
+	for deadline := time.Now().Add(10 * time.Second); streamErrors() == lost; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d lost no frame to node 2 while it was down", origin)
+		}
+	}
+
+	// Crash injection on the catch-up path: wake node 2 up, then feed it
+	// a forged frame far ahead of its mirror state while its origin is
+	// dead — the gap NAK schedules a pull that must fail cleanly, not
+	// wedge the node.
+	f.dead[2].Store(false)
 	f.dead[origin].Store(true)
 	forged := wire.ReplicaIngest{Origin: uint16(origin), Pollutant: tuple.CO2, Seq: 1 << 40,
 		Tuples: tuple.Batch{{T: 100, X: 0, Y: 0, S: 1}}}

@@ -22,9 +22,9 @@ const ChunkTuples = 1 << 10
 // open chunk, holds tuple.Raw values; it grows as append grows a slice,
 // up to ChunkTuples. When it fills, or its owner calls Seal, it is
 // sealed: packed as one run (Pack, ≈ 22 B a tuple instead of 32, lossless
-// bit for bit) into memory of exactly the run's size, and its raw memory
-// goes back to a pool the next open chunk is taken from, so no raw chunk
-// outlives a garbage collection. A sealed chunk never changes; but the
+// bit for bit) into chunk memory, and its raw memory goes back to a pool
+// the next open chunk is taken from, so no raw chunk outlives a garbage
+// collection. A sealed chunk never changes while the log holds it; but the
 // next append after Seal unpacks a chunk that Seal left short of full into
 // a new open chunk, and the log lets the packed one go, so however often
 // a log is sealed, only its newest chunk is short of full. The log
@@ -32,21 +32,26 @@ const ChunkTuples = 1 << 10
 // cap, any log those Drop, DropWhile and Reset let go. A sealed chunk goes
 // once none of its tuples is retained.
 //
+// Chunk memory is reused. A seal packs into bytes some log's chunk held
+// before, handed back (HandBack, or Recycle) once nothing read them any
+// more, when such bytes fit the run, and into new memory of the run's size
+// class when none do. Handed-back bytes wait in a pool the collector
+// empties, so none outlives two collections.
+//
 // A Log must not be copied once used: its first chunks' references live
-// in it. It has no lock of its own: its owner's mutex guards it. A read need
-// not hold that lock while it unpacks: Read copies what the open chunk
-// holds and hands out the sealed chunks by reference (Chunk), and
-// UnpackChunks decodes them afterwards. That is safe because a sealed
-// chunk's bytes never change and, unless Recycle is set, are never
-// reused.
+// in it. It has no lock of its own: its owner's mutex guards it, and a read
+// (CopyOut, Runs) unpacks under it. Chunks hands out the sealed chunks by
+// reference, to be read after the lock is released only by an owner that
+// hands none of them back meanwhile (a store's checkpoint writes its
+// snapshot from them).
 type Log struct {
 	// Retain caps the retained tuples; 0 keeps every tuple until Drop,
 	// DropWhile or Reset lets it go.
 	Retain int
-	// Recycle keeps the bytes of the last chunk the log let go of, and
-	// the next seal packs into them (growing them when they are too
-	// small): a log at its cap then allocates nothing. Set it only when no Chunk of the log
-	// is read after the owner's lock is released.
+	// Recycle hands the bytes of every chunk the log lets go of back as it
+	// lets go, for the next seal to pack into: a log at its cap then
+	// allocates nothing while the collector leaves the pool be. Set it only
+	// when no Chunk of the log is read after the owner's lock is released.
 	Recycle bool
 
 	start  uint64       // sequence of the oldest retained tuple
@@ -55,7 +60,6 @@ type Log struct {
 	open   *[]tuple.Raw // the newest tuples; nil when there are none
 	head   int          // leading tuples of the oldest sealed chunk already dropped
 	n      int          // retained tuples
-	spare  []byte       // a released chunk's bytes, for the next seal (Recycle)
 }
 
 // Chunk is a sealed chunk of a Log, or the part of one a read refers to:
@@ -75,7 +79,7 @@ type Chunk struct {
 func (c Chunk) Len() int { return c.to - c.from }
 
 // Packed is the chunk's packed run, all n of its tuples (Unpack reads it
-// back). It never changes.
+// back). It does not change until the chunk's bytes are handed back.
 func (c Chunk) Packed() []byte { return c.packed }
 
 // ChunksLen is the number of tuples refs refer to.
@@ -92,6 +96,66 @@ var rawChunks = sync.Pool{New: func() any { return new([]tuple.Raw) }}
 
 // unpackBufs lends reads a chunk's worth of tuples to unpack into.
 var unpackBufs = sync.Pool{New: func() any { return new([ChunkTuples]tuple.Raw) }}
+
+// Handed-back chunk bytes wait in spares for the next seal to pack into,
+// by capacity in steps of spareStep: a run of n bytes looks in n's own
+// step, where a spare may be too small for it, and in the spareReach
+// steps above, where any spare fits it. They are sync.Pools, which the
+// collector empties. A spare rides in a box (*[]byte) so that neither
+// handing back nor taking allocates: chunkBytes parks the emptied box in
+// boxes, and handBack fills one from there.
+const (
+	spareStep  = 1 << 10
+	spareReach = 3
+)
+
+var (
+	spares [64]sync.Pool // spares[k]: capacities in [k, k+1) spareSteps
+	boxes  sync.Pool
+)
+
+// HandBack gives the bytes of chunks to the next seals, of any Log, to
+// pack into. The caller must hold the last references to them: no log
+// retains them any more, and nothing reads them again.
+func HandBack(chunks []Chunk) {
+	for _, c := range chunks {
+		handBack(c.packed)
+	}
+}
+
+func handBack(b []byte) {
+	k := cap(b) / spareStep
+	if k >= len(spares) {
+		return
+	}
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	spares[k].Put(box)
+}
+
+// chunkBytes returns empty memory with room for a packed run of n bytes:
+// handed-back bytes when some fit, or else new memory of n's size class,
+// which the allocator would round n up to anyway.
+func chunkBytes(n int) []byte {
+	for k := n / spareStep; k <= n/spareStep+spareReach && k < len(spares); k++ {
+		box, ok := spares[k].Get().(*[]byte)
+		if !ok {
+			continue
+		}
+		if cap(*box) < n {
+			spares[k].Put(box)
+			continue
+		}
+		b := *box
+		*box = nil
+		boxes.Put(box)
+		return b
+	}
+	return slices.Grow([]byte(nil), n)
+}
 
 // Start is the sequence of the oldest retained tuple.
 func (l *Log) Start() uint64 { return l.start }
@@ -167,12 +231,7 @@ func (l *Log) seal() {
 		c := Chunk{n: len(o), to: len(o)}
 		c.minT, c.maxT, _ = tuple.Batch(o).TimeSpan()
 		c.box, _ = tuple.Batch(o).Bounds()
-		if l.spare != nil {
-			c.packed = Pack(l.spare[:0], o)
-		} else {
-			c.packed = PackExact(0, o)
-		}
-		l.spare = nil
+		c.packed = packChunk(o)
 		if l.sealed == nil {
 			l.sealed = l.first[:0]
 		}
@@ -220,15 +279,15 @@ func (l *Log) releaseOpen() {
 // let records that the log let go of chunk c.
 func (l *Log) let(c Chunk) {
 	if l.Recycle {
-		l.spare = c.packed
+		handBack(c.packed)
 	}
 }
 
 // Reset empties the log and restarts its sequence space at from (a
 // snapshot reset).
 func (l *Log) Reset(from uint64) {
-	if len(l.sealed) > 0 {
-		l.let(l.sealed[0])
+	for _, c := range l.sealed {
+		l.let(c)
 	}
 	clear(l.sealed)
 	l.sealed = l.sealed[:0]
@@ -344,12 +403,11 @@ func (l *Log) Runs(fn func(run []tuple.Raw) bool) {
 	}
 }
 
-// Read fills dst with the retained tuples [off, off+len(dst)), in part:
+// refer fills dst with the retained tuples [off, off+len(dst)), in part:
 // those in the open chunk it copies to the end of dst, and for those in
 // sealed chunks it appends references to refs, whose tuples make up the
-// front of dst — UnpackChunks(dst, refs) decodes them, after the owner's
-// lock is released if the log does not Recycle.
-func (l *Log) Read(dst []tuple.Raw, off int, refs []Chunk) []Chunk {
+// front of dst — unpackRefs(dst, refs) decodes them.
+func (l *Log) refer(dst []tuple.Raw, off int, refs []Chunk) []Chunk {
 	if off < 0 || off+len(dst) > l.Len() {
 		panic(fmt.Sprintf("colblock: read of [%d, %d) from a log of %d tuples", off, off+len(dst), l.Len()))
 	}
@@ -377,7 +435,8 @@ func (l *Log) Read(dst []tuple.Raw, off int, refs []Chunk) []Chunk {
 }
 
 // Chunks appends references to the log's sealed chunks, which hold every
-// retained tuple the open chunk does not, to refs.
+// retained tuple the open chunk does not, to refs. They stay as they are
+// until the log lets them go and someone hands their bytes back.
 func (l *Log) Chunks(refs []Chunk) []Chunk {
 	for i, c := range l.sealed {
 		if i == 0 {
@@ -388,12 +447,12 @@ func (l *Log) Chunks(refs []Chunk) []Chunk {
 	return refs
 }
 
-// CopyOut fills dst with the retained tuples [off, off+len(dst)), unpacking
-// under the caller's lock.
+// CopyOut fills dst with the retained tuples [off, off+len(dst)),
+// unpacking under the caller's lock. It allocates nothing.
 func (l *Log) CopyOut(dst []tuple.Raw, off int) {
 	refs := refBufs.Get().(*[]Chunk)
-	*refs = l.Read(dst, off, (*refs)[:0])
-	UnpackChunks(dst, *refs)
+	*refs = l.refer(dst, off, (*refs)[:0])
+	unpackRefs(dst, *refs)
 	clear(*refs)
 	refBufs.Put(refs)
 }
@@ -401,11 +460,10 @@ func (l *Log) CopyOut(dst []tuple.Raw, off int) {
 // refBufs lends CopyOut its chunk references.
 var refBufs = sync.Pool{New: func() any { return new([]Chunk) }}
 
-// UnpackChunks fills the front of dst with the tuples refs refer to, in
-// order. It allocates nothing: a chunk referred to whole is unpacked
-// straight into dst, the part of one through a pooled buffer, both
-// through one pooled scratch.
-func UnpackChunks(dst []tuple.Raw, refs []Chunk) {
+// unpackRefs fills the front of dst with the tuples refs refer to, in
+// order: a chunk referred to whole is unpacked straight into dst, the part
+// of one through a pooled buffer, both through one pooled scratch.
+func unpackRefs(dst []tuple.Raw, refs []Chunk) {
 	if len(refs) == 0 {
 		return
 	}
@@ -414,7 +472,7 @@ func UnpackChunks(dst []tuple.Raw, refs []Chunk) {
 	unpackChunks(dst, refs, &sc.cols, &sc.keys)
 }
 
-// unpackChunks is UnpackChunks through the given scratch columns and keys.
+// unpackChunks is unpackRefs through the given scratch columns and keys.
 func unpackChunks(dst []tuple.Raw, refs []Chunk, cols *[4][]float64, keys *[]uint64) {
 	var buf *[ChunkTuples]tuple.Raw
 	for _, c := range refs {

@@ -1,6 +1,7 @@
 package colblock
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -30,12 +31,17 @@ type pendingRead struct {
 }
 
 // FuzzLogMatchesSlice drives a Log — capped or not, recycling its chunks'
-// bytes or not — through the appends, seals, drops, evictions, resets and
-// reads the fuzzer spells, and holds it after every step to the same steps
-// on a plain slice: the sequence space, every read, the replay, the
-// sealed chunks and the bounding box, bit for bit. A log that does not recycle also keeps each
-// read's chunk references to the end and unpacks them there: a sealed
-// chunk must never change, whatever the log did meanwhile.
+// bytes or not — through the appends, seals, drops, evictions, resets,
+// reads and hand-backs the fuzzer spells, and holds it after every step to
+// the same steps on a plain slice: the sequence space, every read, the
+// replay, the sealed chunks and the bounding box, bit for bit. A hand-back
+// gives the pool a donor log's chunks and, when the log does not recycle,
+// the chunks it has let go of, which the next seals pack into. A log that
+// does not recycle also keeps each read's chunk references until its
+// chunks are handed back and unpacks them then, and holds every chunk it
+// retains from one step to the next to the same bytes: a sealed chunk must
+// never change while the log holds it, whatever it and the pool did
+// meanwhile.
 func FuzzLogMatchesSlice(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 200, 1, 6, 0, 9, 6, 10, 20, 2, 7, 0, 40, 17, 3, 60, 6, 1, 1, 7})
 	f.Add([]byte{1, 1, 0, 7, 255, 2, 0, 9, 128, 3, 4, 10, 200, 4, 30, 2, 6, 5, 5, 6, 0, 200, 7})
@@ -52,8 +58,24 @@ func FuzzLogMatchesSlice(f *testing.F) {
 		retain := [...]int{0, 0, 5, 700, ChunkTuples + 300}[data[0]%5]
 		lg := Log{Retain: retain, Recycle: data[1]&1 == 1}
 		var model sliceLog
-		var clock, cut float64
+		var clock, cut, donorClock float64
 		var pending []pendingRead
+		checkPending := func() {
+			for i, p := range pending {
+				got := make([]tuple.Raw, len(p.want))
+				unpackRefs(got, p.refs)
+				if !bitEqualBatches(got, p.want) {
+					t.Fatalf("read %d: its sealed chunks changed after the read", i)
+				}
+			}
+			pending = nil
+		}
+		// kept holds a copy of each sealed chunk the log held after the
+		// last step, and seen every chunk it held after some step and has
+		// not been handed back, both by the address of the chunk's first
+		// byte.
+		kept := map[*byte][]byte{}
+		seen := map[*byte]Chunk{}
 		data = data[2:]
 		next := func() int {
 			if len(data) == 0 {
@@ -66,7 +88,7 @@ func FuzzLogMatchesSlice(f *testing.F) {
 		// pick is a position in [0, n], spread by one byte.
 		pick := func(n int) int { return next() * (n + 1) / 256 }
 		for step := 0; len(data) > 0; step++ {
-			switch op := next() % 8; op {
+			switch op := next() % 9; op {
 			case 0, 1: // append up to two chunks of tuples
 				n := next()<<3 | next()&7
 				b := fuzzTuples(rand.New(rand.NewSource(int64(step))), n, &clock)
@@ -103,10 +125,10 @@ func FuzzLogMatchesSlice(f *testing.F) {
 				end := off + pick(len(model.tuples)-off)
 				want := model.tuples[off:end]
 				dst := make([]tuple.Raw, len(want))
-				refs := lg.Read(dst, off, nil)
-				UnpackChunks(dst, refs)
+				refs := lg.refer(dst, off, nil)
+				unpackRefs(dst, refs)
 				if !bitEqualBatches(dst, want) {
-					t.Fatalf("step %d: Read [%d, %d) differs from the slice", step, off, end)
+					t.Fatalf("step %d: refer [%d, %d) differs from the slice", step, off, end)
 				}
 				got := make([]tuple.Raw, len(want))
 				lg.CopyOut(got, off)
@@ -127,7 +149,7 @@ func FuzzLogMatchesSlice(f *testing.F) {
 				}
 				refs := lg.Chunks(nil)
 				sealed := make([]tuple.Raw, ChunksLen(refs))
-				UnpackChunks(sealed, refs)
+				unpackRefs(sealed, refs)
 				if len(sealed) > len(model.tuples) || !bitEqualBatches(sealed, model.tuples[:len(sealed)]) {
 					t.Fatalf("step %d: the sealed chunks hold %d tuples that are not the slice's first", step, len(sealed))
 				}
@@ -136,11 +158,43 @@ func FuzzLogMatchesSlice(f *testing.F) {
 				if gok != wok || !sameRect(got, want) {
 					t.Fatalf("step %d: Bounds %+v,%v, slice %+v,%v", step, got, gok, want, wok)
 				}
+			case 8:
+				var donor Log
+				donor.Append(fuzzTuples(rand.New(rand.NewSource(int64(step))), 1+next()<<3, &donorClock))
+				donor.Seal()
+				give := donor.Chunks(nil)
+				if !lg.Recycle {
+					checkPending()
+					for p, c := range seen {
+						if _, held := kept[p]; !held {
+							give = append(give, c)
+							delete(seen, p)
+						}
+					}
+				}
+				HandBack(give)
 			}
 			if lg.Start() != model.start || lg.Len() != len(model.tuples) || lg.Next() != model.start+uint64(len(model.tuples)) {
 				t.Fatalf("step %d: log [%d,%d) of %d tuples, slice [%d,+%d)", step, lg.Start(), lg.Next(), lg.Len(), model.start, len(model.tuples))
 			}
 			chunks := lg.Chunks(nil)
+			if !lg.Recycle {
+				held := make(map[*byte]bool, len(chunks))
+				for _, c := range chunks {
+					p := &c.packed[0]
+					held[p] = true
+					if b, ok := kept[p]; !ok {
+						kept[p], seen[p] = slices.Clone(c.packed), c
+					} else if !bytes.Equal(b, c.packed) {
+						t.Fatalf("step %d: a chunk the log held throughout changed its bytes", step)
+					}
+				}
+				for p := range kept {
+					if !held[p] {
+						delete(kept, p)
+					}
+				}
+			}
 			if len(chunks) > 0 && chunks[0].Len() == 0 {
 				t.Fatalf("step %d: the oldest sealed chunk retains none of its tuples", step)
 			}
@@ -153,13 +207,7 @@ func FuzzLogMatchesSlice(f *testing.F) {
 				t.Fatalf("step %d: log holds memory for %d tuples, want ≤ %d", step, lg.Held(), retain+2*ChunkTuples)
 			}
 		}
-		for i, p := range pending {
-			got := make([]tuple.Raw, len(p.want))
-			UnpackChunks(got, p.refs)
-			if !bitEqualBatches(got, p.want) {
-				t.Fatalf("read %d: its sealed chunks changed after the read", i)
-			}
-		}
+		checkPending()
 	})
 }
 

@@ -37,12 +37,27 @@ func Pack(dst []byte, tuples []tuple.Raw) []byte {
 func PackExact(prefix int, tuples []tuple.Raw) []byte {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
-	// Room for the worst case up front: a fresh encoder (the pool's was
-	// collected) grows its block once, not by doubling.
-	e.blk = e.pack(slices.Grow(e.blk[:0], MaxPackedLen(len(tuples))), tuples)
-	out := make([]byte, prefix+len(e.blk))
-	copy(out[prefix:], e.blk)
+	run := e.packScratch(tuples)
+	out := make([]byte, prefix+len(run))
+	copy(out[prefix:], run)
 	return out
+}
+
+// packChunk returns tuples as one packed run in chunk memory (chunkBytes):
+// packed in the encoder's pooled scratch and copied in.
+func packChunk(tuples []tuple.Raw) []byte {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	run := e.packScratch(tuples)
+	return append(chunkBytes(len(run)), run...)
+}
+
+// packScratch packs tuples into the encoder's block. It makes room for the
+// worst case up front: a fresh encoder (the pool's was collected) grows its
+// block once, not by doubling.
+func (e *encoder) packScratch(tuples []tuple.Raw) []byte {
+	e.blk = e.pack(slices.Grow(e.blk[:0], MaxPackedLen(len(tuples))), tuples)
+	return e.blk
 }
 
 // MaxPackedLen is the largest packed run of n tuples: the count, and

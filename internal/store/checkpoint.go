@@ -228,8 +228,9 @@ func readManifest(dir string) (seq, horizon int, err error) {
 //  4. Read the committed file back: open it and checksum every block.
 //  5. Release, under the store lock: every snapshotted window becomes a
 //     lazy base in the new file, its in-memory tuples cut down to what was
-//     appended after the snapshot; the previous checkpoint's reader is
-//     retired.
+//     appended after the snapshot, and the bytes of the chunks it drops
+//     are handed back for the next seals to pack into; the previous
+//     checkpoint's reader is retired.
 //  6. Compact: delete segments at or below the checkpoint horizon
 //     (sparing the newest Config.KeepSegments of them) and every other
 //     checkpoint file.
@@ -270,9 +271,11 @@ func (s *Store) Checkpoint() error {
 	// newest window's and the late ones') is sealed first, so no raw chunk
 	// a later append writes to is read, and a sealed chunk never changes
 	// while the file is written outside the lock — a later append to the
-	// window unpacks it into a new open chunk, it does not write to it. A
-	// window's references stay valid when a later window's regrow refs:
-	// the old array is only read from then on.
+	// window unpacks it into a new open chunk, it does not write to it, and
+	// only the release below hands chunk bytes back. The snapshot is the
+	// one reader of chunks outside the lock. A window's references stay
+	// valid when a later window's regrow refs: the old array is only read
+	// from then on.
 	var refs []colblock.Chunk
 	s.late = s.late[:0]
 	for i, c := range idxs {
@@ -411,11 +414,14 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 // committed from the snapshot windows — the home of every tuple that file
 // holds: each snapshotted window becomes a lazy base in it, and the
 // window's log drops the chunks the snapshot took from its head, so only
-// the tuples appended after the snapshot stay. s.total does not move. Two
-// kinds of window are left as they are: one evicted since the snapshot,
-// and one whose base went bad meanwhile — it has settled on its suffix
-// (baseUnreadable) and a restart, not this process, gets the base back.
-// Caller holds mu.
+// the tuples appended after the snapshot stay. The snapshot has been
+// written, and every other read of a chunk unpacks under the lock, so
+// nothing reads the dropped chunks again: their bytes are handed back.
+// s.total does not move. Two kinds of window are left as they are, and
+// hand nothing back: one evicted since the snapshot, and one whose base
+// went bad meanwhile — it has settled on its suffix (baseUnreadable), its
+// log still holds the chunks, and a restart, not this process, gets the
+// base back. Caller holds mu.
 func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData) {
 	slices.Sort(s.ckEvicted)
 	for _, wd := range windows {
@@ -431,6 +437,7 @@ func (s *Store) releaseLocked(rd *colblock.Reader, windows []colblock.WindowData
 			if lg.Drop(colblock.ChunksLen(wd.Chunks)); lg.Len() == 0 {
 				delete(s.windows, c)
 			}
+			colblock.HandBack(wd.Chunks)
 		}
 	}
 	s.col.rd.release()

@@ -639,7 +639,8 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 // its encode (the seal fsync, through the syncSeg seam), a writer fills
 // the newest window past a chunk, so its log seals a full chunk and takes
 // a fresh open one, adds late tuples to the window behind it and moves on
-// to a new window, which seals the one it leaves — while a reader reads
+// to a new window and fills its first chunk, which seals the one it
+// leaves — while a reader reads
 // every window. The file must hold what the snapshot held, the release
 // must drop exactly the snapshot's chunks, and every read, then and after
 // a restart, must match a memory store fed the same tuples.
@@ -681,7 +682,7 @@ func TestCheckpointSealsBesideSnapshots(t *testing.T) {
 			full := slices.ContainsFunc(lg.Chunks(nil), func(c colblock.Chunk) bool { return c.Len() == colblock.ChunkTuples })
 			s.mu.RUnlock()
 			win++
-			add(30, float64(win*100), float64(win*100+100))
+			add(colblock.ChunkTuples, float64(win*100), float64(win*100+100))
 			s.mu.RLock()
 			left := lg.Len() == colblock.ChunksLen(lg.Chunks(nil))
 			s.mu.RUnlock()

@@ -237,15 +237,13 @@ func (s *Store) WindowBounds(c int) (geo.Rect, bool) {
 // checkpoint file's block iterator, which skips whole blocks whose zone
 // maps miss r, and the in-memory part (the post-checkpoint suffix, or the
 // whole window when nothing is lazy) is read into pooled memory, its
-// sealed chunks unpacked outside the lock, and filtered. The result's
+// sealed chunks unpacked under the lock, and filtered. The result's
 // tuple set is exactly Window(c) filtered by r, in the file's block order
 // followed by the suffix's append order, not sorted by time — use Window
 // when time order matters.
 func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 	buf := baseBufs.Get().(*tuple.Batch)
 	defer baseBufs.Put(buf)
-	refs := chunkRefs.Get().(*[]colblock.Chunk)
-	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		_, lazy := s.col.lazy[c]
@@ -255,9 +253,8 @@ func (s *Store) WindowRegion(c int, r geo.Rect) tuple.Batch {
 		}
 		lg := s.windows[c]
 		mem := slices.Grow((*buf)[:0], lg.Len())[:lg.Len()]
-		*refs = lg.Read(mem, 0, (*refs)[:0])
+		lg.CopyOut(mem, 0)
 		s.mu.RUnlock()
-		colblock.UnpackChunks(mem, *refs)
 		*buf = mem
 		var suffix tuple.Batch
 		for _, tp := range mem {

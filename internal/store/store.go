@@ -149,10 +149,11 @@ type Store struct {
 	windows map[int]*colblock.Log
 	total   int     // tuples currently held, lazy bases included
 	maxTime float64 // largest timestamp ever appended
-	// late lists the windows behind the newest that late tuples reached
-	// since the newest window moved or the last checkpoint's snapshot,
-	// first reached first: at most maxOpenLate, each of whose logs may
-	// keep an open chunk.
+	// late lists the windows behind the newest that may keep an open
+	// chunk, first reached first, at most maxOpenLate: the window the
+	// stream left, until the newest fills its first chunk, and those late
+	// tuples reached since the newest window moved, since it filled its
+	// first chunk or since the last checkpoint's snapshot.
 	late []int
 
 	seg    *segHandle // open segment, nil when durability is off
@@ -771,19 +772,22 @@ func (s *Store) Retain() int { return s.cfg.Retain }
 // maxOpenLate is how many windows behind the newest may keep an open
 // chunk. Late tuples come in runs, a run after another into the same few
 // windows (an uplink that was down flushes its backlog, uploads straddle
-// an hour's end); a window sealed after each run would be unpacked and
-// packed again by the next one.
+// an hour's end and reach the store out of order); a window sealed after
+// each run would be unpacked and packed again by the next one.
 const maxOpenLate = 4
 
 // addToWindows distributes tuples into their windows' logs, one run of
 // same-window tuples at a time. When a run moves past the newest window it
-// seals the newest's log and those of the late windows — before the run
-// takes an open chunk, so the one it gives back is the one taken — and a
-// run that reaches a late window beyond maxOpenLate seals the late window
-// reached first. So the newest window and at most maxOpenLate windows
-// behind it hold raw tuples, and a window is packed again only when it
-// gets late tuples after it was sealed. Caller holds mu (or is
-// single-threaded recovery).
+// seals the late windows' logs — before the run takes an open chunk, so
+// the one it gives back is the one taken — and the window it leaves
+// becomes a late one: uploads that straddled the hour's end still reach
+// it. Once the new newest window fills its first chunk, the stream has
+// left for good, and the late windows are sealed again. A run that
+// reaches a late window beyond maxOpenLate seals the late window reached
+// first. So the newest window and at most maxOpenLate windows behind it
+// hold raw tuples, and a window is packed again only when it gets late
+// tuples after it was sealed. Caller holds mu (or is single-threaded
+// recovery).
 func (s *Store) addToWindows(b tuple.Batch) {
 	h := s.cfg.WindowLength
 	newest := tuple.WindowIndex(s.maxTime, h)
@@ -795,11 +799,10 @@ func (s *Store) addToWindows(b tuple.Batch) {
 		}
 		switch {
 		case c > newest:
-			s.sealWindow(newest)
-			for _, l := range s.late {
-				s.sealWindow(l)
+			s.sealLate()
+			if s.windows[newest] != nil {
+				s.late = append(s.late, newest)
 			}
-			s.late = s.late[:0]
 			newest = c
 		case c < newest && !slices.Contains(s.late, c):
 			if len(s.late) == maxOpenLate {
@@ -814,6 +817,9 @@ func (s *Store) addToWindows(b tuple.Batch) {
 			s.windows[c] = lg
 		}
 		lg.Append(b[:n])
+		if c == newest && lg.Len() >= colblock.ChunkTuples && lg.Len()-n < colblock.ChunkTuples {
+			s.sealLate()
+		}
 		s.total += n
 		for _, r := range b[:n] {
 			if r.T > s.maxTime {
@@ -822,6 +828,15 @@ func (s *Store) addToWindows(b tuple.Batch) {
 		}
 		b = b[n:]
 	}
+}
+
+// sealLate seals the late windows' logs and empties the list. Caller holds
+// mu.
+func (s *Store) sealLate() {
+	for _, l := range s.late {
+		s.sealWindow(l)
+	}
+	s.late = s.late[:0]
 }
 
 // sealWindow seals window c's log, if it has one. Caller holds mu.
@@ -912,11 +927,12 @@ func (s *Store) WindowSeedInto(dst tuple.Batch, c int) (tuple.Batch, colblock.Se
 // one.
 //
 // One critical section takes the window's lazy entry, a reference to the
-// reader it belongs to, the open chunk's tuples and references to the
-// sealed chunks of the in-memory log, so a checkpoint that moves the
-// window to its own file meanwhile changes nothing about what this read
-// returns; the base and the sealed chunks are then decoded outside the
-// lock, straight into dst.
+// reader it belongs to and the in-memory log's tuples, so a checkpoint
+// that moves the window to its own file meanwhile changes nothing about
+// what this read returns. The log's sealed chunks are unpacked under the
+// lock, straight into dst: once it is released, a checkpoint may hand
+// their bytes back and a seal pack other tuples into them. The base is
+// decoded outside the lock.
 func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 	dst, _, _ = s.windowInto(dst, c, false)
 	return dst
@@ -925,15 +941,13 @@ func (s *Store) WindowInto(dst tuple.Batch, c int) tuple.Batch {
 // windowInto is WindowInto, and WindowSeedInto when withSeed is set.
 func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch, sd colblock.Seed, seeded bool) {
 	n := len(dst)
-	refs := chunkRefs.Get().(*[]colblock.Chunk)
-	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		lw, lazy := s.col.lazy[c]
 		lg := s.windows[c]
 		m := lg.Len()
 		dst = slices.Grow(dst, lw.count+m)[:n+lw.count+m]
-		*refs = lg.Read(dst[n+lw.count:], 0, (*refs)[:0])
+		lg.CopyOut(dst[n+lw.count:], 0)
 		var cr *colReader
 		if lazy {
 			if cr = s.col.rd; cr != nil {
@@ -941,7 +955,6 @@ func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch
 			}
 		}
 		s.mu.RUnlock()
-		colblock.UnpackChunks(dst[n+lw.count:], *refs)
 		if !lazy {
 			break
 		}
@@ -970,16 +983,14 @@ func (s *Store) windowInto(dst tuple.Batch, c int, withSeed bool) (_ tuple.Batch
 // the order they were appended, not sorted by time as WindowInto sorts
 // them. A retained window's positions never move: a checkpoint writes a
 // window in append order and keeps appending behind it, and eviction
-// drops a window whole. A lazy base is decoded through the checkpoint
-// reader (the whole base, into pooled memory, unless dst starts at 0 and
-// covers it), and sealed chunks of the in-memory log are unpacked, both
-// outside the lock. It is an error to ask for a range the window does not
+// drops a window whole. Sealed chunks of the in-memory log are unpacked
+// under the lock, and a lazy base is decoded through the checkpoint reader
+// outside it (the whole base, into pooled memory, unless dst starts at 0
+// and covers it). It is an error to ask for a range the window does not
 // hold, and for any range of a window whose base went unreadable: its
 // suffix has moved down to position 0, and ReadAppended never returns
 // shifted tuples.
 func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
-	refs := chunkRefs.Get().(*[]colblock.Chunk)
-	defer putRefs(refs)
 	for {
 		s.mu.RLock()
 		if s.col.lost[c] {
@@ -992,11 +1003,9 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 			s.mu.RUnlock()
 			return fmt.Errorf("store: window %d holds %d tuples, not [%d, %d)", c, base+lg.Len(), off, end)
 		}
-		mem := dst[min(max(base-off, 0), len(dst)):]
-		*refs = lg.Read(mem, max(off-base, 0), (*refs)[:0])
+		lg.CopyOut(dst[min(max(base-off, 0), len(dst)):], max(off-base, 0))
 		if off >= base {
 			s.mu.RUnlock()
-			colblock.UnpackChunks(mem, *refs)
 			return nil
 		}
 		cr := s.col.rd
@@ -1004,7 +1013,6 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 			cr.acquire()
 		}
 		s.mu.RUnlock()
-		colblock.UnpackChunks(mem, *refs)
 		if cr != nil {
 			err := s.decodeBase(cr, dst[:min(end, base)-off], c, off, base)
 			cr.release()
@@ -1021,17 +1029,6 @@ func (s *Store) ReadAppended(dst []tuple.Raw, c, off int) error {
 // baseBufs lends ReadAppended and WindowRegion a window's worth of tuples
 // to decode into.
 var baseBufs = sync.Pool{New: func() any { return new(tuple.Batch) }}
-
-// chunkRefs lends a read the references to sealed chunks it takes under
-// the lock and unpacks after it.
-var chunkRefs = sync.Pool{New: func() any { return new([]colblock.Chunk) }}
-
-// putRefs clears refs, so the pool holds no chunk alive, and gives it
-// back.
-func putRefs(refs *[]colblock.Chunk) {
-	clear(*refs)
-	chunkRefs.Put(refs)
-}
 
 // decodeBase fills dst with tuples [off, off+len(dst)) of window c's
 // base of n tuples through cr — which the caller holds a reference on —
