@@ -46,6 +46,24 @@ func MirrorTuples(n *Node) int {
 	return total
 }
 
+// MirrorChunks sums, over n's mirror logs, the tuples their sealed chunks
+// hold, the bytes of those chunks' packed runs, and the memory the runs
+// are held in (their capacity).
+func MirrorChunks(n *Node) (tuples, packed, held int) {
+	n.repl.mirMu.Lock()
+	defer n.repl.mirMu.Unlock()
+	for _, m := range n.repl.mirrors {
+		m.mu.Lock()
+		for _, c := range m.log.Chunks(nil) {
+			tuples += c.Len()
+			packed += len(c.Packed())
+			held += cap(c.Packed())
+		}
+		m.mu.Unlock()
+	}
+	return tuples, packed, held
+}
+
 // HoldsMirror reports whether n holds a mirror of origin's pol stream.
 func HoldsMirror(n *Node, origin int, pol tuple.Pollutant) bool {
 	n.repl.mirMu.Lock()

@@ -999,7 +999,9 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 	if m.Cols < 1 || m.Rows < 1 {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("heatmap: grid %dx%d, want >= 1x1", m.Cols, m.Rows)}, nil
 	}
-	if int(m.Cols)*int(m.Rows) > MaxHeatmapCells {
+	// Counted in 64 bits: 65 535 × 65 535 cells overflow a 32-bit int.
+	cells := uint64(m.Cols) * uint64(m.Rows)
+	if cells > MaxHeatmapCells {
 		// A larger raster could not cross back from the peers in one
 		// frame; reject loudly instead of silently rendering foreign
 		// shards from fallback grids.
@@ -1037,8 +1039,8 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		union = m.Region
 	}
 	out := wire.HeatmapResponse{Region: union, Cols: m.Cols, Rows: m.Rows, T: m.T}
-	if cells := int(m.Cols) * int(m.Rows); lend {
-		out.Values = wire.LendRaster(cells)
+	if lend {
+		out.Values = wire.LendRaster(int(cells))
 	} else {
 		out.Values = make([]float64, cells)
 	}

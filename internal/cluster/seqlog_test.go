@@ -163,10 +163,11 @@ func BenchmarkReplLogAppendAtCap(b *testing.B) {
 }
 
 // TestSeqLogGrowsByChunksWithoutMoving: a log larger than one chunk seals
-// a chunk each time colblock.ChunkTuples tuples have arrived — a sealed chunk's bytes
-// never move or change while the log retains any of its tuples — and, once
-// at its cap, releases chunks from its head with the same answers as the
-// naive model.
+// a chunk each time its open chunk fills with colblock.ChunkTuples tuples,
+// and only then — the tuples of it that fit their size class, the rest
+// staying open — and a sealed chunk's bytes never move or change while the
+// log retains any of its tuples; once at its cap, it releases chunks from
+// its head with the same answers as the naive model.
 func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 	const retain = 2*colblock.ChunkTuples + 300 // two sealed chunks and an open one when full
 	lg := colblock.Log{Retain: retain, Recycle: true}
@@ -197,8 +198,9 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 		}
 	}
 
-	// sealed maps the sequence of every sealed chunk's first tuple to the
-	// chunk's first byte and a copy of its bytes, as they were when sealed.
+	// sealed maps the sequence just past every sealed chunk's last tuple to
+	// the chunk's first byte and a copy of its bytes, as they were when
+	// sealed. Every sealed chunk was sealed full.
 	type sealedAs struct {
 		at    *byte
 		bytes []byte
@@ -206,39 +208,38 @@ func TestSeqLogGrowsByChunksWithoutMoving(t *testing.T) {
 	sealed := make(map[uint64]sealedAs)
 	checkSealed := func(step int) {
 		t.Helper()
-		chunks := lg.Chunks(nil)
-		if len(chunks) == 0 {
-			return
-		}
-		// Every sealed chunk is full: the oldest's dropped tuples are those
-		// it lacks.
-		first := lg.Start() - uint64(colblock.ChunkTuples-chunks[0].Len())
-		for i, c := range chunks {
-			seq := first + uint64(i*colblock.ChunkTuples)
-			was, ok := sealed[seq]
+		end := lg.Start()
+		for i, c := range lg.Chunks(nil) {
+			end += uint64(c.Len())
+			if !c.Full() || c.Len() > colblock.ChunkTuples {
+				t.Fatalf("step %d: sealed chunk %d holds %d tuples, sealed full %v; want ≤ %d, sealed full", step, i, c.Len(), c.Full(), colblock.ChunkTuples)
+			}
+			was, ok := sealed[end]
 			packed := c.Packed()
 			if !ok {
-				sealed[seq] = sealedAs{at: &packed[0], bytes: slices.Clone(packed)}
+				sealed[end] = sealedAs{at: &packed[0], bytes: slices.Clone(packed)}
 				continue
 			}
 			if was.at != &packed[0] || !bytes.Equal(was.bytes, packed) {
-				t.Fatalf("step %d: sealed chunk %d (from sequence %d) moved or changed", step, i, seq)
+				t.Fatalf("step %d: sealed chunk %d (up to sequence %d) moved or changed", step, i, end)
 			}
 		}
 	}
 	for step := 0; lg.Len() < retain; step++ {
 		b := batch(min(256, retain-lg.Len()))
+		sealed0, open0 := sealedAndOpen(&lg)
 		lg.Append(b)
 		model.append(b, retain)
-		if sealed, open := sealedAndOpen(&lg); sealed != lg.Len()/colblock.ChunkTuples || open != lg.Len()%colblock.ChunkTuples {
-			t.Fatalf("step %d: %d tuples in %d sealed chunks and %d open, want %d and %d",
-				step, lg.Len(), sealed, open, lg.Len()/colblock.ChunkTuples, lg.Len()%colblock.ChunkTuples)
+		sealed, open := sealedAndOpen(&lg)
+		if fills := open0+len(b) >= colblock.ChunkTuples; open >= colblock.ChunkTuples || fills != (sealed > sealed0) {
+			t.Fatalf("step %d: %d open tuples and %d more sealed %d chunks, %d open; want a chunk sealed (%v) only when the open one fills",
+				step, open0, len(b), sealed-sealed0, open, fills)
 		}
 		checkSealed(step)
 		compare(step)
 	}
-	if sealed, open := sealedAndOpen(&lg); sealed != 2 || open != 300 || lg.Held() > 3*colblock.ChunkTuples {
-		t.Fatalf("full log holds %d sealed chunks and %d open in memory for %d, want 2 and 300 in ≤ %d", sealed, open, lg.Held(), 3*colblock.ChunkTuples)
+	if sealed, open := sealedAndOpen(&lg); sealed != 2 || open >= colblock.ChunkTuples || lg.Held() > 3*colblock.ChunkTuples {
+		t.Fatalf("full log holds %d sealed chunks and %d open in memory for %d, want 2 and < %d in ≤ %d", sealed, open, lg.Held(), colblock.ChunkTuples, 3*colblock.ChunkTuples)
 	}
 	for step := 0; step < 40; step++ { // several times through the whole log
 		b := batch(1 + rng.Intn(700))

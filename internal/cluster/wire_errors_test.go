@@ -215,6 +215,10 @@ func TestSentinelsSurviveRealTCP(t *testing.T) {
 			request: func(p *tcpPair) wire.Message {
 				return wire.HeatmapRequest{T: queryT, Pollutant: tuple.CO2, Cols: 400, Rows: 400}
 			}},
+		{name: "widest grid", want: cluster.ErrTooLarge, // 65 535² cells overflow a 32-bit int
+			request: func(p *tcpPair) wire.Message {
+				return wire.HeatmapRequest{T: queryT, Pollutant: tuple.CO2, Cols: math.MaxUint16, Rows: math.MaxUint16}
+			}},
 		{name: "stale epoch", want: cluster.ErrStaleEpoch,
 			request: func(p *tcpPair) wire.Message {
 				return wire.Forwarded{Inner: q(p.local, queryT, tuple.CO2), Epoch: 1}

@@ -229,13 +229,36 @@ func Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
 	return encode(w, meta, windows, BlockTuples)
 }
 
+// An Encoder is Encode's scratch, lent from a pool until Release, for a
+// caller that writes a checkpoint file and then reads it back: CheckBlocks
+// reads the file's blocks into the block buffer Encode has just grown,
+// where Reader.CheckBlocks borrows one from a pool that a collection may
+// have emptied since the last checkpoint.
+type Encoder struct{ e *encoder }
+
+// NewEncoder lends an Encoder.
+func NewEncoder() Encoder { return Encoder{encoders.Get().(*encoder)} }
+
+// Release returns the Encoder's scratch to the pool; it must not be used
+// after.
+func (enc Encoder) Release() { encoders.Put(enc.e) }
+
+// Encode is the package's Encode, in enc's scratch.
+func (enc Encoder) Encode(w io.Writer, meta Meta, windows []WindowData) (EncodeStats, error) {
+	return enc.e.encode(w, meta, windows, BlockTuples)
+}
+
+// CheckBlocks is r.CheckBlocks, reading each block into enc's block buffer.
+func (enc Encoder) CheckBlocks(r *Reader) error { return r.checkBlocks(&enc.e.blk) }
+
 // encoder is Encode's scratch: the window order, one window put together
 // from its base and what followed, one block's four float columns, the
 // keys of the column being written, the block or seed record under
 // construction (or being carried over) and the directory. A checkpoint of
 // n tuples allocated ≈ 164 n bytes without it. Encode unpacks a window's
 // chunks in its columns too; Pack and PackExact borrow them, and
-// PackExact its block, for one packed run.
+// PackExact its block, for one packed run; an Encoder's CheckBlocks reads
+// into the block.
 type encoder struct {
 	windows  []WindowData
 	merged   tuple.Batch
@@ -251,10 +274,12 @@ var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 func encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (EncodeStats, error) {
 	e := encoders.Get().(*encoder)
-	defer func() {
-		clear(e.windows) // drop the references to the caller's windows
-		encoders.Put(e)
-	}()
+	defer encoders.Put(e)
+	return e.encode(w, meta, windows, blockTuples)
+}
+
+func (e *encoder) encode(w io.Writer, meta Meta, windows []WindowData, blockTuples int) (EncodeStats, error) {
+	defer func() { clear(e.windows) }() // drop the references to the caller's windows
 	e.windows = append(e.windows[:0], windows...)
 	slices.SortFunc(e.windows, func(a, b WindowData) int { return cmp.Compare(a.Window, b.Window) })
 

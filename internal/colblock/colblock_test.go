@@ -474,14 +474,15 @@ func TestEmptyFile(t *testing.T) {
 }
 
 // TestMetaRoundTrip checks the trailer carries what recovery needs beside
-// the tuples, including a horizon of -1 (no segment covered) and a
-// MaxTime no tuple in the file reaches.
+// the tuples, including a horizon of -1 (no segment covered), the largest
+// sequence and horizon an int holds, and a MaxTime no tuple in the file
+// reaches.
 func TestMetaRoundTrip(t *testing.T) {
 	windows := genWindows(rand.New(rand.NewSource(12)), 2, 50)
 	for _, meta := range []Meta{
 		{Seq: 0, Horizon: -1, MaxTime: 0},
 		{Seq: 7, Horizon: 41, MaxTime: 86399.5},
-		{Seq: 1 << 40, Horizon: 1 << 33, MaxTime: math.MaxFloat64},
+		{Seq: math.MaxInt, Horizon: math.MaxInt - 1, MaxTime: math.MaxFloat64},
 	} {
 		var buf bytes.Buffer
 		st, err := Encode(&buf, meta, windowData(windows...))

@@ -3,6 +3,7 @@ package colblock
 import (
 	"fmt"
 	"math"
+	"runtime/metrics"
 	"slices"
 	"sync"
 
@@ -19,24 +20,34 @@ const ChunkTuples = 1 << 10
 // mirror, and a primary the tuples its replication log holds by value.
 //
 // Storage is chunks of at most ChunkTuples tuples. Only the newest, the
-// open chunk, holds tuple.Raw values; it grows as append grows a slice,
-// up to ChunkTuples. When it fills, or its owner calls Seal, it is
-// sealed: packed as one run (Pack, ≈ 22 B a tuple instead of 32, lossless
-// bit for bit) into chunk memory, and its raw memory goes back to a pool
-// the next open chunk is taken from, so no raw chunk outlives a garbage
-// collection. A sealed chunk never changes while the log holds it; but the
-// next append after Seal unpacks a chunk that Seal left short of full into
-// a new open chunk, and the log lets the packed one go, so however often
-// a log is sealed, only its newest chunk is short of full. The log
-// loses tuples only from its head: a capped log (Retain) those past its
-// cap, any log those Drop, DropWhile and Reset let go. A sealed chunk goes
-// once none of its tuples is retained.
+// open chunk, holds tuple.Raw values, in memory with room for ChunkTuples
+// of them from its first tuple on. A chunk is sealed — packed as one run
+// (≈ 22 B a tuple instead of 32, lossless bit for bit) into memory of the
+// run's size class — when it fills, and when its owner calls Seal.
 //
-// Chunk memory is reused. A seal packs into bytes some log's chunk held
-// before, handed back (HandBack, or Recycle) once nothing read them any
-// more, when such bytes fit the run, and into new memory of the run's size
-// class when none do. Handed-back bytes wait in a pool the collector
-// empties, so none outlives two collections.
+// A full chunk is fitted to its size class. The allocator rounds every
+// allocation up to a class (a 22.5 KB run takes a 24 KiB object), so when
+// the whole chunk's run would leave more than 1/64 of its class unused,
+// the log seals only the longest prefix whose run fits the class below,
+// and the rest (a few dozen tuples on a sensor fleet's stream) stay at the
+// open chunk's front for the next seal. A chunk too small for any class
+// below is sealed whole. Seal seals the open chunk whole, however full, and
+// its raw memory goes back to a pool the next open chunk is taken from, so
+// no raw chunk outlives a garbage collection.
+//
+// A sealed chunk never changes while the log holds it; but the next append
+// after Seal unpacks the chunk Seal sealed into a new open chunk, and the
+// log lets the packed one go, so however often a log is sealed, every
+// chunk but its newest was sealed full (Chunk.Full). The log loses tuples
+// only from its head: a capped log (Retain) those past its cap, any log
+// those Drop, DropWhile and Reset let go. A sealed chunk goes once none of
+// its tuples is retained.
+//
+// Chunk memory is reused. A seal packs into bytes of the run's size class
+// that some log's chunk held before, handed back (HandBack, or Recycle)
+// once nothing read them any more, and into new memory when none wait.
+// Handed-back bytes wait in a pool the collector empties, so none outlives
+// two collections.
 //
 // A Log must not be copied once used: its first chunks' references live
 // in it. It has no lock of its own: its owner's mutex guards it, and a read
@@ -55,7 +66,7 @@ type Log struct {
 	Recycle bool
 
 	start  uint64       // sequence of the oldest retained tuple
-	sealed []Chunk      // full chunks, oldest first; the newest may be sealed early
+	sealed []Chunk      // chunks sealed full, oldest first; the newest may be sealed early
 	first  [2]Chunk     // the array sealed starts in (a fleet window seals two)
 	open   *[]tuple.Raw // the newest tuples; nil when there are none
 	head   int          // leading tuples of the oldest sealed chunk already dropped
@@ -73,10 +84,16 @@ type Chunk struct {
 	from, to   int
 	minT, maxT float64
 	box        geo.Rect
+	full       bool
 }
 
 // Len is the number of tuples the chunk refers to.
 func (c Chunk) Len() int { return c.to - c.from }
+
+// Full reports whether the chunk was sealed from a full open chunk (and
+// holds the tuples that fit their size class), not by Seal: a log unpacks
+// only a chunk Seal sealed again.
+func (c Chunk) Full() bool { return c.full }
 
 // Packed is the chunk's packed run, all n of its tuples (Unpack reads it
 // back). It does not change until the chunk's bytes are handed back.
@@ -97,20 +114,55 @@ var rawChunks = sync.Pool{New: func() any { return new([]tuple.Raw) }}
 // unpackBufs lends reads a chunk's worth of tuples to unpack into.
 var unpackBufs = sync.Pool{New: func() any { return new([ChunkTuples]tuple.Raw) }}
 
-// Handed-back chunk bytes wait in spares for the next seal to pack into,
-// by capacity in steps of spareStep: a run of n bytes looks in n's own
-// step, where a spare may be too small for it, and in the spareReach
-// steps above, where any spare fits it. They are sync.Pools, which the
-// collector empties. A spare rides in a box (*[]byte) so that neither
-// handing back nor taking allocates: chunkBytes parks the emptied box in
-// boxes, and handBack fills one from there.
-const (
-	spareStep  = 1 << 10
-	spareReach = 3
-)
+// sizeClasses are the allocator's size classes, ascending: the sizes it
+// rounds a small allocation up to, read once from the runtime's histogram
+// of allocations by size, whose buckets are the classes. An allocation
+// larger than the largest class is a large object, which takes whole pages.
+// Nil if the runtime does not report the histogram: then nothing is fitted.
+var sizeClasses = readSizeClasses()
 
+func readSizeClasses() []int {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
+		return nil
+	}
+	// The buckets are [1, 9), [9, 17), …, [32769, +Inf): each bound past
+	// the first is one byte over a class.
+	b := s[0].Value.Float64Histogram().Buckets
+	classes := make([]int, 0, len(b))
+	for _, lo := range b[1 : len(b)-1] {
+		classes = append(classes, int(lo)-1)
+	}
+	return classes
+}
+
+// fitClass is the size class a full chunk's packed run of n bytes is
+// fitted to, or 0 when it is not: the class below n's own when that one is
+// more than n/64 larger than n, or the largest class when n is over it (a
+// large object, rounded up to whole pages). A run that fits no class below
+// is not fitted.
+func fitClass(n int) int {
+	i, _ := slices.BinarySearch(sizeClasses, n)
+	switch {
+	case i == 0:
+		return 0
+	case i == len(sizeClasses):
+		return sizeClasses[i-1]
+	case (sizeClasses[i]-n)*64 <= n:
+		return 0
+	}
+	return sizeClasses[i-1]
+}
+
+// Handed-back chunk bytes wait in spares for the next seal to pack into,
+// one pool for each size class: a run takes only spares of its own class,
+// so a chunk never holds memory of a class larger than its run's. They are
+// sync.Pools, which the collector empties. A spare rides in a box (*[]byte)
+// so that neither handing back nor taking allocates: chunkBytes parks the
+// emptied box in boxes, and handBack fills one from there.
 var (
-	spares [64]sync.Pool // spares[k]: capacities in [k, k+1) spareSteps
+	spares = make([]sync.Pool, len(sizeClasses)) // spares[i]: capacity sizeClasses[i]
 	boxes  sync.Pool
 )
 
@@ -123,9 +175,11 @@ func HandBack(chunks []Chunk) {
 	}
 }
 
+// handBack pools b for chunkBytes, if its capacity is a size class (every
+// chunk's is, but a large object's).
 func handBack(b []byte) {
-	k := cap(b) / spareStep
-	if k >= len(spares) {
+	i, ok := slices.BinarySearch(sizeClasses, cap(b))
+	if !ok {
 		return
 	}
 	box, _ := boxes.Get().(*[]byte)
@@ -133,26 +187,20 @@ func handBack(b []byte) {
 		box = new([]byte)
 	}
 	*box = b[:0]
-	spares[k].Put(box)
+	spares[i].Put(box)
 }
 
-// chunkBytes returns empty memory with room for a packed run of n bytes:
-// handed-back bytes when some fit, or else new memory of n's size class,
-// which the allocator would round n up to anyway.
+// chunkBytes returns empty memory of n's size class: handed-back bytes when
+// some of that class wait, or else new memory, which the allocator rounds
+// up to the class.
 func chunkBytes(n int) []byte {
-	for k := n / spareStep; k <= n/spareStep+spareReach && k < len(spares); k++ {
-		box, ok := spares[k].Get().(*[]byte)
-		if !ok {
-			continue
+	if i, _ := slices.BinarySearch(sizeClasses, n); i < len(spares) {
+		if box, ok := spares[i].Get().(*[]byte); ok {
+			b := *box
+			*box = nil
+			boxes.Put(box)
+			return b
 		}
-		if cap(*box) < n {
-			spares[k].Put(box)
-			continue
-		}
-		b := *box
-		*box = nil
-		boxes.Put(box)
-		return b
 	}
 	return slices.Grow([]byte(nil), n)
 }
@@ -199,15 +247,15 @@ func (l *Log) Append(tuples []tuple.Raw) {
 		o := *l.open
 		k := min(len(tuples), ChunkTuples-len(o))
 		if cap(o)-len(o) < k {
-			o = append(make([]tuple.Raw, 0, min(max(2*cap(o), len(o)+k), ChunkTuples)), o...)
+			o = append(make([]tuple.Raw, 0, ChunkTuples), o...)
 		}
 		*l.open = append(o, tuples[:k]...)
 		l.n += k
 		tuples = tuples[k:]
 		if len(*l.open) == ChunkTuples {
-			// The open chunk's memory takes the next tuples.
-			l.seal()
-			*l.open = (*l.open)[:0]
+			// The open chunk's memory keeps what the seal left and takes
+			// the next tuples.
+			l.seal(true)
 		}
 	}
 	if l.Retain > 0 && l.n > l.Retain {
@@ -220,39 +268,43 @@ func (l *Log) Append(tuples []tuple.Raw) {
 // Seal packed if that is not full (reopen).
 func (l *Log) Seal() {
 	if l.open != nil {
-		l.seal()
+		l.seal(false)
 		l.releaseOpen()
 	}
 }
 
-// seal packs the open chunk into a new sealed chunk.
-func (l *Log) seal() {
-	if o := *l.open; len(o) > 0 {
-		c := Chunk{n: len(o), to: len(o)}
-		c.minT, c.maxT, _ = tuple.Batch(o).TimeSpan()
-		c.box, _ = tuple.Batch(o).Bounds()
-		c.packed = packChunk(o)
-		if l.sealed == nil {
-			l.sealed = l.first[:0]
-		}
-		l.sealed = append(l.sealed, c)
+// seal packs the open chunk into a new sealed chunk: all of it, or, when
+// full is set (the open chunk is full), the tuples that fit their size
+// class (packChunk), which leave the rest at the open chunk's front.
+func (l *Log) seal(full bool) {
+	o := *l.open
+	if len(o) == 0 {
+		return
 	}
+	packed, n := packChunk(o, full)
+	c := Chunk{packed: packed, n: n, to: n, full: full}
+	c.minT, c.maxT, _ = tuple.Batch(o[:n]).TimeSpan()
+	c.box, _ = tuple.Batch(o[:n]).Bounds()
+	if l.sealed == nil {
+		l.sealed = l.first[:0]
+	}
+	l.sealed = append(l.sealed, c)
+	*l.open = o[:copy(o, o[n:])]
 }
 
-// reopen moves a last sealed chunk that is not full back into the open
-// chunk, just taken from the pool, so that appends after an early seal
-// fill it up instead of starting a chunk of their own. Its retained tuples
-// are unpacked to the open chunk's front: a dropped head is left behind.
+// reopen moves a last sealed chunk that Seal sealed (not full) back into
+// the open chunk, just taken from the pool, so that appends after an early
+// seal fill it up instead of starting a chunk of their own. Its retained
+// tuples are unpacked to the open chunk's front: a dropped head is left
+// behind.
 func (l *Log) reopen() {
 	last := len(l.sealed) - 1
-	if last < 0 || l.sealed[last].n == ChunkTuples {
+	if last < 0 || l.sealed[last].full {
 		return
 	}
 	c := l.sealed[last]
 	o := *l.open
-	if cap(o) < c.n {
-		// A full chunk's room: the reopened chunk is refilled, and goes
-		// back to the pool whole.
+	if cap(o) < ChunkTuples {
 		o = make([]tuple.Raw, 0, ChunkTuples)
 	}
 	o = o[:c.n]

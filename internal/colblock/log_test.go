@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -199,8 +200,13 @@ func FuzzLogMatchesSlice(f *testing.F) {
 				t.Fatalf("step %d: the oldest sealed chunk retains none of its tuples", step)
 			}
 			for i, c := range chunks[:max(len(chunks)-1, 0)] {
-				if c.n != ChunkTuples {
-					t.Fatalf("step %d: sealed chunk %d of %d packs %d tuples; only the newest may be short of %d", step, i, len(chunks), c.n, ChunkTuples)
+				if !c.full {
+					t.Fatalf("step %d: sealed chunk %d of %d (%d tuples) was sealed early; only the newest may be", step, i, len(chunks), c.n)
+				}
+			}
+			for i, c := range chunks {
+				if k, _ := slices.BinarySearch(sizeClasses, len(c.packed)); c.n > ChunkTuples || k < len(sizeClasses) && cap(c.packed) != sizeClasses[k] {
+					t.Fatalf("step %d: sealed chunk %d of %d packs %d tuples into %d bytes of %d; want ≤ %d tuples in memory of the run's size class", step, i, len(chunks), c.n, len(c.packed), cap(c.packed), ChunkTuples)
 				}
 			}
 			if retain > 0 && lg.Held() > retain+2*ChunkTuples {
@@ -245,8 +251,10 @@ func sameRect(a, b geo.Rect) bool {
 
 // TestLogSealsEarlyAndRefills: a chunk sealed before it is full holds what
 // the open chunk held; the next append unpacks it into a new open chunk,
-// so however often the log is sealed, every chunk but the newest is full,
-// and a read returns the tuples in append order.
+// so however often the log is sealed, every chunk but the newest was
+// sealed full — holding the tuples of a full open chunk that fit their
+// size class, the rest left for the next chunk — and a read returns the
+// tuples in append order.
 func TestLogSealsEarlyAndRefills(t *testing.T) {
 	var lg Log
 	var want []tuple.Raw
@@ -262,13 +270,25 @@ func TestLogSealsEarlyAndRefills(t *testing.T) {
 	if lg.Held() != len(want) || ChunksLen(chunks) != len(want) {
 		t.Fatalf("sealed log holds %d tuples in %d chunks, memory for %d; want all %d sealed", ChunksLen(chunks), len(chunks), lg.Held(), len(want))
 	}
-	if sizes := []int{ChunkTuples, ChunkTuples, len(want) - 2*ChunkTuples}; len(chunks) != len(sizes) {
+	// The full chunks hold what a full open chunk's seal keeps of the
+	// tuples that follow the last one; the newest, sealed early, the rest.
+	var sizes []int
+	for at := 0; at+ChunkTuples <= len(want); {
+		_, n := packChunk(want[at:at+ChunkTuples], true)
+		sizes = append(sizes, n)
+		at += n
+	}
+	rest := len(want)
+	for _, n := range sizes {
+		rest -= n
+	}
+	sizes = append(sizes, rest)
+	if len(chunks) != len(sizes) || len(sizes) != 3 {
 		t.Fatalf("%d chunks, want %v", len(chunks), sizes)
-	} else {
-		for i, c := range chunks {
-			if c.Len() != sizes[i] {
-				t.Fatalf("chunk %d holds %d tuples, want %d", i, c.Len(), sizes[i])
-			}
+	}
+	for i, c := range chunks {
+		if c.Len() != sizes[i] || c.Full() != (i < len(chunks)-1) {
+			t.Fatalf("chunk %d holds %d tuples (sealed full %v), want %d (%v)", i, c.Len(), c.Full(), sizes[i], i < len(chunks)-1)
 		}
 	}
 	got := make([]tuple.Raw, len(want))
@@ -314,5 +334,93 @@ func TestDropWhileAcrossAnEmptiedChunk(t *testing.T) {
 		if !bitEqualBatches(got, model.tuples) {
 			t.Fatalf("cut %v: the log's tuples differ from the slice's", cut)
 		}
+	}
+}
+
+// TestFullChunksFitTheirSizeClass: the fleet's day appended window by
+// window, in 256-tuple batches, each window sealed when the stream leaves
+// it, as a store keeps it. Every chunk sealed full holds a run that wastes
+// at most 1/64 of its size class — ≈ 22.5 KB runs of 1 024 tuples took
+// 24 KiB objects before fitting — in memory of exactly that class, and the
+// log reads back what was appended, bit for bit. A full chunk of constant
+// tuples, whose 52-byte run fits no class below its own, is sealed whole.
+func TestFullChunksFitTheirSizeClass(t *testing.T) {
+	var packed, held, full, fitted int
+	for _, w := range lausanneWindows() {
+		var lg Log
+		for lo := 0; lo < len(w.Tuples); lo += 256 {
+			lg.Append(w.Tuples[lo:min(lo+256, len(w.Tuples))])
+		}
+		lg.Seal()
+		for _, c := range lg.Chunks(nil) {
+			packed += len(c.packed)
+			held += cap(c.packed)
+			if !c.Full() {
+				continue
+			}
+			full++
+			if c.n < ChunkTuples {
+				fitted++
+			}
+			if waste := cap(c.packed) - len(c.packed); waste*64 > cap(c.packed) {
+				t.Errorf("window %d: a full chunk of %d tuples packs to %d B in %d, wasting more than 1/64", w.Window, c.n, len(c.packed), cap(c.packed))
+			}
+			if k, _ := slices.BinarySearch(sizeClasses, len(c.packed)); cap(c.packed) != sizeClasses[k] {
+				t.Errorf("window %d: a run of %d B is held in %d B, not its size class %d", w.Window, len(c.packed), cap(c.packed), sizeClasses[k])
+			}
+		}
+		got := make([]tuple.Raw, lg.Len())
+		lg.CopyOut(got, 0)
+		if !bitEqualBatches(got, w.Tuples) {
+			t.Errorf("window %d reads back %d tuples that differ from the %d appended", w.Window, len(got), len(w.Tuples))
+		}
+	}
+	t.Logf("%d full chunks, %d of them fitted short of %d tuples; all chunks: %d B of runs in %d B of memory (%.2f %% rounding)",
+		full, fitted, ChunkTuples, packed, held, 100*float64(held-packed)/float64(held))
+	if full == 0 || fitted == 0 {
+		t.Errorf("%d full chunks, %d fitted: the day must seal and fit some", full, fitted)
+	}
+
+	var lg Log
+	same := make([]tuple.Raw, ChunkTuples+5)
+	for i := range same {
+		same[i] = tuple.Raw{T: 7, X: 1, Y: 2, S: 3}
+	}
+	lg.Append(same)
+	if chunks := lg.Chunks(nil); len(chunks) != 1 || chunks[0].Len() != ChunkTuples || !chunks[0].Full() || len(chunks[0].Packed()) != 52 {
+		t.Errorf("a full chunk of constant tuples sealed into %d chunks (first: %d tuples, full %v, %d B), want one whole chunk of %d in 52 B",
+			len(chunks), chunks[0].Len(), chunks[0].Full(), len(chunks[0].Packed()), ChunkTuples)
+	}
+	got := make([]tuple.Raw, lg.Len())
+	lg.CopyOut(got, 0)
+	if !bitEqualBatches(got, same) {
+		t.Error("the constant log reads back other tuples")
+	}
+}
+
+// TestSizeClassesAreTheAllocators holds the size classes a full chunk is
+// fitted to to the runtime's: runtime.MemStats.BySize, which lists the
+// classes up to 18 KiB, and above those the capacity the allocator rounds
+// a growing slice up to, which is what chunk memory is (chunkBytes).
+func TestSizeClassesAreTheAllocators(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if len(sizeClasses) < len(ms.BySize)-1 {
+		t.Fatalf("%d size classes, want at least BySize's %d", len(sizeClasses), len(ms.BySize)-1)
+	}
+	for i, bs := range ms.BySize[1:] {
+		if int(bs.Size) != sizeClasses[i] {
+			t.Errorf("size class %d is %d B, BySize says %d", i, sizeClasses[i], bs.Size)
+		}
+	}
+	prev := 0
+	for _, c := range sizeClasses {
+		if lo, hi := cap(slices.Grow([]byte(nil), prev+1)), cap(slices.Grow([]byte(nil), c)); lo != c || hi != c {
+			t.Errorf("size class %d B: the allocator rounds %d B up to %d and %d B to %d", c, prev+1, lo, c, hi)
+		}
+		prev = c
+	}
+	if over := cap(slices.Grow([]byte(nil), prev+1)); over <= prev {
+		t.Errorf("%d B, over the largest class %d, rounds up to %d", prev+1, prev, over)
 	}
 }

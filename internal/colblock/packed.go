@@ -3,6 +3,7 @@ package colblock
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/tuple"
 )
@@ -43,13 +44,60 @@ func PackExact(prefix int, tuples []tuple.Raw) []byte {
 	return out
 }
 
-// packChunk returns tuples as one packed run in chunk memory (chunkBytes):
-// packed in the encoder's pooled scratch and copied in.
-func packChunk(tuples []tuple.Raw) []byte {
+// packChunk packs tuples, the open chunk a Log seals, as one packed run
+// into chunk memory (chunkBytes) and returns the run and how many of the
+// tuples it holds. That is all of them, unless fit is set (the open chunk
+// is full) and the allocator's size class would round their run up by more
+// than 1/64 of it: then it is the longest prefix whose run fits the class
+// below (fitClass), if any does. The tuples are packed once, in the
+// encoder's scratch, and a prefix is cut from that run: each column's
+// header and the first offsets, in the whole chunk's codings — a valid run
+// that Unpack reads back bit for bit, though one packed alone (Pack) may
+// code a column in fewer bits. So a prefix's size follows from the
+// columns' widths before a byte of it is copied.
+func packChunk(tuples []tuple.Raw, fit bool) ([]byte, int) {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
-	run := e.packScratch(tuples)
-	return append(chunkBytes(len(run)), run...)
+	run, n := e.packScratch(tuples), len(tuples)
+	class := fitClass(len(run))
+	if !fit || class == 0 {
+		return append(chunkBytes(len(run)), run...), n
+	}
+	var cols [4]column
+	p := run[4:]
+	for i := range cols {
+		cols[i], p, _ = cutColumn(p, n) // the encoder's own run
+	}
+	size := func(m int) int {
+		return 4 + cols[0].prefixLen(m) + cols[1].prefixLen(m) + cols[2].prefixLen(m) + cols[3].prefixLen(m)
+	}
+	// The longest prefix whose run fits class (size grows with it).
+	m := sort.Search(n, func(m int) bool { return size(m+1) > class })
+	if m == 0 {
+		return append(chunkBytes(len(run)), run...), n
+	}
+	out := appendU32(chunkBytes(size(m)), uint32(m))
+	for _, col := range cols {
+		out = col.appendPrefix(out, m)
+	}
+	return out, m
+}
+
+// prefixLen is the size of the column cut to its first m values: its
+// 12-byte header and m offsets of col.width bits, padded to a byte.
+func (col column) prefixLen(m int) int { return 12 + (m*int(col.width)+7)/8 }
+
+// appendPrefix appends the column cut to its first m values: its header,
+// then their offsets, the bits past the last one zeroed.
+func (col column) appendPrefix(dst []byte, m int) []byte {
+	dst = append(dst, encPacked, col.scale, byte(col.width), 0)
+	dst = appendU64(dst, col.base)
+	nbits := m * int(col.width)
+	dst = append(dst, col.data[:(nbits+7)/8]...)
+	if r := nbits % 8; r != 0 {
+		dst[len(dst)-1] &= byte(1)<<r - 1
+	}
+	return dst
 }
 
 // packScratch packs tuples into the encoder's block. It makes room for the

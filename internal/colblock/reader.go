@@ -324,8 +324,13 @@ func (r *Reader) WindowZone(c int) (z BlockMeta, ok bool) {
 func (r *Reader) CheckBlocks() error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
+	return r.checkBlocks(&sc.span)
+}
+
+// checkBlocks is CheckBlocks, reading each block into *buf.
+func (r *Reader) checkBlocks(buf *[]byte) error {
 	for i, m := range r.blocks {
-		data, err := r.blockBytes(&sc.span, m.Offset, m.Length)
+		data, err := r.blockBytes(buf, m.Offset, m.Length)
 		if err != nil {
 			return err
 		}

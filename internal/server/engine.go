@@ -847,8 +847,9 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		}
 		return wire.IngestResponse{Ingested: uint32(len(m.Tuples))}
 	case wire.HeatmapRequest:
+		// Counted in 64 bits: 65 535 × 65 535 cells overflow a 32-bit int.
 		cols, rows := int(m.Cols), int(m.Rows)
-		if cols*rows > cluster.MaxHeatmapCells {
+		if uint64(m.Cols)*uint64(m.Rows) > cluster.MaxHeatmapCells {
 			// The response frame could not be written: refuse before
 			// rendering instead of dropping the connection after.
 			return cluster.WireError(fmt.Errorf("%w: heatmap grid %dx%d over %d cells",

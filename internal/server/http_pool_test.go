@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -139,8 +140,9 @@ func TestHTTPHeatmapCellCap(t *testing.T) {
 // TestTCPHeatmapOverFrameBudget: a single node refuses a heatmap whose
 // response could not fit one frame with CodeTooLarge before rendering it,
 // instead of rendering it and dropping the connection when the frame
-// fails, and the connection keeps serving. The largest raster that fits
-// is still answered.
+// fails, and the connection keeps serving — the widest grid a request can
+// name too, whose 65 535 × 65 535 cells overflow a 32-bit int. The largest
+// raster that fits is still answered.
 func TestTCPHeatmapOverFrameBudget(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -153,9 +155,12 @@ func TestTCPHeatmapOverFrameBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Exchange(wire.HeatmapRequest{T: 300, Pollutant: tuple.CO2, Cols: 400, Rows: 400})
-	if er, ok := resp.(wire.ErrorResponse); err != nil || !ok || er.Code != wire.CodeTooLarge {
-		t.Fatalf("400x400 heatmap: %#v, %v; want an ErrorResponse coded CodeTooLarge", resp, err)
+	var resp wire.Message
+	for _, n := range []uint16{400, math.MaxUint16} {
+		resp, err = c.Exchange(wire.HeatmapRequest{T: 300, Pollutant: tuple.CO2, Cols: n, Rows: n})
+		if er, ok := resp.(wire.ErrorResponse); err != nil || !ok || er.Code != wire.CodeTooLarge {
+			t.Fatalf("%dx%d heatmap: %#v, %v; want an ErrorResponse coded CodeTooLarge", n, n, resp, err)
+		}
 	}
 	side := 1
 	for (side+1)*(side+1) <= cluster.MaxHeatmapCells {

@@ -375,7 +375,10 @@ func seedWindows(windows []colblock.WindowData, seeder SeedFunc) {
 
 // commitCheckpoint is what Checkpoint does outside the store lock, up to
 // the read-back: seal the segment, write the file, commit it, count it,
-// and return a verified reader on it. No error leaves anything released.
+// and return a verified reader on it. The read-back reads the file's
+// blocks into the block buffer its encode grew (one Encoder), which goes
+// back to the pool when the call returns. No error leaves anything
+// released.
 func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowData, sealSync *segHandle) (*colblock.Reader, error) {
 	if sealSync != nil {
 		err := s.doSync(sealSync.f)
@@ -386,7 +389,9 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 			return nil, fmt.Errorf("store: checkpoint: seal segment: %w", err)
 		}
 	}
-	est, err := s.writeCheckpoint(meta, windows)
+	enc := colblock.NewEncoder()
+	defer enc.Release()
+	est, err := s.writeCheckpoint(enc, meta, windows)
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +408,7 @@ func (s *Store) commitCheckpoint(meta colblock.Meta, windows []colblock.WindowDa
 	s.ckStats.LastTuples = int64(est.Tuples)
 	s.ckStatsMu.Unlock()
 
-	rd, err := s.verifiedReader(checkpointName(meta.Seq), meta.Seq)
+	rd, err := s.verifiedReader(checkpointName(meta.Seq), meta.Seq, enc.CheckBlocks)
 	if err != nil {
 		return nil, fmt.Errorf("store: checkpoint: read %s back: %w", checkpointName(meta.Seq), err)
 	}
@@ -497,10 +502,10 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 const ckWriteBuffer = 64 << 10
 
 // writeCheckpoint writes one checkpoint atomically.
-func (s *Store) writeCheckpoint(meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
+func (s *Store) writeCheckpoint(enc colblock.Encoder, meta colblock.Meta, windows []colblock.WindowData) (est colblock.EncodeStats, err error) {
 	err = s.atomicReplace(filepath.Join(s.cfg.Dir, checkpointName(meta.Seq)), func(w io.Writer) (err error) {
 		bw := bufio.NewWriterSize(w, ckWriteBuffer)
-		if est, err = colblock.Encode(bw, meta, windows); err != nil {
+		if est, err = enc.Encode(bw, meta, windows); err != nil {
 			return err
 		}
 		return bw.Flush()

@@ -637,8 +637,8 @@ func TestCheckpointSharesWindowsWithWriters(t *testing.T) {
 
 // TestCheckpointSealsBesideSnapshots: between a checkpoint's snapshot and
 // its encode (the seal fsync, through the syncSeg seam), a writer fills
-// the newest window past a chunk, so its log seals a full chunk and takes
-// a fresh open one, adds late tuples to the window behind it and moves on
+// the newest window past a chunk, so its log seals a chunk full and keeps
+// filling its open one, adds late tuples to the window behind it and moves on
 // to a new window and fills its first chunk, which seals the one it
 // leaves — while a reader reads
 // every window. The file must hold what the snapshot held, the release
@@ -679,7 +679,7 @@ func TestCheckpointSealsBesideSnapshots(t *testing.T) {
 			add(40, float64(win*100-100), float64(win*100))
 			s.mu.RLock()
 			lg := s.windows[win]
-			full := slices.ContainsFunc(lg.Chunks(nil), func(c colblock.Chunk) bool { return c.Len() == colblock.ChunkTuples })
+			full := slices.ContainsFunc(lg.Chunks(nil), colblock.Chunk.Full)
 			s.mu.RUnlock()
 			win++
 			add(colblock.ChunkTuples, float64(win*100), float64(win*100+100))

@@ -146,7 +146,7 @@ type columnarState struct {
 // another colblock version is ErrCheckpointFormat, any other failure
 // ErrCorruptCheckpoint. Runs single-threaded inside Open.
 func (s *Store) openCheckpoint(ck ckFile) (ckHeader, error) {
-	rd, err := s.verifiedReader(ck.name, ck.seq)
+	rd, err := s.verifiedReader(ck.name, ck.seq, (*colblock.Reader).CheckBlocks)
 	if errors.Is(err, colblock.ErrVersion) {
 		return ckHeader{}, fmt.Errorf("%w: %s: %v; %s", ErrCheckpointFormat, ck.name, err, formatRemedy)
 	}
@@ -165,13 +165,14 @@ func (s *Store) openCheckpoint(ck ckFile) (ckHeader, error) {
 
 // verifiedReader opens the checkpoint file name and checks what a store
 // must know before it lets the file stand in for tuples it holds: the
-// footer, the sequence number, and the checksum of every block.
-func (s *Store) verifiedReader(name string, seq int) (*colblock.Reader, error) {
+// footer, the sequence number, and — through check, a CheckBlocks — the
+// checksum of every block.
+func (s *Store) verifiedReader(name string, seq int, check func(*colblock.Reader) error) (*colblock.Reader, error) {
 	rd, err := s.openColumnar(filepath.Join(s.cfg.Dir, name))
 	if err != nil {
 		return nil, err
 	}
-	err = rd.CheckBlocks()
+	err = check(rd)
 	if got := rd.Meta().Seq; err == nil && got != seq {
 		err = fmt.Errorf("file named %d holds checkpoint %d", seq, got)
 	}

@@ -817,6 +817,9 @@ func (s *Store) addToWindows(b tuple.Batch) {
 			s.windows[c] = lg
 		}
 		lg.Append(b[:n])
+		// The newest window sealed its first chunk: its log's length
+		// crossed ChunkTuples, as it does when the open chunk first fills,
+		// however few of those tuples a seal fitted to a size class keeps.
 		if c == newest && lg.Len() >= colblock.ChunkTuples && lg.Len()-n < colblock.ChunkTuples {
 			s.sealLate()
 		}

@@ -91,10 +91,13 @@ func decodeHeatmapResponse(data []byte, lend bool) (Message, error) {
 		Rows:   binary.LittleEndian.Uint16(data[35:]),
 		T:      getF64(data[37:]),
 	}
-	n, cols := int(m.Cols)*int(m.Rows), int(m.Cols)
-	if len(data) < rasterHeader+countBytes(n) {
+	// The cells are counted in 64 bits (65 535 × 65 535 overflow a 32-bit
+	// int), and refused unless the frame holds their count nibbles.
+	cells := uint64(m.Cols) * uint64(m.Rows)
+	if cells > 2*uint64(len(data)-rasterHeader) {
 		return nil, errRasterShort
 	}
+	n, cols := int(cells), int(m.Cols)
 	counts := data[rasterHeader : rasterHeader+countBytes(n)]
 	end, err := checkResiduals(data, counts, 0, n, rasterHeader+len(counts))
 	if err != nil {
