@@ -371,16 +371,18 @@ func closeEngine(h Handler) {
 // replica peers. The log lock spans the engine apply so the log's
 // sequence order is exactly the engine's commit order — the property
 // that makes replica replay converge to byte-equal answers, and lets the
-// log index the store: nothing else commits to it meanwhile.
-func (n *Node) localIngest(ctx context.Context, m wire.IngestRequest) wire.Message {
+// log index the store: nothing else commits to it meanwhile. req holds a
+// wire.IngestRequest, and goes to the engine in that box.
+func (n *Node) localIngest(ctx context.Context, req wire.Message) wire.Message {
+	m := req.(wire.IngestRequest)
 	r := n.repl
 	if r == nil || len(m.Tuples) == 0 {
-		return n.localHandle(ctx, m)
+		return n.localHandle(ctx, req)
 	}
 	lg := r.log(m.Pollutant)
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	resp := n.localHandle(ctx, m)
+	resp := n.localHandle(ctx, req)
 	if _, ok := resp.(wire.IngestResponse); !ok {
 		return resp
 	}

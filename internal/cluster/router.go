@@ -418,7 +418,10 @@ func (n *Node) consumed(from int, resp wire.Message) {
 
 // HandleMessageCtx is HandleMessage with a caller-supplied context
 // (proto.CtxHandler), so scatter-gather fan-outs and forwarded
-// exchanges unwind when the serving process shuts down.
+// exchanges unwind when the serving process shuts down. A request that
+// travels on unchanged — to its shard's owner, to every node of a
+// scatter, into the local commit — travels as req, in the box it arrived
+// in, never boxed again from the value the type switch took out of it.
 func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Message {
 	switch m := req.(type) {
 	case wire.RingRequest:
@@ -439,10 +442,10 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 			return epochMismatch(m.Epoch, own)
 		}
 		n.nFwdIn.Add(1)
-		if ing, ok := m.Inner.(wire.IngestRequest); ok {
+		if _, ok := m.Inner.(wire.IngestRequest); ok {
 			// A forwarded ingest is this primary's commit point: apply
 			// locally and stream the slice to the shard's replicas.
-			return n.localIngest(ctx, ing)
+			return n.localIngest(ctx, m.Inner)
 		}
 		return n.localHandle(ctx, m.Inner)
 	case wire.QueryRequest:
@@ -451,16 +454,16 @@ func (n *Node) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Mess
 		}
 		ring := n.Ring()
 		k := ShardKey{Pollutant: m.Pollutant, Cell: ring.CellOf(geo.Point{X: m.X, Y: m.Y})}
-		return n.routeShard(ctx, ring, k, m, true)
+		return n.routeShard(ctx, ring, k, req, true)
 	case wire.ModelRequest:
-		resp, _ := n.scatterModel(ctx, m)
+		resp, _ := n.scatterModel(ctx, req)
 		return resp
 	case wire.BatchQueryRequest:
-		return n.routeBatch(ctx, m)
+		return n.routeBatch(ctx, req)
 	case wire.IngestRequest:
 		return n.routeIngest(ctx, m)
 	case wire.HeatmapRequest:
-		resp, _ := n.scatterHeatmap(ctx, m, n.lends)
+		resp, _ := n.scatterHeatmap(ctx, req, n.lends)
 		return resp
 	case wire.ReplicaIngest:
 		return n.handleReplicaIngest(m)
@@ -511,10 +514,10 @@ func unknownPollutant(pol tuple.Pollutant) error {
 func (n *Node) routeOwner(ctx context.Context, ring *Ring, owner int, m wire.Message) (resp wire.Message, down bool) {
 	if owner == n.self {
 		n.nLocal.Add(1)
-		if ing, ok := m.(wire.IngestRequest); ok {
+		if _, ok := m.(wire.IngestRequest); ok {
 			// A locally-owned ingest commits here: apply and stream the
 			// slice to the shard's replicas.
-			return n.localIngest(ctx, ing), false
+			return n.localIngest(ctx, m), false
 		}
 		return n.localHandle(ctx, m), false
 	}
@@ -587,21 +590,51 @@ func (n *Node) routeShard(ctx context.Context, ring *Ring, k ShardKey, m wire.Me
 	return resp
 }
 
-// routeBatch splits a batch by shard owner, answers/forwards every
-// sub-batch concurrently, and reassembles the responses in request
-// order. A failed sub-batch fails only its own items.
-func (n *Node) routeBatch(ctx context.Context, m wire.BatchQueryRequest) wire.Message {
+// routeBatch answers a batch. A batch whose items one owner answers
+// alone — none refused, and a remote share that fits one frame — goes to
+// that owner whole, in the box req it arrived in, and the owner's answer,
+// when it holds every item, is the node's: its items are lent by the
+// engine or by the peer's client, and go back through the node's Release.
+// Any other batch, and any other answer (an error, a fence, a dead owner,
+// a short answer), takes the split path: the batch is split by shard
+// owner, every sub-batch answered or forwarded concurrently, and the
+// responses reassembled in request order; a failed sub-batch fails only
+// its own items.
+func (n *Node) routeBatch(ctx context.Context, req wire.Message) wire.Message {
+	m := req.(wire.BatchQueryRequest)
 	if len(m.Items) == 0 {
 		return wire.ErrorResponse{Msg: "empty query batch"}
 	}
-	var out []wire.BatchQueryItem
-	if n.lends {
-		out = wire.LendItems(len(m.Items))
-	} else {
-		out = make([]wire.BatchQueryItem, len(m.Items))
+	ring := n.Ring()
+	split := ownerSplit(ring, m, nil)
+	defer splits.Put(split)
+	f := n.newFan(ctx, ring, (*fan).batchLeg)
+	defer f.free()
+	f.batch, f.split, f.retry = m, split, true
+	owner := split.sole()
+	if owner < 0 || owner == ring.Nodes() || (owner != n.self && len(m.Items) > maxBatchShare) {
+		f.out = n.answerRoom(len(m.Items))
+		f.answer()
+		return wire.BatchQueryResponse{Items: f.out}
 	}
-	n.batchInto(ctx, n.Ring(), m, nil, out, true)
-	return wire.BatchQueryResponse{Items: out}
+	resp, down := n.routeOwner(ctx, ring, owner, req)
+	if br, ok := resp.(wire.BatchQueryResponse); ok && len(br.Items) == len(m.Items) {
+		return resp
+	}
+	// The owner's answer settles the split path's one leg: the owner is
+	// not asked again.
+	f.out = n.answerRoom(len(m.Items))
+	f.settle(owner, resp, down)
+	return wire.BatchQueryResponse{Items: f.out}
+}
+
+// answerRoom returns room for the answers to a batch of k items: lent from
+// the wire pools when the node lends (see Release).
+func (n *Node) answerRoom(k int) []wire.BatchQueryItem {
+	if n.lends {
+		return wire.LendItems(k)
+	}
+	return make([]wire.BatchQueryItem, k)
 }
 
 // batchSplit is a batch's items grouped by node in one counting pass, the
@@ -661,47 +694,72 @@ func splitBatch(m wire.BatchQueryRequest, idxs []int, groups int, groupOf func(w
 	return s
 }
 
+// ownerSplit splits the m.Items named by idxs (every item when idxs is
+// nil) by shard owner under ring: group o is node o's, and group
+// ring.Nodes() holds the items whose pollutant the ring places nowhere.
+func ownerSplit(ring *Ring, m wire.BatchQueryRequest, idxs []int) *batchSplit {
+	refused := ring.Nodes()
+	return splitBatch(m, idxs, refused+1, func(it wire.QueryRequest) int {
+		if o := ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y}); o >= 0 {
+			return o
+		}
+		return refused
+	})
+}
+
 // get returns group g: the request indexes of its items and the items.
 func (s *batchSplit) get(g int) ([]int, []wire.QueryRequest) {
 	lo, hi := s.off[g], s.off[g+1]
 	return s.idxs[lo:hi:hi], s.items[lo:hi:hi]
 }
 
-// batchInto answers the m.Items named by idxs (every item when idxs is
-// nil) into out, grouped by shard owner under ring. An item whose
-// pollutant the ring places nowhere is refused in its own slot. retry
-// allows each fenced sub-batch one re-split under a refreshed ring (an
-// epoch mismatch rejects the whole sub-batch, so re-splitting repeats no
-// item).
-func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, retry bool) {
-	refused := ring.Nodes() // the group of the items no node owns
-	split := splitBatch(m, idxs, refused+1, func(it wire.QueryRequest) int {
-		if o := ring.Owner(it.Pollutant, geo.Point{X: it.X, Y: it.Y}); o >= 0 {
-			return o
+// sole returns the group that holds every item split, or -1 when the
+// items fall into more than one.
+func (s *batchSplit) sole() int {
+	for g := range len(s.off) - 1 {
+		if s.off[g+1]-s.off[g] == len(s.idxs) {
+			return g
 		}
-		return refused
-	})
-	defer splits.Put(split)
-	bad, _ := split.get(refused)
-	for _, i := range bad {
-		err := unknownPollutant(m.Items[i].Pollutant)
-		out[i] = wire.FailedItem(CodeOf(err), err.Error())
 	}
+	return -1
+}
+
+// batchInto answers the m.Items named by idxs into out, grouped by shard
+// owner under ring (see fan.answer). retry allows each fenced sub-batch
+// one re-split under a refreshed ring (an epoch mismatch rejects the whole
+// sub-batch, so re-splitting repeats no item).
+func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryRequest, idxs []int, out []wire.BatchQueryItem, retry bool) {
+	split := ownerSplit(ring, m, idxs)
+	defer splits.Put(split)
 	f := n.newFan(ctx, ring, (*fan).batchLeg)
 	defer f.free()
 	f.batch, f.split, f.out, f.retry = m, split, out, retry
-	for owner := 0; owner < ring.Nodes(); owner++ {
-		idxs, _ := split.get(owner)
+	f.answer()
+}
+
+// answer answers the items of f's split into f.out: an item whose
+// pollutant the ring places nowhere is refused in its own slot, a remote
+// share over one frame is refused typed, and every other share is asked
+// of its owner, the shares concurrently.
+func (f *fan) answer() {
+	refused := f.ring.Nodes()
+	bad, _ := f.split.get(refused)
+	for _, i := range bad {
+		err := unknownPollutant(f.batch.Items[i].Pollutant)
+		f.out[i] = wire.FailedItem(CodeOf(err), err.Error())
+	}
+	for owner := range refused {
+		idxs, _ := f.split.get(owner)
 		if len(idxs) == 0 {
 			continue
 		}
-		if owner != n.self && len(idxs) > maxBatchShare {
+		if owner != f.n.self && len(idxs) > maxBatchShare {
 			// The share cannot be encoded into one frame: refuse it, typed,
 			// rather than fail the exchange and call a live owner unreachable.
 			failed := wire.FailedItem(wire.CodeTooLarge, fmt.Sprintf("%v: %d items for node %d, over %d per frame",
 				ErrTooLarge, len(idxs), owner, maxBatchShare))
 			for _, i := range idxs {
-				out[i] = failed
+				f.out[i] = failed
 			}
 			continue
 		}
@@ -712,9 +770,19 @@ func (n *Node) batchInto(ctx context.Context, ring *Ring, m wire.BatchQueryReque
 
 // batchLeg answers owner's share of f's batch into f.out.
 func (f *fan) batchLeg(owner int) {
+	_, items := f.split.get(owner)
+	resp, down := f.n.routeOwner(f.ctx, f.ring, owner, wire.BatchQueryRequest{Items: items})
+	f.settle(owner, resp, down)
+}
+
+// settle answers owner's share of f's batch into f.out from resp, owner's
+// answer to it: its items when it answered every one, else a fenced share
+// re-split once under a refreshed ring, a dead owner's share re-asked at
+// its replicas, or the failure in every item of the share. down is
+// routeOwner's.
+func (f *fan) settle(owner int, resp wire.Message, down bool) {
 	n, ring, out := f.n, f.ring, f.out
-	idxs, items := f.split.get(owner)
-	resp, ownerDown := n.routeOwner(f.ctx, ring, owner, wire.BatchQueryRequest{Items: items})
+	idxs, _ := f.split.get(owner)
 	fill := func(failed wire.BatchQueryItem) {
 		for _, i := range idxs {
 			out[i] = failed
@@ -738,7 +806,7 @@ func (f *fan) batchLeg(owner int) {
 			}
 		}
 		failed := wire.FailedItem(r.Code, r.Msg)
-		if ownerDown && ring.Replicas() > 1 {
+		if down && ring.Replicas() > 1 {
 			n.batchFailover(ring, owner, f.batch, idxs, out, failed)
 			return
 		}
@@ -946,16 +1014,18 @@ func splitByOwner(ring *Ring, pol tuple.Pollutant, tuples []tuple.Raw, groups []
 // replicated ring, dead nodes' covers come from their replicas; when a
 // dead node has no live replica the merge proceeds without its shards
 // and the returned Partial names it (nil when the answer is complete).
-func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Message, *Partial) {
+// req holds the wire.ModelRequest, and every leg is asked it in that box.
+func (n *Node) scatterModel(ctx context.Context, req wire.Message) (wire.Message, *Partial) {
+	m := req.(wire.ModelRequest)
 	if !m.Pollutant.Valid() {
 		return WireError(unknownPollutant(m.Pollutant)), nil
 	}
 	n.nScatters.Add(1)
 	ring := n.Ring()
-	f, firstErr := n.scatter(ctx, ring, m)
+	f, firstErr := n.scatter(ctx, ring, req)
 	defer f.free()
 	legs := f.legs
-	part := n.scatterFailover(ring, legs, m.Pollutant, m)
+	part := n.scatterFailover(ring, legs, m.Pollutant, req)
 	var merged wire.ModelResponse
 	var got bool
 	for _, l := range legs {
@@ -993,8 +1063,10 @@ func (n *Node) scatterModel(ctx context.Context, m wire.ModelRequest) (wire.Mess
 // unhealed legs blank their shards and the returned Partial names them
 // (nil when the raster is complete). lend merges into a raster lent from
 // the wire pools, for a response that goes back through Release; every
-// leg goes back as soon as it is merged (see consumed).
-func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend bool) (wire.Message, *Partial) {
+// leg goes back as soon as it is merged (see consumed). req holds the
+// wire.HeatmapRequest, and every leg is asked it in that box.
+func (n *Node) scatterHeatmap(ctx context.Context, req wire.Message, lend bool) (wire.Message, *Partial) {
+	m := req.(wire.HeatmapRequest)
 	n.nScatters.Add(1)
 	if m.Cols < 1 || m.Rows < 1 {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("heatmap: grid %dx%d, want >= 1x1", m.Cols, m.Rows)}, nil
@@ -1012,10 +1084,10 @@ func (n *Node) scatterHeatmap(ctx context.Context, m wire.HeatmapRequest, lend b
 		return WireError(unknownPollutant(m.Pollutant)), nil
 	}
 	ring := n.Ring()
-	f, firstErr := n.scatter(ctx, ring, m)
+	f, firstErr := n.scatter(ctx, ring, req)
 	defer f.free()
 	legs := f.legs
-	part := n.scatterFailover(ring, legs, m.Pollutant, m)
+	part := n.scatterFailover(ring, legs, m.Pollutant, req)
 	byNode := slices.Grow(f.grids[:0], len(legs))[:len(legs)]
 	f.grids = byNode
 	var any bool

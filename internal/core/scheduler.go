@@ -279,6 +279,8 @@ func (s *Scheduler) takeLocked(i int) buildKey {
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	rest := time.NewTimer(time.Hour) // the worker's one timer for its rests (see build)
+	rest.Stop()
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -295,7 +297,7 @@ func (s *Scheduler) worker() {
 		if s.testHold != nil {
 			s.testHold()
 		}
-		s.build(key)
+		s.build(key, rest)
 
 		s.mu.Lock()
 		s.inflight--
@@ -313,8 +315,9 @@ func (s *Scheduler) worker() {
 // the refresh was overtaken by a write the worker still owes the window
 // one follow-up: it rests first (see Maintainer.refresh) — counted as in
 // flight, so Wait keeps waiting and Close cuts the rest short — and then
-// requests it like any other rebuild.
-func (s *Scheduler) build(key buildKey) {
+// requests it like any other rebuild. The rest runs on timer, the
+// worker's own, restarted with Reset: a rest allocates nothing.
+func (s *Scheduler) build(key buildKey, timer *time.Timer) {
 	var t buildTally
 	rest := key.m.refresh(key.c, &t)
 	s.mu.Lock()
@@ -325,11 +328,13 @@ func (s *Scheduler) build(key buildKey) {
 	s.coalesced += t.coalesced
 	s.mu.Unlock()
 	if rest > 0 {
-		t := time.NewTimer(rest)
+		// A rest ends with its tick read, or with Close, after which the
+		// worker rests no more: no stale tick waits in timer.C.
+		timer.Reset(rest)
 		select {
-		case <-t.C:
+		case <-timer.C:
 		case <-s.stop:
-			t.Stop()
+			timer.Stop()
 		}
 		key.m.revalidate(key.c)
 	}

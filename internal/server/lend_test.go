@@ -153,12 +153,15 @@ func sameAnswer(got, want wire.Message) string {
 // TestLentAnswersUnderConcurrency: clients on every node of a loopback
 // R = 2 cluster send 100-point routes and 64×64 heatmaps at once, so lent
 // items and rasters pass between requests on every node while others are
-// still being encoded. Every answer equals the in-process answer taken
+// still being encoded. Two of the routes lie in shards one node owns, so
+// their answers are the owner engine's or the peer client's lent items,
+// passed through whole. Every answer equals the in-process answer taken
 // after the maintenance barrier, bit for bit; run under -race, a buffer
 // reused before its frame was written is also a reported race.
 func TestLentAnswersUnderConcurrency(t *testing.T) {
 	c := newLoopbackCluster(t)
-	reqs := []wire.Message{route100(0), route100(7), heatmap64(300), heatmap64(900)}
+	reqs := []wire.Message{route100(0), route100(7), heatmap64(300), heatmap64(900),
+		soleOwnerRoute(t, c.ring, 0), soleOwnerRoute(t, c.ring, 1)}
 	want := make([]wire.Message, len(reqs))
 	for i, req := range reqs {
 		// The reference is kept, so it is never released.
@@ -777,6 +780,74 @@ func TestTCPClusterBatchAllocs(t *testing.T) {
 	t.Logf("clustered 100-point TCP route = %.2f allocs over the three nodes", allocs)
 	if allocs > ceiling {
 		t.Errorf("clustered 100-point TCP route = %.2f allocs over the three nodes, want ≤ %d", allocs, ceiling)
+	}
+}
+
+// soleOwnerRoute is a 100-point route through both windows of testData
+// whose every point lies in a shard node owner owns under ring.
+func soleOwnerRoute(tb testing.TB, ring *cluster.Ring, owner int) wire.BatchQueryRequest {
+	tb.Helper()
+	var m wire.BatchQueryRequest
+	for i := 0; len(m.Items) < 100 && i < 100*100; i++ {
+		x, y := 20*float64(i%100)+10, 20*float64(i/100)+10
+		if ring.Owner(tuple.CO2, geo.Point{X: x, Y: y}) == owner {
+			m.Items = append(m.Items, wire.QueryRequest{T: 100 + 10*float64(len(m.Items)), X: x, Y: y})
+		}
+	}
+	if len(m.Items) < 100 {
+		tb.Fatalf("node %d owns room for %d route points, want 100", owner, len(m.Items))
+	}
+	return m
+}
+
+// TestTCPClusterSingleOwnerBatchAllocs: a warm cluster answers a
+// 100-point route that node 0 owns alone by passing it to its engine in
+// the box it arrived in and answering with the engine's own answer: no
+// sub-batch is split off and boxed, and no second answer is assembled and
+// boxed. What the three nodes allocate is counted: 2 a route (the request
+// the serve loop decodes, and the engine's answer, each boxed), where the
+// split path cost 4.
+func TestTCPClusterSingleOwnerBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	c := newLoopbackCluster(t)
+	raw := dialRaw(t, c.addrs[0], soleOwnerRoute(t, c.ring, 0))
+	if m, err := wire.Binary.Decode(raw.exchange(t)); err != nil {
+		t.Fatal(err)
+	} else if br, ok := m.(wire.BatchQueryResponse); !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
+		t.Fatalf("route answered %#v", m)
+	}
+	const ceiling = 3 // 2, and room for a background allocation
+	allocs := allocsPerOp(func() { raw.exchange(t) })
+	t.Logf("clustered one-owner 100-point TCP route = %.2f allocs over the three nodes", allocs)
+	if allocs > ceiling {
+		t.Errorf("clustered one-owner 100-point TCP route = %.2f allocs over the three nodes, want ≤ %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkTCPClusterRoute is a warm 100-point route sent to node 0 of a
+// loopback R = 2 cluster over TCP, owned by node 0 alone and spread over
+// all three owners. allocs/op and B/op cover the three nodes: the
+// response frame is read, not decoded.
+func BenchmarkTCPClusterRoute(b *testing.B) {
+	c := newLoopbackCluster(b)
+	for _, route := range []struct {
+		name string
+		req  wire.BatchQueryRequest
+	}{{"one-owner", soleOwnerRoute(b, c.ring, 0)}, {"three-owners", route100(0)}} {
+		b.Run(route.name, func(b *testing.B) {
+			raw := dialRaw(b, c.addrs[0], route.req)
+			if m, err := wire.Binary.Decode(raw.exchange(b)); err != nil {
+				b.Fatal(err)
+			} else if br, ok := m.(wire.BatchQueryResponse); !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
+				b.Fatalf("route answered %#v", m)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				raw.exchange(b)
+			}
+		})
 	}
 }
 
