@@ -613,9 +613,10 @@ func (n *Node) routeBatch(ctx context.Context, req wire.Message) wire.Message {
 	f.batch, f.split, f.retry = m, split, true
 	owner := split.sole()
 	if owner < 0 || owner == ring.Nodes() || (owner != n.self && len(m.Items) > maxBatchShare) {
-		f.out = n.answerRoom(len(m.Items))
+		answer, out := n.answerRoom(len(m.Items))
+		f.out = out
 		f.answer()
-		return wire.BatchQueryResponse{Items: f.out}
+		return answer
 	}
 	resp, down := n.routeOwner(ctx, ring, owner, req)
 	if br, ok := resp.(wire.BatchQueryResponse); ok && len(br.Items) == len(m.Items) {
@@ -623,18 +624,21 @@ func (n *Node) routeBatch(ctx context.Context, req wire.Message) wire.Message {
 	}
 	// The owner's answer settles the split path's one leg: the owner is
 	// not asked again.
-	f.out = n.answerRoom(len(m.Items))
+	answer, out := n.answerRoom(len(m.Items))
+	f.out = out
 	f.settle(owner, resp, down)
-	return wire.BatchQueryResponse{Items: f.out}
+	return answer
 }
 
-// answerRoom returns room for the answers to a batch of k items: lent from
-// the wire pools when the node lends (see Release).
-func (n *Node) answerRoom(k int) []wire.BatchQueryItem {
+// answerRoom returns the answer to a batch of k items, boxed, and its
+// items to fill: lent from the wire pools when the node lends (see
+// Release).
+func (n *Node) answerRoom(k int) (wire.Message, []wire.BatchQueryItem) {
 	if n.lends {
-		return wire.LendItems(k)
+		return wire.LendAnswer(k)
 	}
-	return make([]wire.BatchQueryItem, k)
+	out := make([]wire.BatchQueryItem, k)
+	return wire.BatchQueryResponse{Items: out}, out
 }
 
 // batchSplit is a batch's items grouped by node in one counting pass, the
@@ -797,7 +801,7 @@ func (f *fan) settle(owner int, resp wire.Message, down bool) {
 				out[i] = r.Items[j]
 			}
 		}
-		n.consumed(owner, r)
+		n.consumed(owner, resp)
 	case wire.ErrorResponse:
 		if f.retry && r.Code == wire.CodeStaleEpoch {
 			if fresh := n.refreshRingFrom(owner, ring); fresh != nil {
@@ -838,11 +842,13 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 			continue
 		}
 		var (
+			resp     wire.Message
 			br       wire.BatchQueryResponse
 			answered bool
 		)
 		if g > 0 {
-			resp, ok := n.readAtReplica(g-1, owner, wire.BatchQueryRequest{Items: items})
+			var ok bool
+			resp, ok = n.readAtReplica(g-1, owner, wire.BatchQueryRequest{Items: items})
 			br, answered = resp.(wire.BatchQueryResponse)
 			answered = ok && answered && len(br.Items) == len(sub)
 		}
@@ -857,7 +863,7 @@ func (n *Node) batchFailover(ring *Ring, owner int, m wire.BatchQueryRequest, id
 			}
 		}
 		if g > 0 {
-			n.consumed(g-1, br)
+			n.consumed(g-1, resp)
 		}
 	}
 }
@@ -1340,7 +1346,8 @@ func (n *Node) QueryBatchInto(ctx context.Context, reqs []query.Request, out []q
 	for i, req := range reqs {
 		m.Items[i] = wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant}
 	}
-	r, err := answer[wire.BatchQueryResponse](n.HandleMessageCtx(ctx, m))
+	resp := n.HandleMessageCtx(ctx, m)
+	r, err := answer[wire.BatchQueryResponse](resp)
 	if err != nil {
 		return err
 	}
@@ -1351,7 +1358,7 @@ func (n *Node) QueryBatchInto(ctx context.Context, reqs []query.Request, out []q
 			out[i] = query.BatchResult{Value: it.Value}
 		}
 	}
-	n.Release(nil, r)
+	n.Release(nil, resp)
 	return nil
 }
 

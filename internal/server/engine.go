@@ -825,8 +825,8 @@ func (e *Engine) HandleMessageCtx(ctx context.Context, req wire.Message) wire.Me
 		if len(m.Items) == 0 {
 			return wire.ErrorResponse{Msg: "empty query batch"}
 		}
-		resp := wire.BatchQueryResponse{Items: wire.LendItems(len(m.Items))}
-		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: resp.Items}); err != nil {
+		resp, out := wire.LendAnswer(len(m.Items))
+		if err := runBatch(ctx, e, len(m.Items), wireSlots{reqs: m.Items, out: out}); err != nil {
 			wire.Recycle(nil, resp)
 			return cluster.WireError(err)
 		}

@@ -640,8 +640,9 @@ func TestAbandonedSplitKeepsItsMemory(t *testing.T) {
 // TestTCPBatchAllocs: a warm single node answers a 100-point route over
 // TCP from lent memory both ways — the route's points decoded into a lent
 // array, the answer written into lent items, both taken back after the
-// write — so what it allocates is a few small objects (≈ 0.4 KiB), not the
-// decoded request (3.2 KiB) it allocated before.
+// write with the boxes they travelled in — so it allocates nothing, not
+// the decoded request (3.2 KiB) it allocated before, nor the request and
+// answer boxed (48 B, 2 allocations) it allocated since.
 func TestTCPBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -662,6 +663,11 @@ func TestTCPBatchAllocs(t *testing.T) {
 	t.Logf("100-point TCP batch = %d B/op on the server", b)
 	if b > 1<<10 {
 		t.Errorf("100-point TCP batch = %d B/op on the server, want ≤ 1 KiB", b)
+	}
+	allocs := allocsPerOp(func() { c.exchange(t) })
+	t.Logf("100-point TCP batch = %.2f allocs on the server", allocs)
+	if allocs > 0 {
+		t.Errorf("100-point TCP batch = %.2f allocs on the server, want 0", allocs)
 	}
 }
 
@@ -690,8 +696,9 @@ func (c *onGoroutineCtx) Err() error {
 
 // TestWireBatchAllocs: a warm engine answers a 100-point wire batch on
 // the goroutine that hands it the batch, without starting a worker, and
-// into lent items — so what it allocates is the request and the response
-// boxed into wire.Message. A worker pool cost three more allocations.
+// into lent items that come back in the box they were released in — so
+// what it allocates is the request boxed into wire.Message. A worker pool
+// cost three more allocations, and boxing each answer one more.
 func TestWireBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -711,7 +718,7 @@ func TestWireBatchAllocs(t *testing.T) {
 	if ctx.other.Load() {
 		t.Error("a batch item was answered on another goroutine")
 	}
-	const ceiling = 2 // the boxed request and response
+	const ceiling = 1 // the boxed request
 	allocs := testing.AllocsPerRun(50, func() { batch(context.Background()) })
 	t.Logf("100-point wire batch = %.1f allocs", allocs)
 	if allocs > ceiling {
@@ -754,8 +761,11 @@ func TestTCPClusterHeatmapAllocs(t *testing.T) {
 // that spans all three owners over TCP with one pooled fan at node 0: node
 // 0 answers its own share on the serving goroutine and hands the peers'
 // shares to its leg workers, so a route pays no goroutine, closure or
-// WaitGroup per leg. What the three nodes allocate is counted: ≈ 16 a
-// route, where a goroutine per leg cost ≈ 23.
+// WaitGroup per leg, and every lent route or answer a node decodes or
+// returns comes back in the box its slice was recycled in. What the three
+// nodes allocate is counted: ≈ 7 a route (a sub-batch boxed per leg, and
+// the two remote legs' Forwarded wrappers, sent and decoded), where boxing
+// each lent message cost ≈ 16 and a goroutine per leg ≈ 23.
 func TestTCPClusterBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -775,7 +785,7 @@ func TestTCPClusterBatchAllocs(t *testing.T) {
 	} else if br, ok := m.(wire.BatchQueryResponse); !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
 		t.Fatalf("route answered %#v", m)
 	}
-	const ceiling = 18 // ≈ 16, and room for a background allocation or two
+	const ceiling = 9 // ≈ 7, and room for a background allocation or two
 	allocs := allocsPerOp(func() { raw.exchange(t) })
 	t.Logf("clustered 100-point TCP route = %.2f allocs over the three nodes", allocs)
 	if allocs > ceiling {
@@ -804,9 +814,10 @@ func soleOwnerRoute(tb testing.TB, ring *cluster.Ring, owner int) wire.BatchQuer
 // 100-point route that node 0 owns alone by passing it to its engine in
 // the box it arrived in and answering with the engine's own answer: no
 // sub-batch is split off and boxed, and no second answer is assembled and
-// boxed. What the three nodes allocate is counted: 2 a route (the request
-// the serve loop decodes, and the engine's answer, each boxed), where the
-// split path cost 4.
+// boxed. The request the serve loop decodes and the engine's answer come
+// in the boxes their lent slices were recycled in, so the three nodes
+// allocate nothing a route, where boxing those two cost 2 and the split
+// path 4.
 func TestTCPClusterSingleOwnerBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -818,7 +829,7 @@ func TestTCPClusterSingleOwnerBatchAllocs(t *testing.T) {
 	} else if br, ok := m.(wire.BatchQueryResponse); !ok || len(br.Items) != 100 || br.Items[0].Err != "" {
 		t.Fatalf("route answered %#v", m)
 	}
-	const ceiling = 3 // 2, and room for a background allocation
+	const ceiling = 1 // 0, and room for a background allocation
 	allocs := allocsPerOp(func() { raw.exchange(t) })
 	t.Logf("clustered one-owner 100-point TCP route = %.2f allocs over the three nodes", allocs)
 	if allocs > ceiling {

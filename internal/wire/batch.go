@@ -72,7 +72,7 @@ func appendBatchRequest(dst []byte, head int, v BatchQueryRequest) ([]byte, erro
 	// The columns are laid out in scratch lent from the raster pool, as
 	// the rows of a raster: the first pass sizes the frame, so dst grows
 	// once; the second writes it.
-	cols := rasters.lend(batchColumns * n)
+	cols, _ := rasters.lend(batchColumns * n)
 	t, x, y, p := column(cols, n, 0), column(cols, n, 1), column(cols, n, 2), column(cols, n, 3)
 	for i, q := range v.Items {
 		t[i], x[i], y[i], p[i] = q.T, q.X, q.Y, math.Float64frombits(uint64(q.Pollutant))
@@ -90,7 +90,7 @@ func appendBatchRequest(dst []byte, head int, v BatchQueryRequest) ([]byte, erro
 	for c := range batchColumns {
 		off = putRow(counts, residuals, c*n, off, column(cols, n, c), nil)
 	}
-	rasters.take(cols)
+	rasters.take(cols, nil)
 	return out, nil
 }
 
@@ -129,8 +129,9 @@ func decodeBatchRequest(data []byte, lend bool) (Message, error) {
 	}
 	// Every item is written whole: a lent slice still holds what its last
 	// borrower left in it.
-	m := BatchQueryRequest{Items: alloc(&queries, n, lend)}
-	cols := rasters.lend(batchColumns * n)
+	lent, box := alloc(&queries, n, lend)
+	m := BatchQueryRequest{Items: lent}
+	cols, _ := rasters.lend(batchColumns * n)
 	unpack(cols, counts, data[start:])
 	for c := range batchColumns {
 		integrate(column(cols, n, c), nil)
@@ -139,8 +140,8 @@ func decodeBatchRequest(data []byte, lend bool) (Message, error) {
 	for i := range m.Items {
 		m.Items[i] = QueryRequest{T: t[i], X: x[i], Y: y[i], Pollutant: tuple.Pollutant(math.Float64bits(p[i]))}
 	}
-	rasters.take(cols)
-	return m, nil
+	rasters.take(cols, nil)
+	return inBox(box, m), nil
 }
 
 func appendBatchResponse(dst []byte, head int, v BatchQueryResponse) ([]byte, error) {
@@ -151,7 +152,7 @@ func appendBatchResponse(dst []byte, head int, v BatchQueryResponse) ([]byte, er
 	// The value column is laid out in scratch lent from the raster pool:
 	// a failed item repeats the value before it, so it costs a count
 	// nibble of 0.
-	vals := rasters.lend(n)
+	vals, _ := rasters.lend(n)
 	size := batchHeader + countBytes(n)
 	var prev float64
 	for i, it := range v.Items {
@@ -159,7 +160,7 @@ func appendBatchResponse(dst []byte, head int, v BatchQueryResponse) ([]byte, er
 		case it.Err == "":
 			prev = it.Value
 		case len(it.Err) > math.MaxUint16:
-			rasters.take(vals)
+			rasters.take(vals, nil)
 			return dst, fmt.Errorf("wire: batch item error too long (%d bytes)", len(it.Err))
 		default:
 			size += failureHeader + len(it.Err)
@@ -173,7 +174,7 @@ func appendBatchResponse(dst []byte, head int, v BatchQueryResponse) ([]byte, er
 	counts := buf[batchHeader : batchHeader+countBytes(n)]
 	off := batchHeader + len(counts)
 	off += putRow(counts, buf[off:], 0, 0, vals, nil)
-	rasters.take(vals)
+	rasters.take(vals, nil)
 	for i, it := range v.Items {
 		if it.Err == "" {
 			continue
@@ -230,14 +231,15 @@ func decodeBatchResponse(data []byte, lend bool) (Message, error) {
 	}
 	// Every item is written whole: a lent slice still holds what its last
 	// borrower left in it.
-	m := BatchQueryResponse{Items: alloc(&items, n, lend)}
-	vals := rasters.lend(n)
+	lent, box := alloc(&items, n, lend)
+	m := BatchQueryResponse{Items: lent}
+	vals, _ := rasters.lend(n)
 	unpack(vals, counts, data[start:])
 	integrate(vals, nil)
 	for i, v := range vals {
 		m.Items[i] = BatchQueryItem{Value: v}
 	}
-	rasters.take(vals)
+	rasters.take(vals, nil)
 	for off := failures; off < len(data); {
 		i, status, text := int(binary.LittleEndian.Uint16(data[off:])), data[off+2], int(binary.LittleEndian.Uint16(data[off+3:]))
 		off += failureHeader
@@ -247,5 +249,5 @@ func decodeBatchResponse(data []byte, lend bool) (Message, error) {
 		}
 		off += text
 	}
-	return m, nil
+	return inBox(box, m), nil
 }

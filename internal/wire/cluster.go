@@ -275,11 +275,11 @@ func decodeCluster(data []byte, lend bool) (Message, error) {
 		if len(data) < 2 {
 			return nil, fmt.Errorf("%w: IngestRequest header", ErrMalformed)
 		}
-		tuples, err := decodeRun(data[2:], "IngestRequest", lend)
+		tuples, box, err := decodeRun(data[2:], "IngestRequest", lend)
 		if err != nil {
 			return nil, err
 		}
-		return IngestRequest{Pollutant: tuple.Pollutant(data[1]), Tuples: tuples}, nil
+		return inBox(box, IngestRequest{Pollutant: tuple.Pollutant(data[1]), Tuples: tuples}), nil
 	case TypeIngestResponse:
 		if len(data) != 5 {
 			return nil, fmt.Errorf("%w: IngestResponse length %d", ErrMalformed, len(data))

@@ -111,7 +111,7 @@ func decodeHeatmapResponse(data []byte, lend bool) (Message, error) {
 	}
 	// Every value is written: a lent raster still holds what its last
 	// borrower left in it.
-	m.Values = alloc(&rasters, n, lend)
+	m.Values, _ = alloc(&rasters, n, lend)
 	unpack(m.Values, counts, data[rasterHeader+len(counts):])
 	for r := range rasterRows(m.Values, cols) {
 		integrate(rowAt(m.Values, cols, r), rowAt(m.Values, cols, r-1))

@@ -149,7 +149,7 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 		if len(data) < 20 {
 			return nil, fmt.Errorf("%w: ReplicaIngest header", ErrMalformed)
 		}
-		tuples, err := decodeRun(data[20:], "ReplicaIngest", lend)
+		tuples, _, err := decodeRun(data[20:], "ReplicaIngest", lend)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func decodeReplica(data []byte, lend bool) (Message, error) {
 			return nil, fmt.Errorf("%w: ReplicaCatchupResponse flags %d", ErrMalformed, data[1])
 		}
 		// A catch-up chunk is kept by the puller, never lent.
-		tuples, err := decodeRun(data[18:], "ReplicaCatchupResponse", false)
+		tuples, _, err := decodeRun(data[18:], "ReplicaCatchupResponse", false)
 		if err != nil {
 			return nil, err
 		}

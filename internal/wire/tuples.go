@@ -58,23 +58,24 @@ func appendRun(dst []byte, head, fixed int, tuples []tuple.Raw) (out, fields []b
 }
 
 // decodeRun decodes run, a frame's packed run, into tuples lent from the
-// pool when lend is set and new otherwise. It refuses a count over
-// MaxFrameTuples before it takes any memory, and gives lent memory back
-// when the columns do not decode.
-func decodeRun(run []byte, what string, lend bool) ([]tuple.Raw, error) {
+// pool when lend is set and new otherwise, and returns the box they last
+// travelled in (see alloc). It refuses a count over MaxFrameTuples before
+// it takes any memory, and gives lent memory back when the columns do not
+// decode.
+func decodeRun(run []byte, what string, lend bool) ([]tuple.Raw, Message, error) {
 	if len(run) < 4 {
-		return nil, fmt.Errorf("%w: %s without its tuple count", ErrMalformed, what)
+		return nil, nil, fmt.Errorf("%w: %s without its tuple count", ErrMalformed, what)
 	}
 	n := binary.LittleEndian.Uint32(run)
 	if n > MaxFrameTuples {
-		return nil, errRunCount
+		return nil, nil, errRunCount
 	}
-	dst := alloc(&raws, int(n), lend)
+	dst, box := alloc(&raws, int(n), lend)
 	if err := colblock.Unpack(dst, run); err != nil {
 		if lend {
-			raws.take(dst)
+			raws.take(dst, box)
 		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrMalformed, what, err)
+		return nil, nil, fmt.Errorf("%w: %s: %v", ErrMalformed, what, err)
 	}
-	return dst, nil
+	return dst, box, nil
 }

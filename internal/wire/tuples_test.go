@@ -123,9 +123,9 @@ func TestPackedUploadBytesPerTupleLausanne(t *testing.T) {
 
 // TestPackedUploadAllocs pins what the packed codec costs a 256-tuple
 // upload: Encode allocates the frame alone, exactly sized; AppendEncode
-// into a buffer with room allocates nothing; and DecodeLent nothing beyond
-// the message it returns, boxed in a Message, the one allocation a decoded
-// upload cannot avoid — the tuples are unpacked into lent memory.
+// into a buffer with room allocates nothing; and a warm DecodeLent
+// nothing at all — the tuples are unpacked into lent memory, and the
+// message comes back in the box the lent tuples were recycled in.
 func TestPackedUploadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -151,15 +151,15 @@ func TestPackedUploadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		Recycle(dec, IngestResponse{})
-	}); allocs != 1 {
-		t.Errorf("DecodeLent of a 256-tuple upload = %v allocs, want 1 (the boxed message)", allocs)
+	}); allocs != 0 {
+		t.Errorf("DecodeLent of a 256-tuple upload = %v allocs, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		tuples, err := decodeRun(frame[2:], "IngestRequest", true)
+		tuples, box, err := decodeRun(frame[2:], "IngestRequest", true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raws.take(tuples)
+		raws.take(tuples, box)
 	}); allocs != 0 {
 		t.Errorf("unpacking a 256-tuple upload into lent tuples = %v allocs, want 0", allocs)
 	}

@@ -353,13 +353,14 @@ func (binaryCodec) Decode(data []byte) (Message, error) { return decode(data, fa
 // does.
 func (binaryCodec) DecodeLent(data []byte) (Message, error) { return decode(data, true) }
 
-// alloc returns n elements of T to decode into: lent from p when lend is
-// set, new otherwise.
-func alloc[T any](p *lendPool[T], n int, lend bool) []T {
+// alloc returns n elements of T to decode into, and the box their slice
+// last travelled in (see inBox): lent from p when lend is set, new and
+// without a box otherwise.
+func alloc[T any](p *lendPool[T], n int, lend bool) ([]T, Message) {
 	if lend {
 		return p.lend(n)
 	}
-	return make([]T, n)
+	return make([]T, n), nil
 }
 
 // decode is the one decoder; lend selects where a message's bulk goes.
