@@ -67,6 +67,9 @@ type fixture struct {
 	nodes   []*cluster.Node
 	link    *netsim.Link
 	dead    []atomic.Bool
+	// severed, by node: while set, the ReplicaIngest frames sent to the
+	// node are dropped, each signalled on the channel (of capacity 1).
+	severed [3]atomic.Pointer[chan struct{}]
 
 	streamsMu sync.Mutex
 	streams   map[int][]*fakeStream // target node -> open push streams
@@ -84,6 +87,15 @@ type nodeTransport struct {
 func (t *nodeTransport) Exchange(req wire.Message) (wire.Message, error) {
 	if t.f.dead[t.to].Load() {
 		return nil, fmt.Errorf("node %d is down", t.to)
+	}
+	if lost := t.f.severed[t.to].Load(); lost != nil {
+		if _, ok := req.(wire.ReplicaIngest); ok {
+			select {
+			case *lost <- struct{}{}:
+			default:
+			}
+			return nil, fmt.Errorf("node %d's stream is severed", t.to)
+		}
 	}
 	reqB, err := wire.Binary.Encode(req)
 	if err != nil {

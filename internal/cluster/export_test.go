@@ -1,24 +1,33 @@
 package cluster
 
-import (
-	"reflect"
-	"time"
+import "repro/internal/tuple"
 
-	"repro/internal/tuple"
-	"repro/internal/wire"
-)
-
-// ApplyCatchup applies one catch-up chunk to n's mirror of origin's pol
-// stream, as a catch-up session does with each chunk it pulls from where
-// the mirror stands — so a test can script gaps, catch-ups and snapshot
-// resets without a live origin.
-func ApplyCatchup(n *Node, origin int, pol tuple.Pollutant, cr wire.ReplicaCatchupResponse) bool {
-	mir := n.repl.getMirror(origin, pol)
-	mir.mu.Lock()
-	asked := streamPos{inc: mir.inc, seq: mir.log.Next()}
-	mir.mu.Unlock()
-	return n.repl.applyChunk(mir, asked, cr)
+// MirrorPos is where a mirror stands: the incarnation it holds, the
+// first and next sequence of its log, and whether a pull session runs.
+type MirrorPos struct {
+	Inc, Start, Next uint64
+	Pulling          bool
 }
+
+// MirrorAt reports where n's mirror of origin's pol stream stands, and
+// false when n holds none. With log not nil, it also copies the tuples
+// the mirror's log holds into *log.
+func MirrorAt(n *Node, origin int, pol tuple.Pollutant, log *[]tuple.Raw) (MirrorPos, bool) {
+	mir := n.repl.lookupMirror(origin, pol)
+	if mir == nil {
+		return MirrorPos{}, false
+	}
+	mir.mu.Lock()
+	defer mir.mu.Unlock()
+	if log != nil {
+		*log = make([]tuple.Raw, mir.log.Len())
+		mir.log.CopyOut(*log, 0)
+	}
+	return MirrorPos{Inc: mir.inc, Start: mir.log.Start(), Next: mir.log.Next(), Pulling: mir.pulling}, true
+}
+
+// Incarnation returns n's replication incarnation, which its frames carry.
+func Incarnation(n *Node) uint64 { return n.repl.inc }
 
 // SetCatchupChunk caps catch-up and transfer chunks at n tuples until
 // the returned func restores the cap.
@@ -26,24 +35,6 @@ func SetCatchupChunk(n int) (restore func()) {
 	old := maxCatchupChunk
 	maxCatchupChunk = n
 	return func() { maxCatchupChunk = old }
-}
-
-// MirrorTuples counts the tuples held across n's mirror logs, over every
-// origin and pollutant.
-func MirrorTuples(n *Node) int {
-	n.repl.mirMu.Lock()
-	mirrors := make([]*mirror, 0, len(n.repl.mirrors))
-	for _, m := range n.repl.mirrors {
-		mirrors = append(mirrors, m)
-	}
-	n.repl.mirMu.Unlock()
-	total := 0
-	for _, m := range mirrors {
-		m.mu.Lock()
-		total += m.log.Len()
-		m.mu.Unlock()
-	}
-	return total
 }
 
 // MirrorChunks sums, over n's mirror logs, the tuples their sealed chunks
@@ -62,14 +53,6 @@ func MirrorChunks(n *Node) (tuples, packed, held int) {
 		m.mu.Unlock()
 	}
 	return tuples, packed, held
-}
-
-// HoldsMirror reports whether n holds a mirror of origin's pol stream.
-func HoldsMirror(n *Node, origin int, pol tuple.Pollutant) bool {
-	n.repl.mirMu.Lock()
-	defer n.repl.mirMu.Unlock()
-	_, ok := n.repl.mirrors[mirrorKey{origin: origin, pol: pol}]
-	return ok
 }
 
 // LogTuples counts the tuples held across n's own replication logs: the
@@ -105,26 +88,21 @@ func LogValueTuples(n *Node) int {
 	return total
 }
 
-// NextMove notes where the replication of ns stands: wait blocks until
-// one of their mirrors moves after that — a frame or a catch-up chunk
-// applied, a pull session over, mirrors dropped — or until deadline, and
-// reports whether one did. A caller takes it before checking a
-// condition, and waits only if the condition does not hold yet, so no
-// move between the check and the wait is missed.
-func NextMove(ns ...*Node) (wait func(deadline time.Time) bool) {
-	var cases []reflect.SelectCase
-	for _, n := range ns {
-		if n != nil && n.repl != nil {
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.repl.nextMove())})
-		}
+// NextMove returns a channel closed the next time one of n's mirrors
+// moves — a frame or a catch-up chunk applied, a pull session over,
+// mirrors dropped — or nil, which never closes, when n does not
+// replicate. A caller takes it before checking a condition, and waits
+// only if the condition does not hold yet, so no move between the check
+// and the wait is missed.
+func NextMove(n *Node) <-chan struct{} {
+	if n.repl == nil {
+		return nil
 	}
-	return func(deadline time.Time) bool {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		chosen, _, _ := reflect.Select(append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)}))
-		return chosen < len(cases)
-	}
+	return n.repl.nextMove()
 }
+
+// MaxPullRounds is the rounds one pull session asks at most.
+const MaxPullRounds = maxPullRounds
 
 // MaxBatchShare is the router's cap on the items of one forwarded batch
 // share.

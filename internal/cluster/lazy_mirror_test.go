@@ -42,14 +42,32 @@ func overWindows(one tuple.Batch) tuple.Batch {
 	return out
 }
 
+// waitMoves blocks until lag reports nothing, checking again each time a
+// mirror of ns moves, and fails with the last lag after 30 s.
+func waitMoves(t *testing.T, ns []*cluster.Node, lag func() string) {
+	t.Helper()
+	timeout := reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(time.After(30 * time.Second))}
+	for {
+		cases := []reflect.SelectCase{timeout}
+		for _, n := range ns {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(cluster.NextMove(n))})
+		}
+		l := lag()
+		if l == "" {
+			return
+		}
+		if chosen, _, _ := reflect.Select(cases); chosen == 0 {
+			t.Fatal(l)
+		}
+	}
+}
+
 // waitApplied blocks until every frame the nodes ns streamed has been
 // applied to a mirror, reading replication counters only, and fails if
 // any mirror was read meanwhile.
 func waitApplied(t *testing.T, ns []*cluster.Node) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		moved := cluster.NextMove(ns...)
+	waitMoves(t, ns, func() string {
 		var streamed, applied, reads int64
 		for _, n := range ns {
 			rs, _ := n.ReplicationStats()
@@ -61,12 +79,10 @@ func waitApplied(t *testing.T, ns []*cluster.Node) {
 			t.Fatalf("%d mirror reads before the first touch", reads)
 		}
 		if streamed > 0 && applied == streamed {
-			return
+			return ""
 		}
-		if !moved(deadline) {
-			t.Fatalf("replication never drained: %d frames streamed, %d applied", streamed, applied)
-		}
-	}
+		return fmt.Sprintf("replication never drained: %d frames streamed, %d applied", streamed, applied)
+	})
 }
 
 // TestLazyMirrorFirstTouchEqualsPrimary: the first ReplicaRead of each
@@ -360,13 +376,13 @@ func TestFailedMirrorBuildHealsOrIsPartial(t *testing.T) {
 // to an engine fed every frame. Run under -race.
 func TestFrameRacingFirstReadAppliesOnce(t *testing.T) {
 	var c countingMirrors
-	node := newMirrorNode(t, 0, c.factory)
+	node := newMirrorNode(t, 0, c.factory, nil)
 	data := makeData()
 	const per = 8
 	frames := len(data) / per
 	send := func(i int) {
 		resp := node.HandleMessage(wire.ReplicaIngest{Origin: mirrorOrigin, Pollutant: tuple.CO2,
-			Seq: uint64(i * per), Tuples: slices.Clone(data[i*per : (i+1)*per])})
+			Seq: uint64(i * per), Tuples: slices.Clone(data[i*per : (i+1)*per]), Incarnation: mirrorInc})
 		if _, ok := resp.(wire.IngestResponse); !ok {
 			t.Errorf("frame %d refused: %#v", i, resp)
 		}

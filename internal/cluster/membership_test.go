@@ -401,22 +401,18 @@ func positionsOf(b tuple.Batch) []geo.Point {
 // again each time a mirror moves, with the owners' cover rebuilds done.
 func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 	t.Helper()
-	ctx := context.Background()
 	ring := f.currentRing()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var live []*cluster.Node
+	var live []*cluster.Node
+	for _, i := range f.liveIDs() {
+		live = append(live, f.node(i))
+	}
+	waitMoves(t, live, func() string {
 		for _, i := range f.liveIDs() {
-			live = append(live, f.node(i))
 			f.engine(i).Scheduler().Wait()
 		}
-		moved := cluster.NextMove(live...)
-		lag := ""
-	check:
 		for _, p := range positions {
-			k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: ring.CellOf(p)}
-			reps := ring.ReplicasFor(k)
-			want, err := f.engine(reps[0]).Query(ctx, query.Request{T: queryT, X: p.X, Y: p.Y, Pollutant: tuple.CO2})
+			reps := ring.ReplicasFor(cluster.ShardKey{Pollutant: tuple.CO2, Cell: ring.CellOf(p)})
+			want, err := f.engine(reps[0]).Query(context.Background(), query.Request{T: queryT, X: p.X, Y: p.Y, Pollutant: tuple.CO2})
 			if err != nil {
 				t.Fatalf("owner %d query: %v", reps[0], err)
 			}
@@ -427,23 +423,13 @@ func (f *memFixture) waitMirrors(t *testing.T, positions []geo.Point) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if er, isErr := resp.(wire.ErrorResponse); isErr && er.Code == wire.CodeReplicaMiss {
-					lag = fmt.Sprintf("replica %d of %d: %s", rep, reps[0], er.Msg)
-					break check
-				}
 				if qr, isQ := resp.(wire.QueryResponse); !isQ || qr.Value != want {
-					lag = fmt.Sprintf("replica %d of %d answers %#v, owner %v", rep, reps[0], resp, want)
-					break check
+					return fmt.Sprintf("mirrors never converged: replica %d of %d answers %#v, owner %v", rep, reps[0], resp, want)
 				}
 			}
 		}
-		if lag == "" {
-			return
-		}
-		if !moved(deadline) {
-			t.Fatalf("mirrors never converged: %s", lag)
-		}
-	}
+		return ""
+	})
 }
 
 // --- live transitions -------------------------------------------------
@@ -461,8 +447,8 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 	var (
 		wg         sync.WaitGroup
 		stop       = make(chan struct{}) // close-only signal channel
-		writerUp   = make(chan struct{}) // close-only signal channel
-		readerUp   = make(chan struct{}) // close-only signal channel
+		phase      atomic.Int32          // bumped while the loops run to lap them again
+		laps       sync.WaitGroup        // each loop's first iteration begun in the current phase
 		ackedMu    sync.Mutex
 		acked      []geo.Point
 		queryErrs  atomic.Int64
@@ -472,14 +458,16 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 	// band, rotating the entry node. Only acked tuples join the oracle.
 	writerPool := memLattice(100)
 	wg.Add(2)
+	laps.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i, lapped := 0, int32(-1); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			p := phase.Load()
 			tp := writerPool[i%len(writerPool)]
 			resp := f.node(i % 3).HandleMessage(wire.IngestRequest{Pollutant: tuple.CO2, Tuples: tuple.Batch{tp}})
 			if ir, ok := resp.(wire.IngestResponse); ok && ir.Ingested == 1 {
@@ -487,8 +475,9 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 				acked = append(acked, tp.Pos())
 				ackedMu.Unlock()
 			}
-			if i == 0 {
-				close(writerUp)
+			if p > lapped {
+				lapped = p
+				laps.Done()
 			}
 			time.Sleep(time.Millisecond) // yield: a spinning loop starves the join on one CPU
 		}
@@ -498,21 +487,22 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 	samples := positionsOf(base)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i, lapped := 0, int32(-1); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			p := samples[i%len(samples)]
+			ph, p := phase.Load(), samples[i%len(samples)]
 			queryTotal.Add(1)
 			resp := f.node(i % 3).HandleMessage(wire.QueryRequest{T: queryT, X: p.X, Y: p.Y, Pollutant: tuple.CO2})
 			if _, ok := resp.(wire.QueryResponse); !ok {
 				queryErrs.Add(1)
 				t.Errorf("query during join answered %#v", resp)
 			}
-			if i == 0 {
-				close(readerUp)
+			if ph > lapped {
+				lapped = ph
+				laps.Done()
 			}
 			time.Sleep(time.Millisecond) // yield: a spinning loop starves the join on one CPU
 		}
@@ -520,15 +510,17 @@ func TestJoinUnderWriteLoad(t *testing.T) {
 	// On a single-CPU box the spinning writer can starve the reader (or
 	// vice versa) for the whole join window; gate the join on both loops
 	// having completed an iteration so "the load ran" is deterministic.
-	<-writerUp
-	<-readerUp
+	laps.Wait()
 
 	joiner := f.addJoiner(t, 0)
 	if err := joiner.CompleteJoin(context.Background()); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	// Keep the load running a moment on the committed topology too.
-	time.Sleep(50 * time.Millisecond)
+	// Keep the load running until both loops have completed an iteration
+	// on the committed topology too.
+	laps.Add(2)
+	phase.Add(1)
+	laps.Wait()
 	close(stop)
 	wg.Wait()
 
@@ -654,7 +646,7 @@ func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
 	pullers := map[int]bool{}
 	for _, c := range old.OwnedCells(dead, tuple.CO2) {
 		gainer := next.OwnerKey(cluster.ShardKey{Pollutant: tuple.CO2, Cell: c})
-		if !cluster.HoldsMirror(f.node(gainer), dead, tuple.CO2) {
+		if _, held := cluster.MirrorAt(f.node(gainer), dead, tuple.CO2, nil); !held {
 			pullers[gainer] = true
 		}
 	}
@@ -672,7 +664,7 @@ func TestPromoteLargestPrimaryPullsOverTheWire(t *testing.T) {
 		t.Fatalf("after promotion: node %d live %v at epoch %d", dead, ring.IsLive(dead), ring.Epoch())
 	}
 	for p := range pullers {
-		if cluster.HoldsMirror(f.node(p), dead, tuple.CO2) {
+		if _, held := cluster.MirrorAt(f.node(p), dead, tuple.CO2, nil); held {
 			t.Fatalf("node %d took a mirror of node %d; its shards must come from a pull", p, dead)
 		}
 	}

@@ -20,10 +20,10 @@ func TestMirrorHoldsPackedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	day.SortByTime()
-	node := newMirrorNode(t, 0, newMirrorEngine)
+	node := newMirrorNode(t, 0, newMirrorEngine, nil)
 	for seq := 0; seq < len(day); seq += 256 {
 		frame := append([]tuple.Raw(nil), day[seq:min(seq+256, len(day))]...)
-		if _, ok := node.HandleMessage(wire.ReplicaIngest{Origin: mirrorOrigin, Pollutant: tuple.CO2, Seq: uint64(seq), Tuples: frame}).(wire.IngestResponse); !ok {
+		if _, ok := node.HandleMessage(wire.ReplicaIngest{Origin: mirrorOrigin, Pollutant: tuple.CO2, Seq: uint64(seq), Tuples: frame, Incarnation: mirrorInc}).(wire.IngestResponse); !ok {
 			t.Fatalf("frame at %d not applied", seq)
 		}
 	}

@@ -10,10 +10,10 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -111,7 +111,11 @@ func ingestAndDrain(t *testing.T, ns []*cluster.Node, data tuple.Batch) {
 func mirrorCopies(ns []*cluster.Node) int {
 	held := 0
 	for _, n := range ns {
-		held += cluster.MirrorTuples(n)
+		for origin := range n.Ring().Nodes() {
+			if pos, ok := cluster.MirrorAt(n, origin, tuple.CO2, nil); ok {
+				held += int(pos.Next - pos.Start)
+			}
+		}
 	}
 	return held
 }
@@ -137,7 +141,7 @@ func TestMirrorLogsHoldRMinusOneCopiesAfterJoin(t *testing.T) {
 	ns := newLoopbackRing(t, nodes, R)
 	data := overWindows(makeData())
 	ingestAndDrain(t, ns, data)
-	if !cluster.HoldsMirror(ns[0], 2, tuple.CO2) {
+	if _, held := cluster.MirrorAt(ns[0], 2, tuple.CO2, nil); !held {
 		t.Fatal("node 0 does not mirror node 2 on the 3-node ring")
 	}
 
@@ -164,22 +168,18 @@ func TestMirrorLogsHoldRMinusOneCopiesAfterJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		moved := cluster.NextMove(ns...)
+	waitMoves(t, ns, func() string {
 		committed := 0
 		for _, n := range ns {
 			committed += cluster.LogTuples(n)
 		}
-		held, stale := mirrorCopies(ns), cluster.HoldsMirror(ns[0], 2, tuple.CO2)
-		if held == (R-1)*committed && !stale {
-			return
-		}
-		if !moved(deadline) {
-			t.Fatalf("after the join the mirror logs hold %d tuples for %d committed (want %d); node 0 still mirrors node 2: %v",
+		held := mirrorCopies(ns)
+		if _, stale := cluster.MirrorAt(ns[0], 2, tuple.CO2, nil); held != (R-1)*committed || stale {
+			return fmt.Sprintf("after the join the mirror logs hold %d tuples for %d committed (want %d); node 0 still mirrors node 2: %v",
 				held, committed, (R-1)*committed, stale)
 		}
-	}
+		return ""
+	})
 }
 
 // newStoredRing is newLoopbackRing with each node's replication logs

@@ -16,18 +16,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/kmeans"
 	"repro/internal/netsim"
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/subs"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -37,14 +35,7 @@ import (
 // engine with the same configuration as newEngine (window, k-means
 // seed), so a mirror that replayed the primary's commits answers
 // byte-equal.
-func newMirrorEngine() cluster.Handler {
-	e, err := server.NewMirrorEngine([]tuple.Pollutant{tuple.CO2}, windowLen, 0,
-		core.Config{Cluster: kmeans.Config{Seed: 7}})
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
+func newMirrorEngine() cluster.Handler { return propEngine(0) }
 
 // newReplicatedFixture is newFixture with Replicas: 2 and a replication
 // config on every node. Nodes are Closed on cleanup (stopping the
@@ -124,43 +115,27 @@ func (f *fixture) replicaRead(t *testing.T, rep, origin int, req wire.Message) (
 // the owners' cover rebuilds done, so a lag it sees is replication's.
 func waitConverged(t *testing.T, f *fixture, reqs []query.Request) {
 	t.Helper()
-	ctx := context.Background()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		moved := cluster.NextMove(f.nodes...)
+	waitMoves(t, f.nodes, func() string {
 		for _, e := range f.engines {
 			e.Scheduler().Wait()
 		}
-		lag := ""
-	check:
 		for _, req := range reqs {
 			pt := geo.Point{X: req.X, Y: req.Y}
 			owner := f.ring.Owner(tuple.CO2, pt)
-			want, err := f.engines[owner].Query(ctx, req)
+			want, err := f.engines[owner].Query(context.Background(), req)
 			if err != nil {
 				t.Fatalf("owner %d query: %v", owner, err)
 			}
 			k := cluster.ShardKey{Pollutant: tuple.CO2, Cell: f.ring.CellOf(pt)}
 			for _, rep := range f.ring.ReplicasFor(k)[1:] {
 				resp, ok := f.replicaRead(t, rep, owner, wire.QueryRequest{T: req.T, X: req.X, Y: req.Y, Pollutant: req.Pollutant})
-				if !ok {
-					lag = fmt.Sprintf("replica %d has no usable mirror of %d yet: %#v", rep, owner, resp)
-					break check
-				}
-				qr, isQ := resp.(wire.QueryResponse)
-				if !isQ || qr.Value != want {
-					lag = fmt.Sprintf("replica %d of %d answers %#v, owner answers %v", rep, owner, resp, want)
-					break check
+				if qr, isQ := resp.(wire.QueryResponse); !ok || !isQ || qr.Value != want {
+					return fmt.Sprintf("replicas never converged: replica %d of %d answers %#v, owner answers %v", rep, owner, resp, want)
 				}
 			}
 		}
-		if lag == "" {
-			return
-		}
-		if !moved(deadline) {
-			t.Fatalf("replicas never converged: %s", lag)
-		}
-	}
+		return ""
+	})
 }
 
 // TestReplicaStreamsBuildMirrors: a routed ingest reaches every shard
@@ -401,10 +376,12 @@ func TestReplicaPartialResultWhenReplicaSetDead(t *testing.T) {
 }
 
 // TestReplicaCatchupHealsSeveredStream: a replica that missed streamed
-// frames while down detects the sequence gap on the next frame and
-// pulls checkpoint-or-suffix catch-up from the primary until byte-equal
-// again — including surviving a crashed catch-up pull (primary dead
-// mid-pull).
+// frames while its stream was severed detects the sequence gap on the
+// next frame and pulls checkpoint-or-suffix catch-up from the primary
+// until byte-equal again — including surviving a crashed catch-up pull
+// (primary dead mid-pull). It is the one catch-up check over the real
+// stream workers; TestMirrorEquivalenceProperty drives the protocol's
+// orderings.
 func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	f := newReplicatedFixture(t)
 	data := makeData()
@@ -414,54 +391,39 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	samples := sampleRequests(data[:third])
 	waitConverged(t, f, samples)
 
-	origin := -1
-	for _, n := range []int{0, 1} {
-		for _, p := range f.ring.ReplicaPeers(n, tuple.CO2) {
-			if p == 2 {
-				origin = n
-			}
-		}
-	}
+	origin := slices.IndexFunc([]int{0, 1}, func(n int) bool { return slices.Contains(f.ring.ReplicaPeers(n, tuple.CO2), 2) })
 	if origin < 0 {
 		t.Skip("node 2 backs no primary — ring layout changed")
 	}
-	streamErrors := func() int64 {
-		rs, _ := f.nodes[origin].ReplicationStats()
-		return rs.StreamErrors
-	}
 
-	// Sever: node 2 drops off the network; frames streamed to it are
-	// lost (the primaries' bounded queues drain into a dead transport).
-	// Writes never fail over (primary-commits design), so the outage
-	// load carries only the live nodes' shards. Node 2 stays down until
-	// its origin has lost a frame to it: frames of the wave still queued
-	// when it came back would reach it, and leave no gap to heal.
-	f.dead[2].Store(true)
-	lost := streamErrors()
-	var wave2 tuple.Batch
-	for _, r := range data[third : 2*third] {
-		if f.ring.Owner(tuple.CO2, r.Pos()) != 2 {
-			wave2 = append(wave2, r)
-		}
-	}
-	f.load(t, wave2)
-	for deadline := time.Now().Add(10 * time.Second); streamErrors() == lost; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("node %d lost no frame to node 2 while it was down", origin)
-		}
-	}
+	// Sever: frames streamed to node 2 are lost until its origin has lost
+	// one, while everything else reaches it.
+	lost := make(chan struct{}, 1)
+	f.severed[2].Store(&lost)
+	f.load(t, data[third:2*third])
+	<-lost
 
-	// Crash injection on the catch-up path: wake node 2 up, then feed it
-	// a forged frame far ahead of its mirror state while its origin is
-	// dead — the gap NAK schedules a pull that must fail cleanly, not
-	// wedge the node.
-	f.dead[2].Store(false)
+	// Crash injection on the catch-up path: restore the stream, then feed
+	// node 2 a frame of its origin's stream far ahead of its mirror while
+	// the origin is dead — the gap NAK schedules a pull that must fail
+	// cleanly, not wedge the node.
+	f.severed[2].Store(nil)
 	f.dead[origin].Store(true)
 	forged := wire.ReplicaIngest{Origin: uint16(origin), Pollutant: tuple.CO2, Seq: 1 << 40,
-		Tuples: tuple.Batch{{T: 100, X: 0, Y: 0, S: 1}}}
+		Tuples: tuple.Batch{{T: 100, X: 0, Y: 0, S: 1}}, Incarnation: cluster.Incarnation(f.nodes[origin])}
 	resp := f.nodes[2].HandleMessage(forged)
 	if _, isErr := resp.(wire.ErrorResponse); !isErr {
 		t.Fatalf("forged gap frame was not NAKed: %#v", resp)
+	}
+	// The origin stays dead until that pull is over.
+	waitMoves(t, f.nodes[2:], func() string {
+		if pos, _ := cluster.MirrorAt(f.nodes[2], origin, tuple.CO2, nil); pos.Pulling {
+			return "the pull from the dead origin never ended"
+		}
+		return ""
+	})
+	if rs, _ := f.nodes[2].ReplicationStats(); rs.StreamErrors == 0 {
+		t.Fatal("the pull from the dead origin did not fail")
 	}
 	// The failed pull must not poison the mirror: revive the origin and
 	// stream the rest; gap detection pulls the real suffix.
@@ -471,18 +433,10 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	samples = sampleRequests(data)
 	waitConverged(t, f, samples)
 
-	gaps, catchups := int64(0), int64(0)
-	for _, n := range f.nodes {
-		if rs, ok := n.ReplicationStats(); ok {
-			gaps += rs.Gaps
-			catchups += rs.Catchups
-		}
-	}
-	if gaps == 0 {
-		t.Error("no sequence gap was detected — the severed stream went unnoticed")
-	}
-	if catchups == 0 {
-		t.Error("no catch-up pull ran — convergence happened without healing?")
+	// The frame the sever lost reaches node 2 only through a catch-up
+	// session besides the one that failed.
+	if rs, _ := f.nodes[2].ReplicationStats(); rs.Catchups < 2 {
+		t.Errorf("node 2 ran %d catch-up sessions: the severed stream healed without one", rs.Catchups)
 	}
 
 	// And the healed mirrors actually serve: kill a primary, every one

@@ -626,10 +626,12 @@ func (mir *mirror) appendLocked(tuples []tuple.Raw) error {
 // frame and starts a catch-up pull instead of applying out of order. A
 // frame of another incarnation than the mirror's is a gap too — its
 // origin restarted, and the pull resets the mirror onto the new stream —
-// unless the mirror has held nothing yet, which takes the frame's. A
-// frame for a mirror the node's ring does not place here (the origin
-// streamed under an older ring) is refused too: the origin counts a gap
-// NAK, and catch-up heals it should this node become a mirror again.
+// unless the mirror has held nothing yet, which takes the frame's. No
+// origin streams incarnation 0, so such a frame is malformed and refused
+// before it can create a mirror. A frame for a mirror the node's ring
+// does not place here (the origin streamed under an older ring) is
+// refused too: the origin counts a gap NAK, and catch-up heals it should
+// this node become a mirror again.
 func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	r := n.repl
 	if r == nil {
@@ -639,6 +641,9 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	if origin == n.self || origin >= n.Ring().Nodes() {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: bad origin node %d", m.Origin)}
 	}
+	if m.Incarnation == 0 {
+		return wire.ErrorResponse{Msg: "replica: frame of incarnation 0"}
+	}
 	mir := r.getMirror(origin, m.Pollutant)
 	if mir == nil {
 		return wire.ErrorResponse{Msg: fmt.Sprintf("replica: node %d is no mirror of node %d", n.self, origin)}
@@ -647,7 +652,7 @@ func (n *Node) handleReplicaIngest(m wire.ReplicaIngest) wire.Message {
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
 	have, end := mir.log.Next(), m.Seq+uint64(len(m.Tuples))
-	if have == 0 && mir.inc == 0 {
+	if mir.inc == 0 {
 		mir.inc = m.Incarnation
 	}
 	switch {
