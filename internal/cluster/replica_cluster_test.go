@@ -385,22 +385,29 @@ func TestReplicaPartialResultWhenReplicaSetDead(t *testing.T) {
 func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	f := newReplicatedFixture(t)
 	data := makeData()
-	third := len(data) / 3
-
-	f.load(t, data[:third])
-	samples := sampleRequests(data[:third])
-	waitConverged(t, f, samples)
+	// Three waves, every third tuple each, so that each wave spans every
+	// cell and streams to every mirror.
+	var waves [3]tuple.Batch
+	for i, r := range data {
+		waves[i%3] = append(waves[i%3], r)
+	}
 
 	origin := slices.IndexFunc([]int{0, 1}, func(n int) bool { return slices.Contains(f.ring.ReplicaPeers(n, tuple.CO2), 2) })
 	if origin < 0 {
 		t.Skip("node 2 backs no primary — ring layout changed")
+	}
+	f.load(t, waves[0])
+	waitConverged(t, f, sampleRequests(waves[0]))
+	// The mirror the sever will gap has a stream position to resume from.
+	if pos, ok := cluster.MirrorAt(f.nodes[2], origin, tuple.CO2, nil); !ok || pos.Next == 0 {
+		t.Fatalf("node 2 applied no streamed frame of node %d before the sever (mirror %v, %+v)", origin, ok, pos)
 	}
 
 	// Sever: frames streamed to node 2 are lost until its origin has lost
 	// one, while everything else reaches it.
 	lost := make(chan struct{}, 1)
 	f.severed[2].Store(&lost)
-	f.load(t, data[third:2*third])
+	f.load(t, waves[1])
 	<-lost
 
 	// Crash injection on the catch-up path: restore the stream, then feed
@@ -428,9 +435,9 @@ func TestReplicaCatchupHealsSeveredStream(t *testing.T) {
 	// The failed pull must not poison the mirror: revive the origin and
 	// stream the rest; gap detection pulls the real suffix.
 	f.dead[origin].Store(false)
-	f.load(t, data[2*third:])
+	f.load(t, waves[2])
 
-	samples = sampleRequests(data)
+	samples := sampleRequests(data)
 	waitConverged(t, f, samples)
 
 	// The frame the sever lost reaches node 2 only through a catch-up

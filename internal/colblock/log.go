@@ -68,6 +68,7 @@ type Log struct {
 	start  uint64       // sequence of the oldest retained tuple
 	sealed []Chunk      // chunks sealed full, oldest first; the newest may be sealed early
 	first  [2]Chunk     // the array sealed starts in (a fleet window seals two)
+	expect int          // the sealed chunks Expect foresees
 	open   *[]tuple.Raw // the newest tuples; nil when there are none
 	head   int          // leading tuples of the oldest sealed chunk already dropped
 	n      int          // retained tuples
@@ -232,6 +233,12 @@ func (l *Log) Held() int {
 	return n
 }
 
+// Expect tells the log about how many tuples it will hold, so that once
+// its sealed chunks outgrow the array they start in it allocates one for
+// all of them, at 7/8 of ChunkTuples a chunk (a fitted chunk holds at
+// least that), not one per doubling.
+func (l *Log) Expect(tuples int) { l.expect = tuples/(ChunkTuples-ChunkTuples/8) + 1 }
+
 // Append extends the log with tuples, dropping the oldest beyond a cap.
 func (l *Log) Append(tuples []tuple.Raw) {
 	if over := len(tuples) - l.Retain; l.Retain > 0 && over > 0 {
@@ -287,6 +294,9 @@ func (l *Log) seal(full bool) {
 	c.box, _ = tuple.Batch(o[:n]).Bounds()
 	if l.sealed == nil {
 		l.sealed = l.first[:0]
+	}
+	if n := len(l.sealed); n == cap(l.sealed) && l.expect > n {
+		l.sealed = slices.Grow(l.sealed, l.expect-n)
 	}
 	l.sealed = append(l.sealed, c)
 	*l.open = o[:copy(o, o[n:])]

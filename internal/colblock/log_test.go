@@ -58,6 +58,7 @@ func FuzzLogMatchesSlice(f *testing.F) {
 		}
 		retain := [...]int{0, 0, 5, 700, ChunkTuples + 300}[data[0]%5]
 		lg := Log{Retain: retain, Recycle: data[1]&1 == 1}
+		lg.Expect(int(data[1]>>1) << 7) // up to 19 chunks foreseen
 		var model sliceLog
 		var clock, cut, donorClock float64
 		var pending []pendingRead

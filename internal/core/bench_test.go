@@ -97,6 +97,32 @@ func BenchmarkBuildDay(b *testing.B) {
 	}
 }
 
+// BenchmarkRefitDay refits every window of the golden day (the
+// benchmark fleet, seed 1) from the centroids and rounds of its own
+// chained build: the work a restart does per checkpointed window.
+func BenchmarkRefitDay(b *testing.B) {
+	ws := lausanneWindows()
+	var bl Builder
+	covers := make([]*Cover, len(ws))
+	var prev *Cover
+	for c, w := range ws {
+		cv, err := bl.BuildFrom(w, c, 3600, lausanneConfig, prev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		covers[c], prev = cv, cv
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for c, w := range ws {
+			if _, err := bl.Refit(w, c, 3600, lausanneConfig, covers[c].Centroids, covers[c].Rounds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/day")
+}
+
 func BenchmarkInterpolate(b *testing.B) {
 	w := benchWindow(1000)
 	cv, err := BuildCover(w, 0, 3600, Config{Cluster: clusterSeed(1)})

@@ -95,13 +95,7 @@ func (cv *Cover) NearestRegion(p geo.Point) int {
 	if len(cv.Centroids) == 0 {
 		return -1
 	}
-	best, bestD := 0, cv.Centroids[0].Dist2(p)
-	for i := 1; i < len(cv.Centroids); i++ {
-		if d := cv.Centroids[i].Dist2(p); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
+	return kmeans.Nearest(cv.Centroids, p)
 }
 
 // Interpolate answers Query 1 for the query tuple q_l = (t, x, y): find
@@ -299,8 +293,9 @@ type Builder struct {
 
 	pts    []geo.Point
 	km     kmeans.Clusterer
-	assign []int       // Refit's nearest-centroid assignment
-	add    []geo.Point // the centroids a split round adds
+	near   kmeans.Index // the centroids a refit or warm start assigns to
+	assign []int        // Refit's nearest-centroid assignment
+	add    []geo.Point  // the centroids a split round adds
 	fit    regress.Fitter
 
 	// The warm start: per centroid of the predecessor's cover, the tuples
@@ -372,8 +367,9 @@ func (b *Builder) warmStart(pts []geo.Point, c int, cfg Config, prev *Cover) []g
 	}
 	b.wins = slices.Grow(b.wins[:0], prev.Size())[:prev.Size()]
 	clear(b.wins)
+	b.near.Reset(prev.Centroids)
 	for _, p := range pts {
-		b.wins[kmeans.Nearest(prev.Centroids, p)]++
+		b.wins[b.near.Nearest(p)]++
 	}
 	b.start = b.start[:0]
 	for j, n := range b.wins {
@@ -464,7 +460,8 @@ func (b *Builder) buildFrom(w tuple.Batch, pts []geo.Point, c int, h float64, cf
 // Refit is BuildCover for a window whose build converged on centroids in
 // rounds split rounds: it skips the search for the regions — seeding and
 // every Lloyd round — and gives each tuple to its nearest centroid
-// (kmeans.Nearest) and fits one model per region, as the build's last
+// (kmeans.Nearest, found by the pruned kmeans.Index, which answers as it
+// does) and fits one model per region, as the build's last
 // round did. For the centroids and rounds of the cover BuildCover or
 // BuildFrom gave over w with cfg it returns that cover, bit for bit: the
 // bounded Lloyd's final assignment is Nearest over the converged
@@ -483,8 +480,9 @@ func (b *Builder) Refit(w tuple.Batch, c int, h float64, cfg Config, centroids [
 	}
 	pts := b.positions(w)
 	b.assign = slices.Grow(b.assign[:0], len(pts))[:len(pts)]
+	b.near.Reset(centroids)
 	for i, p := range pts {
-		b.assign[i] = kmeans.Nearest(centroids, p)
+		b.assign[i] = b.near.Nearest(p)
 	}
 	b.reserve(len(w), k, cfg.Features.Dim())
 	res := kmeans.Result{Centroids: centroids, Assign: b.assign}

@@ -164,11 +164,11 @@ func TestBuildCoverAllocCeiling(t *testing.T) {
 }
 
 // TestWarmBuilderAllocatesOnlyTheCover: once a Builder has built a window
-// of some size, building another of that size allocates the four objects
-// the returned cover is made of — the Cover, its centroids, one array
-// holding its coefficients and then its approximation errors, and its
-// tuple counts — and nothing per split round, per region or per k-means
-// run. This is reuse, not a bound on scratch: arrays sized per
+// of some size, building or refitting another of that size allocates the
+// four objects the returned cover is made of — the Cover, its centroids,
+// one array holding its coefficients and then its approximation errors,
+// and its tuple counts — and nothing per split round, per region or per
+// k-means run. This is reuse, not a bound on scratch: arrays sized per
 // round or per Lloyd run would pass any byte ceiling a cold build passes.
 func TestWarmBuilderAllocatesOnlyTheCover(t *testing.T) {
 	ws := lausanneWindows()
@@ -189,6 +189,13 @@ func TestWarmBuilderAllocatesOnlyTheCover(t *testing.T) {
 	})
 	if allocs != 4 {
 		t.Errorf("second build on a warm Builder = %.0f allocs, want the cover's 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := b.Refit(next, 13, 3600, lausanneConfig, cv.Centroids, cv.Rounds); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 4 {
+		t.Errorf("a refit on a warm Builder = %.0f allocs, want the cover's 4", allocs)
 	}
 	// The cover must not share memory with the scratch it came from.
 	before := coverDigest(cv)

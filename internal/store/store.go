@@ -814,6 +814,7 @@ func (s *Store) addToWindows(b tuple.Batch) {
 		lg := s.windows[c]
 		if lg == nil {
 			lg = new(colblock.Log)
+			lg.Expect(s.windows[c-1].Len()) // about the size of the window before
 			s.windows[c] = lg
 		}
 		lg.Append(b[:n])

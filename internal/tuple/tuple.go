@@ -183,8 +183,13 @@ func (b Batch) Validate() error {
 // byTime orders tuples by timestamp.
 func byTime(a, b Raw) int { return cmp.Compare(a.T, b.T) }
 
-// SortByTime sorts the batch by timestamp (stable, ascending).
-func (b Batch) SortByTime() { slices.SortStableFunc(b, byTime) }
+// SortByTime sorts the batch by timestamp (stable, ascending); a batch
+// already in order is left as it is.
+func (b Batch) SortByTime() {
+	if !b.SortedByTime() {
+		slices.SortStableFunc(b, byTime)
+	}
+}
 
 // SortedByTime reports whether timestamps are non-decreasing.
 func (b Batch) SortedByTime() bool { return slices.IsSortedFunc(b, byTime) }
