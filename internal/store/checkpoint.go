@@ -463,11 +463,11 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovery }
 // atomicReplace installs path crash-safely: the payload is written to a
 // ".tmp" sibling, fsynced, closed, renamed into place, and the
 // directory fsynced — a crash at any instant leaves either the old or
-// the new file. fill writes straight to the file: a caller with many
-// small writes brings a buffer of the size it needs. The temp file is
-// removed on every failure path. File fsyncs go through syncSeg (hookable,
-// but NOT counted in DurabilityStats.Syncs, which tracks append-path
-// durability only).
+// the new file. fill writes straight to the file (through s.writer): a
+// caller with many small writes brings a buffer of the size it needs. The
+// temp file is removed on every failure path. File fsyncs go through
+// syncSeg (hookable, but NOT counted in DurabilityStats.Syncs, which
+// tracks append-path durability only).
 func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -479,7 +479,7 @@ func (s *Store) atomicReplace(path string, fill func(w io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := fill(f); err != nil {
+	if err := fill(s.writer(f)); err != nil {
 		return fail(err)
 	}
 	if err := s.syncSeg(f); err != nil {

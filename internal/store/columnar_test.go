@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -46,28 +45,6 @@ func batchBitEqual(a, b tuple.Batch) bool {
 		}
 	}
 	return true
-}
-
-func copyDirTo(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
 }
 
 // TestColumnarLazyRecovery checks the headline behavior: a restart over a
@@ -166,48 +143,6 @@ func TestColumnarLazyRecovery(t *testing.T) {
 	}
 	if r.Len() != wantLen {
 		t.Fatalf("Len = %d after the reads, want %d", r.Len(), wantLen)
-	}
-}
-
-// TestTruncatedCheckpointDegrades: a checkpoint file cut to nothing under
-// a running store costs each window its base, counted once, and the
-// window serves its in-memory suffix; no read fails or faults.
-func TestTruncatedCheckpointDegrades(t *testing.T) {
-	s, err := Open(colCfg(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(7))
-	if err := s.Append(randBatch(rng, 600, 0, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	suffix := randBatch(rng, 30, 0, 300)
-	if err := s.Append(suffix); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(filepath.Join(s.cfg.Dir, checkpointName(0)), 0); err != nil {
-		t.Fatal(err)
-	}
-	suffix.SortByTime()
-	for read := 1; read <= 2; read++ {
-		for c := 0; c < 3; c++ {
-			var want tuple.Batch
-			for _, tp := range suffix {
-				if int(tp.T/100) == c {
-					want = append(want, tp)
-				}
-			}
-			if got := s.Window(c); !batchBitEqual(got, want) {
-				t.Fatalf("read %d: window %d served %d tuples, want its %d-tuple suffix", read, c, len(got), len(want))
-			}
-		}
-		if cs := s.ColumnarStats(); cs.MaterializeFailures != 3 || cs.LazyWindows != 0 {
-			t.Fatalf("read %d: stats %+v: want each of the three lost bases counted once", read, cs)
-		}
 	}
 }
 
@@ -492,131 +427,6 @@ func TestColumnarCheckpointOfLazyWindows(t *testing.T) {
 		if got := r.Window(c); !batchBitEqual(got, w) {
 			t.Fatalf("window %d differs after checkpoint-of-lazy-windows", c)
 		}
-	}
-}
-
-// TestColumnarEquivalenceRandomHistories is the property test at the
-// store layer: over randomized ingest histories — late arrivals,
-// interleaved checkpoints, restarts that leave windows lazy, torn segment
-// tails — a reopen of the directory must agree bit-for-bit on every
-// observable with a memory store fed the same appends under the same
-// retention.
-func TestColumnarEquivalenceRandomHistories(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		dir := t.TempDir()
-		cfg := colCfg(dir)
-		cfg.Retain = 8
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Open(Config{WindowLength: cfg.WindowLength, Retain: cfg.Retain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxWin := 3
-		ops := 30 + rng.Intn(40)
-		for i := 0; i < ops; i++ {
-			switch rng.Intn(20) {
-			case 0, 1:
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				requireSameState(t, fmt.Sprintf("trial %d op %d: checkpointed", trial, i), s, ref)
-				continue
-			case 3:
-				// Checkpoint, append into a window the checkpoint released,
-				// checkpoint again (base decoded, suffix merged, the rest
-				// carried over), then crash: what is on disk at that
-				// instant must reopen to the same state.
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				idxs := s.WindowIndexes()
-				if len(idxs) == 0 {
-					continue
-				}
-				c := idxs[rng.Intn(len(idxs))]
-				b := randBatch(rng, 1+rng.Intn(25), float64(c*100), float64(c*100+100))
-				if err := s.Append(b); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.Append(b); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				requireSameState(t, fmt.Sprintf("trial %d op %d: running", trial, i), s, ref)
-				crashCfg := cfg
-				crashCfg.Dir = copyDirTo(t, dir)
-				crashed, err := Open(crashCfg)
-				if err != nil {
-					t.Fatalf("trial %d op %d: reopen after the crash: %v", trial, i, err)
-				}
-				requireSameState(t, fmt.Sprintf("trial %d op %d: crashed", trial, i), crashed, ref)
-				crashed.Close()
-				continue
-			case 2:
-				// Restart: checkpointed windows come back lazy, and the
-				// next checkpoint assembles them from the previous file.
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if s, err = Open(cfg); err != nil {
-					t.Fatalf("trial %d: reopen: %v", trial, err)
-				}
-				continue
-			}
-			if rng.Intn(4) == 0 {
-				maxWin++
-			}
-			lo := maxWin - 3 - rng.Intn(2) // late arrivals into older windows
-			if lo < 0 {
-				lo = 0
-			}
-			b := randBatch(rng, 1+rng.Intn(25), float64(lo*100), float64(maxWin*100))
-			if err := s.Append(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Append(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rng.Intn(2) == 0 {
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Optionally tear the newest segment's tail, as a crash mid-write
-		// would: the torn frame was never acknowledged, so the reference
-		// never saw it.
-		if rng.Intn(2) == 0 {
-			names, err := segmentNames(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(names) > 0 {
-				p := filepath.Join(dir, names[len(names)-1])
-				f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Write([]byte{0x45, 0x4d, 0x54, 0x31, 0x13, 0x37, 0x00})
-				f.Close()
-			}
-		}
-
-		re, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("trial %d: reopen: %v", trial, err)
-		}
-		requireSameState(t, fmt.Sprintf("trial %d", trial), re, ref)
-		re.Close()
 	}
 }
 

@@ -68,39 +68,3 @@ func TestWindowsPartitionData(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestDurabilityPreservesEverything: random append schedules survive a
-// close/reopen cycle byte for byte.
-func TestDurabilityPreservesEverything(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		s, err := Open(Config{WindowLength: 100, Dir: dir})
-		if err != nil {
-			return false
-		}
-		total := 0
-		for b := 0; b < 1+rng.Intn(5); b++ {
-			batch := make(tuple.Batch, 1+rng.Intn(50))
-			for i := range batch {
-				batch[i] = tuple.Raw{T: rng.Float64() * 1000, S: rng.Float64() * 100}
-			}
-			if err := s.Append(batch); err != nil {
-				return false
-			}
-			total += len(batch)
-		}
-		if err := s.Close(); err != nil {
-			return false
-		}
-		s2, err := Open(Config{WindowLength: 100, Dir: dir})
-		if err != nil {
-			return false
-		}
-		defer s2.Close()
-		return s2.Len() == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -15,20 +16,6 @@ import (
 
 	"repro/internal/tuple"
 )
-
-// randomBatch returns n tuples of random values at full float64 precision.
-func randomBatch(rng *rand.Rand, n int) tuple.Batch {
-	b := make(tuple.Batch, n)
-	for i := range b {
-		b[i] = tuple.Raw{
-			T: rng.Float64() * 1e6,
-			X: (rng.Float64() - 0.5) * 1e4,
-			Y: (rng.Float64() - 0.5) * 1e4,
-			S: 350 + rng.Float64()*1000,
-		}
-	}
-	return b
-}
 
 // readBack decodes every frame of data, failing on anything but a clean
 // end at a frame boundary.
@@ -48,18 +35,10 @@ func readBack(t *testing.T, data []byte) []tuple.Batch {
 	}
 }
 
-// requireBitEqual fails unless got holds want's tuples, bit for bit.
-func requireBitEqual(t *testing.T, got, want tuple.Batch) {
-	t.Helper()
-	if !batchBitEqual(got, want) {
-		t.Fatalf("decoded %d tuples differ from the %d encoded", len(got), len(want))
-	}
-}
-
 func TestSegmentFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 7, 100, 1000} {
-		b := randomBatch(rng, n)
+		b := randBatch(rng, n, 0, 1e6)
 		frame := appendFrame(nil, b)
 		if got := binary.LittleEndian.Uint32(frame[4:]); int(got) != len(frame)-frameHeader {
 			t.Errorf("n=%d: frame of %d bytes claims a %d-byte block", n, len(frame), got)
@@ -68,7 +47,9 @@ func TestSegmentFrameRoundTrip(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("n=%d: %d frames read back, want 1", n, len(got))
 		}
-		requireBitEqual(t, got[0], b)
+		if !batchBitEqual(got[0], b) {
+			t.Fatalf("n=%d: the decoded tuples differ from those encoded", n)
+		}
 	}
 }
 
@@ -79,8 +60,9 @@ func TestSegmentFramesInSequence(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("%d frames read back, want 2", len(got))
 	}
-	requireBitEqual(t, got[0], a)
-	requireBitEqual(t, got[1], b)
+	if !batchBitEqual(got[0], a) || !batchBitEqual(got[1], b) {
+		t.Fatal("the decoded frames differ from those encoded")
+	}
 }
 
 func TestSegmentFrameCorruption(t *testing.T) {
@@ -115,7 +97,9 @@ func TestSegmentFrameSpecialFloats(t *testing.T) {
 		{T: 0, X: math.MaxFloat64, Y: -math.MaxFloat64, S: math.SmallestNonzeroFloat64},
 		{T: negZero, X: math.Inf(1), Y: math.Inf(-1), S: math.Float64frombits(0x7ff8000000000001)},
 	}
-	requireBitEqual(t, readBack(t, appendFrame(nil, b))[0], b)
+	if !batchBitEqual(readBack(t, appendFrame(nil, b))[0], b) {
+		t.Fatal("the decoded tuples differ from those encoded")
+	}
 }
 
 func TestSegmentFrameRoundTripProperty(t *testing.T) {
@@ -160,7 +144,9 @@ func TestSegmentFrameAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a frame built and read back allocates %v times, want 0", n)
 	}
-	requireBitEqual(t, batch, b)
+	if !batchBitEqual(batch, b) {
+		t.Fatal("the decoded tuples differ from those encoded")
+	}
 }
 
 // rawFrame is b as one frame of the raw tuple coding earlier releases
@@ -231,7 +217,9 @@ func TestRawSegmentRefused(t *testing.T) {
 			t.Fatalf("a raw segment the checkpoint covers stopped Open: %v", err)
 		}
 		defer s.Close()
-		sameTuples(t, collectTuples(s), collectTuples(storeOf(t, early)))
+		if !maps.Equal(collectTuples(s), collectTuples(storeOf(t, early))) {
+			t.Error("the store holds other tuples than the covered segment's")
+		}
 	})
 
 	t.Run("empty", func(t *testing.T) {

@@ -21,15 +21,13 @@
 //
 // # Durability and sync policy
 //
-// Historically the store acknowledged a durable Append as soon as the
-// frame reached the OS (write(2)); fsync happened only on Sync and Close,
-// so a machine crash could lose every acknowledged batch since the last
-// explicit Sync. That weak guarantee is now opt-in: Config.Sync selects
-// when appends reach stable storage, and its zero value is SyncEveryBatch
-// — an Append with Dir set does not return before its frame is fsynced.
-// SyncNever restores the historical write-and-ack behavior. The store
-// does not batch fsyncs itself: the ingest pipeline coalesces queued
-// uploads into one Append, and that is what makes fsyncs < uploads.
+// Config.Sync selects when appends reach stable storage. Its zero value,
+// SyncEveryBatch, fsyncs an Append's frame — and, on a new segment, the
+// directory entry — before the Append returns; SyncNever acknowledges a
+// frame once it reached the OS (write(2)), and only Sync, Close and a
+// checkpoint fsync. The store does not batch fsyncs itself: the ingest
+// pipeline coalesces queued uploads into one Append, and that is what
+// makes fsyncs < uploads.
 //
 // # Checkpoints, recovery, and compaction
 //
@@ -72,32 +70,18 @@ import (
 	"repro/internal/tuple"
 )
 
-// SyncMode selects when durable appends are flushed to stable storage.
-type SyncMode int
-
-const (
-	// SyncModeEveryBatch fsyncs the segment after every appended batch,
-	// before the append is acknowledged. The default when Dir is set.
-	SyncModeEveryBatch SyncMode = iota
-	// SyncModeNever issues no policy-driven fsyncs: appends are
-	// acknowledged once written to the OS, and data reaches stable
-	// storage only on Sync, Close, or at the kernel's leisure. This is
-	// the store's historical (pre-sync-policy) behavior.
-	SyncModeNever
-)
-
 // SyncPolicy configures when durable appends are flushed; build one with
 // SyncEveryBatch or SyncNever. The zero value is SyncEveryBatch().
 type SyncPolicy struct {
-	Mode SyncMode
+	never bool // SyncNever: no fsync on append
 }
 
 // SyncEveryBatch returns the policy that fsyncs every appended batch
 // before acknowledging it.
-func SyncEveryBatch() SyncPolicy { return SyncPolicy{Mode: SyncModeEveryBatch} }
+func SyncEveryBatch() SyncPolicy { return SyncPolicy{} }
 
 // SyncNever returns the policy that never fsyncs on append.
-func SyncNever() SyncPolicy { return SyncPolicy{Mode: SyncModeNever} }
+func SyncNever() SyncPolicy { return SyncPolicy{never: true} }
 
 // maxKeptFrame bounds the segment-frame buffer the store keeps between
 // appends (32 Ki tuples); a larger frame is built in a buffer of its own.
@@ -175,6 +159,10 @@ type Store struct {
 	appends atomic.Int64
 	syncs   atomic.Int64
 
+	// made counts the segment files openSegment created, and entries how
+	// many of them a directory fsync covered (syncEntries).
+	made, entries atomic.Int64
+
 	// evictHooks run after windows are evicted, outside the store lock,
 	// in registration order. Guarded by mu; keyed for unregistration.
 	evictHooks map[int]func(evicted []int)
@@ -203,9 +191,10 @@ type Store struct {
 	// frame is the segment frame of the batch being appended, rebuilt in
 	// place by every durable append (persistLocked runs under mu).
 	frame []byte
-	// writeFrame writes one encoded batch frame to the segment; swapped by
-	// tests to inject torn writes. Defaults to a plain Write.
-	writeFrame func(w io.Writer, frame []byte) error
+	// writer is what a segment frame, or a checkpoint's or MANIFEST's body
+	// (atomicReplace), is written to file f through: f itself, or the
+	// wrapper a test swaps in to tear or fail writes.
+	writer func(f *os.File) io.Writer
 	// syncSeg flushes a file to stable storage; swapped by tests to
 	// count or fail fsyncs. Defaults to (*os.File).Sync.
 	syncSeg func(f *os.File) error
@@ -290,16 +279,11 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.KeepSegments < 0 {
 		return nil, fmt.Errorf("store: KeepSegments = %d, want ≥ 0", cfg.KeepSegments)
 	}
-	switch cfg.Sync.Mode {
-	case SyncModeEveryBatch, SyncModeNever:
-	default:
-		return nil, fmt.Errorf("store: unknown sync mode %d", cfg.Sync.Mode)
-	}
 	s := &Store{
 		cfg:          cfg,
 		windows:      make(map[int]*colblock.Log),
 		col:          columnarState{lazy: make(map[int]lazyWin)},
-		writeFrame:   writeWhole,
+		writer:       func(f *os.File) io.Writer { return f },
 		syncSeg:      func(f *os.File) error { return f.Sync() },
 		renameFile:   os.Rename,
 		removeFile:   os.Remove,
@@ -318,12 +302,6 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// writeWhole is the default writeFrame.
-func writeWhole(w io.Writer, frame []byte) error {
-	_, err := w.Write(frame)
-	return err
 }
 
 // MustOpenMemory returns an in-memory store or panics; a convenience for
@@ -595,6 +573,7 @@ func (s *Store) openSegment() error {
 	}
 	s.seg = &segHandle{f: f}
 	s.segOff = info.Size()
+	s.made.Add(1)
 	return nil
 }
 
@@ -634,7 +613,7 @@ func (s *Store) Append(b tuple.Batch) error {
 		}
 	}
 	var everySeg *segHandle
-	if s.cfg.Dir != "" && s.seg != nil && s.cfg.Sync.Mode == SyncModeEveryBatch {
+	if s.cfg.Dir != "" && s.seg != nil && !s.cfg.Sync.never {
 		everySeg = s.seg
 		everySeg.acquire()
 	}
@@ -645,7 +624,7 @@ func (s *Store) Append(b tuple.Batch) error {
 		// every reader (the whole query path) per append. The frame is
 		// already written, and the acquired reference keeps the handle
 		// open past any concurrent checkpoint that retires and dooms it.
-		syncErr = s.doSync(everySeg.f)
+		syncErr = errors.Join(s.doSync(everySeg.f), s.syncEntries())
 		everySeg.release()
 	}
 	for _, fn := range hooks {
@@ -661,6 +640,22 @@ func (s *Store) Append(b tuple.Batch) error {
 func (s *Store) doSync(f *os.File) error {
 	s.syncs.Add(1)
 	return s.syncSeg(f)
+}
+
+// syncEntries makes the directory entries of the segments created so far
+// durable, as fsync(2) of a new file does not: it fsyncs the directory
+// when a segment was created since the last time, so about once a segment
+// (appends racing the first ack on one may each fsync it).
+func (s *Store) syncEntries() error {
+	made := s.made.Load()
+	if s.entries.Load() >= made {
+		return nil
+	}
+	if err := s.syncDir(); err != nil {
+		return err
+	}
+	s.entries.Store(made)
+	return nil
 }
 
 // DurabilityStats returns the append/fsync counters.
@@ -689,8 +684,8 @@ func (s *Store) persistLocked(b tuple.Batch) error {
 		s.frame = appendFrame(s.frame, b[lo:min(lo+colblock.MaxBlockTuples, len(b))])
 	}
 	size := int64(len(s.frame))
-	//lockcheck:allow writeFrame is the test crash-injection seam; segment writes must serialize under mu
-	err := s.writeFrame(s.seg.f, s.frame)
+	//lockcheck:allow writer is the test crash-injection seam; segment writes must serialize under mu
+	_, err := s.writer(s.seg.f).Write(s.frame)
 	if cap(s.frame) > maxKeptFrame {
 		s.frame = nil // one bulk load must not pin its frame for good
 	}
@@ -1105,14 +1100,15 @@ func (s *Store) MaxTime() float64 {
 // WindowLength returns H.
 func (s *Store) WindowLength() float64 { return s.cfg.WindowLength }
 
-// Sync flushes the open segment to stable storage.
+// Sync flushes the open segment, and the directory entries of new
+// segments, to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil {
 		return nil
 	}
-	return s.doSync(s.seg.f)
+	return errors.Join(s.doSync(s.seg.f), s.syncEntries())
 }
 
 // Close syncs and closes the segment file and releases the checkpoint
@@ -1145,6 +1141,9 @@ func (s *Store) Close() error {
 		}
 	}
 	s.retired = nil
+	if eerr := s.syncEntries(); eerr != nil && err == nil {
+		err = eerr
+	}
 	s.col.rd.release()
 	s.col.rd = nil
 	return err

@@ -1,11 +1,7 @@
 package store
 
 import (
-	"errors"
-	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -121,136 +117,6 @@ func TestEmptyStore(t *testing.T) {
 	}
 }
 
-func TestDurabilityAndRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1, 2, 150)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(250)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: all tuples must come back.
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 4 {
-		t.Fatalf("recovered Len = %d, want 4", s2.Len())
-	}
-	if got := len(s2.Window(0)); got != 2 {
-		t.Errorf("recovered window 0 = %d tuples, want 2", got)
-	}
-	if s2.MaxTime() != 250 {
-		t.Errorf("recovered MaxTime = %v, want 250", s2.MaxTime())
-	}
-	// New appends go to a fresh segment.
-	if err := s2.Append(mkBatch(300)); err != nil {
-		t.Fatal(err)
-	}
-	names, err := segmentNames(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 {
-		t.Errorf("segments = %v, want 2 files", names)
-	}
-}
-
-func TestRecoveryToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write: append garbage to the segment.
-	names, _ := segmentNames(dir)
-	path := filepath.Join(dir, names[0])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x45, 0x4d, 0x54}); err != nil { // partial magic
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery should tolerate torn tail: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("recovered Len = %d, want 3", s2.Len())
-	}
-}
-
-func TestRecoveryToleratesTornTailInEarlierSegment(t *testing.T) {
-	// The write path never appends after a torn frame (it truncates or
-	// rotates), so a corrupt frame is always at a segment's tail — even
-	// in a non-last segment left behind by a rotation. Recovery keeps the
-	// frames before it and replays the remaining segments normally.
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(2)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Tear the tail of the FIRST segment (corrupting the second frame),
-	// then add a later segment holding one more acked batch, as a
-	// rotation would have.
-	names, _ := segmentNames(dir)
-	path := filepath.Join(dir, names[0])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame1 := len(appendFrame(nil, mkBatch(1)))
-	data[frame1+10] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	next, err := os.Create(filepath.Join(dir, "segment-999999.emt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := next.Write(appendFrame(nil, mkBatch(3))); err != nil {
-		t.Fatal(err)
-	}
-	next.Close()
-
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery should tolerate a torn segment tail: %v", err)
-	}
-	defer s2.Close()
-	// Batches 1 and 3 survive; the torn batch 2 is lost with the tail.
-	want := len(mkBatch(1)) + len(mkBatch(3))
-	if s2.Len() != want {
-		t.Errorf("recovered Len = %d, want %d", s2.Len(), want)
-	}
-}
-
 func TestConcurrentAppendAndRead(t *testing.T) {
 	s := MustOpenMemory(50)
 	var wg sync.WaitGroup
@@ -312,120 +178,6 @@ func TestCloseIdempotentWithoutDurability(t *testing.T) {
 	}
 }
 
-// failPartialWrite simulates a torn write: it emits a prefix of garbage
-// bytes to the segment, then fails, leaving a partial frame behind.
-func failPartialWrite(w io.Writer, _ []byte) error {
-	w.Write([]byte{0x45, 0x4d, 0x54, 0x31, 0xde, 0xad}) // magic + junk
-	return errors.New("disk full")
-}
-
-func TestFailedAppendTruncatesTornFrame(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.writeFrame = failPartialWrite
-	if err := s.Append(mkBatch(2)); err == nil {
-		t.Fatal("append with failing write must error")
-	}
-	if s.Len() != 1 {
-		t.Errorf("failed append must not be ingested: Len = %d, want 1", s.Len())
-	}
-	// The torn bytes must be gone: later appends land after the last good
-	// frame and the whole log replays.
-	s.writeFrame = writeWhole
-	if err := s.Append(mkBatch(3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery after failed append: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("recovered Len = %d, want 3 (batches 1 and 3)", s2.Len())
-	}
-}
-
-func TestFailedAppendRotatesWhenTruncateFails(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the write AND close the segment under the store's feet, so the
-	// truncate rollback fails and the store must rotate.
-	s.writeFrame = func(w io.Writer, _ []byte) error {
-		w.Write([]byte{0x45, 0x4d, 0x54, 0x31, 0xde, 0xad})
-		s.seg.f.Close()
-		return errors.New("disk failure")
-	}
-	if err := s.Append(mkBatch(2)); err == nil {
-		t.Fatal("append with failing write must error")
-	}
-	s.writeFrame = writeWhole
-	if err := s.Append(mkBatch(3, 4)); err != nil {
-		t.Fatalf("append after rotation: %v", err)
-	}
-	names, _ := segmentNames(dir)
-	if len(names) != 2 {
-		t.Fatalf("got segments %v, want a rotated second segment", names)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash-recovery: the torn frame sits at the abandoned segment's
-	// tail; every acked batch replays.
-	s2, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery after rotation: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("recovered Len = %d, want 3 (batches 1 and 3)", s2.Len())
-	}
-}
-
-func TestRecoverEnforcesRetain(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir, Retain: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 6; c++ {
-		if err := s.Append(mkBatch(float64(c)*100 + 50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(s.WindowIndexes()); got != 2 {
-		t.Fatalf("running store retains %d windows, want 2", got)
-	}
-	s.Close()
-
-	// Segments still hold every window ever appended; replay must re-apply
-	// the retention bound instead of resurrecting them all.
-	s2, err := Open(Config{WindowLength: 100, Dir: dir, Retain: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.WindowIndexes(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Errorf("recovered WindowIndexes = %v, want [4 5]", got)
-	}
-}
-
 func TestOnEvictHook(t *testing.T) {
 	s, err := Open(Config{WindowLength: 100, Retain: 2})
 	if err != nil {
@@ -447,38 +199,6 @@ func TestOnEvictHook(t *testing.T) {
 	defer mu.Unlock()
 	if len(evicted) != 3 || evicted[0] != 0 || evicted[1] != 1 || evicted[2] != 2 {
 		t.Errorf("evicted = %v, want [0 1 2]", evicted)
-	}
-}
-
-func TestRecoveryRejectsCorruptionFollowedByIntactFrames(t *testing.T) {
-	// A corrupt frame with intact frames after it inside one segment
-	// cannot be produced by the write discipline (nothing is written
-	// after a torn frame) — it is real damage, and recovery must fail
-	// loudly instead of silently dropping the acked frames behind it.
-	dir := t.TempDir()
-	s, err := Open(Config{WindowLength: 100, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(mkBatch(2)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	names, _ := segmentNames(dir)
-	path := filepath.Join(dir, names[0])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[10] ^= 0xFF // corrupt the FIRST frame; the second stays intact
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Config{WindowLength: 100, Dir: dir}); err == nil {
-		t.Error("expected error for corruption followed by intact frames")
 	}
 }
 

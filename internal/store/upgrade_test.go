@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,52 +16,41 @@ import (
 )
 
 // requireSameState fails unless got and want agree bit for bit on every
-// observable: indexes, Len, MaxTime, and each window's length, bounds and
-// tuples.
+// observable (sameState).
 func requireSameState(t *testing.T, label string, got, want *Store) {
 	t.Helper()
+	if err := sameState(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// sameState says where got and want differ on an observable: indexes,
+// Len, MaxTime, and each window's length, bounds and tuples.
+func sameState(got, want *Store) error {
 	if got.Len() != want.Len() {
-		t.Fatalf("%s: Len %d, want %d", label, got.Len(), want.Len())
+		return fmt.Errorf("Len %d, want %d", got.Len(), want.Len())
 	}
 	if math.Float64bits(got.MaxTime()) != math.Float64bits(want.MaxTime()) {
-		t.Fatalf("%s: MaxTime %v, want %v", label, got.MaxTime(), want.MaxTime())
+		return fmt.Errorf("MaxTime %v, want %v", got.MaxTime(), want.MaxTime())
 	}
 	gi, wi := got.WindowIndexes(), want.WindowIndexes()
-	if len(gi) != len(wi) {
-		t.Fatalf("%s: indexes %v, want %v", label, gi, wi)
+	if !slices.Equal(gi, wi) {
+		return fmt.Errorf("indexes %v, want %v", gi, wi)
 	}
-	for i, c := range wi {
-		if gi[i] != c {
-			t.Fatalf("%s: indexes %v, want %v", label, gi, wi)
-		}
+	for _, c := range wi {
 		if got.WindowLen(c) != want.WindowLen(c) {
-			t.Fatalf("%s: WindowLen(%d) %d, want %d", label, c, got.WindowLen(c), want.WindowLen(c))
+			return fmt.Errorf("WindowLen(%d) %d, want %d", c, got.WindowLen(c), want.WindowLen(c))
 		}
 		gb, gok := got.WindowBounds(c)
 		wb, wok := want.WindowBounds(c)
 		if gok != wok || gb != wb {
-			t.Fatalf("%s: WindowBounds(%d) %+v,%v want %+v,%v", label, c, gb, gok, wb, wok)
+			return fmt.Errorf("WindowBounds(%d) %+v,%v want %+v,%v", c, gb, gok, wb, wok)
 		}
 		if !batchBitEqual(got.Window(c), want.Window(c)) {
-			t.Fatalf("%s: window %d differs", label, c)
+			return fmt.Errorf("window %d differs", c)
 		}
 	}
-}
-
-// dirFiles reads every file of dir, by name.
-func dirFiles(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return files
+	return nil
 }
 
 // requireRefused opens cfg.Dir, with a stray temp file added, and requires
@@ -70,7 +61,10 @@ func requireRefused(t *testing.T, cfg Config, file string) {
 	if err := os.WriteFile(filepath.Join(cfg.Dir, checkpointName(9)+".tmp"), []byte("stray"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := dirFiles(t, cfg.Dir)
+	before, err := readDir(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := Open(cfg)
 	if err == nil {
 		s.Close()
@@ -78,7 +72,10 @@ func requireRefused(t *testing.T, cfg Config, file string) {
 	if !errors.Is(err, ErrCheckpointFormat) || !strings.Contains(err.Error(), file) {
 		t.Errorf("Open = %v, want ErrCheckpointFormat naming %s", err, file)
 	}
-	after := dirFiles(t, cfg.Dir)
+	after, err := readDir(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, b := range before {
 		if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
 			t.Errorf("a refused Open changed or removed %s", name)
@@ -166,7 +163,10 @@ func TestOldCheckpointFormatsRefused(t *testing.T) {
 		"v3-columnar":    checkpointName(0),
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := copyDirTo(t, filepath.Join("testdata", name, "dir"))
+			dir := t.TempDir()
+			if err := copyDir(filepath.Join("testdata", name, "dir"), dir); err != nil {
+				t.Fatal(err)
+			}
 			requireRefused(t, Config{WindowLength: 100, Retain: 4, Dir: dir}, file)
 		})
 	}
@@ -221,7 +221,9 @@ func TestOverflowingSpanFallsBack(t *testing.T) {
 		t.Fatalf("recovery must fall back: %v", err)
 	}
 	defer re.Close()
-	sameTuples(t, collectTuples(re), want)
+	if !maps.Equal(collectTuples(re), want) {
+		t.Error("the fallback holds other tuples than the store held")
+	}
 	if rs := re.RecoveryStats(); rs.FromCheckpoint || rs.CorruptCheckpoints != 1 || rs.SegmentsReplayed != 2 {
 		t.Errorf("recovery %+v: want the checkpoint counted corrupt and both segments replayed", rs)
 	}
